@@ -1,6 +1,7 @@
 //! The readable columnar chunk: column index, block formats, typed column
-//! decoding, and lossless row-group reconstruction.
+//! decoding, lossless row-group reconstruction, and single-row point reads.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use tc_adm::datatype::ObjectType;
@@ -16,6 +17,15 @@ use crate::{ColumnStats, ColumnarCounters, DEF_NULL, DEF_PRESENT};
 
 /// Magic prefix of the serialized column index blob.
 pub const INDEX_MAGIC: &[u8; 4] = b"TCAX";
+
+/// The original block format: no block headers, and an index blob whose
+/// column count follows the magic directly. Still readable; never written.
+pub const FORMAT_V1: u8 = 1;
+
+/// The current block format: keys, residual and string-column blocks start
+/// with a per-row `u32` end-offset table, so a point lookup reads one row
+/// without walking (or faulting in) the rows before it.
+pub const FORMAT_V2: u8 = 2;
 
 /// A block's location: contiguous pages starting at `start`, `bytes` of
 /// payload (the trailing page is zero-padded). Blocks always begin on a
@@ -107,18 +117,47 @@ impl DecodedColumn {
 pub struct ChunkReader {
     declared: ObjectType,
     counters: Arc<ColumnarCounters>,
+    /// Block format the component was written in ([`FORMAT_V1`] or
+    /// [`FORMAT_V2`]).
+    format: u8,
     columns: Vec<ColumnSpec>,
     groups: Vec<GroupMeta>,
+}
+
+/// The first `N` bytes of `bytes` as an array, for `from_le_bytes`.
+fn le_array<const N: usize>(bytes: &[u8]) -> Option<[u8; N]> {
+    bytes.get(..N)?.try_into().ok()
+}
+
+/// Split one keys-block entry (`varint klen, key, kind byte`) off the front
+/// of `buf`: the key, its kind, and the bytes consumed.
+fn read_key_entry(buf: &[u8]) -> Option<(&[u8], EntryKind, usize)> {
+    let (klen, n) = varint::read_u64(buf)?;
+    let key = buf.get(n..)?.get(..usize::try_from(klen).ok()?)?;
+    let kind = match buf.get(n + key.len())? {
+        0 => EntryKind::Record,
+        1 => EntryKind::AntiMatter,
+        _ => return None,
+    };
+    Some((key, kind, n + key.len() + 1))
+}
+
+/// The payload of a `varint len, bytes` item that fills `raw` exactly.
+fn len_prefixed(raw: &[u8]) -> Option<&[u8]> {
+    let (len, n) = varint::read_u64(raw)?;
+    let payload = &raw[n..];
+    (payload.len() as u64 == len).then_some(payload)
 }
 
 impl ChunkReader {
     pub fn new(
         declared: ObjectType,
         counters: Arc<ColumnarCounters>,
+        format: u8,
         columns: Vec<ColumnSpec>,
         groups: Vec<GroupMeta>,
     ) -> Self {
-        ChunkReader { declared, counters, columns, groups }
+        ChunkReader { declared, counters, format, columns, groups }
     }
 
     pub fn columns(&self) -> &[ColumnSpec] {
@@ -154,24 +193,23 @@ impl ChunkReader {
             + gm.cols.iter().map(|c| c.run.num_pages(page_size)).sum::<u64>()
     }
 
-    fn read_run(
-        &self,
-        store: &PageStore,
-        cache: &BufferCache,
-        run: PageRun,
-    ) -> Result<Vec<u8>, StorageError> {
-        let page_size = store.page_size();
-        let mut out = Vec::with_capacity(run.bytes as usize);
-        for p in 0..run.num_pages(page_size) {
-            let page = cache.read(store, run.start + p)?;
-            let take = (run.bytes as usize - out.len()).min(page_size);
-            out.extend_from_slice(&page[..take]);
+    /// Bytes the per-row offset table takes at the head of group `g`'s
+    /// variable-width blocks.
+    fn table_len(&self, g: usize) -> usize {
+        if self.format >= FORMAT_V2 {
+            self.groups[g].rows as usize * 4
+        } else {
+            0
         }
-        Ok(out)
     }
 
-    fn corrupt(&self, what: &'static str, g: usize) -> StorageError {
-        StorageError::corruption("column block", format!("undecodable {what} in row group {g}"))
+    /// The same for column `col`'s block: only string columns have a table.
+    fn column_table_len(&self, g: usize, col: usize) -> usize {
+        if self.columns[col].tag == TypeTag::String {
+            self.table_len(g)
+        } else {
+            0
+        }
     }
 
     /// The group's `(key, kind)` pairs, in key order.
@@ -182,25 +220,14 @@ impl ChunkReader {
         g: usize,
     ) -> Result<Vec<(Key, EntryKind)>, StorageError> {
         let gm = &self.groups[g];
-        let block = self.read_run(store, cache, gm.keys)?;
+        let body = Block { store, cache, g, run: gm.keys }.read_from(self.table_len(g))?;
         let mut out = Vec::with_capacity(gm.rows as usize);
         let mut pos = 0usize;
         for _ in 0..gm.rows {
-            let (klen, n) =
-                varint::read_u64(&block[pos..]).ok_or_else(|| self.corrupt("keys block", g))?;
+            let (key, kind, n) =
+                read_key_entry(&body[pos..]).ok_or_else(|| corrupt("keys block", g))?;
+            out.push((key.to_vec(), kind));
             pos += n;
-            let key = block
-                .get(pos..pos + klen as usize)
-                .ok_or_else(|| self.corrupt("keys block", g))?
-                .to_vec();
-            pos += klen as usize;
-            let kind = match block.get(pos) {
-                Some(0) => EntryKind::Record,
-                Some(1) => EntryKind::AntiMatter,
-                _ => return Err(self.corrupt("keys block", g)),
-            };
-            pos += 1;
-            out.push((key, kind));
         }
         Ok(out)
     }
@@ -213,18 +240,18 @@ impl ChunkReader {
         cache: &BufferCache,
         g: usize,
     ) -> Result<Vec<Vec<u8>>, StorageError> {
-        self.counters.columns_faulted.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.counters.columns_faulted.fetch_add(1, Ordering::Relaxed);
         let gm = &self.groups[g];
-        let block = self.read_run(store, cache, gm.residual)?;
+        let block = Block { store, cache, g, run: gm.residual }.read_from(self.table_len(g))?;
         let mut out = Vec::with_capacity(gm.rows as usize);
         let mut pos = 0usize;
         for _ in 0..gm.rows {
             let (len, n) =
-                varint::read_u64(&block[pos..]).ok_or_else(|| self.corrupt("residual block", g))?;
+                varint::read_u64(&block[pos..]).ok_or_else(|| corrupt("residual block", g))?;
             pos += n;
             let bytes = block
                 .get(pos..pos + len as usize)
-                .ok_or_else(|| self.corrupt("residual block", g))?
+                .ok_or_else(|| corrupt("residual block", g))?
                 .to_vec();
             pos += len as usize;
             out.push(bytes);
@@ -240,26 +267,26 @@ impl ChunkReader {
         g: usize,
         col: usize,
     ) -> Result<DecodedColumn, StorageError> {
-        self.counters.columns_faulted.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.counters.columns_faulted.fetch_add(1, Ordering::Relaxed);
         let gm = &self.groups[g];
         let rows = gm.rows as usize;
-        let block = self.read_run(store, cache, gm.cols[col].run)?;
+        let table = self.column_table_len(g, col);
+        let block = Block { store, cache, g, run: gm.cols[col].run }.read_from(table)?;
+        let err = || corrupt("column block", g);
         if block.len() < rows {
-            return Err(self.corrupt("column block", g));
+            return Err(err());
         }
         let (def, mut body) = block.split_at(rows);
         if def.iter().any(|&d| d > DEF_PRESENT) {
-            return Err(self.corrupt("column block", g));
+            return Err(err());
         }
         let def = def.to_vec();
-        let err = || self.corrupt("column block", g);
         let values = match self.columns[col].tag {
             TypeTag::Int64 => {
                 let mut vals = vec![0i64; rows];
                 for (i, v) in vals.iter_mut().enumerate() {
                     if def[i] == DEF_PRESENT {
-                        let raw: [u8; 8] = body.get(..8).ok_or_else(err)?.try_into().unwrap();
-                        *v = i64::from_le_bytes(raw);
+                        *v = i64::from_le_bytes(le_array(body).ok_or_else(err)?);
                         body = &body[8..];
                     }
                 }
@@ -269,8 +296,7 @@ impl ChunkReader {
                 let mut vals = vec![0f64; rows];
                 for (i, v) in vals.iter_mut().enumerate() {
                     if def[i] == DEF_PRESENT {
-                        let raw: [u8; 8] = body.get(..8).ok_or_else(err)?.try_into().unwrap();
-                        *v = f64::from_le_bytes(raw);
+                        *v = f64::from_le_bytes(le_array(body).ok_or_else(err)?);
                         body = &body[8..];
                     }
                 }
@@ -298,14 +324,170 @@ impl ChunkReader {
                 }
                 ColumnValues::Str(vals)
             }
-            other => {
-                return Err(StorageError::corruption(
-                    "column block",
-                    format!("column with non-columnar tag {other}"),
-                ));
-            }
+            other => return Err(non_columnar_tag(other)),
         };
         Ok(DecodedColumn { def, values })
+    }
+
+    /// Binary-search group `g`'s key column: the row id and kind of `key`.
+    fn find_key(
+        &self,
+        store: &PageStore,
+        cache: &BufferCache,
+        g: usize,
+        key: &[u8],
+    ) -> Result<Option<(usize, EntryKind)>, StorageError> {
+        let gm = &self.groups[g];
+        let err = || corrupt("keys block", g);
+        let block = Block { store, cache, g, run: gm.keys };
+        let table = self.table_len(g);
+        let (mut lo, mut hi) = (0usize, gm.rows as usize);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let (start, end) = block.row_span(mid)?;
+            let entry = block.read(table + start, end - start)?;
+            let (k, kind, n) = read_key_entry(&entry).ok_or_else(err)?;
+            if n != entry.len() {
+                return Err(err());
+            }
+            match k.cmp(key) {
+                std::cmp::Ordering::Equal => return Ok(Some((mid, kind))),
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+            }
+        }
+        Ok(None)
+    }
+
+    /// Row `i`'s residual record, read through the offset table.
+    fn residual_row(
+        &self,
+        store: &PageStore,
+        cache: &BufferCache,
+        g: usize,
+        i: usize,
+    ) -> Result<Vec<u8>, StorageError> {
+        let block = Block { store, cache, g, run: self.groups[g].residual };
+        let (start, end) = block.row_span(i)?;
+        let row = block.read(self.table_len(g) + start, end - start)?;
+        len_prefixed(&row).map(<[u8]>::to_vec).ok_or_else(|| corrupt("residual block", g))
+    }
+
+    /// Row `i` of typed column `col` — what [`DecodedColumn::value_at`]
+    /// gives after `read_column`, without decoding the other rows.
+    /// Fixed-width values are found by rank over the definition bytes,
+    /// strings through the block's offset table.
+    fn column_value(
+        &self,
+        store: &PageStore,
+        cache: &BufferCache,
+        g: usize,
+        col: usize,
+        i: usize,
+    ) -> Result<Value, StorageError> {
+        let rows = self.groups[g].rows as usize;
+        let block = Block { store, cache, g, run: self.groups[g].cols[col].run };
+        let err = || corrupt("column block", g);
+        let table = self.column_table_len(g, col);
+        // Definition bytes up to and including row `i`'s.
+        let def = block.read(table, i + 1)?;
+        if def.iter().any(|&d| d > DEF_PRESENT) {
+            return Err(err());
+        }
+        match def[i] {
+            DEF_PRESENT => {}
+            DEF_NULL => return Ok(Value::Null),
+            _ => return Ok(Value::Missing),
+        }
+        let values = table + rows;
+        let fixed = |width: usize| {
+            let rank = def[..i].iter().filter(|&&d| d == DEF_PRESENT).count();
+            block.read(values + rank * width, width)
+        };
+        Ok(match self.columns[col].tag {
+            TypeTag::Int64 => {
+                Value::Int64(i64::from_le_bytes(le_array(&fixed(8)?).ok_or_else(err)?))
+            }
+            TypeTag::Double => {
+                Value::Double(f64::from_le_bytes(le_array(&fixed(8)?).ok_or_else(err)?))
+            }
+            TypeTag::Boolean => Value::Boolean(fixed(1)?[0] != 0),
+            TypeTag::String => {
+                let (start, end) = block.row_span(i)?;
+                let raw = block.read(values + start, end - start)?;
+                let text = len_prefixed(&raw).ok_or_else(err)?;
+                Value::String(String::from_utf8(text.to_vec()).map_err(|_| err())?)
+            }
+            other => return Err(non_columnar_tag(other)),
+        })
+    }
+}
+
+fn corrupt(what: &'static str, g: usize) -> StorageError {
+    StorageError::corruption("column block", format!("undecodable {what} in row group {g}"))
+}
+
+fn non_columnar_tag(tag: TypeTag) -> StorageError {
+    StorageError::corruption("column block", format!("column with non-columnar tag {tag}"))
+}
+
+/// One block of row group `g`, read by byte range: only the pages holding
+/// the bytes asked for are faulted in.
+struct Block<'a> {
+    store: &'a PageStore,
+    cache: &'a BufferCache,
+    g: usize,
+    run: PageRun,
+}
+
+impl Block<'_> {
+    /// Bytes `[offset, offset + len)` of the block. A range past its end
+    /// means the index or an offset table lied.
+    fn read(&self, offset: usize, len: usize) -> Result<Vec<u8>, StorageError> {
+        let end = offset
+            .checked_add(len)
+            .filter(|&end| end <= self.run.bytes as usize)
+            .ok_or_else(|| corrupt("block range", self.g))?;
+        let page_size = self.store.page_size();
+        let mut out = Vec::with_capacity(len);
+        let mut pos = offset;
+        while pos < end {
+            let page = self.cache.read(self.store, self.run.start + (pos / page_size) as u64)?;
+            let in_page = pos % page_size;
+            let take = (end - pos).min(page_size - in_page);
+            out.extend_from_slice(&page[in_page..in_page + take]);
+            pos += take;
+        }
+        Ok(out)
+    }
+
+    /// The block from `offset` (the length of its offset table, if it has
+    /// one) to its end.
+    fn read_from(&self, offset: usize) -> Result<Vec<u8>, StorageError> {
+        let len = (self.run.bytes as usize)
+            .checked_sub(offset)
+            .ok_or_else(|| corrupt("offset table", self.g))?;
+        self.read(offset, len)
+    }
+
+    /// Row `i`'s byte range in the block's variable-width area, from the
+    /// end-offset table at the block's head (row `i` starts where row
+    /// `i - 1` ends; the two entries are adjacent, so this is one read).
+    fn row_span(&self, i: usize) -> Result<(usize, usize), StorageError> {
+        let err = || corrupt("offset table", self.g);
+        let word =
+            |raw: &[u8]| le_array(raw).map(|b| u32::from_le_bytes(b) as usize).ok_or_else(err);
+        let (start, end) = match i.checked_sub(1) {
+            None => (0, word(&self.read(0, 4)?)?),
+            Some(prev) => {
+                let raw = self.read(prev * 4, 8)?;
+                (word(&raw)?, word(&raw[4..])?)
+            }
+        };
+        if start > end {
+            return Err(err());
+        }
+        Ok((start, end))
     }
 }
 
@@ -347,9 +529,10 @@ impl ColumnarChunk for ChunkReader {
         g: usize,
     ) -> Result<Vec<(Key, EntryKind, Vec<u8>)>, StorageError> {
         let keys = self.read_keys(store, cache, g)?;
+        self.counters.rows_reconstructed.fetch_add(keys.len() as u64, Ordering::Relaxed);
         let residuals = self.read_residual(store, cache, g)?;
         if residuals.len() != keys.len() {
-            return Err(self.corrupt("group", g));
+            return Err(corrupt("group", g));
         }
         // Decode every record row's residual, then graft the typed columns
         // back in. Anti-matter rows carry no payload.
@@ -384,6 +567,44 @@ impl ColumnarChunk for ChunkReader {
                 (key, kind, payload)
             })
             .collect())
+    }
+
+    fn get_row(
+        &self,
+        store: &PageStore,
+        cache: &BufferCache,
+        g: usize,
+        key: &[u8],
+    ) -> Result<Option<(EntryKind, Vec<u8>)>, StorageError> {
+        self.counters.point_lookups.fetch_add(1, Ordering::Relaxed);
+        if self.format < FORMAT_V2 {
+            // v1 blocks have no offset tables, so no row can be addressed
+            // without walking the ones before it: reconstruct the group. No
+            // writer produces v1 any more; a merge rewrites it as v2.
+            let mut rows = self.read_group_rows(store, cache, g)?;
+            return Ok(rows
+                .binary_search_by(|(k, _, _)| k.as_slice().cmp(key))
+                .ok()
+                .map(|i| rows.swap_remove(i))
+                .map(|(_, kind, payload)| (kind, payload)));
+        }
+        let Some((i, kind)) = self.find_key(store, cache, g, key)? else {
+            return Ok(None);
+        };
+        if kind == EntryKind::AntiMatter {
+            return Ok(Some((kind, Vec::new())));
+        }
+        // The same decode → graft → encode as `read_group_rows`, for one row.
+        let residual = self.residual_row(store, cache, g, i)?;
+        let mut value = tc_vector::decode(&residual, None, None)
+            .map_err(|e| StorageError::corruption("column block", e.to_string()))?;
+        for (c, spec) in self.columns.iter().enumerate() {
+            match self.column_value(store, cache, g, c, i)? {
+                Value::Missing => {}
+                v => insert_at_path(&mut value, &spec.path, v),
+            }
+        }
+        Ok(Some((kind, tc_vector::encode(&value, Some(&self.declared)))))
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -423,10 +644,16 @@ fn read_run(buf: &[u8], pos: &mut usize) -> Option<PageRun> {
     Some(PageRun { start, bytes: u32::try_from(bytes).ok()? })
 }
 
-/// Serialize the column index.
+/// Serialize the column index of a [`FORMAT_V2`] component.
+///
+/// v1 blobs carry no version: the column count, a canonical varint, follows
+/// the magic. Later versions put `[0x80 | version, 0x00]` there — an
+/// over-long varint no canonical writer emits — so a reader can always tell
+/// which of the two it holds.
 pub fn serialize_index(columns: &[ColumnSpec], groups: &[GroupMeta]) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(INDEX_MAGIC);
+    out.extend_from_slice(&[0x80 | FORMAT_V2, 0x00]);
     varint::write_u64(&mut out, columns.len() as u64);
     for c in columns {
         varint::write_u64(&mut out, c.path.len() as u64);
@@ -463,12 +690,19 @@ pub fn serialize_index(columns: &[ColumnSpec], groups: &[GroupMeta]) -> Vec<u8> 
     out
 }
 
-/// Parse a serialized column index (the inverse of [`serialize_index`]).
-pub fn deserialize_index(buf: &[u8]) -> Option<(Vec<ColumnSpec>, Vec<GroupMeta>)> {
+/// Parse a serialized column index of either format: the block format it
+/// declares, the columns, and the row groups.
+pub fn deserialize_index(buf: &[u8]) -> Option<(u8, Vec<ColumnSpec>, Vec<GroupMeta>)> {
     if buf.get(..4)? != INDEX_MAGIC {
         return None;
     }
-    let mut pos = 4usize;
+    let (format, mut pos) = match *buf.get(4..6)? {
+        [tagged, 0x00] if tagged & 0x80 != 0 => (tagged & 0x7f, 6usize),
+        _ => (FORMAT_V1, 4usize),
+    };
+    if !(FORMAT_V1..=FORMAT_V2).contains(&format) {
+        return None;
+    }
     let read_u64 = |buf: &[u8], pos: &mut usize| -> Option<u64> {
         let (v, n) = varint::read_u64(buf.get(*pos..)?)?;
         *pos += n;
@@ -520,5 +754,5 @@ pub fn deserialize_index(buf: &[u8]) -> Option<(Vec<ColumnSpec>, Vec<GroupMeta>)
         }
         groups.push(GroupMeta { first_key, rows, keys, residual, cols });
     }
-    Some((columns, groups))
+    Some((format, columns, groups))
 }

@@ -10,8 +10,8 @@
 //! ```text
 //! component page store
 //! ┌──────────────────────────────────────────────────────────────┐
-//! │ row group 0:  [keys block][col a.b][col a.m][…][residual]    │
-//! │ row group 1:  [keys block][col a.b][col a.m][…][residual]    │
+//! │ row group 0:  [keys block][residual][col a.b][col a.m][…]    │
+//! │ row group 1:  [keys block][residual][col a.b][col a.m][…]    │
 //! │ …                                                            │
 //! │ [column index blob]  [generic component tail (bloom, id, …)] │
 //! └──────────────────────────────────────────────────────────────┘
@@ -29,6 +29,27 @@
 //!   with min/max stats, null counts, and spill counts; scans fault in only
 //!   the columns a query references and skip whole groups whose stats
 //!   cannot satisfy a pushed-down conjunct.
+//!
+//! Every block starts on a fresh page. The three blocks whose rows vary in
+//! width open with an **offset table** — one little-endian `u32` per row,
+//! the offset at which that row *ends* in the area after the table (row 0
+//! starts at 0) — so a point lookup ([`ChunkReader`]'s `get_row`) reads one
+//! row and faults in only the pages holding it:
+//!
+//! ```text
+//! keys block      [end × rows] [varint klen, key, kind byte]…
+//! residual block  [end × rows] [varint len, vector record]…   (len 0 = anti-matter)
+//! string column   [end × rows] [def × rows] [varint len, utf-8]…  (present rows only;
+//!                                           offsets count from the end of the def bytes)
+//! i64/f64/bool    [def × rows] [fixed-width value]…           (present rows only;
+//!                                           row i's value is found by rank over def)
+//! ```
+//!
+//! The offset tables are block format 2. The index blob says which format a
+//! component has: `TCAX`, then `[0x80 | version, 0x00]`, then the columns
+//! and groups. Format 1 components (no tables; the blob goes from `TCAX`
+//! straight to the column count) still read, point lookups on them by
+//! reconstructing the group.
 //!
 //! All pages go through the component's own [`PageStore`], so PR 8's CRC
 //! footers, fault injection, and disk accounting apply to column pages
@@ -54,14 +75,18 @@ pub const DEF_PRESENT: u8 = 2;
 
 /// Shared counters for the columnar satellite stats: the codec counts pages
 /// it writes; readers count column blocks faulted in, group pages skipped
-/// via min/max stats, and rows run through the typed filter loops. The
-/// dataset layer injects these into [`tc_lsm::LsmStats`] snapshots.
+/// via min/max stats, rows run through the typed filter loops, rows pivoted
+/// back into records by group reconstruction, and single-row point lookups.
+/// The dataset layer injects the first four into [`tc_lsm::LsmStats`]
+/// snapshots.
 #[derive(Debug, Default)]
 pub struct ColumnarCounters {
     pub pages_written: AtomicU64,
     pub pages_skipped: AtomicU64,
     pub columns_faulted: AtomicU64,
     pub typed_filter_rows: AtomicU64,
+    pub rows_reconstructed: AtomicU64,
+    pub point_lookups: AtomicU64,
 }
 
 impl ColumnarCounters {
@@ -79,6 +104,17 @@ impl ColumnarCounters {
 
     pub fn typed_filter_rows(&self) -> u64 {
         self.typed_filter_rows.load(Ordering::Relaxed)
+    }
+
+    /// Rows `read_group_rows` decoded, grafted and re-encoded (scans, merges
+    /// and migration; a point lookup adds none).
+    pub fn rows_reconstructed(&self) -> u64 {
+        self.rows_reconstructed.load(Ordering::Relaxed)
+    }
+
+    /// `get_row` calls: point lookups that reached a row group.
+    pub fn point_lookups(&self) -> u64 {
+        self.point_lookups.load(Ordering::Relaxed)
     }
 
     pub fn note_pages_skipped(&self, n: u64) {

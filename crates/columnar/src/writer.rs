@@ -7,11 +7,11 @@ use tc_adm::{TypeTag, Value};
 use tc_lsm::columnar::{ColumnarChunk, ColumnarCodec};
 use tc_lsm::entry::{EntryKind, Key};
 use tc_schema::{leaf_columns, Schema};
-use tc_storage::error::StorageError;
+use tc_storage::error::{IoOp, StorageError};
 use tc_storage::page_store::{PageStore, PageWriter};
 use tc_util::varint;
 
-use crate::chunk::{ChunkReader, ColumnChunkMeta, ColumnSpec, GroupMeta, PageRun};
+use crate::chunk::{ChunkReader, ColumnChunkMeta, ColumnSpec, GroupMeta, PageRun, FORMAT_V2};
 use crate::{ColumnStats, ColumnarCounters, DEFAULT_GROUP_ROWS, DEF_ABSENT, DEF_NULL, DEF_PRESENT};
 
 /// Shreds flushed/merged entries into the AMAX column-page layout. One
@@ -101,10 +101,47 @@ fn take_at_path(v: &mut Value, path: &[String], tag: TypeTag) -> Taken {
     }
 }
 
+/// A block whose rows vary in width, under construction: the rows back to
+/// back, and where each ends — the `u32` offset table the block opens with,
+/// which lets a point lookup read row `i` alone.
+#[derive(Default)]
+struct VarRows {
+    ends: Vec<u32>,
+    bytes: Vec<u8>,
+}
+
+impl VarRows {
+    /// Close the current row (everything appended to `bytes` since the
+    /// last call). `write_block` refuses blocks past `u32::MAX` bytes, so a
+    /// truncated offset never reaches a reader.
+    fn end_row(&mut self) {
+        self.ends.push(self.bytes.len() as u32);
+    }
+
+    /// The finished block: offset table, then the rows.
+    fn into_block(self) -> Vec<u8> {
+        let mut block = Vec::with_capacity(self.ends.len() * 4 + self.bytes.len());
+        write_offset_table(&mut block, &self.ends);
+        block.extend_from_slice(&self.bytes);
+        block
+    }
+}
+
+/// Append a block's offset table (format 2's block header) to `block`.
+fn write_offset_table(block: &mut Vec<u8>, ends: &[u32]) {
+    for end in ends {
+        block.extend_from_slice(&end.to_le_bytes());
+    }
+}
+
 /// Accumulates one column's block for the current row group.
 struct ColBuild {
+    tag: TypeTag,
     def: Vec<u8>,
     values: Vec<u8>,
+    /// String columns only: where each row's value ends in `values` (absent
+    /// and null rows are empty) — the block's offset table.
+    ends: Vec<u32>,
     null_count: u32,
     spilled: u32,
     stats: ColumnStats,
@@ -112,10 +149,12 @@ struct ColBuild {
 }
 
 impl ColBuild {
-    fn new(rows: usize) -> Self {
+    fn new(rows: usize, tag: TypeTag) -> Self {
         ColBuild {
+            tag,
             def: Vec::with_capacity(rows),
             values: Vec::new(),
+            ends: Vec::new(),
             null_count: 0,
             spilled: 0,
             stats: ColumnStats::None,
@@ -147,7 +186,7 @@ impl ColBuild {
         };
     }
 
-    fn push(&mut self, taken: Taken, tag: TypeTag) {
+    fn push(&mut self, taken: Taken) {
         match taken {
             Taken::Absent => self.def.push(DEF_ABSENT),
             Taken::Spilled => {
@@ -160,7 +199,7 @@ impl ColBuild {
             }
             Taken::Present(v) => {
                 self.def.push(DEF_PRESENT);
-                match (tag, v) {
+                match (self.tag, v) {
                     (TypeTag::Int64, Value::Int64(i)) => {
                         self.observe_int(i);
                         self.values.extend_from_slice(&i.to_le_bytes());
@@ -180,14 +219,16 @@ impl ColBuild {
                 }
             }
         }
+        if self.tag == TypeTag::String {
+            self.ends.push(self.values.len() as u32);
+        }
     }
 
-    fn finish(
-        mut self,
-        store: &PageStore,
-        pages: &mut u64,
-    ) -> Result<ColumnChunkMeta, StorageError> {
-        let mut block = std::mem::take(&mut self.def);
+    fn finish(self, store: &PageStore, pages: &mut u64) -> Result<ColumnChunkMeta, StorageError> {
+        let mut block =
+            Vec::with_capacity(self.ends.len() * 4 + self.def.len() + self.values.len());
+        write_offset_table(&mut block, &self.ends);
+        block.extend_from_slice(&self.def);
         block.extend_from_slice(&self.values);
         let run = write_block(store, &block, pages)?;
         let stats = if self.stats_poisoned { ColumnStats::None } else { self.stats };
@@ -197,10 +238,13 @@ impl ColBuild {
 
 /// Write one block starting on a fresh page; returns its run and counts the
 /// pages it took.
-fn write_block(store: &PageStore, bytes: &[u8], pages: &mut u64) -> Result<PageRun, StorageError> {
-    debug_assert!(!bytes.is_empty(), "blocks are never empty");
+fn write_block(store: &PageStore, block: &[u8], pages: &mut u64) -> Result<PageRun, StorageError> {
+    debug_assert!(!block.is_empty(), "blocks are never empty");
+    // Run lengths and row offsets are `u32`s on disk.
+    let bytes =
+        u32::try_from(block.len()).map_err(|_| StorageError::Permanent { op: IoOp::Write })?;
     let mut w = PageWriter::new(store);
-    w.append(bytes)?;
+    w.append(block)?;
     let ids = w.finish()?;
     debug_assert_eq!(
         *ids.last().unwrap(),
@@ -208,7 +252,7 @@ fn write_block(store: &PageStore, bytes: &[u8], pages: &mut u64) -> Result<PageR
         "a component build owns its store, so pages are contiguous"
     );
     *pages += ids.len() as u64;
-    Ok(PageRun { start: ids[0], bytes: bytes.len() as u32 })
+    Ok(PageRun { start: ids[0], bytes })
 }
 
 impl ColumnarCodec for AmaxCodec {
@@ -225,19 +269,21 @@ impl ColumnarCodec for AmaxCodec {
         let mut pages = 0u64;
 
         for rows in entries.chunks(self.group_rows) {
-            let mut keys_block = Vec::new();
-            let mut residual_block = Vec::new();
+            let mut keys_block = VarRows::default();
+            let mut residual_block = VarRows::default();
             let mut cols: Vec<ColBuild> =
-                columns.iter().map(|_| ColBuild::new(rows.len())).collect();
+                columns.iter().map(|spec| ColBuild::new(rows.len(), spec.tag)).collect();
             for (key, kind, payload) in rows {
-                varint::write_u64(&mut keys_block, key.len() as u64);
-                keys_block.extend_from_slice(key);
-                keys_block.push(*kind as u8);
+                varint::write_u64(&mut keys_block.bytes, key.len() as u64);
+                keys_block.bytes.extend_from_slice(key);
+                keys_block.bytes.push(*kind as u8);
+                keys_block.end_row();
                 if *kind == EntryKind::AntiMatter {
                     for cb in &mut cols {
-                        cb.push(Taken::Absent, TypeTag::Missing);
+                        cb.push(Taken::Absent);
                     }
-                    varint::write_u64(&mut residual_block, 0);
+                    varint::write_u64(&mut residual_block.bytes, 0);
+                    residual_block.end_row();
                     continue;
                 }
                 // Payloads were encoded by this dataset's vector encoder
@@ -246,14 +292,15 @@ impl ColumnarCodec for AmaxCodec {
                 let mut value = tc_vector::decode(payload, Some(&self.declared), dict)
                     .map_err(|e| StorageError::corruption("columnar shred", e.to_string()))?;
                 for (spec, cb) in columns.iter().zip(&mut cols) {
-                    cb.push(take_at_path(&mut value, &spec.path, spec.tag), spec.tag);
+                    cb.push(take_at_path(&mut value, &spec.path, spec.tag));
                 }
                 let residual = tc_vector::encode(&value, None);
-                varint::write_u64(&mut residual_block, residual.len() as u64);
-                residual_block.extend_from_slice(&residual);
+                varint::write_u64(&mut residual_block.bytes, residual.len() as u64);
+                residual_block.bytes.extend_from_slice(&residual);
+                residual_block.end_row();
             }
-            let keys = write_block(store, &keys_block, &mut pages)?;
-            let residual = write_block(store, &residual_block, &mut pages)?;
+            let keys = write_block(store, &keys_block.into_block(), &mut pages)?;
+            let residual = write_block(store, &residual_block.into_block(), &mut pages)?;
             let mut col_metas = Vec::with_capacity(cols.len());
             for cb in cols {
                 col_metas.push(cb.finish(store, &mut pages)?);
@@ -277,6 +324,7 @@ impl ColumnarCodec for AmaxCodec {
         Ok(Box::new(ChunkReader::new(
             self.declared.clone(),
             Arc::clone(&self.counters),
+            FORMAT_V2,
             columns,
             groups,
         )))
@@ -481,7 +529,8 @@ mod tests {
             ],
         }];
         let blob = serialize_index(&columns, &groups);
-        let (c2, g2) = deserialize_index(&blob).unwrap();
+        let (format, c2, g2) = deserialize_index(&blob).unwrap();
+        assert_eq!(format, FORMAT_V2);
         assert_eq!(c2, columns);
         assert_eq!(g2, groups);
         assert!(deserialize_index(&blob[..blob.len() - 1]).is_none());

@@ -1,0 +1,261 @@
+//! Row-addressable point reads: `get_row` must agree with the group
+//! reconstruction it replaces, on the current block format and on
+//! components written before the offset tables existed, and must answer a
+//! damaged offset table with a typed error.
+
+use std::sync::Arc;
+
+use proptest::prelude::*;
+use tc_adm::datatype::{FieldDef, ObjectType, TypeKind};
+use tc_adm::{parse, TypeTag, Value};
+use tc_columnar::chunk::{deserialize_index, ChunkReader, GroupMeta, FORMAT_V1, FORMAT_V2};
+use tc_columnar::{AmaxCodec, ColumnValues, ColumnarCounters};
+use tc_compress::CompressionScheme;
+use tc_lsm::columnar::{ColumnarChunk, ColumnarCodec};
+use tc_lsm::entry::{EntryKind, Key};
+use tc_schema::Schema;
+use tc_storage::buffer_cache::BufferCache;
+use tc_storage::device::{Device, DeviceProfile};
+use tc_storage::page_store::PageStore;
+
+fn declared_pk() -> ObjectType {
+    ObjectType::open(vec![FieldDef {
+        name: "id".into(),
+        kind: TypeKind::Scalar(TypeTag::Int64),
+        optional: false,
+    }])
+}
+
+fn new_store(page_size: usize) -> PageStore {
+    PageStore::new(Arc::new(Device::new(DeviceProfile::RAM)), page_size, CompressionScheme::None)
+}
+
+fn key(i: u64) -> Key {
+    i.to_be_bytes().to_vec()
+}
+
+/// The group a lookup of `k` is routed to: the last one whose first key is
+/// ≤ `k` (group 0 for keys below every group).
+fn group_for(chunk: &dyn ColumnarChunk, k: &[u8]) -> usize {
+    (0..chunk.num_groups()).rev().find(|&g| chunk.group_first_key(g) <= k).unwrap_or(0)
+}
+
+/// One field of a generated record: missing, null, or a value whose type
+/// varies from row to row — so a path is a typed column in one case, a
+/// union (no column) in another, and spills wherever the schema lags.
+fn arb_field() -> impl Strategy<Value = Option<Value>> {
+    prop_oneof![
+        2 => Just(None),
+        1 => Just(Some(Value::Null)),
+        3 => any::<i64>().prop_map(|i| Some(Value::Int64(i))),
+        3 => "[a-z ]{0,40}".prop_map(|s| Some(Value::String(s))),
+        1 => any::<f64>().prop_map(|d| Some(Value::Double(d))),
+        1 => any::<bool>().prop_map(|b| Some(Value::Boolean(b))),
+        1 => proptest::collection::vec(any::<i64>(), 0..4)
+            .prop_map(|v| Some(Value::Array(v.into_iter().map(Value::Int64).collect()))),
+    ]
+}
+
+fn object(fields: Vec<(&str, Option<Value>)>) -> Value {
+    Value::Object(fields.into_iter().filter_map(|(n, v)| Some((n.to_string(), v?))).collect())
+}
+
+/// A generated row: anti-matter or a record, whether the component's schema
+/// saw it, and its fields (`o` nests two of them).
+type Row =
+    ((bool, bool), Option<Value>, Option<Value>, Option<Value>, (Option<Value>, Option<Value>));
+
+fn arb_row() -> impl Strategy<Value = Row> {
+    (
+        (prop_oneof![1 => Just(true), 5 => Just(false)], any::<bool>()),
+        arb_field(),
+        arb_field(),
+        arb_field(),
+        (arb_field(), arb_field()),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// For every stored key `get_row` returns exactly the row
+    /// `read_group_rows` reconstructs, and nothing for keys below, between
+    /// and above the stored ones — without reconstructing a row.
+    #[test]
+    fn get_row_equals_reconstructed_row(
+        rows in proptest::collection::vec(arb_row(), 1..24),
+        group_rows in 1usize..7,
+        page_size in prop_oneof![Just(64usize), Just(1024usize)],
+    ) {
+        let declared = declared_pk();
+        let mut schema = Schema::new();
+        let mut entries = Vec::new();
+        // Stored keys are 2, 4, 6, …: odd probes fall between them.
+        for (i, ((anti, observed), a, b, c, (x, y))) in rows.into_iter().enumerate() {
+            let k = 2 * (i as u64 + 1);
+            if anti {
+                entries.push((key(k), EntryKind::AntiMatter, Vec::new()));
+                continue;
+            }
+            let nested = (x.is_some() || y.is_some()).then(|| object(vec![("x", x), ("y", y)]));
+            let record = object(vec![
+                ("id", Some(Value::Int64(k as i64))),
+                ("a", a),
+                ("b", b),
+                ("c", c),
+                ("o", nested),
+            ]);
+            if observed {
+                let Value::Object(fields) = &record else { unreachable!() };
+                schema.observe_record(fields, &|n| n == "id");
+            }
+            entries.push((key(k), EntryKind::Record, tc_vector::encode(&record, Some(&declared))));
+        }
+        let codec = AmaxCodec::new(declared).with_group_rows(group_rows);
+        let store = new_store(page_size);
+        let chunk = codec.build_chunk(&store, &entries, Some(&schema.serialize())).unwrap();
+        let cache = BufferCache::new(512);
+
+        let mut stored = Vec::new();
+        for g in 0..chunk.num_groups() {
+            stored.extend(chunk.read_group_rows(&store, &cache, g).unwrap());
+        }
+        prop_assert_eq!(stored.len(), entries.len());
+        let reconstructed = codec.counters().rows_reconstructed();
+        for (k, kind, payload) in &stored {
+            let g = group_for(chunk.as_ref(), k);
+            prop_assert_eq!(
+                chunk.get_row(&store, &cache, g, k).unwrap(),
+                Some((*kind, payload.clone()))
+            );
+        }
+        for probe in (0..=2 * entries.len() as u64 + 3).filter(|p| p % 2 == 1 || *p == 0) {
+            let k = key(probe);
+            let g = group_for(chunk.as_ref(), &k);
+            prop_assert_eq!(chunk.get_row(&store, &cache, g, &k).unwrap(), None);
+        }
+        prop_assert_eq!(codec.counters().rows_reconstructed(), reconstructed);
+    }
+}
+
+/// The five rows of `fixtures/v1_*.bin` (`None` = anti-matter), written by
+/// the format-1 writer (the commit before the offset tables) with 128-byte
+/// pages, three rows per group and a schema that never saw row 3 — so its
+/// string `age` spilled past the int column.
+const V1_ROWS: [Option<&str>; 5] = [
+    Some(
+        r#"{"id": 0, "name": "kim", "age": 26, "addr": {"zip": 90210, "ok": true}, "tags": [1, 2]}"#,
+    ),
+    None,
+    Some(r#"{"id": 2, "name": null, "age": 31, "score": 7.5}"#),
+    Some(
+        r#"{"id": 3, "name": "a name long enough that this string column block spills over one 128-byte page of the fixture store, so the run has several pages", "age": "old"}"#,
+    ),
+    Some(r#"{"id": 4, "addr": {"zip": 10001}}"#),
+];
+
+#[test]
+fn v1_components_still_read() {
+    let store = new_store(128);
+    for page in include_bytes!("fixtures/v1_pages.bin").chunks(128) {
+        store.write_page(page).unwrap();
+    }
+    let (format, columns, groups) =
+        deserialize_index(include_bytes!("fixtures/v1_index.bin")).expect("v1 blob parses");
+    assert_eq!(format, FORMAT_V1);
+    assert_eq!(groups.len(), 2);
+    let declared = declared_pk();
+    let counters = Arc::new(ColumnarCounters::default());
+    let reader = ChunkReader::new(declared.clone(), counters, format, columns, groups);
+    let cache = BufferCache::new(64);
+
+    // Scan: every row comes back as written.
+    let mut rows = Vec::new();
+    for g in 0..reader.num_groups() {
+        rows.extend(reader.read_group_rows(&store, &cache, g).unwrap());
+    }
+    assert_eq!(rows.len(), V1_ROWS.len());
+    for (i, ((k, kind, payload), text)) in rows.iter().zip(V1_ROWS).enumerate() {
+        assert_eq!(*k, key(i as u64));
+        match text {
+            None => assert_eq!((*kind, payload.is_empty()), (EntryKind::AntiMatter, true)),
+            Some(text) => {
+                assert_eq!(*kind, EntryKind::Record);
+                let back = tc_vector::decode(payload, Some(&declared), None).unwrap();
+                assert_eq!(back, parse(text).unwrap(), "row {i}");
+            }
+        }
+    }
+    // Point lookups: the same rows, and nothing for an absent key.
+    for (k, kind, payload) in &rows {
+        let g = group_for(&reader, k);
+        assert_eq!(reader.get_row(&store, &cache, g, k).unwrap(), Some((*kind, payload.clone())));
+    }
+    assert_eq!(reader.get_row(&store, &cache, 1, &key(9)).unwrap(), None);
+    // Typed access: the multi-page string column of group 1 (rows 3, 4).
+    let name = reader.find_column(&["name".into()]).unwrap();
+    let ColumnValues::Str(names) = reader.read_column(&store, &cache, 1, name).unwrap().values
+    else {
+        panic!("name is a string column")
+    };
+    assert!(names[0].starts_with("a name long enough"));
+    assert_eq!(names[1], "");
+}
+
+/// A copy of `store` whose page `page` has `bytes` written over its start.
+fn store_with_damage(store: &PageStore, page: u64, bytes: &[u8]) -> PageStore {
+    let copy = new_store(store.page_size());
+    for p in 0..store.num_pages() {
+        let mut content = store.read_page(p).unwrap();
+        if p == page {
+            content[..bytes.len()].copy_from_slice(bytes);
+        }
+        copy.write_page(&content).unwrap();
+    }
+    copy
+}
+
+#[test]
+fn damaged_offset_tables_are_typed_corruption() {
+    let declared = declared_pk();
+    let mut schema = Schema::new();
+    let mut entries = Vec::new();
+    for i in 0..4u64 {
+        let v = parse(&format!(r#"{{"id": {i}, "s": "value {i}", "rest": [{i}]}}"#)).unwrap();
+        let Value::Object(fields) = &v else { unreachable!() };
+        schema.observe_record(fields, &|n| n == "id");
+        entries.push((key(i), EntryKind::Record, tc_vector::encode(&v, Some(&declared))));
+    }
+    let codec = AmaxCodec::new(declared.clone());
+    let store = new_store(256);
+    let chunk = codec.build_chunk(&store, &entries, Some(&schema.serialize())).unwrap();
+    let reader = chunk.as_any().downcast_ref::<ChunkReader>().unwrap();
+    let cache = BufferCache::new(64);
+    assert!(reader.get_row(&store, &cache, 0, &key(1)).unwrap().is_some());
+
+    let reopen = |groups: Vec<GroupMeta>| {
+        let counters = Arc::new(ColumnarCounters::default());
+        ChunkReader::new(declared.clone(), counters, FORMAT_V2, reader.columns().to_vec(), groups)
+    };
+    let assert_corrupt = |r: Result<Option<(EntryKind, Vec<u8>)>, _>| {
+        let err: tc_storage::error::StorageError = r.unwrap_err();
+        assert!(matches!(err, tc_storage::error::StorageError::Corruption { .. }), "got {err}");
+    };
+    let gm = &reader.groups()[0];
+    let s = reader.find_column(&["s".into()]).unwrap();
+    // Row 0's end offset blown past the block, in each block that has a
+    // table: row 0 runs off the block, row 1 starts after it ends.
+    for run in [gm.keys, gm.residual, gm.cols[s].run] {
+        let damaged = store_with_damage(&store, run.start, &[0xff; 4]);
+        let same = reopen(reader.groups().to_vec());
+        for k in [0, 1] {
+            assert_corrupt(same.get_row(&damaged, &BufferCache::new(64), 0, &key(k)));
+        }
+    }
+    // An index that claims a block shorter than its own offset table.
+    let mut truncated = reader.groups().to_vec();
+    truncated[0].residual.bytes = 6;
+    let short = reopen(truncated);
+    assert_corrupt(short.get_row(&store, &cache, 0, &key(2)));
+    assert!(short.read_group_rows(&store, &cache, 0).unwrap_err().is_corruption());
+}

@@ -910,8 +910,6 @@ mod tests {
         ds.flush().unwrap();
         assert!(ds.columnar_layout());
         assert!(ds.primary().components().iter().all(|c| c.is_columnar()));
-        // Point lookups, deletes and upserts all work through the
-        // reconstructed rows.
         assert!(ds.writer().delete(7).unwrap());
         ds.writer().upsert(&parse(r#"{"id": 9, "name": "new", "extra": [1]}"#).unwrap()).unwrap();
         ds.flush().unwrap();
@@ -928,6 +926,44 @@ mod tests {
         // After a full merge the partition is in the single-component
         // columnar resting state.
         assert!(ds.snapshot_columnar().is_some());
+    }
+
+    #[test]
+    fn columnar_point_operations_reconstruct_no_rows() {
+        // A merged component with a flushed one beside it, and a memtable.
+        let ds = small(StorageFormat::Columnar);
+        for i in 0..100 {
+            ds.writer().insert(&employee(i)).unwrap();
+        }
+        ds.flush().unwrap();
+        ds.force_full_merge().unwrap();
+        for i in 100..150 {
+            ds.writer().insert(&employee(i)).unwrap();
+        }
+        ds.flush().unwrap();
+        assert!(ds.primary().components().len() >= 2);
+        let counters = ds.columnar_counters().unwrap();
+        let reconstructed = counters.rows_reconstructed();
+        assert!(reconstructed >= 100, "the merge pivoted its inputs back to rows");
+        let lookups = counters.point_lookups();
+
+        // get, upsert and delete each look the old version up on disk.
+        assert_eq!(ds.get(3).unwrap(), Some(employee(3)));
+        assert_eq!(ds.get(120).unwrap(), Some(employee(120)));
+        assert_eq!(ds.get(1000).unwrap(), None);
+        let mut w = ds.writer();
+        w.upsert(&parse(r#"{"id": 5, "name": "renamed"}"#).unwrap()).unwrap();
+        w.upsert(&employee(130)).unwrap();
+        w.upsert(&employee(2000)).unwrap();
+        assert!(w.delete(60).unwrap());
+        assert!(w.delete(140).unwrap());
+        assert!(!w.delete(3000).unwrap());
+        drop(w);
+        assert_eq!(ds.get(5).unwrap(), Some(parse(r#"{"id": 5, "name": "renamed"}"#).unwrap()));
+        assert_eq!(ds.get(60).unwrap(), None);
+
+        assert_eq!(counters.rows_reconstructed(), reconstructed, "a point read pivots no group");
+        assert!(counters.point_lookups() >= lookups + 5);
     }
 
     #[test]

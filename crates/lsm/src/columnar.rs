@@ -19,6 +19,8 @@
 //! * `read_group_rows` returns the rows *as they were given* (same key,
 //!   kind, payload bytes) — reconstruction must be lossless, which the
 //!   format-equivalence proptest enforces end to end.
+//! * `get_row` answers a point lookup with exactly the row
+//!   `read_group_rows` would return for that key, decoding only that row.
 
 use tc_storage::buffer_cache::BufferCache;
 use tc_storage::error::StorageError;
@@ -44,7 +46,7 @@ pub trait ColumnarCodec: Send + Sync + std::fmt::Debug {
 /// page runs plus a column index. Scans either reconstruct full rows
 /// (`read_group_rows`, the format-agnostic path every existing iterator
 /// uses) or downcast via `as_any` to the concrete reader for typed,
-/// column-pruned access.
+/// column-pruned access; point lookups read one row (`get_row`).
 pub trait ColumnarChunk: Send + Sync + std::fmt::Debug {
     /// Number of row groups; groups are ordered, keys ascending across and
     /// within groups.
@@ -63,6 +65,18 @@ pub trait ColumnarChunk: Send + Sync + std::fmt::Debug {
         cache: &BufferCache,
         g: usize,
     ) -> Result<Vec<(Key, EntryKind, Vec<u8>)>, StorageError>;
+
+    /// Point lookup in group `g` (the group whose key range covers `key`):
+    /// the kind and payload `read_group_rows` would return for `key`, or
+    /// `None` if the group does not hold it. Anti-matter rows answer with an
+    /// empty payload. Errors as `read_group_rows`.
+    fn get_row(
+        &self,
+        store: &PageStore,
+        cache: &BufferCache,
+        g: usize,
+        key: &[u8],
+    ) -> Result<Option<(EntryKind, Vec<u8>)>, StorageError>;
 
     /// Downcast hook for format-aware readers (typed column access,
     /// min/max group stats).

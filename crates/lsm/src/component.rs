@@ -220,39 +220,32 @@ impl DiskComponent {
                 Ok(None)
             }
             Body::Columnar(chunk) => {
-                // Last group whose first_key <= key, then a linear probe of
-                // the reconstructed group (point lookups pay the columnar
-                // tax; analytics scans are what the layout is for).
+                // Last group whose first_key <= key, then that one row of it.
                 let Some(g) = columnar_group_for(chunk.as_ref(), key) else {
                     return Ok(None);
                 };
-                let rows = self.read_group(cache, chunk.as_ref(), g)?;
-                for (k, kind, payload) in rows {
-                    match k.as_slice().cmp(key) {
-                        std::cmp::Ordering::Equal => return Ok(Some((kind, payload))),
-                        std::cmp::Ordering::Greater => return Ok(None),
-                        std::cmp::Ordering::Less => {}
-                    }
-                }
-                Ok(None)
+                chunk
+                    .get_row(&self.store, cache, g, key)
+                    .inspect_err(|e| self.quarantine_if_corrupt(e))
             }
         }
     }
 
     /// Reconstruct one columnar row group, quarantining on corruption (the
     /// same policy `read_block` applies to row blocks).
-    #[allow(clippy::type_complexity)]
     fn read_group(
         &self,
         cache: &BufferCache,
         chunk: &dyn ColumnarChunk,
         g: usize,
     ) -> Result<Vec<Entry>, StorageError> {
-        chunk.read_group_rows(&self.store, cache, g).inspect_err(|e| {
-            if e.is_corruption() {
-                self.quarantine();
-            }
-        })
+        chunk.read_group_rows(&self.store, cache, g).inspect_err(|e| self.quarantine_if_corrupt(e))
+    }
+
+    fn quarantine_if_corrupt(&self, e: &StorageError) {
+        if e.is_corruption() {
+            self.quarantine();
+        }
     }
 
     /// Build the typed error for an undecodable block and quarantine the
@@ -271,11 +264,9 @@ impl DiskComponent {
         let num_pages = (block.byte_len as usize).div_ceil(page_size);
         let mut out = Vec::with_capacity(block.byte_len as usize);
         for p in 0..num_pages {
-            let page = cache.read(&self.store, block.start_page + p as u64).inspect_err(|e| {
-                if e.is_corruption() {
-                    self.quarantine();
-                }
-            })?;
+            let page = cache
+                .read(&self.store, block.start_page + p as u64)
+                .inspect_err(|e| self.quarantine_if_corrupt(e))?;
             let take = (block.byte_len as usize - out.len()).min(page_size);
             out.extend_from_slice(&page[..take]);
         }
@@ -340,11 +331,10 @@ fn columnar_group_for(chunk: &dyn ColumnarChunk, key: &[u8]) -> Option<usize> {
     Some(lo)
 }
 
-/// One scanned entry: `(key, kind, payload)`, or the corruption error that
-/// ended the scan.
 /// One materialized component entry: key, matter/anti-matter kind, payload.
 pub type Entry = (Key, EntryKind, Vec<u8>);
 
+/// One scanned entry, or the corruption error that ended the scan.
 pub type ScanItem = Result<Entry, StorageError>;
 
 /// Streaming scan over a component's leaf blocks (or row groups).
@@ -495,17 +485,22 @@ impl ComponentBuilder {
         self
     }
 
-    /// Append one entry. Keys must arrive in strictly ascending order. A
-    /// write fault aborts the build (the half-written store is simply
-    /// dropped — components only become visible after `finish`).
+    /// Append one entry. Keys must arrive in strictly ascending order; one
+    /// that does not is refused with a typed error (a sorted source that
+    /// yields it has been damaged). Any error aborts the build (the
+    /// half-written store is simply dropped — components only become
+    /// visible after `finish`).
     pub fn push(
         &mut self,
         key: &[u8],
         kind: EntryKind,
         payload: &[u8],
     ) -> Result<(), StorageError> {
-        if let Some(last) = &self.last_key {
-            assert!(key > last.as_slice(), "component entries must be strictly ascending");
+        if let Some(last) = self.last_key.as_deref().filter(|last| key <= *last) {
+            return Err(StorageError::corruption(
+                "component build",
+                format!("entries must be strictly ascending: key {key:?} after {last:?}"),
+            ));
         }
         self.last_key = Some(key.to_vec());
         self.bloom.insert(key);
@@ -721,12 +716,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn out_of_order_push_panics() {
+    fn out_of_order_push_is_a_typed_error() {
         let device = Arc::new(Device::new(DeviceProfile::RAM));
         let mut b = ComponentBuilder::new(device, 128, CompressionScheme::None, 2, 10);
         b.push(b"b", EntryKind::Record, b"").unwrap();
-        b.push(b"a", EntryKind::Record, b"").unwrap();
+        for key in [&b"a"[..], b"b"] {
+            let err = b.push(key, EntryKind::Record, b"").unwrap_err();
+            assert!(matches!(err, StorageError::Corruption { .. }), "got {err}");
+            assert!(err.to_string().contains("strictly ascending"), "got {err}");
+        }
     }
 
     #[test]

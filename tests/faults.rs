@@ -553,6 +553,83 @@ fn columnar_bit_flip_quarantines_and_degrades_batched_scan() {
     assert!(degradations > 0, "no flip in the sweep ever degraded the columnar batched scan");
 }
 
+/// Bit flips under point lookups on a columnar component. A lookup reads
+/// the group's keys block and then only the pages holding its own row (one
+/// residual page, one page per column), so a flip shows up exactly when a
+/// lookup's row lives on the damaged page: in the keys block that is the
+/// first lookup, in a later residual or column page only the first lookup
+/// of a row stored there. Whichever it is, `get` fails with a typed
+/// corruption error and quarantines the component; no lookup ever returns
+/// a wrong record.
+#[test]
+fn columnar_bit_flip_fails_point_lookups_typed_never_wrong() {
+    let wide = |i: i64| {
+        let text = format!(
+            r#"{{"id": {i}, "v": {i}, "tag": "t{}", "readings": [{i}, {}, {}]}}"#,
+            i % 7,
+            i + 1,
+            i + 2
+        );
+        parse(&text).unwrap()
+    };
+    let (mut at_first_lookup, mut at_later_lookup, mut untouched) = (0u64, 0u64, 0u64);
+    for n in 1..=40u64 {
+        // 256-byte pages: every block of the 60-row group spans several.
+        let device = Arc::new(Device::new(DeviceProfile::RAM));
+        let ds = Dataset::new(
+            DatasetConfig::new("Faulty", "id")
+                .with_format(StorageFormat::Columnar)
+                .with_page_size(256)
+                .with_memtable_budget(256 * 1024)
+                .with_merge_policy(MergePolicy::NoMerge),
+            Arc::clone(&device),
+            Arc::new(BufferCache::new(4096)),
+        );
+        let mut w = ds.writer();
+        for i in 0..60i64 {
+            w.insert(&wide(i)).unwrap();
+        }
+        drop(w);
+        device.set_fault_plan(FaultPlan::new(n).flip_bit_in_nth_write(n));
+        ds.flush().unwrap();
+        let fired = device.faults_injected() > 0;
+        device.clear_fault_plan();
+        if !fired {
+            continue;
+        }
+        let mut failed_at = None;
+        for i in 0..60i64 {
+            match ds.get(i) {
+                Ok(got) => {
+                    assert!(
+                        failed_at.is_none(),
+                        "flip {n}: get({i}) served from a quarantined tree"
+                    );
+                    assert_eq!(got, Some(wide(i)), "flip {n}: get({i}) returned a wrong record");
+                }
+                Err(AdmError::Storage { message, transient }) => {
+                    assert!(!transient, "corruption is permanent");
+                    assert!(message.contains("corruption detected"), "flip {n}: {message}");
+                    assert_eq!(ds.lsm_stats().quarantined_components, 1, "flip {n}, get({i})");
+                    failed_at.get_or_insert(i);
+                }
+                Err(e) => panic!("flip {n}: unexpected error class: {e}"),
+            }
+        }
+        match failed_at {
+            None => untouched += 1,
+            Some(0) => at_first_lookup += 1,
+            Some(_) => at_later_lookup += 1,
+        }
+        if failed_at.is_some() {
+            assert!(ds.lsm_stats().checksum_failures > 0, "flip {n}: error without a CRC failure");
+        }
+    }
+    assert!(at_first_lookup > 0, "no flip landed in a page every lookup reads (keys block)");
+    assert!(at_later_lookup > 0, "no flip landed in a page only some row's lookup reads");
+    assert!(untouched > 0, "no flip landed outside the pages lookups read (index blob, tail)");
+}
+
 /// A WAL tail torn mid-append (the crash landed a prefix of the record):
 /// replay must stop at the torn record, losing only the unacked write.
 #[test]

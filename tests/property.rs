@@ -341,10 +341,12 @@ proptest! {
     /// The AMAX columnar format is observationally equivalent to the vector
     /// formats: arbitrary nested records (every scalar type, NaN doubles,
     /// type-mixed fields that spill, arrays, deep objects), ingested under
-    /// {Inferred, VectorUncompacted, Columnar} × {sync, background}, then
-    /// flushed and fully merged, produce identical scans, point lookups,
-    /// and batched query rows — including the columnar zero-pivot scan
-    /// whenever the resting partition lets it fire.
+    /// {Inferred, VectorUncompacted, Columnar} × {sync, background}, answer
+    /// point lookups identically while stale versions, newer versions and
+    /// anti-matter still sit in separate unmerged components (and the
+    /// memtable), and once flushed and fully merged produce identical
+    /// scans, point lookups, and batched query rows — including the
+    /// columnar zero-pivot scan whenever the resting partition lets it fire.
     #[test]
     fn columnar_format_is_observationally_equivalent(
         records in proptest::collection::vec(arb_record(), 1..10),
@@ -353,7 +355,10 @@ proptest! {
         use tc_query::exec::{execute, Engine, ExecOptions};
         use tc_query::{AccessStrategy, CmpOp, Expr, Query, ScanSpec};
 
-        fn run(
+        /// Ingest without converging: a stale version of every record in
+        /// flushed components, then the real versions and the deletes on
+        /// top of them (in later components and the memtable).
+        fn ingest(
             format: StorageFormat,
             background: bool,
             records: &[Value],
@@ -369,6 +374,15 @@ proptest! {
             let ds = Dataset::new(config, device, cache);
             let mut w = ds.writer();
             for r in records {
+                let Value::Object(mut stale) = r.clone() else { unreachable!() };
+                stale.push(("stale_version".to_string(), Value::Boolean(true)));
+                w.upsert(&Value::Object(stale)).unwrap();
+            }
+            drop(w);
+            ds.await_quiescent();
+            ds.flush().unwrap();
+            let mut w = ds.writer();
+            for r in records {
                 w.upsert(r).unwrap();
             }
             for (r, delete) in records.iter().zip(delete_mask) {
@@ -379,11 +393,14 @@ proptest! {
             }
             drop(w);
             ds.await_quiescent();
-            ds.flush().unwrap();
-            // Converge to the resting single-component state — for
-            // Columnar, the state the zero-pivot scan serves from.
-            ds.force_full_merge().unwrap();
             ds
+        }
+
+        /// Converge to the resting single-component state — for Columnar,
+        /// the state the zero-pivot scan serves from.
+        fn settle(ds: &Dataset) {
+            ds.flush().unwrap();
+            ds.force_full_merge().unwrap();
         }
 
         // Probe a field that actually occurs in the data, so the query's
@@ -413,7 +430,12 @@ proptest! {
             ops: vec![],
         };
 
-        let reference = run(StorageFormat::Inferred, false, &records, &delete_mask);
+        let reference = ingest(StorageFormat::Inferred, false, &records, &delete_mask);
+        settle(&reference);
+        let ids: Vec<i64> =
+            records.iter().map(|r| r.get_field("id").and_then(Value::as_i64).unwrap()).collect();
+        let expected_gets: Vec<Option<Value>> =
+            ids.iter().map(|&id| reference.get(id).unwrap()).collect();
         let expected_scan = reference.scan_values().unwrap();
         let expected_rows = execute(
             &[&reference],
@@ -430,7 +452,26 @@ proptest! {
         ];
         for format in formats {
             for background in [false, true] {
-                let ds = run(format, background, &records, &delete_mask);
+                let ds = ingest(format, background, &records, &delete_mask);
+                // Live (versions across components and the memtable), with
+                // the anti-matter flushed but unmerged, then at rest.
+                for state in ["live", "flushed", "merged"] {
+                    match state {
+                        "flushed" => ds.flush().unwrap(),
+                        "merged" => settle(&ds),
+                        _ => {}
+                    }
+                    for (id, expected) in ids.iter().zip(&expected_gets) {
+                        prop_assert_eq!(
+                            &ds.get(*id).unwrap(),
+                            expected,
+                            "{:?} (background={}, {}) point get diverged",
+                            format,
+                            background,
+                            state
+                        );
+                    }
+                }
                 prop_assert_eq!(
                     &ds.scan_values().unwrap(),
                     &expected_scan,
@@ -453,16 +494,6 @@ proptest! {
                         format,
                         background,
                         engine
-                    );
-                }
-                for r in &records {
-                    let id = r.get_field("id").and_then(Value::as_i64).unwrap();
-                    prop_assert_eq!(
-                        ds.get(id).unwrap(),
-                        reference.get(id).unwrap(),
-                        "{:?} (background={}) point get diverged",
-                        format,
-                        background
                     );
                 }
             }
