@@ -522,6 +522,15 @@ impl ColumnarChunk for ChunkReader {
         &self.groups[g].first_key
     }
 
+    fn read_group_keys(
+        &self,
+        store: &PageStore,
+        cache: &BufferCache,
+        g: usize,
+    ) -> Result<Vec<(Key, EntryKind)>, StorageError> {
+        self.read_keys(store, cache, g)
+    }
+
     fn read_group_rows(
         &self,
         store: &PageStore,

@@ -77,8 +77,7 @@ pub const DEF_PRESENT: u8 = 2;
 /// it writes; readers count column blocks faulted in, group pages skipped
 /// via min/max stats, rows run through the typed filter loops, rows pivoted
 /// back into records by group reconstruction, and single-row point lookups.
-/// The dataset layer injects the first four into [`tc_lsm::LsmStats`]
-/// snapshots.
+/// The dataset layer injects all six into [`tc_lsm::LsmStats`] snapshots.
 #[derive(Debug, Default)]
 pub struct ColumnarCounters {
     pub pages_written: AtomicU64,
@@ -106,8 +105,11 @@ impl ColumnarCounters {
         self.typed_filter_rows.load(Ordering::Relaxed)
     }
 
-    /// Rows `read_group_rows` decoded, grafted and re-encoded (scans, merges
-    /// and migration; a point lookup adds none).
+    /// Rows `read_group_rows` decoded, grafted and re-encoded: merges,
+    /// migration, and scans that want whole records (the row engine,
+    /// whole-record paths) — for the rows that won the reconciliation. A
+    /// point lookup adds none, nor does a batched scan of typed or residual
+    /// paths.
     pub fn rows_reconstructed(&self) -> u64 {
         self.rows_reconstructed.load(Ordering::Relaxed)
     }

@@ -695,6 +695,8 @@ impl Dataset {
             stats.pages_skipped_by_stats = c.pages_skipped();
             stats.columns_faulted_in = c.columns_faulted();
             stats.columnar_typed_filter_rows = c.typed_filter_rows();
+            stats.columnar_rows_reconstructed = c.rows_reconstructed();
+            stats.columnar_point_lookups = c.point_lookups();
         }
         stats
     }

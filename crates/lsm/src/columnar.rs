@@ -16,9 +16,14 @@
 //! * Entries arrive strictly ascending by key; groups preserve that order,
 //!   so `group_first_key` supports the same binary-search positioning as row
 //!   blocks.
+//! * `read_group_keys` returns a group's `(key, kind)` pairs from its keys
+//!   block alone. Scans reconcile components on these — a newer version or
+//!   an anti-matter entry masks a row id, it never forces a record to be
+//!   assembled — and address a surviving row as `(group, row)`.
 //! * `read_group_rows` returns the rows *as they were given* (same key,
 //!   kind, payload bytes) — reconstruction must be lossless, which the
-//!   format-equivalence proptest enforces end to end.
+//!   format-equivalence proptest enforces end to end. Scans reach it only
+//!   for rows that won the reconciliation and whose whole record is wanted.
 //! * `get_row` answers a point lookup with exactly the row
 //!   `read_group_rows` would return for that key, decoding only that row.
 
@@ -43,10 +48,12 @@ pub trait ColumnarCodec: Send + Sync + std::fmt::Debug {
 }
 
 /// The readable columnar body of one disk component: row groups of column
-/// page runs plus a column index. Scans either reconstruct full rows
-/// (`read_group_rows`, the format-agnostic path every existing iterator
-/// uses) or downcast via `as_any` to the concrete reader for typed,
-/// column-pruned access; point lookups read one row (`get_row`).
+/// page runs plus a column index. Scans walk the key blocks
+/// (`read_group_keys`) and hand out row references; a reference is turned
+/// into a record by `read_group_rows` (the format-agnostic path: merges,
+/// flush, whole-record reads) or answered column by column by a reader that
+/// downcasts via `as_any` to the concrete chunk. Point lookups read one row
+/// (`get_row`).
 pub trait ColumnarChunk: Send + Sync + std::fmt::Debug {
     /// Number of row groups; groups are ordered, keys ascending across and
     /// within groups.
@@ -54,6 +61,16 @@ pub trait ColumnarChunk: Send + Sync + std::fmt::Debug {
 
     /// Smallest key in group `g` (panics if out of range).
     fn group_first_key(&self, g: usize) -> &[u8];
+
+    /// Group `g`'s `(key, kind)` pairs in key order, read from its keys
+    /// block alone; row `i` of the group is entry `i`. Errors as
+    /// `read_group_rows`.
+    fn read_group_keys(
+        &self,
+        store: &PageStore,
+        cache: &BufferCache,
+        g: usize,
+    ) -> Result<Vec<(Key, EntryKind)>, StorageError>;
 
     /// Reconstruct group `g`'s rows exactly as handed to `build_chunk`.
     /// Corruption surfaces as the same typed `StorageError`s row blocks

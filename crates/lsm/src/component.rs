@@ -231,17 +231,6 @@ impl DiskComponent {
         }
     }
 
-    /// Reconstruct one columnar row group, quarantining on corruption (the
-    /// same policy `read_block` applies to row blocks).
-    fn read_group(
-        &self,
-        cache: &BufferCache,
-        chunk: &dyn ColumnarChunk,
-        g: usize,
-    ) -> Result<Vec<Entry>, StorageError> {
-        chunk.read_group_rows(&self.store, cache, g).inspect_err(|e| self.quarantine_if_corrupt(e))
-    }
-
     fn quarantine_if_corrupt(&self, e: &StorageError) {
         if e.is_corruption() {
             self.quarantine();
@@ -279,34 +268,31 @@ impl DiskComponent {
     /// the tree's component list — the merged-out component is simply kept
     /// alive by this scan's `Arc` until it finishes (snapshot semantics).
     pub fn scan(self: &Arc<Self>, cache: &Arc<BufferCache>, start: Option<&[u8]>) -> ComponentScan {
-        let body = match &self.body {
-            Body::Rows(index) => {
-                let block_idx = match start {
-                    None => 0,
-                    Some(key) => {
-                        match index.binary_search_by(|b| b.first_key.as_slice().cmp(key)) {
-                            Ok(i) => i,
-                            Err(0) => 0,
-                            Err(i) => i - 1,
-                        }
-                    }
-                };
-                ScanBody::Rows { block_idx, block: Vec::new(), pos: 0, loaded: false }
+        // The last block / row group whose first key is ≤ `start`.
+        let first_unit = match (&self.body, start) {
+            (_, None) => 0,
+            (Body::Rows(index), Some(key)) => {
+                match index.binary_search_by(|b| b.first_key.as_slice().cmp(key)) {
+                    Ok(i) => i,
+                    Err(i) => i.saturating_sub(1),
+                }
             }
-            Body::Columnar(chunk) => {
-                let group_idx = match start {
-                    None => 0,
-                    Some(key) => columnar_group_for(chunk.as_ref(), key).unwrap_or(0),
-                };
-                ScanBody::Columnar { group_idx, rows: Vec::new().into_iter() }
+            (Body::Columnar(chunk), Some(key)) => {
+                columnar_group_for(chunk.as_ref(), key).unwrap_or(0)
             }
         };
         ComponentScan {
             component: Arc::clone(self),
             cache: Arc::clone(cache),
-            body,
+            next_unit: first_unit,
+            block: Vec::new(),
+            pos: 0,
+            keys: Vec::new().into_iter(),
+            row: 0,
             failed: false,
             skip_until: start.map(|s| s.to_vec()),
+            group_memo: None,
+            payload_error: None,
         }
     }
 }
@@ -337,19 +323,43 @@ pub type Entry = (Key, EntryKind, Vec<u8>);
 /// One scanned entry, or the corruption error that ended the scan.
 pub type ScanItem = Result<Entry, StorageError>;
 
-/// Streaming scan over a component's leaf blocks (or row groups).
+/// What a scan holds of an entry's payload before anyone asks for it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Payload {
+    /// The payload itself: row blocks, memtables and anti-matter (empty).
+    Bytes(Vec<u8>),
+    /// Row `row` of row group `group` of a columnar component. Only the
+    /// group's keys block has been read; the record is assembled by
+    /// [`ComponentScan::materialize`] or answered column by column.
+    Row { group: u32, row: u32 },
+}
+
+/// A scanned entry whose payload may still be a row reference.
+pub type LazyEntry = (Key, EntryKind, Payload);
+
+/// Streaming scan over a component's leaf blocks (or row groups' key
+/// blocks).
 pub struct ComponentScan {
     component: Arc<DiskComponent>,
     cache: Arc<BufferCache>,
-    body: ScanBody,
+    /// The next leaf block / row group to load.
+    next_unit: usize,
+    /// Row layout: the loaded block and the read position in it.
+    block: Vec<u8>,
+    pos: usize,
+    /// Columnar layout: the loaded group's remaining keys, and the row id of
+    /// the next one.
+    keys: std::vec::IntoIter<(Key, EntryKind)>,
+    row: u32,
     failed: bool,
     skip_until: Option<Key>,
-}
-
-/// Per-layout cursor state of a [`ComponentScan`].
-enum ScanBody {
-    Rows { block_idx: usize, block: Vec<u8>, pos: usize, loaded: bool },
-    Columnar { group_idx: usize, rows: std::vec::IntoIter<Entry> },
+    /// The one row group [`ComponentScan::materialize`] last reconstructed,
+    /// and the payloads of its rows nobody has taken yet. References arrive
+    /// in key order, so one group is all a scan ever needs at a time.
+    group_memo: Option<(u32, Vec<Option<Vec<u8>>>)>,
+    /// Set once a row could not be materialized: the keys keep streaming
+    /// (they still mask older versions), every later payload fails alike.
+    payload_error: Option<StorageError>,
 }
 
 impl ComponentScan {
@@ -358,75 +368,142 @@ impl ComponentScan {
         &self.component
     }
 
-    /// Next entry: `(key, kind, payload)`, or `Some(Err(_))` if the
+    /// Next entry with its payload materialized, or `Some(Err(_))` if the
     /// underlying component turned out to be corrupt (the component is
     /// quarantined and the scan yields nothing further).
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<ScanItem> {
+        let (key, kind, payload) = match self.next_entry()? {
+            Ok(entry) => entry,
+            Err(e) => return Some(Err(e)),
+        };
+        let payload = match payload {
+            Payload::Bytes(bytes) => bytes,
+            Payload::Row { group, row } => match self.materialize(group, row) {
+                Ok(bytes) => bytes,
+                Err(e) => {
+                    self.failed = true;
+                    return Some(Err(e));
+                }
+            },
+        };
+        Some(Ok((key, kind, payload)))
+    }
+
+    /// Next entry as stored: a columnar component yields row references and
+    /// reads nothing but key blocks. Errors as [`ComponentScan::next`].
+    pub fn next_entry(&mut self) -> Option<Result<LazyEntry, StorageError>> {
+        let ComponentScan { component, cache, next_unit, block, pos, keys, row, .. } = self;
         loop {
             if self.failed {
                 return None;
             }
-            let (key, kind, payload) = match &mut self.body {
-                ScanBody::Rows { block_idx, block, pos, loaded } => {
-                    if !*loaded {
-                        let Body::Rows(index) = &self.component.body else {
-                            unreachable!("rows cursor over columnar body")
-                        };
-                        let block_ref = index.get(*block_idx)?;
-                        match self.component.read_block(&self.cache, block_ref) {
+            let entry = match &component.body {
+                Body::Rows(index) => {
+                    if *pos >= block.len() {
+                        let block_ref = index.get(*next_unit)?;
+                        match component.read_block(cache, block_ref) {
                             Ok(b) => *block = b,
                             Err(e) => {
                                 self.failed = true;
                                 return Some(Err(e));
                             }
                         }
+                        *next_unit += 1;
                         *pos = 0;
-                        *loaded = true;
-                    }
-                    if *pos >= block.len() {
-                        *block_idx += 1;
-                        *loaded = false;
                         continue;
                     }
                     let Some((k, kind, payload, n)) = read_entry(&block[*pos..]) else {
                         self.failed = true;
-                        return Some(Err(self.component.corrupt_block(*block_idx)));
+                        return Some(Err(component.corrupt_block(*next_unit - 1)));
                     };
                     *pos += n;
-                    (k.to_vec(), kind, payload.to_vec())
+                    (k.to_vec(), kind, Payload::Bytes(payload.to_vec()))
                 }
-                ScanBody::Columnar { group_idx, rows } => match rows.next() {
-                    Some(row) => row,
-                    None => {
-                        let Body::Columnar(chunk) = &self.component.body else {
-                            unreachable!("columnar cursor over rows body")
+                Body::Columnar(chunk) => match keys.next() {
+                    Some((key, kind)) => {
+                        let payload = match kind {
+                            EntryKind::AntiMatter => Payload::Bytes(Vec::new()),
+                            EntryKind::Record => {
+                                Payload::Row { group: *next_unit as u32 - 1, row: *row }
+                            }
                         };
-                        if *group_idx >= chunk.num_groups() {
+                        *row += 1;
+                        (key, kind, payload)
+                    }
+                    None => {
+                        if *next_unit >= chunk.num_groups() {
                             return None;
                         }
-                        let g = *group_idx;
-                        *group_idx += 1;
-                        match self.component.read_group(&self.cache, chunk.as_ref(), g) {
-                            Ok(r) => *rows = r.into_iter(),
+                        match chunk
+                            .read_group_keys(&component.store, cache, *next_unit)
+                            .inspect_err(|e| component.quarantine_if_corrupt(e))
+                        {
+                            Ok(k) => *keys = k.into_iter(),
                             Err(e) => {
                                 self.failed = true;
                                 return Some(Err(e));
                             }
                         }
+                        *next_unit += 1;
+                        *row = 0;
                         continue;
                     }
                 },
             };
             if let Some(skip) = &self.skip_until {
-                if key < *skip {
+                if entry.0 < *skip {
                     continue;
                 }
             }
             self.skip_until = None;
-            return Some(Ok((key, kind, payload)));
+            return Some(Ok(entry));
         }
     }
+
+    /// The payload behind a [`Payload::Row`] reference this scan handed out;
+    /// a reference is good for one call. The first row asked of a group
+    /// reconstructs the whole group (one `read_group_rows`, quarantining on
+    /// corruption); the rest of the group is served from that. A group
+    /// nobody asks about is never reconstructed.
+    pub fn materialize(&mut self, group: u32, row: u32) -> Result<Vec<u8>, StorageError> {
+        if let Some(e) = &self.payload_error {
+            return Err(e.clone());
+        }
+        if self.group_memo.as_ref().is_none_or(|(g, _)| *g != group) {
+            let rows = match self.component.columnar_view() {
+                Some((chunk, store)) => chunk.read_group_rows(store, &self.cache, group as usize),
+                None => Err(no_such_row(&self.component, group, row)),
+            };
+            match rows {
+                Ok(rows) => {
+                    let payloads = rows.into_iter().map(|(_, _, payload)| Some(payload)).collect();
+                    self.group_memo = Some((group, payloads));
+                }
+                Err(e) => {
+                    self.fail_payloads(e.clone());
+                    return Err(e);
+                }
+            }
+        }
+        let (_, payloads) = self.group_memo.as_mut().expect("memo holds the group");
+        let payload = payloads.get_mut(row as usize).and_then(Option::take);
+        payload.ok_or_else(|| no_such_row(&self.component, group, row))
+    }
+
+    /// A reader of this component's column pages hit `e`: every payload the
+    /// scan is asked for from now on fails with it.
+    pub fn fail_payloads(&mut self, e: StorageError) {
+        self.component.quarantine_if_corrupt(&e);
+        self.payload_error.get_or_insert(e);
+    }
+}
+
+fn no_such_row(component: &DiskComponent, group: u32, row: u32) -> StorageError {
+    StorageError::corruption(
+        "component scan",
+        format!("no row {row} (left) in row group {group} of component {}", component.id),
+    )
 }
 
 /// Builds a component from entries supplied in ascending key order — used

@@ -7,6 +7,14 @@
 //! scan is independent of the tree's locks — concurrent flushes and merges
 //! may replace the component list without invalidating an in-flight scan,
 //! which simply keeps reading its consistent snapshot.
+//!
+//! The reconciliation runs on keys alone. A columnar component contributes
+//! `(key, kind)` pairs from its key blocks and a row reference per record;
+//! which version of a key wins, and which rows anti-matter deletes, is
+//! decided without assembling anything. [`MergedScan::next_entry`] hands the
+//! winners out as they are; [`MergedScan::next`] materializes them, one
+//! reconstructed row group per source at a time, so a group none of whose
+//! rows win is never read past its key block.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -15,7 +23,7 @@ use std::sync::Arc;
 use tc_storage::error::StorageError;
 use tc_storage::BufferCache;
 
-use crate::component::{ComponentId, ComponentScan, DiskComponent};
+use crate::component::{ComponentId, ComponentScan, DiskComponent, Payload};
 use crate::entry::{EntryKind, Key};
 use crate::memtable::{MemEntry, Memtable};
 
@@ -50,6 +58,13 @@ impl ScanHealth {
     /// Fold another health record into this one (cross-partition queries).
     pub fn absorb(&mut self, other: ScanHealth) {
         self.degraded.extend(other.degraded);
+    }
+
+    /// Record that `id` could not be (fully) read; a component counts once.
+    fn note(&mut self, id: ComponentId, e: StorageError) {
+        if !self.degraded.iter().any(|(seen, _)| *seen == id) {
+            self.degraded.push((id, e));
+        }
     }
 }
 
@@ -101,8 +116,21 @@ enum SourceIter {
 struct HeapItem {
     key: Key,
     kind: EntryKind,
-    payload: Vec<u8>,
+    payload: Payload,
     rank: usize,
+}
+
+/// An entry that won the reconciliation, its payload as the source holds it:
+/// bytes, or — from a columnar component — a row reference that
+/// [`MergedScan::materialize`] turns into bytes, or that a column-wise reader
+/// answers from the source's pages ([`MergedScan::source_component`]).
+#[derive(Debug)]
+pub struct ScanEntry {
+    pub key: Key,
+    pub kind: EntryKind,
+    pub payload: Payload,
+    /// Which of the scan's sources the entry came from.
+    pub rank: usize,
 }
 
 impl PartialEq for HeapItem {
@@ -134,6 +162,7 @@ pub struct MergedScan {
     end: Option<Key>,
     /// Components dropped because they were (or became) corrupt.
     health: ScanHealth,
+    cache: Arc<BufferCache>,
 }
 
 impl MergedScan {
@@ -178,13 +207,13 @@ impl MergedScan {
             // A component already known corrupt is excluded up front; the
             // query layer sees it in the scan's health record.
             if c.is_quarantined() {
-                health.degraded.push((
+                health.note(
                     c.id(),
                     StorageError::corruption(
                         "component",
                         format!("component {} is quarantined", c.id()),
                     ),
-                ));
+                );
                 continue;
             }
             sources.push(SourceIter::Disk(c.scan(cache, start)));
@@ -198,6 +227,7 @@ impl MergedScan {
             include_antimatter,
             end: end.map(|e| e.to_vec()),
             health,
+            cache: Arc::clone(cache),
         };
         for rank in 0..scan.sources.len() {
             scan.advance(rank);
@@ -209,10 +239,10 @@ impl MergedScan {
         match &mut self.sources[rank] {
             SourceIter::Mem(it) => {
                 if let Some((key, kind, payload)) = it.next() {
-                    self.heap.push(HeapItem { key, kind, payload, rank });
+                    self.heap.push(HeapItem { key, kind, payload: Payload::Bytes(payload), rank });
                 }
             }
-            SourceIter::Disk(scan) => match scan.next() {
+            SourceIter::Disk(scan) => match scan.next_entry() {
                 Some(Ok((key, kind, payload))) => {
                     self.heap.push(HeapItem { key, kind, payload, rank });
                 }
@@ -221,7 +251,8 @@ impl MergedScan {
                     // (ComponentScan did that), the source yields nothing
                     // further, and the degradation is recorded for the query
                     // layer's policy decision.
-                    self.health.degraded.push((scan.component().id(), e));
+                    let id = scan.component().id();
+                    self.health.note(id, e);
                 }
                 None => {}
             },
@@ -240,9 +271,28 @@ impl MergedScan {
     }
 
     /// Next live entry: `(key, kind, payload)`. With
-    /// `include_antimatter == false`, deleted keys are invisible.
+    /// `include_antimatter == false`, deleted keys are invisible. Row
+    /// references are materialized here, for winners only; one whose
+    /// component proves corrupt is dropped and recorded in the health.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<(Key, EntryKind, Vec<u8>)> {
+        loop {
+            let ScanEntry { key, kind, payload, rank } = self.next_entry()?;
+            match payload {
+                Payload::Bytes(bytes) => return Some((key, kind, bytes)),
+                Payload::Row { group, row } => {
+                    if let Ok(bytes) = self.materialize(rank, group, row) {
+                        return Some((key, kind, bytes));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Next live entry with its payload left as the source holds it. The
+    /// reconciliation runs on keys alone: a columnar source has read nothing
+    /// but key blocks by the time its entry wins or is masked.
+    pub fn next_entry(&mut self) -> Option<ScanEntry> {
         loop {
             let top = self.heap.pop()?;
             if let Some(end) = &self.end {
@@ -262,8 +312,55 @@ impl MergedScan {
             }
             match top.kind {
                 EntryKind::AntiMatter if !self.include_antimatter => continue,
-                _ => return Some((top.key, top.kind, top.payload)),
+                kind => {
+                    let HeapItem { key, payload, rank, .. } = top;
+                    return Some(ScanEntry { key, kind, payload, rank });
+                }
             }
+        }
+    }
+
+    /// The record behind a row reference `next_entry` returned for source
+    /// `rank`. Reconstructs the row's group on first use (one group is kept
+    /// per source). A storage error quarantines the component if it is
+    /// corruption and lands in the scan's health; the source's keys keep
+    /// masking older versions, its remaining rows fail the same way.
+    pub fn materialize(
+        &mut self,
+        rank: usize,
+        group: u32,
+        row: u32,
+    ) -> Result<Vec<u8>, StorageError> {
+        let Some(SourceIter::Disk(scan)) = self.sources.get_mut(rank) else {
+            return Err(StorageError::corruption(
+                "merged scan",
+                format!("source {rank} holds no row references"),
+            ));
+        };
+        let id = scan.component().id();
+        scan.materialize(group, row).inspect_err(|e| self.health.note(id, e.clone()))
+    }
+
+    /// The disk component behind source `rank` (`None` for a memtable), for
+    /// readers that answer row references from its column pages.
+    pub fn source_component(&self, rank: usize) -> Option<&Arc<DiskComponent>> {
+        match self.sources.get(rank)? {
+            SourceIter::Disk(scan) => Some(scan.component()),
+            SourceIter::Mem(_) => None,
+        }
+    }
+
+    /// The buffer cache every page of this scan is read through.
+    pub fn cache(&self) -> &Arc<BufferCache> {
+        &self.cache
+    }
+
+    /// A reader of source `rank`'s column pages hit `e`: same consequences as
+    /// a failed [`MergedScan::materialize`].
+    pub fn report_fault(&mut self, rank: usize, e: StorageError) {
+        if let Some(SourceIter::Disk(scan)) = self.sources.get_mut(rank) {
+            self.health.note(scan.component().id(), e.clone());
+            scan.fail_payloads(e);
         }
     }
 }
@@ -272,6 +369,7 @@ impl MergedScan {
 mod tests {
     use super::*;
     use crate::component::{ComponentBuilder, ComponentId};
+    use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
     use std::sync::Arc;
     use tc_compress::CompressionScheme;
     use tc_storage::device::{Device, DeviceProfile};
@@ -476,5 +574,168 @@ mod tests {
         let cache = Arc::new(BufferCache::new(16));
         let mut scan = MergedScan::new(&[], &comps, &cache, None, None, false);
         assert_eq!(collect(&mut scan), vec![(7, Record, "v2".into())]);
+    }
+
+    /// A columnar body kept in memory, counting how often each group is
+    /// reconstructed — what the real codec's `rows_reconstructed` measures.
+    #[derive(Debug)]
+    struct CountingChunk {
+        groups: Vec<Vec<crate::component::Entry>>,
+        reconstructions: Arc<[AtomicUsize; 4]>,
+        /// Key blocks read, row payloads rotten.
+        rotten_rows: bool,
+    }
+
+    impl crate::columnar::ColumnarChunk for CountingChunk {
+        fn num_groups(&self) -> usize {
+            self.groups.len()
+        }
+
+        fn group_first_key(&self, g: usize) -> &[u8] {
+            &self.groups[g][0].0
+        }
+
+        fn read_group_keys(
+            &self,
+            _: &tc_storage::page_store::PageStore,
+            _: &BufferCache,
+            g: usize,
+        ) -> Result<Vec<(Key, EntryKind)>, StorageError> {
+            Ok(self.groups[g].iter().map(|(k, kind, _)| (k.clone(), *kind)).collect())
+        }
+
+        fn read_group_rows(
+            &self,
+            _: &tc_storage::page_store::PageStore,
+            _: &BufferCache,
+            g: usize,
+        ) -> Result<Vec<crate::component::Entry>, StorageError> {
+            self.reconstructions[g].fetch_add(1, AtomicOrdering::Relaxed);
+            if self.rotten_rows {
+                return Err(StorageError::corruption("column block", "rotten".to_string()));
+            }
+            Ok(self.groups[g].clone())
+        }
+
+        fn get_row(
+            &self,
+            _: &tc_storage::page_store::PageStore,
+            _: &BufferCache,
+            g: usize,
+            key: &[u8],
+        ) -> Result<Option<(EntryKind, Vec<u8>)>, StorageError> {
+            let row = self.groups[g].iter().find(|(k, _, _)| k == key);
+            Ok(row.map(|(_, kind, payload)| (*kind, payload.clone())))
+        }
+
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+    }
+
+    /// Cuts a component's entries into groups of three.
+    #[derive(Debug)]
+    struct CountingCodec {
+        reconstructions: Arc<[AtomicUsize; 4]>,
+        rotten_rows: bool,
+    }
+
+    impl crate::columnar::ColumnarCodec for CountingCodec {
+        fn build_chunk(
+            &self,
+            _: &tc_storage::page_store::PageStore,
+            entries: &[crate::component::Entry],
+            _: Option<&[u8]>,
+        ) -> Result<Box<dyn crate::columnar::ColumnarChunk>, StorageError> {
+            Ok(Box::new(CountingChunk {
+                groups: entries.chunks(3).map(<[_]>::to_vec).collect(),
+                reconstructions: Arc::clone(&self.reconstructions),
+                rotten_rows: self.rotten_rows,
+            }))
+        }
+    }
+
+    fn columnar_component(
+        seq: u64,
+        entries: &[(u64, EntryKind, &str)],
+        rotten_rows: bool,
+    ) -> (Arc<DiskComponent>, Arc<[AtomicUsize; 4]>) {
+        let counts: Arc<[AtomicUsize; 4]> = Arc::default();
+        let codec = CountingCodec { reconstructions: Arc::clone(&counts), rotten_rows };
+        let device = Arc::new(Device::new(DeviceProfile::RAM));
+        let mut b = ComponentBuilder::new(device, 256, CompressionScheme::None, entries.len(), 10)
+            .with_columnar(Arc::new(codec));
+        for (k, kind, v) in entries {
+            b.push(&k.to_be_bytes(), *kind, v.as_bytes()).unwrap();
+        }
+        (Arc::new(b.finish(ComponentId::flushed(seq), None, true).unwrap()), counts)
+    }
+
+    #[test]
+    fn only_groups_that_own_a_winner_are_reconstructed() {
+        use EntryKind::*;
+        // The older component's second group (keys 3..=5) is masked whole: a
+        // newer version of 3 and 5, anti-matter for 4. Its first group and
+        // its third (key 6) each own a winner.
+        let (old, old_counts) =
+            columnar_component(0, &(0..7).map(|k| (k, Record, "old")).collect::<Vec<_>>(), false);
+        let (new, new_counts) = columnar_component(
+            1,
+            &[(3, Record, "new"), (4, AntiMatter, ""), (5, Record, "new")],
+            false,
+        );
+        let comps = vec![old, new];
+        let cache = Arc::new(BufferCache::new(16));
+        let counts = |c: &[AtomicUsize; 4]| c.each_ref().map(|n| n.load(AtomicOrdering::Relaxed));
+
+        // Reconciling on keys alone pivots nothing.
+        let mut scan = MergedScan::new(&[], &comps, &cache, None, None, false);
+        let mut keys = Vec::new();
+        while let Some(entry) = scan.next_entry() {
+            keys.push(u64::from_be_bytes(entry.key[..8].try_into().unwrap()));
+        }
+        assert_eq!(keys, vec![0, 1, 2, 3, 5, 6]);
+        assert_eq!((counts(&old_counts), counts(&new_counts)), ([0; 4], [0; 4]));
+
+        // Materializing the winners reconstructs each owning group once.
+        let mut scan = MergedScan::new(&[], &comps, &cache, None, None, false);
+        assert_eq!(
+            collect(&mut scan),
+            vec![
+                (0, Record, "old".into()),
+                (1, Record, "old".into()),
+                (2, Record, "old".into()),
+                (3, Record, "new".into()),
+                (5, Record, "new".into()),
+                (6, Record, "old".into()),
+            ]
+        );
+        assert_eq!(counts(&old_counts), [1, 0, 1, 0], "the masked group stays on disk");
+        assert_eq!(counts(&new_counts), [1, 0, 0, 0]);
+        assert!(scan.health().is_clean());
+    }
+
+    #[test]
+    fn unreadable_rows_are_dropped_but_their_keys_keep_masking() {
+        use EntryKind::*;
+        // The newer component's key blocks read fine, its rows do not: the
+        // winner it owns (key 1) is lost, but neither that key's older
+        // version nor the row its anti-matter deletes (key 2) resurfaces.
+        let (old, _) =
+            columnar_component(0, &(0..4).map(|k| (k, Record, "old")).collect::<Vec<_>>(), false);
+        let (new, new_counts) = columnar_component(
+            1,
+            &[(1, Record, "new"), (2, AntiMatter, ""), (3, Record, "new")],
+            true,
+        );
+        let comps = vec![old, Arc::clone(&new)];
+        let cache = Arc::new(BufferCache::new(16));
+        let mut scan = MergedScan::new(&[], &comps, &cache, None, None, false);
+        assert_eq!(collect(&mut scan), vec![(0, Record, "old".into())]);
+        assert_eq!(scan.health().degraded().len(), 1, "one component, counted once");
+        assert_eq!(scan.health().degraded()[0].0, ComponentId::flushed(1));
+        assert!(new.is_quarantined());
+        let tries = new_counts[0].load(AtomicOrdering::Relaxed);
+        assert_eq!(tries, 1, "later rows fail without another read");
     }
 }

@@ -148,7 +148,7 @@ pub struct LsmStats {
     /// Entries (records + anti-matter) in retired components.
     pub entries_retired: u64,
     /// Column pages written by the columnar (AMAX) codec during
-    /// flush/merge. Tree-level snapshots leave the four columnar counters
+    /// flush/merge. Tree-level snapshots leave the six columnar counters
     /// at 0; the dataset layer injects them from the codec's counters.
     pub columnar_pages_written: u64,
     /// Row groups' column pages a columnar scan proved irrelevant from
@@ -160,6 +160,13 @@ pub struct LsmStats {
     /// Rows evaluated by the typed (no `Value` boxing) columnar filter
     /// loops — proof the zero-pivot fast path fired.
     pub columnar_typed_filter_rows: u64,
+    /// Rows pivoted from column pages back into records by group
+    /// reconstruction (merges, whole-record reads). A scan that only
+    /// touches some fields leaves it unchanged — "did this query pivot
+    /// rows?" is a before/after lookup here.
+    pub columnar_rows_reconstructed: u64,
+    /// Point lookups answered by reading one row of one columnar group.
+    pub columnar_point_lookups: u64,
 }
 
 impl LsmStats {
@@ -215,6 +222,8 @@ impl StatsCells {
             pages_skipped_by_stats: 0,
             columns_faulted_in: 0,
             columnar_typed_filter_rows: 0,
+            columnar_rows_reconstructed: 0,
+            columnar_point_lookups: 0,
         }
     }
 }

@@ -6,7 +6,7 @@
 //! aggregate).
 
 use tc_adm::compare::compare;
-use tc_adm::Value;
+use tc_adm::{AdmError, Value};
 
 use crate::expr::Expr;
 
@@ -109,8 +109,10 @@ impl AggState {
         }
     }
 
-    /// Merge another partition's partial state.
-    pub fn merge(&mut self, other: AggState) {
+    /// Merge another partition's partial state. States of different
+    /// aggregates do not merge: partitions that disagree on the plan are an
+    /// execution error, not a panic.
+    pub fn merge(&mut self, other: AggState) -> Result<(), AdmError> {
         match (self, other) {
             (AggState::Count(a), AggState::Count(b)) => *a += b,
             (AggState::Sum { total, seen }, AggState::Sum { total: t2, seen: s2 }) => {
@@ -140,8 +142,13 @@ impl AggState {
                 }
             }
             (AggState::List(a), AggState::List(b)) => a.extend(b),
-            (a, b) => panic!("mismatched aggregate states: {a:?} vs {b:?}"),
+            (a, b) => {
+                return Err(AdmError::execution(format!(
+                    "mismatched aggregate states: {a:?} vs {b:?}"
+                )))
+            }
         }
+        Ok(())
     }
 
     /// Produce the final value.
@@ -237,8 +244,18 @@ mod tests {
                     b.update(arg);
                 }
             }
-            a.merge(b);
+            a.merge(b).unwrap();
             assert_eq!(a.finalize(), single, "{func:?}");
         }
+    }
+
+    #[test]
+    fn merging_mismatched_states_is_a_typed_error() {
+        let mut count = AggState::new(&AggFn::Count);
+        count.update(None);
+        let err = count.merge(AggState::new(&AggFn::Avg)).unwrap_err();
+        assert!(matches!(err, AdmError::Execution(_)), "got {err:?}");
+        assert!(err.to_string().contains("mismatched aggregate states"), "got {err}");
+        assert_eq!(count.finalize(), Value::Int64(1), "the refused merge changed nothing");
     }
 }

@@ -2,12 +2,19 @@
 //! records.
 //!
 //! Instead of materializing every scanned record into a full row before any
-//! operator sees it, the batched engine pulls ~4K payloads at a time and
-//! runs the scan in four columnar phases:
+//! operator sees it, the batched engine pulls ~4K records at a time — the
+//! winners of the snapshot's key reconciliation — and runs the scan in four
+//! columnar phases. A pulled record is either its stored **bytes** (row
+//! blocks, memtables) or a **row reference** into a columnar component,
+//! `(source, group, row)`, for which nothing but the group's keys block has
+//! been read.
 //!
 //! 1. **Eager decode** — only the early columns the scan filter actually
-//!    reads are evaluated, one [`PathBatch`] drive per payload, into
-//!    reusable column buffers.
+//!    reads are evaluated into reusable column buffers: one [`PathBatch`]
+//!    drive per payload, or, for a row reference, one read of each named
+//!    typed column / residual path through the group reader the at-rest
+//!    columnar scan uses ([`crate::columnar::GroupIo`]; decoded columns and
+//!    residual blocks are kept per (source, group) for the batch).
 //! 2. **Filter** — the predicate is split at top-level `AND`s and each
 //!    conjunct refines a selection vector. Conjuncts of the shape
 //!    `col <op> const` over homogeneous `Int64`/`Double` columns run as
@@ -18,19 +25,40 @@
 //!    are evaluated only for selection-vector survivors, so a filtered-out
 //!    record never pays for the columns it would have needed.
 //! 4. **Emit** — surviving rows are assembled by *moving* values out of the
-//!    column buffers.
+//!    column buffers, in pull order (primary-key order).
+//!
+//! Row references are answered per component: each path is classified
+//! against the component's column list exactly as the at-rest scan does. A
+//! component for which some path does not classify — a whole-record path, a
+//! path crossing a typed column's prefix — has its rows materialized as
+//! they are pulled (one reconstructed row group at a time) and they continue
+//! as bytes. A scan with no paths (`count(*)`) touches key blocks only.
+//!
+//! `bytes_scanned` counts payload bytes for records that arrive (or are
+//! materialized) as bytes, and the bytes of the column and residual blocks
+//! faulted in for row references — the at-rest columnar scan's convention.
+//! A storage fault on such a block is reported to the scan's health (the
+//! component is quarantined if it is corruption) and the rows it hits are
+//! dropped: an error under `CorruptionPolicy::Fail`, missing rows plus
+//! `quarantined_components` under `Degrade`, never a wrong value.
 //!
 //! A `LIMIT` hint (when the plan allows one — see
 //! [`crate::exec`]) stops the pull loop as soon as enough rows survive,
 //! instead of draining the snapshot.
 
+use std::collections::hash_map::Entry;
 use std::mem;
+use std::rc::Rc;
 
 use tc_adm::path::Path;
 use tc_adm::{AdmError, Value};
+use tc_lsm::component::Payload;
 use tc_lsm::iter::MergedScan;
+use tc_storage::StorageError;
+use tc_util::hash::FxHashMap;
 use tuple_compactor::{PathBatch, RecordDecoder};
 
+use crate::columnar::{chunk_reader, GroupIo, PathPlan};
 use crate::exec::Row;
 use crate::expr::{CmpOp, Expr};
 use crate::plan::{AccessStrategy, ScanSpec};
@@ -38,8 +66,20 @@ use crate::plan::{AccessStrategy, ScanSpec};
 /// Records per scan chunk (the batched engine's unit of work).
 pub const DEFAULT_BATCH_SIZE: usize = 4096;
 
+/// One pulled record, as the fill phases read it.
+enum BatchRow {
+    /// Its stored bytes; every path is evaluated against them.
+    Bytes(Vec<u8>),
+    /// A row of a columnar component (source `rank` of the scan) that was
+    /// not assembled: its values come straight from column pages, as `plan`
+    /// maps them.
+    Ref { plan: Rc<FillPlan>, rank: usize, group: u32, row: u32 },
+}
+
 /// Run one partition's scan in batches. Returns the surviving rows;
-/// `scanned`/`bytes` count every record pulled from the snapshot.
+/// `scanned` counts every record pulled from the snapshot, `bytes` their
+/// payload bytes — or, for rows answered from column pages, the bytes of the
+/// blocks faulted in for them.
 pub(crate) fn scan_batched(
     decoder: &RecordDecoder,
     iter: &mut MergedScan,
@@ -52,7 +92,7 @@ pub(crate) fn scan_batched(
     let batch_size = batch_size.max(1);
     let mut scanner = BatchScanner::new(decoder, scan);
     let mut rows: Vec<Row> = Vec::new();
-    let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(batch_size);
+    let mut batch: Vec<BatchRow> = Vec::with_capacity(batch_size);
     loop {
         // With no scan filter every pulled record survives, so a LIMIT hint
         // caps the pull itself; with a filter we can only cap post-filter.
@@ -60,22 +100,35 @@ pub(crate) fn scan_batched(
             (Some(k), false) => batch_size.min(k.saturating_sub(rows.len())),
             _ => batch_size,
         };
-        payloads.clear();
-        while payloads.len() < want {
-            match iter.next() {
-                Some((_, _, payload)) => {
-                    *scanned += 1;
-                    *bytes += payload.len() as u64;
-                    payloads.push(payload);
-                }
-                None => break,
+        batch.clear();
+        while batch.len() < want {
+            let Some(entry) = iter.next_entry() else { break };
+            let row = match entry.payload {
+                Payload::Bytes(payload) => BatchRow::Bytes(payload),
+                Payload::Row { group, row } => match scanner.fill_plan(iter, entry.rank) {
+                    Some(plan) => BatchRow::Ref { plan, rank: entry.rank, group, row },
+                    // Some path needs the whole record. A row whose component
+                    // proves corrupt is dropped; the scan's health has the
+                    // error.
+                    None => match iter.materialize(entry.rank, group, row) {
+                        Ok(payload) => BatchRow::Bytes(payload),
+                        Err(_) => continue,
+                    },
+                },
+            };
+            if let BatchRow::Bytes(payload) = &row {
+                *bytes += payload.len() as u64;
             }
+            *scanned += 1;
+            batch.push(row);
         }
-        if payloads.is_empty() {
+        if batch.is_empty() {
             break;
         }
-        let exhausted = payloads.len() < want;
-        scanner.process_batch(&payloads, &mut rows)?;
+        let exhausted = batch.len() < want;
+        for (rank, e) in scanner.process_batch(iter, &batch, &mut rows, bytes)? {
+            iter.report_fault(rank, e);
+        }
         if let Some(k) = limit_hint {
             if rows.len() >= k {
                 rows.truncate(k);
@@ -98,6 +151,56 @@ enum Group {
     Lazy,
 }
 
+/// Where one columnar component holds the scan's eager and lazy paths.
+struct FillPlan {
+    eager: PathPlan,
+    lazy: PathPlan,
+}
+
+/// How one columnar source's row references are answered.
+enum SourcePlan {
+    /// No reference from this source pulled yet.
+    Unseen,
+    /// Every scan path maps onto the component's typed columns or its
+    /// residual: values are read from column pages, per phase.
+    Fill(Rc<FillPlan>),
+    /// Some path needs the assembled record (or a fault ended column reads):
+    /// references are materialized as they are pulled.
+    Materialize,
+}
+
+/// A storage fault met while filling from a source's column pages.
+type Fault = (usize, StorageError);
+
+/// One batch's reads of column pages: the row groups its fills have touched,
+/// by (source rank, group), and the faults they met.
+struct ColumnReads<'c> {
+    iter: &'c MergedScan,
+    groups: FxHashMap<(usize, u32), GroupIo<'c>>,
+    faults: Vec<Fault>,
+}
+
+impl ColumnReads<'_> {
+    /// One row reference's values for `plan`'s paths. `None` drops the row:
+    /// its source has faulted (now or earlier in the batch).
+    fn row_values(&mut self, plan: &PathPlan, rank: usize, group: u32, row: u32) -> Option<Row> {
+        if plan.is_empty() {
+            return Some(Vec::new());
+        }
+        if self.faults.iter().any(|(faulted, _)| *faulted == rank) {
+            return None;
+        }
+        let io = match self.groups.entry((rank, group)) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(v) => {
+                let (reader, store) = chunk_reader(self.iter.source_component(rank)?)?;
+                v.insert(GroupIo::new(reader, store, self.iter.cache(), group as usize))
+            }
+        };
+        plan.row_values(io, row).map_err(|e| self.faults.push((rank, e))).ok()
+    }
+}
+
 /// Per-partition batch state: column-set decoders, the selection vector,
 /// and scratch buffers, all reused across batches.
 struct BatchScanner<'a> {
@@ -105,6 +208,8 @@ struct BatchScanner<'a> {
     conjuncts: Vec<&'a Expr>,
     eager: ColumnSet,
     lazy: ColumnSet,
+    /// Per source rank of the scan, grown as ranks show up.
+    sources: Vec<SourcePlan>,
     /// Output column → (group, slot within the group), in row order.
     slots: Vec<(Group, usize)>,
     /// Early column index → eager slot, for filter evaluation.
@@ -153,8 +258,9 @@ impl<'a> BatchScanner<'a> {
         let eager_paths: Vec<Path> = eager_early.iter().map(|&c| scan.paths[c].clone()).collect();
         BatchScanner {
             conjuncts,
-            eager: ColumnSet::new(decoder, &eager_paths, scan.access),
-            lazy: ColumnSet::new(decoder, &lazy_paths, scan.access),
+            eager: ColumnSet::new(decoder, eager_paths, scan.access),
+            lazy: ColumnSet::new(decoder, lazy_paths, scan.access),
+            sources: Vec::new(),
             slots,
             eager_of_early,
             sel: Vec::new(),
@@ -162,20 +268,83 @@ impl<'a> BatchScanner<'a> {
         }
     }
 
-    fn process_batch(&mut self, payloads: &[Vec<u8>], rows: &mut Vec<Row>) -> Result<(), AdmError> {
-        let n = payloads.len();
+    /// How source `rank`'s row references are answered from its column
+    /// pages, or `None` if they must be materialized. Decided once per
+    /// source, by classifying every scan path against the component's
+    /// column list.
+    fn fill_plan(&mut self, iter: &MergedScan, rank: usize) -> Option<Rc<FillPlan>> {
+        if self.sources.len() <= rank {
+            self.sources.resize_with(rank + 1, || SourcePlan::Unseen);
+        }
+        if let SourcePlan::Unseen = self.sources[rank] {
+            let plan = iter.source_component(rank).and_then(|c| chunk_reader(c)).and_then(
+                |(reader, _)| {
+                    let eager = PathPlan::classify(reader, self.eager.paths.iter())?;
+                    let lazy = PathPlan::classify(reader, self.lazy.paths.iter())?;
+                    Some(Rc::new(FillPlan { eager, lazy }))
+                },
+            );
+            self.sources[rank] = plan.map_or(SourcePlan::Materialize, SourcePlan::Fill);
+        }
+        match &self.sources[rank] {
+            SourcePlan::Fill(plan) => Some(Rc::clone(plan)),
+            _ => None,
+        }
+    }
+
+    /// Run the four phases over one batch. Returns the storage faults met
+    /// reading column pages for row references; the rows they hit are
+    /// dropped from the batch, and the faulted sources' later references are
+    /// no longer filled.
+    fn process_batch(
+        &mut self,
+        iter: &MergedScan,
+        batch: &[BatchRow],
+        rows: &mut Vec<Row>,
+        bytes: &mut u64,
+    ) -> Result<Vec<Fault>, AdmError> {
+        let mut reads = ColumnReads { iter, groups: FxHashMap::default(), faults: Vec::new() };
         self.eager.clear();
         self.lazy.clear();
-        for p in payloads {
-            self.eager.append(p)?;
+        self.sel.clear();
+        for (i, row) in batch.iter().enumerate() {
+            match row {
+                BatchRow::Bytes(payload) => self.eager.append(payload)?,
+                BatchRow::Ref { plan, rank, group, row } => {
+                    match reads.row_values(&plan.eager, *rank, *group, *row) {
+                        Some(values) => self.eager.push_row(values),
+                        None => {
+                            // Keeps the columns row-aligned; never selected.
+                            self.eager.push_row(vec![Value::Missing; self.eager.cols.len()]);
+                            continue;
+                        }
+                    }
+                }
+            }
+            self.sel.push(i as u32);
         }
 
-        self.sel.clear();
-        self.sel.extend(0..n as u32);
         self.apply_filter();
 
-        for &r in &self.sel {
-            self.lazy.append(&payloads[r as usize])?;
+        let mut kept = 0;
+        for pos in 0..self.sel.len() {
+            let r = self.sel[pos];
+            match &batch[r as usize] {
+                BatchRow::Bytes(payload) => self.lazy.append(payload)?,
+                BatchRow::Ref { plan, rank, group, row } => {
+                    match reads.row_values(&plan.lazy, *rank, *group, *row) {
+                        Some(values) => self.lazy.push_row(values),
+                        None => continue,
+                    }
+                }
+            }
+            self.sel[kept] = r;
+            kept += 1;
+        }
+        self.sel.truncate(kept);
+        *bytes += reads.groups.values().map(|io| io.bytes_read).sum::<u64>();
+        for (rank, _) in &reads.faults {
+            self.sources[*rank] = SourcePlan::Materialize;
         }
 
         let width = self.slots.len();
@@ -193,7 +362,7 @@ impl<'a> BatchScanner<'a> {
             }
             rows.push(row);
         }
-        Ok(())
+        Ok(reads.faults)
     }
 
     /// Refine the selection vector with every filter conjunct: typed
@@ -239,23 +408,24 @@ impl<'a> BatchScanner<'a> {
 /// [`AccessStrategy`]: consolidated = one `getValues` drive per record,
 /// per-path = one drive per path (the Fig 23 "un-op" configuration).
 struct ColumnSet {
+    paths: Vec<Path>,
     parts: Vec<PathBatch>,
     cols: Vec<Vec<Value>>,
 }
 
 impl ColumnSet {
-    fn new(decoder: &RecordDecoder, paths: &[Path], access: AccessStrategy) -> ColumnSet {
+    fn new(decoder: &RecordDecoder, paths: Vec<Path>, access: AccessStrategy) -> ColumnSet {
         let parts: Vec<PathBatch> = if paths.is_empty() {
             Vec::new()
         } else {
             match access {
-                AccessStrategy::Consolidated => vec![decoder.batch(paths)],
+                AccessStrategy::Consolidated => vec![decoder.batch(&paths)],
                 AccessStrategy::PerPath => {
                     paths.iter().map(|p| decoder.batch(std::slice::from_ref(p))).collect()
                 }
             }
         };
-        ColumnSet { parts, cols: vec![Vec::new(); paths.len()] }
+        ColumnSet { cols: vec![Vec::new(); paths.len()], paths, parts }
     }
 
     fn clear(&mut self) {
@@ -272,6 +442,14 @@ impl ColumnSet {
             cols = rest;
         }
         Ok(())
+    }
+
+    /// Append one record's values, already evaluated, one per path.
+    fn push_row(&mut self, values: Row) {
+        debug_assert_eq!(values.len(), self.cols.len());
+        for (col, v) in self.cols.iter_mut().zip(values) {
+            col.push(v);
+        }
     }
 }
 

@@ -17,6 +17,15 @@
 //! falls back to [`crate::batch::scan_batched`]. Per-group type spills
 //! likewise demote affected conjuncts to generic evaluation, so SQL++
 //! mixed-type semantics (`2 == 2.0`) survive schema drift.
+//!
+//! "Not at rest" no longer means "reconstruct every record": the batched
+//! scan reconciles the partition's components on their key blocks and fills
+//! its column buffers from the same column and residual blocks, through the
+//! same [`GroupIo`] and path classification ([`PathPlan`]) defined here —
+//! values boxed, generic filter loops, no min/max group skipping. What this
+//! module keeps to itself is what only a lone, anti-matter-free component
+//! allows: primitive loops over whole decoded columns and skipping groups
+//! by their stats without a reconciliation.
 
 use tc_adm::path::{Path, PathStep};
 use tc_adm::{AdmError, TypeTag, Value};
@@ -51,84 +60,86 @@ struct TypedPred<'e> {
     expr: &'e Expr,
 }
 
-/// Per-group lazily faulted blocks, shared by the filter and emit phases.
-struct GroupIo<'c> {
+/// The one reader of a row group's blocks: typed columns and the residual
+/// block are faulted in on first use and kept for the reader's lifetime.
+/// Serves the at-rest scan below and the batched engine's fill of row
+/// references ([`crate::batch`]). Errors come back as the raw
+/// [`StorageError`]; what a fault means for the component and the query is
+/// the caller's policy.
+pub(crate) struct GroupIo<'c> {
     reader: &'c ChunkReader,
     store: &'c PageStore,
     cache: &'c BufferCache,
-    component: &'c DiskComponent,
     g: usize,
     cols: Vec<Option<DecodedColumn>>,
     residuals: Option<Vec<Vec<u8>>>,
-    bytes_read: u64,
+    /// Bytes of the blocks faulted in so far.
+    pub(crate) bytes_read: u64,
 }
 
 /// A non-transient storage fault inside the fast path: the component is
 /// already quarantined; the caller abandons the fast path so the generic
 /// scan's health machinery applies the query's corruption policy.
-struct Degraded;
-
 enum ScanFail {
     Degraded,
     Err(AdmError),
 }
 
-impl From<Degraded> for ScanFail {
-    fn from(_: Degraded) -> Self {
+/// The at-rest scan's fault policy.
+fn degrade(component: &DiskComponent, e: StorageError) -> ScanFail {
+    if e.is_transient() {
+        ScanFail::Err(AdmError::storage(e.to_string(), true))
+    } else {
+        component.quarantine();
         ScanFail::Degraded
     }
 }
 
 impl<'c> GroupIo<'c> {
-    fn degrade(&self, e: StorageError) -> ScanFail {
-        if e.is_transient() {
-            ScanFail::Err(AdmError::storage(e.to_string(), true))
-        } else {
-            self.component.quarantine();
-            ScanFail::Degraded
-        }
+    pub(crate) fn new(
+        reader: &'c ChunkReader,
+        store: &'c PageStore,
+        cache: &'c BufferCache,
+        g: usize,
+    ) -> Self {
+        let cols = vec![None; reader.columns().len()];
+        GroupIo { reader, store, cache, g, cols, residuals: None, bytes_read: 0 }
     }
 
     /// Fault one typed column in (memoized for the group's lifetime).
-    fn column(&mut self, c: usize) -> Result<&DecodedColumn, ScanFail> {
+    fn column(&mut self, c: usize) -> Result<&DecodedColumn, StorageError> {
         if self.cols[c].is_none() {
-            match self.reader.read_column(self.store, self.cache, self.g, c) {
-                Ok(col) => {
-                    self.bytes_read += self.reader.groups()[self.g].cols[c].run.bytes as u64;
-                    self.cols[c] = Some(col);
-                }
-                Err(e) => return Err(self.degrade(e)),
-            }
+            let col = self.reader.read_column(self.store, self.cache, self.g, c)?;
+            self.bytes_read += self.reader.groups()[self.g].cols[c].run.bytes as u64;
+            self.cols[c] = Some(col);
         }
         Ok(self.cols[c].as_ref().expect("just faulted"))
     }
 
     /// Fault the group's residual rows in (memoized).
-    fn residual(&mut self) -> Result<&[Vec<u8>], ScanFail> {
+    fn residual(&mut self) -> Result<&[Vec<u8>], StorageError> {
         if self.residuals.is_none() {
-            match self.reader.read_residual(self.store, self.cache, self.g) {
-                Ok(res) => {
-                    self.bytes_read += self.reader.groups()[self.g].residual.bytes as u64;
-                    self.residuals = Some(res);
-                }
-                Err(e) => return Err(self.degrade(e)),
-            }
+            let res = self.reader.read_residual(self.store, self.cache, self.g)?;
+            self.bytes_read += self.reader.groups()[self.g].residual.bytes as u64;
+            self.residuals = Some(res);
         }
         Ok(self.residuals.as_ref().expect("just faulted"))
     }
 
     /// Evaluate `paths` against row `r`'s residual record.
-    fn residual_values(&mut self, r: u32, paths: &[Path]) -> Result<Vec<Value>, ScanFail> {
+    pub(crate) fn residual_values(
+        &mut self,
+        r: u32,
+        paths: &[Path],
+    ) -> Result<Vec<Value>, StorageError> {
         let bytes = &self.residual()?[r as usize];
-        tc_vector::get_values(bytes, paths, None, None).map_err(|_| {
-            self.component.quarantine();
-            ScanFail::Degraded
-        })
+        tc_vector::get_values(bytes, paths, None, None)
+            .map_err(|e| StorageError::corruption("column block", e.to_string()))
     }
 
     /// One row's value from typed column `c`, falling back to the residual
     /// when the group recorded spills (the mismatched value lives there).
-    fn typed_value(&mut self, c: usize, r: u32) -> Result<Value, ScanFail> {
+    pub(crate) fn typed_value(&mut self, c: usize, r: u32) -> Result<Value, StorageError> {
         let spilled = self.reader.groups()[self.g].cols[c].spilled;
         let v = self.column(c)?.value_at(r as usize);
         if !matches!(v, Value::Missing) || spilled == 0 {
@@ -155,26 +166,13 @@ pub(crate) fn try_scan_columnar(
         return Ok(None);
     };
     let component = component.as_ref();
-    let Some((chunk, store)) = component.columnar_view() else {
+    let Some((reader, store)) = chunk_reader(component) else {
         return Ok(None);
     };
-    let Some(reader) = chunk.as_any().downcast_ref::<ChunkReader>() else {
+    let Some(plan) = PathPlan::classify(reader, scan.paths.iter().chain(&scan.late_paths)) else {
         return Ok(None);
     };
-
-    // ---- classify every output path ----
-    let mut slots: Vec<Slot> = Vec::with_capacity(scan.width());
-    let mut residual_paths: Vec<Path> = Vec::new();
-    for path in scan.paths.iter().chain(&scan.late_paths) {
-        match classify(reader, path) {
-            Some(Slot::Residual(_)) => {
-                slots.push(Slot::Residual(residual_paths.len()));
-                residual_paths.push(path.clone());
-            }
-            Some(slot) => slots.push(slot),
-            None => return Ok(None),
-        }
-    }
+    let slots = &plan.slots;
     let early = scan.paths.len();
 
     // ---- compile the filter ----
@@ -201,18 +199,7 @@ pub(crate) fn try_scan_columnar(
         }
     }
 
-    match scan_groups(
-        reader,
-        store,
-        ds,
-        component,
-        scan,
-        &slots,
-        &residual_paths,
-        &typed,
-        &generic,
-        limit_hint,
-    ) {
+    match scan_groups(reader, store, ds, component, scan, &plan, &typed, &generic, limit_hint) {
         Ok((rows, row_scanned, bytes_read)) => {
             *scanned += row_scanned;
             *bytes += bytes_read;
@@ -230,13 +217,14 @@ fn scan_groups(
     ds: &Dataset,
     component: &DiskComponent,
     scan: &ScanSpec,
-    slots: &[Slot],
-    residual_paths: &[Path],
+    plan: &PathPlan,
     typed: &[TypedPred<'_>],
     generic: &[&Expr],
     limit_hint: Option<usize>,
 ) -> Result<(Vec<Row>, u64, u64), ScanFail> {
     let cache = ds.primary().cache();
+    let fail = |e| degrade(component, e);
+    let PathPlan { slots, residual_paths } = plan;
     let counters = reader.counters();
     let page_size = store.page_size();
     let early = scan.paths.len();
@@ -266,16 +254,7 @@ fn scan_groups(
             row_scanned += gm.rows as u64;
         }
         let mut sel: Vec<u32> = (0..gm.rows).collect();
-        let mut io = GroupIo {
-            reader,
-            store,
-            cache,
-            component,
-            g,
-            cols: vec![None; reader.columns().len()],
-            residuals: None,
-            bytes_read: 0,
-        };
+        let mut io = GroupIo::new(reader, store, cache, g);
         let mut group_generic: Vec<&Expr> = generic.to_vec();
 
         // ---- typed primitive filter loops ----
@@ -289,7 +268,7 @@ fn scan_groups(
                 group_generic.push(p.expr);
                 continue;
             }
-            let col = io.column(p.col)?;
+            let col = io.column(p.col).map_err(fail)?;
             match (&col.values, p.konst) {
                 (ColumnValues::I64(vals), Value::Int64(k)) => {
                     counters.note_typed_filter_rows(sel.len() as u64);
@@ -338,11 +317,11 @@ fn scan_groups(
             for &r in &sel {
                 for &i in &refd {
                     if let Slot::Typed(c) = slots[i] {
-                        scratch[i] = io.typed_value(c, r)?;
+                        scratch[i] = io.typed_value(c, r).map_err(fail)?;
                     }
                 }
                 if !res_paths.is_empty() {
-                    let vals = io.residual_values(r, &res_paths)?;
+                    let vals = io.residual_values(r, &res_paths).map_err(fail)?;
                     for ((i, _), v) in refd_residual.iter().zip(vals) {
                         scratch[*i] = v;
                     }
@@ -359,19 +338,7 @@ fn scan_groups(
             if !has_filter {
                 row_scanned += 1;
             }
-            let res_row: Vec<Value> = if residual_paths.is_empty() {
-                Vec::new()
-            } else {
-                io.residual_values(r, residual_paths)?
-            };
-            let mut row: Row = Vec::with_capacity(slots.len());
-            for slot in slots {
-                row.push(match slot {
-                    Slot::Typed(c) => io.typed_value(*c, r)?,
-                    Slot::Residual(i) => res_row[*i].clone(),
-                });
-            }
-            rows.push(row);
+            rows.push(plan.row_values(&mut io, r).map_err(fail)?);
             if limit_hint.is_some_and(|k| rows.len() >= k) {
                 bytes_read += io.bytes_read;
                 return Ok((rows, row_scanned, bytes_read));
@@ -381,6 +348,66 @@ fn scan_groups(
     }
 
     Ok((rows, row_scanned, bytes_read))
+}
+
+/// The format-aware reader of a columnar component and the store its pages
+/// live on; `None` for row-layout components and foreign chunk types.
+pub(crate) fn chunk_reader(component: &DiskComponent) -> Option<(&ChunkReader, &PageStore)> {
+    let (chunk, store) = component.columnar_view()?;
+    Some((chunk.as_any().downcast_ref::<ChunkReader>()?, store))
+}
+
+/// Where a list of scan paths is read from in one component.
+#[derive(Default)]
+pub(crate) struct PathPlan {
+    /// Parallel to the path list.
+    slots: Vec<Slot>,
+    /// The paths evaluated against the residual record.
+    residual_paths: Vec<Path>,
+}
+
+impl PathPlan {
+    /// `None` if any path has a shape the column pages cannot answer exactly
+    /// (see [`classify`]).
+    pub(crate) fn classify<'p>(
+        reader: &ChunkReader,
+        paths: impl Iterator<Item = &'p Path>,
+    ) -> Option<PathPlan> {
+        let mut plan = PathPlan::default();
+        for path in paths {
+            match classify(reader, path)? {
+                Slot::Residual(_) => {
+                    plan.slots.push(Slot::Residual(plan.residual_paths.len()));
+                    plan.residual_paths.push(path.clone());
+                }
+                slot => plan.slots.push(slot),
+            }
+        }
+        Some(plan)
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Row `r`'s value at every planned path, in path order. A plain loop
+    /// on purpose: the at-rest `count(*)` calls this once per row with no
+    /// paths, and an iterator `collect::<Result<_, _>>()` here cost it 40 %.
+    pub(crate) fn row_values(&self, io: &mut GroupIo<'_>, r: u32) -> Result<Row, StorageError> {
+        let mut residual = if self.residual_paths.is_empty() {
+            Vec::new()
+        } else {
+            io.residual_values(r, &self.residual_paths)?
+        };
+        let mut row: Row = Vec::with_capacity(self.slots.len());
+        for slot in &self.slots {
+            row.push(match *slot {
+                Slot::Typed(c) => io.typed_value(c, r)?,
+                Slot::Residual(i) => std::mem::replace(&mut residual[i], Value::Missing),
+            });
+        }
+        Ok(row)
+    }
 }
 
 /// Map a scan path onto its source. `None` = unsupported shape (whole

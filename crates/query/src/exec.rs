@@ -193,7 +193,7 @@ pub fn execute(
                         Entry::Occupied(mut e) => {
                             let (_, existing) = e.get_mut();
                             for (a, b) in existing.iter_mut().zip(states) {
-                                a.merge(b);
+                                a.merge(b)?;
                             }
                         }
                     }
@@ -374,7 +374,8 @@ fn scan_rows(
     bytes: &mut u64,
 ) -> Result<Vec<Row>, AdmError> {
     let mut rows: Vec<Row> = Vec::new();
-    while let Some((_, _, payload)) = iter.next() {
+    while limit_hint.is_none_or(|k| rows.len() < k) {
+        let Some((_, _, payload)) = iter.next() else { break };
         *scanned += 1;
         *bytes += payload.len() as u64;
         let mut row = extract(decoder, &payload, &scan.paths, scan.access)?;
@@ -387,9 +388,6 @@ fn scan_rows(
             row.extend(extract(decoder, &payload, &scan.late_paths, scan.access)?);
         }
         rows.push(row);
-        if limit_hint.is_some_and(|k| rows.len() >= k) {
-            break;
-        }
     }
     Ok(rows)
 }
@@ -904,6 +902,118 @@ mod tests {
         // show up in the scan counter.
         assert_eq!(fast.stats.rows_scanned, 1024);
         assert_eq!(row.stats.rows_scanned, 3000);
+    }
+
+    /// A columnar partition as it is during ingest — unmerged components,
+    /// stale versions and anti-matter under a resident memtable — is
+    /// reconciled on key blocks and answered from column pages: only a
+    /// query that wants whole records pivots rows, and none of it is the
+    /// at-rest path (`typed_filter_rows` stays 0 until a full merge).
+    #[test]
+    fn live_columnar_scans_reconstruct_rows_only_for_whole_records() {
+        use crate::paper_queries::sensors_q4_scanfilter;
+        use crate::plan::QueryOptions;
+
+        let ds = Dataset::new(
+            DatasetConfig::new("Sensors", "id")
+                .with_format(StorageFormat::Columnar)
+                .with_memtable_budget(16 * 1024)
+                .with_merge_policy(tc_lsm::MergePolicy::NoMerge),
+            Arc::new(Device::new(DeviceProfile::RAM)),
+            Arc::new(BufferCache::new(4096)),
+        );
+        let report = |i: i64, temp: i64| {
+            parse(&format!(
+                r#"{{"id": {i}, "sensor_id": {}, "report_time": {}, "readings": [{{"temp": {temp}.5}}]}}"#,
+                i % 7,
+                i * 1000,
+            ))
+            .unwrap()
+        };
+        let mut w = ds.writer();
+        for i in 0..400 {
+            w.insert(&report(i, i % 40)).unwrap();
+        }
+        for i in (0..400).step_by(13) {
+            assert!(w.delete(i).unwrap()); // anti-matter over flushed rows
+        }
+        drop(w);
+        ds.flush().unwrap();
+        let mut w = ds.writer();
+        for i in (0..400).step_by(9).filter(|i| i % 13 != 0) {
+            w.upsert(&report(i, 99)).unwrap(); // stale versions stay below
+        }
+        drop(w);
+        assert!(ds.primary().components().len() >= 3, "unmerged components");
+        assert!(ds.primary().memtable_len() > 0, "resident memtable");
+        assert!(ds.primary().components().iter().any(|c| c.num_antimatter() > 0));
+        assert!(ds.snapshot_columnar().is_none(), "not at rest");
+        let live = (0..400).filter(|i| i % 13 != 0).count() as i64;
+
+        let opts = QueryOptions::default();
+        let count = Query {
+            scan: ScanSpec::all_early(vec![], opts.access()),
+            ops: vec![Op::GroupBy { keys: vec![], aggs: vec![Agg::count_star()] }],
+        };
+        let filter = sensors_q4_scanfilter(opts, 100_000, 140_000);
+        let group_by_residual = Query {
+            scan: ScanSpec::all_early(vec![parse_path("readings[0].temp")], opts.access()),
+            ops: vec![
+                Op::GroupBy { keys: vec![Expr::col(0)], aggs: vec![Agg::count_star()] },
+                Op::OrderBy { keys: vec![(Expr::col(0), false)], limit: None },
+            ],
+        };
+        let select_star = Query {
+            scan: ScanSpec::all_early(vec![vec![]], opts.access()),
+            ops: vec![Op::OrderBy { keys: vec![(Expr::path(0, "id"), false)], limit: None }],
+        };
+
+        let run = |q: &Query, engine| {
+            let before = ds.lsm_stats();
+            let res = execute(&[&ds], q, &ExecOptions::with_engine(engine)).unwrap();
+            let after = ds.lsm_stats();
+            assert_eq!(
+                after.columnar_typed_filter_rows, before.columnar_typed_filter_rows,
+                "the at-rest typed loops must stay silent on a live partition"
+            );
+            (res, after.columnar_rows_reconstructed - before.columnar_rows_reconstructed)
+        };
+        for (name, q) in
+            [("count", &count), ("filter", &filter), ("group-by residual", &group_by_residual)]
+        {
+            let (batched, pivoted) = run(q, Engine::Batched);
+            assert_eq!(pivoted, 0, "{name}: a scan of some fields must not pivot rows");
+            let (row, row_pivoted) = run(q, Engine::Row);
+            assert!(row_pivoted > 0, "{name}: the row engine assembles every winner");
+            assert_eq!(batched.rows, row.rows, "{name}");
+            assert_eq!(batched.stats.rows_scanned, row.stats.rows_scanned, "{name}");
+            assert_eq!(batched.stats.rows_scanned, live as u64, "{name}");
+        }
+        let (counted, _) = run(&count, Engine::Batched);
+        assert_eq!(counted.rows, vec![vec![Value::Int64(live)]]);
+        let (filtered, _) = run(&filter, Engine::Batched);
+        assert!(!filtered.rows.is_empty(), "the window holds live reports");
+
+        let (star, pivoted) = run(&select_star, Engine::Batched);
+        assert!(pivoted > 0, "whole records are assembled");
+        assert_eq!(star.rows.len(), live as usize);
+        let id_9 = &star.rows[8][0]; // ids 1..=9, 0 is deleted
+        assert_eq!(id_9.get_field("id"), Some(&Value::Int64(9)));
+        assert_eq!(
+            id_9.get_field("readings"),
+            report(9, 99).get_field("readings"),
+            "an upserted row shows its newest version"
+        );
+        assert_eq!(star.rows, run(&select_star, Engine::Row).0.rows);
+
+        // At rest the same filter runs the primitive loops.
+        ds.flush().unwrap();
+        ds.force_full_merge().unwrap();
+        assert!(ds.snapshot_columnar().is_some(), "at rest");
+        let before = ds.lsm_stats();
+        let rest = execute(&[&ds], &filter, &ExecOptions::default()).unwrap();
+        assert_eq!(rest.rows, filtered.rows);
+        assert!(ds.lsm_stats().columnar_typed_filter_rows > before.columnar_typed_filter_rows);
     }
 
     #[test]

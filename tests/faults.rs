@@ -630,6 +630,159 @@ fn columnar_bit_flip_fails_point_lookups_typed_never_wrong() {
     assert!(untouched > 0, "no flip landed outside the pages lookups read (index blob, tail)");
 }
 
+/// Bit flips inside a *live* columnar partition — three unmerged components
+/// under a resident memtable, stale versions and anti-matter between them.
+/// A scan reconciles on key blocks, the batched engine then reads the
+/// columns and residuals its paths name, so where a flip lands decides
+/// which query first meets it: (a) a keys block fails even `count(*)`,
+/// (b) a page of the `v` column fails a scan of `v` — pages only the
+/// batched fill reads; the row engine never opens a column on its own —
+/// (c) a residual page fails a scan of `readings[*]`. Whichever it is,
+/// `Fail` turns it into a typed storage error and `Degrade` into fewer
+/// rows, a quarantined component, and not one row that differs from the
+/// oracle. The damaged component holds new ids only, so losing its keys
+/// uncovers no stale version (that a dropped component stops masking is
+/// PR 8's contract for every layout).
+#[test]
+fn columnar_bit_flip_in_live_partition_fails_typed_or_degrades_exactly() {
+    use tc_adm::path::parse_path;
+    use tc_query::exec::{execute, CorruptionPolicy, ExecOptions};
+    use tc_query::{AccessStrategy, Query, ScanSpec};
+
+    let wide = |i: i64, v: i64| {
+        let text = format!(
+            r#"{{"id": {i}, "v": {v}, "tag": "t{}", "readings": [{v}, {}]}}"#,
+            v % 7,
+            v + 1
+        );
+        parse(&text).unwrap()
+    };
+    // Three flushes — records, then newer versions and deletes of some, then
+    // new ids, damaged by a bit flipped in the flush's n-th write — and a
+    // memtable of ids found nowhere on disk (a write that looked an id up in
+    // the damaged component would meet the flip before any scan does).
+    let build = |n: u64| {
+        let device = Arc::new(Device::new(DeviceProfile::RAM));
+        let ds = Dataset::new(
+            DatasetConfig::new("Faulty", "id")
+                .with_format(StorageFormat::Columnar)
+                .with_page_size(256)
+                .with_memtable_budget(256 * 1024)
+                .with_merge_policy(MergePolicy::NoMerge),
+            Arc::clone(&device),
+            Arc::new(BufferCache::new(4096)),
+        );
+        // `Some(v)` writes version `v` of the id, `None` deletes it.
+        let phases: [Vec<(i64, Option<i64>)>; 4] = [
+            (0..60).map(|i| (i, Some(i))).collect(),
+            (0..60)
+                .step_by(4)
+                .map(|i| (i, Some(1000 + i)))
+                .chain([(9, None), (18, None)])
+                .collect(),
+            (100..160).map(|i| (i, Some(i))).collect(),
+            vec![(200, Some(200)), (201, Some(201)), (200, Some(2200)), (201, None)],
+        ];
+        let mut oracle: BTreeMap<i64, Value> = BTreeMap::new();
+        let mut fired = false;
+        for (phase, ops) in phases.iter().enumerate() {
+            let mut w = ds.writer();
+            for &(i, version) in ops {
+                match version {
+                    Some(v) => {
+                        w.upsert(&wide(i, v)).unwrap();
+                        oracle.insert(i, wide(i, v));
+                    }
+                    None => {
+                        assert!(w.delete(i).unwrap());
+                        oracle.remove(&i);
+                    }
+                }
+            }
+            drop(w);
+            match phase {
+                0 | 1 => ds.flush().unwrap(),
+                2 => {
+                    device.set_fault_plan(FaultPlan::new(n).flip_bit_in_nth_write(n));
+                    ds.flush().unwrap();
+                    fired = device.faults_injected() > 0;
+                    device.clear_fault_plan();
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(ds.primary().components().len(), 3);
+        assert!(ds.primary().memtable_len() > 0);
+        (ds, oracle, fired)
+    };
+    let scan_of = |paths: &[&str]| Query {
+        scan: ScanSpec::all_early(
+            paths.iter().map(|p| parse_path(p)).collect(),
+            AccessStrategy::Consolidated,
+        ),
+        ops: vec![],
+    };
+    // In the order a scan meets the blocks: keys, then what its paths name.
+    let probes = [
+        ("keys block", scan_of(&[])),
+        ("v column", scan_of(&["id", "v"])),
+        ("residual", scan_of(&["id", "readings[*]"])),
+    ];
+    let fields = ["id", "v", "readings"];
+
+    let mut hits = [0u64; 3];
+    let mut untouched = 0u64;
+    for n in 1..=40u64 {
+        let (ds, oracle, fired) = build(n);
+        if !fired {
+            continue;
+        }
+        // Fail: the first probe whose read set holds the flipped page errors.
+        let failed =
+            probes.iter().position(|(what, q)| match execute(&[&ds], q, &ExecOptions::default()) {
+                Ok(res) => {
+                    assert_eq!(res.stats.rows_scanned, oracle.len() as u64, "flip {n}, {what}");
+                    false
+                }
+                Err(AdmError::Storage { message, transient }) => {
+                    assert!(!transient, "flip {n}, {what}: corruption is permanent");
+                    assert!(message.contains("corruption detected"), "flip {n}, {what}: {message}");
+                    assert_eq!(ds.lsm_stats().quarantined_components, 1, "flip {n}, {what}");
+                    true
+                }
+                Err(e) => panic!("flip {n}, {what}: unexpected error class: {e}"),
+            });
+        let Some(probe) = failed else {
+            untouched += 1;
+            continue;
+        };
+        hits[probe] += 1;
+
+        // Degrade, on an identical partition that has not met the flip yet:
+        // the same read drops rows, never alters one.
+        let (ds, oracle, _) = build(n);
+        let q = scan_of(&["id", "v", "readings"]);
+        let opts = ExecOptions::with_corruption_policy(CorruptionPolicy::Degrade);
+        let res = execute(&[&ds], &q, &opts).unwrap();
+        assert!(res.stats.quarantined_components >= 1, "flip {n}: {}", probes[probe].0);
+        assert!(res.rows.len() < oracle.len(), "flip {n}: the damaged rows are not served");
+        assert!(res.rows.len() >= 20, "flip {n}: the healthy components' rows are");
+        for row in &res.rows {
+            let expected = &oracle[&row[0].as_i64().unwrap()];
+            for (got, field) in row.iter().zip(fields) {
+                assert_eq!(Some(got), expected.get_field(field), "flip {n}: wrong {field} served");
+            }
+        }
+    }
+    assert!(hits[0] > 0, "no flip landed in a keys block");
+    assert!(hits[1] > 0, "no flip landed in a column page only the batched fill reads");
+    assert!(hits[2] > 0, "no flip landed in a residual page");
+    assert!(
+        untouched > 0,
+        "no flip landed outside the probes' read sets (tag column, index, tail)"
+    );
+}
+
 /// A WAL tail torn mid-append (the crash landed a prefix of the record):
 /// replay must stop at the torn record, losing only the unacked write.
 #[test]

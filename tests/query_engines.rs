@@ -2,7 +2,11 @@
 //! observationally identical — same rows, same order, same scan counters —
 //! across random data, random plan shapes, random partitioning, and random
 //! batch sizes (including sizes that split partitions mid-batch). Serial
-//! and parallel execution are held to the same standard.
+//! and parallel execution are held to the same standard. Partitions are
+//! either flushed row-layout datasets, or columnar ones caught mid-ingest —
+//! unmerged components, stale versions, anti-matter and a resident
+//! memtable, optionally half-migrated from the row layout — where the
+//! batched engine reads column pages and the row engine assembled records.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -20,6 +24,7 @@ struct Rec {
     b: Option<String>,
     c: Vec<i64>,
     e: Option<i64>,
+    g: Vec<i64>,
 }
 
 impl Rec {
@@ -38,6 +43,8 @@ impl Rec {
         if let Some(e) = self.e {
             fields.push(("d".to_string(), Value::Object(vec![("e".to_string(), Value::Int64(e))])));
         }
+        let item = |&v: &i64| Value::Object(vec![("b".to_string(), Value::Int64(v))]);
+        fields.push(("g".to_string(), Value::Array(self.g.iter().map(item).collect())));
         Value::Object(fields)
     }
 }
@@ -61,14 +68,19 @@ fn arb_rec() -> impl Strategy<Value = Rec> {
         opt("[rgb]"),
         proptest::collection::vec(0i64..10, 0..4),
         opt(0i64..5),
+        proptest::collection::vec(0i64..10, 0..3),
     )
-        .prop_map(|(a, b, c, e)| Rec { a, b, c, e })
+        .prop_map(|(a, b, c, e, g)| Rec { a, b, c, e, g })
 }
 
 /// Parameterized plan templates covering the batched engine's code paths:
 /// typed and generic scan-filter conjuncts, lazy early columns, late paths,
 /// per-path access, projections with LIMIT, computed DISTINCT, order-by,
-/// two-phase group-by, and unnest.
+/// two-phase group-by, and unnest — plus the two shapes that decide how a
+/// columnar component is read: a whole-record path (rows are assembled) and
+/// a mix of typed columns (`id`, `d.e`), a residual path (`g[*].b`) and a
+/// field whose type varies by record (`a`: a union in the residual, a
+/// nullable column or a spilled one, as each component's schema has it).
 #[derive(Debug, Clone)]
 enum Shape {
     FilterTyped { lt: i64, late: bool, per_path: bool },
@@ -78,6 +90,8 @@ enum Shape {
     OrderBy { desc: bool, limit: Option<usize> },
     GroupBy,
     Unnest,
+    WholeRecord { lt: Option<i64> },
+    MixedPaths { ge: i64, late: bool },
 }
 
 fn arb_shape() -> impl Strategy<Value = Shape> {
@@ -91,6 +105,8 @@ fn arb_shape() -> impl Strategy<Value = Shape> {
         (any::<bool>(), opt(1usize..10)).prop_map(|(desc, limit)| Shape::OrderBy { desc, limit }),
         Just(Shape::GroupBy),
         Just(Shape::Unnest),
+        opt(0i64..60).prop_map(|lt| Shape::WholeRecord { lt }),
+        (0i64..5, any::<bool>()).prop_map(|(ge, late)| Shape::MixedPaths { ge, late }),
     ]
 }
 
@@ -161,23 +177,52 @@ fn build_query(shape: &Shape) -> Query {
                 Op::OrderBy { keys: vec![(Expr::col(0), false)], limit: None },
             ],
         },
+        Shape::WholeRecord { lt } => Query {
+            scan: ScanSpec {
+                paths: vec![path("id"), vec![]],
+                filter: lt.map(|lt| Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::lit(lt))),
+                late_paths: vec![],
+                access: AccessStrategy::Consolidated,
+            },
+            ops: vec![],
+        },
+        Shape::MixedPaths { ge, late } => {
+            let (early, late_paths) = if *late {
+                (vec![path("d.e")], vec![path("id"), path("g[*].b"), path("a")])
+            } else {
+                (vec![path("d.e"), path("id"), path("g[*].b"), path("a")], vec![])
+            };
+            Query {
+                scan: ScanSpec {
+                    paths: early,
+                    filter: Some(Expr::cmp(CmpOp::Ge, Expr::col(0), Expr::lit(*ge))),
+                    late_paths,
+                    access: AccessStrategy::Consolidated,
+                },
+                ops: vec![],
+            }
+        }
     }
 }
 
-fn load(recs: &[Rec], partitions: usize, format: StorageFormat) -> Vec<Dataset> {
+fn datasets(partitions: usize, format: StorageFormat, memtable_budget: usize) -> Vec<Dataset> {
     let cache = Arc::new(BufferCache::new(4096));
-    let out: Vec<Dataset> = (0..partitions)
+    (0..partitions)
         .map(|_| {
             Dataset::new(
                 DatasetConfig::new("P", "id")
                     .with_format(format)
-                    .with_memtable_budget(16 * 1024)
+                    .with_memtable_budget(memtable_budget)
                     .with_merge_policy(tc_lsm::MergePolicy::NoMerge),
                 Arc::new(Device::new(DeviceProfile::RAM)),
                 Arc::clone(&cache),
             )
         })
-        .collect();
+        .collect()
+}
+
+fn load(recs: &[Rec], partitions: usize, format: StorageFormat) -> Vec<Dataset> {
+    let out = datasets(partitions, format, 16 * 1024);
     for (i, rec) in recs.iter().enumerate() {
         out[i % partitions].writer().insert(&rec.to_value(i as i64)).unwrap();
     }
@@ -185,6 +230,84 @@ fn load(recs: &[Rec], partitions: usize, format: StorageFormat) -> Vec<Dataset> 
         ds.flush().unwrap();
     }
     out
+}
+
+/// Columnar partitions as they are during ingest. Every partition ends with
+/// at least three unmerged components (two flushes of inserts, one of
+/// upserts and deletes), stale versions and deleted rows under newer
+/// components' keys, and upserts plus anti-matter still in the memtable.
+/// With `migrating`, ingest starts in the row layout and switches to the
+/// columnar one after the first flush: one snapshot holds both.
+fn load_live(recs: &[Rec], partitions: usize, migrating: bool) -> Vec<Dataset> {
+    let start = if migrating { StorageFormat::Inferred } else { StorageFormat::Columnar };
+    let out = datasets(partitions, start, 256 * 1024);
+    let n = recs.len();
+    let flush_all = || out.iter().for_each(|ds| ds.flush().unwrap());
+    let insert = |ids: std::ops::Range<usize>| {
+        for i in ids {
+            out[i % partitions].writer().insert(&recs[i].to_value(i as i64)).unwrap();
+        }
+    };
+    // Version `round` of record `i` is another record's content under id
+    // `i`; ids the first round of deletes took stay deleted.
+    let rewrite = |modulus: usize, round: usize| {
+        for i in (0..n).filter(|i| i % modulus == 0 && i % 5 != 4) {
+            let newer = recs[(i + round) % n].to_value(i as i64);
+            out[i % partitions].writer().upsert(&newer).unwrap();
+        }
+    };
+    let delete = |modulus: usize| {
+        for i in (0..n).filter(|i| i % modulus == modulus - 1) {
+            out[i % partitions].writer().delete(i as i64).unwrap();
+        }
+    };
+    insert(0..n / 2);
+    flush_all();
+    if migrating {
+        out.iter().for_each(|ds| ds.migrate_format(StorageFormat::Columnar).unwrap());
+    }
+    insert(n / 2..n);
+    flush_all();
+    rewrite(3, 1);
+    delete(5);
+    flush_all();
+    rewrite(4, 2);
+    delete(7);
+    for ds in &out {
+        let components = ds.primary().components();
+        assert!(components.len() >= 3, "unmerged components");
+        assert!(ds.primary().memtable_len() > 0, "resident memtable");
+        assert!(components.iter().any(|c| c.num_antimatter() > 0), "anti-matter on disk");
+        assert!(components.last().unwrap().is_columnar());
+        assert_eq!(components[0].is_columnar(), !migrating);
+    }
+    out
+}
+
+/// Every engine × execution mode returns the reference rows and scan count.
+fn assert_all_agree(ds: &[Dataset], shape: &Shape, batch_size: usize) {
+    let refs: Vec<&Dataset> = ds.iter().collect();
+    let q = build_query(shape);
+    let reference = execute(
+        &refs,
+        &q,
+        &ExecOptions { engine: Engine::Row, parallel: false, ..Default::default() },
+    )
+    .unwrap();
+    for engine in [Engine::Batched, Engine::Row] {
+        for parallel in [false, true] {
+            let opts = ExecOptions { engine, parallel, batch_size, ..Default::default() };
+            let got = execute(&refs, &q, &opts).unwrap();
+            assert_eq!(
+                reference.rows, got.rows,
+                "{engine:?}/parallel={parallel} on {shape:?} (batch={batch_size})"
+            );
+            assert_eq!(
+                reference.stats.rows_scanned, got.stats.rows_scanned,
+                "scan counters: {engine:?}/parallel={parallel} on {shape:?}"
+            );
+        }
+    }
 }
 
 proptest! {
@@ -199,24 +322,28 @@ proptest! {
         inferred in any::<bool>(),
     ) {
         let format = if inferred { StorageFormat::Inferred } else { StorageFormat::Open };
-        let ds = load(&recs, partitions, format);
-        let refs: Vec<&Dataset> = ds.iter().collect();
-        let q = build_query(&shape);
+        assert_all_agree(&load(&recs, partitions, format), &shape, batch_size);
+    }
 
-        let reference = execute(&refs, &q, &ExecOptions {
-            engine: Engine::Row,
-            parallel: false,
-            ..Default::default()
-        }).unwrap();
-        for engine in [Engine::Batched, Engine::Row] {
-            for parallel in [false, true] {
-                let opts = ExecOptions { engine, parallel, batch_size, ..Default::default() };
-                let got = execute(&refs, &q, &opts).unwrap();
-                prop_assert_eq!(&reference.rows, &got.rows,
-                    "{:?}/parallel={} on {:?} (batch={})", engine, parallel, shape, batch_size);
-                prop_assert_eq!(reference.stats.rows_scanned, got.stats.rows_scanned,
-                    "scan counters: {:?}/parallel={} on {:?}", engine, parallel, shape);
-            }
-        }
+    #[test]
+    fn batched_row_serial_parallel_all_agree_on_live_columnar(
+        recs in proptest::collection::vec(arb_rec(), 30..90),
+        partitions in 1usize..3,
+        shape in arb_shape(),
+        batch_size in 1usize..64,
+        migrating in any::<bool>(),
+    ) {
+        let ds = load_live(&recs, partitions, migrating);
+        // The scans below see every live row exactly once.
+        let n = recs.len();
+        let live = (0..n).filter(|i| i % 5 != 4 && i % 7 != 6).count() as u64;
+        let count = execute(
+            &ds.iter().collect::<Vec<_>>(),
+            &Query { scan: ScanSpec::all_early(vec![], AccessStrategy::Consolidated), ops: vec![] },
+            &ExecOptions::default(),
+        )
+        .unwrap();
+        prop_assert_eq!(count.stats.rows_scanned, live);
+        assert_all_agree(&ds, &shape, batch_size);
     }
 }
