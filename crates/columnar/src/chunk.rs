@@ -1,5 +1,6 @@
 //! The readable columnar chunk: column index, block formats, typed column
-//! decoding, lossless row-group reconstruction, and single-row point reads.
+//! decoding, lossless row-group reconstruction, single-row point reads, and
+//! the raw row-group view a merge copies rows out of.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -421,6 +422,39 @@ impl ChunkReader {
             other => return Err(non_columnar_tag(other)),
         })
     }
+
+    /// Group `g`'s residual and column blocks as stored, for a writer whose
+    /// output has the typed columns `columns` — or `None` when copying a row
+    /// out of them is not provably the same as re-shredding it: a format-1
+    /// group has no offset tables to find a row by; with different columns
+    /// the residuals would differ; and which rows of a column with
+    /// `spilled > 0` hold a spilled value (the output group's own spill
+    /// count) is written nowhere but in the residual records.
+    pub(crate) fn open_raw_group(
+        &self,
+        store: &PageStore,
+        cache: &BufferCache,
+        g: usize,
+        columns: &[ColumnSpec],
+    ) -> Result<Option<RawGroup>, StorageError> {
+        let gm = self.groups.get(g).ok_or_else(|| corrupt("row reference", g))?;
+        if self.format < FORMAT_V2
+            || self.columns != columns
+            || gm.cols.iter().any(|c| c.spilled > 0)
+        {
+            return Ok(None);
+        }
+        let read = |run: PageRun| {
+            self.counters.columns_faulted.fetch_add(1, Ordering::Relaxed);
+            Block { store, cache, g, run }.read_from(0)
+        };
+        let residual = read(gm.residual)?;
+        let mut cols = Vec::with_capacity(gm.cols.len());
+        for (spec, meta) in self.columns.iter().zip(&gm.cols) {
+            cols.push(RawColumn { tag: spec.tag, block: read(meta.run)?, row: 0, rank: 0 });
+        }
+        Ok(Some(RawGroup { g, rows: gm.rows as usize, residual, cols }))
+    }
 }
 
 fn corrupt(what: &'static str, g: usize) -> StorageError {
@@ -474,20 +508,104 @@ impl Block<'_> {
     /// end-offset table at the block's head (row `i` starts where row
     /// `i - 1` ends; the two entries are adjacent, so this is one read).
     fn row_span(&self, i: usize) -> Result<(usize, usize), StorageError> {
-        let err = || corrupt("offset table", self.g);
-        let word =
-            |raw: &[u8]| le_array(raw).map(|b| u32::from_le_bytes(b) as usize).ok_or_else(err);
-        let (start, end) = match i.checked_sub(1) {
-            None => (0, word(&self.read(0, 4)?)?),
-            Some(prev) => {
-                let raw = self.read(prev * 4, 8)?;
-                (word(&raw)?, word(&raw[4..])?)
-            }
+        let words = match i.checked_sub(1) {
+            None => self.read(0, 4)?,
+            Some(prev) => self.read(prev * 4, 8)?,
         };
-        if start > end {
+        table_span(&words, i.min(1)).ok_or_else(|| corrupt("offset table", self.g))
+    }
+}
+
+/// Row `i`'s byte range in a block's variable-width area, from `table`: the
+/// end-offset table at the block's head, or the part of it from the entry of
+/// the first row asked about.
+fn table_span(table: &[u8], i: usize) -> Option<(usize, usize)> {
+    let word = |row: usize| {
+        le_array(table.get(row * 4..)?).map(|b: [u8; 4]| u32::from_le_bytes(b) as usize)
+    };
+    let start = match i.checked_sub(1) {
+        None => 0,
+        Some(prev) => word(prev)?,
+    };
+    let end = word(i)?;
+    (start <= end).then_some((start, end))
+}
+
+/// One row group's residual and column blocks as stored, read whole: what a
+/// merge copies rows out of without decoding them
+/// ([`ChunkReader::open_raw_group`]). Rows may be asked for in any order;
+/// ascending is the cheap one (fixed-width values are found by a running
+/// rank over the definition bytes).
+#[derive(Debug)]
+pub(crate) struct RawGroup {
+    g: usize,
+    rows: usize,
+    residual: Vec<u8>,
+    cols: Vec<RawColumn>,
+}
+
+#[derive(Debug)]
+struct RawColumn {
+    tag: TypeTag,
+    block: Vec<u8>,
+    /// Fixed-width columns: `rank` rows among the first `row` are present.
+    row: usize,
+    rank: usize,
+}
+
+impl RawGroup {
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Row `i`'s residual entry as stored: `varint len, vector record`.
+    pub(crate) fn residual_row(&self, i: usize) -> Result<&[u8], StorageError> {
+        let err = || corrupt("residual block", self.g);
+        if i >= self.rows {
             return Err(err());
         }
-        Ok((start, end))
+        let (start, end) = table_span(&self.residual, i).ok_or_else(err)?;
+        let area = self.rows * 4;
+        let raw = self.residual.get(area + start..area + end).ok_or_else(err)?;
+        len_prefixed(raw).ok_or_else(err)?;
+        Ok(raw)
+    }
+
+    /// Row `i` of column `col`: its definition byte and, for a present row,
+    /// its value bytes as stored (8 for i64/f64, 1 for bool,
+    /// `varint len, utf-8` for a string); empty otherwise.
+    pub(crate) fn column_row(&mut self, col: usize, i: usize) -> Result<(u8, &[u8]), StorageError> {
+        let (g, rows) = (self.g, self.rows);
+        let err = || corrupt("column block", g);
+        let c = self.cols.get_mut(col).ok_or_else(err)?;
+        let table = if c.tag == TypeTag::String { rows * 4 } else { 0 };
+        let def = match c.block.get(table..table + rows).and_then(|def| def.get(i)) {
+            Some(&def) if def <= DEF_PRESENT => def,
+            _ => return Err(err()),
+        };
+        if def != DEF_PRESENT {
+            return Ok((def, &[]));
+        }
+        let values = table + rows;
+        let width = match c.tag {
+            TypeTag::Int64 | TypeTag::Double => 8,
+            TypeTag::Boolean => 1,
+            TypeTag::String => {
+                let (start, end) = table_span(&c.block, i).ok_or_else(err)?;
+                let raw = c.block.get(values + start..values + end).ok_or_else(err)?;
+                let text = len_prefixed(raw).ok_or_else(err)?;
+                std::str::from_utf8(text).map_err(|_| err())?;
+                return Ok((def, raw));
+            }
+            other => return Err(non_columnar_tag(other)),
+        };
+        if i < c.row {
+            (c.row, c.rank) = (0, 0);
+        }
+        c.rank += c.block[c.row..i].iter().filter(|&&d| d == DEF_PRESENT).count();
+        c.row = i;
+        let at = values + c.rank * width;
+        Ok((def, c.block.get(at..at + width).ok_or_else(err)?))
     }
 }
 

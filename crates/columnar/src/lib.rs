@@ -54,6 +54,32 @@
 //! All pages go through the component's own [`PageStore`], so PR 8's CRC
 //! footers, fault injection, and disk accounting apply to column pages
 //! exactly as to row blocks.
+//!
+//! # Writing, and how a merge copies a row
+//!
+//! One streaming writer ([`AmaxWriter`]) builds every component: rows go in
+//! one at a time, a full row group is written out at once, and nothing but
+//! the open group stays in memory. A flush hands it records — decode, detach
+//! the typed values, re-encode what is left as the residual. A merge hands it
+//! *row references* into its columnar inputs, and the writer copies: it keeps
+//! one source group per input open as raw blocks, finds row `i`'s
+//! fixed-width values by a running rank over the definition bytes and its
+//! string and residual bytes through the offset tables, and appends
+//! definition byte, value bytes and residual record to the open group as
+//! they are stored, recomputing that group's min/max, null counts and offset
+//! tables. No record is assembled, and the bytes written are the ones
+//! re-shredding the reconstructed record would write.
+//!
+//! The copy is refused, one source group at a time, whenever that last claim
+//! cannot be proven: a format-1 group (no offset tables), a source whose
+//! column specs differ from the output's (the residuals would hold different
+//! fields), a group with a spilled value in any column (which rows spilled
+//! is recorded only inside their residual records, and the output needs its
+//! own count), or a chunk that is not a [`ChunkReader`]. Those rows are
+//! pivoted — `get_row`, then the flush path — and counted in
+//! [`ColumnarCounters::rows_reconstructed`]; copied rows count in
+//! [`ColumnarCounters::rows_column_merged`], so "did this merge pivot?" is a
+//! before/after lookup of the pair.
 
 pub mod chunk;
 pub mod writer;
@@ -61,7 +87,7 @@ pub mod writer;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 pub use chunk::{ChunkReader, ColumnValues, DecodedColumn};
-pub use writer::AmaxCodec;
+pub use writer::{AmaxCodec, AmaxWriter};
 
 /// How many rows a row group holds (the last group of a component may be
 /// shorter). Small enough that group min/max stats discriminate, large
@@ -76,8 +102,9 @@ pub const DEF_PRESENT: u8 = 2;
 /// Shared counters for the columnar satellite stats: the codec counts pages
 /// it writes; readers count column blocks faulted in, group pages skipped
 /// via min/max stats, rows run through the typed filter loops, rows pivoted
-/// back into records by group reconstruction, and single-row point lookups.
-/// The dataset layer injects all six into [`tc_lsm::LsmStats`] snapshots.
+/// back into records, single-row point lookups, and rows a merge copied
+/// column to column. The dataset layer injects all seven into
+/// [`tc_lsm::LsmStats`] snapshots.
 #[derive(Debug, Default)]
 pub struct ColumnarCounters {
     pub pages_written: AtomicU64,
@@ -86,6 +113,7 @@ pub struct ColumnarCounters {
     pub typed_filter_rows: AtomicU64,
     pub rows_reconstructed: AtomicU64,
     pub point_lookups: AtomicU64,
+    pub rows_column_merged: AtomicU64,
 }
 
 impl ColumnarCounters {
@@ -105,11 +133,14 @@ impl ColumnarCounters {
         self.typed_filter_rows.load(Ordering::Relaxed)
     }
 
-    /// Rows `read_group_rows` decoded, grafted and re-encoded: merges,
-    /// migration, and scans that want whole records (the row engine,
-    /// whole-record paths) — for the rows that won the reconciliation. A
-    /// point lookup adds none, nor does a batched scan of typed or residual
-    /// paths.
+    /// Rows decoded, grafted and re-encoded into records. `read_group_rows`
+    /// adds its group's rows: scans that want whole records (the row engine,
+    /// whole-record paths) and merges into a row-format component
+    /// (migration), for the groups that own a winner. A merge into a
+    /// columnar component adds to it only through the writer's fallback —
+    /// one per row it could not copy column-wise (and, for a format-1 input,
+    /// the group `get_row` has to reconstruct to find that row). A point
+    /// lookup adds none, nor does a batched scan of typed or residual paths.
     pub fn rows_reconstructed(&self) -> u64 {
         self.rows_reconstructed.load(Ordering::Relaxed)
     }
@@ -117,6 +148,14 @@ impl ColumnarCounters {
     /// `get_row` calls: point lookups that reached a row group.
     pub fn point_lookups(&self) -> u64 {
         self.point_lookups.load(Ordering::Relaxed)
+    }
+
+    /// Rows a merge copied from a source group's column and residual blocks
+    /// straight into its output group, never assembling the record. With
+    /// `rows_reconstructed` unchanged across a merge, this advances by the
+    /// merge's output rows that came from columnar inputs.
+    pub fn rows_column_merged(&self) -> u64 {
+        self.rows_column_merged.load(Ordering::Relaxed)
     }
 
     pub fn note_pages_skipped(&self, n: u64) {

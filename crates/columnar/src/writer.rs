@@ -1,17 +1,21 @@
-//! Flush/merge-time column shredding: the [`AmaxCodec`].
+//! Flush/merge-time column shredding: the [`AmaxCodec`] and its streaming
+//! row-group writer.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use tc_adm::datatype::{ObjectType, TypeKind};
 use tc_adm::{TypeTag, Value};
-use tc_lsm::columnar::{ColumnarChunk, ColumnarCodec};
+use tc_lsm::columnar::{ColumnarChunk, ColumnarCodec, ColumnarWriter, RowSource};
 use tc_lsm::entry::{EntryKind, Key};
 use tc_schema::{leaf_columns, Schema};
 use tc_storage::error::{IoOp, StorageError};
 use tc_storage::page_store::{PageStore, PageWriter};
 use tc_util::varint;
 
-use crate::chunk::{ChunkReader, ColumnChunkMeta, ColumnSpec, GroupMeta, PageRun, FORMAT_V2};
+use crate::chunk::{
+    ChunkReader, ColumnChunkMeta, ColumnSpec, GroupMeta, PageRun, RawGroup, FORMAT_V2,
+};
 use crate::{ColumnStats, ColumnarCounters, DEFAULT_GROUP_ROWS, DEF_ABSENT, DEF_NULL, DEF_PRESENT};
 
 /// Shreds flushed/merged entries into the AMAX column-page layout. One
@@ -68,6 +72,23 @@ impl AmaxCodec {
         cols.sort_by(|a, b| a.path.cmp(&b.path));
         cols
     }
+
+    /// The writer of one component whose metadata blob is `schema_blob`.
+    fn open_writer(&self, schema_blob: Option<&[u8]>) -> AmaxWriter {
+        let schema = schema_blob.and_then(Schema::deserialize);
+        let columns = self.column_set(schema.as_ref());
+        AmaxWriter {
+            declared: self.declared.clone(),
+            counters: Arc::clone(&self.counters),
+            group_rows: self.group_rows,
+            schema,
+            open: GroupBuild::new(&columns),
+            columns,
+            groups: Vec::new(),
+            pages: 0,
+            sources: Vec::new(),
+        }
+    }
 }
 
 /// What shredding found at one column's path in one record.
@@ -104,7 +125,7 @@ fn take_at_path(v: &mut Value, path: &[String], tag: TypeTag) -> Taken {
 /// A block whose rows vary in width, under construction: the rows back to
 /// back, and where each ends — the `u32` offset table the block opens with,
 /// which lets a point lookup read row `i` alone.
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct VarRows {
     ends: Vec<u32>,
     bytes: Vec<u8>,
@@ -135,6 +156,7 @@ fn write_offset_table(block: &mut Vec<u8>, ends: &[u32]) {
 }
 
 /// Accumulates one column's block for the current row group.
+#[derive(Debug)]
 struct ColBuild {
     tag: TypeTag,
     def: Vec<u8>,
@@ -149,10 +171,10 @@ struct ColBuild {
 }
 
 impl ColBuild {
-    fn new(rows: usize, tag: TypeTag) -> Self {
+    fn new(tag: TypeTag) -> Self {
         ColBuild {
             tag,
-            def: Vec::with_capacity(rows),
+            def: Vec::new(),
             values: Vec::new(),
             ends: Vec::new(),
             null_count: 0,
@@ -186,7 +208,15 @@ impl ColBuild {
         };
     }
 
-    fn push(&mut self, taken: Taken) {
+    /// Close the row: a string column records where its value ended.
+    fn end_row(&mut self) {
+        if self.tag == TypeTag::String {
+            self.ends.push(self.values.len() as u32);
+        }
+    }
+
+    /// Append one row from a shredded record.
+    fn push(&mut self, taken: Taken) -> Result<(), StorageError> {
         match taken {
             Taken::Absent => self.def.push(DEF_ABSENT),
             Taken::Spilled => {
@@ -215,13 +245,45 @@ impl ColBuild {
                         varint::write_u64(&mut self.values, s.len() as u64);
                         self.values.extend_from_slice(s.as_bytes());
                     }
-                    (tag, v) => unreachable!("{tag} column got {}", v.type_tag()),
+                    // `take_at_path` matches tags, so this is a column of a
+                    // type no block layout exists for.
+                    (tag, v) => {
+                        return Err(StorageError::corruption(
+                            "columnar shred",
+                            format!("{tag} column got {}", v.type_tag()),
+                        ));
+                    }
                 }
             }
         }
-        if self.tag == TypeTag::String {
-            self.ends.push(self.values.len() as u32);
+        self.end_row();
+        Ok(())
+    }
+
+    /// Append one row as another group of this column stores it
+    /// ([`RawGroup::column_row`]): the bytes are copied, the group's stats
+    /// and null count recomputed from them. The source column had no spill.
+    fn push_stored(&mut self, def: u8, raw: &[u8]) -> Result<(), StorageError> {
+        self.def.push(def);
+        match def {
+            DEF_NULL => self.null_count += 1,
+            DEF_PRESENT => {
+                let word = || {
+                    raw.try_into().map_err(|_| {
+                        StorageError::corruption("column block", "fixed-width value cut short")
+                    })
+                };
+                match self.tag {
+                    TypeTag::Int64 => self.observe_int(i64::from_le_bytes(word()?)),
+                    TypeTag::Double => self.observe_float(f64::from_le_bytes(word()?)),
+                    _ => {}
+                }
+                self.values.extend_from_slice(raw);
+            }
+            _ => {}
         }
+        self.end_row();
+        Ok(())
     }
 
     fn finish(self, store: &PageStore, pages: &mut u64) -> Result<ColumnChunkMeta, StorageError> {
@@ -255,6 +317,219 @@ fn write_block(store: &PageStore, block: &[u8], pages: &mut u64) -> Result<PageR
     Ok(PageRun { start: ids[0], bytes })
 }
 
+/// The row group under construction: its keys block, residual block and one
+/// block per typed column, all in memory until the group is full.
+#[derive(Debug)]
+struct GroupBuild {
+    first_key: Key,
+    rows: u32,
+    keys: VarRows,
+    residual: VarRows,
+    cols: Vec<ColBuild>,
+}
+
+impl GroupBuild {
+    fn new(columns: &[ColumnSpec]) -> Self {
+        GroupBuild {
+            first_key: Vec::new(),
+            rows: 0,
+            keys: VarRows::default(),
+            residual: VarRows::default(),
+            cols: columns.iter().map(|spec| ColBuild::new(spec.tag)).collect(),
+        }
+    }
+
+    /// Open a row: its keys-block entry.
+    fn begin_row(&mut self, key: &[u8], kind: EntryKind) {
+        if self.rows == 0 {
+            self.first_key = key.to_vec();
+        }
+        varint::write_u64(&mut self.keys.bytes, key.len() as u64);
+        self.keys.bytes.extend_from_slice(key);
+        self.keys.bytes.push(kind as u8);
+        self.keys.end_row();
+        self.rows += 1;
+    }
+
+    /// Write the group's blocks: keys, residual, then the columns in order.
+    fn write(self, store: &PageStore, pages: &mut u64) -> Result<GroupMeta, StorageError> {
+        let keys = write_block(store, &self.keys.into_block(), pages)?;
+        let residual = write_block(store, &self.residual.into_block(), pages)?;
+        let mut cols = Vec::with_capacity(self.cols.len());
+        for cb in self.cols {
+            cols.push(cb.finish(store, pages)?);
+        }
+        Ok(GroupMeta { first_key: self.first_key, rows: self.rows, keys, residual, cols })
+    }
+}
+
+/// The one group a merge has open in one of its inputs. `raw` is `None` when
+/// rows of that group cannot be copied column-wise
+/// ([`ChunkReader::open_raw_group`]) and are pivoted instead.
+#[derive(Debug)]
+struct SourceGroup {
+    /// The input's page store id — what tells the inputs apart.
+    store: u64,
+    group: Option<usize>,
+    raw: Option<RawGroup>,
+}
+
+/// The streaming row-group writer behind every AMAX component: entries go in
+/// one at a time, a full group is written out at once — keys block, residual
+/// block, one block per column, each on fresh pages — and the index blob
+/// follows the last group. Memory is one output group, plus one source group
+/// per merge input while rows are copied out of it.
+///
+/// A row pushed by reference ([`ColumnarWriter::push_row`]) is **copied**:
+/// its definition byte, value bytes and residual record go from the source
+/// group's blocks into the open group's as they are stored, and the group's
+/// min/max (NaN still poisons), null counts and offset tables are recomputed
+/// from the copied bytes. Residuals are self-describing vector records
+/// (`tc_vector::encode(_, None)`, no dictionary), so they mean the same under
+/// any schema. A source group the copy cannot be proven right for — see
+/// [`ChunkReader::open_raw_group`] — or a chunk that is no [`ChunkReader`]
+/// has its rows pivoted through `get_row` and `push`, each one counted in
+/// `rows_reconstructed`; copied rows count in `rows_column_merged`. Both
+/// routes write the same bytes.
+#[derive(Debug)]
+pub struct AmaxWriter {
+    declared: ObjectType,
+    counters: Arc<ColumnarCounters>,
+    group_rows: usize,
+    schema: Option<Schema>,
+    columns: Vec<ColumnSpec>,
+    /// The groups written so far.
+    groups: Vec<GroupMeta>,
+    pages: u64,
+    open: GroupBuild,
+    sources: Vec<SourceGroup>,
+}
+
+impl AmaxWriter {
+    /// Close the open row; a full group goes to `store`.
+    fn end_row(&mut self, store: &PageStore) -> Result<(), StorageError> {
+        if self.open.rows as usize == self.group_rows {
+            self.write_group(store)?;
+        }
+        Ok(())
+    }
+
+    fn write_group(&mut self, store: &PageStore) -> Result<(), StorageError> {
+        let full = std::mem::replace(&mut self.open, GroupBuild::new(&self.columns));
+        self.groups.push(full.write(store, &mut self.pages)?);
+        Ok(())
+    }
+
+    /// Copy the referenced row into the open group column by column; `false`
+    /// (nothing appended) if its group has to be pivoted.
+    fn copy_row(&mut self, key: &[u8], source: &RowSource<'_>) -> Result<bool, StorageError> {
+        let Some(reader) = source.chunk.as_any().downcast_ref::<ChunkReader>() else {
+            return Ok(false);
+        };
+        let (store, group) = (source.store.id(), source.group as usize);
+        let slot = match self.sources.iter().position(|s| s.store == store) {
+            Some(slot) => slot,
+            None => {
+                self.sources.push(SourceGroup { store, group: None, raw: None });
+                self.sources.len() - 1
+            }
+        };
+        let open = &mut self.sources[slot];
+        if open.group != Some(group) {
+            open.raw = reader.open_raw_group(source.store, source.cache, group, &self.columns)?;
+            open.group = Some(group);
+        }
+        let Some(raw) = &mut open.raw else { return Ok(false) };
+        let row = source.row as usize;
+        let residual = raw.residual_row(row)?;
+        self.open.residual.bytes.extend_from_slice(residual);
+        for (c, cb) in self.open.cols.iter_mut().enumerate() {
+            let (def, value) = raw.column_row(c, row)?;
+            cb.push_stored(def, value)?;
+        }
+        self.open.residual.end_row();
+        self.open.begin_row(key, EntryKind::Record);
+        // References arrive in key order: nothing follows a group's last row,
+        // so its blocks need not wait for the input's next group to go.
+        if row + 1 == raw.rows() {
+            open.raw = None;
+        }
+        Ok(true)
+    }
+
+    /// Write the last group and the index blob.
+    fn finish_chunk(mut self, store: &PageStore) -> Result<ChunkReader, StorageError> {
+        if self.open.rows > 0 {
+            self.write_group(store)?;
+        }
+        // Persist the column index after the last group — the component's
+        // disk footprint includes its interior structure, like the row
+        // layout's block index.
+        let blob = crate::chunk::serialize_index(&self.columns, &self.groups);
+        write_block(store, &blob, &mut self.pages)?;
+        self.counters.pages_written.fetch_add(self.pages, Ordering::Relaxed);
+        Ok(ChunkReader::new(self.declared, self.counters, FORMAT_V2, self.columns, self.groups))
+    }
+}
+
+impl ColumnarWriter for AmaxWriter {
+    fn push(
+        &mut self,
+        store: &PageStore,
+        key: &[u8],
+        kind: EntryKind,
+        payload: &[u8],
+    ) -> Result<(), StorageError> {
+        if kind == EntryKind::AntiMatter {
+            for cb in &mut self.open.cols {
+                cb.push(Taken::Absent)?;
+            }
+            varint::write_u64(&mut self.open.residual.bytes, 0);
+        } else {
+            // Payloads were encoded by this dataset's vector encoder
+            // (compacted by the flush hook, or uncompacted); a decode
+            // failure here means the memtable handed us garbage.
+            let dict = self.schema.as_ref().map(|s| s.dict());
+            let mut value = tc_vector::decode(payload, Some(&self.declared), dict)
+                .map_err(|e| StorageError::corruption("columnar shred", e.to_string()))?;
+            for (spec, cb) in self.columns.iter().zip(&mut self.open.cols) {
+                cb.push(take_at_path(&mut value, &spec.path, spec.tag))?;
+            }
+            let residual = tc_vector::encode(&value, None);
+            varint::write_u64(&mut self.open.residual.bytes, residual.len() as u64);
+            self.open.residual.bytes.extend_from_slice(&residual);
+        }
+        self.open.residual.end_row();
+        self.open.begin_row(key, kind);
+        self.end_row(store)
+    }
+
+    fn push_row(
+        &mut self,
+        store: &PageStore,
+        key: &[u8],
+        source: RowSource<'_>,
+    ) -> Result<(), StorageError> {
+        if self.copy_row(key, &source)? {
+            self.counters.rows_column_merged.fetch_add(1, Ordering::Relaxed);
+            return self.end_row(store);
+        }
+        let row = source.chunk.get_row(source.store, source.cache, source.group as usize, key)?;
+        let Some((kind, payload)) = row else {
+            return Err(StorageError::corruption(
+                "column block",
+                format!("row group {} does not hold the key a scan found in it", source.group),
+            ));
+        };
+        self.counters.rows_reconstructed.fetch_add(1, Ordering::Relaxed);
+        self.push(store, key, kind, &payload)
+    }
+
+    fn finish(self: Box<Self>, store: &PageStore) -> Result<Box<dyn ColumnarChunk>, StorageError> {
+        Ok(Box::new(self.finish_chunk(store)?))
+    }
+}
+
 impl ColumnarCodec for AmaxCodec {
     fn build_chunk(
         &self,
@@ -262,72 +537,15 @@ impl ColumnarCodec for AmaxCodec {
         entries: &[(Key, EntryKind, Vec<u8>)],
         schema_blob: Option<&[u8]>,
     ) -> Result<Box<dyn ColumnarChunk>, StorageError> {
-        let schema = schema_blob.and_then(Schema::deserialize);
-        let columns = self.column_set(schema.as_ref());
-        let dict = schema.as_ref().map(|s| s.dict());
-        let mut groups: Vec<GroupMeta> = Vec::new();
-        let mut pages = 0u64;
-
-        for rows in entries.chunks(self.group_rows) {
-            let mut keys_block = VarRows::default();
-            let mut residual_block = VarRows::default();
-            let mut cols: Vec<ColBuild> =
-                columns.iter().map(|spec| ColBuild::new(rows.len(), spec.tag)).collect();
-            for (key, kind, payload) in rows {
-                varint::write_u64(&mut keys_block.bytes, key.len() as u64);
-                keys_block.bytes.extend_from_slice(key);
-                keys_block.bytes.push(*kind as u8);
-                keys_block.end_row();
-                if *kind == EntryKind::AntiMatter {
-                    for cb in &mut cols {
-                        cb.push(Taken::Absent);
-                    }
-                    varint::write_u64(&mut residual_block.bytes, 0);
-                    residual_block.end_row();
-                    continue;
-                }
-                // Payloads were encoded by this dataset's vector encoder
-                // (compacted by the flush hook, or uncompacted); a decode
-                // failure here means the memtable handed us garbage.
-                let mut value = tc_vector::decode(payload, Some(&self.declared), dict)
-                    .map_err(|e| StorageError::corruption("columnar shred", e.to_string()))?;
-                for (spec, cb) in columns.iter().zip(&mut cols) {
-                    cb.push(take_at_path(&mut value, &spec.path, spec.tag));
-                }
-                let residual = tc_vector::encode(&value, None);
-                varint::write_u64(&mut residual_block.bytes, residual.len() as u64);
-                residual_block.bytes.extend_from_slice(&residual);
-                residual_block.end_row();
-            }
-            let keys = write_block(store, &keys_block.into_block(), &mut pages)?;
-            let residual = write_block(store, &residual_block.into_block(), &mut pages)?;
-            let mut col_metas = Vec::with_capacity(cols.len());
-            for cb in cols {
-                col_metas.push(cb.finish(store, &mut pages)?);
-            }
-            groups.push(GroupMeta {
-                first_key: rows[0].0.clone(),
-                rows: rows.len() as u32,
-                keys,
-                residual,
-                cols: col_metas,
-            });
+        let mut writer = self.open_writer(schema_blob);
+        for (key, kind, payload) in entries {
+            writer.push(store, key, *kind, payload)?;
         }
+        Ok(Box::new(writer.finish_chunk(store)?))
+    }
 
-        // Persist the column index after the last group — the component's
-        // disk footprint includes its interior structure, like the row
-        // layout's block index.
-        let blob = crate::chunk::serialize_index(&columns, &groups);
-        write_block(store, &blob, &mut pages)?;
-        self.counters.pages_written.fetch_add(pages, std::sync::atomic::Ordering::Relaxed);
-
-        Ok(Box::new(ChunkReader::new(
-            self.declared.clone(),
-            Arc::clone(&self.counters),
-            FORMAT_V2,
-            columns,
-            groups,
-        )))
+    fn writer(&self, schema_blob: Option<&[u8]>) -> Option<Box<dyn ColumnarWriter>> {
+        Some(Box::new(self.open_writer(schema_blob)))
     }
 }
 
@@ -500,6 +718,20 @@ mod tests {
         let back = chunk.read_group_rows(&store, &cache, 0).unwrap();
         let v = tc_vector::decode(&back[1].2, Some(&declared), None).unwrap();
         assert_eq!(v.get_field("t"), Some(&Value::String("late".into())));
+    }
+
+    #[test]
+    fn mistyped_column_value_is_a_typed_error() {
+        // `take_at_path` never hands a column a value of another type, so
+        // this is reachable only through a column spec no block layout
+        // exists for; it must not panic the flush.
+        let mut col = ColBuild::new(TypeTag::Int64);
+        col.push(Taken::Present(Value::Int64(7))).unwrap();
+        let err = col.push(Taken::Present(Value::String("seven".into()))).unwrap_err();
+        assert!(matches!(err, StorageError::Corruption { .. }), "got {err}");
+        assert!(err.to_string().contains("column got"), "got {err}");
+        let err = ColBuild::new(TypeTag::Date).push(Taken::Present(Value::Date(1))).unwrap_err();
+        assert!(err.is_corruption(), "got {err}");
     }
 
     #[test]

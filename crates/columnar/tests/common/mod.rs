@@ -1,0 +1,105 @@
+//! Helpers the `tc_columnar` integration tests share: the declared type,
+//! stores, the random-document strategy, and the format-1 fixture.
+#![allow(dead_code)] // each test binary uses its own subset
+
+use std::sync::Arc;
+
+use proptest::prelude::*;
+use tc_adm::datatype::{FieldDef, ObjectType, TypeKind};
+use tc_adm::{TypeTag, Value};
+use tc_columnar::chunk::{deserialize_index, ChunkReader, FORMAT_V1};
+use tc_columnar::ColumnarCounters;
+use tc_compress::CompressionScheme;
+use tc_lsm::entry::Key;
+use tc_storage::device::{Device, DeviceProfile};
+use tc_storage::page_store::PageStore;
+
+pub fn declared_pk() -> ObjectType {
+    ObjectType::open(vec![FieldDef {
+        name: "id".into(),
+        kind: TypeKind::Scalar(TypeTag::Int64),
+        optional: false,
+    }])
+}
+
+pub fn new_store(page_size: usize) -> PageStore {
+    PageStore::new(Arc::new(Device::new(DeviceProfile::RAM)), page_size, CompressionScheme::None)
+}
+
+pub fn key(i: u64) -> Key {
+    i.to_be_bytes().to_vec()
+}
+
+/// One field of a generated record: missing, null, or a value whose type
+/// varies from row to row — so a path is a typed column in one case, a
+/// union (no column) in another, and spills wherever the schema lags.
+pub fn arb_field() -> impl Strategy<Value = Option<Value>> {
+    prop_oneof![
+        4 => Just(None),
+        2 => Just(Some(Value::Null)),
+        6 => any::<i64>().prop_map(|i| Some(Value::Int64(i))),
+        6 => "[a-z ]{0,40}".prop_map(|s| Some(Value::String(s))),
+        2 => any::<f64>().prop_map(|d| Some(Value::Double(d))),
+        1 => Just(Some(Value::Double(f64::NAN))),
+        2 => any::<bool>().prop_map(|b| Some(Value::Boolean(b))),
+        2 => proptest::collection::vec(any::<i64>(), 0..4)
+            .prop_map(|v| Some(Value::Array(v.into_iter().map(Value::Int64).collect()))),
+    ]
+}
+
+pub fn object(fields: Vec<(&str, Option<Value>)>) -> Value {
+    Value::Object(fields.into_iter().filter_map(|(n, v)| Some((n.to_string(), v?))).collect())
+}
+
+/// A generated row: anti-matter or a record, whether the component's schema
+/// saw it, and its fields (`o` nests two of them).
+pub type Row =
+    ((bool, bool), Option<Value>, Option<Value>, Option<Value>, (Option<Value>, Option<Value>));
+
+pub fn arb_row() -> impl Strategy<Value = Row> {
+    (
+        (prop_oneof![1 => Just(true), 5 => Just(false)], any::<bool>()),
+        arb_field(),
+        arb_field(),
+        arb_field(),
+        (arb_field(), arb_field()),
+    )
+}
+
+/// The record of a generated row stored under key `k` (`id` = `k`).
+pub fn row_record(k: u64, row: &Row) -> Value {
+    let (_, a, b, c, (x, y)) = row.clone();
+    let nested = (x.is_some() || y.is_some()).then(|| object(vec![("x", x), ("y", y)]));
+    object(vec![("id", Some(Value::Int64(k as i64))), ("a", a), ("b", b), ("c", c), ("o", nested)])
+}
+
+/// The five rows of `fixtures/v1_*.bin` (`None` = anti-matter), written by
+/// the format-1 writer (the commit before the offset tables) with 128-byte
+/// pages, three rows per group and a schema that never saw row 3 — so its
+/// string `age` spilled past the int column.
+pub const V1_ROWS: [Option<&str>; 5] = [
+    Some(
+        r#"{"id": 0, "name": "kim", "age": 26, "addr": {"zip": 90210, "ok": true}, "tags": [1, 2]}"#,
+    ),
+    None,
+    Some(r#"{"id": 2, "name": null, "age": 31, "score": 7.5}"#),
+    Some(
+        r#"{"id": 3, "name": "a name long enough that this string column block spills over one 128-byte page of the fixture store, so the run has several pages", "age": "old"}"#,
+    ),
+    Some(r#"{"id": 4, "addr": {"zip": 10001}}"#),
+];
+
+/// The format-1 fixture component: its pages in a fresh store, and a reader
+/// over its index blob.
+pub fn load_v1() -> (PageStore, ChunkReader) {
+    let store = new_store(128);
+    for page in include_bytes!("../fixtures/v1_pages.bin").chunks(128) {
+        store.write_page(page).unwrap();
+    }
+    let (format, columns, groups) =
+        deserialize_index(include_bytes!("../fixtures/v1_index.bin")).expect("v1 blob parses");
+    assert_eq!(format, FORMAT_V1);
+    assert_eq!(groups.len(), 2);
+    let counters = Arc::new(ColumnarCounters::default());
+    (store, ChunkReader::new(declared_pk(), counters, format, columns, groups))
+}

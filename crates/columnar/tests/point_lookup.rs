@@ -3,76 +3,26 @@
 //! components written before the offset tables existed, and must answer a
 //! damaged offset table with a typed error.
 
+mod common;
+
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use tc_adm::datatype::{FieldDef, ObjectType, TypeKind};
-use tc_adm::{parse, TypeTag, Value};
-use tc_columnar::chunk::{deserialize_index, ChunkReader, GroupMeta, FORMAT_V1, FORMAT_V2};
+use tc_adm::{parse, Value};
+use tc_columnar::chunk::{ChunkReader, GroupMeta, FORMAT_V2};
 use tc_columnar::{AmaxCodec, ColumnValues, ColumnarCounters};
-use tc_compress::CompressionScheme;
 use tc_lsm::columnar::{ColumnarChunk, ColumnarCodec};
-use tc_lsm::entry::{EntryKind, Key};
+use tc_lsm::entry::EntryKind;
 use tc_schema::Schema;
 use tc_storage::buffer_cache::BufferCache;
-use tc_storage::device::{Device, DeviceProfile};
 use tc_storage::page_store::PageStore;
 
-fn declared_pk() -> ObjectType {
-    ObjectType::open(vec![FieldDef {
-        name: "id".into(),
-        kind: TypeKind::Scalar(TypeTag::Int64),
-        optional: false,
-    }])
-}
-
-fn new_store(page_size: usize) -> PageStore {
-    PageStore::new(Arc::new(Device::new(DeviceProfile::RAM)), page_size, CompressionScheme::None)
-}
-
-fn key(i: u64) -> Key {
-    i.to_be_bytes().to_vec()
-}
+use common::{arb_row, declared_pk, key, load_v1, new_store, row_record, V1_ROWS};
 
 /// The group a lookup of `k` is routed to: the last one whose first key is
 /// ≤ `k` (group 0 for keys below every group).
 fn group_for(chunk: &dyn ColumnarChunk, k: &[u8]) -> usize {
     (0..chunk.num_groups()).rev().find(|&g| chunk.group_first_key(g) <= k).unwrap_or(0)
-}
-
-/// One field of a generated record: missing, null, or a value whose type
-/// varies from row to row — so a path is a typed column in one case, a
-/// union (no column) in another, and spills wherever the schema lags.
-fn arb_field() -> impl Strategy<Value = Option<Value>> {
-    prop_oneof![
-        2 => Just(None),
-        1 => Just(Some(Value::Null)),
-        3 => any::<i64>().prop_map(|i| Some(Value::Int64(i))),
-        3 => "[a-z ]{0,40}".prop_map(|s| Some(Value::String(s))),
-        1 => any::<f64>().prop_map(|d| Some(Value::Double(d))),
-        1 => any::<bool>().prop_map(|b| Some(Value::Boolean(b))),
-        1 => proptest::collection::vec(any::<i64>(), 0..4)
-            .prop_map(|v| Some(Value::Array(v.into_iter().map(Value::Int64).collect()))),
-    ]
-}
-
-fn object(fields: Vec<(&str, Option<Value>)>) -> Value {
-    Value::Object(fields.into_iter().filter_map(|(n, v)| Some((n.to_string(), v?))).collect())
-}
-
-/// A generated row: anti-matter or a record, whether the component's schema
-/// saw it, and its fields (`o` nests two of them).
-type Row =
-    ((bool, bool), Option<Value>, Option<Value>, Option<Value>, (Option<Value>, Option<Value>));
-
-fn arb_row() -> impl Strategy<Value = Row> {
-    (
-        (prop_oneof![1 => Just(true), 5 => Just(false)], any::<bool>()),
-        arb_field(),
-        arb_field(),
-        arb_field(),
-        (arb_field(), arb_field()),
-    )
 }
 
 proptest! {
@@ -91,20 +41,14 @@ proptest! {
         let mut schema = Schema::new();
         let mut entries = Vec::new();
         // Stored keys are 2, 4, 6, …: odd probes fall between them.
-        for (i, ((anti, observed), a, b, c, (x, y))) in rows.into_iter().enumerate() {
+        for (i, row) in rows.iter().enumerate() {
             let k = 2 * (i as u64 + 1);
+            let (anti, observed) = row.0;
             if anti {
                 entries.push((key(k), EntryKind::AntiMatter, Vec::new()));
                 continue;
             }
-            let nested = (x.is_some() || y.is_some()).then(|| object(vec![("x", x), ("y", y)]));
-            let record = object(vec![
-                ("id", Some(Value::Int64(k as i64))),
-                ("a", a),
-                ("b", b),
-                ("c", c),
-                ("o", nested),
-            ]);
+            let record = row_record(k, row);
             if observed {
                 let Value::Object(fields) = &record else { unreachable!() };
                 schema.observe_record(fields, &|n| n == "id");
@@ -138,35 +82,10 @@ proptest! {
     }
 }
 
-/// The five rows of `fixtures/v1_*.bin` (`None` = anti-matter), written by
-/// the format-1 writer (the commit before the offset tables) with 128-byte
-/// pages, three rows per group and a schema that never saw row 3 — so its
-/// string `age` spilled past the int column.
-const V1_ROWS: [Option<&str>; 5] = [
-    Some(
-        r#"{"id": 0, "name": "kim", "age": 26, "addr": {"zip": 90210, "ok": true}, "tags": [1, 2]}"#,
-    ),
-    None,
-    Some(r#"{"id": 2, "name": null, "age": 31, "score": 7.5}"#),
-    Some(
-        r#"{"id": 3, "name": "a name long enough that this string column block spills over one 128-byte page of the fixture store, so the run has several pages", "age": "old"}"#,
-    ),
-    Some(r#"{"id": 4, "addr": {"zip": 10001}}"#),
-];
-
 #[test]
 fn v1_components_still_read() {
-    let store = new_store(128);
-    for page in include_bytes!("fixtures/v1_pages.bin").chunks(128) {
-        store.write_page(page).unwrap();
-    }
-    let (format, columns, groups) =
-        deserialize_index(include_bytes!("fixtures/v1_index.bin")).expect("v1 blob parses");
-    assert_eq!(format, FORMAT_V1);
-    assert_eq!(groups.len(), 2);
+    let (store, reader) = load_v1();
     let declared = declared_pk();
-    let counters = Arc::new(ColumnarCounters::default());
-    let reader = ChunkReader::new(declared.clone(), counters, format, columns, groups);
     let cache = BufferCache::new(64);
 
     // Scan: every row comes back as written.

@@ -696,6 +696,7 @@ impl Dataset {
             stats.columns_faulted_in = c.columns_faulted();
             stats.columnar_typed_filter_rows = c.typed_filter_rows();
             stats.columnar_rows_reconstructed = c.rows_reconstructed();
+            stats.columnar_rows_column_merged = c.rows_column_merged();
             stats.columnar_point_lookups = c.point_lookups();
         }
         stats
@@ -946,7 +947,9 @@ mod tests {
         assert!(ds.primary().components().len() >= 2);
         let counters = ds.columnar_counters().unwrap();
         let reconstructed = counters.rows_reconstructed();
-        assert!(reconstructed >= 100, "the merge pivoted its inputs back to rows");
+        assert_eq!(reconstructed, 0, "the schema-stable merge copied its inputs column to column");
+        assert_eq!(counters.rows_column_merged(), 100, "every output row of the merge");
+        assert_eq!(ds.lsm_stats().columnar_rows_column_merged, 100);
         let lookups = counters.point_lookups();
 
         // get, upsert and delete each look the old version up on disk.
@@ -966,6 +969,66 @@ mod tests {
 
         assert_eq!(counters.rows_reconstructed(), reconstructed, "a point read pivots no group");
         assert!(counters.point_lookups() >= lookups + 5);
+    }
+
+    #[test]
+    fn columnar_merge_pivots_only_the_rows_it_cannot_copy() {
+        // One flush per phase: the older component has no `grade` column,
+        // the newer one — and, a merge keeping the newest schema, the merged
+        // one — does. The newer component's rows are copied; the older one's
+        // survivors take the counted pivot.
+        let ds = make(
+            DatasetConfig::new("Employee", "id")
+                .with_format(StorageFormat::Columnar)
+                .with_memtable_budget(1 << 20)
+                .with_merge_policy(tc_lsm::MergePolicy::NoMerge),
+        );
+        let graded = |i: i64| {
+            parse(&format!(r#"{{"id": {i}, "name": "emp{i}", "age": 30, "grade": {}}}"#, i % 5))
+                .unwrap()
+        };
+        let mut oracle = std::collections::BTreeMap::new();
+        let mut w = ds.writer();
+        for i in 0..40 {
+            w.insert(&employee(i)).unwrap();
+            oracle.insert(i, employee(i));
+        }
+        drop(w);
+        ds.flush().unwrap();
+        let mut w = ds.writer();
+        for i in 30..60 {
+            w.upsert(&graded(i)).unwrap();
+            oracle.insert(i, graded(i));
+        }
+        assert!(w.delete(5).unwrap());
+        oracle.remove(&5);
+        drop(w);
+        ds.flush().unwrap();
+        assert_eq!(ds.primary().components().len(), 2);
+
+        let before = ds.lsm_stats();
+        ds.force_full_merge().unwrap();
+        let after = ds.lsm_stats();
+        assert_eq!(
+            after.columnar_rows_reconstructed - before.columnar_rows_reconstructed,
+            29,
+            "ids 0..30 but 5: the older component's surviving rows, each pivoted once"
+        );
+        assert_eq!(after.columnar_rows_column_merged - before.columnar_rows_column_merged, 30);
+        assert_eq!(ds.primary().components().len(), 1);
+        assert_eq!(ds.scan_values().unwrap(), oracle.values().cloned().collect::<Vec<_>>());
+        for i in [0, 5, 29, 30, 59] {
+            assert_eq!(ds.get(i).unwrap(), oracle.get(&i).cloned(), "id {i}");
+        }
+
+        // With the schemas level again, the next merge copies everything.
+        ds.writer().insert(&graded(60)).unwrap();
+        ds.flush().unwrap();
+        let before = ds.lsm_stats();
+        ds.force_full_merge().unwrap();
+        let after = ds.lsm_stats();
+        assert_eq!(after.columnar_rows_reconstructed, before.columnar_rows_reconstructed);
+        assert_eq!(after.columnar_rows_column_merged - before.columnar_rows_column_merged, 60);
     }
 
     #[test]

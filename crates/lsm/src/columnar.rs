@@ -4,15 +4,33 @@
 //! columnar layout (successor paper, "Columnar Formats for Schemaless
 //! LSM-based Document Stores") needs to *interpret* those payloads during
 //! flush/merge — decode, shred into typed column pages, and reconstruct on
-//! scan — which only the format layer knows how to do. These two traits are
-//! the seam: `tc_columnar` implements them against the vector codec and the
-//! inferred schema; `tc_lsm` stays payload-blind and merely routes a
+//! scan — which only the format layer knows how to do. These three traits
+//! are the seam: `tc_columnar` implements them against the vector codec and
+//! the inferred schema; `tc_lsm` stays payload-blind and merely routes a
 //! component's entries through the codec when the tree is in columnar mode.
 //!
+//! The write side is a **streaming writer** ([`ColumnarWriter`]): entries go
+//! in one at a time, a row group is written out as soon as it is full, and
+//! the writer never holds more than one group. A codec hands one out once the
+//! component's schema blob is known ([`ColumnarCodec::writer`]):
+//!
+//! * a **merge** knows it up front — the hook's `merge_metadata` is computed
+//!   from the inputs' blobs before the scan starts — so the component builder
+//!   opens the writer first and streams. Winners that live in columnar inputs
+//!   arrive as row *references* ([`ColumnarWriter::push_row`]); a codec that
+//!   can prove it safe copies the row's column values from the source's pages
+//!   into the output's, and the row is never assembled into a record;
+//! * a **flush** only learns it from `flush_metadata()` after the hook has
+//!   seen the last record, so the builder buffers the memtable's entries and
+//!   runs them through [`ColumnarCodec::build_chunk`] at `finish` — for a
+//!   streaming codec a plain loop over the same writer.
+//!
 //! Contract mirroring the row layout:
-//! * `build_chunk` writes every column page (and any index blob) through the
+//! * The writer puts every column page (and any index blob) through the
 //!   component's own `PageStore`, so `disk_bytes` and write-amplification
 //!   accounting stay honest and PR 8's per-page CRC footers apply unchanged.
+//!   Streaming or buffered, pushed as bytes or as row references, the same
+//!   entries produce the same pages.
 //! * Entries arrive strictly ascending by key; groups preserve that order,
 //!   so `group_first_key` supports the same binary-search positioning as row
 //!   blocks.
@@ -38,22 +56,72 @@ pub trait ColumnarCodec: Send + Sync + std::fmt::Debug {
     /// Shred `entries` (strictly ascending by key) into column pages written
     /// through `store`, returning the in-memory chunk handle. `schema_blob`
     /// is the component's metadata (the tuple compactor's serialized schema)
-    /// when available — it decides which leaf paths get typed columns.
+    /// when available — it decides which leaf paths get typed columns. A
+    /// codec with a [`ColumnarCodec::writer`] implements this as a loop of
+    /// `push` over it.
     fn build_chunk(
         &self,
         store: &PageStore,
         entries: &[(Key, EntryKind, Vec<u8>)],
         schema_blob: Option<&[u8]>,
     ) -> Result<Box<dyn ColumnarChunk>, StorageError>;
+
+    /// Open a streaming writer for a component whose `schema_blob` is
+    /// already known. `None` (the default) means the codec cannot stream:
+    /// the builder then buffers every entry for `build_chunk`.
+    fn writer(&self, _schema_blob: Option<&[u8]>) -> Option<Box<dyn ColumnarWriter>> {
+        None
+    }
+}
+
+/// One stored row of a columnar component, as a merged scan refers to it
+/// (`Payload::Row`): the chunk and page store it lives in, the cache its
+/// pages are read through, and its position.
+pub struct RowSource<'a> {
+    pub chunk: &'a dyn ColumnarChunk,
+    pub store: &'a PageStore,
+    pub cache: &'a BufferCache,
+    pub group: u32,
+    pub row: u32,
+}
+
+/// Writes one columnar component body a row at a time, holding at most one
+/// row group. `store` is the page store of the component being built — the
+/// same one on every call. Keys arrive strictly ascending (the component
+/// builder checks). Any error abandons the build.
+pub trait ColumnarWriter: Send + std::fmt::Debug {
+    /// Append an entry given as payload bytes (anti-matter: empty payload).
+    fn push(
+        &mut self,
+        store: &PageStore,
+        key: &[u8],
+        kind: EntryKind,
+        payload: &[u8],
+    ) -> Result<(), StorageError>;
+
+    /// Append the record stored at `source` under `key`. The result must be
+    /// what `push(key, Record, payload)` writes for the payload `get_row`
+    /// returns — how the writer gets there (copying column values, or that
+    /// very pivot) is its business. References into one source arrive in key
+    /// order, so a writer reads each source forward only.
+    fn push_row(
+        &mut self,
+        store: &PageStore,
+        key: &[u8],
+        source: RowSource<'_>,
+    ) -> Result<(), StorageError>;
+
+    /// Write the last (partial) group and the index blob; the readable chunk.
+    fn finish(self: Box<Self>, store: &PageStore) -> Result<Box<dyn ColumnarChunk>, StorageError>;
 }
 
 /// The readable columnar body of one disk component: row groups of column
 /// page runs plus a column index. Scans walk the key blocks
 /// (`read_group_keys`) and hand out row references; a reference is turned
-/// into a record by `read_group_rows` (the format-agnostic path: merges,
-/// flush, whole-record reads) or answered column by column by a reader that
-/// downcasts via `as_any` to the concrete chunk. Point lookups read one row
-/// (`get_row`).
+/// into a record by `read_group_rows` (the format-agnostic path: whole-record
+/// reads, merges into a row-format component) or answered column by column
+/// by a reader — or a merging writer — that downcasts via `as_any` to the
+/// concrete chunk. Point lookups read one row (`get_row`).
 pub trait ColumnarChunk: Send + Sync + std::fmt::Debug {
     /// Number of row groups; groups are ordered, keys ascending across and
     /// within groups.
@@ -72,7 +140,7 @@ pub trait ColumnarChunk: Send + Sync + std::fmt::Debug {
         g: usize,
     ) -> Result<Vec<(Key, EntryKind)>, StorageError>;
 
-    /// Reconstruct group `g`'s rows exactly as handed to `build_chunk`.
+    /// Reconstruct group `g`'s rows exactly as handed to the writer.
     /// Corruption surfaces as the same typed `StorageError`s row blocks
     /// produce, so quarantine and fail/degrade policies apply unchanged.
     #[allow(clippy::type_complexity)]

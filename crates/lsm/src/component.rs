@@ -19,7 +19,7 @@ use tc_storage::BufferCache;
 use tc_util::varint;
 
 use crate::bloom::BloomFilter;
-use crate::columnar::{ColumnarChunk, ColumnarCodec};
+use crate::columnar::{ColumnarChunk, ColumnarCodec, ColumnarWriter, RowSource};
 use crate::entry::{read_entry, write_entry, EntryKind, Key};
 
 /// Component identity: flushed components get `(n, n)`; a merge of
@@ -506,6 +506,17 @@ fn no_such_row(component: &DiskComponent, group: u32, row: u32) -> StorageError 
     )
 }
 
+/// How a columnar component's entries reach the codec.
+enum ColumnarBuild {
+    /// The schema blob is not known yet (a flush learns it after the last
+    /// record), or the codec cannot stream: entries wait here for
+    /// `build_chunk` at `finish`.
+    Buffered(Arc<dyn ColumnarCodec>, Vec<Entry>),
+    /// The blob was known up front (a merge): entries go straight into the
+    /// codec's writer, which holds one row group at a time.
+    Streaming(Box<dyn ColumnarWriter>),
+}
+
 /// Builds a component from entries supplied in ascending key order — used
 /// by flush, merge, and bulk load (the paper's §4.3 bulk-load builds a
 /// single component bottom-up exactly like this).
@@ -518,11 +529,13 @@ pub struct ComponentBuilder {
     next_page: u64,
     num_entries: u64,
     num_antimatter: u64,
-    last_key: Option<Key>,
+    /// The last key admitted (meaningful once `num_entries > 0`); one buffer
+    /// for the whole build.
+    last_key: Key,
     page_size: usize,
-    /// When set, entries are buffered and handed to the codec at `finish`
-    /// instead of being packed into row blocks (columnar mode).
-    columnar: Option<(Arc<dyn ColumnarCodec>, Vec<Entry>)>,
+    /// Set in columnar mode: entries go to the codec instead of being packed
+    /// into row blocks.
+    columnar: Option<ColumnarBuild>,
 }
 
 impl ComponentBuilder {
@@ -542,7 +555,7 @@ impl ComponentBuilder {
             next_page: 0,
             num_entries: 0,
             num_antimatter: 0,
-            last_key: None,
+            last_key: Vec::new(),
             page_size,
             columnar: None,
         }
@@ -555,39 +568,87 @@ impl ComponentBuilder {
         self
     }
 
-    /// Build this component in the columnar (AMAX) layout: entries are
-    /// buffered and shredded into column pages by `codec` at `finish`.
+    /// Build this component in the columnar (AMAX) layout. Entries are
+    /// buffered and handed to `codec.build_chunk` at `finish`, when the
+    /// metadata blob that decides the column set arrives — unless
+    /// [`ComponentBuilder::with_known_metadata`] opens the codec's streaming
+    /// writer first.
     pub fn with_columnar(mut self, codec: Arc<dyn ColumnarCodec>) -> Self {
-        self.columnar = Some((codec, Vec::new()));
+        self.columnar = Some(ColumnarBuild::Buffered(codec, Vec::new()));
         self
     }
 
-    /// Append one entry. Keys must arrive in strictly ascending order; one
-    /// that does not is refused with a typed error (a sorted source that
-    /// yields it has been damaged). Any error aborts the build (the
-    /// half-written store is simply dropped — components only become
-    /// visible after `finish`).
+    /// The metadata blob `finish` will be given is already known (a merge
+    /// computes it from its inputs before it scans them): a columnar build
+    /// whose codec can stream opens the writer now and holds one row group
+    /// at a time instead of the whole component. No effect on a row-format
+    /// build or a codec without a writer. Call before the first `push`, and
+    /// pass `finish` this same blob.
+    pub fn with_known_metadata(mut self, metadata: Option<&[u8]>) -> Self {
+        if let Some(ColumnarBuild::Buffered(codec, rows)) = &self.columnar {
+            debug_assert!(rows.is_empty(), "the writer opens before the first entry");
+            if let Some(writer) = codec.writer(metadata) {
+                self.columnar = Some(ColumnarBuild::Streaming(writer));
+            }
+        }
+        self
+    }
+
+    /// Does [`ComponentBuilder::push_row`] hand row references to a streaming
+    /// columnar writer? When not, it pivots each row on its own — a caller
+    /// with many of them does better materializing through its scan.
+    pub fn streams_rows(&self) -> bool {
+        matches!(self.columnar, Some(ColumnarBuild::Streaming(_)))
+    }
+
+    /// The bookkeeping every entry gets, however its payload arrives: keys
+    /// must be strictly ascending (one that is not is refused with a typed
+    /// error — a sorted source that yields it has been damaged), then the
+    /// bloom filter and the entry counts.
+    fn admit(&mut self, key: &[u8], kind: EntryKind) -> Result<(), StorageError> {
+        if self.num_entries > 0 && key <= self.last_key.as_slice() {
+            return Err(StorageError::corruption(
+                "component build",
+                format!(
+                    "entries must be strictly ascending: key {key:?} after {:?}",
+                    self.last_key
+                ),
+            ));
+        }
+        self.last_key.clear();
+        self.last_key.extend_from_slice(key);
+        self.bloom.insert(key);
+        self.num_entries += 1;
+        if kind == EntryKind::AntiMatter {
+            self.num_antimatter += 1;
+        }
+        Ok(())
+    }
+
+    /// Append one entry. Keys must arrive in strictly ascending order. Any
+    /// error aborts the build (the half-written store is simply dropped —
+    /// components only become visible after `finish`).
     pub fn push(
         &mut self,
         key: &[u8],
         kind: EntryKind,
         payload: &[u8],
     ) -> Result<(), StorageError> {
-        if let Some(last) = self.last_key.as_deref().filter(|last| key <= *last) {
-            return Err(StorageError::corruption(
-                "component build",
-                format!("entries must be strictly ascending: key {key:?} after {last:?}"),
-            ));
-        }
-        self.last_key = Some(key.to_vec());
-        self.bloom.insert(key);
-        self.num_entries += 1;
-        if kind == EntryKind::AntiMatter {
-            self.num_antimatter += 1;
-        }
-        if let Some((_, rows)) = &mut self.columnar {
-            rows.push((key.to_vec(), kind, payload.to_vec()));
-            return Ok(());
+        self.admit(key, kind)?;
+        self.append(key, kind, payload)
+    }
+
+    /// Route an admitted entry's payload to the body under construction.
+    fn append(&mut self, key: &[u8], kind: EntryKind, payload: &[u8]) -> Result<(), StorageError> {
+        match &mut self.columnar {
+            Some(ColumnarBuild::Buffered(_, rows)) => {
+                rows.push((key.to_vec(), kind, payload.to_vec()));
+                return Ok(());
+            }
+            Some(ColumnarBuild::Streaming(writer)) => {
+                return writer.push(&self.store, key, kind, payload);
+            }
+            None => {}
         }
         if self.pending_first_key.is_none() {
             self.pending_first_key = Some(key.to_vec());
@@ -597,6 +658,36 @@ impl ComponentBuilder {
             self.flush_block()?;
         }
         Ok(())
+    }
+
+    /// Append the record a scan of `source` referred to as row `row` of row
+    /// group `group` (a `Payload::Row`), stored there under `key`. A
+    /// streaming columnar writer takes the reference as it is and may copy
+    /// the row column by column; any other build pivots it through the
+    /// source's `get_row`. Errors reading the source come back untouched —
+    /// whether to quarantine it is the caller's call. Otherwise as `push`.
+    pub fn push_row(
+        &mut self,
+        key: &[u8],
+        source: &DiskComponent,
+        cache: &BufferCache,
+        group: u32,
+        row: u32,
+    ) -> Result<(), StorageError> {
+        let no_row = || no_such_row(source, group, row);
+        let (chunk, store) = source.columnar_view().ok_or_else(no_row)?;
+        self.admit(key, EntryKind::Record)?;
+        if let Some(ColumnarBuild::Streaming(writer)) = &mut self.columnar {
+            return writer.push_row(
+                &self.store,
+                key,
+                RowSource { chunk, store, cache, group, row },
+            );
+        }
+        match chunk.get_row(store, cache, group as usize, key)? {
+            Some((EntryKind::Record, payload)) => self.append(key, EntryKind::Record, &payload),
+            _ => Err(no_row()),
+        }
     }
 
     fn flush_block(&mut self) -> Result<(), StorageError> {
@@ -627,12 +718,13 @@ impl ComponentBuilder {
         metadata: Option<Vec<u8>>,
         valid: bool,
     ) -> Result<DiskComponent, StorageError> {
+        // Either way the codec has written every column page (and its index
+        // blob) through this component's store when it hands back the chunk.
         let body = match self.columnar.take() {
-            Some((codec, rows)) => {
-                // The codec writes every column page (and its index blob)
-                // through this component's store, then hands back the chunk.
+            Some(ColumnarBuild::Buffered(codec, rows)) => {
                 Body::Columnar(codec.build_chunk(&self.store, &rows, metadata.as_deref())?)
             }
+            Some(ColumnarBuild::Streaming(writer)) => Body::Columnar(writer.finish(&self.store)?),
             None => {
                 self.flush_block()?;
                 Body::Rows(std::mem::take(&mut self.index))
@@ -677,7 +769,7 @@ impl ComponentBuilder {
             body,
             bloom: self.bloom,
             metadata,
-            max_key: self.last_key,
+            max_key: (self.num_entries > 0).then_some(self.last_key),
             valid: AtomicBool::new(valid),
             quarantined: AtomicBool::new(false),
             num_entries: self.num_entries,

@@ -738,4 +738,88 @@ mod tests {
         let tries = new_counts[0].load(AtomicOrdering::Relaxed);
         assert_eq!(tries, 1, "later rows fail without another read");
     }
+
+    #[test]
+    fn push_row_pivots_when_the_builder_does_not_stream() {
+        use EntryKind::*;
+        // A row-format output (migration away from columnar) given row
+        // references: each is answered by the source's `get_row`.
+        let (source, _) = columnar_component(
+            0,
+            &[(1, Record, "a"), (2, AntiMatter, ""), (3, Record, "c")],
+            false,
+        );
+        let cache = Arc::new(BufferCache::new(16));
+        let device = Arc::new(Device::new(DeviceProfile::RAM));
+        let mut b = ComponentBuilder::new(device, 256, CompressionScheme::None, 2, 10);
+        assert!(!b.streams_rows());
+        b.push_row(&1u64.to_be_bytes(), &source, &cache, 0, 0).unwrap();
+        b.push_row(&3u64.to_be_bytes(), &source, &cache, 0, 2).unwrap();
+        // Out of order, and a reference to a row that is no record.
+        assert!(b
+            .push_row(&1u64.to_be_bytes(), &source, &cache, 0, 0)
+            .unwrap_err()
+            .is_corruption());
+        assert!(b
+            .push_row(&9u64.to_be_bytes(), &source, &cache, 0, 1)
+            .unwrap_err()
+            .is_corruption());
+        let mut b = ComponentBuilder::new(
+            Arc::new(Device::new(DeviceProfile::RAM)),
+            256,
+            CompressionScheme::None,
+            2,
+            10,
+        );
+        b.push_row(&1u64.to_be_bytes(), &source, &cache, 0, 0).unwrap();
+        b.push_row(&3u64.to_be_bytes(), &source, &cache, 0, 2).unwrap();
+        let out = b.finish(ComponentId::flushed(1), None, true).unwrap();
+        assert_eq!(out.num_entries(), 2);
+        assert_eq!(out.max_key(), Some(&3u64.to_be_bytes()[..]));
+        assert_eq!(out.get(&cache, &3u64.to_be_bytes()).unwrap(), Some((Record, b"c".to_vec())));
+    }
+
+    #[test]
+    fn a_codec_without_a_writer_still_merges_by_materializing() {
+        use crate::hook::NoopHook;
+        use crate::tree::{LsmOptions, LsmTree};
+        use crate::MergePolicy;
+        // The mock codec has no streaming writer: the merge buffers for
+        // `build_chunk` and pivots row references through the scan's group
+        // memo, one reconstruction per group that owns a winner.
+        let counts: Arc<[AtomicUsize; 4]> = Arc::default();
+        let codec = CountingCodec { reconstructions: Arc::clone(&counts), rotten_rows: false };
+        let tree = LsmTree::new(
+            Arc::new(Device::new(DeviceProfile::RAM)),
+            Arc::new(BufferCache::new(64)),
+            Arc::new(NoopHook),
+            LsmOptions {
+                merge_policy: MergePolicy::NoMerge,
+                columnar: Some(Arc::new(codec)),
+                ..Default::default()
+            },
+        );
+        tree.set_columnar(true);
+        let k = |i: u64| i.to_be_bytes().to_vec();
+        for i in 0..7 {
+            tree.insert(k(i), b"old".to_vec()).unwrap();
+        }
+        tree.flush().unwrap();
+        tree.replace(k(3), b"new".to_vec(), None).unwrap();
+        tree.delete(k(4), None).unwrap();
+        tree.flush().unwrap();
+        tree.force_full_merge().unwrap();
+
+        let merged = tree.components();
+        assert_eq!(merged.len(), 1);
+        assert!(merged[0].is_columnar());
+        assert_eq!(merged[0].num_entries(), 6, "the full merge dropped the anti-matter");
+        // Three-row groups: the older input's {0,1,2}, {3,4,5}, {6} and the
+        // newer one's {3,4} each own a winner, so group 0 was rebuilt twice.
+        let rebuilt = counts.each_ref().map(|n| n.load(AtomicOrdering::Relaxed));
+        assert_eq!(rebuilt, [2, 1, 1, 0]);
+        assert_eq!(tree.get(&k(3)).unwrap(), Some(b"new".to_vec()));
+        assert_eq!(tree.get(&k(4)).unwrap(), None);
+        assert_eq!(tree.get(&k(6)).unwrap(), Some(b"old".to_vec()));
+    }
 }

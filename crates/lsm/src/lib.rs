@@ -32,7 +32,7 @@ pub mod secondary;
 pub mod tree;
 pub mod wal;
 
-pub use columnar::{ColumnarChunk, ColumnarCodec};
+pub use columnar::{ColumnarChunk, ColumnarCodec, ColumnarWriter, RowSource};
 pub use component::{ComponentId, DiskComponent};
 pub use entry::{EntryKind, Key};
 pub use hook::{ComponentHook, NoopHook};

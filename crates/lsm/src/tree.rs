@@ -45,10 +45,10 @@ use tc_storage::BufferCache;
 use tc_util::sync::{ranks, OrderedMutex, OrderedRwLock, OrderedRwLockReadGuard};
 
 use crate::columnar::ColumnarCodec;
-use crate::component::{ComponentBuilder, ComponentId, DiskComponent};
+use crate::component::{ComponentBuilder, ComponentId, DiskComponent, Payload};
 use crate::entry::{EntryKind, Key};
 use crate::hook::ComponentHook;
-use crate::iter::MergedScan;
+use crate::iter::{MergedScan, ScanEntry};
 use crate::memtable::{MemEntry, Memtable};
 use crate::policy::{
     CompactionDecision, CompactionPolicy, MergePick, MergePolicy, MergeTrigger, RunMeta,
@@ -148,7 +148,7 @@ pub struct LsmStats {
     /// Entries (records + anti-matter) in retired components.
     pub entries_retired: u64,
     /// Column pages written by the columnar (AMAX) codec during
-    /// flush/merge. Tree-level snapshots leave the six columnar counters
+    /// flush/merge. Tree-level snapshots leave the seven columnar counters
     /// at 0; the dataset layer injects them from the codec's counters.
     pub columnar_pages_written: u64,
     /// Row groups' column pages a columnar scan proved irrelevant from
@@ -160,11 +160,16 @@ pub struct LsmStats {
     /// Rows evaluated by the typed (no `Value` boxing) columnar filter
     /// loops — proof the zero-pivot fast path fired.
     pub columnar_typed_filter_rows: u64,
-    /// Rows pivoted from column pages back into records by group
-    /// reconstruction (merges, whole-record reads). A scan that only
-    /// touches some fields leaves it unchanged — "did this query pivot
-    /// rows?" is a before/after lookup here.
+    /// Rows pivoted from column pages back into records: whole-record
+    /// reads, merges into a row-format component, and the rows a columnar
+    /// merge could not copy column-wise. A scan that only touches some
+    /// fields leaves it unchanged — "did this query (or merge) pivot rows?"
+    /// is a before/after lookup here.
     pub columnar_rows_reconstructed: u64,
+    /// Rows a merge copied from its inputs' column pages into its output's
+    /// without assembling a record. A merge's output rows split between
+    /// this and `columnar_rows_reconstructed`.
+    pub columnar_rows_column_merged: u64,
     /// Point lookups answered by reading one row of one columnar group.
     pub columnar_point_lookups: u64,
 }
@@ -223,6 +228,7 @@ impl StatsCells {
             columns_faulted_in: 0,
             columnar_typed_filter_rows: 0,
             columnar_rows_reconstructed: 0,
+            columnar_rows_column_merged: 0,
             columnar_point_lookups: 0,
         }
     }
@@ -883,6 +889,13 @@ impl LsmTree {
     /// Build the merged component (INVALID; the caller decides whether it
     /// completes). Pure build: touches no tree state, so a fault here
     /// leaves nothing to clean up.
+    ///
+    /// The metadata blob is known before the scan starts, so a columnar
+    /// output streams through the codec's writer one row group at a time, and
+    /// a winner that lives in a columnar input reaches it as a row reference
+    /// — copied column to column when the codec can, never assembled into a
+    /// record on the way. A row-format output materializes references
+    /// through the scan's group memo as before.
     fn build_merged(
         &self,
         inputs: &[Arc<DiskComponent>],
@@ -892,21 +905,40 @@ impl LsmTree {
         let metadata = self.hook.merge_metadata(&blobs);
         let expected: usize = inputs.iter().map(|c| c.num_entries() as usize).sum();
 
-        let mut builder = self.new_builder(expected);
+        let mut builder = self.new_builder(expected).with_known_metadata(metadata.as_deref());
         let mut count = 0u64;
         {
             let mut scan = MergedScan::new(&[], inputs, &self.cache, None, None, true);
-            while let Some((key, kind, payload)) = scan.next() {
-                match kind {
-                    EntryKind::AntiMatter if includes_oldest => continue,
-                    kind => {
-                        builder.push(&key, kind, &payload)?;
-                        count += 1;
+            while let Some(ScanEntry { key, kind, payload, rank }) = scan.next_entry() {
+                if kind == EntryKind::AntiMatter && includes_oldest {
+                    continue;
+                }
+                match payload {
+                    Payload::Bytes(bytes) => builder.push(&key, kind, &bytes)?,
+                    Payload::Row { group, row } if builder.streams_rows() => {
+                        let pushed = match scan.source_component(rank) {
+                            Some(source) => builder.push_row(&key, source, &self.cache, group, row),
+                            None => Err(StorageError::corruption(
+                                "merged scan",
+                                format!("source {rank} holds no row references"),
+                            )),
+                        };
+                        if let Err(e) = pushed {
+                            // A merge must never write a component that
+                            // silently lost rows to a corrupt input: the
+                            // input is quarantined, the merge fails typed.
+                            scan.report_fault(rank, e.clone());
+                            return Err(e);
+                        }
+                    }
+                    Payload::Row { group, row } => {
+                        let bytes = scan.materialize(rank, group, row)?;
+                        builder.push(&key, kind, &bytes)?;
                     }
                 }
+                count += 1;
             }
-            // A merge must never write a component that silently lost
-            // rows to a corrupt input: surface the first error instead.
+            // Nor one that lost them to a key block the scan could not read.
             if let Some((_, e)) = scan.take_health().degraded().first() {
                 return Err(e.clone());
             }

@@ -20,7 +20,7 @@ use tc_util::crc;
 use tc_util::sync::{ranks, OrderedRwLock};
 
 use crate::device::Device;
-use crate::error::StorageError;
+use crate::error::{IoOp, StorageError};
 use crate::file::FileStore;
 use crate::laf::{Laf, LafEntry};
 
@@ -85,11 +85,14 @@ impl PageStore {
     }
 
     /// Append a page. `page` must be exactly `page_size` bytes (the engine
-    /// zero-pads partially filled trailing pages, like any slotted layout).
-    /// On error nothing usable was stored and the store should be abandoned
-    /// by its builder — page ids are not reissued.
+    /// zero-pads partially filled trailing pages, like any slotted layout);
+    /// one that is not is refused as a permanent write error and nothing is
+    /// stored. On error nothing usable was stored and the store should be
+    /// abandoned by its builder — page ids are not reissued.
     pub fn write_page(&self, page: &[u8]) -> Result<PageId, StorageError> {
-        assert_eq!(page.len(), self.page_size, "page must be exactly page_size");
+        if page.len() != self.page_size {
+            return Err(StorageError::Permanent { op: IoOp::Write });
+        }
         let id = self.pages.fetch_add(1, Ordering::Relaxed);
         if self.scheme.is_none() {
             let offset = if self.integrity {
@@ -262,6 +265,17 @@ mod tests {
     }
 
     #[test]
+    fn wrong_sized_page_is_a_typed_error() {
+        let store = PageStore::new(ram(), 64, CompressionScheme::None);
+        for len in [0usize, 63, 65] {
+            let err = store.write_page(&vec![1u8; len]).unwrap_err();
+            assert!(matches!(err, StorageError::Permanent { op: IoOp::Write }), "{len}: {err}");
+        }
+        assert_eq!((store.num_pages(), store.data_bytes()), (0, 0), "nothing was stored");
+        assert_eq!(store.write_page(&[1u8; 64]).unwrap(), 0, "and no page id was spent");
+    }
+
+    #[test]
     fn uncompressed_pages_roundtrip() {
         let store = PageStore::new(ram(), 64, CompressionScheme::None);
         let a = vec![1u8; 64];
@@ -318,13 +332,6 @@ mod tests {
         let store = PageStore::new(ram(), 64, CompressionScheme::Snappy);
         let err = store.read_page(0).unwrap_err();
         assert!(matches!(err, StorageError::Corruption { .. }), "{err}");
-    }
-
-    #[test]
-    #[should_panic(expected = "page must be exactly page_size")]
-    fn wrong_page_size_panics() {
-        let store = PageStore::new(ram(), 64, CompressionScheme::None);
-        let _ = store.write_page(&[0u8; 63]);
     }
 
     #[test]

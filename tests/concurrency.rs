@@ -459,6 +459,122 @@ fn scans_stay_consistent_under_policy_driven_merges() {
 }
 
 // ---------------------------------------------------------------------
+// 4b. Columnar: scans vs. a writer vs. column-to-column merges
+// ---------------------------------------------------------------------
+
+/// One Columnar partition under background maintenance: a writer inserting,
+/// upserting and deleting, the worker flushing and merging column to column
+/// behind it, and two readers scanning through the batched engine — typed
+/// columns for one, a residual path too for the other. Every tree mutation
+/// is atomic and every scan reads one snapshot, so each scan must equal the
+/// oracle after exactly `k` operations, for some `k` between the count the
+/// writer had published when the scan began and one past the count it had
+/// published when the scan ended (the operation in flight).
+#[test]
+fn columnar_scans_equal_an_oracle_prefix_across_column_merges() {
+    use std::collections::BTreeMap;
+    use tc_adm::path::parse_path;
+    use tc_query::{AccessStrategy, ScanSpec};
+
+    #[derive(Clone, Copy)]
+    enum Op {
+        Put(i64),
+        Delete(i64),
+    }
+    /// Operation `i` writes version `i`: a fresh id, a newer version of an
+    /// older id, or a delete (of an id that may be gone already).
+    fn op(i: u64) -> Op {
+        let id = i as i64;
+        match i % 11 {
+            7 => Op::Delete(id / 3),
+            3 | 9 => Op::Put(id / 2),
+            _ => Op::Put(id),
+        }
+    }
+    fn apply(state: &mut BTreeMap<i64, u64>, i: u64) {
+        match op(i) {
+            Op::Put(id) => state.insert(id, i),
+            Op::Delete(id) => state.remove(&id),
+        };
+    }
+
+    with_watchdog(Duration::from_secs(120), "columnar-scans-vs-merges", || {
+        const N: u64 = 3000;
+        let ds = Arc::new(Dataset::new(
+            stress_config(true).with_format(StorageFormat::Columnar),
+            Arc::new(Device::new(DeviceProfile::RAM)),
+            Arc::new(BufferCache::new(4096)),
+        ));
+        let applied = Arc::new(AtomicU64::new(0));
+        let scans = Arc::new(AtomicU64::new(0));
+        std::thread::scope(|scope| {
+            let (writer_ds, published) = (Arc::clone(&ds), Arc::clone(&applied));
+            scope.spawn(move || {
+                let mut w = writer_ds.writer();
+                for i in 0..N {
+                    match op(i) {
+                        Op::Put(id) => w.upsert(&record(id, i)).unwrap(),
+                        Op::Delete(id) => {
+                            w.delete(id).unwrap();
+                        }
+                    }
+                    published.store(i + 1, Ordering::SeqCst);
+                }
+            });
+            for paths in [&["id", "version"][..], &["id", "version", "nested.tags[*]"]] {
+                let (reader_ds, published, scans) =
+                    (Arc::clone(&ds), Arc::clone(&applied), Arc::clone(&scans));
+                let query = Query {
+                    scan: ScanSpec::all_early(
+                        paths.iter().map(|p| parse_path(p)).collect(),
+                        AccessStrategy::Consolidated,
+                    ),
+                    ops: vec![],
+                };
+                scope.spawn(move || loop {
+                    let lo = published.load(Ordering::SeqCst);
+                    let res = execute(&[&*reader_ds], &query, &ExecOptions::default()).unwrap();
+                    let hi = (published.load(Ordering::SeqCst) + 1).min(N);
+                    let got: BTreeMap<i64, u64> = res
+                        .rows
+                        .iter()
+                        .map(|row| (row[0].as_i64().unwrap(), row[1].as_i64().unwrap() as u64))
+                        .collect();
+                    assert_eq!(got.len(), res.rows.len(), "a scan returned an id twice");
+                    let mut oracle = BTreeMap::new();
+                    (0..lo).for_each(|i| apply(&mut oracle, i));
+                    let mut k = lo;
+                    while oracle != got {
+                        assert!(k < hi, "scan matches no oracle prefix in {lo}..={hi}");
+                        apply(&mut oracle, k);
+                        k += 1;
+                    }
+                    scans.fetch_add(1, Ordering::SeqCst);
+                    if lo == N {
+                        break;
+                    }
+                });
+            }
+        });
+        ds.await_quiescent();
+        let stats = ds.lsm_stats();
+        assert!(scans.load(Ordering::SeqCst) >= 6, "readers scanned while the writer ran");
+        assert!(stats.merges >= 3, "only {} merges under the scans", stats.merges);
+        assert!(stats.columnar_rows_column_merged > 0);
+        assert_eq!(
+            stats.columnar_rows_reconstructed, 0,
+            "a stable schema: no merge and no column scan pivoted a row"
+        );
+
+        ds.flush().unwrap();
+        let mut oracle = BTreeMap::new();
+        (0..N).for_each(|i| apply(&mut oracle, i));
+        let expected: Vec<Value> = oracle.iter().map(|(id, v)| record(*id, *v)).collect();
+        assert_eq!(ds.scan_values().unwrap(), expected);
+    });
+}
+
+// ---------------------------------------------------------------------
 // 5. Repeated short runs: shake out interleavings (the suite is also run
 //    20× in CI; this in-test loop catches cheap orderings every run)
 // ---------------------------------------------------------------------

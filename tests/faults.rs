@@ -47,19 +47,21 @@ fn make_dataset_with(format: StorageFormat) -> (Dataset, Arc<Device>) {
 /// full merge, more ingest, a query, final flush. Every operation updates
 /// the oracle only if the dataset acknowledged it; the first storage error
 /// is "the crash" and ends the run (`false`). A clean, uninjected run
-/// returns `true`.
-fn run_workload(ds: &Dataset) -> (BTreeMap<i64, i64>, bool) {
+/// returns `true`, and the span of device operations (as the armed fault plan
+/// counts them) its full merge took.
+fn run_workload(ds: &Dataset) -> (BTreeMap<i64, i64>, bool, Option<(u64, u64)>) {
+    let ops_seen = || ds.primary().device().fault_ops_seen();
     let mut oracle: BTreeMap<i64, i64> = BTreeMap::new();
     let mut w = ds.writer();
     for i in 0..PHASE1 {
         if w.insert(&record(i, i)).is_err() {
-            return (oracle, false);
+            return (oracle, false, None);
         }
         oracle.insert(i, i);
     }
     drop(w);
     if ds.flush().is_err() {
-        return (oracle, false);
+        return (oracle, false, None);
     }
     let mut w = ds.writer();
     for i in PHASE1..PHASE2 {
@@ -68,28 +70,33 @@ fn run_workload(ds: &Dataset) -> (BTreeMap<i64, i64>, bool) {
                 Ok(_) => {
                     oracle.remove(&(i - PHASE1));
                 }
-                Err(_) => return (oracle, false),
+                Err(_) => return (oracle, false, None),
             }
         } else if i % 10 == 0 {
             if w.upsert(&record(i - PHASE1, i * 100)).is_err() {
-                return (oracle, false);
+                return (oracle, false, None);
             }
             oracle.insert(i - PHASE1, i * 100);
         } else {
             if w.insert(&record(i, i)).is_err() {
-                return (oracle, false);
+                return (oracle, false, None);
             }
             oracle.insert(i, i);
         }
     }
     drop(w);
-    if ds.flush().is_err() || ds.force_full_merge().is_err() {
-        return (oracle, false);
+    if ds.flush().is_err() {
+        return (oracle, false, None);
     }
+    let merge_from = ops_seen();
+    if ds.force_full_merge().is_err() {
+        return (oracle, false, None);
+    }
+    let merge_ops = (merge_from, ops_seen());
     let mut w = ds.writer();
     for i in PHASE2..PHASE3 {
         if w.insert(&record(i, i)).is_err() {
-            return (oracle, false);
+            return (oracle, false, None);
         }
         oracle.insert(i, i);
     }
@@ -99,9 +106,9 @@ fn run_workload(ds: &Dataset) -> (BTreeMap<i64, i64>, bool) {
     // error here does not end the "process", the next write does.
     let _ = ds.scan_values();
     if ds.flush().is_err() {
-        return (oracle, false);
+        return (oracle, false, None);
     }
-    (oracle, true)
+    (oracle, true, Some(merge_ops))
 }
 
 /// Read back the full dataset as `id -> v`.
@@ -124,10 +131,21 @@ fn sweep_crash_points(format: StorageFormat) {
     // Calibrate: an empty plan injects nothing but counts operations.
     let (ds, device) = make_dataset_with(format);
     device.set_fault_plan(FaultPlan::new(0));
-    let (full_oracle, completed) = run_workload(&ds);
+    let (full_oracle, completed, merge_ops) = run_workload(&ds);
     assert!(completed, "uninjected workload must complete");
     let total_ops = device.clear_fault_plan().unwrap().ops_seen();
     assert!(total_ops > 50, "workload too small to sweep ({total_ops} ops)");
+    let (merge_from, merge_to) = merge_ops.expect("a completed run merged");
+    if format == StorageFormat::Columnar {
+        // The workload's schema is stable, so its merge is column to column:
+        // that is the writer the crash points counted below land in.
+        let stats = ds.lsm_stats();
+        assert!(stats.entries_merged > 0);
+        assert_eq!(
+            stats.columnar_rows_column_merged, stats.entries_merged,
+            "the merge copied every row it wrote"
+        );
+    }
     assert_eq!(contents(&ds), full_oracle, "clean run matches its oracle");
 
     // Sweep roughly 40 crash points across the run, always including the
@@ -135,10 +153,12 @@ fn sweep_crash_points(format: StorageFormat) {
     let step = (total_ops / 40).max(1);
     let mut crash_points: Vec<u64> = (1..=total_ops).step_by(step as usize).collect();
     crash_points.push(total_ops + 1);
+    let in_merge = crash_points.iter().filter(|&&k| merge_from < k && k <= merge_to).count();
+    assert!(in_merge >= 1, "no crash point inside the merge's ops {merge_from}..{merge_to}");
     for k in crash_points {
         let (ds, device) = make_dataset_with(format);
         device.set_fault_plan(FaultPlan::new(k).with_crash_after_ops(k));
-        let (oracle, completed) = run_workload(&ds);
+        let (oracle, completed, _) = run_workload(&ds);
         assert_eq!(
             completed,
             k > total_ops,
@@ -630,6 +650,73 @@ fn columnar_bit_flip_fails_point_lookups_typed_never_wrong() {
     assert!(untouched > 0, "no flip landed outside the pages lookups read (index blob, tail)");
 }
 
+/// A sensor-like record: typed `id`/`v`/`tag` columns and an array that
+/// stays in the residual.
+fn wide(i: i64, v: i64) -> Value {
+    let text =
+        format!(r#"{{"id": {i}, "v": {v}, "tag": "t{}", "readings": [{v}, {}]}}"#, v % 7, v + 1);
+    parse(&text).unwrap()
+}
+
+/// A Columnar partition of three flushed components on 256-byte pages —
+/// records, then newer versions and deletes of some, then new ids, that last
+/// flush damaged by a bit flipped in its n-th write — and, if `resident`, a
+/// memtable of ids found nowhere on disk (a write that looked an id up in the
+/// damaged component would meet the flip before any scan does). Returns the
+/// oracle (id → record) and whether the flip fired.
+fn damaged_columnar_partition(n: u64, resident: bool) -> (Dataset, BTreeMap<i64, Value>, bool) {
+    let device = Arc::new(Device::new(DeviceProfile::RAM));
+    let ds = Dataset::new(
+        DatasetConfig::new("Faulty", "id")
+            .with_format(StorageFormat::Columnar)
+            .with_page_size(256)
+            .with_memtable_budget(256 * 1024)
+            .with_merge_policy(MergePolicy::NoMerge),
+        Arc::clone(&device),
+        Arc::new(BufferCache::new(4096)),
+    );
+    // `Some(v)` writes version `v` of the id, `None` deletes it.
+    let mut phases: Vec<Vec<(i64, Option<i64>)>> = vec![
+        (0..60).map(|i| (i, Some(i))).collect(),
+        (0..60).step_by(4).map(|i| (i, Some(1000 + i))).chain([(9, None), (18, None)]).collect(),
+        (100..160).map(|i| (i, Some(i))).collect(),
+    ];
+    if resident {
+        phases.push(vec![(200, Some(200)), (201, Some(201)), (200, Some(2200)), (201, None)]);
+    }
+    let mut oracle: BTreeMap<i64, Value> = BTreeMap::new();
+    let mut fired = false;
+    for (phase, ops) in phases.iter().enumerate() {
+        let mut w = ds.writer();
+        for &(i, version) in ops {
+            match version {
+                Some(v) => {
+                    w.upsert(&wide(i, v)).unwrap();
+                    oracle.insert(i, wide(i, v));
+                }
+                None => {
+                    assert!(w.delete(i).unwrap());
+                    oracle.remove(&i);
+                }
+            }
+        }
+        drop(w);
+        match phase {
+            0 | 1 => ds.flush().unwrap(),
+            2 => {
+                device.set_fault_plan(FaultPlan::new(n).flip_bit_in_nth_write(n));
+                ds.flush().unwrap();
+                fired = device.faults_injected() > 0;
+                device.clear_fault_plan();
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(ds.primary().components().len(), 3);
+    assert_eq!(ds.primary().memtable_len() > 0, resident);
+    (ds, oracle, fired)
+}
+
 /// Bit flips inside a *live* columnar partition — three unmerged components
 /// under a resident memtable, stale versions and anti-matter between them.
 /// A scan reconciles on key blocks, the batched engine then reads the
@@ -649,72 +736,7 @@ fn columnar_bit_flip_in_live_partition_fails_typed_or_degrades_exactly() {
     use tc_query::exec::{execute, CorruptionPolicy, ExecOptions};
     use tc_query::{AccessStrategy, Query, ScanSpec};
 
-    let wide = |i: i64, v: i64| {
-        let text = format!(
-            r#"{{"id": {i}, "v": {v}, "tag": "t{}", "readings": [{v}, {}]}}"#,
-            v % 7,
-            v + 1
-        );
-        parse(&text).unwrap()
-    };
-    // Three flushes — records, then newer versions and deletes of some, then
-    // new ids, damaged by a bit flipped in the flush's n-th write — and a
-    // memtable of ids found nowhere on disk (a write that looked an id up in
-    // the damaged component would meet the flip before any scan does).
-    let build = |n: u64| {
-        let device = Arc::new(Device::new(DeviceProfile::RAM));
-        let ds = Dataset::new(
-            DatasetConfig::new("Faulty", "id")
-                .with_format(StorageFormat::Columnar)
-                .with_page_size(256)
-                .with_memtable_budget(256 * 1024)
-                .with_merge_policy(MergePolicy::NoMerge),
-            Arc::clone(&device),
-            Arc::new(BufferCache::new(4096)),
-        );
-        // `Some(v)` writes version `v` of the id, `None` deletes it.
-        let phases: [Vec<(i64, Option<i64>)>; 4] = [
-            (0..60).map(|i| (i, Some(i))).collect(),
-            (0..60)
-                .step_by(4)
-                .map(|i| (i, Some(1000 + i)))
-                .chain([(9, None), (18, None)])
-                .collect(),
-            (100..160).map(|i| (i, Some(i))).collect(),
-            vec![(200, Some(200)), (201, Some(201)), (200, Some(2200)), (201, None)],
-        ];
-        let mut oracle: BTreeMap<i64, Value> = BTreeMap::new();
-        let mut fired = false;
-        for (phase, ops) in phases.iter().enumerate() {
-            let mut w = ds.writer();
-            for &(i, version) in ops {
-                match version {
-                    Some(v) => {
-                        w.upsert(&wide(i, v)).unwrap();
-                        oracle.insert(i, wide(i, v));
-                    }
-                    None => {
-                        assert!(w.delete(i).unwrap());
-                        oracle.remove(&i);
-                    }
-                }
-            }
-            drop(w);
-            match phase {
-                0 | 1 => ds.flush().unwrap(),
-                2 => {
-                    device.set_fault_plan(FaultPlan::new(n).flip_bit_in_nth_write(n));
-                    ds.flush().unwrap();
-                    fired = device.faults_injected() > 0;
-                    device.clear_fault_plan();
-                }
-                _ => {}
-            }
-        }
-        assert_eq!(ds.primary().components().len(), 3);
-        assert!(ds.primary().memtable_len() > 0);
-        (ds, oracle, fired)
-    };
+    let build = |n: u64| damaged_columnar_partition(n, true);
     let scan_of = |paths: &[&str]| Query {
         scan: ScanSpec::all_early(
             paths.iter().map(|p| parse_path(p)).collect(),
@@ -781,6 +803,115 @@ fn columnar_bit_flip_in_live_partition_fails_typed_or_degrades_exactly() {
         untouched > 0,
         "no flip landed outside the probes' read sets (tag column, index, tail)"
     );
+}
+
+/// Bit flips inside a *merge input*: three flushed columnar components with
+/// stale versions and anti-matter between them, the newest — new ids only —
+/// damaged in its n-th write. The merge copies rows column to column, so it
+/// reads the input's key block, its residual block and every column block,
+/// and a flip in any of them must fail `force_full_merge` with a typed
+/// corruption error, quarantine that input, install nothing and leave the
+/// component list exactly as it was. Afterwards a `Fail` scan errors typed
+/// and a `Degrade` scan serves exactly the oracle's rows outside the damaged
+/// component — never a half-merged, stale or altered value. A flip in a page
+/// the merge never reads (index blob, component tail) leaves it succeeding
+/// with the oracle's contents.
+#[test]
+fn columnar_bit_flip_in_merge_input_fails_the_merge_typed_and_installs_nothing() {
+    use tc_adm::path::parse_path;
+    use tc_columnar::ChunkReader;
+    use tc_query::exec::{execute, CorruptionPolicy, ExecOptions};
+    use tc_query::{AccessStrategy, Query, ScanSpec};
+
+    let scan = Query {
+        scan: ScanSpec::all_early(
+            ["id", "v", "readings"].iter().map(|p| parse_path(p)).collect(),
+            AccessStrategy::Consolidated,
+        ),
+        ops: vec![],
+    };
+
+    // Flips by the block they landed in: keys, residual, a column, elsewhere.
+    let mut hits = [0u64; 4];
+    for n in 1..=40u64 {
+        let (ds, oracle, fired) = damaged_columnar_partition(n, false);
+        if !fired {
+            continue;
+        }
+        let before = ds.primary().components();
+        let damaged = before.last().unwrap();
+        // Which block holds the page that no longer passes its checksum?
+        let (chunk, store) = damaged.columnar_view().unwrap();
+        let reader = chunk.as_any().downcast_ref::<ChunkReader>().unwrap();
+        let bad = (0..store.num_pages()).find(|&p| store.read_page(p).is_err());
+        let bad = bad.expect("the flip landed in one of the component's pages");
+        assert_eq!(reader.groups().len(), 1);
+        let group = &reader.groups()[0];
+        let within = |run: &tc_columnar::chunk::PageRun| {
+            (run.start..run.start + run.num_pages(256)).contains(&bad)
+        };
+        let block = if within(&group.keys) {
+            0
+        } else if within(&group.residual) {
+            1
+        } else if group.cols.iter().any(|c| within(&c.run)) {
+            2
+        } else {
+            3
+        };
+        hits[block] += 1;
+
+        let stats_before = ds.lsm_stats();
+        let merged = ds.force_full_merge();
+        if block == 3 {
+            // Index blob or tail: the live handle never re-reads them.
+            merged.unwrap_or_else(|e| panic!("flip {n}: merge read an unread page: {e}"));
+            assert_eq!(ds.primary().components().len(), 1);
+            let got = ds.scan_values().unwrap();
+            assert_eq!(got, oracle.values().cloned().collect::<Vec<_>>(), "flip {n}");
+            continue;
+        }
+        match merged {
+            Err(AdmError::Storage { message, transient }) => {
+                assert!(!transient, "flip {n}: corruption is permanent");
+                assert!(message.contains("corruption detected"), "flip {n}: {message}");
+            }
+            other => panic!("flip {n} in block {block}: merge must fail typed, got {other:?}"),
+        }
+        assert!(damaged.is_quarantined(), "flip {n}: the damaged input is quarantined");
+        let after = ds.primary().components();
+        assert_eq!(after.len(), 3, "flip {n}: nothing installed");
+        assert!(
+            before.iter().zip(&after).all(|(a, b)| Arc::ptr_eq(a, b)),
+            "flip {n}: the component list is as it was"
+        );
+        let stats = ds.lsm_stats();
+        assert_eq!(stats.merges, stats_before.merges, "flip {n}");
+        assert_eq!(stats.bytes_merged, stats_before.bytes_merged, "flip {n}");
+        assert_eq!(stats.maintenance_errors, stats_before.maintenance_errors + 1, "flip {n}");
+        assert_eq!(stats.quarantined_components, 1, "flip {n}: only the damaged input");
+        // Asking again changes nothing.
+        assert!(ds.force_full_merge().is_err(), "flip {n}: a quarantined input never merges");
+
+        match execute(&[&ds], &scan, &ExecOptions::default()) {
+            Err(AdmError::Storage { transient, .. }) => assert!(!transient, "flip {n}"),
+            other => panic!("flip {n}: a Fail scan must error typed, got {other:?}"),
+        }
+        let opts = ExecOptions::with_corruption_policy(CorruptionPolicy::Degrade);
+        let res = execute(&[&ds], &scan, &opts).unwrap();
+        assert_eq!(res.stats.quarantined_components, 1, "flip {n}: accounted in the scan's health");
+        let healthy: Vec<&Value> = oracle.range(..100).map(|(_, v)| v).collect();
+        assert_eq!(res.rows.len(), healthy.len(), "flip {n}: the healthy inputs' rows, no more");
+        for (row, expected) in res.rows.iter().zip(healthy) {
+            for (got, field) in row.iter().zip(["id", "v", "readings"]) {
+                assert_eq!(Some(got), expected.get_field(field), "flip {n}: wrong {field} served");
+            }
+        }
+    }
+    assert!(hits[0] > 0, "no flip landed in the input's keys block");
+    assert!(hits[1] > 0, "no flip landed in a residual page");
+    assert!(hits[2] > 0, "no flip landed in a column page");
+    assert!(hits[3] > 0, "no flip landed outside the pages a merge reads");
 }
 
 /// A WAL tail torn mid-append (the crash landed a prefix of the record):
