@@ -1,4 +1,4 @@
-//! The readable columnar chunk: column index, block formats, typed column
+//! The readable columnar chunk: column index, block format, typed column
 //! decoding, lossless row-group reconstruction, single-row point reads, and
 //! the raw row-group view a merge copies rows out of.
 
@@ -19,14 +19,11 @@ use crate::{ColumnStats, ColumnarCounters, DEF_NULL, DEF_PRESENT};
 /// Magic prefix of the serialized column index blob.
 pub const INDEX_MAGIC: &[u8; 4] = b"TCAX";
 
-/// The original block format: no block headers, and an index blob whose
-/// column count follows the magic directly. Still readable; never written.
-pub const FORMAT_V1: u8 = 1;
-
-/// The current block format: keys, residual and string-column blocks start
-/// with a per-row `u32` end-offset table, so a point lookup reads one row
-/// without walking (or faulting in) the rows before it.
-pub const FORMAT_V2: u8 = 2;
+/// The block format, as the index blob's version byte names it: keys,
+/// residual and string-column blocks start with a per-row `u32` end-offset
+/// table, so a point lookup reads one row without walking (or faulting in)
+/// the rows before it.
+pub const FORMAT_VERSION: u8 = 2;
 
 /// A block's location: contiguous pages starting at `start`, `bytes` of
 /// payload (the trailing page is zero-padded). Blocks always begin on a
@@ -118,9 +115,6 @@ impl DecodedColumn {
 pub struct ChunkReader {
     declared: ObjectType,
     counters: Arc<ColumnarCounters>,
-    /// Block format the component was written in ([`FORMAT_V1`] or
-    /// [`FORMAT_V2`]).
-    format: u8,
     columns: Vec<ColumnSpec>,
     groups: Vec<GroupMeta>,
 }
@@ -154,11 +148,10 @@ impl ChunkReader {
     pub fn new(
         declared: ObjectType,
         counters: Arc<ColumnarCounters>,
-        format: u8,
         columns: Vec<ColumnSpec>,
         groups: Vec<GroupMeta>,
     ) -> Self {
-        ChunkReader { declared, counters, format, columns, groups }
+        ChunkReader { declared, counters, columns, groups }
     }
 
     pub fn columns(&self) -> &[ColumnSpec] {
@@ -197,11 +190,7 @@ impl ChunkReader {
     /// Bytes the per-row offset table takes at the head of group `g`'s
     /// variable-width blocks.
     fn table_len(&self, g: usize) -> usize {
-        if self.format >= FORMAT_V2 {
-            self.groups[g].rows as usize * 4
-        } else {
-            0
-        }
+        self.groups[g].rows as usize * 4
     }
 
     /// The same for column `col`'s block: only string columns have a table.
@@ -423,13 +412,32 @@ impl ChunkReader {
         })
     }
 
+    /// One record from its stored parts — what both the group read and the
+    /// point read end in, so the two agree byte for byte: decode the row's
+    /// residual, graft each typed column's value back in at its path
+    /// (`column_value(c)`; `Missing` = the row has none there), re-encode.
+    fn assemble(
+        &self,
+        residual: &[u8],
+        mut column_value: impl FnMut(usize) -> Result<Value, StorageError>,
+    ) -> Result<Vec<u8>, StorageError> {
+        let mut value = tc_vector::decode(residual, None, None)
+            .map_err(|e| StorageError::corruption("column block", e.to_string()))?;
+        for (c, spec) in self.columns.iter().enumerate() {
+            match column_value(c)? {
+                Value::Missing => {}
+                v => insert_at_path(&mut value, &spec.path, v),
+            }
+        }
+        Ok(tc_vector::encode(&value, Some(&self.declared)))
+    }
+
     /// Group `g`'s residual and column blocks as stored, for a writer whose
     /// output has the typed columns `columns` — or `None` when copying a row
-    /// out of them is not provably the same as re-shredding it: a format-1
-    /// group has no offset tables to find a row by; with different columns
-    /// the residuals would differ; and which rows of a column with
-    /// `spilled > 0` hold a spilled value (the output group's own spill
-    /// count) is written nowhere but in the residual records.
+    /// out of them is not provably the same as re-shredding it: with
+    /// different columns the residuals would differ; and which rows of a
+    /// column with `spilled > 0` hold a spilled value (the output group's own
+    /// spill count) is written nowhere but in the residual records.
     pub(crate) fn open_raw_group(
         &self,
         store: &PageStore,
@@ -438,10 +446,7 @@ impl ChunkReader {
         columns: &[ColumnSpec],
     ) -> Result<Option<RawGroup>, StorageError> {
         let gm = self.groups.get(g).ok_or_else(|| corrupt("row reference", g))?;
-        if self.format < FORMAT_V2
-            || self.columns != columns
-            || gm.cols.iter().any(|c| c.spilled > 0)
-        {
+        if self.columns != columns || gm.cols.iter().any(|c| c.spilled > 0) {
             return Ok(None);
         }
         let read = |run: PageRun| {
@@ -661,39 +666,20 @@ impl ColumnarChunk for ChunkReader {
         if residuals.len() != keys.len() {
             return Err(corrupt("group", g));
         }
-        // Decode every record row's residual, then graft the typed columns
-        // back in. Anti-matter rows carry no payload.
-        let mut values: Vec<Option<Value>> = Vec::with_capacity(keys.len());
-        for ((_, kind), bytes) in keys.iter().zip(&residuals) {
-            if *kind == EntryKind::AntiMatter {
-                values.push(None);
-            } else {
-                let v = tc_vector::decode(bytes, None, None)
-                    .map_err(|e| StorageError::corruption("column block", e.to_string()))?;
-                values.push(Some(v));
-            }
+        let mut cols = Vec::with_capacity(self.columns.len());
+        for c in 0..self.columns.len() {
+            cols.push(self.read_column(store, cache, g, c)?);
         }
-        for (c, spec) in self.columns.iter().enumerate() {
-            let col = self.read_column(store, cache, g, c)?;
-            for (i, slot) in values.iter_mut().enumerate() {
-                let Some(v) = slot else { continue };
-                match col.def[i] {
-                    DEF_PRESENT | DEF_NULL => insert_at_path(v, &spec.path, col.value_at(i)),
-                    _ => {}
-                }
-            }
+        let mut rows = Vec::with_capacity(keys.len());
+        for (i, ((key, kind), residual)) in keys.into_iter().zip(&residuals).enumerate() {
+            // Anti-matter rows carry no payload.
+            let payload = match kind {
+                EntryKind::AntiMatter => Vec::new(),
+                EntryKind::Record => self.assemble(residual, |c| Ok(cols[c].value_at(i)))?,
+            };
+            rows.push((key, kind, payload));
         }
-        Ok(keys
-            .into_iter()
-            .zip(values)
-            .map(|((key, kind), v)| {
-                let payload = match v {
-                    Some(v) => tc_vector::encode(&v, Some(&self.declared)),
-                    None => Vec::new(),
-                };
-                (key, kind, payload)
-            })
-            .collect())
+        Ok(rows)
     }
 
     fn get_row(
@@ -704,34 +690,15 @@ impl ColumnarChunk for ChunkReader {
         key: &[u8],
     ) -> Result<Option<(EntryKind, Vec<u8>)>, StorageError> {
         self.counters.point_lookups.fetch_add(1, Ordering::Relaxed);
-        if self.format < FORMAT_V2 {
-            // v1 blocks have no offset tables, so no row can be addressed
-            // without walking the ones before it: reconstruct the group. No
-            // writer produces v1 any more; a merge rewrites it as v2.
-            let mut rows = self.read_group_rows(store, cache, g)?;
-            return Ok(rows
-                .binary_search_by(|(k, _, _)| k.as_slice().cmp(key))
-                .ok()
-                .map(|i| rows.swap_remove(i))
-                .map(|(_, kind, payload)| (kind, payload)));
-        }
         let Some((i, kind)) = self.find_key(store, cache, g, key)? else {
             return Ok(None);
         };
         if kind == EntryKind::AntiMatter {
             return Ok(Some((kind, Vec::new())));
         }
-        // The same decode → graft → encode as `read_group_rows`, for one row.
         let residual = self.residual_row(store, cache, g, i)?;
-        let mut value = tc_vector::decode(&residual, None, None)
-            .map_err(|e| StorageError::corruption("column block", e.to_string()))?;
-        for (c, spec) in self.columns.iter().enumerate() {
-            match self.column_value(store, cache, g, c, i)? {
-                Value::Missing => {}
-                v => insert_at_path(&mut value, &spec.path, v),
-            }
-        }
-        Ok(Some((kind, tc_vector::encode(&value, Some(&self.declared)))))
+        let payload = self.assemble(&residual, |c| self.column_value(store, cache, g, c, i))?;
+        Ok(Some((kind, payload)))
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -771,16 +738,16 @@ fn read_run(buf: &[u8], pos: &mut usize) -> Option<PageRun> {
     Some(PageRun { start, bytes: u32::try_from(bytes).ok()? })
 }
 
-/// Serialize the column index of a [`FORMAT_V2`] component.
+/// Serialize the column index of a component.
 ///
-/// v1 blobs carry no version: the column count, a canonical varint, follows
-/// the magic. Later versions put `[0x80 | version, 0x00]` there — an
-/// over-long varint no canonical writer emits — so a reader can always tell
-/// which of the two it holds.
+/// `[0x80 | FORMAT_VERSION, 0x00]` follows the magic. The very first blobs
+/// had the column count there, a canonical varint; the version is spelled as
+/// an over-long one no canonical writer emits, so such a blob can never be
+/// taken for a versioned one (it is refused).
 pub fn serialize_index(columns: &[ColumnSpec], groups: &[GroupMeta]) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(INDEX_MAGIC);
-    out.extend_from_slice(&[0x80 | FORMAT_V2, 0x00]);
+    out.extend_from_slice(&[0x80 | FORMAT_VERSION, 0x00]);
     varint::write_u64(&mut out, columns.len() as u64);
     for c in columns {
         varint::write_u64(&mut out, c.path.len() as u64);
@@ -817,19 +784,14 @@ pub fn serialize_index(columns: &[ColumnSpec], groups: &[GroupMeta]) -> Vec<u8> 
     out
 }
 
-/// Parse a serialized column index of either format: the block format it
-/// declares, the columns, and the row groups.
-pub fn deserialize_index(buf: &[u8]) -> Option<(u8, Vec<ColumnSpec>, Vec<GroupMeta>)> {
-    if buf.get(..4)? != INDEX_MAGIC {
+/// Parse a serialized column index: the columns and the row groups. `None`
+/// for anything but a well-formed blob of [`FORMAT_VERSION`] — the reader
+/// would misread the blocks of any other.
+pub fn deserialize_index(buf: &[u8]) -> Option<(Vec<ColumnSpec>, Vec<GroupMeta>)> {
+    if buf.get(..4)? != INDEX_MAGIC || *buf.get(4..6)? != [0x80 | FORMAT_VERSION, 0x00] {
         return None;
     }
-    let (format, mut pos) = match *buf.get(4..6)? {
-        [tagged, 0x00] if tagged & 0x80 != 0 => (tagged & 0x7f, 6usize),
-        _ => (FORMAT_V1, 4usize),
-    };
-    if !(FORMAT_V1..=FORMAT_V2).contains(&format) {
-        return None;
-    }
+    let mut pos = 6usize;
     let read_u64 = |buf: &[u8], pos: &mut usize| -> Option<u64> {
         let (v, n) = varint::read_u64(buf.get(*pos..)?)?;
         *pos += n;
@@ -881,5 +843,5 @@ pub fn deserialize_index(buf: &[u8]) -> Option<(u8, Vec<ColumnSpec>, Vec<GroupMe
         }
         groups.push(GroupMeta { first_key, rows, keys, residual, cols });
     }
-    Some((format, columns, groups))
+    Some((columns, groups))
 }

@@ -45,11 +45,11 @@
 //!                                           row i's value is found by rank over def)
 //! ```
 //!
-//! The offset tables are block format 2. The index blob says which format a
-//! component has: `TCAX`, then `[0x80 | version, 0x00]`, then the columns
-//! and groups. Format 1 components (no tables; the blob goes from `TCAX`
-//! straight to the column count) still read, point lookups on them by
-//! reconstructing the group.
+//! That is the one block format. The index blob names it: `TCAX`, then
+//! `[0x80 | version, 0x00]` ([`chunk::FORMAT_VERSION`]), then the columns and
+//! groups. The version byte is there for the day the blocks change shape: a
+//! reader must refuse a component whose blocks it would misread, and
+//! [`chunk::deserialize_index`] returns `None` for any version but its own.
 //!
 //! All pages go through the component's own [`PageStore`], so PR 8's CRC
 //! footers, fault injection, and disk accounting apply to column pages
@@ -59,8 +59,10 @@
 //!
 //! One streaming writer ([`AmaxWriter`]) builds every component: rows go in
 //! one at a time, a full row group is written out at once, and nothing but
-//! the open group stays in memory. A flush hands it records — decode, detach
-//! the typed values, re-encode what is left as the residual. A merge hands it
+//! the open group stays in memory. It is opened from the component's schema
+//! blob, which every build has before its first row. A flush or bulk load
+//! hands it records — decode, detach the typed values, re-encode what is
+//! left as the residual. A merge hands it
 //! *row references* into its columnar inputs, and the writer copies: it keeps
 //! one source group per input open as raw blocks, finds row `i`'s
 //! fixed-width values by a running rank over the definition bytes and its
@@ -71,11 +73,11 @@
 //! re-shredding the reconstructed record would write.
 //!
 //! The copy is refused, one source group at a time, whenever that last claim
-//! cannot be proven: a format-1 group (no offset tables), a source whose
-//! column specs differ from the output's (the residuals would hold different
-//! fields), a group with a spilled value in any column (which rows spilled
-//! is recorded only inside their residual records, and the output needs its
-//! own count), or a chunk that is not a [`ChunkReader`]. Those rows are
+//! cannot be proven: a source whose column specs differ from the output's
+//! (the residuals would hold different fields), a group with a spilled value
+//! in any column (which rows spilled is recorded only inside their residual
+//! records, and the output needs its own count), or a chunk that is not a
+//! [`ChunkReader`]. Those rows are
 //! pivoted — `get_row`, then the flush path — and counted in
 //! [`ColumnarCounters::rows_reconstructed`]; copied rows count in
 //! [`ColumnarCounters::rows_column_merged`], so "did this merge pivot?" is a
@@ -138,9 +140,8 @@ impl ColumnarCounters {
     /// whole-record paths) and merges into a row-format component
     /// (migration), for the groups that own a winner. A merge into a
     /// columnar component adds to it only through the writer's fallback —
-    /// one per row it could not copy column-wise (and, for a format-1 input,
-    /// the group `get_row` has to reconstruct to find that row). A point
-    /// lookup adds none, nor does a batched scan of typed or residual paths.
+    /// one per row it could not copy column-wise. A point lookup adds none,
+    /// nor does a batched scan of typed or residual paths.
     pub fn rows_reconstructed(&self) -> u64 {
         self.rows_reconstructed.load(Ordering::Relaxed)
     }

@@ -13,9 +13,7 @@ use tc_storage::error::{IoOp, StorageError};
 use tc_storage::page_store::{PageStore, PageWriter};
 use tc_util::varint;
 
-use crate::chunk::{
-    ChunkReader, ColumnChunkMeta, ColumnSpec, GroupMeta, PageRun, RawGroup, FORMAT_V2,
-};
+use crate::chunk::{ChunkReader, ColumnChunkMeta, ColumnSpec, GroupMeta, PageRun, RawGroup};
 use crate::{ColumnStats, ColumnarCounters, DEFAULT_GROUP_ROWS, DEF_ABSENT, DEF_NULL, DEF_PRESENT};
 
 /// Shreds flushed/merged entries into the AMAX column-page layout. One
@@ -148,7 +146,7 @@ impl VarRows {
     }
 }
 
-/// Append a block's offset table (format 2's block header) to `block`.
+/// Append a block's offset table (its header) to `block`.
 fn write_offset_table(block: &mut Vec<u8>, ends: &[u32]) {
     for end in ends {
         block.extend_from_slice(&end.to_le_bytes());
@@ -456,20 +454,6 @@ impl AmaxWriter {
         }
         Ok(true)
     }
-
-    /// Write the last group and the index blob.
-    fn finish_chunk(mut self, store: &PageStore) -> Result<ChunkReader, StorageError> {
-        if self.open.rows > 0 {
-            self.write_group(store)?;
-        }
-        // Persist the column index after the last group — the component's
-        // disk footprint includes its interior structure, like the row
-        // layout's block index.
-        let blob = crate::chunk::serialize_index(&self.columns, &self.groups);
-        write_block(store, &blob, &mut self.pages)?;
-        self.counters.pages_written.fetch_add(self.pages, Ordering::Relaxed);
-        Ok(ChunkReader::new(self.declared, self.counters, FORMAT_V2, self.columns, self.groups))
-    }
 }
 
 impl ColumnarWriter for AmaxWriter {
@@ -525,27 +509,27 @@ impl ColumnarWriter for AmaxWriter {
         self.push(store, key, kind, &payload)
     }
 
-    fn finish(self: Box<Self>, store: &PageStore) -> Result<Box<dyn ColumnarChunk>, StorageError> {
-        Ok(Box::new(self.finish_chunk(store)?))
+    fn finish(
+        mut self: Box<Self>,
+        store: &PageStore,
+    ) -> Result<Box<dyn ColumnarChunk>, StorageError> {
+        if self.open.rows > 0 {
+            self.write_group(store)?;
+        }
+        // Persist the column index after the last group — the component's
+        // disk footprint includes its interior structure, like the row
+        // layout's block index.
+        let blob = crate::chunk::serialize_index(&self.columns, &self.groups);
+        write_block(store, &blob, &mut self.pages)?;
+        self.counters.pages_written.fetch_add(self.pages, Ordering::Relaxed);
+        let AmaxWriter { declared, counters, columns, groups, .. } = *self;
+        Ok(Box::new(ChunkReader::new(declared, counters, columns, groups)))
     }
 }
 
 impl ColumnarCodec for AmaxCodec {
-    fn build_chunk(
-        &self,
-        store: &PageStore,
-        entries: &[(Key, EntryKind, Vec<u8>)],
-        schema_blob: Option<&[u8]>,
-    ) -> Result<Box<dyn ColumnarChunk>, StorageError> {
-        let mut writer = self.open_writer(schema_blob);
-        for (key, kind, payload) in entries {
-            writer.push(store, key, *kind, payload)?;
-        }
-        Ok(Box::new(writer.finish_chunk(store)?))
-    }
-
-    fn writer(&self, schema_blob: Option<&[u8]>) -> Option<Box<dyn ColumnarWriter>> {
-        Some(Box::new(self.open_writer(schema_blob)))
+    fn writer(&self, schema_blob: Option<&[u8]>) -> Box<dyn ColumnarWriter> {
+        Box::new(self.open_writer(schema_blob))
     }
 }
 
@@ -558,7 +542,7 @@ mod tests {
     use tc_storage::buffer_cache::BufferCache;
     use tc_storage::device::{Device, DeviceProfile};
 
-    use crate::chunk::{deserialize_index, serialize_index};
+    use crate::chunk::{deserialize_index, serialize_index, FORMAT_VERSION};
     use crate::ColumnValues;
 
     fn declared_pk() -> ObjectType {
@@ -761,11 +745,19 @@ mod tests {
             ],
         }];
         let blob = serialize_index(&columns, &groups);
-        let (format, c2, g2) = deserialize_index(&blob).unwrap();
-        assert_eq!(format, FORMAT_V2);
+        let (c2, g2) = deserialize_index(&blob).unwrap();
         assert_eq!(c2, columns);
         assert_eq!(g2, groups);
         assert!(deserialize_index(&blob[..blob.len() - 1]).is_none());
         assert!(deserialize_index(b"nope").is_none());
+        // The version byte names the block layout: one this reader does not
+        // know is refused, and so is the unversioned shape of the first
+        // blobs (the column count straight after the magic).
+        assert_eq!(blob[4..6], [0x80 | FORMAT_VERSION, 0x00]);
+        let mut unknown = blob.clone();
+        unknown[4] = 0x80 | (FORMAT_VERSION + 1);
+        assert!(deserialize_index(&unknown).is_none());
+        let unversioned = [&blob[..4], &blob[6..]].concat();
+        assert!(deserialize_index(&unversioned).is_none());
     }
 }

@@ -9,7 +9,7 @@ mod common;
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use tc_adm::{parse, Value};
+use tc_adm::Value;
 use tc_columnar::chunk::ChunkReader;
 use tc_columnar::{AmaxCodec, ColumnStats};
 use tc_lsm::columnar::{ColumnarChunk, ColumnarCodec, ColumnarWriter, RowSource};
@@ -19,7 +19,7 @@ use tc_storage::buffer_cache::BufferCache;
 use tc_storage::error::StorageError;
 use tc_storage::page_store::PageStore;
 
-use common::{arb_row, declared_pk, key, load_v1, new_store, object, row_record, Row, V1_ROWS};
+use common::{arb_row, declared_pk, key, new_store, object, row_record, Row};
 
 /// Where a key sits in a source: `(group, row)` for a record, `None` for
 /// anti-matter.
@@ -105,8 +105,8 @@ fn merge_both_ways(
     includes_oldest: bool,
     cache: &BufferCache,
 ) -> (Merged, Merged) {
-    let mut by_reference: Box<dyn ColumnarWriter> = codec.writer(Some(blob)).unwrap();
-    let mut by_pivot: Box<dyn ColumnarWriter> = codec.writer(Some(blob)).unwrap();
+    let mut by_reference: Box<dyn ColumnarWriter> = codec.writer(Some(blob));
+    let mut by_pivot: Box<dyn ColumnarWriter> = codec.writer(Some(blob));
     let (ref_store, pivot_store) = (new_store(page_size), new_store(page_size));
     for (k, rank, at) in winners(sources, includes_oldest) {
         let source = &sources[rank];
@@ -293,38 +293,6 @@ fn schema_stable_sources_are_copied_and_stats_recomputed() {
     assert_eq!(got.len(), 11);
     assert_eq!(got[&key(3)], Some(sample(3)));
     assert_eq!(got[&key(4)], Some(sample(104)));
-}
-
-#[test]
-fn format_1_sources_take_the_counted_pivot() {
-    let (store, v1) = load_v1();
-    let records: Vec<Option<Value>> =
-        V1_ROWS.iter().map(|t| t.map(|t| parse(t).unwrap())).collect();
-    // The fixture's schema never saw row 3; the output's is the same, so only
-    // the block format stands between group 0 and the copy.
-    let seen: Vec<Value> = records
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| *i != 3)
-        .filter_map(|(_, r)| r.clone())
-        .collect();
-    let blob = schema_of(&seen);
-    let rows = (0..5u64).map(|i| {
-        let at = records[i as usize].as_ref().map(|_| ((i / 3) as u32, (i % 3) as u32));
-        (key(i), at)
-    });
-    let columns = v1.columns().to_vec();
-    let source = Source { chunk: Box::new(v1), store, rows: rows.collect() };
-    let cache = BufferCache::new(256);
-    let (merged, out) = merge_checked(&blob, &[source], &cache);
-    assert_eq!(merged.reader().columns(), columns);
-    assert_eq!(out.counters().rows_column_merged(), 0);
-    assert_eq!(out.counters().rows_reconstructed(), 4, "one per record the writer pivoted");
-    let expected: BTreeMap<Key, Option<Value>> = (0..5u64)
-        .filter(|i| records[*i as usize].is_some())
-        .map(|i| (key(i), records[i as usize].clone()))
-        .collect();
-    assert_eq!(contents(&merged, &cache), expected);
 }
 
 #[test]

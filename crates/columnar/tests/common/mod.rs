@@ -1,5 +1,5 @@
 //! Helpers the `tc_columnar` integration tests share: the declared type,
-//! stores, the random-document strategy, and the format-1 fixture.
+//! stores, and the random-document strategy.
 #![allow(dead_code)] // each test binary uses its own subset
 
 use std::sync::Arc;
@@ -7,8 +7,6 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use tc_adm::datatype::{FieldDef, ObjectType, TypeKind};
 use tc_adm::{TypeTag, Value};
-use tc_columnar::chunk::{deserialize_index, ChunkReader, FORMAT_V1};
-use tc_columnar::ColumnarCounters;
 use tc_compress::CompressionScheme;
 use tc_lsm::entry::Key;
 use tc_storage::device::{Device, DeviceProfile};
@@ -71,35 +69,4 @@ pub fn row_record(k: u64, row: &Row) -> Value {
     let (_, a, b, c, (x, y)) = row.clone();
     let nested = (x.is_some() || y.is_some()).then(|| object(vec![("x", x), ("y", y)]));
     object(vec![("id", Some(Value::Int64(k as i64))), ("a", a), ("b", b), ("c", c), ("o", nested)])
-}
-
-/// The five rows of `fixtures/v1_*.bin` (`None` = anti-matter), written by
-/// the format-1 writer (the commit before the offset tables) with 128-byte
-/// pages, three rows per group and a schema that never saw row 3 — so its
-/// string `age` spilled past the int column.
-pub const V1_ROWS: [Option<&str>; 5] = [
-    Some(
-        r#"{"id": 0, "name": "kim", "age": 26, "addr": {"zip": 90210, "ok": true}, "tags": [1, 2]}"#,
-    ),
-    None,
-    Some(r#"{"id": 2, "name": null, "age": 31, "score": 7.5}"#),
-    Some(
-        r#"{"id": 3, "name": "a name long enough that this string column block spills over one 128-byte page of the fixture store, so the run has several pages", "age": "old"}"#,
-    ),
-    Some(r#"{"id": 4, "addr": {"zip": 10001}}"#),
-];
-
-/// The format-1 fixture component: its pages in a fresh store, and a reader
-/// over its index blob.
-pub fn load_v1() -> (PageStore, ChunkReader) {
-    let store = new_store(128);
-    for page in include_bytes!("../fixtures/v1_pages.bin").chunks(128) {
-        store.write_page(page).unwrap();
-    }
-    let (format, columns, groups) =
-        deserialize_index(include_bytes!("../fixtures/v1_index.bin")).expect("v1 blob parses");
-    assert_eq!(format, FORMAT_V1);
-    assert_eq!(groups.len(), 2);
-    let counters = Arc::new(ColumnarCounters::default());
-    (store, ChunkReader::new(declared_pk(), counters, format, columns, groups))
 }

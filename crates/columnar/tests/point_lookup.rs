@@ -1,7 +1,6 @@
 //! Row-addressable point reads: `get_row` must agree with the group
-//! reconstruction it replaces, on the current block format and on
-//! components written before the offset tables existed, and must answer a
-//! damaged offset table with a typed error.
+//! reconstruction it replaces, and must answer a damaged offset table with a
+//! typed error.
 
 mod common;
 
@@ -9,15 +8,15 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use tc_adm::{parse, Value};
-use tc_columnar::chunk::{ChunkReader, GroupMeta, FORMAT_V2};
-use tc_columnar::{AmaxCodec, ColumnValues, ColumnarCounters};
+use tc_columnar::chunk::{ChunkReader, GroupMeta};
+use tc_columnar::{AmaxCodec, ColumnarCounters};
 use tc_lsm::columnar::{ColumnarChunk, ColumnarCodec};
 use tc_lsm::entry::EntryKind;
 use tc_schema::Schema;
 use tc_storage::buffer_cache::BufferCache;
 use tc_storage::page_store::PageStore;
 
-use common::{arb_row, declared_pk, key, load_v1, new_store, row_record, V1_ROWS};
+use common::{arb_row, declared_pk, key, new_store, row_record};
 
 /// The group a lookup of `k` is routed to: the last one whose first key is
 /// ≤ `k` (group 0 for keys below every group).
@@ -82,45 +81,6 @@ proptest! {
     }
 }
 
-#[test]
-fn v1_components_still_read() {
-    let (store, reader) = load_v1();
-    let declared = declared_pk();
-    let cache = BufferCache::new(64);
-
-    // Scan: every row comes back as written.
-    let mut rows = Vec::new();
-    for g in 0..reader.num_groups() {
-        rows.extend(reader.read_group_rows(&store, &cache, g).unwrap());
-    }
-    assert_eq!(rows.len(), V1_ROWS.len());
-    for (i, ((k, kind, payload), text)) in rows.iter().zip(V1_ROWS).enumerate() {
-        assert_eq!(*k, key(i as u64));
-        match text {
-            None => assert_eq!((*kind, payload.is_empty()), (EntryKind::AntiMatter, true)),
-            Some(text) => {
-                assert_eq!(*kind, EntryKind::Record);
-                let back = tc_vector::decode(payload, Some(&declared), None).unwrap();
-                assert_eq!(back, parse(text).unwrap(), "row {i}");
-            }
-        }
-    }
-    // Point lookups: the same rows, and nothing for an absent key.
-    for (k, kind, payload) in &rows {
-        let g = group_for(&reader, k);
-        assert_eq!(reader.get_row(&store, &cache, g, k).unwrap(), Some((*kind, payload.clone())));
-    }
-    assert_eq!(reader.get_row(&store, &cache, 1, &key(9)).unwrap(), None);
-    // Typed access: the multi-page string column of group 1 (rows 3, 4).
-    let name = reader.find_column(&["name".into()]).unwrap();
-    let ColumnValues::Str(names) = reader.read_column(&store, &cache, 1, name).unwrap().values
-    else {
-        panic!("name is a string column")
-    };
-    assert!(names[0].starts_with("a name long enough"));
-    assert_eq!(names[1], "");
-}
-
 /// A copy of `store` whose page `page` has `bytes` written over its start.
 fn store_with_damage(store: &PageStore, page: u64, bytes: &[u8]) -> PageStore {
     let copy = new_store(store.page_size());
@@ -154,7 +114,7 @@ fn damaged_offset_tables_are_typed_corruption() {
 
     let reopen = |groups: Vec<GroupMeta>| {
         let counters = Arc::new(ColumnarCounters::default());
-        ChunkReader::new(declared.clone(), counters, FORMAT_V2, reader.columns().to_vec(), groups)
+        ChunkReader::new(declared.clone(), counters, reader.columns().to_vec(), groups)
     };
     let assert_corrupt = |r: Result<Option<(EntryKind, Vec<u8>)>, _>| {
         let err: tc_storage::error::StorageError = r.unwrap_err();

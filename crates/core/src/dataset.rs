@@ -42,7 +42,7 @@ use std::sync::Arc;
 use tc_adm::{AdmError, Value};
 use tc_columnar::{AmaxCodec, ColumnarCounters};
 use tc_lsm::component::DiskComponent;
-use tc_lsm::entry::{encode_i64_key, Key};
+use tc_lsm::entry::{decode_i64_key, encode_i64_key, Key};
 use tc_lsm::iter::MergedScan;
 use tc_lsm::secondary::{PrimaryKeyIndex, SecondaryIndex};
 use tc_lsm::{ColumnarCodec, ComponentHook, LsmOptions, LsmTree, NoopHook};
@@ -424,6 +424,15 @@ impl Dataset {
             keyed.push((key, bytes, self.secondary_key_of(&record)));
         }
         keyed.sort_by(|a, b| a.0.cmp(&b.0));
+        // A load holds one version per key. Refused here, before any tree or
+        // the schema has seen a record: the index trees below are loaded and
+        // flushed ahead of the primary, which would only find out last.
+        if let Some(pair) = keyed.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+            return Err(AdmError::type_check(format!(
+                "bulk load holds primary key {} more than once",
+                decode_i64_key(&pair[0].0).expect("keys are encoded i64s")
+            )));
+        }
         let n = keyed.len() as u64;
         if let Some(sec_idx) = self.secondary.as_ref() {
             for (key, _, sec) in &keyed {
@@ -1255,6 +1264,51 @@ mod tests {
         assert_eq!(ds.get(123).unwrap().unwrap(), employee(123));
         let s = ds.schema_snapshot().unwrap();
         assert!(s.lookup_field(s.root(), "name").is_some());
+    }
+
+    #[test]
+    fn failed_bulk_load_leaves_schema_and_trees_untouched() {
+        let ds = make(
+            DatasetConfig::new("Employee", "id")
+                .with_format(StorageFormat::Inferred)
+                .with_primary_key_index(true)
+                .with_secondary_index("age")
+                .with_merge_policy(tc_lsm::MergePolicy::NoMerge),
+        );
+        let nodes = || ds.schema_snapshot().unwrap().num_live_nodes();
+        let components = || {
+            (
+                ds.primary().components().len(),
+                ds.pk_index.as_ref().unwrap().tree().components().len(),
+                ds.secondary.as_ref().unwrap().tree().components().len(),
+            )
+        };
+        assert_eq!((nodes(), components()), (1, (0, 0, 0)));
+
+        // The tree's own load: the hook has inferred both records' schema by
+        // the time the builder refuses the second key, and is rolled back.
+        let row =
+            |i| (encode_i64_key(i), tc_vector::encode(&employee(i), Some(&ds.config.datatype)));
+        let err = ds.primary().bulk_load([row(1), row(1)]).unwrap_err();
+        assert!(err.to_string().contains("strictly ascending"), "got {err}");
+        assert_eq!((nodes(), components()), (1, (0, 0, 0)));
+
+        // The dataset's load refuses a repeated key before anything is fed.
+        let mut records: Vec<Value> = (0..10).map(employee).collect();
+        records.push(employee(3));
+        let err = ds.writer().bulk_load(records.clone()).unwrap_err();
+        assert!(matches!(err, AdmError::TypeCheck(_)), "got {err}");
+        assert!(err.to_string().contains("primary key 3 more than once"), "got {err}");
+        assert_eq!((nodes(), components()), (1, (0, 0, 0)));
+        assert_eq!(ds.secondary_range(0, 100).unwrap(), vec![]);
+
+        // Nothing is left in the way of the corrected load.
+        records.pop();
+        assert_eq!(ds.writer().bulk_load(records).unwrap(), 10);
+        assert_eq!(components(), (1, 1, 1));
+        assert_eq!(ds.scan_values().unwrap().len(), 10);
+        assert_eq!(ds.secondary_range(20, 30).unwrap().len(), 10);
+        assert!(nodes() > 1);
     }
 
     #[test]

@@ -11,26 +11,26 @@
 //!
 //! The write side is a **streaming writer** ([`ColumnarWriter`]): entries go
 //! in one at a time, a row group is written out as soon as it is full, and
-//! the writer never holds more than one group. A codec hands one out once the
-//! component's schema blob is known ([`ColumnarCodec::writer`]):
+//! the writer never holds more than one group. A component's column set *is*
+//! its schema, so the codec opens the writer from the component's metadata
+//! blob ([`ColumnarCodec::writer`]) — and every build has that blob before
+//! its first entry:
 //!
-//! * a **merge** knows it up front — the hook's `merge_metadata` is computed
-//!   from the inputs' blobs before the scan starts — so the component builder
-//!   opens the writer first and streams. Winners that live in columnar inputs
-//!   arrive as row *references* ([`ColumnarWriter::push_row`]); a codec that
-//!   can prove it safe copies the row's column values from the source's pages
-//!   into the output's, and the row is never assembled into a record;
-//! * a **flush** only learns it from `flush_metadata()` after the hook has
-//!   seen the last record, so the builder buffers the memtable's entries and
-//!   runs them through [`ColumnarCodec::build_chunk`] at `finish` — for a
-//!   streaming codec a plain loop over the same writer.
+//! * a **flush** or **bulk load** runs the hook over all its entries first
+//!   (the frozen memtable is in hand whole), takes `flush_metadata()`, and
+//!   only then opens the builder and pushes the transformed entries;
+//! * a **merge** computes `merge_metadata` from its inputs' blobs before the
+//!   scan starts. Winners that live in columnar inputs arrive as row
+//!   *references* ([`ColumnarWriter::push_row`]); a codec that can prove it
+//!   safe copies the row's column values from the source's pages into the
+//!   output's, and the row is never assembled into a record.
 //!
 //! Contract mirroring the row layout:
 //! * The writer puts every column page (and any index blob) through the
 //!   component's own `PageStore`, so `disk_bytes` and write-amplification
 //!   accounting stay honest and PR 8's per-page CRC footers apply unchanged.
-//!   Streaming or buffered, pushed as bytes or as row references, the same
-//!   entries produce the same pages.
+//!   Pushed as bytes or as row references, the same entries produce the
+//!   same pages.
 //! * Entries arrive strictly ascending by key; groups preserve that order,
 //!   so `group_first_key` supports the same binary-search positioning as row
 //!   blocks.
@@ -53,24 +53,26 @@ use crate::entry::{EntryKind, Key};
 
 /// Builds the columnar body of one disk component during flush/merge.
 pub trait ColumnarCodec: Send + Sync + std::fmt::Debug {
+    /// Open the streaming writer of one component. `schema_blob` is that
+    /// component's metadata (the tuple compactor's serialized schema) — it
+    /// decides which leaf paths get typed columns.
+    fn writer(&self, schema_blob: Option<&[u8]>) -> Box<dyn ColumnarWriter>;
+
     /// Shred `entries` (strictly ascending by key) into column pages written
-    /// through `store`, returning the in-memory chunk handle. `schema_blob`
-    /// is the component's metadata (the tuple compactor's serialized schema)
-    /// when available — it decides which leaf paths get typed columns. A
-    /// codec with a [`ColumnarCodec::writer`] implements this as a loop of
-    /// `push` over it.
+    /// through `store`, returning the in-memory chunk handle: a loop of
+    /// `push` over [`ColumnarCodec::writer`], for callers that hold a whole
+    /// batch (benchmarks, test oracles).
     fn build_chunk(
         &self,
         store: &PageStore,
         entries: &[(Key, EntryKind, Vec<u8>)],
         schema_blob: Option<&[u8]>,
-    ) -> Result<Box<dyn ColumnarChunk>, StorageError>;
-
-    /// Open a streaming writer for a component whose `schema_blob` is
-    /// already known. `None` (the default) means the codec cannot stream:
-    /// the builder then buffers every entry for `build_chunk`.
-    fn writer(&self, _schema_blob: Option<&[u8]>) -> Option<Box<dyn ColumnarWriter>> {
-        None
+    ) -> Result<Box<dyn ColumnarChunk>, StorageError> {
+        let mut writer = self.writer(schema_blob);
+        for (key, kind, payload) in entries {
+            writer.push(store, key, *kind, payload)?;
+        }
+        writer.finish(store)
     }
 }
 

@@ -506,22 +506,16 @@ fn no_such_row(component: &DiskComponent, group: u32, row: u32) -> StorageError 
     )
 }
 
-/// How a columnar component's entries reach the codec.
-enum ColumnarBuild {
-    /// The schema blob is not known yet (a flush learns it after the last
-    /// record), or the codec cannot stream: entries wait here for
-    /// `build_chunk` at `finish`.
-    Buffered(Arc<dyn ColumnarCodec>, Vec<Entry>),
-    /// The blob was known up front (a merge): entries go straight into the
-    /// codec's writer, which holds one row group at a time.
-    Streaming(Box<dyn ColumnarWriter>),
-}
-
 /// Builds a component from entries supplied in ascending key order — used
 /// by flush, merge, and bulk load (the paper's §4.3 bulk-load builds a
-/// single component bottom-up exactly like this).
+/// single component bottom-up exactly like this). The component's metadata
+/// blob is given at construction: every caller has it before its first
+/// entry, and a columnar body needs it to know its columns. Either layout
+/// streams — a row block or a row group is written as soon as it is full.
 pub struct ComponentBuilder {
     store: PageStore,
+    /// Hook metadata blob the finished component will carry.
+    metadata: Option<Vec<u8>>,
     buf: Vec<u8>,
     index: Vec<BlockRef>,
     pending_first_key: Option<Key>,
@@ -533,9 +527,9 @@ pub struct ComponentBuilder {
     /// for the whole build.
     last_key: Key,
     page_size: usize,
-    /// Set in columnar mode: entries go to the codec instead of being packed
-    /// into row blocks.
-    columnar: Option<ColumnarBuild>,
+    /// Set in columnar mode: entries go to the codec's writer instead of
+    /// being packed into row blocks.
+    columnar: Option<Box<dyn ColumnarWriter>>,
 }
 
 impl ComponentBuilder {
@@ -545,9 +539,11 @@ impl ComponentBuilder {
         scheme: CompressionScheme,
         expected_keys: usize,
         bloom_bits_per_key: usize,
+        metadata: Option<Vec<u8>>,
     ) -> Self {
         ComponentBuilder {
             store: PageStore::new(device, page_size, scheme),
+            metadata,
             buf: Vec::with_capacity(page_size),
             index: Vec::new(),
             pending_first_key: None,
@@ -568,37 +564,17 @@ impl ComponentBuilder {
         self
     }
 
-    /// Build this component in the columnar (AMAX) layout. Entries are
-    /// buffered and handed to `codec.build_chunk` at `finish`, when the
-    /// metadata blob that decides the column set arrives — unless
-    /// [`ComponentBuilder::with_known_metadata`] opens the codec's streaming
-    /// writer first.
-    pub fn with_columnar(mut self, codec: Arc<dyn ColumnarCodec>) -> Self {
-        self.columnar = Some(ColumnarBuild::Buffered(codec, Vec::new()));
+    /// Build this component in the columnar (AMAX) layout: entries go to
+    /// `codec`'s writer, opened here for the builder's metadata blob.
+    pub fn with_columnar(mut self, codec: &dyn ColumnarCodec) -> Self {
+        self.columnar = Some(codec.writer(self.metadata.as_deref()));
         self
     }
 
-    /// The metadata blob `finish` will be given is already known (a merge
-    /// computes it from its inputs before it scans them): a columnar build
-    /// whose codec can stream opens the writer now and holds one row group
-    /// at a time instead of the whole component. No effect on a row-format
-    /// build or a codec without a writer. Call before the first `push`, and
-    /// pass `finish` this same blob.
-    pub fn with_known_metadata(mut self, metadata: Option<&[u8]>) -> Self {
-        if let Some(ColumnarBuild::Buffered(codec, rows)) = &self.columnar {
-            debug_assert!(rows.is_empty(), "the writer opens before the first entry");
-            if let Some(writer) = codec.writer(metadata) {
-                self.columnar = Some(ColumnarBuild::Streaming(writer));
-            }
-        }
-        self
-    }
-
-    /// Does [`ComponentBuilder::push_row`] hand row references to a streaming
-    /// columnar writer? When not, it pivots each row on its own — a caller
-    /// with many of them does better materializing through its scan.
-    pub fn streams_rows(&self) -> bool {
-        matches!(self.columnar, Some(ColumnarBuild::Streaming(_)))
+    /// Is the body under construction columnar — does
+    /// [`ComponentBuilder::push_row`] take row references?
+    pub fn is_columnar(&self) -> bool {
+        self.columnar.is_some()
     }
 
     /// The bookkeeping every entry gets, however its payload arrives: keys
@@ -640,15 +616,8 @@ impl ComponentBuilder {
 
     /// Route an admitted entry's payload to the body under construction.
     fn append(&mut self, key: &[u8], kind: EntryKind, payload: &[u8]) -> Result<(), StorageError> {
-        match &mut self.columnar {
-            Some(ColumnarBuild::Buffered(_, rows)) => {
-                rows.push((key.to_vec(), kind, payload.to_vec()));
-                return Ok(());
-            }
-            Some(ColumnarBuild::Streaming(writer)) => {
-                return writer.push(&self.store, key, kind, payload);
-            }
-            None => {}
+        if let Some(writer) = &mut self.columnar {
+            return writer.push(&self.store, key, kind, payload);
         }
         if self.pending_first_key.is_none() {
             self.pending_first_key = Some(key.to_vec());
@@ -661,11 +630,11 @@ impl ComponentBuilder {
     }
 
     /// Append the record a scan of `source` referred to as row `row` of row
-    /// group `group` (a `Payload::Row`), stored there under `key`. A
-    /// streaming columnar writer takes the reference as it is and may copy
-    /// the row column by column; any other build pivots it through the
-    /// source's `get_row`. Errors reading the source come back untouched —
-    /// whether to quarantine it is the caller's call. Otherwise as `push`.
+    /// group `group` (a `Payload::Row`), stored there under `key`. Only a
+    /// columnar build takes references ([`ComponentBuilder::is_columnar`]):
+    /// its writer may copy the row column by column. Errors reading the
+    /// source come back untouched — whether to quarantine it is the caller's
+    /// call. Otherwise as `push`.
     pub fn push_row(
         &mut self,
         key: &[u8],
@@ -674,19 +643,17 @@ impl ComponentBuilder {
         group: u32,
         row: u32,
     ) -> Result<(), StorageError> {
-        let no_row = || no_such_row(source, group, row);
-        let (chunk, store) = source.columnar_view().ok_or_else(no_row)?;
+        let (chunk, store) =
+            source.columnar_view().ok_or_else(|| no_such_row(source, group, row))?;
         self.admit(key, EntryKind::Record)?;
-        if let Some(ColumnarBuild::Streaming(writer)) = &mut self.columnar {
-            return writer.push_row(
-                &self.store,
-                key,
-                RowSource { chunk, store, cache, group, row },
-            );
-        }
-        match chunk.get_row(store, cache, group as usize, key)? {
-            Some((EntryKind::Record, payload)) => self.append(key, EntryKind::Record, &payload),
-            _ => Err(no_row()),
+        match &mut self.columnar {
+            Some(writer) => {
+                writer.push_row(&self.store, key, RowSource { chunk, store, cache, group, row })
+            }
+            None => Err(StorageError::corruption(
+                "component build",
+                "a row-format build takes no row references",
+            )),
         }
     }
 
@@ -712,19 +679,11 @@ impl ComponentBuilder {
 
     /// Finish the component. `valid=false` simulates a crash between data
     /// write and validity-bit set (recovery must discard the component).
-    pub fn finish(
-        mut self,
-        id: ComponentId,
-        metadata: Option<Vec<u8>>,
-        valid: bool,
-    ) -> Result<DiskComponent, StorageError> {
-        // Either way the codec has written every column page (and its index
-        // blob) through this component's store when it hands back the chunk.
+    pub fn finish(mut self, id: ComponentId, valid: bool) -> Result<DiskComponent, StorageError> {
+        // The writer has put every column page (and its index blob) through
+        // this component's store when it hands back the chunk.
         let body = match self.columnar.take() {
-            Some(ColumnarBuild::Buffered(codec, rows)) => {
-                Body::Columnar(codec.build_chunk(&self.store, &rows, metadata.as_deref())?)
-            }
-            Some(ColumnarBuild::Streaming(writer)) => Body::Columnar(writer.finish(&self.store)?),
+            Some(writer) => Body::Columnar(writer.finish(&self.store)?),
             None => {
                 self.flush_block()?;
                 Body::Rows(std::mem::take(&mut self.index))
@@ -747,6 +706,7 @@ impl ComponentBuilder {
         let bloom_bytes = self.bloom.serialize();
         varint::write_u64(&mut tail, bloom_bytes.len() as u64);
         tail.extend_from_slice(&bloom_bytes);
+        let metadata = self.metadata;
         match &metadata {
             None => {
                 varint::write_u64(&mut tail, 0);
@@ -787,14 +747,20 @@ mod tests {
 
     fn build(n: u64, page_size: usize) -> (Arc<DiskComponent>, Arc<BufferCache>) {
         let device = Arc::new(Device::new(DeviceProfile::RAM));
-        let mut b =
-            ComponentBuilder::new(device, page_size, CompressionScheme::None, n as usize, 10);
+        let mut b = ComponentBuilder::new(
+            device,
+            page_size,
+            CompressionScheme::None,
+            n as usize,
+            10,
+            Some(b"schema".to_vec()),
+        );
         for i in 0..n {
             let key = (i * 2).to_be_bytes(); // even keys only
             let payload = format!("value-{i}");
             b.push(&key, EntryKind::Record, payload.as_bytes()).unwrap();
         }
-        let c = b.finish(ComponentId::flushed(0), Some(b"schema".to_vec()), true).unwrap();
+        let c = b.finish(ComponentId::flushed(0), true).unwrap();
         (Arc::new(c), Arc::new(BufferCache::new(128)))
     }
 
@@ -850,11 +816,11 @@ mod tests {
     #[test]
     fn oversized_entries_span_pages() {
         let device = Arc::new(Device::new(DeviceProfile::RAM));
-        let mut b = ComponentBuilder::new(device, 64, CompressionScheme::None, 4, 10);
+        let mut b = ComponentBuilder::new(device, 64, CompressionScheme::None, 4, 10, None);
         let big = vec![7u8; 500];
         b.push(b"a", EntryKind::Record, &big).unwrap();
         b.push(b"b", EntryKind::Record, b"small").unwrap();
-        let c = b.finish(ComponentId::flushed(1), None, true).unwrap();
+        let c = b.finish(ComponentId::flushed(1), true).unwrap();
         let cache = BufferCache::new(64);
         assert_eq!(c.get(&cache, b"a").unwrap().unwrap().1, big);
         assert_eq!(c.get(&cache, b"b").unwrap().unwrap().1, b"small".to_vec());
@@ -863,10 +829,10 @@ mod tests {
     #[test]
     fn antimatter_entries_roundtrip() {
         let device = Arc::new(Device::new(DeviceProfile::RAM));
-        let mut b = ComponentBuilder::new(device, 128, CompressionScheme::None, 2, 10);
+        let mut b = ComponentBuilder::new(device, 128, CompressionScheme::None, 2, 10, None);
         b.push(b"dead", EntryKind::AntiMatter, &[]).unwrap();
         b.push(b"live", EntryKind::Record, b"x").unwrap();
-        let c = b.finish(ComponentId::flushed(2), None, true).unwrap();
+        let c = b.finish(ComponentId::flushed(2), true).unwrap();
         let cache = BufferCache::new(8);
         assert_eq!(c.get(&cache, b"dead").unwrap().unwrap().0, EntryKind::AntiMatter);
         assert_eq!(c.num_antimatter(), 1);
@@ -876,9 +842,9 @@ mod tests {
     #[test]
     fn validity_bit_lifecycle() {
         let device = Arc::new(Device::new(DeviceProfile::RAM));
-        let mut b = ComponentBuilder::new(device, 128, CompressionScheme::None, 1, 10);
+        let mut b = ComponentBuilder::new(device, 128, CompressionScheme::None, 1, 10, None);
         b.push(b"k", EntryKind::Record, b"v").unwrap();
-        let c = b.finish(ComponentId::flushed(3), None, false).unwrap();
+        let c = b.finish(ComponentId::flushed(3), false).unwrap();
         assert!(!c.is_valid(), "INVALID until the operation completes");
         c.set_valid();
         assert!(c.is_valid());
@@ -887,7 +853,7 @@ mod tests {
     #[test]
     fn out_of_order_push_is_a_typed_error() {
         let device = Arc::new(Device::new(DeviceProfile::RAM));
-        let mut b = ComponentBuilder::new(device, 128, CompressionScheme::None, 2, 10);
+        let mut b = ComponentBuilder::new(device, 128, CompressionScheme::None, 2, 10, None);
         b.push(b"b", EntryKind::Record, b"").unwrap();
         for key in [&b"a"[..], b"b"] {
             let err = b.push(key, EntryKind::Record, b"").unwrap_err();
@@ -905,11 +871,12 @@ mod tests {
         // error, and quarantine the component — never decode garbage.
         let device = Arc::new(Device::new(DeviceProfile::RAM));
         device.set_fault_plan(FaultPlan::new(7).flip_bit_in_nth_write(1));
-        let mut b = ComponentBuilder::new(Arc::clone(&device), 64, CompressionScheme::None, 32, 10);
+        let mut b =
+            ComponentBuilder::new(Arc::clone(&device), 64, CompressionScheme::None, 32, 10, None);
         for i in 0..32u64 {
             b.push(&i.to_be_bytes(), EntryKind::Record, b"payload").unwrap();
         }
-        let c = Arc::new(b.finish(ComponentId::flushed(0), None, true).unwrap());
+        let c = Arc::new(b.finish(ComponentId::flushed(0), true).unwrap());
         device.clear_fault_plan();
         assert!(!c.is_quarantined());
         let cache = BufferCache::new(16);
@@ -926,11 +893,12 @@ mod tests {
         // Flip a bit in a LATER data page: the scan yields the first
         // block's entries, then surfaces the corruption and ends.
         device.set_fault_plan(FaultPlan::new(9).flip_bit_in_nth_write(4));
-        let mut b = ComponentBuilder::new(Arc::clone(&device), 64, CompressionScheme::None, 64, 10);
+        let mut b =
+            ComponentBuilder::new(Arc::clone(&device), 64, CompressionScheme::None, 64, 10, None);
         for i in 0..64u64 {
             b.push(&i.to_be_bytes(), EntryKind::Record, b"payload").unwrap();
         }
-        let c = Arc::new(b.finish(ComponentId::flushed(0), None, true).unwrap());
+        let c = Arc::new(b.finish(ComponentId::flushed(0), true).unwrap());
         device.clear_fault_plan();
         let cache = Arc::new(BufferCache::new(16));
         let mut scan = c.scan(&cache, None);

@@ -32,9 +32,10 @@ pub trait ComponentHook: Send + Sync {
     /// disk as a bare key (§3.2.2).
     fn on_flush_antimatter(&self, _attachment: Option<&[u8]>) {}
 
-    /// Called once per flush after all entries are processed; the returned
-    /// blob is persisted in the new component's metadata page (the schema
-    /// snapshot, §3.1).
+    /// Called once per flush after all entries are processed and before the
+    /// new component's first page is written (a columnar component takes its
+    /// column set from it); the returned blob is persisted in the component's
+    /// metadata page (the schema snapshot, §3.1).
     fn flush_metadata(&self) -> Option<Vec<u8>> {
         None
     }

@@ -373,14 +373,16 @@ mod tests {
     use std::sync::Arc;
     use tc_compress::CompressionScheme;
     use tc_storage::device::{Device, DeviceProfile};
+    use tc_storage::page_store::PageStore;
 
     fn component(seq: u64, entries: &[(u64, EntryKind, &str)]) -> Arc<DiskComponent> {
         let device = Arc::new(Device::new(DeviceProfile::RAM));
-        let mut b = ComponentBuilder::new(device, 256, CompressionScheme::None, entries.len(), 10);
+        let mut b =
+            ComponentBuilder::new(device, 256, CompressionScheme::None, entries.len(), 10, None);
         for (k, kind, v) in entries {
             b.push(&k.to_be_bytes(), *kind, v.as_bytes()).unwrap();
         }
-        Arc::new(b.finish(ComponentId::flushed(seq), None, true).unwrap())
+        Arc::new(b.finish(ComponentId::flushed(seq), true).unwrap())
     }
 
     fn collect(scan: &mut MergedScan) -> Vec<(u64, EntryKind, String)> {
@@ -544,11 +546,12 @@ mod tests {
         let healthy = component(1, &[(1000, Record, "ok1"), (1001, Record, "ok2")]);
         let device = Arc::new(Device::new(DeviceProfile::RAM));
         device.set_fault_plan(FaultPlan::new(21).flip_bit_in_nth_write(4));
-        let mut b = ComponentBuilder::new(Arc::clone(&device), 64, CompressionScheme::None, 64, 10);
+        let mut b =
+            ComponentBuilder::new(Arc::clone(&device), 64, CompressionScheme::None, 64, 10, None);
         for i in 0..64u64 {
             b.push(&i.to_be_bytes(), Record, b"payload").unwrap();
         }
-        let rotten = Arc::new(b.finish(ComponentId::flushed(0), None, true).unwrap());
+        let rotten = Arc::new(b.finish(ComponentId::flushed(0), true).unwrap());
         device.clear_fault_plan();
         let comps = vec![rotten.clone(), healthy];
         let cache = Arc::new(BufferCache::new(32));
@@ -633,25 +636,94 @@ mod tests {
         }
     }
 
-    /// Cuts a component's entries into groups of three.
-    #[derive(Debug)]
+    /// What the hook and the codec of one tree saw, in order.
+    type EventLog = Arc<std::sync::Mutex<Vec<String>>>;
+
+    fn text(bytes: &[u8]) -> std::borrow::Cow<'_, str> {
+        String::from_utf8_lossy(bytes)
+    }
+
+    /// Hands out writers that cut a component's entries into groups of three.
+    #[derive(Debug, Default)]
     struct CountingCodec {
         reconstructions: Arc<[AtomicUsize; 4]>,
         rotten_rows: bool,
+        log: EventLog,
     }
 
     impl crate::columnar::ColumnarCodec for CountingCodec {
-        fn build_chunk(
-            &self,
-            _: &tc_storage::page_store::PageStore,
-            entries: &[crate::component::Entry],
-            _: Option<&[u8]>,
+        fn writer(&self, schema_blob: Option<&[u8]>) -> Box<dyn crate::columnar::ColumnarWriter> {
+            self.log.lock().unwrap().push(format!("writer:{}", text(schema_blob.unwrap_or(b"-"))));
+            Box::new(CountingWriter {
+                chunk: CountingChunk {
+                    groups: Vec::new(),
+                    reconstructions: Arc::clone(&self.reconstructions),
+                    rotten_rows: self.rotten_rows,
+                },
+                log: Arc::clone(&self.log),
+            })
+        }
+    }
+
+    /// Keeps the rows in memory (they are what the chunk serves) and writes
+    /// each full group's payloads to the store as one block, so a build has
+    /// pages to fault on and bytes to count.
+    #[derive(Debug)]
+    struct CountingWriter {
+        chunk: CountingChunk,
+        log: EventLog,
+    }
+
+    impl CountingWriter {
+        fn write_last_group(&self, store: &PageStore) -> Result<(), StorageError> {
+            let Some(group) = self.chunk.groups.last() else { return Ok(()) };
+            let mut w = tc_storage::page_store::PageWriter::new(store);
+            for (key, _, payload) in group {
+                w.append(key)?;
+                w.append(payload)?;
+            }
+            w.finish().map(|_| ())
+        }
+    }
+
+    impl crate::columnar::ColumnarWriter for CountingWriter {
+        fn push(
+            &mut self,
+            store: &PageStore,
+            key: &[u8],
+            kind: EntryKind,
+            payload: &[u8],
+        ) -> Result<(), StorageError> {
+            let pages = store.num_pages();
+            self.log.lock().unwrap().push(format!("push:{}@{pages}", text(key)));
+            if self.chunk.groups.last().is_none_or(|g| g.len() == 3) {
+                self.write_last_group(store)?;
+                self.chunk.groups.push(Vec::new());
+            }
+            let group = self.chunk.groups.last_mut().expect("just opened");
+            group.push((key.to_vec(), kind, payload.to_vec()));
+            Ok(())
+        }
+
+        fn push_row(
+            &mut self,
+            store: &PageStore,
+            key: &[u8],
+            source: crate::columnar::RowSource<'_>,
+        ) -> Result<(), StorageError> {
+            let row =
+                source.chunk.get_row(source.store, source.cache, source.group as usize, key)?;
+            let (kind, payload) = row.expect("the scan found the key in this group");
+            self.push(store, key, kind, &payload)
+        }
+
+        fn finish(
+            self: Box<Self>,
+            store: &PageStore,
         ) -> Result<Box<dyn crate::columnar::ColumnarChunk>, StorageError> {
-            Ok(Box::new(CountingChunk {
-                groups: entries.chunks(3).map(<[_]>::to_vec).collect(),
-                reconstructions: Arc::clone(&self.reconstructions),
-                rotten_rows: self.rotten_rows,
-            }))
+            self.write_last_group(store)?;
+            self.log.lock().unwrap().push("finish".into());
+            Ok(Box::new(self.chunk))
         }
     }
 
@@ -660,15 +732,15 @@ mod tests {
         entries: &[(u64, EntryKind, &str)],
         rotten_rows: bool,
     ) -> (Arc<DiskComponent>, Arc<[AtomicUsize; 4]>) {
-        let counts: Arc<[AtomicUsize; 4]> = Arc::default();
-        let codec = CountingCodec { reconstructions: Arc::clone(&counts), rotten_rows };
+        let codec = CountingCodec { rotten_rows, ..Default::default() };
         let device = Arc::new(Device::new(DeviceProfile::RAM));
-        let mut b = ComponentBuilder::new(device, 256, CompressionScheme::None, entries.len(), 10)
-            .with_columnar(Arc::new(codec));
+        let mut b =
+            ComponentBuilder::new(device, 256, CompressionScheme::None, entries.len(), 10, None)
+                .with_columnar(&codec);
         for (k, kind, v) in entries {
             b.push(&k.to_be_bytes(), *kind, v.as_bytes()).unwrap();
         }
-        (Arc::new(b.finish(ComponentId::flushed(seq), None, true).unwrap()), counts)
+        (Arc::new(b.finish(ComponentId::flushed(seq), true).unwrap()), codec.reconstructions)
     }
 
     #[test]
@@ -739,87 +811,156 @@ mod tests {
         assert_eq!(tries, 1, "later rows fail without another read");
     }
 
-    #[test]
-    fn push_row_pivots_when_the_builder_does_not_stream() {
-        use EntryKind::*;
-        // A row-format output (migration away from columnar) given row
-        // references: each is answered by the source's `get_row`.
-        let (source, _) = columnar_component(
-            0,
-            &[(1, Record, "a"), (2, AntiMatter, ""), (3, Record, "c")],
-            false,
-        );
-        let cache = Arc::new(BufferCache::new(16));
-        let device = Arc::new(Device::new(DeviceProfile::RAM));
-        let mut b = ComponentBuilder::new(device, 256, CompressionScheme::None, 2, 10);
-        assert!(!b.streams_rows());
-        b.push_row(&1u64.to_be_bytes(), &source, &cache, 0, 0).unwrap();
-        b.push_row(&3u64.to_be_bytes(), &source, &cache, 0, 2).unwrap();
-        // Out of order, and a reference to a row that is no record.
-        assert!(b
-            .push_row(&1u64.to_be_bytes(), &source, &cache, 0, 0)
-            .unwrap_err()
-            .is_corruption());
-        assert!(b
-            .push_row(&9u64.to_be_bytes(), &source, &cache, 0, 1)
-            .unwrap_err()
-            .is_corruption());
-        let mut b = ComponentBuilder::new(
-            Arc::new(Device::new(DeviceProfile::RAM)),
-            256,
-            CompressionScheme::None,
-            2,
-            10,
-        );
-        b.push_row(&1u64.to_be_bytes(), &source, &cache, 0, 0).unwrap();
-        b.push_row(&3u64.to_be_bytes(), &source, &cache, 0, 2).unwrap();
-        let out = b.finish(ComponentId::flushed(1), None, true).unwrap();
-        assert_eq!(out.num_entries(), 2);
-        assert_eq!(out.max_key(), Some(&3u64.to_be_bytes()[..]));
-        assert_eq!(out.get(&cache, &3u64.to_be_bytes()).unwrap(), Some((Record, b"c".to_vec())));
+    /// Records every hook call in the shared log; each flush's metadata blob
+    /// is distinct (`schema-1`, `schema-2`, …).
+    struct RecordingHook {
+        log: EventLog,
+        blobs: AtomicUsize,
     }
 
-    #[test]
-    fn a_codec_without_a_writer_still_merges_by_materializing() {
-        use crate::hook::NoopHook;
+    impl crate::hook::ComponentHook for RecordingHook {
+        fn begin_flush(&self) {
+            self.log.lock().unwrap().push("begin".into());
+        }
+
+        fn abort_flush(&self) {
+            self.log.lock().unwrap().push("abort".into());
+        }
+
+        fn on_flush_record(&self, payload: &[u8]) -> Vec<u8> {
+            self.log.lock().unwrap().push(format!("record:{}", text(payload)));
+            payload.to_ascii_uppercase()
+        }
+
+        fn on_flush_antimatter(&self, attachment: Option<&[u8]>) {
+            self.log.lock().unwrap().push(format!("anti:{}", text(attachment.unwrap_or(b"-"))));
+        }
+
+        fn flush_metadata(&self) -> Option<Vec<u8>> {
+            let n = self.blobs.fetch_add(1, AtomicOrdering::Relaxed) + 1;
+            self.log.lock().unwrap().push("metadata".into());
+            Some(format!("schema-{n}").into_bytes())
+        }
+    }
+
+    /// A columnar tree over the mock codec and the recording hook, holding
+    /// one flushed component (`a`) and a memtable of a replaced record (its
+    /// displaced anti-schema pending), a fresh record and an anti-matter
+    /// entry with an attachment. The log is cleared of the first flush.
+    fn recorded_tree() -> (crate::tree::LsmTree, Arc<Device>, EventLog) {
         use crate::tree::{LsmOptions, LsmTree};
-        use crate::MergePolicy;
-        // The mock codec has no streaming writer: the merge buffers for
-        // `build_chunk` and pivots row references through the scan's group
-        // memo, one reconstruction per group that owns a winner.
-        let counts: Arc<[AtomicUsize; 4]> = Arc::default();
-        let codec = CountingCodec { reconstructions: Arc::clone(&counts), rotten_rows: false };
+        let log = EventLog::default();
+        let device = Arc::new(Device::new(DeviceProfile::RAM));
         let tree = LsmTree::new(
-            Arc::new(Device::new(DeviceProfile::RAM)),
+            Arc::clone(&device),
             Arc::new(BufferCache::new(64)),
-            Arc::new(NoopHook),
+            Arc::new(RecordingHook { log: Arc::clone(&log), blobs: AtomicUsize::new(0) }),
             LsmOptions {
-                merge_policy: MergePolicy::NoMerge,
-                columnar: Some(Arc::new(codec)),
+                page_size: 64,
+                merge_policy: crate::MergePolicy::NoMerge,
+                // The only device writes are the component's pages.
+                wal_enabled: false,
+                columnar: Some(Arc::new(CountingCodec {
+                    log: Arc::clone(&log),
+                    ..Default::default()
+                })),
                 ..Default::default()
             },
         );
         tree.set_columnar(true);
-        let k = |i: u64| i.to_be_bytes().to_vec();
-        for i in 0..7 {
-            tree.insert(k(i), b"old".to_vec()).unwrap();
-        }
+        tree.insert(b"a".to_vec(), b"old".to_vec()).unwrap();
         tree.flush().unwrap();
-        tree.replace(k(3), b"new".to_vec(), None).unwrap();
-        tree.delete(k(4), None).unwrap();
-        tree.flush().unwrap();
-        tree.force_full_merge().unwrap();
+        tree.replace(b"a".to_vec(), b"new".to_vec(), Some(b"anti-a".to_vec())).unwrap();
+        tree.insert(b"b".to_vec(), b"fresh".to_vec()).unwrap();
+        tree.delete(b"c".to_vec(), Some(b"anti-c".to_vec())).unwrap();
+        log.lock().unwrap().clear();
+        (tree, device, log)
+    }
 
-        let merged = tree.components();
-        assert_eq!(merged.len(), 1);
-        assert!(merged[0].is_columnar());
-        assert_eq!(merged[0].num_entries(), 6, "the full merge dropped the anti-matter");
-        // Three-row groups: the older input's {0,1,2}, {3,4,5}, {6} and the
-        // newer one's {3,4} each own a winner, so group 0 was rebuilt twice.
-        let rebuilt = counts.each_ref().map(|n| n.load(AtomicOrdering::Relaxed));
-        assert_eq!(rebuilt, [2, 1, 1, 0]);
-        assert_eq!(tree.get(&k(3)).unwrap(), Some(b"new".to_vec()));
-        assert_eq!(tree.get(&k(4)).unwrap(), None);
-        assert_eq!(tree.get(&k(6)).unwrap(), Some(b"old".to_vec()));
+    /// The second flush of [`recorded_tree`], as the log must read: the hook
+    /// over everything, then the writer with that flush's blob, then the
+    /// transformed entries into a store that holds no page yet.
+    const SECOND_FLUSH: [&str; 11] = [
+        "begin",
+        "anti:anti-a",
+        "record:new",
+        "record:fresh",
+        "anti:anti-c",
+        "metadata",
+        "writer:schema-2",
+        "push:a@0",
+        "push:b@0",
+        "push:c@0",
+        "finish",
+    ];
+
+    #[test]
+    fn a_flush_runs_the_hook_before_it_opens_the_writer() {
+        let (tree, device, log) = recorded_tree();
+        let written = device.write_ops();
+        tree.flush().unwrap();
+        assert_eq!(*log.lock().unwrap(), SECOND_FLUSH);
+        assert!(device.write_ops() > written);
+        let flushed = tree.components().pop().unwrap();
+        assert!(flushed.is_columnar());
+        assert_eq!(flushed.metadata(), Some(&b"schema-2"[..]));
+        assert_eq!(tree.get(b"a").unwrap(), Some(b"NEW".to_vec()));
+        assert_eq!(tree.get(b"b").unwrap(), Some(b"FRESH".to_vec()));
+        assert_eq!(tree.get(b"c").unwrap(), None);
+
+        // A bulk load takes the same route.
+        let log = EventLog::default();
+        let empty = crate::tree::LsmTree::new(
+            Arc::new(Device::new(DeviceProfile::RAM)),
+            Arc::new(BufferCache::new(64)),
+            Arc::new(RecordingHook { log: Arc::clone(&log), blobs: AtomicUsize::new(0) }),
+            crate::tree::LsmOptions::default(),
+        );
+        empty
+            .bulk_load([(b"x".to_vec(), b"one".to_vec()), (b"y".to_vec(), b"two".to_vec())])
+            .unwrap();
+        assert_eq!(*log.lock().unwrap(), ["begin", "record:one", "record:two", "metadata"]);
+        assert_eq!(empty.components()[0].metadata(), Some(&b"schema-1"[..]));
+        assert_eq!(empty.get(b"y").unwrap(), Some(b"TWO".to_vec()));
+    }
+
+    #[test]
+    fn a_fault_in_the_build_pass_aborts_once_and_the_flush_resumes() {
+        use tc_storage::error::IoOp;
+        use tc_storage::fault::{FaultKind, FaultPlan};
+        let (reference, _, _) = recorded_tree();
+        reference.flush().unwrap();
+        let expected_bytes = reference.components()[1].disk_bytes();
+
+        let (tree, device, log) = recorded_tree();
+        let installed = tree.components();
+        // The tail is the build's first page write: every hook call and
+        // every push (three rows, one open group) come before it.
+        device.set_fault_plan(FaultPlan::new(1).fail_nth(IoOp::Write, 1, FaultKind::Transient));
+        assert!(tree.flush().is_err());
+        device.clear_fault_plan();
+        {
+            let mut log = log.lock().unwrap();
+            assert_eq!(log[..10], SECOND_FLUSH[..10]);
+            assert_eq!(log[10..], ["abort"], "rolled back once, after the failed write");
+            log.clear();
+        }
+        assert_eq!(tree.stats().maintenance_errors, 1);
+        assert_eq!(tree.memtable_len(), 3, "the frozen memtable is kept");
+        assert!(tree.components().iter().zip(&installed).all(|(a, b)| Arc::ptr_eq(a, b)));
+        assert_eq!(tree.get(b"b").unwrap(), Some(b"fresh".to_vec()));
+
+        // The resumed flush re-runs the hook over the same frozen entries
+        // and displaced anti-schema, and builds the same component.
+        tree.flush().unwrap();
+        let resumed = log.lock().unwrap().clone();
+        assert_eq!(resumed[..6], SECOND_FLUSH[..6]);
+        assert_eq!(resumed[6], "writer:schema-3");
+        assert_eq!(resumed[7..], SECOND_FLUSH[7..]);
+        assert_eq!(tree.memtable_len(), 0);
+        assert_eq!(tree.components().len(), 2);
+        assert_eq!(tree.components()[1].disk_bytes(), expected_bytes);
+        assert_eq!(tree.components()[1].id(), reference.components()[1].id());
+        assert_eq!(tree.get(b"a").unwrap(), Some(b"NEW".to_vec()));
     }
 }

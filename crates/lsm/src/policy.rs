@@ -527,12 +527,12 @@ mod tests {
     /// `RunMeta`s).
     fn comp(seq: u64, kb: usize) -> Arc<DiskComponent> {
         let device = Arc::new(Device::new(DeviceProfile::RAM));
-        let mut b = ComponentBuilder::new(device, 1024, CompressionScheme::None, kb, 10);
+        let mut b = ComponentBuilder::new(device, 1024, CompressionScheme::None, kb, 10, None);
         for i in 0..kb {
             let key = ((seq << 32) + i as u64).to_be_bytes();
             b.push(&key, EntryKind::Record, &[0u8; 1024]).unwrap();
         }
-        Arc::new(b.finish(ComponentId::flushed(seq), None, true).unwrap())
+        Arc::new(b.finish(ComponentId::flushed(seq), true).unwrap())
     }
 
     /// `n` runs of `kb` kilobytes each.

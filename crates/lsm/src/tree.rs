@@ -395,22 +395,69 @@ impl LsmTree {
     }
 
     /// A component builder honoring the tree's page/compression/integrity
-    /// options and its current layout choice — every flush, merge, and
-    /// bulk-load builder must come from here.
-    fn new_builder(&self, expected_keys: usize) -> ComponentBuilder {
-        let mut b = ComponentBuilder::new(
+    /// options and its current layout choice, for a component that will
+    /// carry `metadata` — every flush, merge, and bulk-load builder must come
+    /// from here.
+    fn new_builder(&self, expected_keys: usize, metadata: Option<Vec<u8>>) -> ComponentBuilder {
+        let b = ComponentBuilder::new(
             Arc::clone(&self.device),
             self.opts.page_size,
             self.opts.compression,
             expected_keys,
             self.opts.bloom_bits_per_key,
+            metadata,
         )
         .with_integrity(self.opts.integrity);
         if self.columnar_enabled() {
             let codec = self.opts.columnar.as_ref().expect("set_columnar checked the codec");
-            b = b.with_columnar(Arc::clone(codec));
+            return b.with_columnar(codec.as_ref());
         }
         b
+    }
+
+    /// Build the component a flush or a bulk load installs (INVALID; the
+    /// caller decides whether it completes). Two passes over `entries`, which
+    /// arrive in key order: the hook sees every entry first — the displaced
+    /// anti-schemas (they still decrement the schema for their flushed old
+    /// versions), then each record and anti-matter attachment — so its
+    /// metadata blob is final before the builder opens, and a columnar body
+    /// knows its columns from the first row; then the transformed entries
+    /// are pushed. What is held between the passes is the transformed
+    /// payloads, at most one memtable's worth.
+    ///
+    /// `begin_flush` snapshots whatever `abort_flush` must restore: on a
+    /// storage fault the hook is rolled back, the half-written store is
+    /// dropped on the floor — it was never visible — and the error counted.
+    fn build_flushed<K: AsRef<[u8]>, E: std::borrow::Borrow<MemEntry>>(
+        &self,
+        id: ComponentId,
+        displaced_anti: &[Vec<u8>],
+        entries: impl Iterator<Item = (K, E)>,
+    ) -> Result<DiskComponent, StorageError> {
+        self.hook.begin_flush();
+        for att in displaced_anti {
+            self.hook.on_flush_antimatter(Some(att));
+        }
+        let mut transformed = Vec::with_capacity(entries.size_hint().0);
+        for (key, entry) in entries {
+            transformed.push(match entry.borrow() {
+                MemEntry::Record(payload) => {
+                    (key, EntryKind::Record, self.hook.on_flush_record(payload))
+                }
+                MemEntry::AntiMatter(att) => {
+                    self.hook.on_flush_antimatter(att.as_deref());
+                    (key, EntryKind::AntiMatter, Vec::new())
+                }
+            });
+        }
+        let mut builder = self.new_builder(transformed.len(), self.hook.flush_metadata());
+        let pushed = transformed
+            .iter()
+            .try_for_each(|(key, kind, payload)| builder.push(key.as_ref(), *kind, payload));
+        pushed.and_then(|()| builder.finish(id, false)).inspect_err(|_| {
+            self.hook.abort_flush();
+            self.stats.maintenance_errors.fetch_add(1, AtomicOrdering::Relaxed);
+        })
     }
 
     /// Apply an entry to the active memtable under an already-held state
@@ -692,46 +739,13 @@ impl LsmTree {
             }
         };
 
-        // Build — the slow part — with no state lock held. The hook's
-        // schema mutations synchronize on the compactor's own mutex;
-        // `begin_flush` snapshots whatever `abort_flush` must restore.
-        //
-        // Anti-schemas displaced by in-memory overwrites still decrement
-        // the schema for their flushed old versions.
-        self.hook.begin_flush();
-        let build = (|| {
-            for att in &anti {
-                self.hook.on_flush_antimatter(Some(att));
-            }
-            let mut builder = self.new_builder(frozen.len());
-            for (key, entry) in frozen.iter() {
-                match entry {
-                    MemEntry::Record(payload) => {
-                        let transformed = self.hook.on_flush_record(payload);
-                        builder.push(key, EntryKind::Record, &transformed)?;
-                    }
-                    MemEntry::AntiMatter(att) => {
-                        self.hook.on_flush_antimatter(att.as_deref());
-                        builder.push(key, EntryKind::AntiMatter, &[])?;
-                    }
-                }
-            }
-            let metadata = self.hook.flush_metadata();
-            builder.finish(ComponentId::flushed(seq), metadata, false)
-        })();
-        let component = match build {
-            Ok(c) => c,
-            Err(e) => {
-                // Abort cleanly: roll the hook back, keep the frozen
-                // memtable (and its WAL coverage) for a later resume, and
-                // drop the half-written store on the floor — it was never
-                // visible. The tree reads exactly as before this attempt.
-                self.hook.abort_flush();
-                self.state.write().frozen_resumable = true;
-                self.stats.maintenance_errors.fetch_add(1, AtomicOrdering::Relaxed);
-                return Err(e);
-            }
-        };
+        // Build — the slow part — with no state lock held (the hook's
+        // schema mutations synchronize on the compactor's own mutex). A
+        // clean abort keeps the frozen memtable (and its WAL coverage) for
+        // a later resume; the tree reads exactly as before this attempt.
+        let component = self
+            .build_flushed(ComponentId::flushed(seq), &anti, frozen.iter())
+            .inspect_err(|_| self.state.write().frozen_resumable = true)?;
         let count = frozen.len() as u64;
 
         if complete {
@@ -890,12 +904,11 @@ impl LsmTree {
     /// completes). Pure build: touches no tree state, so a fault here
     /// leaves nothing to clean up.
     ///
-    /// The metadata blob is known before the scan starts, so a columnar
-    /// output streams through the codec's writer one row group at a time, and
-    /// a winner that lives in a columnar input reaches it as a row reference
-    /// — copied column to column when the codec can, never assembled into a
-    /// record on the way. A row-format output materializes references
-    /// through the scan's group memo as before.
+    /// The metadata blob is computed from the inputs' before the scan
+    /// starts. A winner that lives in a columnar input reaches a columnar
+    /// output as a row reference — copied column to column when the codec
+    /// can, never assembled into a record on the way. A row-format output
+    /// materializes references through the scan's group memo.
     fn build_merged(
         &self,
         inputs: &[Arc<DiskComponent>],
@@ -905,7 +918,7 @@ impl LsmTree {
         let metadata = self.hook.merge_metadata(&blobs);
         let expected: usize = inputs.iter().map(|c| c.num_entries() as usize).sum();
 
-        let mut builder = self.new_builder(expected).with_known_metadata(metadata.as_deref());
+        let mut builder = self.new_builder(expected, metadata);
         let mut count = 0u64;
         {
             let mut scan = MergedScan::new(&[], inputs, &self.cache, None, None, true);
@@ -915,7 +928,7 @@ impl LsmTree {
                 }
                 match payload {
                     Payload::Bytes(bytes) => builder.push(&key, kind, &bytes)?,
-                    Payload::Row { group, row } if builder.streams_rows() => {
+                    Payload::Row { group, row } if builder.is_columnar() => {
                         let pushed = match scan.source_component(rank) {
                             Some(source) => builder.push_row(&key, source, &self.cache, group, row),
                             None => Err(StorageError::corruption(
@@ -944,7 +957,7 @@ impl LsmTree {
             }
         }
         let id = ComponentId::merged(inputs[0].id(), inputs[inputs.len() - 1].id());
-        let merged = builder.finish(id, metadata, false)?;
+        let merged = builder.finish(id, false)?;
         Ok((merged, count))
     }
 
@@ -1021,40 +1034,33 @@ impl LsmTree {
     /// Bulk-load a pre-sorted stream into a single component (paper §4.3:
     /// loading sorts records and builds one B+-tree bottom-up; the tuple
     /// compactor infers and compacts during the build). The tree must be
-    /// empty.
+    /// empty. A failed load leaves it empty, and the hook rolled back.
     pub fn bulk_load<I>(&self, sorted: I) -> Result<(), StorageError>
     where
         I: IntoIterator<Item = (Key, Vec<u8>)>,
     {
         let _flush = self.flush_lock.lock();
-        {
+        // Sequence numbers are only handed out under the flush lock, so the
+        // one read here is still the next one at install time.
+        let seq = {
             let st = self.state.read();
             assert!(
                 st.disk.is_empty() && st.mem.is_empty() && st.frozen.is_none(),
                 "bulk_load requires an empty tree"
             );
-        }
-        let mut builder = self.new_builder(1024);
-        let mut count = 0u64;
-        for (key, payload) in sorted {
-            let transformed = self.hook.on_flush_record(&payload);
-            builder.push(&key, EntryKind::Record, &transformed)?;
-            count += 1;
-        }
-        let metadata = self.hook.flush_metadata();
-        // Reserve the sequence under the lock; build the component (the
-        // slow device write) without it, so concurrent readers never block
-        // on the load.
-        let seq = {
-            let mut st = self.state.write();
-            let seq = st.next_seq;
-            st.next_seq += 1;
-            seq
+            st.next_seq
         };
-        let component = builder.finish(ComponentId::flushed(seq), metadata, false)?;
+        // Built without the state lock, so concurrent readers never block
+        // on the load.
+        let records = sorted.into_iter().map(|(key, payload)| (key, MemEntry::Record(payload)));
+        let component = self.build_flushed(ComponentId::flushed(seq), &[], records)?;
         component.set_valid();
-        let bytes = component.disk_bytes();
-        self.state.write().disk.push(Arc::new(component));
+        let (count, bytes) = (component.num_entries(), component.disk_bytes());
+        {
+            let mut st = self.state.write();
+            st.next_seq = seq + 1;
+            st.disk.push(Arc::new(component));
+        }
         self.stats.flushes.fetch_add(1, AtomicOrdering::Relaxed);
         self.stats.entries_flushed.fetch_add(count, AtomicOrdering::Relaxed);
         self.stats.bytes_flushed.fetch_add(bytes, AtomicOrdering::Relaxed);
