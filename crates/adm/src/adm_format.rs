@@ -1,7 +1,7 @@
 //! The baseline recursive physical record format ("ADM physical format").
 //!
 //! This models the storage format AsterixDB uses for both open and closed
-//! datasets (paper §2.2, [3]): every nested value carries a 4-byte offset
+//! datasets (paper §2.2, \[3\]): every nested value carries a 4-byte offset
 //! table so field/item access is constant-time per level, and *undeclared*
 //! fields additionally store their names (and type tags) inline, making open
 //! records self-describing. Declared fields store no names — their metadata

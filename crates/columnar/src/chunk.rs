@@ -1,11 +1,13 @@
-//! The readable columnar chunk: column index, block format, typed column
-//! decoding, lossless row-group reconstruction, single-row point reads, and
-//! the raw row-group view a merge copies rows out of.
+//! The readable columnar chunk: column index, block format, the one view of
+//! a stored row group ([`GroupView`]), lossless row-group reconstruction and
+//! single-row point reads.
 
+use std::any::Any;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use tc_adm::datatype::ObjectType;
+use tc_adm::path::{Path, PathStep};
 use tc_adm::{TypeTag, Value};
 use tc_lsm::columnar::ColumnarChunk;
 use tc_lsm::entry::{EntryKind, Key};
@@ -73,41 +75,6 @@ pub struct GroupMeta {
     pub cols: Vec<ColumnChunkMeta>,
 }
 
-/// A typed column decoded for one row group, row-aligned: `def[i]` says
-/// whether row `i` has a value, and the value arrays carry a filler at
-/// non-present rows so filter loops index directly without rank queries.
-#[derive(Debug, Clone)]
-pub struct DecodedColumn {
-    pub def: Vec<u8>,
-    pub values: ColumnValues,
-}
-
-/// Row-aligned value storage per column type — the typed buffers the
-/// zero-pivot filter loops run over.
-#[derive(Debug, Clone)]
-pub enum ColumnValues {
-    I64(Vec<i64>),
-    F64(Vec<f64>),
-    Bool(Vec<bool>),
-    Str(Vec<String>),
-}
-
-impl DecodedColumn {
-    /// Row `i` as a `Value`: `Missing` when absent, `Null` when null.
-    pub fn value_at(&self, i: usize) -> Value {
-        match self.def[i] {
-            DEF_PRESENT => match &self.values {
-                ColumnValues::I64(v) => Value::Int64(v[i]),
-                ColumnValues::F64(v) => Value::Double(v[i]),
-                ColumnValues::Bool(v) => Value::Boolean(v[i]),
-                ColumnValues::Str(v) => Value::String(v[i].clone()),
-            },
-            DEF_NULL => Value::Null,
-            _ => Value::Missing,
-        }
-    }
-}
-
 /// The in-memory handle to a columnar component body. Holds the column
 /// index; all row data stays on the component's page store until a scan
 /// faults the referenced blocks in.
@@ -154,6 +121,12 @@ impl ChunkReader {
         ChunkReader { declared, counters, columns, groups }
     }
 
+    /// `chunk` as the format-aware reader, if this crate's codec built it.
+    pub fn of(chunk: &dyn ColumnarChunk) -> Option<&ChunkReader> {
+        let chunk: &dyn Any = chunk;
+        chunk.downcast_ref()
+    }
+
     pub fn columns(&self) -> &[ColumnSpec] {
         &self.columns
     }
@@ -187,136 +160,27 @@ impl ChunkReader {
             + gm.cols.iter().map(|c| c.run.num_pages(page_size)).sum::<u64>()
     }
 
-    /// Bytes the per-row offset table takes at the head of group `g`'s
-    /// variable-width blocks.
-    fn table_len(&self, g: usize) -> usize {
-        self.groups[g].rows as usize * 4
-    }
-
-    /// The same for column `col`'s block: only string columns have a table.
-    fn column_table_len(&self, g: usize, col: usize) -> usize {
-        if self.columns[col].tag == TypeTag::String {
-            self.table_len(g)
-        } else {
-            0
-        }
-    }
-
-    /// The group's `(key, kind)` pairs, in key order.
-    pub fn read_keys(
-        &self,
-        store: &PageStore,
-        cache: &BufferCache,
+    /// Row group `g`'s residual and column blocks, none of them read yet.
+    pub fn view<'c>(
+        &'c self,
+        store: &'c PageStore,
+        cache: &'c BufferCache,
         g: usize,
-    ) -> Result<Vec<(Key, EntryKind)>, StorageError> {
-        let gm = &self.groups[g];
-        let body = Block { store, cache, g, run: gm.keys }.read_from(self.table_len(g))?;
-        let mut out = Vec::with_capacity(gm.rows as usize);
-        let mut pos = 0usize;
-        for _ in 0..gm.rows {
-            let (key, kind, n) =
-                read_key_entry(&body[pos..]).ok_or_else(|| corrupt("keys block", g))?;
-            out.push((key.to_vec(), kind));
-            pos += n;
-        }
-        Ok(out)
+    ) -> GroupView<'c> {
+        self.resume(store, cache, g, GroupBlocks::default())
     }
 
-    /// The group's residual rows (row-encoded leftovers; empty for
-    /// anti-matter rows).
-    pub fn read_residual(
-        &self,
-        store: &PageStore,
-        cache: &BufferCache,
+    /// The view of group `g` that `blocks` was taken from
+    /// ([`GroupView::into_blocks`]), with what it had faulted in.
+    pub(crate) fn resume<'c>(
+        &'c self,
+        store: &'c PageStore,
+        cache: &'c BufferCache,
         g: usize,
-    ) -> Result<Vec<Vec<u8>>, StorageError> {
-        self.counters.columns_faulted.fetch_add(1, Ordering::Relaxed);
-        let gm = &self.groups[g];
-        let block = Block { store, cache, g, run: gm.residual }.read_from(self.table_len(g))?;
-        let mut out = Vec::with_capacity(gm.rows as usize);
-        let mut pos = 0usize;
-        for _ in 0..gm.rows {
-            let (len, n) =
-                varint::read_u64(&block[pos..]).ok_or_else(|| corrupt("residual block", g))?;
-            pos += n;
-            let bytes = block
-                .get(pos..pos + len as usize)
-                .ok_or_else(|| corrupt("residual block", g))?
-                .to_vec();
-            pos += len as usize;
-            out.push(bytes);
-        }
-        Ok(out)
-    }
-
-    /// Fault in and decode one typed column for one group.
-    pub fn read_column(
-        &self,
-        store: &PageStore,
-        cache: &BufferCache,
-        g: usize,
-        col: usize,
-    ) -> Result<DecodedColumn, StorageError> {
-        self.counters.columns_faulted.fetch_add(1, Ordering::Relaxed);
-        let gm = &self.groups[g];
-        let rows = gm.rows as usize;
-        let table = self.column_table_len(g, col);
-        let block = Block { store, cache, g, run: gm.cols[col].run }.read_from(table)?;
-        let err = || corrupt("column block", g);
-        if block.len() < rows {
-            return Err(err());
-        }
-        let (def, mut body) = block.split_at(rows);
-        if def.iter().any(|&d| d > DEF_PRESENT) {
-            return Err(err());
-        }
-        let def = def.to_vec();
-        let values = match self.columns[col].tag {
-            TypeTag::Int64 => {
-                let mut vals = vec![0i64; rows];
-                for (i, v) in vals.iter_mut().enumerate() {
-                    if def[i] == DEF_PRESENT {
-                        *v = i64::from_le_bytes(le_array(body).ok_or_else(err)?);
-                        body = &body[8..];
-                    }
-                }
-                ColumnValues::I64(vals)
-            }
-            TypeTag::Double => {
-                let mut vals = vec![0f64; rows];
-                for (i, v) in vals.iter_mut().enumerate() {
-                    if def[i] == DEF_PRESENT {
-                        *v = f64::from_le_bytes(le_array(body).ok_or_else(err)?);
-                        body = &body[8..];
-                    }
-                }
-                ColumnValues::F64(vals)
-            }
-            TypeTag::Boolean => {
-                let mut vals = vec![false; rows];
-                for (i, v) in vals.iter_mut().enumerate() {
-                    if def[i] == DEF_PRESENT {
-                        *v = *body.first().ok_or_else(err)? != 0;
-                        body = &body[1..];
-                    }
-                }
-                ColumnValues::Bool(vals)
-            }
-            TypeTag::String => {
-                let mut vals = vec![String::new(); rows];
-                for (i, v) in vals.iter_mut().enumerate() {
-                    if def[i] == DEF_PRESENT {
-                        let (len, n) = varint::read_u64(body).ok_or_else(err)?;
-                        let bytes = body.get(n..n + len as usize).ok_or_else(err)?;
-                        *v = String::from_utf8(bytes.to_vec()).map_err(|_| err())?;
-                        body = &body[n + len as usize..];
-                    }
-                }
-                ColumnValues::Str(vals)
-            }
-            other => return Err(non_columnar_tag(other)),
-        };
-        Ok(DecodedColumn { def, values })
+        mut blocks: GroupBlocks,
+    ) -> GroupView<'c> {
+        blocks.cols.resize_with(self.columns.len(), || None);
+        GroupView { reader: self, store, cache, g, blocks }
     }
 
     /// Binary-search group `g`'s key column: the row id and kind of `key`.
@@ -329,13 +193,11 @@ impl ChunkReader {
     ) -> Result<Option<(usize, EntryKind)>, StorageError> {
         let gm = &self.groups[g];
         let err = || corrupt("keys block", g);
-        let block = Block { store, cache, g, run: gm.keys };
-        let table = self.table_len(g);
+        let block = Block { store, cache, run: gm.keys };
         let (mut lo, mut hi) = (0usize, gm.rows as usize);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            let (start, end) = block.row_span(mid)?;
-            let entry = block.read(table + start, end - start)?;
+            let entry = var_row(&block, g, gm.rows as usize * 4, mid)?;
             let (k, kind, n) = read_key_entry(&entry).ok_or_else(err)?;
             if n != entry.len() {
                 return Err(err());
@@ -349,80 +211,16 @@ impl ChunkReader {
         Ok(None)
     }
 
-    /// Row `i`'s residual record, read through the offset table.
-    fn residual_row(
-        &self,
-        store: &PageStore,
-        cache: &BufferCache,
-        g: usize,
-        i: usize,
-    ) -> Result<Vec<u8>, StorageError> {
-        let block = Block { store, cache, g, run: self.groups[g].residual };
-        let (start, end) = block.row_span(i)?;
-        let row = block.read(self.table_len(g) + start, end - start)?;
-        len_prefixed(&row).map(<[u8]>::to_vec).ok_or_else(|| corrupt("residual block", g))
-    }
-
-    /// Row `i` of typed column `col` — what [`DecodedColumn::value_at`]
-    /// gives after `read_column`, without decoding the other rows.
-    /// Fixed-width values are found by rank over the definition bytes,
-    /// strings through the block's offset table.
-    fn column_value(
-        &self,
-        store: &PageStore,
-        cache: &BufferCache,
-        g: usize,
-        col: usize,
-        i: usize,
-    ) -> Result<Value, StorageError> {
-        let rows = self.groups[g].rows as usize;
-        let block = Block { store, cache, g, run: self.groups[g].cols[col].run };
-        let err = || corrupt("column block", g);
-        let table = self.column_table_len(g, col);
-        // Definition bytes up to and including row `i`'s.
-        let def = block.read(table, i + 1)?;
-        if def.iter().any(|&d| d > DEF_PRESENT) {
-            return Err(err());
-        }
-        match def[i] {
-            DEF_PRESENT => {}
-            DEF_NULL => return Ok(Value::Null),
-            _ => return Ok(Value::Missing),
-        }
-        let values = table + rows;
-        let fixed = |width: usize| {
-            let rank = def[..i].iter().filter(|&&d| d == DEF_PRESENT).count();
-            block.read(values + rank * width, width)
-        };
-        Ok(match self.columns[col].tag {
-            TypeTag::Int64 => {
-                Value::Int64(i64::from_le_bytes(le_array(&fixed(8)?).ok_or_else(err)?))
-            }
-            TypeTag::Double => {
-                Value::Double(f64::from_le_bytes(le_array(&fixed(8)?).ok_or_else(err)?))
-            }
-            TypeTag::Boolean => Value::Boolean(fixed(1)?[0] != 0),
-            TypeTag::String => {
-                let (start, end) = block.row_span(i)?;
-                let raw = block.read(values + start, end - start)?;
-                let text = len_prefixed(&raw).ok_or_else(err)?;
-                Value::String(String::from_utf8(text.to_vec()).map_err(|_| err())?)
-            }
-            other => return Err(non_columnar_tag(other)),
-        })
-    }
-
     /// One record from its stored parts — what both the group read and the
-    /// point read end in, so the two agree byte for byte: decode the row's
-    /// residual, graft each typed column's value back in at its path
-    /// (`column_value(c)`; `Missing` = the row has none there), re-encode.
-    fn assemble(
+    /// point read end in, so the two agree byte for byte: onto the row's
+    /// decoded residual ([`residual_record`]) graft each typed column's
+    /// value at its path (`column_value(c)`; `Missing` = the row has none
+    /// there), re-encode.
+    fn record(
         &self,
-        residual: &[u8],
+        mut value: Value,
         mut column_value: impl FnMut(usize) -> Result<Value, StorageError>,
     ) -> Result<Vec<u8>, StorageError> {
-        let mut value = tc_vector::decode(residual, None, None)
-            .map_err(|e| StorageError::corruption("column block", e.to_string()))?;
         for (c, spec) in self.columns.iter().enumerate() {
             match column_value(c)? {
                 Value::Missing => {}
@@ -431,62 +229,65 @@ impl ChunkReader {
         }
         Ok(tc_vector::encode(&value, Some(&self.declared)))
     }
-
-    /// Group `g`'s residual and column blocks as stored, for a writer whose
-    /// output has the typed columns `columns` — or `None` when copying a row
-    /// out of them is not provably the same as re-shredding it: with
-    /// different columns the residuals would differ; and which rows of a
-    /// column with `spilled > 0` hold a spilled value (the output group's own
-    /// spill count) is written nowhere but in the residual records.
-    pub(crate) fn open_raw_group(
-        &self,
-        store: &PageStore,
-        cache: &BufferCache,
-        g: usize,
-        columns: &[ColumnSpec],
-    ) -> Result<Option<RawGroup>, StorageError> {
-        let gm = self.groups.get(g).ok_or_else(|| corrupt("row reference", g))?;
-        if self.columns != columns || gm.cols.iter().any(|c| c.spilled > 0) {
-            return Ok(None);
-        }
-        let read = |run: PageRun| {
-            self.counters.columns_faulted.fetch_add(1, Ordering::Relaxed);
-            Block { store, cache, g, run }.read_from(0)
-        };
-        let residual = read(gm.residual)?;
-        let mut cols = Vec::with_capacity(gm.cols.len());
-        for (spec, meta) in self.columns.iter().zip(&gm.cols) {
-            cols.push(RawColumn { tag: spec.tag, block: read(meta.run)?, row: 0, rank: 0 });
-        }
-        Ok(Some(RawGroup { g, rows: gm.rows as usize, residual, cols }))
-    }
 }
 
 fn corrupt(what: &'static str, g: usize) -> StorageError {
     StorageError::corruption("column block", format!("undecodable {what} in row group {g}"))
 }
 
-fn non_columnar_tag(tag: TypeTag) -> StorageError {
-    StorageError::corruption("column block", format!("column with non-columnar tag {tag}"))
+/// A row's residual record, decoded.
+fn residual_record(raw: &[u8]) -> Result<Value, StorageError> {
+    tc_vector::decode(raw, None, None)
+        .map_err(|e| StorageError::corruption("column block", e.to_string()))
 }
 
-/// One block of row group `g`, read by byte range: only the pages holding
-/// the bytes asked for are faulted in.
+// ---------------------------------------------------------------------
+// Row addressing: where a row's bytes lie in a block. Written once, over a
+// block read by byte range, so the view (whole blocks in memory) and the
+// point read (pages faulted in as they are touched) cannot disagree.
+// ---------------------------------------------------------------------
+
+/// A block's bytes by range. A point read pages them in ([`Block`]); a
+/// [`GroupView`] holds the block whole (`Vec<u8>`) and lends slices of it.
+trait BlockBytes {
+    type Range<'a>: std::ops::Deref<Target = [u8]>
+    where
+        Self: 'a;
+
+    /// Bytes `[offset, offset + len)` of the block (of row group `g`, for
+    /// the error). A range past its end means the index or an offset table
+    /// lied.
+    fn range(&self, g: usize, offset: usize, len: usize) -> Result<Self::Range<'_>, StorageError>;
+}
+
+impl BlockBytes for Vec<u8> {
+    type Range<'a> = &'a [u8];
+
+    fn range(&self, g: usize, offset: usize, len: usize) -> Result<&[u8], StorageError> {
+        let end = offset.checked_add(len).ok_or_else(|| corrupt("block range", g))?;
+        self.get(offset..end).ok_or_else(|| corrupt("block range", g))
+    }
+}
+
+/// One block on its pages: only the pages holding the bytes asked for are
+/// faulted in.
 struct Block<'a> {
     store: &'a PageStore,
     cache: &'a BufferCache,
-    g: usize,
     run: PageRun,
 }
 
-impl Block<'_> {
-    /// Bytes `[offset, offset + len)` of the block. A range past its end
-    /// means the index or an offset table lied.
-    fn read(&self, offset: usize, len: usize) -> Result<Vec<u8>, StorageError> {
+impl BlockBytes for Block<'_> {
+    type Range<'a>
+        = Vec<u8>
+    where
+        Self: 'a;
+
+    fn range(&self, g: usize, offset: usize, len: usize) -> Result<Vec<u8>, StorageError> {
         let end = offset
             .checked_add(len)
             .filter(|&end| end <= self.run.bytes as usize)
-            .ok_or_else(|| corrupt("block range", self.g))?;
+            .ok_or_else(|| corrupt("block range", g))?;
         let page_size = self.store.page_size();
         let mut out = Vec::with_capacity(len);
         let mut pos = offset;
@@ -499,118 +300,249 @@ impl Block<'_> {
         }
         Ok(out)
     }
-
-    /// The block from `offset` (the length of its offset table, if it has
-    /// one) to its end.
-    fn read_from(&self, offset: usize) -> Result<Vec<u8>, StorageError> {
-        let len = (self.run.bytes as usize)
-            .checked_sub(offset)
-            .ok_or_else(|| corrupt("offset table", self.g))?;
-        self.read(offset, len)
-    }
-
-    /// Row `i`'s byte range in the block's variable-width area, from the
-    /// end-offset table at the block's head (row `i` starts where row
-    /// `i - 1` ends; the two entries are adjacent, so this is one read).
-    fn row_span(&self, i: usize) -> Result<(usize, usize), StorageError> {
-        let words = match i.checked_sub(1) {
-            None => self.read(0, 4)?,
-            Some(prev) => self.read(prev * 4, 8)?,
-        };
-        table_span(&words, i.min(1)).ok_or_else(|| corrupt("offset table", self.g))
-    }
 }
 
-/// Row `i`'s byte range in a block's variable-width area, from `table`: the
-/// end-offset table at the block's head, or the part of it from the entry of
-/// the first row asked about.
-fn table_span(table: &[u8], i: usize) -> Option<(usize, usize)> {
-    let word = |row: usize| {
-        le_array(table.get(row * 4..)?).map(|b: [u8; 4]| u32::from_le_bytes(b) as usize)
-    };
-    let start = match i.checked_sub(1) {
-        None => 0,
-        Some(prev) => word(prev)?,
-    };
-    let end = word(i)?;
-    (start <= end).then_some((start, end))
-}
-
-/// One row group's residual and column blocks as stored, read whole: what a
-/// merge copies rows out of without decoding them
-/// ([`ChunkReader::open_raw_group`]). Rows may be asked for in any order;
-/// ascending is the cheap one (fixed-width values are found by a running
-/// rank over the definition bytes).
-#[derive(Debug)]
-pub(crate) struct RawGroup {
+/// Row `i`'s bytes in a block's variable-width area, which begins at byte
+/// `area`: after the end-offset table at the block's head and, in a string
+/// column, the definition bytes. Row `i` starts where row `i - 1` ends; the
+/// two table entries are adjacent, so the table costs one read.
+fn var_row<B: BlockBytes>(
+    block: &B,
     g: usize,
-    rows: usize,
-    residual: Vec<u8>,
-    cols: Vec<RawColumn>,
+    area: usize,
+    i: usize,
+) -> Result<B::Range<'_>, StorageError> {
+    let words = match i.checked_sub(1) {
+        None => block.range(g, 0, 4)?,
+        Some(prev) => block.range(g, prev * 4, 8)?,
+    };
+    let word = |at: usize| le_array(&words[at..]).map(|b| u32::from_le_bytes(b) as usize);
+    let span = if i == 0 { Some(0).zip(word(0)) } else { word(0).zip(word(4)) };
+    let (start, end) =
+        span.filter(|(start, end)| start <= end).ok_or_else(|| corrupt("offset table", g))?;
+    block.range(g, area + start, end - start)
 }
 
-#[derive(Debug)]
-struct RawColumn {
-    tag: TypeTag,
-    block: Vec<u8>,
-    /// Fixed-width columns: `rank` rows among the first `row` are present.
+/// How far a forward read of a fixed-width column has come: `rank` of the
+/// column's first `row` rows are present.
+#[derive(Debug, Default)]
+struct Rank {
     row: usize,
     rank: usize,
 }
 
-impl RawGroup {
-    pub(crate) fn rows(&self) -> usize {
-        self.rows
+/// Row `i` of a `tag` column block of `rows` rows, as stored: its definition
+/// byte and, for a present row, its value bytes (8 for i64/f64, 1 for bool,
+/// `varint len, utf-8` for a string). A string is found through the block's
+/// offset table; a fixed-width value by rank over the definition bytes,
+/// counted on from `seen` — ascending rows cost O(rows) in all, a step back
+/// starts over.
+fn column_row<'b, B: BlockBytes>(
+    block: &'b B,
+    g: usize,
+    tag: TypeTag,
+    rows: usize,
+    seen: &mut Rank,
+    i: usize,
+) -> Result<(u8, Option<B::Range<'b>>), StorageError> {
+    let err = || corrupt("column block", g);
+    let width = match tag {
+        TypeTag::Int64 | TypeTag::Double => 8,
+        TypeTag::Boolean => 1,
+        TypeTag::String => 0, // varies: the block has an offset table
+        other => {
+            let what = format!("column with non-columnar tag {other}");
+            return Err(StorageError::corruption("column block", what));
+        }
+    };
+    if i >= rows {
+        return Err(err());
+    }
+    let table = if width == 0 { rows * 4 } else { 0 };
+    if width == 0 {
+        *seen = Rank { row: i, rank: 0 };
+    } else if i < seen.row {
+        *seen = Rank::default();
+    }
+    let def = block.range(g, table + seen.row, i + 1 - seen.row)?;
+    if def.iter().any(|&d| d > DEF_PRESENT) {
+        return Err(err());
+    }
+    let (before, at) = def.split_at(i - seen.row);
+    seen.rank += before.iter().filter(|&&d| d == DEF_PRESENT).count();
+    seen.row = i;
+    if at[0] != DEF_PRESENT {
+        return Ok((at[0], None));
+    }
+    let values = table + rows;
+    let raw = if width == 0 {
+        let raw = var_row(block, g, values, i)?;
+        text(&raw, g)?;
+        raw
+    } else {
+        block.range(g, values + seen.rank * width, width)?
+    };
+    Ok((DEF_PRESENT, Some(raw)))
+}
+
+/// The string a stored `varint len, utf-8` value holds.
+fn text(raw: &[u8], g: usize) -> Result<&str, StorageError> {
+    len_prefixed(raw)
+        .and_then(|text| std::str::from_utf8(text).ok())
+        .ok_or_else(|| corrupt("column block", g))
+}
+
+/// What [`column_row`] found, as a `Value`: `Missing` when absent, `Null`
+/// when null.
+fn decode_value(tag: TypeTag, g: usize, row: (u8, Option<&[u8]>)) -> Result<Value, StorageError> {
+    let err = || corrupt("column block", g);
+    let raw = match row {
+        (DEF_NULL, _) => return Ok(Value::Null),
+        (_, None) => return Ok(Value::Missing),
+        (_, Some(raw)) => raw,
+    };
+    Ok(match tag {
+        TypeTag::Int64 => Value::Int64(i64::from_le_bytes(le_array(raw).ok_or_else(err)?)),
+        TypeTag::Double => Value::Double(f64::from_le_bytes(le_array(raw).ok_or_else(err)?)),
+        TypeTag::Boolean => Value::Boolean(*raw.first().ok_or_else(err)? != 0),
+        _ => Value::String(text(raw, g)?.to_owned()),
+    })
+}
+
+/// What a [`GroupView`] has faulted in: the residual block and each column
+/// block as stored, and how far each column has been read.
+#[derive(Debug, Default)]
+pub(crate) struct GroupBlocks {
+    residual: Option<Vec<u8>>,
+    cols: Vec<Option<(Vec<u8>, Rank)>>,
+    bytes_read: u64,
+}
+
+/// Row group `g` of a chunk: its residual block and column blocks, each read
+/// whole through the buffer cache the first time a row of it is asked for
+/// and kept as stored from then on — the one reader of whole blocks. Scans,
+/// group reconstruction and the merge copy all ask it; which blocks they
+/// touch is which blocks are read. Rows may be asked for in any order;
+/// ascending is the cheap one. Errors come back as the raw [`StorageError`];
+/// what a fault means for the component and the query is the caller's policy.
+pub struct GroupView<'c> {
+    reader: &'c ChunkReader,
+    store: &'c PageStore,
+    cache: &'c BufferCache,
+    g: usize,
+    blocks: GroupBlocks,
+}
+
+impl<'c> GroupView<'c> {
+    pub fn rows(&self) -> usize {
+        self.reader.groups[self.g].rows as usize
     }
 
-    /// Row `i`'s residual entry as stored: `varint len, vector record`.
-    pub(crate) fn residual_row(&self, i: usize) -> Result<&[u8], StorageError> {
-        let err = || corrupt("residual block", self.g);
-        if i >= self.rows {
+    /// Bytes of the blocks faulted in so far.
+    pub fn bytes_read(&self) -> u64 {
+        self.blocks.bytes_read
+    }
+
+    /// The faulted blocks without the borrows, for a holder that outlives
+    /// them ([`ChunkReader::resume`] is the way back).
+    pub(crate) fn into_blocks(self) -> GroupBlocks {
+        self.blocks
+    }
+
+    /// Read one block whole.
+    fn fault(&mut self, run: PageRun) -> Result<Vec<u8>, StorageError> {
+        self.reader.counters.columns_faulted.fetch_add(1, Ordering::Relaxed);
+        let block = Block { store: self.store, cache: self.cache, run };
+        let bytes = block.range(self.g, 0, run.bytes as usize)?;
+        self.blocks.bytes_read += run.bytes as u64;
+        Ok(bytes)
+    }
+
+    /// Row `row` of typed column `col` as stored — what a writer copies: its
+    /// definition byte and, for a present row, its value bytes (8 for
+    /// i64/f64, 1 for bool, `varint len, utf-8` for a string).
+    pub fn stored_value(
+        &mut self,
+        col: usize,
+        row: usize,
+    ) -> Result<(u8, Option<&[u8]>), StorageError> {
+        let (g, rows, tag) = (self.g, self.rows(), self.reader.columns[col].tag);
+        if self.blocks.cols[col].is_none() {
+            let block = self.fault(self.reader.groups[g].cols[col].run)?;
+            self.blocks.cols[col] = Some((block, Rank::default()));
+        }
+        let (block, seen) = self.blocks.cols[col].as_mut().expect("just faulted");
+        column_row(block, g, tag, rows, seen, row)
+    }
+
+    /// What column `col` itself holds for row `row`; a spilled value reads
+    /// as `Missing`.
+    fn column_value(&mut self, col: usize, row: usize) -> Result<Value, StorageError> {
+        let (g, tag) = (self.g, self.reader.columns[col].tag);
+        decode_value(tag, g, self.stored_value(col, row)?)
+    }
+
+    /// Row `row`'s value at column `col`'s path: `Missing` when absent,
+    /// `Null` when null, and the residual's value when the group recorded
+    /// spills there (a value that left the column's type lives in the row's
+    /// residual record).
+    pub fn value_at(&mut self, col: usize, row: usize) -> Result<Value, StorageError> {
+        let v = self.column_value(col, row)?;
+        if !matches!(v, Value::Missing) || self.reader.groups[self.g].cols[col].spilled == 0 {
+            return Ok(v);
+        }
+        let path: Path = self.reader.columns[col].path.iter().map(PathStep::field).collect();
+        Ok(self.residual_values(row, std::slice::from_ref(&path))?.remove(0))
+    }
+
+    /// Row `row` of an `Int64` column, for primitive loops: `None` unless
+    /// present (null, absent and spilled rows alike).
+    pub fn i64_at(&mut self, col: usize, row: usize) -> Result<Option<i64>, StorageError> {
+        Ok(self.word_at(TypeTag::Int64, col, row)?.map(i64::from_le_bytes))
+    }
+
+    /// The same of a `Double` column.
+    pub fn f64_at(&mut self, col: usize, row: usize) -> Result<Option<f64>, StorageError> {
+        Ok(self.word_at(TypeTag::Double, col, row)?.map(f64::from_le_bytes))
+    }
+
+    fn word_at(
+        &mut self,
+        tag: TypeTag,
+        col: usize,
+        row: usize,
+    ) -> Result<Option<[u8; 8]>, StorageError> {
+        let g = self.g;
+        if self.reader.columns[col].tag != tag {
+            return Err(corrupt("column type", g));
+        }
+        let (_, raw) = self.stored_value(col, row)?;
+        raw.map(|raw| le_array(raw).ok_or_else(|| corrupt("column block", g))).transpose()
+    }
+
+    /// Row `row`'s residual record (what the columns did not take of it;
+    /// empty for an anti-matter row), a slice of the block.
+    pub fn residual_row(&mut self, row: usize) -> Result<&[u8], StorageError> {
+        let (g, rows) = (self.g, self.rows());
+        if self.blocks.residual.is_none() {
+            self.blocks.residual = Some(self.fault(self.reader.groups[g].residual)?);
+        }
+        let block = self.blocks.residual.as_ref().expect("just faulted");
+        let err = || corrupt("residual block", g);
+        if row >= rows {
             return Err(err());
         }
-        let (start, end) = table_span(&self.residual, i).ok_or_else(err)?;
-        let area = self.rows * 4;
-        let raw = self.residual.get(area + start..area + end).ok_or_else(err)?;
-        len_prefixed(raw).ok_or_else(err)?;
-        Ok(raw)
+        len_prefixed(var_row(block, g, rows * 4, row)?).ok_or_else(err)
     }
 
-    /// Row `i` of column `col`: its definition byte and, for a present row,
-    /// its value bytes as stored (8 for i64/f64, 1 for bool,
-    /// `varint len, utf-8` for a string); empty otherwise.
-    pub(crate) fn column_row(&mut self, col: usize, i: usize) -> Result<(u8, &[u8]), StorageError> {
-        let (g, rows) = (self.g, self.rows);
-        let err = || corrupt("column block", g);
-        let c = self.cols.get_mut(col).ok_or_else(err)?;
-        let table = if c.tag == TypeTag::String { rows * 4 } else { 0 };
-        let def = match c.block.get(table..table + rows).and_then(|def| def.get(i)) {
-            Some(&def) if def <= DEF_PRESENT => def,
-            _ => return Err(err()),
-        };
-        if def != DEF_PRESENT {
-            return Ok((def, &[]));
-        }
-        let values = table + rows;
-        let width = match c.tag {
-            TypeTag::Int64 | TypeTag::Double => 8,
-            TypeTag::Boolean => 1,
-            TypeTag::String => {
-                let (start, end) = table_span(&c.block, i).ok_or_else(err)?;
-                let raw = c.block.get(values + start..values + end).ok_or_else(err)?;
-                let text = len_prefixed(raw).ok_or_else(err)?;
-                std::str::from_utf8(text).map_err(|_| err())?;
-                return Ok((def, raw));
-            }
-            other => return Err(non_columnar_tag(other)),
-        };
-        if i < c.row {
-            (c.row, c.rank) = (0, 0);
-        }
-        c.rank += c.block[c.row..i].iter().filter(|&&d| d == DEF_PRESENT).count();
-        c.row = i;
-        let at = values + c.rank * width;
-        Ok((def, c.block.get(at..at + width).ok_or_else(err)?))
+    /// `paths` evaluated against row `row`'s residual record.
+    pub fn residual_values(
+        &mut self,
+        row: usize,
+        paths: &[Path],
+    ) -> Result<Vec<Value>, StorageError> {
+        tc_vector::get_values(self.residual_row(row)?, paths, None, None)
+            .map_err(|e| StorageError::corruption("column block", e.to_string()))
     }
 }
 
@@ -651,7 +583,21 @@ impl ColumnarChunk for ChunkReader {
         cache: &BufferCache,
         g: usize,
     ) -> Result<Vec<(Key, EntryKind)>, StorageError> {
-        self.read_keys(store, cache, g)
+        let gm = &self.groups[g];
+        let table = gm.rows as usize * 4;
+        let len = (gm.keys.bytes as usize)
+            .checked_sub(table)
+            .ok_or_else(|| corrupt("offset table", g))?;
+        let body = Block { store, cache, run: gm.keys }.range(g, table, len)?;
+        let mut out = Vec::with_capacity(gm.rows as usize);
+        let mut pos = 0usize;
+        for _ in 0..gm.rows {
+            let (key, kind, n) =
+                read_key_entry(&body[pos..]).ok_or_else(|| corrupt("keys block", g))?;
+            out.push((key.to_vec(), kind));
+            pos += n;
+        }
+        Ok(out)
     }
 
     fn read_group_rows(
@@ -660,22 +606,18 @@ impl ColumnarChunk for ChunkReader {
         cache: &BufferCache,
         g: usize,
     ) -> Result<Vec<(Key, EntryKind, Vec<u8>)>, StorageError> {
-        let keys = self.read_keys(store, cache, g)?;
+        let keys = self.read_group_keys(store, cache, g)?;
         self.counters.rows_reconstructed.fetch_add(keys.len() as u64, Ordering::Relaxed);
-        let residuals = self.read_residual(store, cache, g)?;
-        if residuals.len() != keys.len() {
-            return Err(corrupt("group", g));
-        }
-        let mut cols = Vec::with_capacity(self.columns.len());
-        for c in 0..self.columns.len() {
-            cols.push(self.read_column(store, cache, g, c)?);
-        }
+        let mut view = self.view(store, cache, g);
         let mut rows = Vec::with_capacity(keys.len());
-        for (i, ((key, kind), residual)) in keys.into_iter().zip(&residuals).enumerate() {
+        for (i, (key, kind)) in keys.into_iter().enumerate() {
             // Anti-matter rows carry no payload.
             let payload = match kind {
                 EntryKind::AntiMatter => Vec::new(),
-                EntryKind::Record => self.assemble(residual, |c| Ok(cols[c].value_at(i)))?,
+                EntryKind::Record => {
+                    let residual = residual_record(view.residual_row(i)?)?;
+                    self.record(residual, |c| view.column_value(c, i))?
+                }
             };
             rows.push((key, kind, payload));
         }
@@ -696,13 +638,17 @@ impl ColumnarChunk for ChunkReader {
         if kind == EntryKind::AntiMatter {
             return Ok(Some((kind, Vec::new())));
         }
-        let residual = self.residual_row(store, cache, g, i)?;
-        let payload = self.assemble(&residual, |c| self.column_value(store, cache, g, c, i))?;
+        // The arithmetic of the view over pages faulted in one by one.
+        let gm = &self.groups[g];
+        let rows = gm.rows as usize;
+        let residual = var_row(&Block { store, cache, run: gm.residual }, g, rows * 4, i)?;
+        let residual = len_prefixed(&residual).ok_or_else(|| corrupt("residual block", g))?;
+        let payload = self.record(residual_record(residual)?, |c| {
+            let (block, tag) = (Block { store, cache, run: gm.cols[c].run }, self.columns[c].tag);
+            let (def, raw) = column_row(&block, g, tag, rows, &mut Rank::default(), i)?;
+            decode_value(tag, g, (def, raw.as_deref()))
+        })?;
         Ok(Some((kind, payload)))
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 
@@ -717,25 +663,43 @@ fn write_bytes(out: &mut Vec<u8>, b: &[u8]) {
     out.extend_from_slice(b);
 }
 
-fn read_bytes(buf: &[u8], pos: &mut usize) -> Option<Vec<u8>> {
-    let (len, n) = varint::read_u64(buf.get(*pos..)?)?;
-    *pos += n;
-    let b = buf.get(*pos..*pos + len as usize)?.to_vec();
-    *pos += len as usize;
-    Some(b)
-}
-
 fn write_run(out: &mut Vec<u8>, run: PageRun) {
     varint::write_u64(out, run.start);
     varint::write_u64(out, run.bytes as u64);
 }
 
-fn read_run(buf: &[u8], pos: &mut usize) -> Option<PageRun> {
-    let (start, n) = varint::read_u64(buf.get(*pos..)?)?;
-    *pos += n;
-    let (bytes, n) = varint::read_u64(buf.get(*pos..)?)?;
-    *pos += n;
-    Some(PageRun { start, bytes: u32::try_from(bytes).ok()? })
+/// What is left of an index blob being parsed.
+struct Input<'a>(&'a [u8]);
+
+impl<'a> Input<'a> {
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let (head, rest) = self.0.split_at_checked(n)?;
+        self.0 = rest;
+        Some(head)
+    }
+
+    fn varint(&mut self) -> Option<u64> {
+        let (v, n) = varint::read_u64(self.0)?;
+        self.take(n).map(|_| v)
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        u32::try_from(self.varint()?).ok()
+    }
+
+    fn bytes(&mut self) -> Option<Vec<u8>> {
+        let len = usize::try_from(self.varint()?).ok()?;
+        self.take(len).map(<[u8]>::to_vec)
+    }
+
+    fn run(&mut self) -> Option<PageRun> {
+        Some(PageRun { start: self.varint()?, bytes: self.u32()? })
+    }
+
+    /// A little-endian min or max.
+    fn word(&mut self) -> Option<[u8; 8]> {
+        le_array(self.take(8)?)
+    }
 }
 
 /// Serialize the column index of a component.
@@ -788,55 +752,39 @@ pub fn serialize_index(columns: &[ColumnSpec], groups: &[GroupMeta]) -> Vec<u8> 
 /// for anything but a well-formed blob of [`FORMAT_VERSION`] — the reader
 /// would misread the blocks of any other.
 pub fn deserialize_index(buf: &[u8]) -> Option<(Vec<ColumnSpec>, Vec<GroupMeta>)> {
-    if buf.get(..4)? != INDEX_MAGIC || *buf.get(4..6)? != [0x80 | FORMAT_VERSION, 0x00] {
+    let mut input = Input(buf);
+    if input.take(4)? != INDEX_MAGIC || *input.take(2)? != [0x80 | FORMAT_VERSION, 0x00] {
         return None;
     }
-    let mut pos = 6usize;
-    let read_u64 = |buf: &[u8], pos: &mut usize| -> Option<u64> {
-        let (v, n) = varint::read_u64(buf.get(*pos..)?)?;
-        *pos += n;
-        Some(v)
-    };
-    let ncols = read_u64(buf, &mut pos)? as usize;
+    let ncols = input.varint()? as usize;
     let mut columns = Vec::with_capacity(ncols);
     for _ in 0..ncols {
-        let segs = read_u64(buf, &mut pos)? as usize;
+        let segs = input.varint()? as usize;
         let mut path = Vec::with_capacity(segs);
         for _ in 0..segs {
-            path.push(String::from_utf8(read_bytes(buf, &mut pos)?).ok()?);
+            path.push(String::from_utf8(input.bytes()?).ok()?);
         }
-        let tag = TypeTag::from_u8(*buf.get(pos)?).ok()?;
-        pos += 1;
+        let tag = TypeTag::from_u8(input.take(1)?[0]).ok()?;
         columns.push(ColumnSpec { path, tag });
     }
-    let ngroups = read_u64(buf, &mut pos)? as usize;
+    let ngroups = input.varint()? as usize;
     let mut groups = Vec::with_capacity(ngroups);
     for _ in 0..ngroups {
-        let first_key = read_bytes(buf, &mut pos)?;
-        let rows = u32::try_from(read_u64(buf, &mut pos)?).ok()?;
-        let keys = read_run(buf, &mut pos)?;
-        let residual = read_run(buf, &mut pos)?;
+        let (first_key, rows) = (input.bytes()?, input.u32()?);
+        let (keys, residual) = (input.run()?, input.run()?);
         let mut cols = Vec::with_capacity(ncols);
         for _ in 0..ncols {
-            let run = read_run(buf, &mut pos)?;
-            let null_count = u32::try_from(read_u64(buf, &mut pos)?).ok()?;
-            let spilled = u32::try_from(read_u64(buf, &mut pos)?).ok()?;
-            let kind = *buf.get(pos)?;
-            pos += 1;
-            let stats = match kind {
+            let (run, null_count, spilled) = (input.run()?, input.u32()?, input.u32()?);
+            let stats = match input.take(1)?[0] {
                 0 => ColumnStats::None,
-                1 => {
-                    let min = i64::from_le_bytes(buf.get(pos..pos + 8)?.try_into().ok()?);
-                    let max = i64::from_le_bytes(buf.get(pos + 8..pos + 16)?.try_into().ok()?);
-                    pos += 16;
-                    ColumnStats::Int { min, max }
-                }
-                2 => {
-                    let min = f64::from_le_bytes(buf.get(pos..pos + 8)?.try_into().ok()?);
-                    let max = f64::from_le_bytes(buf.get(pos + 8..pos + 16)?.try_into().ok()?);
-                    pos += 16;
-                    ColumnStats::Float { min, max }
-                }
+                1 => ColumnStats::Int {
+                    min: i64::from_le_bytes(input.word()?),
+                    max: i64::from_le_bytes(input.word()?),
+                },
+                2 => ColumnStats::Float {
+                    min: f64::from_le_bytes(input.word()?),
+                    max: f64::from_le_bytes(input.word()?),
+                },
                 _ => return None,
             };
             cols.push(ColumnChunkMeta { run, null_count, spilled, stats });

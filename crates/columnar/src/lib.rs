@@ -51,9 +51,34 @@
 //! reader must refuse a component whose blocks it would misread, and
 //! [`chunk::deserialize_index`] returns `None` for any version but its own.
 //!
-//! All pages go through the component's own [`PageStore`], so PR 8's CRC
-//! footers, fault injection, and disk accounting apply to column pages
-//! exactly as to row blocks.
+//! All pages go through the component's own
+//! [`PageStore`](tc_storage::page_store::PageStore), so PR 8's CRC footers,
+//! fault injection, and disk accounting apply to column pages exactly as to
+//! row blocks.
+//!
+//! # Reading
+//!
+//! Whole blocks have one reader: [`GroupView`], "row group `g` of this
+//! chunk". It reads the residual block and each column block through the
+//! buffer cache the first time a row of it is asked for, keeps it as stored,
+//! and counts it once ([`ColumnarCounters::columns_faulted`], the view's
+//! `bytes_read`). It answers by row: the value at a column's path (`value_at`,
+//! which turns to the residual where the group recorded a spill), an `Int64`
+//! or `Double` column's value for primitive loops, the row's residual record
+//! as a slice of the block and paths evaluated over it, and the row's
+//! definition byte and value bytes as stored. Three consumers read through it,
+//! and so cannot disagree about the block format or fault a block the others
+//! would not: `tc_query`'s scans (the at-rest scan's filter loops and the live
+//! scan's batch fill), group reconstruction (`read_group_rows`) and the
+//! merging writer's copy.
+//!
+//! The point read (`get_row`) does not read whole blocks — it faults in only
+//! the pages its row lies on — but it finds the row with the same code: where
+//! a row's bytes lie (offset table → span; definition bytes → rank → value) is
+//! written once in [`chunk`], over "a block's bytes by range", which a view
+//! answers from memory and a point read from pages. The keys block is read on
+//! its own (`read_group_keys`, and `get_row`'s binary search): scans reconcile
+//! components on keys before any row is wanted.
 //!
 //! # Writing, and how a merge copies a row
 //!
@@ -62,23 +87,22 @@
 //! the open group stays in memory. It is opened from the component's schema
 //! blob, which every build has before its first row. A flush or bulk load
 //! hands it records — decode, detach the typed values, re-encode what is
-//! left as the residual. A merge hands it
-//! *row references* into its columnar inputs, and the writer copies: it keeps
-//! one source group per input open as raw blocks, finds row `i`'s
-//! fixed-width values by a running rank over the definition bytes and its
-//! string and residual bytes through the offset tables, and appends
-//! definition byte, value bytes and residual record to the open group as
-//! they are stored, recomputing that group's min/max, null counts and offset
-//! tables. No record is assembled, and the bytes written are the ones
-//! re-shredding the reconstructed record would write.
+//! left as the residual. A merge hands it *row references* into its columnar
+//! inputs, and the writer copies: it keeps what the view of one source group
+//! per input has read, asks it for row `i`'s definition byte, value bytes and
+//! residual record as stored (references arrive in key order, so each source
+//! is read forward), and appends them to the open group, recomputing that
+//! group's min/max, null counts and offset tables. No record is assembled,
+//! and the bytes written are the ones re-shredding the reconstructed record
+//! would write.
 //!
 //! The copy is refused, one source group at a time, whenever that last claim
 //! cannot be proven: a source whose column specs differ from the output's
 //! (the residuals would hold different fields), a group with a spilled value
 //! in any column (which rows spilled is recorded only inside their residual
 //! records, and the output needs its own count), or a chunk that is not a
-//! [`ChunkReader`]. Those rows are
-//! pivoted — `get_row`, then the flush path — and counted in
+//! [`ChunkReader`] ([`ChunkReader::of`]). Those rows are pivoted — `get_row`,
+//! then the flush path — and counted in
 //! [`ColumnarCounters::rows_reconstructed`]; copied rows count in
 //! [`ColumnarCounters::rows_column_merged`], so "did this merge pivot?" is a
 //! before/after lookup of the pair.
@@ -88,7 +112,7 @@ pub mod writer;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-pub use chunk::{ChunkReader, ColumnValues, DecodedColumn};
+pub use chunk::{ChunkReader, GroupView};
 pub use writer::{AmaxCodec, AmaxWriter};
 
 /// How many rows a row group holds (the last group of a component may be

@@ -13,7 +13,7 @@ use tc_storage::error::{IoOp, StorageError};
 use tc_storage::page_store::{PageStore, PageWriter};
 use tc_util::varint;
 
-use crate::chunk::{ChunkReader, ColumnChunkMeta, ColumnSpec, GroupMeta, PageRun, RawGroup};
+use crate::chunk::{ChunkReader, ColumnChunkMeta, ColumnSpec, GroupBlocks, GroupMeta, PageRun};
 use crate::{ColumnStats, ColumnarCounters, DEFAULT_GROUP_ROWS, DEF_ABSENT, DEF_NULL, DEF_PRESENT};
 
 /// Shreds flushed/merged entries into the AMAX column-page layout. One
@@ -70,23 +70,6 @@ impl AmaxCodec {
         cols.sort_by(|a, b| a.path.cmp(&b.path));
         cols
     }
-
-    /// The writer of one component whose metadata blob is `schema_blob`.
-    fn open_writer(&self, schema_blob: Option<&[u8]>) -> AmaxWriter {
-        let schema = schema_blob.and_then(Schema::deserialize);
-        let columns = self.column_set(schema.as_ref());
-        AmaxWriter {
-            declared: self.declared.clone(),
-            counters: Arc::clone(&self.counters),
-            group_rows: self.group_rows,
-            schema,
-            open: GroupBuild::new(&columns),
-            columns,
-            groups: Vec::new(),
-            pages: 0,
-            sources: Vec::new(),
-        }
-    }
 }
 
 /// What shredding found at one column's path in one record.
@@ -130,27 +113,28 @@ struct VarRows {
 }
 
 impl VarRows {
+    /// Append a `varint len, bytes` item to the current row.
+    fn put_prefixed(&mut self, item: &[u8]) {
+        varint::write_u64(&mut self.bytes, item.len() as u64);
+        self.bytes.extend_from_slice(item);
+    }
+
     /// Close the current row (everything appended to `bytes` since the
     /// last call). `write_block` refuses blocks past `u32::MAX` bytes, so a
     /// truncated offset never reaches a reader.
     fn end_row(&mut self) {
         self.ends.push(self.bytes.len() as u32);
     }
-
-    /// The finished block: offset table, then the rows.
-    fn into_block(self) -> Vec<u8> {
-        let mut block = Vec::with_capacity(self.ends.len() * 4 + self.bytes.len());
-        write_offset_table(&mut block, &self.ends);
-        block.extend_from_slice(&self.bytes);
-        block
-    }
 }
 
-/// Append a block's offset table (its header) to `block`.
-fn write_offset_table(block: &mut Vec<u8>, ends: &[u32]) {
-    for end in ends {
-        block.extend_from_slice(&end.to_le_bytes());
-    }
+/// A finished block: its offset table (`ends`, empty for a fixed-width
+/// column), then its parts back to back.
+fn block_bytes(ends: &[u32], parts: &[&[u8]]) -> Vec<u8> {
+    let len = ends.len() * 4 + parts.iter().map(|part| part.len()).sum::<usize>();
+    let mut block = Vec::with_capacity(len);
+    block.extend(ends.iter().flat_map(|end| end.to_le_bytes()));
+    parts.iter().for_each(|part| block.extend_from_slice(part));
+    block
 }
 
 /// Accumulates one column's block for the current row group.
@@ -259,8 +243,9 @@ impl ColBuild {
     }
 
     /// Append one row as another group of this column stores it
-    /// ([`RawGroup::column_row`]): the bytes are copied, the group's stats
-    /// and null count recomputed from them. The source column had no spill.
+    /// ([`GroupView::stored_value`](crate::GroupView::stored_value)): the
+    /// bytes are copied, the group's stats and null count recomputed from
+    /// them. The source column had no spill.
     fn push_stored(&mut self, def: u8, raw: &[u8]) -> Result<(), StorageError> {
         self.def.push(def);
         match def {
@@ -285,11 +270,7 @@ impl ColBuild {
     }
 
     fn finish(self, store: &PageStore, pages: &mut u64) -> Result<ColumnChunkMeta, StorageError> {
-        let mut block =
-            Vec::with_capacity(self.ends.len() * 4 + self.def.len() + self.values.len());
-        write_offset_table(&mut block, &self.ends);
-        block.extend_from_slice(&self.def);
-        block.extend_from_slice(&self.values);
+        let block = block_bytes(&self.ends, &[&self.def, &self.values]);
         let run = write_block(store, &block, pages)?;
         let stats = if self.stats_poisoned { ColumnStats::None } else { self.stats };
         Ok(ColumnChunkMeta { run, null_count: self.null_count, spilled: self.spilled, stats })
@@ -342,8 +323,7 @@ impl GroupBuild {
         if self.rows == 0 {
             self.first_key = key.to_vec();
         }
-        varint::write_u64(&mut self.keys.bytes, key.len() as u64);
-        self.keys.bytes.extend_from_slice(key);
+        self.keys.put_prefixed(key);
         self.keys.bytes.push(kind as u8);
         self.keys.end_row();
         self.rows += 1;
@@ -351,8 +331,9 @@ impl GroupBuild {
 
     /// Write the group's blocks: keys, residual, then the columns in order.
     fn write(self, store: &PageStore, pages: &mut u64) -> Result<GroupMeta, StorageError> {
-        let keys = write_block(store, &self.keys.into_block(), pages)?;
-        let residual = write_block(store, &self.residual.into_block(), pages)?;
+        let whole = |rows: &VarRows| block_bytes(&rows.ends, &[&rows.bytes]);
+        let keys = write_block(store, &whole(&self.keys), pages)?;
+        let residual = write_block(store, &whole(&self.residual), pages)?;
         let mut cols = Vec::with_capacity(self.cols.len());
         for cb in self.cols {
             cols.push(cb.finish(store, pages)?);
@@ -361,15 +342,16 @@ impl GroupBuild {
     }
 }
 
-/// The one group a merge has open in one of its inputs. `raw` is `None` when
-/// rows of that group cannot be copied column-wise
-/// ([`ChunkReader::open_raw_group`]) and are pivoted instead.
+/// The one group a merge has open in one of its inputs: what its view has
+/// read so far, kept between rows. `blocks` is `None` when rows of that group
+/// cannot be copied column-wise ([`AmaxWriter`]) and are pivoted instead —
+/// and once its last row has been copied.
 #[derive(Debug)]
 struct SourceGroup {
     /// The input's page store id — what tells the inputs apart.
     store: u64,
     group: Option<usize>,
-    raw: Option<RawGroup>,
+    blocks: Option<GroupBlocks>,
 }
 
 /// The streaming row-group writer behind every AMAX component: entries go in
@@ -384,11 +366,14 @@ struct SourceGroup {
 /// min/max (NaN still poisons), null counts and offset tables are recomputed
 /// from the copied bytes. Residuals are self-describing vector records
 /// (`tc_vector::encode(_, None)`, no dictionary), so they mean the same under
-/// any schema. A source group the copy cannot be proven right for — see
-/// [`ChunkReader::open_raw_group`] — or a chunk that is no [`ChunkReader`]
-/// has its rows pivoted through `get_row` and `push`, each one counted in
-/// `rows_reconstructed`; copied rows count in `rows_column_merged`. Both
-/// routes write the same bytes.
+/// any schema. A source group the copy cannot be proven right for — its
+/// chunk's columns are not the output's (the residuals would hold different
+/// fields), or one of its columns has a spilled value (which rows spilled,
+/// the output group's own spill count, is written nowhere but in the residual
+/// records) — or a chunk that is no [`ChunkReader`] has its rows pivoted
+/// through `get_row` and `push`, each one counted in `rows_reconstructed`;
+/// copied rows count in `rows_column_merged`. Both routes write the same
+/// bytes.
 #[derive(Debug)]
 pub struct AmaxWriter {
     declared: ObjectType,
@@ -421,36 +406,38 @@ impl AmaxWriter {
     /// Copy the referenced row into the open group column by column; `false`
     /// (nothing appended) if its group has to be pivoted.
     fn copy_row(&mut self, key: &[u8], source: &RowSource<'_>) -> Result<bool, StorageError> {
-        let Some(reader) = source.chunk.as_any().downcast_ref::<ChunkReader>() else {
-            return Ok(false);
-        };
+        let Some(reader) = ChunkReader::of(source.chunk) else { return Ok(false) };
         let (store, group) = (source.store.id(), source.group as usize);
         let slot = match self.sources.iter().position(|s| s.store == store) {
             Some(slot) => slot,
             None => {
-                self.sources.push(SourceGroup { store, group: None, raw: None });
+                self.sources.push(SourceGroup { store, group: None, blocks: None });
                 self.sources.len() - 1
             }
         };
         let open = &mut self.sources[slot];
         if open.group != Some(group) {
-            open.raw = reader.open_raw_group(source.store, source.cache, group, &self.columns)?;
+            let gm = reader.groups().get(group).ok_or_else(|| {
+                StorageError::corruption("column block", format!("no row group {group}"))
+            })?;
+            let same = reader.columns() == self.columns && gm.cols.iter().all(|c| c.spilled == 0);
+            open.blocks = same.then(GroupBlocks::default);
             open.group = Some(group);
         }
-        let Some(raw) = &mut open.raw else { return Ok(false) };
+        let Some(blocks) = open.blocks.take() else { return Ok(false) };
+        let mut view = reader.resume(source.store, source.cache, group, blocks);
         let row = source.row as usize;
-        let residual = raw.residual_row(row)?;
-        self.open.residual.bytes.extend_from_slice(residual);
+        self.open.residual.put_prefixed(view.residual_row(row)?);
         for (c, cb) in self.open.cols.iter_mut().enumerate() {
-            let (def, value) = raw.column_row(c, row)?;
-            cb.push_stored(def, value)?;
+            let (def, value) = view.stored_value(c, row)?;
+            cb.push_stored(def, value.unwrap_or_default())?;
         }
         self.open.residual.end_row();
         self.open.begin_row(key, EntryKind::Record);
         // References arrive in key order: nothing follows a group's last row,
         // so its blocks need not wait for the input's next group to go.
-        if row + 1 == raw.rows() {
-            open.raw = None;
+        if row + 1 < view.rows() {
+            open.blocks = Some(view.into_blocks());
         }
         Ok(true)
     }
@@ -468,7 +455,7 @@ impl ColumnarWriter for AmaxWriter {
             for cb in &mut self.open.cols {
                 cb.push(Taken::Absent)?;
             }
-            varint::write_u64(&mut self.open.residual.bytes, 0);
+            self.open.residual.put_prefixed(&[]);
         } else {
             // Payloads were encoded by this dataset's vector encoder
             // (compacted by the flush hook, or uncompacted); a decode
@@ -479,9 +466,7 @@ impl ColumnarWriter for AmaxWriter {
             for (spec, cb) in self.columns.iter().zip(&mut self.open.cols) {
                 cb.push(take_at_path(&mut value, &spec.path, spec.tag))?;
             }
-            let residual = tc_vector::encode(&value, None);
-            varint::write_u64(&mut self.open.residual.bytes, residual.len() as u64);
-            self.open.residual.bytes.extend_from_slice(&residual);
+            self.open.residual.put_prefixed(&tc_vector::encode(&value, None));
         }
         self.open.residual.end_row();
         self.open.begin_row(key, kind);
@@ -529,7 +514,19 @@ impl ColumnarWriter for AmaxWriter {
 
 impl ColumnarCodec for AmaxCodec {
     fn writer(&self, schema_blob: Option<&[u8]>) -> Box<dyn ColumnarWriter> {
-        Box::new(self.open_writer(schema_blob))
+        let schema = schema_blob.and_then(Schema::deserialize);
+        let columns = self.column_set(schema.as_ref());
+        Box::new(AmaxWriter {
+            declared: self.declared.clone(),
+            counters: Arc::clone(&self.counters),
+            group_rows: self.group_rows,
+            schema,
+            open: GroupBuild::new(&columns),
+            columns,
+            groups: Vec::new(),
+            pages: 0,
+            sources: Vec::new(),
+        })
     }
 }
 
@@ -543,7 +540,6 @@ mod tests {
     use tc_storage::device::{Device, DeviceProfile};
 
     use crate::chunk::{deserialize_index, serialize_index, FORMAT_VERSION};
-    use crate::ColumnValues;
 
     fn declared_pk() -> ObjectType {
         ObjectType::open(vec![FieldDef {
@@ -647,7 +643,7 @@ mod tests {
         let codec = AmaxCodec::new(declared).with_group_rows(4);
         let store = store();
         let chunk = codec.build_chunk(&store, &entries, Some(&schema.serialize())).unwrap();
-        let reader = chunk.as_any().downcast_ref::<ChunkReader>().unwrap();
+        let reader = ChunkReader::of(chunk.as_ref()).unwrap();
         assert_eq!(reader.num_groups(), 3);
         let t = reader.find_column(&["t".into()]).unwrap();
         let m = reader.find_column(&["m".into()]).unwrap();
@@ -658,11 +654,10 @@ mod tests {
         assert_eq!(g1.cols[m].stats, ColumnStats::Float { min: 4.5, max: 7.5 });
         assert_eq!(g1.cols[t].spilled, 0);
         let cache = BufferCache::new(64);
-        let col = reader.read_column(&store, &cache, 1, t).unwrap();
-        assert!(col.def.iter().all(|&d| d == DEF_PRESENT));
-        let ColumnValues::I64(vals) = &col.values else { panic!("typed i64") };
-        assert_eq!(vals, &[104, 105, 106, 107]);
-        assert!(reader.counters().columns_faulted() >= 1);
+        let mut view = reader.view(&store, &cache, 1);
+        let vals: Vec<_> = (0..view.rows()).map(|r| view.i64_at(t, r).unwrap()).collect();
+        assert_eq!(vals, [Some(104), Some(105), Some(106), Some(107)]);
+        assert_eq!(reader.counters().columns_faulted(), 1, "one block, read once");
         assert!(codec_pages_nonzero(reader));
     }
 
@@ -694,7 +689,7 @@ mod tests {
         let codec = AmaxCodec::new(declared.clone());
         let store = store();
         let chunk = codec.build_chunk(&store, &entries, Some(&schema.serialize())).unwrap();
-        let reader = chunk.as_any().downcast_ref::<ChunkReader>().unwrap();
+        let reader = ChunkReader::of(chunk.as_ref()).unwrap();
         let t = reader.find_column(&["t".into()]).unwrap();
         assert_eq!(reader.groups()[0].cols[t].spilled, 1);
         // The spilled string survives reconstruction.

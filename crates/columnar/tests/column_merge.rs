@@ -87,7 +87,7 @@ struct Merged {
 
 impl Merged {
     fn reader(&self) -> &ChunkReader {
-        self.chunk.as_any().downcast_ref().expect("the codec builds chunk readers")
+        ChunkReader::of(self.chunk.as_ref()).expect("the codec builds chunk readers")
     }
 
     fn pages(&self) -> Vec<Vec<u8>> {
@@ -219,7 +219,7 @@ proptest! {
         let mut records = 0u64;
         for (_, rank, at) in winners(&sources, includes_oldest) {
             let Some((group, _)) = at else { continue };
-            let reader = sources[rank].chunk.as_any().downcast_ref::<ChunkReader>().unwrap();
+            let reader = ChunkReader::of(sources[rank].chunk.as_ref()).unwrap();
             let clean = reader.groups()[group as usize].cols.iter().all(|c| c.spilled == 0);
             copyable += (reader.columns() == columns && clean) as u64;
             records += 1;
@@ -339,7 +339,7 @@ fn a_spilled_group_takes_the_counted_pivot() {
         stored.iter().enumerate().map(|(i, v)| (i as u64, Some(v.clone()))).collect();
     let codec = AmaxCodec::new(declared_pk()).with_group_rows(3);
     let source = build_source(&codec, 3, 256, &rows, &blob);
-    let reader = source.chunk.as_any().downcast_ref::<ChunkReader>().unwrap();
+    let reader = ChunkReader::of(source.chunk.as_ref()).unwrap();
     let t = reader.find_column(&["t".into()]).unwrap();
     assert_eq!((reader.groups()[0].cols[t].spilled, reader.groups()[1].cols[t].spilled), (0, 1));
 
@@ -351,7 +351,8 @@ fn a_spilled_group_takes_the_counted_pivot() {
     assert_eq!(contents(&merged, &cache)[&key(4)], Some(stored[4].clone()));
 }
 
-/// A chunk the writer cannot see into: everything but `as_any` delegates.
+/// A chunk the writer cannot see into — it is no `ChunkReader` — that
+/// delegates everything.
 #[derive(Debug)]
 struct Opaque(Box<dyn ColumnarChunk>);
 
@@ -390,10 +391,6 @@ impl ColumnarChunk for Opaque {
         key: &[u8],
     ) -> Result<Option<(EntryKind, Vec<u8>)>, StorageError> {
         self.0.get_row(store, cache, g, key)
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 

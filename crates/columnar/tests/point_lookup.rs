@@ -1,13 +1,14 @@
 //! Row-addressable point reads: `get_row` must agree with the group
-//! reconstruction it replaces, and must answer a damaged offset table with a
-//! typed error.
+//! reconstruction it replaces and, value for value, with the view of the row
+//! group the scans read through — and must answer a damaged offset table
+//! with a typed error.
 
 mod common;
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use tc_adm::{parse, Value};
+use tc_adm::{parse, TypeTag, Value};
 use tc_columnar::chunk::{ChunkReader, GroupMeta};
 use tc_columnar::{AmaxCodec, ColumnarCounters};
 use tc_lsm::columnar::{ColumnarChunk, ColumnarCodec};
@@ -17,6 +18,11 @@ use tc_storage::buffer_cache::BufferCache;
 use tc_storage::page_store::PageStore;
 
 use common::{arb_row, declared_pk, key, new_store, row_record};
+
+/// What `record` holds at `path` (`Missing` if nothing).
+fn at_path(record: &Value, path: &[String]) -> Value {
+    path.iter().try_fold(record, |v, name| v.get_field(name)).cloned().unwrap_or(Value::Missing)
+}
 
 /// The group a lookup of `k` is routed to: the last one whose first key is
 /// ≤ `k` (group 0 for keys below every group).
@@ -29,7 +35,10 @@ proptest! {
 
     /// For every stored key `get_row` returns exactly the row
     /// `read_group_rows` reconstructs, and nothing for keys below, between
-    /// and above the stored ones — without reconstructing a row.
+    /// and above the stored ones — without reconstructing a row. And for
+    /// every stored record and typed column the group's view gives the value
+    /// the point read's record holds at the column's path (a spilled one
+    /// included), rows asked for forwards and then backwards.
     #[test]
     fn get_row_equals_reconstructed_row(
         rows in proptest::collection::vec(arb_row(), 1..24),
@@ -54,7 +63,7 @@ proptest! {
             }
             entries.push((key(k), EntryKind::Record, tc_vector::encode(&record, Some(&declared))));
         }
-        let codec = AmaxCodec::new(declared).with_group_rows(group_rows);
+        let codec = AmaxCodec::new(declared.clone()).with_group_rows(group_rows);
         let store = new_store(page_size);
         let chunk = codec.build_chunk(&store, &entries, Some(&schema.serialize())).unwrap();
         let cache = BufferCache::new(512);
@@ -78,6 +87,40 @@ proptest! {
             prop_assert_eq!(chunk.get_row(&store, &cache, g, &k).unwrap(), None);
         }
         prop_assert_eq!(codec.counters().rows_reconstructed(), reconstructed);
+
+        let reader = ChunkReader::of(chunk.as_ref()).unwrap();
+        let mut first = 0;
+        for g in 0..reader.num_groups() {
+            let mut view = reader.view(&store, &cache, g);
+            let rows = view.rows();
+            for i in (0..rows).chain((0..rows).rev()) {
+                let (k, kind, _) = &stored[first + i];
+                if *kind == EntryKind::AntiMatter {
+                    prop_assert_eq!(view.residual_row(i).unwrap(), &[] as &[u8]);
+                    continue;
+                }
+                let (_, payload) = reader.get_row(&store, &cache, g, k).unwrap().unwrap();
+                let record = tc_vector::decode(&payload, Some(&declared), None).unwrap();
+                for (c, spec) in reader.columns().iter().enumerate() {
+                    let value = view.value_at(c, i).unwrap();
+                    // By their text: NaN is not equal to itself.
+                    prop_assert_eq!(format!("{value:?}"), format!("{:?}", at_path(&record, &spec.path)));
+                    match spec.tag {
+                        TypeTag::Int64 => {
+                            let typed = view.i64_at(c, i).unwrap().map(Value::Int64);
+                            prop_assert_eq!(typed, Some(value).filter(|v| v.type_tag() == spec.tag));
+                        }
+                        TypeTag::Double => {
+                            let typed = view.f64_at(c, i).unwrap().map(f64::to_bits);
+                            let held = if let Value::Double(d) = value { Some(d.to_bits()) } else { None };
+                            prop_assert_eq!(typed, held);
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            first += rows;
+        }
     }
 }
 
@@ -108,7 +151,7 @@ fn damaged_offset_tables_are_typed_corruption() {
     let codec = AmaxCodec::new(declared.clone());
     let store = new_store(256);
     let chunk = codec.build_chunk(&store, &entries, Some(&schema.serialize())).unwrap();
-    let reader = chunk.as_any().downcast_ref::<ChunkReader>().unwrap();
+    let reader = ChunkReader::of(chunk.as_ref()).unwrap();
     let cache = BufferCache::new(64);
     assert!(reader.get_row(&store, &cache, 0, &key(1)).unwrap().is_some());
 

@@ -750,18 +750,13 @@ impl Dataset {
     /// only shape where a scan may stream one component's column pages
     /// directly without LSM masking; anything else must go through
     /// [`Dataset::snapshot_scan`].
-    pub fn snapshot_columnar(&self) -> Option<(RecordDecoder, Arc<DiskComponent>)> {
-        let (decoder, frozen, active, components) = {
-            let view = self.primary.read_view();
-            let (frozen, active) = view.mem_parts(None);
-            (self.decoder(), frozen, active, view.components())
-        };
-        if frozen.is_some() || !active.is_empty() || components.len() != 1 {
-            return None;
-        }
-        let c = &components[0];
-        (c.is_columnar() && !c.is_quarantined() && c.num_antimatter() == 0)
-            .then(|| (decoder, Arc::clone(c)))
+    ///
+    /// Every batched query on every format asks this first, so the answer
+    /// costs a look at the tree's state: no memtable is copied, no decoder
+    /// built (column pages and residual records need none).
+    pub fn snapshot_columnar(&self) -> Option<Arc<DiskComponent>> {
+        let c = self.primary.read_view().sole_component()?;
+        (c.is_columnar() && !c.is_quarantined() && c.num_antimatter() == 0).then_some(c)
     }
 
     /// Total time the writing thread spent blocked on maintenance across

@@ -122,9 +122,12 @@ pub trait ColumnarWriter: Send + std::fmt::Debug {
 /// (`read_group_keys`) and hand out row references; a reference is turned
 /// into a record by `read_group_rows` (the format-agnostic path: whole-record
 /// reads, merges into a row-format component) or answered column by column
-/// by a reader — or a merging writer — that downcasts via `as_any` to the
-/// concrete chunk. Point lookups read one row (`get_row`).
-pub trait ColumnarChunk: Send + Sync + std::fmt::Debug {
+/// by a reader — or a merging writer — that knows the concrete chunk: the
+/// trait is `Any`, so the format layer that built a chunk can ask whether
+/// `&dyn ColumnarChunk` is its own type (typed column access, min/max group
+/// stats) and fall back to these methods when it is not. Point lookups read
+/// one row (`get_row`).
+pub trait ColumnarChunk: std::any::Any + Send + Sync + std::fmt::Debug {
     /// Number of row groups; groups are ordered, keys ascending across and
     /// within groups.
     fn num_groups(&self) -> usize;
@@ -164,8 +167,4 @@ pub trait ColumnarChunk: Send + Sync + std::fmt::Debug {
         g: usize,
         key: &[u8],
     ) -> Result<Option<(EntryKind, Vec<u8>)>, StorageError>;
-
-    /// Downcast hook for format-aware readers (typed column access,
-    /// min/max group stats).
-    fn as_any(&self) -> &dyn std::any::Any;
 }

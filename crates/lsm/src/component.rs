@@ -162,7 +162,7 @@ impl DiskComponent {
         self.max_key.as_deref()
     }
 
-    /// Key-range filter (the LSM-filter idea of [17], cited in §5): can this
+    /// Key-range filter (the LSM-filter idea of \[17\], cited in §5): can this
     /// component contain keys in `[start, end)`? Scans skip components whose
     /// range doesn't intersect — e.g. old components during a
     /// recent-timestamp secondary range scan.

@@ -630,10 +630,6 @@ mod tests {
             let row = self.groups[g].iter().find(|(k, _, _)| k == key);
             Ok(row.map(|(_, kind, payload)| (*kind, payload.clone())))
         }
-
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
     }
 
     /// What the hook and the codec of one tree saw, in order.

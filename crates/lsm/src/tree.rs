@@ -334,6 +334,15 @@ impl ReadView<'_> {
         self.guard.disk.clone()
     }
 
+    /// The one disk component that holds the whole tree, if there is such a
+    /// thing: nothing in memory (no frozen memtable, an empty active one)
+    /// and exactly one component on disk. Copies nothing.
+    pub fn sole_component(&self) -> Option<Arc<DiskComponent>> {
+        let state = &*self.guard;
+        let at_rest = state.frozen.is_none() && state.mem.is_empty() && state.disk.len() == 1;
+        at_rest.then(|| Arc::clone(&state.disk[0]))
+    }
+
     /// The in-memory scan inputs: a retained handle to the (immutable)
     /// frozen memtable and an owned copy of the active memtable from
     /// `start` onward. The active copy is the only per-entry work that
@@ -852,7 +861,7 @@ impl LsmTree {
 
     /// Merge an explicit, possibly non-contiguous pick of component
     /// indices (oldest → newest, as of this call). The key-disjointness
-    /// soundness condition is validated (see [`Self::gather_pick`]);
+    /// soundness condition is validated (see `gather_pick`);
     /// anti-matter is garbage-collected only when the pick is a prefix
     /// starting at the oldest component.
     pub fn merge_indices(&self, indices: &[usize]) -> Result<(), StorageError> {

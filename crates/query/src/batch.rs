@@ -12,9 +12,9 @@
 //! 1. **Eager decode** — only the early columns the scan filter actually
 //!    reads are evaluated into reusable column buffers: one [`PathBatch`]
 //!    drive per payload, or, for a row reference, one read of each named
-//!    typed column / residual path through the group reader the at-rest
-//!    columnar scan uses ([`crate::columnar::GroupIo`]; decoded columns and
-//!    residual blocks are kept per (source, group) for the batch).
+//!    typed column / residual path through the view of a row group the
+//!    at-rest columnar scan uses ([`tc_columnar::GroupView`]; the blocks it
+//!    has read are kept per (source, group) for the batch).
 //! 2. **Filter** — the predicate is split at top-level `AND`s and each
 //!    conjunct refines a selection vector. Conjuncts of the shape
 //!    `col <op> const` over homogeneous `Int64`/`Double` columns run as
@@ -52,13 +52,14 @@ use std::rc::Rc;
 
 use tc_adm::path::Path;
 use tc_adm::{AdmError, Value};
+use tc_columnar::GroupView;
 use tc_lsm::component::Payload;
 use tc_lsm::iter::MergedScan;
 use tc_storage::StorageError;
 use tc_util::hash::FxHashMap;
 use tuple_compactor::{PathBatch, RecordDecoder};
 
-use crate::columnar::{chunk_reader, GroupIo, PathPlan};
+use crate::columnar::{chunk_reader, PathPlan};
 use crate::exec::Row;
 use crate::expr::{CmpOp, Expr};
 use crate::plan::{AccessStrategy, ScanSpec};
@@ -176,7 +177,7 @@ type Fault = (usize, StorageError);
 /// by (source rank, group), and the faults they met.
 struct ColumnReads<'c> {
     iter: &'c MergedScan,
-    groups: FxHashMap<(usize, u32), GroupIo<'c>>,
+    groups: FxHashMap<(usize, u32), GroupView<'c>>,
     faults: Vec<Fault>,
 }
 
@@ -190,14 +191,14 @@ impl ColumnReads<'_> {
         if self.faults.iter().any(|(faulted, _)| *faulted == rank) {
             return None;
         }
-        let io = match self.groups.entry((rank, group)) {
+        let view = match self.groups.entry((rank, group)) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(v) => {
                 let (reader, store) = chunk_reader(self.iter.source_component(rank)?)?;
-                v.insert(GroupIo::new(reader, store, self.iter.cache(), group as usize))
+                v.insert(reader.view(store, self.iter.cache(), group as usize))
             }
         };
-        plan.row_values(io, row).map_err(|e| self.faults.push((rank, e))).ok()
+        plan.row_values(view, row).map_err(|e| self.faults.push((rank, e))).ok()
     }
 }
 
@@ -342,7 +343,7 @@ impl<'a> BatchScanner<'a> {
             kept += 1;
         }
         self.sel.truncate(kept);
-        *bytes += reads.groups.values().map(|io| io.bytes_read).sum::<u64>();
+        *bytes += reads.groups.values().map(GroupView::bytes_read).sum::<u64>();
         for (rank, _) in &reads.faults {
             self.sources[*rank] = SourcePlan::Materialize;
         }

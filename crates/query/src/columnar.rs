@@ -14,22 +14,26 @@
 //! The fast path is conservative: any shape it cannot answer *exactly*
 //! like the generic scan (whole-record paths, paths crossing a typed
 //! column's prefix, partitions not at rest) returns `None` and the caller
-//! falls back to [`crate::batch::scan_batched`]. Per-group type spills
+//! falls back to the batched scan ([`crate::batch`]). Per-group type spills
 //! likewise demote affected conjuncts to generic evaluation, so SQL++
 //! mixed-type semantics (`2 == 2.0`) survive schema drift.
 //!
 //! "Not at rest" no longer means "reconstruct every record": the batched
 //! scan reconciles the partition's components on their key blocks and fills
 //! its column buffers from the same column and residual blocks, through the
-//! same [`GroupIo`] and path classification ([`PathPlan`]) defined here —
-//! values boxed, generic filter loops, no min/max group skipping. What this
-//! module keeps to itself is what only a lone, anti-matter-free component
-//! allows: primitive loops over whole decoded columns and skipping groups
-//! by their stats without a reconciliation.
+//! same lazily faulted view of a row group ([`tc_columnar::GroupView`]) and
+//! the path classification (`PathPlan`) defined here — values boxed, generic
+//! filter loops, no min/max group skipping. What this module keeps to itself
+//! is what only a lone, anti-matter-free component allows: primitive loops
+//! over a column's typed values and skipping groups by their stats without a
+//! reconciliation.
+//!
+//! Nothing here knows the block format: a group's blocks are read by the
+//! view, and a block is read when — and only when — a row of it is asked for.
 
 use tc_adm::path::{Path, PathStep};
 use tc_adm::{AdmError, TypeTag, Value};
-use tc_columnar::{ChunkReader, ColumnStats, ColumnValues, DecodedColumn, DEF_PRESENT};
+use tc_columnar::{ChunkReader, ColumnStats, GroupView};
 use tc_lsm::component::DiskComponent;
 use tc_storage::page_store::PageStore;
 use tc_storage::{BufferCache, StorageError};
@@ -56,98 +60,16 @@ enum Slot {
 struct TypedPred<'e> {
     col: usize,
     op: CmpOp,
-    konst: &'e Value,
+    konst: Prim,
     expr: &'e Expr,
 }
 
-/// The one reader of a row group's blocks: typed columns and the residual
-/// block are faulted in on first use and kept for the reader's lifetime.
-/// Serves the at-rest scan below and the batched engine's fill of row
-/// references ([`crate::batch`]). Errors come back as the raw
-/// [`StorageError`]; what a fault means for the component and the query is
-/// the caller's policy.
-pub(crate) struct GroupIo<'c> {
-    reader: &'c ChunkReader,
-    store: &'c PageStore,
-    cache: &'c BufferCache,
-    g: usize,
-    cols: Vec<Option<DecodedColumn>>,
-    residuals: Option<Vec<Vec<u8>>>,
-    /// Bytes of the blocks faulted in so far.
-    pub(crate) bytes_read: u64,
-}
-
-/// A non-transient storage fault inside the fast path: the component is
-/// already quarantined; the caller abandons the fast path so the generic
-/// scan's health machinery applies the query's corruption policy.
-enum ScanFail {
-    Degraded,
-    Err(AdmError),
-}
-
-/// The at-rest scan's fault policy.
-fn degrade(component: &DiskComponent, e: StorageError) -> ScanFail {
-    if e.is_transient() {
-        ScanFail::Err(AdmError::storage(e.to_string(), true))
-    } else {
-        component.quarantine();
-        ScanFail::Degraded
-    }
-}
-
-impl<'c> GroupIo<'c> {
-    pub(crate) fn new(
-        reader: &'c ChunkReader,
-        store: &'c PageStore,
-        cache: &'c BufferCache,
-        g: usize,
-    ) -> Self {
-        let cols = vec![None; reader.columns().len()];
-        GroupIo { reader, store, cache, g, cols, residuals: None, bytes_read: 0 }
-    }
-
-    /// Fault one typed column in (memoized for the group's lifetime).
-    fn column(&mut self, c: usize) -> Result<&DecodedColumn, StorageError> {
-        if self.cols[c].is_none() {
-            let col = self.reader.read_column(self.store, self.cache, self.g, c)?;
-            self.bytes_read += self.reader.groups()[self.g].cols[c].run.bytes as u64;
-            self.cols[c] = Some(col);
-        }
-        Ok(self.cols[c].as_ref().expect("just faulted"))
-    }
-
-    /// Fault the group's residual rows in (memoized).
-    fn residual(&mut self) -> Result<&[Vec<u8>], StorageError> {
-        if self.residuals.is_none() {
-            let res = self.reader.read_residual(self.store, self.cache, self.g)?;
-            self.bytes_read += self.reader.groups()[self.g].residual.bytes as u64;
-            self.residuals = Some(res);
-        }
-        Ok(self.residuals.as_ref().expect("just faulted"))
-    }
-
-    /// Evaluate `paths` against row `r`'s residual record.
-    pub(crate) fn residual_values(
-        &mut self,
-        r: u32,
-        paths: &[Path],
-    ) -> Result<Vec<Value>, StorageError> {
-        let bytes = &self.residual()?[r as usize];
-        tc_vector::get_values(bytes, paths, None, None)
-            .map_err(|e| StorageError::corruption("column block", e.to_string()))
-    }
-
-    /// One row's value from typed column `c`, falling back to the residual
-    /// when the group recorded spills (the mismatched value lives there).
-    pub(crate) fn typed_value(&mut self, c: usize, r: u32) -> Result<Value, StorageError> {
-        let spilled = self.reader.groups()[self.g].cols[c].spilled;
-        let v = self.column(c)?.value_at(r as usize);
-        if !matches!(v, Value::Missing) || spilled == 0 {
-            return Ok(v);
-        }
-        let path: Path = self.reader.columns()[c].path.iter().map(PathStep::field).collect();
-        Ok(self.residual_values(r, std::slice::from_ref(&path))?.remove(0))
-    }
+/// The constant of a [`TypedPred`], of its column's type.
+#[derive(Clone, Copy)]
+enum Prim {
+    Int(i64),
+    /// Never NaN.
+    Double(f64),
 }
 
 /// Try the columnar fast scan. `Ok(None)` means "not covered — run the
@@ -162,7 +84,7 @@ pub(crate) fn try_scan_columnar(
     scanned: &mut u64,
     bytes: &mut u64,
 ) -> Result<Option<Vec<Row>>, AdmError> {
-    let Some((_, component)) = ds.snapshot_columnar() else {
+    let Some(component) = ds.snapshot_columnar() else {
         return Ok(None);
     };
     let component = component.as_ref();
@@ -185,13 +107,13 @@ pub(crate) fn try_scan_columnar(
     for expr in conjuncts {
         match typed_cmp_on(expr) {
             Some((col, op, konst)) if col < early => match (slots[col], konst) {
-                (Slot::Typed(c), Value::Int64(_)) if reader.columns()[c].tag == TypeTag::Int64 => {
-                    typed.push(TypedPred { col: c, op, konst, expr });
+                (Slot::Typed(c), Value::Int64(k)) if reader.columns()[c].tag == TypeTag::Int64 => {
+                    typed.push(TypedPred { col: c, op, konst: Prim::Int(*k), expr });
                 }
                 (Slot::Typed(c), Value::Double(k))
                     if reader.columns()[c].tag == TypeTag::Double && !k.is_nan() =>
                 {
-                    typed.push(TypedPred { col: c, op, konst, expr });
+                    typed.push(TypedPred { col: c, op, konst: Prim::Double(*k), expr });
                 }
                 _ => generic.push(expr),
             },
@@ -199,14 +121,21 @@ pub(crate) fn try_scan_columnar(
         }
     }
 
-    match scan_groups(reader, store, ds, component, scan, &plan, &typed, &generic, limit_hint) {
+    let cache = ds.primary().cache();
+    match scan_groups(reader, store, cache, scan, &plan, &typed, &generic, limit_hint) {
         Ok((rows, row_scanned, bytes_read)) => {
             *scanned += row_scanned;
             *bytes += bytes_read;
             Ok(Some(rows))
         }
-        Err(ScanFail::Degraded) => Ok(None),
-        Err(ScanFail::Err(e)) => Err(e),
+        Err(e) if e.is_transient() => Err(AdmError::storage(e.to_string(), true)),
+        // The at-rest scan's fault policy: quarantine the component and
+        // abandon the fast path, so the generic scan's health machinery
+        // applies the query's corruption policy.
+        Err(_) => {
+            component.quarantine();
+            Ok(None)
+        }
     }
 }
 
@@ -214,16 +143,13 @@ pub(crate) fn try_scan_columnar(
 fn scan_groups(
     reader: &ChunkReader,
     store: &PageStore,
-    ds: &Dataset,
-    component: &DiskComponent,
+    cache: &BufferCache,
     scan: &ScanSpec,
     plan: &PathPlan,
     typed: &[TypedPred<'_>],
     generic: &[&Expr],
     limit_hint: Option<usize>,
-) -> Result<(Vec<Row>, u64, u64), ScanFail> {
-    let cache = ds.primary().cache();
-    let fail = |e| degrade(component, e);
+) -> Result<(Vec<Row>, u64, u64), StorageError> {
     let PathPlan { slots, residual_paths } = plan;
     let counters = reader.counters();
     let page_size = store.page_size();
@@ -254,7 +180,7 @@ fn scan_groups(
             row_scanned += gm.rows as u64;
         }
         let mut sel: Vec<u32> = (0..gm.rows).collect();
-        let mut io = GroupIo::new(reader, store, cache, g);
+        let mut view = reader.view(store, cache, g);
         let mut group_generic: Vec<&Expr> = generic.to_vec();
 
         // ---- typed primitive filter loops ----
@@ -268,32 +194,18 @@ fn scan_groups(
                 group_generic.push(p.expr);
                 continue;
             }
-            let col = io.column(p.col).map_err(fail)?;
-            match (&col.values, p.konst) {
-                (ColumnValues::I64(vals), Value::Int64(k)) => {
+            // NaN breaks primitive comparison semantics; a group that holds
+            // one goes to the generic evaluator.
+            let kept = match p.konst {
+                Prim::Int(k) => refine(&sel, p.op, k, |_| false, |r| view.i64_at(p.col, r)),
+                Prim::Double(k) => refine(&sel, p.op, k, |x| x.is_nan(), |r| view.f64_at(p.col, r)),
+            };
+            match kept? {
+                Some(kept) => {
                     counters.note_typed_filter_rows(sel.len() as u64);
-                    let (k, def) = (*k, &col.def);
-                    sel.retain(|&r| {
-                        def[r as usize] == DEF_PRESENT && cmp_prim(p.op, vals[r as usize], k)
-                    });
+                    sel = kept;
                 }
-                (ColumnValues::F64(vals), Value::Double(k)) => {
-                    // NaN breaks primitive comparison semantics; hand those
-                    // groups to the generic evaluator.
-                    if sel
-                        .iter()
-                        .any(|&r| col.def[r as usize] == DEF_PRESENT && vals[r as usize].is_nan())
-                    {
-                        group_generic.push(p.expr);
-                        continue;
-                    }
-                    counters.note_typed_filter_rows(sel.len() as u64);
-                    let (k, def) = (*k, &col.def);
-                    sel.retain(|&r| {
-                        def[r as usize] == DEF_PRESENT && cmp_prim(p.op, vals[r as usize], k)
-                    });
-                }
-                _ => return Err(ScanFail::Degraded), // index/column disagree
+                None => group_generic.push(p.expr),
             }
         }
 
@@ -304,26 +216,25 @@ fn scan_groups(
             refd.sort_unstable();
             refd.dedup();
             refd.retain(|&i| i < early);
-            let refd_residual: Vec<(usize, Path)> = refd
+            let (res_cols, res_paths): (Vec<usize>, Vec<Path>) = refd
                 .iter()
                 .filter_map(|&i| match slots[i] {
                     Slot::Residual(j) => Some((i, residual_paths[j].clone())),
                     Slot::Typed(_) => None,
                 })
-                .collect();
-            let res_paths: Vec<Path> = refd_residual.iter().map(|(_, p)| p.clone()).collect();
+                .unzip();
             let mut scratch: Vec<Value> = vec![Value::Missing; early];
             let mut keep: Vec<u32> = Vec::with_capacity(sel.len());
             for &r in &sel {
                 for &i in &refd {
                     if let Slot::Typed(c) = slots[i] {
-                        scratch[i] = io.typed_value(c, r).map_err(fail)?;
+                        scratch[i] = view.value_at(c, r as usize)?;
                     }
                 }
                 if !res_paths.is_empty() {
-                    let vals = io.residual_values(r, &res_paths).map_err(fail)?;
-                    for ((i, _), v) in refd_residual.iter().zip(vals) {
-                        scratch[*i] = v;
+                    let vals = view.residual_values(r as usize, &res_paths)?;
+                    for (&i, v) in res_cols.iter().zip(vals) {
+                        scratch[i] = v;
                     }
                 }
                 if group_generic.iter().all(|c| c.eval_bool(&scratch)) {
@@ -338,23 +249,43 @@ fn scan_groups(
             if !has_filter {
                 row_scanned += 1;
             }
-            rows.push(plan.row_values(&mut io, r).map_err(fail)?);
+            rows.push(plan.row_values(&mut view, r)?);
             if limit_hint.is_some_and(|k| rows.len() >= k) {
-                bytes_read += io.bytes_read;
-                return Ok((rows, row_scanned, bytes_read));
+                return Ok((rows, row_scanned, bytes_read + view.bytes_read()));
             }
         }
-        bytes_read += io.bytes_read;
+        bytes_read += view.bytes_read();
     }
 
     Ok((rows, row_scanned, bytes_read))
+}
+
+/// The primitive loop of one typed conjunct: the rows of `sel` whose value
+/// (`at(row)`; `None` = not present) satisfies `<op> k` — or `None`, nothing
+/// decided, if one of them holds a value `unordered` says cannot be compared.
+fn refine<T: PartialOrd + Copy>(
+    sel: &[u32],
+    op: CmpOp,
+    k: T,
+    unordered: impl Fn(T) -> bool,
+    mut at: impl FnMut(usize) -> Result<Option<T>, StorageError>,
+) -> Result<Option<Vec<u32>>, StorageError> {
+    let mut kept = Vec::with_capacity(sel.len());
+    for &r in sel {
+        match at(r as usize)? {
+            Some(x) if unordered(x) => return Ok(None),
+            Some(x) if cmp_prim(op, x, k) => kept.push(r),
+            _ => {}
+        }
+    }
+    Ok(Some(kept))
 }
 
 /// The format-aware reader of a columnar component and the store its pages
 /// live on; `None` for row-layout components and foreign chunk types.
 pub(crate) fn chunk_reader(component: &DiskComponent) -> Option<(&ChunkReader, &PageStore)> {
     let (chunk, store) = component.columnar_view()?;
-    Some((chunk.as_any().downcast_ref::<ChunkReader>()?, store))
+    Some((ChunkReader::of(chunk)?, store))
 }
 
 /// Where a list of scan paths is read from in one component.
@@ -393,16 +324,16 @@ impl PathPlan {
     /// Row `r`'s value at every planned path, in path order. A plain loop
     /// on purpose: the at-rest `count(*)` calls this once per row with no
     /// paths, and an iterator `collect::<Result<_, _>>()` here cost it 40 %.
-    pub(crate) fn row_values(&self, io: &mut GroupIo<'_>, r: u32) -> Result<Row, StorageError> {
+    pub(crate) fn row_values(&self, view: &mut GroupView<'_>, r: u32) -> Result<Row, StorageError> {
         let mut residual = if self.residual_paths.is_empty() {
             Vec::new()
         } else {
-            io.residual_values(r, &self.residual_paths)?
+            view.residual_values(r as usize, &self.residual_paths)?
         };
         let mut row: Row = Vec::with_capacity(self.slots.len());
         for slot in &self.slots {
             row.push(match *slot {
-                Slot::Typed(c) => io.typed_value(c, r)?,
+                Slot::Typed(c) => view.value_at(c, r as usize)?,
                 Slot::Residual(i) => std::mem::replace(&mut residual[i], Value::Missing),
             });
         }
@@ -417,18 +348,12 @@ fn classify(reader: &ChunkReader, path: &Path) -> Option<Slot> {
         return None; // whole-record access needs full reconstruction
     }
     // The leading run of plain field steps decides where the value lives.
-    let mut fields: Vec<String> = Vec::new();
-    let mut pure = true;
-    for step in path {
-        match step {
-            PathStep::Field(name) if pure => fields.push(name.clone()),
-            _ => {
-                pure = false;
-                break;
-            }
-        }
-    }
-    if pure {
+    let field = |step: &PathStep| match step {
+        PathStep::Field(name) => Some(name.clone()),
+        _ => None,
+    };
+    let fields: Vec<String> = path.iter().map_while(field).collect();
+    if fields.len() == path.len() {
         if let Some(c) = reader.find_column(&fields) {
             return Some(Slot::Typed(c));
         }
@@ -443,10 +368,10 @@ fn classify(reader: &ChunkReader, path: &Path) -> Option<Slot> {
 /// (SQL++ null/missing semantics), so `false` skips the group outright.
 /// `ColumnStats::None` is inconclusive — it covers both "no present
 /// values" and "stats poisoned by NaN" — so it never skips.
-fn stats_may_match(stats: &ColumnStats, op: CmpOp, konst: &Value) -> bool {
+fn stats_may_match(stats: &ColumnStats, op: CmpOp, konst: Prim) -> bool {
     match (stats, konst) {
-        (ColumnStats::Int { min, max }, Value::Int64(k)) => range_may_match(*min, *max, op, *k),
-        (ColumnStats::Float { min, max }, Value::Double(k)) => range_may_match(*min, *max, op, *k),
+        (ColumnStats::Int { min, max }, Prim::Int(k)) => range_may_match(*min, *max, op, k),
+        (ColumnStats::Float { min, max }, Prim::Double(k)) => range_may_match(*min, *max, op, k),
         _ => true,
     }
 }

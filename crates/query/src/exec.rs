@@ -898,6 +898,10 @@ mod tests {
             after.pages_skipped_by_stats > before.pages_skipped_by_stats,
             "later groups must be skipped via min/max stats"
         );
+        // Column pruning: of the one group not skipped, the filter column;
+        // for its survivors, the late typed column and the residual block.
+        // `id` — and every block of the skipped groups — is never read.
+        assert_eq!(after.columns_faulted_in - before.columns_faulted_in, 3);
         // Skipped groups are never scanned: only the first group's rows
         // show up in the scan counter.
         assert_eq!(fast.stats.rows_scanned, 1024);
@@ -991,8 +995,48 @@ mod tests {
         }
         let (counted, _) = run(&count, Engine::Batched);
         assert_eq!(counted.rows, vec![vec![Value::Int64(live)]]);
+        // Column pruning, live: of every row group that owns a winner the
+        // fill reads the filter column, and of those that own a survivor the
+        // late typed column and the residual block — what the at-rest scan
+        // reads of a group, and never `id`.
+        let cache = ds.primary().cache();
+        let components = ds.primary().components();
+        let mut newest = std::collections::HashMap::new();
+        for (c, component) in components.iter().enumerate() {
+            let (chunk, store) = component.columnar_view().unwrap();
+            for g in 0..chunk.num_groups() {
+                let keys = chunk.read_group_keys(store, cache, g).unwrap();
+                for (row, (key, kind)) in keys.into_iter().enumerate() {
+                    newest.insert(key, (kind == tc_lsm::EntryKind::Record).then_some((c, g, row)));
+                }
+            }
+        }
+        let in_memory = ds.primary().read_view();
+        newest.retain(|key, _| in_memory.mem_entry(key).is_none());
+        drop(in_memory);
+        let mut touched = std::collections::HashSet::new();
+        let mut surviving = std::collections::HashSet::new();
+        for (c, g, row) in newest.into_values().flatten() {
+            touched.insert((c, g));
+            let (chunk, store) = components[c].columnar_view().unwrap();
+            let reader = tc_columnar::ChunkReader::of(chunk).unwrap();
+            let time = reader.find_column(&["report_time".into()]).unwrap();
+            let time = reader.view(store, cache, g).i64_at(time, row).unwrap().unwrap();
+            if (100_000..140_000).contains(&time) {
+                surviving.insert((c, g));
+            }
+        }
+        assert!(
+            !surviving.is_empty() && surviving.len() < touched.len(),
+            "the window leaves some groups, not all, without a survivor"
+        );
+        let before = ds.lsm_stats().columns_faulted_in;
         let (filtered, _) = run(&filter, Engine::Batched);
         assert!(!filtered.rows.is_empty(), "the window holds live reports");
+        assert_eq!(
+            ds.lsm_stats().columns_faulted_in - before,
+            (touched.len() + 2 * surviving.len()) as u64
+        );
 
         let (star, pivoted) = run(&select_star, Engine::Batched);
         assert!(pivoted > 0, "whole records are assembled");

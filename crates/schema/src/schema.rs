@@ -119,7 +119,7 @@ impl Schema {
         (fid, node)
     }
 
-    /// [`observe_field`] when the name is already interned.
+    /// [`Self::observe_field`] when the name is already interned.
     pub fn observe_field_id(&mut self, obj: NodeId, fid: FieldNameId, tag: TypeTag) -> NodeId {
         let existing = match &self.nodes[obj as usize] {
             SchemaNode::Object { fields, .. } => {

@@ -39,8 +39,8 @@ pub enum FaultKind {
 }
 
 /// What a consulted write should do to its buffer. `Clean` is the fast path;
-/// the other variants carry RNG-derived raw material that [`FileStore`]
-/// (crate::file::FileStore) maps onto the buffer's actual length.
+/// the other variants carry RNG-derived raw material that
+/// [`FileStore`](crate::file::FileStore) maps onto the buffer's actual length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WriteMutation {
     Clean,

@@ -4,7 +4,7 @@
 //!   SATA and NVMe SSDs; we reproduce the *bandwidth* distinction by
 //!   charging every byte moved against a configurable sequential-IO budget
 //!   and reporting the simulated stall time alongside measured CPU time.
-//! * [`file`] — an append-only byte store (LSM components are immutable, so
+//! * [`mod@file`] — an append-only byte store (LSM components are immutable, so
 //!   appends + random reads are the only operations the engine needs).
 //! * [`laf`] — Look-Aside Files: the 12-byte offset/length entry table that
 //!   lets arbitrary-size compressed pages live under a fixed-size page API

@@ -13,7 +13,7 @@
 //!   packed length bit-widths, and four section offsets. Compaction zeroes
 //!   the fourth offset (field-name values) to signal names now live in the
 //!   schema structure.
-//! * [`encode`] — `Value` → uncompacted vector record (what the in-memory
+//! * [`mod@encode`] — `Value` → uncompacted vector record (what the in-memory
 //!   component stores; also the "SL-VB" configuration of Fig 21).
 //! * [`reader`] — a pull parser over the tag stream; [`reader::decode`]
 //!   materializes a `Value` from either compacted or uncompacted records.

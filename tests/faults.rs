@@ -842,7 +842,7 @@ fn columnar_bit_flip_in_merge_input_fails_the_merge_typed_and_installs_nothing()
         let damaged = before.last().unwrap();
         // Which block holds the page that no longer passes its checksum?
         let (chunk, store) = damaged.columnar_view().unwrap();
-        let reader = chunk.as_any().downcast_ref::<ChunkReader>().unwrap();
+        let reader = ChunkReader::of(chunk).unwrap();
         let bad = (0..store.num_pages()).find(|&p| store.read_page(p).is_err());
         let bad = bad.expect("the flip landed in one of the component's pages");
         assert_eq!(reader.groups().len(), 1);
