@@ -11,6 +11,7 @@ use tc_adm::path::{Path, PathStep};
 use tc_adm::{TypeTag, Value};
 use tc_lsm::columnar::ColumnarChunk;
 use tc_lsm::entry::{EntryKind, Key};
+use tc_schema::FieldNameDictionary;
 use tc_storage::buffer_cache::BufferCache;
 use tc_storage::error::StorageError;
 use tc_storage::page_store::{PageId, PageStore};
@@ -21,24 +22,33 @@ use crate::{ColumnStats, ColumnarCounters, DEF_NULL, DEF_PRESENT};
 /// Magic prefix of the serialized column index blob.
 pub const INDEX_MAGIC: &[u8; 4] = b"TCAX";
 
-/// The block format, as the index blob's version byte names it: keys,
-/// residual and string-column blocks start with a per-row `u32` end-offset
-/// table, so a point lookup reads one row without walking (or faulting in)
-/// the rows before it.
-pub const FORMAT_VERSION: u8 = 2;
+/// The layout, as the index blob's version byte names it. Format 3: the
+/// component body is one byte stream, every block a byte range of it
+/// ([`PageRun`]), and a residual row is a vector record *compacted* against
+/// the component's field-name dictionary. (Format 2 started every block on a
+/// fresh page and spelled field names out in every residual row; it is
+/// refused, like every version but this one.)
+pub const FORMAT_VERSION: u8 = 3;
 
-/// A block's location: contiguous pages starting at `start`, `bytes` of
-/// payload (the trailing page is zero-padded). Blocks always begin on a
-/// fresh page so they can be faulted in independently.
+/// A block's location: `bytes` bytes starting at byte `start` of the
+/// component body — the stream of the pages the writer filled, blocks back
+/// to back, padding after the index blob only. A block begins and ends
+/// anywhere in a page; its neighbours share its first and last.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageRun {
-    pub start: PageId,
+    pub start: u64,
     pub bytes: u32,
 }
 
 impl PageRun {
+    pub fn end(&self) -> u64 {
+        self.start + self.bytes as u64
+    }
+
+    /// How many pages the range lies on.
     pub fn num_pages(&self, page_size: usize) -> u64 {
-        (self.bytes as usize).div_ceil(page_size).max(1) as u64
+        let (page_size, last) = (page_size as u64, self.end().saturating_sub(1).max(self.start));
+        last / page_size - self.start / page_size + 1
     }
 }
 
@@ -84,6 +94,12 @@ pub struct ChunkReader {
     counters: Arc<ColumnarCounters>,
     columns: Vec<ColumnSpec>,
     groups: Vec<GroupMeta>,
+    /// What the field ids in the residual rows name: the dictionary of the
+    /// component's schema blob. `None` for a component built without one,
+    /// whose residual rows spell their names out.
+    dict: Option<FieldNameDictionary>,
+    /// The page the body's byte 0 lies on.
+    body: PageId,
 }
 
 /// The first `N` bytes of `bytes` as an array, for `from_le_bytes`.
@@ -105,7 +121,7 @@ fn read_key_entry(buf: &[u8]) -> Option<(&[u8], EntryKind, usize)> {
 }
 
 /// The payload of a `varint len, bytes` item that fills `raw` exactly.
-fn len_prefixed(raw: &[u8]) -> Option<&[u8]> {
+pub(crate) fn len_prefixed(raw: &[u8]) -> Option<&[u8]> {
     let (len, n) = varint::read_u64(raw)?;
     let payload = &raw[n..];
     (payload.len() as u64 == len).then_some(payload)
@@ -117,8 +133,10 @@ impl ChunkReader {
         counters: Arc<ColumnarCounters>,
         columns: Vec<ColumnSpec>,
         groups: Vec<GroupMeta>,
+        dict: Option<FieldNameDictionary>,
+        body: PageId,
     ) -> Self {
-        ChunkReader { declared, counters, columns, groups }
+        ChunkReader { declared, counters, columns, groups, dict, body }
     }
 
     /// `chunk` as the format-aware reader, if this crate's codec built it.
@@ -139,6 +157,16 @@ impl ChunkReader {
         &self.counters
     }
 
+    /// The dictionary the residual rows' field ids index, if they hold ids.
+    pub fn dict(&self) -> Option<&FieldNameDictionary> {
+        self.dict.as_ref()
+    }
+
+    /// The page of the component's store the body starts on.
+    pub fn body_page(&self) -> PageId {
+        self.body
+    }
+
     /// Index of the typed column at exactly this path, if any.
     pub fn find_column(&self, path: &[String]) -> Option<usize> {
         self.columns.iter().position(|c| c.path == path)
@@ -151,13 +179,18 @@ impl ChunkReader {
         self.columns.iter().any(|c| c.path.len() >= path.len() && c.path[..path.len()] == *path)
     }
 
-    /// Total pages across one group's blocks (keys + residual + every
-    /// column) — what a stats-based group skip avoids reading.
+    /// The pages group `g`'s blocks lie on (keys first, the last column
+    /// last, nothing between them) — what a stats-based group skip avoids
+    /// reading, but for the two it may share with its neighbours.
     pub fn group_pages(&self, g: usize, page_size: usize) -> u64 {
         let gm = &self.groups[g];
-        gm.keys.num_pages(page_size)
-            + gm.residual.num_pages(page_size)
-            + gm.cols.iter().map(|c| c.run.num_pages(page_size)).sum::<u64>()
+        let end = gm.cols.last().map_or(gm.residual, |c| c.run).end();
+        let whole = PageRun { start: gm.keys.start, bytes: (end - gm.keys.start) as u32 };
+        whole.num_pages(page_size)
+    }
+
+    fn block<'a>(&self, store: &'a PageStore, cache: &'a BufferCache, run: PageRun) -> Block<'a> {
+        Block { store, cache, body: self.body, run }
     }
 
     /// Row group `g`'s residual and column blocks, none of them read yet.
@@ -193,7 +226,7 @@ impl ChunkReader {
     ) -> Result<Option<(usize, EntryKind)>, StorageError> {
         let gm = &self.groups[g];
         let err = || corrupt("keys block", g);
-        let block = Block { store, cache, run: gm.keys };
+        let block = self.block(store, cache, gm.keys);
         let (mut lo, mut hi) = (0usize, gm.rows as usize);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
@@ -213,8 +246,8 @@ impl ChunkReader {
 
     /// One record from its stored parts — what both the group read and the
     /// point read end in, so the two agree byte for byte: onto the row's
-    /// decoded residual ([`residual_record`]) graft each typed column's
-    /// value at its path (`column_value(c)`; `Missing` = the row has none
+    /// decoded residual ([`ChunkReader::residual_record`]) graft each typed
+    /// column's value at its path (`column_value(c)`; `Missing` = the row has none
     /// there), re-encode.
     fn record(
         &self,
@@ -229,16 +262,18 @@ impl ChunkReader {
         }
         Ok(tc_vector::encode(&value, Some(&self.declared)))
     }
+
+    /// A row's residual record, decoded: declared fields by the catalog
+    /// type, field ids by the component's dictionary. An id it lacks is the
+    /// decoder's error, so `Corruption` here.
+    fn residual_record(&self, raw: &[u8]) -> Result<Value, StorageError> {
+        tc_vector::decode(raw, Some(&self.declared), self.dict.as_ref())
+            .map_err(|e| StorageError::corruption("column block", e.to_string()))
+    }
 }
 
 fn corrupt(what: &'static str, g: usize) -> StorageError {
     StorageError::corruption("column block", format!("undecodable {what} in row group {g}"))
-}
-
-/// A row's residual record, decoded.
-fn residual_record(raw: &[u8]) -> Result<Value, StorageError> {
-    tc_vector::decode(raw, None, None)
-        .map_err(|e| StorageError::corruption("column block", e.to_string()))
 }
 
 // ---------------------------------------------------------------------
@@ -269,11 +304,12 @@ impl BlockBytes for Vec<u8> {
     }
 }
 
-/// One block on its pages: only the pages holding the bytes asked for are
-/// faulted in.
+/// One block where it lies in the body: only the pages holding the bytes
+/// asked for are faulted in.
 struct Block<'a> {
     store: &'a PageStore,
     cache: &'a BufferCache,
+    body: PageId,
     run: PageRun,
 }
 
@@ -288,15 +324,15 @@ impl BlockBytes for Block<'_> {
             .checked_add(len)
             .filter(|&end| end <= self.run.bytes as usize)
             .ok_or_else(|| corrupt("block range", g))?;
-        let page_size = self.store.page_size();
+        let page_size = self.store.page_size() as u64;
         let mut out = Vec::with_capacity(len);
-        let mut pos = offset;
+        let (mut pos, end) = (self.run.start + offset as u64, self.run.start + end as u64);
         while pos < end {
-            let page = self.cache.read(self.store, self.run.start + (pos / page_size) as u64)?;
-            let in_page = pos % page_size;
-            let take = (end - pos).min(page_size - in_page);
+            let page = self.cache.read(self.store, self.body + pos / page_size)?;
+            let in_page = (pos % page_size) as usize;
+            let take = ((end - pos) as usize).min(page.len() - in_page);
             out.extend_from_slice(&page[in_page..in_page + take]);
-            pos += take;
+            pos += take as u64;
         }
         Ok(out)
     }
@@ -452,7 +488,7 @@ impl<'c> GroupView<'c> {
     /// Read one block whole.
     fn fault(&mut self, run: PageRun) -> Result<Vec<u8>, StorageError> {
         self.reader.counters.columns_faulted.fetch_add(1, Ordering::Relaxed);
-        let block = Block { store: self.store, cache: self.cache, run };
+        let block = self.reader.block(self.store, self.cache, run);
         let bytes = block.range(self.g, 0, run.bytes as usize)?;
         self.blocks.bytes_read += run.bytes as u64;
         Ok(bytes)
@@ -541,7 +577,8 @@ impl<'c> GroupView<'c> {
         row: usize,
         paths: &[Path],
     ) -> Result<Vec<Value>, StorageError> {
-        tc_vector::get_values(self.residual_row(row)?, paths, None, None)
+        let (declared, dict) = (&self.reader.declared, self.reader.dict.as_ref());
+        tc_vector::get_values(self.residual_row(row)?, paths, Some(declared), dict)
             .map_err(|e| StorageError::corruption("column block", e.to_string()))
     }
 }
@@ -588,7 +625,7 @@ impl ColumnarChunk for ChunkReader {
         let len = (gm.keys.bytes as usize)
             .checked_sub(table)
             .ok_or_else(|| corrupt("offset table", g))?;
-        let body = Block { store, cache, run: gm.keys }.range(g, table, len)?;
+        let body = self.block(store, cache, gm.keys).range(g, table, len)?;
         let mut out = Vec::with_capacity(gm.rows as usize);
         let mut pos = 0usize;
         for _ in 0..gm.rows {
@@ -615,7 +652,7 @@ impl ColumnarChunk for ChunkReader {
             let payload = match kind {
                 EntryKind::AntiMatter => Vec::new(),
                 EntryKind::Record => {
-                    let residual = residual_record(view.residual_row(i)?)?;
+                    let residual = self.residual_record(view.residual_row(i)?)?;
                     self.record(residual, |c| view.column_value(c, i))?
                 }
             };
@@ -641,10 +678,10 @@ impl ColumnarChunk for ChunkReader {
         // The arithmetic of the view over pages faulted in one by one.
         let gm = &self.groups[g];
         let rows = gm.rows as usize;
-        let residual = var_row(&Block { store, cache, run: gm.residual }, g, rows * 4, i)?;
+        let residual = var_row(&self.block(store, cache, gm.residual), g, rows * 4, i)?;
         let residual = len_prefixed(&residual).ok_or_else(|| corrupt("residual block", g))?;
-        let payload = self.record(residual_record(residual)?, |c| {
-            let (block, tag) = (Block { store, cache, run: gm.cols[c].run }, self.columns[c].tag);
+        let payload = self.record(self.residual_record(residual)?, |c| {
+            let (block, tag) = (self.block(store, cache, gm.cols[c].run), self.columns[c].tag);
             let (def, raw) = column_row(&block, g, tag, rows, &mut Rank::default(), i)?;
             decode_value(tag, g, (def, raw.as_deref()))
         })?;

@@ -9,12 +9,14 @@
 //!
 //! ```text
 //! component page store
-//! ┌──────────────────────────────────────────────────────────────┐
-//! │ row group 0:  [keys block][residual][col a.b][col a.m][…]    │
-//! │ row group 1:  [keys block][residual][col a.b][col a.m][…]    │
-//! │ …                                                            │
-//! │ [column index blob]  [generic component tail (bloom, id, …)] │
-//! └──────────────────────────────────────────────────────────────┘
+//! ┌──────────────────────────────────────────────────────────────────┐
+//! │ body, one byte stream:                                           │
+//! │   group 0: [keys][residual][col a.b][col a.m][…]                 │
+//! │   group 1: [keys][residual][col a.b][col a.m][…]   back to back, │
+//! │   …                                                no padding    │
+//! │   [column index blob]                              ← pad to page │
+//! │ [generic component tail (bloom, id, …)]                          │
+//! └──────────────────────────────────────────────────────────────────┘
 //! ```
 //!
 //! * Every eligible schema leaf path ([`tc_schema::leaf_columns`]) plus the
@@ -23,18 +25,31 @@
 //!   array (i64/f64 little-endian, bools, or length-prefixed strings).
 //! * Values that *leave* the schema — heterogeneous unions, collections,
 //!   exotic scalars, or a type-mismatched row — stay in the row-encoded
-//!   **residual column** (an uncompacted vector record of what remains),
-//!   so shred → reconstruct is lossless for arbitrary documents.
-//! * The **column index** maps each column to its page runs per row group,
-//!   with min/max stats, null counts, and spill counts; scans fault in only
-//!   the columns a query references and skip whole groups whose stats
-//!   cannot satisfy a pushed-down conjunct.
+//!   **residual column**: a vector record of what remains, so shred →
+//!   reconstruct is lossless for arbitrary documents. It is a *compacted*
+//!   record (§3.3.2 of the source paper): its field names are ids of the
+//!   dictionary in the component's own schema blob, its declared fields
+//!   catalog indices — no name is spelled out in any row. The dictionary only
+//!   ever grows and a merged component carries its newest input's blob, so a
+//!   residual row copied from an older component reads the same under the
+//!   merged one's dictionary. (A component built with no schema blob — only
+//!   tests do that — has no dictionary, and its residual rows keep their
+//!   names inline.)
+//! * The **column index** maps each column to its block per row group, with
+//!   min/max stats, null counts, and spill counts; scans fault in only the
+//!   columns a query references and skip whole groups whose stats cannot
+//!   satisfy a pushed-down conjunct.
 //!
-//! Every block starts on a fresh page. The three blocks whose rows vary in
-//! width open with an **offset table** — one little-endian `u32` per row,
-//! the offset at which that row *ends* in the area after the table (row 0
-//! starts at 0) — so a point lookup ([`ChunkReader`]'s `get_row`) reads one
-//! row and faults in only the pages holding it:
+//! A block is a **byte range** of the body ([`chunk::PageRun`]: offset,
+//! length): the writer appends each group's keys, residual and column
+//! blocks one behind the other through a single page writer, the index blob
+//! last, and only the body's last page is padded. A block starts and ends
+//! anywhere in a page; reading it faults in the pages its range lies on, and
+//! its neighbours share the first and last of them. The three blocks whose
+//! rows vary in width open with an **offset table** — one little-endian
+//! `u32` per row, the offset at which that row *ends* in the area after the
+//! table (row 0 starts at 0) — so a point lookup ([`ChunkReader`]'s
+//! `get_row`) reads one row and faults in only the pages holding it:
 //!
 //! ```text
 //! keys block      [end × rows] [varint klen, key, kind byte]…
@@ -45,11 +60,13 @@
 //!                                           row i's value is found by rank over def)
 //! ```
 //!
-//! That is the one block format. The index blob names it: `TCAX`, then
+//! That is the one format, number 3. The index blob names it: `TCAX`, then
 //! `[0x80 | version, 0x00]` ([`chunk::FORMAT_VERSION`]), then the columns and
-//! groups. The version byte is there for the day the blocks change shape: a
-//! reader must refuse a component whose blocks it would misread, and
-//! [`chunk::deserialize_index`] returns `None` for any version but its own.
+//! groups. A reader must refuse a component whose blocks it would misread,
+//! and [`chunk::deserialize_index`] returns `None` for any version but its
+//! own — format 2 (every block on fresh pages, names inline in every
+//! residual row) included: nothing on disk outlives a process here, so there
+//! is one writer and one reader and no second path.
 //!
 //! All pages go through the component's own
 //! [`PageStore`](tc_storage::page_store::PageStore), so PR 8's CRC footers,
@@ -83,22 +100,31 @@
 //! # Writing, and how a merge copies a row
 //!
 //! One streaming writer ([`AmaxWriter`]) builds every component: rows go in
-//! one at a time, a full row group is written out at once, and nothing but
-//! the open group stays in memory. It is opened from the component's schema
-//! blob, which every build has before its first row. A flush or bulk load
-//! hands it records — decode, detach the typed values, re-encode what is
-//! left as the residual. A merge hands it *row references* into its columnar
-//! inputs, and the writer copies: it keeps what the view of one source group
-//! per input has read, asks it for row `i`'s definition byte, value bytes and
-//! residual record as stored (references arrive in key order, so each source
-//! is read forward), and appends them to the open group, recomputing that
-//! group's min/max, null counts and offset tables. No record is assembled,
-//! and the bytes written are the ones re-shredding the reconstructed record
-//! would write.
+//! one at a time, a full row group is appended to the body at once, and
+//! nothing but the open group stays in memory. It is opened from the
+//! component's schema blob, which every build has before its first row. A
+//! flush or bulk load hands it records, and it **shreds them as bytes**: one
+//! walk over the vector record's items against a trie of the column paths
+//! sends a scalar at a column's path (of the column's type, or a null)
+//! straight into the column's buffers and copies every other item into the
+//! residual record under construction — a compacted input's field ids as
+//! they are, an inline name (a record pivoted out of another component)
+//! looked up in the dictionary. No `Value` is built and no field name
+//! allocated; a name or id the dictionary lacks is a typed corruption error,
+//! never a dropped field. A merge hands the writer *row references* into its
+//! columnar inputs, and the writer copies: it keeps what the view of one
+//! source group per input has read, asks it for row `i`'s definition byte,
+//! value bytes and residual record as stored (references arrive in key
+//! order, so each source is read forward), and appends them to the open
+//! group, recomputing that group's min/max, null counts and offset tables.
+//! No record is assembled, and the bytes written are the ones re-shredding
+//! the reconstructed record would write.
 //!
 //! The copy is refused, one source group at a time, whenever that last claim
 //! cannot be proven: a source whose column specs differ from the output's
-//! (the residuals would hold different fields), a group with a spilled value
+//! (the residuals would hold different fields) or whose dictionary is not a
+//! prefix of the output's (it always is within one partition; the residuals'
+//! ids would name other fields), a group with a spilled value
 //! in any column (which rows spilled is recorded only inside their residual
 //! records, and the output needs its own count), or a chunk that is not a
 //! [`ChunkReader`] ([`ChunkReader::of`]). Those rows are pivoted — `get_row`,
@@ -108,6 +134,7 @@
 //! before/after lookup of the pair.
 
 pub mod chunk;
+mod shred;
 pub mod writer;
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -117,7 +144,7 @@ pub use writer::{AmaxCodec, AmaxWriter};
 
 /// How many rows a row group holds (the last group of a component may be
 /// shorter). Small enough that group min/max stats discriminate, large
-/// enough that column blocks amortize their page overhead.
+/// enough that a column block is worth its index entry.
 pub const DEFAULT_GROUP_ROWS: usize = 1024;
 
 /// Definition levels stored per row per column.

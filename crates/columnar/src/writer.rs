@@ -5,7 +5,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use tc_adm::datatype::{ObjectType, TypeKind};
-use tc_adm::{TypeTag, Value};
+use tc_adm::TypeTag;
 use tc_lsm::columnar::{ColumnarChunk, ColumnarCodec, ColumnarWriter, RowSource};
 use tc_lsm::entry::{EntryKind, Key};
 use tc_schema::{leaf_columns, Schema};
@@ -13,8 +13,11 @@ use tc_storage::error::{IoOp, StorageError};
 use tc_storage::page_store::{PageStore, PageWriter};
 use tc_util::varint;
 
-use crate::chunk::{ChunkReader, ColumnChunkMeta, ColumnSpec, GroupBlocks, GroupMeta, PageRun};
-use crate::{ColumnStats, ColumnarCounters, DEFAULT_GROUP_ROWS, DEF_ABSENT, DEF_NULL, DEF_PRESENT};
+use crate::chunk::{
+    len_prefixed, ChunkReader, ColumnChunkMeta, ColumnSpec, GroupBlocks, GroupMeta, PageRun,
+};
+use crate::shred::Shredder;
+use crate::{ColumnStats, ColumnarCounters, DEFAULT_GROUP_ROWS, DEF_ABSENT, DEF_NULL};
 
 /// Shreds flushed/merged entries into the AMAX column-page layout. One
 /// codec serves a whole dataset (all its components share the counters);
@@ -50,7 +53,7 @@ impl AmaxCodec {
     /// plus the declared root scalars (which inference skips — the primary
     /// key at minimum). Inferred paths win ties; the result is sorted so
     /// column order is stable across flushes.
-    fn column_set(&self, schema: Option<&Schema>) -> Vec<ColumnSpec> {
+    pub(crate) fn column_set(&self, schema: Option<&Schema>) -> Vec<ColumnSpec> {
         let mut cols: Vec<ColumnSpec> = schema
             .map(|s| {
                 leaf_columns(s)
@@ -69,37 +72,6 @@ impl AmaxCodec {
         }
         cols.sort_by(|a, b| a.path.cmp(&b.path));
         cols
-    }
-}
-
-/// What shredding found at one column's path in one record.
-enum Taken {
-    Absent,
-    Null,
-    Present(Value),
-    /// The path holds a value outside the column's type; it stays in the
-    /// residual and the column records a spill.
-    Spilled,
-}
-
-/// Detach the value at `path` if it belongs in a `tag` column. Nulls and
-/// matching values are removed (the residual keeps only what the columns
-/// cannot represent); emptied intermediate objects stay in place so
-/// `{"a": {}}` and `{}` remain distinguishable after reconstruction.
-fn take_at_path(v: &mut Value, path: &[String], tag: TypeTag) -> Taken {
-    let Value::Object(fields) = v else { return Taken::Absent };
-    let Some(idx) = fields.iter().position(|(n, _)| n == &path[0]) else { return Taken::Absent };
-    if path.len() > 1 {
-        return take_at_path(&mut fields[idx].1, &path[1..], tag);
-    }
-    match &fields[idx].1 {
-        Value::Null => {
-            fields.remove(idx);
-            Taken::Null
-        }
-        val if val.type_tag() == tag => Taken::Present(fields.remove(idx).1),
-        Value::Missing => Taken::Absent,
-        _ => Taken::Spilled,
     }
 }
 
@@ -127,33 +99,25 @@ impl VarRows {
     }
 }
 
-/// A finished block: its offset table (`ends`, empty for a fixed-width
-/// column), then its parts back to back.
-fn block_bytes(ends: &[u32], parts: &[&[u8]]) -> Vec<u8> {
-    let len = ends.len() * 4 + parts.iter().map(|part| part.len()).sum::<usize>();
-    let mut block = Vec::with_capacity(len);
-    block.extend(ends.iter().flat_map(|end| end.to_le_bytes()));
-    parts.iter().for_each(|part| block.extend_from_slice(part));
-    block
-}
-
 /// Accumulates one column's block for the current row group.
-#[derive(Debug)]
-struct ColBuild {
-    tag: TypeTag,
+#[derive(Debug, PartialEq)]
+pub(crate) struct ColBuild {
+    pub(crate) tag: TypeTag,
     def: Vec<u8>,
     values: Vec<u8>,
     /// String columns only: where each row's value ends in `values` (absent
     /// and null rows are empty) — the block's offset table.
     ends: Vec<u32>,
     null_count: u32,
-    spilled: u32,
+    /// Rows whose value at the column's path has another type and stayed in
+    /// the residual (they close as `DEF_ABSENT`).
+    pub(crate) spilled: u32,
     stats: ColumnStats,
     stats_poisoned: bool,
 }
 
 impl ColBuild {
-    fn new(tag: TypeTag) -> Self {
+    pub(crate) fn new(tag: TypeTag) -> Self {
         ColBuild {
             tag,
             def: Vec::new(),
@@ -190,110 +154,87 @@ impl ColBuild {
         };
     }
 
-    /// Close the row: a string column records where its value ended.
-    fn end_row(&mut self) {
+    /// Append the open row's value, given as the bytes a vector record
+    /// stores for a scalar of the column's type (a string's text, unprefixed).
+    pub(crate) fn put(&mut self, value: &[u8]) -> Result<(), StorageError> {
+        let word = || {
+            value.try_into().map_err(|_| {
+                StorageError::corruption("column block", "fixed-width value cut short")
+            })
+        };
+        match self.tag {
+            TypeTag::Int64 => self.observe_int(i64::from_le_bytes(word()?)),
+            TypeTag::Double => self.observe_float(f64::from_le_bytes(word()?)),
+            TypeTag::Boolean if value.len() == 1 => {}
+            TypeTag::String if std::str::from_utf8(value).is_ok() => {
+                varint::write_u64(&mut self.values, value.len() as u64);
+            }
+            tag => {
+                let what = format!("no {tag} column holds these {} bytes", value.len());
+                return Err(StorageError::corruption("columnar shred", what));
+            }
+        }
+        self.values.extend_from_slice(value);
+        Ok(())
+    }
+
+    /// Close the row with its definition level; a string column records
+    /// where its value ended.
+    pub(crate) fn end_row(&mut self, def: u8) {
+        self.def.push(def);
+        self.null_count += (def == DEF_NULL) as u32;
         if self.tag == TypeTag::String {
             self.ends.push(self.values.len() as u32);
         }
-    }
-
-    /// Append one row from a shredded record.
-    fn push(&mut self, taken: Taken) -> Result<(), StorageError> {
-        match taken {
-            Taken::Absent => self.def.push(DEF_ABSENT),
-            Taken::Spilled => {
-                self.def.push(DEF_ABSENT);
-                self.spilled += 1;
-            }
-            Taken::Null => {
-                self.def.push(DEF_NULL);
-                self.null_count += 1;
-            }
-            Taken::Present(v) => {
-                self.def.push(DEF_PRESENT);
-                match (self.tag, v) {
-                    (TypeTag::Int64, Value::Int64(i)) => {
-                        self.observe_int(i);
-                        self.values.extend_from_slice(&i.to_le_bytes());
-                    }
-                    (TypeTag::Double, Value::Double(d)) => {
-                        self.observe_float(d);
-                        self.values.extend_from_slice(&d.to_le_bytes());
-                    }
-                    (TypeTag::Boolean, Value::Boolean(b)) => {
-                        self.values.push(b as u8);
-                    }
-                    (TypeTag::String, Value::String(s)) => {
-                        varint::write_u64(&mut self.values, s.len() as u64);
-                        self.values.extend_from_slice(s.as_bytes());
-                    }
-                    // `take_at_path` matches tags, so this is a column of a
-                    // type no block layout exists for.
-                    (tag, v) => {
-                        return Err(StorageError::corruption(
-                            "columnar shred",
-                            format!("{tag} column got {}", v.type_tag()),
-                        ));
-                    }
-                }
-            }
-        }
-        self.end_row();
-        Ok(())
     }
 
     /// Append one row as another group of this column stores it
     /// ([`GroupView::stored_value`](crate::GroupView::stored_value)): the
     /// bytes are copied, the group's stats and null count recomputed from
     /// them. The source column had no spill.
-    fn push_stored(&mut self, def: u8, raw: &[u8]) -> Result<(), StorageError> {
-        self.def.push(def);
-        match def {
-            DEF_NULL => self.null_count += 1,
-            DEF_PRESENT => {
-                let word = || {
-                    raw.try_into().map_err(|_| {
-                        StorageError::corruption("column block", "fixed-width value cut short")
-                    })
-                };
-                match self.tag {
-                    TypeTag::Int64 => self.observe_int(i64::from_le_bytes(word()?)),
-                    TypeTag::Double => self.observe_float(f64::from_le_bytes(word()?)),
-                    _ => {}
-                }
-                self.values.extend_from_slice(raw);
-            }
-            _ => {}
+    fn push_stored(&mut self, def: u8, raw: Option<&[u8]>) -> Result<(), StorageError> {
+        if let Some(raw) = raw {
+            let text = || {
+                len_prefixed(raw).ok_or_else(|| {
+                    StorageError::corruption("column block", "string value without its length")
+                })
+            };
+            self.put(if self.tag == TypeTag::String { text()? } else { raw })?;
         }
-        self.end_row();
+        self.end_row(def);
         Ok(())
     }
 
-    fn finish(self, store: &PageStore, pages: &mut u64) -> Result<ColumnChunkMeta, StorageError> {
-        let block = block_bytes(&self.ends, &[&self.def, &self.values]);
-        let run = write_block(store, &block, pages)?;
+    fn finish(
+        self,
+        store: &PageStore,
+        out: &mut PageWriter,
+    ) -> Result<ColumnChunkMeta, StorageError> {
+        let run = write_block(store, out, &self.ends, &[&self.def, &self.values])?;
         let stats = if self.stats_poisoned { ColumnStats::None } else { self.stats };
         Ok(ColumnChunkMeta { run, null_count: self.null_count, spilled: self.spilled, stats })
     }
 }
 
-/// Write one block starting on a fresh page; returns its run and counts the
-/// pages it took.
-fn write_block(store: &PageStore, block: &[u8], pages: &mut u64) -> Result<PageRun, StorageError> {
-    debug_assert!(!block.is_empty(), "blocks are never empty");
-    // Run lengths and row offsets are `u32`s on disk.
-    let bytes =
-        u32::try_from(block.len()).map_err(|_| StorageError::Permanent { op: IoOp::Write })?;
-    let mut w = PageWriter::new(store);
-    w.append(block)?;
-    let ids = w.finish()?;
-    debug_assert_eq!(
-        *ids.last().unwrap(),
-        ids[0] + ids.len() as u64 - 1,
-        "a component build owns its store, so pages are contiguous"
-    );
-    *pages += ids.len() as u64;
-    Ok(PageRun { start: ids[0], bytes })
+/// Append one block to the component body — its offset table (`ends`, empty
+/// for a fixed-width column), then its parts, right behind the block before
+/// it — and say where it lies.
+fn write_block(
+    store: &PageStore,
+    out: &mut PageWriter,
+    ends: &[u32],
+    parts: &[&[u8]],
+) -> Result<PageRun, StorageError> {
+    let table: Vec<u8> = ends.iter().flat_map(|end| end.to_le_bytes()).collect();
+    // Block lengths and row offsets are `u32`s on disk.
+    let len = table.len() + parts.iter().map(|part| part.len()).sum::<usize>();
+    debug_assert!(len > 0, "blocks are never empty");
+    let bytes = u32::try_from(len).map_err(|_| StorageError::Permanent { op: IoOp::Write })?;
+    let start = out.append_spanning(store, &table)?;
+    for part in parts {
+        out.append_spanning(store, part)?;
+    }
+    Ok(PageRun { start, bytes })
 }
 
 /// The row group under construction: its keys block, residual block and one
@@ -330,13 +271,12 @@ impl GroupBuild {
     }
 
     /// Write the group's blocks: keys, residual, then the columns in order.
-    fn write(self, store: &PageStore, pages: &mut u64) -> Result<GroupMeta, StorageError> {
-        let whole = |rows: &VarRows| block_bytes(&rows.ends, &[&rows.bytes]);
-        let keys = write_block(store, &whole(&self.keys), pages)?;
-        let residual = write_block(store, &whole(&self.residual), pages)?;
+    fn write(self, store: &PageStore, out: &mut PageWriter) -> Result<GroupMeta, StorageError> {
+        let keys = write_block(store, out, &self.keys.ends, &[&self.keys.bytes])?;
+        let residual = write_block(store, out, &self.residual.ends, &[&self.residual.bytes])?;
         let mut cols = Vec::with_capacity(self.cols.len());
         for cb in self.cols {
-            cols.push(cb.finish(store, pages)?);
+            cols.push(cb.finish(store, out)?);
         }
         Ok(GroupMeta { first_key: self.first_key, rows: self.rows, keys, residual, cols })
     }
@@ -350,40 +290,51 @@ impl GroupBuild {
 struct SourceGroup {
     /// The input's page store id — what tells the inputs apart.
     store: u64,
+    /// Do the input's stored bytes mean in the output what they mean in it:
+    /// the same columns, and field ids the output's dictionary reads alike?
+    same_layout: bool,
     group: Option<usize>,
     blocks: Option<GroupBlocks>,
 }
 
 /// The streaming row-group writer behind every AMAX component: entries go in
-/// one at a time, a full group is written out at once — keys block, residual
-/// block, one block per column, each on fresh pages — and the index blob
-/// follows the last group. Memory is one output group, plus one source group
-/// per merge input while rows are copied out of it.
+/// one at a time, a full group is appended to the component body at once —
+/// keys block, residual block, one block per column, back to back through one
+/// page writer — and the index blob follows the last group. Memory is one
+/// output group, plus one source group per merge input while rows are copied
+/// out of it.
+///
+/// A record pushed as bytes is shredded as it is walked (`shred.rs`): a
+/// scalar at a column's path goes to the column, everything else to the
+/// row's residual record, field names as ids of the component's dictionary.
 ///
 /// A row pushed by reference ([`ColumnarWriter::push_row`]) is **copied**:
 /// its definition byte, value bytes and residual record go from the source
 /// group's blocks into the open group's as they are stored, and the group's
 /// min/max (NaN still poisons), null counts and offset tables are recomputed
-/// from the copied bytes. Residuals are self-describing vector records
-/// (`tc_vector::encode(_, None)`, no dictionary), so they mean the same under
-/// any schema. A source group the copy cannot be proven right for — its
-/// chunk's columns are not the output's (the residuals would hold different
-/// fields), or one of its columns has a spilled value (which rows spilled,
-/// the output group's own spill count, is written nowhere but in the residual
-/// records) — or a chunk that is no [`ChunkReader`] has its rows pivoted
-/// through `get_row` and `push`, each one counted in `rows_reconstructed`;
-/// copied rows count in `rows_column_merged`. Both routes write the same
-/// bytes.
+/// from the copied bytes. A source group the copy cannot be proven right for
+/// — its chunk's columns are not the output's (the residuals would hold
+/// different fields), its dictionary is not a prefix of the output's (the
+/// residuals' field ids would name other fields; within one partition it
+/// always is, the dictionary only grows), or one of its columns has a
+/// spilled value (which rows spilled, the output group's own spill count, is
+/// written nowhere but in the residual records) — or a chunk that is no
+/// [`ChunkReader`] has its rows pivoted through `get_row` and `push`, each
+/// one counted in `rows_reconstructed`; copied rows count in
+/// `rows_column_merged`. Both routes write the same bytes.
 #[derive(Debug)]
 pub struct AmaxWriter {
-    declared: ObjectType,
     counters: Arc<ColumnarCounters>,
     group_rows: usize,
-    schema: Option<Schema>,
     columns: Vec<ColumnSpec>,
+    /// Holds the catalog type and the dictionary of the component's schema
+    /// blob: what residual rows spell field names in. Without a blob they
+    /// keep their names inline.
+    shredder: Shredder,
     /// The groups written so far.
     groups: Vec<GroupMeta>,
-    pages: u64,
+    /// The component body: every block, then the index blob.
+    out: PageWriter,
     open: GroupBuild,
     sources: Vec<SourceGroup>,
 }
@@ -399,7 +350,7 @@ impl AmaxWriter {
 
     fn write_group(&mut self, store: &PageStore) -> Result<(), StorageError> {
         let full = std::mem::replace(&mut self.open, GroupBuild::new(&self.columns));
-        self.groups.push(full.write(store, &mut self.pages)?);
+        self.groups.push(full.write(store, &mut self.out)?);
         Ok(())
     }
 
@@ -411,7 +362,13 @@ impl AmaxWriter {
         let slot = match self.sources.iter().position(|s| s.store == store) {
             Some(slot) => slot,
             None => {
-                self.sources.push(SourceGroup { store, group: None, blocks: None });
+                let same_layout = reader.columns() == self.columns
+                    && match (reader.dict(), self.shredder.dict()) {
+                        (Some(theirs), Some(ours)) => theirs.is_prefix_of(ours),
+                        (None, None) => true,
+                        _ => false,
+                    };
+                self.sources.push(SourceGroup { store, same_layout, group: None, blocks: None });
                 self.sources.len() - 1
             }
         };
@@ -420,8 +377,8 @@ impl AmaxWriter {
             let gm = reader.groups().get(group).ok_or_else(|| {
                 StorageError::corruption("column block", format!("no row group {group}"))
             })?;
-            let same = reader.columns() == self.columns && gm.cols.iter().all(|c| c.spilled == 0);
-            open.blocks = same.then(GroupBlocks::default);
+            let copyable = open.same_layout && gm.cols.iter().all(|c| c.spilled == 0);
+            open.blocks = copyable.then(GroupBlocks::default);
             open.group = Some(group);
         }
         let Some(blocks) = open.blocks.take() else { return Ok(false) };
@@ -430,7 +387,7 @@ impl AmaxWriter {
         self.open.residual.put_prefixed(view.residual_row(row)?);
         for (c, cb) in self.open.cols.iter_mut().enumerate() {
             let (def, value) = view.stored_value(c, row)?;
-            cb.push_stored(def, value.unwrap_or_default())?;
+            cb.push_stored(def, value)?;
         }
         self.open.residual.end_row();
         self.open.begin_row(key, EntryKind::Record);
@@ -452,21 +409,11 @@ impl ColumnarWriter for AmaxWriter {
         payload: &[u8],
     ) -> Result<(), StorageError> {
         if kind == EntryKind::AntiMatter {
-            for cb in &mut self.open.cols {
-                cb.push(Taken::Absent)?;
-            }
+            self.open.cols.iter_mut().for_each(|cb| cb.end_row(DEF_ABSENT));
             self.open.residual.put_prefixed(&[]);
         } else {
-            // Payloads were encoded by this dataset's vector encoder
-            // (compacted by the flush hook, or uncompacted); a decode
-            // failure here means the memtable handed us garbage.
-            let dict = self.schema.as_ref().map(|s| s.dict());
-            let mut value = tc_vector::decode(payload, Some(&self.declared), dict)
-                .map_err(|e| StorageError::corruption("columnar shred", e.to_string()))?;
-            for (spec, cb) in self.columns.iter().zip(&mut self.open.cols) {
-                cb.push(take_at_path(&mut value, &spec.path, spec.tag))?;
-            }
-            self.open.residual.put_prefixed(&tc_vector::encode(&value, None));
+            let rest = self.shredder.shred(payload, &mut self.open.cols)?;
+            self.open.residual.put_prefixed(rest);
         }
         self.open.residual.end_row();
         self.open.begin_row(key, kind);
@@ -505,10 +452,17 @@ impl ColumnarWriter for AmaxWriter {
         // disk footprint includes its interior structure, like the row
         // layout's block index.
         let blob = crate::chunk::serialize_index(&self.columns, &self.groups);
-        write_block(store, &blob, &mut self.pages)?;
-        self.counters.pages_written.fetch_add(self.pages, Ordering::Relaxed);
-        let AmaxWriter { declared, counters, columns, groups, .. } = *self;
-        Ok(Box::new(ChunkReader::new(declared, counters, columns, groups)))
+        write_block(store, &mut self.out, &[], &[&blob])?;
+        let AmaxWriter { shredder, counters, columns, groups, out, .. } = *self;
+        let pages = out.finish(store)?;
+        // A component build owns its store, so the body's pages are
+        // contiguous — and every block is addressed on that footing.
+        if pages.windows(2).any(|pair| pair[0] + 1 != pair[1]) {
+            return Err(StorageError::Permanent { op: IoOp::Write });
+        }
+        let (declared, dict) = shredder.into_names();
+        counters.pages_written.fetch_add(pages.len() as u64, Ordering::Relaxed);
+        Ok(Box::new(ChunkReader::new(declared, counters, columns, groups, dict, pages[0])))
     }
 }
 
@@ -516,15 +470,15 @@ impl ColumnarCodec for AmaxCodec {
     fn writer(&self, schema_blob: Option<&[u8]>) -> Box<dyn ColumnarWriter> {
         let schema = schema_blob.and_then(Schema::deserialize);
         let columns = self.column_set(schema.as_ref());
+        let dict = schema.map(|schema| schema.dict().clone());
         Box::new(AmaxWriter {
-            declared: self.declared.clone(),
             counters: Arc::clone(&self.counters),
             group_rows: self.group_rows,
-            schema,
+            shredder: Shredder::new(&columns, self.declared.clone(), dict),
             open: GroupBuild::new(&columns),
             columns,
             groups: Vec::new(),
-            pages: 0,
+            out: PageWriter::new(),
             sources: Vec::new(),
         })
     }
@@ -534,7 +488,7 @@ impl ColumnarCodec for AmaxCodec {
 mod tests {
     use super::*;
     use tc_adm::datatype::FieldDef;
-    use tc_adm::parse;
+    use tc_adm::{parse, Value};
     use tc_compress::CompressionScheme;
     use tc_storage::buffer_cache::BufferCache;
     use tc_storage::device::{Device, DeviceProfile};
@@ -701,15 +655,18 @@ mod tests {
 
     #[test]
     fn mistyped_column_value_is_a_typed_error() {
-        // `take_at_path` never hands a column a value of another type, so
-        // this is reachable only through a column spec no block layout
-        // exists for; it must not panic the flush.
+        // The shredder hands a column only scalars of its tag, so this is
+        // reachable only through a record whose scalar has the wrong width, or
+        // a column spec no block layout exists for; it must not panic the
+        // flush.
         let mut col = ColBuild::new(TypeTag::Int64);
-        col.push(Taken::Present(Value::Int64(7))).unwrap();
-        let err = col.push(Taken::Present(Value::String("seven".into()))).unwrap_err();
+        col.put(&7i64.to_le_bytes()).unwrap();
+        let err = col.put(b"seven").unwrap_err();
         assert!(matches!(err, StorageError::Corruption { .. }), "got {err}");
-        assert!(err.to_string().contains("column got"), "got {err}");
-        let err = ColBuild::new(TypeTag::Date).push(Taken::Present(Value::Date(1))).unwrap_err();
+        assert!(err.to_string().contains("cut short"), "got {err}");
+        let err = ColBuild::new(TypeTag::String).put(&[0xff, 0xfe]).unwrap_err();
+        assert!(err.to_string().contains("no string column holds"), "got {err}");
+        let err = ColBuild::new(TypeTag::Date).put(&1i32.to_le_bytes()).unwrap_err();
         assert!(err.is_corruption(), "got {err}");
     }
 
@@ -723,16 +680,16 @@ mod tests {
             first_key: vec![0, 1, 2],
             rows: 7,
             keys: PageRun { start: 0, bytes: 55 },
-            residual: PageRun { start: 1, bytes: 900 },
+            residual: PageRun { start: 55, bytes: 900 },
             cols: vec![
                 ColumnChunkMeta {
-                    run: PageRun { start: 5, bytes: 63 },
+                    run: PageRun { start: 955, bytes: 63 },
                     null_count: 2,
                     spilled: 1,
                     stats: ColumnStats::Int { min: -5, max: 9000 },
                 },
                 ColumnChunkMeta {
-                    run: PageRun { start: 6, bytes: 12 },
+                    run: PageRun { start: 1018, bytes: 12 },
                     null_count: 0,
                     spilled: 0,
                     stats: ColumnStats::None,
@@ -749,9 +706,13 @@ mod tests {
         // know is refused, and so is the unversioned shape of the first
         // blobs (the column count straight after the magic).
         assert_eq!(blob[4..6], [0x80 | FORMAT_VERSION, 0x00]);
-        let mut unknown = blob.clone();
-        unknown[4] = 0x80 | (FORMAT_VERSION + 1);
-        assert!(deserialize_index(&unknown).is_none());
+        for version in [FORMAT_VERSION + 1, 2] {
+            // Format 2's runs were page ids, its residual rows named their
+            // fields: read as format 3 they would be garbage, not an error.
+            let mut other = blob.clone();
+            other[4] = 0x80 | version;
+            assert!(deserialize_index(&other).is_none(), "format {version} blob");
+        }
         let unversioned = [&blob[..4], &blob[6..]].concat();
         assert!(deserialize_index(&unversioned).is_none());
     }

@@ -19,7 +19,7 @@ use tc_storage::buffer_cache::BufferCache;
 use tc_storage::error::StorageError;
 use tc_storage::page_store::PageStore;
 
-use common::{arb_row, declared_pk, key, new_store, object, row_record, Row};
+use common::{arb_row, declared_pk, key, new_store, object, observe, row_record, Row};
 
 /// Where a key sits in a source: `(group, row)` for a record, `None` for
 /// anti-matter.
@@ -30,11 +30,6 @@ struct Source {
     chunk: Box<dyn ColumnarChunk>,
     store: PageStore,
     rows: BTreeMap<Key, RowAt>,
-}
-
-fn observe(schema: &mut Schema, record: &Value) {
-    let Value::Object(fields) = record else { panic!("records are objects") };
-    schema.observe_record(fields, &|n| n == "id");
 }
 
 /// Shred `rows` (key → record, `None` = anti-matter) into a source component.
@@ -168,26 +163,26 @@ proptest! {
         let (source_group_rows, group_rows, page_size) = geometry;
         let (includes_oldest, shared_schema) = flags;
         // What each source holds, and the schema its flush would have had:
-        // its own observed rows, or — the schema-stable case — everyone's.
+        // the partition's one growing schema as it stood after that flush
+        // (fewer columns and a shorter dictionary the older the source), or —
+        // the schema-stable case — as it stands after the last.
         let rows_of = |input: &Vec<(u64, Row)>| -> BTreeMap<u64, (bool, Option<Value>)> {
             input.iter().map(|(k, row)| {
                 let (anti, observed) = row.0;
                 (*k, (observed, (!anti).then(|| row_record(*k, row))))
             }).collect()
         };
-        let mut shared = Schema::new();
+        let mut schema = Schema::new();
         let mut own = Vec::new();
         for input in &inputs {
-            let mut schema = Schema::new();
             for (observed, record) in rows_of(input).values() {
-                if let (true, Some(record)) = (observed, record) {
-                    observe(&mut schema, record);
-                    observe(&mut shared, record);
+                if let Some(record) = record {
+                    observe(&mut schema, record, *observed);
                 }
             }
             own.push(schema.serialize());
         }
-        let shared = shared.serialize();
+        let shared = schema.serialize();
         let blob_of = |i: usize| if shared_schema { &shared } else { &own[i] };
 
         let source_codec = AmaxCodec::new(declared_pk()).with_group_rows(source_group_rows);
@@ -213,7 +208,8 @@ proptest! {
         assert_page_for_page(&by_reference, &by_pivot);
 
         // Copied: the winners whose source has the output's columns and whose
-        // group has no spill. Everything else is a counted pivot.
+        // group has no spill (its dictionary is a prefix of the output's, as
+        // in any one partition). Everything else is a counted pivot.
         let columns = by_reference.reader().columns();
         let mut copyable = 0u64;
         let mut records = 0u64;
@@ -246,7 +242,7 @@ fn sample(i: u64) -> Value {
 fn schema_of(records: &[Value]) -> Vec<u8> {
     let mut schema = Schema::new();
     for record in records {
-        observe(&mut schema, record);
+        observe(&mut schema, record, true);
     }
     schema.serialize()
 }
@@ -293,6 +289,74 @@ fn schema_stable_sources_are_copied_and_stats_recomputed() {
     assert_eq!(got.len(), 11);
     assert_eq!(got[&key(3)], Some(sample(3)));
     assert_eq!(got[&key(4)], Some(sample(104)));
+}
+
+#[test]
+fn residuals_compacted_against_an_older_dictionary_are_copied_as_they_are() {
+    // Schema evolution between two flushes that adds no column: the newer
+    // records carry an array of objects, so `extra` and `later` join the
+    // dictionary and nothing else changes. The older component's residual
+    // rows hold ids of the shorter dictionary; the merged component's blob is
+    // the newer one, under which those ids name the same fields.
+    let old: Vec<Value> = (0..6).map(sample).collect();
+    let evolved = |i: u64| {
+        let mut v = sample(i);
+        let Value::Object(fields) = &mut v else { unreachable!() };
+        let later = object(vec![("later", Some(Value::Int64(i as i64)))]);
+        fields.insert(1, ("extra".into(), Value::Array(vec![later])));
+        v
+    };
+    let new: Vec<Value> = (4..9).map(evolved).collect();
+    let (old_blob, new_blob) = (schema_of(&old), schema_of(&[old.clone(), new.clone()].concat()));
+    let codec = AmaxCodec::new(declared_pk()).with_group_rows(4);
+    let rows = |records: &[Value], first: u64| -> BTreeMap<u64, Option<Value>> {
+        records.iter().enumerate().map(|(i, v)| (first + i as u64, Some(v.clone()))).collect()
+    };
+    let sources = [
+        build_source(&codec, 4, 256, &rows(&old, 0), &old_blob),
+        build_source(&codec, 4, 256, &rows(&new, 4), &new_blob),
+    ];
+    let dict_of = |chunk: &dyn ColumnarChunk| ChunkReader::of(chunk).unwrap().dict().unwrap().len();
+    let cache = BufferCache::new(1024);
+    // `merge_checked` holds the copy to the pivot's pages — and the pivot
+    // compacts each record it reconstructs against the output's dictionary.
+    let (merged, out) = merge_checked(&new_blob, &sources, &cache);
+    assert_eq!(dict_of(sources[0].chunk.as_ref()) + 2, dict_of(merged.chunk.as_ref()));
+    assert_eq!(out.counters().rows_reconstructed(), 0, "a longer dictionary refuses no copy");
+    assert_eq!(out.counters().rows_column_merged(), 9);
+    let got = contents(&merged, &cache);
+    let expected: BTreeMap<Key, Option<Value>> = (0..4)
+        .map(|i| (key(i), Some(sample(i))))
+        .chain((4..9).map(|i| (key(i), Some(evolved(i)))))
+        .collect();
+    assert_eq!(got, expected);
+}
+
+#[test]
+fn a_dictionary_of_another_lineage_takes_the_counted_pivot() {
+    // Same columns, but the source's blob interned its names in another
+    // order — no state of the output's dictionary. Its residual ids would
+    // name other fields there, so its rows are pivoted, never copied.
+    let records: Vec<Value> = (0..5).map(sample).collect();
+    let reordered: Vec<Value> = records
+        .iter()
+        .map(|v| {
+            let Value::Object(fields) = v else { unreachable!() };
+            Value::Object(fields.iter().rev().cloned().collect())
+        })
+        .collect();
+    let (blob, foreign_blob) = (schema_of(&records), schema_of(&reordered));
+    let rows: BTreeMap<u64, Option<Value>> =
+        records.iter().enumerate().map(|(i, v)| (i as u64, Some(v.clone()))).collect();
+    let codec = AmaxCodec::new(declared_pk()).with_group_rows(3);
+    let source = build_source(&codec, 3, 256, &rows, &foreign_blob);
+    let cache = BufferCache::new(1024);
+    let sources = [source];
+    let (merged, out) = merge_checked(&blob, &sources, &cache);
+    let source = ChunkReader::of(sources[0].chunk.as_ref()).unwrap();
+    assert_eq!(merged.reader().columns(), source.columns(), "the dictionaries alone differ");
+    assert_eq!((out.counters().rows_column_merged(), out.counters().rows_reconstructed()), (0, 5));
+    assert_eq!(contents(&merged, &cache)[&key(3)], Some(sample(3)));
 }
 
 #[test]

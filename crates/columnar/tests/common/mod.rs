@@ -9,6 +9,7 @@ use tc_adm::datatype::{FieldDef, ObjectType, TypeKind};
 use tc_adm::{TypeTag, Value};
 use tc_compress::CompressionScheme;
 use tc_lsm::entry::Key;
+use tc_schema::Schema;
 use tc_storage::device::{Device, DeviceProfile};
 use tc_storage::page_store::PageStore;
 
@@ -22,6 +23,34 @@ pub fn declared_pk() -> ObjectType {
 
 pub fn new_store(page_size: usize) -> PageStore {
     PageStore::new(Arc::new(Device::new(DeviceProfile::RAM)), page_size, CompressionScheme::None)
+}
+
+/// What flushing `record` does to the partition's schema. Every field name
+/// but the declared `id` enters the dictionary — a component's blob names every
+/// field of every record in it, and the writer holds it to that — and, if `typed`, the
+/// record's types are observed. Untyped, the schema lags the data: a path
+/// gets no column, or a column of another type (a spill).
+pub fn observe(schema: &mut Schema, record: &Value, typed: bool) {
+    fn intern(schema: &mut Schema, v: &Value) {
+        match v {
+            Value::Object(fields) => fields.iter().for_each(|(name, v)| {
+                schema.intern_name(name);
+                intern(schema, v);
+            }),
+            Value::Array(items) | Value::Multiset(items) => {
+                items.iter().for_each(|v| intern(schema, v))
+            }
+            _ => {}
+        }
+    }
+    let Value::Object(fields) = record else { panic!("records are objects") };
+    for (name, v) in fields.iter().filter(|(name, _)| name != "id") {
+        schema.intern_name(name);
+        intern(schema, v);
+    }
+    if typed {
+        schema.observe_record(fields, &|n| n == "id");
+    }
 }
 
 pub fn key(i: u64) -> Key {

@@ -10,7 +10,7 @@ use tc_lsm::entry::EntryKind;
 use tc_schema::Schema;
 use tc_storage::buffer_cache::BufferCache;
 
-use common::{declared_pk, key, new_store};
+use common::{declared_pk, key, new_store, observe};
 
 #[test]
 fn blocks_are_faulted_on_first_use_and_counted_once() {
@@ -21,12 +21,11 @@ fn blocks_are_faulted_on_first_use_and_counted_once() {
         let text =
             format!(r#"{{"id": {i}, "t": {}, "s": "row number {i}", "rest": [{i}]}}"#, 7 * i);
         let v = parse(&text).unwrap();
-        let Value::Object(fields) = &v else { unreachable!() };
-        schema.observe_record(fields, &|n| n == "id");
+        observe(&mut schema, &v, true);
         entries.push((key(i), EntryKind::Record, tc_vector::encode(&v, Some(&declared))));
     }
     // Pages of 64 bytes: every block of a five-row group spans several.
-    let codec = AmaxCodec::new(declared).with_group_rows(5);
+    let codec = AmaxCodec::new(declared.clone()).with_group_rows(5);
     let store = new_store(64);
     let chunk = codec.build_chunk(&store, &entries, Some(&schema.serialize())).unwrap();
     let reader = ChunkReader::of(chunk.as_ref()).unwrap();
@@ -36,6 +35,13 @@ fn blocks_are_faulted_on_first_use_and_counted_once() {
         (reader.find_column(&["t".into()]).unwrap(), reader.find_column(&["s".into()]).unwrap());
     let gm = &reader.groups()[1];
     assert!(gm.residual.num_pages(64) > 1 && gm.cols[s].run.num_pages(64) > 1);
+    // The group's blocks are byte ranges of the body, back to back: what a
+    // view reads of a block is its range, whatever pages that lies on.
+    let runs: Vec<_> =
+        [gm.keys, gm.residual].into_iter().chain(gm.cols.iter().map(|c| c.run)).collect();
+    assert_eq!(runs[0].start, reader.groups()[0].cols.last().unwrap().run.end());
+    assert!(runs.windows(2).all(|pair| pair[0].end() == pair[1].start));
+    assert!(runs.iter().any(|run| run.start % 64 != 0), "blocks start mid-page");
 
     let mut view = reader.view(&store, &cache, 1);
     assert_eq!((counters.columns_faulted(), view.bytes_read()), (0, 0), "opening reads nothing");
@@ -60,7 +66,8 @@ fn blocks_are_faulted_on_first_use_and_counted_once() {
     }
     expect(&view, gm.cols[s].run, 2);
     for i in 0..view.rows() {
-        let rest = tc_vector::decode(view.residual_row(i).unwrap(), None, None).unwrap();
+        let rest = tc_vector::decode(view.residual_row(i).unwrap(), Some(&declared), reader.dict())
+            .unwrap();
         assert_eq!(rest.get_field("rest"), Some(&Value::Array(vec![Value::Int64(5 + i as i64)])));
     }
     expect(&view, gm.residual, 3);

@@ -17,7 +17,7 @@ use tc_schema::Schema;
 use tc_storage::buffer_cache::BufferCache;
 use tc_storage::page_store::PageStore;
 
-use common::{arb_row, declared_pk, key, new_store, row_record};
+use common::{arb_row, declared_pk, key, new_store, observe, row_record};
 
 /// What `record` holds at `path` (`Missing` if nothing).
 fn at_path(record: &Value, path: &[String]) -> Value {
@@ -57,10 +57,7 @@ proptest! {
                 continue;
             }
             let record = row_record(k, row);
-            if observed {
-                let Value::Object(fields) = &record else { unreachable!() };
-                schema.observe_record(fields, &|n| n == "id");
-            }
+            observe(&mut schema, &record, observed);
             entries.push((key(k), EntryKind::Record, tc_vector::encode(&record, Some(&declared))));
         }
         let codec = AmaxCodec::new(declared.clone()).with_group_rows(group_rows);
@@ -124,15 +121,15 @@ proptest! {
     }
 }
 
-/// A copy of `store` whose page `page` has `bytes` written over its start.
-fn store_with_damage(store: &PageStore, page: u64, bytes: &[u8]) -> PageStore {
+/// A copy of `store` with `bytes` written over byte `at` of the component
+/// body (which starts on page 0) and what follows it.
+fn store_with_damage(store: &PageStore, at: u64, bytes: &[u8]) -> PageStore {
     let copy = new_store(store.page_size());
-    for p in 0..store.num_pages() {
-        let mut content = store.read_page(p).unwrap();
-        if p == page {
-            content[..bytes.len()].copy_from_slice(bytes);
-        }
-        copy.write_page(&content).unwrap();
+    let mut body: Vec<u8> =
+        (0..store.num_pages()).flat_map(|p| store.read_page(p).unwrap()).collect();
+    body[at as usize..][..bytes.len()].copy_from_slice(bytes);
+    for page in body.chunks(store.page_size()) {
+        copy.write_page(page).unwrap();
     }
     copy
 }
@@ -144,8 +141,7 @@ fn damaged_offset_tables_are_typed_corruption() {
     let mut entries = Vec::new();
     for i in 0..4u64 {
         let v = parse(&format!(r#"{{"id": {i}, "s": "value {i}", "rest": [{i}]}}"#)).unwrap();
-        let Value::Object(fields) = &v else { unreachable!() };
-        schema.observe_record(fields, &|n| n == "id");
+        observe(&mut schema, &v, true);
         entries.push((key(i), EntryKind::Record, tc_vector::encode(&v, Some(&declared))));
     }
     let codec = AmaxCodec::new(declared.clone());
@@ -157,7 +153,8 @@ fn damaged_offset_tables_are_typed_corruption() {
 
     let reopen = |groups: Vec<GroupMeta>| {
         let counters = Arc::new(ColumnarCounters::default());
-        ChunkReader::new(declared.clone(), counters, reader.columns().to_vec(), groups)
+        let (columns, dict) = (reader.columns().to_vec(), reader.dict().cloned());
+        ChunkReader::new(declared.clone(), counters, columns, groups, dict, reader.body_page())
     };
     let assert_corrupt = |r: Result<Option<(EntryKind, Vec<u8>)>, _>| {
         let err: tc_storage::error::StorageError = r.unwrap_err();
@@ -180,4 +177,39 @@ fn damaged_offset_tables_are_typed_corruption() {
     let short = reopen(truncated);
     assert_corrupt(short.get_row(&store, &cache, 0, &key(2)));
     assert!(short.read_group_rows(&store, &cache, 0).unwrap_err().is_corruption());
+}
+
+#[test]
+fn a_residual_id_the_dictionary_lacks_is_typed_corruption() {
+    let declared = declared_pk();
+    let mut schema = Schema::new();
+    let mut entries = Vec::new();
+    for i in 0..3u64 {
+        let v = parse(&format!(r#"{{"id": {i}, "s": "value {i}", "rest": [{{"deep": {i}}}]}}"#));
+        let v = v.unwrap();
+        observe(&mut schema, &v, true);
+        entries.push((key(i), EntryKind::Record, tc_vector::encode(&v, Some(&declared))));
+    }
+    let codec = AmaxCodec::new(declared.clone());
+    let store = new_store(256);
+    let chunk = codec.build_chunk(&store, &entries, Some(&schema.serialize())).unwrap();
+    let reader = ChunkReader::of(chunk.as_ref()).unwrap();
+    let cache = BufferCache::new(64);
+    assert!(reader.get_row(&store, &cache, 0, &key(1)).unwrap().is_some());
+
+    // The same blocks under a dictionary that stops before `deep`.
+    let mut short = tc_schema::FieldNameDictionary::new();
+    for name in ["s", "rest"] {
+        short.get_or_insert(name);
+    }
+    assert!(short.is_prefix_of(reader.dict().unwrap()));
+    let (columns, groups) = (reader.columns().to_vec(), reader.groups().to_vec());
+    let counters = Arc::new(ColumnarCounters::default());
+    let lagging = ChunkReader::new(declared, counters, columns, groups, Some(short), 0);
+    let err = lagging.get_row(&store, &cache, 0, &key(1)).unwrap_err();
+    assert!(err.is_corruption() && err.to_string().contains("field name id"), "got {err}");
+    assert!(lagging.read_group_rows(&store, &cache, 0).unwrap_err().is_corruption());
+    let mut view = lagging.view(&store, &cache, 0);
+    let path = tc_adm::path::parse_path("rest[*].deep");
+    assert!(view.residual_values(1, &[path]).unwrap_err().is_corruption());
 }

@@ -38,11 +38,18 @@
 //!   block alone. Scans reconcile components on these — a newer version or
 //!   an anti-matter entry masks a row id, it never forces a record to be
 //!   assembled — and address a surviving row as `(group, row)`.
-//! * `read_group_rows` returns the rows *as they were given* (same key,
-//!   kind, payload bytes) — reconstruction must be lossless, which the
-//!   format-equivalence proptest enforces end to end. Scans reach it only
-//!   for rows that won the reconciliation and whose whole record is wanted.
-//! * `get_row` answers a point lookup with exactly the row
+//! * `read_group_rows` returns each row under the key and kind it was given
+//!   with, and a payload that decodes to an *equal record* — reconstruction
+//!   must be lossless, which the format-equivalence proptest enforces end to
+//!   end. The payload's **bytes are the codec's choice**, not the ones pushed:
+//!   `tc_columnar` hands back the uncompacted vector encoding (field names
+//!   inline, fields in reconstruction order) of a record it was given
+//!   compacted, and anything that reads a payload must decode it, never
+//!   compare it. What is byte-stable is the written side: the same entries,
+//!   pushed as bytes or as row references, produce the same pages. Scans
+//!   reach `read_group_rows` only for rows that won the reconciliation and
+//!   whose whole record is wanted.
+//! * `get_row` answers a point lookup with exactly the row — byte for byte —
 //!   `read_group_rows` would return for that key, decoding only that row.
 
 use tc_storage::buffer_cache::BufferCache;
@@ -118,7 +125,7 @@ pub trait ColumnarWriter: Send + std::fmt::Debug {
 }
 
 /// The readable columnar body of one disk component: row groups of column
-/// page runs plus a column index. Scans walk the key blocks
+/// blocks plus a column index. Scans walk the key blocks
 /// (`read_group_keys`) and hand out row references; a reference is turned
 /// into a record by `read_group_rows` (the format-agnostic path: whole-record
 /// reads, merges into a row-format component) or answered column by column
@@ -145,9 +152,11 @@ pub trait ColumnarChunk: std::any::Any + Send + Sync + std::fmt::Debug {
         g: usize,
     ) -> Result<Vec<(Key, EntryKind)>, StorageError>;
 
-    /// Reconstruct group `g`'s rows exactly as handed to the writer.
-    /// Corruption surfaces as the same typed `StorageError`s row blocks
-    /// produce, so quarantine and fail/degrade policies apply unchanged.
+    /// Reconstruct group `g`'s rows: the keys and kinds handed to the
+    /// writer, each payload an encoding of a record equal to the one pushed
+    /// (not necessarily its bytes — see the module docs). Corruption
+    /// surfaces as the same typed `StorageError`s row blocks produce, so
+    /// quarantine and fail/degrade policies apply unchanged.
     #[allow(clippy::type_complexity)]
     fn read_group_rows(
         &self,

@@ -662,9 +662,9 @@ impl ComponentBuilder {
             return Ok(());
         }
         let byte_len = self.buf.len() as u32;
-        let mut writer = PageWriter::new(&self.store);
-        writer.append(&self.buf)?;
-        let pages = writer.finish()?;
+        let mut writer = PageWriter::new();
+        writer.append(&self.store, &self.buf)?;
+        let pages = writer.finish(&self.store)?;
         let start_page = pages[0];
         debug_assert_eq!(start_page, self.next_page);
         self.next_page += pages.len() as u64;
@@ -719,9 +719,9 @@ impl ComponentBuilder {
         tail.extend_from_slice(&id.min.to_le_bytes());
         tail.extend_from_slice(&id.max.to_le_bytes());
         tail.extend_from_slice(&self.num_entries.to_le_bytes());
-        let mut writer = PageWriter::new(&self.store);
-        writer.append(&tail)?;
-        writer.finish()?;
+        let mut writer = PageWriter::new();
+        writer.append(&self.store, &tail)?;
+        writer.finish(&self.store)?;
 
         let c = DiskComponent {
             id,

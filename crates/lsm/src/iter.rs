@@ -673,12 +673,12 @@ mod tests {
     impl CountingWriter {
         fn write_last_group(&self, store: &PageStore) -> Result<(), StorageError> {
             let Some(group) = self.chunk.groups.last() else { return Ok(()) };
-            let mut w = tc_storage::page_store::PageWriter::new(store);
+            let mut w = tc_storage::page_store::PageWriter::new();
             for (key, _, payload) in group {
-                w.append(key)?;
-                w.append(payload)?;
+                w.append(store, key)?;
+                w.append(store, payload)?;
             }
-            w.finish().map(|_| ())
+            w.finish(store).map(|_| ())
         }
     }
 

@@ -45,6 +45,14 @@ impl FieldNameDictionary {
         self.names.get(id as usize).map(String::as_str)
     }
 
+    /// Does `other` give every id of this dictionary the name it has here?
+    /// Ids are never reassigned, so an older state of one growing dictionary
+    /// is a prefix of every later one — and a record compacted against it
+    /// reads the same under them.
+    pub fn is_prefix_of(&self, other: &FieldNameDictionary) -> bool {
+        other.names.starts_with(&self.names)
+    }
+
     pub fn len(&self) -> usize {
         self.names.len()
     }
@@ -97,6 +105,20 @@ mod tests {
         assert_eq!(d.name(a), Some("name"));
         assert_eq!(d.find("dependents"), Some(b));
         assert_eq!(d.find("nope"), None);
+    }
+
+    #[test]
+    fn an_older_state_is_a_prefix_of_a_later_one() {
+        let mut d = FieldNameDictionary::new();
+        d.get_or_insert("name");
+        let older = d.clone();
+        d.get_or_insert("age");
+        assert!(older.is_prefix_of(&d) && d.is_prefix_of(&d));
+        assert!(!d.is_prefix_of(&older), "the later one knows an id the older lacks");
+        let mut other = FieldNameDictionary::new();
+        other.get_or_insert("age");
+        assert!(!older.is_prefix_of(&other), "same size, id 0 names another field");
+        assert!(FieldNameDictionary::new().is_prefix_of(&other));
     }
 
     #[test]

@@ -195,60 +195,72 @@ impl PageStore {
 }
 
 /// Helper that packs byte slices into fixed-size pages and flushes them to a
-/// store. Used by component builders (records never span page boundaries
-/// unless a single record exceeds the page size, in which case it spills
-/// across continuation pages).
-#[derive(Debug)]
-pub struct PageWriter<'a> {
-    store: &'a PageStore,
+/// store — the same one on every call; the writer holds only the page being
+/// filled, so a builder that is lent its store call by call can keep one.
+/// Row-block builders [`append`](Self::append) records (which never span page
+/// boundaries unless a single record exceeds the page size, in which case it
+/// spills across continuation pages); a byte-stream body
+/// [`append_spanning`](Self::append_spanning)s and leaves no padding but the
+/// last page's.
+#[derive(Debug, Default)]
+pub struct PageWriter {
     buf: Vec<u8>,
     pages_written: Vec<PageId>,
 }
 
-impl<'a> PageWriter<'a> {
-    pub fn new(store: &'a PageStore) -> Self {
-        PageWriter { store, buf: Vec::with_capacity(store.page_size()), pages_written: Vec::new() }
+impl PageWriter {
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Append a record. Returns `(page_index, offset_in_page)` of its start,
     /// where `page_index` counts pages this writer has produced. On error
     /// the component under construction must be abandoned.
-    pub fn append(&mut self, record: &[u8]) -> Result<(u64, u32), StorageError> {
-        let page_size = self.store.page_size();
-        if !self.buf.is_empty() && self.buf.len() + record.len() > page_size {
-            self.flush_page()?;
+    pub fn append(&mut self, store: &PageStore, record: &[u8]) -> Result<(u64, u32), StorageError> {
+        if !self.buf.is_empty() && self.buf.len() + record.len() > store.page_size() {
+            self.flush_page(store)?;
         }
         let pos = (self.pages_written.len() as u64, self.buf.len() as u32);
-        let mut rest = record;
-        loop {
-            let space = page_size - self.buf.len();
-            if rest.len() <= space {
-                self.buf.extend_from_slice(rest);
-                break;
-            }
-            let (head, tail) = rest.split_at(space);
-            self.buf.extend_from_slice(head);
-            self.flush_page()?;
-            rest = tail;
-        }
-        if self.buf.len() == page_size {
-            self.flush_page()?;
-        }
+        self.append_spanning(store, record)?;
         Ok(pos)
     }
 
-    fn flush_page(&mut self) -> Result<(), StorageError> {
-        self.buf.resize(self.store.page_size(), 0);
-        let id = self.store.write_page(&self.buf)?;
+    /// Append `bytes` right behind what was appended before, across as many
+    /// page boundaries as they span. Returns the offset of their first byte
+    /// in the stream of this writer's pages.
+    pub fn append_spanning(
+        &mut self,
+        store: &PageStore,
+        bytes: &[u8],
+    ) -> Result<u64, StorageError> {
+        let page_size = store.page_size();
+        let pos = (self.pages_written.len() * page_size + self.buf.len()) as u64;
+        let mut rest = bytes;
+        loop {
+            let space = page_size - self.buf.len();
+            if rest.len() < space {
+                self.buf.extend_from_slice(rest);
+                return Ok(pos);
+            }
+            let (head, tail) = rest.split_at(space);
+            self.buf.extend_from_slice(head);
+            self.flush_page(store)?;
+            rest = tail;
+        }
+    }
+
+    fn flush_page(&mut self, store: &PageStore) -> Result<(), StorageError> {
+        self.buf.resize(store.page_size(), 0);
+        let id = store.write_page(&self.buf)?;
         self.pages_written.push(id);
         self.buf.clear();
         Ok(())
     }
 
     /// Flush any partial page and return the ids of all pages written.
-    pub fn finish(mut self) -> Result<Vec<PageId>, StorageError> {
+    pub fn finish(mut self, store: &PageStore) -> Result<Vec<PageId>, StorageError> {
         if !self.buf.is_empty() {
-            self.flush_page()?;
+            self.flush_page(store)?;
         }
         Ok(self.pages_written)
     }
@@ -363,14 +375,14 @@ mod tests {
     #[test]
     fn page_writer_packs_records() {
         let store = PageStore::new(ram(), 32, CompressionScheme::None);
-        let mut w = PageWriter::new(&store);
-        let (p0, o0) = w.append(&[1u8; 10]).unwrap();
-        let (p1, o1) = w.append(&[2u8; 10]).unwrap();
-        let (p2, o2) = w.append(&[3u8; 20]).unwrap(); // doesn't fit: new page
+        let mut w = PageWriter::new();
+        let (p0, o0) = w.append(&store, &[1u8; 10]).unwrap();
+        let (p1, o1) = w.append(&store, &[2u8; 10]).unwrap();
+        let (p2, o2) = w.append(&store, &[3u8; 20]).unwrap(); // doesn't fit: new page
         assert_eq!((p0, o0), (0, 0));
         assert_eq!((p1, o1), (0, 10));
         assert_eq!((p2, o2), (1, 0));
-        let pages = w.finish().unwrap();
+        let pages = w.finish(&store).unwrap();
         assert_eq!(pages.len(), 2);
         let page0 = store.read_page(pages[0]).unwrap();
         assert_eq!(&page0[..10], &[1u8; 10]);
@@ -381,17 +393,38 @@ mod tests {
     #[test]
     fn page_writer_spills_oversized_records() {
         let store = PageStore::new(ram(), 16, CompressionScheme::None);
-        let mut w = PageWriter::new(&store);
+        let mut w = PageWriter::new();
         let big = vec![7u8; 40]; // 2.5 pages
-        let (p, o) = w.append(&big).unwrap();
+        let (p, o) = w.append(&store, &big).unwrap();
         assert_eq!((p, o), (0, 0));
-        let pages = w.finish().unwrap();
+        let pages = w.finish(&store).unwrap();
         assert_eq!(pages.len(), 3);
         let mut all = Vec::new();
         for id in pages {
             all.extend_from_slice(&store.read_page(id).unwrap());
         }
         assert_eq!(&all[..40], &big[..]);
+    }
+
+    #[test]
+    fn page_writer_spanning_appends_leave_no_padding() {
+        let store = PageStore::new(ram(), 16, CompressionScheme::None);
+        let mut w = PageWriter::new();
+        // 10 + 10 + 20 bytes back to back: `append` would start the second
+        // and third on fresh pages (3 pages); the stream takes 40 bytes.
+        let parts = [vec![1u8; 10], vec![2u8; 10], vec![3u8; 20], vec![4u8; 8]];
+        let offsets: Vec<u64> =
+            parts.iter().map(|part| w.append_spanning(&store, part).unwrap()).collect();
+        assert_eq!(offsets, [0, 10, 20, 40]);
+        assert_eq!(store.num_pages(), 3, "full pages go out as they fill");
+        let pages = w.finish(&store).unwrap();
+        assert_eq!(pages, [0, 1, 2]);
+        let all: Vec<u8> = pages.iter().flat_map(|&id| store.read_page(id).unwrap()).collect();
+        assert_eq!(all, parts.concat());
+        // An exactly full last page is not followed by an empty one.
+        let mut exact = PageWriter::new();
+        exact.append_spanning(&store, &[5u8; 32]).unwrap();
+        assert_eq!(exact.finish(&store).unwrap(), [3, 4]);
     }
 
     #[test]

@@ -10,6 +10,7 @@ use tc_util::bits::BitWriter;
 use tc_util::{bit_width, bytes_for_bits};
 
 use crate::header::{Header, HEADER_LEN};
+use crate::reader::FieldName;
 
 /// One entry of the field-names lengths sub-vector before bit packing.
 #[derive(Debug, Clone, Copy)]
@@ -21,21 +22,84 @@ pub(crate) struct FieldEntry {
     pub payload: u64,
 }
 
-/// Section accumulator shared by the encoder and the compactor.
+/// A record under construction: one accumulator per section of the format.
+/// [`encode`] fills it from a `Value`; a caller that already has a record's
+/// items ([`RawItem`](crate::reader::RawItem)s of another record, say) fills
+/// it item by item — [`begin`](Self::begin), [`scalar`](Self::scalar),
+/// [`close`](Self::close) in the tag stream's order, root container first —
+/// and assembles with [`finish_into`](Self::finish_into).
 #[derive(Debug, Default)]
-pub(crate) struct Sections {
-    pub tags: Vec<u8>,
-    pub fixed: Vec<u8>,
-    pub varlen_lengths: Vec<u64>,
-    pub varlen_values: Vec<u8>,
-    pub field_entries: Vec<FieldEntry>,
-    pub fieldname_values: Vec<u8>,
+pub struct Sections {
+    pub(crate) tags: Vec<u8>,
+    pub(crate) fixed: Vec<u8>,
+    pub(crate) varlen_lengths: Vec<u64>,
+    pub(crate) varlen_values: Vec<u8>,
+    pub(crate) field_entries: Vec<FieldEntry>,
+    pub(crate) fieldname_values: Vec<u8>,
 }
 
 impl Sections {
-    /// Assemble the final record. `compacted` controls the fourth header
-    /// offset (zero ⇒ names live in the schema structure).
-    pub fn assemble(self, compacted: bool) -> Vec<u8> {
+    /// A field's entry in the field-name vector: a declared index, a
+    /// dictionary id (a compacted record) or an inline name (an uncompacted
+    /// one — a record holds ids or names, never both).
+    fn name(&mut self, name: FieldName<'_>) {
+        let (declared, payload) = match name {
+            FieldName::Declared(idx) => (true, idx as u64),
+            FieldName::InferredId(id) => (false, id as u64),
+            FieldName::Inferred(name) => {
+                self.fieldname_values.extend_from_slice(name.as_bytes());
+                (false, name.len() as u64)
+            }
+        };
+        self.field_entries.push(FieldEntry { declared, payload });
+    }
+
+    /// Open a container; `name` iff its parent is an object.
+    pub fn begin(&mut self, tag: TypeTag, name: Option<FieldName<'_>>) {
+        debug_assert!(tag.is_nested());
+        self.tags.push(tag as u8);
+        if let Some(name) = name {
+            self.name(name);
+        }
+    }
+
+    /// Append a scalar given as the bytes a record stores for it.
+    pub fn scalar(&mut self, tag: TypeTag, bytes: &[u8], name: Option<FieldName<'_>>) {
+        self.tags.push(tag as u8);
+        if let Some(name) = name {
+            self.name(name);
+        }
+        if tag.is_variable_scalar() {
+            self.varlen_lengths.push(bytes.len() as u64);
+            self.varlen_values.extend_from_slice(bytes);
+        } else {
+            debug_assert_eq!(tag.fixed_len(), Some(bytes.len()));
+            self.fixed.extend_from_slice(bytes);
+        }
+    }
+
+    /// Close the innermost open container.
+    pub fn close(&mut self) {
+        self.tags.push(TypeTag::CloseNested as u8);
+    }
+
+    /// End the record, append it to `out`, and empty the accumulator for the
+    /// next one. `compacted` ⇔ its inferred names were given as ids.
+    pub fn finish_into(&mut self, compacted: bool, out: &mut Vec<u8>) {
+        debug_assert!(!compacted || self.fieldname_values.is_empty());
+        self.tags.push(TypeTag::Eov as u8);
+        self.assemble_into(compacted, out);
+        self.tags.clear();
+        self.fixed.clear();
+        self.varlen_lengths.clear();
+        self.varlen_values.clear();
+        self.field_entries.clear();
+        self.fieldname_values.clear();
+    }
+
+    /// Append the final record to `out`. `compacted` controls the fourth
+    /// header offset (zero ⇒ names live in the schema structure).
+    fn assemble_into(&self, compacted: bool, out: &mut Vec<u8>) {
         let varlen_bits = effective_width(self.varlen_lengths.iter().copied().max().unwrap_or(0));
         let fieldname_bits =
             1 + effective_width(self.field_entries.iter().map(|e| e.payload).max().unwrap_or(0));
@@ -78,8 +142,9 @@ impl Sections {
             fieldname_lengths_off: fieldname_lengths_off as u32,
             fieldname_values_off: if compacted { 0 } else { fieldname_values_off as u32 },
         };
-        let mut out = Vec::with_capacity(record_len);
-        header.write(&mut out);
+        let start = out.len();
+        out.reserve(record_len);
+        header.write(out);
         out.extend_from_slice(&self.tags);
         out.extend_from_slice(&self.fixed);
         out.extend_from_slice(&varlen_len_bytes);
@@ -88,8 +153,7 @@ impl Sections {
         if !compacted {
             out.extend_from_slice(&self.fieldname_values);
         }
-        debug_assert_eq!(out.len(), record_len);
-        out
+        debug_assert_eq!(out.len() - start, record_len);
     }
 }
 
@@ -110,7 +174,9 @@ pub fn encode(value: &Value, declared: Option<&ObjectType>) -> Vec<u8> {
     let mut s = Sections::default();
     write_value(value, declared, true, &mut s);
     s.tags.push(TypeTag::Eov as u8);
-    s.assemble(false)
+    let mut out = Vec::new();
+    s.assemble_into(false, &mut out);
+    out
 }
 
 fn write_value(value: &Value, declared: Option<&ObjectType>, is_root: bool, s: &mut Sections) {
@@ -164,16 +230,7 @@ fn write_value(value: &Value, declared: Option<&ObjectType>, is_root: bool, s: &
                 // inferred path self-describes nested fields — §3.3.1).
                 let decl_idx =
                     if is_root { declared.and_then(|t| t.field_index(name)) } else { None };
-                match decl_idx {
-                    Some(idx) => {
-                        s.field_entries.push(FieldEntry { declared: true, payload: idx as u64 })
-                    }
-                    None => {
-                        s.field_entries
-                            .push(FieldEntry { declared: false, payload: name.len() as u64 });
-                        s.fieldname_values.extend_from_slice(name.as_bytes());
-                    }
-                }
+                s.name(decl_idx.map_or(FieldName::Inferred(name), FieldName::Declared));
                 write_value(v, None, false, s);
             }
             s.tags.push(TypeTag::CloseNested as u8);

@@ -30,6 +30,6 @@ pub mod reader;
 
 pub use access::{get_values, BatchPathEvaluator};
 pub use compact::infer_and_compact;
-pub use encode::encode;
+pub use encode::{encode, Sections};
 pub use header::Header;
-pub use reader::{decode, FieldName, Item, VectorReader};
+pub use reader::{decode, FieldName, Item, RawItem, VectorReader};

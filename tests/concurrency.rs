@@ -464,12 +464,19 @@ fn scans_stay_consistent_under_policy_driven_merges() {
 
 /// One Columnar partition under background maintenance: a writer inserting,
 /// upserting and deleting, the worker flushing and merging column to column
-/// behind it, and two readers scanning through the batched engine — typed
-/// columns for one, a residual path too for the other. Every tree mutation
+/// behind it, and three readers scanning through the batched engine — typed
+/// columns for one, a residual path too for the others. Every tree mutation
 /// is atomic and every scan reads one snapshot, so each scan must equal the
 /// oracle after exactly `k` operations, for some `k` between the count the
 /// writer had published when the scan began and one past the count it had
 /// published when the scan ended (the operation in flight).
+///
+/// Halfway through, the records start to carry an array of objects under
+/// field names no earlier record had: the dictionary grows while the column
+/// set stays as it was. Merges from then on copy residual rows compacted
+/// against a shorter dictionary into components whose blob has the longer
+/// one, while a reader's snapshot still holds — and decodes `extras` from —
+/// the components they replace.
 #[test]
 fn columnar_scans_equal_an_oracle_prefix_across_column_merges() {
     use std::collections::BTreeMap;
@@ -497,9 +504,19 @@ fn columnar_scans_equal_an_oracle_prefix_across_column_merges() {
             Op::Delete(id) => state.remove(&id),
         };
     }
+    const N: u64 = 3000;
+    /// What operation `version` writes under `id`.
+    fn evolving(id: i64, version: u64) -> Value {
+        let mut v = record(id, version);
+        if version >= N / 2 {
+            let Value::Object(fields) = &mut v else { unreachable!() };
+            let later = Value::object([(format!("later_{}", version % 7), Value::from(id))]);
+            fields.push(("extras".into(), Value::Array(vec![later])));
+        }
+        v
+    }
 
     with_watchdog(Duration::from_secs(120), "columnar-scans-vs-merges", || {
-        const N: u64 = 3000;
         let ds = Arc::new(Dataset::new(
             stress_config(true).with_format(StorageFormat::Columnar),
             Arc::new(Device::new(DeviceProfile::RAM)),
@@ -513,7 +530,7 @@ fn columnar_scans_equal_an_oracle_prefix_across_column_merges() {
                 let mut w = writer_ds.writer();
                 for i in 0..N {
                     match op(i) {
-                        Op::Put(id) => w.upsert(&record(id, i)).unwrap(),
+                        Op::Put(id) => w.upsert(&evolving(id, i)).unwrap(),
                         Op::Delete(id) => {
                             w.delete(id).unwrap();
                         }
@@ -521,7 +538,11 @@ fn columnar_scans_equal_an_oracle_prefix_across_column_merges() {
                     published.store(i + 1, Ordering::SeqCst);
                 }
             });
-            for paths in [&["id", "version"][..], &["id", "version", "nested.tags[*]"]] {
+            for paths in [
+                &["id", "version"][..],
+                &["id", "version", "nested.tags[*]"],
+                &["id", "version", "extras"],
+            ] {
                 let (reader_ds, published, scans) =
                     (Arc::clone(&ds), Arc::clone(&applied), Arc::clone(&scans));
                 let query = Query {
@@ -541,6 +562,12 @@ fn columnar_scans_equal_an_oracle_prefix_across_column_merges() {
                         .map(|row| (row[0].as_i64().unwrap(), row[1].as_i64().unwrap() as u64))
                         .collect();
                     assert_eq!(got.len(), res.rows.len(), "a scan returned an id twice");
+                    for row in res.rows.iter().filter(|_| paths.contains(&"extras")) {
+                        let written =
+                            evolving(row[0].as_i64().unwrap(), got[&row[0].as_i64().unwrap()]);
+                        let extras = written.get_field("extras").cloned().unwrap_or(Value::Missing);
+                        assert_eq!(row[2], extras, "a residual field decoded under another name");
+                    }
                     let mut oracle = BTreeMap::new();
                     (0..lo).for_each(|i| apply(&mut oracle, i));
                     let mut k = lo;
@@ -569,7 +596,7 @@ fn columnar_scans_equal_an_oracle_prefix_across_column_merges() {
         ds.flush().unwrap();
         let mut oracle = BTreeMap::new();
         (0..N).for_each(|i| apply(&mut oracle, i));
-        let expected: Vec<Value> = oracle.iter().map(|(id, v)| record(*id, *v)).collect();
+        let expected: Vec<Value> = oracle.iter().map(|(id, v)| evolving(*id, *v)).collect();
         assert_eq!(ds.scan_values().unwrap(), expected);
     });
 }
