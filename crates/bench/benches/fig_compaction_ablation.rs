@@ -1,7 +1,9 @@
 //! Compaction design-space ablation: every registry merge policy over the
 //! same ingest + update mix on a bare `LsmTree`, mapping write
-//! amplification against final tree shape (the cluster-level version with
-//! scan costs is `bench_ingest --compaction` → `BENCH_compaction.json`).
+//! amplification against final tree shape. The cluster-level claims —
+//! every policy, sync and background, is lossless on random workloads and
+//! attributes each merge to a trigger — are the property test
+//! `merge_policies_are_observationally_equivalent` (`tests/property.rs`).
 //!
 //! A second table shows FIFO/TTL with *reachable* caps actually retiring
 //! the oldest runs — the registry entry's caps are unreachable on purpose,

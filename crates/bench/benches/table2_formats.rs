@@ -6,79 +6,64 @@
 //! ProtoBuf ~3x the vector-based construction time. The vector-based format
 //! is the only one that needs no schema.
 //!
-//! Uses Criterion for the timing half; prints the size table directly.
+//! Construction time is the median of a few timed passes over the batch.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use std::time::{Duration, Instant};
+
 use tc_adm::Value;
+use tc_bench::support::{banner, fmt_dur, header, row, scale};
 use tc_datagen::{twitter::TwitterGen, Generator};
 use tc_formats::{avro, protobuf, thrift};
 
-fn tweets(n: usize) -> Vec<Value> {
-    let mut gen = TwitterGen::new(1);
-    (0..n).map(|_| gen.next_record()).collect()
+const REPS: usize = 5;
+
+/// One format: its name and an encoder returning the encoded byte count.
+type Encoder = (&'static str, fn(&Value) -> usize);
+
+const ENCODERS: [Encoder; 5] = [
+    ("Avro", |r| avro::encode_record(r).expect("avro").len()),
+    ("Thrift (BP)", |r| thrift::encode_binary_record(r).expect("bp").len()),
+    ("Thrift (CP)", |r| thrift::encode_compact_record(r).expect("cp").len()),
+    ("ProtoBuf", |r| protobuf::encode_record(r).expect("pb").len()),
+    ("Vector-based", |r| tc_vector::encode(r, None).len()),
+];
+
+/// Median wall time of `REPS` passes encoding every record.
+fn construction_time(records: &[Value], encode: fn(&Value) -> usize) -> Duration {
+    let mut times: Vec<Duration> = (0..REPS)
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(records.iter().map(encode).sum::<usize>());
+            start.elapsed()
+        })
+        .collect();
+    times.sort();
+    times[REPS / 2]
 }
 
-fn total_sizes(records: &[Value]) {
-    let mut raw = 0usize;
-    let mut sizes = [0usize; 5];
-    for r in records {
-        raw += tc_adm::to_string(r).len();
-        sizes[0] += avro::encode_record(r).expect("avro").len();
-        sizes[1] += thrift::encode_binary_record(r).expect("bp").len();
-        sizes[2] += thrift::encode_compact_record(r).expect("cp").len();
-        sizes[3] += protobuf::encode_record(r).expect("pb").len();
-        sizes[4] += tc_vector::encode(r, None).len();
-    }
-    println!("\nTable 2: encoding {} tweets ({} raw text bytes)", records.len(), raw);
-    println!("{:<16} {:>12} {:>10}", "format", "bytes", "vs raw");
-    for (name, s) in
-        ["Avro", "Thrift (BP)", "Thrift (CP)", "ProtoBuf", "Vector-based"].iter().zip(sizes)
-    {
-        println!("{name:<16} {s:>12} {:>9.1}%", s as f64 / raw as f64 * 100.0);
+fn main() {
+    let mut gen = TwitterGen::new(1);
+    let records: Vec<Value> = (0..500 * scale()).map(|_| gen.next_record()).collect();
+    let raw: usize = records.iter().map(|r| tc_adm::to_string(r).len()).sum();
+    banner(
+        "Table 2",
+        &format!("encoding {} tweets ({raw} raw text bytes)", records.len()),
+        "sizes comparable (CP smallest); Thrift fastest, vector-based second, \
+         Avro ~2x and ProtoBuf ~3x the vector-based time",
+    );
+    header("format", &["bytes", "vs raw", "construction"]);
+    for (name, encode) in ENCODERS {
+        let bytes: usize = records.iter().map(encode).sum();
+        row(
+            name,
+            &[
+                bytes.to_string(),
+                format!("{:.1}%", bytes as f64 / raw as f64 * 100.0),
+                fmt_dur(construction_time(&records, encode)),
+            ],
+        );
     }
     println!(
-        "paper Table 2 (52MB of tweets): Avro 27.5 / BP 34.3 / CP 25.9 / PB 27.2 / VB 29.5 MB"
+        "\npaper Table 2 (52MB of tweets): Avro 27.5 / BP 34.3 / CP 25.9 / PB 27.2 / VB 29.5 MB"
     );
 }
-
-fn bench_construction(c: &mut Criterion) {
-    let scale = std::env::var("TC_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(1);
-    let records = tweets(500 * scale);
-    total_sizes(&records);
-
-    let mut group = c.benchmark_group("table2_construction");
-    group.sample_size(10);
-    group.bench_function("avro", |b| {
-        b.iter(|| {
-            records.iter().map(|r| avro::encode_record(r).expect("avro").len()).sum::<usize>()
-        })
-    });
-    group.bench_function("thrift_bp", |b| {
-        b.iter(|| {
-            records
-                .iter()
-                .map(|r| thrift::encode_binary_record(r).expect("bp").len())
-                .sum::<usize>()
-        })
-    });
-    group.bench_function("thrift_cp", |b| {
-        b.iter(|| {
-            records
-                .iter()
-                .map(|r| thrift::encode_compact_record(r).expect("cp").len())
-                .sum::<usize>()
-        })
-    });
-    group.bench_function("protobuf", |b| {
-        b.iter(|| {
-            records.iter().map(|r| protobuf::encode_record(r).expect("pb").len()).sum::<usize>()
-        })
-    });
-    group.bench_function("vector_based", |b| {
-        b.iter(|| records.iter().map(|r| tc_vector::encode(r, None).len()).sum::<usize>())
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_construction);
-criterion_main!(benches);

@@ -174,13 +174,23 @@ mod tests {
 
     #[test]
     fn background_feed_matches_synchronous_feed() {
-        // The same stream through sync-flush and background-flush clusters
-        // must land identically; the background writers must never stall on
-        // flush work.
+        // The same insert stream, then a 50%-update upsert stream (Fig 17b),
+        // through sync-flush and background-flush clusters must land
+        // identically; the background writers must never stall on flush work.
         let records: Vec<_> = {
             let mut gen = TwitterGen::new(11);
             (0..400).map(|_| gen.next_record()).collect()
         };
+        let updates: Vec<_> = {
+            let mut up = Updater::new(13);
+            (0..200)
+                .map(|_| {
+                    let k = up.pick_key(400) as usize;
+                    up.mutate(&records[k], "id").0
+                })
+                .collect()
+        };
+        let feeds = [(records, FeedMode::Insert), (updates, FeedMode::Upsert)];
         let config = |background: bool| {
             DatasetConfig::new("Tweets", "id")
                 .with_format(StorageFormat::Inferred)
@@ -198,17 +208,23 @@ mod tests {
             cache_budget_per_node: 4 * 1024 * 1024,
         };
         let sync = Cluster::create_dataset(topo(), config(false));
-        sync.feed(records.clone(), FeedMode::Insert).unwrap();
+        for (batch, mode) in &feeds {
+            sync.feed(batch.clone(), *mode).unwrap();
+        }
         sync.flush_all().unwrap();
 
         let bg = Cluster::create_dataset(topo(), config(true));
-        bg.feed(records, FeedMode::Insert).unwrap();
-        bg.await_quiescent();
-        // Captured BEFORE flush_all: these must come from budget-triggered
-        // worker flushes, not the explicit flush below.
-        for p in bg.partitions() {
-            assert_eq!(p.lsm_stats().writer_stall_nanos, 0, "background writers never stall");
-            assert!(p.lsm_stats().flushes > 0, "budget flushes ran on the workers");
+        for (batch, mode) in &feeds {
+            let flushed: Vec<u64> = bg.partitions().iter().map(|p| p.lsm_stats().flushes).collect();
+            bg.feed(batch.clone(), *mode).unwrap();
+            bg.await_quiescent();
+            // Captured BEFORE flush_all: these must come from budget-triggered
+            // worker flushes, not the explicit flush below.
+            for (p, before) in bg.partitions().iter().zip(flushed) {
+                let stats = p.lsm_stats();
+                assert_eq!(stats.writer_stall_nanos, 0, "{mode:?}: background writers never stall");
+                assert!(stats.flushes > before, "{mode:?}: budget flushes ran on the workers");
+            }
         }
         bg.flush_all().unwrap();
 

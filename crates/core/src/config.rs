@@ -87,7 +87,8 @@ pub struct DatasetConfig {
     pub background_maintenance: bool,
     /// Verify per-page checksums on every component read (and stamp them on
     /// every write). On by default; disable only to measure the checksum
-    /// overhead itself (`bench_ingest` does an A/B run).
+    /// overhead itself (perfbench reports its cost as
+    /// `util.crc_ns_per_page`).
     pub integrity: bool,
 }
 
@@ -152,9 +153,8 @@ impl DatasetConfig {
     /// Select the compaction strategy. The registry spans the design space
     /// of "Constructing and Analyzing the LSM Compaction Design Space":
     /// `Prefix` (the paper's default), `Constant`, `NoMerge`, `Leveled`,
-    /// `Tiered`, `LazyLeveled`, and the lossy `Fifo` retirement policy.
-    /// `MergePolicy::by_name` resolves the same registry from strings
-    /// (CLI flags, stored configs).
+    /// `Tiered`, `LazyLeveled`, and the lossy `Fifo` retirement policy;
+    /// `MergePolicy::matrix` lists each one with bench-scale knobs.
     pub fn with_merge_policy(mut self, policy: MergePolicy) -> Self {
         self.merge_policy = policy;
         self
@@ -216,17 +216,20 @@ mod tests {
         assert!(!c.integrity);
     }
 
-    /// Every name in the policy registry configures a dataset; the
-    /// configured policy keeps its name (string configs round-trip).
+    /// Every policy in the registry configures a dataset and keeps its
+    /// name; the seven names are distinct.
     #[test]
     fn merge_policy_registry_configures_datasets() {
-        for name in tc_lsm::POLICY_NAMES {
-            let policy = MergePolicy::by_name(name)
-                .unwrap_or_else(|| panic!("registry lists unknown policy {name}"));
+        let mut names = Vec::new();
+        for policy in MergePolicy::matrix() {
             let c = DatasetConfig::new("d", "id").with_merge_policy(policy);
-            assert_eq!(c.merge_policy.name(), name);
+            assert_eq!(c.merge_policy, policy);
+            assert_eq!(c.merge_policy.build().name(), policy.name());
+            names.push(policy.name());
         }
-        assert!(MergePolicy::by_name("compact-o-matic").is_none());
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), 7, "registry names must be distinct");
     }
 
     #[test]

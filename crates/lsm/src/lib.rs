@@ -38,6 +38,6 @@ pub use entry::{EntryKind, Key};
 pub use hook::{ComponentHook, NoopHook};
 pub use policy::{
     CompactionDecision, CompactionPolicy, MergePick, MergePolicy, MergeTrigger, RunMeta,
-    NUM_MERGE_TRIGGERS, POLICY_NAMES,
+    NUM_MERGE_TRIGGERS,
 };
 pub use tree::{LsmOptions, LsmStats, LsmTree};

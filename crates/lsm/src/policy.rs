@@ -14,9 +14,8 @@
 //!   newest) to a [`CompactionDecision`]: do nothing, merge a pick of runs,
 //!   or retire an oldest prefix (FIFO/TTL).
 //! * [`MergePolicy::build`] resolves configuration → mechanism, and the
-//!   name registry ([`MergePolicy::by_name`] / [`MergePolicy::matrix`])
-//!   makes the whole space selectable from a bench flag or iterable by a
-//!   test harness.
+//!   registry ([`MergePolicy::matrix`]) makes the whole space iterable by
+//!   a test harness or an ablation bench.
 //!
 //! Decisions are pure functions of the run list: same input, same pick
 //! (the policy-matrix tests rely on this determinism). Picks are index
@@ -183,7 +182,7 @@ impl MergePolicy {
         MergePolicy::Prefix { max_mergeable_size, max_tolerable_components: 5 }
     }
 
-    /// Registry name (also what `by_name` accepts).
+    /// Registry name.
     pub fn name(&self) -> &'static str {
         match self {
             MergePolicy::Prefix { .. } => "prefix",
@@ -196,33 +195,25 @@ impl MergePolicy {
         }
     }
 
-    /// Look a policy up by registry name with bench-scale default knobs.
-    /// The FIFO entry's caps are unreachable — selecting it via the
-    /// registry gets TTL *semantics* without silently dropping data; set
-    /// real caps explicitly when loss is intended.
-    pub fn by_name(name: &str) -> Option<MergePolicy> {
+    /// Every registered policy with bench-scale default knobs — the
+    /// policy-matrix tests and the compaction ablation iterate this. The
+    /// FIFO entry's caps are unreachable — it gets TTL *semantics* without
+    /// silently dropping data; set real caps explicitly when loss is
+    /// intended.
+    pub fn matrix() -> Vec<MergePolicy> {
         const BASE: u64 = 256 * 1024;
-        Some(match name {
-            "prefix" => MergePolicy::Prefix {
+        vec![
+            MergePolicy::Prefix {
                 max_mergeable_size: 32 * 1024 * 1024,
                 max_tolerable_components: 5,
             },
-            "constant" => MergePolicy::Constant { max_components: 5 },
-            "nomerge" => MergePolicy::NoMerge,
-            "leveled" => MergePolicy::Leveled { level0_components: 4, base_bytes: BASE, fanout: 4 },
-            "tiered" => MergePolicy::Tiered { base_bytes: BASE, size_ratio: 4, min_tier_runs: 4 },
-            "lazy-leveled" => {
-                MergePolicy::LazyLeveled { tier_runs: 4, base_bytes: BASE, fanout: 4 }
-            }
-            "fifo" => MergePolicy::Fifo { max_components: usize::MAX, max_total_bytes: u64::MAX },
-            _ => return None,
-        })
-    }
-
-    /// Every registered policy with default knobs — the policy-matrix
-    /// tests and the compaction bench iterate this.
-    pub fn matrix() -> Vec<MergePolicy> {
-        POLICY_NAMES.iter().map(|n| MergePolicy::by_name(n).unwrap()).collect()
+            MergePolicy::Constant { max_components: 5 },
+            MergePolicy::NoMerge,
+            MergePolicy::Leveled { level0_components: 4, base_bytes: BASE, fanout: 4 },
+            MergePolicy::Tiered { base_bytes: BASE, size_ratio: 4, min_tier_runs: 4 },
+            MergePolicy::LazyLeveled { tier_runs: 4, base_bytes: BASE, fanout: 4 },
+            MergePolicy::Fifo { max_components: usize::MAX, max_total_bytes: u64::MAX },
+        ]
     }
 
     /// Resolve the configuration to its mechanism.
@@ -263,10 +254,6 @@ impl MergePolicy {
         self.build().decide(&runs)
     }
 }
-
-/// Registry names, in matrix order.
-pub const POLICY_NAMES: [&str; 7] =
-    ["prefix", "constant", "nomerge", "leveled", "tiered", "lazy-leveled", "fifo"];
 
 /// Geometric size classes: class 0 holds runs ≤ `base_bytes`, class *k*
 /// holds runs ≤ `base_bytes · ratio^k`.
@@ -741,13 +728,30 @@ mod tests {
 
     #[test]
     fn registry_round_trips_names() {
-        for name in POLICY_NAMES {
-            let policy = MergePolicy::by_name(name).expect("registered");
-            assert_eq!(policy.name(), name);
-            assert_eq!(policy.build().name(), name);
+        let names: Vec<&str> = MergePolicy::matrix().iter().map(MergePolicy::name).collect();
+        assert_eq!(
+            names,
+            ["prefix", "constant", "nomerge", "leveled", "tiered", "lazy-leveled", "fifo"]
+        );
+        for policy in MergePolicy::matrix() {
+            assert_eq!(policy.build().name(), policy.name());
         }
-        assert_eq!(MergePolicy::by_name("bogus"), None);
-        assert_eq!(MergePolicy::matrix().len(), POLICY_NAMES.len());
+    }
+
+    /// An append stream of small flushes: every merging matrix policy
+    /// rewrites it, the two non-merging ones never do.
+    #[test]
+    fn matrix_merges_an_append_stream_unless_non_merging() {
+        let appended = runs(&[64; 8]);
+        for policy in MergePolicy::matrix() {
+            let decision = policy.build().decide(&appended);
+            match policy {
+                MergePolicy::NoMerge | MergePolicy::Fifo { .. } => {
+                    assert_eq!(decision, CompactionDecision::None, "{}", policy.name())
+                }
+                _ => assert!(matches!(decision, CompactionDecision::Merge(_)), "{}", policy.name()),
+            }
+        }
     }
 
     #[test]

@@ -695,21 +695,23 @@ mod tests {
     fn limit_is_global_across_partitions() {
         // Regression: LIMIT k used to truncate per-partition only, so
         // LIMIT 10 over 4 partitions returned up to 40 rows.
-        let ds = partitioned_dataset(StorageFormat::Inferred, 4, 100);
         let q = Query {
             scan: ScanSpec::all_early(vec![parse_path("id")], AccessStrategy::Consolidated),
             ops: vec![Op::Limit(10)],
         };
-        for engine in [Engine::Batched, Engine::Row] {
-            let res = execute(&refs(&ds), &q, &ExecOptions::with_engine(engine)).unwrap();
-            assert_eq!(res.rows.len(), 10, "{engine:?}");
-            // The LIMIT hint reaches the scan: no partition drains its
-            // snapshot past what the limit can need.
-            assert!(
-                res.stats.rows_scanned <= 40,
-                "{engine:?}: scanned {} rows for LIMIT 10 over 4 partitions",
-                res.stats.rows_scanned
-            );
+        for format in [StorageFormat::Inferred, StorageFormat::Columnar] {
+            let ds = partitioned_dataset(format, 4, 100);
+            for engine in [Engine::Batched, Engine::Row] {
+                let res = execute(&refs(&ds), &q, &ExecOptions::with_engine(engine)).unwrap();
+                assert_eq!(res.rows.len(), 10, "{format:?}/{engine:?}");
+                // The LIMIT hint reaches the scan: no partition drains its
+                // snapshot past what the limit can need.
+                assert!(
+                    res.stats.rows_scanned <= 40,
+                    "{format:?}/{engine:?}: scanned {} rows for LIMIT 10 over 4 partitions",
+                    res.stats.rows_scanned
+                );
+            }
         }
     }
 

@@ -292,8 +292,8 @@ pub fn sensors_q4(opts: QueryOptions, day_start: i64) -> Query {
 /// `ScanSpec::filter`, so the batched engine decodes only `report_time`
 /// before the selection vector is known and fetches `sensor_id`/readings
 /// for survivors only. Same answers as [`sensors_q4_range`]; this is the
-/// plan shape where batched-vs-row is the whole story (BENCH_query's
-/// headline comparison).
+/// plan shape where batched-vs-row is the whole story (perfbench's
+/// `q_filter_ms` runs it).
 pub fn sensors_q4_scanfilter(opts: QueryOptions, day_start: i64, day_end: i64) -> Query {
     let range = Expr::and(
         Expr::cmp(CmpOp::Ge, Expr::col(2), Expr::lit(day_start)),
@@ -461,7 +461,7 @@ mod tests {
     fn sensors_queries_run_and_agree() {
         let mut reference: Option<Vec<Vec<Vec<Value>>>> = None;
         let day_start = 1_556_496_000_000i64;
-        for format in [StorageFormat::Open, StorageFormat::Inferred] {
+        for format in [StorageFormat::Open, StorageFormat::Inferred, StorageFormat::Columnar] {
             let parts = load(&mut SensorsGen::new(5), 40, format);
             for opts in [QueryOptions::default(), QueryOptions::unoptimized()] {
                 let day_end = day_start + 24 * 60 * 60 * 1000;
@@ -476,6 +476,13 @@ mod tests {
                     None => reference = Some(results),
                     Some(r) => assert_eq!(*r, results, "{format:?} {opts:?}"),
                 }
+            }
+            if format == StorageFormat::Columnar {
+                // One flush per partition: the suite ran the at-rest
+                // column scan, typed filter loop included.
+                let stats: Vec<_> = parts.iter().map(Dataset::lsm_stats).collect();
+                assert!(stats.iter().map(|s| s.columnar_pages_written).sum::<u64>() > 0);
+                assert!(stats.iter().map(|s| s.columnar_typed_filter_rows).sum::<u64>() > 0);
             }
         }
         let r = reference.unwrap();

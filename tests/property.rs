@@ -581,11 +581,16 @@ proptest! {
                     policy.name(),
                     background
                 );
-                prop_assert_eq!(
-                    ds.lsm_stats().components_retired,
-                    0,
-                    "matrix policies must be lossless"
-                );
+                let stats = ds.lsm_stats();
+                prop_assert_eq!(stats.components_retired, 0, "matrix policies must be lossless");
+                // Every merge is attributed to a trigger, amplification is
+                // well-formed once anything was flushed, and the
+                // non-merging policies never merge.
+                prop_assert_eq!(stats.merges_by_trigger.iter().sum::<u64>(), stats.merges);
+                prop_assert!(stats.bytes_flushed == 0 || stats.write_amplification() >= 1.0);
+                if matches!(policy, MergePolicy::NoMerge | MergePolicy::Fifo { .. }) {
+                    prop_assert_eq!(stats.merges, 0, "{} merged", policy.name());
+                }
                 // Anti-matter semantics: a full merge converges to a single
                 // component with every delete resolved. (With fewer than two
                 // components the merge is a no-op, and a lone flushed
