@@ -7,8 +7,9 @@
 //!   `datetime("2018-09-20T13:30:00")`, `duration(ms)`, `uuid("hex…")`,
 //!   `point(x, y)`, `line(x1,y1,x2,y2)`, `rectangle(x1,y1,x2,y2)`,
 //!   `circle(x,y,r)`, `binary("hex")`
-//! * integer-width suffixes: `5i8`, `5i16`, `5i32` (bare integers parse to
-//!   `bigint`/Int64, bare decimals to `double`, matching SQL++ defaults)
+//! * integer-width suffixes: `5i8`, `5i16`, `5i32`, refused when the value
+//!   does not fit (bare integers parse to `bigint`/Int64, bare decimals to
+//!   `double`, matching SQL++ defaults)
 //! * `missing` as a literal (useful in tests)
 
 use crate::error::AdmError;
@@ -16,13 +17,23 @@ use crate::value::Value;
 
 /// Recursive-descent parser over a byte buffer.
 pub struct Parser<'a> {
+    /// The input; `text` is its bytes. Every position the parser stops at
+    /// between tokens is next to an ASCII byte, so slicing `src` there is
+    /// always on a char boundary.
+    src: &'a str,
     text: &'a [u8],
     pos: usize,
 }
 
+/// The bit a field name sets in an object's 64-bit name mask: the object
+/// scans its fields for a duplicate only when a name's bit is already set.
+pub(crate) fn name_bit(name: &str) -> u64 {
+    1 << (tc_util::hash::hash_bytes(name.as_bytes()) & 63)
+}
+
 impl<'a> Parser<'a> {
     pub fn new(text: &'a str) -> Self {
-        Parser { text: text.as_bytes(), pos: 0 }
+        Parser { src: text, text: text.as_bytes(), pos: 0 }
     }
 
     /// Parse exactly one value; trailing whitespace allowed, trailing
@@ -101,12 +112,15 @@ impl<'a> Parser<'a> {
         if self.eat(b'}') {
             return Ok(Value::Object(fields));
         }
+        let mut names = 0u64;
         loop {
             self.skip_ws();
             let name = self.parse_string()?;
-            if fields.iter().any(|(n, _)| *n == name) {
+            let bit = name_bit(&name);
+            if names & bit != 0 && fields.iter().any(|(n, _)| *n == name) {
                 return Err(self.err(format!("duplicate field name '{name}'")));
             }
+            names |= bit;
             self.expect(b':')?;
             let value = self.parse_value()?;
             fields.push((name, value));
@@ -154,65 +168,69 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// A quoted string. The text between escapes is copied a run at a time
+    /// (the input is a `str`, so a run is already UTF-8); a string without
+    /// escapes is one exact-size copy.
     fn parse_string(&mut self) -> Result<String, AdmError> {
         self.skip_ws();
         if self.bump() != Some(b'"') {
             return Err(self.err("expected string"));
         }
-        let mut out = String::new();
+        let mut escaped: Option<String> = None;
         loop {
-            match self.bump() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let cp = self.parse_hex4()?;
-                        // Surrogate pair handling.
-                        let ch = if (0xD800..0xDC00).contains(&cp) {
-                            if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
-                                return Err(self.err("unpaired surrogate"));
-                            }
-                            let low = self.parse_hex4()?;
-                            if !(0xDC00..0xE000).contains(&low) {
-                                return Err(self.err("invalid low surrogate"));
-                            }
-                            let c = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
-                            char::from_u32(c).ok_or_else(|| self.err("invalid codepoint"))?
-                        } else {
-                            char::from_u32(cp).ok_or_else(|| self.err("invalid codepoint"))?
-                        };
-                        out.push(ch);
+            let start = self.pos;
+            let Some(len) = self.text[start..].iter().position(|&b| b == b'"' || b == b'\\') else {
+                self.pos = self.text.len();
+                return Err(self.err("unterminated string"));
+            };
+            let run = self.src.get(start..start + len).ok_or_else(|| self.err("invalid UTF-8"))?;
+            self.pos = start + len + 1;
+            if self.text[start + len] == b'"' {
+                return Ok(match escaped {
+                    None => run.to_owned(),
+                    Some(mut out) => {
+                        out.push_str(run);
+                        out
                     }
-                    _ => return Err(self.err("invalid escape")),
-                },
-                Some(b) if b < 0x80 => out.push(b as char),
-                Some(b) => {
-                    // Re-decode a UTF-8 multibyte sequence.
-                    let start = self.pos - 1;
-                    let len = match b {
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        0xF0..=0xF7 => 4,
-                        _ => return Err(self.err("invalid UTF-8 byte")),
-                    };
-                    if start + len > self.text.len() {
-                        return Err(self.err("truncated UTF-8 sequence"));
+                });
+            }
+            let out = escaped.get_or_insert_with(|| String::with_capacity(len + 16));
+            out.push_str(run);
+            let ch = self.parse_escape()?;
+            out.push(ch);
+        }
+    }
+
+    /// The character an escape stands for, the backslash already consumed.
+    fn parse_escape(&mut self) -> Result<char, AdmError> {
+        Ok(match self.bump() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b't') => '\t',
+            Some(b'r') => '\r',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                let cp = self.parse_hex4()?;
+                // Surrogate pair handling.
+                if (0xD800..0xDC00).contains(&cp) {
+                    if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
+                        return Err(self.err("unpaired surrogate"));
                     }
-                    let s = std::str::from_utf8(&self.text[start..start + len])
-                        .map_err(|_| self.err("invalid UTF-8 sequence"))?;
-                    out.push_str(s);
-                    self.pos = start + len;
+                    let low = self.parse_hex4()?;
+                    if !(0xDC00..0xE000).contains(&low) {
+                        return Err(self.err("invalid low surrogate"));
+                    }
+                    let c = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+                    char::from_u32(c).ok_or_else(|| self.err("invalid codepoint"))?
+                } else {
+                    char::from_u32(cp).ok_or_else(|| self.err("invalid codepoint"))?
                 }
             }
-        }
+            _ => return Err(self.err("invalid escape")),
+        })
     }
 
     fn parse_hex4(&mut self) -> Result<u32, AdmError> {
@@ -242,7 +260,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.text[start..self.pos]).expect("ascii digits");
+        let text = &self.src[start..self.pos];
         if is_float {
             let v: f64 = text.parse().map_err(|_| self.err("invalid number"))?;
             // Optional float suffix: 1.5f
@@ -253,19 +271,19 @@ impl<'a> Parser<'a> {
             return Ok(Value::Double(v));
         }
         let v: i64 = text.parse().map_err(|_| self.err("integer out of range"))?;
-        // Width suffixes: i8 / i16 / i32 / i64.
+        // Width suffixes: i8 / i16 / i32 / i64. A value the width cannot
+        // hold is an error, not a wrapped value.
         if self.peek() == Some(b'i') {
             let save = self.pos;
             self.pos += 1;
-            let mut digits = String::new();
-            while let Some(b @ b'0'..=b'9') = self.peek() {
-                digits.push(b as char);
+            while let Some(b'0'..=b'9') = self.peek() {
                 self.pos += 1;
             }
-            match digits.as_str() {
-                "8" => return Ok(Value::Int8(v as i8)),
-                "16" => return Ok(Value::Int16(v as i16)),
-                "32" => return Ok(Value::Int32(v as i32)),
+            let range = |_| self.err(format!("{v} out of range for {}", &self.src[save..self.pos]));
+            match &self.src[save + 1..self.pos] {
+                "8" => return i8::try_from(v).map(Value::Int8).map_err(range),
+                "16" => return i16::try_from(v).map(Value::Int16).map_err(range),
+                "32" => return i32::try_from(v).map(Value::Int32).map_err(range),
                 "64" => return Ok(Value::Int64(v)),
                 _ => self.pos = save,
             }
@@ -282,7 +300,7 @@ impl<'a> Parser<'a> {
         while matches!(self.peek(), Some(b) if b.is_ascii_alphanumeric() || b == b'_') {
             self.pos += 1;
         }
-        let word = std::str::from_utf8(&self.text[start..self.pos]).expect("ascii word");
+        let word = &self.src[start..self.pos];
         match word {
             "true" => Ok(Value::Boolean(true)),
             "false" => Ok(Value::Boolean(false)),
@@ -496,6 +514,30 @@ mod tests {
         assert_eq!(parse("1.5f").unwrap(), Value::Float(1.5));
     }
 
+    /// A width suffix the value does not fit is an error (`300i8` used to
+    /// wrap to `Int8(44)`); both edges of each width still parse.
+    #[test]
+    fn width_suffixes_reject_out_of_range_values() {
+        for (min, max, suffix) in [
+            (i8::MIN as i64, i8::MAX as i64, "i8"),
+            (i16::MIN as i64, i16::MAX as i64, "i16"),
+            (i32::MIN as i64, i32::MAX as i64, "i32"),
+        ] {
+            for ok in [min, max, 0] {
+                let v = parse(&format!("{ok}{suffix}")).unwrap();
+                assert_eq!(v.as_i64(), Some(ok), "{ok}{suffix}");
+                assert_eq!(v.type_tag(), parse(&format!("1{suffix}")).unwrap().type_tag());
+            }
+            for bad in [min - 1, max + 1] {
+                let err = parse(&format!("{bad}{suffix}")).unwrap_err();
+                assert!(err.to_string().contains("out of range"), "{bad}{suffix}: {err}");
+            }
+        }
+        assert!(parse("300i8").is_err());
+        assert!(parse(r#"{"a": [1, 70000i16]}"#).is_err());
+        assert_eq!(parse("9223372036854775807i64").unwrap(), Value::Int64(i64::MAX));
+    }
+
     #[test]
     fn parses_escapes_and_unicode() {
         assert_eq!(parse(r#""a\nb""#).unwrap(), Value::string("a\nb"));
@@ -553,5 +595,143 @@ mod tests {
         assert_eq!(parse_date("1969-12-31"), Some(-1));
         assert_eq!(parse_date("2018-09-20"), Some(17794));
         assert_eq!(parse_date("2018-13-01"), None);
+    }
+
+    #[test]
+    fn strings_copy_runs_between_escapes() {
+        assert_eq!(parse(r#""""#).unwrap(), Value::string(""));
+        assert_eq!(parse(r#""\\""#).unwrap(), Value::string("\\"));
+        assert_eq!(parse(r#""ab\"cd\"""#).unwrap(), Value::string("ab\"cd\""));
+        assert_eq!(parse(r#""éé\t😀😀x""#).unwrap(), Value::string("éé\t😀😀x"));
+        assert_eq!(parse("\"raw\u{1}ctl\"").unwrap(), Value::string("raw\u{1}ctl"));
+        for bad in [r#""abc"#, r#""ab\"#, r#""\q""#, r#""\ud83d""#, r#""\ud83dx""#, r#""\u12""#] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    /// Two names per mask bit: the generator's pool holds pairs that
+    /// collide in the 64-bit name mask and names that do not.
+    fn colliding_pair() -> (String, String) {
+        let mut by_bit: std::collections::HashMap<u64, String> = Default::default();
+        for i in 0.. {
+            let name = format!("k{i}");
+            if let Some(first) = by_bit.insert(name_bit(&name), name.clone()) {
+                return (first, name);
+            }
+        }
+        unreachable!()
+    }
+
+    #[test]
+    fn duplicate_names_are_caught_whether_or_not_their_bits_collide() {
+        let (a, b) = colliding_pair();
+        assert_ne!(a, b);
+        assert_eq!(name_bit(&a), name_bit(&b));
+        // Colliding bits, distinct names: a scan that finds nothing.
+        let v = parse(&format!(r#"{{"{a}": 1, "{b}": 2}}"#)).unwrap();
+        assert_eq!(v.get_field(&b).unwrap().as_i64(), Some(2));
+        // A real duplicate, after a colliding name and among other fields.
+        let text = format!(r#"{{"{a}": 1, "x": 0, "{b}": 2, "y": 3, "{b}": 4}}"#);
+        assert!(parse(&text).unwrap_err().to_string().contains("duplicate"));
+        assert!(parse(r#"{"a": {"b": 1, "b": 2}}"#).is_err());
+        assert!(parse(r#"{"a": {"b": 1}, "b": {"a": 2}}"#).is_ok(), "names are per object");
+    }
+
+    use proptest::prelude::*;
+
+    fn arb_text() -> impl Strategy<Value = String> {
+        // Quotes, backslashes, control characters, BMP and astral chars.
+        "[a-z\"\\\\/\u{1}\u{8}\u{c}\n\r\t\u{1f}é€😀𝄞 ]{0,12}"
+    }
+
+    fn arb_value() -> impl Strategy<Value = Value> {
+        let leaf = prop_oneof![
+            arb_text().prop_map(Value::String),
+            any::<i64>().prop_map(Value::Int64),
+            any::<i8>().prop_map(Value::Int8),
+            any::<i16>().prop_map(Value::Int16),
+            any::<i32>().prop_map(Value::Int32),
+            any::<f64>().prop_map(Value::Double),
+            any::<bool>().prop_map(Value::Boolean),
+            Just(Value::Null),
+        ];
+        leaf.prop_recursive(3, 32, 5, |inner| {
+            prop_oneof![
+                proptest::collection::vec(inner.clone(), 0..5).prop_map(Value::Array),
+                proptest::collection::vec(inner.clone(), 0..3).prop_map(Value::Multiset),
+                proptest::collection::btree_map(arb_text(), inner, 0..6)
+                    .prop_map(|m| Value::Object(m.into_iter().collect())),
+            ]
+        })
+    }
+
+    /// `text` with every string literal's characters escaped as `\uXXXX`
+    /// (surrogate pairs above the BMP) wherever `pick` says so.
+    fn escape_more(text: &str, mut pick: impl FnMut() -> bool) -> String {
+        let mut out = String::new();
+        let mut in_string = false;
+        let mut chars = text.chars();
+        while let Some(c) = chars.next() {
+            match c {
+                '"' => {
+                    in_string = !in_string;
+                    out.push(c);
+                }
+                // The printer's own escapes pass through whole.
+                '\\' if in_string => {
+                    let e = chars.next().expect("printed escapes are complete");
+                    out.extend([c, e]);
+                    if e == 'u' {
+                        out.extend(chars.by_ref().take(4));
+                    }
+                }
+                c if in_string && pick() => {
+                    for unit in c.encode_utf16(&mut [0u16; 2]) {
+                        out.push_str(&format!("\\u{unit:04x}"));
+                    }
+                }
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Printing then parsing is the identity, with the printer's own
+        /// escapes and with any character of any string (field names
+        /// included) spelled as a `\u` escape or surrogate pair.
+        #[test]
+        fn parse_inverts_print_through_any_escapes(v in arb_value(), seed in any::<u64>()) {
+            let text = crate::to_string(&v);
+            prop_assert_eq!(parse(&text).unwrap(), v.clone());
+            let mut state = seed | 1;
+            let escaped = escape_more(&text, || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % 3 == 0
+            });
+            prop_assert_eq!(parse(&escaped).unwrap(), v);
+        }
+
+        /// An object parses iff its names are distinct, for names drawn from
+        /// a pool of mask-colliding pairs and non-colliding names.
+        #[test]
+        fn duplicates_fail_exactly_when_present(picks in proptest::collection::vec(0usize..6, 0..8)) {
+            let (a, b) = colliding_pair();
+            let pool = [a, b, "p".to_string(), "q".to_string(), "é".to_string(), "r".to_string()];
+            let names: Vec<&str> = picks.iter().map(|&i| pool[i].as_str()).collect();
+            let body: Vec<String> =
+                names.iter().enumerate().map(|(i, n)| format!("\"{n}\": {i}")).collect();
+            let parsed = parse(&format!("{{{}}}", body.join(", ")));
+            let distinct = names.iter().collect::<std::collections::BTreeSet<_>>().len();
+            prop_assert_eq!(parsed.is_ok(), distinct == names.len());
+            if let Ok(Value::Object(fields)) = parsed {
+                let got: Vec<&str> = fields.iter().map(|(n, _)| n.as_str()).collect();
+                prop_assert_eq!(got, names);
+            }
+        }
     }
 }

@@ -404,7 +404,7 @@ mod tests {
             }
             for (id, row) in rows.iter().enumerate().filter(|(_, row)| row.0.1) {
                 let Value::Object(fields) = record_of(id, row) else { unreachable!() };
-                schema.observe_record(&fields, &is_declared);
+                schema.observe_record(&fields, &is_declared).unwrap();
             }
             prop_assert!(schema.dict().is_prefix_of(full.dict()) && full.dict().is_prefix_of(schema.dict()));
             let dict = Some(schema.dict());

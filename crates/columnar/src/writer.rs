@@ -516,7 +516,7 @@ mod tests {
         for (i, text) in records.iter().enumerate() {
             let v = parse(text).unwrap();
             let Value::Object(fields) = &v else { panic!("object") };
-            schema.observe_record(fields, &|n| n == "id");
+            schema.observe_record(fields, &|n| n == "id").unwrap();
             entries.push((
                 (i as u64).to_be_bytes().to_vec(),
                 EntryKind::Record,
@@ -587,7 +587,7 @@ mod tests {
             let text = format!(r#"{{"id": {i}, "t": {}, "m": {}.5}}"#, 100 + i, i);
             let v = parse(&text).unwrap();
             let Value::Object(fields) = &v else { unreachable!() };
-            schema.observe_record(fields, &|n| n == "id");
+            schema.observe_record(fields, &|n| n == "id").unwrap();
             entries.push((
                 (i as u64).to_be_bytes().to_vec(),
                 EntryKind::Record,
@@ -630,7 +630,7 @@ mod tests {
         let mut schema = Schema::new();
         let seed = parse(r#"{"id": 0, "t": 1}"#).unwrap();
         let Value::Object(fields) = &seed else { unreachable!() };
-        schema.observe_record(fields, &|n| n == "id");
+        schema.observe_record(fields, &|n| n == "id").unwrap();
         let rows = [r#"{"id": 0, "t": 1}"#, r#"{"id": 1, "t": "late"}"#];
         let mut entries = Vec::new();
         for (i, text) in rows.iter().enumerate() {

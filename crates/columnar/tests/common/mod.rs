@@ -49,7 +49,7 @@ pub fn observe(schema: &mut Schema, record: &Value, typed: bool) {
         intern(schema, v);
     }
     if typed {
-        schema.observe_record(fields, &|n| n == "id");
+        schema.observe_record(fields, &|n| n == "id").unwrap();
     }
 }
 

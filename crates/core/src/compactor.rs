@@ -9,8 +9,9 @@ use std::thread::JoinHandle;
 
 use tc_adm::{ObjectType, Value};
 use tc_schema::Schema;
+use tc_storage::StorageError;
 use tc_util::sync::{ranks, OrderedMutex};
-use tc_vector::infer_and_compact;
+use tc_vector::infer_and_compact_into;
 
 use tc_lsm::{ComponentHook, LsmTree};
 
@@ -33,7 +34,8 @@ pub struct TupleCompactor {
     /// dictionary without changing its length.
     generation: std::sync::atomic::AtomicU64,
     /// Schema snapshot taken at `begin_flush`, restored by `abort_flush`
-    /// when the flush fails on a storage fault — so a retried flush
+    /// when the flush fails on a storage fault or a frozen record the
+    /// compaction pass cannot read — so a retried flush
     /// re-infers the same frozen entries against the same starting schema
     /// instead of double-counting them. Unranked leaf lock: held only with
     /// nothing, or directly inside `schema`.
@@ -121,11 +123,13 @@ impl ComponentHook for TupleCompactor {
     }
 
     /// Flush-time transformation: one pass infers the schema and strips
-    /// field names (§3.3.2).
-    fn on_flush_record(&self, payload: &[u8]) -> Vec<u8> {
+    /// field names (§3.3.2), appending the compacted record to the flush's
+    /// buffer. A frozen record the pass cannot read fails the flush as
+    /// corruption; `abort_flush` then undoes its partial observations.
+    fn on_flush_record(&self, payload: &[u8], out: &mut Vec<u8>) -> Result<(), StorageError> {
         let mut schema = self.schema.lock();
-        infer_and_compact(payload, &mut schema)
-            .expect("in-memory records are well-formed uncompacted vector records")
+        infer_and_compact_into(payload, &mut schema, out)
+            .map_err(|e| StorageError::corruption("flushed record", e.to_string()))
     }
 
     /// Anti-matter processing: the attachment is the deleted record's
@@ -376,11 +380,18 @@ mod tests {
         encode(&parse(src).unwrap(), Some(&compactor.declared))
     }
 
+    /// The record `c` writes to disk for the in-memory record `r`.
+    fn flush_record(c: &TupleCompactor, r: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        c.on_flush_record(r, &mut out).unwrap();
+        out
+    }
+
     #[test]
     fn flush_compacts_and_grows_schema() {
         let c = TupleCompactor::new(pk_type());
         let r = raw(&c, r#"{"id": 0, "name": "Kim", "age": 26}"#);
-        let compacted = c.on_flush_record(&r);
+        let compacted = flush_record(&c, &r);
         assert!(compacted.len() < r.len());
         let s = c.schema_snapshot();
         assert!(s.lookup_field(s.root(), "name").is_some());
@@ -393,8 +404,8 @@ mod tests {
         let c = TupleCompactor::new(pk_type());
         let r1 = raw(&c, r#"{"id": 0, "name": "Kim", "age": 26}"#);
         let r2 = raw(&c, r#"{"id": 1, "name": "John"}"#);
-        c.on_flush_record(&r1);
-        c.on_flush_record(&r2);
+        flush_record(&c, &r1);
+        flush_record(&c, &r2);
         // Delete record 0: its anti-schema removes `age` entirely.
         let anti = raw(&c, r#"{"id": 0, "name": "Kim", "age": 26}"#);
         c.on_flush_antimatter(Some(&anti));
@@ -408,7 +419,7 @@ mod tests {
     fn metadata_roundtrips_through_serialization() {
         let c = TupleCompactor::new(pk_type());
         let r = raw(&c, r#"{"id": 0, "tags": [["a"], "b"], "deep": {"x": null}}"#);
-        c.on_flush_record(&r);
+        flush_record(&c, &r);
         let blob = c.flush_metadata().unwrap();
         let restored = Schema::deserialize(&blob).unwrap();
         let live = c.schema_snapshot();
@@ -526,10 +537,12 @@ mod tests {
         use tc_storage::device::{Device, DeviceProfile};
         use tc_storage::BufferCache;
 
+        // A malformed record is an `Err` (see the next test); a panic here
+        // stands for a bug in a hook.
         struct PanicHook;
         impl ComponentHook for PanicHook {
-            fn on_flush_record(&self, _payload: &[u8]) -> Vec<u8> {
-                panic!("malformed record reached the hook");
+            fn on_flush_record(&self, _: &[u8], _: &mut Vec<u8>) -> Result<(), StorageError> {
+                panic!("bug in a flush hook");
             }
         }
         let tree = Arc::new(LsmTree::new(
@@ -555,6 +568,56 @@ mod tests {
         drop(worker); // clean shutdown still works
     }
 
+    /// A frozen record the compactor cannot read fails the flush as typed
+    /// corruption instead of panicking: the flush aborts once, the schema
+    /// rolls back past the records it had already observed, the error is
+    /// counted, the frozen memtable stays readable — and a worker running
+    /// the same flush is not poisoned.
+    #[test]
+    fn a_malformed_frozen_record_aborts_the_flush_and_rolls_the_schema_back() {
+        use tc_lsm::entry::encode_u64_key;
+        use tc_lsm::{LsmOptions, MergePolicy};
+        use tc_storage::device::{Device, DeviceProfile};
+        use tc_storage::BufferCache;
+
+        let c = Arc::new(TupleCompactor::new(pk_type()));
+        let tree = Arc::new(LsmTree::new(
+            Arc::new(Device::new(DeviceProfile::RAM)),
+            Arc::new(BufferCache::new(64)),
+            Arc::clone(&c) as Arc<dyn ComponentHook>,
+            LsmOptions {
+                auto_flush: false,
+                merge_policy: MergePolicy::NoMerge,
+                ..Default::default()
+            },
+        ));
+        tree.insert(encode_u64_key(1), raw(&c, r#"{"id": 1, "name": "Kim"}"#)).unwrap();
+        tree.flush().unwrap();
+        let flushed = c.schema_snapshot().serialize();
+
+        let good = raw(&c, r#"{"id": 2, "name": "Ann", "age": 26}"#);
+        let mut bad = raw(&c, r#"{"id": 3, "name": "Bob"}"#);
+        bad[tc_vector::header::HEADER_LEN + 1] = 0xee; // no such type tag
+        tree.insert(encode_u64_key(2), good.clone()).unwrap();
+        tree.insert(encode_u64_key(3), bad.clone()).unwrap();
+        let err = tree.flush().unwrap_err();
+        assert!(err.is_corruption(), "{err}");
+        assert_eq!(tree.stats().maintenance_errors, 1, "aborted once");
+        assert_eq!(c.schema_snapshot().serialize(), flushed, "record 2's observations undone");
+        assert_eq!(tree.memtable_len(), 2, "the frozen memtable is kept");
+        assert_eq!(tree.get(&encode_u64_key(2)).unwrap(), Some(good));
+        assert_eq!(tree.get(&encode_u64_key(3)).unwrap(), Some(bad));
+        assert!(tree.get(&encode_u64_key(1)).unwrap().is_some());
+
+        let worker = MaintenanceWorker::spawn(Arc::clone(&tree));
+        assert!(worker.schedule_flush());
+        worker.await_quiescent();
+        assert!(!worker.is_poisoned(), "a bad record is an error, not a panic");
+        assert_eq!(tree.stats().maintenance_errors, 2);
+        assert_eq!(tree.stats().flushes, 1);
+        assert_eq!(c.schema_snapshot().serialize(), flushed);
+    }
+
     #[test]
     fn schedule_flush_deduplicates_while_pending() {
         use std::sync::mpsc::{channel, Receiver, Sender};
@@ -572,10 +635,15 @@ mod tests {
             release: StdMutex<Receiver<()>>,
         }
         impl ComponentHook for GateHook {
-            fn on_flush_record(&self, payload: &[u8]) -> Vec<u8> {
+            fn on_flush_record(
+                &self,
+                payload: &[u8],
+                out: &mut Vec<u8>,
+            ) -> Result<(), StorageError> {
                 self.entered.lock().unwrap().send(()).unwrap();
                 self.release.lock().unwrap().recv().unwrap();
-                payload.to_vec()
+                out.extend_from_slice(payload);
+                Ok(())
             }
         }
         let (entered_tx, entered_rx) = channel();
@@ -615,9 +683,9 @@ mod tests {
         let c = TupleCompactor::new(pk_type());
         let r1 = raw(&c, r#"{"id": 0, "name": "Kim"}"#);
         c.begin_flush();
-        c.on_flush_record(&r1);
+        flush_record(&c, &r1);
         let r2 = raw(&c, r#"{"id": 1, "age": 26}"#);
-        c.on_flush_record(&r2);
+        flush_record(&c, &r2);
         {
             let s = c.schema_snapshot();
             assert_eq!(s.record_count(), 2);
@@ -630,8 +698,8 @@ mod tests {
         assert!(s.lookup_field(s.root(), "name").is_none());
         // The retry then replays the same records without double-counting.
         c.begin_flush();
-        c.on_flush_record(&r1);
-        c.on_flush_record(&r2);
+        flush_record(&c, &r1);
+        flush_record(&c, &r2);
         let s = c.schema_snapshot();
         assert_eq!(s.record_count(), 2);
     }
@@ -676,7 +744,7 @@ mod tests {
     fn load_schema_replaces_state() {
         let c = TupleCompactor::new(pk_type());
         let r = raw(&c, r#"{"id": 0, "transient": 1}"#);
-        c.on_flush_record(&r);
+        flush_record(&c, &r);
         c.load_schema(Schema::new());
         let s = c.schema_snapshot();
         assert_eq!(s.record_count(), 0);

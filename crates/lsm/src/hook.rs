@@ -5,13 +5,15 @@
 //! inferred schema); merges pick a metadata blob from their inputs (the most
 //! recent one — §3.1). The LSM engine itself stays format-agnostic.
 
+use tc_storage::StorageError;
+
 /// Observer/transformer of component lifecycle events. One hook instance is
 /// shared by all operations of one LSM tree (one dataset partition).
 pub trait ComponentHook: Send + Sync {
     /// Called when a flush attempt starts, before any entry is processed.
     /// A stateful hook (the tuple compactor mutates its in-memory schema
     /// while processing records) snapshots the state it may need to restore
-    /// if the flush fails on a storage fault.
+    /// if the flush fails on a storage fault or a record it refuses.
     fn begin_flush(&self) {}
 
     /// Called when a flush attempt fails after `begin_flush`. The hook must
@@ -21,10 +23,18 @@ pub trait ComponentHook: Send + Sync {
     fn abort_flush(&self) {}
 
     /// Transform a record payload as it is flushed from the in-memory
-    /// component to disk. The tuple compactor infers schema and compacts
-    /// here; the default is identity.
-    fn on_flush_record(&self, payload: &[u8]) -> Vec<u8> {
-        payload.to_vec()
+    /// component to disk, appending the result to `out`. The tuple
+    /// compactor infers schema and compacts here; the default is identity.
+    ///
+    /// `out` is one buffer for the whole flush: append to it, never read or
+    /// rewrite what earlier records put there. A record the hook cannot
+    /// transform (a malformed frozen payload) is an `Err`, not a panic: the
+    /// flush then aborts through [`abort_flush`](Self::abort_flush), counts
+    /// a maintenance error and keeps the frozen memtable readable, exactly
+    /// as on a storage fault.
+    fn on_flush_record(&self, payload: &[u8], out: &mut Vec<u8>) -> Result<(), StorageError> {
+        out.extend_from_slice(payload);
+        Ok(())
     }
 
     /// Process an anti-matter entry's attachment (the anti-schema) during
@@ -62,7 +72,9 @@ mod tests {
     #[test]
     fn noop_hook_is_identity() {
         let h = NoopHook;
-        assert_eq!(h.on_flush_record(b"abc"), b"abc".to_vec());
+        let mut out = b"x".to_vec();
+        h.on_flush_record(b"abc", &mut out).unwrap();
+        assert_eq!(out, b"xabc");
         assert_eq!(h.flush_metadata(), None);
     }
 

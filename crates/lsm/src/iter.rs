@@ -823,9 +823,14 @@ mod tests {
             self.log.lock().unwrap().push("abort".into());
         }
 
-        fn on_flush_record(&self, payload: &[u8]) -> Vec<u8> {
+        fn on_flush_record(
+            &self,
+            payload: &[u8],
+            out: &mut Vec<u8>,
+        ) -> Result<(), tc_storage::StorageError> {
             self.log.lock().unwrap().push(format!("record:{}", text(payload)));
-            payload.to_ascii_uppercase()
+            out.extend(payload.to_ascii_uppercase());
+            Ok(())
         }
 
         fn on_flush_antimatter(&self, attachment: Option<&[u8]>) {

@@ -432,38 +432,49 @@ impl LsmTree {
     /// metadata blob is final before the builder opens, and a columnar body
     /// knows its columns from the first row; then the transformed entries
     /// are pushed. What is held between the passes is the transformed
-    /// payloads, at most one memtable's worth.
+    /// payloads, at most one memtable's worth, back to back in one buffer
+    /// (each entry keeps the offset its payload ends at).
     ///
     /// `begin_flush` snapshots whatever `abort_flush` must restore: on a
-    /// storage fault the hook is rolled back, the half-written store is
-    /// dropped on the floor — it was never visible — and the error counted.
+    /// storage fault, or a record the hook refuses, the hook is rolled back,
+    /// the half-written store is dropped on the floor — it was never
+    /// visible — and the error counted.
     fn build_flushed<K: AsRef<[u8]>, E: std::borrow::Borrow<MemEntry>>(
         &self,
         id: ComponentId,
         displaced_anti: &[Vec<u8>],
-        entries: impl Iterator<Item = (K, E)>,
+        mut entries: impl Iterator<Item = (K, E)>,
     ) -> Result<DiskComponent, StorageError> {
         self.hook.begin_flush();
         for att in displaced_anti {
             self.hook.on_flush_antimatter(Some(att));
         }
-        let mut transformed = Vec::with_capacity(entries.size_hint().0);
-        for (key, entry) in entries {
-            transformed.push(match entry.borrow() {
+        let mut payloads = Vec::new();
+        let mut rows = Vec::with_capacity(entries.size_hint().0);
+        let transformed = entries.try_for_each(|(key, entry)| {
+            let kind = match entry.borrow() {
                 MemEntry::Record(payload) => {
-                    (key, EntryKind::Record, self.hook.on_flush_record(payload))
+                    self.hook.on_flush_record(payload, &mut payloads)?;
+                    EntryKind::Record
                 }
                 MemEntry::AntiMatter(att) => {
                     self.hook.on_flush_antimatter(att.as_deref());
-                    (key, EntryKind::AntiMatter, Vec::new())
+                    EntryKind::AntiMatter
                 }
-            });
-        }
-        let mut builder = self.new_builder(transformed.len(), self.hook.flush_metadata());
-        let pushed = transformed
-            .iter()
-            .try_for_each(|(key, kind, payload)| builder.push(key.as_ref(), *kind, payload));
-        pushed.and_then(|()| builder.finish(id, false)).inspect_err(|_| {
+            };
+            rows.push((key, kind, payloads.len()));
+            Ok(())
+        });
+        let built = transformed.and_then(|()| {
+            let mut builder = self.new_builder(rows.len(), self.hook.flush_metadata());
+            let mut start = 0;
+            for (key, kind, end) in &rows {
+                builder.push(key.as_ref(), *kind, &payloads[start..*end])?;
+                start = *end;
+            }
+            builder.finish(id, false)
+        });
+        built.inspect_err(|_| {
             self.hook.abort_flush();
             self.stats.maintenance_errors.fetch_add(1, AtomicOrdering::Relaxed);
         })

@@ -107,7 +107,7 @@ mod tests {
         let mut s = Schema::new();
         for r in records {
             let Value::Object(fields) = parse(r).unwrap() else { panic!("object") };
-            s.observe_record(&fields, &|n| n == "id");
+            s.observe_record(&fields, &|n| n == "id").unwrap();
         }
         s
     }

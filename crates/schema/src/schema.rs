@@ -1,7 +1,7 @@
 //! The schema structure: a counted tree over everything a partition has
 //! ingested, built incrementally during LSM flushes (paper §3.1–3.2).
 
-use tc_adm::{TypeTag, Value};
+use tc_adm::{AdmError, TypeTag, Value};
 use tc_util::varint;
 
 use crate::dictionary::{FieldNameDictionary, FieldNameId};
@@ -104,6 +104,32 @@ impl Schema {
         *self.nodes[ROOT as usize].counter_mut() += 1;
     }
 
+    /// Node `id`, if it is live.
+    fn live(&self, id: NodeId) -> Result<&SchemaNode, AdmError> {
+        match self.nodes.get(id as usize) {
+            Some(node) if !node.is_dead() => Ok(node),
+            other => Err(mismatch("live", id, other)),
+        }
+    }
+
+    /// The fields of object node `obj`; a typed error when `obj` is not a
+    /// live object (reachable from a corrupt deserialized schema, whose
+    /// slots may name a node of another kind).
+    fn fields_mut(&mut self, obj: NodeId) -> Result<&mut Vec<(FieldNameId, NodeId)>, AdmError> {
+        match self.nodes.get_mut(obj as usize) {
+            Some(SchemaNode::Object { fields, .. }) => Ok(fields),
+            other => Err(mismatch("object", obj, other.map(|n| &*n))),
+        }
+    }
+
+    /// The item slot of collection node `coll`, typed like [`Self::fields_mut`].
+    fn item_mut(&mut self, coll: NodeId) -> Result<&mut Option<NodeId>, AdmError> {
+        match self.nodes.get_mut(coll as usize) {
+            Some(SchemaNode::Collection { item, .. }) => Ok(item),
+            other => Err(mismatch("collection", coll, other.map(|n| &*n))),
+        }
+    }
+
     /// Observe a value of type `tag` at field `name` of object node `obj`.
     /// Creates nodes/unions as needed; returns the field-name id and the
     /// node describing this (name, tag) slot, for recursion into nested
@@ -113,117 +139,132 @@ impl Schema {
         obj: NodeId,
         name: &str,
         tag: TypeTag,
-    ) -> (FieldNameId, NodeId) {
+    ) -> Result<(FieldNameId, NodeId), AdmError> {
         let fid = self.dict.get_or_insert(name);
-        let node = self.observe_field_id(obj, fid, tag);
-        (fid, node)
+        let (_, node) = self.observe_field_in(obj, fid, tag)?;
+        Ok((fid, node))
     }
 
-    /// [`Self::observe_field`] when the name is already interned.
-    pub fn observe_field_id(&mut self, obj: NodeId, fid: FieldNameId, tag: TypeTag) -> NodeId {
-        let existing = match &self.nodes[obj as usize] {
-            SchemaNode::Object { fields, .. } => {
-                fields.iter().find(|(f, _)| *f == fid).map(|(_, id)| *id)
-            }
-            other => panic!("observe_field on non-object node {other:?}"),
-        };
-        match existing {
+    /// [`Self::observe_field`] with a position hint: `slot` is where in
+    /// `obj`'s field list the caller expects `name` — one past where the
+    /// previous field of the same object was found, so a record shaped like
+    /// the last one hits every time. A hit compares `name` with one
+    /// dictionary entry and skips the dictionary hash and the field search;
+    /// a miss is `observe_field`. Either way `slot` ends one past the
+    /// field's position. The outcome is the same as `observe_field`'s.
+    pub fn observe_field_at(
+        &mut self,
+        obj: NodeId,
+        slot: &mut usize,
+        name: &str,
+        tag: TypeTag,
+    ) -> Result<(FieldNameId, NodeId), AdmError> {
+        let hinted = self.fields_mut(obj)?.get(*slot).map(|&(fid, _)| fid);
+        if let Some(fid) = hinted.filter(|&fid| self.dict.name(fid) == Some(name)) {
+            let node = self.merge_field_slot(obj, *slot, tag)?;
+            *slot += 1;
+            return Ok((fid, node));
+        }
+        let fid = self.dict.get_or_insert(name);
+        let (pos, node) = self.observe_field_in(obj, fid, tag)?;
+        *slot = pos + 1;
+        Ok((fid, node))
+    }
+
+    /// Observe into field `fid` of `obj`, creating the field if it is new;
+    /// returns the field's position in the object's list and the node
+    /// describing `tag`.
+    fn observe_field_in(
+        &mut self,
+        obj: NodeId,
+        fid: FieldNameId,
+        tag: TypeTag,
+    ) -> Result<(usize, NodeId), AdmError> {
+        match self.fields_mut(obj)?.iter().position(|(f, _)| *f == fid) {
+            Some(pos) => Ok((pos, self.merge_field_slot(obj, pos, tag)?)),
             None => {
                 let child = self.alloc(Self::fresh_node(tag));
-                match &mut self.nodes[obj as usize] {
-                    SchemaNode::Object { fields, .. } => fields.push((fid, child)),
-                    _ => unreachable!(),
-                }
-                child
-            }
-            Some(child) => {
-                let merged = self.merge_into_slot(child, tag);
-                if merged.replaced != child {
-                    match &mut self.nodes[obj as usize] {
-                        SchemaNode::Object { fields, .. } => {
-                            let slot =
-                                fields.iter_mut().find(|(f, _)| *f == fid).expect("slot exists");
-                            slot.1 = merged.replaced;
-                        }
-                        _ => unreachable!(),
-                    }
-                }
-                merged.target
+                let fields = self.fields_mut(obj)?;
+                fields.push((fid, child));
+                Ok((fields.len() - 1, child))
             }
         }
+    }
+
+    /// Merge an observation of `tag` into the `pos`-th field of `obj`.
+    fn merge_field_slot(
+        &mut self,
+        obj: NodeId,
+        pos: usize,
+        tag: TypeTag,
+    ) -> Result<NodeId, AdmError> {
+        let child = self.fields_mut(obj)?[pos].1;
+        let merged = self.merge_into_slot(child, tag)?;
+        if merged.replaced != child {
+            self.fields_mut(obj)?[pos].1 = merged.replaced;
+        }
+        Ok(merged.target)
     }
 
     /// Observe a collection item of type `tag` under collection node `coll`.
-    pub fn observe_item(&mut self, coll: NodeId, tag: TypeTag) -> NodeId {
-        let existing = match &self.nodes[coll as usize] {
-            SchemaNode::Collection { item, .. } => *item,
-            other => panic!("observe_item on non-collection node {other:?}"),
+    pub fn observe_item(&mut self, coll: NodeId, tag: TypeTag) -> Result<NodeId, AdmError> {
+        let Some(child) = *self.item_mut(coll)? else {
+            let child = self.alloc(Self::fresh_node(tag));
+            *self.item_mut(coll)? = Some(child);
+            return Ok(child);
         };
-        match existing {
-            None => {
-                let child = self.alloc(Self::fresh_node(tag));
-                match &mut self.nodes[coll as usize] {
-                    SchemaNode::Collection { item, .. } => *item = Some(child),
-                    _ => unreachable!(),
-                }
-                child
-            }
-            Some(child) => {
-                let merged = self.merge_into_slot(child, tag);
-                if merged.replaced != child {
-                    match &mut self.nodes[coll as usize] {
-                        SchemaNode::Collection { item, .. } => *item = Some(merged.replaced),
-                        _ => unreachable!(),
-                    }
-                }
-                merged.target
-            }
+        let merged = self.merge_into_slot(child, tag)?;
+        if merged.replaced != child {
+            *self.item_mut(coll)? = Some(merged.replaced);
         }
+        Ok(merged.target)
     }
 
     /// Merge an observation of `tag` into the slot currently holding
     /// `child`. Returns the node now describing `tag` (`target`) and the
     /// node the parent slot should point at (`replaced` — differs from
     /// `child` when a union was created).
-    fn merge_into_slot(&mut self, child: NodeId, tag: TypeTag) -> Merged {
-        match &self.nodes[child as usize] {
+    fn merge_into_slot(&mut self, child: NodeId, tag: TypeTag) -> Result<Merged, AdmError> {
+        match self.live(child)? {
             SchemaNode::Union { children, .. } => {
-                let found = children.iter().find(|(t, _)| *t == tag).map(|(_, id)| *id);
-                match found {
+                match children.iter().find(|(t, _)| *t == tag).map(|(_, id)| *id) {
                     Some(member) => {
+                        self.live(member)?;
                         *self.nodes[member as usize].counter_mut() += 1;
                         *self.nodes[child as usize].counter_mut() += 1;
-                        Merged { target: member, replaced: child }
+                        Ok(Merged { target: member, replaced: child })
                     }
                     None => {
                         let member = self.alloc(Self::fresh_node(tag));
-                        match &mut self.nodes[child as usize] {
-                            SchemaNode::Union { counter, children } => {
-                                children.push((tag, member));
-                                *counter += 1;
-                            }
-                            _ => unreachable!(),
+                        if let SchemaNode::Union { counter, children } =
+                            &mut self.nodes[child as usize]
+                        {
+                            children.push((tag, member));
+                            *counter += 1;
                         }
-                        Merged { target: member, replaced: child }
+                        Ok(Merged { target: member, replaced: child })
                     }
                 }
             }
-            node if node.type_tag() == Some(tag) => {
-                *self.nodes[child as usize].counter_mut() += 1;
-                Merged { target: child, replaced: child }
-            }
-            node => {
+            node => match node.type_tag() {
+                Some(old) if old == tag => {
+                    *self.nodes[child as usize].counter_mut() += 1;
+                    Ok(Merged { target: child, replaced: child })
+                }
                 // Type change: promote the slot to a union of {old, new}
-                // (paper Fig 9b: age int → union(int, string)).
-                let old_tag = node.type_tag().expect("live non-union node has a tag");
-                let old_counter = node.counter();
-                let member = self.alloc(Self::fresh_node(tag));
-                let union = self.alloc(SchemaNode::Union {
-                    counter: old_counter + 1,
-                    children: vec![(old_tag, child), (tag, member)],
-                });
-                Merged { target: member, replaced: union }
-            }
+                // (paper Fig 9b: age int → union(int, string)). A live
+                // non-union node always has a tag.
+                old_tag => {
+                    let old_tag = old_tag.ok_or_else(|| mismatch("typed", child, Some(node)))?;
+                    let old_counter = node.counter();
+                    let member = self.alloc(Self::fresh_node(tag));
+                    let union = self.alloc(SchemaNode::Union {
+                        counter: old_counter + 1,
+                        children: vec![(old_tag, child), (tag, member)],
+                    });
+                    Ok(Merged { target: member, replaced: union })
+                }
+            },
         }
     }
 
@@ -399,26 +440,31 @@ impl Schema {
 
     /// Observe a record's undeclared fields. `skip` returns true for
     /// declared root fields, whose metadata lives in the catalog (§3.1).
-    pub fn observe_record(&mut self, fields: &[(String, Value)], skip: &dyn Fn(&str) -> bool) {
+    pub fn observe_record(
+        &mut self,
+        fields: &[(String, Value)],
+        skip: &dyn Fn(&str) -> bool,
+    ) -> Result<(), AdmError> {
         self.observe_root();
         for (name, v) in fields {
             if skip(name) || v.is_missing() {
                 continue;
             }
-            let (_, node) = self.observe_field(ROOT, name, v.type_tag());
-            self.observe_value_children(node, v);
+            let (_, node) = self.observe_field(ROOT, name, v.type_tag())?;
+            self.observe_value_children(node, v)?;
         }
+        Ok(())
     }
 
-    fn observe_value_children(&mut self, node: NodeId, v: &Value) {
+    fn observe_value_children(&mut self, node: NodeId, v: &Value) -> Result<(), AdmError> {
         match v {
             Value::Object(fields) => {
                 for (name, child) in fields {
                     if child.is_missing() {
                         continue;
                     }
-                    let (_, n) = self.observe_field(node, name, child.type_tag());
-                    self.observe_value_children(n, child);
+                    let (_, n) = self.observe_field(node, name, child.type_tag())?;
+                    self.observe_value_children(n, child)?;
                 }
             }
             Value::Array(items) | Value::Multiset(items) => {
@@ -426,12 +472,13 @@ impl Schema {
                     if item.is_missing() {
                         continue;
                     }
-                    let n = self.observe_item(node, item.type_tag());
-                    self.observe_value_children(n, item);
+                    let n = self.observe_item(node, item.type_tag())?;
+                    self.observe_value_children(n, item)?;
                 }
             }
             _ => {}
         }
+        Ok(())
     }
 
     /// Remove a record's contribution (anti-schema processing) and prune.
@@ -688,6 +735,12 @@ struct Merged {
     replaced: NodeId,
 }
 
+/// An observation reached node `id` expecting a `want` node and found
+/// `found` (`None`: no such node).
+fn mismatch(want: &str, id: NodeId, found: Option<&SchemaNode>) -> AdmError {
+    AdmError::corrupt(format!("schema node {id} is not a {want} node: {found:?}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -700,7 +753,7 @@ mod tests {
     fn obs(schema: &mut Schema, text: &str) {
         let v = parse(text).unwrap();
         let Value::Object(fields) = v else { panic!("record must be object") };
-        schema.observe_record(&fields, &skip_id);
+        schema.observe_record(&fields, &skip_id).unwrap();
     }
 
     fn unobs(schema: &mut Schema, text: &str) {
@@ -913,6 +966,65 @@ mod tests {
         unobs(&mut s, r#"{"id": 9, "zz": "never-seen", "a": "wrong-type"}"#);
         let (_, a) = s.lookup_field(s.root(), "a").unwrap();
         assert_eq!(s.node(a).counter(), 1);
+    }
+
+    /// A slot hint only saves the lookup: hits, misses, stale and
+    /// out-of-range hints all leave the schema `observe_field` would.
+    #[test]
+    fn observe_field_at_equals_observe_field() {
+        let (mut hinted, mut plain) = (Schema::new(), Schema::new());
+        let records: [&[(&str, TypeTag)]; 4] = [
+            &[("a", TypeTag::Int64), ("b", TypeTag::String), ("c", TypeTag::Object)],
+            &[("a", TypeTag::Int64), ("b", TypeTag::String), ("c", TypeTag::Object)],
+            &[("b", TypeTag::Int64), ("a", TypeTag::Int64), ("d", TypeTag::Null)],
+            &[("a", TypeTag::Int64), ("c", TypeTag::Array), ("b", TypeTag::String)],
+        ];
+        let mut hits = 0;
+        for fields in records {
+            let mut slot = 0;
+            for &(name, tag) in fields {
+                let before = slot;
+                let got = hinted.observe_field_at(ROOT, &mut slot, name, tag).unwrap();
+                assert_eq!(got, plain.observe_field(ROOT, name, tag).unwrap());
+                hits += (slot == before + 1) as usize;
+                let SchemaNode::Object { fields, .. } = hinted.node(ROOT) else { panic!() };
+                assert_eq!(fields[slot - 1].0, got.0, "slot ends one past the field");
+            }
+            assert_eq!(hinted.serialize(), plain.serialize());
+        }
+        assert!(hits >= 6, "records shaped like the last one hit the hint ({hits})");
+        // A hint past the end of the list is a miss, not an error.
+        let mut slot = 99;
+        hinted.observe_field_at(ROOT, &mut slot, "a", TypeTag::Int64).unwrap();
+        assert_eq!(slot, 1);
+    }
+
+    /// A corrupt schema blob can name a scalar "object" as a field's node;
+    /// observing through it is a typed error, not a panic.
+    #[test]
+    fn observing_a_mismatched_node_is_a_typed_error() {
+        let mut dict = FieldNameDictionary::new();
+        let a = dict.get_or_insert("a");
+        let forged = Schema {
+            nodes: vec![
+                SchemaNode::Object { counter: 1, fields: vec![(a, 1)] },
+                SchemaNode::Scalar { tag: TypeTag::Object, counter: 1 },
+            ],
+            dict,
+            free: Vec::new(),
+        };
+        let mut s = Schema::deserialize(&forged.serialize()).unwrap();
+        let (_, node) = s.observe_field(ROOT, "a", TypeTag::Object).unwrap();
+        let err = s.observe_field(node, "b", TypeTag::Int64).unwrap_err();
+        assert!(matches!(err, AdmError::Corrupt(_)), "{err:?}");
+        let mut slot = 0;
+        assert!(s.observe_field_at(node, &mut slot, "b", TypeTag::Int64).is_err());
+        assert!(s.observe_item(node, TypeTag::Int64).is_err());
+        assert!(s.observe_item(ROOT, TypeTag::Int64).is_err());
+        assert!(s.observe_field(77, "b", TypeTag::Int64).is_err(), "no such node");
+        let text = parse(r#"{"a": {"b": 1}}"#).unwrap();
+        let Value::Object(fields) = text else { unreachable!() };
+        assert!(s.observe_record(&fields, &skip_id).is_err());
     }
 
     #[test]

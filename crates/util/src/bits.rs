@@ -19,25 +19,36 @@ impl BitWriter {
         Self::default()
     }
 
-    /// Append the low `width` bits of `v`. `width` must be 1..=64.
+    /// A writer that appends to `buf`, starting at a byte boundary after its
+    /// current contents; [`into_bytes`](Self::into_bytes) hands it back. A
+    /// record assembler packs a section straight into the record this way.
+    pub fn appending_to(buf: Vec<u8>) -> Self {
+        BitWriter { buf, bit_pos: 0 }
+    }
+
+    /// Append the low `width` bits of `v`. `width` must be 1..=64. Fills the
+    /// partial last byte, then appends the rest as whole bytes.
+    #[inline]
     pub fn write(&mut self, v: u64, width: u8) {
         debug_assert!((1..=64).contains(&width));
         debug_assert!(width == 64 || v < (1u64 << width));
-        let mut remaining = width;
-        let mut v = v;
-        while remaining > 0 {
-            if self.bit_pos == 0 {
-                self.buf.push(0);
-            }
+        let mut v = if width == 64 { v } else { v & ((1u64 << width) - 1) };
+        let mut width = width;
+        if self.bit_pos != 0 {
             let free = 8 - self.bit_pos;
-            let take = free.min(remaining);
-            let mask = if take == 64 { u64::MAX } else { (1u64 << take) - 1 };
-            let last = self.buf.last_mut().expect("pushed above");
-            *last |= ((v & mask) as u8) << self.bit_pos;
-            v >>= take;
-            self.bit_pos = (self.bit_pos + take) % 8;
-            remaining -= take;
+            if let Some(last) = self.buf.last_mut() {
+                *last |= (v << self.bit_pos) as u8;
+            }
+            if width < free {
+                self.bit_pos += width;
+                return;
+            }
+            v >>= free;
+            width -= free;
         }
+        // Byte-aligned: the bits above `width` are zero, so whole bytes do.
+        self.buf.extend_from_slice(&v.to_le_bytes()[..(width as usize).div_ceil(8)]);
+        self.bit_pos = width % 8;
     }
 
     /// Total bits written so far.
@@ -72,27 +83,40 @@ impl<'a> BitReader<'a> {
         Self { buf, bit_pos: 0 }
     }
 
-    /// Read `width` bits (1..=64). Returns `None` on exhaustion.
+    /// Read `width` bits (1..=64). Returns `None` on exhaustion. Loads the
+    /// eight bytes from the field's first as one little-endian word (plus a
+    /// ninth byte when a 57+-bit field straddles it) — or, in a buffer's
+    /// last seven bytes, just the bytes the field spans — then shifts and
+    /// masks.
+    #[inline]
     pub fn read(&mut self, width: u8) -> Option<u64> {
         debug_assert!((1..=64).contains(&width));
         let end = self.bit_pos + width as usize;
         if end > self.buf.len() * 8 {
             return None;
         }
-        let mut v = 0u64;
-        let mut got: u8 = 0;
-        while got < width {
-            let byte = self.buf[self.bit_pos / 8];
-            let offset = (self.bit_pos % 8) as u8;
-            let avail = 8 - offset;
-            let take = avail.min(width - got);
-            let mask = if take == 8 { 0xff } else { (1u8 << take) - 1 };
-            let part = (byte >> offset) & mask;
-            v |= (part as u64) << got;
-            got += take;
-            self.bit_pos += take as usize;
-        }
-        Some(v)
+        let first = self.bit_pos / 8;
+        let shift = (self.bit_pos % 8) as u32;
+        let v = match self.buf.get(first..first + 8) {
+            Some(eight) => {
+                let v = u64::from_le_bytes(eight.try_into().expect("8 bytes")) >> shift;
+                if shift + width as u32 > 64 {
+                    // `end` is in bounds, so the field's ninth byte exists.
+                    v | (self.buf[first + 8] as u64) << (64 - shift)
+                } else {
+                    v
+                }
+            }
+            // Fewer than eight bytes left, so the field spans at most seven.
+            None => {
+                let spanned = &self.buf[first..end.div_ceil(8)];
+                let word =
+                    spanned.iter().enumerate().fold(0u64, |w, (i, &b)| w | (b as u64) << (8 * i));
+                word >> shift
+            }
+        };
+        self.bit_pos = end;
+        Some(if width == 64 { v } else { v & ((1u64 << width) - 1) })
     }
 
     /// Bits not yet consumed.
@@ -158,5 +182,59 @@ mod tests {
         w.write(0xcdef, 16);
         let bytes = w.into_bytes();
         assert_eq!(bytes, vec![0xab, 0xef, 0xcd]);
+    }
+
+    /// The packing rule spelled out one bit at a time: entry after entry,
+    /// each LSB-first, bit `i` of the stream in bit `i % 8` of byte `i / 8`.
+    fn pack_bit_by_bit(prefix: &[u8], entries: &[(u64, u8)]) -> Vec<u8> {
+        let bits: Vec<bool> =
+            entries.iter().flat_map(|&(v, w)| (0..w).map(move |i| (v >> i) & 1 == 1)).collect();
+        let mut out = prefix.to_vec();
+        out.resize(prefix.len() + bits.len().div_ceil(8), 0);
+        for (i, _) in bits.iter().enumerate().filter(|(_, set)| **set) {
+            out[prefix.len() + i / 8] |= 1 << (i % 8);
+        }
+        out
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Whole-byte writes and word reads agree with the bit-by-bit rule
+        /// for every width 1–64, after any prefix, and the reader stops at
+        /// the last byte.
+        #[test]
+        fn writer_and_reader_match_a_bit_by_bit_reference(
+            raw in proptest::collection::vec((any::<u64>(), 1u8..=64, 0u8..4), 0..40),
+            prefix in proptest::collection::vec(any::<u8>(), 0..3),
+        ) {
+            // Mostly full-width values, some small ones (the common case of
+            // a short length in a wide entry).
+            let entries: Vec<(u64, u8)> = raw
+                .iter()
+                .map(|&(v, w, small)| {
+                    let v = if small == 0 { v & 0xff } else { v };
+                    (if w == 64 { v } else { v & ((1u64 << w) - 1) }, w)
+                })
+                .collect();
+            let mut w = BitWriter::appending_to(prefix.clone());
+            for &(v, width) in &entries {
+                w.write(v, width);
+            }
+            let total: usize = entries.iter().map(|&(_, w)| w as usize).sum();
+            prop_assert_eq!(w.bit_len(), prefix.len() * 8 + total);
+            let bytes = w.into_bytes();
+            prop_assert_eq!(&bytes, &pack_bit_by_bit(&prefix, &entries));
+
+            let mut r = BitReader::new(&bytes[prefix.len()..]);
+            for &(v, width) in &entries {
+                prop_assert_eq!(r.read(width), Some(v));
+            }
+            let rest = r.remaining_bits();
+            prop_assert!(rest < 8);
+            prop_assert_eq!(r.read(rest as u8 + 1), None);
+        }
     }
 }

@@ -6,15 +6,34 @@
 //! to bit-packed `FieldNameID`s, zeroing the header's fourth offset. The
 //! tags, fixed-value, and varlen sections are byte-identical before and
 //! after compaction, so they are copied wholesale.
+//!
+//! The pass is kept as cheap as the format allows, because it runs once per
+//! record on every flush:
+//!
+//! * it walks [`VectorReader::next_raw`], so a scalar is its stored bytes —
+//!   no `Value`, no `String` (a string is still checked to be UTF-8);
+//! * each open object carries a *slot hint*: one past the position in the
+//!   schema node's field list where its previous field was found. The next
+//!   name is compared with the dictionary entry at that slot
+//!   ([`Schema::observe_field_at`]); only a miss hashes the name and
+//!   searches the field list. Records shaped like their predecessor — the
+//!   common case for a feed — are inferred without either;
+//! * ids are collected in a per-thread buffer and packed straight into the
+//!   output after the body is copied.
+//!
+//! It is still the one linear pass of §3.3.2: the hint changes how a field
+//! is found, not what is observed — the schema and the bytes are exactly
+//! those of a lookup per field (a property test holds the two equal).
+
+use std::cell::RefCell;
 
 use tc_adm::{AdmError, TypeTag};
 use tc_schema::{NodeId, Schema};
-use tc_util::bit_width;
-use tc_util::bits::BitWriter;
+use tc_util::bytes_for_bits;
 
-use crate::encode::FieldEntry;
-use crate::header::{Header, HEADER_LEN};
-use crate::reader::{FieldName, Item, VectorReader};
+use crate::encode::{pack_field_entries, FieldEntry};
+use crate::header::{entry_bits, Header, HEADER_LEN};
+use crate::reader::{FieldName, RawItem, VectorReader};
 
 /// Infer the record's schema into `schema` and return the compacted record.
 ///
@@ -22,74 +41,112 @@ use crate::reader::{FieldName, Item, VectorReader};
 /// Declared fields pass through untouched and unobserved — their metadata
 /// lives in the catalog, not the schema structure (§3.1).
 pub fn infer_and_compact(buf: &[u8], schema: &mut Schema) -> Result<Vec<u8>, AdmError> {
-    let mut reader = VectorReader::new(buf)?;
-    if reader.is_compacted() {
-        return Err(AdmError::corrupt("record is already compacted"));
-    }
-    let header_in = *reader.header();
-
-    schema.observe_root();
-    let mut entries: Vec<FieldEntry> = Vec::new();
-    // Stack of schema nodes for open containers. `None` marks untracked
-    // subtrees (anything beneath a declared field — the catalog, not the
-    // schema structure, owns declared metadata, §3.1).
-    let mut stack: Vec<Option<NodeId>> = Vec::new();
-
-    // The root Begin.
-    match reader.next()? {
-        Item::Begin { tag: TypeTag::Object, name: None } => stack.push(Some(schema.root())),
-        other => {
-            return Err(AdmError::corrupt(format!(
-                "vector record must be rooted at an object, got {other:?}"
-            )))
-        }
-    }
-
-    while !stack.is_empty() {
-        match reader.next()? {
-            Item::Eov => return Err(AdmError::corrupt("EOV inside container")),
-            Item::Close => {
-                stack.pop();
-            }
-            Item::Begin { tag, name } => {
-                let parent = *stack.last().expect("non-empty");
-                let node = observe(schema, parent, name, tag, &mut entries)?;
-                stack.push(node);
-            }
-            Item::Scalar { value, name } => {
-                let parent = *stack.last().expect("non-empty");
-                observe(schema, parent, name, value.type_tag(), &mut entries)?;
-            }
-        }
-    }
-    match reader.next()? {
-        Item::Eov => {}
-        other => return Err(AdmError::corrupt(format!("trailing item {other:?}"))),
-    }
-
-    Ok(assemble_compacted(buf, &header_in, &entries))
+    let mut out = Vec::new();
+    infer_and_compact_into(buf, schema, &mut out)?;
+    Ok(out)
 }
 
-/// Observe one value; translate its field-name entry. Returns the schema
-/// node for recursion, or `None` for untracked (declared) subtrees.
+/// [`infer_and_compact`], appending the compacted record to `out`. On an
+/// error `schema` may hold part of the record's observations (a flush rolls
+/// it back) and `out` is unchanged.
+pub fn infer_and_compact_into(
+    buf: &[u8],
+    schema: &mut Schema,
+    out: &mut Vec<u8>,
+) -> Result<(), AdmError> {
+    WALK.with_borrow_mut(|walk| walk.run(buf, schema, out))
+}
+
+thread_local! {
+    /// The buffers of [`Walk`], reused record after record.
+    static WALK: RefCell<Walk> = RefCell::default();
+}
+
+/// An open container: its schema node (`None` beneath a declared field —
+/// the catalog, not the schema structure, owns declared metadata, §3.1) and,
+/// for an object, the slot hint for its next field.
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    node: Option<NodeId>,
+    slot: usize,
+}
+
+#[derive(Debug, Default)]
+struct Walk {
+    entries: Vec<FieldEntry>,
+    stack: Vec<Frame>,
+}
+
+impl Walk {
+    fn run(&mut self, buf: &[u8], schema: &mut Schema, out: &mut Vec<u8>) -> Result<(), AdmError> {
+        self.entries.clear();
+        self.stack.clear();
+        let mut reader = VectorReader::new(buf)?;
+        if reader.is_compacted() {
+            return Err(AdmError::corrupt("record is already compacted"));
+        }
+        let header_in = *reader.header();
+
+        schema.observe_root();
+        match reader.next_raw()? {
+            RawItem::Begin { tag: TypeTag::Object, name: None } => {
+                self.stack.push(Frame { node: Some(schema.root()), slot: 0 })
+            }
+            other => {
+                return Err(AdmError::corrupt(format!(
+                    "vector record must be rooted at an object, got {other:?}"
+                )))
+            }
+        }
+        while let Some(parent) = self.stack.last_mut() {
+            let (tag, name, nested) = match reader.next_raw()? {
+                RawItem::Eov => return Err(AdmError::corrupt("EOV inside container")),
+                RawItem::Close => {
+                    self.stack.pop();
+                    continue;
+                }
+                RawItem::Begin { tag, name } => (tag, name, true),
+                RawItem::Scalar { tag, bytes, name } => {
+                    if tag == TypeTag::String && std::str::from_utf8(bytes).is_err() {
+                        return Err(AdmError::corrupt("invalid UTF-8 string"));
+                    }
+                    (tag, name, false)
+                }
+            };
+            let node = observe(schema, parent, name, tag, &mut self.entries)?;
+            if nested {
+                self.stack.push(Frame { node, slot: 0 });
+            }
+        }
+        match reader.next_raw()? {
+            RawItem::Eov => {}
+            other => return Err(AdmError::corrupt(format!("trailing item {other:?}"))),
+        }
+        assemble_compacted(buf, &header_in, &self.entries, out)
+    }
+}
+
+/// Observe one value under `parent`; translate its field-name entry. Returns
+/// the schema node for recursion, or `None` for untracked (declared)
+/// subtrees.
 fn observe(
     schema: &mut Schema,
-    parent: Option<NodeId>,
+    parent: &mut Frame,
     name: Option<FieldName<'_>>,
     tag: TypeTag,
     entries: &mut Vec<FieldEntry>,
 ) -> Result<Option<NodeId>, AdmError> {
     match name {
-        None => Ok(parent.map(|p| schema.observe_item(p, tag))),
+        None => parent.node.map(|p| schema.observe_item(p, tag)).transpose(),
         Some(FieldName::Declared(idx)) => {
             entries.push(FieldEntry { declared: true, payload: idx as u64 });
             // Declared fields are excluded from the inferred schema (§3.1);
             // anything nested beneath them is untracked.
             Ok(None)
         }
-        Some(FieldName::Inferred(n)) => match parent {
+        Some(FieldName::Inferred(n)) => match parent.node {
             Some(p) => {
-                let (fid, node) = schema.observe_field(p, n, tag);
+                let (fid, node) = schema.observe_field_at(p, &mut parent.slot, n, tag)?;
                 entries.push(FieldEntry { declared: false, payload: fid as u64 });
                 Ok(Some(node))
             }
@@ -107,28 +164,18 @@ fn observe(
     }
 }
 
-/// Build the compacted byte image: header + verbatim copy of
+/// Append the compacted byte image to `out`: header + verbatim copy of
 /// [tags | fixed | varlen lengths | varlen values] + packed FieldNameIDs.
-fn assemble_compacted(buf: &[u8], header_in: &Header, entries: &[FieldEntry]) -> Vec<u8> {
-    let max_payload = entries.iter().map(|e| e.payload).max().unwrap_or(0);
-    let id_bits = {
-        let w = bit_width(max_payload);
-        if w > 15 {
-            32
-        } else {
-            w
-        }
-    };
-    let fieldname_bits = (id_bits + 1).max(2);
-    let mut packed = BitWriter::new();
-    for e in entries {
-        let v = ((e.declared as u64) << (fieldname_bits - 1)) | e.payload;
-        packed.write(v, fieldname_bits);
-    }
-    let ids = packed.into_bytes();
-
+fn assemble_compacted(
+    buf: &[u8],
+    header_in: &Header,
+    entries: &[FieldEntry],
+    out: &mut Vec<u8>,
+) -> Result<(), AdmError> {
     let body_end = header_in.fieldname_lengths_off as usize;
-    let record_len = body_end + ids.len();
+    let body = buf.get(HEADER_LEN..body_end).ok_or_else(|| AdmError::corrupt("truncated body"))?;
+    let fieldname_bits = entry_bits(entries.iter().map(|e| e.payload).max().unwrap_or(0), true);
+    let record_len = body_end + bytes_for_bits(entries.len() * fieldname_bits as usize);
     let header_out = Header {
         record_len: record_len as u32,
         tag_count: header_in.tag_count,
@@ -139,12 +186,97 @@ fn assemble_compacted(buf: &[u8], header_in: &Header, entries: &[FieldEntry]) ->
         fieldname_lengths_off: header_in.fieldname_lengths_off,
         fieldname_values_off: 0, // the compaction marker (§3.3.2)
     };
-    let mut out = Vec::with_capacity(record_len);
+    let start = out.len();
+    out.reserve(record_len);
+    header_out.write(out);
+    out.extend_from_slice(body);
+    pack_field_entries(out, entries, fieldname_bits);
+    debug_assert_eq!(out.len() - start, record_len);
+    Ok(())
+}
+
+/// The compaction pass as it was before the raw walk: `next()` items (a
+/// `Value` per scalar), a dictionary lookup and field search per field,
+/// ids packed into their own buffer and then copied. The property tests
+/// hold [`infer_and_compact`] to its bytes and its schema.
+#[cfg(test)]
+pub(crate) fn oracle_infer_and_compact(
+    buf: &[u8],
+    schema: &mut Schema,
+) -> Result<Vec<u8>, AdmError> {
+    use crate::reader::Item;
+    use tc_util::bits::BitWriter;
+
+    let mut reader = VectorReader::new(buf)?;
+    if reader.is_compacted() {
+        return Err(AdmError::corrupt("record is already compacted"));
+    }
+    let header_in = *reader.header();
+    schema.observe_root();
+    let mut entries: Vec<FieldEntry> = Vec::new();
+    let mut stack: Vec<Option<NodeId>> = Vec::new();
+    match reader.next()? {
+        Item::Begin { tag: TypeTag::Object, name: None } => stack.push(Some(schema.root())),
+        other => return Err(AdmError::corrupt(format!("not rooted at an object: {other:?}"))),
+    }
+    while let Some(&parent) = stack.last() {
+        let (tag, name, nested) = match reader.next()? {
+            Item::Eov => return Err(AdmError::corrupt("EOV inside container")),
+            Item::Close => {
+                stack.pop();
+                continue;
+            }
+            Item::Begin { tag, name } => (tag, name, true),
+            Item::Scalar { value, name } => (value.type_tag(), name, false),
+        };
+        let node = match name {
+            None => parent.map(|p| schema.observe_item(p, tag)).transpose()?,
+            Some(FieldName::Declared(idx)) => {
+                entries.push(FieldEntry { declared: true, payload: idx as u64 });
+                None
+            }
+            Some(FieldName::Inferred(n)) => match parent {
+                Some(p) => {
+                    let (fid, node) = schema.observe_field(p, n, tag)?;
+                    entries.push(FieldEntry { declared: false, payload: fid as u64 });
+                    Some(node)
+                }
+                None => {
+                    let fid = schema.intern_name(n);
+                    entries.push(FieldEntry { declared: false, payload: fid as u64 });
+                    None
+                }
+            },
+            Some(FieldName::InferredId(_)) => {
+                return Err(AdmError::corrupt("compacted entry in uncompacted record"))
+            }
+        };
+        if nested {
+            stack.push(node);
+        }
+    }
+    if reader.next()? != Item::Eov {
+        return Err(AdmError::corrupt("trailing item"));
+    }
+
+    let fieldname_bits = entry_bits(entries.iter().map(|e| e.payload).max().unwrap_or(0), true);
+    let mut packed = BitWriter::new();
+    for e in &entries {
+        packed.write(((e.declared as u64) << (fieldname_bits - 1)) | e.payload, fieldname_bits);
+    }
+    let ids = packed.into_bytes();
+    let body_end = header_in.fieldname_lengths_off as usize;
+    let header_out = Header {
+        record_len: (body_end + ids.len()) as u32,
+        fieldname_bits,
+        fieldname_values_off: 0,
+        ..header_in
+    };
+    let mut out = Vec::new();
     header_out.write(&mut out);
     out.extend_from_slice(&buf[HEADER_LEN..body_end]);
     out.extend_from_slice(&ids);
-    debug_assert_eq!(out.len(), record_len);
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -283,5 +415,167 @@ mod tests {
         assert_eq!(hc.fieldname_bits, 7);
         let back = decode(&compacted, None, Some(schema.dict())).unwrap();
         assert_eq!(back, v);
+    }
+
+    /// Ids of 15 bits and more used to be written one bit wider than the
+    /// header could say: a dictionary past 16 384 names compacted into
+    /// records that decoded to the wrong (or no) name. The 32-bit escape
+    /// now includes the flag bit.
+    #[test]
+    fn ids_past_the_nibble_escape_to_32_bits_and_decode() {
+        let mut schema = Schema::new();
+        for i in 0..33_000 {
+            schema.intern_name(&format!("n{i}"));
+        }
+        let v = Value::object([
+            ("n16383", Value::Int64(1)),
+            ("n32999", Value::string("x")),
+            ("fresh", Value::Boolean(true)),
+        ]);
+        let raw = encode(&v, None);
+        let compacted = infer_and_compact(&raw, &mut schema).unwrap();
+        assert_eq!(Header::read(&compacted).unwrap().fieldname_bits, 32);
+        assert_eq!(decode(&compacted, None, Some(schema.dict())).unwrap(), v);
+        // Ids of exactly 14 bits still fit a nibble, byte for byte as before.
+        let mut small = Schema::new();
+        for i in 0..16_384 {
+            small.intern_name(&format!("n{i}"));
+        }
+        let v = Value::object([("n16383", Value::Int64(1))]);
+        let compacted = infer_and_compact(&encode(&v, None), &mut small).unwrap();
+        assert_eq!(Header::read(&compacted).unwrap().fieldname_bits, 15);
+        assert_eq!(decode(&compacted, None, Some(small.dict())).unwrap(), v);
+    }
+
+    /// A frozen record the walk cannot read is a typed error — never a
+    /// panic — and appends nothing.
+    #[test]
+    fn malformed_records_are_typed_errors() {
+        let raw = encode(&parse(r#"{"a": [1, "xy"], "b": {"c": 2}}"#).unwrap(), None);
+        let mut bad_utf8 = raw.clone();
+        let h = Header::read(&raw).unwrap();
+        bad_utf8[h.varlen_values_off as usize] = 0xff;
+        let mut bad_tag = raw.clone();
+        bad_tag[HEADER_LEN + 1] = 200;
+        let mut disordered = raw.clone();
+        disordered[13..17].copy_from_slice(&(h.varlen_lengths_off - 1).to_le_bytes());
+        for bad in [&raw[..raw.len() - 1], &bad_utf8, &bad_tag, &disordered, &raw[..30]] {
+            let mut schema = Schema::new();
+            let mut out = vec![7];
+            assert!(infer_and_compact_into(bad, &mut schema, &mut out).is_err());
+            assert_eq!(out, [7]);
+        }
+    }
+
+    use proptest::prelude::*;
+
+    /// `id` and `ts` are declared: `ts`'s subtree is untracked, its names
+    /// interned only. Every name of the pool also appears nested, so one
+    /// name lives at several depths.
+    fn declared() -> ObjectType {
+        ObjectType::open(vec![
+            FieldDef { name: "id".into(), kind: TypeKind::Scalar(TypeTag::Int64), optional: false },
+            FieldDef { name: "ts".into(), kind: TypeKind::Any, optional: true },
+        ])
+    }
+
+    fn arb_name() -> impl Strategy<Value = String> {
+        prop_oneof![Just("id"), Just("ts"), Just("a"), Just("b"), Just("näme"), Just("c")]
+            .prop_map(String::from)
+    }
+
+    fn arb_leaf() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            any::<i64>().prop_map(Value::Int64),
+            "[a-zé€😀]{0,5}".prop_map(Value::String),
+            any::<bool>().prop_map(Value::Boolean),
+            any::<f64>().prop_map(Value::Double),
+            Just(Value::Null),
+        ]
+    }
+
+    fn arb_value() -> BoxedStrategy<Value> {
+        arb_leaf().prop_recursive(3, 24, 4, |inner| {
+            prop_oneof![
+                // Arrays of anything, objects included; often empty.
+                proptest::collection::vec(inner.clone(), 0..4).prop_map(Value::Array),
+                proptest::collection::vec(inner.clone(), 0..3).prop_map(Value::Multiset),
+                proptest::collection::btree_map(arb_name(), inner, 0..5)
+                    .prop_map(|m| Value::Object(m.into_iter().collect())),
+            ]
+        })
+    }
+
+    fn arb_object() -> impl Strategy<Value = Value> {
+        proptest::collection::btree_map(arb_name(), arb_value(), 0..6)
+            .prop_map(|m| Value::Object(m.into_iter().collect()))
+    }
+
+    /// Reverse the field order of every object in `v`.
+    fn reverse_objects(v: &mut Value) {
+        match v {
+            Value::Object(fields) => {
+                fields.reverse();
+                fields.iter_mut().for_each(|(_, v)| reverse_objects(v));
+            }
+            Value::Array(items) | Value::Multiset(items) => {
+                items.iter_mut().for_each(reverse_objects)
+            }
+            _ => {}
+        }
+    }
+
+    /// A feed: each record is its predecessor again (every slot hint hits),
+    /// the predecessor with its fields rotated and nested objects reversed
+    /// (hints miss), with one field's type changed (a union forms), or a
+    /// fresh record.
+    fn arb_feed() -> impl Strategy<Value = Vec<Value>> {
+        let step = (0u8..4, any::<usize>(), arb_leaf(), arb_object());
+        (arb_object(), proptest::collection::vec(step, 1..8)).prop_map(|(first, steps)| {
+            let mut feed = vec![first];
+            for (op, n, leaf, fresh) in steps {
+                let mut next = feed.last().cloned().unwrap_or(Value::Null);
+                let Value::Object(fields) = &mut next else { unreachable!() };
+                match op {
+                    0 => {}
+                    1 if !fields.is_empty() => {
+                        let len = fields.len();
+                        fields.rotate_left((1 + n % len) % len);
+                        fields.iter_mut().for_each(|(_, v)| reverse_objects(v));
+                    }
+                    2 if !fields.is_empty() => {
+                        let k = n % fields.len();
+                        fields[k].1 = leaf;
+                    }
+                    _ => next = fresh,
+                }
+                feed.push(next);
+            }
+            feed
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// The raw walk with slot hints writes the bytes, and leaves the
+        /// schema, of the `Value` walk with a lookup per field — after every
+        /// record of a feed — and its records decode to what was encoded.
+        #[test]
+        fn raw_walk_with_slot_hints_equals_the_value_walk(feed in arb_feed()) {
+            let declared = declared();
+            let (mut fast, mut oracle) = (Schema::new(), Schema::new());
+            let mut out = Vec::new();
+            for v in &feed {
+                let raw = encode(v, Some(&declared));
+                let expected = oracle_infer_and_compact(&raw, &mut oracle).unwrap();
+                let start = out.len();
+                infer_and_compact_into(&raw, &mut fast, &mut out).unwrap();
+                prop_assert_eq!(&out[start..], &expected[..]);
+                prop_assert_eq!(fast.serialize(), oracle.serialize());
+                let back = decode(&out[start..], Some(&declared), Some(fast.dict())).unwrap();
+                prop_assert_eq!(&back, v);
+            }
+        }
     }
 }

@@ -4,12 +4,18 @@
 //! §3.1 deliberately leaves in-memory records uncompacted) and in the SL-VB
 //! ablation of Fig 21. Declared root fields store a flagged catalog *index*
 //! in the field-name lengths vector instead of a name (Fig 13's `id`).
+//!
+//! [`encode`] is on every write's path, so it allocates once per record:
+//! the six sections are filled into per-thread buffers kept between
+//! records, and assembly packs them straight into the exact-size output.
+
+use std::cell::RefCell;
 
 use tc_adm::{ObjectType, TypeTag, Value};
 use tc_util::bits::BitWriter;
-use tc_util::{bit_width, bytes_for_bits};
+use tc_util::bytes_for_bits;
 
-use crate::header::{Header, HEADER_LEN};
+use crate::header::{entry_bits, Header, HEADER_LEN};
 use crate::reader::FieldName;
 
 /// One entry of the field-names lengths sub-vector before bit packing.
@@ -97,38 +103,22 @@ impl Sections {
         self.fieldname_values.clear();
     }
 
-    /// Append the final record to `out`. `compacted` controls the fourth
-    /// header offset (zero ⇒ names live in the schema structure).
+    /// Append the final record to `out`, packing the two bit-packed
+    /// sections straight into it. `compacted` controls the fourth header
+    /// offset (zero ⇒ names live in the schema structure).
     fn assemble_into(&self, compacted: bool, out: &mut Vec<u8>) {
-        let varlen_bits = effective_width(self.varlen_lengths.iter().copied().max().unwrap_or(0));
+        let varlen_bits = entry_bits(self.varlen_lengths.iter().copied().max().unwrap_or(0), false);
         let fieldname_bits =
-            1 + effective_width(self.field_entries.iter().map(|e| e.payload).max().unwrap_or(0));
-        // Field entries pack flag in the top bit of each entry.
-        let fieldname_bits = fieldname_bits.clamp(2, 33);
-
-        let mut varlen_len_packed = BitWriter::new();
-        for &len in &self.varlen_lengths {
-            varlen_len_packed.write(len, varlen_bits);
-        }
-        let varlen_len_bytes = varlen_len_packed.into_bytes();
-        debug_assert_eq!(
-            varlen_len_bytes.len(),
-            bytes_for_bits(self.varlen_lengths.len() * varlen_bits as usize)
-        );
-
-        let mut fn_packed = BitWriter::new();
-        for e in &self.field_entries {
-            let v = ((e.declared as u64) << (fieldname_bits - 1)) | e.payload;
-            fn_packed.write(v, fieldname_bits);
-        }
-        let fn_len_bytes = fn_packed.into_bytes();
+            entry_bits(self.field_entries.iter().map(|e| e.payload).max().unwrap_or(0), true);
 
         let tags_len = self.tags.len();
         let fixed_off = HEADER_LEN + tags_len;
         let varlen_lengths_off = fixed_off + self.fixed.len();
-        let varlen_values_off = varlen_lengths_off + varlen_len_bytes.len();
+        let varlen_values_off =
+            varlen_lengths_off + bytes_for_bits(self.varlen_lengths.len() * varlen_bits as usize);
         let fieldname_lengths_off = varlen_values_off + self.varlen_values.len();
-        let fieldname_values_off = fieldname_lengths_off + fn_len_bytes.len();
+        let fieldname_values_off = fieldname_lengths_off
+            + bytes_for_bits(self.field_entries.len() * fieldname_bits as usize);
         let record_len =
             fieldname_values_off + if compacted { 0 } else { self.fieldname_values.len() };
 
@@ -147,36 +137,64 @@ impl Sections {
         header.write(out);
         out.extend_from_slice(&self.tags);
         out.extend_from_slice(&self.fixed);
-        out.extend_from_slice(&varlen_len_bytes);
+        pack(out, self.varlen_lengths.iter().copied(), varlen_bits);
         out.extend_from_slice(&self.varlen_values);
-        out.extend_from_slice(&fn_len_bytes);
+        pack_field_entries(out, &self.field_entries, fieldname_bits);
         if !compacted {
             out.extend_from_slice(&self.fieldname_values);
         }
         debug_assert_eq!(out.len() - start, record_len);
     }
+
+    /// Bytes of capacity held, across all sections.
+    fn capacity_bytes(&self) -> usize {
+        self.tags.capacity()
+            + self.fixed.capacity()
+            + self.varlen_lengths.capacity() * 8
+            + self.varlen_values.capacity()
+            + self.field_entries.capacity() * std::mem::size_of::<FieldEntry>()
+            + self.fieldname_values.capacity()
+    }
 }
 
-/// Width, with the nibble escape: anything over 15 bits is stored as 32.
-fn effective_width(max_value: u64) -> u8 {
-    let w = bit_width(max_value);
-    if w > 15 {
-        32
-    } else {
-        w
+/// Append `values`, `bits` wide each, to `out` from its next byte boundary.
+fn pack(out: &mut Vec<u8>, values: impl Iterator<Item = u64>, bits: u8) {
+    let mut w = BitWriter::appending_to(std::mem::take(out));
+    for v in values {
+        w.write(v, bits);
     }
+    *out = w.into_bytes();
+}
+
+/// Append a field-name section: each entry `bits` wide, the declared flag
+/// in its top bit.
+pub(crate) fn pack_field_entries(out: &mut Vec<u8>, entries: &[FieldEntry], bits: u8) {
+    let flag = 1u64 << (bits - 1);
+    pack(out, entries.iter().map(|e| if e.declared { flag | e.payload } else { e.payload }), bits);
+}
+
+/// Section capacity an encoding thread keeps between records; a larger
+/// record's buffers are dropped after it.
+const RETAINED_SECTION_BYTES: usize = 1 << 20;
+
+thread_local! {
+    /// The section buffers [`encode`] fills, reused record after record.
+    static SECTIONS: RefCell<Sections> = RefCell::default();
 }
 
 /// Encode a record. `declared` is the dataset's declared type: declared
 /// *root* fields are stored by index (their names/types live in the
 /// catalog); everything else is self-described inline.
 pub fn encode(value: &Value, declared: Option<&ObjectType>) -> Vec<u8> {
-    let mut s = Sections::default();
-    write_value(value, declared, true, &mut s);
-    s.tags.push(TypeTag::Eov as u8);
-    let mut out = Vec::new();
-    s.assemble_into(false, &mut out);
-    out
+    SECTIONS.with_borrow_mut(|s| {
+        write_value(value, declared, true, s);
+        let mut out = Vec::new();
+        s.finish_into(false, &mut out);
+        if s.capacity_bytes() > RETAINED_SECTION_BYTES {
+            *s = Sections::default();
+        }
+        out
+    })
 }
 
 fn write_value(value: &Value, declared: Option<&ObjectType>, is_root: bool, s: &mut Sections) {
@@ -310,6 +328,26 @@ mod tests {
         let h = Header::read(&buf).unwrap();
         assert_eq!(h.tag_count, 3); // object, close, EOV
         assert_eq!(h.record_len as usize, buf.len());
+    }
+
+    /// A name of 16 KiB or more needs a 15+-bit length: its entry used to
+    /// be written one bit wider than the header could say, so the record
+    /// did not decode. The 32-bit escape now includes the flag bit.
+    #[test]
+    fn long_field_names_escape_to_32_bit_entries() {
+        let t = ObjectType::open(vec![FieldDef {
+            name: "id".into(),
+            kind: TypeKind::Scalar(TypeTag::Int64),
+            optional: false,
+        }]);
+        for len in [16_383, 16_384, 40_000] {
+            let long = "n".repeat(len);
+            let v = Value::object([("id", Value::Int64(1)), (long.as_str(), Value::Int64(2))]);
+            let buf = encode(&v, Some(&t));
+            let h = Header::read(&buf).unwrap();
+            assert_eq!(h.fieldname_bits, if len < 16_384 { 15 } else { 32 }, "len {len}");
+            assert_eq!(crate::reader::decode(&buf, Some(&t), None).unwrap(), v, "len {len}");
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! at `25 + tag_count` (each tag is one byte), so neither needs an offset.
 
 use tc_adm::AdmError;
+use tc_util::bit_width;
 
 /// Size of the serialized header.
 pub const HEADER_LEN: usize = 25;
@@ -52,6 +53,21 @@ fn width_of(nibble: u8) -> u8 {
         32
     } else {
         nibble
+    }
+}
+
+/// Entry width for a bit-packed section whose largest entry is `max_value`,
+/// counting the declared-flag bit when `flagged` (field-name entries carry
+/// it on top of their payload). A width the nibble cannot say escapes to 32,
+/// flag bit included, so a flagged entry has 31 payload bits — enough for
+/// any name a `u32`-length record holds and any dictionary id.
+pub(crate) fn entry_bits(max_value: u64, flagged: bool) -> u8 {
+    let w = bit_width(max_value) + flagged as u8;
+    if w > 15 {
+        debug_assert!(w <= 32, "entry of {w} bits");
+        32
+    } else {
+        w
     }
 }
 
@@ -116,13 +132,17 @@ impl Header {
                 buf.len()
             )));
         }
-        if (h.fixed_off() as u32) > h.record_len
-            || h.varlen_lengths_off > h.record_len
-            || h.varlen_values_off > h.record_len
-            || h.fieldname_lengths_off > h.record_len
-            || h.fieldname_values_off > h.record_len
-        {
-            return Err(AdmError::corrupt("section offset beyond record end"));
+        // Sections lie in order: a reader slices between consecutive offsets.
+        let bounds = [
+            h.fixed_off(),
+            h.varlen_lengths_off as usize,
+            h.varlen_values_off as usize,
+            h.fieldname_lengths_off as usize,
+            h.fieldname_lengths_end(),
+            h.record_len as usize,
+        ];
+        if bounds.windows(2).any(|w| w[0] > w[1]) {
+            return Err(AdmError::corrupt("section offsets out of order or beyond record end"));
         }
         Ok(h)
     }

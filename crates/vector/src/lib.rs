@@ -29,7 +29,7 @@ pub mod header;
 pub mod reader;
 
 pub use access::{get_values, BatchPathEvaluator};
-pub use compact::infer_and_compact;
+pub use compact::{infer_and_compact, infer_and_compact_into};
 pub use encode::{encode, Sections};
 pub use header::Header;
 pub use reader::{decode, FieldName, Item, RawItem, VectorReader};

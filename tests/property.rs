@@ -110,7 +110,7 @@ proptest! {
         let skip = |name: &str| name == "id";
         for v in &records {
             let Value::Object(fields) = v else { unreachable!() };
-            schema.observe_record(fields, &skip);
+            schema.observe_record(fields, &skip).unwrap();
         }
         for v in &records {
             let Value::Object(fields) = v else { unreachable!() };
@@ -129,7 +129,7 @@ proptest! {
         let mut prev = schema.clone();
         for v in &records {
             let Value::Object(fields) = v else { unreachable!() };
-            schema.observe_record(fields, &skip);
+            schema.observe_record(fields, &skip).unwrap();
             prop_assert!(schema.is_superset_of(&prev));
             prev = schema.clone();
         }
