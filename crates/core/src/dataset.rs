@@ -261,10 +261,20 @@ impl Dataset {
         }
     }
 
-    fn secondary_key_of(&self, record: &Value) -> Option<[u8; 8]> {
+    /// The secondary index and `record`'s key in it, if the dataset has one
+    /// and the record carries an integer in the indexed field.
+    fn secondary_key_of(&self, record: &Value) -> Option<(&SecondaryIndex, [u8; 8])> {
         let field = self.config.secondary_index_on.as_deref()?;
+        let index = self.secondary.as_ref()?;
         let v = record.get_field(field)?.as_i64()?;
-        Some(encode_i64_key(v).try_into().expect("i64 keys are 8 bytes"))
+        Some((index, encode_i64_key(v).try_into().expect("i64 keys are 8 bytes")))
+    }
+
+    /// The auxiliary index trees (primary-key index, then secondary), as
+    /// configured.
+    fn index_trees(&self) -> impl Iterator<Item = &LsmTree> {
+        let pk = self.pk_index.as_ref().map(PrimaryKeyIndex::tree);
+        pk.into_iter().chain(self.secondary.as_ref().map(SecondaryIndex::tree))
     }
 
     // -----------------------------------------------------------------
@@ -296,12 +306,8 @@ impl Dataset {
     fn insert_unchecked(&self, record: &Value) -> Result<(), AdmError> {
         let (_, key) = self.primary_key_of(record)?;
         let bytes = self.encode_record(record)?;
-        if let Some(sec) = self.secondary_key_of(record) {
-            self.secondary
-                .as_ref()
-                .expect("secondary configured")
-                .insert(&sec, &key)
-                .map_err(storage_err)?;
+        if let Some((index, sec)) = self.secondary_key_of(record) {
+            index.insert(&sec, &key).map_err(storage_err)?;
         }
         if let Some(pki) = self.pk_index.as_ref() {
             pki.insert(&key).map_err(storage_err)?;
@@ -328,26 +334,9 @@ impl Dataset {
         // half without the insert half (which would lose the durably-acked
         // old version). The primary-key index is untouched: the key stays
         // present throughout.
-        let needs_value = self.compactor.is_some() || self.secondary.is_some();
-        let attachment = if needs_value {
-            let old = self.decoder().materialize(&old_bytes)?;
-            if let Some(sec) = self.secondary_key_of(&old) {
-                self.secondary
-                    .as_ref()
-                    .expect("secondary configured")
-                    .delete(&sec, &key)
-                    .map_err(storage_err)?;
-            }
-            self.compactor.as_ref().map(|_| tc_vector::encode(&old, Some(&self.config.datatype)))
-        } else {
-            None
-        };
-        if let Some(sec) = self.secondary_key_of(record) {
-            self.secondary
-                .as_ref()
-                .expect("secondary configured")
-                .insert(&sec, &key)
-                .map_err(storage_err)?;
+        let attachment = self.retire_old_version(&key, &old_bytes)?;
+        if let Some((index, sec)) = self.secondary_key_of(record) {
+            index.insert(&sec, &key).map_err(storage_err)?;
         }
         let bytes = self.encode_record(record)?;
         let over_budget = self.primary.replace(key, bytes, attachment).map_err(storage_err)?;
@@ -356,16 +345,25 @@ impl Dataset {
         Ok(())
     }
 
+    /// Point-look-up the old record, then enqueue the anti-matter entry
+    /// (with anti-schema for inferred datasets) and fix the indexes.
+    /// Whether the anti-schema actually reaches the hook is decided by the
+    /// tree at apply time (`delete_versioned`): only versions a flush
+    /// observed carry decrements (§3.2.2) — and with background flushes the
+    /// "was it observed?" answer can change between our lookup and the
+    /// apply, so it must be resolved under the tree's lock, not here.
     fn delete_unchecked(&self, pk: i64) -> Result<bool, AdmError> {
         let key = encode_i64_key(pk);
-        match self.lookup_live(&key)? {
-            None => Ok(false),
-            Some(old) => {
-                let over_budget = self.delete_found(&key, &old)?;
-                self.maybe_schedule_maintenance(over_budget);
-                Ok(true)
-            }
+        let Some(old_bytes) = self.lookup_live(&key)? else {
+            return Ok(false);
+        };
+        let attachment = self.retire_old_version(&key, &old_bytes)?;
+        if let Some(pki) = self.pk_index.as_ref() {
+            pki.delete(&key).map_err(storage_err)?;
         }
+        let over_budget = self.primary.delete_versioned(key, attachment).map_err(storage_err)?;
+        self.maybe_schedule_maintenance(over_budget);
+        Ok(true)
     }
 
     /// Live-record lookup (any source; deleted keys report as absent).
@@ -376,41 +374,27 @@ impl Dataset {
         }
     }
 
-    /// Having point-looked-up the old record bytes, enqueue the anti-matter
-    /// entry (with anti-schema for inferred datasets) and fix the indexes.
-    /// Whether the anti-schema actually reaches the hook is decided by the
-    /// tree at apply time (`delete_versioned`): only versions a flush
-    /// observed carry decrements (§3.2.2) — and with background flushes the
-    /// "was it observed?" answer can change between our lookup and the
-    /// apply, so it must be resolved under the tree's lock, not here.
-    fn delete_found(&self, key: &Key, old_bytes: &[u8]) -> Result<bool, AdmError> {
-        // The decode is paid whenever the compactor maintains a schema or a
-        // secondary index needs the old secondary key. For a memtable-only
-        // version the tree will discard the attachment — that (rare:
-        // same-window re-update) wasted encode is the deliberate price of
-        // making the counted decision raceless under the tree's lock; a
-        // caller-side "skip if unflushed" check is exactly the race
-        // delete_versioned exists to close.
-        let needs_value = self.compactor.is_some() || self.secondary.is_some();
-        let attachment = if needs_value {
-            let old = self.decoder().materialize(old_bytes)?;
-            if let Some(sec) = self.secondary_key_of(&old) {
-                self.secondary
-                    .as_ref()
-                    .expect("secondary configured")
-                    .delete(&sec, key)
-                    .map_err(storage_err)?;
-            }
-            // Anti-schema: the old record re-encoded uncompacted; the
-            // compactor walks it to decrement counters at flush (§3.2.2).
-            self.compactor.as_ref().map(|_| tc_vector::encode(&old, Some(&self.config.datatype)))
-        } else {
-            None
-        };
-        if let Some(pki) = self.pk_index.as_ref() {
-            pki.delete(key).map_err(storage_err)?;
+    /// The old version's side of an upsert or delete, before the primary
+    /// tree sees the new entry: drop the old record's secondary posting and
+    /// return its anti-schema — the old record re-encoded uncompacted,
+    /// which the compactor walks to decrement counters at flush (§3.2.2).
+    ///
+    /// The decode is paid whenever the compactor maintains a schema or a
+    /// secondary index needs the old secondary key. For a memtable-only
+    /// version the tree will discard the attachment — that (rare:
+    /// same-window re-update) wasted encode is the deliberate price of
+    /// making the counted decision raceless under the tree's lock; a
+    /// caller-side "skip if unflushed" check is exactly the race
+    /// `delete_versioned` exists to close.
+    fn retire_old_version(&self, key: &Key, old_bytes: &[u8]) -> Result<Option<Vec<u8>>, AdmError> {
+        if self.compactor.is_none() && self.secondary.is_none() {
+            return Ok(None);
         }
-        self.primary.delete_versioned(key.clone(), attachment).map_err(storage_err)
+        let old = self.decoder().materialize(old_bytes)?;
+        if let Some((index, sec)) = self.secondary_key_of(&old) {
+            index.delete(&sec, key).map_err(storage_err)?;
+        }
+        Ok(self.compactor.as_ref().map(|_| tc_vector::encode(&old, Some(&self.config.datatype))))
     }
 
     fn bulk_load_unchecked<I>(&self, records: I) -> Result<u64, AdmError>
@@ -421,7 +405,7 @@ impl Dataset {
         for record in records {
             let (_, key) = self.primary_key_of(&record)?;
             let bytes = self.encode_record(&record)?;
-            keyed.push((key, bytes, self.secondary_key_of(&record)));
+            keyed.push((key, bytes, self.secondary_key_of(&record).map(|(_, sec)| sec)));
         }
         keyed.sort_by(|a, b| a.0.cmp(&b.0));
         // A load holds one version per key. Refused here, before any tree or
@@ -622,13 +606,7 @@ impl Dataset {
     /// safe (one of the two finds an empty memtable and no-ops).
     pub fn flush(&self) -> Result<(), AdmError> {
         self.primary.flush().map_err(storage_err)?;
-        if let Some(pki) = self.pk_index.as_ref() {
-            pki.flush().map_err(storage_err)?;
-        }
-        if let Some(sec) = self.secondary.as_ref() {
-            sec.flush().map_err(storage_err)?;
-        }
-        Ok(())
+        self.index_trees().try_for_each(LsmTree::flush).map_err(storage_err)
     }
 
     /// Queue a *primary-tree* flush (and a merge-policy pass) on the
@@ -688,9 +666,7 @@ impl Dataset {
 
     /// Footprint including auxiliary indexes.
     pub fn total_disk_bytes(&self) -> u64 {
-        self.primary.disk_bytes()
-            + self.pk_index.as_ref().map_or(0, PrimaryKeyIndex::disk_bytes)
-            + self.secondary.as_ref().map_or(0, SecondaryIndex::disk_bytes)
+        self.primary.disk_bytes() + self.index_trees().map(LsmTree::disk_bytes).sum::<u64>()
     }
 
     pub fn primary(&self) -> &LsmTree {
@@ -766,10 +742,8 @@ impl Dataset {
     /// `lsm_stats()` covers the primary only).
     pub fn writer_stall_nanos(&self) -> u64 {
         let p = self.primary.stats();
-        p.writer_stall_nanos
-            + p.backpressure_stall_nanos
-            + self.pk_index.as_ref().map_or(0, |i| i.stats().writer_stall_nanos)
-            + self.secondary.as_ref().map_or(0, |i| i.stats().writer_stall_nanos)
+        let indexes: u64 = self.index_trees().map(|t| t.stats().writer_stall_nanos).sum();
+        p.writer_stall_nanos + p.backpressure_stall_nanos + indexes
     }
 
     /// Crash: lose in-memory state (memtables and, for inferred datasets,
@@ -781,12 +755,7 @@ impl Dataset {
     pub fn simulate_crash(&self) {
         self.await_quiescent();
         self.primary.simulate_crash();
-        if let Some(pki) = &self.pk_index {
-            pki.tree().simulate_crash();
-        }
-        if let Some(sec) = &self.secondary {
-            sec.tree().simulate_crash();
-        }
+        self.index_trees().for_each(LsmTree::simulate_crash);
         if let Some(c) = &self.compactor {
             c.load_schema(Schema::new());
         }
@@ -800,13 +769,7 @@ impl Dataset {
     /// (removed, replayed) counts sum all trees.
     pub fn recover(&self) -> Result<(usize, usize), AdmError> {
         let (mut removed, mut replayed) = self.primary.recover().map_err(storage_err)?;
-        for tree in self
-            .pk_index
-            .as_ref()
-            .map(PrimaryKeyIndex::tree)
-            .into_iter()
-            .chain(self.secondary.as_ref().map(SecondaryIndex::tree))
-        {
+        for tree in self.index_trees() {
             let (r, p) = tree.recover().map_err(storage_err)?;
             removed += r;
             replayed += p;

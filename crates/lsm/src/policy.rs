@@ -18,11 +18,11 @@
 //!   a test harness or an ablation bench.
 //!
 //! Decisions are pure functions of the run list: same input, same pick
-//! (the policy-matrix tests rely on this determinism). Picks are index
-//! lists, not ranges — the tree accepts non-contiguous picks and validates
-//! the key-disjointness condition that makes them sound (see
-//! `LsmTree::merge_indices`). Every shipped policy emits contiguous picks.
+//! (the policy-matrix tests rely on this determinism). A pick is a range of
+//! adjacent runs; the tree drops anti-matter only when the range starts at
+//! the oldest run (§2.2).
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::component::DiskComponent;
@@ -85,28 +85,12 @@ impl MergeTrigger {
     }
 }
 
-/// A set of runs to merge: strictly ascending indices (oldest → newest)
-/// into the run list the policy decided over, with at least two entries.
+/// Adjacent runs to merge: a range (oldest → newest) of at least two runs
+/// in the run list the policy decided over.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MergePick {
-    pub indices: Vec<usize>,
+    pub range: Range<usize>,
     pub trigger: MergeTrigger,
-}
-
-impl MergePick {
-    pub fn contiguous(range: std::ops::Range<usize>, trigger: MergeTrigger) -> Self {
-        MergePick { indices: range.collect(), trigger }
-    }
-
-    /// True when the indices form `0..k` — only then may a merge drop
-    /// anti-matter (nothing older survives to be resurrected).
-    pub fn includes_oldest(&self) -> bool {
-        self.is_contiguous() && self.indices.first() == Some(&0)
-    }
-
-    pub fn is_contiguous(&self) -> bool {
-        self.indices.windows(2).all(|w| w[1] == w[0] + 1)
-    }
 }
 
 /// What the policy wants done to the current run list.
@@ -130,8 +114,8 @@ pub trait CompactionPolicy: Send + Sync + std::fmt::Debug {
     fn name(&self) -> &'static str;
 
     /// Decide over `runs` (oldest → newest). A returned merge pick must
-    /// have ≥ 2 strictly ascending in-bounds indices; a retire count must
-    /// be ≥ 1 and ≤ `runs.len()`.
+    /// span ≥ 2 in-bounds runs; a retire count must be ≥ 1 and
+    /// ≤ `runs.len()`.
     fn decide(&self, runs: &[RunMeta]) -> CompactionDecision;
 
     /// Level assignment per run (for the per-level component-count stats).
@@ -247,12 +231,6 @@ impl MergePolicy {
             }
         }
     }
-
-    /// Convenience: decide directly over a component list.
-    pub fn decide(&self, components: &[Arc<DiskComponent>]) -> CompactionDecision {
-        let runs: Vec<RunMeta> = components.iter().map(|c| RunMeta::of(c)).collect();
-        self.build().decide(&runs)
-    }
 }
 
 /// Geometric size classes: class 0 holds runs ≤ `base_bytes`, class *k*
@@ -294,10 +272,10 @@ impl CompactionPolicy for PrefixPolicy {
         // Walk from the newest end, collecting small components.
         let run = runs.iter().rev().take_while(|r| r.bytes <= self.max_mergeable_size).count();
         if run > self.max_tolerable_components && run >= 2 {
-            CompactionDecision::Merge(MergePick::contiguous(
-                runs.len() - run..runs.len(),
-                MergeTrigger::ComponentCount,
-            ))
+            CompactionDecision::Merge(MergePick {
+                range: runs.len() - run..runs.len(),
+                trigger: MergeTrigger::ComponentCount,
+            })
         } else {
             CompactionDecision::None
         }
@@ -330,10 +308,10 @@ impl CompactionPolicy for ConstantPolicy {
         }
         let n = runs.len() - start;
         if n > self.max_components && n >= 2 {
-            CompactionDecision::Merge(MergePick::contiguous(
-                start..runs.len(),
-                MergeTrigger::ComponentCount,
-            ))
+            CompactionDecision::Merge(MergePick {
+                range: start..runs.len(),
+                trigger: MergeTrigger::ComponentCount,
+            })
         } else {
             CompactionDecision::None
         }
@@ -371,20 +349,20 @@ impl CompactionPolicy for LeveledPolicy {
         let l0 = runs.iter().rev().take_while(|r| self.classes.class(r.bytes) == 0).count();
         if l0 > self.level0_components && l0 >= 2 {
             let start = (runs.len() - l0).saturating_sub(1);
-            return CompactionDecision::Merge(MergePick::contiguous(
-                start..runs.len(),
-                MergeTrigger::ComponentCount,
-            ));
+            return CompactionDecision::Merge(MergePick {
+                range: start..runs.len(),
+                trigger: MergeTrigger::ComponentCount,
+            });
         }
         // One run per level below L0: a newer run that has grown into (or
         // past) its older neighbor's size class merges with it.
         for i in (0..runs.len().saturating_sub(1)).rev() {
             let newer = self.classes.class(runs[i + 1].bytes);
             if newer > 0 && newer >= self.classes.class(runs[i].bytes) {
-                return CompactionDecision::Merge(MergePick::contiguous(
-                    i..i + 2,
-                    MergeTrigger::LevelOverflow,
-                ));
+                return CompactionDecision::Merge(MergePick {
+                    range: i..i + 2,
+                    trigger: MergeTrigger::LevelOverflow,
+                });
             }
         }
         CompactionDecision::None
@@ -417,10 +395,10 @@ impl CompactionPolicy for TieredPolicy {
                 start -= 1;
             }
             if end - start >= self.min_tier_runs && end - start >= 2 {
-                return CompactionDecision::Merge(MergePick::contiguous(
-                    start..end,
-                    MergeTrigger::TierFull,
-                ));
+                return CompactionDecision::Merge(MergePick {
+                    range: start..end,
+                    trigger: MergeTrigger::TierFull,
+                });
             }
             end = start;
         }
@@ -449,19 +427,19 @@ impl CompactionPolicy for LazyLeveledPolicy {
         // that's the "lazy" part).
         let l0 = runs.iter().rev().take_while(|r| self.classes.class(r.bytes) == 0).count();
         if l0 >= self.tier_runs && l0 >= 2 {
-            return CompactionDecision::Merge(MergePick::contiguous(
-                runs.len() - l0..runs.len(),
-                MergeTrigger::TierFull,
-            ));
+            return CompactionDecision::Merge(MergePick {
+                range: runs.len() - l0..runs.len(),
+                trigger: MergeTrigger::TierFull,
+            });
         }
         // Leveled below: one run per level.
         for i in (0..runs.len().saturating_sub(1)).rev() {
             let newer = self.classes.class(runs[i + 1].bytes);
             if newer > 0 && newer >= self.classes.class(runs[i].bytes) {
-                return CompactionDecision::Merge(MergePick::contiguous(
-                    i..i + 2,
-                    MergeTrigger::LevelOverflow,
-                ));
+                return CompactionDecision::Merge(MergePick {
+                    range: i..i + 2,
+                    trigger: MergeTrigger::LevelOverflow,
+                });
             }
         }
         CompactionDecision::None
@@ -505,21 +483,20 @@ mod tests {
     use super::*;
     use crate::component::{ComponentBuilder, ComponentId};
     use crate::entry::EntryKind;
-    use std::sync::Arc;
     use tc_compress::CompressionScheme;
     use tc_storage::device::{Device, DeviceProfile};
 
-    /// Build a real component with approximately `kb` kilobytes of payload
-    /// (exercises the `RunMeta::of` path; most tests below use bare
-    /// `RunMeta`s).
-    fn comp(seq: u64, kb: usize) -> Arc<DiskComponent> {
+    /// The run summary of a real component with approximately `kb`
+    /// kilobytes of payload (exercises the `RunMeta::of` path; most tests
+    /// below use bare `RunMeta`s).
+    fn comp(seq: u64, kb: usize) -> RunMeta {
         let device = Arc::new(Device::new(DeviceProfile::RAM));
         let mut b = ComponentBuilder::new(device, 1024, CompressionScheme::None, kb, 10, None);
         for i in 0..kb {
             let key = ((seq << 32) + i as u64).to_be_bytes();
             b.push(&key, EntryKind::Record, &[0u8; 1024]).unwrap();
         }
-        Arc::new(b.finish(ComponentId::flushed(seq), true).unwrap())
+        RunMeta::of(&b.finish(ComponentId::flushed(seq), true).unwrap())
     }
 
     /// `n` runs of `kb` kilobytes each.
@@ -537,14 +514,14 @@ mod tests {
     #[test]
     fn no_merge_never_fires() {
         let comps: Vec<_> = (0..10).map(|i| comp(i, 1)).collect();
-        assert_eq!(MergePolicy::NoMerge.decide(&comps), CompactionDecision::None);
+        assert_eq!(MergePolicy::NoMerge.build().decide(&comps), CompactionDecision::None);
     }
 
     #[test]
     fn constant_policy_merges_everything_over_threshold() {
         let p = MergePolicy::Constant { max_components: 4 };
         assert_eq!(p.build().decide(&runs(&[1; 4])), CompactionDecision::None);
-        assert_eq!(merge_of(p.build().decide(&runs(&[1; 5]))).indices, vec![0, 1, 2, 3, 4],);
+        assert_eq!(merge_of(p.build().decide(&runs(&[1; 5]))).range, 0..5);
     }
 
     #[test]
@@ -556,7 +533,7 @@ mod tests {
             comps.push(comp(i, 1));
         }
         let p = MergePolicy::Prefix { max_mergeable_size: 100 * 1024, max_tolerable_components: 5 };
-        assert_eq!(merge_of(p.decide(&comps)).indices, vec![1, 2, 3, 4, 5, 6]);
+        assert_eq!(merge_of(p.build().decide(&comps)).range, 1..7);
     }
 
     #[test]
@@ -564,9 +541,8 @@ mod tests {
         let p = MergePolicy::Prefix { max_mergeable_size: 100 * 1024, max_tolerable_components: 5 };
         assert_eq!(p.build().decide(&runs(&[1; 5])), CompactionDecision::None, "5 are tolerable");
         let pick = merge_of(p.build().decide(&runs(&[1; 6])));
-        assert_eq!(pick.indices, vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(pick.range, 0..6);
         assert_eq!(pick.trigger, MergeTrigger::ComponentCount);
-        assert!(pick.includes_oldest());
     }
 
     // ---- decide edge cases, per policy: empty and singleton lists ----
@@ -600,10 +576,10 @@ mod tests {
         // Three base-class runs: tolerable.
         assert_eq!(p.build().decide(&runs(&[10, 10, 10])), CompactionDecision::None);
         // Four: merge all of L0 (no older run to push into).
-        assert_eq!(merge_of(p.build().decide(&runs(&[10, 10, 10, 10]))).indices, vec![0, 1, 2, 3]);
+        assert_eq!(merge_of(p.build().decide(&runs(&[10, 10, 10, 10]))).range, 0..4);
         // Four plus an older big run: the push-down includes the neighbor.
         let pick = merge_of(p.build().decide(&runs(&[500, 10, 10, 10, 10])));
-        assert_eq!(pick.indices, vec![0, 1, 2, 3, 4]);
+        assert_eq!(pick.range, 0..5);
         assert_eq!(pick.trigger, MergeTrigger::ComponentCount);
     }
 
@@ -613,7 +589,7 @@ mod tests {
         // Classes: 64K base, 256K level 1, 1M level 2. A 200K run next to
         // an older 250K run — both level 1 — violates one-run-per-level.
         let pick = merge_of(p.build().decide(&runs(&[250, 200, 10])));
-        assert_eq!(pick.indices, vec![0, 1]);
+        assert_eq!(pick.range, 0..2);
         assert_eq!(pick.trigger, MergeTrigger::LevelOverflow);
         // Strictly decreasing classes oldest → newest is stable.
         assert_eq!(p.build().decide(&runs(&[2000, 250, 10])), CompactionDecision::None);
@@ -624,18 +600,18 @@ mod tests {
         let p = MergePolicy::Tiered { base_bytes: 64 * 1024, size_ratio: 4, min_tier_runs: 3 };
         assert_eq!(p.build().decide(&runs(&[10, 10])), CompactionDecision::None);
         let pick = merge_of(p.build().decide(&runs(&[10, 10, 10])));
-        assert_eq!(pick.indices, vec![0, 1, 2]);
+        assert_eq!(pick.range, 0..3);
         assert_eq!(pick.trigger, MergeTrigger::TierFull);
         // The newest full tier wins even when an older tier is also full.
         let pick = merge_of(p.build().decide(&runs(&[200, 200, 200, 10, 10, 10])));
-        assert_eq!(pick.indices, vec![3, 4, 5]);
+        assert_eq!(pick.range, 3..6);
     }
 
     #[test]
     fn tiered_merges_older_full_tier_when_newest_is_partial() {
         let p = MergePolicy::Tiered { base_bytes: 64 * 1024, size_ratio: 4, min_tier_runs: 3 };
         let pick = merge_of(p.build().decide(&runs(&[200, 200, 200, 10, 10])));
-        assert_eq!(pick.indices, vec![0, 1, 2]);
+        assert_eq!(pick.range, 0..3);
     }
 
     #[test]
@@ -643,11 +619,11 @@ mod tests {
         let p = MergePolicy::LazyLeveled { tier_runs: 3, base_bytes: 64 * 1024, fanout: 4 };
         // L0 tier fills: merge only the base-class suffix, not the older run.
         let pick = merge_of(p.build().decide(&runs(&[500, 10, 10, 10])));
-        assert_eq!(pick.indices, vec![1, 2, 3]);
+        assert_eq!(pick.range, 1..4);
         assert_eq!(pick.trigger, MergeTrigger::TierFull);
         // Below L0, the leveled pair rule applies.
         let pick = merge_of(p.build().decide(&runs(&[250, 200, 10])));
-        assert_eq!(pick.indices, vec![0, 1]);
+        assert_eq!(pick.range, 0..2);
         assert_eq!(pick.trigger, MergeTrigger::LevelOverflow);
     }
 
@@ -674,19 +650,19 @@ mod tests {
         let sizes = runs(&[1, 1, 5000, 1, 1, 1, 1, 1, 1]);
         // Prefix: the small-component run stops at the giant.
         let p = MergePolicy::Prefix { max_mergeable_size: 100 * 1024, max_tolerable_components: 5 };
-        assert_eq!(merge_of(p.build().decide(&sizes)).indices, vec![3, 4, 5, 6, 7, 8]);
+        assert_eq!(merge_of(p.build().decide(&sizes)).range, 3..9);
         // Constant: a mid-run giant is *not* a dominating prefix — the
         // documented semantics merge everything, giant included.
         let p = MergePolicy::Constant { max_components: 5 };
-        assert_eq!(merge_of(p.build().decide(&sizes)).indices.len(), 9);
+        assert_eq!(merge_of(p.build().decide(&sizes)).range.len(), 9);
         // Leveled: the giant is simply a higher level; L0 counting stops at
         // it only positionally (it sits below the L0 suffix).
         let p = MergePolicy::Leveled { level0_components: 5, base_bytes: 64 * 1024, fanout: 4 };
-        assert_eq!(merge_of(p.build().decide(&sizes)).indices, vec![2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(merge_of(p.build().decide(&sizes)).range, 2..9);
         // Tiered: the giant splits the base tier; only the newest
         // contiguous group counts.
         let p = MergePolicy::Tiered { base_bytes: 64 * 1024, size_ratio: 4, min_tier_runs: 4 };
-        assert_eq!(merge_of(p.build().decide(&sizes)).indices, vec![3, 4, 5, 6, 7, 8]);
+        assert_eq!(merge_of(p.build().decide(&sizes)).range, 3..9);
     }
 
     // ---- satellite fix: Constant vs a dominating giant ----
@@ -699,15 +675,14 @@ mod tests {
         let sizes = runs(&[5000, 1, 1, 1, 1, 1, 1]);
         let p = MergePolicy::Constant { max_components: 5 };
         let pick = merge_of(p.build().decide(&sizes));
-        assert_eq!(pick.indices, vec![1, 2, 3, 4, 5, 6]);
-        assert!(!pick.includes_oldest(), "the giant survives, so anti-matter must be kept");
+        assert_eq!(pick.range, 1..7, "the giant survives, so anti-matter must be kept");
         // Two stacked giants are both skipped.
         let sizes = runs(&[20_000, 5000, 1, 1, 1, 1, 1, 1]);
-        assert_eq!(merge_of(p.build().decide(&sizes)).indices, vec![2, 3, 4, 5, 6, 7]);
+        assert_eq!(merge_of(p.build().decide(&sizes)).range, 2..8);
         // A giant that no longer dominates (enough new data accumulated)
         // is merged again — the cap is about proportion, not size.
         let sizes = runs(&[5000, 2000, 2000, 2000, 1, 1]);
-        assert_eq!(merge_of(p.build().decide(&sizes)).indices.len(), 6);
+        assert_eq!(merge_of(p.build().decide(&sizes)).range.len(), 6);
     }
 
     // ---- determinism: same input, same pick ----

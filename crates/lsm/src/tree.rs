@@ -34,6 +34,7 @@
 //! touches the in-memory schema, so flushes and merges need no mutual
 //! synchronization beyond the component-list swap.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -232,14 +233,12 @@ impl StatsCells {
             columnar_point_lookups: 0,
         }
     }
-}
 
-/// True when two components' key ranges cannot intersect (an empty
-/// component is disjoint from everything).
-fn key_disjoint(a: &DiskComponent, b: &DiskComponent) -> bool {
-    match (a.min_key(), a.max_key(), b.min_key(), b.max_key()) {
-        (Some(a_min), Some(a_max), Some(b_min), Some(b_max)) => a_max < b_min || b_max < a_min,
-        _ => true,
+    /// Count one installed flush or bulk load.
+    fn count_flush(&self, entries: u64, bytes: u64) {
+        self.flushes.fetch_add(1, AtomicOrdering::Relaxed);
+        self.entries_flushed.fetch_add(entries, AtomicOrdering::Relaxed);
+        self.bytes_flushed.fetch_add(bytes, AtomicOrdering::Relaxed);
     }
 }
 
@@ -766,35 +765,27 @@ impl LsmTree {
         let component = self
             .build_flushed(ComponentId::flushed(seq), &anti, frozen.iter())
             .inspect_err(|_| self.state.write().frozen_resumable = true)?;
-        let count = frozen.len() as u64;
-
         if complete {
             component.set_valid();
-            let bytes = component.disk_bytes();
-            // Install + unfreeze atomically: a reader snapshot sees the
-            // flushed data exactly once (frozen memtable before, disk
-            // component after — never both, never neither).
-            {
-                let mut st = self.state.write();
-                st.disk.push(Arc::new(component));
-                st.frozen = None;
-                st.frozen_anti.clear();
-                st.frozen_resumable = false;
-            }
-            if self.opts.wal_enabled {
-                self.wal.discard_frozen();
-            }
-            self.stats.flushes.fetch_add(1, AtomicOrdering::Relaxed);
-            self.stats.entries_flushed.fetch_add(count, AtomicOrdering::Relaxed);
-            self.stats.bytes_flushed.fetch_add(bytes, AtomicOrdering::Relaxed);
-        } else {
-            // Crash: the invalid component is on disk; the frozen WAL
-            // segment survives; the frozen in-memory component is gone.
+        }
+        let bytes = component.disk_bytes();
+        // Install + unfreeze atomically: a reader snapshot sees the flushed
+        // data exactly once (frozen memtable before, disk component after —
+        // never both, never neither). On a crash the same section leaves
+        // the invalid component on disk and drops the frozen in-memory
+        // component; only the frozen WAL segment is kept.
+        {
             let mut st = self.state.write();
             st.disk.push(Arc::new(component));
             st.frozen = None;
             st.frozen_anti.clear();
             st.frozen_resumable = false;
+        }
+        if complete {
+            if self.opts.wal_enabled {
+                self.wal.discard_frozen();
+            }
+            self.stats.count_flush(frozen.len() as u64, bytes);
         }
         Ok(())
     }
@@ -814,10 +805,7 @@ impl LsmTree {
             let runs: Vec<RunMeta> = disk.iter().map(|c| RunMeta::of(c)).collect();
             match self.policy.decide(&runs) {
                 CompactionDecision::None => return Ok(()),
-                CompactionDecision::Merge(pick) => {
-                    let inputs = Self::gather_pick(&disk, &pick);
-                    self.merge_locked(&inputs, pick.includes_oldest(), pick.trigger, &guard)?;
-                }
+                CompactionDecision::Merge(pick) => self.merge_locked(&disk, pick, true, &guard)?,
                 CompactionDecision::Retire(n) => {
                     assert!(n >= 1 && n <= disk.len(), "bad retire count from {:?}", self.policy);
                     self.retire_locked(&disk[..n], &guard);
@@ -839,58 +827,9 @@ impl LsmTree {
         counts
     }
 
-    /// Validate a pick's indices against the component snapshot and gather
-    /// the input handles. Non-contiguous picks are sound only when every
-    /// *unpicked* component inside the pick's index span is key-disjoint
-    /// from every picked component older than it — otherwise installing
-    /// the merged result at the newest picked slot would reorder that
-    /// component below versions that used to shadow it. Violations are
-    /// policy bugs and fail loudly, like a bad merge range.
-    fn gather_pick(disk: &[Arc<DiskComponent>], pick: &MergePick) -> Vec<Arc<DiskComponent>> {
-        let ix = &pick.indices;
-        assert!(
-            ix.len() >= 2 && ix.windows(2).all(|w| w[0] < w[1]) && *ix.last().unwrap() < disk.len(),
-            "bad merge pick {ix:?} for {} components",
-            disk.len()
-        );
-        if !pick.is_contiguous() {
-            let (oldest, newest) = (ix[0], *ix.last().unwrap());
-            for skipped in (oldest + 1..newest).filter(|j| !ix.contains(j)) {
-                for &picked in ix.iter().take_while(|&&i| i < skipped) {
-                    assert!(
-                        key_disjoint(&disk[skipped], &disk[picked]),
-                        "unsound non-contiguous pick {ix:?}: skipped component {} overlaps \
-                         picked older component {}",
-                        disk[skipped].id(),
-                        disk[picked].id()
-                    );
-                }
-            }
-        }
-        ix.iter().map(|&i| Arc::clone(&disk[i])).collect()
-    }
-
-    /// Merge an explicit, possibly non-contiguous pick of component
-    /// indices (oldest → newest, as of this call). The key-disjointness
-    /// soundness condition is validated (see `gather_pick`);
-    /// anti-matter is garbage-collected only when the pick is a prefix
-    /// starting at the oldest component.
-    pub fn merge_indices(&self, indices: &[usize]) -> Result<(), StorageError> {
-        let guard = self.merge_lock.lock();
-        let disk = self.state.read().disk.clone();
-        let pick = MergePick { indices: indices.to_vec(), trigger: MergeTrigger::Manual };
-        let inputs = Self::gather_pick(&disk, &pick);
-        self.merge_locked(&inputs, pick.includes_oldest(), pick.trigger, &guard)
-    }
-
     /// Merge all on-disk components into one (bench/maintenance helper).
     pub fn force_full_merge(&self) -> Result<(), StorageError> {
-        let guard = self.merge_lock.lock();
-        let disk = self.state.read().disk.clone();
-        if disk.len() >= 2 {
-            self.merge_locked(&disk, true, MergeTrigger::Manual, &guard)?;
-        }
-        Ok(())
+        self.full_merge(true)
     }
 
     /// Failure injection: run a full merge but "crash" before the validity
@@ -899,25 +838,27 @@ impl LsmTree {
     /// between merge-write and install leaves behind. Recovery must drop
     /// the half-merged component and keep serving from the inputs.
     pub fn force_full_merge_crashing_before_validity(&self) -> Result<(), StorageError> {
-        let _guard = self.merge_lock.lock();
+        self.full_merge(false)
+    }
+
+    /// Merge every component, if there are at least two.
+    fn full_merge(&self, complete: bool) -> Result<(), StorageError> {
+        let guard = self.merge_lock.lock();
         let disk = self.state.read().disk.clone();
         if disk.len() < 2 {
             return Ok(());
         }
-        let (merged, _) = self.build_merged(&disk, true)?;
-        self.state.write().disk.push(Arc::new(merged));
-        Ok(())
+        let pick = MergePick { range: 0..disk.len(), trigger: MergeTrigger::Manual };
+        self.merge_locked(&disk, pick, complete, &guard)
     }
 
     /// Merge the adjacent component range (oldest..newest indexes as of
     /// this call). Annihilated records are garbage-collected; anti-matter
     /// survives only if older components remain outside the merge (§2.2).
-    pub fn merge(&self, range: std::ops::Range<usize>) -> Result<(), StorageError> {
+    pub fn merge(&self, range: Range<usize>) -> Result<(), StorageError> {
         let guard = self.merge_lock.lock();
         let disk = self.state.read().disk.clone();
-        assert!(range.end <= disk.len() && range.len() >= 2, "bad merge range");
-        let includes_oldest = range.start == 0;
-        self.merge_locked(&disk[range], includes_oldest, MergeTrigger::Manual, &guard)
+        self.merge_locked(&disk, MergePick { range, trigger: MergeTrigger::Manual }, true, &guard)
     }
 
     /// Build the merged component (INVALID; the caller decides whether it
@@ -932,7 +873,7 @@ impl LsmTree {
     fn build_merged(
         &self,
         inputs: &[Arc<DiskComponent>],
-        includes_oldest: bool,
+        drop_antimatter: bool,
     ) -> Result<(DiskComponent, u64), StorageError> {
         let blobs: Vec<Option<&[u8]>> = inputs.iter().map(|c| c.metadata()).collect();
         let metadata = self.hook.merge_metadata(&blobs);
@@ -943,7 +884,7 @@ impl LsmTree {
         {
             let mut scan = MergedScan::new(&[], inputs, &self.cache, None, None, true);
             while let Some(ScanEntry { key, kind, payload, rank }) = scan.next_entry() {
-                if kind == EntryKind::AntiMatter && includes_oldest {
+                if kind == EntryKind::AntiMatter && drop_antimatter {
                     continue;
                 }
                 match payload {
@@ -981,43 +922,63 @@ impl LsmTree {
         Ok((merged, count))
     }
 
-    /// The merge body. The caller passes the merge-lock guard to prove the
-    /// critical section; the merged component's metadata is chosen by the
-    /// hook — the paper's rule keeps the newest schema without touching
-    /// in-memory state (§3.1.1). On a fault nothing installs: the inputs
-    /// remain the live components and the error is counted.
+    /// The one merge routine: every merge entry point runs it under the
+    /// merge lock (the guard proves the critical section) over `disk`, the
+    /// component list the pick indexes. The plan is the pick plus one flag:
+    /// anti-matter is dropped only when the range starts at the oldest
+    /// component, so nothing older survives for it to annihilate (§2.2).
+    /// The merged component's metadata is chosen by the hook — the paper's
+    /// rule keeps the newest schema without touching in-memory state
+    /// (§3.1.1).
+    ///
+    /// A complete merge installs the output; an incomplete one is crash
+    /// injection and only appends it INVALID. On a fault nothing installs:
+    /// the inputs remain the live components and the error is counted.
     fn merge_locked(
         &self,
-        inputs: &[Arc<DiskComponent>],
-        includes_oldest: bool,
-        trigger: MergeTrigger,
+        disk: &[Arc<DiskComponent>],
+        pick: MergePick,
+        complete: bool,
         _guard: &tc_util::sync::OrderedMutexGuard<'_, ()>,
     ) -> Result<(), StorageError> {
-        let (merged, count) = self.build_merged(inputs, includes_oldest).inspect_err(|_| {
+        let MergePick { range, trigger } = pick;
+        assert!(
+            range.len() >= 2 && range.end <= disk.len(),
+            "bad {} merge range {range:?} for {} components",
+            trigger.label(),
+            disk.len()
+        );
+        let drop_antimatter = range.start == 0;
+        let inputs = &disk[range];
+        let (merged, count) = self.build_merged(inputs, drop_antimatter).inspect_err(|_| {
             self.stats.maintenance_errors.fetch_add(1, AtomicOrdering::Relaxed);
         })?;
+        if !complete {
+            self.state.write().disk.push(Arc::new(merged));
+            return Ok(());
+        }
         merged.set_valid();
         let merged_bytes = merged.disk_bytes();
-        // Swap in the merged component *by identity*: a concurrent flush
+        // Splice the merged component in *by identity*: a concurrent flush
         // may have appended components while we built, so positions (not
-        // membership — flushes only append, and merges serialize) may have
-        // shifted. The merged component takes the *newest* input's slot —
-        // for a non-contiguous pick, any component skipped inside the span
-        // is older than the result's newest versions, and the
-        // key-disjointness check proved it can't shadow the picked older
-        // ones. Old inputs become garbage once in-flight scans drop their
-        // Arcs (deleted after the merge completes, §2.2).
+        // membership or adjacency — flushes only append, and merges
+        // serialize) may have shifted. Old inputs become garbage once
+        // in-flight scans drop their Arcs (deleted after the merge
+        // completes, §2.2).
         {
             let mut st = self.state.write();
-            let newest = inputs.last().expect("merge needs inputs");
             let pos = st
                 .disk
                 .iter()
-                .position(|c| Arc::ptr_eq(c, newest))
+                .position(|c| Arc::ptr_eq(c, &inputs[0]))
                 .expect("merge inputs disappeared from the component list");
-            st.disk[pos] = Arc::new(merged);
-            let rest = &inputs[..inputs.len() - 1];
-            st.disk.retain(|c| !rest.iter().any(|i| Arc::ptr_eq(c, i)));
+            let span = pos..pos + inputs.len();
+            let now = st.disk.get(span.clone()).unwrap_or_default();
+            assert!(
+                now.len() == inputs.len() && now.iter().zip(inputs).all(|(c, i)| Arc::ptr_eq(c, i)),
+                "merge inputs are no longer adjacent in the component list"
+            );
+            st.disk.splice(span, [Arc::new(merged)]);
         }
         self.stats.merges.fetch_add(1, AtomicOrdering::Relaxed);
         self.stats.entries_merged.fetch_add(count, AtomicOrdering::Relaxed);
@@ -1081,9 +1042,7 @@ impl LsmTree {
             st.next_seq = seq + 1;
             st.disk.push(Arc::new(component));
         }
-        self.stats.flushes.fetch_add(1, AtomicOrdering::Relaxed);
-        self.stats.entries_flushed.fetch_add(count, AtomicOrdering::Relaxed);
-        self.stats.bytes_flushed.fetch_add(bytes, AtomicOrdering::Relaxed);
+        self.stats.count_flush(count, bytes);
         Ok(())
     }
 
@@ -1616,56 +1575,82 @@ mod tests {
         assert_eq!(t.count(), 300);
     }
 
-    /// Two key-disjoint old components with a third, overlapping-with-
-    /// neither component between them: build C0 on keys 0..10, C1 on
-    /// 100..110, C2 on 200..210, then merge {C0, C2} skipping C1.
-    #[test]
-    fn non_contiguous_merge_of_disjoint_components() {
-        let t = small_tree();
-        for base in [0u64, 100, 200] {
-            for i in base..base + 10 {
-                t.insert(encode_u64_key(i), format!("v{i}").into_bytes()).unwrap();
-            }
-            t.flush().unwrap();
-        }
-        assert_eq!(t.components().len(), 3);
-        t.merge_indices(&[0, 2]).unwrap();
-        let comps = t.components();
-        assert_eq!(comps.len(), 2);
-        // The merged component took the newest input's slot.
-        assert_eq!(comps[1].id().to_string(), "[C0,C2]");
-        assert_eq!(comps[0].id().to_string(), "C1");
-        for i in (0..210u64).filter(|i| i % 100 < 10) {
-            assert_eq!(t.get(&encode_u64_key(i)).unwrap(), Some(format!("v{i}").into_bytes()));
-        }
-        assert_eq!(t.count(), 30);
-        // Non-prefix pick: anti-matter GC was off (prove via the stats —
-        // the merge rewrote exactly its inputs' entries).
-        assert_eq!(t.stats().entries_merged, 20);
-        assert_eq!(t.stats().merges_by_trigger[MergeTrigger::Manual as usize], 1);
+    /// A tree under `policy` whose memtable never fills in these tests, so
+    /// only explicit flushes and `maybe_merge` calls reshape it.
+    fn policy_tree(policy: MergePolicy) -> LsmTree {
+        tree(LsmOptions { page_size: 512, merge_policy: policy, ..Default::default() })
     }
 
-    /// A non-contiguous pick whose skipped component overlaps a picked
-    /// older one would let stale versions win — the tree refuses it.
+    /// Flush one component holding `keys`, after deleting `deleted`.
+    fn flush_batch(t: &LsmTree, deleted: &[u64], keys: std::ops::Range<u64>) {
+        for &k in deleted {
+            t.delete(encode_u64_key(k), None).unwrap();
+        }
+        for i in keys {
+            t.insert(encode_u64_key(i), format!("v{i}").into_bytes()).unwrap();
+        }
+        t.flush().unwrap();
+    }
+
     #[test]
-    #[should_panic(expected = "unsound non-contiguous pick")]
-    fn non_contiguous_merge_rejects_overlapping_skip() {
+    fn policy_pick_past_a_dominating_oldest_keeps_antimatter() {
+        let t = policy_tree(MergePolicy::Constant { max_components: 2 });
+        flush_batch(&t, &[], 0..200); // C0 outweighs everything newer
+        flush_batch(&t, &[7], 200..201); // C1 kills a record C0 holds
+        flush_batch(&t, &[], 201..202);
+        flush_batch(&t, &[], 202..203);
+        let runs: Vec<RunMeta> = t.components().iter().map(|c| RunMeta::of(c)).collect();
+        let pick = MergePick { range: 1..4, trigger: MergeTrigger::ComponentCount };
+        assert_eq!(t.policy.decide(&runs), CompactionDecision::Merge(pick));
+
+        t.maybe_merge().unwrap();
+        let comps = t.components();
+        assert_eq!(comps.len(), 2);
+        assert_eq!(comps[1].id().to_string(), "[C1,C3]");
+        assert_eq!(comps[1].num_antimatter(), 1, "C0 survives, so its kill must too");
+        assert_eq!(t.get(&encode_u64_key(7)).unwrap(), None);
+        assert_eq!(t.count(), 202);
+        assert_eq!(t.stats().merges_by_trigger[MergeTrigger::ComponentCount as usize], 1);
+    }
+
+    #[test]
+    fn policy_prefix_pick_drops_antimatter() {
+        let t = policy_tree(MergePolicy::Prefix {
+            max_mergeable_size: u64::MAX,
+            max_tolerable_components: 2,
+        });
+        flush_batch(&t, &[], 0..10);
+        flush_batch(&t, &[7], 10..12);
+        flush_batch(&t, &[], 12..14);
+        t.maybe_merge().unwrap();
+        let comps = t.components();
+        assert_eq!(comps.len(), 1);
+        assert_eq!(comps[0].id().to_string(), "[C0,C2]");
+        assert_eq!(comps[0].num_antimatter(), 0, "nothing older survives the pick");
+        assert_eq!(comps[0].num_entries(), 13, "the killed record went with its anti-matter");
+        assert_eq!(t.get(&encode_u64_key(7)).unwrap(), None);
+    }
+
+    #[test]
+    fn crashing_full_merge_appends_an_invalid_component_only() {
         let t = small_tree();
-        // C0: keys 0..10 (v-old), C1: keys 5..15 (newer versions of 5..10),
-        // C2: keys 300..310.
-        for i in 0..10u64 {
-            t.insert(encode_u64_key(i), b"old".to_vec()).unwrap();
-        }
-        t.flush().unwrap();
-        for i in 5..15u64 {
-            t.insert(encode_u64_key(i), b"new".to_vec()).unwrap();
-        }
-        t.flush().unwrap();
-        for i in 300..310u64 {
-            t.insert(encode_u64_key(i), b"x".to_vec()).unwrap();
-        }
-        t.flush().unwrap();
-        let _ = t.merge_indices(&[0, 2]);
+        flush_batch(&t, &[], 0..10);
+        flush_batch(&t, &[3], 10..20);
+        let inputs = t.components();
+        let before = t.stats();
+        t.force_full_merge_crashing_before_validity().unwrap();
+        let comps = t.components();
+        assert_eq!(comps.len(), 3);
+        assert!(comps[..2].iter().zip(&inputs).all(|(c, i)| Arc::ptr_eq(c, i)));
+        assert!(inputs.iter().all(|c| c.is_valid()));
+        assert!(!comps[2].is_valid());
+        assert_eq!(comps[2].id().to_string(), "[C0,C1]");
+        let after = t.stats();
+        assert_eq!((after.merges, after.bytes_merged), (before.merges, before.bytes_merged));
+        t.simulate_crash();
+        assert_eq!(t.recover().unwrap().0, 1, "recovery drops the half-merged component");
+        assert_eq!(t.components().len(), 2);
+        assert_eq!(t.count(), 19);
     }
 
     #[test]

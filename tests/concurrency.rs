@@ -410,10 +410,10 @@ fn scans_stay_consistent_across_concurrent_merges() {
 }
 
 /// Same shape as above, but the reorganization is policy-driven rather
-/// than a manual full merge: leveled and tiered policies issue
-/// non-contiguous picks (installed by `Arc` identity at the newest input's
-/// slot), and the background worker runs them to fixpoint while readers
-/// scan. No policy may drop, double, or tear a row.
+/// than a manual full merge: leveled and tiered policies pick ranges that
+/// need not start at the oldest component (spliced in by `Arc` identity),
+/// and the background worker runs them to fixpoint while readers scan. No
+/// policy may drop, double, or tear a row.
 #[test]
 fn scans_stay_consistent_under_policy_driven_merges() {
     for policy in [
