@@ -156,8 +156,8 @@ pub const DEF_PRESENT: u8 = 2;
 /// it writes; readers count column blocks faulted in, group pages skipped
 /// via min/max stats, rows run through the typed filter loops, rows pivoted
 /// back into records, single-row point lookups, and rows a merge copied
-/// column to column. The dataset layer injects all seven into
-/// [`tc_lsm::LsmStats`] snapshots.
+/// column to column. A dataset holds one handle for all its components
+/// (`Dataset::columnar_counters`); `LsmStats` carries none of them.
 #[derive(Debug, Default)]
 pub struct ColumnarCounters {
     pub pages_written: AtomicU64,
@@ -170,18 +170,25 @@ pub struct ColumnarCounters {
 }
 
 impl ColumnarCounters {
+    /// Column pages the codec wrote during flush/merge.
     pub fn pages_written(&self) -> u64 {
         self.pages_written.load(Ordering::Relaxed)
     }
 
+    /// Row groups' column pages a columnar scan proved irrelevant from
+    /// min/max stats and never faulted in.
     pub fn pages_skipped(&self) -> u64 {
         self.pages_skipped.load(Ordering::Relaxed)
     }
 
+    /// Column blocks a columnar scan actually read (the column-pruning
+    /// numerator: referenced columns only, not the whole component).
     pub fn columns_faulted(&self) -> u64 {
         self.columns_faulted.load(Ordering::Relaxed)
     }
 
+    /// Rows evaluated by the typed (no `Value` boxing) filter loops — proof
+    /// the zero-pivot fast path fired.
     pub fn typed_filter_rows(&self) -> u64 {
         self.typed_filter_rows.load(Ordering::Relaxed)
     }

@@ -88,11 +88,6 @@ impl TupleCompactor {
         *guard = schema;
     }
 
-    /// Total live schema nodes (observability/tests).
-    pub fn schema_node_count(&self) -> usize {
-        self.schema.lock().num_live_nodes()
-    }
-
     fn is_declared(&self, name: &str) -> bool {
         self.declared.field_index(name).is_some()
     }
@@ -152,14 +147,9 @@ impl ComponentHook for TupleCompactor {
         Some(self.schema.lock().serialize())
     }
 
-    /// Merge keeps the newest input schema — always a superset of the older
-    /// ones, so merged records stay decodable; crucially this never touches
-    /// the in-memory schema, so flushes and merges run concurrently without
-    /// synchronization (§3.1.1). (The default hook impl already picks the
-    /// newest; restated here for clarity.)
-    fn merge_metadata(&self, inputs: &[Option<&[u8]>]) -> Option<Vec<u8>> {
-        inputs.iter().rev().find_map(|m| m.map(<[u8]>::to_vec))
-    }
+    // `merge_metadata` is the hook default: a merge keeps the newest input
+    // schema, a superset of the older ones, without touching the in-memory
+    // schema, so flushes and merges never synchronize (§3.1.1).
 }
 
 // ---------------------------------------------------------------------

@@ -673,22 +673,15 @@ impl Dataset {
         &self.primary
     }
 
+    /// The primary tree's lifecycle stats. The columnar counters live in
+    /// [`Dataset::columnar_counters`].
     pub fn lsm_stats(&self) -> tc_lsm::tree::LsmStats {
-        let mut stats = self.primary.stats();
-        if let Some(c) = &self.columnar_counters {
-            stats.columnar_pages_written = c.pages_written();
-            stats.pages_skipped_by_stats = c.pages_skipped();
-            stats.columns_faulted_in = c.columns_faulted();
-            stats.columnar_typed_filter_rows = c.typed_filter_rows();
-            stats.columnar_rows_reconstructed = c.rows_reconstructed();
-            stats.columnar_rows_column_merged = c.rows_column_merged();
-            stats.columnar_point_lookups = c.point_lookups();
-        }
-        stats
+        self.primary.stats()
     }
 
-    /// The shared columnar stats handle (readers bump skip/fault counters
-    /// through it). Present for every vector-family format.
+    /// The shared columnar stats handle (the codec counts pages written,
+    /// readers bump skip/fault counters through it). Present for every
+    /// vector-family format.
     pub fn columnar_counters(&self) -> Option<&Arc<ColumnarCounters>> {
         self.columnar_counters.as_ref()
     }
@@ -890,9 +883,9 @@ mod tests {
             parse(r#"{"id": 9, "name": "new", "extra": [1]}"#).unwrap()
         );
         assert_eq!(ds.scan_values().unwrap().len(), 49);
-        let stats = ds.lsm_stats();
-        assert!(stats.columnar_pages_written > 0, "flushes shredded into column pages");
-        assert!(stats.columns_faulted_in > 0, "reads faulted columns in");
+        let counters = ds.columnar_counters().unwrap();
+        assert!(counters.pages_written() > 0, "flushes shredded into column pages");
+        assert!(counters.columns_faulted() > 0, "reads faulted columns in");
         // After a full merge the partition is in the single-component
         // columnar resting state.
         assert!(ds.snapshot_columnar().is_some());
@@ -916,7 +909,6 @@ mod tests {
         let reconstructed = counters.rows_reconstructed();
         assert_eq!(reconstructed, 0, "the schema-stable merge copied its inputs column to column");
         assert_eq!(counters.rows_column_merged(), 100, "every output row of the merge");
-        assert_eq!(ds.lsm_stats().columnar_rows_column_merged, 100);
         let lookups = counters.point_lookups();
 
         // get, upsert and delete each look the old version up on disk.
@@ -973,15 +965,15 @@ mod tests {
         ds.flush().unwrap();
         assert_eq!(ds.primary().components().len(), 2);
 
-        let before = ds.lsm_stats();
+        let counters = ds.columnar_counters().unwrap();
+        let (pivoted, copied) = (counters.rows_reconstructed(), counters.rows_column_merged());
         ds.force_full_merge().unwrap();
-        let after = ds.lsm_stats();
         assert_eq!(
-            after.columnar_rows_reconstructed - before.columnar_rows_reconstructed,
+            counters.rows_reconstructed() - pivoted,
             29,
             "ids 0..30 but 5: the older component's surviving rows, each pivoted once"
         );
-        assert_eq!(after.columnar_rows_column_merged - before.columnar_rows_column_merged, 30);
+        assert_eq!(counters.rows_column_merged() - copied, 30);
         assert_eq!(ds.primary().components().len(), 1);
         assert_eq!(ds.scan_values().unwrap(), oracle.values().cloned().collect::<Vec<_>>());
         for i in [0, 5, 29, 30, 59] {
@@ -991,11 +983,10 @@ mod tests {
         // With the schemas level again, the next merge copies everything.
         ds.writer().insert(&graded(60)).unwrap();
         ds.flush().unwrap();
-        let before = ds.lsm_stats();
+        let (pivoted, copied) = (counters.rows_reconstructed(), counters.rows_column_merged());
         ds.force_full_merge().unwrap();
-        let after = ds.lsm_stats();
-        assert_eq!(after.columnar_rows_reconstructed, before.columnar_rows_reconstructed);
-        assert_eq!(after.columnar_rows_column_merged - before.columnar_rows_column_merged, 60);
+        assert_eq!(counters.rows_reconstructed(), pivoted);
+        assert_eq!(counters.rows_column_merged() - copied, 60);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use tc_adm::adm_format::AdmCursor;
-use tc_adm::path::{eval_path, Path};
+use tc_adm::path::Path;
 use tc_adm::{AdmError, ObjectType, TypeKind, Value};
 use tc_schema::FieldNameDictionary;
 
@@ -111,12 +111,6 @@ impl RecordDecoder {
         };
         PathBatch { decoder: self.clone(), paths: paths.to_vec(), backend }
     }
-
-    /// Evaluate paths against an already-materialized value (exchange
-    /// outputs, grouped rows).
-    pub fn eval_on_value(value: &Value, path: &Path) -> Value {
-        eval_path(value, path)
-    }
 }
 
 enum BatchBackend {
@@ -169,7 +163,7 @@ impl PathBatch {
 mod tests {
     use super::*;
     use tc_adm::datatype::FieldDef;
-    use tc_adm::path::parse_path;
+    use tc_adm::path::{eval_path, parse_path};
     use tc_adm::{parse, TypeTag};
     use tc_schema::Schema;
 

@@ -320,9 +320,6 @@ fn columnar_group_for(chunk: &dyn ColumnarChunk, key: &[u8]) -> Option<usize> {
 /// One materialized component entry: key, matter/anti-matter kind, payload.
 pub type Entry = (Key, EntryKind, Vec<u8>);
 
-/// One scanned entry, or the corruption error that ended the scan.
-pub type ScanItem = Result<Entry, StorageError>;
-
 /// What a scan holds of an entry's payload before anyone asks for it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Payload {
@@ -368,30 +365,10 @@ impl ComponentScan {
         &self.component
     }
 
-    /// Next entry with its payload materialized, or `Some(Err(_))` if the
-    /// underlying component turned out to be corrupt (the component is
-    /// quarantined and the scan yields nothing further).
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Option<ScanItem> {
-        let (key, kind, payload) = match self.next_entry()? {
-            Ok(entry) => entry,
-            Err(e) => return Some(Err(e)),
-        };
-        let payload = match payload {
-            Payload::Bytes(bytes) => bytes,
-            Payload::Row { group, row } => match self.materialize(group, row) {
-                Ok(bytes) => bytes,
-                Err(e) => {
-                    self.failed = true;
-                    return Some(Err(e));
-                }
-            },
-        };
-        Some(Ok((key, kind, payload)))
-    }
-
     /// Next entry as stored: a columnar component yields row references and
-    /// reads nothing but key blocks. Errors as [`ComponentScan::next`].
+    /// reads nothing but key blocks. `Some(Err(_))` if the underlying
+    /// component turned out to be corrupt (the component is quarantined and
+    /// the scan yields nothing further).
     pub fn next_entry(&mut self) -> Option<Result<LazyEntry, StorageError>> {
         let ComponentScan { component, cache, next_unit, block, pos, keys, row, .. } = self;
         loop {
@@ -786,7 +763,7 @@ mod tests {
         let mut scan = c.scan(&cache, None);
         let mut prev: Option<Key> = None;
         let mut count = 0;
-        while let Some(item) = scan.next() {
+        while let Some(item) = scan.next_entry() {
             let (k, kind, _) = item.unwrap();
             assert_eq!(kind, EntryKind::Record);
             if let Some(p) = &prev {
@@ -804,10 +781,10 @@ mod tests {
         // Start between keys 100 (i=50) and 102 (i=51).
         let start = 101u64.to_be_bytes();
         let mut scan = c.scan(&cache, Some(&start));
-        let (k, _, _) = scan.next().unwrap().unwrap();
+        let (k, _, _) = scan.next_entry().unwrap().unwrap();
         assert_eq!(u64::from_be_bytes(k[..8].try_into().unwrap()), 102);
         let mut rest = 1;
-        while scan.next().is_some() {
+        while scan.next_entry().is_some() {
             rest += 1;
         }
         assert_eq!(rest, 49);
@@ -904,7 +881,7 @@ mod tests {
         let mut scan = c.scan(&cache, None);
         let mut clean = 0usize;
         let mut saw_error = false;
-        while let Some(item) = scan.next() {
+        while let Some(item) = scan.next_entry() {
             match item {
                 Ok(_) => clean += 1,
                 Err(e) => {

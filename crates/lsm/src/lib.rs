@@ -15,7 +15,7 @@
 //! baselines use the no-op hook.
 //!
 //! Modules: [`memtable`], [`component`] (with bulk load), [`iter`] (k-way
-//! merged scans), [`policy`] (prefix/constant merge policies), [`wal`] +
+//! merged scans), [`policy`] (the merge-policy design space), [`wal`] +
 //! crash recovery in [`tree`], [`bloom`] filters, and [`secondary`] indexes
 //! (plus the keys-only primary-key index used for upsert existence checks,
 //! §3.2.2).
@@ -36,8 +36,5 @@ pub use columnar::{ColumnarChunk, ColumnarCodec, ColumnarWriter, RowSource};
 pub use component::{ComponentId, DiskComponent};
 pub use entry::{EntryKind, Key};
 pub use hook::{ComponentHook, NoopHook};
-pub use policy::{
-    CompactionDecision, CompactionPolicy, MergePick, MergePolicy, MergeTrigger, RunMeta,
-    NUM_MERGE_TRIGGERS,
-};
+pub use policy::{CompactionDecision, MergePick, MergePolicy, MergeTrigger, NUM_MERGE_TRIGGERS};
 pub use tree::{LsmOptions, LsmStats, LsmTree};

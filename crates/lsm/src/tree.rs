@@ -51,10 +51,7 @@ use crate::entry::{EntryKind, Key};
 use crate::hook::ComponentHook;
 use crate::iter::{MergedScan, ScanEntry};
 use crate::memtable::{MemEntry, Memtable};
-use crate::policy::{
-    CompactionDecision, CompactionPolicy, MergePick, MergePolicy, MergeTrigger, RunMeta,
-    NUM_MERGE_TRIGGERS,
-};
+use crate::policy::{CompactionDecision, MergePick, MergePolicy, MergeTrigger, NUM_MERGE_TRIGGERS};
 use crate::wal::Wal;
 
 /// Per-tree configuration.
@@ -148,31 +145,6 @@ pub struct LsmStats {
     pub components_retired: u64,
     /// Entries (records + anti-matter) in retired components.
     pub entries_retired: u64,
-    /// Column pages written by the columnar (AMAX) codec during
-    /// flush/merge. Tree-level snapshots leave the seven columnar counters
-    /// at 0; the dataset layer injects them from the codec's counters.
-    pub columnar_pages_written: u64,
-    /// Row groups' column pages a columnar scan proved irrelevant from
-    /// min/max stats and never faulted in.
-    pub pages_skipped_by_stats: u64,
-    /// Column blocks a columnar scan actually read (the column-pruning
-    /// numerator: referenced columns only, not the whole component).
-    pub columns_faulted_in: u64,
-    /// Rows evaluated by the typed (no `Value` boxing) columnar filter
-    /// loops — proof the zero-pivot fast path fired.
-    pub columnar_typed_filter_rows: u64,
-    /// Rows pivoted from column pages back into records: whole-record
-    /// reads, merges into a row-format component, and the rows a columnar
-    /// merge could not copy column-wise. A scan that only touches some
-    /// fields leaves it unchanged — "did this query (or merge) pivot rows?"
-    /// is a before/after lookup here.
-    pub columnar_rows_reconstructed: u64,
-    /// Rows a merge copied from its inputs' column pages into its output's
-    /// without assembling a record. A merge's output rows split between
-    /// this and `columnar_rows_reconstructed`.
-    pub columnar_rows_column_merged: u64,
-    /// Point lookups answered by reading one row of one columnar group.
-    pub columnar_point_lookups: u64,
 }
 
 impl LsmStats {
@@ -224,13 +196,6 @@ impl StatsCells {
             faults_injected: 0,
             checksum_failures: 0,
             quarantined_components: 0,
-            columnar_pages_written: 0,
-            pages_skipped_by_stats: 0,
-            columns_faulted_in: 0,
-            columnar_typed_filter_rows: 0,
-            columnar_rows_reconstructed: 0,
-            columnar_rows_column_merged: 0,
-            columnar_point_lookups: 0,
         }
     }
 
@@ -278,8 +243,6 @@ struct TreeState {
 /// caller's responsibility (one logical writer per partition).
 pub struct LsmTree {
     opts: LsmOptions,
-    /// The compaction mechanism resolved once from `opts.merge_policy`.
-    policy: Arc<dyn CompactionPolicy>,
     device: Arc<Device>,
     cache: Arc<BufferCache>,
     hook: Arc<dyn ComponentHook>,
@@ -363,7 +326,6 @@ impl LsmTree {
     ) -> Self {
         let wal = Wal::new(Arc::clone(&device));
         LsmTree {
-            policy: opts.merge_policy.build(),
             opts,
             device,
             cache,
@@ -802,12 +764,12 @@ impl LsmTree {
         let guard = self.merge_lock.lock();
         loop {
             let disk = self.state.read().disk.clone();
-            let runs: Vec<RunMeta> = disk.iter().map(|c| RunMeta::of(c)).collect();
-            match self.policy.decide(&runs) {
+            match self.opts.merge_policy.decide(&run_sizes(&disk)) {
                 CompactionDecision::None => return Ok(()),
                 CompactionDecision::Merge(pick) => self.merge_locked(&disk, pick, true, &guard)?,
                 CompactionDecision::Retire(n) => {
-                    assert!(n >= 1 && n <= disk.len(), "bad retire count from {:?}", self.policy);
+                    let policy = &self.opts.merge_policy;
+                    assert!(n >= 1 && n <= disk.len(), "bad retire count from {policy:?}");
                     self.retire_locked(&disk[..n], &guard);
                 }
             }
@@ -817,9 +779,7 @@ impl LsmTree {
     /// Per-level component counts as assigned by the active policy (all
     /// level 0 for policies without a level structure).
     pub fn level_counts(&self) -> Vec<u64> {
-        let disk = self.state.read().disk.clone();
-        let runs: Vec<RunMeta> = disk.iter().map(|c| RunMeta::of(c)).collect();
-        let levels = self.policy.levels(&runs);
+        let levels = self.opts.merge_policy.levels(&run_sizes(&self.state.read().disk));
         let mut counts = vec![0u64; levels.iter().map(|l| *l as usize + 1).max().unwrap_or(0)];
         for level in levels {
             counts[level as usize] += 1;
@@ -1206,6 +1166,12 @@ impl LsmTree {
     pub fn wal(&self) -> &Wal {
         &self.wal
     }
+}
+
+/// What the merge policy decides over: each component's on-disk bytes,
+/// oldest → newest.
+fn run_sizes(disk: &[Arc<DiskComponent>]) -> Vec<u64> {
+    disk.iter().map(|c| c.disk_bytes()).collect()
 }
 
 #[cfg(test)]
@@ -1599,9 +1565,9 @@ mod tests {
         flush_batch(&t, &[7], 200..201); // C1 kills a record C0 holds
         flush_batch(&t, &[], 201..202);
         flush_batch(&t, &[], 202..203);
-        let runs: Vec<RunMeta> = t.components().iter().map(|c| RunMeta::of(c)).collect();
         let pick = MergePick { range: 1..4, trigger: MergeTrigger::ComponentCount };
-        assert_eq!(t.policy.decide(&runs), CompactionDecision::Merge(pick));
+        let decision = t.opts.merge_policy.decide(&run_sizes(&t.components()));
+        assert_eq!(decision, CompactionDecision::Merge(pick));
 
         t.maybe_merge().unwrap();
         let comps = t.components();

@@ -884,26 +884,25 @@ mod tests {
             ops: vec![],
         };
         let datasets = [&ds];
-        let before = ds.lsm_stats();
+        let counters = ds.columnar_counters().unwrap();
+        let typed = counters.typed_filter_rows();
+        let skipped = counters.pages_skipped();
+        let faulted = counters.columns_faulted();
         let fast = execute(&datasets, &q, &ExecOptions::with_engine(Engine::Batched)).unwrap();
-        let after = ds.lsm_stats();
-        let row = execute(&datasets, &q, &ExecOptions::with_engine(Engine::Row)).unwrap();
-
-        assert_eq!(fast.rows, row.rows, "zero-pivot scan must match the row engine");
-        assert_eq!(fast.rows.len(), 1024);
-        assert_eq!(fast.rows[0][2], Value::Array(vec![Value::Double(0.5)]));
+        assert!(counters.typed_filter_rows() > typed, "typed primitive loop must run");
         assert!(
-            after.columnar_typed_filter_rows > before.columnar_typed_filter_rows,
-            "typed primitive loop must run"
-        );
-        assert!(
-            after.pages_skipped_by_stats > before.pages_skipped_by_stats,
+            counters.pages_skipped() > skipped,
             "later groups must be skipped via min/max stats"
         );
         // Column pruning: of the one group not skipped, the filter column;
         // for its survivors, the late typed column and the residual block.
         // `id` — and every block of the skipped groups — is never read.
-        assert_eq!(after.columns_faulted_in - before.columns_faulted_in, 3);
+        assert_eq!(counters.columns_faulted() - faulted, 3);
+        let row = execute(&datasets, &q, &ExecOptions::with_engine(Engine::Row)).unwrap();
+
+        assert_eq!(fast.rows, row.rows, "zero-pivot scan must match the row engine");
+        assert_eq!(fast.rows.len(), 1024);
+        assert_eq!(fast.rows[0][2], Value::Array(vec![Value::Double(0.5)]));
         // Skipped groups are never scanned: only the first group's rows
         // show up in the scan counter.
         assert_eq!(fast.stats.rows_scanned, 1024);
@@ -974,15 +973,17 @@ mod tests {
             ops: vec![Op::OrderBy { keys: vec![(Expr::path(0, "id"), false)], limit: None }],
         };
 
+        let counters = ds.columnar_counters().unwrap();
         let run = |q: &Query, engine| {
-            let before = ds.lsm_stats();
+            let (typed, reconstructed) =
+                (counters.typed_filter_rows(), counters.rows_reconstructed());
             let res = execute(&[&ds], q, &ExecOptions::with_engine(engine)).unwrap();
-            let after = ds.lsm_stats();
             assert_eq!(
-                after.columnar_typed_filter_rows, before.columnar_typed_filter_rows,
+                counters.typed_filter_rows(),
+                typed,
                 "the at-rest typed loops must stay silent on a live partition"
             );
-            (res, after.columnar_rows_reconstructed - before.columnar_rows_reconstructed)
+            (res, counters.rows_reconstructed() - reconstructed)
         };
         for (name, q) in
             [("count", &count), ("filter", &filter), ("group-by residual", &group_by_residual)]
@@ -1032,11 +1033,11 @@ mod tests {
             !surviving.is_empty() && surviving.len() < touched.len(),
             "the window leaves some groups, not all, without a survivor"
         );
-        let before = ds.lsm_stats().columns_faulted_in;
+        let before = counters.columns_faulted();
         let (filtered, _) = run(&filter, Engine::Batched);
         assert!(!filtered.rows.is_empty(), "the window holds live reports");
         assert_eq!(
-            ds.lsm_stats().columns_faulted_in - before,
+            counters.columns_faulted() - before,
             (touched.len() + 2 * surviving.len()) as u64
         );
 
@@ -1056,10 +1057,10 @@ mod tests {
         ds.flush().unwrap();
         ds.force_full_merge().unwrap();
         assert!(ds.snapshot_columnar().is_some(), "at rest");
-        let before = ds.lsm_stats();
+        let before = counters.typed_filter_rows();
         let rest = execute(&[&ds], &filter, &ExecOptions::default()).unwrap();
         assert_eq!(rest.rows, filtered.rows);
-        assert!(ds.lsm_stats().columnar_typed_filter_rows > before.columnar_typed_filter_rows);
+        assert!(counters.typed_filter_rows() > before);
     }
 
     #[test]

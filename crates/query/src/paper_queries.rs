@@ -480,9 +480,10 @@ mod tests {
             if format == StorageFormat::Columnar {
                 // One flush per partition: the suite ran the at-rest
                 // column scan, typed filter loop included.
-                let stats: Vec<_> = parts.iter().map(Dataset::lsm_stats).collect();
-                assert!(stats.iter().map(|s| s.columnar_pages_written).sum::<u64>() > 0);
-                assert!(stats.iter().map(|s| s.columnar_typed_filter_rows).sum::<u64>() > 0);
+                let counters: Vec<_> =
+                    parts.iter().map(|p| p.columnar_counters().unwrap()).collect();
+                assert!(counters.iter().map(|c| c.pages_written()).sum::<u64>() > 0);
+                assert!(counters.iter().map(|c| c.typed_filter_rows()).sum::<u64>() > 0);
             }
         }
         let r = reference.unwrap();

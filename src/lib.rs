@@ -68,7 +68,7 @@ pub mod prelude {
     pub use tc_adm::{parse, to_string, AdmError, ObjectType, TypeKind, TypeTag, Value};
     pub use tc_cluster::{Cluster, ClusterConfig, FeedMode};
     pub use tc_compress::CompressionScheme;
-    pub use tc_lsm::{CompactionDecision, CompactionPolicy, LsmStats, MergePolicy, RunMeta};
+    pub use tc_lsm::{CompactionDecision, LsmStats, MergePolicy};
     pub use tc_query::exec::{execute, Engine, ExecOptions};
     pub use tc_query::plan::{Query, QueryOptions};
     pub use tc_storage::device::{Device, DeviceProfile};

@@ -587,9 +587,11 @@ fn columnar_scans_equal_an_oracle_prefix_across_column_merges() {
         let stats = ds.lsm_stats();
         assert!(scans.load(Ordering::SeqCst) >= 6, "readers scanned while the writer ran");
         assert!(stats.merges >= 3, "only {} merges under the scans", stats.merges);
-        assert!(stats.columnar_rows_column_merged > 0);
+        let counters = ds.columnar_counters().unwrap();
+        assert!(counters.rows_column_merged() > 0);
         assert_eq!(
-            stats.columnar_rows_reconstructed, 0,
+            counters.rows_reconstructed(),
+            0,
             "a stable schema: no merge and no column scan pivoted a row"
         );
 

@@ -139,10 +139,11 @@ fn sweep_crash_points(format: StorageFormat) {
     if format == StorageFormat::Columnar {
         // The workload's schema is stable, so its merge is column to column:
         // that is the writer the crash points counted below land in.
-        let stats = ds.lsm_stats();
-        assert!(stats.entries_merged > 0);
+        let merged = ds.lsm_stats().entries_merged;
+        assert!(merged > 0);
         assert_eq!(
-            stats.columnar_rows_column_merged, stats.entries_merged,
+            ds.columnar_counters().unwrap().rows_column_merged(),
+            merged,
             "the merge copied every row it wrote"
         );
     }
