@@ -88,12 +88,7 @@ impl Cluster {
         let mut per_partition: Vec<Vec<Value>> = vec![Vec::new(); n_parts];
         let mut count = 0u64;
         for record in records {
-            let pk = record
-                .get_field(&self.nodes[0].partitions[0].config().primary_key)
-                .and_then(Value::as_i64)
-                .ok_or_else(|| {
-                    AdmError::type_check("feed record lacks integer primary key".to_string())
-                })?;
+            let pk = self.partition(0).primary_key_of(&record)?;
             per_partition[self.partition_of(pk)].push(record);
             count += 1;
         }

@@ -113,12 +113,11 @@ impl Cluster {
         &self.nodes[idx / per].partitions[idx % per]
     }
 
-    fn pk_of(&self, record: &Value) -> Result<i64, AdmError> {
-        let field = &self.nodes[0].partitions[0].config().primary_key;
-        record
-            .get_field(field)
-            .and_then(Value::as_i64)
-            .ok_or_else(|| AdmError::type_check("record lacks integer primary key".to_string()))
+    /// The partition `record` routes to, by its primary key (every
+    /// partition holds the same dataset, so any one can extract it).
+    fn route(&self, record: &Value) -> Result<&Dataset, AdmError> {
+        let pk = self.partition(0).primary_key_of(record)?;
+        Ok(self.partition(self.partition_of(pk)))
     }
 
     /// Route one record to its partition. Claims the partition's
@@ -126,13 +125,11 @@ impl Cluster {
     /// [`Cluster::feed`] holding a partition's token for a batch makes
     /// this panic — one logical writer per partition.
     pub fn insert(&self, record: &Value) -> Result<(), AdmError> {
-        let pk = self.pk_of(record)?;
-        self.partition(self.partition_of(pk)).writer().insert(record)
+        self.route(record)?.writer().insert(record)
     }
 
     pub fn upsert(&self, record: &Value) -> Result<(), AdmError> {
-        let pk = self.pk_of(record)?;
-        self.partition(self.partition_of(pk)).writer().upsert(record)
+        self.route(record)?.writer().upsert(record)
     }
 
     pub fn delete(&self, pk: i64) -> Result<bool, AdmError> {
@@ -330,6 +327,21 @@ mod tests {
         assert_eq!(c.get(8).unwrap().unwrap().get_field("v").unwrap().as_i64(), Some(2));
         let res = c.query(&twitter_q1(QueryOptions::default()), &ExecOptions::default()).unwrap();
         assert_eq!(single_i64(&res.rows), Some(49));
+    }
+
+    #[test]
+    fn every_write_route_refuses_a_record_without_its_primary_key() {
+        let c = small_cluster(1);
+        let keyless = parse(r#"{"uid": 1, "v": 1}"#).unwrap();
+        let errors = [
+            c.insert(&keyless).unwrap_err(),
+            c.upsert(&keyless).unwrap_err(),
+            c.feed([keyless.clone()], FeedMode::Insert).unwrap_err(),
+        ];
+        for e in errors {
+            assert!(e.to_string().contains("primary key 'id'"), "{e}");
+        }
+        assert!(c.partitions().iter().all(|p| p.ingested() == 0));
     }
 
     #[test]

@@ -19,10 +19,11 @@
 //! readers (`get`/`scan_*`/queries) and, with
 //! [`DatasetConfig::background_maintenance`], a maintenance worker running
 //! flushes and merges off the write path. Readers always observe
-//! consistent snapshots: [`Dataset::snapshot_scan`] captures the scan
-//! sources *and* the schema-dictionary decoder in one locked section of
-//! the primary tree, so a record is never materialized against a
-//! dictionary that predates (or post-dates a prune of) its codes.
+//! consistent snapshots: point lookups and scans capture the
+//! schema-dictionary decoder inside the primary tree's own snapshot
+//! section ([`LsmTree::lookup_with`], [`LsmTree::scan_with`]), so a record
+//! is never materialized against a dictionary that predates (or post-dates
+//! a prune of) its codes.
 //!
 //! Consistency scope: the snapshot guarantee covers the **primary index**.
 //! Auxiliary indexes (primary-key index, secondary index) are separate LSM
@@ -45,7 +46,7 @@ use tc_lsm::component::DiskComponent;
 use tc_lsm::entry::{decode_i64_key, encode_i64_key, Key};
 use tc_lsm::iter::MergedScan;
 use tc_lsm::secondary::{PrimaryKeyIndex, SecondaryIndex};
-use tc_lsm::{ColumnarCodec, ComponentHook, LsmOptions, LsmTree, NoopHook};
+use tc_lsm::{ColumnarCodec, ComponentHook, EntryKind, LsmOptions, LsmTree, NoopHook};
 use tc_schema::Schema;
 use tc_storage::device::Device;
 use tc_storage::{BufferCache, StorageError};
@@ -53,10 +54,6 @@ use tc_storage::{BufferCache, StorageError};
 use crate::compactor::{MaintenanceWorker, TupleCompactor};
 use crate::config::{DatasetConfig, StorageFormat};
 use crate::decoder::RecordDecoder;
-
-/// A decoder plus per-key payload hits captured from one consistent
-/// snapshot (see `Dataset::snapshot_lookup`).
-type SnapshotLookup = (RecordDecoder, Vec<Option<Vec<u8>>>);
 
 /// Writers stall once the active memtable exceeds this multiple of its
 /// budget while background maintenance is catching up (bounded memory
@@ -235,16 +232,13 @@ impl Dataset {
     // Encoding
     // -----------------------------------------------------------------
 
-    fn primary_key_of(&self, record: &Value) -> Result<(i64, Key), AdmError> {
-        let pk = record.get_field(&self.config.primary_key).and_then(Value::as_i64).ok_or_else(
-            || {
-                AdmError::type_check(format!(
-                    "record lacks integer primary key '{}'",
-                    self.config.primary_key
-                ))
-            },
-        )?;
-        Ok((pk, encode_i64_key(pk)))
+    /// The record's primary key — the one extraction every write path and
+    /// the cluster's partition routing use.
+    pub fn primary_key_of(&self, record: &Value) -> Result<i64, AdmError> {
+        let field = &self.config.primary_key;
+        record.get_field(field).and_then(Value::as_i64).ok_or_else(|| {
+            AdmError::type_check(format!("record lacks integer primary key '{field}'"))
+        })
     }
 
     fn encode_record(&self, record: &Value) -> Result<Vec<u8>, AdmError> {
@@ -304,7 +298,7 @@ impl Dataset {
     }
 
     fn insert_unchecked(&self, record: &Value) -> Result<(), AdmError> {
-        let (_, key) = self.primary_key_of(record)?;
+        let key = encode_i64_key(self.primary_key_of(record)?);
         let bytes = self.encode_record(record)?;
         if let Some((index, sec)) = self.secondary_key_of(record) {
             index.insert(&sec, &key).map_err(storage_err)?;
@@ -319,12 +313,12 @@ impl Dataset {
     }
 
     fn upsert_unchecked(&self, record: &Value) -> Result<(), AdmError> {
-        let (_, key) = self.primary_key_of(record)?;
+        let key = encode_i64_key(self.primary_key_of(record)?);
         let may_exist = match &self.pk_index {
             Some(pki) => pki.contains(&key).map_err(storage_err)?,
             None => true,
         };
-        let old = if may_exist { self.lookup_live(&key)? } else { None };
+        let old = if may_exist { self.primary.get(&key).map_err(storage_err)? } else { None };
         let Some(old_bytes) = old else {
             return self.insert_unchecked(record);
         };
@@ -354,7 +348,7 @@ impl Dataset {
     /// apply, so it must be resolved under the tree's lock, not here.
     fn delete_unchecked(&self, pk: i64) -> Result<bool, AdmError> {
         let key = encode_i64_key(pk);
-        let Some(old_bytes) = self.lookup_live(&key)? else {
+        let Some(old_bytes) = self.primary.get(&key).map_err(storage_err)? else {
             return Ok(false);
         };
         let attachment = self.retire_old_version(&key, &old_bytes)?;
@@ -364,14 +358,6 @@ impl Dataset {
         let over_budget = self.primary.delete_versioned(key, attachment).map_err(storage_err)?;
         self.maybe_schedule_maintenance(over_budget);
         Ok(true)
-    }
-
-    /// Live-record lookup (any source; deleted keys report as absent).
-    fn lookup_live(&self, key: &[u8]) -> Result<Option<Vec<u8>>, AdmError> {
-        match self.primary.get_entry(key).map_err(storage_err)? {
-            Some((tc_lsm::EntryKind::Record, payload)) => Ok(Some(payload)),
-            _ => Ok(None),
-        }
     }
 
     /// The old version's side of an upsert or delete, before the primary
@@ -403,7 +389,7 @@ impl Dataset {
     {
         let mut keyed: Vec<(Key, Vec<u8>, Option<[u8; 8]>)> = Vec::new();
         for record in records {
-            let (_, key) = self.primary_key_of(&record)?;
+            let key = encode_i64_key(self.primary_key_of(&record)?);
             let bytes = self.encode_record(&record)?;
             keyed.push((key, bytes, self.secondary_key_of(&record).map(|(_, sec)| sec)));
         }
@@ -446,39 +432,12 @@ impl Dataset {
     /// could resurrect a deleted key, so point reads never degrade.
     pub fn get(&self, pk: i64) -> Result<Option<Value>, AdmError> {
         let key = encode_i64_key(pk);
-        let (decoder, lookup) = self.snapshot_lookup(std::slice::from_ref(&key))?;
-        match lookup.into_iter().next().flatten() {
-            Some(bytes) => Ok(Some(decoder.materialize(&bytes)?)),
-            None => Ok(None),
+        let (decoder, mut hits) =
+            self.primary.lookup_with(&[key], || self.decoder()).map_err(storage_err)?;
+        match hits.pop().flatten() {
+            Some((EntryKind::Record, bytes)) => Ok(Some(decoder.materialize(&bytes)?)),
+            _ => Ok(None), // absent or anti-matter
         }
-    }
-
-    /// Resolve point lookups against one consistent snapshot: the decoder,
-    /// the in-memory hits, and the component list are captured in a single
-    /// read view of the primary tree — a concurrent flush can neither
-    /// install records whose dictionary codes the decoder lacks nor prune
-    /// codes a returned record needs (see the module docs). Disk probes run
-    /// after the view drops, against the captured (`Arc`-retained)
-    /// components, so writers are never blocked on page reads.
-    fn snapshot_lookup(&self, keys: &[Key]) -> Result<SnapshotLookup, AdmError> {
-        let (decoder, mem_hits, components) = {
-            let view = self.primary.read_view();
-            let mem_hits: Vec<_> = keys.iter().map(|k| view.mem_entry(k)).collect();
-            (self.decoder(), mem_hits, view.components())
-        };
-        let mut resolved = Vec::with_capacity(keys.len());
-        for (key, mem_hit) in keys.iter().zip(mem_hits) {
-            let entry = match mem_hit {
-                hit @ Some(_) => hit,
-                None => LsmTree::probe_components(&components, self.primary.cache(), key)
-                    .map_err(storage_err)?,
-            };
-            resolved.push(match entry {
-                Some((tc_lsm::EntryKind::Record, bytes)) => Some(bytes),
-                _ => None, // absent or anti-matter
-            });
-        }
-        Ok((decoder, resolved))
     }
 
     /// A decoder snapshot for this partition's current state. For inferred
@@ -496,24 +455,11 @@ impl Dataset {
 
     /// A scan snapshot *paired with* the decoder that matches it, captured
     /// atomically with respect to flush installs — the right way to read
-    /// records while background maintenance runs (queries use this). Only
-    /// the in-memory copies and the decoder capture happen under the
-    /// tree's read lock; the scan's block-priming IO runs after release.
+    /// records while background maintenance runs (queries use this). The
+    /// decoder is captured inside [`LsmTree::scan_with`]'s read-lock
+    /// section; the scan's block-priming IO runs after release.
     pub fn snapshot_scan(&self) -> (RecordDecoder, MergedScan) {
-        let (decoder, frozen, active, components) = {
-            let view = self.primary.read_view();
-            let (frozen, active) = view.mem_parts(None);
-            (self.decoder(), frozen, active, view.components())
-        };
-        let scan = tc_lsm::iter::scan_from_tree_parts(
-            frozen.as_deref(),
-            active,
-            &components,
-            self.primary.cache(),
-            None,
-            None,
-        );
-        (decoder, scan)
+        self.primary.scan_with(None, None, || self.decoder())
     }
 
     /// Materialized scan (tests/examples; queries stream raw + decoder).
@@ -534,22 +480,23 @@ impl Dataset {
 
     /// Secondary-index range query: primary keys with secondary value in
     /// `[lo, hi)`, then point lookups into the primary index (Fig 24's
-    /// access path). The primary lookups and their decoder come from one
-    /// snapshot (`snapshot_lookup`), so records landing in components
-    /// flushed *after* the postings were read cannot be materialized
-    /// against a stale dictionary.
+    /// access path), in posting order. The primary lookups and their
+    /// decoder come from one snapshot ([`LsmTree::lookup_with`]), so records
+    /// landing in components flushed *after* the postings were read cannot
+    /// be materialized against a stale dictionary.
     pub fn secondary_range(&self, lo: i64, hi: i64) -> Result<Vec<Value>, AdmError> {
         let sec = self
             .secondary
             .as_ref()
             .ok_or_else(|| AdmError::type_check("no secondary index configured".to_string()))?;
         let pks = sec.range(&encode_i64_key(lo), &encode_i64_key(hi));
-        let (decoder, lookups) = self.snapshot_lookup(&pks)?;
-        let mut out = Vec::with_capacity(pks.len());
-        for bytes in lookups.into_iter().flatten() {
-            out.push(decoder.materialize(&bytes)?);
-        }
-        Ok(out)
+        let (decoder, hits) =
+            self.primary.lookup_with(&pks, || self.decoder()).map_err(storage_err)?;
+        hits.into_iter()
+            .flatten()
+            .filter(|(kind, _)| *kind == EntryKind::Record)
+            .map(|(_, bytes)| decoder.materialize(&bytes))
+            .collect()
     }
 
     // -----------------------------------------------------------------
@@ -724,7 +671,7 @@ impl Dataset {
     /// costs a look at the tree's state: no memtable is copied, no decoder
     /// built (column pages and residual records need none).
     pub fn snapshot_columnar(&self) -> Option<Arc<DiskComponent>> {
-        let c = self.primary.read_view().sole_component()?;
+        let c = self.primary.sole_component()?;
         (c.is_columnar() && !c.is_quarantined() && c.num_antimatter() == 0).then_some(c)
     }
 

@@ -67,39 +67,17 @@ impl RecordDecoder {
         }
     }
 
-    /// Evaluate several paths against a stored record.
+    /// A reusable evaluator for a *fixed* path set, the scan primitive of
+    /// both query engines: [`PathBatch::append`] evaluates every path
+    /// against one stored record and pushes one value per path into
+    /// caller-owned column buffers.
     ///
-    /// * ADM formats navigate per-path through offset tables (constant-ish
+    /// * ADM formats navigate per path through offset tables (constant-ish
     ///   per level — §3.3.1's "logarithmic time" contrast).
     /// * Vector formats answer all paths in **one linear scan**
-    ///   (`getValues`, §3.4.2).
-    pub fn get_values(&self, bytes: &[u8], paths: &[Path]) -> Result<Vec<Value>, AdmError> {
-        match self.format {
-            StorageFormat::Open | StorageFormat::Closed => {
-                let cursor = AdmCursor::new(bytes, Some(&self.declared_kind));
-                paths.iter().map(|p| cursor.get_path(p)).collect()
-            }
-            StorageFormat::Inferred
-            | StorageFormat::VectorUncompacted
-            | StorageFormat::Columnar => {
-                tc_vector::get_values(bytes, paths, Some(&self.declared), self.dict.as_deref())
-            }
-        }
-    }
-
-    /// Evaluate one path (un-consolidated access — each call re-scans
-    /// vector records; the Fig 23 "Inferred (un-op)" configuration).
-    pub fn get_value(&self, bytes: &[u8], path: &Path) -> Result<Value, AdmError> {
-        Ok(self.get_values(bytes, std::slice::from_ref(path))?.remove(0))
-    }
-
-    /// A reusable evaluator for a *fixed* path set, the batched engine's
-    /// scan primitive: [`PathBatch::append`] evaluates every path against
-    /// one stored record and pushes one value per path into caller-owned
-    /// column buffers. For vector formats the per-record scratch (path
-    /// accumulators, active-path seeds) is allocated once here and reused
-    /// across the whole batch; ADM formats navigate per record as
-    /// [`get_values`](Self::get_values) does.
+    ///   (`getValues`, §3.4.2); the per-record scratch (path accumulators,
+    ///   active-path seeds) is allocated once here and reused across every
+    ///   record.
     pub fn batch(&self, paths: &[Path]) -> PathBatch {
         let backend = match self.format {
             StorageFormat::Open | StorageFormat::Closed => BatchBackend::Adm,
@@ -193,22 +171,28 @@ mod tests {
         let inf =
             RecordDecoder::new(StorageFormat::Inferred, t, Some(Arc::new(schema.dict().clone())));
 
-        assert_eq!(adm.materialize(&adm_bytes).unwrap(), v);
-        assert_eq!(slvb.materialize(&raw).unwrap(), v);
-        assert_eq!(inf.materialize(&compacted).unwrap(), v);
-
         let paths: Vec<Path> = ["id", "name", "deps[*].n", "deps[0].a", "nope"]
             .iter()
             .map(|s| parse_path(s))
             .collect();
-        let expected: Vec<Value> = paths.iter().map(|p| eval_path(&v, p)).collect();
-        assert_eq!(adm.get_values(&adm_bytes, &paths).unwrap(), expected);
-        assert_eq!(slvb.get_values(&raw, &paths).unwrap(), expected);
-        assert_eq!(inf.get_values(&compacted, &paths).unwrap(), expected);
+        for (d, bytes) in [(adm, &adm_bytes), (slvb, &raw), (inf, &compacted)] {
+            let record = d.materialize(bytes).unwrap();
+            assert_eq!(record, v, "{:?}", d.format());
+            let expected: Vec<Value> = paths.iter().map(|p| eval_path(&record, p)).collect();
+            assert_eq!(batch_values(&d, bytes, &paths), expected, "{:?}", d.format());
+        }
+    }
+
+    /// One record's values for `paths`, through a fresh [`RecordDecoder::batch`].
+    fn batch_values(d: &RecordDecoder, bytes: &[u8], paths: &[Path]) -> Vec<Value> {
+        let mut batch = d.batch(paths);
+        let mut cols: Vec<Vec<Value>> = vec![Vec::new(); batch.width()];
+        batch.append(bytes, &mut cols).unwrap();
+        cols.into_iter().flatten().collect()
     }
 
     #[test]
-    fn batch_append_matches_get_values() {
+    fn batch_append_matches_eval_path() {
         let v = sample();
         let t = pk_type();
         let adm_bytes = tc_adm::adm_format::encode_record(&v, Some(&t)).unwrap();
@@ -235,9 +219,9 @@ mod tests {
             let mut cols: Vec<Vec<Value>> = vec![Vec::new(); batch.width()];
             batch.append(bytes, &mut cols).unwrap();
             batch.append(bytes, &mut cols).unwrap();
-            let expected = d.get_values(bytes, &paths).unwrap();
-            for (col, want) in cols.iter().zip(&expected) {
-                assert_eq!(col, &vec![want.clone(); 2], "{:?}", d.format());
+            let record = d.materialize(bytes).unwrap();
+            for (col, path) in cols.iter().zip(&paths) {
+                assert_eq!(col, &vec![eval_path(&record, path); 2], "{:?}", d.format());
             }
         }
     }
@@ -248,7 +232,7 @@ mod tests {
         let t = pk_type();
         let raw = tc_vector::encode(&v, Some(&t));
         let d = RecordDecoder::new(StorageFormat::VectorUncompacted, t, None);
-        assert_eq!(d.get_value(&raw, &parse_path("name")).unwrap(), Value::string("Ann"));
+        assert_eq!(batch_values(&d, &raw, &[parse_path("name")]), [Value::string("Ann")]);
     }
 
     #[test]

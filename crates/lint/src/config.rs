@@ -176,7 +176,7 @@ locks = [
 unranked = ["outstanding"]
 
 [guards]
-read_view = "state"
+read_guard = "state"
 
 [summaries]
 flush = ["flush_lock", "state"]
@@ -197,7 +197,7 @@ with_args = ["send"]
         assert_eq!(cfg.roots, ["crates", "src"]);
         assert_eq!(cfg.locks, ["flush_lock", "state"]);
         assert_eq!(cfg.rank("state"), Some(1));
-        assert_eq!(cfg.guard_lock("read_view"), Some("state"));
+        assert_eq!(cfg.guard_lock("read_guard"), Some("state"));
         assert_eq!(cfg.summary("flush").unwrap(), ["flush_lock", "state"]);
         assert_eq!(cfg.api_methods("LsmTree").unwrap(), ["insert"]);
         assert_eq!(cfg.unwrap_with_args, ["send"]);

@@ -550,7 +550,7 @@ mod tests {
 locks = ["flush_lock", "merge_lock", "state", "frozen", "data"]
 unranked = ["outstanding"]
 [guards]
-read_view = "state"
+read_guard = "state"
 [unwrap]
 zero_arg = ["lock", "read", "write", "recv"]
 with_args = ["send"]
@@ -612,7 +612,7 @@ fn f(&self) {
 
     #[test]
     fn guard_returning_method_counts_as_acquisition() {
-        let src = "fn f(&self) { let view = self.read_view(); self.probe(); }";
+        let src = "fn f(&self) { let view = self.read_guard(); self.probe(); }";
         let fns = extract(src, &cfg());
         assert_eq!(fns[0].acquisitions[0].lock, "state");
         let probe = fns[0].calls.iter().find(|c| c.name == "probe").unwrap();

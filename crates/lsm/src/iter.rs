@@ -2,8 +2,8 @@
 //! components, with newest-wins semantics and anti-matter annihilation
 //! (paper §2.2, Fig 4b).
 //!
-//! A [`MergedScan`] *owns* its inputs: memtable contents are snapshotted at
-//! construction and disk components are retained via `Arc`. Once built, the
+//! A [`MergedScan`] *owns* its inputs: memtable contents are copied when the
+//! snapshot is taken and disk components are retained via `Arc`. Once built, the
 //! scan is independent of the tree's locks — concurrent flushes and merges
 //! may replace the component list without invalidating an in-flight scan,
 //! which simply keeps reading its consistent snapshot.
@@ -70,7 +70,10 @@ impl ScanHealth {
 
 /// Copy a memtable's entries from `start` onward into an owned snapshot
 /// (the cheap, in-memory part of scan construction — safe under a lock).
-pub fn snapshot_memtable(mem: &Memtable, start: Option<&[u8]>) -> Vec<(Key, EntryKind, Vec<u8>)> {
+pub(crate) fn snapshot_memtable(
+    mem: &Memtable,
+    start: Option<&[u8]>,
+) -> Vec<(Key, EntryKind, Vec<u8>)> {
     mem.range(
         match start {
             Some(s) => std::ops::Bound::Included(s),
@@ -83,27 +86,6 @@ pub fn snapshot_memtable(mem: &Memtable, start: Option<&[u8]>) -> Vec<(Key, Entr
         MemEntry::AntiMatter(_) => (k.clone(), EntryKind::AntiMatter, Vec::new()),
     })
     .collect()
-}
-
-/// Assemble a live-records scan from parts captured under a tree read view:
-/// the retained frozen memtable (snapshotted here, outside the lock), the
-/// already-copied active snapshot, and the retained components. Encodes the
-/// ordering invariant in ONE place: frozen ranks above every component and
-/// below the active memtable.
-pub fn scan_from_tree_parts(
-    frozen: Option<&Memtable>,
-    active_snapshot: Vec<(Key, EntryKind, Vec<u8>)>,
-    components: &[Arc<DiskComponent>],
-    cache: &Arc<BufferCache>,
-    start: Option<&[u8]>,
-    end: Option<&[u8]>,
-) -> MergedScan {
-    let mut mems = Vec::with_capacity(2);
-    if let Some(frozen) = frozen {
-        mems.push(snapshot_memtable(frozen, start));
-    }
-    mems.push(active_snapshot);
-    MergedScan::from_parts(mems, components, cache, start, end, false)
 }
 
 /// One input to the merge. Rank encodes recency: higher = newer; memtables
@@ -166,29 +148,14 @@ pub struct MergedScan {
 }
 
 impl MergedScan {
-    /// Build a scan. `components` are ordered oldest → newest; `mems` (if
-    /// any) are ordered oldest → newest too and are newer than every
-    /// component — with a background flush in flight this is `[frozen,
-    /// active]`. `start` is inclusive, `end` exclusive.
-    pub fn new(
-        mems: &[&Memtable],
-        components: &[Arc<DiskComponent>],
-        cache: &Arc<BufferCache>,
-        start: Option<&[u8]>,
-        end: Option<&[u8]>,
-        include_antimatter: bool,
-    ) -> Self {
-        let snapshots = mems.iter().map(|m| snapshot_memtable(m, start)).collect();
-        Self::from_parts(snapshots, components, cache, start, end, include_antimatter)
-    }
-
-    /// Build a scan from pre-captured memtable snapshots (oldest → newest,
-    /// newer than every component). This is the constructor for callers
-    /// that snapshot under a lock: heap priming reads (and possibly
-    /// decompresses) one block per overlapping component, so it must run
-    /// *after* any tree lock is released — only the cheap
-    /// [`snapshot_memtable`] copies belong inside the critical section.
-    pub fn from_parts(
+    /// Build a scan. `components` are ordered oldest → newest;
+    /// `mem_snapshots` (memtable copies from `start` onward, if any) are
+    /// ordered oldest → newest too and are newer than every component —
+    /// with a background flush in flight this is `[frozen, active]`. `start`
+    /// is inclusive, `end` exclusive. Heap priming reads (and possibly
+    /// decompresses) one block per overlapping component, so a scan must be
+    /// built *after* any tree lock is released.
+    pub(crate) fn new(
         mem_snapshots: Vec<Vec<(Key, EntryKind, Vec<u8>)>>,
         components: &[Arc<DiskComponent>],
         cache: &Arc<BufferCache>,
@@ -404,7 +371,7 @@ mod tests {
         let c1 = component(1, &[(2, Record, "new2")]);
         let comps = vec![c0, c1];
         let cache = Arc::new(BufferCache::new(16));
-        let mut scan = MergedScan::new(&[], &comps, &cache, None, None, false);
+        let mut scan = MergedScan::new(Vec::new(), &comps, &cache, None, None, false);
         assert_eq!(
             collect(&mut scan),
             vec![
@@ -424,10 +391,10 @@ mod tests {
         let c1 = component(1, &[(0, AntiMatter, ""), (2, Record, "Bob")]);
         let comps = vec![c0, c1];
         let cache = Arc::new(BufferCache::new(16));
-        let mut scan = MergedScan::new(&[], &comps, &cache, None, None, false);
+        let mut scan = MergedScan::new(Vec::new(), &comps, &cache, None, None, false);
         assert_eq!(collect(&mut scan), vec![(1, Record, "John".into()), (2, Record, "Bob".into())]);
         // A merge-mode scan still sees the anti-matter entry.
-        let mut scan = MergedScan::new(&[], &comps, &cache, None, None, true);
+        let mut scan = MergedScan::new(Vec::new(), &comps, &cache, None, None, true);
         let all = collect(&mut scan);
         assert_eq!(all.len(), 3);
         assert_eq!(all[0], (0, AntiMatter, "".into()));
@@ -442,7 +409,8 @@ mod tests {
         mem.put(1u64.to_be_bytes().to_vec(), MemEntry::Record(b"mem".to_vec()));
         mem.put(3u64.to_be_bytes().to_vec(), MemEntry::AntiMatter(None));
         let cache = Arc::new(BufferCache::new(16));
-        let mut scan = MergedScan::new(&[&mem], &comps, &cache, None, None, false);
+        let mems = vec![snapshot_memtable(&mem, None)];
+        let mut scan = MergedScan::new(mems, &comps, &cache, None, None, false);
         assert_eq!(
             collect(&mut scan),
             vec![(1, Record, "mem".into()), (2, Record, "stays".into())]
@@ -464,7 +432,8 @@ mod tests {
         let mut active = Memtable::new();
         active.put(1u64.to_be_bytes().to_vec(), MemEntry::Record(b"active".to_vec()));
         let cache = Arc::new(BufferCache::new(16));
-        let mut scan = MergedScan::new(&[&frozen, &active], &comps, &cache, None, None, false);
+        let mems = vec![snapshot_memtable(&frozen, None), snapshot_memtable(&active, None)];
+        let mut scan = MergedScan::new(mems, &comps, &cache, None, None, false);
         assert_eq!(
             collect(&mut scan),
             vec![(1, Record, "active".into()), (2, Record, "frozen2".into())]
@@ -479,7 +448,7 @@ mod tests {
         let c0 = component(0, &[(1, Record, "a"), (2, Record, "b"), (3, Record, "c")]);
         let cache = Arc::new(BufferCache::new(16));
         let mut comps = vec![c0];
-        let mut scan = MergedScan::new(&[], &comps, &cache, None, None, false);
+        let mut scan = MergedScan::new(Vec::new(), &comps, &cache, None, None, false);
         assert_eq!(scan.next().unwrap().0, 1u64.to_be_bytes().to_vec());
         comps.clear(); // the tree swapped its list; the scan holds its own Arc
         assert_eq!(scan.next().unwrap().0, 2u64.to_be_bytes().to_vec());
@@ -496,7 +465,7 @@ mod tests {
         let cache = Arc::new(BufferCache::new(16));
         let start = 5u64.to_be_bytes();
         let end = 9u64.to_be_bytes();
-        let mut scan = MergedScan::new(&[], &comps, &cache, Some(&start), Some(&end), false);
+        let mut scan = MergedScan::new(Vec::new(), &comps, &cache, Some(&start), Some(&end), false);
         let got: Vec<u64> = collect(&mut scan).into_iter().map(|(k, _, _)| k).collect();
         assert_eq!(got, vec![5, 6, 7, 8]);
     }
@@ -513,7 +482,7 @@ mod tests {
         let start = 100u64.to_be_bytes();
         let end = 105u64.to_be_bytes();
         let misses_before = cache.misses();
-        let mut scan = MergedScan::new(&[], &comps, &cache, Some(&start), Some(&end), false);
+        let mut scan = MergedScan::new(Vec::new(), &comps, &cache, Some(&start), Some(&end), false);
         let got: Vec<u64> = collect(&mut scan).into_iter().map(|(k, _, _)| k).collect();
         assert_eq!(got, vec![100, 101, 102, 103, 104]);
         // Only the new component's block was fetched.
@@ -528,7 +497,7 @@ mod tests {
         c0.quarantine();
         let comps = vec![c0, c1];
         let cache = Arc::new(BufferCache::new(16));
-        let mut scan = MergedScan::new(&[], &comps, &cache, None, None, false);
+        let mut scan = MergedScan::new(Vec::new(), &comps, &cache, None, None, false);
         assert_eq!(collect(&mut scan), vec![(2, Record, "b".into())]);
         assert!(!scan.health().is_clean());
         assert_eq!(scan.health().degraded().len(), 1);
@@ -555,7 +524,7 @@ mod tests {
         device.clear_fault_plan();
         let comps = vec![rotten.clone(), healthy];
         let cache = Arc::new(BufferCache::new(32));
-        let mut scan = MergedScan::new(&[], &comps, &cache, None, None, false);
+        let mut scan = MergedScan::new(Vec::new(), &comps, &cache, None, None, false);
         let got = collect(&mut scan);
         // The healthy component's rows always survive; the rotten one
         // contributes only entries before the damage.
@@ -575,7 +544,7 @@ mod tests {
         let c2 = component(2, &[(7, Record, "v2")]);
         let comps = vec![c0, c1, c2];
         let cache = Arc::new(BufferCache::new(16));
-        let mut scan = MergedScan::new(&[], &comps, &cache, None, None, false);
+        let mut scan = MergedScan::new(Vec::new(), &comps, &cache, None, None, false);
         assert_eq!(collect(&mut scan), vec![(7, Record, "v2".into())]);
     }
 
@@ -757,7 +726,7 @@ mod tests {
         let counts = |c: &[AtomicUsize; 4]| c.each_ref().map(|n| n.load(AtomicOrdering::Relaxed));
 
         // Reconciling on keys alone pivots nothing.
-        let mut scan = MergedScan::new(&[], &comps, &cache, None, None, false);
+        let mut scan = MergedScan::new(Vec::new(), &comps, &cache, None, None, false);
         let mut keys = Vec::new();
         while let Some(entry) = scan.next_entry() {
             keys.push(u64::from_be_bytes(entry.key[..8].try_into().unwrap()));
@@ -766,7 +735,7 @@ mod tests {
         assert_eq!((counts(&old_counts), counts(&new_counts)), ([0; 4], [0; 4]));
 
         // Materializing the winners reconstructs each owning group once.
-        let mut scan = MergedScan::new(&[], &comps, &cache, None, None, false);
+        let mut scan = MergedScan::new(Vec::new(), &comps, &cache, None, None, false);
         assert_eq!(
             collect(&mut scan),
             vec![
@@ -798,7 +767,7 @@ mod tests {
         );
         let comps = vec![old, Arc::clone(&new)];
         let cache = Arc::new(BufferCache::new(16));
-        let mut scan = MergedScan::new(&[], &comps, &cache, None, None, false);
+        let mut scan = MergedScan::new(Vec::new(), &comps, &cache, None, None, false);
         assert_eq!(collect(&mut scan), vec![(0, Record, "old".into())]);
         assert_eq!(scan.health().degraded().len(), 1, "one component, counted once");
         assert_eq!(scan.health().degraded()[0].0, ComponentId::flushed(1));

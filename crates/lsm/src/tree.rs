@@ -11,10 +11,14 @@
 //! * **`state: RwLock<TreeState>`** guards the mutable topology: the active
 //!   memtable, the frozen memtable (mid-flush), the on-disk component list,
 //!   and the displaced anti-schema queue. Writers take it briefly per
-//!   operation; readers take it briefly to build an owned snapshot
-//!   ([`MergedScan`] / cloned `Arc` component lists) and then read without
-//!   any lock. Flush *freeze* and flush/merge *install* are the only other
-//!   write acquisitions — both O(1) pointer swaps.
+//!   operation. Readers take it in one of two routines,
+//!   [`LsmTree::lookup_with`] (point lookups) and [`LsmTree::scan_with`]
+//!   (scans), just long enough to build an owned snapshot (memtable hits or
+//!   copies, a cloned `Arc` component list), and then read without any
+//!   lock; state that must agree with the snapshot is captured by a
+//!   closure inside the same section. The guard never leaves this module.
+//!   Flush *freeze* and flush/merge *install* are the only other write
+//!   acquisitions — both O(1) pointer swaps.
 //! * **`flush_lock: Mutex<()>`** serializes flushes. A flush freezes the
 //!   memtable (rotating the WAL in the same critical section, so the active
 //!   WAL segment always covers exactly the active memtable), builds the
@@ -43,13 +47,13 @@ use tc_compress::CompressionScheme;
 use tc_storage::device::Device;
 use tc_storage::error::StorageError;
 use tc_storage::BufferCache;
-use tc_util::sync::{ranks, OrderedMutex, OrderedRwLock, OrderedRwLockReadGuard};
+use tc_util::sync::{ranks, OrderedMutex, OrderedRwLock};
 
 use crate::columnar::ColumnarCodec;
 use crate::component::{ComponentBuilder, ComponentId, DiskComponent, Payload};
 use crate::entry::{EntryKind, Key};
 use crate::hook::ComponentHook;
-use crate::iter::{MergedScan, ScanEntry};
+use crate::iter::{snapshot_memtable, MergedScan, ScanEntry};
 use crate::memtable::{MemEntry, Memtable};
 use crate::policy::{CompactionDecision, MergePick, MergePolicy, MergeTrigger, NUM_MERGE_TRIGGERS};
 use crate::wal::Wal;
@@ -121,8 +125,8 @@ pub struct LsmStats {
     /// Faults the device's injection plan fired (always 0 in production —
     /// nonzero only while a [`tc_storage::fault::FaultPlan`] is armed).
     pub faults_injected: u64,
-    /// Checksum verifications that failed on read (WAL records, data
-    /// pages, or the LAF). Detected corruption, never decoded rows.
+    /// Checksum verifications that failed on read (WAL records or data
+    /// pages). Detected corruption, never decoded rows.
     pub checksum_failures: u64,
     /// Operations retried after a transient storage fault (writers and
     /// maintenance workers report their retries here).
@@ -260,60 +264,18 @@ pub struct LsmTree {
     columnar_on: AtomicBool,
 }
 
-/// A consistent read view of the tree, holding the state read lock.
-///
-/// While a view is alive, freezes and component installs are blocked, so
-/// everything obtained through it — memtable lookups, component lists,
-/// scans, *and any external state that must agree with them* (the dataset
-/// captures its schema-dictionary snapshot through one of these) — refers
-/// to the same instant. Drop it promptly; scans and cloned component lists
-/// stay valid after the drop (they own their snapshot).
-pub struct ReadView<'a> {
-    guard: OrderedRwLockReadGuard<'a, TreeState>,
-}
+/// What a point lookup found for one key: its newest entry's kind and
+/// payload (empty for anti-matter), or `None` if no source holds the key.
+pub type LookupHit = Option<(EntryKind, Vec<u8>)>;
 
-/// In-memory scan inputs from [`ReadView::mem_parts`]: the retained frozen
-/// memtable (if a flush is in progress) and an owned copy of the active
-/// memtable entries.
-pub type MemParts = (Option<Arc<Memtable>>, Vec<(Key, EntryKind, Vec<u8>)>);
-
-impl ReadView<'_> {
+impl TreeState {
     /// Point lookup in the in-memory components only (active, then frozen).
-    pub fn mem_entry(&self, key: &[u8]) -> Option<(EntryKind, Vec<u8>)> {
-        let hit = self
-            .guard
-            .mem
-            .get(key)
-            .or_else(|| self.guard.frozen.as_deref().and_then(|f| f.get(key)));
+    fn mem_entry(&self, key: &[u8]) -> LookupHit {
+        let hit = self.mem.get(key).or_else(|| self.frozen.as_deref().and_then(|f| f.get(key)));
         hit.map(|entry| match entry {
             MemEntry::Record(p) => (EntryKind::Record, p.clone()),
             MemEntry::AntiMatter(_) => (EntryKind::AntiMatter, Vec::new()),
         })
-    }
-
-    /// The disk components (oldest → newest) as owned handles.
-    pub fn components(&self) -> Vec<Arc<DiskComponent>> {
-        self.guard.disk.clone()
-    }
-
-    /// The one disk component that holds the whole tree, if there is such a
-    /// thing: nothing in memory (no frozen memtable, an empty active one)
-    /// and exactly one component on disk. Copies nothing.
-    pub fn sole_component(&self) -> Option<Arc<DiskComponent>> {
-        let state = &*self.guard;
-        let at_rest = state.frozen.is_none() && state.mem.is_empty() && state.disk.len() == 1;
-        at_rest.then(|| Arc::clone(&state.disk[0]))
-    }
-
-    /// The in-memory scan inputs: a retained handle to the (immutable)
-    /// frozen memtable and an owned copy of the active memtable from
-    /// `start` onward. The active copy is the only per-entry work that
-    /// belongs under the lock — the frozen memtable is immutable behind its
-    /// `Arc`, so it is snapshotted (and the [`MergedScan`], whose heap
-    /// priming reads disk blocks, is built) *after* the view drops — see
-    /// [`LsmTree::scan_range`].
-    pub fn mem_parts(&self, start: Option<&[u8]>) -> MemParts {
-        (self.guard.frozen.clone(), crate::iter::snapshot_memtable(&self.guard.mem, start))
     }
 }
 
@@ -474,7 +436,7 @@ impl LsmTree {
     }
 
     /// Lifecycle + fault statistics. The fault counters live on the shared
-    /// device (they cover WAL, page, and LAF I/O alike); quarantine is
+    /// device (they cover WAL and page I/O alike); quarantine is
     /// recomputed from the current component list.
     pub fn stats(&self) -> LsmStats {
         let mut s = self.stats.snapshot();
@@ -499,14 +461,18 @@ impl LsmTree {
         &self.cache
     }
 
-    /// A consistent read view (see [`ReadView`]).
-    pub fn read_view(&self) -> ReadView<'_> {
-        ReadView { guard: self.state.read() }
-    }
-
     /// Snapshot of the on-disk components, oldest → newest.
     pub fn components(&self) -> Vec<Arc<DiskComponent>> {
         self.state.read().disk.clone()
+    }
+
+    /// The one disk component that holds the whole tree, if there is such a
+    /// thing: nothing in memory (no frozen memtable, an empty active one)
+    /// and exactly one component on disk. Copies nothing.
+    pub fn sole_component(&self) -> Option<Arc<DiskComponent>> {
+        let st = self.state.read();
+        let at_rest = st.frozen.is_none() && st.mem.is_empty() && st.disk.len() == 1;
+        at_rest.then(|| Arc::clone(&st.disk[0]))
     }
 
     /// Entries in memory (active + frozen) not yet installed on disk.
@@ -842,7 +808,7 @@ impl LsmTree {
         let mut builder = self.new_builder(expected, metadata);
         let mut count = 0u64;
         {
-            let mut scan = MergedScan::new(&[], inputs, &self.cache, None, None, true);
+            let mut scan = MergedScan::new(Vec::new(), inputs, &self.cache, None, None, true);
             while let Some(ScanEntry { key, kind, payload, rank }) = scan.next_entry() {
                 if kind == EntryKind::AntiMatter && drop_antimatter {
                     continue;
@@ -1010,50 +976,72 @@ impl LsmTree {
     // Reads
     // -----------------------------------------------------------------
 
-    /// Point lookup returning the entry kind (deleted keys report their
-    /// anti-matter). Note: the lookup deliberately does *not* report where
-    /// the entry was found — with background flushes, "memtable vs disk" can
-    /// change between a lookup and a subsequent write, so the counted/
-    /// uncounted decision for anti-schemas is made atomically inside
-    /// [`LsmTree::delete_versioned`] instead.
-    pub fn get_entry(&self, key: &[u8]) -> Result<Option<(EntryKind, Vec<u8>)>, StorageError> {
-        // Memtables are checked under the read lock (cheap map probes); the
-        // component list is cloned so the disk probes — which may fault
-        // pages in — run without blocking writers.
-        let components = {
-            let view = self.read_view();
-            if let Some(hit) = view.mem_entry(key) {
-                return Ok(Some(hit));
-            }
-            view.components()
+    /// Point-look-up `keys`, in input order, against one snapshot, and run
+    /// `capture` in the same read-lock section — so whatever it captures
+    /// (the dataset's schema-dictionary decoder) agrees with every result:
+    /// no flush can install or prune in between. Each result is the key's
+    /// newest entry (deleted keys report their anti-matter) or `None`.
+    ///
+    /// Memtables are probed under the read lock (cheap map probes); the
+    /// component list is cloned, if a key missed them, so the disk probes —
+    /// which may fault pages in — run after release without blocking
+    /// writers. A quarantined component a probe reaches fails the whole
+    /// call with a typed error: skipping it could resurrect a deleted key
+    /// or return a stale version, so point lookups never degrade (range
+    /// scans do, with health reporting — see [`crate::iter::ScanHealth`]).
+    ///
+    /// The lookup deliberately does *not* report where an entry was found —
+    /// with background flushes, "memtable vs disk" can change between a
+    /// lookup and a subsequent write, so the counted/uncounted decision for
+    /// anti-schemas is made atomically inside [`LsmTree::delete_versioned`].
+    pub fn lookup_with<K: AsRef<[u8]>, T>(
+        &self,
+        keys: &[K],
+        capture: impl FnOnce() -> T,
+    ) -> Result<(T, Vec<LookupHit>), StorageError> {
+        let (captured, mut hits, components) = {
+            let st = self.state.read();
+            let hits: Vec<_> = keys.iter().map(|k| st.mem_entry(k.as_ref())).collect();
+            let missed = hits.iter().any(Option::is_none);
+            (capture(), hits, if missed { st.disk.clone() } else { Vec::new() })
         };
-        Self::probe_components(&components, &self.cache, key)
-    }
-
-    /// Probe an owned component snapshot newest → oldest — the shared
-    /// post-view resolution step for point lookups (used here and by the
-    /// dataset's snapshot lookups, so the probe order can never diverge).
-    /// A quarantined component fails the lookup with a typed error:
-    /// skipping it could resurrect a deleted key or return a stale version,
-    /// so point lookups never degrade (range scans do, with health
-    /// reporting — see [`crate::iter::ScanHealth`]).
-    pub fn probe_components(
-        components: &[Arc<DiskComponent>],
-        cache: &BufferCache,
-        key: &[u8],
-    ) -> Result<Option<(EntryKind, Vec<u8>)>, StorageError> {
-        for c in components.iter().rev() {
-            if c.is_quarantined() {
-                return Err(StorageError::corruption(
-                    "component",
-                    format!("component {} is quarantined", c.id()),
-                ));
-            }
-            if let Some(hit) = c.get(cache, key)? {
-                return Ok(Some(hit));
+        for (key, hit) in keys.iter().zip(&mut hits) {
+            if hit.is_none() {
+                *hit = probe_components(&components, &self.cache, key.as_ref())?;
             }
         }
-        Ok(None)
+        Ok((captured, hits))
+    }
+
+    /// Scan `start` (inclusive) to `end` (exclusive) over one snapshot, and
+    /// run `capture` in the same read-lock section (see
+    /// [`LsmTree::lookup_with`]). The lock is held only for the
+    /// active-memtable copy: the frozen memtable is immutable behind its
+    /// `Arc`, so it is copied — and the scan, whose heap priming reads disk
+    /// blocks, is built — after release. The scan owns its snapshot.
+    pub fn scan_with<T>(
+        &self,
+        start: Option<&[u8]>,
+        end: Option<&[u8]>,
+        capture: impl FnOnce() -> T,
+    ) -> (T, MergedScan) {
+        let (captured, frozen, active, components) = {
+            let st = self.state.read();
+            (capture(), st.frozen.clone(), snapshot_memtable(&st.mem, start), st.disk.clone())
+        };
+        // Oldest → newest: the frozen memtable ranks above every component
+        // and below the active one.
+        let mut mems = Vec::with_capacity(2);
+        if let Some(frozen) = &frozen {
+            mems.push(snapshot_memtable(frozen, start));
+        }
+        mems.push(active);
+        (captured, MergedScan::new(mems, &components, &self.cache, start, end, false))
+    }
+
+    /// Point lookup returning the entry kind (see [`LsmTree::lookup_with`]).
+    pub fn get_entry(&self, key: &[u8]) -> Result<LookupHit, StorageError> {
+        Ok(self.lookup_with(&[key], || ())?.1.pop().flatten())
     }
 
     /// Point lookup for a live record.
@@ -1075,23 +1063,8 @@ impl LsmTree {
     }
 
     /// Range scan of live records, `start` inclusive, `end` exclusive.
-    /// The read lock is held only for the active-memtable copy; the frozen
-    /// snapshot and the scan — with its block-priming IO — are assembled
-    /// after release.
     pub fn scan_range(&self, start: Option<&[u8]>, end: Option<&[u8]>) -> MergedScan {
-        let (frozen, active, components) = {
-            let view = self.read_view();
-            let (frozen, active) = view.mem_parts(start);
-            (frozen, active, view.components())
-        };
-        crate::iter::scan_from_tree_parts(
-            frozen.as_deref(),
-            active,
-            &components,
-            &self.cache,
-            start,
-            end,
-        )
+        self.scan_with(start, end, || ()).1
     }
 
     // -----------------------------------------------------------------
@@ -1172,6 +1145,28 @@ impl LsmTree {
 /// oldest → newest.
 fn run_sizes(disk: &[Arc<DiskComponent>]) -> Vec<u64> {
     disk.iter().map(|c| c.disk_bytes()).collect()
+}
+
+/// Probe an owned component snapshot newest → oldest for one key; a
+/// quarantined component on the way fails the probe (see
+/// [`LsmTree::lookup_with`]).
+fn probe_components(
+    components: &[Arc<DiskComponent>],
+    cache: &BufferCache,
+    key: &[u8],
+) -> Result<LookupHit, StorageError> {
+    for c in components.iter().rev() {
+        if c.is_quarantined() {
+            return Err(StorageError::corruption(
+                "component",
+                format!("component {} is quarantined", c.id()),
+            ));
+        }
+        if let Some(hit) = c.get(cache, key)? {
+            return Ok(Some(hit));
+        }
+    }
+    Ok(None)
 }
 
 #[cfg(test)]
@@ -1289,6 +1284,96 @@ mod tests {
             got.push((crate::entry::decode_u64_key(&k).unwrap(), p));
         }
         assert_eq!(got, vec![(1, b"mem".to_vec()), (2, b"mem-override".to_vec())]);
+    }
+
+    #[test]
+    fn multi_key_lookup_matches_per_key_get_entry() {
+        use tc_storage::error::IoOp;
+        use tc_storage::fault::{FaultKind, FaultPlan};
+        let key = encode_u64_key;
+        // No WAL: the only device writes are component pages.
+        let device = Arc::new(Device::new(DeviceProfile::RAM));
+        let t = LsmTree::new(
+            Arc::clone(&device),
+            Arc::new(BufferCache::new(64)),
+            Arc::new(NoopHook),
+            LsmOptions {
+                page_size: 512,
+                merge_policy: MergePolicy::NoMerge,
+                wal_enabled: false,
+                ..Default::default()
+            },
+        );
+        for i in 0..6u64 {
+            t.insert(key(i), format!("disk{i}").into_bytes()).unwrap();
+        }
+        t.flush().unwrap();
+        // Key 1's newer version stays frozen: its flush fails on the first
+        // page write.
+        t.insert(key(1), b"frozen".to_vec()).unwrap();
+        device.set_fault_plan(FaultPlan::new(1).fail_nth(IoOp::Write, 1, FaultKind::Transient));
+        assert!(t.flush().is_err());
+        device.clear_fault_plan();
+        // Key 2's newest version is anti-matter in the active memtable; key
+        // 7 lives only there.
+        t.delete(key(2), None).unwrap();
+        t.insert(key(7), b"active".to_vec()).unwrap();
+        assert_eq!((t.components().len(), t.memtable_len()), (1, 3));
+
+        // Input order, a duplicate (1) and an absent key (9).
+        let keys = [key(4), key(1), key(2), key(9), key(1), key(7), key(0)];
+        let (captured, hits) = t.lookup_with(&keys, || "captured").unwrap();
+        assert_eq!(captured, "captured");
+        let per_key: Vec<_> = keys.iter().map(|k| t.get_entry(k).unwrap()).collect();
+        assert_eq!(hits, per_key);
+        let record = |v: &str| Some((EntryKind::Record, v.as_bytes().to_vec()));
+        let anti = Some((EntryKind::AntiMatter, Vec::new()));
+        let want = [record("disk4"), record("frozen"), anti, None, record("frozen")];
+        assert_eq!(hits[..5], want);
+        assert_eq!(hits[5..], [record("active"), record("disk0")]);
+
+        // The scan over the same state agrees with the lookups.
+        let (_, mut scan) = t.scan_with(Some(&key(1)), Some(&key(8)), || ());
+        let mut scanned = Vec::new();
+        while let Some((k, _, payload)) = scan.next() {
+            assert_eq!(t.get(&k).unwrap(), Some(payload));
+            scanned.push(crate::entry::decode_u64_key(&k).unwrap());
+        }
+        assert_eq!(scanned, [1, 3, 4, 5, 7]);
+    }
+
+    #[test]
+    fn multi_key_lookup_fails_whole_on_a_quarantined_component() {
+        let t = small_tree();
+        flush_batch(&t, &[], 0..10);
+        flush_batch(&t, &[], 10..20);
+        t.insert(encode_u64_key(30), b"mem".to_vec()).unwrap();
+        t.components()[1].quarantine();
+        // Key 3 lives in the older component; its probe meets the
+        // quarantined newer one first.
+        let keys = [encode_u64_key(30), encode_u64_key(3)];
+        let err = t.lookup_with(&keys, || ()).unwrap_err();
+        assert!(err.is_corruption(), "{err}");
+        // A lookup the memtable answers probes no component.
+        assert_eq!(
+            t.lookup_with(&keys[..1], || ()).unwrap().1,
+            [Some((EntryKind::Record, b"mem".to_vec()))]
+        );
+    }
+
+    #[test]
+    fn sole_component_only_when_one_component_holds_everything() {
+        let t = small_tree();
+        assert!(t.sole_component().is_none(), "empty tree");
+        flush_batch(&t, &[], 0..10);
+        let sole = t.sole_component().expect("one component, nothing in memory");
+        assert!(Arc::ptr_eq(&sole, &t.components()[0]));
+        t.insert(encode_u64_key(10), b"v".to_vec()).unwrap();
+        assert!(t.sole_component().is_none(), "a memtable entry");
+        t.flush().unwrap();
+        assert!(t.sole_component().is_none(), "two components");
+        t.force_full_merge().unwrap();
+        assert!(t.sole_component().is_some());
     }
 
     #[test]

@@ -407,15 +407,20 @@ impl<'a> BatchScanner<'a> {
 
 /// A group of columns decoded together, honoring the plan's
 /// [`AccessStrategy`]: consolidated = one `getValues` drive per record,
-/// per-path = one drive per path (the Fig 23 "un-op" configuration).
-struct ColumnSet {
+/// per-path = one drive per path (the Fig 23 "un-op" configuration). Both
+/// engines evaluate stored records through these.
+pub(crate) struct ColumnSet {
     paths: Vec<Path>,
     parts: Vec<PathBatch>,
     cols: Vec<Vec<Value>>,
 }
 
 impl ColumnSet {
-    fn new(decoder: &RecordDecoder, paths: Vec<Path>, access: AccessStrategy) -> ColumnSet {
+    pub(crate) fn new(
+        decoder: &RecordDecoder,
+        paths: Vec<Path>,
+        access: AccessStrategy,
+    ) -> ColumnSet {
         let parts: Vec<PathBatch> = if paths.is_empty() {
             Vec::new()
         } else {
@@ -443,6 +448,14 @@ impl ColumnSet {
             cols = rest;
         }
         Ok(())
+    }
+
+    /// Evaluate every path against one record and hand its values back as a
+    /// row (the row engine's step), leaving the columns empty.
+    pub(crate) fn take_row(&mut self, bytes: &[u8]) -> Result<Row, AdmError> {
+        self.clear();
+        self.append(bytes)?;
+        Ok(self.cols.iter_mut().filter_map(Vec::pop).collect())
     }
 
     /// Append one record's values, already evaluated, one per path.

@@ -11,15 +11,14 @@
 use std::collections::hash_map::Entry;
 
 use tc_adm::compare::{compare, OrdValue};
-use tc_adm::path::Path;
 use tc_adm::{AdmError, Value};
 use tc_util::hash::FxHashMap;
 use tuple_compactor::{Dataset, RecordDecoder};
 
 use crate::agg::{Agg, AggState};
-use crate::batch;
+use crate::batch::{self, ColumnSet};
 use crate::expr::Expr;
-use crate::plan::{AccessStrategy, Op, Query, ScanSpec};
+use crate::plan::{Op, Query, ScanSpec};
 
 /// A row of values.
 pub type Row = Vec<Value>;
@@ -364,7 +363,8 @@ fn scan_limit_hint(local_ops: &[Op], blocking: Option<&Op>) -> Option<usize> {
 }
 
 /// The row-at-a-time scan: materialize every early column per record, then
-/// filter, then late columns for survivors.
+/// filter, then late columns for survivors — through the same column sets
+/// (one path evaluator each, reused across the scan) as the batched engine.
 fn scan_rows(
     decoder: &RecordDecoder,
     iter: &mut tc_lsm::iter::MergedScan,
@@ -373,39 +373,23 @@ fn scan_rows(
     scanned: &mut u64,
     bytes: &mut u64,
 ) -> Result<Vec<Row>, AdmError> {
+    let mut early = ColumnSet::new(decoder, scan.paths.clone(), scan.access);
+    let mut late = ColumnSet::new(decoder, scan.late_paths.clone(), scan.access);
     let mut rows: Vec<Row> = Vec::new();
     while limit_hint.is_none_or(|k| rows.len() < k) {
         let Some((_, _, payload)) = iter.next() else { break };
         *scanned += 1;
         *bytes += payload.len() as u64;
-        let mut row = extract(decoder, &payload, &scan.paths, scan.access)?;
+        let mut row = early.take_row(&payload)?;
         if let Some(pred) = &scan.filter {
             if !pred.eval_bool(&row) {
                 continue;
             }
         }
-        if !scan.late_paths.is_empty() {
-            row.extend(extract(decoder, &payload, &scan.late_paths, scan.access)?);
-        }
+        row.extend(late.take_row(&payload)?);
         rows.push(row);
     }
     Ok(rows)
-}
-
-/// Evaluate scan paths against one record's stored bytes.
-fn extract(
-    decoder: &RecordDecoder,
-    payload: &[u8],
-    paths: &[Path],
-    access: AccessStrategy,
-) -> Result<Row, AdmError> {
-    if paths.is_empty() {
-        return Ok(Vec::new());
-    }
-    match access {
-        AccessStrategy::Consolidated => decoder.get_values(payload, paths),
-        AccessStrategy::PerPath => paths.iter().map(|p| decoder.get_value(payload, p)).collect(),
-    }
 }
 
 /// Fold rows into per-key partial aggregate states.
@@ -516,6 +500,7 @@ mod tests {
     use super::*;
     use crate::agg::AggFn;
     use crate::expr::{CmpOp, Func};
+    use crate::plan::AccessStrategy;
     use std::sync::Arc;
     use tc_adm::parse;
     use tc_adm::path::parse_path;
@@ -1001,32 +986,24 @@ mod tests {
         // Column pruning, live: of every row group that owns a winner the
         // fill reads the filter column, and of those that own a survivor the
         // late typed column and the residual block — what the at-rest scan
-        // reads of a group, and never `id`.
-        let cache = ds.primary().cache();
-        let components = ds.primary().components();
-        let mut newest = std::collections::HashMap::new();
-        for (c, component) in components.iter().enumerate() {
-            let (chunk, store) = component.columnar_view().unwrap();
-            for g in 0..chunk.num_groups() {
-                let keys = chunk.read_group_keys(store, cache, g).unwrap();
-                for (row, (key, kind)) in keys.into_iter().enumerate() {
-                    newest.insert(key, (kind == tc_lsm::EntryKind::Record).then_some((c, g, row)));
-                }
-            }
-        }
-        let in_memory = ds.primary().read_view();
-        newest.retain(|key, _| in_memory.mem_entry(key).is_none());
-        drop(in_memory);
+        // reads of a group, and never `id`. The groups that own a winner are
+        // those the scan's on-disk winners name, by (source rank, group).
+        let (_, mut scan) = ds.snapshot_scan();
         let mut touched = std::collections::HashSet::new();
         let mut surviving = std::collections::HashSet::new();
-        for (c, g, row) in newest.into_values().flatten() {
-            touched.insert((c, g));
-            let (chunk, store) = components[c].columnar_view().unwrap();
+        while let Some(winner) = scan.next_entry() {
+            let tc_lsm::component::Payload::Row { group, row } = winner.payload else {
+                continue; // a memtable winner reads no column
+            };
+            touched.insert((winner.rank, group));
+            let (chunk, store) =
+                scan.source_component(winner.rank).unwrap().columnar_view().unwrap();
             let reader = tc_columnar::ChunkReader::of(chunk).unwrap();
             let time = reader.find_column(&["report_time".into()]).unwrap();
-            let time = reader.view(store, cache, g).i64_at(time, row).unwrap().unwrap();
+            let mut view = reader.view(store, scan.cache(), group as usize);
+            let time = view.i64_at(time, row as usize).unwrap().unwrap();
             if (100_000..140_000).contains(&time) {
-                surviving.insert((c, g));
+                surviving.insert((winner.rank, group));
             }
         }
         assert!(

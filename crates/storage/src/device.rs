@@ -130,7 +130,7 @@ impl Device {
     }
 
     /// Record a checksum verification failure observed by a reader of this
-    /// device (page footer, WAL record, or LAF mismatch).
+    /// device (page footer or WAL record mismatch).
     pub fn note_checksum_failure(&self) {
         self.checksum_failures.fetch_add(1, Ordering::Relaxed);
     }

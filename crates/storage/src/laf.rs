@@ -6,35 +6,19 @@
 //! *i* the engine first consults entry *i*, then reads `length` bytes at
 //! `offset` from the data file (Fig 6). A 128 KB LAF page holds 10,922
 //! entries, so LAFs stay small and cacheable.
-
-use tc_util::crc;
+//!
+//! The table lives in memory with its store; only its page count is
+//! accounted on disk ([`Laf::page_count`]).
 
 /// One LAF entry: where a compressed page lives and how long it is.
-/// Serialized as 12 bytes, matching the paper's implementation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LafEntry {
     pub offset: u64,
     pub length: u32,
 }
 
-/// Size of one serialized entry.
+/// Size of one entry on disk, matching the paper's implementation.
 pub const LAF_ENTRY_BYTES: usize = 12;
-
-impl LafEntry {
-    pub fn to_bytes(self) -> [u8; LAF_ENTRY_BYTES] {
-        let mut out = [0u8; LAF_ENTRY_BYTES];
-        out[..8].copy_from_slice(&self.offset.to_le_bytes());
-        out[8..].copy_from_slice(&self.length.to_le_bytes());
-        out
-    }
-
-    pub fn from_bytes(bytes: &[u8; LAF_ENTRY_BYTES]) -> Self {
-        LafEntry {
-            offset: u64::from_le_bytes(bytes[..8].try_into().expect("8")),
-            length: u32::from_le_bytes(bytes[8..].try_into().expect("4")),
-        }
-    }
-}
 
 /// The in-memory LAF for one data file.
 #[derive(Debug, Default)]
@@ -56,65 +40,17 @@ impl Laf {
         self.entries.get(page).copied()
     }
 
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Bytes the serialized LAF occupies (entry bytes, before page rounding).
-    pub fn byte_len(&self) -> usize {
-        self.entries.len() * LAF_ENTRY_BYTES
-    }
-
     /// Number of LAF *pages* of `page_size` needed to hold the entries —
     /// this is the on-disk footprint the storage accounting includes.
     pub fn page_count(&self, page_size: usize) -> usize {
         let per_page = page_size / LAF_ENTRY_BYTES;
         self.entries.len().div_ceil(per_page.max(1))
     }
-
-    /// Serialize all entries followed by a CRC-32 footer (LAF persistence in
-    /// component metadata). A rotten LAF must never send readers to wrong
-    /// offsets, so the whole table is covered by one checksum.
-    pub fn serialize(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.byte_len() + 4);
-        for e in &self.entries {
-            out.extend_from_slice(&e.to_bytes());
-        }
-        let sum = crc::crc32(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
-    }
-
-    /// Parse a serialized LAF, verifying its CRC-32 footer. Returns `None`
-    /// on truncation, length mismatch, or checksum failure.
-    pub fn deserialize(bytes: &[u8]) -> Option<Self> {
-        let body = crc::verify_crc32(bytes)?;
-        if !body.len().is_multiple_of(LAF_ENTRY_BYTES) {
-            return None;
-        }
-        let entries = body
-            .chunks_exact(LAF_ENTRY_BYTES)
-            .map(|c| LafEntry::from_bytes(c.try_into().expect("12")))
-            .collect();
-        Some(Laf { entries })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn entry_is_twelve_bytes() {
-        let e = LafEntry { offset: 0x1122334455667788, length: 0x99aabbcc };
-        let b = e.to_bytes();
-        assert_eq!(b.len(), 12);
-        assert_eq!(LafEntry::from_bytes(&b), e);
-    }
 
     #[test]
     fn paper_entry_density() {
@@ -130,43 +66,15 @@ mod tests {
             laf.push(LafEntry { offset: i as u64 * 100, length: 100 });
         }
         assert_eq!(laf.page_count(page_size), 3);
-        assert_eq!(laf.byte_len(), 300);
-    }
-
-    #[test]
-    fn serialize_roundtrip() {
-        let mut laf = Laf::new();
-        for i in 0..7u64 {
-            laf.push(LafEntry { offset: i * 1000, length: (i * 37) as u32 });
-        }
-        let bytes = laf.serialize();
-        let back = Laf::deserialize(&bytes).unwrap();
-        assert_eq!(back.len(), 7);
-        for i in 0..7 {
-            assert_eq!(back.get(i), laf.get(i));
-        }
-        assert!(Laf::deserialize(&bytes[..5]).is_none());
-    }
-
-    #[test]
-    fn deserialize_detects_any_flipped_bit() {
-        let mut laf = Laf::new();
-        for i in 0..3u64 {
-            laf.push(LafEntry { offset: i * 512, length: 512 });
-        }
-        let bytes = laf.serialize();
-        assert_eq!(bytes.len(), 3 * LAF_ENTRY_BYTES + 4, "entries plus CRC footer");
-        for bit in 0..bytes.len() * 8 {
-            let mut corrupt = bytes.clone();
-            corrupt[bit / 8] ^= 1 << (bit % 8);
-            assert!(Laf::deserialize(&corrupt).is_none(), "bit={bit}");
-        }
+        assert_eq!(laf.page_count(12 * 25), 1, "25 entries fill one page exactly");
     }
 
     #[test]
     fn lookup_out_of_range() {
-        let laf = Laf::new();
+        let mut laf = Laf::new();
         assert_eq!(laf.get(0), None);
-        assert!(laf.is_empty());
+        let entry = LafEntry { offset: 512, length: 100 };
+        assert_eq!(laf.push(entry), 0);
+        assert_eq!((laf.get(0), laf.get(1)), (Some(entry), None));
     }
 }

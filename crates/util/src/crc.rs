@@ -1,8 +1,8 @@
 //! CRC-32C (Castagnoli, reflected polynomial 0x82F63B78) checksums.
 //!
 //! This is the integrity primitive behind every durable byte in the engine:
-//! WAL records, component data pages, component tail pages, and the LAF all
-//! carry a CRC-32C footer that is recomputed and verified on read, so a
+//! WAL records, component data pages, and component tail pages all carry a
+//! CRC-32C footer that is recomputed and verified on read, so a
 //! flipped bit on the simulated device is *detected* (and surfaced as a
 //! typed `StorageError::Corruption`) instead of being decoded into garbage
 //! rows.

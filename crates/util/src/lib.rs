@@ -12,7 +12,7 @@
 //! * [`sync`] — rank-ordered lock wrappers that assert the declared lock
 //!   order (`lint.toml`) at runtime in debug builds.
 //! * [`crc`] — CRC-32 checksums backing the end-to-end integrity footers on
-//!   WAL records, component pages, and the LAF.
+//!   WAL records and component pages.
 
 pub mod bits;
 pub mod crc;
