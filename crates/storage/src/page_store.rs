@@ -105,7 +105,7 @@ impl PageStore {
             };
             debug_assert_eq!(offset, id * self.stride() as u64);
         } else {
-            let mut stored = self.scheme.compress(page);
+            let mut stored = self.scheme.compress_reserving(page, PAGE_CRC_BYTES);
             if self.integrity {
                 let sum = crc::crc32(&stored);
                 stored.extend_from_slice(&sum.to_le_bytes());
@@ -147,11 +147,9 @@ impl PageStore {
             } else {
                 &stored[..]
             };
-            let page = self.scheme.decompress(compressed).map_err(|_| self.checksum_failure(id))?;
-            if page.len() != self.page_size {
-                return Err(self.checksum_failure(id));
-            }
-            Ok(page)
+            self.scheme
+                .decompress_exact(compressed, self.page_size)
+                .map_err(|_| self.checksum_failure(id))
         }
     }
 
@@ -367,6 +365,30 @@ mod tests {
         let page: Vec<u8> = b"xyzzy ".iter().copied().cycle().take(512).collect();
         let id = store.write_page(&page).unwrap();
         d.clear_fault_plan();
+        let err = store.read_page(id).unwrap_err();
+        assert!(matches!(err, StorageError::Corruption { .. }), "{err}");
+        assert_eq!(d.checksum_failures(), 1);
+    }
+
+    /// With integrity checks off nothing vouches for a compressed image, so
+    /// a preamble claiming 2⁴⁰ bytes reaches the decoder; it must be refused
+    /// as corruption, not allocated.
+    #[test]
+    fn lying_preamble_is_corruption_with_integrity_off() {
+        let d = ram();
+        let store =
+            PageStore::new(Arc::clone(&d), 512, CompressionScheme::Snappy).with_integrity(false);
+        let page: Vec<u8> = b"preamble ".iter().copied().cycle().take(512).collect();
+        let id = store.write_page(&page).unwrap();
+        let stored = store.data.take_all().unwrap();
+        let (declared, used) = tc_util::varint::read_u64(&stored).unwrap();
+        assert_eq!(declared, 512);
+        let mut lying = Vec::new();
+        tc_util::varint::write_u64(&mut lying, 1 << 40);
+        lying.extend_from_slice(&stored[used..]);
+        let offset = store.data.append(&lying).unwrap();
+        *store.laf.write() = Laf::new();
+        store.laf.write().push(LafEntry { offset, length: lying.len() as u32 });
         let err = store.read_page(id).unwrap_err();
         assert!(matches!(err, StorageError::Corruption { .. }), "{err}");
         assert_eq!(d.checksum_failures(), 1);
