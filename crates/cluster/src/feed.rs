@@ -10,6 +10,7 @@
 use std::time::{Duration, Instant};
 
 use tc_adm::{AdmError, Value};
+use tc_query::exec::join_partition;
 use tuple_compactor::WriterToken;
 
 use crate::Cluster;
@@ -44,6 +45,7 @@ const MAX_INSERT_ATTEMPTS: u32 = 3;
 /// Capped exponential backoff between per-record retries: 2ms, 4ms, ...
 /// capped at 16ms. Blocking — runs on a feed partition thread only.
 fn backoff_sleep(attempt: u32) {
+    tc_util::sync::blocking("feed backoff");
     std::thread::sleep(Duration::from_millis(1u64 << attempt.min(4)));
 }
 
@@ -79,7 +81,10 @@ impl Cluster {
     /// hash and applied by N genuinely parallel partition threads — each
     /// partition has exactly one writer (its feed pipeline), while its
     /// background maintenance worker (if configured) flushes and merges
-    /// concurrently and readers keep full access.
+    /// concurrently and readers keep full access. A partition whose
+    /// [`WriterToken`] is held elsewhere, or whose thread panics, fails the
+    /// feed with [`AdmError::Execution`]; the other partitions' records may
+    /// already have landed.
     pub fn feed<I>(&self, records: I, mode: FeedMode) -> Result<FeedReport, AdmError>
     where
         I: IntoIterator<Item = Value>,
@@ -105,7 +110,12 @@ impl Cluster {
                     scope.spawn(move || {
                         // One token per partition for the whole batch: the
                         // feed thread *is* the partition's logical writer.
-                        let mut writer = partition.writer();
+                        let mut writer = partition.try_writer().ok_or_else(|| {
+                            AdmError::execution(format!(
+                                "dataset '{}' already has a live WriterToken",
+                                partition.name()
+                            ))
+                        })?;
                         for record in &batch {
                             apply_with_retry(&mut writer, record, mode)?;
                         }
@@ -113,7 +123,7 @@ impl Cluster {
                     })
                 })
                 .collect();
-            handles.into_iter().map(|h| h.join().expect("feed worker panicked")).collect()
+            handles.into_iter().map(|h| join_partition(h.join())).collect()
         });
         for r in results {
             r?;
@@ -260,6 +270,23 @@ mod tests {
         c.flush_all().unwrap();
         let res = c.query(&twitter_q1(QueryOptions::default()), &ExecOptions::default()).unwrap();
         assert_eq!(single_i64(&res.rows), Some(300), "no acked write lost to the storm");
+    }
+
+    #[test]
+    fn feed_into_a_held_partition_fails_typed() {
+        let c = cluster(StorageFormat::Inferred);
+        let mut gen = TwitterGen::new(3);
+        let records: Vec<_> = (0..100).map(|_| gen.next_record()).collect();
+        let held = c.partition(1).writer();
+        let err = c.feed(records, FeedMode::Insert).unwrap_err();
+        assert!(matches!(err, AdmError::Execution(_)), "{err}");
+        assert!(err.to_string().contains("already has a live WriterToken"), "{err}");
+        assert_eq!(c.partition(1).ingested(), 0, "the held partition took nothing");
+        // Once the token is released every partition takes its batch.
+        drop(held);
+        let more: Vec<_> = (0..100).map(|_| gen.next_record()).collect();
+        assert_eq!(c.feed(more, FeedMode::Insert).unwrap().records, 100);
+        assert!(c.partition(1).ingested() > 0);
     }
 
     #[test]

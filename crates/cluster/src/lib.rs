@@ -13,6 +13,8 @@
 //! executes queries with `tc-query`'s partitioned executor. The scale-out
 //! experiments (Figs 25/26) sweep the node count.
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 pub mod feed;
 
 use std::sync::Arc;
@@ -229,6 +231,21 @@ impl Cluster {
         }
     }
 }
+
+// The shared surface: feeds, point writes and queries run side by side on a
+// shared `Cluster`, so these keep their `&self` receivers; a method that took
+// `&mut self` would fail its coercion here.
+const _: () = {
+    type R<T> = Result<T, AdmError>;
+    let _: fn(&Cluster, &Value) -> R<()> = Cluster::insert;
+    let _: fn(&Cluster, &Value) -> R<()> = Cluster::upsert;
+    let _: fn(&Cluster, i64) -> R<bool> = Cluster::delete;
+    let _: fn(&Cluster, i64) -> R<Option<Value>> = Cluster::get;
+    let _: fn(&Cluster, Vec<Value>, FeedMode) -> R<FeedReport> = Cluster::feed;
+    let _: fn(&Cluster) -> R<()> = Cluster::flush_all;
+    let _: fn(&Cluster) -> R<()> = Cluster::merge_all;
+    let _: fn(&Cluster) = Cluster::await_quiescent;
+};
 
 #[cfg(test)]
 mod tests {

@@ -507,6 +507,7 @@ impl<'c> GroupView<'c> {
             let block = self.fault(self.reader.groups[g].cols[col].run)?;
             self.blocks.cols[col] = Some((block, Rank::default()));
         }
+        #[expect(clippy::expect_used, reason = "the slot was filled just above")]
         let (block, seen) = self.blocks.cols[col].as_mut().expect("just faulted");
         column_row(block, g, tag, rows, seen, row)
     }
@@ -563,6 +564,7 @@ impl<'c> GroupView<'c> {
         if self.blocks.residual.is_none() {
             self.blocks.residual = Some(self.fault(self.reader.groups[g].residual)?);
         }
+        #[expect(clippy::expect_used, reason = "the slot was filled just above")]
         let block = self.blocks.residual.as_ref().expect("just faulted");
         let err = || corrupt("residual block", g);
         if row >= rows {

@@ -133,6 +133,8 @@
 //! [`ColumnarCounters::rows_column_merged`], so "did this merge pivot?" is a
 //! before/after lookup of the pair.
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 pub mod chunk;
 mod shred;
 pub mod writer;

@@ -403,7 +403,7 @@ mod tests {
                 schema.intern_name(full.dict().name(id as FieldNameId).unwrap());
             }
             for (id, row) in rows.iter().enumerate().filter(|(_, row)| row.0.1) {
-                let Value::Object(fields) = record_of(id, row) else { unreachable!() };
+                let Value::Object(fields) = record_of(id, row) else { panic!("not an object") };
                 schema.observe_record(&fields, &is_declared).unwrap();
             }
             prop_assert!(schema.dict().is_prefix_of(full.dict()) && full.dict().is_prefix_of(schema.dict()));

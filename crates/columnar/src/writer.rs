@@ -586,7 +586,7 @@ mod tests {
         for i in 0..10i64 {
             let text = format!(r#"{{"id": {i}, "t": {}, "m": {}.5}}"#, 100 + i, i);
             let v = parse(&text).unwrap();
-            let Value::Object(fields) = &v else { unreachable!() };
+            let Value::Object(fields) = &v else { panic!("not an object") };
             schema.observe_record(fields, &|n| n == "id").unwrap();
             entries.push((
                 (i as u64).to_be_bytes().to_vec(),
@@ -629,7 +629,7 @@ mod tests {
         let declared = declared_pk();
         let mut schema = Schema::new();
         let seed = parse(r#"{"id": 0, "t": 1}"#).unwrap();
-        let Value::Object(fields) = &seed else { unreachable!() };
+        let Value::Object(fields) = &seed else { panic!("not an object") };
         schema.observe_record(fields, &|n| n == "id").unwrap();
         let rows = [r#"{"id": 0, "t": 1}"#, r#"{"id": 1, "t": "late"}"#];
         let mut entries = Vec::new();

@@ -4,13 +4,13 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 
 use tc_adm::{ObjectType, Value};
 use tc_schema::Schema;
 use tc_storage::StorageError;
-use tc_util::sync::{ranks, OrderedMutex};
+use tc_util::sync::{self, ranks, OrderedMutex};
 use tc_vector::infer_and_compact_into;
 
 use tc_lsm::{ComponentHook, LsmTree};
@@ -37,9 +37,8 @@ pub struct TupleCompactor {
     /// when the flush fails on a storage fault or a frozen record the
     /// compaction pass cannot read — so a retried flush
     /// re-infers the same frozen entries against the same starting schema
-    /// instead of double-counting them. Unranked leaf lock: held only with
-    /// nothing, or directly inside `schema`.
-    flush_backup: StdMutex<Option<Schema>>,
+    /// instead of double-counting them.
+    flush_backup: OrderedMutex<Option<Schema>>,
     /// The dataset's declared type (to skip declared fields during
     /// anti-schema processing).
     declared: ObjectType,
@@ -54,7 +53,7 @@ impl TupleCompactor {
                 (0, 0, std::sync::Arc::new(Default::default())),
             ),
             generation: std::sync::atomic::AtomicU64::new(0),
-            flush_backup: StdMutex::new(None),
+            flush_backup: OrderedMutex::new(ranks::FLUSH_BACKUP, None),
             declared,
         }
     }
@@ -99,8 +98,7 @@ impl ComponentHook for TupleCompactor {
     /// this point so the retry does not double-evolve the schema.
     fn begin_flush(&self) {
         let snapshot = self.schema.lock().clone();
-        *self.flush_backup.lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
-            Some(snapshot);
+        *self.flush_backup.lock() = Some(snapshot);
     }
 
     /// A flush attempt failed after `begin_flush`: restore the snapshot and
@@ -108,8 +106,7 @@ impl ComponentHook for TupleCompactor {
     /// (the dictionary may have grown during the aborted attempt and a
     /// restore can shrink it without changing its length).
     fn abort_flush(&self) {
-        let snapshot =
-            self.flush_backup.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take();
+        let snapshot = self.flush_backup.lock().take();
         if let Some(schema) = snapshot {
             let mut guard = self.schema.lock();
             self.generation.fetch_add(1, Ordering::AcqRel);
@@ -172,6 +169,7 @@ const MAX_MAINTENANCE_ATTEMPTS: u32 = 3;
 /// maintenance round: 1ms, 2ms, 4ms, ... capped at 16ms. Blocking — only
 /// ever called on the maintenance worker thread, never on a writer.
 fn backoff_sleep(attempt: u32) {
+    sync::blocking("maintenance backoff");
     let ms = 1u64 << attempt.min(4);
     std::thread::sleep(std::time::Duration::from_millis(ms));
 }
@@ -203,7 +201,11 @@ fn run_round(tree: &LsmTree) {
 /// drains. (std `Condvar` — the vendored `parking_lot` shim has none.)
 #[derive(Default)]
 struct Gauge {
-    outstanding: StdMutex<usize>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a std Condvar waits on a std Mutex; a leaf lock, never held while taking another"
+    )]
+    outstanding: std::sync::Mutex<usize>,
     drained: Condvar,
 }
 
@@ -229,6 +231,7 @@ impl Gauge {
     }
 
     fn wait_zero(&self) {
+        sync::blocking("Gauge::wait_zero");
         let mut n = self.count();
         while *n > 0 {
             n = self.drained.wait(n).unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -267,6 +270,7 @@ impl MaintenanceWorker {
         let worker_gauge = Arc::clone(&gauge);
         let worker_queued = Arc::clone(&queued);
         let worker_poisoned = Arc::clone(&poisoned);
+        #[expect(clippy::expect_used, reason = "only an OS out of threads refuses the spawn")]
         let handle = std::thread::Builder::new()
             .name("tc-maintenance".into())
             .spawn(move || {
@@ -352,8 +356,10 @@ impl Drop for MaintenanceWorker {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_types, reason = "test hooks guard channel ends, outside the order")]
 mod tests {
     use super::*;
+    use std::sync::Mutex as StdMutex;
     use tc_adm::datatype::FieldDef;
     use tc_adm::{parse, TypeKind, TypeTag};
     use tc_vector::encode;

@@ -261,7 +261,9 @@ impl Dataset {
         let field = self.config.secondary_index_on.as_deref()?;
         let index = self.secondary.as_ref()?;
         let v = record.get_field(field)?.as_i64()?;
-        Some((index, encode_i64_key(v).try_into().expect("i64 keys are 8 bytes")))
+        #[expect(clippy::expect_used, reason = "an encoded i64 key is 8 bytes")]
+        let key = encode_i64_key(v).try_into().expect("i64 keys are 8 bytes");
+        Some((index, key))
     }
 
     /// The auxiliary index trees (primary-key index, then secondary), as
@@ -280,6 +282,7 @@ impl Dataset {
     /// # Panics
     /// If a token is already live — a second writer is a concurrency bug,
     /// per the loud-failure policy, not a condition to retry.
+    #[expect(clippy::panic, reason = "documented: a second live writer is a caller bug")]
     pub fn writer(&self) -> WriterToken<'_> {
         self.try_writer().unwrap_or_else(|| {
             panic!(
@@ -398,9 +401,10 @@ impl Dataset {
         // the schema has seen a record: the index trees below are loaded and
         // flushed ahead of the primary, which would only find out last.
         if let Some(pair) = keyed.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+            #[expect(clippy::expect_used, reason = "every key above is an encoded i64")]
+            let pk = decode_i64_key(&pair[0].0).expect("keys are encoded i64s");
             return Err(AdmError::type_check(format!(
-                "bulk load holds primary key {} more than once",
-                decode_i64_key(&pair[0].0).expect("keys are encoded i64s")
+                "bulk load holds primary key {pk} more than once"
             )));
         }
         let n = keyed.len() as u64;
@@ -480,7 +484,9 @@ impl Dataset {
 
     /// Secondary-index range query: primary keys with secondary value in
     /// `[lo, hi)`, then point lookups into the primary index (Fig 24's
-    /// access path), in posting order. The primary lookups and their
+    /// access path), in posting order. An unreadable index component fails
+    /// the call with [`AdmError::Storage`], like [`Dataset::scan_values`],
+    /// instead of dropping its postings. The primary lookups and their
     /// decoder come from one snapshot ([`LsmTree::lookup_with`]), so records
     /// landing in components flushed *after* the postings were read cannot
     /// be materialized against a stale dictionary.
@@ -489,7 +495,7 @@ impl Dataset {
             .secondary
             .as_ref()
             .ok_or_else(|| AdmError::type_check("no secondary index configured".to_string()))?;
-        let pks = sec.range(&encode_i64_key(lo), &encode_i64_key(hi));
+        let pks = sec.range(&encode_i64_key(lo), &encode_i64_key(hi)).map_err(storage_err)?;
         let (decoder, hits) =
             self.primary.lookup_with(&pks, || self.decoder()).map_err(storage_err)?;
         hits.into_iter()
@@ -528,6 +534,7 @@ impl Dataset {
                 if self.primary.memtable_bytes() >= cap {
                     let start = std::time::Instant::now();
                     while self.primary.memtable_bytes() >= cap && !worker.is_poisoned() {
+                        tc_util::sync::blocking("backpressure stall");
                         std::thread::sleep(std::time::Duration::from_micros(100));
                     }
                     self.primary.note_backpressure_stall(start.elapsed().as_nanos() as u64);
@@ -725,6 +732,27 @@ impl Dataset {
         Ok((removed, replayed))
     }
 }
+
+// The shared surface: a `Dataset` is shared behind an `Arc`, so these keep
+// their `&self` receivers. Write exclusivity is the `WriterToken`'s, never
+// `&mut`'s; a method that took `&mut self` would fail its coercion here.
+const _: () = {
+    type R<T> = Result<T, AdmError>;
+    let _: fn(&Dataset) -> WriterToken<'_> = Dataset::writer;
+    let _: fn(&Dataset) -> Option<WriterToken<'_>> = Dataset::try_writer;
+    let _: fn(&Dataset, i64) -> R<Option<Value>> = Dataset::get;
+    let _: fn(&Dataset) -> R<Vec<Value>> = Dataset::scan_values;
+    let _: fn(&Dataset, i64, i64) -> R<Vec<Value>> = Dataset::secondary_range;
+    let _: fn(&Dataset) -> (RecordDecoder, MergedScan) = Dataset::snapshot_scan;
+    let _: fn(&Dataset) -> RecordDecoder = Dataset::decoder;
+    let _: fn(&Dataset) -> Option<Schema> = Dataset::schema_snapshot;
+    let _: fn(&Dataset) -> R<()> = Dataset::flush;
+    let _: fn(&Dataset) -> R<()> = Dataset::flush_async;
+    let _: fn(&Dataset) = Dataset::await_quiescent;
+    let _: fn(&Dataset) -> R<()> = Dataset::force_full_merge;
+    let _: fn(&Dataset) -> R<(usize, usize)> = Dataset::recover;
+    let _: fn(&Dataset) = Dataset::simulate_crash;
+};
 
 #[cfg(test)]
 mod tests {
@@ -1148,6 +1176,29 @@ mod tests {
         ds.writer().delete(55).unwrap();
         let hits = ds.secondary_range(1050, 1060).unwrap();
         assert_eq!(hits.len(), 9);
+    }
+
+    #[test]
+    fn secondary_range_over_a_quarantined_index_component_fails_typed() {
+        let ds = make(
+            DatasetConfig::new("Tweets", "id")
+                .with_format(StorageFormat::Inferred)
+                .with_secondary_index("timestamp_ms")
+                .with_merge_policy(tc_lsm::MergePolicy::NoMerge),
+        );
+        let mut w = ds.writer();
+        for i in 0..200 {
+            let text = format!(r#"{{"id": {i}, "timestamp_ms": {}, "text": "t{i}"}}"#, 1000 + i);
+            w.insert(&parse(&text).unwrap()).unwrap();
+        }
+        drop(w);
+        ds.flush().unwrap();
+        let index = ds.secondary.as_ref().unwrap().tree().components();
+        assert_eq!(index.len(), 1);
+        index[0].quarantine();
+        let err = ds.secondary_range(1000, 1200).unwrap_err();
+        assert!(matches!(err, AdmError::Storage { transient: false, .. }), "{err}");
+        assert_eq!(ds.scan_values().unwrap().len(), 200, "the primary is intact");
     }
 
     #[test]

@@ -22,6 +22,8 @@
 //!   offset-based navigation for ADM records, linear `getValues` for
 //!   vector-based records.
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 pub mod compactor;
 pub mod config;
 pub mod dataset;

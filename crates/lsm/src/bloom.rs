@@ -68,8 +68,10 @@ impl BloomFilter {
         let num_hashes = u32::from_le_bytes(buf[0..4].try_into().ok()?);
         let words = u32::from_le_bytes(buf[4..8].try_into().ok()?) as usize;
         let body = buf.get(8..8 + words * 8)?;
-        let bits: Vec<u64> =
-            body.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().expect("8"))).collect();
+        let bits: Vec<u64> = body
+            .chunks_exact(8)
+            .map(|c| c.try_into().ok().map(u64::from_le_bytes))
+            .collect::<Option<_>>()?;
         Some(BloomFilter { num_bits: words as u64 * 64, bits, num_hashes })
     }
 }

@@ -463,8 +463,8 @@ impl ComponentScan {
                 }
             }
         }
-        let (_, payloads) = self.group_memo.as_mut().expect("memo holds the group");
-        let payload = payloads.get_mut(row as usize).and_then(Option::take);
+        let memo = self.group_memo.as_mut();
+        let payload = memo.and_then(|(_, payloads)| payloads.get_mut(row as usize)?.take());
         payload.ok_or_else(|| no_such_row(&self.component, group, row))
     }
 
@@ -645,11 +645,9 @@ impl ComponentBuilder {
         let start_page = pages[0];
         debug_assert_eq!(start_page, self.next_page);
         self.next_page += pages.len() as u64;
-        self.index.push(BlockRef {
-            first_key: self.pending_first_key.take().expect("block has entries"),
-            start_page,
-            byte_len,
-        });
+        #[expect(clippy::expect_used, reason = "a non-empty block has a first key")]
+        let first_key = self.pending_first_key.take().expect("block has entries");
+        self.index.push(BlockRef { first_key, start_page, byte_len });
         self.buf.clear();
         Ok(())
     }

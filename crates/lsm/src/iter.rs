@@ -271,6 +271,7 @@ impl MergedScan {
             // Drop older duplicates of the same key.
             while let Some(next) = self.heap.peek() {
                 if next.key == top.key {
+                    #[expect(clippy::expect_used, reason = "the heap was just peeked")]
                     let dup = self.heap.pop().expect("peeked");
                     self.advance(dup.rank);
                 } else {
@@ -333,6 +334,7 @@ impl MergedScan {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_types, reason = "test hooks log events, outside the order")]
 mod tests {
     use super::*;
     use crate::component::{ComponentBuilder, ComponentId};

@@ -20,6 +20,8 @@
 //! (plus the keys-only primary-key index used for upsert existence checks,
 //! §3.2.2).
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 pub mod bloom;
 pub mod columnar;
 pub mod component;

@@ -48,15 +48,20 @@ impl SecondaryIndex {
         self.tree.delete(encode_composite_key(secondary, primary), None).map(|_| ())
     }
 
-    /// Primary keys whose secondary key lies in `[start, end)`.
-    pub fn range(&self, start: &[u8], end: &[u8]) -> Vec<Key> {
+    /// Primary keys whose secondary key lies in `[start, end)`. Fails with
+    /// the scan's first fault if any index component could not be read
+    /// (quarantined, or a page failed), rather than return a partial list.
+    pub fn range(&self, start: &[u8], end: &[u8]) -> Result<Vec<Key>, StorageError> {
         debug_assert_eq!(start.len(), self.secondary_width);
         let mut scan = self.tree.scan_range(Some(start), Some(end));
         let mut out = Vec::new();
         while let Some((k, _, _)) = scan.next() {
             out.push(k[self.secondary_width..].to_vec());
         }
-        out
+        match scan.health().first_error() {
+            Some(e) => Err(e.clone()),
+            None => Ok(out),
+        }
     }
 
     pub fn flush(&self) -> Result<(), StorageError> {
@@ -136,7 +141,7 @@ mod tests {
             idx.insert(&encode_i64_key(ts), &encode_u64_key((ts - 100) as u64)).unwrap();
         }
         idx.flush().unwrap();
-        let pks = idx.range(&encode_i64_key(150), &encode_i64_key(160));
+        let pks = idx.range(&encode_i64_key(150), &encode_i64_key(160)).unwrap();
         let got: Vec<u64> = pks.iter().map(|k| crate::entry::decode_u64_key(k).unwrap()).collect();
         assert_eq!(got, (50..60).collect::<Vec<u64>>());
     }
@@ -148,7 +153,7 @@ mod tests {
         for pk in 0u64..5 {
             idx.insert(&encode_i64_key(42), &encode_u64_key(pk)).unwrap();
         }
-        let pks = idx.range(&encode_i64_key(42), &encode_i64_key(43));
+        let pks = idx.range(&encode_i64_key(42), &encode_i64_key(43)).unwrap();
         assert_eq!(pks.len(), 5);
     }
 
@@ -159,9 +164,22 @@ mod tests {
         idx.insert(&encode_i64_key(1), &encode_u64_key(10)).unwrap();
         idx.insert(&encode_i64_key(1), &encode_u64_key(11)).unwrap();
         idx.delete(&encode_i64_key(1), &encode_u64_key(10)).unwrap();
-        let pks = idx.range(&encode_i64_key(1), &encode_i64_key(2));
+        let pks = idx.range(&encode_i64_key(1), &encode_i64_key(2)).unwrap();
         assert_eq!(pks.len(), 1);
         assert_eq!(crate::entry::decode_u64_key(&pks[0]), Some(11));
+    }
+
+    #[test]
+    fn range_over_a_quarantined_component_fails() {
+        let (d, c) = parts();
+        let idx = SecondaryIndex::new(d, c, LsmOptions::default(), 8);
+        for pk in 0u64..20 {
+            idx.insert(&encode_i64_key(pk as i64), &encode_u64_key(pk)).unwrap();
+        }
+        idx.flush().unwrap();
+        idx.tree().components()[0].quarantine();
+        let err = idx.range(&encode_i64_key(0), &encode_i64_key(20)).unwrap_err();
+        assert!(err.is_corruption(), "{err}");
     }
 
     #[test]

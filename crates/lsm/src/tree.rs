@@ -341,6 +341,10 @@ impl LsmTree {
         )
         .with_integrity(self.opts.integrity);
         if self.columnar_enabled() {
+            #[expect(
+                clippy::expect_used,
+                reason = "set_columnar refuses to turn on without a codec"
+            )]
             let codec = self.opts.columnar.as_ref().expect("set_columnar checked the codec");
             return b.with_columnar(codec.as_ref());
         }
@@ -893,6 +897,7 @@ impl LsmTree {
         // completes, §2.2).
         {
             let mut st = self.state.write();
+            #[expect(clippy::expect_used, reason = "merges serialize and only merges remove")]
             let pos = st
                 .disk
                 .iter()
@@ -1141,6 +1146,38 @@ impl LsmTree {
     }
 }
 
+// The shared surface: the writer, readers and maintenance all reach a tree
+// through `Arc<LsmTree>`, so these keep their `&self` receivers. Write
+// exclusivity comes from the dataset's `WriterToken`, never from `&mut`; a
+// method that took `&mut self` would fail its coercion here.
+#[expect(clippy::type_complexity, reason = "each line spells out one method's signature")]
+const _: () = {
+    type R<T> = Result<T, StorageError>;
+    let _: fn(&LsmTree, Key, Vec<u8>) -> R<bool> = LsmTree::insert;
+    let _: fn(&LsmTree, Key, Option<Vec<u8>>) -> R<bool> = LsmTree::delete;
+    let _: fn(&LsmTree, Key, Option<Vec<u8>>) -> R<bool> = LsmTree::delete_versioned;
+    let _: fn(&LsmTree, Key, Vec<u8>, Option<Vec<u8>>) -> R<bool> = LsmTree::replace;
+    let _: fn(&LsmTree) -> R<()> = LsmTree::flush;
+    let _: fn(&LsmTree) = LsmTree::flush_crashing_before_validity;
+    let _: fn(&LsmTree) -> R<()> = LsmTree::maybe_merge;
+    let _: fn(&LsmTree) -> R<()> = LsmTree::force_full_merge;
+    let _: fn(&LsmTree) -> R<()> = LsmTree::force_full_merge_crashing_before_validity;
+    let _: fn(&LsmTree, Range<usize>) -> R<()> = LsmTree::merge;
+    let _: fn(&LsmTree, Vec<(Key, Vec<u8>)>) -> R<()> = LsmTree::bulk_load;
+    let _: fn(&LsmTree) -> R<(usize, usize)> = LsmTree::recover;
+    let _: fn(&LsmTree) = LsmTree::simulate_crash;
+    let _: fn(&LsmTree, &[u8]) -> R<Option<Vec<u8>>> = LsmTree::get;
+    let _: fn(&LsmTree, &[u8]) -> R<LookupHit> = LsmTree::get_entry;
+    let _: fn(&LsmTree, &[u8]) -> R<bool> = LsmTree::contains;
+    let _: fn(&LsmTree) -> MergedScan = LsmTree::scan;
+    let _: fn(&LsmTree, Option<&[u8]>, Option<&[u8]>) -> MergedScan = LsmTree::scan_range;
+    let _: fn(&LsmTree, &[Key], fn()) -> R<((), Vec<LookupHit>)> = LsmTree::lookup_with;
+    let _: fn(&LsmTree, Option<&[u8]>, Option<&[u8]>, fn()) -> ((), MergedScan) =
+        LsmTree::scan_with;
+    let _: fn(&LsmTree) -> Option<Arc<DiskComponent>> = LsmTree::sole_component;
+    let _: fn(&LsmTree) -> Vec<Arc<DiskComponent>> = LsmTree::components;
+};
+
 /// What the merge policy decides over: each component's on-disk bytes,
 /// oldest → newest.
 fn run_sizes(disk: &[Arc<DiskComponent>]) -> Vec<u64> {
@@ -1374,6 +1411,44 @@ mod tests {
         assert!(t.sole_component().is_none(), "two components");
         t.force_full_merge().unwrap();
         assert!(t.sole_component().is_some());
+    }
+
+    /// The panic message of `f`, which must panic (debug builds only).
+    fn panic_text(f: impl FnOnce()) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("must panic in debug builds");
+        err.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
+    /// `sync::blocking` refuses page I/O while the hot `state` lock is held,
+    /// cache hits included; released, the same probe is legal.
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "the check compiles out in release")]
+    fn disk_probe_under_state_panics() {
+        let t = small_tree();
+        flush_batch(&t, &[], 0..10);
+        let key = encode_u64_key(3);
+        assert!(t.get(&key).unwrap().is_some(), "the page is now cached");
+        let st = t.state.read();
+        let msg = panic_text(|| drop(probe_components(&st.disk, &t.cache, &key)));
+        assert!(msg.contains("blocking call 'BufferCache::read'"), "unexpected panic: {msg}");
+        drop(st);
+        assert!(probe_components(&t.components(), &t.cache, &key).unwrap().is_some());
+    }
+
+    /// A flush takes `flush_lock`, which ranks before `state`, so starting
+    /// one under `state` trips the rank checker before anything blocks.
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "the check compiles out in release")]
+    fn flush_under_state_panics() {
+        let t = small_tree();
+        t.insert(encode_u64_key(1), b"mem".to_vec()).unwrap();
+        let st = t.state.read();
+        let msg = panic_text(|| drop(t.flush()));
+        assert!(msg.contains("acquiring 'flush_lock'"), "unexpected panic: {msg}");
+        drop(st);
+        t.flush().unwrap();
+        assert_eq!(t.components().len(), 1);
     }
 
     #[test]

@@ -201,6 +201,7 @@ impl Wal {
             if body_end > buf.len() {
                 break; // torn tail
             }
+            #[expect(clippy::expect_used, reason = "the CRC range is REC_CRC_BYTES = 4 bytes")]
             let stored =
                 u32::from_le_bytes(buf[crc_start..body_start].try_into().expect("4 bytes"));
             let body = &buf[body_start..body_end];

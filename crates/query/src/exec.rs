@@ -233,9 +233,9 @@ pub fn execute(
     Ok(QueryResult { rows, stats })
 }
 
-/// Convert a partition thread's outcome into the query's result: a panic
-/// fails the query with an [`AdmError`], not the process.
-fn join_partition<T>(joined: std::thread::Result<Result<T, AdmError>>) -> Result<T, AdmError> {
+/// Convert a partition thread's outcome into the caller's result: a panic
+/// fails the query (or the feed) with an [`AdmError`], not the process.
+pub fn join_partition<T>(joined: std::thread::Result<Result<T, AdmError>>) -> Result<T, AdmError> {
     match joined {
         Ok(res) => res,
         Err(payload) => {
@@ -307,9 +307,10 @@ fn run_partition(
     // policy decision, made here.
     let health = iter.take_health();
     let quarantined = health.degraded().len() as u64;
-    if quarantined > 0 && opts.corruption_policy == CorruptionPolicy::Fail {
-        let e = health.first_error().expect("degraded scan records its error");
-        return Err(AdmError::storage(e.to_string(), e.is_transient()));
+    if opts.corruption_policy == CorruptionPolicy::Fail {
+        if let Some(e) = health.first_error() {
+            return Err(AdmError::storage(e.to_string(), e.is_transient()));
+        }
     }
     finish_partition(rows, local_ops, blocking, scanned, bytes, quarantined)
 }

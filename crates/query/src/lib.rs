@@ -22,6 +22,8 @@
 //! * [`paper_queries`] — builders for Twitter Q1–Q4, WoS Q1–Q4, Sensors
 //!   Q1–Q4, and the Fig 22 field-position probes.
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 pub mod agg;
 pub mod batch;
 pub mod columnar;

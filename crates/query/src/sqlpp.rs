@@ -86,7 +86,7 @@ fn tokenize(text: &str) -> Result<Vec<Tok>, AdmError> {
                     }
                     i += 1;
                 }
-                let s = std::str::from_utf8(&b[start..i]).expect("digits");
+                let s = std::str::from_utf8(&b[start..i]).map_err(|_| err(start, "bad number"))?;
                 if is_float {
                     toks.push(Tok::Float(s.parse().map_err(|_| err(start, "bad number"))?));
                 } else {
@@ -100,9 +100,9 @@ fn tokenize(text: &str) -> Result<Vec<Tok>, AdmError> {
                 while j < b.len() && (b[j].is_ascii_alphanumeric() || b[j] == b'_') {
                     j += 1;
                 }
-                toks.push(Tok::Ident(
-                    std::str::from_utf8(&b[start..j]).expect("ident").to_string(),
-                ));
+                let ident =
+                    std::str::from_utf8(&b[start..j]).map_err(|_| err(start, "bad identifier"))?;
+                toks.push(Tok::Ident(ident.to_string()));
                 i = if quoted {
                     if j >= b.len() || b[j] != b'`' {
                         return Err(err(start, "unterminated `identifier`"));

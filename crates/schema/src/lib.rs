@@ -19,6 +19,8 @@
 //! with union collapse, persistence into a component's metadata page, and a
 //! superset check used to validate the merge-recency invariant (§3.1).
 
+#![warn(clippy::panic, clippy::unreachable)]
+
 pub mod columns;
 pub mod dictionary;
 pub mod node;

@@ -38,6 +38,7 @@ impl SchemaNode {
         }
     }
 
+    #[expect(clippy::panic, reason = "callers reach nodes through live parents only")]
     pub fn counter_mut(&mut self) -> &mut u64 {
         match self {
             SchemaNode::Scalar { counter, .. }

@@ -333,6 +333,7 @@ impl Schema {
 
     /// Post-order prune. Returns the node that should occupy this slot
     /// (`None` ⇒ remove the slot entirely).
+    #[expect(clippy::unreachable, reason = "pruning children never changes the parent's kind")]
     fn prune_node(&mut self, id: NodeId) -> Option<NodeId> {
         match self.nodes[id as usize].clone() {
             SchemaNode::Dead => None,
@@ -602,6 +603,7 @@ impl Schema {
     // -----------------------------------------------------------------
 
     /// Serialize (compacting tombstones away).
+    #[expect(clippy::unreachable, reason = "`live` holds no dead node")]
     pub fn serialize(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(256);
         out.extend_from_slice(MAGIC);
@@ -1023,7 +1025,7 @@ mod tests {
         assert!(s.observe_item(ROOT, TypeTag::Int64).is_err());
         assert!(s.observe_field(77, "b", TypeTag::Int64).is_err(), "no such node");
         let text = parse(r#"{"a": {"b": 1}}"#).unwrap();
-        let Value::Object(fields) = text else { unreachable!() };
+        let Value::Object(fields) = text else { panic!("not an object") };
         assert!(s.observe_record(&fields, &skip_id).is_err());
     }
 

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use tc_util::hash::FxHashMap;
-use tc_util::sync::{ranks, OrderedMutex};
+use tc_util::sync::{self, ranks, OrderedMutex};
 
 use crate::error::StorageError;
 use crate::page_store::{PageId, PageStore};
@@ -58,7 +58,10 @@ impl BufferCache {
     /// Read a page through the cache. Misses fetch from the store (charging
     /// device IO); hits are free. Fetch failures — injected faults or
     /// checksum mismatches — propagate to the caller and cache nothing.
+    /// A hit is a page read too: whether a read hits depends on what other
+    /// threads did, so hits and misses alike count as blocking.
     pub fn read(&self, store: &PageStore, page: PageId) -> Result<Arc<Vec<u8>>, StorageError> {
+        sync::blocking("BufferCache::read");
         let key = (store.id(), page);
         {
             let mut inner = self.inner.lock();

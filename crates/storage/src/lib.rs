@@ -21,6 +21,8 @@
 //!   device: Nth-op failures, random transient storms, silent bit flips,
 //!   torn appends, and crash-at-Kth-I/O for the crash-point sweep harness.
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 pub mod buffer_cache;
 pub mod device;
 pub mod error;

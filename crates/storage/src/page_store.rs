@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use tc_compress::CompressionScheme;
 use tc_util::crc;
-use tc_util::sync::{ranks, OrderedRwLock};
+use tc_util::sync::{self, ranks, OrderedRwLock};
 
 use crate::device::Device;
 use crate::error::{IoOp, StorageError};
@@ -90,6 +90,7 @@ impl PageStore {
     /// stored. On error nothing usable was stored and the store should be
     /// abandoned by its builder — page ids are not reissued.
     pub fn write_page(&self, page: &[u8]) -> Result<PageId, StorageError> {
+        sync::blocking("PageStore::write_page");
         if page.len() != self.page_size {
             return Err(StorageError::Permanent { op: IoOp::Write });
         }
@@ -119,6 +120,7 @@ impl PageStore {
     /// Read a page back to its fixed size, verifying its checksum footer and
     /// decompressing if needed. IO is charged for the *stored* bytes.
     pub fn read_page(&self, id: PageId) -> Result<Vec<u8>, StorageError> {
+        sync::blocking("PageStore::read_page");
         if self.scheme.is_none() {
             let stride = self.stride();
             let mut raw = self.data.read(id * stride as u64, stride)?;

@@ -99,6 +99,7 @@ impl<'a> BitReader<'a> {
         let shift = (self.bit_pos % 8) as u32;
         let v = match self.buf.get(first..first + 8) {
             Some(eight) => {
+                #[expect(clippy::expect_used, reason = "`get(first..first + 8)` is 8 bytes")]
                 let v = u64::from_le_bytes(eight.try_into().expect("8 bytes")) >> shift;
                 if shift + width as u32 > 64 {
                     // `end` is in bounds, so the field's ninth byte exists.

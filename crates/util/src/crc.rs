@@ -163,6 +163,7 @@ unsafe fn update_hw(state: u32, bytes: &[u8]) -> u32 {
     use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
 
     #[inline]
+    #[expect(clippy::expect_used, reason = "an 8-byte range converts to [u8; 8]")]
     fn word(block: &[u8], i: usize) -> u64 {
         u64::from_le_bytes(block[i..i + 8].try_into().expect("8-byte word"))
     }
@@ -189,7 +190,9 @@ unsafe fn update_hw(state: u32, bytes: &[u8]) -> u32 {
     }
     let mut chunks = rest.chunks_exact(8);
     for c in chunks.by_ref() {
-        s = _mm_crc32_u64(s, u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        #[expect(clippy::expect_used, reason = "`chunks_exact(8)` yields 8-byte chunks")]
+        let word = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
+        s = _mm_crc32_u64(s, word);
     }
     let mut state = s as u32;
     for &b in chunks.remainder() {
@@ -199,6 +202,7 @@ unsafe fn update_hw(state: u32, bytes: &[u8]) -> u32 {
 }
 
 /// Portable kernel: slicing-by-8, folding two 32-bit words per step.
+#[expect(clippy::expect_used, reason = "4-byte ranges of 8-byte chunks convert to [u8; 4]")]
 fn update_sw(mut state: u32, bytes: &[u8]) -> u32 {
     let mut chunks = bytes.chunks_exact(8);
     for c in chunks.by_ref() {

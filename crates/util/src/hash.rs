@@ -28,7 +28,9 @@ impl Hasher for FxHasher {
     fn write(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(8);
         for chunk in &mut chunks {
-            self.add(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+            #[expect(clippy::expect_used, reason = "`chunks_exact(8)` yields 8-byte chunks")]
+            let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+            self.add(word);
         }
         let rem = chunks.remainder();
         if !rem.is_empty() {

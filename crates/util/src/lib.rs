@@ -9,10 +9,12 @@
 //!   format's bit-packed length and field-name-ID vectors.
 //! * [`hash`] — an Fx-style 64-bit hasher (fast, non-cryptographic) used for
 //!   hash partitioning and bloom filters.
-//! * [`sync`] — rank-ordered lock wrappers that assert the declared lock
-//!   order (`lint.toml`) at runtime in debug builds.
+//! * [`sync`] — rank-ordered lock wrappers and the one declared lock order
+//!   ([`sync::ranks`]), asserted at runtime in debug builds.
 //! * [`crc`] — CRC-32 checksums backing the end-to-end integrity footers on
 //!   WAL records and component pages.
+
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 pub mod bits;
 pub mod crc;

@@ -1,36 +1,39 @@
-//! Rank-ordered lock wrappers — the runtime twin of the `tc-lint` static
-//! analyzer.
+//! Rank-ordered lock wrappers: the workspace's one lock contract, checked
+//! at runtime in debug builds.
 //!
-//! Every long-lived lock in the engine is declared with a [`LockRank`] drawn
-//! from the partial order in `lint.toml` (the single source of truth for the
-//! concurrency contracts). Under `debug_assertions` each thread keeps a stack
-//! of the ranks it currently holds, and acquiring a lock whose rank is not
-//! strictly greater than every held rank panics *before* blocking — so a
-//! potential AB/BA deadlock surfaces as a deterministic panic in any debug
-//! test run, even when the interleaving that would actually deadlock never
-//! happens. In release builds the wrappers compile down to the bare
-//! `parking_lot` primitives: no rank field, no thread-local, no check.
-//!
-//! The same declared order is enforced statically by
-//! `cargo run -p tc-lint -- check`; the wrapper exists to catch what a
-//! source-level analyzer cannot see (calls through trait objects, locks
-//! threaded through closures, third-party callbacks).
+//! Every lock in the engine is an [`OrderedMutex`] or [`OrderedRwLock`]
+//! declared with a [`LockRank`] from [`ranks`], the single source of truth
+//! for the lock order (clippy's `disallowed-types`, configured in the root
+//! `clippy.toml`, keeps the raw primitives out of every other module). Under
+//! `debug_assertions` each thread keeps a stack of the ranks it currently
+//! holds, and acquiring a lock whose rank is not strictly greater than every
+//! held rank panics *before* blocking — so a potential AB/BA deadlock
+//! surfaces as a deterministic panic in any debug test run, even when the
+//! interleaving that would actually deadlock never happens. The check runs
+//! on every acquisition at any call depth, through closures and trait
+//! objects alike. [`blocking`] marks the calls that may block (page I/O,
+//! sleeps, waits) and panics if the thread holds the hot tree `state` lock.
+//! In release builds the wrappers compile down to the bare `parking_lot`
+//! primitives and `blocking` to nothing: no rank field, no thread-local, no
+//! check.
+
+#![allow(clippy::disallowed_types, reason = "the ordered wrappers are built on the raw locks")]
 
 use std::ops::{Deref, DerefMut};
 
 /// A position in the global lock order. Lower ranks must be acquired first.
 ///
-/// `name` matches the struct field the lock lives in, which is also how
-/// `lint.toml` and the static analyzer identify it.
+/// `name` matches the struct field the lock lives in; panics name it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LockRank {
     pub order: u32,
     pub name: &'static str,
 }
 
-/// The workspace's declared lock order. Keep in sync with `[order].locks`
-/// in `lint.toml` — `tc-lint` checks the source against that list, and these
-/// constants make the running binary check itself against the same list.
+/// The workspace's lock order, outermost first, and its only declaration:
+/// a thread may acquire a lock only while every lock it holds ranks lower.
+/// Flushes, merges, bulk loads and recovery take `flush_lock` or
+/// `merge_lock` first, so none of them can start under `state`.
 pub mod ranks {
     use super::LockRank;
 
@@ -42,6 +45,9 @@ pub mod ranks {
     pub const TREE_STATE: LockRank = LockRank { order: 300, name: "state" };
     /// `TupleCompactor::schema` — the in-memory counted schema tree.
     pub const COMPACTOR_SCHEMA: LockRank = LockRank { order: 400, name: "schema" };
+    /// `TupleCompactor::flush_backup` — the schema snapshot an aborted flush
+    /// restores.
+    pub const FLUSH_BACKUP: LockRank = LockRank { order: 450, name: "flush_backup" };
     /// `TupleCompactor::dict_cache` — memoized dictionary snapshot.
     pub const DICT_CACHE: LockRank = LockRank { order: 500, name: "dict_cache" };
     /// `Wal::frozen` — the frozen WAL segment buffer.
@@ -59,6 +65,7 @@ pub mod ranks {
 }
 
 #[cfg(debug_assertions)]
+#[expect(clippy::panic, reason = "the debug-build lock checker fails loudly by design")]
 mod held {
     use super::LockRank;
     use std::cell::{Cell, RefCell};
@@ -78,7 +85,8 @@ mod held {
                 if let Some((worst, _)) = stack.iter().find(|(h, _)| h.order >= rank.order) {
                     panic!(
                         "lock-order violation: acquiring '{}' (rank {}) while holding '{}' \
-                         (rank {}); this thread holds [{}]; the declared order lives in lint.toml",
+                         (rank {}); this thread holds [{}]; the order is declared in \
+                         tc_util::sync::ranks",
                         rank.name,
                         rank.order,
                         worst.name,
@@ -97,6 +105,19 @@ mod held {
         })
     }
 
+    /// Panic if this thread holds a lock of `rank` while about to block in
+    /// `what`.
+    pub(super) fn refuse_blocking_under(rank: LockRank, what: &str) {
+        STACK.with(|s| {
+            if s.borrow().iter().any(|(h, _)| h.order == rank.order) {
+                panic!(
+                    "blocking call '{what}' while holding '{}' (rank {})",
+                    rank.name, rank.order
+                );
+            }
+        });
+    }
+
     /// Guards may be dropped in any order, so release removes by token
     /// rather than popping. `try_with` keeps thread teardown (TLS already
     /// destroyed) from aborting the process.
@@ -108,6 +129,18 @@ mod held {
             }
         });
     }
+}
+
+/// Mark a call that may block the thread: page I/O, a sleep, a wait. In
+/// debug builds it panics if the caller holds [`ranks::TREE_STATE`], the
+/// lock every reader and writer of a tree takes, which must never be held
+/// across such a call. It compiles to nothing in release builds.
+#[inline]
+pub fn blocking(what: &str) {
+    #[cfg(debug_assertions)]
+    held::refuse_blocking_under(ranks::TREE_STATE, what);
+    #[cfg(not(debug_assertions))]
+    let _ = what;
 }
 
 #[cfg(debug_assertions)]
@@ -321,6 +354,26 @@ mod tests {
         .expect_err("read-under-read of the same rank must panic in debug");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("lock-order violation"), "unexpected panic: {msg}");
+    }
+
+    /// A blocking call under the hot tree lock panics; under any other lock,
+    /// or once the guard drops, it is legal.
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "detector compiles out in release")]
+    fn blocking_under_tree_state_panics() {
+        let state = OrderedRwLock::new(ranks::TREE_STATE, ());
+        let cache = OrderedMutex::new(ranks::CACHE_INNER, ());
+        let cache_guard = cache.lock();
+        blocking("page read");
+        drop(cache_guard);
+        let guard = state.read();
+        let err = catch_unwind(AssertUnwindSafe(|| blocking("page read")))
+            .expect_err("blocking under state must panic in debug");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("blocking call 'page read'"), "unexpected panic: {msg}");
+        assert!(msg.contains("'state'"), "unexpected panic: {msg}");
+        drop(guard);
+        blocking("page read");
     }
 
     /// The classic AB/BA cycle: thread 1 takes lo→hi (legal), thread 2 takes
