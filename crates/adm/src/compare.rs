@@ -12,8 +12,10 @@ use std::hash::{Hash, Hasher};
 use crate::typetag::TypeTag;
 use crate::value::Value;
 
-/// Rank used to order values of different type families.
-fn type_rank(tag: TypeTag) -> u8 {
+/// Rank used to order values of different type families: values of a lower
+/// rank sort below every value of a higher one, whatever they hold. All
+/// numeric types share one rank.
+pub fn type_rank(tag: TypeTag) -> u8 {
     use TypeTag::*;
     match tag {
         Missing => 0,

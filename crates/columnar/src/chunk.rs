@@ -11,6 +11,7 @@ use tc_adm::path::{Path, PathStep};
 use tc_adm::{TypeTag, Value};
 use tc_lsm::columnar::ColumnarChunk;
 use tc_lsm::entry::{EntryKind, Key};
+use tc_lsm::zone::{ColumnZone, Num, Zone, ZoneColumn};
 use tc_schema::FieldNameDictionary;
 use tc_storage::buffer_cache::BufferCache;
 use tc_storage::error::StorageError;
@@ -100,6 +101,10 @@ pub struct ChunkReader {
     dict: Option<FieldNameDictionary>,
     /// The page the body's byte 0 lies on.
     body: PageId,
+    /// The zone columns (every `Int64`/`Double` column, at any depth): their
+    /// indexes in `columns`, and their paths.
+    zone_cols: Vec<usize>,
+    zone_paths: Vec<ZoneColumn>,
 }
 
 /// The first `N` bytes of `bytes` as an array, for `from_le_bytes`.
@@ -136,7 +141,13 @@ impl ChunkReader {
         dict: Option<FieldNameDictionary>,
         body: PageId,
     ) -> Self {
-        ChunkReader { declared, counters, columns, groups, dict, body }
+        let (zone_cols, zone_paths) = columns
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| matches!(c.tag, TypeTag::Int64 | TypeTag::Double))
+            .map(|(i, c)| (i, c.path.clone()))
+            .unzip();
+        ChunkReader { declared, counters, columns, groups, dict, body, zone_cols, zone_paths }
     }
 
     /// `chunk` as the format-aware reader, if this crate's codec built it.
@@ -607,9 +618,31 @@ fn insert_at_path(target: &mut Value, path: &[String], v: Value) {
     }
 }
 
+/// A column's group stats as a zone. A spilled value lives in the residual
+/// under another type, and `ColumnStats::None` covers both "no present value"
+/// and "stats poisoned by NaN": either way the zone is unknown.
+fn column_zone(meta: &ColumnChunkMeta) -> ColumnZone {
+    let range = match meta.stats {
+        _ if meta.spilled > 0 => return ColumnZone::Unknown,
+        ColumnStats::None => return ColumnZone::Unknown,
+        ColumnStats::Int { min, max } => (Num::Int(min), Num::Int(max)),
+        ColumnStats::Float { min, max } => (Num::Double(min), Num::Double(max)),
+    };
+    ColumnZone::Known { range: Some(range), ranks: 0 }
+}
+
 impl ColumnarChunk for ChunkReader {
     fn num_groups(&self) -> usize {
         self.groups.len()
+    }
+
+    /// The group's min/max stats over every numeric column.
+    fn group_zone(&self, g: usize) -> Option<(&[ZoneColumn], Zone)> {
+        if self.zone_cols.is_empty() {
+            return None;
+        }
+        let cols = &self.groups[g].cols;
+        Some((&self.zone_paths, self.zone_cols.iter().map(|&c| column_zone(&cols[c])).collect()))
     }
 
     fn group_first_key(&self, g: usize) -> &[u8] {

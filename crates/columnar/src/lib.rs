@@ -177,8 +177,9 @@ impl ColumnarCounters {
         self.pages_written.load(Ordering::Relaxed)
     }
 
-    /// Row groups' column pages a columnar scan proved irrelevant from
-    /// min/max stats and never faulted in.
+    /// Row groups' column pages the at-rest columnar scan proved irrelevant
+    /// from min/max stats and never faulted in. A live merged scan's skipped
+    /// groups are not counted here; `ExecStats::units_skipped` counts both.
     pub fn pages_skipped(&self) -> u64 {
         self.pages_skipped.load(Ordering::Relaxed)
     }

@@ -13,7 +13,7 @@ use tc_storage::StorageError;
 use tc_util::sync::{self, ranks, OrderedMutex};
 use tc_vector::infer_and_compact_into;
 
-use tc_lsm::{ComponentHook, LsmTree};
+use tc_lsm::{ComponentHook, LsmTree, ZoneExtractor};
 
 /// The tuple compactor: shared between a dataset's LSM tree (as its flush /
 /// merge hook) and its query path (which snapshots the schema dictionary).
@@ -147,6 +147,12 @@ impl ComponentHook for TupleCompactor {
     // `merge_metadata` is the hook default: a merge keeps the newest input
     // schema, a superset of the older ones, without touching the in-memory
     // schema, so flushes and merges never synchronize (§3.1.1).
+
+    /// Row blocks get zones over the schema's first numeric top-level
+    /// fields (see [`crate::zones`]), from the blob the component carries.
+    fn zone_extractor(&self, metadata: Option<&[u8]>) -> Option<Box<dyn ZoneExtractor>> {
+        crate::zones::extractor(metadata?)
+    }
 }
 
 // ---------------------------------------------------------------------

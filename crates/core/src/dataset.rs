@@ -46,7 +46,7 @@ use tc_lsm::component::DiskComponent;
 use tc_lsm::entry::{decode_i64_key, encode_i64_key, Key};
 use tc_lsm::iter::MergedScan;
 use tc_lsm::secondary::{PrimaryKeyIndex, SecondaryIndex};
-use tc_lsm::{ColumnarCodec, ComponentHook, EntryKind, LsmOptions, LsmTree, NoopHook};
+use tc_lsm::{ColumnarCodec, ComponentHook, EntryKind, LsmOptions, LsmTree, NoopHook, ZoneFilter};
 use tc_schema::Schema;
 use tc_storage::device::Device;
 use tc_storage::{BufferCache, StorageError};
@@ -463,7 +463,17 @@ impl Dataset {
     /// decoder is captured inside [`LsmTree::scan_with`]'s read-lock
     /// section; the scan's block-priming IO runs after release.
     pub fn snapshot_scan(&self) -> (RecordDecoder, MergedScan) {
-        self.primary.scan_with(None, None, || self.decoder())
+        self.snapshot_scan_where(None)
+    }
+
+    /// [`Dataset::snapshot_scan`] that leaves unread the row blocks and row
+    /// groups a zone `filter` proves useless, by the skip rule of
+    /// [`tc_lsm::iter`] ([`MergedScan::units_skipped`] counts them).
+    pub fn snapshot_scan_where(
+        &self,
+        filter: Option<ZoneFilter<'_>>,
+    ) -> (RecordDecoder, MergedScan) {
+        self.primary.scan_with(None, None, filter, || self.decoder())
     }
 
     /// Materialized scan (tests/examples; queries stream raw + decoder).

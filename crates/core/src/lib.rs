@@ -21,6 +21,8 @@
 //! * [`decoder`] — format-aware record access for the query engine:
 //!   offset-based navigation for ADM records, linear `getValues` for
 //!   vector-based records.
+//! * [`zones`] — the zone values of row blocks, extracted from every record
+//!   a flush, merge or bulk load packs.
 
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
@@ -28,6 +30,7 @@ pub mod compactor;
 pub mod config;
 pub mod dataset;
 pub mod decoder;
+pub mod zones;
 
 pub use compactor::{MaintenanceWorker, TupleCompactor};
 pub use config::{DatasetConfig, StorageFormat};

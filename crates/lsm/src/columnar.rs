@@ -57,6 +57,7 @@ use tc_storage::error::StorageError;
 use tc_storage::page_store::PageStore;
 
 use crate::entry::{EntryKind, Key};
+use crate::zone::{Zone, ZoneColumn};
 
 /// Builds the columnar body of one disk component during flush/merge.
 pub trait ColumnarCodec: Send + Sync + std::fmt::Debug {
@@ -176,4 +177,11 @@ pub trait ColumnarChunk: std::any::Any + Send + Sync + std::fmt::Debug {
         g: usize,
         key: &[u8],
     ) -> Result<Option<(EntryKind, Vec<u8>)>, StorageError>;
+
+    /// Group `g`'s zone and the columns it covers, as a filtered scan judges
+    /// the group (see [`crate::zone`]); `None` (the default) if the chunk
+    /// keeps no summaries, and then no scan skips its groups.
+    fn group_zone(&self, _g: usize) -> Option<(&[ZoneColumn], Zone)> {
+        None
+    }
 }

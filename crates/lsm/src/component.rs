@@ -1,12 +1,13 @@
 //! Immutable on-disk components (paper §2.2).
 //!
 //! A component is a bottom-up-built B+-tree: sorted entries packed into
-//! page-sized leaf blocks, an index of (first key → block) over them, a
-//! bloom filter on keys, and a metadata page holding the validity bit, the
+//! page-sized leaf blocks, an index of (first key → block, zone) over them,
+//! a bloom filter on keys, and a metadata page holding the validity bit, the
 //! component id, and the hook's metadata blob (the tuple compactor's
-//! persisted schema, §3.1). Index, bloom, and metadata are written to the
-//! same page store after the leaves, so on-disk size accounting includes
-//! them, as a real B+-tree's interior nodes would.
+//! persisted schema, §3.1). Index (zone columns and zones included), bloom,
+//! and metadata are written to the same page store after the leaves, so
+//! on-disk size accounting includes them, as a real B+-tree's interior nodes
+//! would.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -21,6 +22,7 @@ use tc_util::varint;
 use crate::bloom::BloomFilter;
 use crate::columnar::{ColumnarChunk, ColumnarCodec, ColumnarWriter, RowSource};
 use crate::entry::{read_entry, write_entry, EntryKind, Key};
+use crate::zone::{write_zone, Zone, ZoneColumn, ZoneExtractor, ZoneFilter};
 
 /// Component identity: flushed components get `(n, n)`; a merge of
 /// `[Ci..Cj]` gets `(i, j)`. Recency order is by `max` (paper §2.2:
@@ -51,12 +53,39 @@ impl std::fmt::Display for ComponentId {
     }
 }
 
-/// Index entry: where a leaf block lives.
+/// Index entry: where a leaf block lives, and its zone over the
+/// component's zone columns (empty when the component has none).
 #[derive(Debug, Clone)]
 struct BlockRef {
     first_key: Key,
     start_page: u64,
     byte_len: u32,
+    zone: Zone,
+}
+
+/// A unit's key interval: from its first key to the next unit's first key
+/// (exclusive), or to the component's largest key (inclusive) for the last.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Span<'a> {
+    pub lo: &'a [u8],
+    pub hi: &'a [u8],
+    pub hi_inclusive: bool,
+}
+
+impl Span<'_> {
+    /// Does `key` lie below the interval's upper end?
+    pub fn below_hi(&self, key: &[u8]) -> bool {
+        if self.hi_inclusive {
+            key <= self.hi
+        } else {
+            key < self.hi
+        }
+    }
+
+    /// Could a key lie in both intervals?
+    pub fn meets(&self, other: &Span<'_>) -> bool {
+        self.below_hi(other.lo) && other.below_hi(self.lo)
+    }
 }
 
 /// How a component's entries are laid out on its page store.
@@ -80,6 +109,8 @@ pub struct DiskComponent {
     bloom: BloomFilter,
     /// Hook metadata blob (the persisted schema for inferred datasets).
     metadata: Option<Vec<u8>>,
+    /// The columns each row block's zone covers (none: no zones).
+    zone_columns: Vec<ZoneColumn>,
     /// Largest key in the component (None if empty).
     max_key: Option<Key>,
     /// The validity bit (paper §2.2): set only after the flush/merge that
@@ -140,6 +171,43 @@ impl DiskComponent {
         match &self.body {
             Body::Rows(index) => index.first().map(|b| b.first_key.as_slice()),
             Body::Columnar(chunk) => (chunk.num_groups() > 0).then(|| chunk.group_first_key(0)),
+        }
+    }
+
+    /// Row blocks, or row groups of a columnar body: the units a scan reads
+    /// at once, and the units a zone map may let it skip.
+    pub fn num_units(&self) -> usize {
+        match &self.body {
+            Body::Rows(index) => index.len(),
+            Body::Columnar(chunk) => chunk.num_groups(),
+        }
+    }
+
+    fn unit_first_key(&self, u: usize) -> &[u8] {
+        match &self.body {
+            Body::Rows(index) => &index[u].first_key,
+            Body::Columnar(chunk) => chunk.group_first_key(u),
+        }
+    }
+
+    /// Unit `u`'s key interval (`u < num_units()`).
+    pub(crate) fn unit_span(&self, u: usize) -> Span<'_> {
+        let lo = self.unit_first_key(u);
+        if u + 1 < self.num_units() {
+            Span { lo, hi: self.unit_first_key(u + 1), hi_inclusive: false }
+        } else {
+            Span { lo, hi: self.max_key().unwrap_or(lo), hi_inclusive: true }
+        }
+    }
+
+    /// May unit `u` hold a record `filter` keeps? Always, for a unit without
+    /// a zone.
+    pub(crate) fn unit_may_match(&self, u: usize, filter: ZoneFilter<'_>) -> bool {
+        match &self.body {
+            Body::Rows(index) => {
+                self.zone_columns.is_empty() || filter(&self.zone_columns, &index[u].zone)
+            }
+            Body::Columnar(chunk) => chunk.group_zone(u).is_none_or(|(cols, z)| filter(cols, &z)),
         }
     }
 
@@ -267,7 +335,14 @@ impl DiskComponent {
     /// handles, so it stays valid while concurrent flushes/merges replace
     /// the tree's component list — the merged-out component is simply kept
     /// alive by this scan's `Arc` until it finishes (snapshot semantics).
-    pub fn scan(self: &Arc<Self>, cache: &Arc<BufferCache>, start: Option<&[u8]>) -> ComponentScan {
+    /// The units `skip` marks (a filtered scan's zone-map skips; empty for
+    /// none) are never read.
+    pub fn scan(
+        self: &Arc<Self>,
+        cache: &Arc<BufferCache>,
+        start: Option<&[u8]>,
+        skip: Vec<bool>,
+    ) -> ComponentScan {
         // The last block / row group whose first key is ≤ `start`.
         let first_unit = match (&self.body, start) {
             (_, None) => 0,
@@ -289,6 +364,7 @@ impl DiskComponent {
             pos: 0,
             keys: Vec::new().into_iter(),
             row: 0,
+            skip,
             failed: false,
             skip_until: start.map(|s| s.to_vec()),
             group_memo: None,
@@ -348,6 +424,8 @@ pub struct ComponentScan {
     /// the next one.
     keys: std::vec::IntoIter<(Key, EntryKind)>,
     row: u32,
+    /// Units never to read (a filtered scan's zone-map skips); empty = none.
+    skip: Vec<bool>,
     failed: bool,
     skip_until: Option<Key>,
     /// The one row group [`ComponentScan::materialize`] last reconstructed,
@@ -370,7 +448,7 @@ impl ComponentScan {
     /// component turned out to be corrupt (the component is quarantined and
     /// the scan yields nothing further).
     pub fn next_entry(&mut self) -> Option<Result<LazyEntry, StorageError>> {
-        let ComponentScan { component, cache, next_unit, block, pos, keys, row, .. } = self;
+        let ComponentScan { component, cache, next_unit, block, pos, keys, row, skip, .. } = self;
         loop {
             if self.failed {
                 return None;
@@ -378,6 +456,7 @@ impl ComponentScan {
             let entry = match &component.body {
                 Body::Rows(index) => {
                     if *pos >= block.len() {
+                        *next_unit = first_unread(skip, *next_unit);
                         let block_ref = index.get(*next_unit)?;
                         match component.read_block(cache, block_ref) {
                             Ok(b) => *block = b,
@@ -409,6 +488,7 @@ impl ComponentScan {
                         (key, kind, payload)
                     }
                     None => {
+                        *next_unit = first_unread(skip, *next_unit);
                         if *next_unit >= chunk.num_groups() {
                             return None;
                         }
@@ -476,6 +556,11 @@ impl ComponentScan {
     }
 }
 
+/// The first unit at or after `u` that `skip` does not mark.
+fn first_unread(skip: &[bool], u: usize) -> usize {
+    u + skip.get(u..).unwrap_or_default().iter().take_while(|s| **s).count()
+}
+
 fn no_such_row(component: &DiskComponent, group: u32, row: u32) -> StorageError {
     StorageError::corruption(
         "component scan",
@@ -507,6 +592,9 @@ pub struct ComponentBuilder {
     /// Set in columnar mode: entries go to the codec's writer instead of
     /// being packed into row blocks.
     columnar: Option<Box<dyn ColumnarWriter>>,
+    /// The hook's zone extractor, if row blocks get zones: it sees every
+    /// record packed, and each finished block takes its zone.
+    zones: Option<Box<dyn ZoneExtractor>>,
 }
 
 impl ComponentBuilder {
@@ -531,6 +619,7 @@ impl ComponentBuilder {
             last_key: Vec::new(),
             page_size,
             columnar: None,
+            zones: None,
         }
     }
 
@@ -545,6 +634,13 @@ impl ComponentBuilder {
     /// `codec`'s writer, opened here for the builder's metadata blob.
     pub fn with_columnar(mut self, codec: &dyn ColumnarCodec) -> Self {
         self.columnar = Some(codec.writer(self.metadata.as_deref()));
+        self
+    }
+
+    /// Give every row block a zone, from `zones` (row layout only: a
+    /// columnar body's groups summarize themselves).
+    pub fn with_zones(mut self, zones: Box<dyn ZoneExtractor>) -> Self {
+        self.zones = Some(zones);
         self
     }
 
@@ -600,6 +696,9 @@ impl ComponentBuilder {
             self.pending_first_key = Some(key.to_vec());
         }
         write_entry(&mut self.buf, key, kind, payload);
+        if let (Some(zones), EntryKind::Record) = (&mut self.zones, kind) {
+            zones.observe(payload);
+        }
         if self.buf.len() >= self.page_size {
             self.flush_block()?;
         }
@@ -647,7 +746,8 @@ impl ComponentBuilder {
         self.next_page += pages.len() as u64;
         #[expect(clippy::expect_used, reason = "a non-empty block has a first key")]
         let first_key = self.pending_first_key.take().expect("block has entries");
-        self.index.push(BlockRef { first_key, start_page, byte_len });
+        let zone = self.zones.as_mut().map_or_else(Zone::default, |z| z.take());
+        self.index.push(BlockRef { first_key, start_page, byte_len, zone });
         self.buf.clear();
         Ok(())
     }
@@ -668,15 +768,25 @@ impl ComponentBuilder {
             Body::Rows(index) => index,
             Body::Columnar(_) => &[],
         };
+        let zone_columns = self.zones.take().map(|z| z.columns().to_vec()).unwrap_or_default();
         // Persist index, bloom, and metadata after the leaves, so the
         // component's on-disk footprint is complete.
         let mut tail = Vec::new();
+        varint::write_u64(&mut tail, zone_columns.len() as u64);
+        for column in &zone_columns {
+            varint::write_u64(&mut tail, column.len() as u64);
+            for name in column {
+                varint::write_u64(&mut tail, name.len() as u64);
+                tail.extend_from_slice(name.as_bytes());
+            }
+        }
         varint::write_u64(&mut tail, row_index.len() as u64);
         for b in row_index {
             varint::write_u64(&mut tail, b.first_key.len() as u64);
             tail.extend_from_slice(&b.first_key);
             varint::write_u64(&mut tail, b.start_page);
             varint::write_u64(&mut tail, b.byte_len as u64);
+            write_zone(&mut tail, &b.zone);
         }
         let bloom_bytes = self.bloom.serialize();
         varint::write_u64(&mut tail, bloom_bytes.len() as u64);
@@ -704,6 +814,7 @@ impl ComponentBuilder {
             body,
             bloom: self.bloom,
             metadata,
+            zone_columns,
             max_key: (self.num_entries > 0).then_some(self.last_key),
             valid: AtomicBool::new(valid),
             quarantined: AtomicBool::new(false),
@@ -758,7 +869,7 @@ mod tests {
     #[test]
     fn scan_returns_all_in_order() {
         let (c, cache) = build(300, 128);
-        let mut scan = c.scan(&cache, None);
+        let mut scan = c.scan(&cache, None, Vec::new());
         let mut prev: Option<Key> = None;
         let mut count = 0;
         while let Some(item) = scan.next_entry() {
@@ -778,7 +889,7 @@ mod tests {
         let (c, cache) = build(100, 128);
         // Start between keys 100 (i=50) and 102 (i=51).
         let start = 101u64.to_be_bytes();
-        let mut scan = c.scan(&cache, Some(&start));
+        let mut scan = c.scan(&cache, Some(&start), Vec::new());
         let (k, _, _) = scan.next_entry().unwrap().unwrap();
         assert_eq!(u64::from_be_bytes(k[..8].try_into().unwrap()), 102);
         let mut rest = 1;
@@ -876,7 +987,7 @@ mod tests {
         let c = Arc::new(b.finish(ComponentId::flushed(0), true).unwrap());
         device.clear_fault_plan();
         let cache = Arc::new(BufferCache::new(16));
-        let mut scan = c.scan(&cache, None);
+        let mut scan = c.scan(&cache, None, Vec::new());
         let mut clean = 0usize;
         let mut saw_error = false;
         while let Some(item) = scan.next_entry() {

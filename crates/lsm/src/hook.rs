@@ -7,6 +7,8 @@
 
 use tc_storage::StorageError;
 
+use crate::zone::ZoneExtractor;
+
 /// Observer/transformer of component lifecycle events. One hook instance is
 /// shared by all operations of one LSM tree (one dataset partition).
 pub trait ComponentHook: Send + Sync {
@@ -56,6 +58,15 @@ pub trait ComponentHook: Send + Sync {
     /// in-memory schema so merges and flushes never synchronize.
     fn merge_metadata(&self, inputs: &[Option<&[u8]>]) -> Option<Vec<u8>> {
         inputs.iter().rev().find_map(|m| m.map(<[u8]>::to_vec))
+    }
+
+    /// Open the zone extractor of one row-layout component build — flush,
+    /// merge or bulk load — whose metadata blob is `metadata`, the way a
+    /// columnar codec opens its writer. It sees every record payload the
+    /// builder packs. `None` (the default): the component's blocks carry no
+    /// zones, and no scan skips them.
+    fn zone_extractor(&self, _metadata: Option<&[u8]>) -> Option<Box<dyn ZoneExtractor>> {
+        None
     }
 }
 

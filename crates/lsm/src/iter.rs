@@ -15,6 +15,18 @@
 //! winners out as they are; [`MergedScan::next`] materializes them, one
 //! reconstructed row group per source at a time, so a group none of whose
 //! rows win is never read past its key block.
+//!
+//! A read scan may carry a zone filter ([`crate::zone`]). Before any block is
+//! read, the components are walked oldest first, and a unit (row block or
+//! row group) is skipped iff its zone fails the filter and its key interval
+//! meets no unit of an older component that will be read. Memtable entries
+//! are never skipped, and skipped units are never read, not even to prime
+//! the heap. This loses no answer. Take a key whose newest version lies in a
+//! skipped unit: every older version lies in an older unit its interval
+//! meets, so in a skipped unit too, and every version fails the filter — the
+//! key yields nothing either way. A key with a version in a unit that is read
+//! is decided by its newest version, as without the filter; anti-matter in a
+//! skipped unit is covered by the same argument.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -23,9 +35,10 @@ use std::sync::Arc;
 use tc_storage::error::StorageError;
 use tc_storage::BufferCache;
 
-use crate::component::{ComponentId, ComponentScan, DiskComponent, Payload};
+use crate::component::{ComponentId, ComponentScan, DiskComponent, Payload, Span};
 use crate::entry::{EntryKind, Key};
 use crate::memtable::{MemEntry, Memtable};
+use crate::zone::ZoneFilter;
 
 /// Degradation record for a merged scan: the components that could not be
 /// read — already quarantined at scan start, or quarantined mid-scan when a
@@ -68,18 +81,20 @@ impl ScanHealth {
     }
 }
 
-/// Copy a memtable's entries from `start` onward into an owned snapshot
-/// (the cheap, in-memory part of scan construction — safe under a lock).
+/// Copy a memtable's entries in `[start, end)` into an owned snapshot (the
+/// cheap, in-memory part of scan construction — safe under a lock).
 pub(crate) fn snapshot_memtable(
     mem: &Memtable,
     start: Option<&[u8]>,
+    end: Option<&[u8]>,
 ) -> Vec<(Key, EntryKind, Vec<u8>)> {
+    use std::ops::Bound;
+    if start.zip(end).is_some_and(|(s, e)| s >= e) {
+        return Vec::new();
+    }
     mem.range(
-        match start {
-            Some(s) => std::ops::Bound::Included(s),
-            None => std::ops::Bound::Unbounded,
-        },
-        std::ops::Bound::Unbounded,
+        start.map_or(Bound::Unbounded, Bound::Included),
+        end.map_or(Bound::Unbounded, Bound::Excluded),
     )
     .map(|(k, e)| match e {
         MemEntry::Record(p) => (k.clone(), EntryKind::Record, p.clone()),
@@ -145,16 +160,20 @@ pub struct MergedScan {
     /// Components dropped because they were (or became) corrupt.
     health: ScanHealth,
     cache: Arc<BufferCache>,
+    /// Units the zone filter let the scan leave unread.
+    units_skipped: u64,
 }
 
 impl MergedScan {
     /// Build a scan. `components` are ordered oldest → newest;
-    /// `mem_snapshots` (memtable copies from `start` onward, if any) are
+    /// `mem_snapshots` (memtable copies of `[start, end)`, if any) are
     /// ordered oldest → newest too and are newer than every component —
     /// with a background flush in flight this is `[frozen, active]`. `start`
-    /// is inclusive, `end` exclusive. Heap priming reads (and possibly
-    /// decompresses) one block per overlapping component, so a scan must be
-    /// built *after* any tree lock is released.
+    /// is inclusive, `end` exclusive. A read scan with a zone `filter` skips
+    /// the units it proves useless (see the module docs); a merge passes
+    /// none. Heap priming reads (and possibly decompresses) one block per
+    /// overlapping component, so a scan must be built *after* any tree lock is
+    /// released.
     pub(crate) fn new(
         mem_snapshots: Vec<Vec<(Key, EntryKind, Vec<u8>)>>,
         components: &[Arc<DiskComponent>],
@@ -162,9 +181,9 @@ impl MergedScan {
         start: Option<&[u8]>,
         end: Option<&[u8]>,
         include_antimatter: bool,
+        filter: Option<ZoneFilter<'_>>,
     ) -> Self {
-        let mut sources: Vec<SourceIter> =
-            Vec::with_capacity(components.len() + mem_snapshots.len());
+        let mut read: Vec<&Arc<DiskComponent>> = Vec::with_capacity(components.len());
         let mut health = ScanHealth::default();
         for c in components {
             // Key-range filter: skip components outside [start, end).
@@ -183,7 +202,16 @@ impl MergedScan {
                 );
                 continue;
             }
-            sources.push(SourceIter::Disk(c.scan(cache, start)));
+            read.push(c);
+        }
+        let masks = match filter {
+            Some(filter) => skip_masks(&read, filter),
+            None => vec![Vec::new(); read.len()],
+        };
+        let units_skipped = masks.iter().flatten().filter(|s| **s).count() as u64;
+        let mut sources: Vec<SourceIter> = Vec::with_capacity(read.len() + mem_snapshots.len());
+        for (c, skip) in read.into_iter().zip(masks) {
+            sources.push(SourceIter::Disk(c.scan(cache, start, skip)));
         }
         for snapshot in mem_snapshots {
             sources.push(SourceIter::Mem(snapshot.into_iter()));
@@ -195,6 +223,7 @@ impl MergedScan {
             end: end.map(|e| e.to_vec()),
             health,
             cache: Arc::clone(cache),
+            units_skipped,
         };
         for rank in 0..scan.sources.len() {
             scan.advance(rank);
@@ -224,6 +253,11 @@ impl MergedScan {
                 None => {}
             },
         }
+    }
+
+    /// Row blocks and row groups the scan's zone filter left unread.
+    pub fn units_skipped(&self) -> u64 {
+        self.units_skipped
     }
 
     /// Degradation record: which components this scan had to drop.
@@ -333,6 +367,38 @@ impl MergedScan {
     }
 }
 
+/// Which units of each component (oldest first) a scan filtered by `filter`
+/// leaves unread, one mask per component: a unit's zone fails the filter and
+/// its key interval meets no unit of an older component that is read.
+fn skip_masks(components: &[&Arc<DiskComponent>], filter: ZoneFilter<'_>) -> Vec<Vec<bool>> {
+    // Per component already walked, the intervals of its units that are
+    // read: ascending and disjoint.
+    let mut read: Vec<Vec<Span<'_>>> = Vec::with_capacity(components.len());
+    let mut masks = Vec::with_capacity(components.len());
+    for c in components {
+        let mut mask = vec![false; c.num_units()];
+        let mut spans = Vec::new();
+        for (u, skip) in mask.iter_mut().enumerate() {
+            let span = c.unit_span(u);
+            *skip =
+                !c.unit_may_match(u, filter) && !read.iter().any(|older| meets_any(older, &span));
+            if !*skip {
+                spans.push(span);
+            }
+        }
+        read.push(spans);
+        masks.push(mask);
+    }
+    masks
+}
+
+/// Does `span` meet any of `spans` (ascending, disjoint)? Only the first
+/// whose upper end lies above `span`'s first key can.
+fn meets_any(spans: &[Span<'_>], span: &Span<'_>) -> bool {
+    let first = spans.partition_point(|s| !s.below_hi(span.lo));
+    spans.get(first).is_some_and(|s| s.meets(span))
+}
+
 #[cfg(test)]
 #[allow(clippy::disallowed_types, reason = "test hooks log events, outside the order")]
 mod tests {
@@ -373,7 +439,7 @@ mod tests {
         let c1 = component(1, &[(2, Record, "new2")]);
         let comps = vec![c0, c1];
         let cache = Arc::new(BufferCache::new(16));
-        let mut scan = MergedScan::new(Vec::new(), &comps, &cache, None, None, false);
+        let mut scan = MergedScan::new(Vec::new(), &comps, &cache, None, None, false, None);
         assert_eq!(
             collect(&mut scan),
             vec![
@@ -393,10 +459,10 @@ mod tests {
         let c1 = component(1, &[(0, AntiMatter, ""), (2, Record, "Bob")]);
         let comps = vec![c0, c1];
         let cache = Arc::new(BufferCache::new(16));
-        let mut scan = MergedScan::new(Vec::new(), &comps, &cache, None, None, false);
+        let mut scan = MergedScan::new(Vec::new(), &comps, &cache, None, None, false, None);
         assert_eq!(collect(&mut scan), vec![(1, Record, "John".into()), (2, Record, "Bob".into())]);
         // A merge-mode scan still sees the anti-matter entry.
-        let mut scan = MergedScan::new(Vec::new(), &comps, &cache, None, None, true);
+        let mut scan = MergedScan::new(Vec::new(), &comps, &cache, None, None, true, None);
         let all = collect(&mut scan);
         assert_eq!(all.len(), 3);
         assert_eq!(all[0], (0, AntiMatter, "".into()));
@@ -411,8 +477,8 @@ mod tests {
         mem.put(1u64.to_be_bytes().to_vec(), MemEntry::Record(b"mem".to_vec()));
         mem.put(3u64.to_be_bytes().to_vec(), MemEntry::AntiMatter(None));
         let cache = Arc::new(BufferCache::new(16));
-        let mems = vec![snapshot_memtable(&mem, None)];
-        let mut scan = MergedScan::new(mems, &comps, &cache, None, None, false);
+        let mems = vec![snapshot_memtable(&mem, None, None)];
+        let mut scan = MergedScan::new(mems, &comps, &cache, None, None, false, None);
         assert_eq!(
             collect(&mut scan),
             vec![(1, Record, "mem".into()), (2, Record, "stays".into())]
@@ -434,8 +500,9 @@ mod tests {
         let mut active = Memtable::new();
         active.put(1u64.to_be_bytes().to_vec(), MemEntry::Record(b"active".to_vec()));
         let cache = Arc::new(BufferCache::new(16));
-        let mems = vec![snapshot_memtable(&frozen, None), snapshot_memtable(&active, None)];
-        let mut scan = MergedScan::new(mems, &comps, &cache, None, None, false);
+        let mems =
+            vec![snapshot_memtable(&frozen, None, None), snapshot_memtable(&active, None, None)];
+        let mut scan = MergedScan::new(mems, &comps, &cache, None, None, false, None);
         assert_eq!(
             collect(&mut scan),
             vec![(1, Record, "active".into()), (2, Record, "frozen2".into())]
@@ -450,7 +517,7 @@ mod tests {
         let c0 = component(0, &[(1, Record, "a"), (2, Record, "b"), (3, Record, "c")]);
         let cache = Arc::new(BufferCache::new(16));
         let mut comps = vec![c0];
-        let mut scan = MergedScan::new(Vec::new(), &comps, &cache, None, None, false);
+        let mut scan = MergedScan::new(Vec::new(), &comps, &cache, None, None, false, None);
         assert_eq!(scan.next().unwrap().0, 1u64.to_be_bytes().to_vec());
         comps.clear(); // the tree swapped its list; the scan holds its own Arc
         assert_eq!(scan.next().unwrap().0, 2u64.to_be_bytes().to_vec());
@@ -467,7 +534,8 @@ mod tests {
         let cache = Arc::new(BufferCache::new(16));
         let start = 5u64.to_be_bytes();
         let end = 9u64.to_be_bytes();
-        let mut scan = MergedScan::new(Vec::new(), &comps, &cache, Some(&start), Some(&end), false);
+        let mut scan =
+            MergedScan::new(Vec::new(), &comps, &cache, Some(&start), Some(&end), false, None);
         let got: Vec<u64> = collect(&mut scan).into_iter().map(|(k, _, _)| k).collect();
         assert_eq!(got, vec![5, 6, 7, 8]);
     }
@@ -484,7 +552,8 @@ mod tests {
         let start = 100u64.to_be_bytes();
         let end = 105u64.to_be_bytes();
         let misses_before = cache.misses();
-        let mut scan = MergedScan::new(Vec::new(), &comps, &cache, Some(&start), Some(&end), false);
+        let mut scan =
+            MergedScan::new(Vec::new(), &comps, &cache, Some(&start), Some(&end), false, None);
         let got: Vec<u64> = collect(&mut scan).into_iter().map(|(k, _, _)| k).collect();
         assert_eq!(got, vec![100, 101, 102, 103, 104]);
         // Only the new component's block was fetched.
@@ -499,7 +568,7 @@ mod tests {
         c0.quarantine();
         let comps = vec![c0, c1];
         let cache = Arc::new(BufferCache::new(16));
-        let mut scan = MergedScan::new(Vec::new(), &comps, &cache, None, None, false);
+        let mut scan = MergedScan::new(Vec::new(), &comps, &cache, None, None, false, None);
         assert_eq!(collect(&mut scan), vec![(2, Record, "b".into())]);
         assert!(!scan.health().is_clean());
         assert_eq!(scan.health().degraded().len(), 1);
@@ -526,7 +595,7 @@ mod tests {
         device.clear_fault_plan();
         let comps = vec![rotten.clone(), healthy];
         let cache = Arc::new(BufferCache::new(32));
-        let mut scan = MergedScan::new(Vec::new(), &comps, &cache, None, None, false);
+        let mut scan = MergedScan::new(Vec::new(), &comps, &cache, None, None, false, None);
         let got = collect(&mut scan);
         // The healthy component's rows always survive; the rotten one
         // contributes only entries before the damage.
@@ -539,6 +608,132 @@ mod tests {
     }
 
     #[test]
+    fn bounded_memtable_snapshot_copies_only_the_range() {
+        let mut mem = Memtable::new();
+        for i in 0..10u64 {
+            mem.put(i.to_be_bytes().to_vec(), MemEntry::Record(b"v".to_vec()));
+        }
+        let keys = |start: u64, end: u64| -> Vec<u64> {
+            snapshot_memtable(&mem, Some(&start.to_be_bytes()), Some(&end.to_be_bytes()))
+                .iter()
+                .map(|(k, _, _)| u64::from_be_bytes(k[..8].try_into().unwrap()))
+                .collect()
+        };
+        assert_eq!(keys(3, 6), [3, 4, 5], "nothing at or past the end is copied");
+        assert_eq!(keys(6, 6), [] as [u64; 0]);
+        assert_eq!(keys(7, 2), [] as [u64; 0], "an empty range copies nothing");
+        assert_eq!(snapshot_memtable(&mem, None, None).len(), 10);
+    }
+
+    /// Zones over one column `v`: a payload that parses as an integer is a
+    /// number, any other a value of one non-numeric class.
+    struct IntZones {
+        columns: Vec<crate::zone::ZoneColumn>,
+        range: Option<(i64, i64)>,
+        other: bool,
+    }
+
+    impl crate::zone::ZoneExtractor for IntZones {
+        fn columns(&self) -> &[crate::zone::ZoneColumn] {
+            &self.columns
+        }
+
+        fn observe(&mut self, payload: &[u8]) {
+            match std::str::from_utf8(payload).unwrap().parse::<i64>() {
+                Ok(v) => {
+                    let (lo, hi) = self.range.unwrap_or((v, v));
+                    self.range = Some((lo.min(v), hi.max(v)));
+                }
+                Err(_) => self.other = true,
+            }
+        }
+
+        fn take(&mut self) -> crate::zone::Zone {
+            use crate::zone::{ColumnZone, Num};
+            let range = self.range.take().map(|(lo, hi)| (Num::Int(lo), Num::Int(hi)));
+            let ranks = std::mem::take(&mut self.other) as u32;
+            vec![ColumnZone::Known { range, ranks }].into()
+        }
+    }
+
+    /// One entry per block (a page holds less than one entry), every block
+    /// with its zone.
+    fn zoned_component(seq: u64, entries: &[(u64, EntryKind, &str)]) -> Arc<DiskComponent> {
+        let device = Arc::new(Device::new(DeviceProfile::RAM));
+        let zones = IntZones { columns: vec![vec!["v".into()]], range: None, other: false };
+        let mut b =
+            ComponentBuilder::new(device, 8, CompressionScheme::None, entries.len(), 10, None)
+                .with_zones(Box::new(zones));
+        for (k, kind, v) in entries {
+            b.push(&k.to_be_bytes(), *kind, v.as_bytes()).unwrap();
+        }
+        Arc::new(b.finish(ComponentId::flushed(seq), true).unwrap())
+    }
+
+    /// The scan filter `40 <= v < 60`, as a zone test and on a payload.
+    fn in_window(cols: &[crate::zone::ZoneColumn], zone: &[crate::zone::ColumnZone]) -> bool {
+        use crate::zone::{ColumnZone, Num};
+        let Some(i) = cols.iter().position(|c| c[..] == ["v"]) else { return true };
+        match zone[i] {
+            ColumnZone::Unknown => true,
+            ColumnZone::Known { range: Some((Num::Int(lo), Num::Int(hi))), .. } => {
+                hi >= 40 && lo < 60
+            }
+            ColumnZone::Known { range, .. } => range.is_some(),
+        }
+    }
+
+    fn passes(payload: &[u8]) -> bool {
+        std::str::from_utf8(payload).unwrap().parse::<i64>().is_ok_and(|v| (40..60).contains(&v))
+    }
+
+    /// The trap: a unit whose zone fails the filter may be skipped only if
+    /// no older unit that is read shares its key range. Three components and
+    /// a memtable; each key below names the version the filter sees last.
+    #[test]
+    fn zone_skips_keep_newer_versions_masking_older_ones() {
+        use EntryKind::*;
+        let c0 = zoned_component(
+            0,
+            &[(3, Record, "45"), (5, Record, "50"), (7, Record, "55"), (9, Record, "100")],
+        );
+        // Key 5's newer version fails the filter and must still mask the
+        // older one that passes; keys 100..103 overlap nothing older.
+        let c1 = zoned_component(
+            1,
+            &[(5, Record, "100"), (100, Record, "0"), (101, Record, "x"), (102, Record, "1")],
+        );
+        // Anti-matter for key 7 sits alone in a block no zone can pass: it
+        // must still delete. Key 20 passes.
+        let c2 = zoned_component(2, &[(7, AntiMatter, ""), (20, Record, "41"), (30, Record, "x")]);
+        // The memtable wins both ways: key 3 fails over a passing version,
+        // key 9 passes over a failing one.
+        let mut mem = Memtable::new();
+        mem.put(3u64.to_be_bytes().to_vec(), MemEntry::Record(b"200".to_vec()));
+        mem.put(9u64.to_be_bytes().to_vec(), MemEntry::Record(b"45".to_vec()));
+        let comps = vec![c0, c1, c2];
+        let scan = |filter: Option<ZoneFilter<'_>>| {
+            let cache = Arc::new(BufferCache::new(64));
+            let mems = vec![snapshot_memtable(&mem, None, None)];
+            let mut scan = MergedScan::new(mems, &comps, &cache, None, None, false, filter);
+            let kept: Vec<_> =
+                collect(&mut scan).into_iter().filter(|(_, _, v)| passes(v.as_bytes())).collect();
+            (kept, scan.units_skipped(), cache.misses())
+        };
+        let (unpruned, none_skipped, all_pages) = scan(None);
+        assert_eq!(none_skipped, 0);
+        assert_eq!(unpruned, vec![(9, Record, "45".into()), (20, Record, "41".into())]);
+        let (pruned, skipped, pages) = scan(Some(&in_window));
+        assert_eq!(pruned, unpruned);
+        // c0's key 9 (nothing is older) and c1's keys 100..=102. Every other
+        // failing block meets an older block that is read — c1's key-5 block
+        // spans [5, 100), so c2's key 30 is read too.
+        assert_eq!(skipped, 4);
+        // Every block here lies on the same number of pages.
+        assert_eq!(pages * 11, all_pages * (11 - 4), "skipped blocks are never read");
+    }
+
+    #[test]
     fn re_insert_after_delete_is_visible() {
         use EntryKind::*;
         let c0 = component(0, &[(7, Record, "v1")]);
@@ -546,7 +741,7 @@ mod tests {
         let c2 = component(2, &[(7, Record, "v2")]);
         let comps = vec![c0, c1, c2];
         let cache = Arc::new(BufferCache::new(16));
-        let mut scan = MergedScan::new(Vec::new(), &comps, &cache, None, None, false);
+        let mut scan = MergedScan::new(Vec::new(), &comps, &cache, None, None, false, None);
         assert_eq!(collect(&mut scan), vec![(7, Record, "v2".into())]);
     }
 
@@ -728,7 +923,7 @@ mod tests {
         let counts = |c: &[AtomicUsize; 4]| c.each_ref().map(|n| n.load(AtomicOrdering::Relaxed));
 
         // Reconciling on keys alone pivots nothing.
-        let mut scan = MergedScan::new(Vec::new(), &comps, &cache, None, None, false);
+        let mut scan = MergedScan::new(Vec::new(), &comps, &cache, None, None, false, None);
         let mut keys = Vec::new();
         while let Some(entry) = scan.next_entry() {
             keys.push(u64::from_be_bytes(entry.key[..8].try_into().unwrap()));
@@ -737,7 +932,7 @@ mod tests {
         assert_eq!((counts(&old_counts), counts(&new_counts)), ([0; 4], [0; 4]));
 
         // Materializing the winners reconstructs each owning group once.
-        let mut scan = MergedScan::new(Vec::new(), &comps, &cache, None, None, false);
+        let mut scan = MergedScan::new(Vec::new(), &comps, &cache, None, None, false, None);
         assert_eq!(
             collect(&mut scan),
             vec![
@@ -769,7 +964,7 @@ mod tests {
         );
         let comps = vec![old, Arc::clone(&new)];
         let cache = Arc::new(BufferCache::new(16));
-        let mut scan = MergedScan::new(Vec::new(), &comps, &cache, None, None, false);
+        let mut scan = MergedScan::new(Vec::new(), &comps, &cache, None, None, false, None);
         assert_eq!(collect(&mut scan), vec![(0, Record, "old".into())]);
         assert_eq!(scan.health().degraded().len(), 1, "one component, counted once");
         assert_eq!(scan.health().degraded()[0].0, ComponentId::flushed(1));

@@ -16,9 +16,9 @@
 //!
 //! Modules: [`memtable`], [`component`] (with bulk load), [`iter`] (k-way
 //! merged scans), [`policy`] (the merge-policy design space), [`wal`] +
-//! crash recovery in [`tree`], [`bloom`] filters, and [`secondary`] indexes
+//! crash recovery in [`tree`], [`bloom`] filters, [`secondary`] indexes
 //! (plus the keys-only primary-key index used for upsert existence checks,
-//! §3.2.2).
+//! §3.2.2), and [`zone`] maps that let a filtered scan leave units unread.
 
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
@@ -33,6 +33,7 @@ pub mod policy;
 pub mod secondary;
 pub mod tree;
 pub mod wal;
+pub mod zone;
 
 pub use columnar::{ColumnarChunk, ColumnarCodec, ColumnarWriter, RowSource};
 pub use component::{ComponentId, DiskComponent};
@@ -40,3 +41,4 @@ pub use entry::{EntryKind, Key};
 pub use hook::{ComponentHook, NoopHook};
 pub use policy::{CompactionDecision, MergePick, MergePolicy, MergeTrigger, NUM_MERGE_TRIGGERS};
 pub use tree::{LsmOptions, LsmStats, LsmTree};
+pub use zone::{ColumnZone, Num, Zone, ZoneColumn, ZoneExtractor, ZoneFilter};

@@ -57,6 +57,7 @@ use crate::iter::{snapshot_memtable, MergedScan, ScanEntry};
 use crate::memtable::{MemEntry, Memtable};
 use crate::policy::{CompactionDecision, MergePick, MergePolicy, MergeTrigger, NUM_MERGE_TRIGGERS};
 use crate::wal::Wal;
+use crate::zone::ZoneFilter;
 
 /// Per-tree configuration.
 #[derive(Debug, Clone)]
@@ -329,8 +330,11 @@ impl LsmTree {
     /// A component builder honoring the tree's page/compression/integrity
     /// options and its current layout choice, for a component that will
     /// carry `metadata` — every flush, merge, and bulk-load builder must come
-    /// from here.
+    /// from here. A row-layout builder gets the hook's zone extractor, opened
+    /// for that blob, so every block's zone is exact.
     fn new_builder(&self, expected_keys: usize, metadata: Option<Vec<u8>>) -> ComponentBuilder {
+        let columnar = self.columnar_enabled();
+        let zones = if columnar { None } else { self.hook.zone_extractor(metadata.as_deref()) };
         let b = ComponentBuilder::new(
             Arc::clone(&self.device),
             self.opts.page_size,
@@ -340,7 +344,7 @@ impl LsmTree {
             metadata,
         )
         .with_integrity(self.opts.integrity);
-        if self.columnar_enabled() {
+        if columnar {
             #[expect(
                 clippy::expect_used,
                 reason = "set_columnar refuses to turn on without a codec"
@@ -348,7 +352,10 @@ impl LsmTree {
             let codec = self.opts.columnar.as_ref().expect("set_columnar checked the codec");
             return b.with_columnar(codec.as_ref());
         }
-        b
+        match zones {
+            Some(zones) => b.with_zones(zones),
+            None => b,
+        }
     }
 
     /// Build the component a flush or a bulk load installs (INVALID; the
@@ -812,7 +819,7 @@ impl LsmTree {
         let mut builder = self.new_builder(expected, metadata);
         let mut count = 0u64;
         {
-            let mut scan = MergedScan::new(Vec::new(), inputs, &self.cache, None, None, true);
+            let mut scan = MergedScan::new(Vec::new(), inputs, &self.cache, None, None, true, None);
             while let Some(ScanEntry { key, kind, payload, rank }) = scan.next_entry() {
                 if kind == EntryKind::AntiMatter && drop_antimatter {
                     continue;
@@ -1020,28 +1027,31 @@ impl LsmTree {
 
     /// Scan `start` (inclusive) to `end` (exclusive) over one snapshot, and
     /// run `capture` in the same read-lock section (see
-    /// [`LsmTree::lookup_with`]). The lock is held only for the
-    /// active-memtable copy: the frozen memtable is immutable behind its
-    /// `Arc`, so it is copied — and the scan, whose heap priming reads disk
-    /// blocks, is built — after release. The scan owns its snapshot.
+    /// [`LsmTree::lookup_with`]). The lock is held only for the copy of the
+    /// active memtable's `[start, end)`: the frozen memtable is immutable
+    /// behind its `Arc`, so it is copied — and the scan, whose heap priming
+    /// reads disk blocks, is built — after release. With a zone `filter` the
+    /// scan leaves the units it proves useless unread
+    /// ([`MergedScan::units_skipped`]). The scan owns its snapshot.
     pub fn scan_with<T>(
         &self,
         start: Option<&[u8]>,
         end: Option<&[u8]>,
+        filter: Option<ZoneFilter<'_>>,
         capture: impl FnOnce() -> T,
     ) -> (T, MergedScan) {
         let (captured, frozen, active, components) = {
             let st = self.state.read();
-            (capture(), st.frozen.clone(), snapshot_memtable(&st.mem, start), st.disk.clone())
+            (capture(), st.frozen.clone(), snapshot_memtable(&st.mem, start, end), st.disk.clone())
         };
         // Oldest → newest: the frozen memtable ranks above every component
         // and below the active one.
         let mut mems = Vec::with_capacity(2);
         if let Some(frozen) = &frozen {
-            mems.push(snapshot_memtable(frozen, start));
+            mems.push(snapshot_memtable(frozen, start, end));
         }
         mems.push(active);
-        (captured, MergedScan::new(mems, &components, &self.cache, start, end, false))
+        (captured, MergedScan::new(mems, &components, &self.cache, start, end, false, filter))
     }
 
     /// Point lookup returning the entry kind (see [`LsmTree::lookup_with`]).
@@ -1069,7 +1079,7 @@ impl LsmTree {
 
     /// Range scan of live records, `start` inclusive, `end` exclusive.
     pub fn scan_range(&self, start: Option<&[u8]>, end: Option<&[u8]>) -> MergedScan {
-        self.scan_with(start, end, || ()).1
+        self.scan_with(start, end, None, || ()).1
     }
 
     // -----------------------------------------------------------------
@@ -1172,8 +1182,13 @@ const _: () = {
     let _: fn(&LsmTree) -> MergedScan = LsmTree::scan;
     let _: fn(&LsmTree, Option<&[u8]>, Option<&[u8]>) -> MergedScan = LsmTree::scan_range;
     let _: fn(&LsmTree, &[Key], fn()) -> R<((), Vec<LookupHit>)> = LsmTree::lookup_with;
-    let _: fn(&LsmTree, Option<&[u8]>, Option<&[u8]>, fn()) -> ((), MergedScan) =
-        LsmTree::scan_with;
+    let _: fn(
+        &LsmTree,
+        Option<&[u8]>,
+        Option<&[u8]>,
+        Option<ZoneFilter<'_>>,
+        fn(),
+    ) -> ((), MergedScan) = LsmTree::scan_with;
     let _: fn(&LsmTree) -> Option<Arc<DiskComponent>> = LsmTree::sole_component;
     let _: fn(&LsmTree) -> Vec<Arc<DiskComponent>> = LsmTree::components;
 };
@@ -1370,7 +1385,7 @@ mod tests {
         assert_eq!(hits[5..], [record("active"), record("disk0")]);
 
         // The scan over the same state agrees with the lookups.
-        let (_, mut scan) = t.scan_with(Some(&key(1)), Some(&key(8)), || ());
+        let (_, mut scan) = t.scan_with(Some(&key(1)), Some(&key(8)), None, || ());
         let mut scanned = Vec::new();
         while let Some((k, _, payload)) = scan.next() {
             assert_eq!(t.get(&k).unwrap(), Some(payload));

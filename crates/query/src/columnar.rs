@@ -5,7 +5,7 @@
 //! [`tuple_compactor::Dataset::snapshot_columnar`]), the batched engine
 //! bypasses row reconstruction entirely: filter conjuncts over typed
 //! columns run as primitive loops straight over the decoded column
-//! buffers, row groups whose min/max stats cannot satisfy a conjunct are
+//! buffers, row groups whose zone (their min/max stats) fails the filter are
 //! skipped without reading a single data page, and the residual column is
 //! decoded only for rows that survive the filter. No record is ever
 //! pivoted back into its row form — output values come from the typed
@@ -23,26 +23,32 @@
 //! its column buffers from the same column and residual blocks, through the
 //! same lazily faulted view of a row group ([`tc_columnar::GroupView`]) and
 //! the path classification (`PathPlan`) defined here — values boxed, generic
-//! filter loops, no min/max group skipping. What this module keeps to itself
-//! is what only a lone, anti-matter-free component allows: primitive loops
-//! over a column's typed values and skipping groups by their stats without a
-//! reconciliation.
+//! filter loops. Group skipping is one rule on both paths: a group's stats
+//! are its zone ([`tc_lsm::ColumnarChunk::group_zone`]), judged by
+//! [`crate::zone::ZonePredicate`] — here for the lone component, and by the
+//! live scan's skip rule ([`tc_lsm::iter`]) for a partition of many. What
+//! this module keeps to itself is what only a lone, anti-matter-free
+//! component allows: primitive loops over a column's typed values.
+//! `ColumnarCounters::pages_skipped` counts this scan's skips only; every
+//! skip, here or live, counts in [`crate::exec::ExecStats::units_skipped`].
 //!
 //! Nothing here knows the block format: a group's blocks are read by the
 //! view, and a block is read when — and only when — a row of it is asked for.
 
 use tc_adm::path::{Path, PathStep};
 use tc_adm::{AdmError, TypeTag, Value};
-use tc_columnar::{ChunkReader, ColumnStats, GroupView};
+use tc_columnar::{ChunkReader, GroupView};
 use tc_lsm::component::DiskComponent;
+use tc_lsm::ColumnarChunk;
 use tc_storage::page_store::PageStore;
 use tc_storage::{BufferCache, StorageError};
 use tuple_compactor::Dataset;
 
 use crate::batch::{cmp_prim, split_conjuncts, typed_cmp_on};
-use crate::exec::Row;
+use crate::exec::{ExecStats, Row};
 use crate::expr::{CmpOp, Expr};
 use crate::plan::ScanSpec;
+use crate::zone::ZonePredicate;
 
 /// Where one scan output column comes from.
 #[derive(Clone, Copy)]
@@ -72,18 +78,17 @@ enum Prim {
     Double(f64),
 }
 
-/// Try the columnar fast scan. `Ok(None)` means "not covered — run the
-/// generic scan instead": either the shape disqualifies up front, or a
-/// storage fault mid-scan quarantined the component (PR 8's degradation
-/// contract), in which case the generic path sees the quarantined
-/// component and applies the query's corruption policy.
+/// Try the columnar fast scan: its rows, and its scan counters. `Ok(None)`
+/// means "not covered — run the generic scan instead": either the shape
+/// disqualifies up front, or a storage fault mid-scan quarantined the
+/// component (the degradation contract), in which case the generic path
+/// sees the quarantined component and applies the query's corruption policy.
 pub(crate) fn try_scan_columnar(
     ds: &Dataset,
     scan: &ScanSpec,
+    zones: Option<&ZonePredicate>,
     limit_hint: Option<usize>,
-    scanned: &mut u64,
-    bytes: &mut u64,
-) -> Result<Option<Vec<Row>>, AdmError> {
+) -> Result<Option<(Vec<Row>, ExecStats)>, AdmError> {
     let Some(component) = ds.snapshot_columnar() else {
         return Ok(None);
     };
@@ -122,12 +127,11 @@ pub(crate) fn try_scan_columnar(
     }
 
     let cache = ds.primary().cache();
-    match scan_groups(reader, store, cache, scan, &plan, &typed, &generic, limit_hint) {
-        Ok((rows, row_scanned, bytes_read)) => {
-            *scanned += row_scanned;
-            *bytes += bytes_read;
-            Ok(Some(rows))
-        }
+    let mut stats = ExecStats::default();
+    match scan_groups(
+        reader, store, cache, scan, &plan, zones, &typed, &generic, limit_hint, &mut stats,
+    ) {
+        Ok(rows) => Ok(Some((rows, stats))),
         Err(e) if e.is_transient() => Err(AdmError::storage(e.to_string(), true)),
         // The at-rest scan's fault policy: quarantine the component and
         // abandon the fast path, so the generic scan's health machinery
@@ -139,6 +143,8 @@ pub(crate) fn try_scan_columnar(
     }
 }
 
+/// The scan proper; `stats` gets its rows scanned, bytes read and groups
+/// skipped.
 #[allow(clippy::too_many_arguments)]
 fn scan_groups(
     reader: &ChunkReader,
@@ -146,30 +152,27 @@ fn scan_groups(
     cache: &BufferCache,
     scan: &ScanSpec,
     plan: &PathPlan,
+    zones: Option<&ZonePredicate>,
     typed: &[TypedPred<'_>],
     generic: &[&Expr],
     limit_hint: Option<usize>,
-) -> Result<(Vec<Row>, u64, u64), StorageError> {
+    stats: &mut ExecStats,
+) -> Result<Vec<Row>, StorageError> {
     let PathPlan { slots, residual_paths } = plan;
     let counters = reader.counters();
     let page_size = store.page_size();
     let early = scan.paths.len();
     let mut rows: Vec<Row> = Vec::new();
-    let mut row_scanned = 0u64;
-    let mut bytes_read = 0u64;
 
-    'groups: for g in 0..reader.groups().len() {
+    for g in 0..reader.groups().len() {
         let gm = &reader.groups()[g];
 
-        // ---- stats-based group skip (Fig 24-style) ----
-        // Sound only for spill-free columns: a spilled value matches under
-        // numeric promotion without appearing in the stats.
-        for p in typed {
-            let meta = &gm.cols[p.col];
-            if meta.spilled == 0 && !stats_may_match(&meta.stats, p.op, p.konst) {
-                counters.note_pages_skipped(reader.group_pages(g, page_size));
-                continue 'groups;
-            }
+        // ---- zone-based group skip (Fig 24-style) ----
+        let zone = zones.zip(reader.group_zone(g));
+        if zone.is_some_and(|(zones, (columns, zone))| !zones.may_match(columns, &zone)) {
+            counters.note_pages_skipped(reader.group_pages(g, page_size));
+            stats.units_skipped += 1;
+            continue;
         }
 
         // With any filter conjunct, every row of the group runs through a
@@ -177,7 +180,7 @@ fn scan_groups(
         // actually visits (a LIMIT may stop it mid-group).
         let has_filter = !(typed.is_empty() && generic.is_empty());
         if has_filter {
-            row_scanned += gm.rows as u64;
+            stats.rows_scanned += gm.rows as u64;
         }
         let mut sel: Vec<u32> = (0..gm.rows).collect();
         let mut view = reader.view(store, cache, g);
@@ -247,17 +250,18 @@ fn scan_groups(
         // ---- assemble survivor rows ----
         for &r in &sel {
             if !has_filter {
-                row_scanned += 1;
+                stats.rows_scanned += 1;
             }
             rows.push(plan.row_values(&mut view, r)?);
             if limit_hint.is_some_and(|k| rows.len() >= k) {
-                return Ok((rows, row_scanned, bytes_read + view.bytes_read()));
+                stats.bytes_scanned += view.bytes_read();
+                return Ok(rows);
             }
         }
-        bytes_read += view.bytes_read();
+        stats.bytes_scanned += view.bytes_read();
     }
 
-    Ok((rows, row_scanned, bytes_read))
+    Ok(rows)
 }
 
 /// The primitive loop of one typed conjunct: the rows of `sel` whose value
@@ -361,28 +365,4 @@ fn classify(reader: &ChunkReader, path: &Path) -> Option<Slot> {
     // Residual-safe iff no typed column was carved out at/below the prefix
     // the path enters through — then the residual holds the whole subtree.
     (!reader.has_column_at_or_below(&fields)).then_some(Slot::Residual(0))
-}
-
-/// Can any *present* value in the group satisfy `col <op> konst`, judged
-/// by the group's min/max stats? Non-present rows never pass a comparison
-/// (SQL++ null/missing semantics), so `false` skips the group outright.
-/// `ColumnStats::None` is inconclusive — it covers both "no present
-/// values" and "stats poisoned by NaN" — so it never skips.
-fn stats_may_match(stats: &ColumnStats, op: CmpOp, konst: Prim) -> bool {
-    match (stats, konst) {
-        (ColumnStats::Int { min, max }, Prim::Int(k)) => range_may_match(*min, *max, op, k),
-        (ColumnStats::Float { min, max }, Prim::Double(k)) => range_may_match(*min, *max, op, k),
-        _ => true,
-    }
-}
-
-fn range_may_match<T: PartialOrd>(min: T, max: T, op: CmpOp, k: T) -> bool {
-    match op {
-        CmpOp::Eq => min <= k && k <= max,
-        CmpOp::Ne => !(min == k && max == k),
-        CmpOp::Lt => min < k,
-        CmpOp::Le => min <= k,
-        CmpOp::Gt => max > k,
-        CmpOp::Ge => max >= k,
-    }
 }

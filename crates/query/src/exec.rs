@@ -19,6 +19,7 @@ use crate::agg::{Agg, AggState};
 use crate::batch::{self, ColumnSet};
 use crate::expr::Expr;
 use crate::plan::{Op, Query, ScanSpec};
+use crate::zone::ZonePredicate;
 
 /// A row of values.
 pub type Row = Vec<Value>;
@@ -109,6 +110,9 @@ pub struct ExecStats {
     /// [`CorruptionPolicy::Degrade`] — the `Fail` policy turns the first
     /// one into an error instead.
     pub quarantined_components: u64,
+    /// Row blocks and amax row groups the scan filter's zone maps let the
+    /// scan leave unread, summed over partitions (see [`crate::zone`]).
+    pub units_skipped: u64,
 }
 
 /// Rows + stats.
@@ -154,7 +158,7 @@ pub fn execute(
     let global_ops = if split < query.ops.len() { &query.ops[split + 1..] } else { &[][..] };
 
     // ---- local stage, one pipeline per partition ----
-    let locals: Vec<Result<(LocalOutput, u64, u64, u64), AdmError>> = if opts.parallel
+    let locals: Vec<Result<(LocalOutput, ExecStats), AdmError>> = if opts.parallel
         && partitions.len() > 1
     {
         std::thread::scope(|scope| {
@@ -176,10 +180,11 @@ pub fn execute(
     let mut grouped: FxHashMap<Vec<OrdValue>, (Row, Vec<AggState>)> = FxHashMap::default();
     let mut rows: Vec<Row> = Vec::new();
     for local in locals {
-        let (out, scanned, bytes, quarantined) = local?;
-        stats.rows_scanned += scanned;
-        stats.bytes_scanned += bytes;
-        stats.quarantined_components += quarantined;
+        let (out, part) = local?;
+        stats.rows_scanned += part.rows_scanned;
+        stats.bytes_scanned += part.bytes_scanned;
+        stats.quarantined_components += part.quarantined_components;
+        stats.units_skipped += part.units_skipped;
         match out {
             LocalOutput::Rows(mut r) => rows.append(&mut r),
             LocalOutput::Grouped(partials) => {
@@ -263,32 +268,36 @@ enum LocalOutput {
     Grouped(Vec<(Row, Vec<AggState>)>),
 }
 
-/// Scan + local pipeline for one partition.
+/// Scan + local pipeline for one partition, and the partition's scan
+/// counters.
 fn run_partition(
     ds: &Dataset,
     scan: &ScanSpec,
     local_ops: &[Op],
     blocking: Option<&Op>,
     opts: &ExecOptions,
-) -> Result<(LocalOutput, u64, u64, u64), AdmError> {
+) -> Result<(LocalOutput, ExecStats), AdmError> {
     let limit_hint = scan_limit_hint(local_ops, blocking);
-    let mut scanned = 0u64;
-    let mut bytes = 0u64;
+    let zones = ZonePredicate::of(scan);
     // A partition resting in the columnar layout can answer batched scans
     // without pivoting records back into rows at all; `None` (shape not
     // covered, partition not at rest, or a fault mid-scan) falls through to
     // the generic snapshot scan.
     if opts.engine == Engine::Batched {
-        if let Some(rows) =
-            crate::columnar::try_scan_columnar(ds, scan, limit_hint, &mut scanned, &mut bytes)?
+        if let Some((rows, stats)) =
+            crate::columnar::try_scan_columnar(ds, scan, zones.as_ref(), limit_hint)?
         {
-            return finish_partition(rows, local_ops, blocking, scanned, bytes, 0);
+            return finish_partition(rows, local_ops, blocking, stats);
         }
     }
+    // One pruned snapshot both engines read, so they skip the same units.
     // Decoder and scan are captured atomically: with background flushes
     // running, a decoder taken separately could miss dictionary codes the
     // scan's records need (or carry prunes ahead of the snapshot).
-    let (decoder, mut iter) = ds.snapshot_scan();
+    let may_match = zones.as_ref().map(ZonePredicate::as_filter);
+    let (decoder, mut iter) = ds.snapshot_scan_where(may_match.as_ref().map(|f| f as _));
+    let mut stats = ExecStats { units_skipped: iter.units_skipped(), ..Default::default() };
+    let (scanned, bytes) = (&mut stats.rows_scanned, &mut stats.bytes_scanned);
     let rows = match opts.engine {
         Engine::Batched => batch::scan_batched(
             &decoder,
@@ -296,23 +305,23 @@ fn run_partition(
             scan,
             limit_hint,
             opts.batch_size,
-            &mut scanned,
-            &mut bytes,
+            scanned,
+            bytes,
         )?,
-        Engine::Row => scan_rows(&decoder, &mut iter, scan, limit_hint, &mut scanned, &mut bytes)?,
+        Engine::Row => scan_rows(&decoder, &mut iter, scan, limit_hint, scanned, bytes)?,
     };
     // Post-scan health check: the merged scan degrades (skips quarantined
     // components, stops a source at the first checksum failure) instead of
     // panicking; whether that degradation is acceptable is the query's
     // policy decision, made here.
     let health = iter.take_health();
-    let quarantined = health.degraded().len() as u64;
+    stats.quarantined_components = health.degraded().len() as u64;
     if opts.corruption_policy == CorruptionPolicy::Fail {
         if let Some(e) = health.first_error() {
             return Err(AdmError::storage(e.to_string(), e.is_transient()));
         }
     }
-    finish_partition(rows, local_ops, blocking, scanned, bytes, quarantined)
+    finish_partition(rows, local_ops, blocking, stats)
 }
 
 /// Local operator pipeline + the local side of the blocking operator,
@@ -321,10 +330,8 @@ fn finish_partition(
     mut rows: Vec<Row>,
     local_ops: &[Op],
     blocking: Option<&Op>,
-    scanned: u64,
-    bytes: u64,
-    quarantined: u64,
-) -> Result<(LocalOutput, u64, u64, u64), AdmError> {
+    stats: ExecStats,
+) -> Result<(LocalOutput, ExecStats), AdmError> {
     for op in local_ops {
         rows = apply_op(rows, op);
     }
@@ -349,7 +356,7 @@ fn finish_partition(
         }
         _ => LocalOutput::Rows(rows),
     };
-    Ok((out, scanned, bytes, quarantined))
+    Ok((out, stats))
 }
 
 /// Can the scan stop after `k` surviving records? Only when the pending
@@ -890,9 +897,102 @@ mod tests {
         assert_eq!(fast.rows.len(), 1024);
         assert_eq!(fast.rows[0][2], Value::Array(vec![Value::Double(0.5)]));
         // Skipped groups are never scanned: only the first group's rows
-        // show up in the scan counter.
+        // show up in the scan counter. The row engine reads a snapshot the
+        // same zones pruned.
         assert_eq!(fast.stats.rows_scanned, 1024);
-        assert_eq!(row.stats.rows_scanned, 3000);
+        assert_eq!(row.stats.rows_scanned, 1024);
+        assert_eq!((fast.stats.units_skipped, row.stats.units_skipped), (2, 2));
+    }
+
+    /// A nested numeric column is a zone column too, named by its whole
+    /// path: `meta.t < k` skips groups at rest by the stats of `meta.t`, not
+    /// by those of a top-level field spelled `"meta.t"`.
+    #[test]
+    fn columnar_nested_numeric_window_skips_groups_at_rest() {
+        let ds = Dataset::new(
+            DatasetConfig::new("Nested", "id")
+                .with_format(StorageFormat::Columnar)
+                .with_merge_policy(tc_lsm::MergePolicy::NoMerge),
+            Arc::new(Device::new(DeviceProfile::RAM)),
+            Arc::new(BufferCache::new(4096)),
+        );
+        // 3 row groups; only the first holds meta.t < 1_024_000.
+        for i in 0..3000i64 {
+            let r =
+                parse(&format!(r#"{{"id": {i}, "meta.t": -1, "meta": {{"t": {}}}}}"#, i * 1000))
+                    .unwrap();
+            ds.writer().insert(&r).unwrap();
+        }
+        ds.flush().unwrap();
+        assert!(ds.snapshot_columnar().is_some(), "partition must be at rest");
+
+        let q = Query {
+            scan: ScanSpec {
+                paths: vec![parse_path("meta.t")],
+                filter: Some(Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::lit(1_024_000i64))),
+                late_paths: vec![],
+                access: AccessStrategy::Consolidated,
+            },
+            ops: vec![],
+        };
+        let counters = ds.columnar_counters().unwrap();
+        let typed = counters.typed_filter_rows();
+        let fast = execute(&[&ds], &q, &ExecOptions::with_engine(Engine::Batched)).unwrap();
+        assert!(counters.typed_filter_rows() > typed, "the at-rest typed loop runs");
+        let row = execute(&[&ds], &q, &ExecOptions::with_engine(Engine::Row)).unwrap();
+        assert_eq!(fast.rows, row.rows);
+        assert_eq!(fast.rows.len(), 1024);
+        assert_eq!((fast.stats.units_skipped, row.stats.units_skipped), (2, 2));
+        assert_eq!((fast.stats.rows_scanned, row.stats.rows_scanned), (1024, 1024));
+    }
+
+    /// Zone maps on row blocks: a `report_time` window over sensor reports
+    /// reads only the blocks that may hold it, in both engines, and answers
+    /// exactly what the unfiltered scan does.
+    #[test]
+    fn zone_maps_skip_row_blocks_outside_a_report_time_window() {
+        use crate::paper_queries::sensors_q4_scanfilter;
+        use crate::plan::QueryOptions;
+        use tc_datagen::{sensors::SensorsGen, Generator};
+
+        let ds = Dataset::new(
+            DatasetConfig::new("Sensors", "id")
+                .with_format(StorageFormat::Inferred)
+                .with_memtable_budget(512 * 1024)
+                .with_merge_policy(tc_lsm::MergePolicy::NoMerge),
+            Arc::new(Device::new(DeviceProfile::RAM)),
+            Arc::new(BufferCache::new(4096)),
+        );
+        let mut gen = SensorsGen::new(3);
+        let mut w = ds.writer();
+        for _ in 0..400 {
+            w.insert(&gen.next_record()).unwrap();
+        }
+        drop(w);
+        ds.flush().unwrap();
+        let units: u64 = ds.primary().components().iter().map(|c| c.num_units() as u64).sum();
+        assert!(ds.primary().components().len() > 1);
+
+        // Six minutes of reports, halfway in.
+        let start = 1_556_496_000_000 + 200 * 60_000;
+        let window = sensors_q4_scanfilter(QueryOptions::default(), start, start + 6 * 60_000);
+        let batched = execute(&[&ds], &window, &ExecOptions::default()).unwrap();
+        let row = execute(&[&ds], &window, &ExecOptions::with_engine(Engine::Row)).unwrap();
+        assert_eq!(batched.rows, row.rows);
+        assert_eq!(batched.rows.len(), 6);
+        let counts = |r: &QueryResult| (r.stats.units_skipped, r.stats.rows_scanned);
+        assert_eq!(counts(&batched), counts(&row));
+        let (skipped, scanned) = counts(&batched);
+        assert!(skipped > units / 2 && skipped < units, "{skipped} of {units} units skipped");
+        assert!(scanned < 400 / 4, "{scanned} rows scanned");
+
+        // The same filter applied after an unfiltered scan skips nothing.
+        let mut unpruned = window.clone();
+        let filter = unpruned.scan.filter.take().unwrap();
+        unpruned.ops.insert(0, Op::Filter(filter));
+        let reference = execute(&[&ds], &unpruned, &ExecOptions::default()).unwrap();
+        assert_eq!(reference.rows, batched.rows);
+        assert_eq!(counts(&reference), (0, 400));
     }
 
     /// A columnar partition as it is during ingest — unmerged components,
@@ -980,7 +1080,16 @@ mod tests {
             assert!(row_pivoted > 0, "{name}: the row engine assembles every winner");
             assert_eq!(batched.rows, row.rows, "{name}");
             assert_eq!(batched.stats.rows_scanned, row.stats.rows_scanned, "{name}");
-            assert_eq!(batched.stats.rows_scanned, live as u64, "{name}");
+            assert_eq!(batched.stats.units_skipped, row.stats.units_skipped, "{name}");
+            // Only the window lets the zones skip row groups — and then
+            // their rows are never scanned.
+            let skipped = batched.stats.units_skipped;
+            assert_eq!(skipped > 0, name == "filter", "{name}");
+            if skipped == 0 {
+                assert_eq!(batched.stats.rows_scanned, live as u64, "{name}");
+            } else {
+                assert!(batched.stats.rows_scanned < live as u64, "{name}");
+            }
         }
         let (counted, _) = run(&count, Engine::Batched);
         assert_eq!(counted.rows, vec![vec![Value::Int64(live)]]);
@@ -988,8 +1097,11 @@ mod tests {
         // fill reads the filter column, and of those that own a survivor the
         // late typed column and the residual block — what the at-rest scan
         // reads of a group, and never `id`. The groups that own a winner are
-        // those the scan's on-disk winners name, by (source rank, group).
-        let (_, mut scan) = ds.snapshot_scan();
+        // those the filtered scan's on-disk winners name, by (source rank,
+        // group).
+        let zones = crate::zone::ZonePredicate::of(&filter.scan).unwrap();
+        let may_match = zones.as_filter();
+        let (_, mut scan) = ds.snapshot_scan_where(Some(&may_match));
         let mut touched = std::collections::HashSet::new();
         let mut surviving = std::collections::HashSet::new();
         while let Some(winner) = scan.next_entry() {

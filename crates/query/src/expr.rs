@@ -116,24 +116,7 @@ impl Expr {
                 None => Value::Missing,
             },
             Expr::Cmp { op, lhs, rhs } => {
-                let l = lhs.eval(row);
-                let r = rhs.eval(row);
-                if l.is_null_or_missing() || r.is_null_or_missing() {
-                    return Value::Boolean(false);
-                }
-                // SQL++ equality treats 2 and 2.0 as equal; the total order
-                // used for sorting tie-breaks them by type, so equality is
-                // decided first.
-                let eq = sql_equal(&l, &r);
-                let b = match op {
-                    CmpOp::Eq => eq,
-                    CmpOp::Ne => !eq,
-                    CmpOp::Lt => !eq && compare(&l, &r) == std::cmp::Ordering::Less,
-                    CmpOp::Le => eq || compare(&l, &r) == std::cmp::Ordering::Less,
-                    CmpOp::Gt => !eq && compare(&l, &r) == std::cmp::Ordering::Greater,
-                    CmpOp::Ge => eq || compare(&l, &r) == std::cmp::Ordering::Greater,
-                };
-                Value::Boolean(b)
+                Value::Boolean(cmp_holds(*op, &lhs.eval(row), &rhs.eval(row)))
             }
             Expr::And(a, b) => Value::Boolean(
                 a.eval(row).as_bool() == Some(true) && b.eval(row).as_bool() == Some(true),
@@ -181,6 +164,24 @@ impl Expr {
                 }
             }
         }
+    }
+}
+
+/// Does `l <op> r` hold? Comparisons involving `null`/`missing` are false.
+pub(crate) fn cmp_holds(op: CmpOp, l: &Value, r: &Value) -> bool {
+    if l.is_null_or_missing() || r.is_null_or_missing() {
+        return false;
+    }
+    // SQL++ equality treats 2 and 2.0 as equal; the total order used for
+    // sorting tie-breaks them by type, so equality is decided first.
+    let eq = sql_equal(l, r);
+    match op {
+        CmpOp::Eq => eq,
+        CmpOp::Ne => !eq,
+        CmpOp::Lt => !eq && compare(l, r) == std::cmp::Ordering::Less,
+        CmpOp::Le => eq || compare(l, r) == std::cmp::Ordering::Less,
+        CmpOp::Gt => !eq && compare(l, r) == std::cmp::Ordering::Greater,
+        CmpOp::Ge => eq || compare(l, r) == std::cmp::Ordering::Greater,
     }
 }
 

@@ -17,8 +17,10 @@
 //! * [`batch`] — the batched scan: chunked scan → filter → project with
 //!   column buffers, a selection vector, and lazy decode;
 //! * [`columnar`] — the zero-pivot scan over AMAX columnar components:
-//!   typed filter loops straight over column pages, min/max group
-//!   skipping, residual decode for survivors only;
+//!   typed filter loops straight over column pages, residual decode for
+//!   survivors only;
+//! * [`zone`] — the scan filter as a test of zone maps, by which every
+//!   filtered scan skips row blocks and amax row groups;
 //! * [`paper_queries`] — builders for Twitter Q1–Q4, WoS Q1–Q4, Sensors
 //!   Q1–Q4, and the Fig 22 field-position probes.
 
@@ -32,6 +34,7 @@ pub mod expr;
 pub mod paper_queries;
 pub mod plan;
 pub mod sqlpp;
+pub mod zone;
 
 pub use exec::{execute, Engine, ExecOptions, ExecStats, QueryResult};
 pub use expr::{CmpOp, Expr, Func};

@@ -535,7 +535,7 @@ mod tests {
             let mut feed = vec![first];
             for (op, n, leaf, fresh) in steps {
                 let mut next = feed.last().cloned().unwrap_or(Value::Null);
-                let Value::Object(fields) = &mut next else { unreachable!() };
+                let Value::Object(fields) = &mut next else { panic!("the feed holds objects") };
                 match op {
                     0 => {}
                     1 if !fields.is_empty() => {

@@ -19,6 +19,8 @@
 use tc_adm::AdmError;
 use tc_util::bit_width;
 
+use crate::reader::le;
+
 /// Size of the serialized header.
 pub const HEADER_LEN: usize = 25;
 
@@ -114,16 +116,16 @@ impl Header {
         if buf.len() < HEADER_LEN {
             return Err(AdmError::corrupt("record shorter than header"));
         }
-        let u32_at = |i: usize| u32::from_le_bytes(buf[i..i + 4].try_into().expect("4 bytes"));
+        let u32_at = |i: usize| le::<4>(&buf[i..]).map(u32::from_le_bytes);
         let h = Header {
-            record_len: u32_at(0),
-            tag_count: u32_at(4),
+            record_len: u32_at(0)?,
+            tag_count: u32_at(4)?,
             varlen_bits: width_of(buf[8] & 0x0f),
             fieldname_bits: width_of(buf[8] >> 4),
-            varlen_lengths_off: u32_at(9),
-            varlen_values_off: u32_at(13),
-            fieldname_lengths_off: u32_at(17),
-            fieldname_values_off: u32_at(21),
+            varlen_lengths_off: u32_at(9)?,
+            varlen_values_off: u32_at(13)?,
+            fieldname_lengths_off: u32_at(17)?,
+            fieldname_values_off: u32_at(21)?,
         };
         if (h.record_len as usize) > buf.len() {
             return Err(AdmError::corrupt(format!(

@@ -22,6 +22,8 @@
 //! * [`access`] — `getValues()`: evaluate *many* path expressions in a
 //!   single linear scan (§3.4.2), the optimizer's consolidation target.
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 pub mod access;
 pub mod compact;
 pub mod encode;
@@ -32,4 +34,4 @@ pub use access::{get_values, BatchPathEvaluator};
 pub use compact::{infer_and_compact, infer_and_compact_into};
 pub use encode::{encode, Sections};
 pub use header::Header;
-pub use reader::{decode, FieldName, Item, RawItem, VectorReader};
+pub use reader::{decode, scalar_value, FieldName, Item, RawItem, VectorReader};

@@ -174,81 +174,7 @@ impl<'a> VectorReader<'a> {
     }
 
     fn read_scalar(&mut self, tag: TypeTag) -> Result<Value, AdmError> {
-        use TypeTag::*;
-        Ok(match tag {
-            Missing => Value::Missing,
-            Null => Value::Null,
-            Boolean => Value::Boolean(self.read_fixed(1)?[0] != 0),
-            Int8 => Value::Int8(self.read_fixed(1)?[0] as i8),
-            Int16 => Value::Int16(i16::from_le_bytes(self.read_fixed(2)?.try_into().expect("2"))),
-            Int32 => Value::Int32(i32::from_le_bytes(self.read_fixed(4)?.try_into().expect("4"))),
-            Date => Value::Date(i32::from_le_bytes(self.read_fixed(4)?.try_into().expect("4"))),
-            Time => Value::Time(i32::from_le_bytes(self.read_fixed(4)?.try_into().expect("4"))),
-            Int64 => Value::Int64(i64::from_le_bytes(self.read_fixed(8)?.try_into().expect("8"))),
-            DateTime => {
-                Value::DateTime(i64::from_le_bytes(self.read_fixed(8)?.try_into().expect("8")))
-            }
-            Duration => {
-                Value::Duration(i64::from_le_bytes(self.read_fixed(8)?.try_into().expect("8")))
-            }
-            Float => Value::Float(f32::from_le_bytes(self.read_fixed(4)?.try_into().expect("4"))),
-            Double => Value::Double(f64::from_le_bytes(self.read_fixed(8)?.try_into().expect("8"))),
-            Uuid => {
-                let b: [u8; 16] = self.read_fixed(16)?.try_into().expect("16");
-                Value::Uuid(b)
-            }
-            Point => {
-                let b = self.read_fixed(16)?;
-                Value::Point(
-                    f64::from_le_bytes(b[..8].try_into().expect("8")),
-                    f64::from_le_bytes(b[8..].try_into().expect("8")),
-                )
-            }
-            Line | Rectangle => {
-                let b = self.read_fixed(32)?;
-                let mut a = [0f64; 4];
-                for (i, c) in b.chunks_exact(8).enumerate() {
-                    a[i] = f64::from_le_bytes(c.try_into().expect("8"));
-                }
-                if tag == Line {
-                    Value::Line(a)
-                } else {
-                    Value::Rectangle(a)
-                }
-            }
-            Circle => {
-                let b = self.read_fixed(24)?;
-                let mut a = [0f64; 3];
-                for (i, c) in b.chunks_exact(8).enumerate() {
-                    a[i] = f64::from_le_bytes(c.try_into().expect("8"));
-                }
-                Value::Circle(a)
-            }
-            String | Binary => {
-                let len = self
-                    .varlen_lens
-                    .read(self.header.varlen_bits)
-                    .ok_or_else(|| AdmError::corrupt("varlen lengths exhausted"))?
-                    as usize;
-                let bytes = self
-                    .buf
-                    .get(self.varlen_val_pos..self.varlen_val_pos + len)
-                    .ok_or_else(|| AdmError::corrupt("varlen values overran record"))?;
-                self.varlen_val_pos += len;
-                if tag == String {
-                    Value::String(
-                        std::str::from_utf8(bytes)
-                            .map_err(|_| AdmError::corrupt("invalid UTF-8 string"))?
-                            .to_owned(),
-                    )
-                } else {
-                    Value::Binary(bytes.to_vec())
-                }
-            }
-            Object | Array | Multiset | CloseNested | Eov => {
-                unreachable!("read_scalar called with non-scalar tag")
-            }
-        })
+        scalar_value(tag, self.read_scalar_bytes(tag)?)
     }
 
     /// The bytes the record stores for the next scalar of type `tag`: its
@@ -388,9 +314,65 @@ impl<'a> VectorReader<'a> {
             TypeTag::Object => Value::Object(fields),
             TypeTag::Array => Value::Array(items),
             TypeTag::Multiset => Value::Multiset(items),
-            _ => unreachable!("materialize_container on scalar tag"),
+            _ => return Err(AdmError::corrupt(format!("{} is not a container", tag.name()))),
         })
     }
+}
+
+/// The first `N` bytes of a fixed-width value, for `from_le_bytes`.
+pub(crate) fn le<const N: usize>(bytes: &[u8]) -> Result<[u8; N], AdmError> {
+    bytes
+        .get(..N)
+        .and_then(|b| b.try_into().ok())
+        .ok_or_else(|| AdmError::corrupt("fixed-width value cut short"))
+}
+
+/// `N` little-endian `f64`s (the spatial types).
+fn f64s<const N: usize>(bytes: &[u8]) -> Result<[f64; N], AdmError> {
+    let mut out = [0f64; N];
+    for (i, x) in out.iter_mut().enumerate() {
+        *x = f64::from_le_bytes(le(bytes.get(i * 8..).unwrap_or_default())?);
+    }
+    Ok(out)
+}
+
+/// The value of a scalar of type `tag` from the bytes the record stores for
+/// it ([`RawItem::Scalar`]'s `bytes`). A container tag is a typed error.
+#[inline]
+pub fn scalar_value(tag: TypeTag, bytes: &[u8]) -> Result<Value, AdmError> {
+    use TypeTag::*;
+    Ok(match tag {
+        Missing => Value::Missing,
+        Null => Value::Null,
+        Boolean => Value::Boolean(le::<1>(bytes)?[0] != 0),
+        Int8 => Value::Int8(le::<1>(bytes)?[0] as i8),
+        Int16 => Value::Int16(i16::from_le_bytes(le(bytes)?)),
+        Int32 => Value::Int32(i32::from_le_bytes(le(bytes)?)),
+        Date => Value::Date(i32::from_le_bytes(le(bytes)?)),
+        Time => Value::Time(i32::from_le_bytes(le(bytes)?)),
+        Int64 => Value::Int64(i64::from_le_bytes(le(bytes)?)),
+        DateTime => Value::DateTime(i64::from_le_bytes(le(bytes)?)),
+        Duration => Value::Duration(i64::from_le_bytes(le(bytes)?)),
+        Float => Value::Float(f32::from_le_bytes(le(bytes)?)),
+        Double => Value::Double(f64::from_le_bytes(le(bytes)?)),
+        Uuid => Value::Uuid(le(bytes)?),
+        Point => {
+            let [x, y] = f64s(bytes)?;
+            Value::Point(x, y)
+        }
+        Line => Value::Line(f64s(bytes)?),
+        Rectangle => Value::Rectangle(f64s(bytes)?),
+        Circle => Value::Circle(f64s(bytes)?),
+        String => Value::String(
+            std::str::from_utf8(bytes)
+                .map_err(|_| AdmError::corrupt("invalid UTF-8 string"))?
+                .to_owned(),
+        ),
+        Binary => Value::Binary(bytes.to_vec()),
+        Object | Array | Multiset | CloseNested | Eov => {
+            return Err(AdmError::corrupt(format!("{} is not a scalar", tag.name())))
+        }
+    })
 }
 
 /// Materialize a whole record (compacted or not). `declared` resolves

@@ -918,6 +918,107 @@ fn columnar_bit_flip_in_merge_input_fails_the_merge_typed_and_installs_nothing()
     assert!(hits[3] > 0, "no flip landed outside the pages a merge reads");
 }
 
+/// Bit flips in row blocks a zone map skips. Two row-layout components on
+/// 256-byte pages: ids 0..40 at `t = id`, their n-th write flipped, under
+/// clean ids 100..140. The window `100 <= t < 120` skips every block of the
+/// damaged component — it is the oldest, so nothing older pins its keys — and
+/// must answer exactly, with no error, no checksum failure and no quarantine,
+/// wherever the flip landed. A window that needs those blocks, `t < 120`,
+/// meets a flip in any of them: a typed error under `Fail`, and under
+/// `Degrade` the clean component's rows plus, of the damaged one, only rows
+/// the oracle holds.
+#[test]
+fn a_bit_flip_in_a_block_the_zone_map_skips_is_never_read() {
+    use tc_adm::path::parse_path;
+    use tc_query::exec::{execute, CorruptionPolicy, ExecOptions};
+    use tc_query::{AccessStrategy, CmpOp, Expr, Query, ScanSpec};
+
+    let row = |i: i64| {
+        parse(&format!(r#"{{"id": {i}, "t": {i}, "pad": "{}"}}"#, "p".repeat(30))).unwrap()
+    };
+    let build = |n: u64| {
+        let device = Arc::new(Device::new(DeviceProfile::RAM));
+        let ds = Dataset::new(
+            DatasetConfig::new("Faulty", "id")
+                .with_page_size(256)
+                .with_memtable_budget(256 * 1024)
+                .with_merge_policy(MergePolicy::NoMerge),
+            Arc::clone(&device),
+            Arc::new(BufferCache::new(4096)),
+        );
+        for ids in [0..40, 100..140] {
+            let mut w = ds.writer();
+            for i in ids.clone() {
+                w.insert(&row(i)).unwrap();
+            }
+            drop(w);
+            if ids.start == 0 {
+                device.set_fault_plan(FaultPlan::new(n).flip_bit_in_nth_write(n));
+            }
+            ds.flush().unwrap();
+            device.clear_fault_plan();
+        }
+        let fired = device.faults_injected() > 0;
+        (ds, fired)
+    };
+    let window = |lo: i64, hi: i64| Query {
+        scan: ScanSpec {
+            paths: vec![parse_path("id"), parse_path("t")],
+            filter: Some(Expr::and(
+                Expr::cmp(CmpOp::Ge, Expr::col(1), Expr::lit(lo)),
+                Expr::cmp(CmpOp::Lt, Expr::col(1), Expr::lit(hi)),
+            )),
+            late_paths: vec![],
+            access: AccessStrategy::Consolidated,
+        },
+        ops: vec![],
+    };
+    let ids = |rows: &[Vec<Value>]| rows.iter().map(|r| r[0].as_i64().unwrap()).collect::<Vec<_>>();
+
+    let (mut needed, mut tail) = (0u64, 0u64);
+    for n in 1..=40u64 {
+        let (ds, fired) = build(n);
+        if !fired {
+            continue;
+        }
+        let damaged = ds.primary().components()[0].num_units() as u64;
+        let skipping = execute(&[&ds], &window(100, 120), &ExecOptions::default())
+            .unwrap_or_else(|e| panic!("flip {n}: a skipped block was read: {e}"));
+        assert_eq!(ids(&skipping.rows), (100..120).collect::<Vec<_>>(), "flip {n}");
+        assert!(skipping.stats.units_skipped >= damaged, "flip {n}");
+        let stats = ds.lsm_stats();
+        assert_eq!((stats.checksum_failures, stats.quarantined_components), (0, 0), "flip {n}");
+
+        match execute(&[&ds], &window(-1, 120), &ExecOptions::default()) {
+            // The flip is in the component's tail, which no read re-reads.
+            Ok(res) => {
+                let want: Vec<i64> = (0..40).chain(100..120).collect();
+                assert_eq!(ids(&res.rows), want, "flip {n}");
+                tail += 1;
+                continue;
+            }
+            Err(AdmError::Storage { message, transient }) => {
+                assert!(!transient, "flip {n}: corruption is permanent");
+                assert!(message.contains("corruption detected"), "flip {n}: {message}");
+                assert_eq!(ds.lsm_stats().quarantined_components, 1, "flip {n}");
+                needed += 1;
+            }
+            Err(e) => panic!("flip {n}: unexpected error class: {e}"),
+        }
+        let (ds, _) = build(n);
+        let opts = ExecOptions::with_corruption_policy(CorruptionPolicy::Degrade);
+        let res = execute(&[&ds], &window(-1, 120), &opts).unwrap();
+        assert_eq!(res.stats.quarantined_components, 1, "flip {n}");
+        let got = ids(&res.rows);
+        let (damaged_rows, clean_rows): (Vec<i64>, Vec<i64>) = got.iter().partition(|&&i| i < 40);
+        assert_eq!(clean_rows, (100..120).collect::<Vec<_>>(), "flip {n}: the clean rows, all");
+        assert!(damaged_rows.len() < 40, "flip {n}: the damaged block is not served");
+        assert_eq!(damaged_rows, (0..damaged_rows.len() as i64).collect::<Vec<_>>(), "flip {n}");
+    }
+    assert!(needed > 0, "no flip landed in a row block");
+    assert!(tail > 0, "no flip landed in the component tail");
+}
+
 /// A WAL tail torn mid-append (the crash landed a prefix of the record):
 /// replay must stop at the torn record, losing only the unacked write.
 #[test]

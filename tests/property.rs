@@ -620,3 +620,137 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Zone maps: a scan filter skips row blocks and row groups, never answers
+// ---------------------------------------------------------------------
+
+/// What one upsert writes at the filter field `t`: its value, its type
+/// (int → string → double) or its presence changes from version to version.
+#[derive(Debug, Clone)]
+enum ZoneVal {
+    Int(i64),
+    Double(f64),
+    Str,
+    Null,
+    Absent,
+}
+
+#[derive(Debug, Clone)]
+enum ZoneOp {
+    Put(u8, ZoneVal),
+    Delete(u8),
+    Flush,
+}
+
+fn arb_zone_op() -> impl Strategy<Value = ZoneOp> {
+    let val = prop_oneof![
+        4 => (0i64..100).prop_map(ZoneVal::Int),
+        2 => (0i64..100).prop_map(|v| ZoneVal::Double(v as f64 + 0.5)),
+        1 => Just(ZoneVal::Str),
+        1 => Just(ZoneVal::Null),
+        1 => Just(ZoneVal::Absent),
+    ];
+    prop_oneof![
+        6 => (0u8..48, val).prop_map(|(k, v)| ZoneOp::Put(k, v)),
+        2 => (0u8..48).prop_map(ZoneOp::Delete),
+        1 => Just(ZoneOp::Flush),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A scan filter's zone maps change which units are read, never the
+    /// answer. Upserts move the filter field `t` across values, types and
+    /// presence between components and the memtable; deletes leave
+    /// anti-matter. In the row (`Inferred`) and amax (`Columnar`) layouts,
+    /// live and fully merged, every random window `lo <= t < hi` returns
+    /// exactly the rows the same filter returns applied after an unfiltered
+    /// scan. The oldest component holds reports far above every window, so
+    /// each live case skips something.
+    #[test]
+    fn zone_map_skips_never_change_a_filtered_scan(
+        ops in proptest::collection::vec(arb_zone_op(), 1..80),
+        windows in proptest::collection::vec((-10i64..110, 0i64..60, any::<bool>()), 1..4),
+    ) {
+        use tc_query::exec::{execute, ExecOptions};
+        use tc_query::{AccessStrategy, CmpOp, Expr, Op, Query, ScanSpec};
+
+        let record = |k: i64, v: &ZoneVal| {
+            let t = match v {
+                ZoneVal::Int(i) => Some(Value::Int64(*i)),
+                ZoneVal::Double(d) => Some(Value::Double(*d)),
+                ZoneVal::Str => Some(Value::string(format!("changed_{k}"))),
+                ZoneVal::Null => Some(Value::Null),
+                ZoneVal::Absent => None,
+            };
+            let mut fields = vec![("id".to_string(), Value::Int64(k))];
+            fields.extend(t.map(|t| ("t".to_string(), t)));
+            fields.push(("pad".to_string(), Value::string("p".repeat(40))));
+            Value::Object(fields)
+        };
+        for format in [StorageFormat::Inferred, StorageFormat::Columnar] {
+            let ds = Dataset::new(
+                DatasetConfig::new("zones", "id")
+                    .with_format(format)
+                    .with_page_size(512)
+                    .with_memtable_budget(64 * 1024 * 1024)
+                    .with_merge_policy(MergePolicy::NoMerge),
+                Arc::new(Device::new(DeviceProfile::RAM)),
+                Arc::new(BufferCache::new(1024)),
+            );
+            let mut w = ds.writer();
+            for k in 1000..1030 {
+                w.upsert(&record(k, &ZoneVal::Int(5000 + k))).unwrap();
+            }
+            ds.flush().unwrap();
+            for op in &ops {
+                match op {
+                    ZoneOp::Put(k, v) => w.upsert(&record(*k as i64, v)).unwrap(),
+                    ZoneOp::Delete(k) => {
+                        w.delete(*k as i64).unwrap();
+                    }
+                    ZoneOp::Flush => ds.flush().unwrap(),
+                }
+            }
+            drop(w);
+            for state in ["live", "merged"] {
+                if state == "merged" {
+                    ds.flush().unwrap();
+                    ds.force_full_merge().unwrap();
+                }
+                let mut skipped = 0;
+                for &(lo, width, double) in &windows {
+                    let lit = |v: i64| if double { Expr::lit(v as f64) } else { Expr::lit(v) };
+                    let window = Expr::and(
+                        Expr::cmp(CmpOp::Ge, Expr::col(1), lit(lo)),
+                        Expr::cmp(CmpOp::Lt, Expr::col(1), lit(lo + width)),
+                    );
+                    let paths = vec![tc_adm::path::parse_path("id"), tc_adm::path::parse_path("t")];
+                    let pruned = Query {
+                        scan: ScanSpec {
+                            paths: paths.clone(),
+                            filter: Some(window.clone()),
+                            late_paths: vec![],
+                            access: AccessStrategy::Consolidated,
+                        },
+                        ops: vec![],
+                    };
+                    let unpruned = Query {
+                        scan: ScanSpec::all_early(paths, AccessStrategy::Consolidated),
+                        ops: vec![Op::Filter(window)],
+                    };
+                    let got = execute(&[&ds], &pruned, &ExecOptions::default()).unwrap();
+                    let want = execute(&[&ds], &unpruned, &ExecOptions::default()).unwrap();
+                    prop_assert_eq!(&got.rows, &want.rows, "{:?} {}: [{}, +{})", format, state, lo, width);
+                    prop_assert_eq!(want.stats.units_skipped, 0);
+                    skipped += got.stats.units_skipped;
+                }
+                if state == "live" {
+                    prop_assert!(skipped > 0, "{:?}: the oldest component is never read", format);
+                }
+            }
+        }
+    }
+}
