@@ -80,12 +80,6 @@ impl ObjectType {
         self
     }
 
-    /// Builder: declare an optional (`?`) field.
-    pub fn with_optional_field(mut self, name: impl Into<String>, kind: TypeKind) -> Self {
-        self.fields.push(FieldDef { name: name.into(), kind, optional: true });
-        self
-    }
-
     pub fn open(fields: Vec<FieldDef>) -> Self {
         ObjectType { is_open: true, fields }
     }

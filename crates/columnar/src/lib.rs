@@ -198,11 +198,10 @@ impl ColumnarCounters {
 
     /// Rows decoded, grafted and re-encoded into records. `read_group_rows`
     /// adds its group's rows: scans that want whole records (the row engine,
-    /// whole-record paths) and merges into a row-format component
-    /// (migration), for the groups that own a winner. A merge into a
-    /// columnar component adds to it only through the writer's fallback —
-    /// one per row it could not copy column-wise. A point lookup adds none,
-    /// nor does a batched scan of typed or residual paths.
+    /// whole-record paths), for the groups that own a winner. A merge adds
+    /// to it only through the writer's fallback — one per row it could not
+    /// copy column-wise. A point lookup adds none, nor does a batched scan
+    /// of typed or residual paths.
     pub fn rows_reconstructed(&self) -> u64 {
         self.rows_reconstructed.load(Ordering::Relaxed)
     }

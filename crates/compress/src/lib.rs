@@ -11,6 +11,8 @@
 //! The [`scheme::CompressionScheme`] enum is what the storage layer
 //! configures per dataset.
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 pub mod scheme;
 pub mod snappy;
 

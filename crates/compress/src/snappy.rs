@@ -87,11 +87,13 @@ fn hash(window: u32) -> usize {
 }
 
 #[inline]
+#[expect(clippy::expect_used, reason = "a 4-byte range converts to [u8; 4]")]
 fn load32(bytes: &[u8], at: usize) -> u32 {
     u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"))
 }
 
 #[inline]
+#[expect(clippy::expect_used, reason = "an 8-byte range converts to [u8; 8]")]
 fn load64(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
 }
@@ -317,11 +319,13 @@ pub fn decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>, SnappyEr
                 pos += 1;
                 (((tag >> 5) as usize) << 8 | lo, 4 + ((tag >> 2) & 0x7) as usize)
             }
+            #[expect(clippy::expect_used, reason = "`get(pos..pos + 2)` returned 2 bytes")]
             0b10 => {
                 let bytes = input.get(pos..pos + 2).ok_or(SnappyError::Truncated)?;
                 pos += 2;
                 (u16::from_le_bytes(bytes.try_into().expect("2")) as usize, 1 + (tag >> 2) as usize)
             }
+            #[expect(clippy::expect_used, reason = "`get(pos..pos + 4)` returned 4 bytes")]
             _ => {
                 let bytes = input.get(pos..pos + 4).ok_or(SnappyError::Truncated)?;
                 pos += 4;
@@ -369,6 +373,7 @@ fn copy_back(out: &mut [u8], op: usize, offset: usize, len: usize) {
         };
         let mut done = 0;
         while done < len {
+            #[expect(clippy::expect_used, reason = "an 8-byte range converts to [u8; 8]")]
             let bytes =
                 word.unwrap_or_else(|| out[src + done..src + done + 8].try_into().expect("8"));
             out[op + done..op + done + 8].copy_from_slice(&bytes);

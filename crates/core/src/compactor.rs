@@ -127,15 +127,21 @@ impl ComponentHook for TupleCompactor {
     /// Anti-matter processing: the attachment is the deleted record's
     /// anti-schema (encoded as an uncompacted vector record); decrement the
     /// schema counters and prune (§3.2.2). The attachment is discarded by
-    /// the engine afterwards — anti-matter reaches disk as a bare key.
-    fn on_flush_antimatter(&self, attachment: Option<&[u8]>) {
-        let Some(bytes) = attachment else { return };
-        let Ok(value) = tc_vector::decode(bytes, Some(&self.declared), None) else {
-            return;
+    /// the engine afterwards — anti-matter reaches disk as a bare key. One
+    /// that is not an encoded object fails the flush as corruption, like a
+    /// frozen record the compaction pass cannot read: skipping it would
+    /// leave the deleted record's fields counted.
+    fn on_flush_antimatter(&self, attachment: Option<&[u8]>) -> Result<(), StorageError> {
+        let Some(bytes) = attachment else { return Ok(()) };
+        let corrupt = |e: String| StorageError::corruption("anti-schema", e);
+        let value = tc_vector::decode(bytes, Some(&self.declared), None)
+            .map_err(|e| corrupt(e.to_string()))?;
+        let Value::Object(fields) = value else {
+            return Err(corrupt(format!("a {}, not an object", value.type_tag())));
         };
-        let Value::Object(fields) = value else { return };
         let mut schema = self.schema.lock();
         schema.remove_record(&fields, &|name| self.is_declared(name));
+        Ok(())
     }
 
     /// Persist the (post-flush) schema snapshot into the component's
@@ -410,7 +416,7 @@ mod tests {
         flush_record(&c, &r2);
         // Delete record 0: its anti-schema removes `age` entirely.
         let anti = raw(&c, r#"{"id": 0, "name": "Kim", "age": 26}"#);
-        c.on_flush_antimatter(Some(&anti));
+        c.on_flush_antimatter(Some(&anti)).unwrap();
         let s = c.schema_snapshot();
         assert!(s.lookup_field(s.root(), "age").is_none());
         let (_, name) = s.lookup_field(s.root(), "name").unwrap();
@@ -618,6 +624,51 @@ mod tests {
         assert_eq!(tree.stats().maintenance_errors, 2);
         assert_eq!(tree.stats().flushes, 1);
         assert_eq!(c.schema_snapshot().serialize(), flushed);
+    }
+
+    /// An anti-schema the compactor cannot decode fails the flush as typed
+    /// corruption, whether its anti-matter is frozen or was displaced by an
+    /// upsert: the schema keeps the deleted record counted, one maintenance
+    /// error is counted, and the frozen entries stay readable.
+    #[test]
+    fn an_undecodable_anti_schema_aborts_the_flush() {
+        use tc_lsm::entry::encode_u64_key;
+        use tc_lsm::{LsmOptions, MergePolicy};
+        use tc_storage::device::{Device, DeviceProfile};
+        use tc_storage::BufferCache;
+
+        for displaced in [false, true] {
+            let c = Arc::new(TupleCompactor::new(pk_type()));
+            let tree = LsmTree::new(
+                Arc::new(Device::new(DeviceProfile::RAM)),
+                Arc::new(BufferCache::new(64)),
+                Arc::clone(&c) as Arc<dyn ComponentHook>,
+                LsmOptions {
+                    auto_flush: false,
+                    merge_policy: MergePolicy::NoMerge,
+                    ..Default::default()
+                },
+            );
+            tree.insert(encode_u64_key(1), raw(&c, r#"{"id": 1, "name": "Kim", "age": 26}"#))
+                .unwrap();
+            tree.flush().unwrap();
+            let live_nodes = c.schema_snapshot().num_live_nodes();
+
+            let junk = Some(b"junk".to_vec());
+            let newer = raw(&c, r#"{"id": 1, "name": "Ann"}"#);
+            if displaced {
+                tree.replace(encode_u64_key(1), newer.clone(), junk).unwrap();
+            } else {
+                tree.delete(encode_u64_key(1), junk).unwrap();
+            }
+            let err = tree.flush().unwrap_err();
+            assert!(err.is_corruption(), "{err}");
+            assert_eq!(tree.stats().maintenance_errors, 1, "aborted once");
+            assert_eq!(c.schema_snapshot().num_live_nodes(), live_nodes, "no decrement");
+            assert_eq!(tree.memtable_len(), 1, "the frozen memtable is kept");
+            let served = tree.get(&encode_u64_key(1)).unwrap();
+            assert_eq!(served, displaced.then_some(newer));
+        }
     }
 
     #[test]

@@ -40,16 +40,6 @@ impl StorageFormat {
         }
     }
 
-    /// Does this format use the vector-based record layout on the write
-    /// path? `Columnar` qualifies: records ingest (and reconstruct) as
-    /// vector records; only the on-disk component layout differs.
-    pub fn is_vector(&self) -> bool {
-        matches!(
-            self,
-            StorageFormat::Inferred | StorageFormat::VectorUncompacted | StorageFormat::Columnar
-        )
-    }
-
     /// Does the tuple compactor run for this format? Schema inference
     /// drives both compacted vector records (`Inferred`) and the columnar
     /// shredder (`Columnar`).
@@ -233,10 +223,6 @@ mod tests {
 
     #[test]
     fn format_classification() {
-        assert!(StorageFormat::Inferred.is_vector());
-        assert!(StorageFormat::VectorUncompacted.is_vector());
-        assert!(StorageFormat::Columnar.is_vector());
-        assert!(!StorageFormat::Open.is_vector());
         assert!(StorageFormat::Inferred.is_inferred());
         assert!(StorageFormat::Columnar.is_inferred());
         assert!(!StorageFormat::VectorUncompacted.is_inferred());

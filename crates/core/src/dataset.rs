@@ -74,10 +74,7 @@ pub struct Dataset {
     secondary: Option<SecondaryIndex>,
     /// Present iff the format runs schema inference (`Inferred`/`Columnar`).
     compactor: Option<Arc<TupleCompactor>>,
-    /// Columnar stats handle, present for every vector-family format (the
-    /// codec is installed eagerly so `migrate_format` can flip layouts at
-    /// runtime); the counters only move when components are written/read in
-    /// the columnar layout.
+    /// Present iff the format is `Columnar`: the codec's stats handle.
     columnar_counters: Option<Arc<ColumnarCounters>>,
     /// Present iff `config.background_maintenance`.
     maintenance: Option<MaintenanceWorker>,
@@ -148,12 +145,10 @@ impl Drop for WriterToken<'_> {
 
 impl Dataset {
     pub fn new(config: DatasetConfig, device: Arc<Device>, cache: Arc<BufferCache>) -> Self {
-        // The columnar codec is installed for every vector-family format
-        // (not just `Columnar`) so an inferred dataset can migrate layouts
-        // at runtime; whether flushes actually shred is the tree's
-        // `set_columnar` switch below.
-        let columnar_codec =
-            config.format.is_vector().then(|| Arc::new(AmaxCodec::new(config.datatype.clone())));
+        // The codec fixes the primary tree's layout: with it, every
+        // component the tree builds is columnar.
+        let columnar_codec = (config.format == StorageFormat::Columnar)
+            .then(|| Arc::new(AmaxCodec::new(config.datatype.clone())));
         let columnar_counters = columnar_codec.as_ref().map(|c| Arc::clone(c.counters()));
         let opts = LsmOptions {
             page_size: config.page_size,
@@ -178,9 +173,6 @@ impl Dataset {
         };
         let primary =
             Arc::new(LsmTree::new(Arc::clone(&device), Arc::clone(&cache), hook, opts.clone()));
-        if config.format == StorageFormat::Columnar {
-            primary.set_columnar(true);
-        }
         // Index trees use small memtables and no compression (keys only);
         // they always flush inline (their flushes are tiny and only the
         // writing thread touches them).
@@ -644,36 +636,10 @@ impl Dataset {
     }
 
     /// The shared columnar stats handle (the codec counts pages written,
-    /// readers bump skip/fault counters through it). Present for every
-    /// vector-family format.
+    /// readers bump skip/fault counters through it). Present iff the format
+    /// is `Columnar`, whose every component is columnar.
     pub fn columnar_counters(&self) -> Option<&Arc<ColumnarCounters>> {
         self.columnar_counters.as_ref()
-    }
-
-    /// Is the partition currently *writing* the columnar layout? (Initial
-    /// formats other than `Columnar` start false; see
-    /// [`Dataset::migrate_format`].)
-    pub fn columnar_layout(&self) -> bool {
-        self.primary.columnar_enabled()
-    }
-
-    /// Switch between the two schema-inferred storage layouts at runtime
-    /// (`Inferred` ⇄ `Columnar`). Existing components are untouched — they
-    /// keep serving reads in whatever layout they were written — but every
-    /// subsequent flush and merge writes the new layout, so one
-    /// [`Dataset::force_full_merge`] converges the whole partition. Errors
-    /// for non-inferred formats: the columnar shredder is driven by the
-    /// tuple compactor's schema.
-    pub fn migrate_format(&self, to: StorageFormat) -> Result<(), AdmError> {
-        if !(self.config.format.is_inferred() && to.is_inferred()) {
-            return Err(AdmError::type_check(format!(
-                "format migration supports inferred layouts only, not {} -> {}",
-                self.config.format.name(),
-                to.name()
-            )));
-        }
-        self.primary.set_columnar(to == StorageFormat::Columnar);
-        Ok(())
     }
 
     /// A consistent columnar snapshot, or `None` unless the partition's
@@ -856,7 +822,6 @@ mod tests {
             ds.writer().insert(&employee(i)).unwrap();
         }
         ds.flush().unwrap();
-        assert!(ds.columnar_layout());
         assert!(ds.primary().components().iter().all(|c| c.is_columnar()));
         assert!(ds.writer().delete(7).unwrap());
         ds.writer().upsert(&parse(r#"{"id": 9, "name": "new", "extra": [1]}"#).unwrap()).unwrap();
@@ -972,51 +937,6 @@ mod tests {
         ds.force_full_merge().unwrap();
         assert_eq!(counters.rows_reconstructed(), pivoted);
         assert_eq!(counters.rows_column_merged() - copied, 60);
-    }
-
-    #[test]
-    fn migrate_format_converges_after_full_merge() {
-        // Satellite: a vector-seeded dataset converges to an all-columnar
-        // layout after one manual full merge.
-        let ds = small(StorageFormat::Inferred);
-        for i in 0..60 {
-            ds.writer().insert(&employee(i)).unwrap();
-        }
-        ds.flush().unwrap();
-        assert!(!ds.columnar_layout());
-        assert!(ds.primary().components().iter().all(|c| !c.is_columnar()));
-        assert!(ds.snapshot_columnar().is_none());
-
-        ds.migrate_format(StorageFormat::Columnar).unwrap();
-        // New flushes write columnar while old components stay row-based.
-        for i in 60..90 {
-            ds.writer().insert(&employee(i)).unwrap();
-        }
-        ds.flush().unwrap();
-        let comps = ds.primary().components();
-        assert!(comps.iter().any(|c| c.is_columnar()) && comps.iter().any(|c| !c.is_columnar()));
-
-        ds.force_full_merge().unwrap();
-        assert!(ds.primary().components().iter().all(|c| c.is_columnar()));
-        assert!(ds.snapshot_columnar().is_some(), "merge-embedded migration converged");
-        assert_eq!(ds.scan_values().unwrap().len(), 90);
-        for i in (0..90).step_by(11) {
-            assert_eq!(ds.get(i).unwrap().unwrap(), employee(i));
-        }
-        // And back: migration is symmetric. (A full merge of a single
-        // component is a no-op, so land a second one to force the rewrite.)
-        ds.migrate_format(StorageFormat::Inferred).unwrap();
-        for i in 90..95 {
-            ds.writer().insert(&employee(i)).unwrap();
-        }
-        ds.flush().unwrap();
-        ds.force_full_merge().unwrap();
-        assert!(ds.primary().components().iter().all(|c| !c.is_columnar()));
-        assert_eq!(ds.scan_values().unwrap().len(), 95);
-        // Non-inferred formats refuse.
-        assert!(small(StorageFormat::VectorUncompacted)
-            .migrate_format(StorageFormat::Columnar)
-            .is_err());
     }
 
     #[test]

@@ -129,7 +129,7 @@ pub trait ColumnarWriter: Send + std::fmt::Debug {
 /// blocks plus a column index. Scans walk the key blocks
 /// (`read_group_keys`) and hand out row references; a reference is turned
 /// into a record by `read_group_rows` (the format-agnostic path: whole-record
-/// reads, merges into a row-format component) or answered column by column
+/// reads) or answered column by column
 /// by a reader — or a merging writer — that knows the concrete chunk: the
 /// trait is `Any`, so the format layer that built a chunk can ask whether
 /// `&dyn ColumnarChunk` is its own type (typed column access, min/max group

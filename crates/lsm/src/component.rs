@@ -644,12 +644,6 @@ impl ComponentBuilder {
         self
     }
 
-    /// Is the body under construction columnar — does
-    /// [`ComponentBuilder::push_row`] take row references?
-    pub fn is_columnar(&self) -> bool {
-        self.columnar.is_some()
-    }
-
     /// The bookkeeping every entry gets, however its payload arrives: keys
     /// must be strictly ascending (one that is not is refused with a typed
     /// error — a sorted source that yields it has been damaged), then the
@@ -707,10 +701,10 @@ impl ComponentBuilder {
 
     /// Append the record a scan of `source` referred to as row `row` of row
     /// group `group` (a `Payload::Row`), stored there under `key`. Only a
-    /// columnar build takes references ([`ComponentBuilder::is_columnar`]):
-    /// its writer may copy the row column by column. Errors reading the
-    /// source come back untouched — whether to quarantine it is the caller's
-    /// call. Otherwise as `push`.
+    /// columnar build takes references (a row-format build refuses them
+    /// with a typed error): its writer may copy the row column by column.
+    /// Errors reading the source come back untouched — whether to
+    /// quarantine it is the caller's call. Otherwise as `push`.
     pub fn push_row(
         &mut self,
         key: &[u8],

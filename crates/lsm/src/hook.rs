@@ -41,8 +41,12 @@ pub trait ComponentHook: Send + Sync {
 
     /// Process an anti-matter entry's attachment (the anti-schema) during
     /// flush. The attachment is discarded afterwards — anti-matter reaches
-    /// disk as a bare key (§3.2.2).
-    fn on_flush_antimatter(&self, _attachment: Option<&[u8]>) {}
+    /// disk as a bare key (§3.2.2). An attachment the hook cannot read is
+    /// an `Err` that fails the flush exactly as in
+    /// [`on_flush_record`](Self::on_flush_record).
+    fn on_flush_antimatter(&self, _attachment: Option<&[u8]>) -> Result<(), StorageError> {
+        Ok(())
+    }
 
     /// Called once per flush after all entries are processed and before the
     /// new component's first page is written (a columnar component takes its

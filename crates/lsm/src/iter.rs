@@ -68,11 +68,6 @@ impl ScanHealth {
         self.degraded.first().map(|(_, e)| e)
     }
 
-    /// Fold another health record into this one (cross-partition queries).
-    pub fn absorb(&mut self, other: ScanHealth) {
-        self.degraded.extend(other.degraded);
-    }
-
     /// Record that `id` could not be (fully) read; a component counts once.
     fn note(&mut self, id: ComponentId, e: StorageError) {
         if !self.degraded.iter().any(|(seen, _)| *seen == id) {
@@ -401,7 +396,7 @@ fn meets_any(spans: &[Span<'_>], span: &Span<'_>) -> bool {
 
 #[cfg(test)]
 #[allow(clippy::disallowed_types, reason = "test hooks log events, outside the order")]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::component::{ComponentBuilder, ComponentId};
     use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
@@ -807,7 +802,7 @@ mod tests {
 
     /// Hands out writers that cut a component's entries into groups of three.
     #[derive(Debug, Default)]
-    struct CountingCodec {
+    pub(crate) struct CountingCodec {
         reconstructions: Arc<[AtomicUsize; 4]>,
         rotten_rows: bool,
         log: EventLog,
@@ -999,8 +994,12 @@ mod tests {
             Ok(())
         }
 
-        fn on_flush_antimatter(&self, attachment: Option<&[u8]>) {
+        fn on_flush_antimatter(
+            &self,
+            attachment: Option<&[u8]>,
+        ) -> Result<(), tc_storage::StorageError> {
             self.log.lock().unwrap().push(format!("anti:{}", text(attachment.unwrap_or(b"-"))));
+            Ok(())
         }
 
         fn flush_metadata(&self) -> Option<Vec<u8>> {
@@ -1034,7 +1033,6 @@ mod tests {
                 ..Default::default()
             },
         );
-        tree.set_columnar(true);
         tree.insert(b"a".to_vec(), b"old".to_vec()).unwrap();
         tree.flush().unwrap();
         tree.replace(b"a".to_vec(), b"new".to_vec(), Some(b"anti-a".to_vec())).unwrap();

@@ -39,7 +39,7 @@
 //! synchronization beyond the component-list swap.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -79,11 +79,9 @@ pub struct LsmOptions {
     /// on read. On by default; disable only to measure the checksum
     /// overhead (bench A/B) — without it, injected bit flips go undetected.
     pub integrity: bool,
-    /// The codec that shreds flushed/merged entries into the columnar
-    /// (AMAX) layout. Installing a codec only *enables* the capability;
-    /// [`LsmTree::set_columnar`] decides whether new components actually
-    /// use it — which is how merge-embedded format migration flips a live
-    /// tree between layouts.
+    /// The tree's layout, fixed at creation: with a codec, every flush,
+    /// merge and bulk load shreds its entries into the columnar (AMAX)
+    /// layout; without one, every component is row blocks.
     pub columnar: Option<Arc<dyn ColumnarCodec>>,
 }
 
@@ -258,11 +256,6 @@ pub struct LsmTree {
     /// Serializes merges (decide → build → splice-by-identity).
     merge_lock: OrderedMutex<()>,
     stats: StatsCells,
-    /// Emit new components in the columnar layout (requires
-    /// `opts.columnar`). An atomic, not more lock state: flush/merge read
-    /// it once when they create a builder, and flipping it mid-run only
-    /// decides which layout the *next* component gets.
-    columnar_on: AtomicBool,
 }
 
 /// What a point lookup found for one key: its newest entry's kind and
@@ -310,31 +303,19 @@ impl LsmTree {
             flush_lock: OrderedMutex::new(ranks::FLUSH_LOCK, ()),
             merge_lock: OrderedMutex::new(ranks::MERGE_LOCK, ()),
             stats: StatsCells::default(),
-            columnar_on: AtomicBool::new(false),
         }
     }
 
-    /// Choose the layout of components built from now on. A no-op request
-    /// to enable columnar without a codec in [`LsmOptions`] panics — that's
-    /// a wiring bug, not a runtime condition.
-    pub fn set_columnar(&self, on: bool) {
-        assert!(!on || self.opts.columnar.is_some(), "columnar mode requires a codec");
-        self.columnar_on.store(on, AtomicOrdering::Release);
-    }
-
-    /// Will the next flush/merge emit a columnar component?
-    pub fn columnar_enabled(&self) -> bool {
-        self.columnar_on.load(AtomicOrdering::Acquire)
-    }
-
     /// A component builder honoring the tree's page/compression/integrity
-    /// options and its current layout choice, for a component that will
-    /// carry `metadata` — every flush, merge, and bulk-load builder must come
-    /// from here. A row-layout builder gets the hook's zone extractor, opened
-    /// for that blob, so every block's zone is exact.
+    /// options and its layout (columnar iff [`LsmOptions::columnar`] holds a
+    /// codec), for a component that will carry `metadata` — every flush,
+    /// merge, and bulk-load builder must come from here. A row-layout
+    /// builder gets the hook's zone extractor, opened for that blob, so
+    /// every block's zone is exact.
     fn new_builder(&self, expected_keys: usize, metadata: Option<Vec<u8>>) -> ComponentBuilder {
-        let columnar = self.columnar_enabled();
-        let zones = if columnar { None } else { self.hook.zone_extractor(metadata.as_deref()) };
+        let codec = self.opts.columnar.as_deref();
+        let zones =
+            if codec.is_some() { None } else { self.hook.zone_extractor(metadata.as_deref()) };
         let b = ComponentBuilder::new(
             Arc::clone(&self.device),
             self.opts.page_size,
@@ -344,17 +325,10 @@ impl LsmTree {
             metadata,
         )
         .with_integrity(self.opts.integrity);
-        if columnar {
-            #[expect(
-                clippy::expect_used,
-                reason = "set_columnar refuses to turn on without a codec"
-            )]
-            let codec = self.opts.columnar.as_ref().expect("set_columnar checked the codec");
-            return b.with_columnar(codec.as_ref());
-        }
-        match zones {
-            Some(zones) => b.with_zones(zones),
-            None => b,
+        match (codec, zones) {
+            (Some(codec), _) => b.with_columnar(codec),
+            (None, Some(zones)) => b.with_zones(zones),
+            (None, None) => b,
         }
     }
 
@@ -370,9 +344,9 @@ impl LsmTree {
     /// (each entry keeps the offset its payload ends at).
     ///
     /// `begin_flush` snapshots whatever `abort_flush` must restore: on a
-    /// storage fault, or a record the hook refuses, the hook is rolled back,
-    /// the half-written store is dropped on the floor — it was never
-    /// visible — and the error counted.
+    /// storage fault, or a record or attachment the hook refuses, the hook
+    /// is rolled back, the half-written store is dropped on the floor — it
+    /// was never visible — and the error counted.
     fn build_flushed<K: AsRef<[u8]>, E: std::borrow::Borrow<MemEntry>>(
         &self,
         id: ComponentId,
@@ -380,24 +354,25 @@ impl LsmTree {
         mut entries: impl Iterator<Item = (K, E)>,
     ) -> Result<DiskComponent, StorageError> {
         self.hook.begin_flush();
-        for att in displaced_anti {
-            self.hook.on_flush_antimatter(Some(att));
-        }
         let mut payloads = Vec::new();
         let mut rows = Vec::with_capacity(entries.size_hint().0);
-        let transformed = entries.try_for_each(|(key, entry)| {
-            let kind = match entry.borrow() {
-                MemEntry::Record(payload) => {
-                    self.hook.on_flush_record(payload, &mut payloads)?;
-                    EntryKind::Record
-                }
-                MemEntry::AntiMatter(att) => {
-                    self.hook.on_flush_antimatter(att.as_deref());
-                    EntryKind::AntiMatter
-                }
-            };
-            rows.push((key, kind, payloads.len()));
-            Ok(())
+        let displaced =
+            displaced_anti.iter().try_for_each(|att| self.hook.on_flush_antimatter(Some(att)));
+        let transformed = displaced.and_then(|()| {
+            entries.try_for_each(|(key, entry)| {
+                let kind = match entry.borrow() {
+                    MemEntry::Record(payload) => {
+                        self.hook.on_flush_record(payload, &mut payloads)?;
+                        EntryKind::Record
+                    }
+                    MemEntry::AntiMatter(att) => {
+                        self.hook.on_flush_antimatter(att.as_deref())?;
+                        EntryKind::AntiMatter
+                    }
+                };
+                rows.push((key, kind, payloads.len()));
+                Ok(())
+            })
         });
         let built = transformed.and_then(|()| {
             let mut builder = self.new_builder(rows.len(), self.hook.flush_metadata());
@@ -803,10 +778,10 @@ impl LsmTree {
     /// leaves nothing to clean up.
     ///
     /// The metadata blob is computed from the inputs' before the scan
-    /// starts. A winner that lives in a columnar input reaches a columnar
-    /// output as a row reference — copied column to column when the codec
-    /// can, never assembled into a record on the way. A row-format output
-    /// materializes references through the scan's group memo.
+    /// starts. A winner that lives in a columnar input reaches the output,
+    /// columnar like every component of its tree, as a row reference —
+    /// copied column to column when the codec can, never assembled into a
+    /// record on the way.
     fn build_merged(
         &self,
         inputs: &[Arc<DiskComponent>],
@@ -826,7 +801,7 @@ impl LsmTree {
                 }
                 match payload {
                     Payload::Bytes(bytes) => builder.push(&key, kind, &bytes)?,
-                    Payload::Row { group, row } if builder.is_columnar() => {
+                    Payload::Row { group, row } => {
                         let pushed = match scan.source_component(rank) {
                             Some(source) => builder.push_row(&key, source, &self.cache, group, row),
                             None => Err(StorageError::corruption(
@@ -841,10 +816,6 @@ impl LsmTree {
                             scan.report_fault(rank, e.clone());
                             return Err(e);
                         }
-                    }
-                    Payload::Row { group, row } => {
-                        let bytes = scan.materialize(rank, group, row)?;
-                        builder.push(&key, kind, &bytes)?;
                     }
                 }
                 count += 1;
@@ -1543,6 +1514,39 @@ mod tests {
         assert_eq!(t.get(&encode_u64_key(500)).unwrap(), Some(b"v500".to_vec()));
     }
 
+    /// The layout is the options': with a codec every flush, bulk load and
+    /// merge output is columnar, without one none is.
+    #[test]
+    fn every_component_takes_the_layout_the_options_fix() {
+        let codec = Arc::new(crate::iter::tests::CountingCodec::default());
+        for columnar in [Some(codec as Arc<dyn ColumnarCodec>), None] {
+            let want = columnar.is_some();
+            let t = tree(LsmOptions {
+                page_size: 512,
+                merge_policy: MergePolicy::NoMerge,
+                columnar,
+                ..Default::default()
+            });
+            let layouts = |t: &LsmTree| -> Vec<bool> {
+                t.components().iter().map(|c| c.is_columnar()).collect()
+            };
+            // At most four groups of three per component: what the mock holds.
+            t.bulk_load((0..6u64).map(|i| (encode_u64_key(i), format!("v{i}").into_bytes())))
+                .unwrap();
+            flush_batch(&t, &[3], 6..9);
+            flush_batch(&t, &[], 9..12);
+            assert_eq!(layouts(&t), vec![want; 3], "bulk load and flushes");
+            t.merge(1..3).unwrap();
+            assert_eq!(t.components()[1].num_antimatter(), 1);
+            assert_eq!(layouts(&t), vec![want; 2], "a merge that keeps anti-matter");
+            t.force_full_merge().unwrap();
+            assert_eq!(layouts(&t), vec![want], "a full merge");
+            assert_eq!(t.count(), 11);
+            assert_eq!(t.get(&encode_u64_key(3)).unwrap(), None);
+            assert_eq!(t.get(&encode_u64_key(10)).unwrap(), Some(b"v10".to_vec()));
+        }
+    }
+
     #[test]
     fn metadata_propagates_through_merge() {
         struct BlobHook;
@@ -1571,10 +1575,11 @@ mod tests {
     fn delete_versioned_attaches_only_for_observed_versions() {
         struct CountingHook(std::sync::atomic::AtomicU64);
         impl ComponentHook for CountingHook {
-            fn on_flush_antimatter(&self, attachment: Option<&[u8]>) {
+            fn on_flush_antimatter(&self, attachment: Option<&[u8]>) -> Result<(), StorageError> {
                 if attachment.is_some() {
                     self.0.fetch_add(1, AtomicOrdering::Relaxed);
                 }
+                Ok(())
             }
         }
         let hook = Arc::new(CountingHook(AtomicU64::new(0)));
@@ -1609,10 +1614,11 @@ mod tests {
         // decrements for a version that was never durably counted.
         struct CountingHook(AtomicU64);
         impl ComponentHook for CountingHook {
-            fn on_flush_antimatter(&self, attachment: Option<&[u8]>) {
+            fn on_flush_antimatter(&self, attachment: Option<&[u8]>) -> Result<(), StorageError> {
                 if attachment.is_some() {
                     self.0.fetch_add(1, AtomicOrdering::Relaxed);
                 }
+                Ok(())
             }
         }
         let hook = Arc::new(CountingHook(AtomicU64::new(0)));

@@ -76,6 +76,11 @@ fn main() -> Result<(), AdmError> {
     writer.delete(3)?;
     employee.flush().unwrap();
     print_schema(&employee, "after deleting id 3 (union collapses back to int)");
+    let schema = employee.schema_snapshot().expect("inferred dataset has a schema");
+    let (_, age) = schema.lookup_field(schema.root(), "age").expect("ids 0 and 1 keep age");
+    let age = schema.node(age);
+    assert!(!matches!(age, SchemaNode::Union { .. }), "the anti-schema must drop the union");
+    assert_eq!(age.type_tag(), Some(TypeTag::Int64), "age must be int64 again");
 
     println!("\non-disk size: {} bytes", employee.disk_bytes());
     Ok(())

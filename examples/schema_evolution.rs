@@ -68,10 +68,9 @@ fn main() -> Result<(), AdmError> {
     events.flush().unwrap();
     let schema = events.schema_snapshot().unwrap();
     let (_, temp) = schema.lookup_field(schema.root(), "temperature").unwrap();
-    println!(
-        "era 3: temperature matches string? {}  (union collapsed back)",
-        schema.node(temp).matches_tag(TypeTag::String)
-    );
+    let still_string = schema.node(temp).matches_tag(TypeTag::String);
+    println!("era 3: temperature matches string? {still_string}  (union collapsed back)");
+    assert!(!still_string, "the upserts' anti-schemas must drop the string branch");
 
     // Crash mid-stream: unflushed records live only in the WAL.
     for i in 200..250 {

@@ -6,8 +6,8 @@
 //! and parallel execution are held to the same standard. Partitions are
 //! either flushed row-layout datasets, or columnar ones caught mid-ingest —
 //! unmerged components, stale versions, anti-matter and a resident
-//! memtable, optionally half-migrated from the row layout — where the
-//! batched engine reads column pages and the row engine assembled records.
+//! memtable — where the batched engine reads column pages and the row
+//! engine assembled records.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -237,11 +237,8 @@ fn load(recs: &[Rec], partitions: usize, format: StorageFormat) -> Vec<Dataset> 
 /// at least three unmerged components (two flushes of inserts, one of
 /// upserts and deletes), stale versions and deleted rows under newer
 /// components' keys, and upserts plus anti-matter still in the memtable.
-/// With `migrating`, ingest starts in the row layout and switches to the
-/// columnar one after the first flush: one snapshot holds both.
-fn load_live(recs: &[Rec], partitions: usize, migrating: bool) -> Vec<Dataset> {
-    let start = if migrating { StorageFormat::Inferred } else { StorageFormat::Columnar };
-    let out = datasets(partitions, start, 256 * 1024);
+fn load_live(recs: &[Rec], partitions: usize) -> Vec<Dataset> {
+    let out = datasets(partitions, StorageFormat::Columnar, 256 * 1024);
     let n = recs.len();
     let flush_all = || out.iter().for_each(|ds| ds.flush().unwrap());
     let insert = |ids: std::ops::Range<usize>| {
@@ -264,9 +261,6 @@ fn load_live(recs: &[Rec], partitions: usize, migrating: bool) -> Vec<Dataset> {
     };
     insert(0..n / 2);
     flush_all();
-    if migrating {
-        out.iter().for_each(|ds| ds.migrate_format(StorageFormat::Columnar).unwrap());
-    }
     insert(n / 2..n);
     flush_all();
     rewrite(3, 1);
@@ -279,8 +273,7 @@ fn load_live(recs: &[Rec], partitions: usize, migrating: bool) -> Vec<Dataset> {
         assert!(components.len() >= 3, "unmerged components");
         assert!(ds.primary().memtable_len() > 0, "resident memtable");
         assert!(components.iter().any(|c| c.num_antimatter() > 0), "anti-matter on disk");
-        assert!(components.last().unwrap().is_columnar());
-        assert_eq!(components[0].is_columnar(), !migrating);
+        assert!(components.iter().all(|c| c.is_columnar()));
     }
     out
 }
@@ -333,9 +326,8 @@ proptest! {
         partitions in 1usize..3,
         shape in arb_shape(),
         batch_size in 1usize..64,
-        migrating in any::<bool>(),
     ) {
-        let ds = load_live(&recs, partitions, migrating);
+        let ds = load_live(&recs, partitions);
         // The scans below see every live row exactly once.
         let n = recs.len();
         let live = (0..n).filter(|i| i % 5 != 4 && i % 7 != 6).count() as u64;
