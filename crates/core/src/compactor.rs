@@ -8,83 +8,71 @@ use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 
 use tc_adm::{ObjectType, Value};
-use tc_schema::Schema;
+use tc_schema::{FieldNameDictionary, Schema};
 use tc_storage::StorageError;
 use tc_util::sync::{self, ranks, OrderedMutex};
 use tc_vector::infer_and_compact_into;
 
-use tc_lsm::{ComponentHook, LsmTree, ZoneExtractor};
+use tc_lsm::{ComponentHook, FlushPass, LsmTree, ZoneExtractor};
 
-/// The tuple compactor: shared between a dataset's LSM tree (as its flush /
-/// merge hook) and its query path (which snapshots the schema dictionary).
+/// The tuple compactor: shared between a dataset's LSM tree (as its flush
+/// hook) and its query path (which snapshots the schema dictionary).
 ///
 /// One instance per dataset partition; partitions never coordinate (§3.4.1).
 pub struct TupleCompactor {
-    /// The partition's in-memory schema. Flush inference, anti-schema
-    /// processing, and query-time snapshots synchronize on this lock only.
-    schema: OrderedMutex<Schema>,
-    /// Cached `Arc` snapshot of the field-name dictionary, keyed by
-    /// (load generation, dictionary length). The dictionary is append-only
-    /// between `load_schema` calls, so the pair identifies its content; the
-    /// point-lookup hot path then pays an `Arc` clone instead of a deep
-    /// dictionary copy. Lock order: `schema` before `dict_cache` (the only
-    /// nesting of the two).
-    dict_cache: OrderedMutex<(u64, usize, std::sync::Arc<tc_schema::FieldNameDictionary>)>,
-    /// Bumped by `load_schema` (recovery), which may shrink/replace the
-    /// dictionary without changing its length.
-    generation: std::sync::atomic::AtomicU64,
-    /// Schema snapshot taken at `begin_flush`, restored by `abort_flush`
-    /// when the flush fails on a storage fault or a frozen record the
-    /// compaction pass cannot read — so a retried flush
-    /// re-infers the same frozen entries against the same starting schema
-    /// instead of double-counting them.
-    flush_backup: OrderedMutex<Option<Schema>>,
+    /// The published schema: the one persisted by the newest flushed
+    /// component, changed only by a flush pass's commit (in the section
+    /// that installs its component) and by `load_schema`.
+    schema: OrderedMutex<Published>,
     /// The dataset's declared type (to skip declared fields during
     /// anti-schema processing).
     declared: ObjectType,
 }
 
-impl TupleCompactor {
-    pub fn new(declared: ObjectType) -> Self {
-        TupleCompactor {
-            schema: OrderedMutex::new(ranks::COMPACTOR_SCHEMA, Schema::new()),
-            dict_cache: OrderedMutex::new(
-                ranks::DICT_CACHE,
-                (0, 0, std::sync::Arc::new(Default::default())),
-            ),
-            generation: std::sync::atomic::AtomicU64::new(0),
-            flush_backup: OrderedMutex::new(ranks::FLUSH_BACKUP, None),
-            declared,
+/// A schema and an `Arc` of its field-name dictionary, so the point-lookup
+/// hot path pays an `Arc` clone instead of a dictionary copy.
+#[derive(Clone, Default)]
+struct Published {
+    schema: Schema,
+    dict: Arc<FieldNameDictionary>,
+}
+
+impl Published {
+    /// Make `dict` a copy of the schema's dictionary, unless it already
+    /// holds as many names: the dictionary is append-only, so equal lengths
+    /// mean equal contents.
+    fn sync_dict(&mut self) {
+        if self.dict.len() != self.schema.dict().len() {
+            self.dict = Arc::new(self.schema.dict().clone());
         }
     }
+}
 
-    /// Snapshot the current in-memory schema (query startup / schema
-    /// broadcast — §3.4.1).
+impl TupleCompactor {
+    pub fn new(declared: ObjectType) -> Self {
+        let schema = OrderedMutex::new(ranks::COMPACTOR_SCHEMA, Published::default());
+        TupleCompactor { schema, declared }
+    }
+
+    /// Snapshot the published schema (query startup / schema broadcast —
+    /// §3.4.1).
     pub fn schema_snapshot(&self) -> Schema {
-        self.schema.lock().clone()
+        self.schema.lock().schema.clone()
     }
 
     /// Snapshot only the field-name dictionary — the part decoders need.
-    /// Callers on the read path (which may hold the tree's state read
-    /// lock) usually pay just an `Arc` clone: the deep copy happens only
-    /// when the dictionary actually grew since the last snapshot.
-    pub fn dict_snapshot(&self) -> std::sync::Arc<tc_schema::FieldNameDictionary> {
-        let schema = self.schema.lock();
-        let generation = self.generation.load(Ordering::Acquire);
-        let len = schema.dict().len();
-        let mut cache = self.dict_cache.lock();
-        if cache.0 != generation || cache.1 != len {
-            *cache = (generation, len, std::sync::Arc::new(schema.dict().clone()));
-        }
-        std::sync::Arc::clone(&cache.2)
+    /// An `Arc` clone: callers on the read path may hold the tree's state
+    /// read lock.
+    pub fn dict_snapshot(&self) -> Arc<FieldNameDictionary> {
+        Arc::clone(&self.schema.lock().dict)
     }
 
-    /// Replace the in-memory schema (recovery reloads the newest valid
+    /// Replace the published schema (recovery reloads the newest valid
     /// component's schema — §3.1.2).
     pub fn load_schema(&self, schema: Schema) {
-        let mut guard = self.schema.lock();
-        self.generation.fetch_add(1, Ordering::AcqRel);
-        *guard = schema;
+        let mut published = Published { schema, dict: Arc::default() };
+        published.sync_dict();
+        *self.schema.lock() = published;
     }
 
     fn is_declared(&self, name: &str) -> bool {
@@ -93,34 +81,34 @@ impl TupleCompactor {
 }
 
 impl ComponentHook for TupleCompactor {
-    /// Snapshot the schema before any frozen entry is processed: if the
-    /// flush later fails on a storage fault, `abort_flush` rolls back to
-    /// this point so the retry does not double-evolve the schema.
-    fn begin_flush(&self) {
-        let snapshot = self.schema.lock().clone();
-        *self.flush_backup.lock() = Some(snapshot);
+    /// A pass over a copy of the published schema: nothing it infers is
+    /// visible until the tree commits it with the flushed component.
+    fn begin_flush(&self) -> Box<dyn FlushPass + '_> {
+        Box::new(CompactorPass { compactor: self, next: self.schema.lock().clone() })
     }
 
-    /// A flush attempt failed after `begin_flush`: restore the snapshot and
-    /// bump the generation so cached dictionary snapshots are invalidated
-    /// (the dictionary may have grown during the aborted attempt and a
-    /// restore can shrink it without changing its length).
-    fn abort_flush(&self) {
-        let snapshot = self.flush_backup.lock().take();
-        if let Some(schema) = snapshot {
-            let mut guard = self.schema.lock();
-            self.generation.fetch_add(1, Ordering::AcqRel);
-            *guard = schema;
-        }
+    /// Row blocks get zones over the schema's first numeric top-level
+    /// fields (see [`crate::zones`]), from the blob the component carries.
+    fn zone_extractor(&self, metadata: Option<&[u8]>) -> Option<Box<dyn ZoneExtractor>> {
+        crate::zones::extractor(metadata?)
     }
+}
 
-    /// Flush-time transformation: one pass infers the schema and strips
+/// One flush's schema inference, on its own copy of the published schema.
+/// Its dictionary `Arc` stays the published one until `metadata` finds the
+/// dictionary grown.
+struct CompactorPass<'a> {
+    compactor: &'a TupleCompactor,
+    next: Published,
+}
+
+impl FlushPass for CompactorPass<'_> {
+    /// Flush-time transformation: one walk infers the schema and strips
     /// field names (§3.3.2), appending the compacted record to the flush's
-    /// buffer. A frozen record the pass cannot read fails the flush as
-    /// corruption; `abort_flush` then undoes its partial observations.
-    fn on_flush_record(&self, payload: &[u8], out: &mut Vec<u8>) -> Result<(), StorageError> {
-        let mut schema = self.schema.lock();
-        infer_and_compact_into(payload, &mut schema, out)
+    /// buffer. A frozen record the walk cannot read fails the flush as
+    /// corruption.
+    fn on_record(&mut self, payload: &[u8], out: &mut Vec<u8>) -> Result<(), StorageError> {
+        infer_and_compact_into(payload, &mut self.next.schema, out)
             .map_err(|e| StorageError::corruption("flushed record", e.to_string()))
     }
 
@@ -129,35 +117,33 @@ impl ComponentHook for TupleCompactor {
     /// schema counters and prune (§3.2.2). The attachment is discarded by
     /// the engine afterwards — anti-matter reaches disk as a bare key. One
     /// that is not an encoded object fails the flush as corruption, like a
-    /// frozen record the compaction pass cannot read: skipping it would
+    /// frozen record the compaction walk cannot read: skipping it would
     /// leave the deleted record's fields counted.
-    fn on_flush_antimatter(&self, attachment: Option<&[u8]>) -> Result<(), StorageError> {
+    fn on_antimatter(&mut self, attachment: Option<&[u8]>) -> Result<(), StorageError> {
         let Some(bytes) = attachment else { return Ok(()) };
         let corrupt = |e: String| StorageError::corruption("anti-schema", e);
-        let value = tc_vector::decode(bytes, Some(&self.declared), None)
+        let value = tc_vector::decode(bytes, Some(&self.compactor.declared), None)
             .map_err(|e| corrupt(e.to_string()))?;
         let Value::Object(fields) = value else {
             return Err(corrupt(format!("a {}, not an object", value.type_tag())));
         };
-        let mut schema = self.schema.lock();
-        schema.remove_record(&fields, &|name| self.is_declared(name));
+        self.next.schema.remove_record(&fields, &|name| self.compactor.is_declared(name));
         Ok(())
     }
 
-    /// Persist the (post-flush) schema snapshot into the component's
-    /// metadata page (§3.1.1).
-    fn flush_metadata(&self) -> Option<Vec<u8>> {
-        Some(self.schema.lock().serialize())
+    /// The post-flush schema, persisted in the component's metadata page
+    /// (§3.1.1). The dictionary copy a commit publishes is made here, off
+    /// the tree's `state` lock.
+    fn metadata(&mut self) -> Option<Vec<u8>> {
+        self.next.sync_dict();
+        Some(self.next.schema.serialize())
     }
 
-    // `merge_metadata` is the hook default: a merge keeps the newest input
-    // schema, a superset of the older ones, without touching the in-memory
-    // schema, so flushes and merges never synchronize (§3.1.1).
-
-    /// Row blocks get zones over the schema's first numeric top-level
-    /// fields (see [`crate::zones`]), from the blob the component carries.
-    fn zone_extractor(&self, metadata: Option<&[u8]>) -> Option<Box<dyn ZoneExtractor>> {
-        crate::zones::extractor(metadata?)
+    /// Publish the pass's schema: a swap; the replaced schema is freed
+    /// after the lock is released.
+    fn commit(mut self: Box<Self>) {
+        self.next.sync_dict();
+        let _replaced = std::mem::replace(&mut *self.compactor.schema.lock(), self.next);
     }
 }
 
@@ -291,9 +277,10 @@ impl MaintenanceWorker {
                 // keeps settling the gauge — so no `await_quiescent` ever
                 // hangs and no send ever panics a writer — but it stops
                 // touching the tree, and `schedule_flush` starts refusing.
-                // The tree itself also refuses to freeze over the frozen
-                // memtable a panicked flush left behind, so a direct flush
-                // attempt fails loudly rather than silently dropping data.
+                // The panicked pass was dropped uncommitted, so the frozen
+                // memtable it left behind could be resumed; the vendored
+                // `parking_lot` poisons the tree's `flush_lock`, though, so
+                // a direct flush attempt still fails loudly.
                 while let Ok(job) = rx.recv() {
                     match job {
                         Job::FlushThenMerge => {
@@ -371,6 +358,7 @@ impl Drop for MaintenanceWorker {
 #[allow(clippy::disallowed_types, reason = "test hooks guard channel ends, outside the order")]
 mod tests {
     use super::*;
+    use std::sync::mpsc::{channel, Receiver};
     use std::sync::Mutex as StdMutex;
     use tc_adm::datatype::FieldDef;
     use tc_adm::{parse, TypeKind, TypeTag};
@@ -388,10 +376,13 @@ mod tests {
         encode(&parse(src).unwrap(), Some(&compactor.declared))
     }
 
-    /// The record `c` writes to disk for the in-memory record `r`.
+    /// The record `c` writes to disk for the in-memory record `r`, through a
+    /// one-record pass that commits.
     fn flush_record(c: &TupleCompactor, r: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
-        c.on_flush_record(r, &mut out).unwrap();
+        let mut pass = c.begin_flush();
+        pass.on_record(r, &mut out).unwrap();
+        pass.commit();
         out
     }
 
@@ -416,7 +407,9 @@ mod tests {
         flush_record(&c, &r2);
         // Delete record 0: its anti-schema removes `age` entirely.
         let anti = raw(&c, r#"{"id": 0, "name": "Kim", "age": 26}"#);
-        c.on_flush_antimatter(Some(&anti)).unwrap();
+        let mut pass = c.begin_flush();
+        pass.on_antimatter(Some(&anti)).unwrap();
+        pass.commit();
         let s = c.schema_snapshot();
         assert!(s.lookup_field(s.root(), "age").is_none());
         let (_, name) = s.lookup_field(s.root(), "name").unwrap();
@@ -428,18 +421,87 @@ mod tests {
         let c = TupleCompactor::new(pk_type());
         let r = raw(&c, r#"{"id": 0, "tags": [["a"], "b"], "deep": {"x": null}}"#);
         flush_record(&c, &r);
-        let blob = c.flush_metadata().unwrap();
+        let blob = c.begin_flush().metadata().unwrap();
         let restored = Schema::deserialize(&blob).unwrap();
         let live = c.schema_snapshot();
         assert!(restored.is_superset_of(&live) && live.is_superset_of(&restored));
     }
 
+    /// A pass's edits are visible only once it commits: a pass dropped after
+    /// an `Err`, or one that panics, leaves the published schema and its
+    /// dictionary `Arc` as they were; a committed pass publishes exactly what
+    /// its `metadata()` serialized.
+    #[test]
+    fn a_pass_publishes_only_on_commit() {
+        let c = TupleCompactor::new(pk_type());
+        flush_record(&c, &raw(&c, r#"{"id": 0, "name": "Kim"}"#));
+        let (before, dict) = (c.schema_snapshot().serialize(), c.dict_snapshot());
+        let unchanged = |why: &str| {
+            assert_eq!(c.schema_snapshot().serialize(), before, "{why}");
+            assert!(Arc::ptr_eq(&c.dict_snapshot(), &dict), "{why}");
+        };
+        let fresh = raw(&c, r#"{"id": 1, "age": 26, "city": "Irvine"}"#);
+        let mut bad = raw(&c, r#"{"id": 2, "name": "Bob"}"#);
+        bad[tc_vector::header::HEADER_LEN + 1] = 0xee; // no such type tag
+
+        let mut pass = c.begin_flush();
+        pass.on_record(&fresh, &mut Vec::new()).unwrap();
+        assert!(pass.on_record(&bad, &mut Vec::new()).unwrap_err().is_corruption());
+        drop(pass);
+        unchanged("a pass dropped after an error");
+
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut pass = c.begin_flush();
+            pass.on_record(&fresh, &mut Vec::new()).unwrap();
+            panic!("bug in a flush");
+        }));
+        assert!(panicked.is_err());
+        unchanged("a pass that panicked");
+
+        let mut pass = c.begin_flush();
+        pass.on_record(&fresh, &mut Vec::new()).unwrap();
+        let blob = pass.metadata().unwrap();
+        unchanged("a pass not yet committed");
+        pass.commit();
+        let published = c.schema_snapshot();
+        assert_eq!(published.serialize(), blob);
+        assert_eq!(published.record_count(), 2);
+        assert_eq!(c.dict_snapshot().len(), published.dict().len());
+        assert!(c.dict_snapshot().find("city").is_some());
+    }
+
+    /// A merge keeps its newest input's schema blob — a superset of the
+    /// older ones — and publishes nothing (§3.1).
     #[test]
     fn merge_metadata_keeps_newest() {
-        let c = TupleCompactor::new(pk_type());
-        let old = b"old".to_vec();
-        let new = b"new".to_vec();
-        assert_eq!(c.merge_metadata(&[Some(&old), Some(&new)]), Some(b"new".to_vec()));
+        use tc_lsm::entry::encode_u64_key;
+        use tc_lsm::{LsmOptions, MergePolicy};
+        use tc_storage::device::{Device, DeviceProfile};
+        use tc_storage::BufferCache;
+
+        let c = Arc::new(TupleCompactor::new(pk_type()));
+        let tree = LsmTree::new(
+            Arc::new(Device::new(DeviceProfile::RAM)),
+            Arc::new(BufferCache::new(64)),
+            Arc::clone(&c) as Arc<dyn ComponentHook>,
+            LsmOptions { merge_policy: MergePolicy::NoMerge, ..Default::default() },
+        );
+        tree.insert(encode_u64_key(1), raw(&c, r#"{"id": 1, "name": "Kim"}"#)).unwrap();
+        tree.flush().unwrap();
+        tree.insert(encode_u64_key(2), raw(&c, r#"{"id": 2, "age": 26}"#)).unwrap();
+        tree.flush().unwrap();
+        let newest = tree.components()[1].metadata().unwrap().to_vec();
+        let published = c.schema_snapshot().serialize();
+        assert_eq!(newest, published);
+
+        tree.force_full_merge().unwrap();
+        let merged = tree.components();
+        assert_eq!(merged.len(), 1);
+        assert_eq!(merged[0].metadata(), Some(&newest[..]));
+        assert_eq!(c.schema_snapshot().serialize(), published, "a merge publishes nothing");
+        let s = Schema::deserialize(&newest).unwrap();
+        assert!(s.lookup_field(s.root(), "name").is_some());
+        assert!(s.lookup_field(s.root(), "age").is_some());
     }
 
     #[test]
@@ -549,7 +611,12 @@ mod tests {
         // stands for a bug in a hook.
         struct PanicHook;
         impl ComponentHook for PanicHook {
-            fn on_flush_record(&self, _: &[u8], _: &mut Vec<u8>) -> Result<(), StorageError> {
+            fn begin_flush(&self) -> Box<dyn FlushPass + '_> {
+                Box::new(PanicHook)
+            }
+        }
+        impl FlushPass for PanicHook {
+            fn on_record(&mut self, _: &[u8], _: &mut Vec<u8>) -> Result<(), StorageError> {
                 panic!("bug in a flush hook");
             }
         }
@@ -577,8 +644,8 @@ mod tests {
     }
 
     /// A frozen record the compactor cannot read fails the flush as typed
-    /// corruption instead of panicking: the flush aborts once, the schema
-    /// rolls back past the records it had already observed, the error is
+    /// corruption instead of panicking: the flush aborts once, the records
+    /// its pass had already observed are never published, the error is
     /// counted, the frozen memtable stays readable — and a worker running
     /// the same flush is not poisoned.
     #[test]
@@ -611,7 +678,7 @@ mod tests {
         let err = tree.flush().unwrap_err();
         assert!(err.is_corruption(), "{err}");
         assert_eq!(tree.stats().maintenance_errors, 1, "aborted once");
-        assert_eq!(c.schema_snapshot().serialize(), flushed, "record 2's observations undone");
+        assert_eq!(c.schema_snapshot().serialize(), flushed, "record 2 never published");
         assert_eq!(tree.memtable_len(), 2, "the frozen memtable is kept");
         assert_eq!(tree.get(&encode_u64_key(2)).unwrap(), Some(good));
         assert_eq!(tree.get(&encode_u64_key(3)).unwrap(), Some(bad));
@@ -671,49 +738,121 @@ mod tests {
         }
     }
 
-    #[test]
-    fn schedule_flush_deduplicates_while_pending() {
-        use std::sync::mpsc::{channel, Receiver, Sender};
-        use tc_lsm::entry::encode_u64_key;
+    /// Wraps `inner`'s flush passes: after its first record a pass signals
+    /// `entered`, then blocks until the test sends `release` — which pins a
+    /// flush mid-build deterministically (no wall-clock sleeps).
+    struct GateHook {
+        inner: Arc<dyn ComponentHook>,
+        entered: StdMutex<Sender<()>>,
+        release: StdMutex<Receiver<()>>,
+    }
+
+    struct GatedPass<'a> {
+        gate: &'a GateHook,
+        inner: Box<dyn FlushPass + 'a>,
+        held: bool,
+    }
+
+    impl ComponentHook for GateHook {
+        fn begin_flush(&self) -> Box<dyn FlushPass + '_> {
+            Box::new(GatedPass { gate: self, inner: self.inner.begin_flush(), held: false })
+        }
+    }
+
+    impl FlushPass for GatedPass<'_> {
+        fn on_record(&mut self, payload: &[u8], out: &mut Vec<u8>) -> Result<(), StorageError> {
+            self.inner.on_record(payload, out)?;
+            if !std::mem::replace(&mut self.held, true) {
+                self.gate.entered.lock().unwrap().send(()).unwrap();
+                self.gate.release.lock().unwrap().recv().unwrap();
+            }
+            Ok(())
+        }
+
+        fn on_antimatter(&mut self, attachment: Option<&[u8]>) -> Result<(), StorageError> {
+            self.inner.on_antimatter(attachment)
+        }
+
+        fn metadata(&mut self) -> Option<Vec<u8>> {
+            self.inner.metadata()
+        }
+
+        fn commit(self: Box<Self>) {
+            self.inner.commit();
+        }
+    }
+
+    /// A tree without inline flushes or merges whose flushes are gated
+    /// around `inner`'s passes, with the gate's `entered` and `release` ends.
+    fn gated_tree(inner: Arc<dyn ComponentHook>) -> (Arc<LsmTree>, Receiver<()>, Sender<()>) {
         use tc_lsm::{LsmOptions, MergePolicy};
         use tc_storage::device::{Device, DeviceProfile};
         use tc_storage::BufferCache;
 
-        // A gate hook: signals when the worker enters a flush, then blocks
-        // until the test releases it — pins the worker inside job 1
-        // deterministically (no wall-clock sleeps) while the test hammers
-        // the schedule latch.
-        struct GateHook {
-            entered: StdMutex<Sender<()>>,
-            release: StdMutex<Receiver<()>>,
-        }
-        impl ComponentHook for GateHook {
-            fn on_flush_record(
-                &self,
-                payload: &[u8],
-                out: &mut Vec<u8>,
-            ) -> Result<(), StorageError> {
-                self.entered.lock().unwrap().send(()).unwrap();
-                self.release.lock().unwrap().recv().unwrap();
-                out.extend_from_slice(payload);
-                Ok(())
-            }
-        }
         let (entered_tx, entered_rx) = channel();
         let (release_tx, release_rx) = channel();
-        let tree = Arc::new(LsmTree::new(
+        let gate = GateHook {
+            inner,
+            entered: StdMutex::new(entered_tx),
+            release: StdMutex::new(release_rx),
+        };
+        let tree = LsmTree::new(
             Arc::new(Device::new(DeviceProfile::RAM)),
             Arc::new(BufferCache::new(64)),
-            Arc::new(GateHook {
-                entered: StdMutex::new(entered_tx),
-                release: StdMutex::new(release_rx),
-            }),
+            Arc::new(gate),
             LsmOptions {
                 auto_flush: false,
                 merge_policy: MergePolicy::NoMerge,
                 ..Default::default()
             },
-        ));
+        );
+        (Arc::new(tree), entered_rx, release_tx)
+    }
+
+    /// The paper's rule (§3.1): a schema becomes visible when its component
+    /// is installed, never before. While a worker's flush is held after its
+    /// first record, the published schema is still the last component's and
+    /// the dictionary the very same `Arc`; released, the flush publishes
+    /// exactly the blob its component carries.
+    #[test]
+    fn a_flush_held_mid_build_publishes_nothing() {
+        use tc_lsm::entry::encode_u64_key;
+
+        let c = Arc::new(TupleCompactor::new(pk_type()));
+        let (tree, entered, release) = gated_tree(Arc::clone(&c) as Arc<dyn ComponentHook>);
+        tree.insert(encode_u64_key(1), raw(&c, r#"{"id": 1, "name": "Kim"}"#)).unwrap();
+        release.send(()).unwrap(); // lets the first flush through its gate
+        tree.flush().unwrap();
+        entered.recv().unwrap();
+        let published = tree.components()[0].metadata().unwrap().to_vec();
+        assert_eq!(c.schema_snapshot().serialize(), published);
+        let dict = c.dict_snapshot();
+
+        tree.insert(encode_u64_key(2), raw(&c, r#"{"id": 2, "age": 26}"#)).unwrap();
+        tree.insert(encode_u64_key(3), raw(&c, r#"{"id": 3, "city": "Irvine"}"#)).unwrap();
+        let worker = MaintenanceWorker::spawn(Arc::clone(&tree));
+        assert!(worker.schedule_flush());
+        entered.recv().unwrap(); // the pass has inferred record 2 and is held
+        assert_eq!(c.schema_snapshot().serialize(), published, "nothing published mid-build");
+        assert!(Arc::ptr_eq(&c.dict_snapshot(), &dict), "the same dictionary");
+        assert_eq!(tree.components().len(), 1);
+
+        release.send(()).unwrap();
+        worker.await_quiescent();
+        let flushed = tree.components()[1].metadata().unwrap().to_vec();
+        assert_eq!(c.schema_snapshot().serialize(), flushed, "published with its component");
+        assert_eq!(c.schema_snapshot().record_count(), 3);
+        assert!(c.dict_snapshot().find("city").is_some(), "and its grown dictionary");
+    }
+
+    #[test]
+    fn schedule_flush_deduplicates_while_pending() {
+        use tc_lsm::entry::encode_u64_key;
+        use tc_lsm::NoopHook;
+
+        // The gate pins the worker inside job 1 while the test hammers the
+        // schedule latch.
+        let (tree, entered_rx, release_tx) = gated_tree(Arc::new(NoopHook));
         let worker = MaintenanceWorker::spawn(Arc::clone(&tree));
         tree.insert(encode_u64_key(1), b"x".to_vec()).unwrap();
         assert!(worker.schedule_flush(), "job 1 accepted");
@@ -729,32 +868,6 @@ mod tests {
         release_tx.send(()).unwrap(); // job 2's record
         worker.await_quiescent();
         assert_eq!(tree.stats().flushes, 2, "both distinct jobs flushed");
-    }
-
-    #[test]
-    fn abort_flush_restores_schema_snapshot() {
-        let c = TupleCompactor::new(pk_type());
-        let r1 = raw(&c, r#"{"id": 0, "name": "Kim"}"#);
-        c.begin_flush();
-        flush_record(&c, &r1);
-        let r2 = raw(&c, r#"{"id": 1, "age": 26}"#);
-        flush_record(&c, &r2);
-        {
-            let s = c.schema_snapshot();
-            assert_eq!(s.record_count(), 2);
-        }
-        // The flush fails on a storage fault: the schema rolls back to the
-        // pre-flush snapshot so the retried flush re-infers from scratch.
-        c.abort_flush();
-        let s = c.schema_snapshot();
-        assert_eq!(s.record_count(), 0, "aborted flush leaves the schema untouched");
-        assert!(s.lookup_field(s.root(), "name").is_none());
-        // The retry then replays the same records without double-counting.
-        c.begin_flush();
-        flush_record(&c, &r1);
-        flush_record(&c, &r2);
-        let s = c.schema_snapshot();
-        assert_eq!(s.record_count(), 2);
     }
 
     #[test]

@@ -128,7 +128,9 @@ impl<'a> WriterToken<'a> {
     }
 
     /// Bulk-load records into a single component (§4.3). The dataset must
-    /// be empty; the WAL is bypassed, like AsterixDB's load statement.
+    /// be empty — a load into one that is not fails with
+    /// [`AdmError::Execution`] before any tree changes; the WAL is
+    /// bypassed, like AsterixDB's load statement.
     pub fn bulk_load<I>(&mut self, records: I) -> Result<u64, AdmError>
     where
         I: IntoIterator<Item = Value>,
@@ -382,6 +384,12 @@ impl Dataset {
     where
         I: IntoIterator<Item = Value>,
     {
+        // A load needs an empty partition, refused up front for the reason a
+        // repeated key is below.
+        let mut trees = std::iter::once(&*self.primary).chain(self.index_trees());
+        if trees.any(|t| t.memtable_len() > 0 || !t.components().is_empty()) {
+            return Err(AdmError::execution("bulk load into a non-empty dataset"));
+        }
         let mut keyed: Vec<(Key, Vec<u8>, Option<[u8; 8]>)> = Vec::new();
         for record in records {
             let key = encode_i64_key(self.primary_key_of(&record)?);
@@ -1162,8 +1170,8 @@ mod tests {
         };
         assert_eq!((nodes(), components()), (1, (0, 0, 0)));
 
-        // The tree's own load: the hook has inferred both records' schema by
-        // the time the builder refuses the second key, and is rolled back.
+        // The tree's own load: its pass has inferred both records' schema by
+        // the time the builder refuses the second key, and is dropped.
         let row =
             |i| (encode_i64_key(i), tc_vector::encode(&employee(i), Some(&ds.config.datatype)));
         let err = ds.primary().bulk_load([row(1), row(1)]).unwrap_err();
@@ -1186,6 +1194,17 @@ mod tests {
         assert_eq!(ds.scan_values().unwrap().len(), 10);
         assert_eq!(ds.secondary_range(20, 30).unwrap().len(), 10);
         assert!(nodes() > 1);
+
+        // A second load is refused before any tree changes.
+        let state = || {
+            let schema = ds.schema_snapshot().unwrap().serialize();
+            (components(), ds.total_disk_bytes(), schema, ds.secondary_range(0, 100).unwrap())
+        };
+        let loaded = state();
+        let err = ds.writer().bulk_load((10..20).map(employee)).unwrap_err();
+        assert!(matches!(err, AdmError::Execution(_)), "got {err}");
+        assert!(err.to_string().contains("non-empty"), "got {err}");
+        assert_eq!(state(), loaded);
     }
 
     #[test]

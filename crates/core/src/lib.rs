@@ -2,13 +2,14 @@
 //!
 //! A dataset configured with `{"tuple-compactor-enabled": true}` stores
 //! records in the vector-based format; during every LSM flush the compactor
-//! infers the records' schema into the partition's in-memory schema
+//! infers the records' schema into a copy of the partition's schema
 //! structure, writes the records *compacted* (field names replaced by
-//! dictionary ids), and persists the schema snapshot in the new component's
-//! metadata page. Deletes and upserts carry *anti-schemas* that decrement
-//! the schema's counters at flush. Merges keep the newest input schema —
-//! a superset of the rest — with no synchronization against the in-memory
-//! schema.
+//! dictionary ids), persists the schema snapshot in the new component's
+//! metadata page, and publishes it as the partition's schema when the
+//! component is installed. Deletes and upserts carry *anti-schemas* that
+//! decrement the schema's counters at flush. Merges keep the newest input
+//! schema — a superset of the rest — with no synchronization against the
+//! in-memory schema.
 //!
 //! * [`config`] — dataset configuration: the four storage formats the
 //!   evaluation compares (`Open`, `Closed`, `Inferred`, and Fig 21's

@@ -16,11 +16,12 @@
 //! blob ([`ColumnarCodec::writer`]) — and every build has that blob before
 //! its first entry:
 //!
-//! * a **flush** or **bulk load** runs the hook over all its entries first
-//!   (the frozen memtable is in hand whole), takes `flush_metadata()`, and
-//!   only then opens the builder and pushes the transformed entries;
-//! * a **merge** computes `merge_metadata` from its inputs' blobs before the
-//!   scan starts. Winners that live in columnar inputs arrive as row
+//! * a **flush** or **bulk load** runs the hook's flush pass over all its
+//!   entries first (the frozen memtable is in hand whole), takes the pass's
+//!   `metadata()`, and only then opens the builder and pushes the
+//!   transformed entries;
+//! * a **merge** keeps its newest input's blob, chosen before the scan
+//!   starts. Winners that live in columnar inputs arrive as row
 //!   *references* ([`ColumnarWriter::push_row`]); a codec that can prove it
 //!   safe copies the row's column values from the source's pages into the
 //!   output's, and the row is never assembled into a record.

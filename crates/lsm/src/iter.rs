@@ -968,24 +968,23 @@ pub(crate) mod tests {
         assert_eq!(tries, 1, "later rows fail without another read");
     }
 
-    /// Records every hook call in the shared log; each flush's metadata blob
-    /// is distinct (`schema-1`, `schema-2`, …).
+    /// Records every call of its flush passes in the shared log; each
+    /// flush's metadata blob is distinct (`schema-1`, `schema-2`, …).
     struct RecordingHook {
         log: EventLog,
         blobs: AtomicUsize,
     }
 
     impl crate::hook::ComponentHook for RecordingHook {
-        fn begin_flush(&self) {
+        fn begin_flush(&self) -> Box<dyn crate::hook::FlushPass + '_> {
             self.log.lock().unwrap().push("begin".into());
+            Box::new(self)
         }
+    }
 
-        fn abort_flush(&self) {
-            self.log.lock().unwrap().push("abort".into());
-        }
-
-        fn on_flush_record(
-            &self,
+    impl crate::hook::FlushPass for &RecordingHook {
+        fn on_record(
+            &mut self,
             payload: &[u8],
             out: &mut Vec<u8>,
         ) -> Result<(), tc_storage::StorageError> {
@@ -994,18 +993,22 @@ pub(crate) mod tests {
             Ok(())
         }
 
-        fn on_flush_antimatter(
-            &self,
+        fn on_antimatter(
+            &mut self,
             attachment: Option<&[u8]>,
         ) -> Result<(), tc_storage::StorageError> {
             self.log.lock().unwrap().push(format!("anti:{}", text(attachment.unwrap_or(b"-"))));
             Ok(())
         }
 
-        fn flush_metadata(&self) -> Option<Vec<u8>> {
+        fn metadata(&mut self) -> Option<Vec<u8>> {
             let n = self.blobs.fetch_add(1, AtomicOrdering::Relaxed) + 1;
             self.log.lock().unwrap().push("metadata".into());
             Some(format!("schema-{n}").into_bytes())
+        }
+
+        fn commit(self: Box<Self>) {
+            self.log.lock().unwrap().push("commit".into());
         }
     }
 
@@ -1042,10 +1045,11 @@ pub(crate) mod tests {
         (tree, device, log)
     }
 
-    /// The second flush of [`recorded_tree`], as the log must read: the hook
+    /// The second flush of [`recorded_tree`], as the log must read: the pass
     /// over everything, then the writer with that flush's blob, then the
-    /// transformed entries into a store that holds no page yet.
-    const SECOND_FLUSH: [&str; 11] = [
+    /// transformed entries into a store that holds no page yet, and the
+    /// pass's commit once the component is built.
+    const SECOND_FLUSH: [&str; 12] = [
         "begin",
         "anti:anti-a",
         "record:new",
@@ -1057,6 +1061,7 @@ pub(crate) mod tests {
         "push:b@0",
         "push:c@0",
         "finish",
+        "commit",
     ];
 
     #[test]
@@ -1084,7 +1089,8 @@ pub(crate) mod tests {
         empty
             .bulk_load([(b"x".to_vec(), b"one".to_vec()), (b"y".to_vec(), b"two".to_vec())])
             .unwrap();
-        assert_eq!(*log.lock().unwrap(), ["begin", "record:one", "record:two", "metadata"]);
+        let loaded = ["begin", "record:one", "record:two", "metadata", "commit"];
+        assert_eq!(*log.lock().unwrap(), loaded);
         assert_eq!(empty.components()[0].metadata(), Some(&b"schema-1"[..]));
         assert_eq!(empty.get(b"y").unwrap(), Some(b"TWO".to_vec()));
     }
@@ -1099,15 +1105,14 @@ pub(crate) mod tests {
 
         let (tree, device, log) = recorded_tree();
         let installed = tree.components();
-        // The tail is the build's first page write: every hook call and
+        // The tail is the build's first page write: every pass call and
         // every push (three rows, one open group) come before it.
         device.set_fault_plan(FaultPlan::new(1).fail_nth(IoOp::Write, 1, FaultKind::Transient));
         assert!(tree.flush().is_err());
         device.clear_fault_plan();
         {
             let mut log = log.lock().unwrap();
-            assert_eq!(log[..10], SECOND_FLUSH[..10]);
-            assert_eq!(log[10..], ["abort"], "rolled back once, after the failed write");
+            assert_eq!(*log, SECOND_FLUSH[..10], "the failed write: no finish, no commit");
             log.clear();
         }
         assert_eq!(tree.stats().maintenance_errors, 1);
@@ -1115,8 +1120,8 @@ pub(crate) mod tests {
         assert!(tree.components().iter().zip(&installed).all(|(a, b)| Arc::ptr_eq(a, b)));
         assert_eq!(tree.get(b"b").unwrap(), Some(b"fresh".to_vec()));
 
-        // The resumed flush re-runs the hook over the same frozen entries
-        // and displaced anti-schema, and builds the same component.
+        // The resumed flush runs a fresh pass over the same frozen entries
+        // and displaced anti-schema, builds the same component and commits.
         tree.flush().unwrap();
         let resumed = log.lock().unwrap().clone();
         assert_eq!(resumed[..6], SECOND_FLUSH[..6]);

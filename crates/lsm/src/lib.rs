@@ -10,9 +10,9 @@
 //! where the tuple compactor persists each component's inferred schema.
 //!
 //! The engine is format-agnostic: payloads are byte strings, and a
-//! [`hook::ComponentHook`] observes flushes and merges. The tuple compactor
-//! (in the `tuple-compactor` crate) is exactly such a hook; the open/closed
-//! baselines use the no-op hook.
+//! [`hook::ComponentHook`] runs a [`hook::FlushPass`] over every flush and
+//! bulk load. The tuple compactor (in the `tuple-compactor` crate) is
+//! exactly such a hook; the open/closed baselines use the no-op hook.
 //!
 //! Modules: [`memtable`], [`component`] (with bulk load), [`iter`] (k-way
 //! merged scans), [`policy`] (the merge-policy design space), [`wal`] +
@@ -38,7 +38,7 @@ pub mod zone;
 pub use columnar::{ColumnarChunk, ColumnarCodec, ColumnarWriter, RowSource};
 pub use component::{ComponentId, DiskComponent};
 pub use entry::{EntryKind, Key};
-pub use hook::{ComponentHook, NoopHook};
+pub use hook::{ComponentHook, FlushPass, NoopHook};
 pub use policy::{CompactionDecision, MergePick, MergePolicy, MergeTrigger, NUM_MERGE_TRIGGERS};
 pub use tree::{LsmOptions, LsmStats, LsmTree};
 pub use zone::{ColumnZone, Num, Zone, ZoneColumn, ZoneExtractor, ZoneFilter};

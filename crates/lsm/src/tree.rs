@@ -22,20 +22,21 @@
 //! * **`flush_lock: Mutex<()>`** serializes flushes. A flush freezes the
 //!   memtable (rotating the WAL in the same critical section, so the active
 //!   WAL segment always covers exactly the active memtable), builds the
-//!   component with no state lock held (this is where the compactor hook
-//!   runs, guarded by its own schema mutex), then installs the component
-//!   and clears the frozen memtable in one write-lock section — a reader
-//!   snapshot can never see the flushed data twice or lose it.
+//!   component with no state lock held (this is where the hook's flush pass
+//!   runs, on its own copy of the hook's state), then installs the
+//!   component, clears the frozen memtable and commits the pass in one
+//!   write-lock section — a reader snapshot can never see the flushed data
+//!   twice or lose it, nor a schema that disagrees with the components.
 //! * **`merge_lock: Mutex<()>`** serializes merges. A merge snapshots its
 //!   input components, builds the merged component lock-free, and splices
 //!   it in *by identity* (`Arc::ptr_eq`), so concurrent flush appends don't
 //!   invalidate its indices. In-flight scans keep their `Arc`s to the old
 //!   components (snapshot semantics).
 //!
-//! Schema commits keep the paper's discipline (§3.1.1): flush mutates the
-//! in-memory schema under the compactor's own mutex before the component
-//! becomes visible; merge picks a metadata blob from its inputs and never
-//! touches the in-memory schema, so flushes and merges need no mutual
+//! Schema commits keep the paper's discipline (§3.1.1): a flush publishes
+//! the schema it inferred at the moment its component is installed, never
+//! before; a merge keeps its newest input's metadata blob and never touches
+//! the in-memory schema, so flushes and merges need no mutual
 //! synchronization beyond the component-list swap.
 
 use std::ops::Range;
@@ -52,7 +53,7 @@ use tc_util::sync::{ranks, OrderedMutex, OrderedRwLock};
 use crate::columnar::ColumnarCodec;
 use crate::component::{ComponentBuilder, ComponentId, DiskComponent, Payload};
 use crate::entry::{EntryKind, Key};
-use crate::hook::ComponentHook;
+use crate::hook::{ComponentHook, FlushPass};
 use crate::iter::{snapshot_memtable, MergedScan, ScanEntry};
 use crate::memtable::{MemEntry, Memtable};
 use crate::policy::{CompactionDecision, MergePick, MergePolicy, MergeTrigger, NUM_MERGE_TRIGGERS};
@@ -225,17 +226,12 @@ struct TreeState {
     /// versions were counted by earlier flushes, so the next flush must
     /// still hand them to the hook (§3.2.2 upsert path).
     pending_anti: Vec<Vec<u8>>,
-    /// Inputs saved at freeze time so a flush that fails on a storage fault
-    /// can be *resumed*: the retry re-processes the same frozen memtable
-    /// with the same displaced anti-schemas and the same component
-    /// sequence, without re-freezing (the WAL was already rotated).
+    /// Inputs saved at freeze time so a failed flush can be *resumed*: the
+    /// retry re-processes the same frozen memtable with the same displaced
+    /// anti-schemas and the same component sequence, without re-freezing
+    /// (the WAL was already rotated).
     frozen_anti: Vec<Vec<u8>>,
     frozen_seq: u64,
-    /// True only when a flush aborted *cleanly* on a storage error (hook
-    /// state rolled back via `abort_flush`). A frozen memtable without this
-    /// flag means a mid-build panic — retrying would double-apply hook
-    /// mutations, so that case still fails loudly.
-    frozen_resumable: bool,
     next_seq: u64,
 }
 
@@ -271,6 +267,15 @@ impl TreeState {
             MemEntry::AntiMatter(_) => (EntryKind::AntiMatter, Vec::new()),
         })
     }
+
+    /// `attachment`, if the version of `key` a new entry displaces was (or
+    /// is being) counted by a flush (§3.2.2). A record still in the active
+    /// memtable was never observed by any flush; anything older lives in
+    /// the frozen memtable or on disk, where a flush has counted or is
+    /// committed to counting it.
+    fn attachment_if_counted(&self, key: &[u8], attachment: Option<Vec<u8>>) -> Option<Vec<u8>> {
+        attachment.filter(|_| !matches!(self.mem.get(key), Some(MemEntry::Record(_))))
+    }
 }
 
 impl LsmTree {
@@ -295,7 +300,6 @@ impl LsmTree {
                     pending_anti: Vec::new(),
                     frozen_anti: Vec::new(),
                     frozen_seq: 0,
-                    frozen_resumable: false,
                     next_seq: 0,
                 },
             ),
@@ -333,40 +337,39 @@ impl LsmTree {
     }
 
     /// Build the component a flush or a bulk load installs (INVALID; the
-    /// caller decides whether it completes). Two passes over `entries`, which
-    /// arrive in key order: the hook sees every entry first — the displaced
-    /// anti-schemas (they still decrement the schema for their flushed old
-    /// versions), then each record and anti-matter attachment — so its
-    /// metadata blob is final before the builder opens, and a columnar body
-    /// knows its columns from the first row; then the transformed entries
-    /// are pushed. What is held between the passes is the transformed
-    /// payloads, at most one memtable's worth, back to back in one buffer
-    /// (each entry keeps the offset its payload ends at).
+    /// caller decides whether it completes) through `pass`, which the caller
+    /// commits in the section that installs the component. Two passes over
+    /// `entries`, which arrive in key order: the flush pass sees every entry
+    /// first — the displaced anti-schemas (they still decrement the schema
+    /// for their flushed old versions), then each record and anti-matter
+    /// attachment — so its metadata blob is final before the builder opens,
+    /// and a columnar body knows its columns from the first row; then the
+    /// transformed entries are pushed. What is held between the passes is the
+    /// transformed payloads, at most one memtable's worth, back to back in
+    /// one buffer (each entry keeps the offset its payload ends at).
     ///
-    /// `begin_flush` snapshots whatever `abort_flush` must restore: on a
-    /// storage fault, or a record or attachment the hook refuses, the hook
-    /// is rolled back, the half-written store is dropped on the floor — it
-    /// was never visible — and the error counted.
+    /// On a storage fault, or a record or attachment the pass refuses, the
+    /// error is counted and the caller drops the pass uncommitted; the
+    /// half-written store is dropped on the floor — it was never visible.
     fn build_flushed<K: AsRef<[u8]>, E: std::borrow::Borrow<MemEntry>>(
         &self,
+        pass: &mut dyn FlushPass,
         id: ComponentId,
         displaced_anti: &[Vec<u8>],
         mut entries: impl Iterator<Item = (K, E)>,
     ) -> Result<DiskComponent, StorageError> {
-        self.hook.begin_flush();
         let mut payloads = Vec::new();
         let mut rows = Vec::with_capacity(entries.size_hint().0);
-        let displaced =
-            displaced_anti.iter().try_for_each(|att| self.hook.on_flush_antimatter(Some(att)));
+        let displaced = displaced_anti.iter().try_for_each(|att| pass.on_antimatter(Some(att)));
         let transformed = displaced.and_then(|()| {
             entries.try_for_each(|(key, entry)| {
                 let kind = match entry.borrow() {
                     MemEntry::Record(payload) => {
-                        self.hook.on_flush_record(payload, &mut payloads)?;
+                        pass.on_record(payload, &mut payloads)?;
                         EntryKind::Record
                     }
                     MemEntry::AntiMatter(att) => {
-                        self.hook.on_flush_antimatter(att.as_deref())?;
+                        pass.on_antimatter(att.as_deref())?;
                         EntryKind::AntiMatter
                     }
                 };
@@ -375,7 +378,7 @@ impl LsmTree {
             })
         });
         let built = transformed.and_then(|()| {
-            let mut builder = self.new_builder(rows.len(), self.hook.flush_metadata());
+            let mut builder = self.new_builder(rows.len(), pass.metadata());
             let mut start = 0;
             for (key, kind, end) in &rows {
                 builder.push(key.as_ref(), *kind, &payloads[start..*end])?;
@@ -384,7 +387,6 @@ impl LsmTree {
             builder.finish(id, false)
         });
         built.inspect_err(|_| {
-            self.hook.abort_flush();
             self.stats.maintenance_errors.fetch_add(1, AtomicOrdering::Relaxed);
         })
     }
@@ -532,11 +534,9 @@ impl LsmTree {
     /// moving a "never observed" in-memory version into a component whose
     /// flush *does* count it (§3.2.2) — skipping the decrement would then
     /// leak schema counts. So the decision is made here, atomically under
-    /// the state lock: a live record still in the *active* memtable was
-    /// never observed by any flush (no attachment); anything older lives in
-    /// the frozen memtable or on disk, where a flush has counted or is
-    /// committed to counting it (attachment rides along, and the flush
-    /// ordering guarantees the decrement lands after the count).
+    /// the state lock, by `TreeState::attachment_if_counted` (the flush
+    /// ordering guarantees a decrement that rides along lands after the
+    /// count).
     pub fn delete_versioned(
         &self,
         key: Key,
@@ -544,8 +544,7 @@ impl LsmTree {
     ) -> Result<bool, StorageError> {
         let over_budget = {
             let mut st = self.state.write();
-            let counted = !matches!(st.mem.get(&key), Some(MemEntry::Record(_)));
-            let entry = MemEntry::AntiMatter(if counted { attachment_if_counted } else { None });
+            let entry = MemEntry::AntiMatter(st.attachment_if_counted(&key, attachment_if_counted));
             if self.opts.wal_enabled {
                 self.wal.log(&key, &entry)?;
             }
@@ -573,8 +572,7 @@ impl LsmTree {
     ) -> Result<bool, StorageError> {
         let over_budget = {
             let mut st = self.state.write();
-            let counted = !matches!(st.mem.get(&key), Some(MemEntry::Record(_)));
-            let anti = if counted { attachment_if_counted } else { None };
+            let anti = st.attachment_if_counted(&key, attachment_if_counted);
             if self.opts.wal_enabled {
                 self.wal.log_replace(&key, &payload, anti.as_deref())?;
             }
@@ -609,14 +607,15 @@ impl LsmTree {
     }
 
     /// Flush the in-memory component to a new on-disk component, running
-    /// every record through the hook (where the tuple compactor infers and
-    /// compacts — §3.1.1). Safe to call from any thread; concurrent calls
-    /// serialize, and a call that finds an empty memtable is a no-op.
+    /// every record through the hook's flush pass (where the tuple compactor
+    /// infers and compacts — §3.1.1), which commits with the install. Safe
+    /// to call from any thread; concurrent calls serialize, and a call that
+    /// finds an empty memtable is a no-op.
     ///
-    /// On a storage fault the flush aborts *cleanly*: the frozen memtable,
-    /// its WAL coverage, and the hook's schema (rolled back through
-    /// [`ComponentHook::abort_flush`]) are all exactly as before the build,
-    /// and the next `flush` call resumes from the same frozen state.
+    /// On a storage fault the flush aborts *cleanly*: the frozen memtable
+    /// and its WAL coverage are exactly as before the build, the hook's
+    /// [`FlushPass`] is dropped uncommitted, and the next `flush` call
+    /// resumes from the same frozen state.
     pub fn flush(&self) -> Result<(), StorageError> {
         self.flush_inner(true)
     }
@@ -638,18 +637,9 @@ impl LsmTree {
         let (frozen, anti, seq) = {
             let mut st = self.state.write();
             if let Some(frozen) = &st.frozen {
-                // A leftover frozen memtable is either a cleanly-aborted
-                // flush (storage fault, hook rolled back) — resumed here
-                // with the freeze inputs saved at freeze time — or the
-                // residue of a mid-build panic, where retrying would
-                // double-apply hook mutations and must fail loudly. The
-                // check is a hard assert, not mutex poisoning, because the
-                // real parking_lot (the planned vendor swap-back) doesn't
-                // poison.
-                assert!(
-                    st.frozen_resumable,
-                    "a previous flush aborted mid-build; refusing to flush"
-                );
+                // A leftover frozen memtable is a failed attempt, resumed
+                // here with the freeze inputs saved at freeze time: its
+                // pass was dropped, so there is nothing to apply twice.
                 (Arc::clone(frozen), st.frozen_anti.clone(), st.frozen_seq)
             } else {
                 if st.mem.is_empty() {
@@ -666,34 +656,34 @@ impl LsmTree {
                 st.frozen_anti = anti.clone();
                 let seq = st.next_seq;
                 st.frozen_seq = seq;
-                st.frozen_resumable = false;
                 st.next_seq += 1;
                 (frozen, anti, seq)
             }
         };
 
-        // Build — the slow part — with no state lock held (the hook's
-        // schema mutations synchronize on the compactor's own mutex). A
-        // clean abort keeps the frozen memtable (and its WAL coverage) for
-        // a later resume; the tree reads exactly as before this attempt.
-        let component = self
-            .build_flushed(ComponentId::flushed(seq), &anti, frozen.iter())
-            .inspect_err(|_| self.state.write().frozen_resumable = true)?;
+        // Build — the slow part — with no state lock held: the pass works on
+        // its own copy of the hook's state. A failed attempt keeps the
+        // frozen memtable (and its WAL coverage) for a later resume and
+        // drops the pass; the tree reads exactly as before this attempt.
+        let mut pass = self.hook.begin_flush();
+        let component =
+            self.build_flushed(&mut *pass, ComponentId::flushed(seq), &anti, frozen.iter())?;
         if complete {
             component.set_valid();
         }
         let bytes = component.disk_bytes();
-        // Install + unfreeze atomically: a reader snapshot sees the flushed
-        // data exactly once (frozen memtable before, disk component after —
-        // never both, never neither). On a crash the same section leaves
-        // the invalid component on disk and drops the frozen in-memory
-        // component; only the frozen WAL segment is kept.
+        // Install + unfreeze + publish atomically: a reader snapshot sees
+        // the flushed data exactly once (frozen memtable before, disk
+        // component after — never both, never neither), and the pass's
+        // edits exactly when it sees the component. On a crash the same
+        // section leaves the invalid component on disk and drops the frozen
+        // in-memory component; only the frozen WAL segment is kept.
         {
             let mut st = self.state.write();
             st.disk.push(Arc::new(component));
             st.frozen = None;
             st.frozen_anti.clear();
-            st.frozen_resumable = false;
+            pass.commit();
         }
         if complete {
             if self.opts.wal_enabled {
@@ -777,21 +767,18 @@ impl LsmTree {
     /// completes). Pure build: touches no tree state, so a fault here
     /// leaves nothing to clean up.
     ///
-    /// The metadata blob is computed from the inputs' before the scan
-    /// starts. A winner that lives in a columnar input reaches the output,
-    /// columnar like every component of its tree, as a row reference —
-    /// copied column to column when the codec can, never assembled into a
-    /// record on the way.
+    /// The output keeps the newest input's metadata blob, chosen before the
+    /// scan starts. A winner that lives in a columnar input reaches the
+    /// output, columnar like every component of its tree, as a row
+    /// reference — copied column to column when the codec can, never
+    /// assembled into a record on the way.
     fn build_merged(
         &self,
         inputs: &[Arc<DiskComponent>],
         drop_antimatter: bool,
     ) -> Result<(DiskComponent, u64), StorageError> {
-        let blobs: Vec<Option<&[u8]>> = inputs.iter().map(|c| c.metadata()).collect();
-        let metadata = self.hook.merge_metadata(&blobs);
         let expected: usize = inputs.iter().map(|c| c.num_entries() as usize).sum();
-
-        let mut builder = self.new_builder(expected, metadata);
+        let mut builder = self.new_builder(expected, newest_metadata(inputs));
         let mut count = 0u64;
         {
             let mut scan = MergedScan::new(Vec::new(), inputs, &self.cache, None, None, true, None);
@@ -835,9 +822,8 @@ impl LsmTree {
     /// component list the pick indexes. The plan is the pick plus one flag:
     /// anti-matter is dropped only when the range starts at the oldest
     /// component, so nothing older survives for it to annihilate (§2.2).
-    /// The merged component's metadata is chosen by the hook — the paper's
-    /// rule keeps the newest schema without touching in-memory state
-    /// (§3.1.1).
+    /// The merged component keeps the newest input's metadata — the paper's
+    /// rule, which never touches in-memory state (§3.1.1).
     ///
     /// A complete merge installs the output; an incomplete one is crash
     /// injection and only appends it INVALID. On a fault nothing installs:
@@ -923,8 +909,14 @@ impl LsmTree {
 
     /// Bulk-load a pre-sorted stream into a single component (paper §4.3:
     /// loading sorts records and builds one B+-tree bottom-up; the tuple
-    /// compactor infers and compacts during the build). The tree must be
-    /// empty. A failed load leaves it empty, and the hook rolled back.
+    /// compactor infers and compacts during the build, and its pass commits
+    /// with the install, as a flush's does). A failed load leaves the tree
+    /// empty and the hook's state untouched.
+    ///
+    /// # Panics
+    /// If the tree is not empty: no component, nothing in memory. Loading
+    /// into a tree that holds data is a caller bug; `Dataset`'s load checks
+    /// every tree of its partition before it touches any.
     pub fn bulk_load<I>(&self, sorted: I) -> Result<(), StorageError>
     where
         I: IntoIterator<Item = (Key, Vec<u8>)>,
@@ -943,13 +935,15 @@ impl LsmTree {
         // Built without the state lock, so concurrent readers never block
         // on the load.
         let records = sorted.into_iter().map(|(key, payload)| (key, MemEntry::Record(payload)));
-        let component = self.build_flushed(ComponentId::flushed(seq), &[], records)?;
+        let mut pass = self.hook.begin_flush();
+        let component = self.build_flushed(&mut *pass, ComponentId::flushed(seq), &[], records)?;
         component.set_valid();
         let (count, bytes) = (component.num_entries(), component.disk_bytes());
         {
             let mut st = self.state.write();
             st.next_seq = seq + 1;
             st.disk.push(Arc::new(component));
+            pass.commit();
         }
         self.stats.count_flush(count, bytes);
         Ok(())
@@ -1067,7 +1061,6 @@ impl LsmTree {
         st.frozen = None;
         st.pending_anti.clear();
         st.frozen_anti.clear();
-        st.frozen_resumable = false;
     }
 
     /// Recovery: discard invalid components (unset validity bit), then
@@ -1103,8 +1096,7 @@ impl LsmTree {
             // decrement stands.
             let entry = match entry {
                 MemEntry::AntiMatter(att) => {
-                    let counted = !matches!(st.mem.get(&key), Some(MemEntry::Record(_)));
-                    MemEntry::AntiMatter(if counted { att } else { None })
+                    MemEntry::AntiMatter(st.attachment_if_counted(&key, att))
                 }
                 entry => entry,
             };
@@ -1118,7 +1110,7 @@ impl LsmTree {
     /// The newest component's metadata blob (the schema the recovery
     /// manager reloads, §3.1.2).
     pub fn newest_metadata(&self) -> Option<Vec<u8>> {
-        self.state.read().disk.iter().rev().find_map(|c| c.metadata().map(<[u8]>::to_vec))
+        newest_metadata(&self.state.read().disk)
     }
 
     /// Test/benchmark access to the WAL.
@@ -1168,6 +1160,13 @@ const _: () = {
 /// oldest → newest.
 fn run_sizes(disk: &[Arc<DiskComponent>]) -> Vec<u64> {
     disk.iter().map(|c| c.disk_bytes()).collect()
+}
+
+/// The newest metadata blob among `components` (oldest → newest): what a
+/// merge output keeps, since the newest schema is a superset of the older
+/// ones (§3.1.1), and what recovery reloads (§3.1.2).
+fn newest_metadata(components: &[Arc<DiskComponent>]) -> Option<Vec<u8>> {
+    components.iter().rev().find_map(|c| c.metadata().map(<[u8]>::to_vec))
 }
 
 /// Probe an owned component snapshot newest → oldest for one key; a
@@ -1547,22 +1546,32 @@ mod tests {
         }
     }
 
+    /// Each flush's blob is the next one the script names (`None`: no blob).
+    struct ScriptedBlobs(Vec<Option<&'static str>>, AtomicU64);
+    impl ComponentHook for ScriptedBlobs {
+        fn begin_flush(&self) -> Box<dyn FlushPass + '_> {
+            Box::new(self)
+        }
+    }
+    impl FlushPass for &ScriptedBlobs {
+        fn metadata(&mut self) -> Option<Vec<u8>> {
+            let flush = self.1.fetch_add(1, AtomicOrdering::Relaxed) as usize;
+            self.0[flush].map(|blob| blob.as_bytes().to_vec())
+        }
+    }
+
+    fn scripted_tree(blobs: Vec<Option<&'static str>>) -> LsmTree {
+        LsmTree::new(
+            Arc::new(Device::new(DeviceProfile::RAM)),
+            Arc::new(BufferCache::new(64)),
+            Arc::new(ScriptedBlobs(blobs, AtomicU64::new(0))),
+            LsmOptions { merge_policy: MergePolicy::NoMerge, ..Default::default() },
+        )
+    }
+
     #[test]
     fn metadata_propagates_through_merge() {
-        struct BlobHook;
-        impl ComponentHook for BlobHook {
-            fn flush_metadata(&self) -> Option<Vec<u8>> {
-                Some(b"schema".to_vec())
-            }
-        }
-        let device = Arc::new(Device::new(DeviceProfile::RAM));
-        let cache = Arc::new(BufferCache::new(64));
-        let t = LsmTree::new(
-            device,
-            cache,
-            Arc::new(BlobHook),
-            LsmOptions { merge_policy: MergePolicy::NoMerge, ..Default::default() },
-        );
+        let t = scripted_tree(vec![Some("schema"); 2]);
         t.insert(encode_u64_key(1), b"a".to_vec()).unwrap();
         t.flush().unwrap();
         t.insert(encode_u64_key(2), b"b".to_vec()).unwrap();
@@ -1571,17 +1580,24 @@ mod tests {
         assert_eq!(t.newest_metadata(), Some(b"schema".to_vec()));
     }
 
+    /// Counts the attachments its passes see.
+    struct CountingHook(AtomicU64);
+    impl ComponentHook for CountingHook {
+        fn begin_flush(&self) -> Box<dyn FlushPass + '_> {
+            Box::new(self)
+        }
+    }
+    impl FlushPass for &CountingHook {
+        fn on_antimatter(&mut self, attachment: Option<&[u8]>) -> Result<(), StorageError> {
+            if attachment.is_some() {
+                self.0.fetch_add(1, AtomicOrdering::Relaxed);
+            }
+            Ok(())
+        }
+    }
+
     #[test]
     fn delete_versioned_attaches_only_for_observed_versions() {
-        struct CountingHook(std::sync::atomic::AtomicU64);
-        impl ComponentHook for CountingHook {
-            fn on_flush_antimatter(&self, attachment: Option<&[u8]>) -> Result<(), StorageError> {
-                if attachment.is_some() {
-                    self.0.fetch_add(1, AtomicOrdering::Relaxed);
-                }
-                Ok(())
-            }
-        }
         let hook = Arc::new(CountingHook(AtomicU64::new(0)));
         let device = Arc::new(Device::new(DeviceProfile::RAM));
         let cache = Arc::new(BufferCache::new(64));
@@ -1612,15 +1628,6 @@ mod tests {
         // validity bit, so the count never became durable. Recovery must
         // strip the (retroactively wrong) anti-schema so the hook never
         // decrements for a version that was never durably counted.
-        struct CountingHook(AtomicU64);
-        impl ComponentHook for CountingHook {
-            fn on_flush_antimatter(&self, attachment: Option<&[u8]>) -> Result<(), StorageError> {
-                if attachment.is_some() {
-                    self.0.fetch_add(1, AtomicOrdering::Relaxed);
-                }
-                Ok(())
-            }
-        }
         let hook = Arc::new(CountingHook(AtomicU64::new(0)));
         let t = LsmTree::new(
             Arc::new(Device::new(DeviceProfile::RAM)),

@@ -43,13 +43,11 @@ pub mod ranks {
     pub const MERGE_LOCK: LockRank = LockRank { order: 200, name: "merge_lock" };
     /// `LsmTree::state` — memtables, component list, displaced anti-schemas.
     pub const TREE_STATE: LockRank = LockRank { order: 300, name: "state" };
-    /// `TupleCompactor::schema` — the in-memory counted schema tree.
+    /// `TupleCompactor::schema` — the published schema and its dictionary
+    /// `Arc`. A flush pass commits into it under `state`, in the section
+    /// that installs the pass's component; readers take it under `state`
+    /// to capture a decoder.
     pub const COMPACTOR_SCHEMA: LockRank = LockRank { order: 400, name: "schema" };
-    /// `TupleCompactor::flush_backup` — the schema snapshot an aborted flush
-    /// restores.
-    pub const FLUSH_BACKUP: LockRank = LockRank { order: 450, name: "flush_backup" };
-    /// `TupleCompactor::dict_cache` — memoized dictionary snapshot.
-    pub const DICT_CACHE: LockRank = LockRank { order: 500, name: "dict_cache" };
     /// `Wal::frozen` — the frozen WAL segment buffer.
     pub const WAL_FROZEN: LockRank = LockRank { order: 600, name: "frozen" };
     /// `BufferCache::inner` — cache frames and the LRU clock.

@@ -604,6 +604,54 @@ fn columnar_scans_equal_an_oracle_prefix_across_column_merges() {
 }
 
 // ---------------------------------------------------------------------
+// 4c. The schema is published with its component, never before
+// ---------------------------------------------------------------------
+
+/// A flush publishes the schema it inferred in the section that installs
+/// its component (§3.1). With background maintenance and no merges, a
+/// writer inserts records that each bring a new field name while a reader
+/// reads the schema's record count and then the entries of the installed
+/// components: the count never runs ahead of what is installed.
+#[test]
+fn published_schema_never_runs_ahead_of_installed_components() {
+    with_watchdog(Duration::from_secs(60), "schema-vs-components", || {
+        const N: i64 = 400;
+        let ds = Dataset::new(
+            stress_config(true).with_merge_policy(MergePolicy::NoMerge),
+            Arc::new(Device::new(DeviceProfile::RAM)),
+            Arc::new(BufferCache::new(4096)),
+        );
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut w = ds.writer();
+                for pk in 0..N {
+                    let src = format!(r#"{{"id": {pk}, "name": "user-{pk}", "field_{pk}": {pk}}}"#);
+                    w.insert(&parse(&src).unwrap()).unwrap();
+                }
+                done.store(true, Ordering::SeqCst);
+            });
+            scope.spawn(|| loop {
+                let finished = done.load(Ordering::SeqCst);
+                let counted = ds.schema_snapshot().unwrap().record_count();
+                let installed: u64 =
+                    ds.primary().components().iter().map(|c| c.num_entries()).sum();
+                assert!(counted <= installed, "schema counts {counted}, installed {installed}");
+                if finished {
+                    break;
+                }
+                // Leave the CPU to the tests running beside this one.
+                std::thread::yield_now();
+            });
+        });
+        ds.await_quiescent();
+        ds.flush().unwrap();
+        assert!(ds.lsm_stats().flushes > 1, "background flushes must have fired");
+        assert_eq!(ds.schema_snapshot().unwrap().record_count(), N as u64);
+    });
+}
+
+// ---------------------------------------------------------------------
 // 5. Repeated short runs: shake out interleavings (the suite is also run
 //    20× in CI; this in-test loop catches cheap orderings every run)
 // ---------------------------------------------------------------------
