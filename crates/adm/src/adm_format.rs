@@ -186,69 +186,61 @@ pub fn decode_record(buf: &[u8], dtype: Option<&ObjectType>) -> Result<Value, Ad
     Ok(v)
 }
 
+/// The `N` bytes at `pos`, for `from_le_bytes`.
+fn le<const N: usize>(buf: &[u8], pos: usize) -> Result<[u8; N], AdmError> {
+    buf.get(pos..pos + N)
+        .and_then(|b| b.try_into().ok())
+        .ok_or_else(|| AdmError::corrupt("fixed-width value cut short"))
+}
+
 fn get_u32(buf: &[u8], pos: usize) -> Result<u32, AdmError> {
-    buf.get(pos..pos + 4)
-        .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
-        .ok_or_else(|| AdmError::corrupt("truncated u32"))
+    le(buf, pos).map(u32::from_le_bytes)
 }
 
 fn take(buf: &[u8], pos: usize, n: usize) -> Result<&[u8], AdmError> {
     buf.get(pos..pos + n).ok_or_else(|| AdmError::corrupt("truncated payload"))
 }
 
+/// `N` little-endian `f64`s at `pos` (the spatial types).
+fn f64s<const N: usize>(buf: &[u8], pos: usize) -> Result<[f64; N], AdmError> {
+    let mut out = [0f64; N];
+    for (i, x) in out.iter_mut().enumerate() {
+        *x = f64::from_le_bytes(le(buf, pos + i * 8)?);
+    }
+    Ok(out)
+}
+
+/// The bytes from `pos` on: where a child value starts.
+fn from(buf: &[u8], pos: usize) -> Result<&[u8], AdmError> {
+    buf.get(pos..).ok_or_else(|| AdmError::corrupt("child offset past the end"))
+}
+
 /// Decode one value; returns (value, bytes consumed).
 fn decode_value(buf: &[u8], ctx: Option<&TypeKind>) -> Result<(Value, usize), AdmError> {
     let tag = TypeTag::from_u8(*buf.first().ok_or_else(|| AdmError::corrupt("empty buffer"))?)?;
     let p = 1usize;
-    let fixed = |n: usize| take(buf, p, n);
     Ok(match tag {
         TypeTag::Missing => (Value::Missing, 1),
         TypeTag::Null => (Value::Null, 1),
-        TypeTag::Boolean => (Value::Boolean(fixed(1)?[0] != 0), 2),
-        TypeTag::Int8 => (Value::Int8(fixed(1)?[0] as i8), 2),
-        TypeTag::Int16 => (Value::Int16(i16::from_le_bytes(fixed(2)?.try_into().expect("2"))), 3),
-        TypeTag::Int32 => (Value::Int32(i32::from_le_bytes(fixed(4)?.try_into().expect("4"))), 5),
-        TypeTag::Date => (Value::Date(i32::from_le_bytes(fixed(4)?.try_into().expect("4"))), 5),
-        TypeTag::Time => (Value::Time(i32::from_le_bytes(fixed(4)?.try_into().expect("4"))), 5),
-        TypeTag::Int64 => (Value::Int64(i64::from_le_bytes(fixed(8)?.try_into().expect("8"))), 9),
-        TypeTag::DateTime => {
-            (Value::DateTime(i64::from_le_bytes(fixed(8)?.try_into().expect("8"))), 9)
-        }
-        TypeTag::Duration => {
-            (Value::Duration(i64::from_le_bytes(fixed(8)?.try_into().expect("8"))), 9)
-        }
-        TypeTag::Float => (Value::Float(f32::from_le_bytes(fixed(4)?.try_into().expect("4"))), 5),
-        TypeTag::Double => (Value::Double(f64::from_le_bytes(fixed(8)?.try_into().expect("8"))), 9),
-        TypeTag::Uuid => {
-            let b: [u8; 16] = fixed(16)?.try_into().expect("16");
-            (Value::Uuid(b), 17)
-        }
+        TypeTag::Boolean => (Value::Boolean(le::<1>(buf, p)?[0] != 0), 2),
+        TypeTag::Int8 => (Value::Int8(le::<1>(buf, p)?[0] as i8), 2),
+        TypeTag::Int16 => (Value::Int16(i16::from_le_bytes(le(buf, p)?)), 3),
+        TypeTag::Int32 => (Value::Int32(i32::from_le_bytes(le(buf, p)?)), 5),
+        TypeTag::Date => (Value::Date(i32::from_le_bytes(le(buf, p)?)), 5),
+        TypeTag::Time => (Value::Time(i32::from_le_bytes(le(buf, p)?)), 5),
+        TypeTag::Int64 => (Value::Int64(i64::from_le_bytes(le(buf, p)?)), 9),
+        TypeTag::DateTime => (Value::DateTime(i64::from_le_bytes(le(buf, p)?)), 9),
+        TypeTag::Duration => (Value::Duration(i64::from_le_bytes(le(buf, p)?)), 9),
+        TypeTag::Float => (Value::Float(f32::from_le_bytes(le(buf, p)?)), 5),
+        TypeTag::Double => (Value::Double(f64::from_le_bytes(le(buf, p)?)), 9),
+        TypeTag::Uuid => (Value::Uuid(le(buf, p)?), 17),
         TypeTag::Point => {
-            let b = fixed(16)?;
-            (
-                Value::Point(
-                    f64::from_le_bytes(b[..8].try_into().expect("8")),
-                    f64::from_le_bytes(b[8..].try_into().expect("8")),
-                ),
-                17,
-            )
+            let [x, y] = f64s(buf, p)?;
+            (Value::Point(x, y), 17)
         }
-        TypeTag::Line | TypeTag::Rectangle => {
-            let b = fixed(32)?;
-            let mut a = [0f64; 4];
-            for (i, chunk) in b.chunks_exact(8).enumerate() {
-                a[i] = f64::from_le_bytes(chunk.try_into().expect("8"));
-            }
-            (if tag == TypeTag::Line { Value::Line(a) } else { Value::Rectangle(a) }, 33)
-        }
-        TypeTag::Circle => {
-            let b = fixed(24)?;
-            let mut a = [0f64; 3];
-            for (i, chunk) in b.chunks_exact(8).enumerate() {
-                a[i] = f64::from_le_bytes(chunk.try_into().expect("8"));
-            }
-            (Value::Circle(a), 25)
-        }
+        TypeTag::Line => (Value::Line(f64s(buf, p)?), 33),
+        TypeTag::Rectangle => (Value::Rectangle(f64s(buf, p)?), 33),
+        TypeTag::Circle => (Value::Circle(f64s(buf, p)?), 25),
         TypeTag::String | TypeTag::Binary => {
             let len = get_u32(buf, p)? as usize;
             let bytes = take(buf, p + 4, len)?;
@@ -271,10 +263,12 @@ fn decode_value(buf: &[u8], ctx: Option<&TypeKind>) -> Result<(Value, usize), Ad
                 Some(TypeKind::Array(item)) | Some(TypeKind::Multiset(item)) => Some(item.as_ref()),
                 _ => None,
             };
-            let mut items = Vec::with_capacity(count);
+            // Each item has a 4-byte offset: a count the buffer cannot
+            // hold is corrupt, and is not allocated for.
+            let mut items = Vec::with_capacity(count.min(buf.len() / 4));
             for i in 0..count {
                 let off = get_u32(buf, p + 8 + i * 4)? as usize;
-                let (v, _) = decode_value(&buf[region + off..], item_ctx)?;
+                let (v, _) = decode_value(from(buf, region + off)?, item_ctx)?;
                 items.push(v);
             }
             let v =
@@ -308,18 +302,19 @@ fn decode_value(buf: &[u8], ctx: Option<&TypeKind>) -> Result<(Value, usize), Ad
                 ));
             }
 
-            let mut fields: Vec<(String, Value)> = Vec::with_capacity(declared_count + open_count);
-            for i in 0..declared_count {
-                let ot = otype.expect("checked above");
+            // An open field takes at least 8 directory bytes.
+            let mut fields: Vec<(String, Value)> =
+                Vec::with_capacity(declared_count + open_count.min(buf.len() / 8));
+            // Without a type, `declared_count` is 0 (checked above).
+            for (i, field) in otype.iter().flat_map(|ot| ot.fields.iter()).enumerate() {
                 let off = get_u32(buf, declared_offsets + i * 4)?;
-                let name = ot.fields[i].name.clone();
                 match off {
                     OFFSET_MISSING => {}
-                    OFFSET_NULL => fields.push((name, Value::Null)),
+                    OFFSET_NULL => fields.push((field.name.clone(), Value::Null)),
                     off => {
                         let (v, _) =
-                            decode_value(&buf[region + off as usize..], Some(&ot.fields[i].kind))?;
-                        fields.push((name, v));
+                            decode_value(from(buf, region + off as usize)?, Some(&field.kind))?;
+                        fields.push((field.name.clone(), v));
                     }
                 }
             }
@@ -330,7 +325,7 @@ fn decode_value(buf: &[u8], ctx: Option<&TypeKind>) -> Result<(Value, usize), Ad
                     .map_err(|_| AdmError::corrupt("invalid UTF-8 field name"))?
                     .to_owned();
                 let off = get_u32(buf, dp + 4 + name_len)? as usize;
-                let (v, _) = decode_value(&buf[region + off..], None)?;
+                let (v, _) = decode_value(from(buf, region + off)?, None)?;
                 fields.push((name, v));
                 dp += 4 + name_len + 4;
             }
@@ -393,7 +388,7 @@ impl<'a, 'b> AdmCursor<'a, 'b> {
                 return Ok(match off {
                     OFFSET_MISSING | OFFSET_NULL => None,
                     off => Some(AdmCursor {
-                        buf: &buf[region + off as usize..],
+                        buf: from(buf, region + off as usize)?,
                         ctx: Some(&ot.fields[idx].kind),
                     }),
                 });
@@ -405,7 +400,7 @@ impl<'a, 'b> AdmCursor<'a, 'b> {
             let fname = take(buf, dp + 4, name_len)?;
             let off = get_u32(buf, dp + 4 + name_len)? as usize;
             if fname == name.as_bytes() {
-                return Ok(Some(AdmCursor { buf: &buf[region + off..], ctx: None }));
+                return Ok(Some(AdmCursor { buf: from(buf, region + off)?, ctx: None }));
             }
             dp += 4 + name_len + 4;
         }
@@ -429,7 +424,7 @@ impl<'a, 'b> AdmCursor<'a, 'b> {
             Some(TypeKind::Array(item)) | Some(TypeKind::Multiset(item)) => Some(item.as_ref()),
             _ => None,
         };
-        Ok(Some(AdmCursor { buf: &buf[region + off..], ctx: item_ctx }))
+        Ok(Some(AdmCursor { buf: from(buf, region + off)?, ctx: item_ctx }))
     }
 
     /// Number of items if this is a collection.
@@ -469,9 +464,11 @@ impl<'a, 'b> AdmCursor<'a, 'b> {
                 let Some(count) = self.len()? else {
                     return Ok(Value::Missing);
                 };
-                let mut out = Vec::with_capacity(count);
+                let mut out = Vec::with_capacity(count.min(self.buf.len() / 4));
                 for i in 0..count {
-                    let item = self.index(i)?.expect("i < count");
+                    let item = self
+                        .index(i)?
+                        .ok_or_else(|| AdmError::corrupt("collection item out of range"))?;
                     let v = item.get_path(rest)?;
                     if !v.is_missing() {
                         out.push(v);
@@ -636,6 +633,25 @@ mod tests {
         let mut bad = buf.clone();
         bad[0] = 99; // unknown tag
         assert!(decode_record(&bad, None).is_err());
+        // A corrupt count or offset in any byte: a value or an error from
+        // decoding and from navigation, never a panic or a huge allocation.
+        let t = employee_type();
+        let kind = TypeKind::Object(t.clone());
+        let v = parse(r#"{"id": 7, "name": "Kim", "deps": [{"n": [1, 2]}, "x"], "o": {"p": 1}}"#)
+            .unwrap();
+        let buf = encode_record(&v, Some(&t)).unwrap();
+        let paths = ["name", "deps[*].n", "deps[1]", "o.p"].map(parse_path);
+        for at in 0..buf.len() {
+            for byte in [0x00, 0x7f, 0xff] {
+                let mut bad = buf.clone();
+                bad[at] = byte;
+                let _ = decode_record(&bad, Some(&t));
+                let cur = AdmCursor::new(&bad, Some(&kind));
+                for p in &paths {
+                    let _ = cur.get_path(p);
+                }
+            }
+        }
     }
 
     #[test]

@@ -62,8 +62,11 @@ pub fn compare(a: &Value, b: &Value) -> Ordering {
                 (Some(x), Some(y)) => x.cmp(&y),
                 // At least one float: compare as f64, tie-break on tag so the
                 // order stays total and antisymmetric across types.
-                _ => total_f64(a.as_f64().expect("numeric"), b.as_f64().expect("numeric"))
-                    .then_with(|| (a.type_tag() as u8).cmp(&(b.type_tag() as u8))),
+                _ => {
+                    #[expect(clippy::expect_used, reason = "both values are numeric")]
+                    let (x, y) = (a.as_f64().expect("numeric"), b.as_f64().expect("numeric"));
+                    total_f64(x, y).then_with(|| (a.type_tag() as u8).cmp(&(b.type_tag() as u8)))
+                }
             }
         }
         (String(x), String(y)) => x.cmp(y),
@@ -130,6 +133,7 @@ pub fn hash_value<H: Hasher>(v: &Value, state: &mut H) {
                 state.write_u8(0);
                 state.write_u64(i as u64);
             } else {
+                #[expect(clippy::expect_used, reason = "the value is numeric")]
                 let f = v.as_f64().expect("numeric");
                 if f.fract() == 0.0 && f >= i64::MIN as f64 && f <= i64::MAX as f64 {
                     // Integral float hashes like the equal integer.

@@ -277,7 +277,7 @@ mod tests {
     fn partition_fields_splits_declared_and_open() {
         let (_, employee) = employee_types();
         let v = parse(r#"{"id": 0, "name": "Kim", "age": 26}"#).unwrap();
-        let Value::Object(fields) = &v else { unreachable!() };
+        let Value::Object(fields) = &v else { panic!("parsed an object") };
         let (declared, open) = employee.partition_fields(fields);
         assert_eq!(declared.len(), 3);
         assert!(declared[0].is_some() && declared[1].is_some());

@@ -17,6 +17,8 @@
 //! * [`path`] — path expressions (`a.b[0].c`, wildcard array steps) shared by
 //!   the navigators and the query engine.
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 pub mod adm_format;
 pub mod compare;
 pub mod datatype;

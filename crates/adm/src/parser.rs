@@ -333,28 +333,21 @@ impl<'a> Parser<'a> {
             }
             "uuid" => {
                 let s = self.constructor_string()?;
-                let hex: String = s.chars().filter(|c| *c != '-').collect();
-                if hex.len() != 32 {
-                    return Err(self.err("uuid needs 32 hex digits"));
-                }
-                let mut bytes = [0u8; 16];
-                for (i, chunk) in hex.as_bytes().chunks_exact(2).enumerate() {
-                    let s = std::str::from_utf8(chunk).expect("hex ascii");
-                    bytes[i] = u8::from_str_radix(s, 16).map_err(|_| self.err("bad uuid hex"))?;
-                }
+                let hex: Vec<u8> = s.bytes().filter(|&b| b != b'-').collect();
+                let bytes: [u8; 16] = hex_bytes(&hex)
+                    .ok_or_else(|| self.err("bad uuid hex"))?
+                    .try_into()
+                    .map_err(|_| self.err("uuid needs 32 hex digits"))?;
                 Ok(Value::Uuid(bytes))
             }
             "binary" => {
                 let s = self.constructor_string()?;
-                if s.len() % 2 != 0 {
+                if !s.len().is_multiple_of(2) {
                     return Err(self.err("binary hex must have even length"));
                 }
-                let mut bytes = Vec::with_capacity(s.len() / 2);
-                for chunk in s.as_bytes().chunks_exact(2) {
-                    let st = std::str::from_utf8(chunk).expect("hex ascii");
-                    bytes.push(u8::from_str_radix(st, 16).map_err(|_| self.err("bad binary hex"))?);
-                }
-                Ok(Value::Binary(bytes))
+                Ok(Value::Binary(
+                    hex_bytes(s.as_bytes()).ok_or_else(|| self.err("bad binary hex"))?,
+                ))
             }
             "point" => {
                 let args = self.constructor_numbers()?;
@@ -398,7 +391,9 @@ impl<'a> Parser<'a> {
         loop {
             self.skip_ws();
             let v = self.parse_number()?;
-            args.push(v.as_f64().expect("numeric literal"));
+            #[expect(clippy::expect_used, reason = "`parse_number` returns only numbers")]
+            let x = v.as_f64().expect("numeric literal");
+            args.push(x);
             if self.eat(b',') {
                 continue;
             }
@@ -406,6 +401,16 @@ impl<'a> Parser<'a> {
             return Ok(args);
         }
     }
+}
+
+/// The bytes a run of hex digit pairs spells, read byte by byte: `None` if
+/// a byte is not an ASCII hex digit or the last one has no pair.
+fn hex_bytes(hex: &[u8]) -> Option<Vec<u8>> {
+    let digit = |b: u8| (b as char).to_digit(16);
+    if !hex.len().is_multiple_of(2) {
+        return None;
+    }
+    hex.chunks_exact(2).map(|pair| Some((digit(pair[0])? * 16 + digit(pair[1])?) as u8)).collect()
 }
 
 /// Days from the civil epoch for `YYYY-MM-DD` (proleptic Gregorian).
@@ -418,10 +423,12 @@ pub fn parse_date(s: &str) -> Option<i32> {
     } else {
         (parts.next()?.parse().ok()?, parts.next()?.parse().ok()?, parts.next()?.parse().ok()?)
     };
-    if !(1..=12).contains(&m) || !(1..=31).contains(&d) {
+    // Beyond ten million years the day count overflows `i32` anyway; the
+    // bound keeps the `i64` arithmetic from overflowing first.
+    if !(1..=12).contains(&m) || !(1..=31).contains(&d) || y.unsigned_abs() > 10_000_000 {
         return None;
     }
-    Some(days_from_civil(y, m, d) as i32)
+    i32::try_from(days_from_civil(y, m, d)).ok()
 }
 
 /// Howard Hinnant's days_from_civil.
@@ -443,8 +450,9 @@ pub fn parse_time(s: &str) -> Option<i32> {
     let sec_part = parts.next()?;
     let (sec, ms) = match sec_part.split_once('.') {
         Some((s, frac)) => {
-            let ms: i32 = format!("{frac:0<3}")[..3].parse().ok()?;
-            (s.parse::<i32>().ok()?, ms)
+            // Milliseconds are the first three fraction digits, zero-padded.
+            let ms: String = frac.chars().chain(std::iter::repeat('0')).take(3).collect();
+            (s.parse::<i32>().ok()?, ms.parse().ok()?)
         }
         None => (sec_part.parse().ok()?, 0),
     };
@@ -619,7 +627,7 @@ mod tests {
                 return (first, name);
             }
         }
-        unreachable!()
+        panic!("names past 64 always share a mask bit")
     }
 
     #[test]
@@ -637,7 +645,184 @@ mod tests {
         assert!(parse(r#"{"a": {"b": 1}, "b": {"a": 2}}"#).is_ok(), "names are per object");
     }
 
+    /// Hex literals are read byte by byte: a multi-byte character in one is
+    /// a parse error, never a panic, at the top level and inside a record.
+    #[test]
+    fn hex_literals_with_multibyte_characters_are_errors() {
+        let uuid = format!(r#"uuid("a{}b")"#, "é".repeat(15));
+        for literal in [r#"binary("aéb")"#, r#"binary("éé")"#, uuid.as_str(), r#"uuid("😀😀")"#]
+        {
+            for text in [literal.to_string(), format!(r#"{{"id": 1, "v": [{literal}]}}"#)] {
+                assert!(matches!(parse(&text), Err(AdmError::Parse { .. })), "{text}");
+            }
+        }
+        assert_eq!(parse(r#"binary("0aFf")"#).unwrap(), Value::Binary(vec![0x0a, 0xff]));
+        assert!(parse(r#"binary("0a0")"#).is_err());
+        assert!(parse(r#"uuid("00112233-4455-6677-8899-aabbccddeeff00")"#).is_err());
+    }
+
+    /// Time fractions and date years from client text are bounded, not
+    /// sliced or multiplied past their range.
+    #[test]
+    fn temporal_literals_out_of_range_are_errors() {
+        assert_eq!(parse(r#"time("00:00:01.5")"#).unwrap(), Value::Time(1500));
+        assert_eq!(parse(r#"time("00:00:01.1239")"#).unwrap(), Value::Time(1123));
+        for text in [
+            r#"time("12:00:00.éé")"#,
+            r#"time("12:00:00.1é")"#,
+            r#"date("9223372036854775807-01-01")"#,
+            r#"date("-99999999-01-01")"#,
+            r#"datetime("99999999999-01-01T00:00:00")"#,
+        ] {
+            assert!(matches!(parse(text), Err(AdmError::Parse { .. })), "{text}");
+        }
+    }
+
     use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+
+    /// Values of every type the parser has a literal for, constructors
+    /// included, within the ranges the printer round-trips.
+    fn arb_any_value() -> impl Strategy<Value = Value> {
+        let leaf = prop_oneof![
+            arb_text().prop_map(Value::String),
+            any::<i64>().prop_map(Value::Int64),
+            any::<i8>().prop_map(Value::Int8),
+            any::<f32>().prop_map(Value::Float),
+            any::<f64>().prop_map(Value::Double),
+            Just(Value::Null),
+            (-3_000_000..3_000_000i32).prop_map(Value::Date),
+            (0..86_400_000i32).prop_map(Value::Time),
+            (-100_000_000_000_000..100_000_000_000_000i64).prop_map(Value::DateTime),
+            any::<i64>().prop_map(Value::Duration),
+            any::<[u8; 16]>().prop_map(Value::Uuid),
+            proptest::collection::vec(any::<u8>(), 0..6).prop_map(Value::Binary),
+            (any::<f64>(), any::<f64>()).prop_map(|(x, y)| Value::Point(x, y)),
+            (any::<f64>(), any::<f64>(), any::<f64>())
+                .prop_map(|(x, y, r)| Value::Circle([x, y, r])),
+            (any::<f64>(), any::<f64>()).prop_map(|(a, b)| Value::Rectangle([a, b, b, a])),
+        ];
+        leaf.prop_recursive(3, 32, 5, |inner| {
+            prop_oneof![
+                proptest::collection::vec(inner.clone(), 0..5).prop_map(Value::Array),
+                proptest::collection::vec(inner.clone(), 0..3).prop_map(Value::Multiset),
+                proptest::collection::btree_map(arb_text(), inner, 0..6)
+                    .prop_map(|m| Value::Object(m.into_iter().collect())),
+            ]
+        })
+    }
+
+    /// Indexes of the characters strictly inside string and constructor
+    /// literals' quotes.
+    fn quoted_chars(text: &str) -> Vec<usize> {
+        let mut out = Vec::new();
+        let (mut in_string, mut escaped) = (false, false);
+        for (i, c) in text.chars().enumerate() {
+            match c {
+                _ if escaped => {
+                    escaped = false;
+                    out.push(i);
+                }
+                '\\' if in_string => escaped = true,
+                '"' => in_string = !in_string,
+                _ if in_string => out.push(i),
+                _ => {}
+            }
+        }
+        out
+    }
+
+    /// Fragments random text is built from: structure, literal keywords and
+    /// multi-byte characters.
+    const FRAGMENTS: &[&str] = &[
+        "{",
+        "}",
+        "[",
+        "]",
+        "{{",
+        "}}",
+        "\"",
+        ":",
+        ",",
+        " ",
+        "-",
+        "0",
+        "7",
+        ".",
+        "e",
+        "i8",
+        "i16",
+        "f",
+        "true",
+        "null",
+        "missing",
+        "date(",
+        "time(",
+        "datetime(",
+        "uuid(",
+        "binary(",
+        "point(",
+        "circle(",
+        "duration(",
+        ")",
+        "\"ab\"",
+        "\"é😀\"",
+        "\\u00e9",
+        "\\ud800",
+        "\\",
+        "é",
+        "😀",
+        "12:00:00.",
+        "2020-01-01",
+        "T",
+    ];
+
+    /// Printed random values, truncated, with a bit flipped, and with
+    /// characters inside quotes replaced by multi-byte ones; and random
+    /// text. Every input parses to a value or an error, never a panic.
+    /// `TC_FAULT_SEED` reseeds the inputs so CI can loop it.
+    #[test]
+    fn parse_never_panics() {
+        let seed =
+            std::env::var("TC_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0xAD3);
+        eprintln!("parse_never_panics: TC_FAULT_SEED={seed}");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let values = arb_any_value();
+        let check = |text: &str| {
+            let parsed = std::panic::catch_unwind(|| parse(text));
+            assert!(parsed.is_ok(), "parse panicked on {text:?} (TC_FAULT_SEED={seed})");
+        };
+        for _ in 0..400 {
+            let text = crate::to_string(&values.new_value(&mut rng));
+            assert!(parse(&text).is_ok(), "{text}");
+            for _ in 0..3 {
+                let mut cut = rng.gen_range(0..=text.len());
+                while !text.is_char_boundary(cut) {
+                    cut -= 1;
+                }
+                check(&text[..cut]);
+            }
+            for _ in 0..3 {
+                let mut bytes = text.clone().into_bytes();
+                let bit = rng.gen_range(0..bytes.len() * 8);
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                check(&String::from_utf8_lossy(&bytes));
+            }
+            let quoted = quoted_chars(&text);
+            for _ in 0..if quoted.is_empty() { 0 } else { 3 } {
+                let mut chars: Vec<char> = text.chars().collect();
+                for _ in 0..rng.gen_range(1..4) {
+                    let at = quoted[rng.gen_range(0..quoted.len())];
+                    chars[at] = ['é', 'Σ', '€', '😀', '\u{a0}'][rng.gen_range(0..5usize)];
+                }
+                check(&chars.into_iter().collect::<String>());
+            }
+            let noise: String = (0..rng.gen_range(0..24))
+                .map(|_| FRAGMENTS[rng.gen_range(0..FRAGMENTS.len())])
+                .collect();
+            check(&noise);
+        }
+    }
 
     fn arb_text() -> impl Strategy<Value = String> {
         // Quotes, backslashes, control characters, BMP and astral chars.

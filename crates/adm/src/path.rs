@@ -28,7 +28,13 @@ impl PathStep {
 pub type Path = Vec<PathStep>;
 
 /// Parse a dotted path with optional `[i]` / `[*]` steps, e.g.
-/// `"dependents[*].name"` or `"entities.hashtags[0].text"`.
+/// `"dependents[*].name"` or `"entities.hashtags[0].text"`. Paths are
+/// written by programs (plan builders, tests), not read from clients.
+///
+/// # Panics
+///
+/// On an unclosed bracket or an index that is neither a number nor `*`.
+#[expect(clippy::expect_used, reason = "a malformed path is a bug in the program that wrote it")]
 pub fn parse_path(text: &str) -> Path {
     let mut steps = Vec::new();
     for part in text.split('.') {

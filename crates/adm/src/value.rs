@@ -194,6 +194,7 @@ impl Value {
 
     /// The most frequent scalar type tag in the tree — Table 1's "dominant
     /// type" statistic. Ties break toward the smaller tag code.
+    #[expect(clippy::expect_used, reason = "every counted index is a scalar's type tag")]
     pub fn dominant_scalar_type(&self) -> Option<TypeTag> {
         let mut counts = [0usize; 32];
         fn walk(v: &Value, counts: &mut [usize; 32]) {

@@ -5,6 +5,8 @@
 //! GROUP BY into (paper Fig 5's local aggregate + hash exchange + global
 //! aggregate).
 
+use std::borrow::Cow;
+
 use tc_adm::compare::compare;
 use tc_adm::{AdmError, Value};
 
@@ -63,18 +65,19 @@ impl AggState {
         }
     }
 
-    /// Fold one row's argument value in.
-    pub fn update(&mut self, arg: Option<Value>) {
+    /// Fold one row's argument value in. A borrowed value is copied only by
+    /// the states that keep it.
+    pub fn update(&mut self, arg: Option<Cow<'_, Value>>) {
         match self {
             AggState::Count(n) => *n += 1,
             AggState::Sum { total, seen } => {
-                if let Some(x) = arg.as_ref().and_then(Value::as_f64) {
+                if let Some(x) = arg.as_deref().and_then(Value::as_f64) {
                     *total += x;
                     *seen = true;
                 }
             }
             AggState::Avg { total, count } => {
-                if let Some(x) = arg.as_ref().and_then(Value::as_f64) {
+                if let Some(x) = arg.as_deref().and_then(Value::as_f64) {
                     *total += x;
                     *count += 1;
                 }
@@ -96,13 +99,13 @@ impl AggState {
                     }
                 };
                 if better {
-                    *best = Some(v);
+                    *best = Some(v.into_owned());
                 }
             }
             AggState::List(items) => {
                 if let Some(v) = arg {
                     if !v.is_missing() {
-                        items.push(v);
+                        items.push(v.into_owned());
                     }
                 }
             }
@@ -182,7 +185,7 @@ mod tests {
     fn run(func: AggFn, values: Vec<Value>) -> Value {
         let mut s = AggState::new(&func);
         for v in values {
-            s.update(Some(v));
+            s.update(Some(Cow::Owned(v)));
         }
         s.finalize()
     }
@@ -237,7 +240,7 @@ mod tests {
             let mut a = AggState::new(&func);
             let mut b = AggState::new(&func);
             for (i, v) in values.iter().enumerate() {
-                let arg = if matches!(func, AggFn::Count) { None } else { Some(v.clone()) };
+                let arg = if matches!(func, AggFn::Count) { None } else { Some(Cow::Borrowed(v)) };
                 if i % 2 == 0 {
                     a.update(arg);
                 } else {

@@ -7,17 +7,22 @@
 //! [`ExecStats::broadcast_bytes`]) and (b) partial results meet at a
 //! coordinator that merges aggregate states / sorted runs and runs the rest
 //! of the plan.
+//!
+//! Both stages run the same push pipeline (`crate::pipeline`). A partition
+//! scans its rows, then pushes each one, owned, through the streaming
+//! operators before the first blocking operator into that operator's local
+//! side: a group-by folds rows into partial states, a top-k sorts, a
+//! distinct dedupes, a limit truncates. The coordinator pushes the
+//! partitions' outputs into the blocking operator's exchange side, and the
+//! result through the operators after it, one blocking operator at a time.
+//! Rows move between stages by reference; a value is copied only where
+//! something reads it again.
 
-use std::collections::hash_map::Entry;
-
-use tc_adm::compare::{compare, OrdValue};
 use tc_adm::{AdmError, Value};
-use tc_util::hash::FxHashMap;
 use tuple_compactor::{Dataset, RecordDecoder};
 
-use crate::agg::{Agg, AggState};
 use crate::batch::{self, ColumnSet};
-use crate::expr::Expr;
+use crate::pipeline::{LocalOutput, Pipeline};
 use crate::plan::{Op, Query, ScanSpec};
 use crate::zone::ZonePredicate;
 
@@ -142,43 +147,43 @@ pub fn execute(
         }
     }
 
-    // Split the pipeline at the first operator that needs a global view.
-    // `Limit` belongs here too: each partition can truncate locally as an
-    // optimization, but only the coordinator sees the union, so the limit
-    // must be re-applied globally (k rows total, not k per partition).
-    let split = query
-        .ops
-        .iter()
-        .position(|op| {
-            matches!(op, Op::GroupBy { .. } | Op::OrderBy { .. } | Op::Distinct(_) | Op::Limit(_))
-        })
-        .unwrap_or(query.ops.len());
-    let local_ops = &query.ops[..split];
-    let blocking = query.ops.get(split);
-    let global_ops = if split < query.ops.len() { &query.ops[split + 1..] } else { &[][..] };
+    let locals = run_partitions(partitions, opts.parallel, |ds| run_partition(ds, query, opts));
+    let rows = coordinate(&query.ops, locals, &mut stats)?;
+    stats.rows_output = rows.len() as u64;
+    Ok(QueryResult { rows, stats })
+}
 
-    // ---- local stage, one pipeline per partition ----
-    let locals: Vec<Result<(LocalOutput, ExecStats), AdmError>> = if opts.parallel
-        && partitions.len() > 1
-    {
+/// Run `f` once per partition: on a thread each (the paper's
+/// one-executor-per-partition parallelism) or serially on the caller
+/// thread. Results come back in partition order either way.
+fn run_partitions<P: Sync, T: Send>(
+    partitions: &[P],
+    parallel: bool,
+    f: impl Fn(&P) -> Result<T, AdmError> + Sync,
+) -> Vec<Result<T, AdmError>> {
+    if parallel && partitions.len() > 1 {
         std::thread::scope(|scope| {
-            let handles: Vec<_> = partitions
-                .iter()
-                .map(|ds| {
-                    scope.spawn(move || run_partition(ds, &query.scan, local_ops, blocking, opts))
-                })
-                .collect();
+            let f = &f;
+            let handles: Vec<_> = partitions.iter().map(|p| scope.spawn(move || f(p))).collect();
             handles.into_iter().map(|h| join_partition(h.join())).collect()
         })
     } else {
-        partitions
-            .iter()
-            .map(|ds| run_partition(ds, &query.scan, local_ops, blocking, opts))
-            .collect()
-    };
+        partitions.iter().map(f).collect()
+    }
+}
 
-    let mut grouped: FxHashMap<Vec<OrdValue>, (Row, Vec<AggState>)> = FxHashMap::default();
-    let mut rows: Vec<Row> = Vec::new();
+/// The coordinator. The plan splits at its first blocking operator — the
+/// first that needs a global view; `Limit` counts too: each partition
+/// truncates locally, but only the coordinator sees the union, so the limit
+/// is re-applied here (k rows in total, not k per partition). The
+/// partitions' outputs meet at that operator's exchange side, and the
+/// operators after it run as the global stage.
+fn coordinate(
+    ops: &[Op],
+    locals: Vec<Result<(LocalOutput, ExecStats), AdmError>>,
+    stats: &mut ExecStats,
+) -> Result<Vec<Row>, AdmError> {
+    let (mut exchange, mut global_ops) = Pipeline::exchange(ops);
     for local in locals {
         let (out, part) = local?;
         stats.rows_scanned += part.rows_scanned;
@@ -186,56 +191,18 @@ pub fn execute(
         stats.quarantined_components += part.quarantined_components;
         stats.units_skipped += part.units_skipped;
         match out {
-            LocalOutput::Rows(mut r) => rows.append(&mut r),
-            LocalOutput::Grouped(partials) => {
-                for (key, states) in partials {
-                    let hk: Vec<OrdValue> = key.iter().cloned().map(OrdValue).collect();
-                    match grouped.entry(hk) {
-                        Entry::Vacant(e) => {
-                            e.insert((key, states));
-                        }
-                        Entry::Occupied(mut e) => {
-                            let (_, existing) = e.get_mut();
-                            for (a, b) in existing.iter_mut().zip(states) {
-                                a.merge(b)?;
-                            }
-                        }
-                    }
-                }
-            }
+            LocalOutput::Rows(rows) => exchange.push_all(rows),
+            LocalOutput::Grouped(partials) => exchange.merge(partials)?,
         }
     }
-
-    // ---- global stage ----
-    let mut rows = match blocking {
-        Some(Op::GroupBy { keys, aggs }) => {
-            if grouped.is_empty() && keys.is_empty() {
-                // Global aggregate over zero rows still yields one row.
-                let finals: Row = aggs.iter().map(|a| AggState::new(&a.func).finalize()).collect();
-                vec![finals]
-            } else {
-                grouped
-                    .into_values()
-                    .map(|(mut key, states)| {
-                        key.extend(states.into_iter().map(AggState::finalize));
-                        key
-                    })
-                    .collect()
-            }
-        }
-        // The local stage already projected Distinct's expressions (and
-        // deduped within each partition); re-evaluating them here against
-        // the projected rows would be wrong for anything but identity
-        // columns. The coordinator only finishes the dedupe.
-        Some(Op::Distinct(_)) => dedupe_rows(rows),
-        Some(op) => apply_op(rows, op),
-        None => rows,
-    };
-    for op in global_ops {
-        rows = apply_op(rows, op);
+    let mut rows = exchange.finish();
+    while !global_ops.is_empty() {
+        let (mut step, rest) = Pipeline::global(global_ops);
+        step.push_all(rows);
+        rows = step.finish();
+        global_ops = rest;
     }
-    stats.rows_output = rows.len() as u64;
-    Ok(QueryResult { rows, stats })
+    Ok(rows)
 }
 
 /// Convert a partition thread's outcome into the caller's result: a panic
@@ -254,30 +221,16 @@ pub fn join_partition<T>(joined: std::thread::Result<Result<T, AdmError>>) -> Re
     }
 }
 
-/// Dedupe already-projected rows by whole-row equality, keeping first-seen
-/// order.
-fn dedupe_rows(rows: Vec<Row>) -> Vec<Row> {
-    let mut seen: std::collections::HashSet<Vec<OrdValue>> = Default::default();
-    rows.into_iter()
-        .filter(|row| seen.insert(row.iter().cloned().map(OrdValue).collect()))
-        .collect()
-}
-
-enum LocalOutput {
-    Rows(Vec<Row>),
-    Grouped(Vec<(Row, Vec<AggState>)>),
-}
-
 /// Scan + local pipeline for one partition, and the partition's scan
 /// counters.
 fn run_partition(
     ds: &Dataset,
-    scan: &ScanSpec,
-    local_ops: &[Op],
-    blocking: Option<&Op>,
+    query: &Query,
     opts: &ExecOptions,
 ) -> Result<(LocalOutput, ExecStats), AdmError> {
-    let limit_hint = scan_limit_hint(local_ops, blocking);
+    let scan = &query.scan;
+    let mut pipeline = Pipeline::local(&query.ops);
+    let limit_hint = pipeline.scan_limit();
     let zones = ZonePredicate::of(scan);
     // A partition resting in the columnar layout can answer batched scans
     // without pivoting records back into rows at all; `None` (shape not
@@ -287,7 +240,8 @@ fn run_partition(
         if let Some((rows, stats)) =
             crate::columnar::try_scan_columnar(ds, scan, zones.as_ref(), limit_hint)?
         {
-            return finish_partition(rows, local_ops, blocking, stats);
+            pipeline.push_all(rows);
+            return Ok((pipeline.finish_local(), stats));
         }
     }
     // One pruned snapshot both engines read, so they skip the same units.
@@ -321,53 +275,8 @@ fn run_partition(
             return Err(AdmError::storage(e.to_string(), e.is_transient()));
         }
     }
-    finish_partition(rows, local_ops, blocking, stats)
-}
-
-/// Local operator pipeline + the local side of the blocking operator,
-/// shared by the columnar fast scan and the generic snapshot scan.
-fn finish_partition(
-    mut rows: Vec<Row>,
-    local_ops: &[Op],
-    blocking: Option<&Op>,
-    stats: ExecStats,
-) -> Result<(LocalOutput, ExecStats), AdmError> {
-    for op in local_ops {
-        rows = apply_op(rows, op);
-    }
-    // Local side of the blocking operator.
-    let out = match blocking {
-        Some(Op::GroupBy { keys, aggs }) => LocalOutput::Grouped(partial_group(rows, keys, aggs)),
-        Some(Op::OrderBy { keys, limit: Some(k) }) => {
-            // Local top-k: the global top-k is a subset of the union of
-            // local top-ks.
-            LocalOutput::Rows(apply_op(rows, &Op::OrderBy { keys: keys.clone(), limit: Some(*k) }))
-        }
-        Some(Op::Distinct(exprs)) => {
-            // Local dedupe shrinks the exchange; global dedupe finishes.
-            LocalOutput::Rows(apply_op(rows, &Op::Distinct(exprs.clone())))
-        }
-        Some(Op::Limit(k)) => {
-            // Local truncation shrinks the exchange; the coordinator
-            // re-applies the limit over the union.
-            let mut rows = rows;
-            rows.truncate(*k);
-            LocalOutput::Rows(rows)
-        }
-        _ => LocalOutput::Rows(rows),
-    };
-    Ok((out, stats))
-}
-
-/// Can the scan stop after `k` surviving records? Only when the pending
-/// blocking operator is a plain `Limit` and nothing between the scan and it
-/// changes the row *count* — projections keep 1:1 cardinality, but a
-/// post-scan filter or unnest would make an early stop undercount.
-fn scan_limit_hint(local_ops: &[Op], blocking: Option<&Op>) -> Option<usize> {
-    match blocking {
-        Some(Op::Limit(k)) if local_ops.iter().all(|op| matches!(op, Op::Project(_))) => Some(*k),
-        _ => None,
-    }
+    pipeline.push_all(rows);
+    Ok((pipeline.finish_local(), stats))
 }
 
 /// The row-at-a-time scan: materialize every early column per record, then
@@ -400,114 +309,27 @@ fn scan_rows(
     Ok(rows)
 }
 
-/// Fold rows into per-key partial aggregate states.
-fn partial_group(rows: Vec<Row>, keys: &[Expr], aggs: &[Agg]) -> Vec<(Row, Vec<AggState>)> {
-    let mut map: FxHashMap<Vec<OrdValue>, (Row, Vec<AggState>)> = FxHashMap::default();
-    for row in rows {
-        let key: Row = keys.iter().map(|k| k.eval(&row)).collect();
-        let hk: Vec<OrdValue> = key.iter().cloned().map(OrdValue).collect();
-        let entry = map
-            .entry(hk)
-            .or_insert_with(|| (key, aggs.iter().map(|a| AggState::new(&a.func)).collect()));
-        for (agg, state) in aggs.iter().zip(entry.1.iter_mut()) {
-            state.update(agg.arg.as_ref().map(|e| e.eval(&row)));
-        }
-    }
-    map.into_values().collect()
-}
-
-/// Apply one operator to in-memory rows (used for local pipelines and the
-/// coordinator's global stage).
-pub fn apply_op(rows: Vec<Row>, op: &Op) -> Vec<Row> {
-    match op {
-        Op::Filter(pred) => rows.into_iter().filter(|r| pred.eval_bool(r)).collect(),
-        Op::Project(exprs) => {
-            rows.into_iter().map(|r| exprs.iter().map(|e| e.eval(&r)).collect()).collect()
-        }
-        Op::Unnest(expr) => {
-            // A plain-column source is consumed by the unnest: emitted rows
-            // carry `null` in its slot so the (possibly large) collection
-            // isn't cloned once per item — Hyracks likewise projects the
-            // unnested field out of the frame.
-            let consumed = match expr {
-                Expr::Col(i) => Some(*i),
-                _ => None,
-            };
-            let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
-                match expr.eval(&row) {
-                    Value::Array(items) | Value::Multiset(items) => {
-                        let mut base = row;
-                        if let Some(i) = consumed {
-                            base[i] = Value::Null;
-                        }
-                        let last = items.len().saturating_sub(1);
-                        for (idx, item) in items.into_iter().enumerate() {
-                            // The final item reuses the base row.
-                            let mut r =
-                                if idx == last { std::mem::take(&mut base) } else { base.clone() };
-                            r.push(item);
-                            out.push(r);
-                        }
-                    }
-                    _ => {} // UNNEST of non-collections emits nothing
-                }
-            }
-            out
-        }
-        Op::GroupBy { keys, aggs } => partial_group(rows, keys, aggs)
-            .into_iter()
-            .map(|(mut key, states)| {
-                key.extend(states.into_iter().map(AggState::finalize));
-                key
-            })
-            .collect(),
-        Op::OrderBy { keys, limit } => {
-            let mut keyed: Vec<(Vec<Value>, Row)> = rows
-                .into_iter()
-                .map(|r| (keys.iter().map(|(e, _)| e.eval(&r)).collect(), r))
-                .collect();
-            keyed.sort_by(|(a, _), (b, _)| {
-                for (i, (_, desc)) in keys.iter().enumerate() {
-                    let ord = compare(&a[i], &b[i]);
-                    let ord = if *desc { ord.reverse() } else { ord };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-            let mut out: Vec<Row> = keyed.into_iter().map(|(_, r)| r).collect();
-            if let Some(k) = limit {
-                out.truncate(*k);
-            }
-            out
-        }
-        Op::Limit(k) => {
-            let mut rows = rows;
-            rows.truncate(*k);
-            rows
-        }
-        Op::Distinct(exprs) => {
-            let mut seen: std::collections::HashSet<Vec<OrdValue>> = Default::default();
-            let mut out = Vec::new();
-            for row in rows {
-                let projected: Row = exprs.iter().map(|e| e.eval(&row)).collect();
-                let key: Vec<OrdValue> = projected.iter().cloned().map(OrdValue).collect();
-                if seen.insert(key) {
-                    out.push(projected);
-                }
-            }
-            out
-        }
-    }
+/// [`execute`] over partitions already scanned into rows: the local
+/// pipelines and the coordinator, without the scan.
+#[cfg(test)]
+pub(crate) fn execute_rows(
+    partitions: &[Vec<Row>],
+    ops: &[Op],
+    parallel: bool,
+) -> Result<Vec<Row>, AdmError> {
+    let locals = run_partitions(partitions, parallel, |rows| {
+        let mut pipeline = Pipeline::local(ops);
+        pipeline.push_all(rows.clone());
+        Ok((pipeline.finish_local(), ExecStats::default()))
+    });
+    coordinate(ops, locals, &mut ExecStats::default())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agg::AggFn;
-    use crate::expr::{CmpOp, Func};
+    use crate::agg::{Agg, AggFn};
+    use crate::expr::{CmpOp, Expr, Func};
     use crate::plan::AccessStrategy;
     use std::sync::Arc;
     use tc_adm::parse;

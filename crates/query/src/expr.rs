@@ -9,6 +9,8 @@
 //! Null semantics are simplified two-valued logic: comparisons involving
 //! `null`/`missing` are false, matching what the paper's queries need.
 
+use std::borrow::Cow;
+
 use tc_adm::compare::compare;
 use tc_adm::path::{eval_path, Path};
 use tc_adm::Value;
@@ -108,30 +110,32 @@ impl Expr {
 
     /// Evaluate against a row.
     pub fn eval(&self, row: &[Value]) -> Value {
+        self.eval_ref(row).into_owned()
+    }
+
+    /// Evaluate against a row, borrowing the result where it already exists:
+    /// a column or a constant.
+    pub fn eval_ref<'a>(&'a self, row: &'a [Value]) -> Cow<'a, Value> {
         match self {
-            Expr::Col(i) => row.get(*i).cloned().unwrap_or(Value::Missing),
-            Expr::Const(v) => v.clone(),
-            Expr::Path { col, path } => match row.get(*col) {
+            Expr::Col(i) => row.get(*i).map_or(Cow::Owned(Value::Missing), Cow::Borrowed),
+            Expr::Const(v) => Cow::Borrowed(v),
+            Expr::Path { col, path } => Cow::Owned(match row.get(*col) {
                 Some(v) => eval_path(v, path),
                 None => Value::Missing,
-            },
+            }),
             Expr::Cmp { op, lhs, rhs } => {
-                Value::Boolean(cmp_holds(*op, &lhs.eval(row), &rhs.eval(row)))
+                Cow::Owned(Value::Boolean(cmp_holds(*op, &lhs.eval_ref(row), &rhs.eval_ref(row))))
             }
-            Expr::And(a, b) => Value::Boolean(
-                a.eval(row).as_bool() == Some(true) && b.eval(row).as_bool() == Some(true),
-            ),
-            Expr::Or(a, b) => Value::Boolean(
-                a.eval(row).as_bool() == Some(true) || b.eval(row).as_bool() == Some(true),
-            ),
-            Expr::Not(e) => Value::Boolean(e.eval(row).as_bool() != Some(true)),
-            Expr::Func { func, args } => eval_func(func, args, row),
+            Expr::And(a, b) => Cow::Owned(Value::Boolean(a.eval_bool(row) && b.eval_bool(row))),
+            Expr::Or(a, b) => Cow::Owned(Value::Boolean(a.eval_bool(row) || b.eval_bool(row))),
+            Expr::Not(e) => Cow::Owned(Value::Boolean(!e.eval_bool(row))),
+            Expr::Func { func, args } => Cow::Owned(eval_func(func, args, row)),
         }
     }
 
     /// Truthiness for filters.
     pub fn eval_bool(&self, row: &[Value]) -> bool {
-        self.eval(row).as_bool() == Some(true)
+        self.eval_ref(row).as_bool() == Some(true)
     }
 
     /// Column indices this expression reads, sorted and deduplicated. The
@@ -197,46 +201,56 @@ fn sql_equal(l: &Value, r: &Value) -> bool {
     }
 }
 
+/// `s.to_lowercase() == needle`, without building the lowercase string.
+/// `str::to_lowercase` maps character by character except for a capital
+/// sigma, which it lowers by its position in a word.
+fn lowercase_eq(s: &str, needle: &str) -> bool {
+    if s.contains('Σ') {
+        return s.to_lowercase() == needle;
+    }
+    s.chars().flat_map(char::to_lowercase).eq(needle.chars())
+}
+
 fn eval_func(func: &Func, args: &[Expr], row: &[Value]) -> Value {
-    let arg = |i: usize| args.get(i).map(|e| e.eval(row)).unwrap_or(Value::Missing);
+    let arg = |i: usize| args.get(i).map_or(Cow::Owned(Value::Missing), |e| e.eval_ref(row));
     match func {
-        Func::Lower => match arg(0) {
-            Value::String(s) => Value::String(s.to_lowercase()),
-            _ => Value::Missing,
+        Func::Lower => match arg(0).as_str() {
+            Some(s) => Value::String(s.to_lowercase()),
+            None => Value::Missing,
         },
-        Func::StrLen => match arg(0) {
-            Value::String(s) => Value::Int64(s.len() as i64),
-            _ => Value::Missing,
+        Func::StrLen => match arg(0).as_str() {
+            Some(s) => Value::Int64(s.len() as i64),
+            None => Value::Missing,
         },
         Func::ArrayLen => match arg(0).as_items() {
             Some(items) => Value::Int64(items.len() as i64),
             None => Value::Missing,
         },
-        Func::IsArray => Value::Boolean(matches!(arg(0), Value::Array(_))),
-        Func::ArrayDistinct => match arg(0) {
-            Value::Array(items) | Value::Multiset(items) => {
+        Func::IsArray => Value::Boolean(matches!(*arg(0), Value::Array(_))),
+        Func::ArrayDistinct => match arg(0).as_items() {
+            Some(items) => {
                 let mut out: Vec<Value> = Vec::with_capacity(items.len());
                 for v in items {
                     if v.is_null_or_missing() {
                         continue;
                     }
-                    if !out.contains(&v) {
-                        out.push(v);
+                    if !out.contains(v) {
+                        out.push(v.clone());
                     }
                 }
                 Value::Array(out)
             }
-            _ => Value::Missing,
+            None => Value::Missing,
         },
-        Func::ArraySort => match arg(0) {
+        Func::ArraySort => match arg(0).into_owned() {
             Value::Array(mut items) | Value::Multiset(mut items) => {
                 items.sort_by(compare);
                 Value::Array(items)
             }
             _ => Value::Missing,
         },
-        Func::ArrayPairs => match arg(0) {
-            Value::Array(items) | Value::Multiset(items) => {
+        Func::ArrayPairs => match arg(0).as_items() {
+            Some(items) => {
                 let mut pairs = Vec::new();
                 for i in 0..items.len() {
                     for j in i + 1..items.len() {
@@ -245,7 +259,7 @@ fn eval_func(func: &Func, args: &[Expr], row: &[Value]) -> Value {
                 }
                 Value::Array(pairs)
             }
-            _ => Value::Missing,
+            None => Value::Missing,
         },
         Func::ArrayContains => {
             let needle = arg(1);
@@ -255,30 +269,27 @@ fn eval_func(func: &Func, args: &[Expr], row: &[Value]) -> Value {
             }
         }
         Func::ArrayContainsLower => {
-            let needle = match arg(1) {
-                Value::String(s) => s,
-                _ => return Value::Boolean(false),
+            let needle = arg(1);
+            let Some(needle) = needle.as_str() else {
+                return Value::Boolean(false);
             };
             match arg(0).as_items() {
                 Some(items) => Value::Boolean(
-                    items
-                        .iter()
-                        .any(|v| v.as_str().map(|s| s.to_lowercase() == needle).unwrap_or(false)),
+                    items.iter().any(|v| v.as_str().is_some_and(|s| lowercase_eq(s, needle))),
                 ),
                 None => Value::Boolean(false),
             }
         }
         Func::AnyFieldEqLower(field) => {
-            let needle = match arg(1) {
-                Value::String(s) => s,
-                _ => return Value::Boolean(false),
+            let needle = arg(1);
+            let Some(needle) = needle.as_str() else {
+                return Value::Boolean(false);
             };
             match arg(0).as_items() {
                 Some(items) => Value::Boolean(items.iter().any(|item| {
                     item.get_field(field)
                         .and_then(Value::as_str)
-                        .map(|s| s.to_lowercase() == needle)
-                        .unwrap_or(false)
+                        .is_some_and(|s| lowercase_eq(s, needle))
                 })),
                 None => Value::Boolean(false),
             }
@@ -376,6 +387,20 @@ mod tests {
         .eval_bool(&r));
         assert!(!Expr::func(Func::AnyFieldEqLower("text".into()), vec![tags, Expr::lit("nope")])
             .eval_bool(&r));
+    }
+
+    /// The allocation-free comparison agrees with `to_lowercase` on
+    /// characters that lower to several, and on a capital sigma, which
+    /// lowers by its position in a word.
+    #[test]
+    fn lowercase_eq_matches_to_lowercase() {
+        let texts = ["jobs", "JoBs", "İ", "ΑΣ", "ΣΑ", "ΑΣ Β", "ΑΣΑ", "ß", "ẞ", "", "ǅ"];
+        let needles = ["jobs", "i̇", "ας", "ασ", "σα", "ας β", "ασα", "ß", "", "ǆ"];
+        for s in texts {
+            for n in needles {
+                assert_eq!(lowercase_eq(s, n), s.to_lowercase() == n, "{s:?} vs {n:?}");
+            }
+        }
     }
 
     impl Expr {

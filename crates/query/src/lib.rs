@@ -14,6 +14,10 @@
 //! * [`exec`] — the executor: per-partition pipelines (optionally on
 //!   threads), a coordinator merging blocking operators, and the **schema
 //!   broadcast** accounting for queries with non-local exchanges (§3.4.1);
+//! * `pipeline` — the push pipeline both executor stages run: streaming
+//!   filter / project / unnest stages in front of the local or global side
+//!   of a blocking operator, moving values wherever nothing reads them
+//!   again;
 //! * [`batch`] — the batched scan: chunked scan → filter → project with
 //!   column buffers, a selection vector, and lazy decode;
 //! * [`columnar`] — the zero-pivot scan over AMAX columnar components:
@@ -31,7 +35,10 @@ pub mod batch;
 pub mod columnar;
 pub mod exec;
 pub mod expr;
+#[cfg(test)]
+mod oracle;
 pub mod paper_queries;
+mod pipeline;
 pub mod plan;
 pub mod sqlpp;
 pub mod zone;

@@ -99,13 +99,16 @@ impl BatchPathEvaluator {
             acc.resolved = false;
         }
 
-        // Empty paths mean "the whole record".
-        if !self.whole.is_empty() {
+        // Empty paths mean "the whole record": decoded once, moved into the
+        // last such path and cloned only for the others.
+        if let Some((&last, others)) = self.whole.split_last() {
             let v = crate::reader::decode(buf, declared, dict)?;
-            for &i in &self.whole {
+            for &i in others {
                 self.accs[i].collected.push(v.clone());
                 self.accs[i].resolved = true;
             }
+            self.accs[last].collected.push(v);
+            self.accs[last].resolved = true;
         }
 
         let pending = self.accs.iter().filter(|a| !a.resolved && !a.has_wildcard).count();
@@ -234,14 +237,17 @@ fn walk(
                 }
                 if needs_materialize {
                     let sub = reader.materialize_container(tag, None, ctx.dict)?;
-                    for p in completed {
-                        ctx.collect(p, sub.clone());
-                    }
                     for (p, s, _) in continuing {
                         let v = eval_path(&sub, &ctx.paths[p][s..]);
                         if !v.is_missing() || !ctx.out[p].has_wildcard {
                             ctx.collect(p, v);
                         }
+                    }
+                    if let Some((&last, others)) = completed.split_last() {
+                        for &p in others {
+                            ctx.collect(p, sub.clone());
+                        }
+                        ctx.collect(last, sub);
                     }
                 } else if !continuing.is_empty() {
                     walk(reader, tag, &continuing, ctx)?;
@@ -322,6 +328,25 @@ mod tests {
         let raw = encode(&v, None);
         let got = get_values(&raw, &[vec![]], None, None).unwrap();
         assert_eq!(got, vec![v]);
+    }
+
+    #[test]
+    fn whole_record_paths_equal_decode() {
+        // Two whole-record paths in one set: the record is decoded once,
+        // cloned into the first and moved into the second.
+        let v =
+            parse(r#"{"id": 3, "deps": [{"n": "Bob", "tags": [1, 2]}, {"n": "Cat"}]}"#).unwrap();
+        let raw = encode(&v, None);
+        let mut schema = Schema::new();
+        let compacted = infer_and_compact(&raw, &mut schema).unwrap();
+        let paths = [vec![], parse_path("deps[*].n"), vec![]];
+        for (buf, dict) in [(&raw, None), (&compacted, Some(schema.dict()))] {
+            let decoded = crate::reader::decode(buf, None, dict).unwrap();
+            assert_eq!(decoded, v);
+            let got = get_values(buf, &paths, None, dict).unwrap();
+            assert_eq!(got[0], decoded);
+            assert_eq!(got[2], decoded);
+        }
     }
 
     #[test]

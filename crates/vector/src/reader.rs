@@ -6,6 +6,8 @@
 //! field-name entries from their sections as tags demand them, which is the
 //! linear-scan access model §3.3.1 describes.
 
+use std::mem;
+
 use tc_adm::{AdmError, ObjectType, TypeTag, Value};
 use tc_schema::{FieldNameDictionary, FieldNameId};
 use tc_util::bits::BitReader;
@@ -86,6 +88,10 @@ pub struct VectorReader<'a> {
     /// Container nesting (object/array/multiset tags).
     stack: Vec<TypeTag>,
     finished: bool,
+    /// Scratch stacks for [`VectorReader::materialize_container`], shared by
+    /// every container the reader materializes.
+    fields: Vec<(String, Value)>,
+    items: Vec<Value>,
 }
 
 impl<'a> VectorReader<'a> {
@@ -109,6 +115,8 @@ impl<'a> VectorReader<'a> {
             header,
             stack: Vec::with_capacity(8),
             finished: false,
+            fields: Vec::new(),
+            items: Vec::new(),
         })
     }
 
@@ -282,15 +290,34 @@ impl<'a> VectorReader<'a> {
         Ok(())
     }
 
-    /// Materialize the container just opened by a `Begin` event.
+    /// Materialize the container just opened by a `Begin` event. Every
+    /// container of the subtree is allocated once, at its exact size.
     pub fn materialize_container(
         &mut self,
         tag: TypeTag,
         declared: Option<&ObjectType>,
         dict: Option<&FieldNameDictionary>,
     ) -> Result<Value, AdmError> {
-        let mut fields: Vec<(std::string::String, Value)> = Vec::new();
-        let mut items: Vec<Value> = Vec::new();
+        let (mut fields, mut items) = (mem::take(&mut self.fields), mem::take(&mut self.items));
+        let value = self.materialize_on(tag, declared, dict, &mut fields, &mut items);
+        // An error leaves the children read so far behind.
+        fields.clear();
+        items.clear();
+        (self.fields, self.items) = (fields, items);
+        value
+    }
+
+    /// Collect one container's children on the shared scratch stacks, and
+    /// at its close move them off the stacks into the container.
+    fn materialize_on(
+        &mut self,
+        tag: TypeTag,
+        declared: Option<&ObjectType>,
+        dict: Option<&FieldNameDictionary>,
+        fields: &mut Vec<(String, Value)>,
+        items: &mut Vec<Value>,
+    ) -> Result<Value, AdmError> {
+        let (fields_start, items_start) = (fields.len(), items.len());
         loop {
             match self.next()? {
                 Item::Close => break,
@@ -302,7 +329,7 @@ impl<'a> VectorReader<'a> {
                 Item::Begin { tag: child_tag, name } => {
                     // Nested objects resolve inferred names only (declared
                     // indexes are a root-object concept).
-                    let v = self.materialize_container(child_tag, None, dict)?;
+                    let v = self.materialize_on(child_tag, None, dict, fields, items)?;
                     match name {
                         Some(n) => fields.push((n.resolve(declared, dict)?.to_owned(), v)),
                         None => items.push(v),
@@ -310,12 +337,18 @@ impl<'a> VectorReader<'a> {
                 }
             }
         }
-        Ok(match tag {
-            TypeTag::Object => Value::Object(fields),
-            TypeTag::Array => Value::Array(items),
-            TypeTag::Multiset => Value::Multiset(items),
+        // `collect` from a `Drain` allocates exactly its length.
+        let value = match tag {
+            TypeTag::Object => Value::Object(fields.drain(fields_start..).collect()),
+            TypeTag::Array => Value::Array(items.drain(items_start..).collect()),
+            TypeTag::Multiset => Value::Multiset(items.drain(items_start..).collect()),
             _ => return Err(AdmError::corrupt(format!("{} is not a container", tag.name()))),
-        })
+        };
+        // A child of the wrong kind (unnamed in an object, named in an
+        // array) is dropped, not handed to the parent.
+        fields.truncate(fields_start);
+        items.truncate(items_start);
+        Ok(value)
     }
 }
 
@@ -516,6 +549,43 @@ mod tests {
         let mut bad = buf.clone();
         bad[crate::header::HEADER_LEN] = 99; // bogus root tag
         assert!(decode(&bad, None, None).is_err());
+    }
+
+    /// `decode` allocates every container it returns at its exact size, at
+    /// every depth, for raw and compacted records alike.
+    #[test]
+    fn decoded_containers_have_exact_capacity() {
+        fn check(v: &Value) {
+            match v {
+                Value::Object(fields) => {
+                    assert_eq!(fields.capacity(), fields.len(), "{v:?}");
+                    fields.iter().for_each(|(_, c)| check(c));
+                }
+                Value::Array(items) | Value::Multiset(items) => {
+                    assert_eq!(items.capacity(), items.len(), "{v:?}");
+                    items.iter().for_each(check);
+                }
+                _ => {}
+            }
+        }
+        let long: Vec<String> =
+            (0..37).map(|i| format!("{{\"t\": {i}.5, \"k\": [{i}]}}")).collect();
+        let wide: Vec<String> = (0..21).map(|i| format!("\"f{i}\": {i}")).collect();
+        let src = format!(
+            r#"{{"id": 1, "readings": [{}], "w": {{{}}}, "e": [], "o": {{}},
+                "m": {{{{ [1, [2, [3, 4, 5]]], {{"x": {{{{}}}}}} }}}}, "s": "x"}}"#,
+            long.join(", "),
+            wide.join(", ")
+        );
+        let v = parse(&src).unwrap();
+        let raw = encode(&v, None);
+        let mut schema = tc_schema::Schema::new();
+        let compacted = crate::compact::infer_and_compact(&raw, &mut schema).unwrap();
+        for (buf, dict) in [(&raw, None), (&compacted, Some(schema.dict()))] {
+            let decoded = decode(buf, None, dict).unwrap();
+            assert_eq!(decoded, v);
+            check(&decoded);
+        }
     }
 
     #[test]
