@@ -44,7 +44,7 @@ pub enum TypeTag {
     /// The paper re-uses the *parent's* type tag as this control (§3.3.1,
     /// Appendix B), which a decoder cannot distinguish from opening a new
     /// child container of that type; we use a dedicated code with the same
-    /// 1-byte cost. See DESIGN.md "fidelity decisions".
+    /// 1-byte cost.
     CloseNested = 30,
     /// End of values — terminates the tag stream.
     Eov = 31,

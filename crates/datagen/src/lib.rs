@@ -5,8 +5,9 @@
 //! record *metadata*, not values (§4.1), so what the generators must match
 //! is each dataset's structural profile: scalar-count distribution, nesting
 //! depth, field-name-to-value size ratio, dominant type, optional-field
-//! sparsity, and — for WoS — union-typed fields. See DESIGN.md
-//! "Substitutions".
+//! sparsity, and — for WoS — union-typed fields. The Twitter and WoS dumps
+//! are licensed data that the repository cannot ship, so generators stand
+//! in for all three datasets.
 //!
 //! All generators are deterministic in their seed.
 

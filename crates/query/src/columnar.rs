@@ -165,6 +165,9 @@ fn scan_groups(
     let mut rows: Vec<Row> = Vec::new();
 
     for g in 0..reader.groups().len() {
+        if limit_hint.is_some_and(|k| rows.len() >= k) {
+            break;
+        }
         let gm = &reader.groups()[g];
 
         // ---- zone-based group skip (Fig 24-style) ----
@@ -249,14 +252,13 @@ fn scan_groups(
 
         // ---- assemble survivor rows ----
         for &r in &sel {
+            if limit_hint.is_some_and(|k| rows.len() >= k) {
+                break;
+            }
             if !has_filter {
                 stats.rows_scanned += 1;
             }
             rows.push(plan.row_values(&mut view, r)?);
-            if limit_hint.is_some_and(|k| rows.len() >= k) {
-                stats.bytes_scanned += view.bytes_read();
-                return Ok(rows);
-            }
         }
         stats.bytes_scanned += view.bytes_read();
     }

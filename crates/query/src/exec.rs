@@ -531,6 +531,26 @@ mod tests {
     }
 
     #[test]
+    fn limit_zero_reads_nothing() {
+        // Regression: the at-rest scan checked the limit only after pushing
+        // a row, so `LIMIT 0` read one row and faulted its column block.
+        let ds = partitioned_dataset(StorageFormat::Columnar, 1, 100);
+        assert!(ds[0].snapshot_columnar().is_some(), "partition must be at rest");
+        let counters = ds[0].columnar_counters().unwrap();
+        let scan = ScanSpec::all_early(vec![parse_path("id")], AccessStrategy::Consolidated);
+        for ops in [vec![Op::Limit(0)], vec![Op::Project(vec![Expr::col(0)]), Op::Limit(0)]] {
+            let q = Query { scan: scan.clone(), ops };
+            for engine in [Engine::Batched, Engine::Row] {
+                let faulted = counters.columns_faulted();
+                let res = execute(&refs(&ds), &q, &ExecOptions::with_engine(engine)).unwrap();
+                assert!(res.rows.is_empty(), "{engine:?}");
+                assert_eq!(res.stats.rows_scanned, 0, "{engine:?}");
+                assert_eq!(counters.columns_faulted(), faulted, "{engine:?}: faulted a column");
+            }
+        }
+    }
+
+    #[test]
     fn limit_hint_blocked_by_post_scan_filter() {
         // An ops-level filter between scan and LIMIT kills the hint (an
         // early stop would undercount), but the limit itself must still be

@@ -13,7 +13,7 @@ use crate::node::{NodeId, SchemaNode};
 /// `FieldNameID`s, so ids must never be remapped while any component that
 /// used them is alive. (The paper's Fig 11 shows the dictionary shrinking on
 /// delete; we keep entries and prune only tree nodes — a few wasted bytes,
-/// never a dangling id. See DESIGN.md.)
+/// never a dangling id.)
 #[derive(Debug, Clone)]
 pub struct Schema {
     nodes: Vec<SchemaNode>,

@@ -45,7 +45,6 @@
 //! | [`query`] | expressions, plans, partitioned execution (§3.4) |
 //! | [`cluster`] | node/partition topology, feeds, scale-out |
 //! | [`datagen`] | Twitter / WoS / Sensors workload generators |
-//! | [`formats`] | Avro/Thrift/Protobuf comparators (Table 2) |
 //! | [`storage`] | pages, buffer cache, LAF compression, simulated devices |
 //! | [`compress`] | the Snappy block codec |
 
@@ -54,7 +53,6 @@ pub use tc_cluster as cluster;
 pub use tc_columnar as columnar;
 pub use tc_compress as compress;
 pub use tc_datagen as datagen;
-pub use tc_formats as formats;
 pub use tc_lsm as lsm;
 pub use tc_query as query;
 pub use tc_schema as schema;

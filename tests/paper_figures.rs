@@ -1,213 +1,247 @@
-//! Experiment plumbing: dataset building, closed-type declarations, timing,
-//! and table printing.
+//! The paper's count-shaped figures (§4 of the extended version) as
+//! deterministic tests.
+//!
+//! Every assertion is on bytes or rows, never on a time, so each holds or
+//! fails the same way on every run of a given seed. Each setup feeds seed-1
+//! records into a cluster of two partitions per node (16 KiB pages, 1 MiB
+//! memtables, `Prefix{32 MiB, 5}` merges, the zero-latency RAM device),
+//! flushes, and merges every partition down to one component. At these
+//! scales every Fig 16 dataset flushes at least four times.
+//!
+//! The timing-shaped figures (17–20, 22, 23, 26) have no test here: a time
+//! is not a count.
 
-use std::time::{Duration, Instant};
+use asterix_tc::prelude::*;
+use tc_adm::datatype::FieldDef;
+use tc_datagen::{sensors::SensorsGen, twitter::TwitterGen, wos::WosGen, Generator};
 
-use tc_adm::datatype::{FieldDef, ObjectType};
-use tc_adm::{TypeKind, TypeTag, Value};
-use tc_cluster::{Cluster, ClusterConfig, FeedMode, FeedReport};
-use tc_compress::CompressionScheme;
-use tc_datagen::Generator;
-use tc_query::exec::{ExecOptions, QueryResult};
-use tc_query::plan::Query;
-use tc_storage::device::DeviceProfile;
-use tuple_compactor::{DatasetConfig, StorageFormat};
+const TWITTER: usize = 2_000;
+const WOS: usize = 2_000;
+const SENSORS: usize = 1_000;
 
-/// Records multiplier from `TC_SCALE` (default 1).
-pub fn scale() -> usize {
-    std::env::var("TC_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(1)
-}
+/// The three formats every figure compares, in the order the paper draws
+/// them.
+const FORMATS: [StorageFormat; 3] =
+    [StorageFormat::Open, StorageFormat::Closed, StorageFormat::Inferred];
 
-/// One experiment cell's configuration.
-#[derive(Debug, Clone)]
-pub struct ExpConfig {
-    pub format: StorageFormat,
-    pub compression: CompressionScheme,
-    pub device: DeviceProfile,
-    pub nodes: usize,
-    pub partitions_per_node: usize,
-    pub page_size: usize,
-    pub memtable_budget: usize,
-    pub primary_key_index: bool,
-    pub secondary_index_on: Option<String>,
-}
-
-impl Default for ExpConfig {
-    fn default() -> Self {
-        ExpConfig {
-            format: StorageFormat::Inferred,
-            compression: CompressionScheme::None,
-            device: DeviceProfile::NVME_SSD,
-            nodes: 1,
-            partitions_per_node: 2,
-            page_size: 16 * 1024,
-            memtable_budget: 1024 * 1024,
-            primary_key_index: false,
-            secondary_index_on: None,
-        }
+fn create(
+    name: &str,
+    format: StorageFormat,
+    compression: CompressionScheme,
+    nodes: usize,
+    closed: ObjectType,
+    secondary: Option<&str>,
+) -> Cluster {
+    let mut cfg = DatasetConfig::new(name, "id")
+        .with_format(format)
+        .with_compression(compression)
+        .with_page_size(16 * 1024)
+        .with_memtable_budget(1024 * 1024)
+        .with_merge_policy(MergePolicy::Prefix {
+            max_mergeable_size: 32 * 1024 * 1024,
+            max_tolerable_components: 5,
+        })
+        .with_primary_key_index(false);
+    if let Some(field) = secondary {
+        cfg = cfg.with_secondary_index(field);
     }
+    if format == StorageFormat::Closed {
+        cfg = cfg.with_datatype(closed);
+    }
+    let cluster = ClusterConfig {
+        nodes,
+        partitions_per_node: 2,
+        device: DeviceProfile::RAM,
+        cache_budget_per_node: 32 * 1024 * 1024,
+    };
+    Cluster::create_dataset(cluster, cfg)
 }
 
-impl ExpConfig {
-    pub fn dataset_config(&self, name: &str, closed: Option<ObjectType>) -> DatasetConfig {
-        let mut cfg = DatasetConfig::new(name, "id")
-            .with_format(self.format)
-            .with_compression(self.compression)
-            .with_page_size(self.page_size)
-            .with_memtable_budget(self.memtable_budget)
-            .with_merge_policy(tc_lsm::MergePolicy::Prefix {
-                max_mergeable_size: 32 * 1024 * 1024,
-                max_tolerable_components: 5,
-            })
-            .with_primary_key_index(self.primary_key_index);
-        if let Some(sec) = &self.secondary_index_on {
-            cfg = cfg.with_secondary_index(sec.clone());
-        }
-        if self.format == StorageFormat::Closed {
-            cfg = cfg.with_datatype(closed.unwrap_or_else(ObjectType::fully_open));
-        }
-        cfg
-    }
-
-    pub fn cluster_config(&self) -> ClusterConfig {
-        ClusterConfig {
-            nodes: self.nodes,
-            partitions_per_node: self.partitions_per_node,
-            device: self.device,
-            cache_budget_per_node: 32 * 1024 * 1024,
-        }
-    }
-}
-
-/// Build a cluster and feed it `n` generated records.
-pub fn ingest<G: Generator>(
-    gen: &mut G,
-    n: usize,
-    cfg: &ExpConfig,
-    closed: Option<ObjectType>,
-) -> (Cluster, FeedReport) {
-    let cluster =
-        Cluster::create_dataset(cfg.cluster_config(), cfg.dataset_config(gen.name(), closed));
-    let records: Vec<Value> = (0..n).map(|_| gen.next_record()).collect();
-    let report = cluster.feed(records, FeedMode::Insert).expect("feed");
+/// Feed `records`, flush, and merge every partition to one component.
+fn load(cluster: &Cluster, records: Vec<Value>) {
+    cluster.feed(records, FeedMode::Insert).unwrap();
     cluster.flush_all().unwrap();
-    (cluster, report)
+    cluster.merge_all().unwrap();
 }
 
-/// Wall + simulated-IO measurement.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Measured {
-    pub wall: Duration,
-    pub io: Duration,
+/// A fresh cluster holding the first `n` records of `gen`, fully merged.
+fn ingest<G: Generator>(
+    mut gen: G,
+    n: usize,
+    format: StorageFormat,
+    compression: CompressionScheme,
+    nodes: usize,
+    closed: ObjectType,
+) -> Cluster {
+    let cluster = create(gen.name(), format, compression, nodes, closed, None);
+    load(&cluster, (0..n).map(|_| gen.next_record()).collect());
+    cluster
 }
 
-impl Measured {
-    /// The reported time: CPU wall + simulated IO stall (synchronous IO
-    /// model; see DESIGN.md "Substitutions").
-    pub fn total(&self) -> Duration {
-        self.wall + self.io
+/// Fig 16's on-disk bytes for one dataset, `[open, closed, inferred]` per
+/// compression, plus Fig 21's SL-VB (uncompressed) when asked for.
+struct Storage {
+    plain: [u64; 3],
+    snappy: [u64; 3],
+    slvb: Option<u64>,
+}
+
+fn storage<G: Generator>(
+    make_gen: impl Fn() -> G,
+    n: usize,
+    closed: fn() -> ObjectType,
+    with_slvb: bool,
+) -> Storage {
+    let bytes = |format, compression| {
+        let cluster = ingest(make_gen(), n, format, compression, 1, closed());
+        let flushes: u64 = cluster.lsm_stats().iter().map(|s| s.flushes).sum();
+        assert!(flushes >= 4, "{format:?}/{compression:?}: {flushes} flushes, want at least 4");
+        cluster.total_disk_bytes()
+    };
+    Storage {
+        plain: FORMATS.map(|f| bytes(f, CompressionScheme::None)),
+        snappy: FORMATS.map(|f| bytes(f, CompressionScheme::Snappy)),
+        slvb: with_slvb.then(|| bytes(StorageFormat::VectorUncompacted, CompressionScheme::None)),
     }
 }
 
-/// Run a query cold (caches dropped) and measure.
-pub fn run_query_cold(cluster: &Cluster, q: &Query, parallel: bool) -> (QueryResult, Measured) {
-    run_query_cold_opts(cluster, q, &ExecOptions::with_parallel(parallel))
+/// Fig 16's shape: inferred < closed < open with and without compression,
+/// Snappy shrinks every format, open/inferred (uncompressed) is at least
+/// `min_ratio`, and the Snappy bytes are exactly `snappy`.
+fn assert_fig16(dataset: &str, s: &Storage, min_ratio: f64, snappy: [u64; 3]) {
+    for (scheme, [open, closed, inferred]) in [("uncompressed", s.plain), ("snappy", s.snappy)] {
+        assert!(
+            inferred < closed && closed < open,
+            "{dataset} {scheme}: want inferred {inferred} < closed {closed} < open {open}"
+        );
+    }
+    for (i, format) in FORMATS.iter().enumerate() {
+        assert!(
+            s.snappy[i] < s.plain[i],
+            "{dataset} {format:?}: Snappy {} not below uncompressed {}",
+            s.snappy[i],
+            s.plain[i]
+        );
+    }
+    let ratio = s.plain[0] as f64 / s.plain[2] as f64;
+    assert!(ratio >= min_ratio, "{dataset}: open/inferred {ratio:.2}, want at least {min_ratio}");
+    assert_eq!(s.snappy, snappy, "{dataset}: Snappy bytes, open/closed/inferred");
 }
 
-/// [`run_query_cold`] with full execution options (engine ablations).
-pub fn run_query_cold_opts(
-    cluster: &Cluster,
-    q: &Query,
-    opts: &ExecOptions,
-) -> (QueryResult, Measured) {
-    cluster.clear_caches();
-    let snaps = cluster.io_snapshots();
-    let start = Instant::now();
-    let res = cluster.query(q, opts).expect("query");
-    let wall = start.elapsed();
-    let io = cluster.max_io_time_since(&snaps);
-    (res, Measured { wall, io })
+/// Fig 21's shape on every dataset: the vector format alone (SL-VB) saves
+/// over open, and compaction saves more; returns the SL-VB bytes.
+fn assert_fig21(dataset: &str, s: &Storage) -> u64 {
+    let ([open, _, inferred], slvb) = (s.plain, s.slvb.unwrap());
+    assert!(
+        open > slvb && slvb > inferred,
+        "{dataset}: want open {open} > SL-VB {slvb} > inferred {inferred}"
+    );
+    slvb
 }
 
-/// Median of `reps` cold runs (the paper runs each query six times and
-/// averages the stable tail; medians resist the same noise at bench scale).
-pub fn measure_query_cold(cluster: &Cluster, q: &Query, parallel: bool, reps: usize) -> Measured {
-    measure_query_cold_opts(cluster, q, &ExecOptions::with_parallel(parallel), reps)
+#[test]
+fn fig16_fig21_twitter_storage() {
+    let s = storage(|| TwitterGen::new(1), TWITTER, twitter_closed_type, true);
+    assert_fig16("Twitter", &s, 2.3, [2_342_401, 1_379_297, 937_632]);
+    // Fig 21a: about half the saving is the vector format's encoding, the
+    // rest is compaction; SL-VB lands between open and closed.
+    let slvb = assert_fig21("Twitter", &s);
+    assert!(slvb > s.plain[1], "Twitter: want SL-VB {slvb} > closed {}", s.plain[1]);
 }
 
-/// [`measure_query_cold`] with full execution options.
-pub fn measure_query_cold_opts(
-    cluster: &Cluster,
-    q: &Query,
-    opts: &ExecOptions,
-    reps: usize,
-) -> Measured {
-    let mut totals: Vec<Measured> =
-        (0..reps.max(1)).map(|_| run_query_cold_opts(cluster, q, opts).1).collect();
-    totals.sort_by_key(|a| a.total());
-    totals[totals.len() / 2]
+#[test]
+fn fig16_wos_storage() {
+    let s = storage(|| WosGen::new(1), WOS, wos_closed_type, false);
+    assert_fig16("WoS", &s, 1.9, [3_793_898, 3_436_493, 1_782_590]);
 }
 
-/// Median of `reps` warm runs.
-pub fn measure_query_warm(cluster: &Cluster, q: &Query, parallel: bool, reps: usize) -> Measured {
-    let opts = ExecOptions::with_parallel(parallel);
-    let _ = cluster.query(q, &opts).expect("warmup");
-    let mut totals: Vec<Measured> =
-        (0..reps.max(1)).map(|_| run_query_warm(cluster, q, parallel).1).collect();
-    totals.sort_by_key(|a| a.total());
-    totals[totals.len() / 2]
+#[test]
+fn fig16_fig21_sensors_storage() {
+    let s = storage(|| SensorsGen::new(1), SENSORS, sensors_closed_type, true);
+    assert_fig16("Sensors", &s, 3.1, [2_708_919, 2_361_309, 1_799_368]);
+    // Fig 21b: on regular data SL-VB already beats closed, which pays an
+    // offset per nested reading (§4.4.4).
+    let slvb = assert_fig21("Sensors", &s);
+    assert!(slvb < s.plain[1], "Sensors: want SL-VB {slvb} < closed {}", s.plain[1]);
 }
 
-/// Run a query warm (second run, caches populated).
-pub fn run_query_warm(cluster: &Cluster, q: &Query, parallel: bool) -> (QueryResult, Measured) {
-    let opts = ExecOptions::with_parallel(parallel);
-    let _ = cluster.query(q, &opts).expect("warmup");
-    let snaps = cluster.io_snapshots();
-    let start = Instant::now();
-    let res = cluster.query(q, &opts).expect("query");
-    let wall = start.elapsed();
-    let io = cluster.max_io_time_since(&snaps);
-    (res, Measured { wall, io })
-}
+/// Fig 24: range probes through a secondary index on `timestamp_ms`, at the
+/// paper's six selectivities. Every format answers with exactly the records
+/// in range, so the index path's row count grows with selectivity alone.
+#[test]
+fn fig24_secondary_index_row_counts() {
+    let mut gen = TwitterGen::new(1);
+    let records: Vec<Value> = (0..4_000).map(|_| gen.next_record()).collect();
+    let ts = |r: &Value| r.get_field("timestamp_ms").unwrap().as_i64().unwrap();
+    let (ts_min, ts_max) = (ts(&records[0]), ts(&records[records.len() - 1]));
+    let span = (ts_max - ts_min) as f64;
+    let ranges: Vec<(i64, i64)> = [0.00001, 0.0001, 0.001, 0.01, 0.10, 0.50]
+        .iter()
+        .map(|sel| (ts_min, ts_min + (span * sel).max(1.0) as i64))
+        .collect();
+    let expected: Vec<usize> = ranges
+        .iter()
+        .map(|&(lo, hi)| records.iter().filter(|r| (lo..=hi).contains(&ts(r))).count())
+        .collect();
+    assert_eq!(expected, [1, 2, 6, 38, 404, 1_956], "generated records per range");
+    assert!(expected.is_sorted(), "wider ranges hold no fewer records");
 
-pub fn fmt_bytes(b: u64) -> String {
-    if b >= 1024 * 1024 {
-        format!("{:.2} MB", b as f64 / (1024.0 * 1024.0))
-    } else if b >= 1024 {
-        format!("{:.1} KB", b as f64 / 1024.0)
-    } else {
-        format!("{b} B")
+    for format in FORMATS {
+        let cluster = create(
+            "tweets",
+            format,
+            CompressionScheme::None,
+            1,
+            twitter_closed_type(),
+            Some("timestamp_ms"),
+        );
+        load(&cluster, records.clone());
+        let counts: Vec<usize> = ranges
+            .iter()
+            .map(|&(lo, hi)| {
+                cluster.partitions().iter().map(|p| p.secondary_range(lo, hi).unwrap().len()).sum()
+            })
+            .collect();
+        assert_eq!(counts, expected, "{format:?}: index-path rows per selectivity");
     }
 }
 
-pub fn fmt_dur(d: Duration) -> String {
-    if d.as_secs_f64() >= 1.0 {
-        format!("{:.2} s", d.as_secs_f64())
-    } else {
-        format!("{:.2} ms", d.as_secs_f64() * 1e3)
+/// Fig 25: scale-out with Snappy. Data grows with the node count, so the
+/// bytes each node stores stay flat, and inferred is the smallest format at
+/// every size.
+#[test]
+fn fig25_scaleout_bytes_per_node() {
+    const PER_NODE: usize = 600;
+    let per_node = |format, nodes| {
+        let cluster = ingest(
+            TwitterGen::new(1),
+            PER_NODE * nodes,
+            format,
+            CompressionScheme::Snappy,
+            nodes,
+            twitter_closed_type(),
+        );
+        cluster.total_disk_bytes() as f64 / nodes as f64
+    };
+    let sizes: Vec<[f64; 3]> = [1, 2, 4].iter().map(|&n| FORMATS.map(|f| per_node(f, n))).collect();
+    for (nodes, [open, closed, inferred]) in [1, 2, 4].iter().zip(&sizes) {
+        assert!(
+            inferred < closed && closed < open,
+            "{nodes} nodes: want inferred {inferred} < closed {closed} < open {open} bytes per node"
+        );
     }
-}
-
-/// Print an experiment banner.
-pub fn banner(id: &str, what: &str, paper_shape: &str) {
-    println!("\n==============================================================");
-    println!("{id}: {what}");
-    println!("paper shape: {paper_shape}");
-    println!("==============================================================");
-}
-
-/// Print one table row: label + cells.
-pub fn row(label: &str, cells: &[String]) {
-    print!("{label:<38}");
-    for c in cells {
-        print!(" {c:>14}");
+    for (i, format) in FORMATS.iter().enumerate() {
+        let base = sizes[0][i];
+        for (nodes, size) in [2, 4].iter().zip(&sizes[1..]) {
+            let drift = (size[i] - base).abs() / base;
+            assert!(
+                drift <= 0.05,
+                "{format:?}: {nodes} nodes store {} bytes per node, {:.1} % off 1 node's {base}",
+                size[i],
+                drift * 100.0
+            );
+        }
     }
-    println!();
-}
-
-pub fn header(label: &str, cols: &[&str]) {
-    row(label, &cols.iter().map(|s| s.to_string()).collect::<Vec<_>>());
-    println!("{}", "-".repeat(38 + cols.len() * 15));
 }
 
 // ---------------------------------------------------------------------
@@ -458,19 +492,4 @@ pub fn wos_closed_type() -> ObjectType {
         f("static_data", static_data),
         f("dynamic_data", dynamic_data),
     ])
-}
-
-/// Compute a dataset's primary-index size per storage format (used by
-/// several figures).
-pub fn disk_size(cluster: &Cluster) -> u64 {
-    cluster.total_disk_bytes()
-}
-
-/// Ratio formatter for shape statements.
-pub fn ratio(num: u64, den: u64) -> String {
-    if den == 0 {
-        "∞".to_string()
-    } else {
-        format!("{:.2}x", num as f64 / den as f64)
-    }
 }
