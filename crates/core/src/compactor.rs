@@ -7,11 +7,10 @@ use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 
-use tc_adm::{ObjectType, Value};
 use tc_schema::{FieldNameDictionary, Schema};
 use tc_storage::StorageError;
 use tc_util::sync::{self, ranks, OrderedMutex};
-use tc_vector::infer_and_compact_into;
+use tc_vector::{infer_and_compact_into, remove_anti_schema};
 
 use tc_lsm::{ComponentHook, FlushPass, LsmTree, ZoneExtractor};
 
@@ -24,9 +23,6 @@ pub struct TupleCompactor {
     /// component, changed only by a flush pass's commit (in the section
     /// that installs its component) and by `load_schema`.
     schema: OrderedMutex<Published>,
-    /// The dataset's declared type (to skip declared fields during
-    /// anti-schema processing).
-    declared: ObjectType,
 }
 
 /// A schema and an `Arc` of its field-name dictionary, so the point-lookup
@@ -48,12 +44,16 @@ impl Published {
     }
 }
 
-impl TupleCompactor {
-    pub fn new(declared: ObjectType) -> Self {
+impl Default for TupleCompactor {
+    /// A compactor with an empty schema. Declared fields need no catalog
+    /// here: a stored record marks them, and both walks skip what is marked.
+    fn default() -> Self {
         let schema = OrderedMutex::new(ranks::COMPACTOR_SCHEMA, Published::default());
-        TupleCompactor { schema, declared }
+        TupleCompactor { schema }
     }
+}
 
+impl TupleCompactor {
     /// Snapshot the published schema (query startup / schema broadcast —
     /// §3.4.1).
     pub fn schema_snapshot(&self) -> Schema {
@@ -73,10 +73,6 @@ impl TupleCompactor {
         let mut published = Published { schema, dict: Arc::default() };
         published.sync_dict();
         *self.schema.lock() = published;
-    }
-
-    fn is_declared(&self, name: &str) -> bool {
-        self.declared.field_index(name).is_some()
     }
 }
 
@@ -112,23 +108,21 @@ impl FlushPass for CompactorPass<'_> {
             .map_err(|e| StorageError::corruption("flushed record", e.to_string()))
     }
 
-    /// Anti-matter processing: the attachment is the deleted record's
-    /// anti-schema (encoded as an uncompacted vector record); decrement the
-    /// schema counters and prune (§3.2.2). The attachment is discarded by
-    /// the engine afterwards — anti-matter reaches disk as a bare key. One
-    /// that is not an encoded object fails the flush as corruption, like a
-    /// frozen record the compaction walk cannot read: skipping it would
-    /// leave the deleted record's fields counted.
+    /// Anti-matter processing: the attachment is the retired version's
+    /// anti-schema — its stored bytes, compacted if it came from a
+    /// component, uncompacted if from a memtable. One raw walk decrements
+    /// the schema counters and prunes (§3.2.2); compacted names resolve
+    /// through this pass's dictionary, which only ever grew since they were
+    /// written. The attachment is discarded by the engine afterwards —
+    /// anti-matter reaches disk as a bare key. One that is not an encoded
+    /// object fails the flush as corruption, like a frozen record the
+    /// compaction walk cannot read: skipping it would leave the deleted
+    /// record's fields counted. A walk that fails halfway leaves this pass
+    /// partly decremented, and the failed flush drops the pass.
     fn on_antimatter(&mut self, attachment: Option<&[u8]>) -> Result<(), StorageError> {
         let Some(bytes) = attachment else { return Ok(()) };
-        let corrupt = |e: String| StorageError::corruption("anti-schema", e);
-        let value = tc_vector::decode(bytes, Some(&self.compactor.declared), None)
-            .map_err(|e| corrupt(e.to_string()))?;
-        let Value::Object(fields) = value else {
-            return Err(corrupt(format!("a {}, not an object", value.type_tag())));
-        };
-        self.next.schema.remove_record(&fields, &|name| self.compactor.is_declared(name));
-        Ok(())
+        remove_anti_schema(bytes, &mut self.next.schema)
+            .map_err(|e| StorageError::corruption("anti-schema", e.to_string()))
     }
 
     /// The post-flush schema, persisted in the component's metadata page
@@ -361,7 +355,7 @@ mod tests {
     use std::sync::mpsc::{channel, Receiver};
     use std::sync::Mutex as StdMutex;
     use tc_adm::datatype::FieldDef;
-    use tc_adm::{parse, TypeKind, TypeTag};
+    use tc_adm::{parse, ObjectType, TypeKind, TypeTag};
     use tc_vector::encode;
 
     fn pk_type() -> ObjectType {
@@ -372,8 +366,8 @@ mod tests {
         }])
     }
 
-    fn raw(compactor: &TupleCompactor, src: &str) -> Vec<u8> {
-        encode(&parse(src).unwrap(), Some(&compactor.declared))
+    fn raw(src: &str) -> Vec<u8> {
+        encode(&parse(src).unwrap(), Some(&pk_type()))
     }
 
     /// The record `c` writes to disk for the in-memory record `r`, through a
@@ -388,8 +382,8 @@ mod tests {
 
     #[test]
     fn flush_compacts_and_grows_schema() {
-        let c = TupleCompactor::new(pk_type());
-        let r = raw(&c, r#"{"id": 0, "name": "Kim", "age": 26}"#);
+        let c = TupleCompactor::default();
+        let r = raw(r#"{"id": 0, "name": "Kim", "age": 26}"#);
         let compacted = flush_record(&c, &r);
         assert!(compacted.len() < r.len());
         let s = c.schema_snapshot();
@@ -400,13 +394,13 @@ mod tests {
 
     #[test]
     fn antimatter_decrements_schema() {
-        let c = TupleCompactor::new(pk_type());
-        let r1 = raw(&c, r#"{"id": 0, "name": "Kim", "age": 26}"#);
-        let r2 = raw(&c, r#"{"id": 1, "name": "John"}"#);
+        let c = TupleCompactor::default();
+        let r1 = raw(r#"{"id": 0, "name": "Kim", "age": 26}"#);
+        let r2 = raw(r#"{"id": 1, "name": "John"}"#);
         flush_record(&c, &r1);
         flush_record(&c, &r2);
         // Delete record 0: its anti-schema removes `age` entirely.
-        let anti = raw(&c, r#"{"id": 0, "name": "Kim", "age": 26}"#);
+        let anti = raw(r#"{"id": 0, "name": "Kim", "age": 26}"#);
         let mut pass = c.begin_flush();
         pass.on_antimatter(Some(&anti)).unwrap();
         pass.commit();
@@ -418,8 +412,8 @@ mod tests {
 
     #[test]
     fn metadata_roundtrips_through_serialization() {
-        let c = TupleCompactor::new(pk_type());
-        let r = raw(&c, r#"{"id": 0, "tags": [["a"], "b"], "deep": {"x": null}}"#);
+        let c = TupleCompactor::default();
+        let r = raw(r#"{"id": 0, "tags": [["a"], "b"], "deep": {"x": null}}"#);
         flush_record(&c, &r);
         let blob = c.begin_flush().metadata().unwrap();
         let restored = Schema::deserialize(&blob).unwrap();
@@ -433,15 +427,15 @@ mod tests {
     /// its `metadata()` serialized.
     #[test]
     fn a_pass_publishes_only_on_commit() {
-        let c = TupleCompactor::new(pk_type());
-        flush_record(&c, &raw(&c, r#"{"id": 0, "name": "Kim"}"#));
+        let c = TupleCompactor::default();
+        flush_record(&c, &raw(r#"{"id": 0, "name": "Kim"}"#));
         let (before, dict) = (c.schema_snapshot().serialize(), c.dict_snapshot());
         let unchanged = |why: &str| {
             assert_eq!(c.schema_snapshot().serialize(), before, "{why}");
             assert!(Arc::ptr_eq(&c.dict_snapshot(), &dict), "{why}");
         };
-        let fresh = raw(&c, r#"{"id": 1, "age": 26, "city": "Irvine"}"#);
-        let mut bad = raw(&c, r#"{"id": 2, "name": "Bob"}"#);
+        let fresh = raw(r#"{"id": 1, "age": 26, "city": "Irvine"}"#);
+        let mut bad = raw(r#"{"id": 2, "name": "Bob"}"#);
         bad[tc_vector::header::HEADER_LEN + 1] = 0xee; // no such type tag
 
         let mut pass = c.begin_flush();
@@ -479,16 +473,16 @@ mod tests {
         use tc_storage::device::{Device, DeviceProfile};
         use tc_storage::BufferCache;
 
-        let c = Arc::new(TupleCompactor::new(pk_type()));
+        let c = Arc::new(TupleCompactor::default());
         let tree = LsmTree::new(
             Arc::new(Device::new(DeviceProfile::RAM)),
             Arc::new(BufferCache::new(64)),
             Arc::clone(&c) as Arc<dyn ComponentHook>,
             LsmOptions { merge_policy: MergePolicy::NoMerge, ..Default::default() },
         );
-        tree.insert(encode_u64_key(1), raw(&c, r#"{"id": 1, "name": "Kim"}"#)).unwrap();
+        tree.insert(encode_u64_key(1), raw(r#"{"id": 1, "name": "Kim"}"#)).unwrap();
         tree.flush().unwrap();
-        tree.insert(encode_u64_key(2), raw(&c, r#"{"id": 2, "age": 26}"#)).unwrap();
+        tree.insert(encode_u64_key(2), raw(r#"{"id": 2, "age": 26}"#)).unwrap();
         tree.flush().unwrap();
         let newest = tree.components()[1].metadata().unwrap().to_vec();
         let published = c.schema_snapshot().serialize();
@@ -655,7 +649,7 @@ mod tests {
         use tc_storage::device::{Device, DeviceProfile};
         use tc_storage::BufferCache;
 
-        let c = Arc::new(TupleCompactor::new(pk_type()));
+        let c = Arc::new(TupleCompactor::default());
         let tree = Arc::new(LsmTree::new(
             Arc::new(Device::new(DeviceProfile::RAM)),
             Arc::new(BufferCache::new(64)),
@@ -666,12 +660,12 @@ mod tests {
                 ..Default::default()
             },
         ));
-        tree.insert(encode_u64_key(1), raw(&c, r#"{"id": 1, "name": "Kim"}"#)).unwrap();
+        tree.insert(encode_u64_key(1), raw(r#"{"id": 1, "name": "Kim"}"#)).unwrap();
         tree.flush().unwrap();
         let flushed = c.schema_snapshot().serialize();
 
-        let good = raw(&c, r#"{"id": 2, "name": "Ann", "age": 26}"#);
-        let mut bad = raw(&c, r#"{"id": 3, "name": "Bob"}"#);
+        let good = raw(r#"{"id": 2, "name": "Ann", "age": 26}"#);
+        let mut bad = raw(r#"{"id": 3, "name": "Bob"}"#);
         bad[tc_vector::header::HEADER_LEN + 1] = 0xee; // no such type tag
         tree.insert(encode_u64_key(2), good.clone()).unwrap();
         tree.insert(encode_u64_key(3), bad.clone()).unwrap();
@@ -705,7 +699,7 @@ mod tests {
         use tc_storage::BufferCache;
 
         for displaced in [false, true] {
-            let c = Arc::new(TupleCompactor::new(pk_type()));
+            let c = Arc::new(TupleCompactor::default());
             let tree = LsmTree::new(
                 Arc::new(Device::new(DeviceProfile::RAM)),
                 Arc::new(BufferCache::new(64)),
@@ -716,13 +710,12 @@ mod tests {
                     ..Default::default()
                 },
             );
-            tree.insert(encode_u64_key(1), raw(&c, r#"{"id": 1, "name": "Kim", "age": 26}"#))
-                .unwrap();
+            tree.insert(encode_u64_key(1), raw(r#"{"id": 1, "name": "Kim", "age": 26}"#)).unwrap();
             tree.flush().unwrap();
             let live_nodes = c.schema_snapshot().num_live_nodes();
 
             let junk = Some(b"junk".to_vec());
-            let newer = raw(&c, r#"{"id": 1, "name": "Ann"}"#);
+            let newer = raw(r#"{"id": 1, "name": "Ann"}"#);
             if displaced {
                 tree.replace(encode_u64_key(1), newer.clone(), junk).unwrap();
             } else {
@@ -736,6 +729,114 @@ mod tests {
             let served = tree.get(&encode_u64_key(1)).unwrap();
             assert_eq!(served, displaced.then_some(newer));
         }
+    }
+
+    /// Records whose names recur at several depths, with nested objects,
+    /// arrays and every common scalar.
+    fn arb_record() -> impl proptest::strategy::Strategy<Value = tc_adm::Value> {
+        use proptest::prelude::*;
+        use tc_adm::Value;
+        let name =
+            || prop_oneof![Just("id"), Just("a"), Just("b"), Just("é")].prop_map(String::from);
+        let leaf = prop_oneof![
+            any::<i64>().prop_map(Value::Int64),
+            "[a-z€]{0,4}".prop_map(Value::String),
+            any::<f64>().prop_map(Value::Double),
+            Just(Value::Null),
+        ];
+        let value = leaf.prop_recursive(3, 16, 3, move |inner| {
+            prop_oneof![
+                proptest::collection::vec(inner.clone(), 0..3).prop_map(Value::Array),
+                proptest::collection::btree_map(name(), inner, 0..3)
+                    .prop_map(|m| Value::Object(m.into_iter().collect())),
+            ]
+        });
+        proptest::collection::btree_map(name(), value, 0..5)
+            .prop_map(|m| Value::Object(m.into_iter().collect()))
+    }
+
+    /// Anti-schemas that do not parse — truncated, bit-flipped, a random
+    /// body behind a valid header, random bytes — fail the pass with a typed
+    /// corruption or are walked, never a panic, whether the record was
+    /// stored compacted or not. `TC_FAULT_SEED` reseeds the inputs so CI
+    /// can loop it.
+    #[test]
+    fn anti_schema_walk_never_panics() {
+        use proptest::strategy::Strategy;
+        use rand::{Rng, SeedableRng};
+
+        let seed =
+            std::env::var("TC_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0xA471);
+        eprintln!("anti_schema_walk_never_panics: TC_FAULT_SEED={seed}");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let records = arb_record();
+        let c = TupleCompactor::default();
+        let check = |bytes: &[u8]| {
+            let walked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                c.begin_flush().on_antimatter(Some(bytes))
+            }));
+            match walked {
+                Ok(Ok(())) => {}
+                Ok(Err(e)) => assert!(e.is_corruption(), "{e} (TC_FAULT_SEED={seed})"),
+                Err(_) => panic!("the walk panicked on {bytes:?} (TC_FAULT_SEED={seed})"),
+            }
+        };
+        for _ in 0..300 {
+            let raw = encode(&records.new_value(&mut rng), Some(&pk_type()));
+            let compacted = flush_record(&c, &raw);
+            for stored in [&raw, &compacted] {
+                assert!(c.begin_flush().on_antimatter(Some(stored)).is_ok());
+                for _ in 0..3 {
+                    check(&stored[..rng.gen_range(0..stored.len())]);
+                    let mut flipped = stored.clone();
+                    let bit = rng.gen_range(0..flipped.len() * 8);
+                    flipped[bit / 8] ^= 1 << (bit % 8);
+                    check(&flipped);
+                }
+                let mut body = stored.clone();
+                body[tc_vector::header::HEADER_LEN..].iter_mut().for_each(|b| *b = rng.gen());
+                check(&body);
+            }
+            let noise: Vec<u8> = (0..rng.gen_range(0..64)).map(|_| rng.gen()).collect();
+            check(&noise);
+        }
+    }
+
+    /// An anti-schema that fails after a valid prefix fails the flush as
+    /// typed corruption, and the decrements of the prefix die with the
+    /// pass: the published schema keeps the deleted record counted.
+    #[test]
+    fn an_anti_schema_failing_after_a_valid_prefix_publishes_nothing() {
+        use tc_lsm::entry::encode_u64_key;
+        use tc_lsm::{LsmOptions, MergePolicy};
+        use tc_storage::device::{Device, DeviceProfile};
+        use tc_storage::BufferCache;
+
+        let c = Arc::new(TupleCompactor::default());
+        let tree = LsmTree::new(
+            Arc::new(Device::new(DeviceProfile::RAM)),
+            Arc::new(BufferCache::new(64)),
+            Arc::clone(&c) as Arc<dyn ComponentHook>,
+            LsmOptions {
+                auto_flush: false,
+                merge_policy: MergePolicy::NoMerge,
+                ..Default::default()
+            },
+        );
+        tree.insert(encode_u64_key(1), raw(r#"{"id": 1, "name": "Kim", "age": [26]}"#)).unwrap();
+        tree.flush().unwrap();
+        let published = c.schema_snapshot().serialize();
+
+        let mut stored = tree.get(&encode_u64_key(1)).unwrap().unwrap();
+        let header = tc_vector::header::Header::read(&stored).unwrap();
+        assert!(header.is_compacted());
+        // The root's close tag, after every field was walked.
+        stored[header.tags_off() + header.tag_count as usize - 2] = 0xee;
+        tree.delete(encode_u64_key(1), Some(stored)).unwrap();
+        let err = tree.flush().unwrap_err();
+        assert!(err.is_corruption(), "{err}");
+        assert_eq!(tree.stats().maintenance_errors, 1);
+        assert_eq!(c.schema_snapshot().serialize(), published, "no decrement published");
     }
 
     /// Wraps `inner`'s flush passes: after its first record a pass signals
@@ -818,9 +919,9 @@ mod tests {
     fn a_flush_held_mid_build_publishes_nothing() {
         use tc_lsm::entry::encode_u64_key;
 
-        let c = Arc::new(TupleCompactor::new(pk_type()));
+        let c = Arc::new(TupleCompactor::default());
         let (tree, entered, release) = gated_tree(Arc::clone(&c) as Arc<dyn ComponentHook>);
-        tree.insert(encode_u64_key(1), raw(&c, r#"{"id": 1, "name": "Kim"}"#)).unwrap();
+        tree.insert(encode_u64_key(1), raw(r#"{"id": 1, "name": "Kim"}"#)).unwrap();
         release.send(()).unwrap(); // lets the first flush through its gate
         tree.flush().unwrap();
         entered.recv().unwrap();
@@ -828,8 +929,8 @@ mod tests {
         assert_eq!(c.schema_snapshot().serialize(), published);
         let dict = c.dict_snapshot();
 
-        tree.insert(encode_u64_key(2), raw(&c, r#"{"id": 2, "age": 26}"#)).unwrap();
-        tree.insert(encode_u64_key(3), raw(&c, r#"{"id": 3, "city": "Irvine"}"#)).unwrap();
+        tree.insert(encode_u64_key(2), raw(r#"{"id": 2, "age": 26}"#)).unwrap();
+        tree.insert(encode_u64_key(3), raw(r#"{"id": 3, "city": "Irvine"}"#)).unwrap();
         let worker = MaintenanceWorker::spawn(Arc::clone(&tree));
         assert!(worker.schedule_flush());
         entered.recv().unwrap(); // the pass has inferred record 2 and is held
@@ -908,8 +1009,8 @@ mod tests {
 
     #[test]
     fn load_schema_replaces_state() {
-        let c = TupleCompactor::new(pk_type());
-        let r = raw(&c, r#"{"id": 0, "transient": 1}"#);
+        let c = TupleCompactor::default();
+        let r = raw(r#"{"id": 0, "transient": 1}"#);
         flush_record(&c, &r);
         c.load_schema(Schema::new());
         let s = c.schema_snapshot();

@@ -40,6 +40,7 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use tc_adm::path::PathStep;
 use tc_adm::{AdmError, Value};
 use tc_columnar::{AmaxCodec, ColumnarCounters};
 use tc_lsm::component::DiskComponent;
@@ -64,6 +65,12 @@ pub const BACKPRESSURE_OVERHANG_FACTOR: usize = 4;
 /// transient/permanent split so feeds can decide whether to retry.
 fn storage_err(e: StorageError) -> AdmError {
     AdmError::storage(e.to_string(), e.is_transient())
+}
+
+/// A secondary index key: the indexed field's integer, encoded.
+fn secondary_key(v: i64) -> [u8; 8] {
+    #[expect(clippy::expect_used, reason = "an encoded i64 key is 8 bytes")]
+    encode_i64_key(v).try_into().expect("i64 keys are 8 bytes")
 }
 
 /// A dataset partition.
@@ -165,10 +172,7 @@ impl Dataset {
             auto_flush: !config.background_maintenance,
             columnar: columnar_codec.map(|c| c as Arc<dyn ColumnarCodec>),
         };
-        let compactor = config
-            .format
-            .is_inferred()
-            .then(|| Arc::new(TupleCompactor::new(config.datatype.clone())));
+        let compactor = config.format.is_inferred().then(|| Arc::new(TupleCompactor::default()));
         let hook: Arc<dyn ComponentHook> = match &compactor {
             Some(c) => Arc::clone(c) as Arc<dyn ComponentHook>,
             None => Arc::new(NoopHook),
@@ -254,10 +258,23 @@ impl Dataset {
     fn secondary_key_of(&self, record: &Value) -> Option<(&SecondaryIndex, [u8; 8])> {
         let field = self.config.secondary_index_on.as_deref()?;
         let index = self.secondary.as_ref()?;
-        let v = record.get_field(field)?.as_i64()?;
-        #[expect(clippy::expect_used, reason = "an encoded i64 key is 8 bytes")]
-        let key = encode_i64_key(v).try_into().expect("i64 keys are 8 bytes");
-        Some((index, key))
+        Some((index, secondary_key(record.get_field(field)?.as_i64()?)))
+    }
+
+    /// [`Self::secondary_key_of`] for a stored record: one evaluation of the
+    /// indexed field's path over its bytes, no materialized record.
+    fn stored_secondary_key(
+        &self,
+        bytes: &[u8],
+    ) -> Result<Option<(&SecondaryIndex, [u8; 8])>, AdmError> {
+        let (Some(field), Some(index)) =
+            (self.config.secondary_index_on.as_deref(), self.secondary.as_ref())
+        else {
+            return Ok(None);
+        };
+        let mut column = [Vec::with_capacity(1)];
+        self.decoder().batch(&[vec![PathStep::field(field)]]).append(bytes, &mut column)?;
+        Ok(column[0].pop().as_ref().and_then(Value::as_i64).map(|v| (index, secondary_key(v))))
     }
 
     /// The auxiliary index trees (primary-key index, then secondary), as
@@ -319,13 +336,13 @@ impl Dataset {
         let Some(old_bytes) = old else {
             return self.insert_unchecked(record);
         };
-        // Replacing a live record: fix the secondary index, compute the old
-        // version's anti-schema, and run the swap through the tree's atomic
-        // replace — ONE WAL record, so a crash can never replay the delete
-        // half without the insert half (which would lose the durably-acked
-        // old version). The primary-key index is untouched: the key stays
-        // present throughout.
-        let attachment = self.retire_old_version(&key, &old_bytes)?;
+        // Replacing a live record: fix the secondary index, hand the old
+        // version's bytes over as its anti-schema, and run the swap through
+        // the tree's atomic replace — ONE WAL record, so a crash can never
+        // replay the delete half without the insert half (which would lose
+        // the durably-acked old version). The primary-key index is
+        // untouched: the key stays present throughout.
+        let attachment = self.retire_old_version(&key, old_bytes)?;
         if let Some((index, sec)) = self.secondary_key_of(record) {
             index.insert(&sec, &key).map_err(storage_err)?;
         }
@@ -337,7 +354,8 @@ impl Dataset {
     }
 
     /// Point-look-up the old record, then enqueue the anti-matter entry
-    /// (with anti-schema for inferred datasets) and fix the indexes.
+    /// (for inferred datasets it carries the old version's stored bytes as
+    /// its anti-schema) and fix the indexes.
     /// Whether the anti-schema actually reaches the hook is decided by the
     /// tree at apply time (`delete_versioned`): only versions a flush
     /// observed carry decrements (§3.2.2) — and with background flushes the
@@ -348,7 +366,7 @@ impl Dataset {
         let Some(old_bytes) = self.primary.get(&key).map_err(storage_err)? else {
             return Ok(false);
         };
-        let attachment = self.retire_old_version(&key, &old_bytes)?;
+        let attachment = self.retire_old_version(&key, old_bytes)?;
         if let Some(pki) = self.pk_index.as_ref() {
             pki.delete(&key).map_err(storage_err)?;
         }
@@ -359,25 +377,27 @@ impl Dataset {
 
     /// The old version's side of an upsert or delete, before the primary
     /// tree sees the new entry: drop the old record's secondary posting and
-    /// return its anti-schema — the old record re-encoded uncompacted,
-    /// which the compactor walks to decrement counters at flush (§3.2.2).
+    /// return its anti-schema, which the compactor walks to decrement
+    /// counters at flush (§3.2.2).
     ///
-    /// The decode is paid whenever the compactor maintains a schema or a
-    /// secondary index needs the old secondary key. For a memtable-only
-    /// version the tree will discard the attachment — that (rare:
-    /// same-window re-update) wasted encode is the deliberate price of
-    /// making the counted decision raceless under the tree's lock; a
-    /// caller-side "skip if unflushed" check is exactly the race
-    /// `delete_versioned` exists to close.
-    fn retire_old_version(&self, key: &Key, old_bytes: &[u8]) -> Result<Option<Vec<u8>>, AdmError> {
-        if self.compactor.is_none() && self.secondary.is_none() {
-            return Ok(None);
-        }
-        let old = self.decoder().materialize(old_bytes)?;
-        if let Some((index, sec)) = self.secondary_key_of(&old) {
+    /// The anti-schema is `old_bytes` itself, moved as the lookup returned
+    /// them: compacted if the old version came from a component (its name
+    /// ids stay valid, the dictionary only grows), uncompacted if from the
+    /// frozen memtable, and for `Columnar` the row the component rebuilt.
+    /// Nothing is decoded unless a secondary index needs the old secondary
+    /// key, which one path evaluation reads. For a memtable-only version
+    /// the tree discards the attachment under its lock: a caller-side
+    /// "skip if unflushed" check is exactly the race `delete_versioned`
+    /// exists to close.
+    fn retire_old_version(
+        &self,
+        key: &Key,
+        old_bytes: Vec<u8>,
+    ) -> Result<Option<Vec<u8>>, AdmError> {
+        if let Some((index, sec)) = self.stored_secondary_key(&old_bytes)? {
             index.delete(&sec, key).map_err(storage_err)?;
         }
-        Ok(self.compactor.as_ref().map(|_| tc_vector::encode(&old, Some(&self.config.datatype))))
+        Ok(self.compactor.as_ref().map(|_| old_bytes))
     }
 
     fn bulk_load_unchecked<I>(&self, records: I) -> Result<u64, AdmError>
@@ -1137,6 +1157,123 @@ mod tests {
         let err = ds.secondary_range(1000, 1200).unwrap_err();
         assert!(matches!(err, AdmError::Storage { transient: false, .. }), "{err}");
         assert_eq!(ds.scan_values().unwrap().len(), 200, "the primary is intact");
+    }
+
+    /// An upsert or a delete drops the old version's posting, read from its
+    /// stored bytes by one path evaluation, wherever the old version lives:
+    /// on disk (compacted vector bytes, a rebuilt amax row, ADM bytes) or in
+    /// the memtable. The postings are read straight from the index, since
+    /// `secondary_range`'s primary lookups would hide a stale one whose key
+    /// was deleted.
+    #[test]
+    fn upserts_and_deletes_drop_the_old_posting_from_stored_bytes() {
+        for format in [StorageFormat::Open, StorageFormat::Inferred, StorageFormat::Columnar] {
+            let ds = make(
+                DatasetConfig::new("Tweets", "id")
+                    .with_format(format)
+                    .with_secondary_index("ts")
+                    .with_merge_policy(tc_lsm::MergePolicy::NoMerge),
+            );
+            let tweet = |id: i64, ts: i64| {
+                parse(&format!(r#"{{"id": {id}, "ts": {ts}, "text": "t{id}"}}"#)).unwrap()
+            };
+            let mut w = ds.writer();
+            for i in 0..10 {
+                w.insert(&tweet(i, 100 + i)).unwrap();
+            }
+            drop(w);
+            ds.flush().unwrap();
+            let mut w = ds.writer();
+            w.upsert(&tweet(1, 500)).unwrap(); // the old version is on disk
+            w.upsert(&tweet(1, 600)).unwrap(); // ... and now in the memtable
+            assert!(w.delete(2).unwrap());
+            w.insert(&tweet(20, 700)).unwrap();
+            assert!(w.delete(20).unwrap());
+            drop(w);
+            let postings = |lo: i64, hi: i64| -> Vec<i64> {
+                let index = ds.secondary.as_ref().unwrap();
+                let pks = index.range(&encode_i64_key(lo), &encode_i64_key(hi)).unwrap();
+                pks.iter().map(|k| decode_i64_key(k).unwrap()).collect()
+            };
+            for flushed in [false, true] {
+                assert_eq!(postings(100, 110), [0, 3, 4, 5, 6, 7, 8, 9], "{format:?} {flushed}");
+                assert_eq!(postings(110, 1000), [1], "{format:?} {flushed}");
+                assert_eq!(ds.secondary_range(600, 601).unwrap(), [tweet(1, 600)]);
+                ds.flush().unwrap();
+            }
+        }
+    }
+
+    /// Upserts and deletes of flushed keys log the old versions' compacted
+    /// bytes as anti-schemas. A crash before the flush that covers them
+    /// loses nothing: after `recover` and a flush, the schema is byte for
+    /// byte the one a twin run without the crash publishes, and the one that
+    /// attachments re-encoded uncompacted give (what the log held before
+    /// attachments were the stored bytes).
+    #[test]
+    fn compacted_anti_schemas_survive_a_crash() {
+        fn run(format: StorageFormat, crash: bool, reencoded: bool) -> (Vec<u8>, Vec<Value>) {
+            let ds = small(format);
+            let record = |id: i64, extra: &str| {
+                parse(&format!(r#"{{"id": {id}, "name": "n{id}", "tags": ["a"]{extra}}}"#)).unwrap()
+            };
+            let mut w = ds.writer();
+            for i in 0..7 {
+                let extra = match i % 3 {
+                    0 => r#", "age": 30"#,
+                    1 => r#", "age": "old", "nested": {"x": [1, 2.5]}"#,
+                    _ => r#", "only_here": null"#,
+                };
+                w.insert(&record(i, extra)).unwrap();
+            }
+            drop(w);
+            ds.flush().unwrap();
+            let retire = |pk: i64, new: Option<Value>| {
+                if !reencoded {
+                    let mut w = ds.writer();
+                    match new {
+                        Some(v) => w.upsert(&v).unwrap(),
+                        None => assert!(w.delete(pk).unwrap()),
+                    }
+                    return;
+                }
+                let declared = &ds.config().datatype;
+                let old = ds.get(pk).unwrap().unwrap();
+                let anti = Some(tc_vector::encode(&old, Some(declared)));
+                let key = encode_i64_key(pk);
+                match new {
+                    Some(v) => {
+                        ds.primary().replace(key, tc_vector::encode(&v, Some(declared)), anti)
+                    }
+                    None => ds.primary().delete_versioned(key, anti),
+                }
+                .unwrap();
+            };
+            retire(1, Some(record(1, r#", "age": 31"#)));
+            retire(4, None);
+            retire(2, Some(record(2, "")));
+            retire(5, None);
+            retire(3, Some(record(3, r#", "fresh": true"#)));
+            if crash {
+                ds.simulate_crash();
+                ds.recover().unwrap();
+            }
+            ds.flush().unwrap();
+            (ds.schema_snapshot().unwrap().serialize(), ds.scan_values().unwrap())
+        }
+        for format in [StorageFormat::Inferred, StorageFormat::Columnar] {
+            let twin = run(format, false, false);
+            let s = Schema::deserialize(&twin.0).unwrap();
+            let (_, age) = s.lookup_field(s.root(), "age").unwrap();
+            assert!(!s.node(age).matches_tag(TypeTag::String), "{format:?}: the union collapsed");
+            assert!(s.lookup_field(s.root(), "nested").is_none());
+            assert!(s.lookup_field(s.root(), "only_here").is_none());
+            assert_eq!(s.record_count(), 5);
+            for (crash, reencoded) in [(true, false), (false, true), (true, true)] {
+                let got = run(format, crash, reencoded);
+                assert!(got == twin, "{format:?}: crash {crash}, re-encoded {reencoded}");
+            }
+        }
     }
 
     #[test]

@@ -57,7 +57,10 @@ pub trait FlushPass {
     }
 
     /// Process an anti-matter entry's attachment (the anti-schema). The
-    /// attachment is discarded afterwards — anti-matter reaches disk as a
+    /// tuple compactor attaches the retired version's payload as a lookup
+    /// returned it: transformed by an earlier flush's `on_record` if it was
+    /// on disk, as written if it was in memory. The attachment is
+    /// discarded afterwards — anti-matter reaches disk as a
     /// bare key (§3.2.2). An attachment the pass cannot read is an `Err`
     /// that fails the attempt exactly as in [`on_record`](Self::on_record).
     fn on_antimatter(&mut self, _attachment: Option<&[u8]>) -> Result<(), StorageError> {

@@ -15,8 +15,9 @@ use crate::entry::Key;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MemEntry {
     Record(Vec<u8>),
-    /// Anti-matter with an optional hook attachment (anti-schema bytes);
-    /// the attachment is consumed at flush and never written to disk.
+    /// Anti-matter with an optional hook attachment: the anti-schema, which
+    /// is the retired version's stored bytes. It counts against the budget
+    /// (see `weight`), is consumed at flush and never written to disk.
     AntiMatter(Option<Vec<u8>>),
 }
 

@@ -4,8 +4,12 @@
 //! insert/delete is logged before entering the in-memory component, and the
 //! log for a component can be truncated once that component is VALID on
 //! disk. Recovery replays the log to rebuild the lost in-memory component
-//! (§3.1.2). Anti-matter log records carry their hook attachment so a
-//! replayed flush can still process anti-schemas.
+//! (§3.1.2). Anti-matter log records carry their hook attachment — the
+//! retired version's bytes as the lookup returned them, compacted if they
+//! came from a component — so a replayed flush can still process
+//! anti-schemas. A compacted attachment's name ids stay readable after a
+//! crash: recovery reloads the newest component's schema, whose dictionary
+//! holds every id an older component used.
 //!
 //! The log is segmented to support *background* flushes: when the in-memory
 //! component is frozen for flushing, the active segment is rotated into the

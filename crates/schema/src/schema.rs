@@ -283,14 +283,48 @@ impl Schema {
     /// decremented so the caller can recurse into nested values. Returns
     /// `None` if the schema never saw this shape (tolerated: the engine may
     /// replay an anti-matter entry whose insert was annihilated earlier).
-    pub fn unobserve_field(&mut self, obj: NodeId, name: &str, tag: TypeTag) -> Option<NodeId> {
-        let fid = self.dict.find(name)?;
-        let child = match &self.nodes[obj as usize] {
-            SchemaNode::Object { fields, .. } => {
-                fields.iter().find(|(f, _)| *f == fid).map(|(_, id)| *id)?
-            }
+    ///
+    /// `slot` is a position hint, as in [`Self::observe_field_at`]: a hit
+    /// compares `name` with the dictionary entry of the field at `slot` and
+    /// skips the dictionary hash and the field search. A found field leaves
+    /// `slot` one past its position.
+    pub fn unobserve_field_at(
+        &mut self,
+        obj: NodeId,
+        slot: &mut usize,
+        name: &str,
+        tag: TypeTag,
+    ) -> Option<NodeId> {
+        let hinted = match self.nodes.get(obj as usize) {
+            Some(SchemaNode::Object { fields, .. }) => fields.get(*slot).map(|&(fid, _)| fid),
             _ => return None,
         };
+        let fid = match hinted.filter(|&fid| self.dict.name(fid) == Some(name)) {
+            Some(fid) => fid,
+            None => self.dict.find(name)?,
+        };
+        self.unobserve_field_id_at(obj, slot, fid, tag)
+    }
+
+    /// [`Self::unobserve_field_at`] for a field named by its dictionary id,
+    /// as a compacted record names it. The id must come from this schema's
+    /// dictionary or an earlier state of it (the dictionary only grows).
+    pub fn unobserve_field_id_at(
+        &mut self,
+        obj: NodeId,
+        slot: &mut usize,
+        fid: FieldNameId,
+        tag: TypeTag,
+    ) -> Option<NodeId> {
+        let Some(SchemaNode::Object { fields, .. }) = self.nodes.get(obj as usize) else {
+            return None;
+        };
+        let pos = match fields.get(*slot) {
+            Some(&(f, _)) if f == fid => *slot,
+            _ => fields.iter().position(|&(f, _)| f == fid)?,
+        };
+        let child = fields[pos].1;
+        *slot = pos + 1;
         self.unmerge_slot(child, tag)
     }
 
@@ -436,7 +470,10 @@ impl Schema {
     }
 
     // -----------------------------------------------------------------
-    // Whole-value walkers (used by the compactor's Value path and tests)
+    // Whole-value walkers. The flush walks stored bytes instead
+    // (`tc_vector::infer_and_compact_into`, `tc_vector::remove_anti_schema`);
+    // these stay as the oracle its tests compare against, and for callers
+    // that hold records as `Value`s.
     // -----------------------------------------------------------------
 
     /// Observe a record's undeclared fields. `skip` returns true for
@@ -483,13 +520,16 @@ impl Schema {
     }
 
     /// Remove a record's contribution (anti-schema processing) and prune.
+    /// The flush decrements with the raw walk `tc_vector::remove_anti_schema`
+    /// over the retired version's stored bytes; this `Value` walk is its
+    /// test oracle.
     pub fn remove_record(&mut self, fields: &[(String, Value)], skip: &dyn Fn(&str) -> bool) {
         self.unobserve_root();
         for (name, v) in fields {
             if skip(name) || v.is_missing() {
                 continue;
             }
-            if let Some(node) = self.unobserve_field(ROOT, name, v.type_tag()) {
+            if let Some(node) = self.unobserve_field_at(ROOT, &mut 0, name, v.type_tag()) {
                 self.unobserve_value_children(node, v);
             }
         }
@@ -503,7 +543,7 @@ impl Schema {
                     if child.is_missing() {
                         continue;
                     }
-                    if let Some(n) = self.unobserve_field(node, name, child.type_tag()) {
+                    if let Some(n) = self.unobserve_field_at(node, &mut 0, name, child.type_tag()) {
                         self.unobserve_value_children(n, child);
                     }
                 }

@@ -24,6 +24,11 @@
 //! It is still the one linear pass of §3.3.2: the hint changes how a field
 //! is found, not what is observed — the schema and the bytes are exactly
 //! those of a lookup per field (a property test holds the two equal).
+//!
+//! [`remove_anti_schema`] is the same walk for an upsert's or a delete's
+//! retired version (§3.2.2): over its stored bytes, compacted or not, it
+//! decrements what the flush walk observed, and a property test holds it to
+//! the `Value` walk `Schema::remove_record`.
 
 use std::cell::RefCell;
 
@@ -55,6 +60,21 @@ pub fn infer_and_compact_into(
     out: &mut Vec<u8>,
 ) -> Result<(), AdmError> {
     WALK.with_borrow_mut(|walk| walk.run(buf, schema, out))
+}
+
+/// Remove a retired record version's contribution from `schema` — its
+/// anti-schema (§3.2.2) — and prune what drops to zero, in one walk over the
+/// version's stored bytes: the walk of [`infer_and_compact_into`], with the
+/// same slot hints, decrementing what that walk observed. Nothing is
+/// materialized. The record may be compacted (names resolve through
+/// `schema`'s dictionary, which holds every id a component ever used) or
+/// uncompacted (names resolve by their bytes). Declared fields and their
+/// subtrees are skipped, and a shape the schema never saw is tolerated.
+///
+/// On an error `schema` may hold part of the decrements: a flush drops its
+/// whole pass then, so the published schema never sees them.
+pub fn remove_anti_schema(buf: &[u8], schema: &mut Schema) -> Result<(), AdmError> {
+    WALK.with_borrow_mut(|walk| walk.remove(buf, schema))
 }
 
 thread_local! {
@@ -123,6 +143,57 @@ impl Walk {
             other => return Err(AdmError::corrupt(format!("trailing item {other:?}"))),
         }
         assemble_compacted(buf, &header_in, &self.entries, out)
+    }
+
+    fn remove(&mut self, buf: &[u8], schema: &mut Schema) -> Result<(), AdmError> {
+        self.stack.clear();
+        let mut reader = VectorReader::new(buf)?;
+        match reader.next_raw()? {
+            RawItem::Begin { tag: TypeTag::Object, name: None } => {
+                schema.unobserve_root();
+                self.stack.push(Frame { node: Some(schema.root()), slot: 0 })
+            }
+            other => {
+                return Err(AdmError::corrupt(format!(
+                    "vector record must be rooted at an object, got {other:?}"
+                )))
+            }
+        }
+        while let Some(parent) = self.stack.last_mut() {
+            let (tag, name, nested) = match reader.next_raw()? {
+                RawItem::Eov => return Err(AdmError::corrupt("EOV inside container")),
+                RawItem::Close => {
+                    self.stack.pop();
+                    continue;
+                }
+                RawItem::Begin { tag, name } => (tag, name, true),
+                RawItem::Scalar { tag, name, .. } => (tag, name, false),
+            };
+            let node = match (parent.node, name) {
+                (None, _) | (_, Some(FieldName::Declared(_))) => None,
+                (Some(p), None) => schema.unobserve_item(p, tag),
+                (Some(p), Some(FieldName::Inferred(n))) => {
+                    schema.unobserve_field_at(p, &mut parent.slot, n, tag)
+                }
+                (Some(p), Some(FieldName::InferredId(fid))) => {
+                    if schema.dict().name(fid).is_none() {
+                        return Err(AdmError::corrupt(format!(
+                            "field name id {fid} not in schema"
+                        )));
+                    }
+                    schema.unobserve_field_id_at(p, &mut parent.slot, fid, tag)
+                }
+            };
+            if nested {
+                self.stack.push(Frame { node, slot: 0 });
+            }
+        }
+        match reader.next_raw()? {
+            RawItem::Eov => {}
+            other => return Err(AdmError::corrupt(format!("trailing item {other:?}"))),
+        }
+        schema.prune();
+        Ok(())
     }
 }
 
@@ -577,5 +648,99 @@ mod tests {
                 prop_assert_eq!(&back, v);
             }
         }
+
+        /// The raw anti-schema walk leaves, after every removal, the schema
+        /// the `Value` walk leaves (`Schema::remove_record` over the decoded
+        /// record), byte for byte: records observed by the flush walk, then
+        /// retired in another order from their compacted or uncompacted
+        /// bytes, with and without a declared type. Removing all of them
+        /// leaves the empty schema.
+        #[test]
+        fn raw_anti_schema_walk_equals_the_value_walk(
+            feed in arb_feed(),
+            order in any::<u64>(),
+            compacted_mask in any::<u64>(),
+        ) {
+            for declared in [Some(declared()), None] {
+                let declared = declared.as_ref();
+                let skip = |name: &str| declared.is_some_and(|t| t.field_index(name).is_some());
+                let mut observed = Schema::new();
+                let stored: Vec<(Vec<u8>, Vec<u8>)> = feed
+                    .iter()
+                    .map(|v| {
+                        let raw = encode(v, declared);
+                        let compacted = infer_and_compact(&raw, &mut observed).unwrap();
+                        (raw, compacted)
+                    })
+                    .collect();
+                let (mut fast, mut oracle) = (observed.clone(), observed);
+                let mut retired: Vec<usize> = (0..stored.len()).collect();
+                retired.rotate_left(order as usize % stored.len());
+                for i in retired {
+                    let (raw, compacted) = &stored[i];
+                    let bytes = if compacted_mask >> (i % 64) & 1 == 1 { compacted } else { raw };
+                    remove_anti_schema(bytes, &mut fast).unwrap();
+                    let dict = oracle.dict().clone();
+                    let Value::Object(fields) = decode(bytes, declared, Some(&dict)).unwrap() else {
+                        panic!("records are objects")
+                    };
+                    oracle.remove_record(&fields, &skip);
+                    prop_assert_eq!(fast.serialize(), oracle.serialize());
+                }
+                prop_assert_eq!(fast.record_count(), 0);
+                prop_assert_eq!(fast.num_live_nodes(), 1);
+            }
+        }
+    }
+
+    /// The anti-schema walk decrements what the flush walk observed, so a
+    /// `missing` value, which the record stores with its own tag, leaves
+    /// the schema with its record (the `Value` walk skips it and would
+    /// leave its node behind).
+    #[test]
+    fn anti_schema_removes_what_inference_observed() {
+        let v =
+            Value::object([("a", Value::Missing), ("b", Value::object([("c", Value::Int64(1))]))]);
+        let raw = encode(&v, None);
+        let mut schema = Schema::new();
+        let compacted = infer_and_compact(&raw, &mut schema).unwrap();
+        assert!(schema.lookup_field(schema.root(), "a").is_some());
+        for bytes in [&raw, &compacted] {
+            let mut s = schema.clone();
+            remove_anti_schema(bytes, &mut s).unwrap();
+            assert_eq!((s.record_count(), s.num_live_nodes()), (0, 1));
+        }
+    }
+
+    /// An attachment the walk cannot read is a typed error, never a panic:
+    /// a truncated or malformed record, an already-flushed record whose
+    /// field id the dictionary lacks, and one that fails only after a valid
+    /// prefix, which leaves that prefix decremented.
+    #[test]
+    fn malformed_anti_schemas_are_typed_errors() {
+        let v = parse(r#"{"a": 1, "b": {"c": "xy"}, "d": [1, 2]}"#).unwrap();
+        let raw = encode(&v, None);
+        let mut observed = Schema::new();
+        let compacted = infer_and_compact(&raw, &mut observed).unwrap();
+        let mut bad_tag = raw.clone();
+        bad_tag[HEADER_LEN + 1] = 200;
+        let mut late_bad_tag = raw.clone();
+        let h = Header::read(&raw).unwrap();
+        late_bad_tag[HEADER_LEN + h.tag_count as usize - 2] = 200; // the root's close
+        for bad in [&raw[..raw.len() - 1], &raw[..30], &bad_tag, &compacted[..20]] {
+            let mut schema = observed.clone();
+            assert!(matches!(remove_anti_schema(bad, &mut schema), Err(AdmError::Corrupt(_))));
+        }
+        let mut unknown_id = Schema::new();
+        let err = remove_anti_schema(&compacted, &mut unknown_id).unwrap_err();
+        assert!(matches!(err, AdmError::Corrupt(_)), "{err}");
+
+        let mut schema = observed.clone();
+        assert!(matches!(
+            remove_anti_schema(&late_bad_tag, &mut schema),
+            Err(AdmError::Corrupt(_))
+        ));
+        assert_eq!(schema.record_count(), 0, "the valid prefix was decremented");
+        assert!(schema.lookup_field(schema.root(), "d").is_some(), "and nothing was pruned");
     }
 }

@@ -18,7 +18,8 @@
 //! * [`reader`] — a pull parser over the tag stream; [`reader::decode`]
 //!   materializes a `Value` from either compacted or uncompacted records.
 //! * [`compact`] — the flush-time pass: schema inference + field-name
-//!   stripping in one scan (§3.3.2), plus schema-decrement for anti-matter.
+//!   stripping in one scan (§3.3.2), plus the schema decrement for
+//!   anti-matter, one scan over the retired version's stored bytes.
 //! * [`access`] — `getValues()`: evaluate *many* path expressions in a
 //!   single linear scan (§3.4.2), the optimizer's consolidation target.
 
@@ -31,7 +32,7 @@ pub mod header;
 pub mod reader;
 
 pub use access::{get_values, BatchPathEvaluator};
-pub use compact::{infer_and_compact, infer_and_compact_into};
+pub use compact::{infer_and_compact, infer_and_compact_into, remove_anti_schema};
 pub use encode::{encode, Sections};
 pub use header::Header;
 pub use reader::{decode, scalar_value, FieldName, Item, RawItem, VectorReader};

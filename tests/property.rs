@@ -103,18 +103,24 @@ proptest! {
     }
 
     /// Observing then removing the same records restores the empty schema
-    /// (anti-schema correctness).
+    /// (anti-schema correctness): the flush walk observes each record, and
+    /// the anti-schema walk removes it again from its stored bytes, the
+    /// compacted ones or the uncompacted ones, alternately.
     #[test]
     fn schema_observe_remove_cancels(records in proptest::collection::vec(arb_record(), 1..8)) {
         let mut schema = Schema::new();
-        let skip = |name: &str| name == "id";
-        for v in &records {
-            let Value::Object(fields) = v else { unreachable!() };
-            schema.observe_record(fields, &skip).unwrap();
-        }
-        for v in &records {
-            let Value::Object(fields) = v else { unreachable!() };
-            schema.remove_record(fields, &skip);
+        let declared = DatasetConfig::new("records", "id").datatype;
+        let stored: Vec<(Vec<u8>, Vec<u8>)> = records
+            .iter()
+            .map(|v| {
+                let raw = asterix_tc::vector::encode(v, Some(&declared));
+                let compacted = asterix_tc::vector::infer_and_compact(&raw, &mut schema).unwrap();
+                (raw, compacted)
+            })
+            .collect();
+        for (i, (raw, compacted)) in stored.iter().enumerate() {
+            let bytes = if i % 2 == 0 { compacted } else { raw };
+            asterix_tc::vector::remove_anti_schema(bytes, &mut schema).unwrap();
         }
         prop_assert_eq!(schema.record_count(), 0);
         prop_assert_eq!(schema.num_live_nodes(), 1);
@@ -332,6 +338,165 @@ proptest! {
         // Spot point lookups, including absent keys.
         for k in [0i64, 17, 255] {
             prop_assert_eq!(ds.get(k).unwrap().is_some(), model.contains_key(&k));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Anti-schema invariant: after every flush, the published schema is the
+// schema of the live records — no more, no less (§3.2.2)
+// ---------------------------------------------------------------------
+
+#[derive(Debug, Clone)]
+enum SchemaOp {
+    /// Write a version of key `k`: an insert for an absent key, else an
+    /// upsert.
+    Write(u8, Value),
+    Delete(u8),
+    Flush,
+    /// A flush whose first page write fails: the frozen memtable stays, so
+    /// the old versions the next writes retire sit in it.
+    FailedFlush,
+    Merge,
+    CrashRecover,
+}
+
+/// A field value whose type changes from version to version: scalars,
+/// nested objects and arrays.
+fn arb_shifting_value() -> impl Strategy<Value = Value> {
+    let leaf = prop_oneof![
+        (0i64..4).prop_map(Value::Int64),
+        "[ab]{0,2}".prop_map(Value::String),
+        Just(Value::Null),
+        any::<bool>().prop_map(Value::Boolean),
+        (0i8..3).prop_map(|i| Value::Double(i as f64 / 2.0)),
+    ];
+    leaf.prop_recursive(2, 12, 3, |inner| {
+        prop_oneof![
+            proptest::collection::vec(inner.clone(), 0..3).prop_map(Value::Array),
+            proptest::collection::btree_map(
+                prop_oneof![Just("x"), Just("y")].prop_map(String::from),
+                inner,
+                0..3,
+            )
+            .prop_map(|m| Value::Object(m.into_iter().collect())),
+        ]
+    })
+}
+
+/// Fields from a small pool, so versions of a key share names with changed
+/// types; `ts` is declared (an optional integer) and never inferred.
+fn arb_shifting_fields() -> impl Strategy<Value = Vec<(String, Value)>> {
+    let name = prop_oneof![Just("a"), Just("b"), Just("c")].prop_map(String::from);
+    (
+        proptest::collection::btree_map(name, arb_shifting_value(), 0..4),
+        prop_oneof![Just(None), (0i64..100).prop_map(Some)],
+    )
+        .prop_map(|(fields, ts)| {
+            let mut fields: Vec<(String, Value)> = fields.into_iter().collect();
+            if let Some(ts) = ts {
+                fields.push(("ts".to_string(), Value::Int64(ts)));
+            }
+            fields
+        })
+}
+
+fn arb_schema_op() -> impl Strategy<Value = SchemaOp> {
+    prop_oneof![
+        6 => (0u8..12, arb_shifting_fields()).prop_map(|(k, mut fields)| {
+            fields.insert(0, ("id".to_string(), Value::Int64(k as i64)));
+            SchemaOp::Write(k, Value::Object(fields))
+        }),
+        2 => (0u8..12).prop_map(SchemaOp::Delete),
+        2 => Just(SchemaOp::Flush),
+        1 => Just(SchemaOp::FailedFlush),
+        1 => Just(SchemaOp::Merge),
+        1 => Just(SchemaOp::CrashRecover),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Heterogeneous versions are written, upserted and deleted while their
+    /// old versions sit in the active memtable, the frozen memtable of a
+    /// failed flush, or on disk, across merges and crashes. After every
+    /// flush the published schema covers the schema of the live records
+    /// and is covered by it, with the same record count, in both formats
+    /// that infer.
+    #[test]
+    fn published_schema_is_the_live_records_schema(
+        ops in proptest::collection::vec(arb_schema_op(), 1..48),
+    ) {
+        use tc_storage::{FaultKind, FaultPlan, IoOp};
+
+        let int = |name: &str, optional| tc_adm::datatype::FieldDef {
+            name: name.to_string(),
+            kind: TypeKind::Scalar(TypeTag::Int64),
+            optional,
+        };
+        let declared = ObjectType::open(vec![int("id", false), int("ts", true)]);
+        for format in [StorageFormat::Inferred, StorageFormat::Columnar] {
+            let config = DatasetConfig::new("anti", "id")
+                .with_datatype(declared.clone())
+                .with_format(format)
+                .with_memtable_budget(4 * 1024)
+                .with_merge_policy(MergePolicy::NoMerge);
+            let device = Arc::new(Device::new(DeviceProfile::RAM));
+            let ds = Dataset::new(config, Arc::clone(&device), Arc::new(BufferCache::new(1024)));
+            let mut live: std::collections::BTreeSet<u8> = Default::default();
+            let mut flushes = 0;
+            for op in &ops {
+                match op {
+                    SchemaOp::Write(k, record) => {
+                        let mut w = ds.writer();
+                        if live.insert(*k) { w.insert(record) } else { w.upsert(record) }.unwrap();
+                    }
+                    SchemaOp::Delete(k) => {
+                        prop_assert_eq!(ds.writer().delete(*k as i64).unwrap(), live.remove(k));
+                    }
+                    SchemaOp::FailedFlush => {
+                        let fail = FaultPlan::new(1).fail_nth(IoOp::Write, 1, FaultKind::Transient);
+                        device.set_fault_plan(fail);
+                        let flushed = ds.primary().flush();
+                        device.clear_fault_plan();
+                        prop_assert!(flushed.is_err() || ds.primary().memtable_len() == 0);
+                    }
+                    SchemaOp::CrashRecover => {
+                        ds.simulate_crash();
+                        ds.recover().unwrap();
+                    }
+                    SchemaOp::Flush | SchemaOp::Merge => {
+                        // Twice: a frozen memtable left by a failed flush is
+                        // resumed alone, the active one flushes after it.
+                        ds.flush().unwrap();
+                        ds.flush().unwrap();
+                        prop_assert_eq!(ds.primary().memtable_len(), 0);
+                        if matches!(op, SchemaOp::Merge) {
+                            ds.force_full_merge().unwrap();
+                        }
+                        let records = ds.scan_values().unwrap();
+                        let mut expected = Schema::new();
+                        for record in &records {
+                            let Value::Object(fields) = record else { unreachable!() };
+                            let skip = |name: &str| declared.field_index(name).is_some();
+                            expected.observe_record(fields, &skip).unwrap();
+                        }
+                        let published = ds.schema_snapshot().unwrap();
+                        prop_assert_eq!(records.len(), live.len());
+                        prop_assert_eq!(published.record_count(), records.len() as u64);
+                        prop_assert!(
+                            published.is_superset_of(&expected),
+                            "{:?}, flush {}: the published schema lacks a live shape", format, flushes
+                        );
+                        prop_assert!(
+                            expected.is_superset_of(&published),
+                            "{:?}, flush {}: the published schema kept a retired shape", format, flushes
+                        );
+                        flushes += 1;
+                    }
+                }
+            }
         }
     }
 }
