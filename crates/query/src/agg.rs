@@ -126,23 +126,9 @@ impl AggState {
                 *total += t2;
                 *count += c2;
             }
-            (AggState::MinMax { best, want_max }, AggState::MinMax { best: other_best, .. }) => {
-                if let Some(v) = other_best {
-                    let better = match &best {
-                        None => true,
-                        Some(b) => {
-                            let ord = compare(&v, b);
-                            if *want_max {
-                                ord == std::cmp::Ordering::Greater
-                            } else {
-                                ord == std::cmp::Ordering::Less
-                            }
-                        }
-                    };
-                    if better {
-                        *best = Some(v);
-                    }
-                }
+            // The other partition's best is one more candidate for ours.
+            (state @ AggState::MinMax { .. }, AggState::MinMax { best, .. }) => {
+                state.update(best.map(Cow::Owned));
             }
             (AggState::List(a), AggState::List(b)) => a.extend(b),
             (a, b) => {

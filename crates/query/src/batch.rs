@@ -25,7 +25,8 @@
 //!    are evaluated only for selection-vector survivors, so a filtered-out
 //!    record never pays for the columns it would have needed.
 //! 4. **Emit** — surviving rows are assembled by *moving* values out of the
-//!    column buffers, in pull order (primary-key order).
+//!    column buffers, in pull order (primary-key order), and each is pushed
+//!    into the partition's query pipeline as it is built.
 //!
 //! Row references are answered per component: each path is classified
 //! against the component's column list exactly as the at-rest scan does. A
@@ -42,9 +43,10 @@
 //! dropped: an error under `CorruptionPolicy::Fail`, missing rows plus
 //! `quarantined_components` under `Degrade`, never a wrong value.
 //!
-//! A `LIMIT` hint (when the plan allows one — see
-//! [`crate::exec`]) stops the pull loop as soon as enough rows survive,
-//! instead of draining the snapshot.
+//! A `LIMIT` sink bounds the pull: a batch pulls at most as many records as
+//! the limit still has room for, so `LIMIT 10` decodes 10 records, not a
+//! batch; and the scan stops at the record whose row fills it (see
+//! [`crate::exec`]).
 
 use std::collections::hash_map::Entry;
 use std::mem;
@@ -60,8 +62,9 @@ use tc_util::hash::FxHashMap;
 use tuple_compactor::{PathBatch, RecordDecoder};
 
 use crate::columnar::{chunk_reader, PathPlan};
-use crate::exec::Row;
+use crate::exec::{ExecStats, Row};
 use crate::expr::{CmpOp, Expr};
+use crate::pipeline::Pipeline;
 use crate::plan::{AccessStrategy, ScanSpec};
 
 /// Records per scan chunk (the batched engine's unit of work).
@@ -77,30 +80,26 @@ enum BatchRow {
     Ref { plan: Rc<FillPlan>, rank: usize, group: u32, row: u32 },
 }
 
-/// Run one partition's scan in batches. Returns the surviving rows;
-/// `scanned` counts every record pulled from the snapshot, `bytes` their
-/// payload bytes — or, for rows answered from column pages, the bytes of the
-/// blocks faulted in for them.
+/// Run one partition's scan in batches, pushing each surviving row into
+/// `pipeline` as the batch emits it. `rows_scanned` counts the records
+/// pulled from the snapshot up to the one whose row filled a `Limit` sink;
+/// `bytes_scanned` the payload bytes of every record pulled — or, for rows
+/// answered from column pages, the bytes of the blocks faulted in for them.
 pub(crate) fn scan_batched(
     decoder: &RecordDecoder,
     iter: &mut MergedScan,
     scan: &ScanSpec,
-    limit_hint: Option<usize>,
     batch_size: usize,
-    scanned: &mut u64,
-    bytes: &mut u64,
-) -> Result<Vec<Row>, AdmError> {
+    pipeline: &mut Pipeline<'_>,
+    stats: &mut ExecStats,
+) -> Result<(), AdmError> {
     let batch_size = batch_size.max(1);
     let mut scanner = BatchScanner::new(decoder, scan);
-    let mut rows: Vec<Row> = Vec::new();
     let mut batch: Vec<BatchRow> = Vec::with_capacity(batch_size);
     loop {
-        // With no scan filter every pulled record survives, so a LIMIT hint
-        // caps the pull itself; with a filter we can only cap post-filter.
-        let want = match (limit_hint, scan.filter.is_some()) {
-            (Some(k), false) => batch_size.min(k.saturating_sub(rows.len())),
-            _ => batch_size,
-        };
+        // Pull no more records than a limit still takes: each adds at most
+        // one row to it, unless an unnest sits in front of it.
+        let want = pipeline.room().map_or(batch_size, |room| batch_size.min(room));
         batch.clear();
         while batch.len() < want {
             let Some(entry) = iter.next_entry() else { break };
@@ -118,29 +117,20 @@ pub(crate) fn scan_batched(
                 },
             };
             if let BatchRow::Bytes(payload) = &row {
-                *bytes += payload.len() as u64;
+                stats.bytes_scanned += payload.len() as u64;
             }
-            *scanned += 1;
             batch.push(row);
         }
         if batch.is_empty() {
             break;
         }
-        let exhausted = batch.len() < want;
-        for (rank, e) in scanner.process_batch(iter, &batch, &mut rows, bytes)? {
-            iter.report_fault(rank, e);
-        }
-        if let Some(k) = limit_hint {
-            if rows.len() >= k {
-                rows.truncate(k);
-                break;
-            }
-        }
-        if exhausted {
+        let consumed = scanner.process_batch(iter, &batch, pipeline, &mut stats.bytes_scanned)?;
+        stats.rows_scanned += consumed as u64;
+        if consumed < want {
             break;
         }
     }
-    Ok(rows)
+    Ok(())
 }
 
 /// Which buffer group an output column is materialized in.
@@ -293,17 +283,20 @@ impl<'a> BatchScanner<'a> {
         }
     }
 
-    /// Run the four phases over one batch. Returns the storage faults met
-    /// reading column pages for row references; the rows they hit are
-    /// dropped from the batch, and the faulted sources' later references are
-    /// no longer filled.
+    /// Run the four phases over one batch, pushing its survivors into
+    /// `pipeline`. Returns how many of the batch's records were consumed:
+    /// all of them, unless a row filled the pipeline's `Limit` sink, which
+    /// only a stage yielding several rows per row (`Unnest`) can do mid-batch.
+    /// A storage fault reading column pages for a row reference is reported
+    /// to the scan's health; the rows it hits are dropped from the batch, and
+    /// the faulted source's later references are no longer filled.
     fn process_batch(
         &mut self,
-        iter: &MergedScan,
+        iter: &mut MergedScan,
         batch: &[BatchRow],
-        rows: &mut Vec<Row>,
+        pipeline: &mut Pipeline<'_>,
         bytes: &mut u64,
-    ) -> Result<Vec<Fault>, AdmError> {
+    ) -> Result<usize, AdmError> {
         let mut reads = ColumnReads { iter, groups: FxHashMap::default(), faults: Vec::new() };
         self.eager.clear();
         self.lazy.clear();
@@ -344,26 +337,29 @@ impl<'a> BatchScanner<'a> {
         }
         self.sel.truncate(kept);
         *bytes += reads.groups.values().map(GroupView::bytes_read).sum::<u64>();
-        for (rank, _) in &reads.faults {
-            self.sources[*rank] = SourcePlan::Materialize;
+        for (rank, e) in reads.faults {
+            self.sources[rank] = SourcePlan::Materialize;
+            iter.report_fault(rank, e);
         }
 
-        let width = self.slots.len();
-        rows.reserve(self.sel.len());
+        let limited = pipeline.room().is_some();
+        // One row buffer for the batch: a pipeline that does not keep a row
+        // hands its allocation back.
+        let mut row: Row = Vec::new();
         for (pos, &r) in self.sel.iter().enumerate() {
-            let mut row: Row = Vec::with_capacity(width);
-            for &(group, slot) in &self.slots {
-                let v = match group {
-                    Group::Eager => {
-                        mem::replace(&mut self.eager.cols[slot][r as usize], Value::Missing)
-                    }
-                    Group::Lazy => mem::replace(&mut self.lazy.cols[slot][pos], Value::Missing),
-                };
-                row.push(v);
+            row.clear();
+            row.extend(self.slots.iter().map(|&(group, slot)| match group {
+                Group::Eager => {
+                    mem::replace(&mut self.eager.cols[slot][r as usize], Value::Missing)
+                }
+                Group::Lazy => mem::replace(&mut self.lazy.cols[slot][pos], Value::Missing),
+            }));
+            pipeline.push(&mut row);
+            if limited && pipeline.room() == Some(0) {
+                return Ok(r as usize + 1);
             }
-            rows.push(row);
         }
-        Ok(reads.faults)
+        Ok(batch.len())
     }
 
     /// Refine the selection vector with every filter conjunct: typed

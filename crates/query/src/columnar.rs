@@ -13,10 +13,13 @@
 //!
 //! The fast path is conservative: any shape it cannot answer *exactly*
 //! like the generic scan (whole-record paths, paths crossing a typed
-//! column's prefix, partitions not at rest) returns `None` and the caller
-//! falls back to the batched scan ([`crate::batch`]). Per-group type spills
-//! likewise demote affected conjuncts to generic evaluation, so SQL++
-//! mixed-type semantics (`2 == 2.0`) survive schema drift.
+//! column's prefix, partitions not at rest) returns `None` before it pushes
+//! a row, and the caller runs the batched scan ([`crate::batch`]) instead.
+//! Survivors go into the query pipeline row by row, and no group is started
+//! once a `LIMIT` is full. A storage fault mid-scan is not a fallback: it
+//! follows the query's corruption policy in place. Per-group type spills
+//! demote affected conjuncts to generic evaluation, so SQL++ mixed-type
+//! semantics (`2 == 2.0`) survive schema drift.
 //!
 //! "Not at rest" no longer means "reconstruct every record": the batched
 //! scan reconciles the partition's components on their key blocks and fills
@@ -45,8 +48,9 @@ use tc_storage::{BufferCache, StorageError};
 use tuple_compactor::Dataset;
 
 use crate::batch::{cmp_prim, split_conjuncts, typed_cmp_on};
-use crate::exec::{ExecStats, Row};
+use crate::exec::{CorruptionPolicy, ExecStats, Row};
 use crate::expr::{CmpOp, Expr};
+use crate::pipeline::Pipeline;
 use crate::plan::ScanSpec;
 use crate::zone::ZonePredicate;
 
@@ -78,17 +82,21 @@ enum Prim {
     Double(f64),
 }
 
-/// Try the columnar fast scan: its rows, and its scan counters. `Ok(None)`
-/// means "not covered — run the generic scan instead": either the shape
-/// disqualifies up front, or a storage fault mid-scan quarantined the
-/// component (the degradation contract), in which case the generic path
-/// sees the quarantined component and applies the query's corruption policy.
+/// Try the columnar fast scan, pushing its rows into `pipeline`: its scan
+/// counters, or `Ok(None)` — "not covered, run the generic scan instead" —
+/// for a shape or state it does not cover, decided before the first row is
+/// pushed. A storage fault mid-scan cannot fall back, since rows are already
+/// in the pipeline; it follows the query's policy in place, by the live
+/// scan's rule: corruption quarantines the component, `Fail` turns the fault
+/// into an error, `Degrade` keeps the rows pushed so far and reports the
+/// component in `quarantined_components`. A transient fault stays transient.
 pub(crate) fn try_scan_columnar(
     ds: &Dataset,
     scan: &ScanSpec,
     zones: Option<&ZonePredicate>,
-    limit_hint: Option<usize>,
-) -> Result<Option<(Vec<Row>, ExecStats)>, AdmError> {
+    pipeline: &mut Pipeline<'_>,
+    policy: CorruptionPolicy,
+) -> Result<Option<ExecStats>, AdmError> {
     let Some(component) = ds.snapshot_columnar() else {
         return Ok(None);
     };
@@ -128,23 +136,23 @@ pub(crate) fn try_scan_columnar(
 
     let cache = ds.primary().cache();
     let mut stats = ExecStats::default();
-    match scan_groups(
-        reader, store, cache, scan, &plan, zones, &typed, &generic, limit_hint, &mut stats,
+    if let Err(e) = scan_groups(
+        reader, store, cache, scan, &plan, zones, &typed, &generic, pipeline, &mut stats,
     ) {
-        Ok(rows) => Ok(Some((rows, stats))),
-        Err(e) if e.is_transient() => Err(AdmError::storage(e.to_string(), true)),
-        // The at-rest scan's fault policy: quarantine the component and
-        // abandon the fast path, so the generic scan's health machinery
-        // applies the query's corruption policy.
-        Err(_) => {
+        if e.is_corruption() {
             component.quarantine();
-            Ok(None)
         }
+        if e.is_transient() || policy == CorruptionPolicy::Fail {
+            return Err(AdmError::storage(e.to_string(), e.is_transient()));
+        }
+        stats.quarantined_components = 1;
     }
+    Ok(Some(stats))
 }
 
 /// The scan proper; `stats` gets its rows scanned, bytes read and groups
-/// skipped.
+/// skipped. A group's rows count as scanned up to the one whose row filled
+/// a `Limit` sink, and no group is started after it.
 #[allow(clippy::too_many_arguments)]
 fn scan_groups(
     reader: &ChunkReader,
@@ -155,36 +163,31 @@ fn scan_groups(
     zones: Option<&ZonePredicate>,
     typed: &[TypedPred<'_>],
     generic: &[&Expr],
-    limit_hint: Option<usize>,
+    pipeline: &mut Pipeline<'_>,
     stats: &mut ExecStats,
-) -> Result<Vec<Row>, StorageError> {
+) -> Result<(), StorageError> {
     let PathPlan { slots, residual_paths } = plan;
     let counters = reader.counters();
     let page_size = store.page_size();
     let early = scan.paths.len();
-    let mut rows: Vec<Row> = Vec::new();
+    let limited = pipeline.room().is_some();
 
     for g in 0..reader.groups().len() {
-        if limit_hint.is_some_and(|k| rows.len() >= k) {
-            break;
-        }
         let gm = &reader.groups()[g];
 
         // ---- zone-based group skip (Fig 24-style) ----
+        // Judged for every group, as the live scan's snapshot judges every
+        // unit: `units_skipped` does not depend on where a limit stops.
         let zone = zones.zip(reader.group_zone(g));
         if zone.is_some_and(|(zones, (columns, zone))| !zones.may_match(columns, &zone)) {
             counters.note_pages_skipped(reader.group_pages(g, page_size));
             stats.units_skipped += 1;
             continue;
         }
-
-        // With any filter conjunct, every row of the group runs through a
-        // loop; a filterless scan only "scans" the rows the assembly loop
-        // actually visits (a LIMIT may stop it mid-group).
-        let has_filter = !(typed.is_empty() && generic.is_empty());
-        if has_filter {
-            stats.rows_scanned += gm.rows as u64;
+        if limited && pipeline.room() == Some(0) {
+            continue;
         }
+
         let mut sel: Vec<u32> = (0..gm.rows).collect();
         let mut view = reader.view(store, cache, g);
         let mut group_generic: Vec<&Expr> = generic.to_vec();
@@ -250,20 +253,19 @@ fn scan_groups(
             sel = keep;
         }
 
-        // ---- assemble survivor rows ----
+        // ---- push survivor rows ----
+        let mut consumed = gm.rows;
         for &r in &sel {
-            if limit_hint.is_some_and(|k| rows.len() >= k) {
+            pipeline.push(&mut plan.row_values(&mut view, r)?);
+            if limited && pipeline.room() == Some(0) {
+                consumed = r + 1;
                 break;
             }
-            if !has_filter {
-                stats.rows_scanned += 1;
-            }
-            rows.push(plan.row_values(&mut view, r)?);
         }
+        stats.rows_scanned += consumed as u64;
         stats.bytes_scanned += view.bytes_read();
     }
-
-    Ok(rows)
+    Ok(())
 }
 
 /// The primitive loop of one typed conjunct: the rows of `sel` whose value

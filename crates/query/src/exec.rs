@@ -8,15 +8,18 @@
 //! coordinator that merges aggregate states / sorted runs and runs the rest
 //! of the plan.
 //!
-//! Both stages run the same push pipeline (`crate::pipeline`). A partition
-//! scans its rows, then pushes each one, owned, through the streaming
-//! operators before the first blocking operator into that operator's local
-//! side: a group-by folds rows into partial states, a top-k sorts, a
-//! distinct dedupes, a limit truncates. The coordinator pushes the
-//! partitions' outputs into the blocking operator's exchange side, and the
-//! result through the operators after it, one blocking operator at a time.
-//! Rows move between stages by reference; a value is copied only where
-//! something reads it again.
+//! Both stages run the same push pipeline (`crate::pipeline`). A partition's
+//! scan is its source: each engine's scan pushes every surviving row, owned,
+//! as soon as it has built it, through the streaming operators before the
+//! first blocking operator into that operator's local side: a group-by folds
+//! rows into partial states, a top-k sorts, a distinct dedupes, a limit
+//! keeps the first k. Once a limit is full (`Pipeline::room` is `Some(0)`),
+//! the scan stops pulling records — one rule for every scan and for the
+//! coordinator, whatever stages sit in front of the limit. The coordinator
+//! pushes the partitions' outputs into the blocking operator's exchange
+//! side, and the result through the operators after it, one blocking
+//! operator at a time. Rows move between stages by reference; a value is
+//! copied only where something reads it again.
 
 use tc_adm::{AdmError, Value};
 use tuple_compactor::{Dataset, RecordDecoder};
@@ -104,11 +107,19 @@ impl ExecOptions {
 /// Counters the experiments report.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecStats {
+    /// Records the scans consumed, summed over partitions. A scan feeding a
+    /// `LIMIT` counts the records up to and including the one whose row
+    /// filled its partition's limit, and none after it — the same count in
+    /// both engines, whatever filter, stages or batch size sit between.
     pub rows_scanned: u64,
+    /// Payload bytes of the records scanned; for rows answered from column
+    /// pages, the bytes of the blocks read for them.
     pub bytes_scanned: u64,
+    /// Rows in the result.
     pub rows_output: u64,
     /// Schema bytes shipped for queries with a non-local exchange (§3.4.1).
     pub broadcast_bytes: u64,
+    /// Partitions the query ran over.
     pub partitions: usize,
     /// Components skipped (pre-quarantined) or cut short (mid-scan checksum
     /// failure) across all partitions. Non-zero only under
@@ -230,17 +241,16 @@ fn run_partition(
 ) -> Result<(LocalOutput, ExecStats), AdmError> {
     let scan = &query.scan;
     let mut pipeline = Pipeline::local(&query.ops);
-    let limit_hint = pipeline.scan_limit();
     let zones = ZonePredicate::of(scan);
     // A partition resting in the columnar layout can answer batched scans
     // without pivoting records back into rows at all; `None` (shape not
-    // covered, partition not at rest, or a fault mid-scan) falls through to
-    // the generic snapshot scan.
+    // covered, or partition not at rest) falls through to the generic
+    // snapshot scan, before any row is pushed.
     if opts.engine == Engine::Batched {
-        if let Some((rows, stats)) =
-            crate::columnar::try_scan_columnar(ds, scan, zones.as_ref(), limit_hint)?
+        let policy = opts.corruption_policy;
+        if let Some(stats) =
+            crate::columnar::try_scan_columnar(ds, scan, zones.as_ref(), &mut pipeline, policy)?
         {
-            pipeline.push_all(rows);
             return Ok((pipeline.finish_local(), stats));
         }
     }
@@ -251,19 +261,17 @@ fn run_partition(
     let may_match = zones.as_ref().map(ZonePredicate::as_filter);
     let (decoder, mut iter) = ds.snapshot_scan_where(may_match.as_ref().map(|f| f as _));
     let mut stats = ExecStats { units_skipped: iter.units_skipped(), ..Default::default() };
-    let (scanned, bytes) = (&mut stats.rows_scanned, &mut stats.bytes_scanned);
-    let rows = match opts.engine {
+    match opts.engine {
         Engine::Batched => batch::scan_batched(
             &decoder,
             &mut iter,
             scan,
-            limit_hint,
             opts.batch_size,
-            scanned,
-            bytes,
+            &mut pipeline,
+            &mut stats,
         )?,
-        Engine::Row => scan_rows(&decoder, &mut iter, scan, limit_hint, scanned, bytes)?,
-    };
+        Engine::Row => scan_rows(&decoder, &mut iter, scan, &mut pipeline, &mut stats)?,
+    }
     // Post-scan health check: the merged scan degrades (skips quarantined
     // components, stops a source at the first checksum failure) instead of
     // panicking; whether that degradation is acceptable is the query's
@@ -275,28 +283,26 @@ fn run_partition(
             return Err(AdmError::storage(e.to_string(), e.is_transient()));
         }
     }
-    pipeline.push_all(rows);
     Ok((pipeline.finish_local(), stats))
 }
 
 /// The row-at-a-time scan: materialize every early column per record, then
 /// filter, then late columns for survivors — through the same column sets
 /// (one path evaluator each, reused across the scan) as the batched engine.
+/// Each survivor goes into `pipeline` as it is built.
 fn scan_rows(
     decoder: &RecordDecoder,
     iter: &mut tc_lsm::iter::MergedScan,
     scan: &ScanSpec,
-    limit_hint: Option<usize>,
-    scanned: &mut u64,
-    bytes: &mut u64,
-) -> Result<Vec<Row>, AdmError> {
+    pipeline: &mut Pipeline<'_>,
+    stats: &mut ExecStats,
+) -> Result<(), AdmError> {
     let mut early = ColumnSet::new(decoder, scan.paths.clone(), scan.access);
     let mut late = ColumnSet::new(decoder, scan.late_paths.clone(), scan.access);
-    let mut rows: Vec<Row> = Vec::new();
-    while limit_hint.is_none_or(|k| rows.len() < k) {
+    while pipeline.room() != Some(0) {
         let Some((_, _, payload)) = iter.next() else { break };
-        *scanned += 1;
-        *bytes += payload.len() as u64;
+        stats.rows_scanned += 1;
+        stats.bytes_scanned += payload.len() as u64;
         let mut row = early.take_row(&payload)?;
         if let Some(pred) = &scan.filter {
             if !pred.eval_bool(&row) {
@@ -304,9 +310,9 @@ fn scan_rows(
             }
         }
         row.extend(late.take_row(&payload)?);
-        rows.push(row);
+        pipeline.push(&mut row);
     }
-    Ok(rows)
+    Ok(())
 }
 
 /// [`execute`] over partitions already scanned into rows: the local
@@ -519,13 +525,8 @@ mod tests {
             for engine in [Engine::Batched, Engine::Row] {
                 let res = execute(&refs(&ds), &q, &ExecOptions::with_engine(engine)).unwrap();
                 assert_eq!(res.rows.len(), 10, "{format:?}/{engine:?}");
-                // The LIMIT hint reaches the scan: no partition drains its
-                // snapshot past what the limit can need.
-                assert!(
-                    res.stats.rows_scanned <= 40,
-                    "{format:?}/{engine:?}: scanned {} rows for LIMIT 10 over 4 partitions",
-                    res.stats.rows_scanned
-                );
+                // Each partition stops at the record that fills its sink.
+                assert_eq!(res.stats.rows_scanned, 40, "{format:?}/{engine:?}");
             }
         }
     }
@@ -551,10 +552,11 @@ mod tests {
     }
 
     #[test]
-    fn limit_hint_blocked_by_post_scan_filter() {
-        // An ops-level filter between scan and LIMIT kills the hint (an
-        // early stop would undercount), but the limit itself must still be
-        // global.
+    fn post_scan_filter_limit_stops_each_scan_when_full() {
+        // An ops-level filter between scan and LIMIT still lets every scan
+        // stop once its partition's sink is full, and the limit stays global.
+        // Partition 0 holds every g0 record, so it stops after 7 of its 30;
+        // the other two hold none and read all of theirs.
         let ds = partitioned_dataset(StorageFormat::Inferred, 3, 90);
         let q = Query {
             scan: ScanSpec::all_early(
@@ -570,7 +572,7 @@ mod tests {
         for engine in [Engine::Batched, Engine::Row] {
             let res = execute(&refs(&ds), &q, &ExecOptions::with_engine(engine)).unwrap();
             assert_eq!(res.rows.len(), 7, "{engine:?}");
-            assert_eq!(res.stats.rows_scanned, 90, "{engine:?}: hint must not apply");
+            assert_eq!(res.stats.rows_scanned, 7 + 30 + 30, "{engine:?}");
         }
     }
 
@@ -744,6 +746,16 @@ mod tests {
         assert_eq!(fast.stats.rows_scanned, 1024);
         assert_eq!(row.stats.rows_scanned, 1024);
         assert_eq!((fast.stats.units_skipped, row.stats.units_skipped), (2, 2));
+
+        // A LIMIT the first group fills stops both scans at its fifth row,
+        // and the zones still skip the two groups after it.
+        let limited = Query { ops: vec![Op::Limit(5)], ..q };
+        let fast =
+            execute(&datasets, &limited, &ExecOptions::with_engine(Engine::Batched)).unwrap();
+        let row = execute(&datasets, &limited, &ExecOptions::with_engine(Engine::Row)).unwrap();
+        assert_eq!((fast.rows.len(), &fast.rows), (5, &row.rows));
+        let counts = |r: &QueryResult| (r.stats.rows_scanned, r.stats.units_skipped);
+        assert_eq!((counts(&fast), counts(&row)), ((5, 2), (5, 2)));
     }
 
     /// A nested numeric column is a zone column too, named by its whole
@@ -1056,6 +1068,74 @@ mod tests {
                 res.rows.len()
             );
         }
+    }
+
+    /// The at-rest twin of `corruption_policy_fail_and_degrade`: a bit flip
+    /// in a block the zero-pivot scan reads follows the query's policy in
+    /// place. `Fail` returns a typed error; `Degrade` serves the rows pushed
+    /// before the fault, each exact, and reports the quarantined component.
+    #[test]
+    fn at_rest_corruption_policy_applies_in_place() {
+        use tc_storage::FaultPlan;
+
+        // Three row groups in one component, the `n`th write of whose flush
+        // lands with a flipped bit.
+        let flushed_with_flip = |n: u64| {
+            let device = Arc::new(Device::new(DeviceProfile::RAM));
+            let ds = Dataset::new(
+                DatasetConfig::new("T", "id")
+                    .with_format(StorageFormat::Columnar)
+                    .with_merge_policy(tc_lsm::MergePolicy::NoMerge),
+                Arc::clone(&device),
+                Arc::new(BufferCache::new(4096)),
+            );
+            let mut w = ds.writer();
+            for i in 0..2100i64 {
+                w.insert(&parse(&format!(r#"{{"id": {i}, "grp": "g{}"}}"#, i % 3)).unwrap())
+                    .unwrap();
+            }
+            drop(w);
+            device.set_fault_plan(FaultPlan::new(n).flip_bit_in_nth_write(n));
+            ds.flush().unwrap();
+            let fired = device.faults_injected() > 0;
+            device.clear_fault_plan();
+            (fired && ds.snapshot_columnar().is_some()).then_some(ds)
+        };
+        let exact = |row: &Row| {
+            let id = row[0].as_i64().unwrap();
+            row[1] == Value::string(format!("g{}", id % 3))
+        };
+        let q = Query {
+            scan: ScanSpec::all_early(
+                vec![parse_path("id"), parse_path("grp")],
+                AccessStrategy::Consolidated,
+            ),
+            ops: vec![],
+        };
+        let (mut faulted, mut partial) = (0, 0);
+        for n in 1..=24u64 {
+            let Some(ds) = flushed_with_flip(n) else { continue };
+            let err = match execute(&[&ds], &q, &ExecOptions::default()) {
+                Ok(res) => {
+                    // The flip landed outside the query's read set.
+                    assert_eq!(res.rows.len(), 2100, "flip {n}");
+                    assert!(res.rows.iter().all(exact), "flip {n}: a wrong row served");
+                    continue;
+                }
+                Err(err) => err,
+            };
+            assert!(matches!(err, AdmError::Storage { transient: false, .. }), "flip {n}: {err:?}");
+            faulted += 1;
+            let ds = flushed_with_flip(n).unwrap();
+            let degrade = ExecOptions::with_corruption_policy(CorruptionPolicy::Degrade);
+            let res = execute(&[&ds], &q, &degrade).unwrap();
+            assert_eq!(res.stats.quarantined_components, 1, "flip {n}");
+            assert!(res.rows.len() < 2100, "flip {n}: the fault cut nothing");
+            assert!(res.rows.iter().all(exact), "flip {n}: a wrong row served");
+            partial += usize::from(!res.rows.is_empty());
+        }
+        assert!(faulted > 0, "no flip in the sweep hit a block the scan reads");
+        assert!(partial > 0, "no degraded scan kept the rows read before its fault");
     }
 
     #[test]

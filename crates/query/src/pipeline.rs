@@ -3,8 +3,10 @@
 //! A pipeline is the streaming operators of a plan segment — `Filter`,
 //! `Project` and `Unnest` — in front of a sink: the local or global side of
 //! the blocking operator that ends the segment (`GroupBy`, `OrderBy`,
-//! `Distinct`, `Limit`), or a plain row collector. Each row is pushed through
-//! the stages one at a time, by reference, with an `owned` flag:
+//! `Distinct`, `Limit`), or a plain row collector. A partition's scan pushes
+//! its rows in one at a time and stops once a `Limit` sink has no room left
+//! ([`Pipeline::room`]). Each row is pushed through the stages by reference,
+//! with an `owned` flag:
 //!
 //! * **Owned** — nothing reads the row after the push returns, so a stage
 //!   may move values out of it. `Project` moves a column its expressions
@@ -77,25 +79,31 @@ impl<'q> Pipeline<'q> {
         (Pipeline { stages, sink: Sink::new(blocking, Side::Global) }, rest)
     }
 
-    /// Can the scan stop after `k` surviving records? Only when the sink is
-    /// a `Limit` and every stage keeps one row per row: a filter or an
-    /// unnest would make an early stop undercount.
-    pub(crate) fn scan_limit(&self) -> Option<usize> {
-        match self.sink {
-            Sink::Rows { limit: Some(k), .. }
-                if self.stages.iter().all(|s| matches!(s, Stage::Project { .. })) =>
-            {
-                Some(k)
-            }
+    /// How many more rows the sink takes: what a `Limit` sink still has room
+    /// for, `None` for every other sink (a top-k `OrderBy` sorts all it is
+    /// given). Every producer stops pushing once this is `Some(0)`: the scans
+    /// stop pulling records, and [`Pipeline::push_all`] drops the rest.
+    pub(crate) fn room(&self) -> Option<usize> {
+        match &self.sink {
+            Sink::Rows { rows, limit: Some(k) } => Some(k.saturating_sub(rows.len())),
             _ => None,
         }
     }
 
-    /// Push every row of `rows` through the stages into the sink, each
-    /// owned: nothing reads a row after its push.
+    /// Push `row` through the stages into the sink, owned: the pipeline may
+    /// move values out of it, and the caller reads nothing in it afterwards.
+    /// The caller may clear the buffer and fill it with the next row.
+    pub(crate) fn push(&mut self, row: &mut Row) {
+        run(&mut self.stages, &mut self.sink, row, true);
+    }
+
+    /// [`Pipeline::push`] each row of `rows` until the sink has no room left.
     pub(crate) fn push_all(&mut self, rows: Vec<Row>) {
         for mut row in rows {
-            run(&mut self.stages, &mut self.sink, &mut row, true);
+            if self.room() == Some(0) {
+                break;
+            }
+            self.push(&mut row);
         }
     }
 

@@ -4,10 +4,11 @@
 //! across random data, random plan shapes, random partitioning, and random
 //! batch sizes (including sizes that split partitions mid-batch). Serial
 //! and parallel execution are held to the same standard. Partitions are
-//! either flushed row-layout datasets, or columnar ones caught mid-ingest —
-//! unmerged components, stale versions, anti-matter and a resident
-//! memtable — where the batched engine reads column pages and the row
-//! engine assembled records.
+//! flushed row-layout datasets, columnar ones at rest — one merged
+//! component, where the batched engine takes the zero-pivot scan — or
+//! columnar ones caught mid-ingest — unmerged components, stale versions,
+//! anti-matter and a resident memtable — where the batched engine reads
+//! column pages and the row engine assembled records.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -77,11 +78,13 @@ fn arb_rec() -> impl Strategy<Value = Rec> {
 /// Parameterized plan templates covering the batched engine's code paths:
 /// typed and generic scan-filter conjuncts, lazy early columns, late paths,
 /// per-path access, projections with LIMIT, computed DISTINCT, order-by,
-/// two-phase group-by, and unnest — plus the two shapes that decide how a
-/// columnar component is read: a whole-record path (rows are assembled) and
-/// a mix of typed columns (`id`, `d.e`), a residual path (`g[*].b`) and a
-/// field whose type varies by record (`a`: a union in the residual, a
-/// nullable column or a spilled one, as each component's schema has it).
+/// two-phase group-by, unnest, and a `LIMIT` behind a scan filter or an
+/// unnest (each scan stops at the record that fills it) — plus the two
+/// shapes that decide how a columnar component is read: a whole-record path
+/// (rows are assembled) and a mix of typed columns (`id`, `d.e`), a residual
+/// path (`g[*].b`) and a field whose type varies by record (`a`: a union in
+/// the residual, a nullable column or a spilled one, as each component's
+/// schema has it).
 #[derive(Debug, Clone)]
 enum Shape {
     FilterTyped { lt: i64, late: bool, per_path: bool },
@@ -93,6 +96,8 @@ enum Shape {
     Unnest,
     WholeRecord { lt: Option<i64> },
     MixedPaths { ge: i64, late: bool },
+    FilterLimit { ge: i64, k: usize },
+    UnnestLimit { k: usize },
 }
 
 fn arb_shape() -> impl Strategy<Value = Shape> {
@@ -108,6 +113,8 @@ fn arb_shape() -> impl Strategy<Value = Shape> {
         Just(Shape::Unnest),
         opt(0i64..60).prop_map(|lt| Shape::WholeRecord { lt }),
         (0i64..5, any::<bool>()).prop_map(|(ge, late)| Shape::MixedPaths { ge, late }),
+        (0i64..40, 0usize..20).prop_map(|(ge, k)| Shape::FilterLimit { ge, k }),
+        (0usize..20).prop_map(|k| Shape::UnnestLimit { k }),
     ]
 }
 
@@ -203,6 +210,19 @@ fn build_query(shape: &Shape) -> Query {
                 ops: vec![],
             }
         }
+        Shape::FilterLimit { ge, k } => Query {
+            scan: ScanSpec {
+                paths: vec![path("id"), path("a")],
+                filter: Some(Expr::cmp(CmpOp::Ge, Expr::col(0), Expr::lit(*ge))),
+                late_paths: vec![],
+                access: AccessStrategy::Consolidated,
+            },
+            ops: vec![Op::Limit(*k)],
+        },
+        Shape::UnnestLimit { k } => Query {
+            scan: ScanSpec::all_early(vec![path("id"), path("c")], AccessStrategy::Consolidated),
+            ops: vec![Op::Unnest(Expr::col(1)), Op::Limit(*k)],
+        },
     }
 }
 
@@ -318,6 +338,23 @@ proptest! {
     ) {
         let format = if inferred { StorageFormat::Inferred } else { StorageFormat::Open };
         assert_all_agree(&load(&recs, partitions, format), &shape, batch_size);
+    }
+
+    #[test]
+    fn batched_row_serial_parallel_all_agree_at_rest_columnar(
+        recs in proptest::collection::vec(arb_rec(), 0..80),
+        partitions in 1usize..4,
+        shape in arb_shape(),
+        batch_size in 1usize..64,
+    ) {
+        let ds = load(&recs, partitions, StorageFormat::Columnar);
+        for (p, ds) in ds.iter().enumerate() {
+            ds.force_full_merge().unwrap();
+            if p < recs.len() {
+                prop_assert!(ds.snapshot_columnar().is_some(), "partition {} at rest", p);
+            }
+        }
+        assert_all_agree(&ds, &shape, batch_size);
     }
 
     #[test]
