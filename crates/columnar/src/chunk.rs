@@ -17,6 +17,7 @@ use tc_storage::buffer_cache::BufferCache;
 use tc_storage::error::StorageError;
 use tc_storage::page_store::{PageId, PageStore};
 use tc_util::varint;
+use tc_vector::BatchPathEvaluator;
 
 use crate::{ColumnStats, ColumnarCounters, DEF_NULL, DEF_PRESENT};
 
@@ -540,7 +541,7 @@ impl<'c> GroupView<'c> {
             return Ok(v);
         }
         let path: Path = self.reader.columns[col].path.iter().map(PathStep::field).collect();
-        Ok(self.residual_values(row, std::slice::from_ref(&path))?.remove(0))
+        Ok(self.residual_values(row, &mut BatchPathEvaluator::new(&[path]))?.remove(0))
     }
 
     /// Row `row` of an `Int64` column, for primitive loops: `None` unless
@@ -584,14 +585,15 @@ impl<'c> GroupView<'c> {
         len_prefixed(var_row(block, g, rows * 4, row)?).ok_or_else(err)
     }
 
-    /// `paths` evaluated against row `row`'s residual record.
+    /// `eval`'s paths evaluated against row `row`'s residual record. One
+    /// evaluator serves every row of a scan.
     pub fn residual_values(
         &mut self,
         row: usize,
-        paths: &[Path],
+        eval: &mut BatchPathEvaluator,
     ) -> Result<Vec<Value>, StorageError> {
         let (declared, dict) = (&self.reader.declared, self.reader.dict.as_ref());
-        tc_vector::get_values(self.residual_row(row)?, paths, Some(declared), dict)
+        eval.values(self.residual_row(row)?, Some(declared), dict)
             .map_err(|e| StorageError::corruption("column block", e.to_string()))
     }
 }

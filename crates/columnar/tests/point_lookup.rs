@@ -211,5 +211,6 @@ fn a_residual_id_the_dictionary_lacks_is_typed_corruption() {
     assert!(lagging.read_group_rows(&store, &cache, 0).unwrap_err().is_corruption());
     let mut view = lagging.view(&store, &cache, 0);
     let path = tc_adm::path::parse_path("rest[*].deep");
-    assert!(view.residual_values(1, &[path]).unwrap_err().is_corruption());
+    let mut eval = tc_vector::BatchPathEvaluator::new(&[path]);
+    assert!(view.residual_values(1, &mut eval).unwrap_err().is_corruption());
 }

@@ -272,7 +272,7 @@ impl Dataset {
         else {
             return Ok(None);
         };
-        let mut column = [Vec::with_capacity(1)];
+        let mut column = [tc_vector::Column::new(false)];
         self.decoder().batch(&[vec![PathStep::field(field)]]).append(bytes, &mut column)?;
         Ok(column[0].pop().as_ref().and_then(Value::as_i64).map(|v| (index, secondary_key(v))))
     }

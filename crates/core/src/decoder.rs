@@ -12,6 +12,7 @@ use tc_adm::adm_format::AdmCursor;
 use tc_adm::path::Path;
 use tc_adm::{AdmError, ObjectType, TypeKind, Value};
 use tc_schema::FieldNameDictionary;
+use tc_vector::Column;
 
 use crate::config::StorageFormat;
 
@@ -75,16 +76,16 @@ impl RecordDecoder {
     /// * ADM formats navigate per path through offset tables (constant-ish
     ///   per level — §3.3.1's "logarithmic time" contrast).
     /// * Vector formats answer all paths in **one linear scan**
-    ///   (`getValues`, §3.4.2); the per-record scratch (path accumulators,
-    ///   active-path seeds) is allocated once here and reused across every
-    ///   record.
+    ///   (`getValues`, §3.4.2); the per-record scratch (compiled paths,
+    ///   accumulators, the walk's frame and state stacks) is allocated once
+    ///   here and reused across every record.
     pub fn batch(&self, paths: &[Path]) -> PathBatch {
         let backend = match self.format {
             StorageFormat::Open | StorageFormat::Closed => BatchBackend::Adm,
             StorageFormat::Inferred
             | StorageFormat::VectorUncompacted
             | StorageFormat::Columnar => {
-                BatchBackend::Vector(tc_vector::BatchPathEvaluator::new(paths))
+                BatchBackend::Vector(Box::new(tc_vector::BatchPathEvaluator::new(paths)))
             }
         };
         PathBatch { decoder: self.clone(), paths: paths.to_vec(), backend }
@@ -97,7 +98,7 @@ enum BatchBackend {
     Adm,
     /// Vector formats: one linear scan per record through a reusable
     /// `getValues` evaluator.
-    Vector(tc_vector::BatchPathEvaluator),
+    Vector(Box<tc_vector::BatchPathEvaluator>),
 }
 
 /// Batch path evaluation over one dataset's stored records — see
@@ -116,8 +117,10 @@ impl PathBatch {
 
     /// Evaluate every path against `bytes`, appending one value per path to
     /// the corresponding column. `columns.len()` must equal
-    /// [`width`](Self::width).
-    pub fn append(&mut self, bytes: &[u8], columns: &mut [Vec<Value>]) -> Result<(), AdmError> {
+    /// [`width`](Self::width). A vector record's one-wildcard matches that
+    /// are all doubles go into the typed buffer of a column that takes one;
+    /// ADM records always append `Value`s.
+    pub fn append(&mut self, bytes: &[u8], columns: &mut [Column]) -> Result<(), AdmError> {
         debug_assert_eq!(columns.len(), self.paths.len());
         match &mut self.backend {
             BatchBackend::Adm => {
@@ -127,7 +130,7 @@ impl PathBatch {
                 }
                 Ok(())
             }
-            BatchBackend::Vector(eval) => eval.eval_into(
+            BatchBackend::Vector(eval) => eval.eval_columns(
                 bytes,
                 Some(&self.decoder.declared),
                 self.decoder.dict.as_deref(),
@@ -186,9 +189,9 @@ mod tests {
     /// One record's values for `paths`, through a fresh [`RecordDecoder::batch`].
     fn batch_values(d: &RecordDecoder, bytes: &[u8], paths: &[Path]) -> Vec<Value> {
         let mut batch = d.batch(paths);
-        let mut cols: Vec<Vec<Value>> = vec![Vec::new(); batch.width()];
+        let mut cols = vec![Column::new(true); batch.width()];
         batch.append(bytes, &mut cols).unwrap();
-        cols.into_iter().flatten().collect()
+        cols.iter_mut().map(|c| c.take(0)).collect()
     }
 
     #[test]
@@ -216,12 +219,18 @@ mod tests {
         ];
         for (d, bytes) in cases {
             let mut batch = d.batch(&paths);
-            let mut cols: Vec<Vec<Value>> = vec![Vec::new(); batch.width()];
+            let mut cols = vec![Column::new(true); batch.width()];
             batch.append(bytes, &mut cols).unwrap();
             batch.append(bytes, &mut cols).unwrap();
             let record = d.materialize(bytes).unwrap();
-            for (col, path) in cols.iter().zip(&paths) {
-                assert_eq!(col, &vec![eval_path(&record, path); 2], "{:?}", d.format());
+            for (col, path) in cols.iter_mut().zip(&paths) {
+                let got = [col.take(0), col.take(1)];
+                assert_eq!(
+                    got,
+                    [eval_path(&record, path), eval_path(&record, path)],
+                    "{:?}",
+                    d.format()
+                );
             }
         }
     }

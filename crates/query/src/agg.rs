@@ -112,6 +112,28 @@ impl AggState {
         }
     }
 
+    /// Fold in each of `xs` in order, as [`update`](Self::update) would each
+    /// one as a `double`, bit for bit: `COUNT`, `Sum` and `Avg` as primitive
+    /// loops, `Min`/`Max` by `compare`'s order.
+    pub fn update_doubles(&mut self, xs: &[f64]) {
+        match self {
+            AggState::Count(n) => *n += xs.len() as u64,
+            AggState::Sum { total, seen } => {
+                *seen |= !xs.is_empty();
+                xs.iter().for_each(|x| *total += x);
+            }
+            AggState::Avg { total, count } => {
+                *count += xs.len() as u64;
+                xs.iter().for_each(|x| *total += x);
+            }
+            AggState::MinMax { .. } | AggState::List(_) => {
+                for &x in xs {
+                    self.update(Some(Cow::Owned(Value::Double(x))));
+                }
+            }
+        }
+    }
+
     /// Merge another partition's partial state. States of different
     /// aggregates do not merge: partitions that disagree on the plan are an
     /// execution error, not a panic.
@@ -235,6 +257,22 @@ mod tests {
             }
             a.merge(b).unwrap();
             assert_eq!(a.finalize(), single, "{func:?}");
+        }
+    }
+
+    /// A typed fold gives the state each item as a `Value` gives it, with
+    /// `Sum` and `Avg` bit-identical.
+    #[test]
+    fn typed_fold_matches_value_fold() {
+        let xs = [0.1, 0.7, -3.25, 1e-9, 2.5, -0.0];
+        for func in [AggFn::Count, AggFn::Sum, AggFn::Min, AggFn::Max, AggFn::Avg, AggFn::Listify] {
+            for items in [&xs[..], &[]] {
+                let mut typed = AggState::new(&func);
+                typed.update_doubles(items);
+                let values: Vec<Value> = items.iter().map(|&x| Value::Double(x)).collect();
+                let (a, b) = (typed.finalize(), run(func.clone(), values));
+                assert!(a == b && format!("{a:?}") == format!("{b:?}"), "{func:?}: {a:?} {b:?}");
+            }
         }
     }
 

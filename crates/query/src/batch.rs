@@ -26,7 +26,14 @@
 //!    record never pays for the columns it would have needed.
 //! 4. **Emit** — surviving rows are assembled by *moving* values out of the
 //!    column buffers, in pull order (primary-key order), and each is pushed
-//!    into the partition's query pipeline as it is built.
+//!    into the partition's query pipeline as it is built. A column other
+//!    than a filter's takes typed buffers: a record whose one-wildcard path
+//!    (`readings[*].temp`) matches only doubles holds a range of a flat
+//!    `f64` buffer, not a `Value` per item. When the pipeline's one stage
+//!    unnests that column into a group-by keyed without the item, the row
+//!    goes in with its typed slice and the sink folds the slice by a
+//!    primitive loop; otherwise the `Value` array is built into the row as
+//!    it is assembled. The row engine reads every column as `Value`s.
 //!
 //! Row references are answered per component: each path is classified
 //! against the component's column list exactly as the at-rest scan does. A
@@ -49,7 +56,6 @@
 //! [`crate::exec`]).
 
 use std::collections::hash_map::Entry;
-use std::mem;
 use std::rc::Rc;
 
 use tc_adm::path::Path;
@@ -59,6 +65,7 @@ use tc_lsm::component::Payload;
 use tc_lsm::iter::MergedScan;
 use tc_storage::StorageError;
 use tc_util::hash::FxHashMap;
+use tc_vector::Column;
 use tuple_compactor::{PathBatch, RecordDecoder};
 
 use crate::columnar::{chunk_reader, PathPlan};
@@ -249,8 +256,10 @@ impl<'a> BatchScanner<'a> {
         let eager_paths: Vec<Path> = eager_early.iter().map(|&c| scan.paths[c].clone()).collect();
         BatchScanner {
             conjuncts,
-            eager: ColumnSet::new(decoder, eager_paths, scan.access),
-            lazy: ColumnSet::new(decoder, lazy_paths, scan.access),
+            // The filter reads its columns as `Value`s; every other column
+            // takes typed buffers.
+            eager: ColumnSet::new(decoder, eager_paths, scan.access, scan.filter.is_none()),
+            lazy: ColumnSet::new(decoder, lazy_paths, scan.access, true),
             sources: Vec::new(),
             slots,
             eager_of_early,
@@ -343,18 +352,38 @@ impl<'a> BatchScanner<'a> {
         }
 
         let limited = pipeline.room().is_some();
+        // The column whose typed items the pipeline folds as they are; any
+        // other record in a typed buffer is built into its array.
+        let folds = pipeline.folds_typed(self.slots.len());
         // One row buffer for the batch: a pipeline that does not keep a row
         // hands its allocation back.
         let mut row: Row = Vec::new();
+        let (eager, lazy) = (&mut self.eager.cols, &mut self.lazy.cols);
         for (pos, &r) in self.sel.iter().enumerate() {
             row.clear();
-            row.extend(self.slots.iter().map(|&(group, slot)| match group {
-                Group::Eager => {
-                    mem::replace(&mut self.eager.cols[slot][r as usize], Value::Missing)
+            for (i, &cell) in self.slots.iter().enumerate() {
+                // The folded column is read last; it reads null below the
+                // unnest.
+                row.push(if folds == Some(i) {
+                    Value::Null
+                } else {
+                    let (col, at) = column_at(eager, lazy, cell, r, pos);
+                    col.take(at)
+                });
+            }
+            match folds {
+                Some(i) => {
+                    let (col, at) = column_at(eager, lazy, self.slots[i], r, pos);
+                    match col.doubles(at) {
+                        Some(xs) => pipeline.push_doubles(&mut row, xs),
+                        None => {
+                            row[i] = col.take(at);
+                            pipeline.push(&mut row);
+                        }
+                    }
                 }
-                Group::Lazy => mem::replace(&mut self.lazy.cols[slot][pos], Value::Missing),
-            }));
-            pipeline.push(&mut row);
+                None => pipeline.push(&mut row),
+            }
             if limited && pipeline.room() == Some(0) {
                 return Ok(r as usize + 1);
             }
@@ -376,7 +405,7 @@ impl<'a> BatchScanner<'a> {
             }
             match typed_cmp(conjunct, &self.eager_of_early) {
                 Some((slot, op, konst)) => {
-                    let col = &self.eager.cols[slot];
+                    let col = self.eager.cols[slot].values();
                     if !refine_typed(&mut self.sel, col, op, konst) {
                         generic.push(conjunct);
                     }
@@ -393,7 +422,7 @@ impl<'a> BatchScanner<'a> {
         self.sel.retain(|&r| {
             for (early, slot) in eager_of_early.iter().enumerate() {
                 if let Some(slot) = slot {
-                    scratch[early] = cols[*slot][r as usize].clone();
+                    scratch[early] = cols[*slot].values()[r as usize].clone();
                 }
             }
             generic.iter().all(|c| c.eval_bool(scratch))
@@ -401,14 +430,32 @@ impl<'a> BatchScanner<'a> {
     }
 }
 
+/// The emit loop's column `slot` of `group`, and where row `r`, the `pos`-th
+/// survivor, sits in it: eager columns hold every record of the batch, lazy
+/// ones only the survivors.
+fn column_at<'c>(
+    eager: &'c mut [Column],
+    lazy: &'c mut [Column],
+    (group, slot): (Group, usize),
+    r: u32,
+    pos: usize,
+) -> (&'c mut Column, usize) {
+    match group {
+        Group::Eager => (&mut eager[slot], r as usize),
+        Group::Lazy => (&mut lazy[slot], pos),
+    }
+}
+
 /// A group of columns decoded together, honoring the plan's
 /// [`AccessStrategy`]: consolidated = one `getValues` drive per record,
 /// per-path = one drive per path (the Fig 23 "un-op" configuration). Both
-/// engines evaluate stored records through these.
+/// engines evaluate stored records through these; with `typed`, a record's
+/// one-wildcard matches that are all doubles land in a column's `f64`
+/// buffer instead of a `Value` array.
 pub(crate) struct ColumnSet {
     paths: Vec<Path>,
     parts: Vec<PathBatch>,
-    cols: Vec<Vec<Value>>,
+    cols: Vec<Column>,
 }
 
 impl ColumnSet {
@@ -416,6 +463,7 @@ impl ColumnSet {
         decoder: &RecordDecoder,
         paths: Vec<Path>,
         access: AccessStrategy,
+        typed: bool,
     ) -> ColumnSet {
         let parts: Vec<PathBatch> = if paths.is_empty() {
             Vec::new()
@@ -427,7 +475,7 @@ impl ColumnSet {
                 }
             }
         };
-        ColumnSet { cols: vec![Vec::new(); paths.len()], paths, parts }
+        ColumnSet { cols: vec![Column::new(typed); paths.len()], paths, parts }
     }
 
     fn clear(&mut self) {
@@ -451,7 +499,7 @@ impl ColumnSet {
     pub(crate) fn take_row(&mut self, bytes: &[u8]) -> Result<Row, AdmError> {
         self.clear();
         self.append(bytes)?;
-        Ok(self.cols.iter_mut().filter_map(Vec::pop).collect())
+        Ok(self.cols.iter_mut().filter_map(Column::pop).collect())
     }
 
     /// Append one record's values, already evaluated, one per path.

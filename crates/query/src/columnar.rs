@@ -38,6 +38,8 @@
 //! Nothing here knows the block format: a group's blocks are read by the
 //! view, and a block is read when — and only when — a row of it is asked for.
 
+use std::cell::RefCell;
+
 use tc_adm::path::{Path, PathStep};
 use tc_adm::{AdmError, TypeTag, Value};
 use tc_columnar::{ChunkReader, GroupView};
@@ -45,6 +47,7 @@ use tc_lsm::component::DiskComponent;
 use tc_lsm::ColumnarChunk;
 use tc_storage::page_store::PageStore;
 use tc_storage::{BufferCache, StorageError};
+use tc_vector::BatchPathEvaluator;
 use tuple_compactor::Dataset;
 
 use crate::batch::{cmp_prim, split_conjuncts, typed_cmp_on};
@@ -68,7 +71,9 @@ enum Slot {
 /// is the original conjunct, for groups where the loop must demote to
 /// generic evaluation (spills, NaN values).
 struct TypedPred<'e> {
+    /// The chunk column it reads, and the scan column that is.
     col: usize,
+    at: usize,
     op: CmpOp,
     konst: Prim,
     expr: &'e Expr,
@@ -121,12 +126,12 @@ pub(crate) fn try_scan_columnar(
         match typed_cmp_on(expr) {
             Some((col, op, konst)) if col < early => match (slots[col], konst) {
                 (Slot::Typed(c), Value::Int64(k)) if reader.columns()[c].tag == TypeTag::Int64 => {
-                    typed.push(TypedPred { col: c, op, konst: Prim::Int(*k), expr });
+                    typed.push(TypedPred { col: c, at: col, op, konst: Prim::Int(*k), expr });
                 }
                 (Slot::Typed(c), Value::Double(k))
                     if reader.columns()[c].tag == TypeTag::Double && !k.is_nan() =>
                 {
-                    typed.push(TypedPred { col: c, op, konst: Prim::Double(*k), expr });
+                    typed.push(TypedPred { col: c, at: col, op, konst: Prim::Double(*k), expr });
                 }
                 _ => generic.push(expr),
             },
@@ -166,11 +171,29 @@ fn scan_groups(
     pipeline: &mut Pipeline<'_>,
     stats: &mut ExecStats,
 ) -> Result<(), StorageError> {
-    let PathPlan { slots, residual_paths } = plan;
+    let PathPlan { slots, residual_paths, .. } = plan;
     let counters = reader.counters();
     let page_size = store.page_size();
     let early = scan.paths.len();
     let limited = pipeline.room().is_some();
+    // The early columns the generic conjuncts read: (scan column, chunk
+    // column) pairs read per row, and residual paths evaluated by one
+    // evaluator for the scan. A group adds the column of each typed
+    // conjunct it demotes.
+    let mut refd: Vec<usize> = generic.iter().flat_map(|c| c.referenced_cols()).collect();
+    refd.sort_unstable();
+    refd.dedup();
+    let (mut typed_cols, mut res_cols, mut res_paths) = (Vec::new(), Vec::new(), Vec::new());
+    for i in refd.into_iter().filter(|&i| i < early) {
+        match slots[i] {
+            Slot::Typed(c) => typed_cols.push((i, c)),
+            Slot::Residual(j) => {
+                res_cols.push(i);
+                res_paths.push(residual_paths[j].clone());
+            }
+        }
+    }
+    let mut res_eval = BatchPathEvaluator::new(&res_paths);
 
     for g in 0..reader.groups().len() {
         let gm = &reader.groups()[g];
@@ -191,6 +214,7 @@ fn scan_groups(
         let mut sel: Vec<u32> = (0..gm.rows).collect();
         let mut view = reader.view(store, cache, g);
         let mut group_generic: Vec<&Expr> = generic.to_vec();
+        let mut group_cols: Vec<(usize, usize)> = typed_cols.clone();
 
         // ---- typed primitive filter loops ----
         for p in typed {
@@ -201,6 +225,7 @@ fn scan_groups(
             // the primitive loop cannot see them. Demote for this group.
             if gm.cols[p.col].spilled > 0 {
                 group_generic.push(p.expr);
+                group_cols.push((p.at, p.col));
                 continue;
             }
             // NaN breaks primitive comparison semantics; a group that holds
@@ -214,34 +239,23 @@ fn scan_groups(
                     counters.note_typed_filter_rows(sel.len() as u64);
                     sel = kept;
                 }
-                None => group_generic.push(p.expr),
+                None => {
+                    group_generic.push(p.expr);
+                    group_cols.push((p.at, p.col));
+                }
             }
         }
 
         // ---- generic conjuncts over a scratch row of early columns ----
         if !group_generic.is_empty() && !sel.is_empty() {
-            let mut refd: Vec<usize> =
-                group_generic.iter().flat_map(|c| c.referenced_cols()).collect();
-            refd.sort_unstable();
-            refd.dedup();
-            refd.retain(|&i| i < early);
-            let (res_cols, res_paths): (Vec<usize>, Vec<Path>) = refd
-                .iter()
-                .filter_map(|&i| match slots[i] {
-                    Slot::Residual(j) => Some((i, residual_paths[j].clone())),
-                    Slot::Typed(_) => None,
-                })
-                .unzip();
             let mut scratch: Vec<Value> = vec![Value::Missing; early];
             let mut keep: Vec<u32> = Vec::with_capacity(sel.len());
             for &r in &sel {
-                for &i in &refd {
-                    if let Slot::Typed(c) = slots[i] {
-                        scratch[i] = view.value_at(c, r as usize)?;
-                    }
+                for &(i, c) in &group_cols {
+                    scratch[i] = view.value_at(c, r as usize)?;
                 }
-                if !res_paths.is_empty() {
-                    let vals = view.residual_values(r as usize, &res_paths)?;
+                if !res_cols.is_empty() {
+                    let vals = view.residual_values(r as usize, &mut res_eval)?;
                     for (&i, v) in res_cols.iter().zip(vals) {
                         scratch[i] = v;
                     }
@@ -297,12 +311,13 @@ pub(crate) fn chunk_reader(component: &DiskComponent) -> Option<(&ChunkReader, &
 }
 
 /// Where a list of scan paths is read from in one component.
-#[derive(Default)]
 pub(crate) struct PathPlan {
     /// Parallel to the path list.
     slots: Vec<Slot>,
     /// The paths evaluated against the residual record.
     residual_paths: Vec<Path>,
+    /// Evaluates `residual_paths`: one evaluator for every row of a scan.
+    residual: RefCell<BatchPathEvaluator>,
 }
 
 impl PathPlan {
@@ -312,17 +327,18 @@ impl PathPlan {
         reader: &ChunkReader,
         paths: impl Iterator<Item = &'p Path>,
     ) -> Option<PathPlan> {
-        let mut plan = PathPlan::default();
+        let (mut slots, mut residual_paths) = (Vec::new(), Vec::new());
         for path in paths {
             match classify(reader, path)? {
                 Slot::Residual(_) => {
-                    plan.slots.push(Slot::Residual(plan.residual_paths.len()));
-                    plan.residual_paths.push(path.clone());
+                    slots.push(Slot::Residual(residual_paths.len()));
+                    residual_paths.push(path.clone());
                 }
-                slot => plan.slots.push(slot),
+                slot => slots.push(slot),
             }
         }
-        Some(plan)
+        let residual = RefCell::new(BatchPathEvaluator::new(&residual_paths));
+        Some(PathPlan { slots, residual_paths, residual })
     }
 
     pub(crate) fn is_empty(&self) -> bool {
@@ -336,7 +352,7 @@ impl PathPlan {
         let mut residual = if self.residual_paths.is_empty() {
             Vec::new()
         } else {
-            view.residual_values(r as usize, &self.residual_paths)?
+            view.residual_values(r as usize, &mut self.residual.borrow_mut())?
         };
         let mut row: Row = Vec::with_capacity(self.slots.len());
         for slot in &self.slots {

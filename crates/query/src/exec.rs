@@ -297,8 +297,8 @@ fn scan_rows(
     pipeline: &mut Pipeline<'_>,
     stats: &mut ExecStats,
 ) -> Result<(), AdmError> {
-    let mut early = ColumnSet::new(decoder, scan.paths.clone(), scan.access);
-    let mut late = ColumnSet::new(decoder, scan.late_paths.clone(), scan.access);
+    let mut early = ColumnSet::new(decoder, scan.paths.clone(), scan.access, false);
+    let mut late = ColumnSet::new(decoder, scan.late_paths.clone(), scan.access, false);
     while pipeline.room() != Some(0) {
         let Some((_, _, payload)) = iter.next() else { break };
         stats.rows_scanned += 1;

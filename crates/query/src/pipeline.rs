@@ -18,10 +18,18 @@
 //!
 //! `Unnest` takes the collection out of its slot (which reads `null` below
 //! the unnest), pushes each item onto the same row buffer, hands it on and
-//! pops it again: no row is built per item, and a group-by below an unnest
-//! folds each item straight into its group. Every item but the last goes on
+//! pops it again: no row is built per item. Every item but the last goes on
 //! unowned, since the buffer is reused; the last goes on owned if the row
 //! came in owned.
+//!
+//! A group-by directly below an unnest whose keys read no item takes the
+//! collection whole instead: it evaluates and looks up its key once per
+//! row, and folds the items into that group's states in order — `COUNT(*)`
+//! and the aggregates of the bare item over the collection itself, any
+//! other aggregate over each item's row. An empty collection makes no group,
+//! as no row would. The batched scan hands such a pipeline a typed slice
+//! of `double`s ([`Pipeline::push_doubles`]) that `Sum`, `Avg` and
+//! `COUNT(*)` fold as primitive loops, bit-identical to the `Value` fold.
 //!
 //! The group-by sink keys its map by the group key alone. The key is
 //! evaluated into one reused scratch and looked up by slice: a hit allocates
@@ -95,6 +103,30 @@ impl<'q> Pipeline<'q> {
     /// The caller may clear the buffer and fill it with the next row.
     pub(crate) fn push(&mut self, row: &mut Row) {
         run(&mut self.stages, &mut self.sink, row, true);
+    }
+
+    /// The column of a `width`-wide row whose collection this pipeline
+    /// folds straight from a scan's typed buffer: its one stage unnests the
+    /// column into a group-by whose keys read no item.
+    pub(crate) fn folds_typed(&self, width: usize) -> Option<usize> {
+        match (self.stages.as_slice(), &self.sink) {
+            ([Stage::Unnest(Expr::Col(i))], Sink::Group(g))
+                if *i < width && g.folds_items(width) =>
+            {
+                Some(*i)
+            }
+            _ => None,
+        }
+    }
+
+    /// [`Pipeline::push`] `row`, whose column [`Pipeline::folds_typed`]
+    /// names holds the `double`s `xs` and reads null, as below the unnest:
+    /// the group-by folds them with no row or `Value` per item.
+    pub(crate) fn push_doubles(&mut self, row: &mut Row, xs: &[f64]) {
+        debug_assert!(self.folds_typed(row.len()).is_some_and(|c| matches!(row[c], Value::Null)));
+        if let Sink::Group(g) = &mut self.sink {
+            g.push_items(row, Items::Doubles(xs), true);
+        }
     }
 
     /// [`Pipeline::push`] each row of `rows` until the sink has no room left.
@@ -214,6 +246,12 @@ fn run(stages: &mut [Stage<'_>], sink: &mut Sink<'_>, row: &mut Row, owned: bool
         }
         Stage::Unnest(expr) => {
             let base = row.len();
+            if let (true, Sink::Group(g)) = (rest.is_empty(), &mut *sink) {
+                if g.folds_items(base) {
+                    unnest_into_group(expr, g, row, owned);
+                    return;
+                }
+            }
             match *expr {
                 Expr::Col(i) if *i < base => {
                     // The collection leaves its slot, which reads null below
@@ -240,6 +278,48 @@ fn run(stages: &mut [Stage<'_>], sink: &mut Sink<'_>, row: &mut Row, owned: bool
                     }
                 }
             }
+        }
+    }
+}
+
+/// An unnest right in front of a group-by that folds its items: the
+/// collection goes to the sink whole, as [`run`] would leave it in its slot.
+fn unnest_into_group(expr: &Expr, g: &mut GroupSink<'_>, row: &mut Row, owned: bool) {
+    match *expr {
+        Expr::Col(i) if i < row.len() => {
+            let collection = mem::replace(&mut row[i], Value::Null);
+            if owned {
+                if let Value::Array(items) | Value::Multiset(items) = collection {
+                    g.push_items(row, Items::Values(Cow::Owned(items)), true);
+                }
+            } else {
+                if let Some(items) = collection.as_items() {
+                    g.push_items(row, Items::Values(Cow::Borrowed(items)), false);
+                }
+                row[i] = collection;
+            }
+        }
+        _ => {
+            if let Value::Array(items) | Value::Multiset(items) = expr.eval(row) {
+                g.push_items(row, Items::Values(Cow::Owned(items)), owned);
+            }
+        }
+    }
+}
+
+/// The items of a collection a group-by folds at once.
+enum Items<'a> {
+    /// Owned if taken out of a row nothing reads again.
+    Values(Cow<'a, [Value]>),
+    /// Held in a scan column's typed buffer.
+    Doubles(&'a [f64]),
+}
+
+impl Items<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Items::Values(items) => items.len(),
+            Items::Doubles(xs) => xs.len(),
         }
     }
 }
@@ -428,6 +508,8 @@ struct GroupSink<'q> {
     /// an owned row?
     key_moves: Vec<bool>,
     arg_moves: Vec<bool>,
+    /// The highest column a key reads.
+    key_max: Option<usize>,
     /// The key of the row being folded, reused while its group exists.
     scratch: Vec<OrdValue>,
     groups: FxHashMap<Vec<OrdValue>, Vec<AggState>>,
@@ -446,6 +528,7 @@ impl<'q> GroupSink<'q> {
             aggs,
             key_moves,
             arg_moves,
+            key_max: keys.iter().flat_map(Expr::referenced_cols).max(),
             scratch: Vec::new(),
             groups: FxHashMap::default(),
             total: side == Side::Exchange && keys.is_empty(),
@@ -453,6 +536,20 @@ impl<'q> GroupSink<'q> {
     }
 
     fn push(&mut self, row: &mut Row, owned: bool) {
+        let aggs = self.aggs;
+        self.fold_into_group(row, owned, |states, moves, row| {
+            fold(states, aggs, moves, row, owned)
+        });
+    }
+
+    /// Evaluate `row`'s key and run `f` on its group's states (and the
+    /// aggregate arguments' moves), starting the group if it is new.
+    fn fold_into_group(
+        &mut self,
+        row: &mut Row,
+        owned: bool,
+        f: impl FnOnce(&mut [AggState], &[bool], &mut Row),
+    ) {
         let mut key = mem::take(&mut self.scratch);
         key.clear();
         key.reserve_exact(self.keys.len());
@@ -461,16 +558,34 @@ impl<'q> GroupSink<'q> {
         }
         match self.groups.get_mut(key.as_slice()) {
             Some(states) => {
-                fold(states, self.aggs, &self.arg_moves, row, owned);
+                f(states, &self.arg_moves, row);
                 self.scratch = key;
             }
             None => {
                 let mut states: Vec<AggState> =
                     self.aggs.iter().map(|a| AggState::new(&a.func)).collect();
-                fold(&mut states, self.aggs, &self.arg_moves, row, owned);
+                f(&mut states, &self.arg_moves, row);
                 self.groups.insert(key, states);
             }
         }
+    }
+
+    /// Does the sink fold a collection unnested onto a `base`-wide row at
+    /// once? Only if no key reads the item, the row's column `base`.
+    fn folds_items(&self, base: usize) -> bool {
+        self.key_max.is_none_or(|c| c < base)
+    }
+
+    /// Fold every item of a collection unnested onto `row` as the rows the
+    /// unnest would push, the row with each item appended in turn — but the
+    /// key is evaluated and looked up once. An empty collection makes no
+    /// group.
+    fn push_items(&mut self, row: &mut Row, items: Items<'_>, owned: bool) {
+        if items.len() == 0 {
+            return;
+        }
+        let aggs = self.aggs;
+        self.fold_into_group(row, owned, |states, _, row| fold_items(states, aggs, row, items));
     }
 
     fn merge(&mut self, partials: Vec<Partial>) -> Result<(), AdmError> {
@@ -515,5 +630,42 @@ fn fold(states: &mut [AggState], aggs: &[Agg], moves: &[bool], row: &mut Row, ow
             Some(e) => Some(e.eval_ref(row)),
         };
         state.update(arg);
+    }
+}
+
+/// Fold `items` into a group's states as the rows `row` with each item
+/// appended, in item order. `COUNT(*)` counts them and an aggregate of the
+/// bare item folds the collection itself — a typed one by a primitive loop;
+/// any other aggregate sees each item's row.
+fn fold_items(states: &mut [AggState], aggs: &[Agg], row: &mut Row, items: Items<'_>) {
+    let base = row.len();
+    let per_row = |agg: &Agg| match &agg.arg {
+        None => false,
+        Some(Expr::Col(c)) => *c != base,
+        Some(_) => true,
+    };
+    for (state, agg) in states.iter_mut().zip(aggs).filter(|(_, a)| !per_row(a)) {
+        match (&agg.arg, &items) {
+            (None, _) => (0..items.len()).for_each(|_| state.update(None)),
+            (Some(_), Items::Values(vs)) => {
+                vs.iter().for_each(|v| state.update(Some(Cow::Borrowed(v))))
+            }
+            (Some(_), Items::Doubles(xs)) => state.update_doubles(xs),
+        }
+    }
+    if !aggs.iter().any(per_row) {
+        return;
+    }
+    let mut fold_row = |row: &mut Row, item: Value| {
+        row.push(item);
+        for (state, agg) in states.iter_mut().zip(aggs).filter(|(_, a)| per_row(a)) {
+            state.update(agg.arg.as_ref().map(|e| e.eval_ref(row)));
+        }
+        row.truncate(base);
+    };
+    match items {
+        Items::Values(Cow::Owned(vs)) => vs.into_iter().for_each(|v| fold_row(row, v)),
+        Items::Values(Cow::Borrowed(vs)) => vs.iter().for_each(|v| fold_row(row, v.clone())),
+        Items::Doubles(xs) => xs.iter().for_each(|&x| fold_row(row, Value::Double(x))),
     }
 }

@@ -4,15 +4,33 @@
 //! Access into a vector-based record is linear in the number of tags, so
 //! evaluating k field accesses naively costs k scans. The optimizer rewrites
 //! them into a single `getValues(record, path…, path…)` call; this module is
-//! that function. It streams the tag vector once, materializing only matched
-//! subtrees, and short-circuits as soon as every non-wildcard path is
-//! resolved (which is what makes access cost *position*-sensitive — Fig 22).
+//! that function, with [`eval_path`] semantics for every mix of field, index
+//! and wildcard steps.
+//!
+//! The walk is iterative: one frame per open container it descends into,
+//! each holding the (path, step) states still alive inside it, on stacks
+//! reused across records. Scalars are read as their stored bytes and a
+//! `Value` is built only for a match; a container no state enters is
+//! skipped raw, and one that ends a path is materialized. A field or index
+//! step matches once, so a frame whose states have all matched is skipped,
+//! and the scan stops as soon as no state is alive anywhere — which is what
+//! makes access cost *position*-sensitive (Fig 22). A compacted record's
+//! field names are matched by dictionary id, each path name resolved once
+//! per dictionary.
+//!
+//! A wildcard opens a scope that collects the matches of its items into an
+//! array. Into a [`Column`] that takes them, a one-wildcard path whose
+//! matches in a record are all `double`s goes as a range of a flat `f64`
+//! buffer instead: no `Value` per item. Any other match demotes that
+//! record's value to a `Value` array, item order kept.
+
+use std::mem;
 
 use tc_adm::path::{eval_path, Path, PathStep};
 use tc_adm::{AdmError, ObjectType, TypeTag, Value};
-use tc_schema::FieldNameDictionary;
+use tc_schema::{FieldNameDictionary, FieldNameId};
 
-use crate::reader::{FieldName, Item, VectorReader};
+use crate::reader::{check_scalar, scalar_value, FieldName, RawItem, VectorReader};
 
 /// Evaluate `paths` against a vector-based record (compacted or not) in a
 /// single scan. Returns one value per path, with [`eval_path`] semantics
@@ -23,45 +41,109 @@ pub fn get_values(
     declared: Option<&ObjectType>,
     dict: Option<&FieldNameDictionary>,
 ) -> Result<Vec<Value>, AdmError> {
-    let mut eval = BatchPathEvaluator::new(paths);
-    eval.eval_record(buf, declared, dict)?;
-    Ok(eval.accs.iter_mut().map(Acc::take_value).collect())
+    BatchPathEvaluator::new(paths).values(buf, declared, dict)
 }
 
 /// A `getValues` evaluator for a *fixed* path set, reusable across many
-/// records. The per-path accumulators, the wildcard flags, and the active-
-/// path template survive between records, so evaluating a batch of payloads
-/// allocates nothing per record beyond the matched values themselves. This
-/// is the batched query engine's scan primitive: one evaluator per column
-/// set, driven once per payload, appending into caller-owned column buffers.
+/// records. The compiled paths, the per-path accumulators and the walk's
+/// frame and state stacks survive between records, so evaluating a batch of
+/// payloads allocates nothing per record beyond the matched values
+/// themselves. This is the scan primitive of both query engines: one
+/// evaluator per column set, driven once per payload, appending into
+/// caller-owned column buffers.
 pub struct BatchPathEvaluator {
     paths: Vec<Path>,
+    /// `paths`, with field names replaced by their index in `names`.
+    steps: Vec<Vec<Step>>,
     /// Indices of empty paths ("the whole record").
     whole: Vec<usize>,
-    /// `(path, next-step, wildcards-crossed)` seeds for the root walk.
-    active: Vec<(usize, usize, u8)>,
+    /// The distinct field names the paths step through, and each one's id
+    /// in the dictionary last seen (`None`: not in it).
+    names: Vec<String>,
+    ids: Vec<Option<FieldNameId>>,
     accs: Vec<Acc>,
+    frames: Vec<Frame>,
+    states: Vec<State>,
+    /// Paths ending at the container being opened.
+    completing: Vec<usize>,
+}
+
+/// A path step, its field name interned.
+#[derive(Clone, Copy)]
+enum Step {
+    Field(usize),
+    Index(usize),
+    Wildcard,
+}
+
+impl Step {
+    /// Can the step select anything out of a `tag` value?
+    fn applies_to(self, tag: TypeTag) -> bool {
+        match self {
+            Step::Field(_) => tag == TypeTag::Object,
+            Step::Index(_) | Step::Wildcard => matches!(tag, TypeTag::Array | TypeTag::Multiset),
+        }
+    }
+}
+
+/// Path `path` is at step `step` inside a frame's container. A field or
+/// index step dies once it has matched: `eval_path` takes the first match.
+#[derive(Clone, Copy)]
+struct State {
+    path: usize,
+    step: usize,
+    live: bool,
+}
+
+/// One container the walk is inside.
+struct Frame {
+    tag: TypeTag,
+    /// Its states are `states[start..]` while it is the innermost frame.
+    start: usize,
+    /// How many of them are live.
+    live: usize,
+    /// Children read so far.
+    index: usize,
 }
 
 impl BatchPathEvaluator {
     pub fn new(paths: &[Path]) -> Self {
+        let mut names: Vec<String> = Vec::new();
+        let steps: Vec<Vec<Step>> = paths
+            .iter()
+            .map(|p| {
+                p.iter()
+                    .map(|s| match s {
+                        PathStep::Field(f) => {
+                            Step::Field(names.iter().position(|n| n == f).unwrap_or_else(|| {
+                                names.push(f.clone());
+                                names.len() - 1
+                            }))
+                        }
+                        PathStep::Index(i) => Step::Index(*i),
+                        PathStep::Wildcard => Step::Wildcard,
+                    })
+                    .collect()
+            })
+            .collect();
         let accs = paths
             .iter()
             .map(|p| Acc {
-                collected: Vec::new(),
-                has_wildcard: p.iter().any(|s| matches!(s, PathStep::Wildcard)),
-                resolved: false,
+                one_wildcard: p.iter().filter(|s| matches!(s, PathStep::Wildcard)).count() == 1,
+                ..Acc::default()
             })
             .collect();
-        let whole: Vec<usize> =
-            paths.iter().enumerate().filter(|(_, p)| p.is_empty()).map(|(i, _)| i).collect();
-        let active: Vec<(usize, usize, u8)> = paths
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| !p.is_empty())
-            .map(|(i, _)| (i, 0usize, 0u8))
-            .collect();
-        BatchPathEvaluator { paths: paths.to_vec(), whole, active, accs }
+        BatchPathEvaluator {
+            whole: paths.iter().enumerate().filter(|(_, p)| p.is_empty()).map(|(i, _)| i).collect(),
+            ids: vec![None; names.len()],
+            names,
+            steps,
+            paths: paths.to_vec(),
+            accs,
+            frames: Vec::new(),
+            states: Vec::new(),
+            completing: Vec::new(),
+        }
     }
 
     /// Number of paths (= values produced per record).
@@ -80,6 +162,7 @@ impl BatchPathEvaluator {
         columns: &mut [Vec<Value>],
     ) -> Result<(), AdmError> {
         debug_assert_eq!(columns.len(), self.paths.len());
+        self.accs.iter_mut().for_each(|a| a.reset(false));
         self.eval_record(buf, declared, dict)?;
         for (acc, col) in self.accs.iter_mut().zip(columns.iter_mut()) {
             col.push(acc.take_value());
@@ -87,176 +170,440 @@ impl BatchPathEvaluator {
         Ok(())
     }
 
-    /// One linear scan of `buf`, leaving the results in `self.accs`.
+    /// [`eval_into`](Self::eval_into) into [`Column`]s: a column that takes
+    /// typed buffers gets a one-wildcard path's all-`double` matches as a
+    /// range of its `f64` buffer, with no `Value` built per item.
+    pub fn eval_columns(
+        &mut self,
+        buf: &[u8],
+        declared: Option<&ObjectType>,
+        dict: Option<&FieldNameDictionary>,
+        columns: &mut [Column],
+    ) -> Result<(), AdmError> {
+        debug_assert_eq!(columns.len(), self.paths.len());
+        for (acc, col) in self.accs.iter_mut().zip(columns.iter()) {
+            acc.reset(col.typed);
+        }
+        self.eval_record(buf, declared, dict)?;
+        for (acc, col) in self.accs.iter_mut().zip(columns.iter_mut()) {
+            match mem::replace(&mut acc.out, Out::Missing) {
+                Out::F64 => col.push_f64s(&acc.f64s),
+                out => {
+                    acc.out = out;
+                    col.push(acc.take_value());
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// One record's value for every path, in path order.
+    pub fn values(
+        &mut self,
+        buf: &[u8],
+        declared: Option<&ObjectType>,
+        dict: Option<&FieldNameDictionary>,
+    ) -> Result<Vec<Value>, AdmError> {
+        self.accs.iter_mut().for_each(|a| a.reset(false));
+        self.eval_record(buf, declared, dict)?;
+        Ok(self.accs.iter_mut().map(Acc::take_value).collect())
+    }
+
+    /// One linear scan of `buf`, leaving the results in `self.accs`, which
+    /// the caller has reset.
     fn eval_record(
         &mut self,
         buf: &[u8],
         declared: Option<&ObjectType>,
         dict: Option<&FieldNameDictionary>,
     ) -> Result<(), AdmError> {
-        for acc in &mut self.accs {
-            acc.collected.clear();
-            acc.resolved = false;
-        }
-
         // Empty paths mean "the whole record": decoded once, moved into the
         // last such path and cloned only for the others.
         if let Some((&last, others)) = self.whole.split_last() {
             let v = crate::reader::decode(buf, declared, dict)?;
             for &i in others {
-                self.accs[i].collected.push(v.clone());
-                self.accs[i].resolved = true;
+                self.accs[i].out = Out::Value(v.clone());
             }
-            self.accs[last].collected.push(v);
-            self.accs[last].resolved = true;
+            self.accs[last].out = Out::Value(v);
         }
+        if self.whole.len() == self.paths.len() {
+            return Ok(());
+        }
+        let mut reader = VectorReader::new(buf)?;
+        match reader.next_raw()? {
+            RawItem::Begin { tag: TypeTag::Object, .. } => {}
+            _ => return Err(AdmError::corrupt("record root must be an object")),
+        }
+        if let (true, Some(dict)) = (reader.is_compacted(), dict) {
+            self.resolve_ids(dict);
+        }
+        self.walk(&mut reader, declared, dict)
+    }
 
-        let pending = self.accs.iter().filter(|a| !a.resolved && !a.has_wildcard).count();
-        let any_wildcard = self.accs.iter().any(|a| a.has_wildcard && !a.resolved);
-
-        if pending > 0 || any_wildcard {
-            let mut reader = VectorReader::new(buf)?;
-            match reader.next()? {
-                Item::Begin { tag: TypeTag::Object, .. } => {}
-                _ => return Err(AdmError::corrupt("record root must be an object")),
+    /// Each field name's id in `dict`. A cached id is kept while `dict`
+    /// still names it so; a name `dict` lacks is looked up again.
+    fn resolve_ids(&mut self, dict: &FieldNameDictionary) {
+        for (name, id) in self.names.iter().zip(&mut self.ids) {
+            if id.is_none_or(|id| dict.name(id) != Some(name.as_str())) {
+                *id = dict.find(name);
             }
-            let BatchPathEvaluator { paths, active, accs, .. } = self;
-            let mut ctx = Ctx { paths: paths.as_slice(), declared, dict, out: accs, pending };
-            walk(&mut reader, TypeTag::Object, active.as_slice(), &mut ctx)?;
+        }
+    }
+
+    /// Stream the record below its root object, which `reader` has opened.
+    fn walk(
+        &mut self,
+        reader: &mut VectorReader<'_>,
+        declared: Option<&ObjectType>,
+        dict: Option<&FieldNameDictionary>,
+    ) -> Result<(), AdmError> {
+        let BatchPathEvaluator {
+            paths, steps, names, ids, accs, frames, states, completing, ..
+        } = self;
+        let names = Names { names, ids, declared, dict };
+        frames.clear();
+        states.clear();
+        for (path, s) in steps.iter().enumerate() {
+            if s.first().is_some_and(|s| s.applies_to(TypeTag::Object)) {
+                states.push(State { path, step: 0, live: true });
+            }
+        }
+        let mut live = states.len();
+        frames.push(Frame { tag: TypeTag::Object, start: 0, live, index: 0 });
+        while live > 0 {
+            let top = frames.len() - 1;
+            if frames[top].live == 0 {
+                // Every state here has matched: the rest of the container
+                // holds nothing any path wants.
+                reader.skip_container()?;
+                close_frame(frames, states, steps, accs, &mut live);
+                continue;
+            }
+            let (tag, start, index) = (frames[top].tag, frames[top].start, frames[top].index);
+            match reader.next_raw()? {
+                RawItem::Eov => return Err(AdmError::corrupt("EOV inside container")),
+                RawItem::Close => close_frame(frames, states, steps, accs, &mut live),
+                RawItem::Scalar { tag: scalar, bytes, name } => {
+                    frames[top].index += 1;
+                    let mut matched = false;
+                    for st in &mut states[start..] {
+                        let path = &steps[st.path];
+                        if !st.live || !names.matches(path[st.step], tag, name, index)? {
+                            continue;
+                        }
+                        if !matches!(path[st.step], Step::Wildcard) {
+                            st.live = false;
+                            frames[top].live -= 1;
+                            live -= 1;
+                        }
+                        // A scalar cannot satisfy deeper steps: missing.
+                        if st.step + 1 == path.len() {
+                            accs[st.path].deliver(scalar_value(scalar, bytes)?);
+                            matched = true;
+                        }
+                    }
+                    if !matched {
+                        check_scalar(scalar, bytes)?;
+                    }
+                }
+                RawItem::Begin { tag: child, name } => {
+                    frames[top].index += 1;
+                    let first = states.len();
+                    completing.clear();
+                    for i in start..first {
+                        let st = states[i];
+                        let path = &steps[st.path];
+                        if !st.live || !names.matches(path[st.step], tag, name, index)? {
+                            continue;
+                        }
+                        if !matches!(path[st.step], Step::Wildcard) {
+                            states[i].live = false;
+                            frames[top].live -= 1;
+                            live -= 1;
+                        }
+                        if st.step + 1 == path.len() {
+                            completing.push(st.path);
+                        } else if path[st.step + 1].applies_to(child) {
+                            states.push(State { path: st.path, step: st.step + 1, live: true });
+                        }
+                    }
+                    if !completing.is_empty() {
+                        // Some path ends here: the subtree is materialized,
+                        // and the paths that go on into it are evaluated on
+                        // the value.
+                        let sub = reader.materialize_container(child, None, dict)?;
+                        for st in states.drain(first..) {
+                            accs[st.path].deliver(eval_path(&sub, &paths[st.path][st.step..]));
+                        }
+                        if let Some((&last, others)) = completing.split_last() {
+                            for &p in others {
+                                accs[p].deliver(sub.clone());
+                            }
+                            accs[last].deliver(sub);
+                        }
+                    } else if states.len() > first {
+                        for st in &states[first..] {
+                            if matches!(steps[st.path][st.step], Step::Wildcard) {
+                                accs[st.path].open_scope();
+                            }
+                        }
+                        let opened = states.len() - first;
+                        frames.push(Frame { tag: child, start: first, live: opened, index: 0 });
+                        live += opened;
+                    } else {
+                        reader.skip_container()?;
+                    }
+                }
+            }
         }
         Ok(())
     }
 }
 
+/// Leave the innermost frame: close the wildcard scopes it held.
+fn close_frame(
+    frames: &mut Vec<Frame>,
+    states: &mut Vec<State>,
+    steps: &[Vec<Step>],
+    accs: &mut [Acc],
+    live: &mut usize,
+) {
+    let Some(frame) = frames.pop() else { return };
+    for st in &states[frame.start..] {
+        if st.live && matches!(steps[st.path][st.step], Step::Wildcard) {
+            accs[st.path].close_scope();
+        }
+    }
+    *live -= frame.live;
+    states.truncate(frame.start);
+}
+
+/// How a record's field names are matched against the paths' names.
+struct Names<'e> {
+    names: &'e [String],
+    ids: &'e [Option<FieldNameId>],
+    declared: Option<&'e ObjectType>,
+    dict: Option<&'e FieldNameDictionary>,
+}
+
+impl Names<'_> {
+    /// Does `step` select this child of a `parent` container?
+    fn matches(
+        &self,
+        step: Step,
+        parent: TypeTag,
+        name: Option<FieldName<'_>>,
+        index: usize,
+    ) -> Result<bool, AdmError> {
+        Ok(match (step, name) {
+            (Step::Field(k), Some(FieldName::Inferred(s))) => s == self.names[k],
+            (Step::Field(k), Some(n @ FieldName::InferredId(id))) => {
+                // Resolving checks the id is in the dictionary.
+                n.resolve(self.declared, self.dict)?;
+                self.ids[k] == Some(id)
+            }
+            (Step::Field(k), Some(n @ FieldName::Declared(_))) => {
+                n.resolve(self.declared, self.dict)? == self.names[k]
+            }
+            (Step::Field(_), None) => false,
+            (Step::Index(i), _) => parent != TypeTag::Object && i == index,
+            (Step::Wildcard, _) => parent != TypeTag::Object,
+        })
+    }
+}
+
+/// One path's value for the record being walked.
+#[derive(Default)]
 struct Acc {
-    collected: Vec<Value>,
-    has_wildcard: bool,
-    resolved: bool,
+    /// May a match go into the typed buffers? Paths with one wildcard only,
+    /// into a column that takes them.
+    typed: bool,
+    /// Does the path have exactly one wildcard step?
+    one_wildcard: bool,
+    /// The value, once delivered outside every wildcard scope.
+    out: Out,
+    /// The matches of the open wildcard scopes, innermost last, and where
+    /// each scope starts in them.
+    items: Vec<Value>,
+    marks: Vec<usize>,
+    /// What the open typed scope holds.
+    kind: Kind,
+    f64s: Vec<f64>,
+}
+
+#[derive(Default)]
+enum Out {
+    #[default]
+    Missing,
+    Value(Value),
+    /// The matches are `f64s`.
+    F64,
+}
+
+#[derive(Default, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// `Value`s, in `items`.
+    #[default]
+    Values,
+    /// A typed scope with no match yet.
+    Empty,
+    F64,
 }
 
 impl Acc {
-    /// Drain the accumulator into the record's value for this path.
+    fn reset(&mut self, typed: bool) {
+        self.typed = typed && self.one_wildcard;
+        self.out = Out::Missing;
+        self.items.clear();
+        self.marks.clear();
+        self.kind = Kind::Values;
+        self.f64s.clear();
+    }
+
+    fn open_scope(&mut self) {
+        self.marks.push(self.items.len());
+        if self.typed {
+            self.kind = Kind::Empty;
+        }
+    }
+
+    /// The innermost scope's matches become one array value. A typed scope
+    /// is a one-wildcard path's only one, so its matches are the value.
+    fn close_scope(&mut self) {
+        let Some(mark) = self.marks.pop() else { return };
+        match mem::take(&mut self.kind) {
+            Kind::F64 => self.out = Out::F64,
+            Kind::Values | Kind::Empty => {
+                let v = Value::Array(self.items.drain(mark..).collect());
+                self.deliver(v);
+            }
+        }
+    }
+
+    /// A match, or a sub-result of the innermost scope. `missing` is no
+    /// match. A typed scope takes a `double` into its buffer, and given any
+    /// other value turns into a scope of `Value`s.
+    fn deliver(&mut self, v: Value) {
+        match (&v, self.kind) {
+            (Value::Missing, _) => return,
+            (Value::Double(x), Kind::Empty | Kind::F64) => {
+                self.f64s.push(*x);
+                self.kind = Kind::F64;
+                return;
+            }
+            _ => {}
+        }
+        if self.marks.is_empty() {
+            self.out = Out::Value(v);
+            return;
+        }
+        if self.kind == Kind::F64 {
+            self.items.extend(self.f64s.drain(..).map(Value::Double));
+        }
+        self.kind = Kind::Values;
+        self.items.push(v);
+    }
+
+    /// The record's value for this path.
     fn take_value(&mut self) -> Value {
-        if self.has_wildcard {
-            Value::Array(self.collected.drain(..).filter(|v| !v.is_missing()).collect())
-        } else {
-            self.collected.drain(..).next().unwrap_or(Value::Missing)
+        match mem::take(&mut self.out) {
+            Out::Missing => Value::Missing,
+            Out::Value(v) => v,
+            Out::F64 => doubles(&self.f64s),
         }
     }
 }
 
-struct Ctx<'p, 'o> {
-    paths: &'p [Path],
-    declared: Option<&'p ObjectType>,
-    dict: Option<&'p FieldNameDictionary>,
-    out: &'o mut Vec<Acc>,
-    /// Unresolved non-wildcard paths; scanning stops when it reaches zero
-    /// and no wildcard path is still active.
-    pending: usize,
+/// The array of `double`s `xs` is.
+pub fn doubles(xs: &[f64]) -> Value {
+    Value::Array(xs.iter().copied().map(Value::Double).collect())
 }
 
-impl Ctx<'_, '_> {
-    fn collect(&mut self, path: usize, v: Value) {
-        let acc = &mut self.out[path];
-        acc.collected.push(v);
-        if !acc.has_wildcard && !acc.resolved {
-            acc.resolved = true;
-            self.pending -= 1;
+/// Where a record's value sits in a [`Column`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Span {
+    /// In `values`.
+    Value,
+    /// `f64s[start..end]`.
+    F64 { start: usize, end: usize },
+}
+
+/// One path's values for a run of records, as
+/// [`BatchPathEvaluator::eval_columns`] appends them: a `Value` per record
+/// or, in a column that takes typed buffers, a range of a flat `f64` buffer
+/// for a record whose one-wildcard matches are all `double`s. Each record's
+/// values choose; nothing else does.
+#[derive(Debug, Clone, Default)]
+pub struct Column {
+    /// Does the column take typed buffers?
+    typed: bool,
+    /// One per record; a record held in the typed buffer reads `missing`.
+    values: Vec<Value>,
+    /// One per record, in a column that takes typed buffers.
+    spans: Vec<Span>,
+    f64s: Vec<f64>,
+}
+
+impl Column {
+    /// An empty column; `typed`: does it take typed buffers?
+    pub fn new(typed: bool) -> Column {
+        Column { typed, ..Column::default() }
+    }
+
+    pub fn clear(&mut self) {
+        self.values.clear();
+        self.spans.clear();
+        self.f64s.clear();
+    }
+
+    /// Append a record's value.
+    pub fn push(&mut self, v: Value) {
+        self.values.push(v);
+        if self.typed {
+            self.spans.push(Span::Value);
         }
     }
-}
 
-/// Does `step` match this child of a `parent_tag` container?
-fn step_matches(
-    step: &PathStep,
-    parent_tag: TypeTag,
-    name: &Option<FieldName<'_>>,
-    item_index: usize,
-    ctx: &Ctx<'_, '_>,
-) -> Result<bool, AdmError> {
-    Ok(match (parent_tag, step) {
-        (TypeTag::Object, PathStep::Field(f)) => match name {
-            Some(n) => n.resolve(ctx.declared, ctx.dict)? == f.as_str(),
-            None => false,
-        },
-        (TypeTag::Array | TypeTag::Multiset, PathStep::Index(i)) => *i == item_index,
-        (TypeTag::Array | TypeTag::Multiset, PathStep::Wildcard) => true,
-        _ => false,
-    })
-}
+    /// Append a record's matches, every one a `double`.
+    fn push_f64s(&mut self, xs: &[f64]) {
+        let start = self.f64s.len();
+        self.f64s.extend_from_slice(xs);
+        self.values.push(Value::Missing);
+        self.spans.push(Span::F64 { start, end: self.f64s.len() });
+    }
 
-/// Stream one container's children. `active` holds (path, next-step,
-/// wildcards-crossed) tuples that are alive inside this container.
-fn walk(
-    reader: &mut VectorReader<'_>,
-    container_tag: TypeTag,
-    active: &[(usize, usize, u8)],
-    ctx: &mut Ctx<'_, '_>,
-) -> Result<(), AdmError> {
-    let mut item_index = 0usize;
-    loop {
-        // Early exit: nothing left to find anywhere in the record.
-        if ctx.pending == 0 && !ctx.out.iter().any(|a| a.has_wildcard && !a.resolved) {
-            return Ok(());
+    /// Every record's value; a record held in the typed buffer reads
+    /// `missing` here.
+    pub fn values(&self) -> &[Value] {
+        &self.values
+    }
+
+    /// Record `r`'s matches, if the typed buffer holds them.
+    pub fn doubles(&self, r: usize) -> Option<&[f64]> {
+        match self.spans.get(r)? {
+            Span::Value => None,
+            Span::F64 { start, end } => Some(&self.f64s[*start..*end]),
         }
-        match reader.next()? {
-            Item::Close => return Ok(()),
-            Item::Eov => return Err(AdmError::corrupt("EOV inside container")),
-            Item::Scalar { value, name } => {
-                for &(p, s, _) in active {
-                    if step_matches(&ctx.paths[p][s], container_tag, &name, item_index, ctx)?
-                        && s + 1 == ctx.paths[p].len()
-                    {
-                        ctx.collect(p, value.clone());
-                    }
-                    // A scalar can't satisfy deeper steps: missing.
-                }
-                item_index += 1;
-            }
-            Item::Begin { tag, name } => {
-                let mut completed: Vec<usize> = Vec::new();
-                let mut continuing: Vec<(usize, usize, u8)> = Vec::new();
-                let mut needs_materialize = false;
-                for &(p, s, w) in active {
-                    let step = &ctx.paths[p][s];
-                    if step_matches(step, container_tag, &name, item_index, ctx)? {
-                        let crossed = w + matches!(step, PathStep::Wildcard) as u8;
-                        if s + 1 == ctx.paths[p].len() {
-                            completed.push(p);
-                            needs_materialize = true;
-                        } else {
-                            // A second wildcard needs eval_path's nested
-                            // aggregation; resolve it from a materialized
-                            // subtree.
-                            if crossed > 1 {
-                                needs_materialize = true;
-                            }
-                            continuing.push((p, s + 1, crossed));
-                        }
-                    }
-                }
-                if needs_materialize {
-                    let sub = reader.materialize_container(tag, None, ctx.dict)?;
-                    for (p, s, _) in continuing {
-                        let v = eval_path(&sub, &ctx.paths[p][s..]);
-                        if !v.is_missing() || !ctx.out[p].has_wildcard {
-                            ctx.collect(p, v);
-                        }
-                    }
-                    if let Some((&last, others)) = completed.split_last() {
-                        for &p in others {
-                            ctx.collect(p, sub.clone());
-                        }
-                        ctx.collect(last, sub);
-                    }
-                } else if !continuing.is_empty() {
-                    walk(reader, tag, &continuing, ctx)?;
-                } else {
-                    reader.skip_container()?;
-                }
-                item_index += 1;
-            }
+    }
+
+    /// Move record `r`'s value out (it reads `missing` after), building the
+    /// array of a record held in the typed buffer.
+    pub fn take(&mut self, r: usize) -> Value {
+        match self.doubles(r) {
+            Some(xs) => doubles(xs),
+            None => mem::replace(&mut self.values[r], Value::Missing),
         }
+    }
+
+    /// Remove the last record's value.
+    pub fn pop(&mut self) -> Option<Value> {
+        let last = self.values.len().checked_sub(1)?;
+        let v = self.take(last);
+        self.values.pop();
+        if let Some(Span::F64 { start, .. }) = self.spans.pop() {
+            self.f64s.truncate(start);
+        }
+        Some(v)
     }
 }
 
@@ -394,6 +741,186 @@ mod tests {
             }
         }
         assert_eq!(cols, expected);
+    }
+
+    /// A wildcard over an absent field or a non-collection is `missing`,
+    /// and nested wildcards nest their arrays, as `eval_path` has it.
+    #[test]
+    fn wildcards_follow_eval_path() {
+        let paths =
+            ["x[*].y", "x[*][*]", "x[*].y[*]", "x[*]", "x[1][0]", "x[*][1]", "x[0].y", "x[*].y.z"];
+        for src in [
+            r#"{"a": 1}"#,
+            r#"{"x": 5}"#,
+            r#"{"x": {"y": 1}}"#,
+            r#"{"x": [[1, 2], [3]]}"#,
+            r#"{"x": [{"y": [1, 2]}, {"y": 3}, {"y": []}, 4, [5], {"y": {"z": 6}}]}"#,
+            r#"{"x": {{ [1], "s", [], {"y": null} }}}"#,
+        ] {
+            check_paths(src, &paths);
+        }
+        let first = |src: &str, path: &str| {
+            let raw = encode(&parse(src).unwrap(), None);
+            get_values(&raw, &[parse_path(path)], None, None).unwrap().remove(0)
+        };
+        assert_eq!(first(r#"{"x": 5}"#, "x[*].y"), Value::Missing);
+        assert_eq!(first(r#"{"x": [[1, 2], [3]]}"#, "x[*][*]"), parse("[[1, 2], [3]]").unwrap());
+        assert_eq!(first(r#"{"x": [{"y": [1]}, {"y": [2, 3]}]}"#, "x[*].y[*]"), {
+            parse("[[1], [2, 3]]").unwrap()
+        });
+    }
+
+    /// A field name the path set repeats, and one the dictionary lacks,
+    /// match by id in a compacted record exactly as by name in a raw one.
+    #[test]
+    fn repeated_and_absent_names() {
+        check_paths(
+            r#"{"a": {"a": [{"a": 1}, {"b": 2}]}, "b": [{"a": 3}]}"#,
+            &["a.a[*].a", "b[*].a", "a.a[1].b", "zz", "a.zz", "b[*].zz"],
+        );
+    }
+
+    /// A one-wildcard path's matches go into a typed column's buffer when
+    /// they are all doubles; any other match demotes the record to a
+    /// `Value`, items in order. Every record's value is still `eval_path`'s,
+    /// typed column or not, raw or compacted.
+    #[test]
+    fn typed_columns_take_homogeneous_matches() {
+        let cases: [(&str, Option<&[f64]>); 9] = [
+            (r#"{"r": [{"t": 1.5}, {"t": 2.5}, {"u": 0}]}"#, Some(&[1.5, 2.5])),
+            (r#"{"r": [{"t": 7}, {"t": -1}]}"#, None),
+            (r#"{"r": {{ {"t": 0.5} }}}"#, Some(&[0.5])),
+            (r#"{"r": [{"t": 1.5}, {"t": 2}, {"t": null}]}"#, None),
+            (r#"{"r": [{"t": 1.5}, {"t": "s"}, {"t": 2.5}]}"#, None),
+            (r#"{"r": [{"t": [1.5]}]}"#, None),
+            (r#"{"r": []}"#, None),
+            (r#"{"r": 3}"#, None),
+            (r#"{"q": 1}"#, None),
+        ];
+        let paths = [parse_path("r[*].t"), parse_path("q"), parse_path("r[*]")];
+        let mut eval = BatchPathEvaluator::new(&paths);
+        let mut schema = Schema::new();
+        let mut typed = vec![Column::new(true); paths.len()];
+        let mut plain = vec![Column::new(false); paths.len()];
+        for (src, items) in cases {
+            let v = parse(src).unwrap();
+            let raw = encode(&v, None);
+            let compacted = infer_and_compact(&raw, &mut schema).unwrap();
+            for (buf, dict) in [(&raw, None), (&compacted, Some(schema.dict()))] {
+                eval.eval_columns(buf, None, dict, &mut typed).unwrap();
+                eval.eval_columns(buf, None, dict, &mut plain).unwrap();
+                let r = typed[0].values().len() - 1;
+                assert_eq!(typed[0].doubles(r), items, "{src}");
+                assert_eq!(typed[2].doubles(r), None, "objects are no typed matches");
+                assert!(plain.iter().all(|c| c.doubles(r).is_none()));
+                for cols in [&mut typed, &mut plain] {
+                    for (col, p) in cols.iter_mut().zip(&paths) {
+                        assert_eq!(col.take(r), eval_path(&v, p), "{src} {p:?}");
+                    }
+                }
+            }
+        }
+        // A column gives its last record back, a typed one as its array.
+        let v = parse(cases[0].0).unwrap();
+        eval.eval_columns(&encode(&v, None), None, None, &mut typed).unwrap();
+        assert_eq!(typed[0].pop(), Some(eval_path(&v, &paths[0])));
+    }
+
+    /// An out-of-range name id, and a string that is not UTF-8 inside a
+    /// container the walk skips, are typed corruption.
+    #[test]
+    fn bad_names_and_skipped_strings_are_corrupt() {
+        let v = parse(r#"{"skip": {"s": "xy"}, "k": 1}"#).unwrap();
+        let raw = encode(&v, None);
+        let mut schema = Schema::new();
+        let compacted = infer_and_compact(&raw, &mut schema).unwrap();
+        let k = [parse_path("k")];
+        assert_eq!(get_values(&compacted, &k, None, Some(schema.dict())).unwrap(), [1i64.into()]);
+        let empty = FieldNameDictionary::new();
+        let err = get_values(&compacted, &k, None, Some(&empty)).unwrap_err();
+        assert!(matches!(err, AdmError::Corrupt(_)), "{err:?}");
+
+        let mut bad = raw.clone();
+        let at = bad.windows(2).position(|w| w == b"xy").unwrap();
+        bad[at..at + 2].copy_from_slice(&[0xff, 0xfe]);
+        let err = get_values(&bad, &k, None, None).unwrap_err();
+        assert!(matches!(err, AdmError::Corrupt(_)), "{err:?}");
+    }
+
+    fn arb_record() -> impl proptest::strategy::Strategy<Value = Value> {
+        use proptest::prelude::*;
+        let name = || prop_oneof![Just("a"), Just("b"), Just("c")].prop_map(String::from);
+        let leaf = prop_oneof![
+            any::<i64>().prop_map(Value::Int64),
+            any::<f64>().prop_map(Value::Double),
+            "[a-zé]{0,4}".prop_map(Value::String),
+            Just(Value::Null),
+        ];
+        let value = leaf.prop_recursive(3, 24, 4, move |inner| {
+            prop_oneof![
+                proptest::collection::vec(inner.clone(), 0..4).prop_map(Value::Array),
+                proptest::collection::vec(inner.clone(), 0..3).prop_map(Value::Multiset),
+                proptest::collection::btree_map(name(), inner, 0..4)
+                    .prop_map(|m| Value::Object(m.into_iter().collect())),
+            ]
+        });
+        proptest::collection::btree_map(name(), value, 0..4)
+            .prop_map(|m| Value::Object(m.into_iter().collect()))
+    }
+
+    /// Records that do not parse — truncated, bit-flipped, a random body
+    /// behind a valid header, random bytes — give values or a typed
+    /// corruption, never a panic, stored raw or compacted, through typed
+    /// columns and `Value` ones. `TC_FAULT_SEED` reseeds the inputs so CI
+    /// can loop it.
+    #[test]
+    fn get_values_never_panics() {
+        use proptest::strategy::Strategy;
+        use rand::{Rng, SeedableRng};
+
+        let seed =
+            std::env::var("TC_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0x6E7);
+        eprintln!("get_values_never_panics: TC_FAULT_SEED={seed}");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let records = arb_record();
+        let paths: Vec<Path> =
+            ["a", "b[*]", "b[*].c", "c[*][*]", "a[1].b", "a.b.c", "b[0]", "c[*].a[*]", ""]
+                .iter()
+                .map(|t| parse_path(t))
+                .collect();
+        let mut eval = BatchPathEvaluator::new(&paths);
+        let mut check = |bytes: &[u8], dict: Option<&FieldNameDictionary>| {
+            let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut cols = vec![Column::new(true); paths.len()];
+                eval.eval_columns(bytes, None, dict, &mut cols)?;
+                get_values(bytes, &paths, None, dict)
+            }));
+            match got {
+                Ok(Ok(_)) | Ok(Err(AdmError::Corrupt(_))) => {}
+                Ok(Err(e)) => panic!("{e:?} is no typed corruption (TC_FAULT_SEED={seed})"),
+                Err(_) => panic!("getValues panicked on {bytes:?} (TC_FAULT_SEED={seed})"),
+            }
+        };
+        let mut schema = Schema::new();
+        for _ in 0..300 {
+            let raw = encode(&records.new_value(&mut rng), None);
+            let compacted = infer_and_compact(&raw, &mut schema).unwrap();
+            let dict = schema.dict();
+            for (stored, dict) in [(&raw, None), (&compacted, Some(dict))] {
+                for _ in 0..3 {
+                    check(&stored[..rng.gen_range(0..stored.len())], dict);
+                    let mut flipped = stored.clone();
+                    let bit = rng.gen_range(0..flipped.len() * 8);
+                    flipped[bit / 8] ^= 1 << (bit % 8);
+                    check(&flipped, dict);
+                }
+                let mut body = stored.clone();
+                body[crate::header::HEADER_LEN..].iter_mut().for_each(|b| *b = rng.gen());
+                check(&body, dict);
+            }
+            let noise: Vec<u8> = (0..rng.gen_range(0..64)).map(|_| rng.gen()).collect();
+            check(&noise, None);
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod encode;
 pub mod header;
 pub mod reader;
 
-pub use access::{get_values, BatchPathEvaluator};
+pub use access::{doubles, get_values, BatchPathEvaluator, Column};
 pub use compact::{infer_and_compact, infer_and_compact_into, remove_anti_schema};
 pub use encode::{encode, Sections};
 pub use header::Header;

@@ -278,13 +278,18 @@ impl<'a> VectorReader<'a> {
         }
     }
 
-    /// Consume events until the container just opened by a `Begin` closes.
+    /// Consume events until the innermost open container closes. Scalars
+    /// are read raw — no `Value` is built — but a string is still checked
+    /// to be UTF-8.
     pub fn skip_container(&mut self) -> Result<(), AdmError> {
-        let target = self.stack.len() - 1;
+        let Some(target) = self.stack.len().checked_sub(1) else {
+            return Err(AdmError::corrupt("no open container to skip"));
+        };
         while self.stack.len() > target {
-            match self.next()? {
-                Item::Eov => return Err(AdmError::corrupt("EOV while skipping container")),
-                _ => continue,
+            match self.next_raw()? {
+                RawItem::Eov => return Err(AdmError::corrupt("EOV while skipping container")),
+                RawItem::Scalar { tag, bytes, .. } => check_scalar(tag, bytes)?,
+                RawItem::Begin { .. } | RawItem::Close => {}
             }
         }
         Ok(())
@@ -367,6 +372,17 @@ fn f64s<const N: usize>(bytes: &[u8]) -> Result<[f64; N], AdmError> {
         *x = f64::from_le_bytes(le(bytes.get(i * 8..).unwrap_or_default())?);
     }
     Ok(out)
+}
+
+/// The checks [`scalar_value`] makes of a scalar's stored bytes, without
+/// building its value: a string must be UTF-8 (a fixed-width value's length
+/// is checked as it is read).
+#[inline]
+pub(crate) fn check_scalar(tag: TypeTag, bytes: &[u8]) -> Result<(), AdmError> {
+    if tag == TypeTag::String {
+        std::str::from_utf8(bytes).map_err(|_| AdmError::corrupt("invalid UTF-8 string"))?;
+    }
+    Ok(())
 }
 
 /// The value of a scalar of type `tag` from the bytes the record stores for

@@ -153,19 +153,95 @@ proptest! {
         prop_assert_eq!(back, data);
     }
 
-    /// getValues over vector records matches eval_path over the decoded
-    /// value for arbitrary records and field paths.
+    /// getValues matches eval_path over the decoded value for arbitrary
+    /// records and paths of field, index and wildcard steps — zero to two
+    /// wildcards, indices in and out of range — over raw and compacted
+    /// records, and so does `RecordDecoder::batch` for the `Open` and
+    /// `Inferred` formats, into columns that take typed buffers.
     #[test]
-    fn get_values_matches_eval_path(v in arb_record(), name in "[a-z]{1,8}") {
-        let paths = vec![
-            tc_adm::path::parse_path(&name),
-            tc_adm::path::parse_path("id"),
-        ];
+    fn get_values_matches_eval_path(
+        v in arb_record(),
+        walks in proptest::collection::vec(
+            proptest::collection::vec((any::<u8>(), any::<usize>()), 0..5),
+            1..4,
+        ),
+    ) {
+        let mut paths: Vec<tc_adm::path::Path> = walks.iter().map(|w| path_into(&v, w)).collect();
+        paths.push(tc_adm::path::parse_path("id"));
+        let expected: Vec<Value> = paths.iter().map(|p| eval_path(&v, p)).collect();
+
         let raw = asterix_tc::vector::encode(&v, None);
         let got = asterix_tc::vector::get_values(&raw, &paths, None, None).unwrap();
-        let expected: Vec<Value> = paths.iter().map(|p| eval_path(&v, p)).collect();
-        prop_assert_eq!(got, expected);
+        prop_assert_eq!(&got, &expected);
+        let mut schema = Schema::new();
+        let compacted = asterix_tc::vector::infer_and_compact(&raw, &mut schema).unwrap();
+        let got =
+            asterix_tc::vector::get_values(&compacted, &paths, None, Some(schema.dict())).unwrap();
+        prop_assert_eq!(&got, &expected);
+
+        use asterix_tc::core::RecordDecoder;
+        let declared = DatasetConfig::new("records", "id").datatype;
+        let adm = asterix_tc::adm::adm_format::encode_record(&v, Some(&declared)).unwrap();
+        let raw = asterix_tc::vector::encode(&v, Some(&declared));
+        let mut schema = Schema::new();
+        let compacted = asterix_tc::vector::infer_and_compact(&raw, &mut schema).unwrap();
+        let dict = Some(Arc::new(schema.dict().clone()));
+        for (format, bytes, dict) in [
+            (StorageFormat::Open, &adm, None),
+            (StorageFormat::Inferred, &compacted, dict),
+        ] {
+            let mut batch = RecordDecoder::new(format, declared.clone(), dict).batch(&paths);
+            let mut cols = vec![asterix_tc::vector::Column::new(true); paths.len()];
+            batch.append(bytes, &mut cols).unwrap();
+            let got: Vec<Value> = cols.iter_mut().map(|c| c.take(0)).collect();
+            prop_assert_eq!(&got, &expected, "{:?}", format);
+        }
     }
+}
+
+/// A path into `v` built from `walk`: each `(kind, n)` picks the next step
+/// from the value the path has reached — one of an object's fields, a
+/// wildcard (at most two per path) or an index in or just out of range of a
+/// collection — or, past the value's end, a step that finds nothing.
+fn path_into(v: &Value, walk: &[(u8, usize)]) -> tc_adm::path::Path {
+    use tc_adm::path::PathStep;
+    let mut path = Vec::new();
+    let mut at = Some(v);
+    let mut wildcards = 0;
+    for &(kind, n) in walk {
+        let step = match at {
+            Some(Value::Object(fields)) if !fields.is_empty() && kind % 5 != 0 => {
+                let (name, child) = &fields[n % fields.len()];
+                at = Some(child);
+                PathStep::field(name.as_str())
+            }
+            Some(Value::Array(items) | Value::Multiset(items))
+                if kind % 2 == 0 && wildcards < 2 =>
+            {
+                wildcards += 1;
+                at = items.get(n % items.len().max(1));
+                PathStep::Wildcard
+            }
+            Some(Value::Array(items) | Value::Multiset(items)) => {
+                let i = n % (items.len() + 2);
+                at = items.get(i);
+                PathStep::Index(i)
+            }
+            _ => {
+                at = None;
+                match kind % 3 {
+                    0 if wildcards < 2 => {
+                        wildcards += 1;
+                        PathStep::Wildcard
+                    }
+                    1 => PathStep::Index(n % 3),
+                    _ => PathStep::field("zz"),
+                }
+            }
+        };
+        path.push(step);
+    }
+    path
 }
 
 // ---------------------------------------------------------------------

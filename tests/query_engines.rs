@@ -8,7 +8,9 @@
 //! component, where the batched engine takes the zero-pivot scan — or
 //! columnar ones caught mid-ingest — unmerged components, stale versions,
 //! anti-matter and a resident memtable — where the batched engine reads
-//! column pages and the row engine assembled records.
+//! column pages and the row engine assembled records. A group-by under an
+//! unnest folds each collection at once, from a typed buffer or from
+//! `Value`s; both folds are held to the plan that pushes a row per item.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -27,6 +29,9 @@ struct Rec {
     c: Vec<i64>,
     e: Option<i64>,
     g: Vec<i64>,
+    /// `h[*].t`: all doubles (a typed buffer), or all bigints or a mix with
+    /// nulls, strings and items without `t` (`Value` arrays).
+    h: Vec<Option<Value>>,
 }
 
 impl Rec {
@@ -47,6 +52,10 @@ impl Rec {
         }
         let item = |&v: &i64| Value::Object(vec![("b".to_string(), Value::Int64(v))]);
         fields.push(("g".to_string(), Value::Array(self.g.iter().map(item).collect())));
+        let t = |t: &Option<Value>| {
+            Value::Object(t.iter().map(|t| ("t".to_string(), t.clone())).collect())
+        };
+        fields.push(("h".to_string(), Value::Array(self.h.iter().map(t).collect())));
         Value::Object(fields)
     }
 }
@@ -70,9 +79,28 @@ fn arb_rec() -> impl Strategy<Value = Rec> {
         opt("[rgb]"),
         proptest::collection::vec(0i64..10, 0..4),
         opt(0i64..5),
-        proptest::collection::vec(0i64..10, 0..3),
+        (proptest::collection::vec(0i64..10, 0..3), arb_h()),
     )
-        .prop_map(|(a, b, c, e, g)| Rec { a, b, c, e, g })
+        .prop_map(|(a, b, c, e, (g, h))| Rec { a, b, c, e, g, h })
+}
+
+/// `h`'s items: in a third of the records every `t` is a double, in a third
+/// a bigint, and the rest mix them with nulls, strings and absent `t`s.
+fn arb_h() -> impl Strategy<Value = Vec<Option<Value>>> {
+    let double = || (-1e3f64..1e3).prop_map(Value::Double);
+    let bigint = || (-1000i64..1000).prop_map(Value::Int64);
+    let mixed = prop_oneof![
+        double().prop_map(Some),
+        bigint().prop_map(Some),
+        Just(Some(Value::Null)),
+        "[a-c]{1,2}".prop_map(|s| Some(Value::String(s))),
+        Just(None),
+    ];
+    prop_oneof![
+        proptest::collection::vec(double().prop_map(Some), 0..6),
+        proptest::collection::vec(bigint().prop_map(Some), 0..6),
+        proptest::collection::vec(mixed, 0..6),
+    ]
 }
 
 /// Parameterized plan templates covering the batched engine's code paths:
@@ -98,6 +126,7 @@ enum Shape {
     MixedPaths { ge: i64, late: bool },
     FilterLimit { ge: i64, k: usize },
     UnnestLimit { k: usize },
+    UnnestAgg { keyless: bool },
 }
 
 fn arb_shape() -> impl Strategy<Value = Shape> {
@@ -115,6 +144,7 @@ fn arb_shape() -> impl Strategy<Value = Shape> {
         (0i64..5, any::<bool>()).prop_map(|(ge, late)| Shape::MixedPaths { ge, late }),
         (0i64..40, 0usize..20).prop_map(|(ge, k)| Shape::FilterLimit { ge, k }),
         (0usize..20).prop_map(|k| Shape::UnnestLimit { k }),
+        any::<bool>().prop_map(|keyless| Shape::UnnestAgg { keyless }),
     ]
 }
 
@@ -223,6 +253,29 @@ fn build_query(shape: &Shape) -> Query {
             scan: ScanSpec::all_early(vec![path("id"), path("c")], AccessStrategy::Consolidated),
             ops: vec![Op::Unnest(Expr::col(1)), Op::Limit(*k)],
         },
+        // Sensors Q3's shape (Q1's and Q2's without a key): a group-by
+        // right under an unnest of `h[*].t`.
+        Shape::UnnestAgg { keyless } => {
+            let item = || Expr::col(2);
+            let aggs = vec![
+                Agg::of(AggFn::Avg, item()),
+                Agg::of(AggFn::Sum, item()),
+                Agg::of(AggFn::Min, item()),
+                Agg::of(AggFn::Max, item()),
+                Agg::count_star(),
+            ];
+            let keys = if *keyless { vec![] } else { vec![Expr::col(0)] };
+            Query {
+                scan: ScanSpec::all_early(vec![path("b"), path("h[*].t")], {
+                    AccessStrategy::Consolidated
+                }),
+                ops: vec![
+                    Op::Unnest(Expr::col(1)),
+                    Op::GroupBy { keys, aggs },
+                    Op::OrderBy { keys: vec![(Expr::col(0), false)], limit: None },
+                ],
+            }
+        }
     }
 }
 
@@ -316,10 +369,42 @@ fn assert_all_agree(ds: &[Dataset], shape: &Shape, batch_size: usize) {
                 reference.rows, got.rows,
                 "{engine:?}/parallel={parallel} on {shape:?} (batch={batch_size})"
             );
+            // Bit for bit: a double's sign of zero and its last bit too.
+            assert_eq!(
+                format!("{:?}", reference.rows),
+                format!("{:?}", got.rows),
+                "{engine:?}/parallel={parallel} on {shape:?} (batch={batch_size})"
+            );
             assert_eq!(
                 (reference.stats.rows_scanned, reference.stats.units_skipped),
                 (got.stats.rows_scanned, got.stats.units_skipped),
                 "scan counters: {engine:?}/parallel={parallel} on {shape:?}"
+            );
+        }
+    }
+}
+
+/// Both unnest-aggregate shapes on `ds`: every engine agrees (see
+/// [`assert_all_agree`]), and the fold — typed or of `Value`s — equals, bit
+/// for bit, the plan that pushes a row per item to the group-by (a filter
+/// that keeps every row sits between them).
+fn assert_folds_agree(ds: &[Dataset], batch_size: usize) {
+    let refs: Vec<&Dataset> = ds.iter().collect();
+    for keyless in [false, true] {
+        let shape = Shape::UnnestAgg { keyless };
+        assert_all_agree(ds, &shape, batch_size);
+        let q = build_query(&shape);
+        let mut per_item = q.clone();
+        per_item.ops.insert(1, Op::Filter(Expr::lit(true)));
+        let serial =
+            |engine| ExecOptions { engine, parallel: false, batch_size, ..Default::default() };
+        let reference = execute(&refs, &per_item, &serial(Engine::Row)).unwrap();
+        for engine in [Engine::Batched, Engine::Row] {
+            let got = execute(&refs, &q, &serial(engine)).unwrap();
+            assert_eq!(
+                format!("{:?}", reference.rows),
+                format!("{:?}", got.rows),
+                "{engine:?} fold vs a row per item on {shape:?} (batch={batch_size})"
             );
         }
     }
@@ -376,5 +461,25 @@ proptest! {
         .unwrap();
         prop_assert_eq!(count.stats.rows_scanned, live);
         assert_all_agree(&ds, &shape, batch_size);
+    }
+
+    /// The group-by under an unnest folds typed buffers and `Value`s alike,
+    /// on each of the four loaders: one batch holds records whose `h[*].t`
+    /// fills a typed buffer and records that demote to `Value`s.
+    #[test]
+    fn typed_and_value_folds_agree(
+        recs in proptest::collection::vec(arb_rec(), 30..90),
+        partitions in 1usize..3,
+        batch_size in 1usize..64,
+    ) {
+        for format in [StorageFormat::Open, StorageFormat::Inferred] {
+            assert_folds_agree(&load(&recs, partitions, format), batch_size);
+        }
+        let at_rest = load(&recs, partitions, StorageFormat::Columnar);
+        for ds in &at_rest {
+            ds.force_full_merge().unwrap();
+        }
+        assert_folds_agree(&at_rest, batch_size);
+        assert_folds_agree(&load_live(&recs, partitions), batch_size);
     }
 }
