@@ -10,6 +10,7 @@ use tc_adm::datatype::ObjectType;
 use tc_adm::path::{Path, PathStep};
 use tc_adm::{TypeTag, Value};
 use tc_lsm::columnar::ColumnarChunk;
+use tc_lsm::component::DiskComponent;
 use tc_lsm::entry::{EntryKind, Key};
 use tc_lsm::zone::{ColumnZone, Num, Zone, ZoneColumn};
 use tc_schema::FieldNameDictionary;
@@ -157,6 +158,13 @@ impl ChunkReader {
         chunk.downcast_ref()
     }
 
+    /// The reader of a columnar component and the store its pages live on;
+    /// `None` for a row-layout component or a chunk of another codec.
+    pub fn of_component(component: &DiskComponent) -> Option<(&ChunkReader, &PageStore)> {
+        let (chunk, store) = component.columnar_view()?;
+        Some((ChunkReader::of(chunk)?, store))
+    }
+
     pub fn columns(&self) -> &[ColumnSpec] {
         &self.columns
     }
@@ -228,51 +236,57 @@ impl ChunkReader {
         GroupView { reader: self, store, cache, g, blocks }
     }
 
-    /// Binary-search group `g`'s key column: the row id and kind of `key`.
-    fn find_key(
-        &self,
-        store: &PageStore,
-        cache: &BufferCache,
-        g: usize,
-        key: &[u8],
-    ) -> Result<Option<(usize, EntryKind)>, StorageError> {
-        let gm = &self.groups[g];
-        let err = || corrupt("keys block", g);
-        let block = self.block(store, cache, gm.keys);
-        let (mut lo, mut hi) = (0usize, gm.rows as usize);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let entry = var_row(&block, g, gm.rows as usize * 4, mid)?;
-            let (k, kind, n) = read_key_entry(&entry).ok_or_else(err)?;
-            if n != entry.len() {
-                return Err(err());
-            }
-            match k.cmp(key) {
-                std::cmp::Ordering::Equal => return Ok(Some((mid, kind))),
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-            }
-        }
-        Ok(None)
-    }
-
-    /// One record from its stored parts — what both the group read and the
-    /// point read end in, so the two agree byte for byte: onto the row's
-    /// decoded residual ([`ChunkReader::residual_record`]) graft each typed
-    /// column's value at its path (`column_value(c)`; `Missing` = the row has none
-    /// there), re-encode.
-    fn record(
+    /// Assemble one record from its stored parts — the one routine every
+    /// whole-record read ends in, so scans, point reads and the byte forms
+    /// made of them agree: onto the row's decoded residual
+    /// ([`ChunkReader::residual_record`]) graft each typed column's value at
+    /// its path (`column_value(c)`; `Missing` = the row has none there).
+    fn assemble(
         &self,
         mut value: Value,
         mut column_value: impl FnMut(usize) -> Result<Value, StorageError>,
-    ) -> Result<Vec<u8>, StorageError> {
+    ) -> Result<Value, StorageError> {
         for (c, spec) in self.columns.iter().enumerate() {
             match column_value(c)? {
                 Value::Missing => {}
                 v => insert_at_path(&mut value, &spec.path, v),
             }
         }
-        Ok(tc_vector::encode(&value, Some(&self.declared)))
+        Ok(value)
+    }
+
+    /// Row `row` of group `g`, a record, assembled from the pages it lies on
+    /// alone: the keys block is not read, the residual block and each column
+    /// block only where the row's bytes are (its offset-table entries, its
+    /// definition bytes and its value) — the point read's arithmetic over a
+    /// [`GroupView`]'s. The record [`GroupView::record`] assembles for the
+    /// row. Counted in no counter: the lookup that found the row is
+    /// ([`ColumnarCounters::point_lookups`]).
+    pub fn record_at(
+        &self,
+        store: &PageStore,
+        cache: &BufferCache,
+        g: usize,
+        row: usize,
+    ) -> Result<Value, StorageError> {
+        let gm = self.groups.get(g).ok_or_else(|| corrupt("row group", g))?;
+        let rows = gm.rows as usize;
+        if row >= rows {
+            return Err(corrupt("residual block", g));
+        }
+        let residual = var_row(&self.block(store, cache, gm.residual), g, rows * 4, row)?;
+        let residual = len_prefixed(&residual).ok_or_else(|| corrupt("residual block", g))?;
+        self.assemble(self.residual_record(residual)?, |c| {
+            let (block, tag) = (self.block(store, cache, gm.cols[c].run), self.columns[c].tag);
+            let (def, raw) = column_row(&block, g, tag, rows, &mut Rank::default(), row)?;
+            decode_value(tag, g, (def, raw.as_deref()))
+        })
+    }
+
+    /// A record as the payload bytes the LSM layer hands out: its
+    /// uncompacted vector encoding.
+    fn payload(&self, record: &Value) -> Vec<u8> {
+        tc_vector::encode(record, Some(&self.declared))
     }
 
     /// A row's residual record, decoded: declared fields by the catalog
@@ -544,6 +558,17 @@ impl<'c> GroupView<'c> {
         Ok(self.residual_values(row, &mut BatchPathEvaluator::new(&[path]))?.remove(0))
     }
 
+    /// Row `row`'s whole record, assembled from the residual block and every
+    /// column block (each read whole the first time, like any other read of
+    /// the view). Counted in [`ColumnarCounters::rows_reconstructed`]. Only
+    /// for a record row: an anti-matter row has no residual to decode.
+    pub fn record(&mut self, row: usize) -> Result<Value, StorageError> {
+        let reader = self.reader;
+        reader.counters.rows_reconstructed.fetch_add(1, Ordering::Relaxed);
+        let residual = reader.residual_record(self.residual_row(row)?)?;
+        reader.assemble(residual, |c| self.column_value(c, row))
+    }
+
     /// Row `row` of an `Int64` column, for primitive loops: `None` unless
     /// present (null, absent and spilled rows alike).
     pub fn i64_at(&mut self, col: usize, row: usize) -> Result<Option<i64>, StorageError> {
@@ -599,24 +624,25 @@ impl<'c> GroupView<'c> {
 }
 
 /// Insert `v` at `path`, creating intermediate objects as needed (they
-/// normally already exist: shredding leaves emptied objects in place).
+/// normally already exist: shredding leaves emptied objects in place). `v`
+/// is moved in, never copied.
 fn insert_at_path(target: &mut Value, path: &[String], v: Value) {
-    let Value::Object(fields) = target else { return };
-    let idx = match fields.iter().position(|(n, _)| n == &path[0]) {
-        Some(i) => i,
+    let (Value::Object(fields), Some((name, rest))) = (target, path.split_first()) else {
+        return;
+    };
+    let slot = match fields.iter().position(|(n, _)| n == name) {
+        Some(i) => &mut fields[i].1,
+        None if rest.is_empty() => return fields.push((name.clone(), v)),
         None => {
-            let init = if path.len() == 1 { v.clone() } else { Value::Object(Vec::new()) };
-            fields.push((path[0].clone(), init));
-            if path.len() == 1 {
-                return;
-            }
-            fields.len() - 1
+            fields.push((name.clone(), Value::Object(Vec::new())));
+            #[expect(clippy::expect_used, reason = "a field was pushed just above")]
+            &mut fields.last_mut().expect("just pushed").1
         }
     };
-    if path.len() == 1 {
-        fields[idx].1 = v;
+    if rest.is_empty() {
+        *slot = v;
     } else {
-        insert_at_path(&mut fields[idx].1, &path[1..], v);
+        insert_at_path(slot, rest, v);
     }
 }
 
@@ -681,48 +707,56 @@ impl ColumnarChunk for ChunkReader {
         g: usize,
     ) -> Result<Vec<(Key, EntryKind, Vec<u8>)>, StorageError> {
         let keys = self.read_group_keys(store, cache, g)?;
-        self.counters.rows_reconstructed.fetch_add(keys.len() as u64, Ordering::Relaxed);
         let mut view = self.view(store, cache, g);
         let mut rows = Vec::with_capacity(keys.len());
         for (i, (key, kind)) in keys.into_iter().enumerate() {
             // Anti-matter rows carry no payload.
             let payload = match kind {
                 EntryKind::AntiMatter => Vec::new(),
-                EntryKind::Record => {
-                    let residual = self.residual_record(view.residual_row(i)?)?;
-                    self.record(residual, |c| view.column_value(c, i))?
-                }
+                EntryKind::Record => self.payload(&view.record(i)?),
             };
             rows.push((key, kind, payload));
         }
         Ok(rows)
     }
 
-    fn get_row(
+    fn find_row(
         &self,
         store: &PageStore,
         cache: &BufferCache,
         g: usize,
         key: &[u8],
-    ) -> Result<Option<(EntryKind, Vec<u8>)>, StorageError> {
+    ) -> Result<Option<(u32, EntryKind)>, StorageError> {
         self.counters.point_lookups.fetch_add(1, Ordering::Relaxed);
-        let Some((i, kind)) = self.find_key(store, cache, g, key)? else {
-            return Ok(None);
-        };
-        if kind == EntryKind::AntiMatter {
-            return Ok(Some((kind, Vec::new())));
-        }
-        // The arithmetic of the view over pages faulted in one by one.
+        // Binary search over the keys block's rows.
         let gm = &self.groups[g];
-        let rows = gm.rows as usize;
-        let residual = var_row(&self.block(store, cache, gm.residual), g, rows * 4, i)?;
-        let residual = len_prefixed(&residual).ok_or_else(|| corrupt("residual block", g))?;
-        let payload = self.record(self.residual_record(residual)?, |c| {
-            let (block, tag) = (self.block(store, cache, gm.cols[c].run), self.columns[c].tag);
-            let (def, raw) = column_row(&block, g, tag, rows, &mut Rank::default(), i)?;
-            decode_value(tag, g, (def, raw.as_deref()))
-        })?;
-        Ok(Some((kind, payload)))
+        let err = || corrupt("keys block", g);
+        let block = self.block(store, cache, gm.keys);
+        let (mut lo, mut hi) = (0usize, gm.rows as usize);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let entry = var_row(&block, g, gm.rows as usize * 4, mid)?;
+            let (k, kind, n) = read_key_entry(&entry).ok_or_else(err)?;
+            if n != entry.len() {
+                return Err(err());
+            }
+            match k.cmp(key) {
+                std::cmp::Ordering::Equal => return Ok(Some((mid as u32, kind))),
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+            }
+        }
+        Ok(None)
+    }
+
+    fn read_row(
+        &self,
+        store: &PageStore,
+        cache: &BufferCache,
+        g: usize,
+        row: u32,
+    ) -> Result<Vec<u8>, StorageError> {
+        Ok(self.payload(&self.record_at(store, cache, g, row as usize)?))
     }
 }
 

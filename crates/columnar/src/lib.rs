@@ -49,7 +49,8 @@
 //! rows vary in width open with an **offset table** — one little-endian
 //! `u32` per row, the offset at which that row *ends* in the area after the
 //! table (row 0 starts at 0) — so a point lookup ([`ChunkReader`]'s
-//! `get_row`) reads one row and faults in only the pages holding it:
+//! `record_at`, `read_row`) reads one row and faults in only the pages
+//! holding it:
 //!
 //! ```text
 //! keys block      [end × rows] [varint klen, key, kind byte]…
@@ -82,20 +83,29 @@
 //! `bytes_read`). It answers by row: the value at a column's path (`value_at`,
 //! which turns to the residual where the group recorded a spill), an `Int64`
 //! or `Double` column's value for primitive loops, the row's residual record
-//! as a slice of the block and paths evaluated over it, and the row's
-//! definition byte and value bytes as stored. Three consumers read through it,
-//! and so cannot disagree about the block format or fault a block the others
-//! would not: `tc_query`'s scans (the at-rest scan's filter loops and the live
-//! scan's batch fill), group reconstruction (`read_group_rows`) and the
-//! merging writer's copy.
+//! as a slice of the block and paths evaluated over it, the row's definition
+//! byte and value bytes as stored, and the row's whole record (`record`).
+//! Three consumers read through it, and so cannot disagree about the block
+//! format or fault a block the others would not: `tc_query`'s scans (the
+//! at-rest scan's filter loops and the live scan's batch fill), group
+//! reconstruction (`read_group_rows`) and the merging writer's copy.
 //!
-//! The point read (`get_row`) does not read whole blocks — it faults in only
-//! the pages its row lies on — but it finds the row with the same code: where
-//! a row's bytes lie (offset table → span; definition bytes → rank → value) is
-//! written once in [`chunk`], over "a block's bytes by range", which a view
-//! answers from memory and a point read from pages. The keys block is read on
-//! its own (`read_group_keys`, and `get_row`'s binary search): scans reconcile
-//! components on keys before any row is wanted.
+//! A whole record is **assembled into a `Value`** by one routine: decode the
+//! row's residual record, then graft each typed column's value at its path.
+//! A scan asks the view for it ([`GroupView::record`], whole blocks); a point
+//! read asks the chunk ([`ChunkReader::record_at`]), which faults in only the
+//! pages its row lies on. Vector bytes are made of that `Value` only for
+//! callers that want bytes — `read_group_rows` and `read_row`, which serve
+//! merges that cannot copy a row, the write path's old version and the row
+//! engine — so the byte and `Value` forms of a row agree by construction.
+//!
+//! The point read does not read whole blocks, but it finds the row with the
+//! same code: where a row's bytes lie (offset table → span; definition bytes
+//! → rank → value) is written once in [`chunk`], over "a block's bytes by
+//! range", which a view answers from memory and a point read from pages. The
+//! keys block is read on its own (`read_group_keys`, and `find_row`'s binary
+//! search): scans reconcile components on keys before any row is wanted, and
+//! a point lookup finds its row id before it reads the row.
 //!
 //! # Writing, and how a merge copies a row
 //!
@@ -127,7 +137,7 @@
 //! ids would name other fields), a group with a spilled value
 //! in any column (which rows spilled is recorded only inside their residual
 //! records, and the output needs its own count), or a chunk that is not a
-//! [`ChunkReader`] ([`ChunkReader::of`]). Those rows are pivoted — `get_row`,
+//! [`ChunkReader`] ([`ChunkReader::of`]). Those rows are pivoted — `read_row`,
 //! then the flush path — and counted in
 //! [`ColumnarCounters::rows_reconstructed`]; copied rows count in
 //! [`ColumnarCounters::rows_column_merged`], so "did this merge pivot?" is a
@@ -196,17 +206,19 @@ impl ColumnarCounters {
         self.typed_filter_rows.load(Ordering::Relaxed)
     }
 
-    /// Rows decoded, grafted and re-encoded into records. `read_group_rows`
-    /// adds its group's rows: scans that want whole records (the row engine,
-    /// whole-record paths), for the groups that own a winner. A merge adds
-    /// to it only through the writer's fallback — one per row it could not
-    /// copy column-wise. A point lookup adds none, nor does a batched scan
-    /// of typed or residual paths.
+    /// Rows assembled by a scan into whole records ([`GroupView::record`]):
+    /// scans that want whole records (the row engine and `read_group_rows`,
+    /// whole-record paths and paths crossing a typed column's prefix), one
+    /// per row that won. A merge adds to it only through the writer's
+    /// fallback — one per row it could not copy column-wise. A point lookup
+    /// adds none (`record_at` and `read_row` count in no counter; the lookup
+    /// is counted in `point_lookups`), nor does a batched scan of typed or
+    /// residual paths.
     pub fn rows_reconstructed(&self) -> u64 {
         self.rows_reconstructed.load(Ordering::Relaxed)
     }
 
-    /// `get_row` calls: point lookups that reached a row group.
+    /// `find_row` calls: point lookups that reached a row group.
     pub fn point_lookups(&self) -> u64 {
         self.point_lookups.load(Ordering::Relaxed)
     }

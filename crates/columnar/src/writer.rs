@@ -319,7 +319,7 @@ struct SourceGroup {
 /// always is, the dictionary only grows), or one of its columns has a
 /// spilled value (which rows spilled, the output group's own spill count, is
 /// written nowhere but in the residual records) — or a chunk that is no
-/// [`ChunkReader`] has its rows pivoted through `get_row` and `push`, each
+/// [`ChunkReader`] has its rows pivoted through `read_row` and `push`, each
 /// one counted in `rows_reconstructed`; copied rows count in
 /// `rows_column_merged`. Both routes write the same bytes.
 #[derive(Debug)]
@@ -430,15 +430,10 @@ impl ColumnarWriter for AmaxWriter {
             self.counters.rows_column_merged.fetch_add(1, Ordering::Relaxed);
             return self.end_row(store);
         }
-        let row = source.chunk.get_row(source.store, source.cache, source.group as usize, key)?;
-        let Some((kind, payload)) = row else {
-            return Err(StorageError::corruption(
-                "column block",
-                format!("row group {} does not hold the key a scan found in it", source.group),
-            ));
-        };
+        let (group, row) = (source.group as usize, source.row);
+        let payload = source.chunk.read_row(source.store, source.cache, group, row)?;
         self.counters.rows_reconstructed.fetch_add(1, Ordering::Relaxed);
-        self.push(store, key, kind, &payload)
+        self.push(store, key, EntryKind::Record, &payload)
     }
 
     fn finish(

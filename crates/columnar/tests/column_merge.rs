@@ -1,6 +1,6 @@
 //! Column-to-column merges: a component built from row *references*
 //! (`push_row`, values copied between column pages) must equal, page for
-//! page, the one built by pivoting every winner to a record first (`get_row`
+//! page, the one built by pivoting every winner to a record first (`read_row`
 //! then `push`) — and every source the copy is refused for must take that
 //! pivot, counted, and still round-trip.
 
@@ -91,7 +91,7 @@ impl Merged {
 }
 
 /// Merge the winners twice with `codec`: by row reference, and by pivoting
-/// each through `get_row` + `push` — the reference the first must equal.
+/// each through `read_row` + `push` — the reference the first must equal.
 fn merge_both_ways(
     codec: &AmaxCodec,
     page_size: usize,
@@ -113,9 +113,8 @@ fn merge_both_ways(
         let chunk = source.chunk.as_ref();
         let row_source = RowSource { chunk, store: &source.store, cache, group, row };
         by_reference.push_row(&ref_store, &k, row_source).unwrap();
-        let (kind, payload) =
-            chunk.get_row(&source.store, cache, group as usize, &k).unwrap().unwrap();
-        by_pivot.push(&pivot_store, &k, kind, &payload).unwrap();
+        let payload = chunk.read_row(&source.store, cache, group as usize, row).unwrap();
+        by_pivot.push(&pivot_store, &k, EntryKind::Record, &payload).unwrap();
     }
     let chunk = by_reference.finish(&ref_store).unwrap();
     let pivot_chunk = by_pivot.finish(&pivot_store).unwrap();
@@ -447,14 +446,24 @@ impl ColumnarChunk for Opaque {
         self.0.read_group_rows(store, cache, g)
     }
 
-    fn get_row(
+    fn find_row(
         &self,
         store: &PageStore,
         cache: &BufferCache,
         g: usize,
         key: &[u8],
-    ) -> Result<Option<(EntryKind, Vec<u8>)>, StorageError> {
-        self.0.get_row(store, cache, g, key)
+    ) -> Result<Option<(u32, EntryKind)>, StorageError> {
+        self.0.find_row(store, cache, g, key)
+    }
+
+    fn read_row(
+        &self,
+        store: &PageStore,
+        cache: &BufferCache,
+        g: usize,
+        row: u32,
+    ) -> Result<Vec<u8>, StorageError> {
+        self.0.read_row(store, cache, g, row)
     }
 }
 

@@ -1,7 +1,9 @@
-//! Row-addressable point reads: `get_row` must agree with the group
-//! reconstruction it replaces and, value for value, with the view of the row
-//! group the scans read through — and must answer a damaged offset table
-//! with a typed error.
+//! Row-addressable point reads: `find_row` + `read_row` must agree with the
+//! group reconstruction they replace and, value for value, with the view of
+//! the row group the scans read through; a record assembled by the view
+//! (`GroupView::record`) or by the point read (`ChunkReader::record_at`) must
+//! be the one those bytes decode to, field order included — and a damaged
+//! offset table must be answered with a typed error.
 
 mod common;
 
@@ -15,6 +17,7 @@ use tc_lsm::columnar::{ColumnarChunk, ColumnarCodec};
 use tc_lsm::entry::EntryKind;
 use tc_schema::Schema;
 use tc_storage::buffer_cache::BufferCache;
+use tc_storage::error::StorageError;
 use tc_storage::page_store::PageStore;
 
 use common::{arb_row, declared_pk, key, new_store, observe, row_record};
@@ -22,6 +25,23 @@ use common::{arb_row, declared_pk, key, new_store, observe, row_record};
 /// What `record` holds at `path` (`Missing` if nothing).
 fn at_path(record: &Value, path: &[String]) -> Value {
     path.iter().try_fold(record, |v, name| v.get_field(name)).cloned().unwrap_or(Value::Missing)
+}
+
+/// A point read as the tree makes it: the row `find_row` finds for `k` in
+/// group `g`, and for a record its bytes (`read_row`; anti-matter has none).
+fn get_row(
+    chunk: &dyn ColumnarChunk,
+    store: &PageStore,
+    cache: &BufferCache,
+    g: usize,
+    k: &[u8],
+) -> Result<Option<(EntryKind, Vec<u8>)>, StorageError> {
+    let Some((row, kind)) = chunk.find_row(store, cache, g, k)? else { return Ok(None) };
+    let payload = match kind {
+        EntryKind::AntiMatter => Vec::new(),
+        EntryKind::Record => chunk.read_row(store, cache, g, row)?,
+    };
+    Ok(Some((kind, payload)))
 }
 
 /// The group a lookup of `k` is routed to: the last one whose first key is
@@ -33,12 +53,15 @@ fn group_for(chunk: &dyn ColumnarChunk, k: &[u8]) -> usize {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// For every stored key `get_row` returns exactly the row
+    /// For every stored key the point read returns exactly the row
     /// `read_group_rows` reconstructs, and nothing for keys below, between
-    /// and above the stored ones — without reconstructing a row. And for
-    /// every stored record and typed column the group's view gives the value
-    /// the point read's record holds at the column's path (a spilled one
-    /// included), rows asked for forwards and then backwards.
+    /// and above the stored ones — without reconstructing a row. For every
+    /// stored record and typed column the group's view gives the value the
+    /// point read's record holds at the column's path (a spilled one
+    /// included), rows asked for forwards and then backwards. And every
+    /// record assembled as a `Value`, by the view or by the point read,
+    /// prints as its bytes decode: `Value`'s `==` ignores field order, its
+    /// text does not.
     #[test]
     fn get_row_equals_reconstructed_row(
         rows in proptest::collection::vec(arb_row(), 1..24),
@@ -74,14 +97,14 @@ proptest! {
         for (k, kind, payload) in &stored {
             let g = group_for(chunk.as_ref(), k);
             prop_assert_eq!(
-                chunk.get_row(&store, &cache, g, k).unwrap(),
+                get_row(chunk.as_ref(), &store, &cache, g, k).unwrap(),
                 Some((*kind, payload.clone()))
             );
         }
         for probe in (0..=2 * entries.len() as u64 + 3).filter(|p| p % 2 == 1 || *p == 0) {
             let k = key(probe);
             let g = group_for(chunk.as_ref(), &k);
-            prop_assert_eq!(chunk.get_row(&store, &cache, g, &k).unwrap(), None);
+            prop_assert_eq!(get_row(chunk.as_ref(), &store, &cache, g, &k).unwrap(), None);
         }
         prop_assert_eq!(codec.counters().rows_reconstructed(), reconstructed);
 
@@ -96,7 +119,7 @@ proptest! {
                     prop_assert_eq!(view.residual_row(i).unwrap(), &[] as &[u8]);
                     continue;
                 }
-                let (_, payload) = reader.get_row(&store, &cache, g, k).unwrap().unwrap();
+                let (_, payload) = get_row(reader, &store, &cache, g, k).unwrap().unwrap();
                 let record = tc_vector::decode(&payload, Some(&declared), None).unwrap();
                 for (c, spec) in reader.columns().iter().enumerate() {
                     let value = view.value_at(c, i).unwrap();
@@ -117,6 +140,23 @@ proptest! {
                 }
             }
             first += rows;
+        }
+
+        let mut first = 0;
+        for g in 0..reader.num_groups() {
+            let mut view = reader.view(&store, &cache, g);
+            for i in 0..view.rows() {
+                let (_, kind, payload) = &stored[first + i];
+                if *kind == EntryKind::AntiMatter {
+                    continue;
+                }
+                let decoded = tc_vector::decode(payload, Some(&declared), None).unwrap();
+                let text = tc_adm::to_string(&decoded);
+                prop_assert_eq!(tc_adm::to_string(&view.record(i).unwrap()), text.clone());
+                let record = reader.record_at(&store, &cache, g, i).unwrap();
+                prop_assert_eq!(tc_adm::to_string(&record), text);
+            }
+            first += view.rows();
         }
     }
 }
@@ -149,7 +189,7 @@ fn damaged_offset_tables_are_typed_corruption() {
     let chunk = codec.build_chunk(&store, &entries, Some(&schema.serialize())).unwrap();
     let reader = ChunkReader::of(chunk.as_ref()).unwrap();
     let cache = BufferCache::new(64);
-    assert!(reader.get_row(&store, &cache, 0, &key(1)).unwrap().is_some());
+    assert!(get_row(reader, &store, &cache, 0, &key(1)).unwrap().is_some());
 
     let reopen = |groups: Vec<GroupMeta>| {
         let counters = Arc::new(ColumnarCounters::default());
@@ -168,14 +208,14 @@ fn damaged_offset_tables_are_typed_corruption() {
         let damaged = store_with_damage(&store, run.start, &[0xff; 4]);
         let same = reopen(reader.groups().to_vec());
         for k in [0, 1] {
-            assert_corrupt(same.get_row(&damaged, &BufferCache::new(64), 0, &key(k)));
+            assert_corrupt(get_row(&same, &damaged, &BufferCache::new(64), 0, &key(k)));
         }
     }
     // An index that claims a block shorter than its own offset table.
     let mut truncated = reader.groups().to_vec();
     truncated[0].residual.bytes = 6;
     let short = reopen(truncated);
-    assert_corrupt(short.get_row(&store, &cache, 0, &key(2)));
+    assert_corrupt(get_row(&short, &store, &cache, 0, &key(2)));
     assert!(short.read_group_rows(&store, &cache, 0).unwrap_err().is_corruption());
 }
 
@@ -195,7 +235,7 @@ fn a_residual_id_the_dictionary_lacks_is_typed_corruption() {
     let chunk = codec.build_chunk(&store, &entries, Some(&schema.serialize())).unwrap();
     let reader = ChunkReader::of(chunk.as_ref()).unwrap();
     let cache = BufferCache::new(64);
-    assert!(reader.get_row(&store, &cache, 0, &key(1)).unwrap().is_some());
+    assert!(get_row(reader, &store, &cache, 0, &key(1)).unwrap().is_some());
 
     // The same blocks under a dictionary that stops before `deep`.
     let mut short = tc_schema::FieldNameDictionary::new();
@@ -206,7 +246,7 @@ fn a_residual_id_the_dictionary_lacks_is_typed_corruption() {
     let (columns, groups) = (reader.columns().to_vec(), reader.groups().to_vec());
     let counters = Arc::new(ColumnarCounters::default());
     let lagging = ChunkReader::new(declared, counters, columns, groups, Some(short), 0);
-    let err = lagging.get_row(&store, &cache, 0, &key(1)).unwrap_err();
+    let err = get_row(&lagging, &store, &cache, 0, &key(1)).unwrap_err();
     assert!(err.is_corruption() && err.to_string().contains("field name id"), "got {err}");
     assert!(lagging.read_group_rows(&store, &cache, 0).unwrap_err().is_corruption());
     let mut view = lagging.view(&store, &cache, 0);

@@ -42,12 +42,14 @@ use std::sync::Arc;
 
 use tc_adm::path::PathStep;
 use tc_adm::{AdmError, Value};
-use tc_columnar::{AmaxCodec, ColumnarCounters};
+use tc_columnar::{AmaxCodec, ChunkReader, ColumnarCounters};
 use tc_lsm::component::DiskComponent;
 use tc_lsm::entry::{decode_i64_key, encode_i64_key, Key};
 use tc_lsm::iter::MergedScan;
 use tc_lsm::secondary::{PrimaryKeyIndex, SecondaryIndex};
-use tc_lsm::{ColumnarCodec, ComponentHook, EntryKind, LsmOptions, LsmTree, NoopHook, ZoneFilter};
+use tc_lsm::{
+    ColumnarCodec, ComponentHook, EntryKind, LookupHit, LsmOptions, LsmTree, NoopHook, ZoneFilter,
+};
 use tc_schema::Schema;
 use tc_storage::device::Device;
 use tc_storage::{BufferCache, StorageError};
@@ -458,9 +460,30 @@ impl Dataset {
         let key = encode_i64_key(pk);
         let (decoder, mut hits) =
             self.primary.lookup_with(&[key], || self.decoder()).map_err(storage_err)?;
-        match hits.pop().flatten() {
-            Some((EntryKind::Record, bytes)) => Ok(Some(decoder.materialize(&bytes)?)),
-            _ => Ok(None), // absent or anti-matter
+        hits.pop().flatten().and_then(|hit| self.record(&decoder, hit).transpose()).transpose()
+    }
+
+    /// The record a point lookup hit holds, `None` for anti-matter. A row
+    /// of a columnar component is assembled straight from the pages it lies
+    /// on ([`ChunkReader::record_at`]), never encoded to bytes; a fault
+    /// there quarantines the component, as any read of it does.
+    fn record(&self, decoder: &RecordDecoder, hit: LookupHit) -> Result<Option<Value>, AdmError> {
+        let cache = self.primary.cache();
+        match hit {
+            LookupHit::Bytes(EntryKind::AntiMatter, _) => Ok(None),
+            LookupHit::Bytes(EntryKind::Record, bytes) => decoder.materialize(&bytes).map(Some),
+            LookupHit::Row { component, group, row } => {
+                let Some((reader, store)) = ChunkReader::of_component(&component) else {
+                    // A chunk of another codec: its payload bytes.
+                    let bytes = component.read_row(cache, group, row).map_err(storage_err)?;
+                    return decoder.materialize(&bytes).map(Some);
+                };
+                let record = reader.record_at(store, cache, group as usize, row as usize);
+                record
+                    .inspect_err(|e| component.quarantine_if_corrupt(e))
+                    .map(Some)
+                    .map_err(storage_err)
+            }
         }
     }
 
@@ -530,8 +553,7 @@ impl Dataset {
             self.primary.lookup_with(&pks, || self.decoder()).map_err(storage_err)?;
         hits.into_iter()
             .flatten()
-            .filter(|(kind, _)| *kind == EntryKind::Record)
-            .map(|(_, bytes)| decoder.materialize(&bytes))
+            .filter_map(|hit| self.record(&decoder, hit).transpose())
             .collect()
     }
 
@@ -906,6 +928,49 @@ mod tests {
 
         assert_eq!(counters.rows_reconstructed(), reconstructed, "a point read pivots no group");
         assert!(counters.point_lookups() >= lookups + 5);
+    }
+
+    /// A get assembles its record from the pages its row lies on, exactly
+    /// the pages the byte-form point read faults in — never the row group's
+    /// whole blocks, as a scan's view reads them.
+    #[test]
+    fn columnar_get_reads_the_pages_of_its_row_only() {
+        let ds = make(
+            DatasetConfig::new("Employee", "id")
+                .with_format(StorageFormat::Columnar)
+                .with_page_size(256)
+                .with_merge_policy(tc_lsm::MergePolicy::NoMerge),
+        );
+        let mut w = ds.writer();
+        for i in 0..300 {
+            w.insert(&employee(i)).unwrap();
+        }
+        drop(w);
+        ds.flush().unwrap();
+        ds.force_full_merge().unwrap();
+        let component = ds.snapshot_columnar().expect("one merged columnar component");
+        let (chunk, _) = component.columnar_view().unwrap();
+        let reader = ChunkReader::of(chunk).unwrap();
+        let group_pages = reader.group_pages(0, 256);
+        let cache = ds.primary().cache();
+        let cold_misses = |read: &dyn Fn()| {
+            cache.clear();
+            let before = cache.misses();
+            read();
+            cache.misses() - before
+        };
+        let decoder = ds.decoder();
+        for i in [0, 1, 150, 299] {
+            let key = encode_i64_key(i);
+            let by_value = cold_misses(&|| assert_eq!(ds.get(i).unwrap(), Some(employee(i))));
+            let by_bytes = cold_misses(&|| {
+                let (kind, bytes) = component.get(cache, &key).unwrap().unwrap();
+                assert_eq!(kind, EntryKind::Record);
+                assert_eq!(decoder.materialize(&bytes).unwrap(), employee(i));
+            });
+            assert_eq!(by_value, by_bytes, "get({i}) reads the pages the byte read does");
+            assert!(by_value < group_pages, "get({i}): {by_value} of {group_pages} pages");
+        }
     }
 
     #[test]

@@ -44,14 +44,20 @@
 //!   must be lossless, which the format-equivalence proptest enforces end to
 //!   end. The payload's **bytes are the codec's choice**, not the ones pushed:
 //!   `tc_columnar` hands back the uncompacted vector encoding (field names
-//!   inline, fields in reconstruction order) of a record it was given
-//!   compacted, and anything that reads a payload must decode it, never
-//!   compare it. What is byte-stable is the written side: the same entries,
-//!   pushed as bytes or as row references, produce the same pages. Scans
-//!   reach `read_group_rows` only for rows that won the reconciliation and
-//!   whose whole record is wanted.
-//! * `get_row` answers a point lookup with exactly the row — byte for byte —
-//!   `read_group_rows` would return for that key, decoding only that row.
+//!   inline, fields in assembly order) of a record it was given compacted,
+//!   and anything that reads a payload must decode it, never compare it.
+//!   What is byte-stable is the written side: the same entries, pushed as
+//!   bytes or as row references, produce the same pages. Bytes are made only
+//!   for those who want bytes — a merge that cannot copy a row, the write
+//!   path's old version, the row engine. A reader that knows the concrete
+//!   chunk (`tc_columnar`'s) assembles a whole record straight into a value
+//!   instead, for scans and point reads alike.
+//! * A point lookup is two steps: `find_row` binary-searches the group's
+//!   keys block for the key's row id and kind, and `read_row` reads that one
+//!   row — byte for byte what `read_group_rows` returns for it — faulting in
+//!   only the pages it lies on. The tree's probe stops after the first:
+//!   its hit is a row reference, resolved by whoever wants it, as bytes or
+//!   as a record.
 
 use tc_storage::buffer_cache::BufferCache;
 use tc_storage::error::StorageError;
@@ -111,7 +117,7 @@ pub trait ColumnarWriter: Send + std::fmt::Debug {
     ) -> Result<(), StorageError>;
 
     /// Append the record stored at `source` under `key`. The result must be
-    /// what `push(key, Record, payload)` writes for the payload `get_row`
+    /// what `push(key, Record, payload)` writes for the payload `read_row`
     /// returns — how the writer gets there (copying column values, or that
     /// very pivot) is its business. References into one source arrive in key
     /// order, so a writer reads each source forward only.
@@ -128,14 +134,14 @@ pub trait ColumnarWriter: Send + std::fmt::Debug {
 
 /// The readable columnar body of one disk component: row groups of column
 /// blocks plus a column index. Scans walk the key blocks
-/// (`read_group_keys`) and hand out row references; a reference is turned
-/// into a record by `read_group_rows` (the format-agnostic path: whole-record
-/// reads) or answered column by column
-/// by a reader — or a merging writer — that knows the concrete chunk: the
-/// trait is `Any`, so the format layer that built a chunk can ask whether
+/// (`read_group_keys`) and hand out row references; point lookups find one
+/// (`find_row`). A reference is turned into a payload by `read_group_rows`
+/// or `read_row` — the format-agnostic path, for callers that want bytes —
+/// or answered column by column, or assembled into a record, by a reader
+/// (or a merging writer) that knows the concrete chunk: the trait is `Any`,
+/// so the format layer that built a chunk can ask whether
 /// `&dyn ColumnarChunk` is its own type (typed column access, min/max group
-/// stats) and fall back to these methods when it is not. Point lookups read
-/// one row (`get_row`).
+/// stats, record assembly) and fall back to these methods when it is not.
 pub trait ColumnarChunk: std::any::Any + Send + Sync + std::fmt::Debug {
     /// Number of row groups; groups are ordered, keys ascending across and
     /// within groups.
@@ -168,16 +174,26 @@ pub trait ColumnarChunk: std::any::Any + Send + Sync + std::fmt::Debug {
     ) -> Result<Vec<(Key, EntryKind, Vec<u8>)>, StorageError>;
 
     /// Point lookup in group `g` (the group whose key range covers `key`):
-    /// the kind and payload `read_group_rows` would return for `key`, or
-    /// `None` if the group does not hold it. Anti-matter rows answer with an
-    /// empty payload. Errors as `read_group_rows`.
-    fn get_row(
+    /// the key's row id in the group and its kind, or `None` if the group
+    /// does not hold it. Reads the keys block only. Errors as
+    /// `read_group_rows`.
+    fn find_row(
         &self,
         store: &PageStore,
         cache: &BufferCache,
         g: usize,
         key: &[u8],
-    ) -> Result<Option<(EntryKind, Vec<u8>)>, StorageError>;
+    ) -> Result<Option<(u32, EntryKind)>, StorageError>;
+
+    /// Row `row` of group `g`, a record: the payload `read_group_rows` would
+    /// return for it, reading only that row. Errors as `read_group_rows`.
+    fn read_row(
+        &self,
+        store: &PageStore,
+        cache: &BufferCache,
+        g: usize,
+        row: u32,
+    ) -> Result<Vec<u8>, StorageError>;
 
     /// Group `g`'s zone and the columns it covers, as a filtered scan judges
     /// the group (see [`crate::zone`]); `None` (the default) if the chunk

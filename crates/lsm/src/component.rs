@@ -251,14 +251,27 @@ impl DiskComponent {
         true
     }
 
-    /// Point lookup through the bloom filter and block index. A checksum
-    /// failure or undecodable block quarantines the component and surfaces
-    /// as a typed error — never as a silent miss or garbage payload.
+    /// Point lookup through the bloom filter and block index: the key's
+    /// entry, with its payload as bytes. A checksum failure or undecodable
+    /// block quarantines the component and surfaces as a typed error — never
+    /// as a silent miss or garbage payload.
     pub fn get(
-        &self,
+        self: &Arc<Self>,
         cache: &BufferCache,
         key: &[u8],
     ) -> Result<Option<(EntryKind, Vec<u8>)>, StorageError> {
+        self.lookup(cache, key)?.map(|hit| hit.into_bytes(cache)).transpose()
+    }
+
+    /// [`DiskComponent::get`] that leaves a columnar record unread: its hit
+    /// is a reference to the row, for the caller to read as bytes
+    /// ([`LookupHit::into_bytes`]) or assemble as it likes. Anti-matter
+    /// answers with an empty payload in either layout.
+    pub fn lookup(
+        self: &Arc<Self>,
+        cache: &BufferCache,
+        key: &[u8],
+    ) -> Result<Option<LookupHit>, StorageError> {
         if !self.bloom.contains(key) {
             return Ok(None);
         }
@@ -280,7 +293,9 @@ impl DiskComponent {
                         return Err(self.corrupt_block(idx));
                     };
                     match k.cmp(key) {
-                        std::cmp::Ordering::Equal => return Ok(Some((kind, payload.to_vec()))),
+                        std::cmp::Ordering::Equal => {
+                            return Ok(Some(LookupHit::Bytes(kind, payload.to_vec())))
+                        }
                         std::cmp::Ordering::Greater => return Ok(None),
                         std::cmp::Ordering::Less => pos += n,
                     }
@@ -288,18 +303,42 @@ impl DiskComponent {
                 Ok(None)
             }
             Body::Columnar(chunk) => {
-                // Last group whose first_key <= key, then that one row of it.
+                // Last group whose first_key <= key, then that group's keys.
                 let Some(g) = columnar_group_for(chunk.as_ref(), key) else {
                     return Ok(None);
                 };
-                chunk
-                    .get_row(&self.store, cache, g, key)
-                    .inspect_err(|e| self.quarantine_if_corrupt(e))
+                let found = chunk
+                    .find_row(&self.store, cache, g, key)
+                    .inspect_err(|e| self.quarantine_if_corrupt(e))?;
+                Ok(found.map(|(row, kind)| match kind {
+                    EntryKind::AntiMatter => LookupHit::Bytes(kind, Vec::new()),
+                    EntryKind::Record => {
+                        LookupHit::Row { component: Arc::clone(self), group: g as u32, row }
+                    }
+                }))
             }
         }
     }
 
-    fn quarantine_if_corrupt(&self, e: &StorageError) {
+    /// The payload of the record stored at row `row` of row group `group`
+    /// ([`ColumnarChunk::read_row`]), quarantining the component on
+    /// corruption.
+    pub fn read_row(
+        &self,
+        cache: &BufferCache,
+        group: u32,
+        row: u32,
+    ) -> Result<Vec<u8>, StorageError> {
+        let Body::Columnar(chunk) = &self.body else {
+            return Err(no_such_row(self, group, row));
+        };
+        chunk
+            .read_row(&self.store, cache, group as usize, row)
+            .inspect_err(|e| self.quarantine_if_corrupt(e))
+    }
+
+    /// Quarantine the component if `e`, met reading it, is corruption.
+    pub fn quarantine_if_corrupt(&self, e: &StorageError) {
         if e.is_corruption() {
             self.quarantine();
         }
@@ -405,6 +444,39 @@ pub enum Payload {
     /// group's keys block has been read; the record is assembled by
     /// [`ComponentScan::materialize`] or answered column by column.
     Row { group: u32, row: u32 },
+}
+
+/// What a point lookup found for one key: its newest entry.
+#[derive(Debug)]
+pub enum LookupHit {
+    /// The entry's kind and payload (empty for anti-matter): memtables, row
+    /// blocks, and anti-matter in a columnar component.
+    Bytes(EntryKind, Vec<u8>),
+    /// A record stored in a columnar component, not read yet: the
+    /// [`Payload::Row`] reference `(group, row)` and the component that
+    /// answered, which keeps the row's pages readable.
+    Row { component: Arc<DiskComponent>, group: u32, row: u32 },
+}
+
+impl LookupHit {
+    /// The entry's kind: a row reference is always a record.
+    pub fn kind(&self) -> EntryKind {
+        match self {
+            LookupHit::Bytes(kind, _) => *kind,
+            LookupHit::Row { .. } => EntryKind::Record,
+        }
+    }
+
+    /// The entry with its payload as bytes, a referenced row read through
+    /// `cache` ([`DiskComponent::read_row`]).
+    pub fn into_bytes(self, cache: &BufferCache) -> Result<(EntryKind, Vec<u8>), StorageError> {
+        match self {
+            LookupHit::Bytes(kind, payload) => Ok((kind, payload)),
+            LookupHit::Row { component, group, row } => {
+                Ok((EntryKind::Record, component.read_row(cache, group, row)?))
+            }
+        }
+    }
 }
 
 /// A scanned entry whose payload may still be a row reference.
@@ -900,7 +972,7 @@ mod tests {
         let big = vec![7u8; 500];
         b.push(b"a", EntryKind::Record, &big).unwrap();
         b.push(b"b", EntryKind::Record, b"small").unwrap();
-        let c = b.finish(ComponentId::flushed(1), true).unwrap();
+        let c = Arc::new(b.finish(ComponentId::flushed(1), true).unwrap());
         let cache = BufferCache::new(64);
         assert_eq!(c.get(&cache, b"a").unwrap().unwrap().1, big);
         assert_eq!(c.get(&cache, b"b").unwrap().unwrap().1, b"small".to_vec());
@@ -912,7 +984,7 @@ mod tests {
         let mut b = ComponentBuilder::new(device, 128, CompressionScheme::None, 2, 10, None);
         b.push(b"dead", EntryKind::AntiMatter, &[]).unwrap();
         b.push(b"live", EntryKind::Record, b"x").unwrap();
-        let c = b.finish(ComponentId::flushed(2), true).unwrap();
+        let c = Arc::new(b.finish(ComponentId::flushed(2), true).unwrap());
         let cache = BufferCache::new(8);
         assert_eq!(c.get(&cache, b"dead").unwrap().unwrap().0, EntryKind::AntiMatter);
         assert_eq!(c.num_antimatter(), 1);

@@ -781,15 +781,25 @@ pub(crate) mod tests {
             Ok(self.groups[g].clone())
         }
 
-        fn get_row(
+        fn find_row(
             &self,
             _: &tc_storage::page_store::PageStore,
             _: &BufferCache,
             g: usize,
             key: &[u8],
-        ) -> Result<Option<(EntryKind, Vec<u8>)>, StorageError> {
-            let row = self.groups[g].iter().find(|(k, _, _)| k == key);
-            Ok(row.map(|(_, kind, payload)| (*kind, payload.clone())))
+        ) -> Result<Option<(u32, EntryKind)>, StorageError> {
+            let row = self.groups[g].iter().position(|(k, _, _)| k == key);
+            Ok(row.map(|i| (i as u32, self.groups[g][i].1)))
+        }
+
+        fn read_row(
+            &self,
+            _: &tc_storage::page_store::PageStore,
+            _: &BufferCache,
+            g: usize,
+            row: u32,
+        ) -> Result<Vec<u8>, StorageError> {
+            Ok(self.groups[g][row as usize].2.clone())
         }
     }
 
@@ -868,10 +878,9 @@ pub(crate) mod tests {
             key: &[u8],
             source: crate::columnar::RowSource<'_>,
         ) -> Result<(), StorageError> {
-            let row =
-                source.chunk.get_row(source.store, source.cache, source.group as usize, key)?;
-            let (kind, payload) = row.expect("the scan found the key in this group");
-            self.push(store, key, kind, &payload)
+            let (group, row) = (source.group as usize, source.row);
+            let payload = source.chunk.read_row(source.store, source.cache, group, row)?;
+            self.push(store, key, EntryKind::Record, &payload)
         }
 
         fn finish(

@@ -36,7 +36,7 @@ pub mod wal;
 pub mod zone;
 
 pub use columnar::{ColumnarChunk, ColumnarCodec, ColumnarWriter, RowSource};
-pub use component::{ComponentId, DiskComponent};
+pub use component::{ComponentId, DiskComponent, LookupHit};
 pub use entry::{EntryKind, Key};
 pub use hook::{ComponentHook, FlushPass, NoopHook};
 pub use policy::{CompactionDecision, MergePick, MergePolicy, MergeTrigger, NUM_MERGE_TRIGGERS};

@@ -51,7 +51,7 @@ use tc_storage::BufferCache;
 use tc_util::sync::{ranks, OrderedMutex, OrderedRwLock};
 
 use crate::columnar::ColumnarCodec;
-use crate::component::{ComponentBuilder, ComponentId, DiskComponent, Payload};
+use crate::component::{ComponentBuilder, ComponentId, DiskComponent, LookupHit, Payload};
 use crate::entry::{EntryKind, Key};
 use crate::hook::{ComponentHook, FlushPass};
 use crate::iter::{snapshot_memtable, MergedScan, ScanEntry};
@@ -254,17 +254,13 @@ pub struct LsmTree {
     stats: StatsCells,
 }
 
-/// What a point lookup found for one key: its newest entry's kind and
-/// payload (empty for anti-matter), or `None` if no source holds the key.
-pub type LookupHit = Option<(EntryKind, Vec<u8>)>;
-
 impl TreeState {
     /// Point lookup in the in-memory components only (active, then frozen).
-    fn mem_entry(&self, key: &[u8]) -> LookupHit {
+    fn mem_entry(&self, key: &[u8]) -> Option<LookupHit> {
         let hit = self.mem.get(key).or_else(|| self.frozen.as_deref().and_then(|f| f.get(key)));
         hit.map(|entry| match entry {
-            MemEntry::Record(p) => (EntryKind::Record, p.clone()),
-            MemEntry::AntiMatter(_) => (EntryKind::AntiMatter, Vec::new()),
+            MemEntry::Record(p) => LookupHit::Bytes(EntryKind::Record, p.clone()),
+            MemEntry::AntiMatter(_) => LookupHit::Bytes(EntryKind::AntiMatter, Vec::new()),
         })
     }
 
@@ -957,7 +953,11 @@ impl LsmTree {
     /// `capture` in the same read-lock section — so whatever it captures
     /// (the dataset's schema-dictionary decoder) agrees with every result:
     /// no flush can install or prune in between. Each result is the key's
-    /// newest entry (deleted keys report their anti-matter) or `None`.
+    /// newest entry (deleted keys report their anti-matter) or `None`. A
+    /// record a columnar component holds comes back unread, as a reference
+    /// to its row ([`LookupHit::Row`]): a caller that wants a record
+    /// assembles it from there, one that wants bytes reads them
+    /// ([`LookupHit::into_bytes`], as [`LsmTree::get_entry`] does).
     ///
     /// Memtables are probed under the read lock (cheap map probes); the
     /// component list is cloned, if a key missed them, so the disk probes —
@@ -975,7 +975,7 @@ impl LsmTree {
         &self,
         keys: &[K],
         capture: impl FnOnce() -> T,
-    ) -> Result<(T, Vec<LookupHit>), StorageError> {
+    ) -> Result<(T, Vec<Option<LookupHit>>), StorageError> {
         let (captured, mut hits, components) = {
             let st = self.state.read();
             let hits: Vec<_> = keys.iter().map(|k| st.mem_entry(k.as_ref())).collect();
@@ -1019,9 +1019,15 @@ impl LsmTree {
         (captured, MergedScan::new(mems, &components, &self.cache, start, end, false, filter))
     }
 
-    /// Point lookup returning the entry kind (see [`LsmTree::lookup_with`]).
-    pub fn get_entry(&self, key: &[u8]) -> Result<LookupHit, StorageError> {
+    /// The key's newest entry (see [`LsmTree::lookup_with`]), without
+    /// reading its payload.
+    fn lookup(&self, key: &[u8]) -> Result<Option<LookupHit>, StorageError> {
         Ok(self.lookup_with(&[key], || ())?.1.pop().flatten())
+    }
+
+    /// Point lookup returning the entry kind and its payload as bytes.
+    pub fn get_entry(&self, key: &[u8]) -> Result<Option<(EntryKind, Vec<u8>)>, StorageError> {
+        self.lookup(key)?.map(|hit| hit.into_bytes(&self.cache)).transpose()
     }
 
     /// Point lookup for a live record.
@@ -1033,8 +1039,9 @@ impl LsmTree {
     }
 
     /// Does the key exist (live)? Used by the primary-key index fast path.
+    /// Reads no payload.
     pub fn contains(&self, key: &[u8]) -> Result<bool, StorageError> {
-        Ok(matches!(self.get_entry(key)?, Some((EntryKind::Record, _))))
+        Ok(self.lookup(key)?.is_some_and(|hit| hit.kind() == EntryKind::Record))
     }
 
     /// Full scan of live records (an owned, consistent snapshot).
@@ -1140,11 +1147,11 @@ const _: () = {
     let _: fn(&LsmTree) -> R<(usize, usize)> = LsmTree::recover;
     let _: fn(&LsmTree) = LsmTree::simulate_crash;
     let _: fn(&LsmTree, &[u8]) -> R<Option<Vec<u8>>> = LsmTree::get;
-    let _: fn(&LsmTree, &[u8]) -> R<LookupHit> = LsmTree::get_entry;
+    let _: fn(&LsmTree, &[u8]) -> R<Option<(EntryKind, Vec<u8>)>> = LsmTree::get_entry;
     let _: fn(&LsmTree, &[u8]) -> R<bool> = LsmTree::contains;
     let _: fn(&LsmTree) -> MergedScan = LsmTree::scan;
     let _: fn(&LsmTree, Option<&[u8]>, Option<&[u8]>) -> MergedScan = LsmTree::scan_range;
-    let _: fn(&LsmTree, &[Key], fn()) -> R<((), Vec<LookupHit>)> = LsmTree::lookup_with;
+    let _: fn(&LsmTree, &[Key], fn()) -> R<((), Vec<Option<LookupHit>>)> = LsmTree::lookup_with;
     let _: fn(
         &LsmTree,
         Option<&[u8]>,
@@ -1176,7 +1183,7 @@ fn probe_components(
     components: &[Arc<DiskComponent>],
     cache: &BufferCache,
     key: &[u8],
-) -> Result<LookupHit, StorageError> {
+) -> Result<Option<LookupHit>, StorageError> {
     for c in components.iter().rev() {
         if c.is_quarantined() {
             return Err(StorageError::corruption(
@@ -1184,7 +1191,7 @@ fn probe_components(
                 format!("component {} is quarantined", c.id()),
             ));
         }
-        if let Some(hit) = c.get(cache, key)? {
+        if let Some(hit) = c.lookup(cache, key)? {
             return Ok(Some(hit));
         }
     }
@@ -1346,6 +1353,8 @@ mod tests {
         let keys = [key(4), key(1), key(2), key(9), key(1), key(7), key(0)];
         let (captured, hits) = t.lookup_with(&keys, || "captured").unwrap();
         assert_eq!(captured, "captured");
+        let hits: Vec<_> =
+            hits.into_iter().map(|hit| hit.map(|h| h.into_bytes(t.cache()).unwrap())).collect();
         let per_key: Vec<_> = keys.iter().map(|k| t.get_entry(k).unwrap()).collect();
         assert_eq!(hits, per_key);
         let record = |v: &str| Some((EntryKind::Record, v.as_bytes().to_vec()));
@@ -1377,10 +1386,8 @@ mod tests {
         let err = t.lookup_with(&keys, || ()).unwrap_err();
         assert!(err.is_corruption(), "{err}");
         // A lookup the memtable answers probes no component.
-        assert_eq!(
-            t.lookup_with(&keys[..1], || ()).unwrap().1,
-            [Some((EntryKind::Record, b"mem".to_vec()))]
-        );
+        let hit = t.lookup_with(&keys[..1], || ()).unwrap().1.pop().flatten();
+        assert!(matches!(hit, Some(LookupHit::Bytes(EntryKind::Record, p)) if p == b"mem"));
     }
 
     #[test]

@@ -37,10 +37,12 @@
 //!
 //! Row references are answered per component: each path is classified
 //! against the component's column list exactly as the at-rest scan does. A
-//! component for which some path does not classify — a whole-record path, a
-//! path crossing a typed column's prefix — has its rows materialized as
-//! they are pulled (one reconstructed row group at a time) and they continue
-//! as bytes. A scan with no paths (`count(*)`) touches key blocks only.
+//! whole-record path, or one crossing a typed column's prefix, is read off
+//! the row's record, assembled into a `Value` through the same view
+//! ([`GroupView::record`]); no row of a `tc_columnar` chunk is materialized
+//! to bytes. Only a chunk of another codec, or a source whose column reads
+//! faulted, has its references materialized as they are pulled. A scan with
+//! no paths (`count(*)`) touches key blocks only.
 //!
 //! `bytes_scanned` counts payload bytes for records that arrive (or are
 //! materialized) as bytes, and the bytes of the column and residual blocks
@@ -60,7 +62,7 @@ use std::rc::Rc;
 
 use tc_adm::path::Path;
 use tc_adm::{AdmError, Value};
-use tc_columnar::GroupView;
+use tc_columnar::{ChunkReader, GroupView};
 use tc_lsm::component::Payload;
 use tc_lsm::iter::MergedScan;
 use tc_storage::StorageError;
@@ -68,7 +70,7 @@ use tc_util::hash::FxHashMap;
 use tc_vector::Column;
 use tuple_compactor::{PathBatch, RecordDecoder};
 
-use crate::columnar::{chunk_reader, PathPlan};
+use crate::columnar::PathPlan;
 use crate::exec::{ExecStats, Row};
 use crate::expr::{CmpOp, Expr};
 use crate::pipeline::Pipeline;
@@ -114,9 +116,9 @@ pub(crate) fn scan_batched(
                 Payload::Bytes(payload) => BatchRow::Bytes(payload),
                 Payload::Row { group, row } => match scanner.fill_plan(iter, entry.rank) {
                     Some(plan) => BatchRow::Ref { plan, rank: entry.rank, group, row },
-                    // Some path needs the whole record. A row whose component
-                    // proves corrupt is dropped; the scan's health has the
-                    // error.
+                    // A chunk of another codec, or a faulted source. A row
+                    // whose component proves corrupt is dropped; the scan's
+                    // health has the error.
                     None => match iter.materialize(entry.rank, group, row) {
                         Ok(payload) => BatchRow::Bytes(payload),
                         Err(_) => continue,
@@ -159,11 +161,11 @@ struct FillPlan {
 enum SourcePlan {
     /// No reference from this source pulled yet.
     Unseen,
-    /// Every scan path maps onto the component's typed columns or its
-    /// residual: values are read from column pages, per phase.
+    /// The component is a `tc_columnar` chunk: values are read from its
+    /// column pages, per phase.
     Fill(Rc<FillPlan>),
-    /// Some path needs the assembled record (or a fault ended column reads):
-    /// references are materialized as they are pulled.
+    /// A chunk of another codec, or a fault ended column reads: references
+    /// are materialized as they are pulled.
     Materialize,
 }
 
@@ -191,7 +193,7 @@ impl ColumnReads<'_> {
         let view = match self.groups.entry((rank, group)) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(v) => {
-                let (reader, store) = chunk_reader(self.iter.source_component(rank)?)?;
+                let (reader, store) = ChunkReader::of_component(self.iter.source_component(rank)?)?;
                 v.insert(reader.view(store, self.iter.cache(), group as usize))
             }
         };
@@ -277,11 +279,11 @@ impl<'a> BatchScanner<'a> {
             self.sources.resize_with(rank + 1, || SourcePlan::Unseen);
         }
         if let SourcePlan::Unseen = self.sources[rank] {
-            let plan = iter.source_component(rank).and_then(|c| chunk_reader(c)).and_then(
+            let plan = iter.source_component(rank).and_then(|c| ChunkReader::of_component(c)).map(
                 |(reader, _)| {
-                    let eager = PathPlan::classify(reader, self.eager.paths.iter())?;
-                    let lazy = PathPlan::classify(reader, self.lazy.paths.iter())?;
-                    Some(Rc::new(FillPlan { eager, lazy }))
+                    let eager = PathPlan::classify(reader, self.eager.paths.iter());
+                    let lazy = PathPlan::classify(reader, self.lazy.paths.iter());
+                    Rc::new(FillPlan { eager, lazy })
                 },
             );
             self.sources[rank] = plan.map_or(SourcePlan::Materialize, SourcePlan::Fill);

@@ -9,12 +9,16 @@
 //! skipped without reading a single data page, and the residual column is
 //! decoded only for rows that survive the filter. No record is ever
 //! pivoted back into its row form — output values come from the typed
-//! buffers and targeted path evaluation over survivors' residuals.
+//! buffers and targeted path evaluation over survivors' residuals. A query
+//! that does want a survivor's whole record (`SELECT *`), or a value under
+//! a prefix some typed column was carved out of, gets the record assembled
+//! straight into a `Value` ([`GroupView::record`]) and read off it, never
+//! encoded to vector bytes and decoded again.
 //!
-//! The fast path is conservative: any shape it cannot answer *exactly*
-//! like the generic scan (whole-record paths, paths crossing a typed
-//! column's prefix, partitions not at rest) returns `None` before it pushes
-//! a row, and the caller runs the batched scan ([`crate::batch`]) instead.
+//! Every path shape has its source (`PathPlan`); what the fast path does not
+//! cover is a state — a partition not at rest, or a chunk of another codec.
+//! It returns `None` for one before it pushes a row, and the caller runs the
+//! batched scan ([`crate::batch`]) instead.
 //! Survivors go into the query pipeline row by row, and no group is started
 //! once a `LIMIT` is full. A storage fault mid-scan is not a fallback: it
 //! follows the query's corruption policy in place. Per-group type spills
@@ -40,10 +44,9 @@
 
 use std::cell::RefCell;
 
-use tc_adm::path::{Path, PathStep};
+use tc_adm::path::{eval_path, Path, PathStep};
 use tc_adm::{AdmError, TypeTag, Value};
 use tc_columnar::{ChunkReader, GroupView};
-use tc_lsm::component::DiskComponent;
 use tc_lsm::ColumnarChunk;
 use tc_storage::page_store::PageStore;
 use tc_storage::{BufferCache, StorageError};
@@ -65,6 +68,12 @@ enum Slot {
     /// Evaluated against the row's residual record (index into the
     /// residual path list).
     Residual(usize),
+    /// The row's whole record, assembled ([`GroupView::record`]).
+    Record,
+    /// Evaluated against the assembled record (index into the record path
+    /// list): a path that enters a prefix with typed columns carved out
+    /// beneath it.
+    InRecord(usize),
 }
 
 /// A conjunct compiled to a primitive loop over one typed column. `expr`
@@ -106,12 +115,10 @@ pub(crate) fn try_scan_columnar(
         return Ok(None);
     };
     let component = component.as_ref();
-    let Some((reader, store)) = chunk_reader(component) else {
+    let Some((reader, store)) = ChunkReader::of_component(component) else {
         return Ok(None);
     };
-    let Some(plan) = PathPlan::classify(reader, scan.paths.iter().chain(&scan.late_paths)) else {
-        return Ok(None);
-    };
+    let plan = PathPlan::classify(reader, scan.paths.iter().chain(&scan.late_paths));
     let slots = &plan.slots;
     let early = scan.paths.len();
 
@@ -171,29 +178,17 @@ fn scan_groups(
     pipeline: &mut Pipeline<'_>,
     stats: &mut ExecStats,
 ) -> Result<(), StorageError> {
-    let PathPlan { slots, residual_paths, .. } = plan;
     let counters = reader.counters();
     let page_size = store.page_size();
-    let early = scan.paths.len();
     let limited = pipeline.room().is_some();
-    // The early columns the generic conjuncts read: (scan column, chunk
-    // column) pairs read per row, and residual paths evaluated by one
-    // evaluator for the scan. A group adds the column of each typed
-    // conjunct it demotes.
+    // The early columns the generic conjuncts read, and where this component
+    // holds them: read per row into a scratch row. A group adds the column
+    // of each typed conjunct it demotes.
     let mut refd: Vec<usize> = generic.iter().flat_map(|c| c.referenced_cols()).collect();
     refd.sort_unstable();
     refd.dedup();
-    let (mut typed_cols, mut res_cols, mut res_paths) = (Vec::new(), Vec::new(), Vec::new());
-    for i in refd.into_iter().filter(|&i| i < early) {
-        match slots[i] {
-            Slot::Typed(c) => typed_cols.push((i, c)),
-            Slot::Residual(j) => {
-                res_cols.push(i);
-                res_paths.push(residual_paths[j].clone());
-            }
-        }
-    }
-    let mut res_eval = BatchPathEvaluator::new(&res_paths);
+    refd.retain(|&i| i < scan.paths.len());
+    let refd_plan = PathPlan::classify(reader, refd.iter().map(|&i| &scan.paths[i]));
 
     for g in 0..reader.groups().len() {
         let gm = &reader.groups()[g];
@@ -214,7 +209,8 @@ fn scan_groups(
         let mut sel: Vec<u32> = (0..gm.rows).collect();
         let mut view = reader.view(store, cache, g);
         let mut group_generic: Vec<&Expr> = generic.to_vec();
-        let mut group_cols: Vec<(usize, usize)> = typed_cols.clone();
+        // Demoted typed conjuncts: (scan column, chunk column).
+        let mut demoted: Vec<(usize, usize)> = Vec::new();
 
         // ---- typed primitive filter loops ----
         for p in typed {
@@ -225,7 +221,7 @@ fn scan_groups(
             // the primitive loop cannot see them. Demote for this group.
             if gm.cols[p.col].spilled > 0 {
                 group_generic.push(p.expr);
-                group_cols.push((p.at, p.col));
+                demoted.push((p.at, p.col));
                 continue;
             }
             // NaN breaks primitive comparison semantics; a group that holds
@@ -241,24 +237,21 @@ fn scan_groups(
                 }
                 None => {
                     group_generic.push(p.expr);
-                    group_cols.push((p.at, p.col));
+                    demoted.push((p.at, p.col));
                 }
             }
         }
 
         // ---- generic conjuncts over a scratch row of early columns ----
         if !group_generic.is_empty() && !sel.is_empty() {
-            let mut scratch: Vec<Value> = vec![Value::Missing; early];
+            let mut scratch: Vec<Value> = vec![Value::Missing; scan.paths.len()];
             let mut keep: Vec<u32> = Vec::with_capacity(sel.len());
             for &r in &sel {
-                for &(i, c) in &group_cols {
-                    scratch[i] = view.value_at(c, r as usize)?;
+                for (&i, v) in refd.iter().zip(refd_plan.row_values(&mut view, r)?) {
+                    scratch[i] = v;
                 }
-                if !res_cols.is_empty() {
-                    let vals = view.residual_values(r as usize, &mut res_eval)?;
-                    for (&i, v) in res_cols.iter().zip(vals) {
-                        scratch[i] = v;
-                    }
+                for &(i, c) in &demoted {
+                    scratch[i] = view.value_at(c, r as usize)?;
                 }
                 if group_generic.iter().all(|c| c.eval_bool(&scratch)) {
                     keep.push(r);
@@ -303,13 +296,6 @@ fn refine<T: PartialOrd + Copy>(
     Ok(Some(kept))
 }
 
-/// The format-aware reader of a columnar component and the store its pages
-/// live on; `None` for row-layout components and foreign chunk types.
-pub(crate) fn chunk_reader(component: &DiskComponent) -> Option<(&ChunkReader, &PageStore)> {
-    let (chunk, store) = component.columnar_view()?;
-    Some((ChunkReader::of(chunk)?, store))
-}
-
 /// Where a list of scan paths is read from in one component.
 pub(crate) struct PathPlan {
     /// Parallel to the path list.
@@ -318,27 +304,37 @@ pub(crate) struct PathPlan {
     residual_paths: Vec<Path>,
     /// Evaluates `residual_paths`: one evaluator for every row of a scan.
     residual: RefCell<BatchPathEvaluator>,
+    /// The paths evaluated against the assembled record.
+    record_paths: Vec<Path>,
+    /// Does a row's value at some path need its record assembled?
+    assembles: bool,
 }
 
 impl PathPlan {
-    /// `None` if any path has a shape the column pages cannot answer exactly
-    /// (see [`classify`]).
+    /// Map each path onto its source in `reader`'s component: every shape
+    /// has one (see [`classify`]).
     pub(crate) fn classify<'p>(
         reader: &ChunkReader,
         paths: impl Iterator<Item = &'p Path>,
-    ) -> Option<PathPlan> {
-        let (mut slots, mut residual_paths) = (Vec::new(), Vec::new());
+    ) -> PathPlan {
+        let (mut slots, mut residual_paths, mut record_paths) =
+            (Vec::new(), Vec::new(), Vec::new());
         for path in paths {
-            match classify(reader, path)? {
+            slots.push(match classify(reader, path) {
                 Slot::Residual(_) => {
-                    slots.push(Slot::Residual(residual_paths.len()));
                     residual_paths.push(path.clone());
+                    Slot::Residual(residual_paths.len() - 1)
                 }
-                slot => slots.push(slot),
-            }
+                Slot::InRecord(_) => {
+                    record_paths.push(path.clone());
+                    Slot::InRecord(record_paths.len() - 1)
+                }
+                slot => slot,
+            });
         }
         let residual = RefCell::new(BatchPathEvaluator::new(&residual_paths));
-        Some(PathPlan { slots, residual_paths, residual })
+        let assembles = slots.iter().any(|s| matches!(s, Slot::Record | Slot::InRecord(_)));
+        PathPlan { slots, residual_paths, residual, record_paths, assembles }
     }
 
     pub(crate) fn is_empty(&self) -> bool {
@@ -348,28 +344,44 @@ impl PathPlan {
     /// Row `r`'s value at every planned path, in path order. A plain loop
     /// on purpose: the at-rest `count(*)` calls this once per row with no
     /// paths, and an iterator `collect::<Result<_, _>>()` here cost it 40 %.
+    /// The assembled record moves into the last whole-record column.
     pub(crate) fn row_values(&self, view: &mut GroupView<'_>, r: u32) -> Result<Row, StorageError> {
         let mut residual = if self.residual_paths.is_empty() {
             Vec::new()
         } else {
             view.residual_values(r as usize, &mut self.residual.borrow_mut())?
         };
+        let record = if self.assembles { view.record(r as usize)? } else { Value::Missing };
         let mut row: Row = Vec::with_capacity(self.slots.len());
-        for slot in &self.slots {
-            row.push(match *slot {
+        let mut whole = None;
+        for (i, slot) in self.slots.iter().enumerate() {
+            let v = match *slot {
                 Slot::Typed(c) => view.value_at(c, r as usize)?,
-                Slot::Residual(i) => std::mem::replace(&mut residual[i], Value::Missing),
-            });
+                Slot::Residual(j) => std::mem::replace(&mut residual[j], Value::Missing),
+                Slot::InRecord(j) => eval_path(&record, &self.record_paths[j]),
+                Slot::Record => {
+                    if let Some(prev) = whole.replace(i) {
+                        row[prev] = record.clone();
+                    }
+                    Value::Missing // the record itself, below
+                }
+            };
+            row.push(v);
+        }
+        if let Some(i) = whole {
+            row[i] = record;
         }
         Ok(row)
     }
 }
 
-/// Map a scan path onto its source. `None` = unsupported shape (whole
-/// record, or a prefix with typed columns carved out beneath it).
-fn classify(reader: &ChunkReader, path: &Path) -> Option<Slot> {
+/// Map a scan path onto its source: the whole record, a typed column, the
+/// residual — iff no typed column was carved out at or below the prefix the
+/// path enters through, so the residual holds the whole subtree — or else
+/// the assembled record.
+fn classify(reader: &ChunkReader, path: &Path) -> Slot {
     if path.is_empty() {
-        return None; // whole-record access needs full reconstruction
+        return Slot::Record;
     }
     // The leading run of plain field steps decides where the value lives.
     let field = |step: &PathStep| match step {
@@ -379,10 +391,12 @@ fn classify(reader: &ChunkReader, path: &Path) -> Option<Slot> {
     let fields: Vec<String> = path.iter().map_while(field).collect();
     if fields.len() == path.len() {
         if let Some(c) = reader.find_column(&fields) {
-            return Some(Slot::Typed(c));
+            return Slot::Typed(c);
         }
     }
-    // Residual-safe iff no typed column was carved out at/below the prefix
-    // the path enters through — then the residual holds the whole subtree.
-    (!reader.has_column_at_or_below(&fields)).then_some(Slot::Residual(0))
+    if reader.has_column_at_or_below(&fields) {
+        Slot::InRecord(0)
+    } else {
+        Slot::Residual(0)
+    }
 }

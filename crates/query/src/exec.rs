@@ -758,6 +758,57 @@ mod tests {
         assert_eq!((counts(&fast), counts(&row)), ((5, 2), (5, 2)));
     }
 
+    /// At rest, the zero-pivot scan answers whole-record paths too, and
+    /// paths crossing a typed column's prefix: a survivor's record is
+    /// assembled once, as a `Value`, and every such column is read off it —
+    /// field for field and in the order the row engine's bytes give.
+    #[test]
+    fn columnar_whole_records_at_rest_take_the_zero_pivot_scan() {
+        let ds = Dataset::new(
+            DatasetConfig::new("Sensors", "id")
+                .with_format(StorageFormat::Columnar)
+                .with_merge_policy(tc_lsm::MergePolicy::NoMerge),
+            Arc::new(Device::new(DeviceProfile::RAM)),
+            Arc::new(BufferCache::new(4096)),
+        );
+        for i in 0..3000i64 {
+            let r = parse(&format!(
+                r#"{{"id": {i}, "report_time": {}, "meta": {{"t": {i}, "tags": ["x{}"]}}, "readings": [{}.5]}}"#,
+                i * 1000,
+                i % 3,
+                i % 40
+            ))
+            .unwrap();
+            ds.writer().insert(&r).unwrap();
+        }
+        ds.flush().unwrap();
+        assert!(ds.snapshot_columnar().is_some(), "partition must be at rest");
+
+        let q = Query {
+            scan: ScanSpec {
+                paths: vec![parse_path("report_time")],
+                filter: Some(Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::lit(1_024_000i64))),
+                late_paths: vec![vec![], parse_path("meta"), parse_path("meta.tags[0]"), vec![]],
+                access: AccessStrategy::Consolidated,
+            },
+            ops: vec![],
+        };
+        let counters = ds.columnar_counters().unwrap();
+        let (typed, skipped, assembled) =
+            (counters.typed_filter_rows(), counters.pages_skipped(), counters.rows_reconstructed());
+        let fast = execute(&[&ds], &q, &ExecOptions::with_engine(Engine::Batched)).unwrap();
+        assert!(counters.typed_filter_rows() > typed, "the at-rest primitive loop ran");
+        assert!(counters.pages_skipped() > skipped, "groups were skipped by their stats");
+        assert_eq!(counters.rows_reconstructed() - assembled, 1024, "one record per survivor");
+        let row = execute(&[&ds], &q, &ExecOptions::with_engine(Engine::Row)).unwrap();
+        assert_eq!(format!("{:?}", fast.rows), format!("{:?}", row.rows));
+        assert_eq!(fast.rows.len(), 1024);
+        let first = &fast.rows[7];
+        assert_eq!(first[1], first[4], "each whole-record column holds the record");
+        assert_eq!(first[2], *first[1].get_field("meta").unwrap());
+        assert_eq!(first[3], Value::string("x1"));
+    }
+
     /// A nested numeric column is a zone column too, named by its whole
     /// path: `meta.t < k` skips groups at rest by the stats of `meta.t`, not
     /// by those of a top-level field spelled `"meta.t"`.
