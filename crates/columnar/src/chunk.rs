@@ -13,25 +13,28 @@ use tc_lsm::columnar::ColumnarChunk;
 use tc_lsm::component::DiskComponent;
 use tc_lsm::entry::{EntryKind, Key};
 use tc_lsm::zone::{ColumnZone, Num, Zone, ZoneColumn};
-use tc_schema::FieldNameDictionary;
+use tc_schema::{FieldNameDictionary, Repetition};
 use tc_storage::buffer_cache::BufferCache;
 use tc_storage::error::StorageError;
 use tc_storage::page_store::{PageId, PageStore};
 use tc_util::varint;
 use tc_vector::BatchPathEvaluator;
 
-use crate::{ColumnStats, ColumnarCounters, DEF_NULL, DEF_PRESENT};
+use crate::{ColumnStats, ColumnarCounters, DEF_ABSENT, DEF_ITEM_NULL, DEF_NULL, DEF_PRESENT};
 
 /// Magic prefix of the serialized column index blob.
 pub const INDEX_MAGIC: &[u8; 4] = b"TCAX";
 
-/// The layout, as the index blob's version byte names it. Format 3: the
+/// The layout, as the index blob's version byte names it. Format 4: the
 /// component body is one byte stream, every block a byte range of it
-/// ([`PageRun`]), and a residual row is a vector record *compacted* against
-/// the component's field-name dictionary. (Format 2 started every block on a
-/// fresh page and spelled field names out in every residual row; it is
-/// refused, like every version but this one.)
-pub const FORMAT_VERSION: u8 = 3;
+/// ([`PageRun`]); a residual row is a vector record *compacted* against the
+/// component's field-name dictionary; a path through a collection is a
+/// repeated column; and a variable-width row is bounded by its block's
+/// offset table alone. (Format 3 had no repeated columns and opened every
+/// key, residual and string row with its length; format 2 started every
+/// block on a fresh page and spelled field names out in every residual row.
+/// Both are refused, like every version but this one.)
+pub const FORMAT_VERSION: u8 = 4;
 
 /// A block's location: `bytes` bytes starting at byte `start` of the
 /// component body — the stream of the pages the writer filled, blocks back
@@ -56,11 +59,37 @@ impl PageRun {
 }
 
 /// A typed column's identity: its leaf path (object field names from the
-/// root) and scalar type.
+/// root), scalar type, and where the path crosses a collection, if it does —
+/// a repeated column holds one value per item.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnSpec {
     pub path: Vec<String>,
     pub tag: TypeTag,
+    pub repeated: Option<Repetition>,
+}
+
+impl ColumnSpec {
+    /// The path a query names the column by: its field names, with a
+    /// wildcard where it crosses its collection (`readings[*].temp`).
+    pub fn steps(&self) -> Path {
+        tc_schema::columns::steps(&self.path, self.repeated)
+    }
+}
+
+/// The repeated columns under one collection path, which a record is
+/// assembled from together: the collection's items zip their values, one
+/// per item each.
+#[derive(Debug)]
+struct Collection {
+    /// The field names leading to the collection.
+    path: Vec<String>,
+    kind: TypeTag,
+    /// Its columns, in column order: one for items that are scalars, one per
+    /// field for items that are objects.
+    cols: Vec<usize>,
+    /// The item field each column holds, for items that are objects; empty
+    /// for scalar items.
+    fields: Vec<String>,
 }
 
 /// One column's slice of one row group.
@@ -103,10 +132,13 @@ pub struct ChunkReader {
     dict: Option<FieldNameDictionary>,
     /// The page the body's byte 0 lies on.
     body: PageId,
-    /// The zone columns (every `Int64`/`Double` column, at any depth): their
-    /// indexes in `columns`, and their paths.
+    /// The zone columns (every `Int64`/`Double` column, at any depth, but
+    /// for repeated ones): their indexes in `columns`, and their paths.
     zone_cols: Vec<usize>,
     zone_paths: Vec<ZoneColumn>,
+    collections: Vec<Collection>,
+    /// Each column's collection (an index into `collections`), if repeated.
+    collection_of: Vec<Option<usize>>,
 }
 
 /// The first `N` bytes of `bytes` as an array, for `from_le_bytes`.
@@ -114,24 +146,15 @@ fn le_array<const N: usize>(bytes: &[u8]) -> Option<[u8; N]> {
     bytes.get(..N)?.try_into().ok()
 }
 
-/// Split one keys-block entry (`varint klen, key, kind byte`) off the front
-/// of `buf`: the key, its kind, and the bytes consumed.
-fn read_key_entry(buf: &[u8]) -> Option<(&[u8], EntryKind, usize)> {
-    let (klen, n) = varint::read_u64(buf)?;
-    let key = buf.get(n..)?.get(..usize::try_from(klen).ok()?)?;
-    let kind = match buf.get(n + key.len())? {
+/// A keys-block row (`key, kind byte`): the key and its kind.
+fn read_key_entry(entry: &[u8]) -> Option<(&[u8], EntryKind)> {
+    let (kind, key) = entry.split_last()?;
+    let kind = match kind {
         0 => EntryKind::Record,
         1 => EntryKind::AntiMatter,
         _ => return None,
     };
-    Some((key, kind, n + key.len() + 1))
-}
-
-/// The payload of a `varint len, bytes` item that fills `raw` exactly.
-pub(crate) fn len_prefixed(raw: &[u8]) -> Option<&[u8]> {
-    let (len, n) = varint::read_u64(raw)?;
-    let payload = &raw[n..];
-    (payload.len() as u64 == len).then_some(payload)
+    Some((key, kind))
 }
 
 impl ChunkReader {
@@ -146,10 +169,43 @@ impl ChunkReader {
         let (zone_cols, zone_paths) = columns
             .iter()
             .enumerate()
+            .filter(|(_, c)| c.repeated.is_none())
             .filter(|(_, c)| matches!(c.tag, TypeTag::Int64 | TypeTag::Double))
             .map(|(i, c)| (i, c.path.clone()))
             .unzip();
-        ChunkReader { declared, counters, columns, groups, dict, body, zone_cols, zone_paths }
+        let mut collections: Vec<Collection> = Vec::new();
+        let mut collection_of = vec![None; columns.len()];
+        for (c, spec) in columns.iter().enumerate() {
+            let Some(rep) = spec.repeated else { continue };
+            let path = &spec.path[..rep.depth.min(spec.path.len())];
+            let at = match collections.iter().position(|k| k.path == path && k.kind == rep.kind) {
+                Some(at) => at,
+                None => {
+                    collections.push(Collection {
+                        path: path.to_vec(),
+                        kind: rep.kind,
+                        cols: vec![],
+                        fields: vec![],
+                    });
+                    collections.len() - 1
+                }
+            };
+            collections[at].cols.push(c);
+            collections[at].fields.extend(spec.path.get(rep.depth).cloned());
+            collection_of[c] = Some(at);
+        }
+        ChunkReader {
+            declared,
+            counters,
+            columns,
+            groups,
+            dict,
+            body,
+            zone_cols,
+            zone_paths,
+            collections,
+            collection_of,
+        }
     }
 
     /// `chunk` as the format-aware reader, if this crate's codec built it.
@@ -187,9 +243,33 @@ impl ChunkReader {
         self.body
     }
 
-    /// Index of the typed column at exactly this path, if any.
+    /// Index of the typed column at exactly this path of object fields, if
+    /// any (a repeated column is found by its steps, [`Self::find_repeated`]).
     pub fn find_column(&self, path: &[String]) -> Option<usize> {
-        self.columns.iter().position(|c| c.path == path)
+        self.columns.iter().position(|c| c.repeated.is_none() && c.path == path)
+    }
+
+    /// Index of the repeated column a query path names (`readings[*].temp`,
+    /// `tags[*]`), if any.
+    pub fn find_repeated(&self, steps: &[PathStep]) -> Option<usize> {
+        self.columns.iter().position(|c| c.repeated.is_some() && c.steps() == steps)
+    }
+
+    /// The collection with repeated columns a query path enters
+    /// (`readings`, `readings[0].temp`), if any: its index
+    /// ([`GroupView::collection_at`]) and how many of the path's steps are
+    /// its field names.
+    pub fn find_collection(&self, steps: &[PathStep]) -> Option<(usize, usize)> {
+        self.collections.iter().enumerate().find_map(|(k, coll)| {
+            let depth = coll.path.len();
+            let enters = steps.len() >= depth
+                && coll
+                    .path
+                    .iter()
+                    .zip(steps)
+                    .all(|(name, step)| matches!(step, PathStep::Field(f) if f == name));
+            enters.then_some((k, depth))
+        })
     }
 
     /// Does any typed column live at `path` or strictly below it? A path
@@ -240,19 +320,109 @@ impl ChunkReader {
     /// whole-record read ends in, so scans, point reads and the byte forms
     /// made of them agree: onto the row's decoded residual
     /// ([`ChunkReader::residual_record`]) graft each typed column's value at
-    /// its path (`column_value(c)`; `Missing` = the row has none there).
+    /// its path, and each collection zipped from its repeated columns' items
+    /// at the collection's (`column(c)`: column `c`'s row).
     fn assemble(
         &self,
         mut value: Value,
-        mut column_value: impl FnMut(usize) -> Result<Value, StorageError>,
+        g: usize,
+        mut column: impl FnMut(usize) -> Result<Cell, StorageError>,
     ) -> Result<Value, StorageError> {
         for (c, spec) in self.columns.iter().enumerate() {
-            match column_value(c)? {
-                Value::Missing => {}
-                v => insert_at_path(&mut value, &spec.path, v),
+            let (v, path) = match self.collection_of[c] {
+                None => match column(c)? {
+                    Cell::One(v) => (v, &spec.path),
+                    Cell::Span(_) => return Err(corrupt("column block", g)),
+                },
+                Some(k) if self.collections[k].cols[0] == c => {
+                    let coll = &self.collections[k];
+                    let mut spans = Vec::with_capacity(coll.cols.len());
+                    for &c in &coll.cols {
+                        match column(c)? {
+                            Cell::Span(span) => spans.push(span),
+                            Cell::One(_) => return Err(corrupt("column block", g)),
+                        }
+                    }
+                    (self.zip(coll, &spans, g)?, &coll.path)
+                }
+                Some(_) => continue,
+            };
+            if !matches!(v, Value::Missing) {
+                insert_at_path(&mut value, path, v);
             }
         }
         Ok(value)
+    }
+
+    /// The collection `coll` holds in a row, zipped from its columns' row
+    /// spans (`spans`, in `coll.cols` order): `Missing` when the row has none
+    /// there (absent, or spilled to the residual). Every column must say the
+    /// same: no collection, a null one, or as many items as the others.
+    fn zip(&self, coll: &Collection, spans: &[Vec<u8>], g: usize) -> Result<Value, StorageError> {
+        let disagree = || {
+            let what = format!("repeated columns of one collection disagree in row group {g}");
+            StorageError::corruption("column block", what)
+        };
+        // Per column: `None` no collection, `Some(None)` a null one.
+        let mut rows = Vec::with_capacity(spans.len());
+        for (span, &c) in spans.iter().zip(&coll.cols) {
+            let tag = self.columns[c].tag;
+            let row = if span.is_empty() { None } else { Some(split_items(tag, g, span)?) };
+            rows.push((tag, row));
+        }
+        let count = |(_, row): &(TypeTag, Option<Option<Items<'_>>>)| {
+            row.map(|row| row.map(|(defs, _)| defs.len()))
+        };
+        let first = rows.first().map(count).ok_or_else(disagree)?;
+        if rows.iter().any(|row| count(row) != first) {
+            return Err(disagree());
+        }
+        let n = match first {
+            None => return Ok(Value::Missing),
+            Some(None) => return Ok(Value::Null),
+            Some(Some(n)) => n,
+        };
+        let mut columns = Vec::with_capacity(rows.len());
+        for (tag, row) in rows {
+            let (defs, values) = row.flatten().ok_or_else(disagree)?;
+            columns.push((tag, items(width(tag)?, defs, values)));
+        }
+        let mut items = Vec::with_capacity(n);
+        if coll.fields.is_empty() {
+            // Scalar items: each one present or null.
+            let Some((tag, column)) = columns.pop().filter(|_| columns.is_empty()) else {
+                return Err(corrupt("repeated column", g));
+            };
+            for item in column {
+                if !matches!(item.0, DEF_PRESENT | DEF_NULL) {
+                    return Err(corrupt("repeated column", g));
+                }
+                items.push(decode_value(tag, g, item)?);
+            }
+        } else if coll.fields.len() == columns.len() {
+            // Object items: field by field, or null whole.
+            for _ in 0..n {
+                let (mut fields, mut nulls) = (Vec::with_capacity(columns.len()), 0);
+                for ((tag, column), name) in columns.iter_mut().zip(&coll.fields) {
+                    match column.next().ok_or_else(disagree)? {
+                        (DEF_ITEM_NULL, _) => nulls += 1,
+                        (DEF_ABSENT, _) => {}
+                        item => fields.push((name.clone(), decode_value(*tag, g, item)?)),
+                    }
+                }
+                items.push(match nulls {
+                    0 => Value::Object(fields),
+                    n if n == columns.len() => Value::Null,
+                    _ => return Err(disagree()),
+                });
+            }
+        } else {
+            return Err(corrupt("repeated column", g));
+        }
+        Ok(match coll.kind {
+            TypeTag::Multiset => Value::Multiset(items),
+            _ => Value::Array(items),
+        })
     }
 
     /// Row `row` of group `g`, a record, assembled from the pages it lies on
@@ -275,11 +445,10 @@ impl ChunkReader {
             return Err(corrupt("residual block", g));
         }
         let residual = var_row(&self.block(store, cache, gm.residual), g, rows * 4, row)?;
-        let residual = len_prefixed(&residual).ok_or_else(|| corrupt("residual block", g))?;
-        self.assemble(self.residual_record(residual)?, |c| {
-            let (block, tag) = (self.block(store, cache, gm.cols[c].run), self.columns[c].tag);
-            let (def, raw) = column_row(&block, g, tag, rows, &mut Rank::default(), row)?;
-            decode_value(tag, g, (def, raw.as_deref()))
+        self.assemble(self.residual_record(&residual)?, g, |c| {
+            let (block, spec) = (self.block(store, cache, gm.cols[c].run), &self.columns[c]);
+            let (def, raw) = column_row(&block, g, spec, rows, &mut Rank::default(), row)?;
+            cell(spec, g, (def, raw))
         })
     }
 
@@ -393,35 +562,47 @@ struct Rank {
     rank: usize,
 }
 
-/// Row `i` of a `tag` column block of `rows` rows, as stored: its definition
-/// byte and, for a present row, its value bytes (8 for i64/f64, 1 for bool,
-/// `varint len, utf-8` for a string). A string is found through the block's
-/// offset table; a fixed-width value by rank over the definition bytes,
-/// counted on from `seen` — ascending rows cost O(rows) in all, a step back
-/// starts over.
+/// The width of a `tag` column's values: `None` for strings, whose width
+/// varies.
+pub(crate) fn width(tag: TypeTag) -> Result<Option<usize>, StorageError> {
+    match tag {
+        TypeTag::Int64 | TypeTag::Double => Ok(Some(8)),
+        TypeTag::Boolean => Ok(Some(1)),
+        TypeTag::String => Ok(None),
+        other => {
+            let what = format!("column with non-columnar tag {other}");
+            Err(StorageError::corruption("column block", what))
+        }
+    }
+}
+
+/// Row `i` of a column block of `rows` rows, as stored: its definition byte
+/// and, for a present row, its value bytes (8 for i64/f64, 1 for bool, the
+/// text of a string). A string is found through the block's offset table; a
+/// fixed-width value by rank over the definition bytes, counted on from
+/// `seen` — ascending rows cost O(rows) in all, a step back starts over. A
+/// repeated column's row is its span, found through the offset table:
+/// `DEF_ABSENT` when empty, else `DEF_PRESENT` and the span whole (see
+/// [`split_items`]).
 fn column_row<'b, B: BlockBytes>(
     block: &'b B,
     g: usize,
-    tag: TypeTag,
+    spec: &ColumnSpec,
     rows: usize,
     seen: &mut Rank,
     i: usize,
 ) -> Result<(u8, Option<B::Range<'b>>), StorageError> {
     let err = || corrupt("column block", g);
-    let width = match tag {
-        TypeTag::Int64 | TypeTag::Double => 8,
-        TypeTag::Boolean => 1,
-        TypeTag::String => 0, // varies: the block has an offset table
-        other => {
-            let what = format!("column with non-columnar tag {other}");
-            return Err(StorageError::corruption("column block", what));
-        }
-    };
+    let width = width(spec.tag)?;
     if i >= rows {
         return Err(err());
     }
-    let table = if width == 0 { rows * 4 } else { 0 };
-    if width == 0 {
+    if spec.repeated.is_some() {
+        let span = var_row(block, g, rows * 4, i)?;
+        return Ok(if span.is_empty() { (DEF_ABSENT, None) } else { (DEF_PRESENT, Some(span)) });
+    }
+    let table = if width.is_none() { rows * 4 } else { 0 };
+    if width.is_none() {
         *seen = Rank { row: i, rank: 0 };
     } else if i < seen.row {
         *seen = Rank::default();
@@ -437,25 +618,24 @@ fn column_row<'b, B: BlockBytes>(
         return Ok((at[0], None));
     }
     let values = table + rows;
-    let raw = if width == 0 {
-        let raw = var_row(block, g, values, i)?;
-        text(&raw, g)?;
-        raw
-    } else {
-        block.range(g, values + seen.rank * width, width)?
+    let raw = match width {
+        None => {
+            let raw = var_row(block, g, values, i)?;
+            text(&raw, g)?;
+            raw
+        }
+        Some(width) => block.range(g, values + seen.rank * width, width)?,
     };
     Ok((DEF_PRESENT, Some(raw)))
 }
 
-/// The string a stored `varint len, utf-8` value holds.
+/// The text of a stored string value.
 fn text(raw: &[u8], g: usize) -> Result<&str, StorageError> {
-    len_prefixed(raw)
-        .and_then(|text| std::str::from_utf8(text).ok())
-        .ok_or_else(|| corrupt("column block", g))
+    std::str::from_utf8(raw).map_err(|_| corrupt("column block", g))
 }
 
-/// What [`column_row`] found, as a `Value`: `Missing` when absent, `Null`
-/// when null.
+/// What [`column_row`] found of a one-value column, or of one item, as a
+/// `Value`: `Null` when null, `Missing` when it holds no value.
 fn decode_value(tag: TypeTag, g: usize, row: (u8, Option<&[u8]>)) -> Result<Value, StorageError> {
     let err = || corrupt("column block", g);
     let raw = match row {
@@ -469,6 +649,101 @@ fn decode_value(tag: TypeTag, g: usize, row: (u8, Option<&[u8]>)) -> Result<Valu
         TypeTag::Boolean => Value::Boolean(*raw.first().ok_or_else(err)? != 0),
         _ => Value::String(text(raw, g)?.to_owned()),
     })
+}
+
+/// A repeated column row's items: their definition bytes, and the packed
+/// values of the present ones.
+pub(crate) type Items<'s> = (&'s [u8], &'s [u8]);
+
+/// A repeated column's row span, `[varint header][def × n][values]`, split:
+/// `None` for a null collection (header 0), else its `n = header - 1` items'
+/// definition bytes and their packed values — present items only, fixed
+/// width or `varint len, utf-8`. Checked whole before anything is read off
+/// it: the counts must fit the span, every definition byte be one of the
+/// four item levels, and the values fill the rest exactly.
+pub(crate) fn split_items(
+    tag: TypeTag,
+    g: usize,
+    span: &[u8],
+) -> Result<Option<Items<'_>>, StorageError> {
+    let err = |what: &str| {
+        let what = format!("{what} in a repeated column of row group {g}");
+        StorageError::corruption("column block", what)
+    };
+    let (header, n) = varint::read_u64(span).ok_or_else(|| err("no item count"))?;
+    let rest = &span[n..];
+    let Some(count) = header.checked_sub(1) else {
+        return if rest.is_empty() { Ok(None) } else { Err(err("bytes after a null")) };
+    };
+    let (defs, values) = usize::try_from(count)
+        .ok()
+        .and_then(|count| rest.split_at_checked(count))
+        .ok_or_else(|| err("an item span past its row"))?;
+    if defs.iter().any(|&d| d > DEF_ITEM_NULL) {
+        return Err(err("a definition byte out of range"));
+    }
+    let present = defs.iter().filter(|&&d| d == DEF_PRESENT).count();
+    let fits = match width(tag)? {
+        Some(width) => Some(values.len()) == present.checked_mul(width),
+        None => {
+            let mut rest = values;
+            for _ in 0..present {
+                let text = varint::read_u64(rest).and_then(|(len, n)| {
+                    let text = rest.get(n..)?.get(..usize::try_from(len).ok()?)?;
+                    Some((text, n + text.len()))
+                });
+                let Some((text, used)) = text else { return Err(err("an item span past its row")) };
+                std::str::from_utf8(text).map_err(|_| err("an item that is no UTF-8"))?;
+                rest = &rest[used..];
+            }
+            rest.is_empty()
+        }
+    };
+    if !fits {
+        return Err(err("values that do not fill the row"));
+    }
+    Ok(Some((defs, values)))
+}
+
+/// The items of a row [`split_items`] checked: each one's definition byte
+/// and, when present, its value bytes (a string's text, unprefixed).
+pub(crate) fn items<'s>(
+    width: Option<usize>,
+    defs: &'s [u8],
+    mut values: &'s [u8],
+) -> impl Iterator<Item = (u8, Option<&'s [u8]>)> + 's {
+    defs.iter().map(move |&def| {
+        if def != DEF_PRESENT {
+            return (def, None);
+        }
+        let (skip, len) = match width {
+            Some(width) => (0, width),
+            None => varint::read_u64(values).map_or((0, 0), |(len, n)| (n, len as usize)),
+        };
+        let raw = values.get(skip..skip + len).unwrap_or_default();
+        values = values.get(skip + len..).unwrap_or_default();
+        (def, Some(raw))
+    })
+}
+
+/// One column's row, for assembly.
+enum Cell {
+    /// A column of one value per row, decoded: `Missing` when it has none.
+    One(Value),
+    /// A repeated column's row span as stored (empty: no collection).
+    Span(Vec<u8>),
+}
+
+/// What [`column_row`] found of `spec`'s column, for assembly.
+fn cell<R: std::ops::Deref<Target = [u8]> + Into<Vec<u8>>>(
+    spec: &ColumnSpec,
+    g: usize,
+    (def, raw): (u8, Option<R>),
+) -> Result<Cell, StorageError> {
+    if spec.repeated.is_some() {
+        return Ok(Cell::Span(raw.map(Into::into).unwrap_or_default()));
+    }
+    decode_value(spec.tag, g, (def, raw.as_deref())).map(Cell::One)
 }
 
 /// What a [`GroupView`] has faulted in: the residual block and each column
@@ -522,39 +797,70 @@ impl<'c> GroupView<'c> {
 
     /// Row `row` of typed column `col` as stored — what a writer copies: its
     /// definition byte and, for a present row, its value bytes (8 for
-    /// i64/f64, 1 for bool, `varint len, utf-8` for a string).
+    /// i64/f64, 1 for bool, a string's text). A repeated column's row is its
+    /// span whole (`DEF_PRESENT`), or nothing (`DEF_ABSENT`).
     pub fn stored_value(
         &mut self,
         col: usize,
         row: usize,
     ) -> Result<(u8, Option<&[u8]>), StorageError> {
-        let (g, rows, tag) = (self.g, self.rows(), self.reader.columns[col].tag);
+        let (g, rows, spec) = (self.g, self.rows(), &self.reader.columns[col]);
         if self.blocks.cols[col].is_none() {
             let block = self.fault(self.reader.groups[g].cols[col].run)?;
             self.blocks.cols[col] = Some((block, Rank::default()));
         }
         #[expect(clippy::expect_used, reason = "the slot was filled just above")]
         let (block, seen) = self.blocks.cols[col].as_mut().expect("just faulted");
-        column_row(block, g, tag, rows, seen, row)
+        column_row(block, g, spec, rows, seen, row)
     }
 
-    /// What column `col` itself holds for row `row`; a spilled value reads
-    /// as `Missing`.
-    fn column_value(&mut self, col: usize, row: usize) -> Result<Value, StorageError> {
-        let (g, tag) = (self.g, self.reader.columns[col].tag);
-        decode_value(tag, g, self.stored_value(col, row)?)
-    }
-
-    /// Row `row`'s value at column `col`'s path: `Missing` when absent,
-    /// `Null` when null, and the residual's value when the group recorded
-    /// spills there (a value that left the column's type lives in the row's
-    /// residual record).
+    /// Row `row`'s value at column `col`'s path — for a repeated column, at
+    /// its steps (`readings[*].temp`: the row's items' values, `null`s
+    /// included, items without one left out): `Missing` when absent, `Null`
+    /// when null, and the residual's value when the group recorded spills
+    /// there (a value that left the column's type, or a collection that did
+    /// not fit, lives in the row's residual record).
     pub fn value_at(&mut self, col: usize, row: usize) -> Result<Value, StorageError> {
-        let v = self.column_value(col, row)?;
-        if !matches!(v, Value::Missing) || self.reader.groups[self.g].cols[col].spilled == 0 {
+        let (g, reader) = (self.g, self.reader);
+        let spec = &reader.columns[col];
+        let stored = self.stored_value(col, row)?;
+        let v = match (spec.repeated, stored) {
+            (None, stored) => decode_value(spec.tag, g, stored)?,
+            (Some(_), (_, None)) => Value::Missing,
+            (Some(_), (_, Some(span))) => match split_items(spec.tag, g, span)? {
+                None => Value::Missing,
+                Some((defs, values)) => Value::Array(
+                    items(width(spec.tag)?, defs, values)
+                        .filter(|(def, _)| matches!(*def, DEF_PRESENT | DEF_NULL))
+                        .map(|item| decode_value(spec.tag, g, item))
+                        .collect::<Result<_, _>>()?,
+                ),
+            },
+        };
+        if !matches!(v, Value::Missing) || reader.groups[g].cols[col].spilled == 0 {
             return Ok(v);
         }
-        let path: Path = self.reader.columns[col].path.iter().map(PathStep::field).collect();
+        let path = spec.steps();
+        Ok(self.residual_values(row, &mut BatchPathEvaluator::new(&[path]))?.remove(0))
+    }
+
+    /// Row `row`'s value at the path of collection `k`
+    /// ([`ChunkReader::find_collection`]), zipped from its repeated columns:
+    /// `Missing` when absent, `Null` when null, and the residual's value
+    /// when the group recorded spills there.
+    pub fn collection_at(&mut self, k: usize, row: usize) -> Result<Value, StorageError> {
+        let (g, reader) = (self.g, self.reader);
+        let coll = &reader.collections[k];
+        let mut spans = Vec::with_capacity(coll.cols.len());
+        for &c in &coll.cols {
+            spans.push(self.stored_value(c, row)?.1.map(<[u8]>::to_vec).unwrap_or_default());
+        }
+        let v = reader.zip(coll, &spans, g)?;
+        let spilled = coll.cols.iter().any(|&c| reader.groups[g].cols[c].spilled > 0);
+        if !matches!(v, Value::Missing) || !spilled {
+            return Ok(v);
+        }
+        let path: Path = coll.path.iter().map(PathStep::field).collect();
         Ok(self.residual_values(row, &mut BatchPathEvaluator::new(&[path]))?.remove(0))
     }
 
@@ -563,14 +869,15 @@ impl<'c> GroupView<'c> {
     /// the view). Counted in [`ColumnarCounters::rows_reconstructed`]. Only
     /// for a record row: an anti-matter row has no residual to decode.
     pub fn record(&mut self, row: usize) -> Result<Value, StorageError> {
-        let reader = self.reader;
+        let (g, reader) = (self.g, self.reader);
         reader.counters.rows_reconstructed.fetch_add(1, Ordering::Relaxed);
         let residual = reader.residual_record(self.residual_row(row)?)?;
-        reader.assemble(residual, |c| self.column_value(c, row))
+        reader.assemble(residual, g, |c| cell(&reader.columns[c], g, self.stored_value(c, row)?))
     }
 
     /// Row `row` of an `Int64` column, for primitive loops: `None` unless
-    /// present (null, absent and spilled rows alike).
+    /// present (null, absent and spilled rows alike, and every row of a
+    /// repeated column).
     pub fn i64_at(&mut self, col: usize, row: usize) -> Result<Option<i64>, StorageError> {
         Ok(self.word_at(TypeTag::Int64, col, row)?.map(i64::from_le_bytes))
     }
@@ -586,12 +893,31 @@ impl<'c> GroupView<'c> {
         col: usize,
         row: usize,
     ) -> Result<Option<[u8; 8]>, StorageError> {
-        let g = self.g;
-        if self.reader.columns[col].tag != tag {
+        let (g, spec) = (self.g, &self.reader.columns[col]);
+        if spec.tag != tag {
             return Err(corrupt("column type", g));
+        }
+        if spec.repeated.is_some() {
+            return Ok(None);
         }
         let (_, raw) = self.stored_value(col, row)?;
         raw.map(|raw| le_array(raw).ok_or_else(|| corrupt("column block", g))).transpose()
+    }
+
+    /// Row `row`'s items of a repeated `Int64` or `Double` column, for
+    /// primitive loops: the little-endian values of its present items, back
+    /// to back — all the row holds at the column's steps — or `None` when
+    /// that takes a `Value` to say: no collection, a null one, a spilled one,
+    /// or a null among the values.
+    pub fn present_items(&mut self, col: usize, row: usize) -> Result<Option<&[u8]>, StorageError> {
+        let (g, spec) = (self.g, &self.reader.columns[col]);
+        if spec.repeated.is_none() || !matches!(spec.tag, TypeTag::Int64 | TypeTag::Double) {
+            return Err(corrupt("column type", g));
+        }
+        let (_, Some(span)) = self.stored_value(col, row)? else { return Ok(None) };
+        Ok(split_items(spec.tag, g, span)?
+            .filter(|(defs, _)| !defs.contains(&DEF_NULL))
+            .map(|(_, values)| values))
     }
 
     /// Row `row`'s residual record (what the columns did not take of it;
@@ -603,11 +929,10 @@ impl<'c> GroupView<'c> {
         }
         #[expect(clippy::expect_used, reason = "the slot was filled just above")]
         let block = self.blocks.residual.as_ref().expect("just faulted");
-        let err = || corrupt("residual block", g);
         if row >= rows {
-            return Err(err());
+            return Err(corrupt("residual block", g));
         }
-        len_prefixed(var_row(block, g, rows * 4, row)?).ok_or_else(err)
+        var_row(block, g, rows * 4, row)
     }
 
     /// `eval`'s paths evaluated against row `row`'s residual record. One
@@ -684,18 +1009,13 @@ impl ColumnarChunk for ChunkReader {
         g: usize,
     ) -> Result<Vec<(Key, EntryKind)>, StorageError> {
         let gm = &self.groups[g];
-        let table = gm.rows as usize * 4;
-        let len = (gm.keys.bytes as usize)
-            .checked_sub(table)
-            .ok_or_else(|| corrupt("offset table", g))?;
-        let body = self.block(store, cache, gm.keys).range(g, table, len)?;
-        let mut out = Vec::with_capacity(gm.rows as usize);
-        let mut pos = 0usize;
-        for _ in 0..gm.rows {
-            let (key, kind, n) =
-                read_key_entry(&body[pos..]).ok_or_else(|| corrupt("keys block", g))?;
+        let rows = gm.rows as usize;
+        let block = self.block(store, cache, gm.keys).range(g, 0, gm.keys.bytes as usize)?;
+        let mut out = Vec::with_capacity(rows);
+        for i in 0..rows {
+            let entry = var_row(&block, g, rows * 4, i)?;
+            let (key, kind) = read_key_entry(entry).ok_or_else(|| corrupt("keys block", g))?;
             out.push((key.to_vec(), kind));
-            pos += n;
         }
         Ok(out)
     }
@@ -736,10 +1056,7 @@ impl ColumnarChunk for ChunkReader {
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
             let entry = var_row(&block, g, gm.rows as usize * 4, mid)?;
-            let (k, kind, n) = read_key_entry(&entry).ok_or_else(err)?;
-            if n != entry.len() {
-                return Err(err());
-            }
+            let (k, kind) = read_key_entry(&entry).ok_or_else(err)?;
             match k.cmp(key) {
                 std::cmp::Ordering::Equal => return Ok(Some((mid as u32, kind))),
                 std::cmp::Ordering::Less => lo = mid + 1,
@@ -827,6 +1144,13 @@ pub fn serialize_index(columns: &[ColumnSpec], groups: &[GroupMeta]) -> Vec<u8> 
             write_bytes(&mut out, seg.as_bytes());
         }
         out.push(c.tag as u8);
+        match c.repeated {
+            None => out.push(0),
+            Some(rep) => {
+                varint::write_u64(&mut out, rep.depth as u64);
+                out.push(rep.kind as u8);
+            }
+        }
     }
     varint::write_u64(&mut out, groups.len() as u64);
     for g in groups {
@@ -873,7 +1197,18 @@ pub fn deserialize_index(buf: &[u8]) -> Option<(Vec<ColumnSpec>, Vec<GroupMeta>)
             path.push(String::from_utf8(input.bytes()?).ok()?);
         }
         let tag = TypeTag::from_u8(input.take(1)?[0]).ok()?;
-        columns.push(ColumnSpec { path, tag });
+        // A repetition depth of 0 is none; a repeated column's path ends at
+        // its collection (scalar items) or one field into its items.
+        let repeated = match usize::try_from(input.varint()?).ok()? {
+            0 => None,
+            depth if depth == segs || depth + 1 == segs => {
+                let kind = TypeTag::from_u8(input.take(1)?[0]).ok()?;
+                matches!(kind, TypeTag::Array | TypeTag::Multiset)
+                    .then_some(Some(Repetition { depth, kind }))?
+            }
+            _ => return None,
+        };
+        columns.push(ColumnSpec { path, tag, repeated });
     }
     let ngroups = input.varint()? as usize;
     let mut groups = Vec::with_capacity(ngroups);

@@ -22,10 +22,22 @@
 //! * Every eligible schema leaf path ([`tc_schema::leaf_columns`]) plus the
 //!   declared scalar root fields become a **typed column**: a per-row
 //!   definition byte (`0` absent, `1` null, `2` present) and a packed value
-//!   array (i64/f64 little-endian, bools, or length-prefixed strings).
-//! * Values that *leave* the schema — heterogeneous unions, collections,
-//!   exotic scalars, or a type-mismatched row — stay in the row-encoded
-//!   **residual column**: a vector record of what remains, so shred →
+//!   array (i64/f64 little-endian, bools, or strings).
+//! * A leaf path through one collection — an array or multiset of eligible
+//!   scalars (`tags[*]`), or of flat objects of them (`readings[*].temp`,
+//!   `readings[*].timestamp`) — becomes a **repeated column**: per row, the
+//!   collection's state (absent, null, or its item count) and one
+//!   definition byte per item (`0` field missing, `1` null, `2` present, `3`
+//!   the item itself null), then the present items' packed values. It is
+//!   the AMAX paper's definition levels with a per-row item count for the
+//!   array delimiters, and no repetition-level column: the columns of one
+//!   collection carry one entry per item each, so a reader zips them back
+//!   into items.
+//! * Values that *leave* the schema — heterogeneous unions, nested
+//!   collections, exotic scalars, a type-mismatched row, or a collection an
+//!   item of which does not fit its columns (it stays whole) — stay in the
+//!   row-encoded **residual column**: a vector record of what remains, so
+//!   shred →
 //!   reconstruct is lossless for arbitrary documents. It is a *compacted*
 //!   record (§3.3.2 of the source paper): its field names are ids of the
 //!   dictionary in the component's own schema blob, its declared fields
@@ -38,36 +50,44 @@
 //! * The **column index** maps each column to its block per row group, with
 //!   min/max stats, null counts, and spill counts; scans fault in only the
 //!   columns a query references and skip whole groups whose stats cannot
-//!   satisfy a pushed-down conjunct.
+//!   satisfy a pushed-down conjunct. A repeated column's min/max is over its
+//!   items; it is recorded, but no zone yet.
 //!
 //! A block is a **byte range** of the body ([`chunk::PageRun`]: offset,
 //! length): the writer appends each group's keys, residual and column
 //! blocks one behind the other through a single page writer, the index blob
 //! last, and only the body's last page is padded. A block starts and ends
 //! anywhere in a page; reading it faults in the pages its range lies on, and
-//! its neighbours share the first and last of them. The three blocks whose
+//! its neighbours share the first and last of them. The four blocks whose
 //! rows vary in width open with an **offset table** — one little-endian
 //! `u32` per row, the offset at which that row *ends* in the area after the
-//! table (row 0 starts at 0) — so a point lookup ([`ChunkReader`]'s
-//! `record_at`, `read_row`) reads one row and faults in only the pages
-//! holding it:
+//! table (row 0 starts at 0) — which bounds every row, so no row stores its
+//! own length, and a point lookup ([`ChunkReader`]'s `record_at`,
+//! `read_row`) reads one row and faults in only the pages holding it:
 //!
 //! ```text
-//! keys block      [end × rows] [varint klen, key, kind byte]…
-//! residual block  [end × rows] [varint len, vector record]…   (len 0 = anti-matter)
-//! string column   [end × rows] [def × rows] [varint len, utf-8]…  (present rows only;
-//!                                           offsets count from the end of the def bytes)
-//! i64/f64/bool    [def × rows] [fixed-width value]…           (present rows only;
-//!                                           row i's value is found by rank over def)
+//! keys block      [end × rows] [key, kind byte]…
+//! residual block  [end × rows] [vector record]…        (an empty row = anti-matter)
+//! string column   [end × rows] [def × rows] [utf-8]…   (present rows only; offsets
+//!                                      count from the end of the def bytes)
+//! i64/f64/bool    [def × rows] [fixed-width value]…    (present rows only;
+//!                                      row i's value is found by rank over def)
+//! repeated column [end × rows] [row span]…             (an empty span = no collection:
+//!                                      absent, or spilled to the residual)
+//! row span        [varint header] [def × items] [value]…  (header 0 = null, else
+//!                                      items + 1; values of present items only,
+//!                                      fixed-width or `varint len, utf-8`)
 //! ```
 //!
-//! That is the one format, number 3. The index blob names it: `TCAX`, then
-//! `[0x80 | version, 0x00]` ([`chunk::FORMAT_VERSION`]), then the columns and
-//! groups. A reader must refuse a component whose blocks it would misread,
-//! and [`chunk::deserialize_index`] returns `None` for any version but its
-//! own — format 2 (every block on fresh pages, names inline in every
-//! residual row) included: nothing on disk outlives a process here, so there
-//! is one writer and one reader and no second path.
+//! That is the one format, number 4. The index blob names it: `TCAX`, then
+//! `[0x80 | version, 0x00]` ([`chunk::FORMAT_VERSION`]), then the columns
+//! (path, type, repetition) and groups. A reader must refuse a component
+//! whose blocks it would misread, and [`chunk::deserialize_index`] returns
+//! `None` for any version but its own — format 3 (no repeated columns, every
+//! key, residual and string row opened by its length) and format 2 (every
+//! block on fresh pages, names inline in every residual row) included:
+//! nothing on disk outlives a process here, so there is one writer and one
+//! reader and no second path.
 //!
 //! All pages go through the component's own
 //! [`PageStore`](tc_storage::page_store::PageStore), so PR 8's CRC footers,
@@ -82,7 +102,9 @@
 //! and counts it once ([`ColumnarCounters::columns_faulted`], the view's
 //! `bytes_read`). It answers by row: the value at a column's path (`value_at`,
 //! which turns to the residual where the group recorded a spill), an `Int64`
-//! or `Double` column's value for primitive loops, the row's residual record
+//! or `Double` column's value for primitive loops, a repeated `Int64` or
+//! `Double` column's present items as packed bytes (`present_items`), a
+//! collection zipped from its columns (`collection_at`), the row's residual record
 //! as a slice of the block and paths evaluated over it, the row's definition
 //! byte and value bytes as stored, and the row's whole record (`record`).
 //! Three consumers read through it, and so cannot disagree about the block
@@ -91,7 +113,8 @@
 //! reconstruction (`read_group_rows`) and the merging writer's copy.
 //!
 //! A whole record is **assembled into a `Value`** by one routine: decode the
-//! row's residual record, then graft each typed column's value at its path.
+//! row's residual record, then graft each typed column's value at its path
+//! and each collection, zipped from its repeated columns, at its own.
 //! A scan asks the view for it ([`GroupView::record`], whole blocks); a point
 //! read asks the chunk ([`ChunkReader::record_at`]), which faults in only the
 //! pages its row lies on. Vector bytes are made of that `Value` only for
@@ -126,7 +149,9 @@
 //! source group per input has read, asks it for row `i`'s definition byte,
 //! value bytes and residual record as stored (references arrive in key
 //! order, so each source is read forward), and appends them to the open
-//! group, recomputing that group's min/max, null counts and offset tables.
+//! group, recomputing that group's min/max, null counts and offset tables — a
+//! repeated column's row span is copied whole, checked, and its items
+//! folded into the stats.
 //! No record is assembled, and the bytes written are the ones re-shredding
 //! the reconstructed record would write.
 //!
@@ -159,10 +184,13 @@ pub use writer::{AmaxCodec, AmaxWriter};
 /// enough that a column block is worth its index entry.
 pub const DEFAULT_GROUP_ROWS: usize = 1024;
 
-/// Definition levels stored per row per column.
+/// Definition levels stored per row per column, and per item of a
+/// repeated column: there `DEF_ABSENT` is an item object without the
+/// column's field, and `DEF_ITEM_NULL` an item that is `null` itself.
 pub const DEF_ABSENT: u8 = 0;
 pub const DEF_NULL: u8 = 1;
 pub const DEF_PRESENT: u8 = 2;
+pub const DEF_ITEM_NULL: u8 = 3;
 
 /// Shared counters for the columnar satellite stats: the codec counts pages
 /// it writes; readers count column blocks faulted in, group pages skipped

@@ -14,7 +14,7 @@ use tc_storage::page_store::{PageStore, PageWriter};
 use tc_util::varint;
 
 use crate::chunk::{
-    len_prefixed, ChunkReader, ColumnChunkMeta, ColumnSpec, GroupBlocks, GroupMeta, PageRun,
+    split_items, ChunkReader, ColumnChunkMeta, ColumnSpec, GroupBlocks, GroupMeta, PageRun,
 };
 use crate::shred::Shredder;
 use crate::{ColumnStats, ColumnarCounters, DEFAULT_GROUP_ROWS, DEF_ABSENT, DEF_NULL};
@@ -58,7 +58,7 @@ impl AmaxCodec {
             .map(|s| {
                 leaf_columns(s)
                     .into_iter()
-                    .map(|lc| ColumnSpec { path: lc.path, tag: lc.tag })
+                    .map(|lc| ColumnSpec { path: lc.path, tag: lc.tag, repeated: lc.repeated })
                     .collect()
             })
             .unwrap_or_default();
@@ -66,7 +66,7 @@ impl AmaxCodec {
             if let TypeKind::Scalar(tag) = f.kind {
                 let path = vec![f.name.clone()];
                 if tc_schema::column_eligible(tag) && !cols.iter().any(|c| c.path == path) {
-                    cols.push(ColumnSpec { path, tag });
+                    cols.push(ColumnSpec { path, tag, repeated: None });
                 }
             }
         }
@@ -85,16 +85,10 @@ struct VarRows {
 }
 
 impl VarRows {
-    /// Append a `varint len, bytes` item to the current row.
-    fn put_prefixed(&mut self, item: &[u8]) {
-        varint::write_u64(&mut self.bytes, item.len() as u64);
-        self.bytes.extend_from_slice(item);
-    }
-
-    /// Close the current row (everything appended to `bytes` since the
-    /// last call). `write_block` refuses blocks past `u32::MAX` bytes, so a
-    /// truncated offset never reaches a reader.
-    fn end_row(&mut self) {
+    /// Append a row: `parts`, back to back. `write_block` refuses blocks
+    /// past `u32::MAX` bytes, so a truncated offset never reaches a reader.
+    fn push_row(&mut self, parts: &[&[u8]]) {
+        parts.iter().for_each(|part| self.bytes.extend_from_slice(part));
         self.ends.push(self.bytes.len() as u32);
     }
 }
@@ -103,23 +97,33 @@ impl VarRows {
 #[derive(Debug, PartialEq)]
 pub(crate) struct ColBuild {
     pub(crate) tag: TypeTag,
+    /// Does the column hold one value per item of a collection? Its rows are
+    /// then spans — `[varint header][def × items][values]`, empty when the
+    /// row has no collection there — and `def` stays empty.
+    repeated: bool,
     def: Vec<u8>,
     values: Vec<u8>,
-    /// String columns only: where each row's value ends in `values` (absent
-    /// and null rows are empty) — the block's offset table.
+    /// String and repeated columns: where each row ends in `values` (absent
+    /// and null string rows are empty) — the block's offset table.
     ends: Vec<u32>,
     null_count: u32,
-    /// Rows whose value at the column's path has another type and stayed in
-    /// the residual (they close as `DEF_ABSENT`).
+    /// Rows whose value at the column's path has another type, or whose
+    /// collection does not fit its columns, and stayed in the residual (they
+    /// close as `DEF_ABSENT`).
     pub(crate) spilled: u32,
     stats: ColumnStats,
     stats_poisoned: bool,
+    /// A repeated column's open row: its items' definition bytes and values,
+    /// staged until the row closes.
+    item_defs: Vec<u8>,
+    item_values: Vec<u8>,
 }
 
 impl ColBuild {
-    pub(crate) fn new(tag: TypeTag) -> Self {
+    pub(crate) fn new(tag: TypeTag, repeated: bool) -> Self {
         ColBuild {
             tag,
+            repeated,
             def: Vec::new(),
             values: Vec::new(),
             ends: Vec::new(),
@@ -127,6 +131,8 @@ impl ColBuild {
             spilled: 0,
             stats: ColumnStats::None,
             stats_poisoned: false,
+            item_defs: Vec::new(),
+            item_values: Vec::new(),
         }
     }
 
@@ -154,33 +160,116 @@ impl ColBuild {
         };
     }
 
+    /// Fold a value [`Self::check`] passed into the group's min/max.
+    fn observe(&mut self, value: &[u8]) {
+        if let Ok(word) = value.try_into() {
+            match self.tag {
+                TypeTag::Int64 => self.observe_int(i64::from_le_bytes(word)),
+                TypeTag::Double => self.observe_float(f64::from_le_bytes(word)),
+                _ => {}
+            }
+        }
+    }
+
+    /// Is `value` what a vector record stores for a scalar of the column's
+    /// type (a string's text, unprefixed)?
+    fn check(&self, value: &[u8]) -> Result<(), StorageError> {
+        let fits = match self.tag {
+            TypeTag::Int64 | TypeTag::Double => value.len() == 8,
+            TypeTag::Boolean => value.len() == 1,
+            TypeTag::String => std::str::from_utf8(value).is_ok(),
+            _ => false,
+        };
+        if fits {
+            return Ok(());
+        }
+        let what = match self.tag {
+            TypeTag::Int64 | TypeTag::Double => "fixed-width value cut short".to_owned(),
+            tag => format!("no {tag} column holds these {} bytes", value.len()),
+        };
+        Err(StorageError::corruption("columnar shred", what))
+    }
+
     /// Append the open row's value, given as the bytes a vector record
     /// stores for a scalar of the column's type (a string's text, unprefixed).
     pub(crate) fn put(&mut self, value: &[u8]) -> Result<(), StorageError> {
-        let word = || {
-            value.try_into().map_err(|_| {
-                StorageError::corruption("column block", "fixed-width value cut short")
-            })
-        };
-        match self.tag {
-            TypeTag::Int64 => self.observe_int(i64::from_le_bytes(word()?)),
-            TypeTag::Double => self.observe_float(f64::from_le_bytes(word()?)),
-            TypeTag::Boolean if value.len() == 1 => {}
-            TypeTag::String if std::str::from_utf8(value).is_ok() => {
-                varint::write_u64(&mut self.values, value.len() as u64);
-            }
-            tag => {
-                let what = format!("no {tag} column holds these {} bytes", value.len());
-                return Err(StorageError::corruption("columnar shred", what));
-            }
-        }
+        self.check(value)?;
+        self.observe(value);
         self.values.extend_from_slice(value);
         Ok(())
     }
 
+    /// Stage the next item of the open row of a repeated column: its
+    /// definition byte and, when present, its value as [`Self::put`] takes it.
+    pub(crate) fn put_item(&mut self, def: u8, value: Option<&[u8]>) -> Result<(), StorageError> {
+        if let Some(value) = value {
+            self.check(value)?;
+            if self.tag == TypeTag::String {
+                varint::write_u64(&mut self.item_values, value.len() as u64);
+            }
+            self.item_values.extend_from_slice(value);
+        }
+        self.item_defs.push(def);
+        Ok(())
+    }
+
+    /// Give the last staged item, staged as absent, its field's value after
+    /// all; `false` (nothing changed) if it has one already — a second field
+    /// of one name in one item object.
+    pub(crate) fn set_item(&mut self, def: u8, value: Option<&[u8]>) -> Result<bool, StorageError> {
+        if self.item_defs.last() != Some(&DEF_ABSENT) {
+            return Ok(false);
+        }
+        self.item_defs.pop();
+        self.put_item(def, value)?;
+        Ok(true)
+    }
+
+    /// Drop the open row's staged items: its collection went to the residual.
+    pub(crate) fn unstage(&mut self) {
+        self.item_defs.clear();
+        self.item_values.clear();
+    }
+
+    /// Fold a repeated row's items into the group's stats and null count.
+    fn observe_items(&mut self, defs: &[u8], values: &[u8]) {
+        let width = crate::chunk::width(self.tag).ok().flatten();
+        for (def, raw) in crate::chunk::items(width, defs, values) {
+            self.null_count += (def == DEF_NULL) as u32;
+            if let Some(raw) = raw {
+                self.observe(raw);
+            }
+        }
+    }
+
     /// Close the row with its definition level; a string column records
-    /// where its value ended.
+    /// where its value ended. A repeated column's level is its collection's:
+    /// absent (an empty span), null (header 0) or present — the staged items,
+    /// none for an empty collection.
     pub(crate) fn end_row(&mut self, def: u8) {
+        if self.repeated {
+            match def {
+                DEF_ABSENT => {}
+                DEF_NULL => {
+                    self.values.push(0);
+                    self.null_count += 1;
+                }
+                _ => {
+                    let (defs, values) = (
+                        std::mem::take(&mut self.item_defs),
+                        std::mem::take(&mut self.item_values),
+                    );
+                    varint::write_u64(&mut self.values, defs.len() as u64 + 1);
+                    self.values.extend_from_slice(&defs);
+                    self.values.extend_from_slice(&values);
+                    self.observe_items(&defs, &values);
+                    (self.item_defs, self.item_values) = (defs, values);
+                }
+            }
+            self.unstage();
+            self.ends.push(self.values.len() as u32);
+            return;
+        }
         self.def.push(def);
         self.null_count += (def == DEF_NULL) as u32;
         if self.tag == TypeTag::String {
@@ -189,19 +278,26 @@ impl ColBuild {
     }
 
     /// Append one row as another group of this column stores it
-    /// ([`GroupView::stored_value`](crate::GroupView::stored_value)): the
-    /// bytes are copied, the group's stats and null count recomputed from
-    /// them. The source column had no spill.
-    fn push_stored(&mut self, def: u8, raw: Option<&[u8]>) -> Result<(), StorageError> {
-        if let Some(raw) = raw {
-            let text = || {
-                len_prefixed(raw).ok_or_else(|| {
-                    StorageError::corruption("column block", "string value without its length")
-                })
-            };
-            self.put(if self.tag == TypeTag::String { text()? } else { raw })?;
+    /// ([`GroupView::stored_value`](crate::GroupView::stored_value), of row
+    /// group `g`): the bytes are copied, the group's stats and null count
+    /// recomputed from them. The source column had no spill.
+    fn push_stored(&mut self, def: u8, raw: Option<&[u8]>, g: usize) -> Result<(), StorageError> {
+        match raw {
+            Some(span) if self.repeated => {
+                match split_items(self.tag, g, span)? {
+                    None => self.null_count += 1,
+                    Some((defs, values)) => self.observe_items(defs, values),
+                }
+                self.values.extend_from_slice(span);
+                self.ends.push(self.values.len() as u32);
+            }
+            raw => {
+                if let Some(raw) = raw {
+                    self.put(raw)?;
+                }
+                self.end_row(def);
+            }
         }
-        self.end_row(def);
         Ok(())
     }
 
@@ -255,7 +351,10 @@ impl GroupBuild {
             rows: 0,
             keys: VarRows::default(),
             residual: VarRows::default(),
-            cols: columns.iter().map(|spec| ColBuild::new(spec.tag)).collect(),
+            cols: columns
+                .iter()
+                .map(|spec| ColBuild::new(spec.tag, spec.repeated.is_some()))
+                .collect(),
         }
     }
 
@@ -264,9 +363,7 @@ impl GroupBuild {
         if self.rows == 0 {
             self.first_key = key.to_vec();
         }
-        self.keys.put_prefixed(key);
-        self.keys.bytes.push(kind as u8);
-        self.keys.end_row();
+        self.keys.push_row(&[key, &[kind as u8]]);
         self.rows += 1;
     }
 
@@ -384,12 +481,11 @@ impl AmaxWriter {
         let Some(blocks) = open.blocks.take() else { return Ok(false) };
         let mut view = reader.resume(source.store, source.cache, group, blocks);
         let row = source.row as usize;
-        self.open.residual.put_prefixed(view.residual_row(row)?);
+        self.open.residual.push_row(&[view.residual_row(row)?]);
         for (c, cb) in self.open.cols.iter_mut().enumerate() {
             let (def, value) = view.stored_value(c, row)?;
-            cb.push_stored(def, value)?;
+            cb.push_stored(def, value, group)?;
         }
-        self.open.residual.end_row();
         self.open.begin_row(key, EntryKind::Record);
         // References arrive in key order: nothing follows a group's last row,
         // so its blocks need not wait for the input's next group to go.
@@ -410,12 +506,11 @@ impl ColumnarWriter for AmaxWriter {
     ) -> Result<(), StorageError> {
         if kind == EntryKind::AntiMatter {
             self.open.cols.iter_mut().for_each(|cb| cb.end_row(DEF_ABSENT));
-            self.open.residual.put_prefixed(&[]);
+            self.open.residual.push_row(&[]);
         } else {
             let rest = self.shredder.shred(payload, &mut self.open.cols)?;
-            self.open.residual.put_prefixed(rest);
+            self.open.residual.push_row(&[rest]);
         }
-        self.open.residual.end_row();
         self.open.begin_row(key, kind);
         self.end_row(store)
     }
@@ -489,6 +584,7 @@ mod tests {
     use tc_storage::device::{Device, DeviceProfile};
 
     use crate::chunk::{deserialize_index, serialize_index, FORMAT_VERSION};
+    use tc_schema::Repetition;
 
     fn declared_pk() -> ObjectType {
         ObjectType::open(vec![FieldDef {
@@ -654,22 +750,27 @@ mod tests {
         // reachable only through a record whose scalar has the wrong width, or
         // a column spec no block layout exists for; it must not panic the
         // flush.
-        let mut col = ColBuild::new(TypeTag::Int64);
+        let mut col = ColBuild::new(TypeTag::Int64, false);
         col.put(&7i64.to_le_bytes()).unwrap();
         let err = col.put(b"seven").unwrap_err();
         assert!(matches!(err, StorageError::Corruption { .. }), "got {err}");
         assert!(err.to_string().contains("cut short"), "got {err}");
-        let err = ColBuild::new(TypeTag::String).put(&[0xff, 0xfe]).unwrap_err();
+        let err = ColBuild::new(TypeTag::String, false).put(&[0xff, 0xfe]).unwrap_err();
         assert!(err.to_string().contains("no string column holds"), "got {err}");
-        let err = ColBuild::new(TypeTag::Date).put(&1i32.to_le_bytes()).unwrap_err();
+        let err = ColBuild::new(TypeTag::Date, false).put(&1i32.to_le_bytes()).unwrap_err();
         assert!(err.is_corruption(), "got {err}");
     }
 
     #[test]
     fn index_blob_roundtrips() {
         let columns = vec![
-            ColumnSpec { path: vec!["a".into(), "b".into()], tag: TypeTag::Int64 },
-            ColumnSpec { path: vec!["s".into()], tag: TypeTag::String },
+            ColumnSpec { path: vec!["a".into(), "b".into()], tag: TypeTag::Int64, repeated: None },
+            ColumnSpec {
+                path: vec!["r".into(), "t".into()],
+                tag: TypeTag::Double,
+                repeated: Some(Repetition { depth: 1, kind: TypeTag::Array }),
+            },
+            ColumnSpec { path: vec!["s".into()], tag: TypeTag::String, repeated: None },
         ];
         let groups = vec![GroupMeta {
             first_key: vec![0, 1, 2],
@@ -684,7 +785,13 @@ mod tests {
                     stats: ColumnStats::Int { min: -5, max: 9000 },
                 },
                 ColumnChunkMeta {
-                    run: PageRun { start: 1018, bytes: 12 },
+                    run: PageRun { start: 1018, bytes: 40 },
+                    null_count: 1,
+                    spilled: 2,
+                    stats: ColumnStats::Float { min: -0.5, max: 3.25 },
+                },
+                ColumnChunkMeta {
+                    run: PageRun { start: 1058, bytes: 12 },
                     null_count: 0,
                     spilled: 0,
                     stats: ColumnStats::None,
@@ -701,14 +808,21 @@ mod tests {
         // know is refused, and so is the unversioned shape of the first
         // blobs (the column count straight after the magic).
         assert_eq!(blob[4..6], [0x80 | FORMAT_VERSION, 0x00]);
-        for version in [FORMAT_VERSION + 1, 2] {
-            // Format 2's runs were page ids, its residual rows named their
-            // fields: read as format 3 they would be garbage, not an error.
+        for version in [FORMAT_VERSION + 1, 3, 2] {
+            // Format 3's rows opened with their lengths, format 2's runs were
+            // page ids and its residual rows named their fields: read as
+            // format 4 they would be garbage, not an error.
             let mut other = blob.clone();
             other[4] = 0x80 | version;
             assert!(deserialize_index(&other).is_none(), "format {version} blob");
         }
         let unversioned = [&blob[..4], &blob[6..]].concat();
         assert!(deserialize_index(&unversioned).is_none());
+        // A repetition deeper than its path, or through a non-collection.
+        for (depth, kind) in [(3, TypeTag::Array), (1, TypeTag::Object)] {
+            let mut bad = columns.clone();
+            bad[1].repeated = Some(Repetition { depth, kind });
+            assert!(deserialize_index(&serialize_index(&bad, &groups)).is_none());
+        }
     }
 }

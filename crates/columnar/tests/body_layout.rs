@@ -1,6 +1,6 @@
-//! Format 3's body: a component is one byte stream — every group's blocks
+//! Format 4's body: a component is one byte stream — every group's blocks
 //! back to back, the index blob last — so the only padding is the last
-//! page's.
+//! page's; and a sensor report's readings are repeated columns.
 
 mod common;
 
@@ -14,7 +14,7 @@ use tc_schema::Schema;
 use common::{declared_pk, key, new_store, observe};
 
 /// A sensor report in miniature: a handful of typed columns and an array of
-/// readings that stays in the residual.
+/// readings, a repeated column.
 fn report(i: u64) -> Value {
     let readings: Vec<String> = (0..40).map(|r| (i * 100 + r).to_string()).collect();
     parse(&format!(
@@ -77,4 +77,55 @@ fn a_three_group_component_fills_its_pages() {
     let (fill, groups) = fill_factor(90, 30);
     assert_eq!(groups, 3);
     assert!(fill >= 0.9, "fill factor {fill}");
+}
+
+/// A sensor report as the generator writes one: identity and status scalars
+/// and 118 readings of a double and a bigint.
+fn sensor_report(i: u64) -> Value {
+    let readings: Vec<String> = (0..118)
+        .map(|r| format!(r#"{{"temp": {}.25, "timestamp": {}}}"#, (i * 7 + r) % 40, i * 60 + r))
+        .collect();
+    parse(&format!(
+        r#"{{"id": {i}, "sensor_id": {}, "report_time": {}, "status": {{"battery_level": {}.5,
+            "error_count": {}}}, "readings": [{}]}}"#,
+        i % 1000,
+        i * 60_000,
+        i % 100,
+        i % 10,
+        readings.join(", ")
+    ))
+    .unwrap()
+}
+
+#[test]
+fn readings_are_repeated_columns_and_the_body_shrinks() {
+    const ROWS: u64 = 300;
+    let declared = declared_pk();
+    let mut schema = Schema::new();
+    let entries: Vec<_> = (0..ROWS)
+        .map(|i| {
+            let record = sensor_report(i);
+            observe(&mut schema, &record, true);
+            (key(i), EntryKind::Record, tc_vector::encode(&record, Some(&declared)))
+        })
+        .collect();
+    let store = new_store(16 * 1024);
+    let codec = AmaxCodec::new(declared).with_group_rows(128);
+    let chunk = codec.build_chunk(&store, &entries, Some(&schema.serialize())).unwrap();
+    let reader = ChunkReader::of(chunk.as_ref()).unwrap();
+    for path in ["readings[*].temp", "readings[*].timestamp"] {
+        let c = reader.find_repeated(&tc_adm::path::parse_path(path)).unwrap();
+        assert!(reader.groups().iter().all(|g| g.cols[c].spilled == 0), "{path} spilled");
+    }
+    // Every block and the index, per row: format 3, which kept the readings
+    // in the residual and opened each key, residual and string row with its
+    // length, spent 2577 bytes a row on these reports.
+    let blocks: u64 = reader
+        .groups()
+        .iter()
+        .flat_map(|g| [g.keys, g.residual].into_iter().chain(g.cols.iter().map(|c| c.run)))
+        .map(|run| run.bytes as u64)
+        .sum();
+    let index = serialize_index(reader.columns(), reader.groups()).len() as u64;
+    assert_eq!((blocks + index) / ROWS, 2229, "body bytes per row");
 }

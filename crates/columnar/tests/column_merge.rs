@@ -293,15 +293,16 @@ fn schema_stable_sources_are_copied_and_stats_recomputed() {
 #[test]
 fn residuals_compacted_against_an_older_dictionary_are_copied_as_they_are() {
     // Schema evolution between two flushes that adds no column: the newer
-    // records carry an array of objects, so `extra` and `later` join the
-    // dictionary and nothing else changes. The older component's residual
+    // records carry an array of objects holding arrays (nested repetition,
+    // which no column takes), so `extra` and `later` join the dictionary and
+    // nothing else changes. The older component's residual
     // rows hold ids of the shorter dictionary; the merged component's blob is
     // the newer one, under which those ids name the same fields.
     let old: Vec<Value> = (0..6).map(sample).collect();
     let evolved = |i: u64| {
         let mut v = sample(i);
         let Value::Object(fields) = &mut v else { unreachable!() };
-        let later = object(vec![("later", Some(Value::Int64(i as i64)))]);
+        let later = object(vec![("later", Some(Value::Array(vec![Value::Int64(i as i64)])))]);
         fields.insert(1, ("extra".into(), Value::Array(vec![later])));
         v
     };

@@ -78,24 +78,78 @@ pub fn object(fields: Vec<(&str, Option<Value>)>) -> Value {
     Value::Object(fields.into_iter().filter_map(|(n, v)| Some((n.to_string(), v?))).collect())
 }
 
+/// Collections repeated columns take, mostly: arrays (a multiset now and
+/// then) of ints and nulls, and arrays of flat reading-like objects — empty,
+/// `null`, with `null` items and missing fields, and with the odd item that
+/// does not fit (a string among the ints, a scalar or a nested array among
+/// the objects), which spills once the schema has seen the collection.
+pub fn arb_collections() -> impl Strategy<Value = (Option<Value>, Option<Value>)> {
+    let scalar = || {
+        prop_oneof![
+            8 => any::<i64>().prop_map(Value::Int64),
+            2 => Just(Value::Null),
+            1 => Just(Value::String("odd".into())),
+        ]
+    };
+    let scalars = prop_oneof![
+        6 => proptest::collection::vec(scalar(), 0..6).prop_map(Value::Array),
+        1 => proptest::collection::vec(scalar(), 0..3).prop_map(Value::Multiset),
+        1 => Just(Value::Null),
+    ];
+    let temp = prop_oneof![
+        8 => any::<f64>().prop_map(Value::Double),
+        1 => Just(Value::Double(f64::NAN)),
+        1 => Just(Value::Null),
+    ];
+    let reading = (
+        prop_oneof![6 => temp.prop_map(Some), 1 => Just(None)],
+        prop_oneof![6 => any::<i64>().prop_map(|t| Some(Value::Int64(t))), 1 => Just(None)],
+    )
+        .prop_map(|(temp, timestamp)| object(vec![("temp", temp), ("timestamp", timestamp)]));
+    let item = prop_oneof![
+        12 => reading,
+        2 => Just(Value::Null),
+        1 => Just(Value::Int64(7)),
+        1 => Just(object(vec![("temp", Some(Value::Array(vec![])))])),
+    ];
+    let readings = prop_oneof![
+        6 => proptest::collection::vec(item, 0..6).prop_map(Value::Array),
+        1 => Just(Value::Null),
+    ];
+    let maybe = |s: BoxedStrategy<Value>| prop_oneof![1 => Just(None), 3 => s.prop_map(Some)];
+    (maybe(scalars.boxed()), maybe(readings.boxed()))
+}
+
 /// A generated row: anti-matter or a record, whether the component's schema
-/// saw it, and its fields (`o` nests two of them).
-pub type Row =
-    ((bool, bool), Option<Value>, Option<Value>, Option<Value>, (Option<Value>, Option<Value>));
+/// saw it, and its fields (`o` nests two of them, `xs` and `readings` are
+/// collections).
+pub type Row = (
+    (bool, bool),
+    (Option<Value>, Option<Value>, Option<Value>),
+    (Option<Value>, Option<Value>),
+    (Option<Value>, Option<Value>),
+);
 
 pub fn arb_row() -> impl Strategy<Value = Row> {
     (
         (prop_oneof![1 => Just(true), 5 => Just(false)], any::<bool>()),
-        arb_field(),
-        arb_field(),
-        arb_field(),
+        (arb_field(), arb_field(), arb_field()),
         (arb_field(), arb_field()),
+        arb_collections(),
     )
 }
 
 /// The record of a generated row stored under key `k` (`id` = `k`).
 pub fn row_record(k: u64, row: &Row) -> Value {
-    let (_, a, b, c, (x, y)) = row.clone();
+    let (_, (a, b, c), (x, y), (xs, readings)) = row.clone();
     let nested = (x.is_some() || y.is_some()).then(|| object(vec![("x", x), ("y", y)]));
-    object(vec![("id", Some(Value::Int64(k as i64))), ("a", a), ("b", b), ("c", c), ("o", nested)])
+    object(vec![
+        ("id", Some(Value::Int64(k as i64))),
+        ("a", a),
+        ("xs", xs),
+        ("b", b),
+        ("c", c),
+        ("o", nested),
+        ("readings", readings),
+    ])
 }

@@ -19,7 +19,7 @@ fn blocks_are_faulted_on_first_use_and_counted_once() {
     let mut entries = Vec::new();
     for i in 0..10u64 {
         let text =
-            format!(r#"{{"id": {i}, "t": {}, "s": "row number {i}", "rest": [{i}]}}"#, 7 * i);
+            format!(r#"{{"id": {i}, "t": {}, "s": "row number {i}", "rest": [[{i}]]}}"#, 7 * i);
         let v = parse(&text).unwrap();
         observe(&mut schema, &v, true);
         entries.push((key(i), EntryKind::Record, tc_vector::encode(&v, Some(&declared))));
@@ -68,7 +68,8 @@ fn blocks_are_faulted_on_first_use_and_counted_once() {
     for i in 0..view.rows() {
         let rest = tc_vector::decode(view.residual_row(i).unwrap(), Some(&declared), reader.dict())
             .unwrap();
-        assert_eq!(rest.get_field("rest"), Some(&Value::Array(vec![Value::Int64(5 + i as i64)])));
+        let nested = Value::Array(vec![Value::Array(vec![Value::Int64(5 + i as i64)])]);
+        assert_eq!(rest.get_field("rest"), Some(&nested), "nested arrays stay in the residual");
     }
     expect(&view, gm.residual, 3);
 

@@ -10,6 +10,7 @@ mod common;
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use tc_adm::path::eval_path;
 use tc_adm::{parse, TypeTag, Value};
 use tc_columnar::chunk::{ChunkReader, GroupMeta};
 use tc_columnar::{AmaxCodec, ColumnarCounters};
@@ -21,11 +22,6 @@ use tc_storage::error::StorageError;
 use tc_storage::page_store::PageStore;
 
 use common::{arb_row, declared_pk, key, new_store, observe, row_record};
-
-/// What `record` holds at `path` (`Missing` if nothing).
-fn at_path(record: &Value, path: &[String]) -> Value {
-    path.iter().try_fold(record, |v, name| v.get_field(name)).cloned().unwrap_or(Value::Missing)
-}
 
 /// A point read as the tree makes it: the row `find_row` finds for `k` in
 /// group `g`, and for a record its bytes (`read_row`; anti-matter has none).
@@ -124,7 +120,8 @@ proptest! {
                 for (c, spec) in reader.columns().iter().enumerate() {
                     let value = view.value_at(c, i).unwrap();
                     // By their text: NaN is not equal to itself.
-                    prop_assert_eq!(format!("{value:?}"), format!("{:?}", at_path(&record, &spec.path)));
+                    let expected = eval_path(&record, &spec.steps());
+                    prop_assert_eq!(format!("{value:?}"), format!("{expected:?}"));
                     match spec.tag {
                         TypeTag::Int64 => {
                             let typed = view.i64_at(c, i).unwrap().map(Value::Int64);
@@ -217,6 +214,81 @@ fn damaged_offset_tables_are_typed_corruption() {
     let short = reopen(truncated);
     assert_corrupt(get_row(&short, &store, &cache, 0, &key(2)));
     assert!(short.read_group_rows(&store, &cache, 0).unwrap_err().is_corruption());
+
+    damaged_repeated_columns_are_typed_corruption();
+}
+
+/// A repeated column's damage comes back as typed corruption from each of
+/// its readers — the point read, the view's whole record and the scan's
+/// fills — never as a panic or a short array: an item span that runs past
+/// its block or its row, a definition byte out of range, and sibling columns
+/// of one collection that disagree on a row's item count (which only a
+/// reader of both can see: the record and the collection's fill).
+fn damaged_repeated_columns_are_typed_corruption() {
+    let declared = declared_pk();
+    let mut schema = Schema::new();
+    let mut entries = Vec::new();
+    for i in 0..4u64 {
+        let text =
+            format!(r#"{{"id": {i}, "r": [{{"u": {i}}}, {{"t": 1.5, "u": 2}}], "q": [1, 2, 3]}}"#);
+        let v = parse(&text).unwrap();
+        observe(&mut schema, &v, true);
+        entries.push((key(i), EntryKind::Record, tc_vector::encode(&v, Some(&declared))));
+    }
+    let codec = AmaxCodec::new(declared.clone());
+    let store = new_store(256);
+    let chunk = codec.build_chunk(&store, &entries, Some(&schema.serialize())).unwrap();
+    let reader = ChunkReader::of(chunk.as_ref()).unwrap();
+    let steps = tc_adm::path::parse_path;
+    let t = reader.find_repeated(&steps("r[*].t")).unwrap();
+    let u = reader.find_repeated(&steps("r[*].u")).unwrap();
+    let q = reader.find_repeated(&steps("q[*]")).unwrap();
+    let (r, depth) = reader.find_collection(&steps("r")).unwrap();
+    assert_eq!(depth, 1);
+    let cache = BufferCache::new(64);
+    let mut view = reader.view(&store, &cache, 0);
+    assert_eq!(view.present_items(t, 0).unwrap(), Some(&1.5f64.to_le_bytes()[..]));
+    assert_eq!(
+        tc_adm::to_string(&view.collection_at(r, 1).unwrap()),
+        r#"[{"u": 1}, {"t": 1.5, "u": 2}]"#
+    );
+
+    let reopen = |groups: Vec<GroupMeta>| {
+        let counters = Arc::new(ColumnarCounters::default());
+        let (columns, dict) = (reader.columns().to_vec(), reader.dict().cloned());
+        ChunkReader::new(declared.clone(), counters, columns, groups, dict, reader.body_page())
+    };
+    let gm = &reader.groups()[0];
+    // Row 0 of `r[*].t`: its span opens the block after the offset table —
+    // `[header 3][absent, present][one double]`; the damaged definition
+    // byte is the absent one, so the values still fill the row.
+    let span = gm.cols[t].run.start + 4 * gm.rows as u64;
+    let damages: [(&str, u64, &[u8]); 3] = [
+        ("an item span past the block", gm.cols[t].run.start, &[0xff; 4]),
+        ("an item span past the row", span, &[0x7f]),
+        ("a definition byte out of range", span + 1, &[9]),
+    ];
+    for (what, at, bytes) in damages {
+        let damaged = store_with_damage(&store, at, bytes);
+        let same = reopen(reader.groups().to_vec());
+        let cache = BufferCache::new(64);
+        let err = get_row(&same, &damaged, &cache, 0, &key(0)).unwrap_err();
+        assert!(err.is_corruption(), "{what}: point read: {err}");
+        let mut view = same.view(&damaged, &cache, 0);
+        assert!(view.record(0).unwrap_err().is_corruption(), "{what}: record");
+        assert!(view.collection_at(r, 0).unwrap_err().is_corruption(), "{what}: collection");
+        assert!(view.value_at(t, 0).unwrap_err().is_corruption(), "{what}: value");
+        assert!(view.present_items(t, 0).unwrap_err().is_corruption(), "{what}: items");
+    }
+    // `r[*].u` read from the block of `q[*]`: three items against two.
+    let mut swapped = reader.groups().to_vec();
+    swapped[0].cols[u].run = gm.cols[q].run;
+    let same = reopen(swapped);
+    let err = get_row(&same, &store, &cache, 0, &key(0)).unwrap_err();
+    assert!(err.is_corruption() && err.to_string().contains("disagree"), "got {err}");
+    let mut view = same.view(&store, &cache, 0);
+    assert!(view.record(0).unwrap_err().is_corruption());
+    assert!(view.collection_at(r, 0).unwrap_err().is_corruption());
 }
 
 #[test]
@@ -225,7 +297,7 @@ fn a_residual_id_the_dictionary_lacks_is_typed_corruption() {
     let mut schema = Schema::new();
     let mut entries = Vec::new();
     for i in 0..3u64 {
-        let v = parse(&format!(r#"{{"id": {i}, "s": "value {i}", "rest": [{{"deep": {i}}}]}}"#));
+        let v = parse(&format!(r#"{{"id": {i}, "s": "value {i}", "rest": [{{"deep": [{i}]}}]}}"#));
         let v = v.unwrap();
         observe(&mut schema, &v, true);
         entries.push((key(i), EntryKind::Record, tc_vector::encode(&v, Some(&declared))));

@@ -932,44 +932,58 @@ mod tests {
 
     /// A get assembles its record from the pages its row lies on, exactly
     /// the pages the byte-form point read faults in — never the row group's
-    /// whole blocks, as a scan's view reads them.
+    /// whole blocks, as a scan's view reads them — records with collections
+    /// of repeated columns (a span of each per row) included.
     #[test]
     fn columnar_get_reads_the_pages_of_its_row_only() {
-        let ds = make(
-            DatasetConfig::new("Employee", "id")
-                .with_format(StorageFormat::Columnar)
-                .with_page_size(256)
-                .with_merge_policy(tc_lsm::MergePolicy::NoMerge),
-        );
-        let mut w = ds.writer();
-        for i in 0..300 {
-            w.insert(&employee(i)).unwrap();
-        }
-        drop(w);
-        ds.flush().unwrap();
-        ds.force_full_merge().unwrap();
-        let component = ds.snapshot_columnar().expect("one merged columnar component");
-        let (chunk, _) = component.columnar_view().unwrap();
-        let reader = ChunkReader::of(chunk).unwrap();
-        let group_pages = reader.group_pages(0, 256);
-        let cache = ds.primary().cache();
-        let cold_misses = |read: &dyn Fn()| {
-            cache.clear();
-            let before = cache.misses();
-            read();
-            cache.misses() - before
+        let with_arrays = |i: i64| {
+            let visits: Vec<String> =
+                (0..i % 5).map(|v| format!(r#"{{"at": {v}.5, "room": {}}}"#, i + v)).collect();
+            parse(&format!(
+                r#"{{"id": {i}, "name": "emp{i}", "scores": [{i}, {}, null], "visits": [{}]}}"#,
+                i * 3,
+                visits.join(", ")
+            ))
+            .unwrap()
         };
-        let decoder = ds.decoder();
-        for i in [0, 1, 150, 299] {
-            let key = encode_i64_key(i);
-            let by_value = cold_misses(&|| assert_eq!(ds.get(i).unwrap(), Some(employee(i))));
-            let by_bytes = cold_misses(&|| {
-                let (kind, bytes) = component.get(cache, &key).unwrap().unwrap();
-                assert_eq!(kind, EntryKind::Record);
-                assert_eq!(decoder.materialize(&bytes).unwrap(), employee(i));
-            });
-            assert_eq!(by_value, by_bytes, "get({i}) reads the pages the byte read does");
-            assert!(by_value < group_pages, "get({i}): {by_value} of {group_pages} pages");
+        for (record, repeated) in [(&employee as &dyn Fn(i64) -> Value, 1), (&with_arrays, 3)] {
+            let ds = make(
+                DatasetConfig::new("Employee", "id")
+                    .with_format(StorageFormat::Columnar)
+                    .with_page_size(256)
+                    .with_merge_policy(tc_lsm::MergePolicy::NoMerge),
+            );
+            let mut w = ds.writer();
+            for i in 0..300 {
+                w.insert(&record(i)).unwrap();
+            }
+            drop(w);
+            ds.flush().unwrap();
+            ds.force_full_merge().unwrap();
+            let component = ds.snapshot_columnar().expect("one merged columnar component");
+            let (chunk, _) = component.columnar_view().unwrap();
+            let reader = ChunkReader::of(chunk).unwrap();
+            assert_eq!(reader.columns().iter().filter(|c| c.repeated.is_some()).count(), repeated);
+            let group_pages = reader.group_pages(0, 256);
+            let cache = ds.primary().cache();
+            let cold_misses = |read: &dyn Fn()| {
+                cache.clear();
+                let before = cache.misses();
+                read();
+                cache.misses() - before
+            };
+            let decoder = ds.decoder();
+            for i in [0, 1, 150, 299] {
+                let key = encode_i64_key(i);
+                let by_value = cold_misses(&|| assert_eq!(ds.get(i).unwrap(), Some(record(i))));
+                let by_bytes = cold_misses(&|| {
+                    let (kind, bytes) = component.get(cache, &key).unwrap().unwrap();
+                    assert_eq!(kind, EntryKind::Record);
+                    assert_eq!(decoder.materialize(&bytes).unwrap(), record(i));
+                });
+                assert_eq!(by_value, by_bytes, "get({i}) reads the pages the byte read does");
+                assert!(by_value < group_pages, "get({i}): {by_value} of {group_pages} pages");
+            }
         }
     }
 

@@ -37,6 +37,8 @@
 //!
 //! Row references are answered per component: each path is classified
 //! against the component's column list exactly as the at-rest scan does. A
+//! repeated column's items are boxed into a `Value` array, and a path into
+//! its collection read off the collection zipped from its columns. A
 //! whole-record path, or one crossing a typed column's prefix, is read off
 //! the row's record, assembled into a `Value` through the same view
 //! ([`GroupView::record`]); no row of a `tc_columnar` chunk is materialized

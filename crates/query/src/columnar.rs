@@ -15,6 +15,15 @@
 //! straight into a `Value` ([`GroupView::record`]) and read off it, never
 //! encoded to vector bytes and decoded again.
 //!
+//! A path through a collection with repeated columns is read from them: its
+//! column's steps (`readings[*].temp`) from that column alone, any other
+//! path into the collection (`readings`, `readings[0].temp`) off the
+//! collection zipped from its columns ([`GroupView::collection_at`]). When
+//! the query unnests such a `double` column into a group-by keyed without
+//! the item (`AVG(readings[*].temp)` per sensor), each row's present items go
+//! from the column's bytes into a flat `f64` buffer the group-by folds, with
+//! no `Value` per item ([`GroupView::present_items`]).
+//!
 //! Every path shape has its source (`PathPlan`); what the fast path does not
 //! cover is a state — a partition not at rest, or a chunk of another codec.
 //! It returns `None` for one before it pushes a row, and the caller runs the
@@ -65,6 +74,13 @@ use crate::zone::ZonePredicate;
 enum Slot {
     /// A typed column (index into the chunk's column list).
     Typed(usize),
+    /// A repeated column read at its steps (`readings[*].temp`): the row's
+    /// items' values.
+    Items(usize),
+    /// Evaluated against a collection zipped from its repeated columns
+    /// ([`GroupView::collection_at`]; index into the collection path list):
+    /// any other path into it, `readings` or `readings[0].temp`.
+    InCollection(usize),
     /// Evaluated against the row's residual record (index into the
     /// residual path list).
     Residual(usize),
@@ -189,6 +205,14 @@ fn scan_groups(
     refd.dedup();
     refd.retain(|&i| i < scan.paths.len());
     let refd_plan = PathPlan::classify(reader, refd.iter().map(|&i| &scan.paths[i]));
+    // The column whose `double` items the pipeline folds as they are
+    // (`readings[*].temp` unnested into a group-by): the scan column and
+    // the repeated column; `items` holds one row's.
+    let folds = pipeline.folds_typed(plan.slots.len()).and_then(|i| match plan.slots[i] {
+        Slot::Items(c) if reader.columns()[c].tag == TypeTag::Double => Some((i, c)),
+        _ => None,
+    });
+    let mut items: Vec<f64> = Vec::new();
 
     for g in 0..reader.groups().len() {
         let gm = &reader.groups()[g];
@@ -263,7 +287,27 @@ fn scan_groups(
         // ---- push survivor rows ----
         let mut consumed = gm.rows;
         for &r in &sel {
-            pipeline.push(&mut plan.row_values(&mut view, r)?);
+            match folds {
+                Some((i, c)) => {
+                    let mut row = plan.row_values_but(&mut view, r, Some(i))?;
+                    match view.present_items(c, r as usize)? {
+                        Some(words) => {
+                            items.clear();
+                            items.extend(
+                                words
+                                    .chunks_exact(8)
+                                    .map(|w| f64::from_le_bytes(w.try_into().unwrap_or_default())),
+                            );
+                            pipeline.push_doubles(&mut row, &items);
+                        }
+                        None => {
+                            row[i] = view.value_at(c, r as usize)?;
+                            pipeline.push(&mut row);
+                        }
+                    }
+                }
+                None => pipeline.push(&mut plan.row_values(&mut view, r)?),
+            }
             if limited && pipeline.room() == Some(0) {
                 consumed = r + 1;
                 break;
@@ -306,6 +350,9 @@ pub(crate) struct PathPlan {
     residual: RefCell<BatchPathEvaluator>,
     /// The paths evaluated against the assembled record.
     record_paths: Vec<Path>,
+    /// The paths into a collection: the collection, and the steps
+    /// evaluated against it.
+    collection_paths: Vec<(usize, Path)>,
     /// Does a row's value at some path need its record assembled?
     assembles: bool,
 }
@@ -319,8 +366,14 @@ impl PathPlan {
     ) -> PathPlan {
         let (mut slots, mut residual_paths, mut record_paths) =
             (Vec::new(), Vec::new(), Vec::new());
+        let mut collection_paths = Vec::new();
         for path in paths {
             slots.push(match classify(reader, path) {
+                Slot::InCollection(_) => {
+                    let (k, depth) = reader.find_collection(path).unwrap_or_default();
+                    collection_paths.push((k, path[depth..].to_vec()));
+                    Slot::InCollection(collection_paths.len() - 1)
+                }
                 Slot::Residual(_) => {
                     residual_paths.push(path.clone());
                     Slot::Residual(residual_paths.len() - 1)
@@ -334,7 +387,7 @@ impl PathPlan {
         }
         let residual = RefCell::new(BatchPathEvaluator::new(&residual_paths));
         let assembles = slots.iter().any(|s| matches!(s, Slot::Record | Slot::InRecord(_)));
-        PathPlan { slots, residual_paths, residual, record_paths, assembles }
+        PathPlan { slots, residual_paths, residual, record_paths, collection_paths, assembles }
     }
 
     pub(crate) fn is_empty(&self) -> bool {
@@ -346,6 +399,17 @@ impl PathPlan {
     /// paths, and an iterator `collect::<Result<_, _>>()` here cost it 40 %.
     /// The assembled record moves into the last whole-record column.
     pub(crate) fn row_values(&self, view: &mut GroupView<'_>, r: u32) -> Result<Row, StorageError> {
+        self.row_values_but(view, r, None)
+    }
+
+    /// [`PathPlan::row_values`], but for path `skip`, which reads null: its
+    /// value is the caller's to read.
+    fn row_values_but(
+        &self,
+        view: &mut GroupView<'_>,
+        r: u32,
+        skip: Option<usize>,
+    ) -> Result<Row, StorageError> {
         let mut residual = if self.residual_paths.is_empty() {
             Vec::new()
         } else {
@@ -356,9 +420,14 @@ impl PathPlan {
         let mut whole = None;
         for (i, slot) in self.slots.iter().enumerate() {
             let v = match *slot {
-                Slot::Typed(c) => view.value_at(c, r as usize)?,
+                _ if skip == Some(i) => Value::Null,
+                Slot::Typed(c) | Slot::Items(c) => view.value_at(c, r as usize)?,
                 Slot::Residual(j) => std::mem::replace(&mut residual[j], Value::Missing),
                 Slot::InRecord(j) => eval_path(&record, &self.record_paths[j]),
+                Slot::InCollection(j) => {
+                    let (k, rest) = &self.collection_paths[j];
+                    eval_path(&view.collection_at(*k, r as usize)?, rest)
+                }
                 Slot::Record => {
                     if let Some(prev) = whole.replace(i) {
                         row[prev] = record.clone();
@@ -375,13 +444,20 @@ impl PathPlan {
     }
 }
 
-/// Map a scan path onto its source: the whole record, a typed column, the
-/// residual — iff no typed column was carved out at or below the prefix the
-/// path enters through, so the residual holds the whole subtree — or else
-/// the assembled record.
+/// Map a scan path onto its source: the whole record, a typed column, a
+/// repeated column at its steps, the collection of repeated columns it
+/// enters, the residual — iff no typed column was carved out at or below the
+/// prefix the path enters through, so the residual holds the whole subtree
+/// — or else the assembled record.
 fn classify(reader: &ChunkReader, path: &Path) -> Slot {
     if path.is_empty() {
         return Slot::Record;
+    }
+    if let Some(c) = reader.find_repeated(path) {
+        return Slot::Items(c);
+    }
+    if reader.find_collection(path).is_some() {
+        return Slot::InCollection(0);
     }
     // The leading run of plain field steps decides where the value lives.
     let field = |step: &PathStep| match step {

@@ -26,7 +26,7 @@ pub mod dictionary;
 pub mod node;
 pub mod schema;
 
-pub use columns::{column_eligible, leaf_columns, LeafColumn};
+pub use columns::{column_eligible, leaf_columns, LeafColumn, Repetition};
 pub use dictionary::{FieldNameDictionary, FieldNameId};
 pub use node::{NodeId, SchemaNode};
 pub use schema::Schema;

@@ -72,7 +72,7 @@ impl BitWriter {
 }
 
 /// Reads fixed-width bit fields from a byte slice, LSB-first.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BitReader<'a> {
     buf: &'a [u8],
     bit_pos: usize,

@@ -75,7 +75,8 @@ pub enum RawItem<'a> {
 }
 
 /// Streaming reader. Construct once per record; call [`VectorReader::next`]
-/// until [`Item::Eov`].
+/// until [`Item::Eov`]. A clone reads on from where the original stands.
+#[derive(Clone)]
 pub struct VectorReader<'a> {
     buf: &'a [u8],
     header: Header,

@@ -472,8 +472,9 @@ fn scans_stay_consistent_under_policy_driven_merges() {
 /// published when the scan ended (the operation in flight).
 ///
 /// Halfway through, the records start to carry an array of objects under
-/// field names no earlier record had: the dictionary grows while the column
-/// set stays as it was. Merges from then on copy residual rows compacted
+/// field names no earlier record had, each holding an array (nested
+/// repetition, so no column takes them): the dictionary grows while the
+/// column set stays as it was. Merges from then on copy residual rows compacted
 /// against a shorter dictionary into components whose blob has the longer
 /// one, while a reader's snapshot still holds — and decodes `extras` from —
 /// the components they replace.
@@ -510,7 +511,10 @@ fn columnar_scans_equal_an_oracle_prefix_across_column_merges() {
         let mut v = record(id, version);
         if version >= N / 2 {
             let Value::Object(fields) = &mut v else { unreachable!() };
-            let later = Value::object([(format!("later_{}", version % 7), Value::from(id))]);
+            // An array in each item keeps `extras` out of the repeated
+            // columns: it stays in the residual.
+            let inner = Value::Array(vec![Value::from(id)]);
+            let later = Value::object([(format!("later_{}", version % 7), inner)]);
             fields.push(("extras".into(), Value::Array(vec![later])));
         }
         v

@@ -59,6 +59,62 @@ fn arb_record() -> impl Strategy<Value = Value> {
     })
 }
 
+/// A sensors-shaped record: a sensor id and the collections the columnar
+/// layout shreds into repeated columns — an array of doubles, one of strings
+/// and `readings`, an array of flat objects — empty, `null`, with `null`
+/// items and missing fields, and now and then an item of another type. A
+/// reading may carry a `unit`, a field that only the newer components know
+/// (the stale versions are written without it).
+fn arb_sensor_record() -> impl Strategy<Value = Value> {
+    fn maybe(s: impl Strategy<Value = Value> + 'static) -> BoxedStrategy<Option<Value>> {
+        prop_oneof![1 => Just(None), 5 => s.prop_map(Some)].boxed()
+    }
+    // Halves only: sums of them are exact, so every engine's average is the
+    // same double whatever order it adds in.
+    let half = || (-40i64..80).prop_map(|k| Value::Double(k as f64 / 2.0));
+    let list = |item: BoxedStrategy<Value>| {
+        prop_oneof![
+            8 => proptest::collection::vec(item, 0..5).prop_map(Value::Array),
+            1 => Just(Value::Null),
+        ]
+    };
+    let temps = list(prop_oneof![8 => half(), 1 => Just(Value::Null)].boxed());
+    let tags = list(
+        prop_oneof![6 => "[a-d]{0,3}".prop_map(Value::String), 1 => Just(Value::Null)].boxed(),
+    );
+    let reading = (
+        maybe(prop_oneof![8 => half(), 1 => Just(Value::Null)]),
+        maybe((0i64..1_000).prop_map(Value::Int64)),
+        prop_oneof![3 => Just(None), 1 => "[CF]".prop_map(|u| Some(Value::String(u)))],
+    )
+        .prop_map(|(temp, timestamp, unit)| {
+            let fields = [("temp", temp), ("timestamp", timestamp), ("unit", unit)];
+            Value::Object(
+                fields.into_iter().filter_map(|(n, v)| Some((n.to_string(), v?))).collect(),
+            )
+        });
+    let item = prop_oneof![
+        16 => reading,
+        2 => Just(Value::Null),
+        1 => Just(Value::String("offline".into())),
+    ];
+    let readings = list(item.boxed());
+    (0i64..1_000_000, 0i64..4, maybe(temps), maybe(tags), maybe(readings)).prop_map(
+        |(id, sensor, temps, tags, readings)| {
+            let fields = [
+                ("id", Some(Value::Int64(id))),
+                ("sensor_id", Some(Value::Int64(sensor))),
+                ("temps", temps),
+                ("tags", tags),
+                ("readings", readings),
+            ];
+            Value::Object(
+                fields.into_iter().filter_map(|(n, v)| Some((n.to_string(), v?))).collect(),
+            )
+        },
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -582,7 +638,9 @@ proptest! {
 
     /// The AMAX columnar format is observationally equivalent to the vector
     /// formats: arbitrary nested records (every scalar type, NaN doubles,
-    /// type-mixed fields that spill, arrays, deep objects), ingested under
+    /// type-mixed fields that spill, arrays, deep objects) or sensors-shaped
+    /// ones (the collections of repeated columns, whose items' fields evolve
+    /// between components), ingested under
     /// {Inferred, VectorUncompacted, Columnar} × {sync, background}, answer
     /// point lookups identically while stale versions, newer versions and
     /// anti-matter still sit in separate unmerged components (and the
@@ -591,11 +649,15 @@ proptest! {
     /// columnar zero-pivot scan whenever the resting partition lets it fire.
     #[test]
     fn columnar_format_is_observationally_equivalent(
-        records in proptest::collection::vec(arb_record(), 1..10),
+        records in prop_oneof![
+            proptest::collection::vec(arb_record(), 1..10),
+            proptest::collection::vec(arb_sensor_record(), 1..10),
+        ],
         delete_mask in proptest::collection::vec(any::<bool>(), 10),
     ) {
         use tc_query::exec::{execute, Engine, ExecOptions};
-        use tc_query::{AccessStrategy, CmpOp, Expr, Query, ScanSpec};
+        use tc_query::agg::{Agg, AggFn};
+        use tc_query::{AccessStrategy, CmpOp, Expr, Op, Query, ScanSpec};
 
         /// Ingest without converging: a stale version of every record in
         /// flushed components, then the real versions and the deletes on
@@ -618,6 +680,16 @@ proptest! {
             for r in records {
                 let Value::Object(mut stale) = r.clone() else { unreachable!() };
                 stale.push(("stale_version".to_string(), Value::Boolean(true)));
+                // The readings' `unit` appears between two components.
+                if let Some((_, Value::Array(readings))) =
+                    stale.iter_mut().find(|(n, _)| n == "readings")
+                {
+                    for reading in readings {
+                        if let Value::Object(fields) = reading {
+                            fields.retain(|(n, _)| n != "unit");
+                        }
+                    }
+                }
                 w.upsert(&Value::Object(stale)).unwrap();
             }
             drop(w);
@@ -672,6 +744,36 @@ proptest! {
             ops: vec![],
         };
 
+        // The sensors queries: the temperature average per sensor under an
+        // unnest (the at-rest scan folds it from the column's bytes), and
+        // paths into the collections every other way.
+        let path = tc_adm::path::parse_path;
+        let average = Query {
+            scan: ScanSpec::all_early(
+                vec![path("sensor_id"), path("readings[*].temp")],
+                AccessStrategy::Consolidated,
+            ),
+            ops: vec![
+                Op::Unnest(Expr::col(1)),
+                Op::GroupBy {
+                    keys: vec![Expr::col(0)],
+                    aggs: vec![Agg::of(AggFn::Avg, Expr::col(2)), Agg::count_star()],
+                },
+                Op::OrderBy { keys: vec![(Expr::col(0), false)], limit: None },
+            ],
+        };
+        let collections = Query {
+            scan: ScanSpec::all_early(
+                ["id", "temps[*]", "tags", "readings[*].timestamp", "readings[1].temp", "readings[*]"]
+                    .into_iter()
+                    .map(path)
+                    .collect(),
+                AccessStrategy::Consolidated,
+            ),
+            ops: vec![Op::OrderBy { keys: vec![(Expr::col(0), false)], limit: None }],
+        };
+        let queries = [&query, &average, &collections];
+
         let reference = ingest(StorageFormat::Inferred, false, &records, &delete_mask);
         settle(&reference);
         let ids: Vec<i64> =
@@ -679,13 +781,10 @@ proptest! {
         let expected_gets: Vec<Option<Value>> =
             ids.iter().map(|&id| reference.get(id).unwrap()).collect();
         let expected_scan = reference.scan_values().unwrap();
-        let expected_rows = execute(
-            &[&reference],
-            &query,
-            &ExecOptions::with_engine(Engine::Row),
-        )
-        .unwrap()
-        .rows;
+        let expected_rows: Vec<_> = queries
+            .iter()
+            .map(|q| execute(&[&reference], q, &ExecOptions::with_engine(Engine::Row)).unwrap().rows)
+            .collect();
 
         let formats = [
             StorageFormat::Inferred,
@@ -722,21 +821,20 @@ proptest! {
                     background
                 );
                 for engine in [Engine::Batched, Engine::Row] {
-                    let got = execute(
-                        &[&ds],
-                        &query,
-                        &ExecOptions::with_engine(engine),
-                    )
-                    .unwrap()
-                    .rows;
-                    prop_assert_eq!(
-                        &got,
-                        &expected_rows,
-                        "{:?} (background={}, {:?}) query diverged",
-                        format,
-                        background,
-                        engine
-                    );
+                    for (q, (query, expected)) in queries.iter().zip(&expected_rows).enumerate() {
+                        let got = execute(&[&ds], query, &ExecOptions::with_engine(engine))
+                            .unwrap()
+                            .rows;
+                        prop_assert_eq!(
+                            &got,
+                            expected,
+                            "{:?} (background={}, {:?}) query {} diverged",
+                            format,
+                            background,
+                            engine,
+                            q
+                        );
+                    }
                 }
             }
         }
