@@ -35,6 +35,13 @@ pub use path::PathStep;
 pub use typetag::TypeTag;
 pub use value::Value;
 
+/// The deepest a value may nest, counting each object, array and multiset
+/// on the way down ([`Value::max_depth`]); `serde_json`'s default recursion
+/// limit. The parser refuses a deeper text, a dataset a deeper record, and
+/// a vector-record reader a deeper tag stream, so no recursion over a value
+/// can run out of stack on any thread.
+pub const MAX_NESTING: usize = 128;
+
 /// Convenience: parse ADM text into a [`Value`].
 pub fn parse(text: &str) -> Result<Value, AdmError> {
     parser::Parser::new(text).parse_single()

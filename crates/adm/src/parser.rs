@@ -14,6 +14,7 @@
 
 use crate::error::AdmError;
 use crate::value::Value;
+use crate::MAX_NESTING;
 
 /// Recursive-descent parser over a byte buffer.
 pub struct Parser<'a> {
@@ -23,6 +24,8 @@ pub struct Parser<'a> {
     src: &'a str,
     text: &'a [u8],
     pos: usize,
+    /// Containers open around the current position.
+    depth: usize,
 }
 
 /// The bit a field name sets in an object's 64-bit name mask: the object
@@ -33,7 +36,7 @@ pub(crate) fn name_bit(name: &str) -> u64 {
 
 impl<'a> Parser<'a> {
     pub fn new(text: &'a str) -> Self {
-        Parser { src: text, text: text.as_bytes(), pos: 0 }
+        Parser { src: text, text: text.as_bytes(), pos: 0, depth: 0 }
     }
 
     /// Parse exactly one value; trailing whitespace allowed, trailing
@@ -91,14 +94,23 @@ impl<'a> Parser<'a> {
         self.skip_ws();
         match self.peek() {
             None => Err(self.err("unexpected end of input")),
-            Some(b'{') => {
-                if self.text.get(self.pos + 1) == Some(&b'{') {
+            Some(open @ (b'{' | b'[')) => {
+                // The parser recurses per container: a cap, not the stack,
+                // bounds how deep a text may nest.
+                if self.depth == MAX_NESTING {
+                    return Err(self.err(format!("nested deeper than {MAX_NESTING} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.parse_array()
+                } else if self.text.get(self.pos + 1) == Some(&b'{') {
                     self.parse_multiset()
                 } else {
                     self.parse_object()
-                }
+                };
+                self.depth -= 1;
+                value
             }
-            Some(b'[') => self.parse_array(),
             Some(b'"') => Ok(Value::String(self.parse_string()?)),
             Some(b'-') | Some(b'0'..=b'9') => self.parse_number(),
             Some(c) if c.is_ascii_alphabetic() => self.parse_word(),
@@ -678,6 +690,31 @@ mod tests {
         }
     }
 
+    /// `{"a": [[…1…]]}` with `depth` containers on the way down, the root
+    /// object counted; `multiset` nests `{{ }}` instead of `[ ]`.
+    fn nested_text(depth: usize, multiset: bool) -> String {
+        let (open, close) = if multiset { ("{{", "}}") } else { ("[", "]") };
+        let inner = depth - 1;
+        format!(r#"{{"a": {}1{}}}"#, open.repeat(inner), close.repeat(inner))
+    }
+
+    /// Nesting is capped at `MAX_NESTING`: a text that deep parses, one level
+    /// more is a parse error, and so is one far deeper than a thread's stack
+    /// could recurse through.
+    #[test]
+    fn nesting_past_the_cap_is_a_parse_error() {
+        for multiset in [false, true] {
+            let v = parse(&nested_text(crate::MAX_NESTING, multiset)).unwrap();
+            assert_eq!(v.max_depth(), crate::MAX_NESTING);
+            let err = parse(&nested_text(crate::MAX_NESTING + 1, multiset)).unwrap_err();
+            assert!(matches!(err, AdmError::Parse { .. }), "{err:?}");
+        }
+        let objects = format!("{}1{}", r#"{"a": "#.repeat(100_000), "}".repeat(100_000));
+        for text in [nested_text(100_000, false), objects] {
+            assert!(matches!(parse(&text), Err(AdmError::Parse { .. })));
+        }
+    }
+
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
@@ -821,6 +858,14 @@ mod tests {
                 .map(|_| FRAGMENTS[rng.gen_range(0..FRAGMENTS.len())])
                 .collect();
             check(&noise);
+        }
+        // Deep texts, closed or cut anywhere: the cap answers them before
+        // the parser's recursion can overflow the test thread's stack.
+        for _ in 0..20 {
+            let text = nested_text(rng.gen_range(100..20_000), rng.gen());
+            check(&text);
+            check(&text[..rng.gen_range(0..=text.len())]);
+            check(&"[{\"a\": {{".repeat(rng.gen_range(1..10_000)));
         }
     }
 

@@ -84,8 +84,13 @@ impl TypeTag {
 
     /// Decode a tag byte.
     pub fn from_u8(b: u8) -> Result<TypeTag, AdmError> {
+        TypeTag::from_byte(b).ok_or_else(|| AdmError::corrupt(format!("unknown type tag byte {b}")))
+    }
+
+    /// The tag a byte codes, if any (`const`: readers build tables from it).
+    pub const fn from_byte(b: u8) -> Option<TypeTag> {
         use TypeTag::*;
-        Ok(match b {
+        Some(match b {
             0 => Missing,
             1 => Null,
             2 => Boolean,
@@ -111,13 +116,13 @@ impl TypeTag {
             22 => Multiset,
             30 => CloseNested,
             31 => Eov,
-            other => return Err(AdmError::corrupt(format!("unknown type tag byte {other}"))),
+            _ => return None,
         })
     }
 
     /// Is this a container (object/array/multiset)?
     #[inline]
-    pub fn is_nested(self) -> bool {
+    pub const fn is_nested(self) -> bool {
         matches!(self, TypeTag::Object | TypeTag::Array | TypeTag::Multiset)
     }
 
@@ -142,7 +147,7 @@ impl TypeTag {
     /// For fixed-length scalars, the number of payload bytes; `None` for
     /// variable-length (string/binary), nested, and control tags.
     /// Null and missing carry zero payload bytes.
-    pub fn fixed_len(self) -> Option<usize> {
+    pub const fn fixed_len(self) -> Option<usize> {
         use TypeTag::*;
         Some(match self {
             Missing | Null => 0,

@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use tc_adm::path::PathStep;
-use tc_adm::{AdmError, Value};
+use tc_adm::{AdmError, Value, MAX_NESTING};
 use tc_columnar::{AmaxCodec, ChunkReader, ColumnarCounters};
 use tc_lsm::component::DiskComponent;
 use tc_lsm::entry::{decode_i64_key, encode_i64_key, Key};
@@ -242,6 +242,13 @@ impl Dataset {
     }
 
     fn encode_record(&self, record: &Value) -> Result<Vec<u8>, AdmError> {
+        // Every reader of a stored record recurses per nesting level, on
+        // whatever thread runs it: a deeper record is refused here.
+        if record.nests_deeper_than(MAX_NESTING) {
+            return Err(AdmError::type_check(format!(
+                "record nests deeper than {MAX_NESTING} levels"
+            )));
+        }
         // Open types admit anything beyond the declared fields; closed
         // types reject undeclared fields — both are enforced here (§2.1).
         self.config.datatype.check(record)?;
@@ -316,6 +323,12 @@ impl Dataset {
     fn insert_unchecked(&self, record: &Value) -> Result<(), AdmError> {
         let key = encode_i64_key(self.primary_key_of(record)?);
         let bytes = self.encode_record(record)?;
+        self.insert_encoded(record, key, bytes)
+    }
+
+    /// The index and tree half of an insert, once `record` is checked and
+    /// encoded as `bytes`.
+    fn insert_encoded(&self, record: &Value, key: Key, bytes: Vec<u8>) -> Result<(), AdmError> {
         if let Some((index, sec)) = self.secondary_key_of(record) {
             index.insert(&sec, &key).map_err(storage_err)?;
         }
@@ -330,13 +343,16 @@ impl Dataset {
 
     fn upsert_unchecked(&self, record: &Value) -> Result<(), AdmError> {
         let key = encode_i64_key(self.primary_key_of(record)?);
+        // Checked and encoded before any index is touched: a refused record
+        // leaves the old version and its postings as they were.
+        let bytes = self.encode_record(record)?;
         let may_exist = match &self.pk_index {
             Some(pki) => pki.contains(&key).map_err(storage_err)?,
             None => true,
         };
         let old = if may_exist { self.primary.get(&key).map_err(storage_err)? } else { None };
         let Some(old_bytes) = old else {
-            return self.insert_unchecked(record);
+            return self.insert_encoded(record, key, bytes);
         };
         // Replacing a live record: fix the secondary index, hand the old
         // version's bytes over as its anti-schema, and run the swap through
@@ -348,7 +364,6 @@ impl Dataset {
         if let Some((index, sec)) = self.secondary_key_of(record) {
             index.insert(&sec, &key).map_err(storage_err)?;
         }
-        let bytes = self.encode_record(record)?;
         let over_budget = self.primary.replace(key, bytes, attachment).map_err(storage_err)?;
         self.ingested.fetch_add(1, Ordering::Relaxed);
         self.maybe_schedule_maintenance(over_budget);
@@ -808,6 +823,69 @@ mod tests {
             20 + (i % 50)
         ))
         .unwrap()
+    }
+
+    /// `{"id": id, "a": [[…id…]]}`, `depth` containers deep.
+    fn nested_record(id: i64, depth: usize) -> Value {
+        let inner = depth - 1;
+        parse(&format!(r#"{{"id": {id}, "a": {}{id}{}}}"#, "[".repeat(inner), "]".repeat(inner)))
+            .unwrap()
+    }
+
+    /// A record one level deeper than `MAX_NESTING` is a type-check error
+    /// that leaves the dataset as it was — inserted under a new key or
+    /// upserted over a live one, whose secondary posting stays put; one
+    /// exactly that deep is stored, flushed, and read back by a point get
+    /// and a scan on a thread with the default stack, in every format that
+    /// admits an undeclared field.
+    #[test]
+    fn nesting_is_capped_at_insert() {
+        for format in [
+            StorageFormat::Open,
+            StorageFormat::Inferred,
+            StorageFormat::VectorUncompacted,
+            StorageFormat::Columnar,
+        ] {
+            let ds = make(
+                DatasetConfig::new("Employee", "id")
+                    .with_format(format)
+                    .with_secondary_index("age")
+                    .with_memtable_budget(8 * 1024)
+                    .with_merge_policy(tc_lsm::MergePolicy::NoMerge),
+            );
+            ds.writer().insert(&employee(1)).unwrap();
+            let mut too_deep = nested_record(2, MAX_NESTING);
+            if let Value::Object(fields) = &mut too_deep {
+                fields[1].1 = Value::Array(vec![fields[1].1.clone()]);
+            }
+            assert_eq!(too_deep.max_depth(), MAX_NESTING + 1);
+            let err = ds.writer().insert(&too_deep).unwrap_err();
+            assert!(matches!(err, AdmError::TypeCheck(_)), "{format:?}: {err:?}");
+            assert_eq!(ds.ingested(), 1, "{format:?}");
+            assert_eq!(ds.scan_values().unwrap(), vec![employee(1)], "{format:?}");
+
+            // The same depth over key 1, with a new secondary key (99).
+            if let Value::Object(fields) = &mut too_deep {
+                fields[0].1 = Value::Int64(1);
+                fields.push(("age".into(), Value::Int64(99)));
+            }
+            assert_eq!(ds.primary_key_of(&too_deep).unwrap(), 1);
+            let err = ds.writer().upsert(&too_deep).unwrap_err();
+            assert!(matches!(err, AdmError::TypeCheck(_)), "{format:?}: {err:?}");
+            assert_eq!(ds.ingested(), 1, "{format:?}");
+            assert_eq!(ds.get(1).unwrap(), Some(employee(1)), "{format:?}");
+            assert_eq!(ds.secondary_range(21, 22).unwrap(), vec![employee(1)], "{format:?}");
+            assert_eq!(ds.secondary_range(99, 100).unwrap(), vec![], "{format:?}");
+
+            let deepest = nested_record(3, MAX_NESTING);
+            ds.writer().insert(&deepest).unwrap();
+            ds.flush().unwrap();
+            let (got, scanned) = std::thread::scope(|s| {
+                s.spawn(|| (ds.get(3).unwrap(), ds.scan_values().unwrap())).join().unwrap()
+            });
+            assert_eq!(got.as_ref(), Some(&deepest), "{format:?}");
+            assert_eq!(scanned, vec![employee(1), deepest], "{format:?}");
+        }
     }
 
     #[test]

@@ -88,7 +88,7 @@ impl<'a> BitReader<'a> {
     /// ninth byte when a 57+-bit field straddles it) — or, in a buffer's
     /// last seven bytes, just the bytes the field spans — then shifts and
     /// masks.
-    #[inline]
+    #[inline(always)]
     pub fn read(&mut self, width: u8) -> Option<u64> {
         debug_assert!((1..=64).contains(&width));
         let end = self.bit_pos + width as usize;

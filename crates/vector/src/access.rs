@@ -7,16 +7,23 @@
 //! that function, with [`eval_path`] semantics for every mix of field, index
 //! and wildcard steps.
 //!
-//! The walk is iterative: one frame per open container it descends into,
-//! each holding the (path, step) states still alive inside it, on stacks
-//! reused across records. Scalars are read as their stored bytes and a
+//! The walk is iterative and runs on the reader's table-driven cursor: one
+//! frame per open container it descends into, on stacks reused across
+//! records. A frame holds the states (path, step) still live inside it,
+//! each compiled for the record to what its children must match: a
+//! field's dictionary id (or its name, in a record that is not
+//! compacted), an index, or any item. A child's name is read and checked
+//! once — a compacted id against the dictionary's length, a declared index
+//! (root fields only) through the catalog type — and then compared with each
+//! live state's want, so a child no state wants costs a compare and a
+//! cursor advance or skip. Scalars are read as their stored bytes and a
 //! `Value` is built only for a match; a container no state enters is
 //! skipped raw, and one that ends a path is materialized. A field or index
-//! step matches once, so a frame whose states have all matched is skipped,
-//! and the scan stops as soon as no state is alive anywhere — which is what
-//! makes access cost *position*-sensitive (Fig 22). A compacted record's
-//! field names are matched by dictionary id, each path name resolved once
-//! per dictionary.
+//! step matches once (it leaves the frame's live states), so a frame whose
+//! states have all matched is skipped, and the scan stops as soon as no
+//! state is live anywhere — which is what makes access cost
+//! *position*-sensitive (Fig 22). Each path name is resolved to its id
+//! once per dictionary.
 //!
 //! A wildcard opens a scope that collects the matches of its items into an
 //! array. Into a [`Column`] that takes them, a one-wildcard path whose
@@ -30,7 +37,9 @@ use tc_adm::path::{eval_path, Path, PathStep};
 use tc_adm::{AdmError, ObjectType, TypeTag, Value};
 use tc_schema::{FieldNameDictionary, FieldNameId};
 
-use crate::reader::{check_scalar, scalar_value, FieldName, RawItem, VectorReader};
+use crate::reader::{
+    check_scalar, le, scalar_value, Class, FieldName, RawItem, Token, VectorReader,
+};
 
 /// Evaluate `paths` against a vector-based record (compacted or not) in a
 /// single scan. Returns one value per path, with [`eval_path`] semantics
@@ -53,8 +62,13 @@ pub fn get_values(
 /// caller-owned column buffers.
 pub struct BatchPathEvaluator {
     paths: Vec<Path>,
-    /// `paths`, with field names replaced by their index in `names`.
-    steps: Vec<Vec<Step>>,
+    /// Every step of every path, compiled into the state a frame holds for
+    /// it; a path's steps lie in a run, so the state that follows
+    /// `nodes[i]` into a matched container is `nodes[i + 1]`.
+    nodes: Vec<State>,
+    /// The first nodes of the paths whose first step is a field step: the
+    /// root frame's states.
+    roots: Vec<usize>,
     /// Indices of empty paths ("the whole record").
     whole: Vec<usize>,
     /// The distinct field names the paths step through, and each one's id
@@ -68,39 +82,70 @@ pub struct BatchPathEvaluator {
     completing: Vec<usize>,
 }
 
-/// A path step, its field name interned.
+/// Path `path` is at step `step` (node `node`) inside a frame's container,
+/// matching the children `want` names. A field or index step dies once it
+/// has matched: `eval_path` takes the first match.
 #[derive(Clone, Copy)]
-enum Step {
-    Field(usize),
-    Index(usize),
-    Wildcard,
+struct State {
+    path: u32,
+    step: u32,
+    node: u32,
+    want: Want,
+    /// Is `step` the path's last?
+    last: bool,
 }
 
-impl Step {
-    /// Can the step select anything out of a `tag` value?
+/// The children a state matches.
+#[derive(Clone, Copy, PartialEq)]
+enum Want {
+    /// The field `names[k]`, whose id in the record's dictionary is `id`
+    /// (`None`: the dictionary lacks it, or the record is not compacted).
+    Field {
+        k: u32,
+        id: Option<FieldNameId>,
+    },
+    Index(usize),
+    Any,
+}
+
+impl Want {
+    /// Can it select anything out of a `tag` value?
     fn applies_to(self, tag: TypeTag) -> bool {
         match self {
-            Step::Field(_) => tag == TypeTag::Object,
-            Step::Index(_) | Step::Wildcard => matches!(tag, TypeTag::Array | TypeTag::Multiset),
+            Want::Field { .. } => tag == TypeTag::Object,
+            Want::Index(_) | Want::Any => tag.is_collection(),
         }
     }
 }
 
-/// Path `path` is at step `step` inside a frame's container. A field or
-/// index step dies once it has matched: `eval_path` takes the first match.
+/// A child of the innermost frame, as its states compare it: its field
+/// name (one id check, or one resolve, per child) or its position.
 #[derive(Clone, Copy)]
-struct State {
-    path: usize,
-    step: usize,
-    live: bool,
+enum Key<'r> {
+    Id(FieldNameId),
+    Name(&'r str),
+    Item(usize),
+}
+
+impl State {
+    /// Does the state select the child `key`?
+    #[inline(always)]
+    fn wants(&self, key: Key<'_>, names: &[String]) -> bool {
+        match (self.want, key) {
+            (Want::Field { id, .. }, Key::Id(x)) => id == Some(x),
+            (Want::Field { k, .. }, Key::Name(s)) => names[k as usize] == s,
+            (Want::Index(i), Key::Item(j)) => i == j,
+            (Want::Any, Key::Item(_)) => true,
+            _ => false,
+        }
+    }
 }
 
 /// One container the walk is inside.
 struct Frame {
-    tag: TypeTag,
     /// Its states are `states[start..]` while it is the innermost frame.
     start: usize,
-    /// How many of them are live.
+    /// How many of them are live: `states[start..][..live]`.
     live: usize,
     /// Children read so far.
     index: usize,
@@ -109,23 +154,32 @@ struct Frame {
 impl BatchPathEvaluator {
     pub fn new(paths: &[Path]) -> Self {
         let mut names: Vec<String> = Vec::new();
-        let steps: Vec<Vec<Step>> = paths
-            .iter()
-            .map(|p| {
-                p.iter()
-                    .map(|s| match s {
-                        PathStep::Field(f) => {
-                            Step::Field(names.iter().position(|n| n == f).unwrap_or_else(|| {
-                                names.push(f.clone());
-                                names.len() - 1
-                            }))
-                        }
-                        PathStep::Index(i) => Step::Index(*i),
-                        PathStep::Wildcard => Step::Wildcard,
-                    })
-                    .collect()
-            })
-            .collect();
+        let (mut nodes, mut roots) = (Vec::new(), Vec::new());
+        for (path, steps) in paths.iter().enumerate() {
+            if matches!(steps.first(), Some(PathStep::Field(_))) {
+                roots.push(nodes.len());
+            }
+            for (step, s) in steps.iter().enumerate() {
+                let want = match s {
+                    PathStep::Field(f) => {
+                        let k = names.iter().position(|n| n == f).unwrap_or_else(|| {
+                            names.push(f.clone());
+                            names.len() - 1
+                        });
+                        Want::Field { k: k as u32, id: None }
+                    }
+                    PathStep::Index(i) => Want::Index(*i),
+                    PathStep::Wildcard => Want::Any,
+                };
+                nodes.push(State {
+                    path: path as u32,
+                    step: step as u32,
+                    node: nodes.len() as u32,
+                    want,
+                    last: step + 1 == steps.len(),
+                });
+            }
+        }
         let accs = paths
             .iter()
             .map(|p| Acc {
@@ -137,7 +191,8 @@ impl BatchPathEvaluator {
             whole: paths.iter().enumerate().filter(|(_, p)| p.is_empty()).map(|(i, _)| i).collect(),
             ids: vec![None; names.len()],
             names,
-            steps,
+            nodes,
+            roots,
             paths: paths.to_vec(),
             accs,
             frames: Vec::new(),
@@ -240,12 +295,18 @@ impl BatchPathEvaluator {
         self.walk(&mut reader, declared, dict)
     }
 
-    /// Each field name's id in `dict`. A cached id is kept while `dict`
-    /// still names it so; a name `dict` lacks is looked up again.
+    /// Each field name's id in `dict`, into every field step. A cached id
+    /// is kept while `dict` still names it so; a name `dict` lacks is looked
+    /// up again.
     fn resolve_ids(&mut self, dict: &FieldNameDictionary) {
         for (name, id) in self.names.iter().zip(&mut self.ids) {
             if id.is_none_or(|id| dict.name(id) != Some(name.as_str())) {
                 *id = dict.find(name);
+            }
+        }
+        for node in &mut self.nodes {
+            if let Want::Field { k, id } = &mut node.want {
+                *id = self.ids[*k as usize];
             }
         }
     }
@@ -258,157 +319,181 @@ impl BatchPathEvaluator {
         dict: Option<&FieldNameDictionary>,
     ) -> Result<(), AdmError> {
         let BatchPathEvaluator {
-            paths, steps, names, ids, accs, frames, states, completing, ..
+            paths, nodes, roots, names, accs, frames, states, completing, ..
         } = self;
-        let names = Names { names, ids, declared, dict };
+        let keys = Keys { dict_len: dict.map_or(0, FieldNameDictionary::len), declared, dict };
         frames.clear();
         states.clear();
-        for (path, s) in steps.iter().enumerate() {
-            if s.first().is_some_and(|s| s.applies_to(TypeTag::Object)) {
-                states.push(State { path, step: 0, live: true });
-            }
-        }
+        states.extend(roots.iter().map(|&n| nodes[n]));
         let mut live = states.len();
-        frames.push(Frame { tag: TypeTag::Object, start: 0, live, index: 0 });
+        // The innermost frame; `frames` holds the ones around it.
+        let mut frame = Frame { start: 0, live, index: 0 };
         while live > 0 {
-            let top = frames.len() - 1;
-            if frames[top].live == 0 {
+            if frame.live == 0 {
                 // Every state here has matched: the rest of the container
                 // holds nothing any path wants.
                 reader.skip_container()?;
-                close_frame(frames, states, steps, accs, &mut live);
+                close_frame(&mut frame, frames, states, accs, &mut live);
                 continue;
             }
-            let (tag, start, index) = (frames[top].tag, frames[top].start, frames[top].index);
-            match reader.next_raw()? {
-                RawItem::Eov => return Err(AdmError::corrupt("EOV inside container")),
-                RawItem::Close => close_frame(frames, states, steps, accs, &mut live),
-                RawItem::Scalar { tag: scalar, bytes, name } => {
-                    frames[top].index += 1;
-                    let mut matched = false;
-                    for st in &mut states[start..] {
-                        let path = &steps[st.path];
-                        if !st.live || !names.matches(path[st.step], tag, name, index)? {
-                            continue;
-                        }
-                        if !matches!(path[st.step], Step::Wildcard) {
-                            st.live = false;
-                            frames[top].live -= 1;
-                            live -= 1;
-                        }
-                        // A scalar cannot satisfy deeper steps: missing.
-                        if st.step + 1 == path.len() {
-                            accs[st.path].deliver(scalar_value(scalar, bytes)?);
-                            matched = true;
-                        }
-                    }
-                    if !matched {
-                        check_scalar(scalar, bytes)?;
+            let Token { tag: child, class } = reader.token()?;
+            let key = match class {
+                Class::Close => {
+                    reader.close()?;
+                    close_frame(&mut frame, frames, states, accs, &mut live);
+                    continue;
+                }
+                Class::Eov => return Err(AdmError::corrupt("EOV inside container")),
+                _ => keys.of(reader.field_name()?, frame.index, frames.is_empty())?,
+            };
+            frame.index += 1;
+            let mut i = frame.start;
+            if class != Class::Nested {
+                let bytes = reader.value(class)?;
+                let mut matched = false;
+                while let Some(st) = next_match(states, &mut frame, &mut live, &mut i, key, names) {
+                    // A scalar cannot satisfy deeper steps: missing.
+                    if st.last {
+                        accs[st.path as usize].deliver_scalar(child, bytes)?;
+                        matched = true;
                     }
                 }
-                RawItem::Begin { tag: child, name } => {
-                    frames[top].index += 1;
-                    let first = states.len();
-                    completing.clear();
-                    for i in start..first {
-                        let st = states[i];
-                        let path = &steps[st.path];
-                        if !st.live || !names.matches(path[st.step], tag, name, index)? {
-                            continue;
-                        }
-                        if !matches!(path[st.step], Step::Wildcard) {
-                            states[i].live = false;
-                            frames[top].live -= 1;
-                            live -= 1;
-                        }
-                        if st.step + 1 == path.len() {
-                            completing.push(st.path);
-                        } else if path[st.step + 1].applies_to(child) {
-                            states.push(State { path: st.path, step: st.step + 1, live: true });
-                        }
-                    }
-                    if !completing.is_empty() {
-                        // Some path ends here: the subtree is materialized,
-                        // and the paths that go on into it are evaluated on
-                        // the value.
-                        let sub = reader.materialize_container(child, None, dict)?;
-                        for st in states.drain(first..) {
-                            accs[st.path].deliver(eval_path(&sub, &paths[st.path][st.step..]));
-                        }
-                        if let Some((&last, others)) = completing.split_last() {
-                            for &p in others {
-                                accs[p].deliver(sub.clone());
-                            }
-                            accs[last].deliver(sub);
-                        }
-                    } else if states.len() > first {
-                        for st in &states[first..] {
-                            if matches!(steps[st.path][st.step], Step::Wildcard) {
-                                accs[st.path].open_scope();
-                            }
-                        }
-                        let opened = states.len() - first;
-                        frames.push(Frame { tag: child, start: first, live: opened, index: 0 });
-                        live += opened;
-                    } else {
-                        reader.skip_container()?;
-                    }
+                if !matched {
+                    check_scalar(child, bytes)?;
                 }
+                continue;
+            }
+            reader.open(child)?;
+            let first = states.len();
+            completing.clear();
+            while let Some(st) = next_match(states, &mut frame, &mut live, &mut i, key, names) {
+                if st.last {
+                    completing.push(st.path as usize);
+                } else if nodes[st.node as usize + 1].want.applies_to(child) {
+                    states.push(nodes[st.node as usize + 1]);
+                }
+            }
+            if let Some((&last, others)) = completing.split_last() {
+                // Some path ends here: the subtree is materialized, and the
+                // paths that go on into it are evaluated on the value.
+                let sub = reader.materialize_container(child, None, dict)?;
+                for st in states.drain(first..) {
+                    let (path, step) = (st.path as usize, st.step as usize);
+                    accs[path].deliver(eval_path(&sub, &paths[path][step..]));
+                }
+                for &p in others {
+                    accs[p].deliver(sub.clone());
+                }
+                accs[last].deliver(sub);
+            } else if states.len() == first {
+                reader.skip_container()?;
+            } else {
+                push_frame(&mut frame, frames, states, accs, first, &mut live);
             }
         }
         Ok(())
     }
 }
 
-/// Leave the innermost frame: close the wildcard scopes it held.
-fn close_frame(
+/// Enter the container just opened for `states[first..]`: it becomes the
+/// innermost frame, and each wildcard among them opens its scope.
+fn push_frame(
+    frame: &mut Frame,
     frames: &mut Vec<Frame>,
-    states: &mut Vec<State>,
-    steps: &[Vec<Step>],
+    states: &[State],
     accs: &mut [Acc],
+    first: usize,
     live: &mut usize,
 ) {
-    let Some(frame) = frames.pop() else { return };
-    for st in &states[frame.start..] {
-        if st.live && matches!(steps[st.path][st.step], Step::Wildcard) {
-            accs[st.path].close_scope();
+    for st in &states[first..] {
+        if st.want == Want::Any {
+            accs[st.path as usize].open_scope();
         }
     }
-    *live -= frame.live;
-    states.truncate(frame.start);
+    let opened = states.len() - first;
+    frames.push(mem::replace(frame, Frame { start: first, live: opened, index: 0 }));
+    *live += opened;
 }
 
-/// How a record's field names are matched against the paths' names.
-struct Names<'e> {
-    names: &'e [String],
-    ids: &'e [Option<FieldNameId>],
+/// What a child is compared by. Every compacted name is checked against
+/// the dictionary before it is compared (an id past its end is
+/// corruption), and a declared one is resolved through the catalog type —
+/// in the root object only, as `decode` resolves it.
+struct Keys<'e> {
+    dict_len: usize,
     declared: Option<&'e ObjectType>,
     dict: Option<&'e FieldNameDictionary>,
 }
 
-impl Names<'_> {
-    /// Does `step` select this child of a `parent` container?
-    fn matches(
+impl<'e> Keys<'e> {
+    /// The key of the child named `name` (`None`: an item) at `index`, in
+    /// the root object or below it.
+    #[inline(always)]
+    fn of<'r>(
         &self,
-        step: Step,
-        parent: TypeTag,
-        name: Option<FieldName<'_>>,
+        name: Option<FieldName<'r>>,
         index: usize,
-    ) -> Result<bool, AdmError> {
-        Ok(match (step, name) {
-            (Step::Field(k), Some(FieldName::Inferred(s))) => s == self.names[k],
-            (Step::Field(k), Some(n @ FieldName::InferredId(id))) => {
-                // Resolving checks the id is in the dictionary.
-                n.resolve(self.declared, self.dict)?;
-                self.ids[k] == Some(id)
-            }
-            (Step::Field(k), Some(n @ FieldName::Declared(_))) => {
-                n.resolve(self.declared, self.dict)? == self.names[k]
-            }
-            (Step::Field(_), None) => false,
-            (Step::Index(i), _) => parent != TypeTag::Object && i == index,
-            (Step::Wildcard, _) => parent != TypeTag::Object,
+        root: bool,
+    ) -> Result<Key<'r>, AdmError>
+    where
+        'e: 'r,
+    {
+        Ok(match name {
+            None => Key::Item(index),
+            Some(FieldName::InferredId(id)) if (id as usize) < self.dict_len => Key::Id(id),
+            Some(FieldName::Inferred(s)) => Key::Name(s),
+            Some(n) => Key::Name(n.resolve(self.declared.filter(|_| root), self.dict)?),
         })
+    }
+}
+
+/// The next of the frame's live states from `states[*i]` on that selects
+/// the child `key`. A field or index state dies as it matches: it is swapped
+/// past the live ones, and `*i` then names the state swapped in.
+#[inline(always)]
+fn next_match(
+    states: &mut [State],
+    frame: &mut Frame,
+    live: &mut usize,
+    i: &mut usize,
+    key: Key<'_>,
+    names: &[String],
+) -> Option<State> {
+    while *i < frame.start + frame.live {
+        let st = states[*i];
+        if st.wants(key, names) {
+            if st.want == Want::Any {
+                *i += 1;
+            } else {
+                frame.live -= 1;
+                *live -= 1;
+                states.swap(*i, frame.start + frame.live);
+            }
+            return Some(st);
+        }
+        *i += 1;
+    }
+    None
+}
+
+/// Leave the innermost frame for its parent: close the wildcard scopes it
+/// held (a wildcard state never dies, so they are all live).
+fn close_frame(
+    frame: &mut Frame,
+    frames: &mut Vec<Frame>,
+    states: &mut Vec<State>,
+    accs: &mut [Acc],
+    live: &mut usize,
+) {
+    for st in &states[frame.start..][..frame.live] {
+        if st.want == Want::Any {
+            accs[st.path as usize].close_scope();
+        }
+    }
+    *live -= frame.live;
+    states.truncate(frame.start);
+    if let Some(parent) = frames.pop() {
+        *frame = parent;
     }
 }
 
@@ -478,6 +563,19 @@ impl Acc {
                 self.deliver(v);
             }
         }
+    }
+
+    /// A scalar match, as its stored bytes: a typed scope takes a `double`
+    /// with no `Value` built for it.
+    #[inline(always)]
+    fn deliver_scalar(&mut self, tag: TypeTag, bytes: &[u8]) -> Result<(), AdmError> {
+        if tag == TypeTag::Double && matches!(self.kind, Kind::Empty | Kind::F64) {
+            self.f64s.push(f64::from_le_bytes(le(bytes)?));
+            self.kind = Kind::F64;
+            return Ok(());
+        }
+        self.deliver(scalar_value(tag, bytes)?);
+        Ok(())
     }
 
     /// A match, or a sub-result of the innermost scope. `missing` is no
@@ -608,7 +706,7 @@ impl Column {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::compact::infer_and_compact;
     use crate::encode::encode;
@@ -780,6 +878,50 @@ mod tests {
         );
     }
 
+    /// A name a record repeats (damage can make one; the parser refuses
+    /// it) selects its first field, as in `eval_path`: at the root, inside
+    /// an object, and inside each item under a wildcard or an index, raw
+    /// and compacted, through typed columns too.
+    #[test]
+    fn repeated_record_names_take_the_first() {
+        let twice = |first: Value, second: Value| {
+            Value::Object(vec![("c".into(), first), ("c".into(), second)])
+        };
+        let v = Value::Object(vec![
+            ("a".into(), twice(Value::Int64(1), Value::Int64(2))),
+            ("a".into(), Value::Int64(3)),
+            (
+                "x".into(),
+                Value::Array(vec![
+                    twice(Value::Double(1.5), Value::Double(2.5)),
+                    twice(parse("[1, 2]").unwrap(), Value::Null),
+                ]),
+            ),
+        ]);
+        let paths: Vec<Path> = ["a", "a.c", "x[*].c", "x[0].c", "x[1].c", "x[*].c[1]", "x[1].c[0]"]
+            .iter()
+            .map(|t| parse_path(t))
+            .collect();
+        let expected: Vec<Value> = paths.iter().map(|p| eval_path(&v, p)).collect();
+        assert_eq!(expected[1], Value::Int64(1));
+        let raw = encode(&v, None);
+        let mut schema = Schema::new();
+        let compacted = infer_and_compact(&raw, &mut schema).unwrap();
+        // Each path alone, too: a frame may then hold a single state.
+        let sets = (0..paths.len()).map(|i| i..i + 1).chain(std::iter::once(0..paths.len()));
+        for set in sets {
+            let mut eval = BatchPathEvaluator::new(&paths[set.clone()]);
+            for (buf, dict) in [(&raw, None), (&compacted, Some(schema.dict()))] {
+                let got = get_values(buf, &paths[set.clone()], None, dict).unwrap();
+                assert_eq!(got, expected[set.clone()], "{set:?}");
+                let mut cols = vec![Column::new(true); set.len()];
+                eval.eval_columns(buf, None, dict, &mut cols).unwrap();
+                let got: Vec<Value> = cols.iter_mut().map(|c| c.take(0)).collect();
+                assert_eq!(got, expected[set.clone()], "{set:?}");
+            }
+        }
+    }
+
     /// A one-wildcard path's matches go into a typed column's buffer when
     /// they are all doubles; any other match demotes the record to a
     /// `Value`, items in order. Every record's value is still `eval_path`'s,
@@ -847,7 +989,42 @@ mod tests {
         assert!(matches!(err, AdmError::Corrupt(_)), "{err:?}");
     }
 
-    fn arb_record() -> impl proptest::strategy::Strategy<Value = Value> {
+    /// A declared-field flag on a nested name (damage can set one) is
+    /// corruption to `getValues` as it is to `decode`: declared indexes
+    /// resolve in the root object only.
+    #[test]
+    fn declared_names_resolve_at_the_root_only() {
+        use tc_adm::datatype::FieldDef;
+        use tc_adm::TypeKind;
+        let t = ObjectType::open(vec![FieldDef {
+            name: "id".into(),
+            kind: TypeKind::Scalar(TypeTag::Int64),
+            optional: false,
+        }]);
+        let v = parse(r#"{"id": 1, "x": {"x": 5}}"#).unwrap();
+        let mut schema = Schema::new();
+        let mut buf = infer_and_compact(&encode(&v, Some(&t)), &mut schema).unwrap();
+        let paths = [parse_path("id"), parse_path("x.id"), parse_path("x.x")];
+        let dict = Some(schema.dict());
+        let got = get_values(&buf, &paths, Some(&t), dict).unwrap();
+        assert_eq!(got, [1i64.into(), Value::Missing, 5i64.into()]);
+        // Entries: `id` (declared 0), `x` (id 0), nested `x` (id 0). Set the
+        // third one's declared flag: it reads as declared index 0, `id`.
+        let h = crate::header::Header::read(&buf).unwrap();
+        let bits = h.fieldname_bits as usize;
+        let flag = h.fieldname_lengths_off as usize * 8 + 2 * bits + bits - 1;
+        buf[flag / 8] ^= 1 << (flag % 8);
+        let err = crate::reader::decode(&buf, Some(&t), dict).unwrap_err();
+        assert!(matches!(err, AdmError::Corrupt(_)), "{err:?}");
+        for path in &paths[1..] {
+            let err = get_values(&buf, std::slice::from_ref(path), Some(&t), dict).unwrap_err();
+            assert!(matches!(err, AdmError::Corrupt(_)), "{path:?}: {err:?}");
+        }
+    }
+
+    /// Small random records over the names `a`, `b` and `c`, nested up to
+    /// four containers deep.
+    pub(crate) fn arb_record() -> impl proptest::strategy::Strategy<Value = Value> {
         use proptest::prelude::*;
         let name = || prop_oneof![Just("a"), Just("b"), Just("c")].prop_map(String::from);
         let leaf = prop_oneof![
@@ -921,6 +1098,70 @@ mod tests {
             let noise: Vec<u8> = (0..rng.gen_range(0..64)).map(|_| rng.gen()).collect();
             check(&noise, None);
         }
+    }
+
+    /// Records damaged by a flipped bit that `decode` still reads: whatever
+    /// value `decode` makes of one, `getValues` and `eval_columns` into
+    /// typed columns give `eval_path`'s answer on that value, path by path,
+    /// stored raw or compacted. Holds the walk to `eval_path` semantics on
+    /// damaged streams, not only on encoder output. `TC_FAULT_SEED`
+    /// reseeds the inputs so CI can loop it.
+    #[test]
+    fn damaged_but_decodable_records_agree() {
+        use proptest::strategy::Strategy;
+        use rand::{Rng, SeedableRng};
+
+        let seed =
+            std::env::var("TC_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0xDA3);
+        eprintln!("damaged_but_decodable_records_agree: TC_FAULT_SEED={seed}");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let records = arb_record();
+        let paths: Vec<Path> = [
+            "a",
+            "b[*]",
+            "b[*].c",
+            "c[*][*]",
+            "a[1].b",
+            "a.b.c",
+            "b[0]",
+            "c[*].a[*]",
+            "",
+            "c",
+            "a[*].b",
+        ]
+        .iter()
+        .map(|t| parse_path(t))
+        .collect();
+        let mut eval = BatchPathEvaluator::new(&paths);
+        let mut schema = Schema::new();
+        let mut decodable = 0;
+        for _ in 0..4000 {
+            let raw = encode(&records.new_value(&mut rng), None);
+            let compacted = infer_and_compact(&raw, &mut schema).unwrap();
+            for (stored, dict) in [(&raw, None), (&compacted, Some(schema.dict()))] {
+                for _ in 0..3 {
+                    let mut flipped = stored.clone();
+                    let bit = rng.gen_range(0..flipped.len() * 8);
+                    flipped[bit / 8] ^= 1 << (bit % 8);
+                    let Ok(v) = crate::reader::decode(&flipped, None, dict) else { continue };
+                    decodable += 1;
+                    let expected: Vec<Value> = paths.iter().map(|p| eval_path(&v, p)).collect();
+                    let why = format!("{flipped:?} decodes to {v:?} (TC_FAULT_SEED={seed})");
+                    let got = get_values(&flipped, &paths, None, dict);
+                    assert_eq!(got.as_ref(), Ok(&expected), "{why}");
+                    // One path alone: its containers hold a single state.
+                    let one = rng.gen_range(0..paths.len());
+                    let got = get_values(&flipped, &paths[one..=one], None, dict);
+                    assert_eq!(got, Ok(vec![expected[one].clone()]), "{:?}: {why}", paths[one]);
+                    let mut cols = vec![Column::new(true); paths.len()];
+                    eval.eval_columns(&flipped, None, dict, &mut cols).unwrap();
+                    let got: Vec<Value> = cols.iter_mut().map(|c| c.take(0)).collect();
+                    assert_eq!(got, expected, "typed columns: {why}");
+                }
+            }
+        }
+        eprintln!("{decodable} of 24000 flipped records decode");
+        assert!(decodable > 2000, "only {decodable} flips decoded");
     }
 
     #[test]

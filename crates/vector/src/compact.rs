@@ -10,8 +10,10 @@
 //! The pass is kept as cheap as the format allows, because it runs once per
 //! record on every flush:
 //!
-//! * it walks [`VectorReader::next_raw`], so a scalar is its stored bytes —
-//!   no `Value`, no `String` (a string is still checked to be UTF-8);
+//! * it steps the table-driven cursor ([`VectorReader::next_raw`]), so a
+//!   scalar is its stored bytes — no `Value`, no `String` (a string is
+//!   still checked to be UTF-8) — and a stream nested past
+//!   [`tc_adm::MAX_NESTING`] is corruption;
 //! * each open object carries a *slot hint*: one past the position in the
 //!   schema node's field list where its previous field was found. The next
 //!   name is compared with the dictionary entry at that slot
@@ -266,8 +268,8 @@ fn assemble_compacted(
     Ok(())
 }
 
-/// The compaction pass as it was before the raw walk: `next()` items (a
-/// `Value` per scalar), a dictionary lookup and field search per field,
+/// The compaction pass as it was before the raw walk: a `Value` built per
+/// scalar, a dictionary lookup and field search per field,
 /// ids packed into their own buffer and then copied. The property tests
 /// hold [`infer_and_compact`] to its bytes and its schema.
 #[cfg(test)]
@@ -275,7 +277,7 @@ pub(crate) fn oracle_infer_and_compact(
     buf: &[u8],
     schema: &mut Schema,
 ) -> Result<Vec<u8>, AdmError> {
-    use crate::reader::Item;
+    use crate::reader::scalar_value;
     use tc_util::bits::BitWriter;
 
     let mut reader = VectorReader::new(buf)?;
@@ -286,19 +288,21 @@ pub(crate) fn oracle_infer_and_compact(
     schema.observe_root();
     let mut entries: Vec<FieldEntry> = Vec::new();
     let mut stack: Vec<Option<NodeId>> = Vec::new();
-    match reader.next()? {
-        Item::Begin { tag: TypeTag::Object, name: None } => stack.push(Some(schema.root())),
+    match reader.next_raw()? {
+        RawItem::Begin { tag: TypeTag::Object, name: None } => stack.push(Some(schema.root())),
         other => return Err(AdmError::corrupt(format!("not rooted at an object: {other:?}"))),
     }
     while let Some(&parent) = stack.last() {
-        let (tag, name, nested) = match reader.next()? {
-            Item::Eov => return Err(AdmError::corrupt("EOV inside container")),
-            Item::Close => {
+        let (tag, name, nested) = match reader.next_raw()? {
+            RawItem::Eov => return Err(AdmError::corrupt("EOV inside container")),
+            RawItem::Close => {
                 stack.pop();
                 continue;
             }
-            Item::Begin { tag, name } => (tag, name, true),
-            Item::Scalar { value, name } => (value.type_tag(), name, false),
+            RawItem::Begin { tag, name } => (tag, name, true),
+            RawItem::Scalar { tag, bytes, name } => {
+                (scalar_value(tag, bytes)?.type_tag(), name, false)
+            }
         };
         let node = match name {
             None => parent.map(|p| schema.observe_item(p, tag)).transpose()?,
@@ -326,7 +330,7 @@ pub(crate) fn oracle_infer_and_compact(
             stack.push(node);
         }
     }
-    if reader.next()? != Item::Eov {
+    if reader.next_raw()? != RawItem::Eov {
         return Err(AdmError::corrupt("trailing item"));
     }
 

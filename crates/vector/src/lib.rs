@@ -15,7 +15,7 @@
 //!   schema structure.
 //! * [`mod@encode`] — `Value` → uncompacted vector record (what the in-memory
 //!   component stores; also the "SL-VB" configuration of Fig 21).
-//! * [`reader`] — a pull parser over the tag stream; [`reader::decode`]
+//! * [`reader`] — the table-driven cursor over the tag stream; [`reader::decode`]
 //!   materializes a `Value` from either compacted or uncompacted records.
 //! * [`compact`] — the flush-time pass: schema inference + field-name
 //!   stripping in one scan (§3.3.2), plus the schema decrement for
@@ -35,4 +35,4 @@ pub use access::{doubles, get_values, BatchPathEvaluator, Column};
 pub use compact::{infer_and_compact, infer_and_compact_into, remove_anti_schema};
 pub use encode::{encode, Sections};
 pub use header::Header;
-pub use reader::{decode, scalar_value, FieldName, Item, RawItem, VectorReader};
+pub use reader::{decode, scalar_value, FieldName, RawItem, VectorReader};

@@ -1,14 +1,27 @@
-//! Pull parser over a vector-based record's tag stream.
+//! The cursor over a vector-based record's tag stream.
 //!
 //! Everything that consumes vector records — materialization, schema
-//! inference, compaction, and `getValues` — is built on this reader. It
-//! walks the type-tag vector in DFS order, pulling fixed/varlen values and
-//! field-name entries from their sections as tags demand them, which is the
-//! linear-scan access model §3.3.1 describes.
+//! inference, compaction, `getValues`, zone extraction and the amax
+//! shredder — steps this one cursor. It walks the type-tag vector in DFS
+//! order, pulling fixed/varlen values and field-name entries from their
+//! sections as tags demand them, which is the linear-scan access model
+//! §3.3.1 describes.
+//!
+//! The cursor is table-driven: a `const` 256-entry table classifies each
+//! tag byte once (fixed width *n*, varlen, nested, close, EOV or invalid),
+//! so a step is one load and a branch on the class. Each section's position
+//! is a plain field, and which open containers are objects (whose children
+//! carry a field name) is a bit stack of [`MAX_NESTING`] bits: a tag stream
+//! nested deeper is corrupt, so every recursion over a decoded value is
+//! bounded too. [`VectorReader::next_raw`] is one step;
+//! [`VectorReader::skip_container`] is its own loop over the same
+//! primitives that builds no event but reads every field entry, checks
+//! every bound and validates every skipped string; [`decode`] materializes
+//! over the primitives as well.
 
 use std::mem;
 
-use tc_adm::{AdmError, ObjectType, TypeTag, Value};
+use tc_adm::{AdmError, ObjectType, TypeTag, Value, MAX_NESTING};
 use tc_schema::{FieldNameDictionary, FieldNameId};
 use tc_util::bits::BitReader;
 
@@ -49,33 +62,82 @@ impl<'a> FieldName<'a> {
     }
 }
 
-/// One event from the tag stream.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Item<'a> {
+/// One event from the tag stream, a scalar left as the bytes the record
+/// stores for it (its fixed-length value, or the text of a string / the
+/// bytes of a binary): [`scalar_value`] builds its `Value` when one is
+/// wanted.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RawItem<'a> {
     /// A container opens. `name` is present iff the parent is an object.
     Begin { tag: TypeTag, name: Option<FieldName<'a>> },
     /// A scalar value.
-    Scalar { value: Value, name: Option<FieldName<'a>> },
+    Scalar { tag: TypeTag, bytes: &'a [u8], name: Option<FieldName<'a>> },
     /// The current container closes.
     Close,
     /// End of the record.
     Eov,
 }
 
-/// [`Item`] with a scalar left as the bytes the record stores for it (its
-/// fixed-length value, or the text of a string / the bytes of a binary):
-/// what a consumer that moves values between records reads, so that no
-/// `Value` — no `String` — is built per scalar.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RawItem<'a> {
-    Begin { tag: TypeTag, name: Option<FieldName<'a>> },
-    Scalar { tag: TypeTag, bytes: &'a [u8], name: Option<FieldName<'a>> },
-    Close,
-    Eov,
+/// A tag byte, classified: what the cursor reads for it.
+#[derive(Clone, Copy)]
+pub(crate) struct Token {
+    pub(crate) tag: TypeTag,
+    pub(crate) class: Class,
 }
 
-/// Streaming reader. Construct once per record; call [`VectorReader::next`]
-/// until [`Item::Eov`]. A clone reads on from where the original stands.
+/// How the cursor reads what a tag stands for.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Class {
+    /// A scalar of this many bytes in the fixed-values section.
+    Fixed(u8),
+    /// A string or binary: a length entry and its bytes.
+    Varlen,
+    Nested,
+    Close,
+    Eov,
+    Invalid,
+}
+
+/// Every tag byte's class, built at compile time from [`TypeTag`].
+const TOKENS: [Token; 256] = {
+    let mut table = [Token { tag: TypeTag::Eov, class: Class::Invalid }; 256];
+    let mut b = 0;
+    while b < 256 {
+        if let Some(tag) = TypeTag::from_byte(b as u8) {
+            let class = match tag {
+                TypeTag::CloseNested => Class::Close,
+                TypeTag::Eov => Class::Eov,
+                _ if tag.is_nested() => Class::Nested,
+                _ => match tag.fixed_len() {
+                    Some(n) => Class::Fixed(n as u8),
+                    None => Class::Varlen,
+                },
+            };
+            table[b] = Token { tag, class };
+        }
+        b += 1;
+    }
+    table
+};
+
+/// One bit per nesting level: is the container open there an object?
+type ObjectBits = [u64; MAX_NESTING.div_ceil(64)];
+
+/// A typed corruption, kept out of line so the stepping code stays small.
+#[cold]
+#[inline(never)]
+fn corrupt(msg: &'static str) -> AdmError {
+    AdmError::corrupt(msg)
+}
+
+#[cold]
+#[inline(never)]
+fn unknown_tag(b: u8) -> AdmError {
+    AdmError::corrupt(format!("unknown type tag byte {b}"))
+}
+
+/// The cursor. Construct once per record; call [`VectorReader::next_raw`]
+/// until [`RawItem::Eov`]. A clone reads on from where the original stands.
 #[derive(Clone)]
 pub struct VectorReader<'a> {
     buf: &'a [u8],
@@ -86,8 +148,11 @@ pub struct VectorReader<'a> {
     varlen_val_pos: usize,
     field_entries: BitReader<'a>,
     fieldname_val_pos: usize,
-    /// Container nesting (object/array/multiset tags).
-    stack: Vec<TypeTag>,
+    /// Open containers, and which of them are objects.
+    depth: usize,
+    objects: ObjectBits,
+    /// Is the innermost open container an object?
+    in_object: bool,
     finished: bool,
     /// Scratch stacks for [`VectorReader::materialize_container`], shared by
     /// every container the reader materializes.
@@ -114,7 +179,9 @@ impl<'a> VectorReader<'a> {
             varlen_lens,
             field_entries,
             header,
-            stack: Vec::with_capacity(8),
+            depth: 0,
+            objects: [0; MAX_NESTING.div_ceil(64)],
+            in_object: false,
             finished: false,
             fields: Vec::new(),
             items: Vec::new(),
@@ -132,168 +199,160 @@ impl<'a> VectorReader<'a> {
 
     /// Current nesting depth.
     pub fn depth(&self) -> usize {
-        self.stack.len()
+        self.depth
     }
 
-    // `next` and `next_raw` each call this and `read_field_name` once. Forced:
-    // with two callers LLVM stopped inlining them and `decode` slowed by 25 %.
+    /// The next tag byte, classified.
     #[inline(always)]
-    fn read_tag(&mut self) -> Result<TypeTag, AdmError> {
-        let b = *self
-            .buf
-            .get(self.tag_pos)
-            .ok_or_else(|| AdmError::corrupt("tag stream overran record"))?;
+    pub(crate) fn token(&mut self) -> Result<Token, AdmError> {
+        let b = *self.buf.get(self.tag_pos).ok_or_else(|| corrupt("tag stream overran record"))?;
         self.tag_pos += 1;
-        TypeTag::from_u8(b)
+        let token = TOKENS[b as usize];
+        if token.class == Class::Invalid {
+            return Err(unknown_tag(b));
+        }
+        Ok(token)
     }
 
+    /// The field name of the child just tagged: `None` unless the innermost
+    /// open container is an object.
     #[inline(always)]
-    fn read_field_name(&mut self) -> Result<FieldName<'a>, AdmError> {
+    pub(crate) fn field_name(&mut self) -> Result<Option<FieldName<'a>>, AdmError> {
+        if !self.in_object {
+            return Ok(None);
+        }
         let bits = self.header.fieldname_bits;
-        let entry = self
-            .field_entries
-            .read(bits)
-            .ok_or_else(|| AdmError::corrupt("field-name entries exhausted"))?;
-        let declared = (entry >> (bits - 1)) & 1 == 1;
-        let payload = entry & !(1u64 << (bits - 1));
-        if declared {
-            Ok(FieldName::Declared(payload as usize))
+        let entry =
+            self.field_entries.read(bits).ok_or_else(|| corrupt("field-name entries exhausted"))?;
+        let flag = 1u64 << (bits - 1);
+        Ok(Some(if entry & flag != 0 {
+            FieldName::Declared((entry & !flag) as usize)
         } else if self.header.is_compacted() {
-            Ok(FieldName::InferredId(payload as FieldNameId))
+            FieldName::InferredId(entry as FieldNameId)
         } else {
-            let len = payload as usize;
+            let len = entry as usize;
             let bytes = self
                 .buf
                 .get(self.fieldname_val_pos..self.fieldname_val_pos + len)
-                .ok_or_else(|| AdmError::corrupt("field name bytes overran record"))?;
+                .ok_or_else(|| corrupt("field name bytes overran record"))?;
             self.fieldname_val_pos += len;
-            let s = std::str::from_utf8(bytes)
-                .map_err(|_| AdmError::corrupt("invalid UTF-8 field name"))?;
-            Ok(FieldName::Inferred(s))
-        }
+            FieldName::Inferred(
+                std::str::from_utf8(bytes).map_err(|_| corrupt("invalid UTF-8 field name"))?,
+            )
+        }))
     }
 
-    fn read_fixed(&mut self, n: usize) -> Result<&'a [u8], AdmError> {
+    /// The stored bytes of a scalar of class `class` (fixed or varlen).
+    #[inline(always)]
+    pub(crate) fn value(&mut self, class: Class) -> Result<&'a [u8], AdmError> {
+        if let Class::Fixed(n) = class {
+            let end = self.fixed_pos + n as usize;
+            let bytes = self
+                .buf
+                .get(self.fixed_pos..end)
+                .ok_or_else(|| corrupt("fixed values overran record"))?;
+            self.fixed_pos = end;
+            return Ok(bytes);
+        }
+        let len = self
+            .varlen_lens
+            .read(self.header.varlen_bits)
+            .ok_or_else(|| corrupt("varlen lengths exhausted"))? as usize;
+        let end = self.varlen_val_pos + len;
         let bytes = self
             .buf
-            .get(self.fixed_pos..self.fixed_pos + n)
-            .ok_or_else(|| AdmError::corrupt("fixed values overran record"))?;
-        self.fixed_pos += n;
+            .get(self.varlen_val_pos..end)
+            .ok_or_else(|| corrupt("varlen values overran record"))?;
+        self.varlen_val_pos = end;
         Ok(bytes)
     }
 
-    fn read_scalar(&mut self, tag: TypeTag) -> Result<Value, AdmError> {
-        scalar_value(tag, self.read_scalar_bytes(tag)?)
+    /// Enter a container of type `tag`.
+    #[inline(always)]
+    pub(crate) fn open(&mut self, tag: TypeTag) -> Result<(), AdmError> {
+        let d = self.depth;
+        if d == MAX_NESTING {
+            return Err(corrupt("containers nested deeper than MAX_NESTING"));
+        }
+        let (word, bit) = (d / 64, 1u64 << (d % 64));
+        self.in_object = tag == TypeTag::Object;
+        if self.in_object {
+            self.objects[word] |= bit;
+        } else {
+            self.objects[word] &= !bit;
+        }
+        self.depth = d + 1;
+        Ok(())
     }
 
-    /// The bytes the record stores for the next scalar of type `tag`: its
-    /// fixed-length value, or a string's text / a binary's bytes.
-    fn read_scalar_bytes(&mut self, tag: TypeTag) -> Result<&'a [u8], AdmError> {
-        if let Some(n) = tag.fixed_len() {
-            return self.read_fixed(n);
-        }
-        let len =
-            self.varlen_lens
-                .read(self.header.varlen_bits)
-                .ok_or_else(|| AdmError::corrupt("varlen lengths exhausted"))? as usize;
-        let bytes = self
-            .buf
-            .get(self.varlen_val_pos..self.varlen_val_pos + len)
-            .ok_or_else(|| AdmError::corrupt("varlen values overran record"))?;
-        self.varlen_val_pos += len;
-        Ok(bytes)
+    /// Leave the innermost open container.
+    #[inline(always)]
+    pub(crate) fn close(&mut self) -> Result<(), AdmError> {
+        let Some(d) = self.depth.checked_sub(1) else {
+            return Err(corrupt("close tag with no open container"));
+        };
+        self.depth = d;
+        self.in_object = d > 0 && self.objects[(d - 1) / 64] >> ((d - 1) % 64) & 1 == 1;
+        Ok(())
     }
 
-    /// Pull the next event.
-    #[allow(clippy::should_implement_trait)] // fallible pull-parser, not an Iterator
-    pub fn next(&mut self) -> Result<Item<'a>, AdmError> {
-        if self.finished {
-            return Ok(Item::Eov);
-        }
-        let tag = self.read_tag()?;
-        match tag {
-            TypeTag::Eov => {
-                if !self.stack.is_empty() {
-                    return Err(AdmError::corrupt("EOV inside an open container"));
-                }
-                self.finished = true;
-                Ok(Item::Eov)
-            }
-            TypeTag::CloseNested => {
-                if self.stack.pop().is_none() {
-                    return Err(AdmError::corrupt("close tag with no open container"));
-                }
-                Ok(Item::Close)
-            }
-            tag => {
-                let name = if self.stack.last() == Some(&TypeTag::Object) {
-                    Some(self.read_field_name()?)
-                } else {
-                    None
-                };
-                if tag.is_nested() {
-                    self.stack.push(tag);
-                    Ok(Item::Begin { tag, name })
-                } else {
-                    Ok(Item::Scalar { value: self.read_scalar(tag)?, name })
-                }
-            }
-        }
-    }
-
-    /// Pull the next event, a scalar as its stored bytes. (A twin of `next`
-    /// on purpose: routing both through one tag-stepping helper cost
-    /// `decode` a fifth of its speed, `perfbench`'s `vector.decode_ns_per_rec`.)
+    /// Pull the next event: one step of the cursor.
+    #[inline(always)]
     pub fn next_raw(&mut self) -> Result<RawItem<'a>, AdmError> {
         if self.finished {
             return Ok(RawItem::Eov);
         }
-        let tag = self.read_tag()?;
-        match tag {
-            TypeTag::Eov => {
-                if !self.stack.is_empty() {
-                    return Err(AdmError::corrupt("EOV inside an open container"));
-                }
+        let Token { tag, class } = self.token()?;
+        match class {
+            Class::Close => {
+                self.close()?;
+                Ok(RawItem::Close)
+            }
+            Class::Eov if self.depth == 0 => {
                 self.finished = true;
                 Ok(RawItem::Eov)
             }
-            TypeTag::CloseNested => {
-                if self.stack.pop().is_none() {
-                    return Err(AdmError::corrupt("close tag with no open container"));
-                }
-                Ok(RawItem::Close)
+            Class::Eov => Err(corrupt("EOV inside an open container")),
+            Class::Nested => {
+                let name = self.field_name()?;
+                self.open(tag)?;
+                Ok(RawItem::Begin { tag, name })
             }
-            tag => {
-                let name = if self.stack.last() == Some(&TypeTag::Object) {
-                    Some(self.read_field_name()?)
-                } else {
-                    None
-                };
-                if tag.is_nested() {
-                    self.stack.push(tag);
-                    Ok(RawItem::Begin { tag, name })
-                } else {
-                    Ok(RawItem::Scalar { tag, bytes: self.read_scalar_bytes(tag)?, name })
-                }
+            _ => {
+                let name = self.field_name()?;
+                Ok(RawItem::Scalar { tag, bytes: self.value(class)?, name })
             }
         }
     }
 
-    /// Consume events until the innermost open container closes. Scalars
-    /// are read raw — no `Value` is built — but a string is still checked
-    /// to be UTF-8.
+    /// Consume events until the innermost open container closes, building
+    /// none: every field entry is still read, every bound checked and every
+    /// string checked to be UTF-8, as stepping [`next_raw`](Self::next_raw)
+    /// through the container would.
     pub fn skip_container(&mut self) -> Result<(), AdmError> {
-        let Some(target) = self.stack.len().checked_sub(1) else {
-            return Err(AdmError::corrupt("no open container to skip"));
+        let Some(target) = self.depth.checked_sub(1) else {
+            return Err(corrupt("no open container to skip"));
         };
-        while self.stack.len() > target {
-            match self.next_raw()? {
-                RawItem::Eov => return Err(AdmError::corrupt("EOV while skipping container")),
-                RawItem::Scalar { tag, bytes, .. } => check_scalar(tag, bytes)?,
-                RawItem::Begin { .. } | RawItem::Close => {}
+        loop {
+            let Token { tag, class } = self.token()?;
+            match class {
+                Class::Close => {
+                    self.close()?;
+                    if self.depth == target {
+                        return Ok(());
+                    }
+                }
+                Class::Eov => return Err(corrupt("EOV while skipping container")),
+                Class::Nested => {
+                    self.field_name()?;
+                    self.open(tag)?;
+                }
+                _ => {
+                    self.field_name()?;
+                    check_scalar(tag, self.value(class)?)?;
+                }
             }
         }
-        Ok(())
     }
 
     /// Materialize the container just opened by a `Begin` event. Every
@@ -314,7 +373,8 @@ impl<'a> VectorReader<'a> {
     }
 
     /// Collect one container's children on the shared scratch stacks, and
-    /// at its close move them off the stacks into the container.
+    /// at its close move them off the stacks into the container. Recursion
+    /// is bounded: the cursor opens at most [`MAX_NESTING`] containers.
     fn materialize_on(
         &mut self,
         tag: TypeTag,
@@ -325,22 +385,29 @@ impl<'a> VectorReader<'a> {
     ) -> Result<Value, AdmError> {
         let (fields_start, items_start) = (fields.len(), items.len());
         loop {
-            match self.next()? {
-                Item::Close => break,
-                Item::Eov => return Err(AdmError::corrupt("EOV inside container")),
-                Item::Scalar { value, name } => match name {
-                    Some(n) => fields.push((n.resolve(declared, dict)?.to_owned(), value)),
-                    None => items.push(value),
-                },
-                Item::Begin { tag: child_tag, name } => {
+            let Token { tag: child_tag, class } = self.token()?;
+            let value = match class {
+                Class::Close => {
+                    self.close()?;
+                    break;
+                }
+                Class::Eov => return Err(corrupt("EOV inside container")),
+                Class::Nested => {
+                    let name = self.field_name()?;
+                    self.open(child_tag)?;
                     // Nested objects resolve inferred names only (declared
                     // indexes are a root-object concept).
                     let v = self.materialize_on(child_tag, None, dict, fields, items)?;
-                    match name {
-                        Some(n) => fields.push((n.resolve(declared, dict)?.to_owned(), v)),
-                        None => items.push(v),
-                    }
+                    (name, v)
                 }
+                _ => {
+                    let name = self.field_name()?;
+                    (name, scalar_value(child_tag, self.value(class)?)?)
+                }
+            };
+            match value {
+                (Some(n), v) => fields.push((n.resolve(declared, dict)?.to_owned(), v)),
+                (None, v) => items.push(v),
             }
         }
         // `collect` from a `Drain` allocates exactly its length.
@@ -359,6 +426,7 @@ impl<'a> VectorReader<'a> {
 }
 
 /// The first `N` bytes of a fixed-width value, for `from_le_bytes`.
+#[inline(always)]
 pub(crate) fn le<const N: usize>(bytes: &[u8]) -> Result<[u8; N], AdmError> {
     bytes
         .get(..N)
@@ -426,22 +494,24 @@ pub fn scalar_value(tag: TypeTag, bytes: &[u8]) -> Result<Value, AdmError> {
 }
 
 /// Materialize a whole record (compacted or not). `declared` resolves
-/// declared-index field names; `dict` resolves compacted FieldNameIDs.
+/// declared-index field names; `dict` resolves compacted FieldNameIDs. A
+/// record's root is an object: any other root is corruption, as it is to
+/// every other reader of stored records.
 pub fn decode(
     buf: &[u8],
     declared: Option<&ObjectType>,
     dict: Option<&FieldNameDictionary>,
 ) -> Result<Value, AdmError> {
     let mut r = VectorReader::new(buf)?;
-    let value = match r.next()? {
-        Item::Begin { tag, .. } => r.materialize_container(tag, declared, dict)?,
-        Item::Scalar { value, .. } => value,
-        Item::Close => return Err(AdmError::corrupt("record starts with close tag")),
-        Item::Eov => return Err(AdmError::corrupt("empty record")),
+    let value = match r.next_raw()? {
+        RawItem::Begin { tag: TypeTag::Object, .. } => {
+            r.materialize_container(TypeTag::Object, declared, dict)?
+        }
+        _ => return Err(corrupt("record root must be an object")),
     };
-    match r.next()? {
-        Item::Eov => Ok(value),
-        _ => Err(AdmError::corrupt("trailing values after root")),
+    match r.next_raw()? {
+        RawItem::Eov => Ok(value),
+        _ => Err(corrupt("trailing values after root")),
     }
 }
 
@@ -500,30 +570,41 @@ mod tests {
         let buf = encode(&v, None);
         let mut r = VectorReader::new(&buf).unwrap();
         // root
-        assert!(matches!(r.next().unwrap(), Item::Begin { tag: TypeTag::Object, name: None }));
-        match r.next().unwrap() {
-            Item::Scalar { value: Value::Int64(1), name: Some(FieldName::Inferred("a")) } => {}
+        assert!(matches!(
+            r.next_raw().unwrap(),
+            RawItem::Begin { tag: TypeTag::Object, name: None }
+        ));
+        match r.next_raw().unwrap() {
+            RawItem::Scalar {
+                tag: TypeTag::Int64,
+                bytes,
+                name: Some(FieldName::Inferred("a")),
+            } => assert_eq!(scalar_value(TypeTag::Int64, bytes).unwrap(), Value::Int64(1)),
             other => panic!("{other:?}"),
         }
         assert!(matches!(
-            r.next().unwrap(),
-            Item::Begin { tag: TypeTag::Array, name: Some(FieldName::Inferred("b")) }
+            r.next_raw().unwrap(),
+            RawItem::Begin { tag: TypeTag::Array, name: Some(FieldName::Inferred("b")) }
         ));
         assert!(matches!(
-            r.next().unwrap(),
-            Item::Scalar { value: Value::Boolean(true), name: None }
+            r.next_raw().unwrap(),
+            RawItem::Scalar { tag: TypeTag::Boolean, bytes: [1], name: None }
         ));
-        assert!(matches!(r.next().unwrap(), Item::Begin { tag: TypeTag::Object, name: None }));
+        assert_eq!(r.depth(), 2);
         assert!(matches!(
-            r.next().unwrap(),
-            Item::Scalar { name: Some(FieldName::Inferred("c")), .. }
+            r.next_raw().unwrap(),
+            RawItem::Begin { tag: TypeTag::Object, name: None }
         ));
-        assert!(matches!(r.next().unwrap(), Item::Close)); // inner object
-        assert!(matches!(r.next().unwrap(), Item::Close)); // array
-        assert!(matches!(r.next().unwrap(), Item::Close)); // root
-        assert!(matches!(r.next().unwrap(), Item::Eov));
+        assert!(matches!(
+            r.next_raw().unwrap(),
+            RawItem::Scalar { bytes: b"x", name: Some(FieldName::Inferred("c")), .. }
+        ));
+        assert!(matches!(r.next_raw().unwrap(), RawItem::Close)); // inner object
+        assert!(matches!(r.next_raw().unwrap(), RawItem::Close)); // array
+        assert!(matches!(r.next_raw().unwrap(), RawItem::Close)); // root
+        assert!(matches!(r.next_raw().unwrap(), RawItem::Eov));
         // Reader stays at EOV.
-        assert!(matches!(r.next().unwrap(), Item::Eov));
+        assert!(matches!(r.next_raw().unwrap(), RawItem::Eov));
     }
 
     #[test]
@@ -531,13 +612,15 @@ mod tests {
         let v = parse(r#"{"big": {"x": [1, 2, 3], "y": "s"}, "after": 7}"#).unwrap();
         let buf = encode(&v, None);
         let mut r = VectorReader::new(&buf).unwrap();
-        r.next().unwrap(); // root begin
-        match r.next().unwrap() {
-            Item::Begin { .. } => r.skip_container().unwrap(),
+        r.next_raw().unwrap(); // root begin
+        match r.next_raw().unwrap() {
+            RawItem::Begin { .. } => r.skip_container().unwrap(),
             other => panic!("{other:?}"),
         }
-        match r.next().unwrap() {
-            Item::Scalar { value: Value::Int64(7), name: Some(FieldName::Inferred("after")) } => {}
+        match r.next_raw().unwrap() {
+            RawItem::Scalar { bytes, name: Some(FieldName::Inferred("after")), .. } => {
+                assert_eq!(bytes, 7i64.to_le_bytes())
+            }
             other => panic!("{other:?}"),
         }
     }
@@ -566,6 +649,171 @@ mod tests {
         let mut bad = buf.clone();
         bad[crate::header::HEADER_LEN] = 99; // bogus root tag
         assert!(decode(&bad, None, None).is_err());
+    }
+
+    /// A record whose root is an array or a multiset is corruption to
+    /// `decode`, as it is to every other reader of stored records.
+    #[test]
+    fn non_object_root_is_corrupt() {
+        use crate::header::HEADER_LEN;
+        let v = parse(r#"{"a": [1, 2], "b": {"c": "x"}}"#).unwrap();
+        let raw = encode(&v, None);
+        let mut schema = tc_schema::Schema::new();
+        let compacted = crate::compact::infer_and_compact(&raw, &mut schema).unwrap();
+        for (buf, dict) in [(&raw, None), (&compacted, Some(schema.dict()))] {
+            assert_eq!(decode(buf, None, dict).unwrap(), v);
+            assert_eq!(buf[HEADER_LEN], TypeTag::Object as u8);
+            for root in [TypeTag::Array, TypeTag::Multiset] {
+                let mut flipped = buf.clone();
+                flipped[HEADER_LEN] = root as u8;
+                let err = decode(&flipped, None, dict).unwrap_err();
+                assert!(matches!(err, AdmError::Corrupt(_)), "{err:?}");
+                let path = [tc_adm::path::parse_path("a")];
+                let err = crate::get_values(&flipped, &path, None, dict).unwrap_err();
+                assert!(matches!(err, AdmError::Corrupt(_)), "{err:?}");
+            }
+        }
+    }
+
+    /// `{"a": [[…1…]]}`, `depth` containers deep.
+    fn nested(depth: usize) -> Value {
+        let mut v = Value::Int64(1);
+        for _ in 1..depth {
+            v = Value::Array(vec![v]);
+        }
+        Value::object([("a", v)])
+    }
+
+    /// A tag stream nested one level past `MAX_NESTING` is corruption to
+    /// `decode`, to `getValues` (materializing, walking into or skipping
+    /// the deep field), to a skip and to compaction; one at the cap reads
+    /// back whole.
+    #[test]
+    fn nesting_past_the_cap_is_corrupt() {
+        use tc_adm::path::parse_path;
+        let paths = ["a", "a[0][0]", "zz"].map(parse_path);
+        let v = nested(MAX_NESTING);
+        let raw = encode(&v, None);
+        let mut schema = tc_schema::Schema::new();
+        let compacted = crate::compact::infer_and_compact(&raw, &mut schema).unwrap();
+        for (buf, dict) in [(&raw, None), (&compacted, Some(schema.dict()))] {
+            assert_eq!(decode(buf, None, dict).unwrap(), v);
+            let got = crate::get_values(buf, &paths, None, dict).unwrap();
+            let want: Vec<Value> = paths.iter().map(|p| tc_adm::path::eval_path(&v, p)).collect();
+            assert_eq!(got, want);
+        }
+
+        let deep = encode(&nested(MAX_NESTING + 1), None);
+        let corrupt = |e: Option<AdmError>| matches!(e, Some(AdmError::Corrupt(_)));
+        assert!(corrupt(decode(&deep, None, None).err()));
+        for path in &paths {
+            let got = crate::get_values(&deep, std::slice::from_ref(path), None, None);
+            assert!(corrupt(got.err()), "{path:?}");
+        }
+        let mut r = VectorReader::new(&deep).unwrap();
+        assert!(matches!(r.next_raw(), Ok(RawItem::Begin { tag: TypeTag::Object, .. })));
+        assert!(corrupt(r.skip_container().err()));
+        let mut schema = tc_schema::Schema::new();
+        assert!(corrupt(crate::compact::infer_and_compact(&deep, &mut schema).err()));
+    }
+
+    /// Skipping a container and stepping through it with `next_raw` (each
+    /// string checked, as a skip checks it) leave the cursor in the same
+    /// place: for every container of random records, stored raw or
+    /// compacted, clean, bit-flipped or cut short, the events after it are
+    /// the same, EOV included, and an error is corruption from both.
+    /// `TC_FAULT_SEED` reseeds the inputs so CI can loop it.
+    #[test]
+    fn skip_matches_stepping() {
+        use proptest::strategy::Strategy;
+        use rand::{Rng, SeedableRng};
+
+        let seed =
+            std::env::var("TC_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0x5C1);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let records = crate::access::tests::arb_record();
+        let mut schema = tc_schema::Schema::new();
+        for _ in 0..200 {
+            let raw = encode(&records.new_value(&mut rng), None);
+            let compacted = crate::compact::infer_and_compact(&raw, &mut schema).unwrap();
+            for stored in [raw, compacted] {
+                check_skip(&stored, seed);
+                for _ in 0..3 {
+                    let mut flipped = stored.clone();
+                    let bit = rng.gen_range(crate::header::HEADER_LEN * 8..flipped.len() * 8);
+                    flipped[bit / 8] ^= 1 << (bit % 8);
+                    check_skip(&flipped, seed);
+                    // Cut short, the header's length cut to match.
+                    let len = rng.gen_range(crate::header::HEADER_LEN..stored.len());
+                    let mut cut = stored[..len].to_vec();
+                    cut[..4].copy_from_slice(&(len as u32).to_le_bytes());
+                    check_skip(&cut, seed);
+                }
+            }
+        }
+    }
+
+    /// [`skip_matches_stepping`] on one record, at each container start.
+    fn check_skip(buf: &[u8], seed: u64) {
+        /// A reader positioned just inside the record's `k`-th container.
+        fn at_start(buf: &[u8], k: usize) -> Option<VectorReader<'_>> {
+            let mut r = VectorReader::new(buf).ok()?;
+            let mut seen = 0;
+            loop {
+                match r.next_raw().ok()? {
+                    RawItem::Begin { .. } if seen == k => return Some(r),
+                    RawItem::Begin { .. } => seen += 1,
+                    RawItem::Eov => return None,
+                    _ => {}
+                }
+            }
+        }
+        /// The events up to EOV or the first error, an error by its class.
+        fn rest<'a>(r: &mut VectorReader<'a>) -> Vec<Result<RawItem<'a>, &'static str>> {
+            let mut out = Vec::new();
+            loop {
+                match r.next_raw() {
+                    Ok(RawItem::Eov) => break,
+                    Ok(item) => out.push(Ok(item)),
+                    Err(e) => {
+                        out.push(Err(class(&e)));
+                        return out;
+                    }
+                }
+            }
+            out.push(Ok(RawItem::Eov));
+            out
+        }
+        fn class(e: &AdmError) -> &'static str {
+            match e {
+                AdmError::Corrupt(_) => "corrupt",
+                _ => "other",
+            }
+        }
+        for k in 0.. {
+            let (Some(mut skipper), Some(mut stepper)) = (at_start(buf, k), at_start(buf, k))
+            else {
+                break;
+            };
+            let target = skipper.depth() - 1;
+            let skipped = skipper.skip_container();
+            let mut stepped = Ok(());
+            while stepped.is_ok() && stepper.depth() > target {
+                stepped = match stepper.next_raw() {
+                    Ok(RawItem::Scalar { tag, bytes, .. }) => check_scalar(tag, bytes),
+                    Ok(_) => Ok(()),
+                    Err(e) => Err(e),
+                };
+            }
+            match (skipped, stepped) {
+                (Ok(()), Ok(())) => {
+                    assert_eq!(skipper.depth(), stepper.depth());
+                    assert_eq!(rest(&mut skipper), rest(&mut stepper), "{buf:?} (seed {seed})");
+                }
+                (Err(a), Err(b)) => assert_eq!(class(&a), class(&b), "{a:?} vs {b:?}"),
+                (a, b) => panic!("skip {a:?}, stepping {b:?} on {buf:?} (seed {seed})"),
+            }
+        }
     }
 
     /// `decode` allocates every container it returns at its exact size, at
