@@ -25,8 +25,11 @@
 //!   survivors only;
 //! * [`zone`] — the scan filter as a test of zone maps, by which every
 //!   filtered scan skips row blocks and amax row groups;
-//! * [`paper_queries`] — builders for Twitter Q1–Q4, WoS Q1–Q4, Sensors
-//!   Q1–Q4, and the Fig 22 field-position probes.
+//! * [`sqlpp`] — the SQL++ front end, and the planner that owns the
+//!   optimizer's rewrites (§3.4.2), switched by [`plan::QueryOptions`] alone;
+//! * [`paper_queries`] — the paper's Appendix A queries, each its SQL++
+//!   text compiled by [`sqlpp`] (WoS Q3 and Q4, which bind `LET` variables,
+//!   are hand-built plans), and the Fig 22 field-position probes.
 
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 

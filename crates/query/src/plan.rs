@@ -18,7 +18,7 @@ pub enum AccessStrategy {
 
 /// The scan: which paths become columns, which filter runs inside the scan,
 /// and which accesses are delayed until after it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScanSpec {
     /// Paths extracted for every record → columns `0..paths.len()`.
     /// An empty path (`vec![]`) materializes the whole record.
@@ -44,7 +44,7 @@ impl ScanSpec {
 }
 
 /// Pipeline operators applied after the scan.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     Filter(Expr),
     /// Replace the row with the evaluated expressions.
@@ -72,7 +72,7 @@ pub enum Op {
 }
 
 /// A complete single-dataset query.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     pub scan: ScanSpec,
     pub ops: Vec<Op>,

@@ -1,24 +1,34 @@
-//! A SQL++ front end for the subset the paper's queries use (§2.1, App. A).
+//! A SQL++ front end for the subset the paper's queries use (§2.1, App. A),
+//! and the planner that owns the optimizer's rewrites (§3.4.2).
 //!
 //! Grammar (case-insensitive keywords):
 //!
 //! ```text
 //! query   := SELECT select FROM ident AS? ident (, path AS? ident)*
-//!            (WHERE expr)? (GROUP BY group (, group)*)?
+//!            (WHERE expr)? (GROUP BY item (, item)* (WITH ident AS expr)*)?
 //!            (ORDER BY expr (ASC|DESC)? (, …)*)? (LIMIT int)?
-//! select  := VALUE expr | item (, item)*      item := expr (AS ident)?
-//! group   := expr (AS ident)?
-//! expr    := OR / AND / NOT / comparison / additive / primary
-//! primary := literal | path | fn(args) | COUNT(*) | (expr)
+//! select  := VALUE expr | * | item (, item)*      item := expr (AS ident)?
+//! expr    := OR / AND / NOT / comparison / primary
+//! primary := literal | $param | path | fn(args) | COUNT(*) | (expr)
+//!          | SOME ident IN primary SATISFIES expr
 //! path    := ident (. ident | [int] | [*])*
 //! ```
 //!
 //! The extra `FROM` terms are SQL++'s correlated collection joins
 //! (`FROM Sensors s, s.readings r`), compiled to [`Op::Unnest`]. The
-//! planner resolves every path against its binding, collects the dataset
-//! paths into the scan spec (so the engine's consolidation/pushdown
-//! optimizations apply — §3.4.2), and splits SELECT into group keys +
-//! aggregates when GROUP BY is present.
+//! planner numbers the record paths as scan columns (GROUP BY keys, `WITH`
+//! aggregates, SELECT, unnest sources, WHERE, ORDER BY) and applies the
+//! optimizer's rules, switched by [`QueryOptions`] alone:
+//!
+//! * WHERE conjuncts `record path <cmp> constant` run in the scan
+//!   ([`ScanSpec::filter`]), where zone maps and typed loops take them;
+//! * with `consolidate`, one pass per record evaluates all the scan's paths;
+//! * with `pushdown`, the scan extracts `P[*].f` rather than the objects of
+//!   `P`, through `SOME … SATISFIES` and through a correlated unnest;
+//!   without it, the paths a scan filter does not read are delayed until
+//!   after it ([`ScanSpec::late_paths`], Fig 23's un-op plan);
+//! * GROUP BY keys and aggregate arguments that call a function are
+//!   computed by an [`Op::Project`] in front of the [`Op::GroupBy`].
 
 use tc_adm::path::{Path, PathStep};
 use tc_adm::{AdmError, Value};
@@ -41,6 +51,8 @@ enum Tok {
     /// Two-char symbols: `!=`, `<=`, `>=`.
     Sym2(&'static str),
     Star,
+    /// `$name`: a named parameter.
+    Param(String),
     Eof,
 }
 
@@ -93,16 +105,20 @@ fn tokenize(text: &str) -> Result<Vec<Tok>, AdmError> {
                     toks.push(Tok::Int(s.parse().map_err(|_| err(start, "bad integer"))?));
                 }
             }
-            b'a'..=b'z' | b'A'..=b'Z' | b'_' | b'`' => {
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' | b'`' | b'$' => {
                 let quoted = c == b'`';
-                let start = if quoted { i + 1 } else { i };
+                let start = if quoted || c == b'$' { i + 1 } else { i };
                 let mut j = start;
                 while j < b.len() && (b[j].is_ascii_alphanumeric() || b[j] == b'_') {
                     j += 1;
                 }
                 let ident =
                     std::str::from_utf8(&b[start..j]).map_err(|_| err(start, "bad identifier"))?;
-                toks.push(Tok::Ident(ident.to_string()));
+                toks.push(if c == b'$' {
+                    Tok::Param(ident.to_string())
+                } else {
+                    Tok::Ident(ident.to_string())
+                });
                 i = if quoted {
                     if j >= b.len() || b[j] != b'`' {
                         return Err(err(start, "unterminated `identifier`"));
@@ -171,20 +187,14 @@ struct SelectItem {
 
 #[derive(Debug, Clone)]
 struct AstQuery {
-    /// `SELECT VALUE expr` (single-expression select). Kept for diagnostics;
-    /// execution treats it like a one-item select list.
-    #[allow(dead_code)]
-    select_value: bool,
-    /// Dataset name from the FROM clause. The executor binds partitions
-    /// explicitly, so the name is informational.
-    #[allow(dead_code)]
-    dataset: String,
     select: Vec<SelectItem>,
     binding: String,
     /// (source path ast, alias) — correlated unnests.
     unnests: Vec<(Ast, String)>,
     where_clause: Option<Ast>,
     group_by: Vec<SelectItem>,
+    /// `WITH name AS aggregate` after GROUP BY.
+    with: Vec<(String, Ast)>,
     order_by: Vec<(Ast, bool)>,
     limit: Option<usize>,
 }
@@ -193,12 +203,13 @@ struct AstQuery {
 // Parser
 // ---------------------------------------------------------------------
 
-struct Parser {
+struct Parser<'p> {
     toks: Vec<Tok>,
     pos: usize,
+    params: &'p [(&'p str, Value)],
 }
 
-impl Parser {
+impl Parser<'_> {
     fn err(&self, msg: impl Into<String>) -> AdmError {
         AdmError::Parse { offset: self.pos, message: msg.into() }
     }
@@ -260,24 +271,15 @@ impl Parser {
     fn parse_query(&mut self) -> Result<AstQuery, AdmError> {
         self.expect_keyword("select")?;
         let select_value = self.keyword("value");
-        let mut select = Vec::new();
-        if !select_value && *self.peek() == Tok::Star {
+        let select = if !select_value && *self.peek() == Tok::Star {
             self.next();
-            select.push(SelectItem {
-                expr: Ast::PathRef { binding: String::new(), path: vec![] },
-                alias: None,
-            });
+            let expr = Ast::PathRef { binding: String::new(), path: vec![] };
+            vec![SelectItem { expr, alias: None }]
         } else {
-            loop {
-                let expr = self.parse_expr()?;
-                let alias = if self.keyword("as") { Some(self.ident()?) } else { None };
-                select.push(SelectItem { expr, alias });
-                if !self.eat_sym(',') {
-                    break;
-                }
-            }
-        }
+            self.items()?
+        };
         self.expect_keyword("from")?;
+        // The dataset's name: the executor binds partitions explicitly.
         let dataset = self.ident()?;
         let _ = self.keyword("as");
         let binding = match self.peek() {
@@ -288,7 +290,7 @@ impl Parser {
             {
                 self.ident()?
             }
-            _ => dataset.clone(),
+            _ => dataset,
         };
         // Correlated collection terms: `, s.readings r` (or UNNEST syntax).
         let mut unnests = Vec::new();
@@ -303,17 +305,10 @@ impl Parser {
             }
         }
         let where_clause = if self.keyword("where") { Some(self.parse_expr()?) } else { None };
-        let mut group_by = Vec::new();
+        let (mut group_by, mut with) = (Vec::new(), Vec::new());
         if self.keyword("group") {
             self.expect_keyword("by")?;
-            loop {
-                let expr = self.parse_expr()?;
-                let alias = if self.keyword("as") { Some(self.ident()?) } else { None };
-                group_by.push(SelectItem { expr, alias });
-                if !self.eat_sym(',') {
-                    break;
-                }
-            }
+            group_by = self.items()?;
             // `GROUP AS g` (whole-group listify) — accepted and ignored
             // unless the select uses it; the paper's queries only count.
             if self.keyword("group") {
@@ -324,8 +319,7 @@ impl Parser {
             while self.keyword("with") {
                 let name = self.ident()?;
                 self.expect_keyword("as")?;
-                let expr = self.parse_expr()?;
-                group_by.push(SelectItem { expr, alias: Some(format!("\u{1}with:{name}")) });
+                with.push((name, self.parse_expr()?));
             }
         }
         let mut order_by = Vec::new();
@@ -356,17 +350,20 @@ impl Parser {
         if *self.peek() != Tok::Eof {
             return Err(self.err(format!("trailing tokens: {:?}", self.peek())));
         }
-        Ok(AstQuery {
-            select_value,
-            select,
-            dataset,
-            binding,
-            unnests,
-            where_clause,
-            group_by,
-            order_by,
-            limit,
-        })
+        Ok(AstQuery { select, binding, unnests, where_clause, group_by, with, order_by, limit })
+    }
+
+    /// `expr (AS ident)? (, …)*`.
+    fn items(&mut self) -> Result<Vec<SelectItem>, AdmError> {
+        let mut items = Vec::new();
+        loop {
+            let expr = self.parse_expr()?;
+            let alias = if self.keyword("as") { Some(self.ident()?) } else { None };
+            items.push(SelectItem { expr, alias });
+            if !self.eat_sym(',') {
+                return Ok(items);
+            }
+        }
     }
 
     // Expressions, precedence: OR < AND < NOT < cmp < primary.
@@ -422,6 +419,10 @@ impl Parser {
             Tok::Int(n) => Ok(Ast::Lit(Value::Int64(n))),
             Tok::Float(f) => Ok(Ast::Lit(Value::Double(f))),
             Tok::Str(s) => Ok(Ast::Lit(Value::String(s))),
+            Tok::Param(name) => match self.params.iter().find(|(n, _)| *n == name) {
+                Some((_, v)) => Ok(Ast::Lit(v.clone())),
+                None => Err(self.err(format!("no value for parameter ${name}"))),
+            },
             Tok::Sym('(') => {
                 let e = self.parse_expr()?;
                 self.expect_sym(')')?;
@@ -505,10 +506,139 @@ impl Parser {
 
 /// Compile SQL++ text into an executable [`Query`].
 pub fn compile(text: &str, opts: QueryOptions) -> Result<Query, AdmError> {
-    let toks = tokenize(text)?;
-    let mut parser = Parser { toks, pos: 0 };
-    let ast = parser.parse_query()?;
+    compile_with(text, &[], opts)
+}
+
+/// [`compile`] text whose `$name`s read as the literals `params` gives them.
+pub(crate) fn compile_with(
+    text: &str,
+    params: &[(&str, Value)],
+    opts: QueryOptions,
+) -> Result<Query, AdmError> {
+    let mut ast = Parser { toks: tokenize(text)?, pos: 0, params }.parse_query()?;
+    if opts.pushdown {
+        push_down(&mut ast);
+    }
     plan(ast, opts)
+}
+
+impl Ast {
+    /// Visit this expression and each of its sub-expressions, parents first.
+    fn walk(&self, f: &mut impl FnMut(&Ast)) {
+        f(self);
+        match self {
+            Ast::Lit(_) | Ast::PathRef { .. } | Ast::CountStar => {}
+            Ast::Cmp(_, l, r) | Ast::And(l, r) | Ast::Or(l, r) => {
+                l.walk(f);
+                r.walk(f);
+            }
+            Ast::Not(e) => e.walk(f),
+            Ast::Call(_, args) => args.iter().for_each(|a| a.walk(f)),
+            Ast::SomeSatisfies { coll, pred, .. } => {
+                coll.walk(f);
+                pred.walk(f);
+            }
+        }
+    }
+}
+
+impl AstQuery {
+    /// Every clause's expressions, in the order the scan numbers the record
+    /// paths they read: GROUP BY keys, `WITH` aggregates, SELECT, `FROM`
+    /// unnest sources, WHERE, ORDER BY.
+    fn exprs(&self) -> impl Iterator<Item = &Ast> {
+        let with = self.with.iter().map(|(_, e)| e);
+        let select = self.select.iter().map(|item| &item.expr);
+        self.group_by
+            .iter()
+            .map(|item| &item.expr)
+            .chain(with.chain(select))
+            .chain(self.unnests.iter().map(|(src, _)| src))
+            .chain(&self.where_clause)
+            .chain(self.order_by.iter().map(|(e, _)| e))
+    }
+}
+
+/// The pushdown rewrites of §3.4.2: the scan extracts the one field a query
+/// reads of a collection's items (`P[*].f`), not the items.
+///
+/// * `SOME x IN P SATISFIES lowercase(x.f) = …` in WHERE becomes
+///   `SOME x IN P[*].f SATISFIES lowercase(x) = …`.
+/// * `FROM s, s.P r` unnests `s.P[*].f`, and each `r.f` reads `r`, when
+///   every use of `r` is `r.f` as the whole argument of an aggregate that
+///   skips `missing` (`sum`, `min`, `max`, `avg`) and no `count` counts the
+///   unnest's rows: `P[*].f` has no item where `r.f` is missing.
+fn push_down(ast: &mut AstQuery) {
+    if let Some(w) = &mut ast.where_clause {
+        push_through_some(w);
+    }
+    for i in 0..ast.unnests.len() {
+        let var = ast.unnests[i].1.clone();
+        let Some(field) = aggregated_field(ast, &var) else { continue };
+        let Ast::PathRef { path, .. } = &mut ast.unnests[i].0 else { continue };
+        path.extend([PathStep::Wildcard, PathStep::Field(field)]);
+        let select = ast.select.iter_mut().map(|item| &mut item.expr);
+        for e in select.chain(ast.with.iter_mut().map(|(_, e)| e)) {
+            if let Ast::Call(_, args) = e {
+                if let [Ast::PathRef { binding, path }] = args.as_mut_slice() {
+                    if *binding == var {
+                        path.clear();
+                    }
+                }
+            }
+        }
+    }
+}
+
+fn push_through_some(e: &mut Ast) {
+    match e {
+        Ast::And(l, r) | Ast::Or(l, r) => {
+            push_through_some(l);
+            push_through_some(r);
+        }
+        Ast::Not(e) => push_through_some(e),
+        Ast::SomeSatisfies { item, coll, pred } => {
+            let (Ast::PathRef { path: from, .. }, Ast::Cmp(CmpOp::Eq, lhs, _)) =
+                (&mut **coll, &mut **pred)
+            else {
+                return;
+            };
+            if let Ast::Call(_, args) = &mut **lhs {
+                if let [Ast::PathRef { binding, path }] = args.as_mut_slice() {
+                    if binding == item && matches!(path.as_slice(), [PathStep::Field(_)]) {
+                        from.push(PathStep::Wildcard);
+                        from.append(path);
+                    }
+                }
+            }
+        }
+        _ => {}
+    }
+}
+
+/// `f`, if every use of `var` is `var.f` as the whole argument of a `sum`,
+/// `min`, `max` or `avg`, and the query has no `count`.
+fn aggregated_field(ast: &AstQuery, var: &str) -> Option<String> {
+    let mut uses = 0;
+    for e in ast.exprs() {
+        e.walk(&mut |e| {
+            uses += matches!(e, Ast::PathRef { binding, .. } if binding == var) as usize
+        });
+    }
+    let mut fields = Vec::new();
+    let select = ast.select.iter().map(|item| &item.expr);
+    for agg in select.chain(ast.with.iter().map(|(_, e)| e)).filter_map(as_aggregate) {
+        match agg {
+            (AggFn::Count, _) => return None,
+            (_, Some(Ast::PathRef { binding, path })) if binding == var => match path.as_slice() {
+                [PathStep::Field(f)] => fields.push(f),
+                _ => return None,
+            },
+            _ => {}
+        }
+    }
+    let f = *fields.first()?;
+    (uses == fields.len() && fields.iter().all(|g| *g == f)).then(|| f.clone())
 }
 
 /// Name-resolution context built by the planner.
@@ -517,10 +647,9 @@ struct Binder {
     record: String,
     /// Scan paths collected so far (columns 0..n).
     scan_paths: Vec<Path>,
-    /// Unnest aliases → their item column index.
-    unnest_cols: Vec<(String, usize)>,
-    /// Columns appended by GROUP BY output: (alias or marker, column).
-    named_cols: Vec<(String, usize)>,
+    /// Variables bound to a column: unnest aliases to their items, then
+    /// GROUP BY and `WITH` aliases to the group output.
+    vars: Vec<(String, usize)>,
 }
 
 impl Binder {
@@ -532,31 +661,28 @@ impl Binder {
         self.scan_paths.len() - 1
     }
 
+    /// Number a scan column for each record path `ast` reads.
+    fn claim(&mut self, ast: &Ast) {
+        ast.walk(&mut |e| {
+            if let Ast::PathRef { binding, path } = e {
+                if *binding == self.record || binding.is_empty() {
+                    self.scan_col(path.clone());
+                }
+            }
+        });
+    }
+
     fn resolve(&mut self, ast: &Ast) -> Result<Expr, AdmError> {
         Ok(match ast {
             Ast::Lit(v) => Expr::Const(v.clone()),
-            Ast::PathRef { binding, path } => {
-                let named = self.named_cols.iter().find(|(n, _)| n == binding).map(|(_, c)| *c);
-                if let Some(col) = named {
-                    if path.is_empty() {
-                        return Ok(Expr::Col(col));
-                    }
-                    return Ok(Expr::Path { col, path: path.clone() });
+            Ast::PathRef { binding, path } => match self.vars.iter().find(|(n, _)| n == binding) {
+                Some(&(_, col)) if path.is_empty() => Expr::Col(col),
+                Some(&(_, col)) => Expr::Path { col, path: path.clone() },
+                None if *binding == self.record || binding.is_empty() => {
+                    Expr::Col(self.scan_col(path.clone()))
                 }
-                if *binding == self.record || binding.is_empty() {
-                    let col = self.scan_col(path.clone());
-                    Expr::Col(col)
-                } else if let Some(&(_, col)) = self.unnest_cols.iter().find(|(n, _)| n == binding)
-                {
-                    if path.is_empty() {
-                        Expr::Col(col)
-                    } else {
-                        Expr::Path { col, path: path.clone() }
-                    }
-                } else {
-                    return Err(AdmError::type_check(format!("unknown binding '{binding}'")));
-                }
-            }
+                None => return Err(AdmError::type_check(format!("unknown binding '{binding}'"))),
+            },
             Ast::Cmp(op, l, r) => Expr::cmp(*op, self.resolve(l)?, self.resolve(r)?),
             Ast::And(l, r) => Expr::and(self.resolve(l)?, self.resolve(r)?),
             Ast::Or(l, r) => Expr::Or(Box::new(self.resolve(l)?), Box::new(self.resolve(r)?)),
@@ -587,53 +713,38 @@ impl Binder {
         })
     }
 
+    /// The conjuncts `c`, ANDed; `None` for none.
+    fn resolve_and(&mut self, conjuncts: &[&Ast]) -> Result<Option<Expr>, AdmError> {
+        let resolved = conjuncts.iter().map(|c| self.resolve(c)).collect::<Result<Vec<_>, _>>()?;
+        Ok(resolved.into_iter().reduce(Expr::and))
+    }
+
     /// `SOME x IN coll SATISFIES lowercase(x[.field]) = "lit"` compiles to
     /// the engine's exists functions (the paper's Q3 shape).
     fn resolve_some(&mut self, item: &str, coll: &Ast, pred: &Ast) -> Result<Expr, AdmError> {
-        let coll_expr = self.resolve(coll)?;
-        let Ast::Cmp(CmpOp::Eq, lhs, rhs) = pred else {
-            return Err(AdmError::type_check(
-                "SOME ... SATISFIES supports `lowercase(x.f) = \"lit\"` predicates".to_string(),
-            ));
-        };
-        let needle = match rhs.as_ref() {
-            Ast::Lit(Value::String(s)) => s.clone(),
-            _ => {
-                return Err(AdmError::type_check(
-                    "SATISFIES comparison must be against a string literal".to_string(),
-                ))
-            }
-        };
-        match lhs.as_ref() {
-            // lowercase(x.field) = "lit"
-            Ast::Call(f, args) if (f == "lowercase" || f == "lower") && args.len() == 1 => {
-                match &args[0] {
-                    Ast::PathRef { binding, path } if binding == item => {
-                        if let [PathStep::Field(field)] = path.as_slice() {
-                            Ok(Expr::Func {
-                                func: Func::AnyFieldEqLower(field.clone()),
-                                args: vec![coll_expr, Expr::lit(needle)],
-                            })
-                        } else if path.is_empty() {
-                            Ok(Expr::Func {
-                                func: Func::ArrayContainsLower,
-                                args: vec![coll_expr, Expr::lit(needle)],
-                            })
-                        } else {
-                            Err(AdmError::type_check(
-                                "SATISFIES path must be the item or one field deep".to_string(),
-                            ))
+        if let Ast::Cmp(CmpOp::Eq, lhs, rhs) = pred {
+            if let (Ast::Call(f, args), Ast::Lit(Value::String(needle))) = (&**lhs, &**rhs) {
+                let func = match args.as_slice() {
+                    [Ast::PathRef { binding, path }]
+                        if binding == item && matches!(f.as_str(), "lowercase" | "lower") =>
+                    {
+                        match path.as_slice() {
+                            [] => Some(Func::ArrayContainsLower),
+                            [PathStep::Field(field)] => Some(Func::AnyFieldEqLower(field.clone())),
+                            _ => None,
                         }
                     }
-                    _ => Err(AdmError::type_check(
-                        "SATISFIES must reference the SOME variable".to_string(),
-                    )),
+                    _ => None,
+                };
+                if let Some(func) = func {
+                    let args = vec![self.resolve(coll)?, Expr::lit(needle.clone())];
+                    return Ok(Expr::Func { func, args });
                 }
             }
-            _ => Err(AdmError::type_check(
-                "SATISFIES supports lowercase(x[.f]) = \"lit\"".to_string(),
-            )),
         }
+        Err(AdmError::type_check(
+            "SOME ... SATISFIES supports `lowercase(x[.f]) = \"lit\"`".to_string(),
+        ))
     }
 }
 
@@ -656,187 +767,167 @@ fn as_aggregate(ast: &Ast) -> Option<(AggFn, Option<&Ast>)> {
     }
 }
 
-fn plan(ast: AstQuery, opts: QueryOptions) -> Result<Query, AdmError> {
-    let mut binder = Binder {
-        record: ast.binding.clone(),
-        scan_paths: Vec::new(),
-        unnest_cols: Vec::new(),
-        named_cols: Vec::new(),
-    };
-    let mut ops: Vec<Op> = Vec::new();
+/// The top-level `AND` conjuncts of `e`.
+fn conjuncts(e: &Ast) -> Vec<&Ast> {
+    match e {
+        Ast::And(l, r) => {
+            let mut out = conjuncts(l);
+            out.extend(conjuncts(r));
+            out
+        }
+        _ => vec![e],
+    }
+}
 
-    // FROM-clause unnests: resolve their sources first (they claim scan
-    // columns); aliases get item columns once the scan width is final.
-    let mut unnest_sources: Vec<Expr> = Vec::new();
-    for (src, _) in &ast.unnests {
-        unnest_sources.push(binder.resolve(src)?);
+/// `record path <cmp> constant`, the conjunct zone maps and typed loops take.
+fn is_scan_cmp(c: &Ast, record: &str) -> bool {
+    let path = |a: &Ast| matches!(a, Ast::PathRef { binding, .. } if binding == record);
+    let lit = |a: &Ast| matches!(a, Ast::Lit(_));
+    matches!(c, Ast::Cmp(_, l, r) if (path(l) && lit(r)) || (lit(l) && path(r)))
+}
+
+fn plan(ast: AstQuery, opts: QueryOptions) -> Result<Query, AdmError> {
+    let mut binder =
+        Binder { record: ast.binding.clone(), scan_paths: Vec::new(), vars: Vec::new() };
+    // WHERE conjuncts over one record path run in the scan; the rest, after
+    // the unnests.
+    let (in_scan, after_scan): (Vec<&Ast>, Vec<&Ast>) =
+        ast.where_clause.iter().flat_map(conjuncts).partition(|c| is_scan_cmp(c, &ast.binding));
+    // Number the scan columns before the unnests' item columns. Without
+    // pushdown, the scan filter's paths come first and every other path is
+    // delayed until after it (Fig 23).
+    let delay = !opts.pushdown && !in_scan.is_empty();
+    if delay {
+        in_scan.iter().for_each(|c| binder.claim(c));
     }
-    // Pre-collect scan paths from every clause so column numbering is
-    // stable before unnest columns are assigned.
-    {
-        let mut probe = ast.where_clause.iter().collect::<Vec<_>>();
-        for item in ast.select.iter().chain(ast.group_by.iter()) {
-            probe.push(&item.expr);
-        }
-        for (e, _) in &ast.order_by {
-            probe.push(e);
-        }
-        for e in probe {
-            collect_record_paths(e, &ast.binding, &mut binder);
-        }
-    }
+    let filter_width = binder.scan_paths.len();
+    ast.exprs().for_each(|e| binder.claim(e));
+    let early = if delay { filter_width } else { binder.scan_paths.len() };
     let scan_width = binder.scan_paths.len();
     for (i, (_, alias)) in ast.unnests.iter().enumerate() {
-        binder.unnest_cols.push((alias.clone(), scan_width + i));
-    }
-    for src in unnest_sources {
-        ops.push(Op::Unnest(src));
+        binder.vars.push((alias.clone(), scan_width + i));
     }
 
-    if let Some(w) = &ast.where_clause {
-        ops.push(Op::Filter(binder.resolve(w)?));
+    let filter = binder.resolve_and(&in_scan)?;
+    let mut ops: Vec<Op> = Vec::new();
+    for (src, _) in &ast.unnests {
+        ops.push(Op::Unnest(binder.resolve(src)?));
+    }
+    if let Some(rest) = binder.resolve_and(&after_scan)? {
+        ops.push(Op::Filter(rest));
     }
 
-    if !ast.group_by.is_empty() {
-        // Split GROUP BY items into keys and WITH-aggregates.
-        let mut keys: Vec<Expr> = Vec::new();
-        let mut key_names: Vec<String> = Vec::new();
-        let mut aggs: Vec<Agg> = Vec::new();
-        let mut agg_names: Vec<String> = Vec::new();
-        for item in &ast.group_by {
-            let with_alias = item.alias.as_deref().and_then(|a| a.strip_prefix("\u{1}with:"));
-            match (with_alias, as_aggregate(&item.expr)) {
-                (Some(name), Some((f, arg))) => {
-                    let arg = arg.map(|a| binder.resolve(a)).transpose()?;
-                    aggs.push(Agg { func: f, arg });
-                    agg_names.push(name.to_string());
-                }
-                (Some(_), None) => {
-                    return Err(AdmError::type_check(
-                        "WITH clause must be an aggregate".to_string(),
-                    ))
-                }
-                (None, _) => {
-                    keys.push(binder.resolve(&item.expr)?);
-                    key_names.push(item.alias.clone().unwrap_or_default());
-                }
-            }
-        }
-        // SELECT items: references to GROUP BY / WITH aliases, grouping
-        // expressions, or additional aggregates (count(*) etc.).
-        let mut select_cols: Vec<(usize, Option<String>)> = Vec::new();
-        for item in &ast.select {
-            if let Ast::PathRef { binding, path } = &item.expr {
-                if path.is_empty() {
-                    if let Some(p) = key_names.iter().position(|n| n == binding) {
-                        select_cols.push((p, item.alias.clone()));
-                        continue;
-                    }
-                    if let Some(p) = agg_names.iter().position(|n| n == binding) {
-                        select_cols.push((keys.len() + p, item.alias.clone()));
-                        continue;
-                    }
-                }
-            }
-            if let Some((f, arg)) = as_aggregate(&item.expr) {
-                let arg = arg.map(|a| binder.resolve(a)).transpose()?;
-                aggs.push(Agg { func: f, arg });
-                agg_names.push(item.alias.clone().unwrap_or_default());
-                select_cols.push((keys.len() + aggs.len() - 1, item.alias.clone()));
-                continue;
-            }
-            let resolved = binder.resolve(&item.expr)?;
-            let pos = keys.iter().position(|k| *k == resolved).ok_or_else(|| {
-                AdmError::type_check(
-                    "SELECT item is neither an aggregate nor a grouping key".to_string(),
-                )
+    let aggregated = ast.select.iter().any(|i| as_aggregate(&i.expr).is_some());
+    if !ast.group_by.is_empty() || aggregated {
+        let keys =
+            ast.group_by.iter().map(|i| binder.resolve(&i.expr)).collect::<Result<_, _>>()?;
+        let mut group = Group { keys, aggs: Vec::new() };
+        let mut names: Vec<&str> =
+            ast.group_by.iter().map(|i| i.alias.as_deref().unwrap_or("")).collect();
+        for (name, expr) in &ast.with {
+            group.agg(expr, &mut binder)?.ok_or_else(|| {
+                AdmError::type_check("WITH clause must be an aggregate".to_string())
             })?;
-            select_cols.push((pos, item.alias.clone()));
+            names.push(name);
         }
-        ops.push(Op::GroupBy { keys: keys.clone(), aggs });
-        // Post-group name resolution: keys by alias, aggregates by alias.
-        binder.named_cols.clear();
-        for (i, name) in key_names.iter().enumerate() {
-            if !name.is_empty() {
-                binder.named_cols.push((name.clone(), i));
-            }
-        }
-        for (i, name) in agg_names.iter().enumerate() {
-            if !name.is_empty() {
-                binder.named_cols.push((name.clone(), keys.len() + i));
-            }
-        }
-        // ORDER BY over grouped output.
-        if !ast.order_by.is_empty() {
-            let keys = resolve_order(&ast.order_by, &mut binder)?;
-            ops.push(Op::OrderBy { keys, limit: ast.limit });
-        } else if let Some(k) = ast.limit {
-            ops.push(Op::Limit(k));
-        }
-        // Final projection to the SELECT shape.
-        if !select_cols.is_empty() {
-            ops.push(Op::Project(select_cols.iter().map(|(c, _)| Expr::Col(*c)).collect()));
-        }
-    } else if ast.select.iter().any(|i| as_aggregate(&i.expr).is_some()) {
-        // Ungrouped aggregates: a global (key-less) aggregation —
-        // `SELECT VALUE count(*)`, `SELECT min(r.temp), max(r.temp)` …
-        let mut aggs = Vec::new();
+        // SELECT items: GROUP BY / WITH aliases, grouping expressions, or
+        // further aggregates (count(*) etc.).
+        let mut select_cols: Vec<usize> = Vec::new();
         for item in &ast.select {
-            let Some((f, arg)) = as_aggregate(&item.expr) else {
-                return Err(AdmError::type_check(
-                    "mixing aggregates and plain expressions requires GROUP BY".to_string(),
-                ));
+            let named = match &item.expr {
+                Ast::PathRef { binding, path } if path.is_empty() => {
+                    names.iter().position(|n| n == binding)
+                }
+                _ => None,
             };
-            let arg = arg.map(|a| binder.resolve(a)).transpose()?;
-            aggs.push(Agg { func: f, arg });
+            let col = match named {
+                Some(col) => col,
+                None => match group.agg(&item.expr, &mut binder)? {
+                    Some(col) => {
+                        names.push(item.alias.as_deref().unwrap_or(""));
+                        col
+                    }
+                    None => {
+                        let resolved = binder.resolve(&item.expr)?;
+                        group.keys.iter().position(|k| *k == resolved).ok_or_else(|| {
+                            AdmError::type_check(
+                                "SELECT item is neither an aggregate nor a grouping key"
+                                    .to_string(),
+                            )
+                        })?
+                    }
+                },
+            };
+            select_cols.push(col);
         }
-        ops.push(Op::GroupBy { keys: vec![], aggs });
-        if let Some(k) = ast.limit {
-            ops.push(Op::Limit(k));
+        let width = names.len();
+        group.push(&mut ops);
+        // The group output is what later clauses read, by alias.
+        binder.vars = names
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| !n.is_empty())
+            .map(|(i, n)| (n.to_string(), i))
+            .collect();
+        push_order_limit(&ast, &mut binder, &mut ops)?;
+        // Project to the SELECT shape, unless that is the group output.
+        if !select_cols.iter().copied().eq(0..width) {
+            ops.push(Op::Project(select_cols.into_iter().map(Expr::Col).collect()));
         }
     } else {
-        // Ungrouped query: ORDER BY first (may reference scan columns),
-        // then project the SELECT items.
         let select_exprs: Vec<Expr> =
             ast.select.iter().map(|item| binder.resolve(&item.expr)).collect::<Result<_, _>>()?;
-        if !ast.order_by.is_empty() {
-            let keys = resolve_order(&ast.order_by, &mut binder)?;
-            ops.push(Op::OrderBy { keys, limit: ast.limit });
-        } else if let Some(k) = ast.limit {
-            ops.push(Op::Limit(k));
-        }
+        push_order_limit(&ast, &mut binder, &mut ops)?;
         ops.push(Op::Project(select_exprs));
     }
 
-    Ok(Query { scan: ScanSpec::all_early(binder.scan_paths, opts.access()), ops })
+    let late_paths = binder.scan_paths.split_off(early);
+    let scan = ScanSpec { paths: binder.scan_paths, filter, late_paths, access: opts.access() };
+    Ok(Query { scan, ops })
 }
 
-fn resolve_order(
-    order_by: &[(Ast, bool)],
+fn push_order_limit(
+    ast: &AstQuery,
     binder: &mut Binder,
-) -> Result<Vec<(Expr, bool)>, AdmError> {
-    order_by.iter().map(|(e, desc)| Ok((binder.resolve(e)?, *desc))).collect()
+    ops: &mut Vec<Op>,
+) -> Result<(), AdmError> {
+    if !ast.order_by.is_empty() {
+        let keys = ast.order_by.iter().map(|(e, desc)| Ok((binder.resolve(e)?, *desc)));
+        ops.push(Op::OrderBy { keys: keys.collect::<Result<_, AdmError>>()?, limit: ast.limit });
+    } else if let Some(k) = ast.limit {
+        ops.push(Op::Limit(k));
+    }
+    Ok(())
 }
 
-/// Pre-pass: force every record-rooted path into the scan so column indexes
-/// are stable before unnest columns are appended.
-fn collect_record_paths(ast: &Ast, record: &str, binder: &mut Binder) {
-    match ast {
-        Ast::PathRef { binding, path } if binding == record || binding.is_empty() => {
-            binder.scan_col(path.clone());
-        }
-        Ast::PathRef { .. } | Ast::Lit(_) | Ast::CountStar => {}
-        Ast::Cmp(_, l, r) | Ast::And(l, r) | Ast::Or(l, r) => {
-            collect_record_paths(l, record, binder);
-            collect_record_paths(r, record, binder);
-        }
-        Ast::Not(e) => collect_record_paths(e, record, binder),
-        Ast::Call(_, args) => {
-            for a in args {
-                collect_record_paths(a, record, binder);
+/// A `GroupBy` being planned.
+struct Group {
+    keys: Vec<Expr>,
+    aggs: Vec<Agg>,
+}
+
+impl Group {
+    /// Add `ast` as an aggregate, if it is one, and give its output column.
+    fn agg(&mut self, ast: &Ast, binder: &mut Binder) -> Result<Option<usize>, AdmError> {
+        let Some((func, arg)) = as_aggregate(ast) else { return Ok(None) };
+        let arg = arg.map(|a| binder.resolve(a)).transpose()?;
+        self.aggs.push(Agg { func, arg });
+        Ok(Some(self.keys.len() + self.aggs.len() - 1))
+    }
+
+    /// Push the `GroupBy`. Keys and aggregate arguments that call a function
+    /// are computed in front of it, by a `Project` of every key and argument.
+    fn push(mut self, ops: &mut Vec<Op>) {
+        let is_call = |e: &Expr| matches!(e, Expr::Func { .. });
+        if self.keys.iter().chain(self.aggs.iter().filter_map(|a| a.arg.as_ref())).any(is_call) {
+            let mut exprs = Vec::new();
+            let args = self.aggs.iter_mut().filter_map(|a| a.arg.as_mut());
+            for e in self.keys.iter_mut().chain(args) {
+                exprs.push(std::mem::replace(e, Expr::Col(exprs.len())));
             }
+            ops.push(Op::Project(exprs));
         }
-        Ast::SomeSatisfies { coll, .. } => collect_record_paths(coll, record, binder),
+        ops.push(Op::GroupBy { keys: self.keys, aggs: self.aggs });
     }
 }
 
@@ -892,58 +983,6 @@ mod tests {
     }
 
     #[test]
-    fn twitter_q2_text_matches_builder() {
-        let ds = load(&mut TwitterGen::new(2), 150);
-        let text = r#"
-            SELECT uname, a
-            FROM Tweets t
-            GROUP BY t.user.name AS uname
-            WITH a AS avg(length(t.text))
-            ORDER BY a DESC
-            LIMIT 10
-        "#;
-        let q = compile(text, QueryOptions::default()).unwrap();
-        let rows = run(&ds, &q);
-        let expected = run(&ds, &pq::twitter_q2(QueryOptions::default()));
-        assert_eq!(rows, expected);
-    }
-
-    #[test]
-    fn twitter_q3_text_matches_builder() {
-        let ds = load(&mut TwitterGen::new(3), 200);
-        let text = r#"
-            SELECT uname, count(*) AS c
-            FROM Tweets t
-            WHERE (SOME ht IN t.entities.hashtags SATISFIES lowercase(ht.text) = "jobs")
-            GROUP BY t.user.name AS uname
-            ORDER BY c DESC
-            LIMIT 10
-        "#;
-        let q = compile(text, QueryOptions::unoptimized()).unwrap();
-        let rows = run(&ds, &q);
-        let expected = run(&ds, &pq::twitter_q3(QueryOptions::unoptimized()));
-        assert_eq!(rows, expected);
-    }
-
-    #[test]
-    fn sensors_q3_text_with_unnest() {
-        let ds = load(&mut SensorsGen::new(4), 30);
-        let text = r#"
-            SELECT sid, avg_temp
-            FROM Sensors s, s.readings AS r
-            GROUP BY s.sensor_id AS sid
-            WITH avg_temp AS avg(r.temp)
-            ORDER BY avg_temp DESC
-            LIMIT 10
-        "#;
-        let q = compile(text, QueryOptions::default()).unwrap();
-        let rows = run(&ds, &q);
-        // Compare against the un-pushdown builder (same Unnest shape).
-        let expected = run(&ds, &pq::sensors_q3(QueryOptions::unoptimized()));
-        assert_eq!(rows, expected);
-    }
-
-    #[test]
     fn where_order_limit_without_group() {
         let ds = load(&mut TwitterGen::new(5), 60);
         let text = r#"
@@ -968,6 +1007,99 @@ mod tests {
         let rows = run(&ds, &q);
         assert_eq!(rows.len(), 3);
         assert!(rows[0][0].get_field("user").is_some());
+    }
+
+    // The builders compile their Appendix A text too, so each of the next
+    // three compares the text under one option against the builder under
+    // the other: the rewrites must keep the answer.
+
+    #[test]
+    fn twitter_q2_text_matches_builder() {
+        let ds = load(&mut TwitterGen::new(2), 150);
+        let text = r#"
+            SELECT uname, a
+            FROM Tweets t
+            GROUP BY t.user.name AS uname
+            WITH a AS avg(length(t.text))
+            ORDER BY a DESC
+            LIMIT 10
+        "#;
+        let q = compile(text, QueryOptions::default()).unwrap();
+        let rows = run(&ds, &q);
+        let expected = run(&ds, &pq::twitter_q2(QueryOptions::unoptimized()));
+        assert_eq!(rows, expected);
+    }
+
+    #[test]
+    fn twitter_q3_text_matches_builder() {
+        let ds = load(&mut TwitterGen::new(3), 200);
+        let text = r#"
+            SELECT uname, count(*) AS c
+            FROM Tweets t
+            WHERE (SOME ht IN t.entities.hashtags SATISFIES lowercase(ht.text) = "jobs")
+            GROUP BY t.user.name AS uname
+            ORDER BY c DESC
+            LIMIT 10
+        "#;
+        let q = compile(text, QueryOptions::unoptimized()).unwrap();
+        let rows = run(&ds, &q);
+        let expected = run(&ds, &pq::twitter_q3(QueryOptions::default()));
+        assert_eq!(rows, expected);
+    }
+
+    #[test]
+    fn sensors_q3_text_with_unnest() {
+        let ds = load(&mut SensorsGen::new(4), 30);
+        let text = r#"
+            SELECT sid, avg_temp
+            FROM Sensors s, s.readings AS r
+            GROUP BY s.sensor_id AS sid
+            WITH avg_temp AS avg(r.temp)
+            ORDER BY avg_temp DESC
+            LIMIT 10
+        "#;
+        let q = compile(text, QueryOptions::default()).unwrap();
+        let rows = run(&ds, &q);
+        let expected = run(&ds, &pq::sensors_q3(QueryOptions::unoptimized()));
+        assert_eq!(rows, expected);
+    }
+
+    /// The pushdown rules fire where they keep the answer, and only there;
+    /// without pushdown, the paths a scan filter does not read are late.
+    #[test]
+    fn rewrite_rules_fire_where_they_keep_answers() {
+        let p = tc_adm::path::parse_path;
+        let scan = |text: &str, opts| compile(text, opts).unwrap().scan;
+        let pushed = |text: &str| scan(text, QueryOptions::default()).paths;
+        let from = "FROM Sensors s, s.readings r";
+        assert_eq!(
+            pushed(&format!("SELECT min(r.temp), avg(r.temp) {from}")),
+            [p("readings[*].temp")]
+        );
+        // A count counts the unnest's rows; any other use of `r` needs the
+        // reading objects.
+        for select in [
+            "SELECT VALUE count(*)",
+            "SELECT count(*), avg(r.temp)",
+            "SELECT count(r.temp)",
+            "SELECT min(r.temp), max(r.timestamp)",
+        ] {
+            assert_eq!(pushed(&format!("{select} {from}")), [p("readings")], "{select}");
+        }
+        assert_eq!(pushed(&format!("SELECT avg(r.temp) {from} WHERE r.ok = 1")), [p("readings")]);
+        let some = r#"SELECT VALUE count(*) FROM T t
+            WHERE NOT (SOME h IN t.tags SATISFIES lowercase(h.text) = "x")"#;
+        assert_eq!(pushed(some), [p("tags[*].text")]);
+        assert_eq!(scan(some, QueryOptions::unoptimized()).paths, [p("tags")]);
+        let window = format!("SELECT avg(r.temp) {from} WHERE s.report_time < 5 AND s.id > 1");
+        let delayed = scan(&window, QueryOptions::unoptimized());
+        assert_eq!(
+            (delayed.paths, delayed.late_paths),
+            (vec![p("report_time"), p("id")], vec![p("readings")])
+        );
+        let early = scan(&window, QueryOptions::default());
+        assert_eq!(early.paths, [p("readings[*].temp"), p("report_time"), p("id")]);
+        assert!(early.late_paths.is_empty() && early.filter.is_some());
     }
 
     #[test]
