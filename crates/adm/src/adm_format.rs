@@ -29,6 +29,7 @@ use crate::datatype::{ObjectType, TypeKind};
 use crate::error::AdmError;
 use crate::typetag::TypeTag;
 use crate::value::Value;
+use crate::MAX_NESTING;
 
 /// Declared-field offset sentinel: the optional field is absent.
 const OFFSET_MISSING: u32 = u32::MAX;
@@ -40,11 +41,13 @@ const OFFSET_NULL: u32 = u32::MAX - 1;
 // ---------------------------------------------------------------------------
 
 /// Encode a record. `dtype` is the dataset's declared object type; `None`
-/// encodes fully self-describing (every field in the open section).
+/// encodes fully self-describing (every field in the open section). A
+/// record that nests more than [`MAX_NESTING`] containers deep is a
+/// type-check error, found by the same walk.
 pub fn encode_record(value: &Value, dtype: Option<&ObjectType>) -> Result<Vec<u8>, AdmError> {
     let mut out = Vec::with_capacity(256);
     let ctx = dtype.map(|t| TypeKind::Object(t.clone()));
-    encode_value(value, ctx.as_ref(), &mut out)?;
+    encode_value(value, ctx.as_ref(), MAX_NESTING, &mut out)?;
     Ok(out)
 }
 
@@ -56,8 +59,20 @@ fn patch_u32(out: &mut [u8], pos: usize, v: u32) {
     out[pos..pos + 4].copy_from_slice(&v.to_le_bytes());
 }
 
-/// Encode one value with an optional declared-type context.
-fn encode_value(value: &Value, ctx: Option<&TypeKind>, out: &mut Vec<u8>) -> Result<(), AdmError> {
+/// Encode one value with an optional declared-type context, inside `room`
+/// more container levels at most.
+fn encode_value(
+    value: &Value,
+    ctx: Option<&TypeKind>,
+    room: usize,
+    out: &mut Vec<u8>,
+) -> Result<(), AdmError> {
+    let inner = match value {
+        Value::Array(_) | Value::Multiset(_) | Value::Object(_) => {
+            room.checked_sub(1).ok_or_else(AdmError::nests_too_deep)?
+        }
+        _ => room,
+    };
     out.push(value.type_tag() as u8);
     match value {
         Value::Missing | Value::Null => {}
@@ -111,7 +126,7 @@ fn encode_value(value: &Value, ctx: Option<&TypeKind>, out: &mut Vec<u8>) -> Res
             for (i, item) in items.iter().enumerate() {
                 let off = (out.len() - region_start) as u32;
                 patch_u32(out, offsets_pos + i * 4, off);
-                encode_value(item, item_ctx, out)?;
+                encode_value(item, item_ctx, inner, out)?;
             }
             let payload = (out.len() - len_pos - 4) as u32;
             patch_u32(out, len_pos, payload);
@@ -156,14 +171,14 @@ fn encode_value(value: &Value, ctx: Option<&TypeKind>, out: &mut Vec<u8>) -> Res
                         let off = (out.len() - region_start) as u32;
                         patch_u32(out, slot, off);
                         let field_ctx = &otype_ref.fields[i].kind;
-                        encode_value(v, Some(field_ctx), out)?;
+                        encode_value(v, Some(field_ctx), inner, out)?;
                     }
                 }
             }
             for (i, (_, v)) in open.iter().enumerate() {
                 let off = (out.len() - region_start) as u32;
                 patch_u32(out, open_offset_slots[i], off);
-                encode_value(v, None, out)?;
+                encode_value(v, None, inner, out)?;
             }
             let payload = (out.len() - len_pos - 4) as u32;
             patch_u32(out, len_pos, payload);
@@ -681,5 +696,34 @@ mod tests {
         let v = Value::Array(scalars);
         let buf = encode_record(&v, None).unwrap();
         assert_eq!(decode_record(&buf, None).unwrap(), v);
+    }
+
+    /// A record nested `MAX_NESTING` containers deep — through arrays,
+    /// multisets or objects — encodes and reads back; one level more is a
+    /// type-check error.
+    #[test]
+    fn encode_refuses_nesting_past_the_cap() {
+        let t = employee_type();
+        for kind in 0..3 {
+            let nested = |depth: usize| {
+                let mut v = Value::Int64(1);
+                for _ in 1..depth {
+                    v = match kind {
+                        0 => Value::Array(vec![v]),
+                        1 => Value::Multiset(vec![v]),
+                        _ => Value::object([("a", v)]),
+                    };
+                }
+                Value::object([("id", Value::Int64(1)), ("name", Value::string("n")), ("a", v)])
+            };
+            let at_cap = nested(MAX_NESTING);
+            assert_eq!(at_cap.max_depth(), MAX_NESTING);
+            for dtype in [None, Some(&t)] {
+                let buf = encode_record(&at_cap, dtype).unwrap();
+                assert_eq!(decode_record(&buf, dtype).unwrap(), at_cap, "kind {kind}");
+                let err = encode_record(&nested(MAX_NESTING + 1), dtype).unwrap_err();
+                assert!(matches!(err, AdmError::TypeCheck(_)), "kind {kind}: {err:?}");
+            }
+        }
     }
 }

@@ -33,6 +33,12 @@ impl AdmError {
         AdmError::TypeCheck(msg.into())
     }
 
+    /// A record refused on its way into storage for nesting more than
+    /// [`MAX_NESTING`](crate::MAX_NESTING) containers deep.
+    pub fn nests_too_deep() -> Self {
+        AdmError::type_check(format!("record nests deeper than {} levels", crate::MAX_NESTING))
+    }
+
     pub fn execution(msg: impl Into<String>) -> Self {
         AdmError::Execution(msg.into())
     }

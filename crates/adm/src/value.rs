@@ -177,21 +177,6 @@ impl Value {
         }
     }
 
-    /// Does the value nest more than `limit` containers deep (its
-    /// [`max_depth`](Self::max_depth) is past `limit`)? Recurses at most
-    /// `limit + 1` levels, so it answers safely for any value.
-    pub fn nests_deeper_than(&self, limit: usize) -> bool {
-        match self {
-            Value::Object(fields) => {
-                limit == 0 || fields.iter().any(|(_, v)| v.nests_deeper_than(limit - 1))
-            }
-            Value::Array(items) | Value::Multiset(items) => {
-                limit == 0 || items.iter().any(|v| v.nests_deeper_than(limit - 1))
-            }
-            _ => false,
-        }
-    }
-
     /// Maximum nesting depth, counting container levels only (Table 1's
     /// convention: a flat object has depth 1, `{"readings": [{…}]}` has
     /// depth 3; scalars add nothing; a bare scalar has depth 0).

@@ -920,6 +920,28 @@ impl<'c> GroupView<'c> {
             .map(|(_, values)| values))
     }
 
+    /// Row `row`'s items of a repeated `Double` column, decoded into `out`
+    /// (emptied first) for the group-by's primitive fold — the one decode of
+    /// a row's present `double`s, shared by the at-rest and the live scan:
+    /// `true` when they are all the row holds at the column's steps, `false`
+    /// (and `out` empty) when that takes a `Value` to say, as
+    /// [`GroupView::present_items`] has it.
+    pub fn present_doubles(
+        &mut self,
+        col: usize,
+        row: usize,
+        out: &mut Vec<f64>,
+    ) -> Result<bool, StorageError> {
+        out.clear();
+        if self.reader.columns[col].tag != TypeTag::Double {
+            return Err(corrupt("column type", self.g));
+        }
+        let Some(values) = self.present_items(col, row)? else { return Ok(false) };
+        // `split_items` checked that the values fill whole words.
+        out.extend(values.as_chunks::<8>().0.iter().map(|w| f64::from_le_bytes(*w)));
+        Ok(true)
+    }
+
     /// Row `row`'s residual record (what the columns did not take of it;
     /// empty for an anti-matter row), a slice of the block.
     pub fn residual_row(&mut self, row: usize) -> Result<&[u8], StorageError> {

@@ -103,7 +103,8 @@
 //! `bytes_read`). It answers by row: the value at a column's path (`value_at`,
 //! which turns to the residual where the group recorded a spill), an `Int64`
 //! or `Double` column's value for primitive loops, a repeated `Int64` or
-//! `Double` column's present items as packed bytes (`present_items`), a
+//! `Double` column's present items as packed bytes (`present_items`) or, for
+//! a `Double` one, decoded into a reused `f64` buffer (`present_doubles`), a
 //! collection zipped from its columns (`collection_at`), the row's residual record
 //! as a slice of the block and paths evaluated over it, the row's definition
 //! byte and value bytes as stored, and the row's whole record (`record`).

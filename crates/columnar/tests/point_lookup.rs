@@ -248,6 +248,12 @@ fn damaged_repeated_columns_are_typed_corruption() {
     let cache = BufferCache::new(64);
     let mut view = reader.view(&store, &cache, 0);
     assert_eq!(view.present_items(t, 0).unwrap(), Some(&1.5f64.to_le_bytes()[..]));
+    let mut doubles = vec![9.0];
+    assert!(view.present_doubles(t, 0, &mut doubles).unwrap());
+    assert_eq!(doubles, [1.5]);
+    // `r[*].u` holds bigints: no `double` buffer reads it.
+    assert!(view.present_doubles(u, 0, &mut doubles).unwrap_err().is_corruption());
+    assert!(doubles.is_empty());
     assert_eq!(
         tc_adm::to_string(&view.collection_at(r, 1).unwrap()),
         r#"[{"u": 1}, {"t": 1.5, "u": 2}]"#
@@ -279,6 +285,8 @@ fn damaged_repeated_columns_are_typed_corruption() {
         assert!(view.collection_at(r, 0).unwrap_err().is_corruption(), "{what}: collection");
         assert!(view.value_at(t, 0).unwrap_err().is_corruption(), "{what}: value");
         assert!(view.present_items(t, 0).unwrap_err().is_corruption(), "{what}: items");
+        let err = view.present_doubles(t, 0, &mut Vec::new()).unwrap_err();
+        assert!(err.is_corruption(), "{what}: doubles");
     }
     // `r[*].u` read from the block of `q[*]`: three items against two.
     let mut swapped = reader.groups().to_vec();

@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use tc_adm::path::PathStep;
-use tc_adm::{AdmError, Value, MAX_NESTING};
+use tc_adm::{AdmError, Value};
 use tc_columnar::{AmaxCodec, ChunkReader, ColumnarCounters};
 use tc_lsm::component::DiskComponent;
 use tc_lsm::entry::{decode_i64_key, encode_i64_key, Key};
@@ -242,23 +242,20 @@ impl Dataset {
     }
 
     fn encode_record(&self, record: &Value) -> Result<Vec<u8>, AdmError> {
-        // Every reader of a stored record recurses per nesting level, on
-        // whatever thread runs it: a deeper record is refused here.
-        if record.nests_deeper_than(MAX_NESTING) {
-            return Err(AdmError::type_check(format!(
-                "record nests deeper than {MAX_NESTING} levels"
-            )));
-        }
         // Open types admit anything beyond the declared fields; closed
         // types reject undeclared fields — both are enforced here (§2.1).
         self.config.datatype.check(record)?;
+        // Every reader of a stored record recurses per nesting level, on
+        // whatever thread runs it: both encoders refuse a record nested
+        // past `MAX_NESTING`.
+        let declared = Some(&self.config.datatype);
         match self.config.format {
             StorageFormat::Open | StorageFormat::Closed => {
-                tc_adm::adm_format::encode_record(record, Some(&self.config.datatype))
+                tc_adm::adm_format::encode_record(record, declared)
             }
             StorageFormat::Inferred
             | StorageFormat::VectorUncompacted
-            | StorageFormat::Columnar => Ok(tc_vector::encode(record, Some(&self.config.datatype))),
+            | StorageFormat::Columnar => tc_vector::try_encode(record, declared),
         }
     }
 
@@ -799,7 +796,7 @@ const _: () = {
 mod tests {
     use super::*;
     use tc_adm::datatype::{FieldDef, ObjectType};
-    use tc_adm::{parse, TypeKind, TypeTag};
+    use tc_adm::{parse, TypeKind, TypeTag, MAX_NESTING};
     use tc_storage::device::DeviceProfile;
 
     fn make(config: DatasetConfig) -> Dataset {

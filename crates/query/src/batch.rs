@@ -14,7 +14,8 @@
 //!    drive per payload, or, for a row reference, one read of each named
 //!    typed column / residual path through the view of a row group the
 //!    at-rest columnar scan uses ([`tc_columnar::GroupView`]; the blocks it
-//!    has read are kept per (source, group) for the batch).
+//!    has read are kept per (source, group) for the batch), appended to the
+//!    buffers with no row built.
 //! 2. **Filter** — the predicate is split at top-level `AND`s and each
 //!    conjunct refines a selection vector. Conjuncts of the shape
 //!    `col <op> const` over homogeneous `Int64`/`Double` columns run as
@@ -29,16 +30,22 @@
 //!    into the partition's query pipeline as it is built. A column other
 //!    than a filter's takes typed buffers: a record whose one-wildcard path
 //!    (`readings[*].temp`) matches only doubles holds a range of a flat
-//!    `f64` buffer, not a `Value` per item. When the pipeline's one stage
-//!    unnests that column into a group-by keyed without the item, the row
-//!    goes in with its typed slice and the sink folds the slice by a
-//!    primitive loop; otherwise the `Value` array is built into the row as
-//!    it is assembled. The row engine reads every column as `Value`s.
+//!    `f64` buffer, not a `Value` per item, and so does a row reference
+//!    whose repeated `double` column holds only present items. When the
+//!    pipeline's one stage unnests that column into a group-by keyed
+//!    without the item, the row goes in with its typed slice and the sink
+//!    folds the slice by a primitive loop
+//!    ([`ExecStats::typed_fold_rows`] counts those rows); otherwise the
+//!    `Value` array is built into the row as it is assembled. The row
+//!    engine reads every column as `Value`s.
 //!
 //! Row references are answered per component: each path is classified
 //! against the component's column list exactly as the at-rest scan does. A
-//! repeated column's items are boxed into a `Value` array, and a path into
-//! its collection read off the collection zipped from its columns. A
+//! repeated `double` column's row goes into the typed buffer through the
+//! decode the at-rest fold uses ([`GroupView::present_doubles`]); a row
+//! whose items take a `Value` to say (a null item, a spill, no collection),
+//! or whose item type has no typed buffer, is an array of `Value`s. A path
+//! into the collection is read off the collection zipped from its columns. A
 //! whole-record path, or one crossing a typed column's prefix, is read off
 //! the row's record, assembled into a `Value` through the same view
 //! ([`GroupView::record`]); no row of a `tc_columnar` chunk is materialized
@@ -135,7 +142,7 @@ pub(crate) fn scan_batched(
         if batch.is_empty() {
             break;
         }
-        let consumed = scanner.process_batch(iter, &batch, pipeline, &mut stats.bytes_scanned)?;
+        let consumed = scanner.process_batch(iter, &batch, pipeline, stats)?;
         stats.rows_scanned += consumed as u64;
         if consumed < want {
             break;
@@ -180,26 +187,47 @@ struct ColumnReads<'c> {
     iter: &'c MergedScan,
     groups: FxHashMap<(usize, u32), GroupView<'c>>,
     faults: Vec<Fault>,
+    /// One row's `double` items, on their way to a typed buffer.
+    items: Vec<f64>,
 }
 
 impl ColumnReads<'_> {
-    /// One row reference's values for `plan`'s paths. `None` drops the row:
-    /// its source has faulted (now or earlier in the batch).
-    fn row_values(&mut self, plan: &PathPlan, rank: usize, group: u32, row: u32) -> Option<Row> {
+    /// Append one row reference's values for `plan`'s paths to `cols`, one
+    /// per path ([`PathPlan::fill`]). `false` drops the row, and leaves
+    /// `cols` as they were: its source has faulted (now or earlier in the
+    /// batch).
+    fn fill(
+        &mut self,
+        plan: &PathPlan,
+        rank: usize,
+        group: u32,
+        row: u32,
+        cols: &mut [Column],
+    ) -> bool {
         if plan.is_empty() {
-            return Some(Vec::new());
+            return true;
         }
         if self.faults.iter().any(|(faulted, _)| *faulted == rank) {
-            return None;
+            return false;
         }
         let view = match self.groups.entry((rank, group)) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(v) => {
-                let (reader, store) = ChunkReader::of_component(self.iter.source_component(rank)?)?;
+                let Some((reader, store)) =
+                    self.iter.source_component(rank).and_then(|c| ChunkReader::of_component(c))
+                else {
+                    return false;
+                };
                 v.insert(reader.view(store, self.iter.cache(), group as usize))
             }
         };
-        plan.row_values(view, row).map_err(|e| self.faults.push((rank, e))).ok()
+        let before = cols[0].values().len();
+        let Err(e) = plan.fill(view, row, cols, &mut self.items) else { return true };
+        for col in cols.iter_mut().filter(|c| c.values().len() > before) {
+            col.pop();
+        }
+        self.faults.push((rank, e));
+        false
     }
 }
 
@@ -308,9 +336,14 @@ impl<'a> BatchScanner<'a> {
         iter: &mut MergedScan,
         batch: &[BatchRow],
         pipeline: &mut Pipeline<'_>,
-        bytes: &mut u64,
+        stats: &mut ExecStats,
     ) -> Result<usize, AdmError> {
-        let mut reads = ColumnReads { iter, groups: FxHashMap::default(), faults: Vec::new() };
+        let mut reads = ColumnReads {
+            iter,
+            groups: FxHashMap::default(),
+            faults: Vec::new(),
+            items: Vec::new(),
+        };
         self.eager.clear();
         self.lazy.clear();
         self.sel.clear();
@@ -318,13 +351,10 @@ impl<'a> BatchScanner<'a> {
             match row {
                 BatchRow::Bytes(payload) => self.eager.append(payload)?,
                 BatchRow::Ref { plan, rank, group, row } => {
-                    match reads.row_values(&plan.eager, *rank, *group, *row) {
-                        Some(values) => self.eager.push_row(values),
-                        None => {
-                            // Keeps the columns row-aligned; never selected.
-                            self.eager.push_row(vec![Value::Missing; self.eager.cols.len()]);
-                            continue;
-                        }
+                    if !reads.fill(&plan.eager, *rank, *group, *row, &mut self.eager.cols) {
+                        // Keeps the columns row-aligned; never selected.
+                        self.eager.cols.iter_mut().for_each(|c| c.push(Value::Missing));
+                        continue;
                     }
                 }
             }
@@ -339,9 +369,8 @@ impl<'a> BatchScanner<'a> {
             match &batch[r as usize] {
                 BatchRow::Bytes(payload) => self.lazy.append(payload)?,
                 BatchRow::Ref { plan, rank, group, row } => {
-                    match reads.row_values(&plan.lazy, *rank, *group, *row) {
-                        Some(values) => self.lazy.push_row(values),
-                        None => continue,
+                    if !reads.fill(&plan.lazy, *rank, *group, *row, &mut self.lazy.cols) {
+                        continue;
                     }
                 }
             }
@@ -349,7 +378,7 @@ impl<'a> BatchScanner<'a> {
             kept += 1;
         }
         self.sel.truncate(kept);
-        *bytes += reads.groups.values().map(GroupView::bytes_read).sum::<u64>();
+        stats.bytes_scanned += reads.groups.values().map(GroupView::bytes_read).sum::<u64>();
         for (rank, e) in reads.faults {
             self.sources[rank] = SourcePlan::Materialize;
             iter.report_fault(rank, e);
@@ -379,7 +408,10 @@ impl<'a> BatchScanner<'a> {
                 Some(i) => {
                     let (col, at) = column_at(eager, lazy, self.slots[i], r, pos);
                     match col.doubles(at) {
-                        Some(xs) => pipeline.push_doubles(&mut row, xs),
+                        Some(xs) => {
+                            stats.typed_fold_rows += 1;
+                            pipeline.push_doubles(&mut row, xs);
+                        }
                         None => {
                             row[i] = col.take(at);
                             pipeline.push(&mut row);
@@ -504,14 +536,6 @@ impl ColumnSet {
         self.clear();
         self.append(bytes)?;
         Ok(self.cols.iter_mut().filter_map(Column::pop).collect())
-    }
-
-    /// Append one record's values, already evaluated, one per path.
-    fn push_row(&mut self, values: Row) {
-        debug_assert_eq!(values.len(), self.cols.len());
-        for (col, v) in self.cols.iter_mut().zip(values) {
-            col.push(v);
-        }
     }
 }
 

@@ -22,7 +22,7 @@
 //! the query unnests such a `double` column into a group-by keyed without
 //! the item (`AVG(readings[*].temp)` per sensor), each row's present items go
 //! from the column's bytes into a flat `f64` buffer the group-by folds, with
-//! no `Value` per item ([`GroupView::present_items`]).
+//! no `Value` per item ([`GroupView::present_doubles`]).
 //!
 //! Every path shape has its source (`PathPlan`); what the fast path does not
 //! cover is a state — a partition not at rest, or a chunk of another codec.
@@ -38,8 +38,11 @@
 //! scan reconciles the partition's components on their key blocks and fills
 //! its column buffers from the same column and residual blocks, through the
 //! same lazily faulted view of a row group ([`tc_columnar::GroupView`]) and
-//! the path classification (`PathPlan`) defined here — values boxed, generic
-//! filter loops. Group skipping is one rule on both paths: a group's stats
+//! the path classification (`PathPlan`) defined here, appending each row's
+//! values to the batch's column buffers (`PathPlan::fill`): a repeated
+//! `double` column's row into the typed buffer as the fold here decodes it,
+//! any other value as a `Value`; its filters run generic loops. Group
+//! skipping is one rule on both paths: a group's stats
 //! are its zone ([`tc_lsm::ColumnarChunk::group_zone`]), judged by
 //! [`crate::zone::ZonePredicate`] — here for the lone component, and by the
 //! live scan's skip rule ([`tc_lsm::iter`]) for a partition of many. What
@@ -59,7 +62,7 @@ use tc_columnar::{ChunkReader, GroupView};
 use tc_lsm::ColumnarChunk;
 use tc_storage::page_store::PageStore;
 use tc_storage::{BufferCache, StorageError};
-use tc_vector::BatchPathEvaluator;
+use tc_vector::{BatchPathEvaluator, Column};
 use tuple_compactor::Dataset;
 
 use crate::batch::{cmp_prim, split_conjuncts, typed_cmp_on};
@@ -75,8 +78,8 @@ enum Slot {
     /// A typed column (index into the chunk's column list).
     Typed(usize),
     /// A repeated column read at its steps (`readings[*].temp`): the row's
-    /// items' values.
-    Items(usize),
+    /// items' values. `doubles`: are they `double`s, for a typed buffer?
+    Items { col: usize, doubles: bool },
     /// Evaluated against a collection zipped from its repeated columns
     /// ([`GroupView::collection_at`]; index into the collection path list):
     /// any other path into it, `readings` or `readings[0].temp`.
@@ -209,7 +212,7 @@ fn scan_groups(
     // (`readings[*].temp` unnested into a group-by): the scan column and
     // the repeated column; `items` holds one row's.
     let folds = pipeline.folds_typed(plan.slots.len()).and_then(|i| match plan.slots[i] {
-        Slot::Items(c) if reader.columns()[c].tag == TypeTag::Double => Some((i, c)),
+        Slot::Items { col, doubles: true } => Some((i, col)),
         _ => None,
     });
     let mut items: Vec<f64> = Vec::new();
@@ -290,20 +293,12 @@ fn scan_groups(
             match folds {
                 Some((i, c)) => {
                     let mut row = plan.row_values_but(&mut view, r, Some(i))?;
-                    match view.present_items(c, r as usize)? {
-                        Some(words) => {
-                            items.clear();
-                            items.extend(
-                                words
-                                    .chunks_exact(8)
-                                    .map(|w| f64::from_le_bytes(w.try_into().unwrap_or_default())),
-                            );
-                            pipeline.push_doubles(&mut row, &items);
-                        }
-                        None => {
-                            row[i] = view.value_at(c, r as usize)?;
-                            pipeline.push(&mut row);
-                        }
+                    if view.present_doubles(c, r as usize, &mut items)? {
+                        stats.typed_fold_rows += 1;
+                        pipeline.push_doubles(&mut row, &items);
+                    } else {
+                        row[i] = view.value_at(c, r as usize)?;
+                        pipeline.push(&mut row);
                     }
                 }
                 None => pipeline.push(&mut plan.row_values(&mut view, r)?),
@@ -355,6 +350,9 @@ pub(crate) struct PathPlan {
     collection_paths: Vec<(usize, Path)>,
     /// Does a row's value at some path need its record assembled?
     assembles: bool,
+    /// The path that takes the assembled record instead of a copy: the last
+    /// path reading it, if that path is the whole record.
+    takes_record: Option<usize>,
 }
 
 impl PathPlan {
@@ -386,18 +384,29 @@ impl PathPlan {
             });
         }
         let residual = RefCell::new(BatchPathEvaluator::new(&residual_paths));
-        let assembles = slots.iter().any(|s| matches!(s, Slot::Record | Slot::InRecord(_)));
-        PathPlan { slots, residual_paths, residual, record_paths, collection_paths, assembles }
+        let reads_record = |s: &Slot| matches!(s, Slot::Record | Slot::InRecord(_));
+        let last_read = slots.iter().rposition(reads_record);
+        let takes_record = last_read.filter(|&i| matches!(slots[i], Slot::Record));
+        PathPlan {
+            residual,
+            residual_paths,
+            record_paths,
+            collection_paths,
+            assembles: last_read.is_some(),
+            takes_record,
+            slots,
+        }
     }
 
     pub(crate) fn is_empty(&self) -> bool {
         self.slots.is_empty()
     }
 
-    /// Row `r`'s value at every planned path, in path order. A plain loop
-    /// on purpose: the at-rest `count(*)` calls this once per row with no
-    /// paths, and an iterator `collect::<Result<_, _>>()` here cost it 40 %.
-    /// The assembled record moves into the last whole-record column.
+    /// Row `r`'s value at every planned path, in path order. The at-rest
+    /// `count(*)` calls this once per row with no paths, so a plan without
+    /// paths returns before it reads a row's inputs (reading them cost it
+    /// 60 %), and the loop is a plain one (an iterator
+    /// `collect::<Result<_, _>>()` here cost it 40 %).
     pub(crate) fn row_values(&self, view: &mut GroupView<'_>, r: u32) -> Result<Row, StorageError> {
         self.row_values_but(view, r, None)
     }
@@ -410,37 +419,89 @@ impl PathPlan {
         r: u32,
         skip: Option<usize>,
     ) -> Result<Row, StorageError> {
-        let mut residual = if self.residual_paths.is_empty() {
+        if self.slots.is_empty() {
+            return Ok(Vec::new());
+        }
+        let (mut residual, mut record) = self.inputs(view, r)?;
+        let mut row: Row = Vec::with_capacity(self.slots.len());
+        for i in 0..self.slots.len() {
+            row.push(if skip == Some(i) {
+                Value::Null
+            } else {
+                self.value(view, r, i, &mut residual, &mut record)?
+            });
+        }
+        Ok(row)
+    }
+
+    /// Append row `r`'s value at every planned path to `cols`, one per path,
+    /// with no row built: a row of a repeated `double` column whose items are
+    /// all present `double`s goes into its column's typed buffer, decoded
+    /// through `items` — the range a stored record's matches would fill. On
+    /// a fault, `cols` may hold the row's leading values; the caller rolls
+    /// them back.
+    pub(crate) fn fill(
+        &self,
+        view: &mut GroupView<'_>,
+        r: u32,
+        cols: &mut [Column],
+        items: &mut Vec<f64>,
+    ) -> Result<(), StorageError> {
+        debug_assert_eq!(cols.len(), self.slots.len());
+        let (mut residual, mut record) = self.inputs(view, r)?;
+        for (i, col) in cols.iter_mut().enumerate() {
+            match self.slots[i] {
+                Slot::Items { col: c, doubles: true }
+                    if view.present_doubles(c, r as usize, items)? =>
+                {
+                    col.push_f64s(items)
+                }
+                _ => col.push(self.value(view, r, i, &mut residual, &mut record)?),
+            }
+        }
+        Ok(())
+    }
+
+    /// What row `r`'s paths read besides the view's columns: its residual
+    /// paths' values and its assembled record (`missing` when no path needs
+    /// them). Inlined, as [`PathPlan::value`] is: called per row and per
+    /// path, the calls cost the at-rest `q_agg` 3 %.
+    #[inline(always)]
+    fn inputs(&self, view: &mut GroupView<'_>, r: u32) -> Result<(Row, Value), StorageError> {
+        let residual = if self.residual_paths.is_empty() {
             Vec::new()
         } else {
             view.residual_values(r as usize, &mut self.residual.borrow_mut())?
         };
         let record = if self.assembles { view.record(r as usize)? } else { Value::Missing };
-        let mut row: Row = Vec::with_capacity(self.slots.len());
-        let mut whole = None;
-        for (i, slot) in self.slots.iter().enumerate() {
-            let v = match *slot {
-                _ if skip == Some(i) => Value::Null,
-                Slot::Typed(c) | Slot::Items(c) => view.value_at(c, r as usize)?,
-                Slot::Residual(j) => std::mem::replace(&mut residual[j], Value::Missing),
-                Slot::InRecord(j) => eval_path(&record, &self.record_paths[j]),
-                Slot::InCollection(j) => {
-                    let (k, rest) = &self.collection_paths[j];
-                    eval_path(&view.collection_at(*k, r as usize)?, rest)
-                }
-                Slot::Record => {
-                    if let Some(prev) = whole.replace(i) {
-                        row[prev] = record.clone();
-                    }
-                    Value::Missing // the record itself, below
-                }
-            };
-            row.push(v);
-        }
-        if let Some(i) = whole {
-            row[i] = record;
-        }
-        Ok(row)
+        Ok((residual, record))
+    }
+
+    /// Row `r`'s value at path `i`, off the view and [`PathPlan::inputs`]:
+    /// a residual value moves out, and so does the record into the path that
+    /// takes it.
+    #[inline(always)]
+    fn value(
+        &self,
+        view: &mut GroupView<'_>,
+        r: u32,
+        i: usize,
+        residual: &mut [Value],
+        record: &mut Value,
+    ) -> Result<Value, StorageError> {
+        Ok(match self.slots[i] {
+            Slot::Typed(c) | Slot::Items { col: c, .. } => view.value_at(c, r as usize)?,
+            Slot::Residual(j) => std::mem::replace(&mut residual[j], Value::Missing),
+            Slot::InRecord(j) => eval_path(record, &self.record_paths[j]),
+            Slot::InCollection(j) => {
+                let (k, rest) = &self.collection_paths[j];
+                eval_path(&view.collection_at(*k, r as usize)?, rest)
+            }
+            Slot::Record if self.takes_record == Some(i) => {
+                std::mem::replace(record, Value::Missing)
+            }
+            Slot::Record => record.clone(),
+        })
     }
 }
 
@@ -453,8 +514,8 @@ fn classify(reader: &ChunkReader, path: &Path) -> Slot {
     if path.is_empty() {
         return Slot::Record;
     }
-    if let Some(c) = reader.find_repeated(path) {
-        return Slot::Items(c);
+    if let Some(col) = reader.find_repeated(path) {
+        return Slot::Items { col, doubles: reader.columns()[col].tag == TypeTag::Double };
     }
     if reader.find_collection(path).is_some() {
         return Slot::InCollection(0);

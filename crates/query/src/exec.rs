@@ -129,6 +129,12 @@ pub struct ExecStats {
     /// Row blocks and amax row groups the scan filter's zone maps let the
     /// scan leave unread, summed over partitions (see [`crate::zone`]).
     pub units_skipped: u64,
+    /// Rows whose collection reached the group-by as a typed `f64` slice —
+    /// folded by a primitive loop, no `Value` built per item — summed over
+    /// partitions: a stored record's matches (`getValues`) or an amax row's
+    /// repeated `double` column, at rest or live. The row engine folds
+    /// `Value`s only.
+    pub typed_fold_rows: u64,
 }
 
 /// Rows + stats.
@@ -201,6 +207,7 @@ fn coordinate(
         stats.bytes_scanned += part.bytes_scanned;
         stats.quarantined_components += part.quarantined_components;
         stats.units_skipped += part.units_skipped;
+        stats.typed_fold_rows += part.typed_fold_rows;
         match out {
             LocalOutput::Rows(rows) => exchange.push_all(rows),
             LocalOutput::Grouped(partials) => exchange.merge(partials)?,

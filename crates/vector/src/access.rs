@@ -626,11 +626,14 @@ enum Span {
     F64 { start: usize, end: usize },
 }
 
-/// One path's values for a run of records, as
-/// [`BatchPathEvaluator::eval_columns`] appends them: a `Value` per record
-/// or, in a column that takes typed buffers, a range of a flat `f64` buffer
-/// for a record whose one-wildcard matches are all `double`s. Each record's
-/// values choose; nothing else does.
+/// One path's values for a run of records: a `Value` per record or, in a
+/// column that takes typed buffers, a range of a flat `f64` buffer for a
+/// record whose one-wildcard matches are all `double`s. Each record's values
+/// choose; nothing else does. Two fillers make typed ranges, through
+/// [`Column::push_f64s`]: [`BatchPathEvaluator::eval_columns`] for a stored
+/// record's matches, and a columnar scan for a row of a repeated `double`
+/// column (`tc_query`'s batch fill, from `tc_columnar`'s
+/// `GroupView::present_doubles`).
 #[derive(Debug, Clone, Default)]
 pub struct Column {
     /// Does the column take typed buffers?
@@ -662,8 +665,12 @@ impl Column {
         }
     }
 
-    /// Append a record's matches, every one a `double`.
-    fn push_f64s(&mut self, xs: &[f64]) {
+    /// Append a record's matches, every one a `double`: a range of the typed
+    /// buffer or, in a column that takes none, their array.
+    pub fn push_f64s(&mut self, xs: &[f64]) {
+        if !self.typed {
+            return self.push(doubles(xs));
+        }
         let start = self.f64s.len();
         self.f64s.extend_from_slice(xs);
         self.values.push(Value::Missing);
@@ -966,6 +973,17 @@ pub(crate) mod tests {
         let v = parse(cases[0].0).unwrap();
         eval.eval_columns(&encode(&v, None), None, None, &mut typed).unwrap();
         assert_eq!(typed[0].pop(), Some(eval_path(&v, &paths[0])));
+        // A filler's `double`s: a typed range, or an array in a plain column.
+        for typed in [true, false] {
+            let mut col = Column::new(typed);
+            col.push(Value::Int64(1));
+            col.push_f64s(&[1.5, 2.5]);
+            col.push_f64s(&[]);
+            assert_eq!(col.doubles(1), typed.then_some(&[1.5, 2.5][..]));
+            assert_eq!(col.take(1), doubles(&[1.5, 2.5]));
+            assert_eq!(col.pop(), Some(Value::Array(vec![])));
+            assert_eq!(col.values().len(), 2);
+        }
     }
 
     /// An out-of-range name id, and a string that is not UTF-8 inside a

@@ -11,7 +11,7 @@
 
 use std::cell::RefCell;
 
-use tc_adm::{ObjectType, TypeTag, Value};
+use tc_adm::{AdmError, ObjectType, TypeTag, Value, MAX_NESTING};
 use tc_util::bits::BitWriter;
 use tc_util::bytes_for_bits;
 
@@ -184,20 +184,52 @@ thread_local! {
 
 /// Encode a record. `declared` is the dataset's declared type: declared
 /// *root* fields are stored by index (their names/types live in the
-/// catalog); everything else is self-described inline.
+/// catalog); everything else is self-described inline. Any depth is
+/// written; [`try_encode`] is the walk that refuses one past the cap.
 pub fn encode(value: &Value, declared: Option<&ObjectType>) -> Vec<u8> {
+    // No `Value` nests `usize::MAX` containers deep: this cannot fail.
+    encode_within(value, declared, usize::MAX).unwrap_or_default()
+}
+
+/// [`encode`] a record on its way into storage: one that nests more than
+/// [`MAX_NESTING`] containers deep is a type-check error, found by the same
+/// walk that encodes it, since every reader of a stored record recurses
+/// per level.
+pub fn try_encode(value: &Value, declared: Option<&ObjectType>) -> Result<Vec<u8>, AdmError> {
+    encode_within(value, declared, MAX_NESTING)
+}
+
+/// [`encode`], with room for `room` container levels.
+fn encode_within(
+    value: &Value,
+    declared: Option<&ObjectType>,
+    room: usize,
+) -> Result<Vec<u8>, AdmError> {
     SECTIONS.with_borrow_mut(|s| {
-        write_value(value, declared, true, s);
+        let written = write_value(value, declared, true, room, s);
         let mut out = Vec::new();
         s.finish_into(false, &mut out);
         if s.capacity_bytes() > RETAINED_SECTION_BYTES {
             *s = Sections::default();
         }
-        out
+        written.map(|()| out)
     })
 }
 
-fn write_value(value: &Value, declared: Option<&ObjectType>, is_root: bool, s: &mut Sections) {
+/// Append `value` to `s`, inside `room` more container levels at most.
+fn write_value(
+    value: &Value,
+    declared: Option<&ObjectType>,
+    is_root: bool,
+    room: usize,
+    s: &mut Sections,
+) -> Result<(), AdmError> {
+    let inner = match value {
+        Value::Array(_) | Value::Multiset(_) | Value::Object(_) => {
+            room.checked_sub(1).ok_or_else(AdmError::nests_too_deep)?
+        }
+        _ => room,
+    };
     s.tags.push(value.type_tag() as u8);
     match value {
         Value::Missing | Value::Null => {}
@@ -237,7 +269,7 @@ fn write_value(value: &Value, declared: Option<&ObjectType>, is_root: bool, s: &
         }
         Value::Array(items) | Value::Multiset(items) => {
             for item in items {
-                write_value(item, None, false, s);
+                write_value(item, None, false, inner, s)?;
             }
             s.tags.push(TypeTag::CloseNested as u8);
         }
@@ -249,11 +281,12 @@ fn write_value(value: &Value, declared: Option<&ObjectType>, is_root: bool, s: &
                 let decl_idx =
                     if is_root { declared.and_then(|t| t.field_index(name)) } else { None };
                 s.name(decl_idx.map_or(FieldName::Inferred(name), FieldName::Declared));
-                write_value(v, None, false, s);
+                write_value(v, None, false, inner, s)?;
             }
             s.tags.push(TypeTag::CloseNested as u8);
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -347,6 +380,45 @@ mod tests {
             let h = Header::read(&buf).unwrap();
             assert_eq!(h.fieldname_bits, if len < 16_384 { 15 } else { 32 }, "len {len}");
             assert_eq!(crate::reader::decode(&buf, Some(&t), None).unwrap(), v, "len {len}");
+        }
+    }
+
+    /// `try_encode` writes exactly what `encode` does for a record at most
+    /// `MAX_NESTING` containers deep, and refuses a deeper one — sunk under
+    /// the root through arrays, multisets and objects — as a type-check
+    /// error; what the refused walk left in the section buffers does not
+    /// reach the next record. `TC_FAULT_SEED` reseeds the records so CI can
+    /// loop it.
+    #[test]
+    fn try_encode_refuses_past_the_cap() {
+        use proptest::strategy::Strategy;
+        use rand::{Rng, SeedableRng};
+
+        let seed =
+            std::env::var("TC_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0x7E0);
+        eprintln!("try_encode_refuses_past_the_cap: TC_FAULT_SEED={seed}");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let records = crate::access::tests::arb_record();
+        for _ in 0..64 {
+            let depth = MAX_NESTING - 2 + rng.gen_range(0usize..4);
+            let mut deep = records.new_value(&mut rng);
+            while deep.max_depth() < depth {
+                deep = match rng.gen_range(0..3) {
+                    0 => Value::Array(vec![Value::Null, deep]),
+                    1 => Value::Multiset(vec![deep]),
+                    _ => Value::object([("a", deep), ("b", Value::Int64(1))]),
+                };
+            }
+            let record = Value::object([("id", Value::Int64(1)), ("deep", deep)]);
+            let got = try_encode(&record, None);
+            if record.max_depth() <= MAX_NESTING {
+                assert_eq!(got.unwrap(), encode(&record, None), "TC_FAULT_SEED={seed}");
+            } else {
+                let err = got.unwrap_err();
+                assert!(matches!(err, AdmError::TypeCheck(_)), "{err:?} (TC_FAULT_SEED={seed})");
+            }
+            let next = records.new_value(&mut rng);
+            assert_eq!(try_encode(&next, None).unwrap(), encode(&next, None));
         }
     }
 

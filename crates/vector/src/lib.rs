@@ -33,6 +33,6 @@ pub mod reader;
 
 pub use access::{doubles, get_values, BatchPathEvaluator, Column};
 pub use compact::{infer_and_compact, infer_and_compact_into, remove_anti_schema};
-pub use encode::{encode, Sections};
+pub use encode::{encode, try_encode, Sections};
 pub use header::Header;
 pub use reader::{decode, scalar_value, FieldName, RawItem, VectorReader};

@@ -12,7 +12,8 @@
 //! unnest folds each collection at once, from a typed buffer or from
 //! `Value`s; both folds are held to the plan that pushes a row per item.
 //! The last property holds the planner's rewrites to the same standard: each
-//! Twitter and Sensors Appendix A text, compiled with and without them.
+//! Twitter and Sensors Appendix A text, compiled with and without them, on
+//! every layout, amax live included.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -37,6 +38,12 @@ struct Rec {
 }
 
 impl Rec {
+    /// The record with every `h[*].t` that is no double left out.
+    fn double_only(&self) -> Rec {
+        let double = |t: &Option<Value>| t.clone().filter(|t| matches!(t, Value::Double(_)));
+        Rec { h: self.h.iter().map(double).collect(), ..self.clone() }
+    }
+
     fn to_value(&self, id: i64) -> Value {
         let mut fields = vec![("id".to_string(), Value::Int64(id))];
         if let Some(a) = &self.a {
@@ -308,24 +315,34 @@ fn load(recs: &[Rec], partitions: usize, format: StorageFormat) -> Vec<Dataset> 
     out
 }
 
-/// Columnar partitions as they are during ingest. Every partition ends with
-/// at least three unmerged components (two flushes of inserts, one of
-/// upserts and deletes), stale versions and deleted rows under newer
-/// components' keys, and upserts plus anti-matter still in the memtable.
+/// [`load_live`] of `recs`.
 fn load_live(recs: &[Rec], partitions: usize) -> Vec<Dataset> {
+    load_live_with(recs.len(), partitions, |k, id| recs[k].to_value(id))
+}
+
+/// Columnar partitions as they are during ingest, of `n` records:
+/// `record(k, id)` is the `k`-th record's content under id `id`. Every
+/// partition ends with at least three unmerged components (two flushes of
+/// inserts, one of upserts and deletes), stale versions and deleted rows
+/// under newer components' keys, and upserts plus anti-matter still in the
+/// memtable. [`live_versions`] says which content each surviving id holds.
+fn load_live_with(
+    n: usize,
+    partitions: usize,
+    record: impl Fn(usize, i64) -> Value,
+) -> Vec<Dataset> {
     let out = datasets(partitions, StorageFormat::Columnar, 256 * 1024);
-    let n = recs.len();
     let flush_all = || out.iter().for_each(|ds| ds.flush().unwrap());
     let insert = |ids: std::ops::Range<usize>| {
         for i in ids {
-            out[i % partitions].writer().insert(&recs[i].to_value(i as i64)).unwrap();
+            out[i % partitions].writer().insert(&record(i, i as i64)).unwrap();
         }
     };
     // Version `round` of record `i` is another record's content under id
     // `i`; ids the first round of deletes took stay deleted.
     let rewrite = |modulus: usize, round: usize| {
         for i in (0..n).filter(|i| i % modulus == 0 && i % 5 != 4) {
-            let newer = recs[(i + round) % n].to_value(i as i64);
+            let newer = record((i + round) % n, i as i64);
             out[i % partitions].writer().upsert(&newer).unwrap();
         }
     };
@@ -351,6 +368,21 @@ fn load_live(recs: &[Rec], partitions: usize) -> Vec<Dataset> {
         assert!(components.iter().all(|c| c.is_columnar()));
     }
     out
+}
+
+/// The ids [`load_live_with`] leaves live among `n`, each with the index of
+/// the record whose content it holds last.
+fn live_versions(n: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..n).filter(|i| i % 5 != 4 && i % 7 != 6).map(move |i| {
+        let round = if i % 4 == 0 {
+            2
+        } else if i % 3 == 0 {
+            1
+        } else {
+            0
+        };
+        (i, (i + round) % n)
+    })
 }
 
 /// Every engine × execution mode returns the reference rows and scan count.
@@ -384,6 +416,16 @@ fn assert_all_agree(ds: &[Dataset], shape: &Shape, batch_size: usize) {
             );
         }
     }
+}
+
+/// The rows whose `h[*].t` reached the group-by of Sensors Q3's shape as a
+/// typed slice, on the batched engine.
+fn typed_fold_rows(ds: &[Dataset], batch_size: usize) -> u64 {
+    let refs: Vec<&Dataset> = ds.iter().collect();
+    let q = build_query(&Shape::UnnestAgg { keyless: false });
+    let opts =
+        ExecOptions { engine: Engine::Batched, parallel: false, batch_size, ..Default::default() };
+    execute(&refs, &q, &opts).unwrap().stats.typed_fold_rows
 }
 
 /// Both unnest-aggregate shapes on `ds`: every engine agrees (see
@@ -453,8 +495,7 @@ proptest! {
     ) {
         let ds = load_live(&recs, partitions);
         // The scans below see every live row exactly once.
-        let n = recs.len();
-        let live = (0..n).filter(|i| i % 5 != 4 && i % 7 != 6).count() as u64;
+        let live = live_versions(recs.len()).count() as u64;
         let count = execute(
             &ds.iter().collect::<Vec<_>>(),
             &Query { scan: ScanSpec::all_early(vec![], AccessStrategy::Consolidated), ops: vec![] },
@@ -467,22 +508,41 @@ proptest! {
 
     /// The group-by under an unnest folds typed buffers and `Value`s alike,
     /// on each of the four loaders: one batch holds records whose `h[*].t`
-    /// fills a typed buffer and records that demote to `Value`s.
+    /// fills a typed buffer and records that demote to `Value`s. With every
+    /// `t` a double or absent, each component shreds `h[*].t` into a
+    /// repeated `double` column, and every row holding a `t` reaches the
+    /// group-by as a typed slice — from a vector record's matches or from
+    /// column pages, at rest or live — so a fill that boxes the items
+    /// instead fails here. (An open record's paths read `Value`s only.)
     #[test]
     fn typed_and_value_folds_agree(
         recs in proptest::collection::vec(arb_rec(), 30..90),
         partitions in 1usize..3,
         batch_size in 1usize..64,
     ) {
-        for format in [StorageFormat::Open, StorageFormat::Inferred] {
-            assert_folds_agree(&load(&recs, partitions, format), batch_size);
-        }
-        let at_rest = load(&recs, partitions, StorageFormat::Columnar);
-        for ds in &at_rest {
-            ds.force_full_merge().unwrap();
-        }
-        assert_folds_agree(&at_rest, batch_size);
+        let doubles: Vec<Rec> = recs.iter().map(Rec::double_only).collect();
+        let holds_t = |k: usize| doubles[k].h.iter().any(Option::is_some);
+        let holding = (0..doubles.len()).filter(|&k| holds_t(k)).count() as u64;
+        assert_folds_agree(&load(&recs, partitions, StorageFormat::Open), batch_size);
+        assert_folds_agree(&load(&doubles, partitions, StorageFormat::Open), batch_size);
+        assert_folds_agree(&load(&recs, partitions, StorageFormat::Inferred), batch_size);
+        let ds = load(&doubles, partitions, StorageFormat::Inferred);
+        assert_folds_agree(&ds, batch_size);
+        prop_assert!(typed_fold_rows(&ds, batch_size) >= holding, "inferred");
+        let at_rest = |recs: &[Rec]| {
+            let ds = load(recs, partitions, StorageFormat::Columnar);
+            ds.iter().for_each(|ds| ds.force_full_merge().unwrap());
+            ds
+        };
+        assert_folds_agree(&at_rest(&recs), batch_size);
+        let ds = at_rest(&doubles);
+        assert_folds_agree(&ds, batch_size);
+        prop_assert!(typed_fold_rows(&ds, batch_size) >= holding, "at rest");
         assert_folds_agree(&load_live(&recs, partitions), batch_size);
+        let ds = load_live(&doubles, partitions);
+        assert_folds_agree(&ds, batch_size);
+        let holding = live_versions(doubles.len()).filter(|&(_, k)| holds_t(k)).count() as u64;
+        prop_assert!(typed_fold_rows(&ds, batch_size) >= holding, "live");
     }
 }
 
@@ -543,6 +603,40 @@ fn arb_collection(item: BoxedStrategy<Value>) -> BoxedStrategy<Value> {
     .boxed()
 }
 
+/// `rec` with its `readings` an array of objects whose `temp`, if any, is a
+/// double: the other items, a `temp` of another type and a `readings` that
+/// is no collection go. Each amax component then holds `readings[*].temp`
+/// as a repeated `double` column, which Sensors Q3 and Q4 fold typed.
+fn double_temps(rec: &[(String, Value)]) -> Vec<(String, Value)> {
+    let reading = |item: &Value| match item {
+        Value::Object(fields) => Some(Value::Object(
+            fields
+                .iter()
+                .filter(|(name, v)| name != "temp" || matches!(v, Value::Double(_)))
+                .cloned()
+                .collect(),
+        )),
+        _ => None,
+    };
+    let readings = |v: &Value| match v {
+        Value::Array(items) | Value::Multiset(items) => {
+            Value::Array(items.iter().filter_map(reading).collect())
+        }
+        _ => Value::Array(Vec::new()),
+    };
+    let field = |(name, v): &(String, Value)| {
+        (name.clone(), if name == "readings" { readings(v) } else { v.clone() })
+    };
+    rec.iter().map(field).collect()
+}
+
+/// A record of [`arb_paper_rec`] under id `id`.
+fn paper_record(fields: &[(String, Value)], id: i64) -> Value {
+    let mut fields = fields.to_vec();
+    fields.insert(0, ("id".to_string(), Value::Int64(id)));
+    Value::Object(fields)
+}
+
 fn load_paper(
     recs: &[Vec<(String, Value)>],
     partitions: usize,
@@ -550,9 +644,7 @@ fn load_paper(
 ) -> Vec<Dataset> {
     let out = datasets(partitions, format, 16 * 1024);
     for (i, fields) in recs.iter().enumerate() {
-        let mut fields = fields.clone();
-        fields.insert(0, ("id".to_string(), Value::Int64(i as i64)));
-        out[i % partitions].writer().insert(&Value::Object(fields)).unwrap();
+        out[i % partitions].writer().insert(&paper_record(fields, i as i64)).unwrap();
     }
     for ds in &out {
         ds.flush().unwrap();
@@ -632,9 +724,14 @@ fn assert_rewrites_keep_answers(ds: &[Dataset], lo: i64, hi: i64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
+    /// Open, inferred and amax at rest over `recs`, and amax live (see
+    /// [`load_live_with`]) over `live`, drawn apart to hold the loader's
+    /// minimum of records, and over `live` with only double temps
+    /// ([`double_temps`]), whose readings the live fill folds typed.
     #[test]
     fn paper_query_rewrites_keep_answers(
         recs in proptest::collection::vec(arb_paper_rec(), 0..40),
+        live in proptest::collection::vec(arb_paper_rec(), 30..50),
         partitions in 1usize..3,
         lo in 0i64..40,
         len in 0i64..40,
@@ -642,5 +739,10 @@ proptest! {
         for format in [StorageFormat::Open, StorageFormat::Inferred, StorageFormat::Columnar] {
             assert_rewrites_keep_answers(&load_paper(&recs, partitions, format), lo, lo + len);
         }
+        let ds = load_live_with(live.len(), partitions, |k, id| paper_record(&live[k], id));
+        assert_rewrites_keep_answers(&ds, lo, lo + len);
+        let typed: Vec<_> = live.iter().map(|rec| double_temps(rec)).collect();
+        let ds = load_live_with(typed.len(), partitions, |k, id| paper_record(&typed[k], id));
+        assert_rewrites_keep_answers(&ds, lo, lo + len);
     }
 }
