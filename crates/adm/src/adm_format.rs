@@ -93,12 +93,12 @@ fn encode_value(
             out.extend_from_slice(&y.to_le_bytes());
         }
         Value::Line(a) | Value::Rectangle(a) => {
-            for f in a {
+            for f in a.iter() {
                 out.extend_from_slice(&f.to_le_bytes());
             }
         }
         Value::Circle(a) => {
-            for f in a {
+            for f in a.iter() {
                 out.extend_from_slice(&f.to_le_bytes());
             }
         }
@@ -253,9 +253,9 @@ fn decode_value(buf: &[u8], ctx: Option<&TypeKind>) -> Result<(Value, usize), Ad
             let [x, y] = f64s(buf, p)?;
             (Value::Point(x, y), 17)
         }
-        TypeTag::Line => (Value::Line(f64s(buf, p)?), 33),
-        TypeTag::Rectangle => (Value::Rectangle(f64s(buf, p)?), 33),
-        TypeTag::Circle => (Value::Circle(f64s(buf, p)?), 25),
+        TypeTag::Line => (Value::Line(Box::new(f64s(buf, p)?)), 33),
+        TypeTag::Rectangle => (Value::Rectangle(Box::new(f64s(buf, p)?)), 33),
+        TypeTag::Circle => (Value::Circle(Box::new(f64s(buf, p)?)), 25),
         TypeTag::String | TypeTag::Binary => {
             let len = get_u32(buf, p)? as usize;
             let bytes = take(buf, p + 4, len)?;
@@ -689,9 +689,9 @@ mod tests {
             Value::Duration(-42),
             Value::Uuid([7; 16]),
             Value::Point(1.0, -2.0),
-            Value::Line([0.0, 0.0, 1.0, 1.0]),
-            Value::Rectangle([0.0, 0.0, 2.0, 2.0]),
-            Value::Circle([0.0, 0.0, 3.0]),
+            Value::Line(Box::new([0.0, 0.0, 1.0, 1.0])),
+            Value::Rectangle(Box::new([0.0, 0.0, 2.0, 2.0])),
+            Value::Circle(Box::new([0.0, 0.0, 3.0])),
         ];
         let v = Value::Array(scalars);
         let buf = encode_record(&v, None).unwrap();

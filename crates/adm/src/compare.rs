@@ -75,8 +75,8 @@ pub fn compare(a: &Value, b: &Value) -> Ordering {
         (DateTime(x), DateTime(y)) | (Duration(x), Duration(y)) => x.cmp(y),
         (Uuid(x), Uuid(y)) => x.cmp(y),
         (Point(x1, y1), Point(x2, y2)) => total_f64(*x1, *x2).then_with(|| total_f64(*y1, *y2)),
-        (Line(x), Line(y)) | (Rectangle(x), Rectangle(y)) => cmp_f64_slice(x, y),
-        (Circle(x), Circle(y)) => cmp_f64_slice(x, y),
+        (Line(x), Line(y)) | (Rectangle(x), Rectangle(y)) => cmp_f64_slice(&x[..], &y[..]),
+        (Circle(x), Circle(y)) => cmp_f64_slice(&x[..], &y[..]),
         (Array(x), Array(y)) | (Multiset(x), Multiset(y)) => {
             for (xi, yi) in x.iter().zip(y.iter()) {
                 let o = compare(xi, yi);
@@ -174,13 +174,13 @@ pub fn hash_value<H: Hasher>(v: &Value, state: &mut H) {
         }
         Line(a) | Rectangle(a) => {
             state.write_u8(12);
-            for f in a {
+            for f in a.iter() {
                 state.write_u64(f.to_bits());
             }
         }
         Circle(a) => {
             state.write_u8(14);
-            for f in a {
+            for f in a.iter() {
                 state.write_u64(f.to_bits());
             }
         }

@@ -372,19 +372,19 @@ impl<'a> Parser<'a> {
                 let args = self.constructor_numbers()?;
                 let arr: [f64; 4] =
                     args.try_into().map_err(|_| self.err("line takes four arguments"))?;
-                Ok(Value::Line(arr))
+                Ok(Value::Line(Box::new(arr)))
             }
             "rectangle" => {
                 let args = self.constructor_numbers()?;
                 let arr: [f64; 4] =
                     args.try_into().map_err(|_| self.err("rectangle takes four arguments"))?;
-                Ok(Value::Rectangle(arr))
+                Ok(Value::Rectangle(Box::new(arr)))
             }
             "circle" => {
                 let args = self.constructor_numbers()?;
                 let arr: [f64; 3] =
                     args.try_into().map_err(|_| self.err("circle takes three arguments"))?;
-                Ok(Value::Circle(arr))
+                Ok(Value::Circle(Box::new(arr)))
             }
             other => Err(self.err(format!("unknown keyword '{other}'"))),
         }
@@ -576,8 +576,14 @@ mod tests {
             Value::DateTime(86_400_000)
         );
         assert_eq!(parse("duration(500)").unwrap(), Value::Duration(500));
-        assert_eq!(parse("circle(0.0, 0.0, 2.0)").unwrap(), Value::Circle([0.0, 0.0, 2.0]));
-        assert_eq!(parse("line(0.0, 0.0, 1.0, 1.0)").unwrap(), Value::Line([0.0, 0.0, 1.0, 1.0]));
+        assert_eq!(
+            parse("circle(0.0, 0.0, 2.0)").unwrap(),
+            Value::Circle(Box::new([0.0, 0.0, 2.0]))
+        );
+        assert_eq!(
+            parse("line(0.0, 0.0, 1.0, 1.0)").unwrap(),
+            Value::Line(Box::new([0.0, 0.0, 1.0, 1.0]))
+        );
         assert_eq!(
             parse(r#"binary("deadbeef")"#).unwrap(),
             Value::Binary(vec![0xde, 0xad, 0xbe, 0xef])
@@ -736,8 +742,9 @@ mod tests {
             proptest::collection::vec(any::<u8>(), 0..6).prop_map(Value::Binary),
             (any::<f64>(), any::<f64>()).prop_map(|(x, y)| Value::Point(x, y)),
             (any::<f64>(), any::<f64>(), any::<f64>())
-                .prop_map(|(x, y, r)| Value::Circle([x, y, r])),
-            (any::<f64>(), any::<f64>()).prop_map(|(a, b)| Value::Rectangle([a, b, b, a])),
+                .prop_map(|(x, y, r)| Value::Circle(Box::new([x, y, r]))),
+            (any::<f64>(), any::<f64>())
+                .prop_map(|(a, b)| Value::Rectangle(Box::new([a, b, b, a]))),
         ];
         leaf.prop_recursive(3, 32, 5, |inner| {
             prop_oneof![

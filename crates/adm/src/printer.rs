@@ -94,9 +94,9 @@ fn write_value(out: &mut String, value: &Value) {
             write_float(out, *y, false);
             out.push(')');
         }
-        Value::Line(a) => write_float_ctor(out, "line", a),
-        Value::Rectangle(a) => write_float_ctor(out, "rectangle", a),
-        Value::Circle(a) => write_float_ctor(out, "circle", a),
+        Value::Line(a) => write_float_ctor(out, "line", &a[..]),
+        Value::Rectangle(a) => write_float_ctor(out, "rectangle", &a[..]),
+        Value::Circle(a) => write_float_ctor(out, "circle", &a[..]),
         Value::Array(items) => {
             out.push('[');
             for (i, item) in items.iter().enumerate() {

@@ -30,17 +30,21 @@ pub enum Value {
     Duration(i64),
     Uuid([u8; 16]),
     Point(f64, f64),
-    /// Two endpoints (x1, y1, x2, y2).
-    Line([f64; 4]),
+    /// Two endpoints (x1, y1, x2, y2). The rare spatial shapes are boxed so
+    /// that a `Value` stays 32 bytes.
+    Line(Box<[f64; 4]>),
     /// Two corners (x1, y1, x2, y2).
-    Rectangle([f64; 4]),
+    Rectangle(Box<[f64; 4]>),
     /// Center + radius (x, y, r).
-    Circle([f64; 3]),
+    Circle(Box<[f64; 3]>),
     Array(Vec<Value>),
     Multiset(Vec<Value>),
     /// Field name → value, insertion-ordered. Names must be unique.
     Object(Vec<(String, Value)>),
 }
+
+// Every variant fits in 24 bytes beside its tag.
+const _: () = assert!(std::mem::size_of::<Value>() == 32);
 
 impl Value {
     /// The type tag of this value.
@@ -240,9 +244,11 @@ impl PartialEq for Value {
                 ax.to_bits() == bx.to_bits() && ay.to_bits() == by.to_bits()
             }
             (Line(a), Line(b)) | (Rectangle(a), Rectangle(b)) => {
-                a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+                a.iter().zip(b.iter()).all(|(x, y)| x.to_bits() == y.to_bits())
             }
-            (Circle(a), Circle(b)) => a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()),
+            (Circle(a), Circle(b)) => {
+                a.iter().zip(b.iter()).all(|(x, y)| x.to_bits() == y.to_bits())
+            }
             (Array(a), Array(b)) | (Multiset(a), Multiset(b)) => a == b,
             (Object(a), Object(b)) => {
                 // Order-insensitive: JSON object semantics.

@@ -538,7 +538,7 @@ impl Dataset {
     pub fn scan_values(&self) -> Result<Vec<Value>, AdmError> {
         let (decoder, mut scan) = self.snapshot_scan();
         let mut out = Vec::new();
-        while let Some((_, _, bytes)) = scan.next() {
+        while let Some((_, _, bytes)) = scan.next_lent() {
             out.push(decoder.materialize(&bytes)?);
         }
         if let Some(e) = scan.health().first_error() {

@@ -21,7 +21,7 @@ use tc_util::varint;
 
 use crate::bloom::BloomFilter;
 use crate::columnar::{ColumnarChunk, ColumnarCodec, ColumnarWriter, RowSource};
-use crate::entry::{read_entry, write_entry, EntryKind, Key};
+use crate::entry::{read_entry, write_entry, EntryKind, Key, Lent};
 use crate::zone::{write_zone, Zone, ZoneColumn, ZoneExtractor, ZoneFilter};
 
 /// Component identity: flushed components get `(n, n)`; a merge of
@@ -399,7 +399,7 @@ impl DiskComponent {
             component: Arc::clone(self),
             cache: Arc::clone(cache),
             next_unit: first_unit,
-            block: Vec::new(),
+            block: Arc::default(),
             pos: 0,
             keys: Vec::new().into_iter(),
             row: 0,
@@ -438,8 +438,12 @@ pub type Entry = (Key, EntryKind, Vec<u8>);
 /// What a scan holds of an entry's payload before anyone asks for it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Payload {
-    /// The payload itself: row blocks, memtables and anti-matter (empty).
-    Bytes(Vec<u8>),
+    /// The payload itself, lent without a copy: from the row block the scan
+    /// read it in (the [`Lent`] shares the block, which lives until the
+    /// scan and every payload lent from it are gone), or the whole buffer of
+    /// a memtable snapshot's entry, a materialized row, or anti-matter's
+    /// empty payload.
+    Bytes(Lent),
     /// Row `row` of row group `group` of a columnar component. Only the
     /// group's keys block has been read; the record is assembled by
     /// [`ComponentScan::materialize`] or answered column by column.
@@ -484,13 +488,20 @@ pub type LazyEntry = (Key, EntryKind, Payload);
 
 /// Streaming scan over a component's leaf blocks (or row groups' key
 /// blocks).
+///
+/// A row-layout scan reads one leaf block at a time into a shared buffer
+/// and lends each entry's payload from it ([`Payload::Bytes`]): no payload
+/// is copied. The scan and every payload lent from a block own the block
+/// together; it is freed when the last of them lets go. A lent payload
+/// stays valid after the scan moves on, and after its component is merged
+/// away.
 pub struct ComponentScan {
     component: Arc<DiskComponent>,
     cache: Arc<BufferCache>,
     /// The next leaf block / row group to load.
     next_unit: usize,
     /// Row layout: the loaded block and the read position in it.
-    block: Vec<u8>,
+    block: Arc<Vec<u8>>,
     pos: usize,
     /// Columnar layout: the loaded group's remaining keys, and the row id of
     /// the next one.
@@ -531,7 +542,7 @@ impl ComponentScan {
                         *next_unit = first_unread(skip, *next_unit);
                         let block_ref = index.get(*next_unit)?;
                         match component.read_block(cache, block_ref) {
-                            Ok(b) => *block = b,
+                            Ok(b) => *block = Arc::new(b),
                             Err(e) => {
                                 self.failed = true;
                                 return Some(Err(e));
@@ -545,13 +556,17 @@ impl ComponentScan {
                         self.failed = true;
                         return Some(Err(component.corrupt_block(*next_unit - 1)));
                     };
-                    *pos += n;
-                    (k.to_vec(), kind, Payload::Bytes(payload.to_vec()))
+                    // The payload ends its entry.
+                    let end = *pos + n;
+                    let payload = Lent::new(block, end - payload.len()..end);
+                    let key = k.to_vec();
+                    *pos = end;
+                    (key, kind, Payload::Bytes(payload))
                 }
                 Body::Columnar(chunk) => match keys.next() {
                     Some((key, kind)) => {
                         let payload = match kind {
-                            EntryKind::AntiMatter => Payload::Bytes(Vec::new()),
+                            EntryKind::AntiMatter => Payload::Bytes(Lent::default()),
                             EntryKind::Record => {
                                 Payload::Row { group: *next_unit as u32 - 1, row: *row }
                             }

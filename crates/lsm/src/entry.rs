@@ -1,5 +1,8 @@
 //! Keys and entry encoding shared by the memtable, WAL, and components.
 
+use std::ops::{Deref, Range};
+use std::sync::Arc;
+
 use tc_util::varint;
 
 /// A primary (or composite secondary) key: byte strings compared
@@ -13,6 +16,68 @@ pub enum EntryKind {
     /// A delete marker (paper §2.2): annihilates any older record with the
     /// same key during merges and reads.
     AntiMatter = 1,
+}
+
+/// A payload lent from the buffer that holds it: a shared buffer and the
+/// range of it the payload occupies. A row-block scan lends each entry from
+/// its block, so the block lives as long as any payload lent from it; a
+/// memtable snapshot's payload is its own whole buffer. Cloning a `Lent`
+/// shares the buffer, never copies it.
+#[derive(Clone, Default)]
+pub struct Lent {
+    buf: Arc<Vec<u8>>,
+    range: Range<usize>,
+}
+
+impl Lent {
+    /// The bytes `range` of `buf`.
+    pub(crate) fn new(buf: &Arc<Vec<u8>>, range: Range<usize>) -> Lent {
+        debug_assert!(range.start <= range.end && range.end <= buf.len());
+        Lent { buf: Arc::clone(buf), range }
+    }
+
+    /// The payload as an owned `Vec`: the buffer itself when this is its
+    /// only holder and the payload covers it, a copy otherwise.
+    pub fn into_vec(self) -> Vec<u8> {
+        if self.range.start == 0 && self.range.end == self.buf.len() {
+            match Arc::try_unwrap(self.buf) {
+                Ok(whole) => whole,
+                Err(shared) => shared[self.range].to_vec(),
+            }
+        } else {
+            self.buf[self.range].to_vec()
+        }
+    }
+}
+
+impl From<Vec<u8>> for Lent {
+    /// Wrap `bytes` without copying them.
+    fn from(bytes: Vec<u8>) -> Lent {
+        let range = 0..bytes.len();
+        Lent { buf: Arc::new(bytes), range }
+    }
+}
+
+impl Deref for Lent {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[self.range.clone()]
+    }
+}
+
+impl PartialEq for Lent {
+    fn eq(&self, other: &Lent) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Lent {}
+
+impl std::fmt::Debug for Lent {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
 }
 
 /// Order-preserving big-endian encoding for unsigned keys.
@@ -131,6 +196,23 @@ mod tests {
         let (k, kind, p, n3) = read_entry(&buf[n1 + n2..]).unwrap();
         assert_eq!((k, kind, p), (&b""[..], EntryKind::Record, &b""[..]));
         assert_eq!(n1 + n2 + n3, buf.len());
+    }
+
+    #[test]
+    fn lent_bytes_share_their_buffer() {
+        let buf = Arc::new(b"headpayloadtail".to_vec());
+        let lent = Lent::new(&buf, 4..11);
+        assert_eq!(&*lent, b"payload");
+        assert_eq!(Arc::strong_count(&buf), 2);
+        assert_eq!(lent.clone().into_vec(), b"payload".to_vec());
+        assert_eq!(lent, Lent::from(b"payload".to_vec()));
+        assert_eq!(format!("{lent:?}"), format!("{:?}", &b"payload"[..]));
+        // A whole, unshared buffer comes back without a copy.
+        let whole = Lent::from(vec![1, 2, 3]);
+        let ptr = whole.as_ptr();
+        let v = whole.into_vec();
+        assert_eq!((v.as_ptr(), v), (ptr, vec![1, 2, 3]));
+        assert!(Lent::default().is_empty());
     }
 
     #[test]

@@ -3,10 +3,13 @@
 //! (paper §2.2, Fig 4b).
 //!
 //! A [`MergedScan`] *owns* its inputs: memtable contents are copied when the
-//! snapshot is taken and disk components are retained via `Arc`. Once built, the
-//! scan is independent of the tree's locks — concurrent flushes and merges
-//! may replace the component list without invalidating an in-flight scan,
-//! which simply keeps reading its consistent snapshot.
+//! snapshot is taken and disk components are retained via `Arc`. Once built,
+//! the scan is independent of the tree's locks — concurrent flushes and
+//! merges may replace the component list without invalidating an in-flight
+//! scan, which simply keeps reading its consistent snapshot. Payloads are
+//! lent, not copied, on their way out ([`crate::entry::Lent`]): a row
+//! block's entry shares the block it was read from, a snapshot's entry is
+//! its own buffer.
 //!
 //! The reconciliation runs on keys alone. A columnar component contributes
 //! `(key, kind)` pairs from its key blocks and a row reference per record;
@@ -36,7 +39,7 @@ use tc_storage::error::StorageError;
 use tc_storage::BufferCache;
 
 use crate::component::{ComponentId, ComponentScan, DiskComponent, Payload, Span};
-use crate::entry::{EntryKind, Key};
+use crate::entry::{EntryKind, Key, Lent};
 use crate::memtable::{MemEntry, Memtable};
 use crate::zone::ZoneFilter;
 
@@ -230,7 +233,8 @@ impl MergedScan {
         match &mut self.sources[rank] {
             SourceIter::Mem(it) => {
                 if let Some((key, kind, payload)) = it.next() {
-                    self.heap.push(HeapItem { key, kind, payload: Payload::Bytes(payload), rank });
+                    let payload = Payload::Bytes(payload.into());
+                    self.heap.push(HeapItem { key, kind, payload, rank });
                 }
             }
             SourceIter::Disk(scan) => match scan.next_entry() {
@@ -266,19 +270,26 @@ impl MergedScan {
         std::mem::take(&mut self.health)
     }
 
-    /// Next live entry: `(key, kind, payload)`. With
+    /// Next live entry: `(key, kind, payload)`, the payload owned. With
     /// `include_antimatter == false`, deleted keys are invisible. Row
     /// references are materialized here, for winners only; one whose
     /// component proves corrupt is dropped and recorded in the health.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<(Key, EntryKind, Vec<u8>)> {
+        self.next_lent().map(|(key, kind, payload)| (key, kind, payload.into_vec()))
+    }
+
+    /// [`MergedScan::next`] with the payload lent, not copied: a row
+    /// block's entry shares the block it was read from (see
+    /// [`ComponentScan`]). For readers that only read the payload.
+    pub fn next_lent(&mut self) -> Option<(Key, EntryKind, Lent)> {
         loop {
             let ScanEntry { key, kind, payload, rank } = self.next_entry()?;
             match payload {
                 Payload::Bytes(bytes) => return Some((key, kind, bytes)),
                 Payload::Row { group, row } => {
                     if let Ok(bytes) = self.materialize(rank, group, row) {
-                        return Some((key, kind, bytes));
+                        return Some((key, kind, bytes.into()));
                     }
                 }
             }
@@ -1141,5 +1152,129 @@ pub(crate) mod tests {
         assert_eq!(tree.components()[1].disk_bytes(), expected_bytes);
         assert_eq!(tree.components()[1].id(), reference.components()[1].id());
         assert_eq!(tree.get(b"a").unwrap(), Some(b"NEW".to_vec()));
+    }
+
+    /// One layer of a lending scan's inputs: `(key, payload length)`, no
+    /// length for anti-matter.
+    type Layer = Vec<(u16, Option<usize>)>;
+
+    /// The payload `layer` stores under `key`: `len` bytes that differ by
+    /// position, key and layer, so a misplaced range cannot pass.
+    fn lent_payload(layer: usize, key: u16, len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i as u8).wrapping_mul(31) ^ key as u8 ^ (layer as u8) << 5).collect()
+    }
+
+    /// A layer's entries in key order, the last write of a key winning.
+    fn lent_layer(
+        layer: usize,
+        entries: &Layer,
+    ) -> std::collections::BTreeMap<Key, Option<Vec<u8>>> {
+        entries
+            .iter()
+            .map(|&(key, len)| {
+                (key.to_be_bytes().to_vec(), len.map(|n| lent_payload(layer, key, n)))
+            })
+            .collect()
+    }
+
+    fn arb_layer() -> impl proptest::strategy::Strategy<Value = Layer> {
+        use proptest::prelude::*;
+        // Payloads up to 1.5 pages of 256 bytes: blocks span pages.
+        let payload = prop_oneof![4 => (0usize..384).prop_map(Some), 1 => Just(None)];
+        proptest::collection::vec((0u16..64, payload), 0..24)
+    }
+
+    fn arb_bound() -> impl proptest::strategy::Strategy<Value = Option<u16>> {
+        use proptest::prelude::*;
+        prop_oneof![Just(None), (0u16..70).prop_map(Some)]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// A scan over 1–4 row-format components and 0–2 memtable snapshots
+        /// (frozen, then active) yields exactly what a model of the layers
+        /// holds, in `[start, end)`, in read and in merge mode; every
+        /// payload it lends, all kept until the scan is done, equals the
+        /// bytes `next` returns.
+        #[test]
+        fn lent_scan_matches_model(
+            disk in proptest::collection::vec(arb_layer(), 1..5),
+            mem in proptest::collection::vec(arb_layer(), 0..3),
+            start in arb_bound(),
+            end in arb_bound(),
+        ) {
+            let device = Arc::new(Device::new(DeviceProfile::RAM));
+            let cache = Arc::new(BufferCache::new(64));
+            let mut model = std::collections::BTreeMap::new();
+            let mut comps = Vec::new();
+            for (layer, entries) in disk.iter().enumerate() {
+                let entries = lent_layer(layer, entries);
+                let mut b = ComponentBuilder::new(
+                    Arc::clone(&device),
+                    256,
+                    CompressionScheme::None,
+                    entries.len(),
+                    10,
+                    None,
+                );
+                for (key, payload) in &entries {
+                    match payload {
+                        Some(p) => b.push(key, EntryKind::Record, p).unwrap(),
+                        None => b.push(key, EntryKind::AntiMatter, &[]).unwrap(),
+                    }
+                }
+                comps.push(Arc::new(b.finish(ComponentId::flushed(layer as u64), true).unwrap()));
+                model.extend(entries);
+            }
+            let start = start.map(u16::to_be_bytes);
+            let end = end.map(u16::to_be_bytes);
+            let (start, end) = (start.as_ref().map(|s| &s[..]), end.as_ref().map(|e| &e[..]));
+            let mut mems = Vec::new();
+            for (layer, entries) in mem.iter().enumerate() {
+                let entries = lent_layer(disk.len() + layer, entries);
+                let mut m = Memtable::new();
+                for (key, payload) in &entries {
+                    let entry = match payload {
+                        Some(p) => MemEntry::Record(p.clone()),
+                        None => MemEntry::AntiMatter(None),
+                    };
+                    m.put(key.clone(), entry);
+                }
+                mems.push(m);
+                model.extend(entries);
+            }
+            let in_range = |k: &Key| {
+                start.is_none_or(|s| k.as_slice() >= s) && end.is_none_or(|e| k.as_slice() < e)
+            };
+            for include_antimatter in [false, true] {
+                let expected: Vec<(Key, EntryKind, Vec<u8>)> = model
+                    .iter()
+                    .filter(|(k, p)| in_range(k) && (include_antimatter || p.is_some()))
+                    .map(|(k, p)| match p {
+                        Some(p) => (k.clone(), EntryKind::Record, p.clone()),
+                        None => (k.clone(), EntryKind::AntiMatter, Vec::new()),
+                    })
+                    .collect();
+                let scan = || {
+                    let snapshots = mems.iter().map(|m| snapshot_memtable(m, start, end)).collect();
+                    MergedScan::new(snapshots, &comps, &cache, start, end, include_antimatter, None)
+                };
+                let mut lent = Vec::new();
+                let mut lending = scan();
+                while let Some(entry) = lending.next_lent() {
+                    lent.push(entry);
+                }
+                drop(lending);
+                let mut owned = Vec::new();
+                let mut copying = scan();
+                while let Some(entry) = copying.next() {
+                    owned.push(entry);
+                }
+                let lent: Vec<_> = lent.into_iter().map(|(k, kind, p)| (k, kind, p.to_vec())).collect();
+                assert_eq!(&lent, &owned);
+                assert_eq!(&owned, &expected);
+            }
+        }
     }
 }

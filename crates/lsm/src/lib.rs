@@ -37,7 +37,7 @@ pub mod zone;
 
 pub use columnar::{ColumnarChunk, ColumnarCodec, ColumnarWriter, RowSource};
 pub use component::{ComponentId, DiskComponent, LookupHit};
-pub use entry::{EntryKind, Key};
+pub use entry::{EntryKind, Key, Lent};
 pub use hook::{ComponentHook, FlushPass, NoopHook};
 pub use policy::{CompactionDecision, MergePick, MergePolicy, MergeTrigger, NUM_MERGE_TRIGGERS};
 pub use tree::{LsmOptions, LsmStats, LsmTree};

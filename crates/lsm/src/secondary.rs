@@ -55,7 +55,7 @@ impl SecondaryIndex {
         debug_assert_eq!(start.len(), self.secondary_width);
         let mut scan = self.tree.scan_range(Some(start), Some(end));
         let mut out = Vec::new();
-        while let Some((k, _, _)) = scan.next() {
+        while let Some((k, _, _)) = scan.next_lent() {
             out.push(k[self.secondary_width..].to_vec());
         }
         match scan.health().first_error() {

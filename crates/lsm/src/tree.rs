@@ -492,7 +492,7 @@ impl LsmTree {
     pub fn count(&self) -> u64 {
         let mut scan = self.scan();
         let mut n = 0;
-        while scan.next().is_some() {
+        while scan.next_lent().is_some() {
             n += 1;
         }
         n
@@ -1313,6 +1313,36 @@ mod tests {
             got.push((crate::entry::decode_u64_key(&k).unwrap(), p));
         }
         assert_eq!(got, vec![(1, b"mem".to_vec()), (2, b"mem-override".to_vec())]);
+    }
+
+    /// A payload lent from a row block stays valid, and unchanged, after
+    /// its scan has moved on to later blocks, after the scan is gone, and
+    /// after a merge has replaced its component.
+    #[test]
+    fn lent_payloads_outlive_their_scan_and_component() {
+        let t = small_tree();
+        let payload = |i: u64| format!("payload-{i:03}-").repeat(1 + i as usize % 7).into_bytes();
+        for i in 0..150u64 {
+            t.insert(encode_u64_key(i), payload(i)).unwrap();
+        }
+        t.flush().unwrap();
+        let before = t.components();
+        assert!(before.len() > 1 && t.memtable_len() == 0);
+        let mut scan = t.scan();
+        let mut lent = Vec::new();
+        while let Some((_, _, p)) = scan.next_lent() {
+            lent.push(p);
+            assert_eq!(&*lent[0], &payload(0)[..], "after {} entries", lent.len());
+        }
+        drop(scan);
+        t.force_full_merge().unwrap();
+        assert_eq!(t.components().len(), 1);
+        assert!(before.iter().all(|c| !Arc::ptr_eq(c, &t.components()[0])));
+        drop(before);
+        assert_eq!(lent.len(), 150);
+        for (i, p) in lent.iter().enumerate() {
+            assert_eq!(&**p, &payload(i as u64)[..]);
+        }
     }
 
     #[test]

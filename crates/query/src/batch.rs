@@ -2,12 +2,15 @@
 //! records.
 //!
 //! Instead of materializing every scanned record into a full row before any
-//! operator sees it, the batched engine pulls ~4K records at a time — the
-//! winners of the snapshot's key reconciliation — and runs the scan in four
-//! columnar phases. A pulled record is either its stored **bytes** (row
-//! blocks, memtables) or a **row reference** into a columnar component,
-//! `(source, group, row)`, for which nothing but the group's keys block has
-//! been read.
+//! operator sees it, the batched engine pulls a batch of records at a time —
+//! the winners of the snapshot's key reconciliation — and runs the scan in
+//! four columnar phases. A batch ends at [`DEFAULT_BATCH_SIZE`] records (or
+//! the configured batch size) or once its payloads reach 64 KiB, whichever
+//! comes first, so a batch of wide records stays in cache from its decode
+//! to its emit. A pulled record is either its stored **bytes** (row blocks,
+//! memtables), lent from the block the scan read it in with no copy, or a
+//! **row reference** into a columnar component, `(source, group, row)`, for
+//! which nothing but the group's keys block has been read.
 //!
 //! 1. **Eager decode** — only the early columns the scan filter actually
 //!    reads are evaluated into reusable column buffers: one [`PathBatch`]
@@ -74,6 +77,7 @@ use tc_adm::{AdmError, Value};
 use tc_columnar::{ChunkReader, GroupView};
 use tc_lsm::component::Payload;
 use tc_lsm::iter::MergedScan;
+use tc_lsm::Lent;
 use tc_storage::StorageError;
 use tc_util::hash::FxHashMap;
 use tc_vector::Column;
@@ -88,10 +92,18 @@ use crate::plan::{AccessStrategy, ScanSpec};
 /// Records per scan chunk (the batched engine's unit of work).
 pub const DEFAULT_BATCH_SIZE: usize = 4096;
 
+/// Payload bytes past which a batch stops pulling records: a batch of wide
+/// records stays cache-resident through its decode, filter and emit
+/// phases, as vectorized engines size their vectors (MonetDB/X100). On the
+/// Twitter scans 16–256 KiB measured alike, and 1 MiB or more gave part of
+/// the gain back (the sweep is in CHANGES.md).
+const BATCH_BYTES: usize = 64 * 1024;
+
 /// One pulled record, as the fill phases read it.
 enum BatchRow {
-    /// Its stored bytes; every path is evaluated against them.
-    Bytes(Vec<u8>),
+    /// Its stored bytes, lent from the block the scan read them in; every
+    /// path is evaluated against them.
+    Bytes(Lent),
     /// A row of a columnar component (source `rank` of the scan) that was
     /// not assembled: its values come straight from column pages, as `plan`
     /// maps them.
@@ -99,10 +111,14 @@ enum BatchRow {
 }
 
 /// Run one partition's scan in batches, pushing each surviving row into
-/// `pipeline` as the batch emits it. `rows_scanned` counts the records
-/// pulled from the snapshot up to the one whose row filled a `Limit` sink;
-/// `bytes_scanned` the payload bytes of every record pulled — or, for rows
-/// answered from column pages, the bytes of the blocks faulted in for them.
+/// `pipeline` as the batch emits it. A batch stops pulling at `batch_size`
+/// records or once its byte payloads reach [`BATCH_BYTES`], whichever comes
+/// first, and always takes at least one record; a row reference carries no
+/// payload bytes. `rows_scanned` counts the records pulled from the
+/// snapshot up to the one whose row filled a `Limit` sink; `bytes_scanned`
+/// the payload bytes of every record pulled — or, for rows answered from
+/// column pages, the bytes of the blocks faulted in for them; `batches` the
+/// batches run.
 pub(crate) fn scan_batched(
     decoder: &RecordDecoder,
     iter: &mut MergedScan,
@@ -114,13 +130,18 @@ pub(crate) fn scan_batched(
     let batch_size = batch_size.max(1);
     let mut scanner = BatchScanner::new(decoder, scan);
     let mut batch: Vec<BatchRow> = Vec::with_capacity(batch_size);
-    loop {
+    let mut exhausted = false;
+    while !exhausted {
         // Pull no more records than a limit still takes: each adds at most
         // one row to it, unless an unnest sits in front of it.
         let want = pipeline.room().map_or(batch_size, |room| batch_size.min(room));
         batch.clear();
-        while batch.len() < want {
-            let Some(entry) = iter.next_entry() else { break };
+        let mut bytes = 0;
+        while batch.len() < want && bytes < BATCH_BYTES {
+            let Some(entry) = iter.next_entry() else {
+                exhausted = true;
+                break;
+            };
             let row = match entry.payload {
                 Payload::Bytes(payload) => BatchRow::Bytes(payload),
                 Payload::Row { group, row } => match scanner.fill_plan(iter, entry.rank) {
@@ -129,22 +150,26 @@ pub(crate) fn scan_batched(
                     // whose component proves corrupt is dropped; the scan's
                     // health has the error.
                     None => match iter.materialize(entry.rank, group, row) {
-                        Ok(payload) => BatchRow::Bytes(payload),
+                        Ok(payload) => BatchRow::Bytes(payload.into()),
                         Err(_) => continue,
                     },
                 },
             };
             if let BatchRow::Bytes(payload) = &row {
                 stats.bytes_scanned += payload.len() as u64;
+                bytes += payload.len();
             }
             batch.push(row);
         }
         if batch.is_empty() {
             break;
         }
+        stats.batches += 1;
         let consumed = scanner.process_batch(iter, &batch, pipeline, stats)?;
         stats.rows_scanned += consumed as u64;
-        if consumed < want {
+        // A batch cut by bytes is short without the scan having ended; one
+        // that filled the limit sink ends it.
+        if pipeline.room() == Some(0) {
             break;
         }
     }

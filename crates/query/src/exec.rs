@@ -135,6 +135,11 @@ pub struct ExecStats {
     /// repeated `double` column, at rest or live. The row engine folds
     /// `Value`s only.
     pub typed_fold_rows: u64,
+    /// Batches the batched engine's snapshot scan ran, summed over
+    /// partitions: a batch ends at the batch size or once its payloads
+    /// reach 64 KiB ([`crate::batch`]). The row engine and the at-rest
+    /// columnar scan run none.
+    pub batches: u64,
 }
 
 /// Rows + stats.
@@ -208,6 +213,7 @@ fn coordinate(
         stats.quarantined_components += part.quarantined_components;
         stats.units_skipped += part.units_skipped;
         stats.typed_fold_rows += part.typed_fold_rows;
+        stats.batches += part.batches;
         match out {
             LocalOutput::Rows(rows) => exchange.push_all(rows),
             LocalOutput::Grouped(partials) => exchange.merge(partials)?,
@@ -307,7 +313,7 @@ fn scan_rows(
     let mut early = ColumnSet::new(decoder, scan.paths.clone(), scan.access, false);
     let mut late = ColumnSet::new(decoder, scan.late_paths.clone(), scan.access, false);
     while pipeline.room() != Some(0) {
-        let Some((_, _, payload)) = iter.next() else { break };
+        let Some((_, _, payload)) = iter.next_lent() else { break };
         stats.rows_scanned += 1;
         stats.bytes_scanned += payload.len() as u64;
         let mut row = early.take_row(&payload)?;
@@ -437,6 +443,53 @@ mod tests {
         };
         let res = execute(&refs(&ds), &q, &ExecOptions::default()).unwrap();
         assert_eq!(res.rows, vec![vec![Value::Int64(10)]]);
+    }
+
+    /// Wide records cut batches by their payload bytes, not by the record
+    /// count: a batch stops once it holds 64 KiB, and a record past that
+    /// alone still makes a batch of one. The answers are the row engine's.
+    #[test]
+    fn batches_are_cut_by_payload_bytes() {
+        let wide = |n: usize, len: usize| {
+            let ds = Dataset::new(
+                DatasetConfig::new("W", "id").with_format(StorageFormat::Inferred),
+                Arc::new(Device::new(DeviceProfile::RAM)),
+                Arc::new(BufferCache::new(4096)),
+            );
+            for i in 0..n {
+                let text = "abcdefgh".repeat(len / 8 + i % 3);
+                let r = Value::object([("id", Value::Int64(i as i64)), ("w", Value::string(text))]);
+                ds.writer().insert(&r).unwrap();
+            }
+            ds.flush().unwrap();
+            ds
+        };
+        let q = Query {
+            scan: ScanSpec::all_early(
+                vec![parse_path("id"), parse_path("w")],
+                AccessStrategy::Consolidated,
+            ),
+            ops: vec![Op::Project(vec![
+                Expr::col(0),
+                Expr::func(Func::StrLen, vec![Expr::col(1)]),
+            ])],
+        };
+        let run = |ds: &Dataset, engine| {
+            let opts = ExecOptions { engine, parallel: false, ..Default::default() };
+            execute(&[ds], &q, &opts).unwrap()
+        };
+        // ~40 KB each: two records reach the budget.
+        let ds = wide(60, 40_000);
+        let (batched, rows) = (run(&ds, Engine::Batched), run(&ds, Engine::Row));
+        assert_eq!(batched.rows, rows.rows);
+        assert_eq!(batched.stats.rows_scanned, 60);
+        assert_eq!(batched.stats.batches, 30, "more than ⌈60 / 4096⌉ = 1 batch");
+        assert_eq!(rows.stats.batches, 0);
+        // Each record alone is past the budget.
+        let ds = wide(5, 70_000);
+        let (batched, rows) = (run(&ds, Engine::Batched), run(&ds, Engine::Row));
+        assert_eq!(batched.rows, rows.rows);
+        assert_eq!((batched.stats.rows_scanned, batched.stats.batches), (5, 5));
     }
 
     #[test]

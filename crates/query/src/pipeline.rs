@@ -398,7 +398,7 @@ impl<'q> Sink<'q> {
             // the union of the local ones. A full sort waits for the union.
             Some(Blocking::OrderBy { limit: None, .. }) if side == Side::Local => rows(None),
             Some(Blocking::OrderBy { keys, limit }) => {
-                Sink::Sort(SortSink { keys, limit, rows: Vec::new() })
+                Sink::Sort(SortSink { keys, limit, rows: Vec::new(), arrived: 0 })
             }
             // The local side has already projected Distinct's expressions
             // (and deduped within its partition); re-evaluating them against
@@ -421,10 +421,7 @@ impl<'q> Sink<'q> {
                     rows.push(keep(row, owned));
                 }
             }
-            Sink::Sort(s) => {
-                let key: Vec<Value> = s.keys.iter().map(|(e, _)| e.eval(row)).collect();
-                s.rows.push((key, keep(row, owned)));
-            }
+            Sink::Sort(s) => s.push(row, owned),
             Sink::Distinct(d) => d.push(row, owned),
             Sink::Group(g) => g.push(row, owned),
         }
@@ -440,29 +437,56 @@ impl<'q> Sink<'q> {
     }
 }
 
-/// `OrderBy`, optionally top-k: a stable sort on the evaluated keys.
+/// `OrderBy`, optionally top-k: a sort on the evaluated keys, ties broken
+/// by arrival order, so the output is a stable sort's. A top-k keeps at
+/// most `2k` rows: once the buffer holds that many, the `k` first in that
+/// order are selected and the rest dropped, and only what remains is sorted
+/// at the end.
 struct SortSink<'q> {
     keys: &'q [(Expr, bool)],
     limit: Option<usize>,
-    rows: Vec<(Vec<Value>, Row)>,
+    /// Each kept row with its keys and arrival index.
+    rows: Vec<(Vec<Value>, usize, Row)>,
+    arrived: usize,
 }
 
 impl SortSink<'_> {
+    fn push(&mut self, row: &mut Row, owned: bool) {
+        let key: Vec<Value> = self.keys.iter().map(|(e, _)| e.eval(row)).collect();
+        self.rows.push((key, self.arrived, keep(row, owned)));
+        self.arrived += 1;
+        if let Some(k) = self.limit {
+            if self.rows.len() >= k.saturating_mul(2) {
+                let keys = self.keys;
+                self.rows.select_nth_unstable_by(k, |a, b| sort_order(keys, a, b));
+                self.rows.truncate(k);
+            }
+        }
+    }
+
     fn finish(mut self) -> Vec<Row> {
         let keys = self.keys;
-        self.rows.sort_by(|(a, _), (b, _)| {
-            for (i, (_, desc)) in keys.iter().enumerate() {
-                let ord = compare(&a[i], &b[i]);
-                let ord = if *desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
+        self.rows.sort_unstable_by(|a, b| sort_order(keys, a, b));
         self.rows.truncate(self.limit.unwrap_or(usize::MAX));
-        self.rows.into_iter().map(|(_, row)| row).collect()
+        self.rows.into_iter().map(|(_, _, row)| row).collect()
     }
+}
+
+/// The order a [`SortSink`] emits: by each key, descending where asked,
+/// then by arrival.
+fn sort_order(
+    keys: &[(Expr, bool)],
+    (a, a_at, _): &(Vec<Value>, usize, Row),
+    (b, b_at, _): &(Vec<Value>, usize, Row),
+) -> std::cmp::Ordering {
+    for (i, (_, desc)) in keys.iter().enumerate() {
+        let ord = compare(&a[i], &b[i]);
+        let ord = if *desc { ord.reverse() } else { ord };
+        if ord != std::cmp::Ordering::Equal {
+            return ord;
+        }
+    }
+    a_at.cmp(b_at)
 }
 
 /// `Distinct`: the first row of each distinct projection (of the whole row
@@ -667,5 +691,48 @@ fn fold_items(states: &mut [AggState], aggs: &[Agg], row: &mut Row, items: Items
         Items::Values(Cow::Owned(vs)) => vs.into_iter().for_each(|v| fold_row(row, v)),
         Items::Values(Cow::Borrowed(vs)) => vs.iter().for_each(|v| fold_row(row, v.clone())),
         Items::Doubles(xs) => xs.iter().for_each(|&x| fold_row(row, Value::Double(x))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `ORDER BY` key `LIMIT k` on the local and on the global side equals a
+    /// stable sort of every row, truncated: rows whose keys tie across the
+    /// `2k` compactions keep their arrival order.
+    #[test]
+    fn top_k_keeps_ties_in_arrival_order() {
+        // Row i: key i % 3 (ties everywhere), then its arrival index.
+        let rows: Vec<Row> =
+            (0..40i64).map(|i| vec![Value::Int64(i % 3), Value::Int64(i)]).collect();
+        for desc in [false, true] {
+            let mut expected = rows.clone();
+            expected.sort_by(|a, b| {
+                let ord = compare(&a[0], &b[0]);
+                if desc {
+                    ord.reverse()
+                } else {
+                    ord
+                }
+            });
+            for k in [0, 1, 2, 3, 5, 13, 40, 100] {
+                let ops = [Op::OrderBy { keys: vec![(Expr::col(0), desc)], limit: Some(k) }];
+                let want: Vec<Row> = expected.iter().take(k).cloned().collect();
+                let mut local = Pipeline::local(&ops);
+                local.push_all(rows.clone());
+                let LocalOutput::Rows(got) = local.finish_local() else {
+                    panic!("a top-k's local side emits rows");
+                };
+                assert_eq!(got, want, "local, k={k}, desc={desc}");
+                let (mut global, rest) = Pipeline::exchange(&ops);
+                assert!(rest.is_empty());
+                // Unowned pushes too: the pusher keeps its rows.
+                for mut row in rows.clone() {
+                    global.sink.push(&mut row, false);
+                }
+                assert_eq!(global.finish(), want, "global, k={k}, desc={desc}");
+            }
+        }
     }
 }

@@ -250,12 +250,12 @@ fn write_value(
             s.fixed.extend_from_slice(&y.to_le_bytes());
         }
         Value::Line(a) | Value::Rectangle(a) => {
-            for f in a {
+            for f in a.iter() {
                 s.fixed.extend_from_slice(&f.to_le_bytes());
             }
         }
         Value::Circle(a) => {
-            for f in a {
+            for f in a.iter() {
                 s.fixed.extend_from_slice(&f.to_le_bytes());
             }
         }

@@ -478,9 +478,9 @@ pub fn scalar_value(tag: TypeTag, bytes: &[u8]) -> Result<Value, AdmError> {
             let [x, y] = f64s(bytes)?;
             Value::Point(x, y)
         }
-        Line => Value::Line(f64s(bytes)?),
-        Rectangle => Value::Rectangle(f64s(bytes)?),
-        Circle => Value::Circle(f64s(bytes)?),
+        Line => Value::Line(Box::new(f64s(bytes)?)),
+        Rectangle => Value::Rectangle(Box::new(f64s(bytes)?)),
+        Circle => Value::Circle(Box::new(f64s(bytes)?)),
         String => Value::String(
             std::str::from_utf8(bytes)
                 .map_err(|_| AdmError::corrupt("invalid UTF-8 string"))?

@@ -2,7 +2,8 @@
 //! observationally identical — same rows, same order, same scan counters
 //! (rows scanned, and units the zone maps let the scan skip) —
 //! across random data, random plan shapes, random partitioning, and random
-//! batch sizes (including sizes that split partitions mid-batch). Serial
+//! batch sizes (including sizes that split partitions mid-batch, and wide
+//! records that cut a batch by its payload bytes). Serial
 //! and parallel execution are held to the same standard. Partitions are
 //! flushed row-layout datasets, columnar ones at rest — one merged
 //! component, where the batched engine takes the zero-pivot scan — or
@@ -35,6 +36,9 @@ struct Rec {
     /// `h[*].t`: all doubles (a typed buffer), or all bigints or a mix with
     /// nulls, strings and items without `t` (`Value` arrays).
     h: Vec<Option<Value>>,
+    /// `w`: a 1–70 KB string of this length, starting at this letter, so
+    /// that some batches are cut by their payload bytes.
+    w: Option<(usize, u8)>,
 }
 
 impl Rec {
@@ -65,6 +69,10 @@ impl Rec {
             Value::Object(t.iter().map(|t| ("t".to_string(), t.clone())).collect())
         };
         fields.push(("h".to_string(), Value::Array(self.h.iter().map(t).collect())));
+        if let Some((len, first)) = self.w {
+            let letter = |i: usize| char::from(b'a' + ((usize::from(first) + i) % 26) as u8);
+            fields.push(("w".to_string(), Value::String((0..len).map(letter).collect())));
+        }
         Value::Object(fields)
     }
 }
@@ -88,9 +96,14 @@ fn arb_rec() -> impl Strategy<Value = Rec> {
         opt("[rgb]"),
         proptest::collection::vec(0i64..10, 0..4),
         opt(0i64..5),
-        (proptest::collection::vec(0i64..10, 0..3), arb_h()),
+        (proptest::collection::vec(0i64..10, 0..3), arb_h(), arb_w()),
     )
-        .prop_map(|(a, b, c, e, (g, h))| Rec { a, b, c, e, g, h })
+        .prop_map(|(a, b, c, e, (g, h, w))| Rec { a, b, c, e, g, h, w })
+}
+
+/// One record in ten carries a wide string.
+fn arb_w() -> impl Strategy<Value = Option<(usize, u8)>> {
+    prop_oneof![9 => Just(None), 1 => (1_000usize..70_000, 0u8..26).prop_map(Some)]
 }
 
 /// `h`'s items: in a third of the records every `t` is a double, in a third
